@@ -6,6 +6,7 @@ import (
 
 	"htmtree"
 	"htmtree/internal/hist"
+	"htmtree/internal/htm"
 )
 
 // Allocation-regression gate (PR 5 acceptance): steady-state point
@@ -211,6 +212,67 @@ func TestAllocGateObservedPointOps(t *testing.T) {
 		}
 		if len(tree.Obs().Events()) == 0 {
 			t.Errorf("%s: no flight-recorder events recorded", tc.name)
+		}
+	}
+}
+
+// TestAllocGateAbortedAttempts gates the abort path itself: an attempt
+// that aborts — explicitly, by capacity, or by conflict — must not
+// allocate (the unwind panics with a payload the thread owns instead of
+// boxing one), so a contended workload's allocation rate no longer
+// follows its abort rate. Aborts are forced through Config.Faults at a
+// cadence that fails attempts in every measured run. What an operation
+// does after its aborts must not allocate either, or the gate would
+// measure that instead: the template's middle and lock-free fallback
+// paths allocate their SCX records by design, so the trees run TLE,
+// whose only other path is the fast body again under the global lock
+// (where a capacity abort sends the operation at once).
+func TestAllocGateAbortedAttempts(t *testing.T) {
+	const (
+		cyclesPerRun = 16 // x2 operations: every run sees several forced aborts
+		every        = 97
+		runs         = 200
+	)
+	for _, tc := range []struct {
+		name string
+		mk   func(htmtree.Config) (*htmtree.Tree, error)
+	}{
+		{"bst", htmtree.NewBST},
+		{"abtree", htmtree.NewABTree},
+	} {
+		for _, cause := range []htm.AbortCause{htm.CauseExplicit, htm.CauseCapacity, htm.CauseConflict} {
+			name := tc.name + " " + cause.String() + " aborts"
+			tree, err := tc.mk(htmtree.Config{
+				Algorithm: htmtree.TLE,
+				Faults: htmtree.NewFaultPlan(1, htmtree.FaultRule{
+					Point: htmtree.FaultTxAccess, Every: every, Cause: uint8(cause),
+				}),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := tree.NewHandle()
+			// Scrambled insertion order keeps the (unbalanced) BST shallow.
+			for i := uint64(0); i < gateKeys; i++ {
+				k := i*197%gateKeys + 1
+				h.Insert(k, k)
+			}
+			k := uint64(gateKeys / 2)
+			cycles := func() {
+				for i := 0; i < cyclesPerRun; i++ {
+					h.Delete(k)
+					h.Insert(k, k)
+				}
+			}
+			for i := 0; i < gateWarmups; i++ {
+				cycles()
+			}
+			key := "fast/" + cause.String()
+			before := tree.Stats().AbortCauses[key]
+			gateCheck(t, name, testing.AllocsPerRun(runs, cycles))
+			if aborted := tree.Stats().AbortCauses[key] - before; aborted < runs {
+				t.Errorf("%s: only %d forced aborts in %d runs, the gate measured nothing", name, aborted, runs)
+			}
 		}
 	}
 }

@@ -7,11 +7,13 @@
 package htmtree_test
 
 import (
+	"strconv"
 	"testing"
 
 	"htmtree/internal/abtree"
 	"htmtree/internal/bst"
 	"htmtree/internal/engine"
+	"htmtree/internal/htm"
 )
 
 func BenchmarkMicroABTreeCycle(b *testing.B) {
@@ -43,5 +45,84 @@ func BenchmarkMicroBSTCycle(b *testing.B) {
 		h.Delete(k)
 		h.Insert(k, k)
 		h.Search(k)
+	}
+}
+
+// microCell gives each benchmark cell its own allocation, so the cells'
+// addresses spread over the write-set signature the way cells of
+// separately allocated tree nodes do (a contiguous array would not).
+type microCell struct {
+	w htm.Word
+	_ [5]uint64
+}
+
+func microCells(tm *htm.TM, n int) []*microCell {
+	cells := make([]*microCell, n)
+	for i := range cells {
+		cells[i] = new(microCell)
+		cells[i].w.Bind(tm.Clock())
+	}
+	return cells
+}
+
+// BenchmarkMicroTxWriteSet is the regression number for write-set
+// membership: one transaction that writes n distinct cells and commits.
+// Each first write of a cell asks whether the cell is already in the
+// write set, so with a linear scan the cost per entry (the ns/entry
+// metric) grows with n, and with the signature it stays flat until the
+// signature saturates.
+func BenchmarkMicroTxWriteSet(b *testing.B) {
+	for _, n := range []int{1, 8, 32, 128} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			tm := htm.New(htm.Config{})
+			th := tm.NewThread()
+			cells := microCells(tm, n)
+			body := func(tx *htm.Tx) {
+				for _, c := range cells {
+					c.w.Set(tx, 1)
+				}
+			}
+			th.Atomic(htm.PathFast, body)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ok, _ := th.Atomic(htm.PathFast, body); !ok {
+					b.Fatal("uncontended transaction aborted")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/entry")
+		})
+	}
+}
+
+// BenchmarkMicroTxReadAfterWrite is the read side of the same question:
+// a transaction that has written 32 cells reads 64 others, each read
+// first checking the write set for a buffered value. Read it against
+// BenchmarkMicroTxWriteSet/32, which is this transaction without the
+// reads.
+func BenchmarkMicroTxReadAfterWrite(b *testing.B) {
+	const writes, reads = 32, 64
+	tm := htm.New(htm.Config{})
+	th := tm.NewThread()
+	written, read := microCells(tm, writes), microCells(tm, reads)
+	var sum uint64
+	body := func(tx *htm.Tx) {
+		for _, c := range written {
+			c.w.Set(tx, 1)
+		}
+		for _, c := range read {
+			sum += c.w.Get(tx)
+		}
+	}
+	th.Atomic(htm.PathFast, body)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if ok, _ := th.Atomic(htm.PathFast, body); !ok {
+			b.Fatal("uncontended transaction aborted")
+		}
+	}
+	if sum != 0 {
+		b.Fatal("read cells are never written")
 	}
 }

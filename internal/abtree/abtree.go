@@ -72,14 +72,16 @@ type Node struct {
 	lkeys []htm.Word
 	lvals []htm.Word
 
-	// Subtree aggregates (agg.go). Every node maintains the sum of the
-	// keys in its subtree in aggSum; internal nodes additionally hold
-	// count/min/max (a leaf derives them from size and lkeys). min/max
-	// hold the sentinels ^0/0 while the subtree is empty.
-	aggSum   htm.Word
-	aggCount htm.Word
-	aggMin   htm.Word
-	aggMax   htm.Word
+	// Subtree aggregates (agg.go). A leaf maintains the sum of its keys
+	// in aggSum and derives count/min/max from size and lkeys. An
+	// internal node holds the (sum, count) of its subtree's keys in agg —
+	// one cell, because every update moves the two together — and the
+	// min/max in their own cells (the sentinels ^0/0 while the subtree
+	// is empty).
+	aggSum htm.Word
+	agg    htm.Pair
+	aggMin htm.Word
+	aggMax htm.Word
 }
 
 // Tagged reports the node's tag (exported for tests).
@@ -127,8 +129,7 @@ func newInternal(clk *htm.Clock, keys []uint64, children []*Node, tagged bool) *
 		tagged:   tagged,
 	}
 	n.hdr.Bind(clk)
-	n.aggSum.Bind(clk)
-	n.aggCount.Bind(clk)
+	n.agg.Bind(clk)
 	n.aggMin.Bind(clk)
 	n.aggMax.Bind(clk)
 	for i, c := range children {
@@ -451,12 +452,9 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			}
 			agg.Merge(ca)
 		}
-		if got := (dict.Agg{
-			Sum:   n.aggSum.Get(nil),
-			Count: n.aggCount.Get(nil),
-			Min:   n.aggMin.Get(nil),
-			Max:   n.aggMax.Get(nil),
-		}); got != agg {
+		got := dict.Agg{Min: n.aggMin.Get(nil), Max: n.aggMax.Get(nil)}
+		got.Sum, got.Count = n.agg.Get(nil)
+		if got != agg {
 			return agg, fmt.Errorf(
 				"abtree: stale aggregates at depth %d: cells {sum %d count %d min %d max %d}, leaves say {sum %d count %d min %d max %d}",
 				depth, got.Sum, got.Count, got.Min, got.Max,

@@ -15,10 +15,13 @@ import (
 // KeySum-class analytics descend in O(log n) instead of walking every
 // leaf.
 //
-// Representation. Internal nodes carry four aggregate cells
-// (aggSum/aggCount/aggMin/aggMax). Leaves carry only aggSum: a leaf's
-// count is its size cell and its min/max are its first and last keys,
-// so no extra leaf state is needed. An empty subtree holds the
+// Representation. Internal nodes carry three aggregate cells: agg, one
+// htm.Pair holding (sum, count) — every leaf operation moves the two
+// together, and one cell means one write-set entry, one commit lock and
+// one version store per ancestor instead of two — plus aggMin and
+// aggMax. Leaves carry only aggSum: a leaf's count is its size cell and
+// its min/max are its first and last keys, so no extra leaf state is
+// needed. An empty subtree holds the
 // sentinels min = ^0, max = 0 (no key is ^0 — dict.MaxKey is below it —
 // and a real max of 0 coincides with the sentinel harmlessly: readers
 // gate min/max on count > 0).
@@ -113,13 +116,14 @@ func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
 		}
 		return c.aggSum.Get(tx), sz, c.lkeys[0].Get(tx), c.lkeys[sz-1].Get(tx)
 	}
-	return c.aggSum.Get(tx), c.aggCount.Get(tx), c.aggMin.Get(tx), c.aggMax.Get(tx)
+	sum, count = c.agg.Get(tx)
+	return sum, count, c.aggMin.Get(tx), c.aggMax.Get(tx)
 }
 
 // childMin returns the smallest key in c's subtree (sentinel ^0 when
 // empty); childMax symmetrically. Internal aggMin/aggMax hold the
 // sentinels when empty, so no count read is needed — which matters in
-// delete cascades, where the path child's count cell has a pending
+// delete cascades, where the path child's agg cell has a pending
 // AddAtCommit and must not be read back.
 func childMin(tx *htm.Tx, c *Node) uint64 {
 	if c.leaf {
@@ -165,8 +169,7 @@ func initAggs(tx *htm.Tx, n *Node) {
 			}
 		}
 	}
-	n.aggSum.Init(sum)
-	n.aggCount.Init(count)
+	n.agg.Init(sum, count)
 	n.aggMin.Init(mn)
 	n.aggMax.Init(mx)
 }
@@ -180,8 +183,7 @@ func setAggsFromPairs(n *Node, pairs []kv) {
 	for _, p := range pairs {
 		sum += p.k
 	}
-	n.aggSum.Init(sum)
-	n.aggCount.Init(uint64(len(pairs)))
+	n.agg.Init(sum, uint64(len(pairs)))
 	if len(pairs) == 0 {
 		n.aggMin.Init(aggEmptyMin)
 		n.aggMax.Init(aggEmptyMax)
@@ -209,8 +211,7 @@ func sumPairs(pairs []kv) uint64 {
 // recycled versions could spuriously abort the transaction).
 func aggCopy(tx *htm.Tx, dst, src *Node) {
 	s, ct, mn, mx := childAgg(tx, src)
-	dst.aggSum.Init(s)
-	dst.aggCount.Init(ct)
+	dst.agg.Init(s, ct)
 	dst.aggMin.Init(mn)
 	dst.aggMax.Init(mx)
 }
@@ -255,8 +256,7 @@ func (pr *prims) aggPlan(kind aggKind, key uint64) {
 // aggVer bracket and the cells take immediate non-transactional adds).
 func aggApplyInsert(tx *htm.Tx, path []*Node, key uint64) {
 	for _, n := range path {
-		n.aggSum.AddAtCommit(tx, key)
-		n.aggCount.AddAtCommit(tx, 1)
+		n.agg.AddAtCommit(tx, key, 1)
 		if key < n.aggMin.Get(tx) {
 			n.aggMin.Set(tx, key)
 		}
@@ -270,14 +270,13 @@ func aggApplyInsert(tx *htm.Tx, path []*Node, key uint64) {
 // recorded search path. min/max use recompute-on-boundary: the deleted
 // key can be an ancestor's min (max) only if it was the path child's
 // min (max), so the cascade is a prefix from the leaf upward. The path
-// child's fresh min/max are carried in plain values (its count cell
+// child's fresh min/max are carried in plain values (its agg cell
 // has a pending AddAtCommit and must not be read back); siblings are
 // read through their cells.
 func aggApplyDelete(tx *htm.Tx, path []*Node, child *Node, key, cmin, cmax uint64) {
 	for i := len(path) - 1; i >= 0; i-- {
 		n := path[i]
-		n.aggSum.AddAtCommit(tx, -key)
-		n.aggCount.AddAtCommit(tx, ^uint64(0))
+		n.agg.AddAtCommit(tx, -key, ^uint64(0))
 		newMin := n.aggMin.Get(tx)
 		if key == newMin {
 			newMin = cmin
@@ -337,8 +336,7 @@ func (t *Tree) aggFixupNonTx(h *Handle, kind aggKind, key uint64) {
 	h.path = path
 	if kind == aggInsert {
 		for _, a := range path {
-			a.aggSum.Add(key)
-			a.aggCount.Add(1)
+			a.agg.Add(key, 1)
 			if key < a.aggMin.Get(nil) {
 				a.aggMin.Set(nil, key)
 			}
@@ -352,8 +350,7 @@ func (t *Tree) aggFixupNonTx(h *Handle, kind aggKind, key uint64) {
 	// the (already fixed) children.
 	for i := len(path) - 1; i >= 0; i-- {
 		a := path[i]
-		a.aggSum.Add(-key)
-		a.aggCount.Add(^uint64(0))
+		a.agg.Add(-key, ^uint64(0))
 		if a.aggMin.Get(nil) == key {
 			mn := aggEmptyMin
 			for j := range a.children {

@@ -133,8 +133,7 @@ func (t *Tree) helpInsert(h *Handle, d *engine.HelpDesc) {
 	// finishRecord's path fixup applies +key to every ancestor of the new
 	// leaf, np included: publish np with the pre-insert sum/count (see
 	// insertBody).
-	np.aggSum.Init(sumPairs(h.buf) - key)
-	np.aggCount.Init(uint64(len(h.buf) - 1))
+	np.agg.Init(sumPairs(h.buf)-key, uint64(len(h.buf)-1))
 	rec := llxscx.NewRecord(v, infos, r, fld, u, np)
 	h.finishRecord(d, &engine.HelpAttempt{Rec: rec, NeedFix: np.tagged}, u)
 }

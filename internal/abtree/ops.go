@@ -16,7 +16,12 @@ func (h *Handle) buildOps() {
 	// attempt carries the result and whether the helped update left a
 	// balance violation; the owner runs the fix loop itself after the
 	// engine returns (Insert/Delete below).
+	// A helper may have completed the operation without this handle
+	// running a fallback attempt of its own: drop what its aborted
+	// fast-path attempts left in the pool's lists before the Settle that
+	// follows Run acts on them (see the bst's finish).
 	finish := func(val uint64, found, needFix bool) {
+		h.beginAttempt()
 		h.resVal, h.resFound, h.needFix = val, found, needFix
 	}
 	// Locked (TLE) update and fix bodies run the fast-mode code with a
@@ -356,8 +361,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		// np must be published with the pre-insert sum/count. Its min/max
 		// may already include key: the fixup's conditional update is a
 		// no-op when the cell already holds the key.
-		np.aggSum.Init(sumPairs(h.buf) - key)
-		np.aggCount.Init(uint64(len(h.buf) - 1))
+		np.agg.Init(sumPairs(h.buf)-key, uint64(len(h.buf)-1))
 		pr.aggPlan(aggInsert, key)
 	}
 	if !pr.scx(v, infos, r, fld, u, np) {

@@ -109,8 +109,7 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 	// Aggregate cells: first allocation binds them (callers fill them via
 	// initAggs/setAggsFromPairs before publication); recycled nodes keep
 	// their bindings.
-	n.aggSum.Bind(h.clk)
-	n.aggCount.Bind(h.clk)
+	n.agg.Bind(h.clk)
 	n.aggMin.Bind(h.clk)
 	n.aggMax.Bind(h.clk)
 	full := make([]htm.Ref[Node], cc)

@@ -336,3 +336,58 @@ func TestHelpableOwnerDeath(t *testing.T) {
 		t.Fatalf("retirements after owner release = %d, want still 3 (no re-execution)", d)
 	}
 }
+
+// TestHelpedDeleteDropsAbortedAttemptResidue: an operation's fast-path
+// attempt can run its whole body — drawing nodes and listing the nodes
+// it unlinks for retirement — and then fail to commit. If a helper then
+// completes the operation's announced fallback on its own, the owner
+// never starts another attempt, and nothing but the result delivery
+// stands between that stale list and the Settle that follows Run. The
+// stale removals must be dropped: the helper retires what it removed,
+// and a node the aborted attempt "removed" may still be linked (retiring
+// it twice, or while linked, hands it to two inserts). The hook plants
+// the residue exactly where an aborted attempt leaves it — in the
+// owner's pool, after its last own attempt, before the helper runs.
+func TestHelpedDeleteDropsAbortedAttemptResidue(t *testing.T) {
+	t.Parallel()
+	hook := &helpHook{}
+	tr := New(helpableConfig(hook))
+	h1 := tr.newHandle()
+	h2 := tr.newHandle()
+	h1.Insert(5, 50)
+	h1.Insert(10, 100)
+	_, _, linked := tr.search(nil, 10) // stays in the tree throughout
+
+	base := retired(h1) + retired(h2)
+	announced := make(chan struct{})
+	resume := make(chan struct{})
+	var fired atomic.Bool
+	hook.arm(func() {
+		if fired.CompareAndSwap(false, true) {
+			h1.newLeaf(99, 0) // drawn, never published
+			h1.remove(linked) // "unlinked" by an attempt that did not commit
+			announced <- struct{}{}
+			<-resume
+		}
+	})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		h1.Delete(5)
+	}()
+	<-announced
+	if !h2.e.H.Help() {
+		t.Fatal("helper found nothing to help")
+	}
+	close(resume)
+	<-done
+	if d := retired(h1) + retired(h2) - base; d != 3 {
+		t.Fatalf("helped delete retired %d nodes, want exactly the helper's 3", d)
+	}
+	if v, ok := h1.Search(10); !ok || v != 100 {
+		t.Fatalf("Search(10) = (%d,%v) after the helped delete, want (100,true)", v, ok)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -16,7 +16,18 @@ func (h *Handle) buildOps() {
 	t := h.t
 	// finish delivers a helped operation's result into the handle
 	// scratch (shared by both update ops; the bst has no deferred fix).
-	finish := func(val uint64, found, _ bool) { h.resVal, h.resFound = val, found }
+	// The operation may have been completed entirely by a helper, with
+	// this handle never running a fallback attempt of its own; its pool
+	// then still lists the nodes drawn and "removed" by its aborted
+	// fast-path attempts, which the Settle that follows Run would
+	// publish and retire — retiring nodes that are still linked (or
+	// that the helper retires too). Whoever installed the committed
+	// attempt has settled its own pool; nothing of this handle's is
+	// pending.
+	finish := func(val uint64, found, _ bool) {
+		h.beginAttempt()
+		h.resVal, h.resFound = val, found
+	}
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.insertFast(tx, h) },

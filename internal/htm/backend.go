@@ -109,24 +109,23 @@ func (k BackendKind) String() string {
 
 // simBackend is the TL2-flavoured simulator described in the package
 // comment. It is stateless (everything lives on the TM and Tx), so one
-// shared instance serves every TM. The hot-path transaction log
-// bypasses the interface for this backend (TM.sim) to keep
-// transactional accesses devirtualized and allocation-free.
+// shared instance serves every TM. Its methods are one-line calls of
+// the Tx methods that do the work; when a TM runs on it (Tx.sim),
+// Thread.Atomic and Tx.admit call those directly, which keeps begin,
+// admission and commit devirtualized on the hot path. The methods
+// themselves serve a caller-supplied Backend that wraps the simulator.
 type simBackend struct{}
 
 func (simBackend) Name() string { return "sim" }
 
-func (simBackend) Begin(tx *Tx) { tx.rv = tx.th.tm.clock.Now() }
+func (simBackend) Begin(tx *Tx) { tx.begin() }
 
 func (simBackend) Admit(tx *Tx, write bool, n int) {
-	tx.maybeSpurious()
-	limit := tx.th.tm.cfg.ReadCapacity
+	limit := tx.readCap
 	if write {
-		limit = tx.th.tm.cfg.WriteCapacity
+		limit = tx.writeCap
 	}
-	if n >= limit {
-		tx.abort(CauseCapacity)
-	}
+	tx.simAdmit(n, limit)
 }
 
 func (simBackend) Commit(tx *Tx) AbortCause { return tx.commit() }
@@ -168,7 +167,7 @@ func (b *tleLockBackend) Begin(tx *Tx) {
 	} else {
 		b.mu.Lock()
 	}
-	tx.rv = tx.th.tm.clock.Now()
+	tx.begin()
 }
 
 // Admit admits everything: a mutex has no footprint limit, and the

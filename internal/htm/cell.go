@@ -3,19 +3,11 @@ package htm
 import (
 	"runtime"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Version-word encoding: version<<1 | lockBit.
 const lockBit = 1
-
-// cell is the interface the transaction log uses to apply buffered writes
-// without knowing the concrete cell type.
-type cell interface {
-	version() *atomic.Uint64
-	applyWord(v uint64)
-	applyPtr(p any)
-	applyAdd(delta uint64)
-}
 
 // Non-transactional lock acquisition backoff bounds: an acquirer that
 // loses the CAS spins reading the version word for a bounded,
@@ -73,15 +65,6 @@ type Word struct {
 	val atomic.Uint64
 }
 
-func (w *Word) version() *atomic.Uint64 { return &w.ver }
-func (w *Word) applyWord(v uint64)      { w.val.Store(v) }
-func (w *Word) applyPtr(any)            { panic("htm: applyPtr on Word") }
-
-// applyAdd folds a commutative increment into the cell. Only called
-// during commit while the cell's version word is locked by this
-// transaction, so the read-modify-write is race-free.
-func (w *Word) applyAdd(delta uint64) { w.val.Store(w.val.Load() + delta) }
-
 // Bind associates the cell with the version clock of the TM whose
 // transactions access it. Non-transactional mutations advance this clock
 // (keeping the TM's transactions strongly atomic with respect to them),
@@ -90,20 +73,26 @@ func (w *Word) applyAdd(delta uint64) { w.val.Store(w.val.Load() + delta) }
 // clock panics — a cell serving two clock domains would silently break
 // strong atomicity in one of them (e.g. one Indicator shared between
 // two engines), so it must fail loudly instead.
-func (w *Word) Bind(c *Clock) {
-	if w.clk != nil && w.clk != c {
+func (w *Word) Bind(c *Clock) { bindClock(&w.clk, c) }
+
+func (w *Word) clock() *Clock { return boundClock(w.clk) }
+
+// bindClock is the shared body of the cells' Bind methods.
+func bindClock(clk **Clock, c *Clock) {
+	if *clk != nil && *clk != c {
 		panic("htm: cell already bound to a different TM clock (one cell cannot serve two clock domains)")
 	}
-	w.clk = c
+	*clk = c
 }
 
-// clock returns the bound clock, diagnosing a miswired cell loudly
-// rather than failing with a nil dereference.
-func (w *Word) clock() *Clock {
-	if w.clk == nil {
+// boundClock returns a cell's bound clock for a non-transactional
+// mutation, diagnosing a miswired cell loudly rather than failing with a
+// nil dereference.
+func boundClock(clk *Clock) *Clock {
+	if clk == nil {
 		panic("htm: non-transactional mutation of a cell not bound to a TM clock (call Bind first)")
 	}
-	return w.clk
+	return clk
 }
 
 // Init sets the cell's value without version bookkeeping. It must only
@@ -150,10 +139,15 @@ func (w *Word) Get(tx *Tx) uint64 {
 			}
 		}
 	}
-	if buf, ok := tx.findWrite(&w.ver); ok {
-		return buf.word
+	if tx.findWrite(&w.ver) {
+		if buf := tx.readBack(&w.ver); buf != nil {
+			return buf.word
+		}
 	}
-	v := tx.readVersion(&w.ver)
+	v := w.ver.Load()
+	if !tx.readable(v) {
+		v = tx.readVersion(&w.ver)
+	}
 	val := w.val.Load()
 	if w.ver.Load() != v {
 		tx.abort(CauseConflict)
@@ -188,7 +182,10 @@ func (w *Word) GetStable(tx *Tx) uint64 {
 	if tx == nil {
 		return w.Get(nil)
 	}
-	v := tx.readVersion(&w.ver)
+	v := w.ver.Load()
+	if !tx.readable(v) {
+		v = tx.readVersion(&w.ver)
+	}
 	val := w.val.Load()
 	if w.ver.Load() != v {
 		tx.abort(CauseConflict)
@@ -208,7 +205,7 @@ func (w *Word) Set(tx *Tx, v uint64) {
 		w.ver.Store(nv << 1)
 		return
 	}
-	tx.logWrite(w, &w.ver, v, nil, false)
+	tx.writeSlot(&w.ver, unsafe.Pointer(&w.val), entWord).word = v
 }
 
 // CAS atomically replaces old with new and reports whether it did. Inside
@@ -253,7 +250,7 @@ func (w *Word) AddAtCommit(tx *Tx, delta uint64) {
 		w.Add(delta)
 		return
 	}
-	tx.logAdd(w, &w.ver, delta)
+	tx.writeSlot(&w.ver, unsafe.Pointer(&w.val), entAdd).word += delta
 }
 
 // Add atomically adds delta (which may be negative via two's complement)
@@ -268,51 +265,128 @@ func (w *Word) Add(delta uint64) uint64 {
 	return v
 }
 
+// Pair is a shared cell holding two uint64 values under one version
+// word: the two are read, and changed, as a unit. It exists for counters
+// that always move together — a subtree's key sum and key count — where
+// two Words would cost every update two write-set entries, two commit
+// locks and two version stores for what is one logical change. Like
+// Word, the zero value is an unlocked (0, 0) bound to no clock.
+//
+// A Pair is only ever changed by adding to it, so it has no Set or CAS;
+// Init sets the value of a cell that is still private.
+type Pair struct {
+	clk *Clock
+	ver atomic.Uint64
+	val [2]atomic.Uint64
+}
+
+// Bind associates the cell with a TM's version clock. See Word.Bind;
+// rebinding to a different clock panics.
+func (p *Pair) Bind(c *Clock) { bindClock(&p.clk, c) }
+
+func (p *Pair) clock() *Clock { return boundClock(p.clk) }
+
+// Init sets the cell's values without version bookkeeping. See
+// Word.Init.
+func (p *Pair) Init(a, b uint64) {
+	p.val[0].Store(a)
+	p.val[1].Store(b)
+}
+
+// Get reads both values as of one instant. With a nil tx it performs a
+// non-transactional atomic read; otherwise the read joins tx's read set
+// and may abort tx.
+func (p *Pair) Get(tx *Tx) (a, b uint64) {
+	if tx == nil {
+		for i := 0; ; i++ {
+			v1 := p.ver.Load()
+			if v1&lockBit == 0 {
+				a, b = p.val[0].Load(), p.val[1].Load()
+				if p.ver.Load() == v1 {
+					return a, b
+				}
+			}
+			if i%128 == 127 {
+				runtime.Gosched()
+			}
+		}
+	}
+	if tx.findWrite(&p.ver) {
+		// A Pair's write entries are all pending adds, which cannot be
+		// read back: a hit panics.
+		tx.readBack(&p.ver)
+	}
+	v := p.ver.Load()
+	if !tx.readable(v) {
+		v = tx.readVersion(&p.ver)
+	}
+	a, b = p.val[0].Load(), p.val[1].Load()
+	if p.ver.Load() != v {
+		tx.abort(CauseConflict)
+	}
+	tx.logRead(&p.ver, v)
+	return a, b
+}
+
+// AddAtCommit queues a commutative increment of both values, applied
+// atomically at the transaction's commit. See Word.AddAtCommit: the cell
+// joins the write set but not the read set, repeated adds accumulate,
+// and the cell must not be read again in the same transaction.
+func (p *Pair) AddAtCommit(tx *Tx, da, db uint64) {
+	if tx == nil {
+		p.Add(da, db)
+		return
+	}
+	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPairAdd)
+	e.word += da
+	e.word2 += db
+}
+
+// Add atomically adds (da, db) — either may be negative via two's
+// complement — to the cell outside any transaction and returns the new
+// values.
+func (p *Pair) Add(da, db uint64) (a, b uint64) {
+	c := p.clock()
+	acquireNonTx(&p.ver)
+	nv := c.tick()
+	a, b = p.val[0].Load()+da, p.val[1].Load()+db
+	p.val[0].Store(a)
+	p.val[1].Store(b)
+	p.ver.Store(nv << 1)
+	return a, b
+}
+
 // Ref is a shared pointer cell holding a *T. The zero value is an
 // unlocked cell holding nil; like Word, it must be bound to the owning
 // TM's clock before any non-transactional mutation.
 type Ref[T any] struct {
 	clk *Clock
 	ver atomic.Uint64
-	val atomic.Pointer[T]
+	// val holds the *T. It is an untyped pointer accessed through
+	// load/store so that the (non-generic) commit can store a buffered
+	// write through writeEntry.c without boxing the pointer or
+	// dispatching on the cell's type; nothing but a *T is ever stored.
+	val unsafe.Pointer
 }
 
-func (r *Ref[T]) version() *atomic.Uint64 { return &r.ver }
-func (r *Ref[T]) applyWord(uint64)        { panic("htm: applyWord on Ref") }
-func (r *Ref[T]) applyAdd(uint64)         { panic("htm: applyAdd on Ref") }
-func (r *Ref[T]) applyPtr(p any) {
-	if p == nil {
-		r.val.Store(nil)
-		return
-	}
-	r.val.Store(p.(*T))
-}
+func (r *Ref[T]) load() *T   { return (*T)(atomic.LoadPointer(&r.val)) }
+func (r *Ref[T]) store(p *T) { atomic.StorePointer(&r.val, unsafe.Pointer(p)) }
 
 // Bind associates the cell with the version clock of the TM whose
 // transactions access it. See Word.Bind; rebinding to a different clock
 // panics.
-func (r *Ref[T]) Bind(c *Clock) {
-	if r.clk != nil && r.clk != c {
-		panic("htm: cell already bound to a different TM clock (one cell cannot serve two clock domains)")
-	}
-	r.clk = c
-}
+func (r *Ref[T]) Bind(c *Clock) { bindClock(&r.clk, c) }
 
-func (r *Ref[T]) clock() *Clock {
-	if r.clk == nil {
-		panic("htm: non-transactional mutation of a cell not bound to a TM clock (call Bind first)")
-	}
-	return r.clk
-}
+func (r *Ref[T]) clock() *Clock { return boundClock(r.clk) }
 
 // Init sets the cell's value without version bookkeeping. See Word.Init.
-func (r *Ref[T]) Init(p *T) { r.val.Store(p) }
+func (r *Ref[T]) Init(p *T) { r.store(p) }
 
 // Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
 func (r *Ref[T]) Recycle(p *T) {
 	c := r.clock()
 	acquireNonTx(&r.ver)
-	r.val.Store(p)
+	r.store(p)
 	r.ver.Store(c.Now() << 1)
 }
 
@@ -323,7 +397,7 @@ func (r *Ref[T]) Get(tx *Tx) *T {
 		for i := 0; ; i++ {
 			v1 := r.ver.Load()
 			if v1&lockBit == 0 {
-				p := r.val.Load()
+				p := r.load()
 				if r.ver.Load() == v1 {
 					return p
 				}
@@ -333,14 +407,16 @@ func (r *Ref[T]) Get(tx *Tx) *T {
 			}
 		}
 	}
-	if buf, ok := tx.findWrite(&r.ver); ok {
-		if buf.ptr == nil {
-			return nil
+	if tx.findWrite(&r.ver) {
+		if buf := tx.readBack(&r.ver); buf != nil {
+			return (*T)(buf.ptr)
 		}
-		return buf.ptr.(*T)
 	}
-	v := tx.readVersion(&r.ver)
-	p := r.val.Load()
+	v := r.ver.Load()
+	if !tx.readable(v) {
+		v = tx.readVersion(&r.ver)
+	}
+	p := r.load()
 	if r.ver.Load() != v {
 		tx.abort(CauseConflict)
 	}
@@ -355,15 +431,11 @@ func (r *Ref[T]) Set(tx *Tx, p *T) {
 		c := r.clock()
 		acquireNonTx(&r.ver)
 		nv := c.tick()
-		r.val.Store(p)
+		r.store(p)
 		r.ver.Store(nv << 1)
 		return
 	}
-	var boxed any
-	if p != nil {
-		boxed = p
-	}
-	tx.logWrite(r, &r.ver, 0, boxed, true)
+	tx.writeSlot(&r.ver, unsafe.Pointer(&r.val), entRef).ptr = unsafe.Pointer(p)
 }
 
 // CAS atomically replaces old with new (pointer identity) and reports
@@ -378,12 +450,12 @@ func (r *Ref[T]) CAS(tx *Tx, old, new *T) bool {
 	}
 	c := r.clock()
 	prev := acquireNonTx(&r.ver)
-	if r.val.Load() != old {
+	if r.load() != old {
 		r.ver.Store(prev)
 		return false
 	}
 	nv := c.tick()
-	r.val.Store(new)
+	r.store(new)
 	r.ver.Store(nv << 1)
 	return true
 }

@@ -9,9 +9,9 @@
 // two semantic properties in software with a TL2-flavoured design:
 //
 //   - Shared memory is held in cells (Ref[T] for pointers, Word for
-//     uint64). Every access, transactional or not, goes through the cell
-//     API. Each cell pairs its value with a version word encoded as
-//     version<<1|lock.
+//     uint64, Pair for two uint64 that always change together). Every
+//     access, transactional or not, goes through the cell API. Each cell
+//     pairs its value with a version word encoded as version<<1|lock.
 //   - Every TM instance owns its version clock (cache-line padded), so
 //     independent TMs — e.g. the shards of a sharded dictionary — never
 //     contend on a shared clock cache line. Cells bound to the same
@@ -24,7 +24,13 @@
 //   - Commit try-locks the write set (failure aborts with Conflict,
 //     mirroring HTM's abort-on-conflict rather than blocking), advances
 //     the clock, validates the read set (skipped when no other write
-//     happened since begin), applies the write set, and unlocks.
+//     happened since begin), applies the write set, and unlocks. The one
+//     entry that waits instead of aborting is a commutative add
+//     (AddAtCommit): it never looked at the cell, so the lock holder
+//     cannot invalidate it, and it polls — a bounded number of times,
+//     which is what keeps two commits that add to the same cells in
+//     opposite orders from deadlocking — for the holder to finish (see
+//     Tx.commit).
 //   - Non-transactional stores and CAS operations lock the cell, bump the
 //     cell's bound clock and the cell version, and unlock. Because they
 //     advance the same clock and versions the transactions validate
@@ -36,8 +42,24 @@
 // path policies built on top observe the same abort-reason signals they
 // would on hardware.
 //
+// The simulator is this system's hardware, so its per-access cost is the
+// floor under every other number. Three things keep it down. A
+// transactional read or first write of a cell must know whether the cell
+// is already in the write set; a 256-bit signature of the write set's
+// version-word addresses (Tx.sig) answers "no" in O(1), inlined into the
+// cells' Get, and only a hit scans. What an access needs from the
+// configuration — backend kind, capacity limits, lock spin, whether
+// failure injection is armed — is copied into the Tx when its thread is
+// created, so an access reads it from the Tx it already holds (Tx.bind).
+// And a write-set entry addresses its cell by two raw pointers, version
+// word and value storage, so commit applies every kind of entry with a
+// switch instead of an interface call and an entry stays under a cache
+// line.
+//
 // A transaction is a single attempt, exactly like XBEGIN/XEND: retry
-// policy belongs to the caller. Transactions must not be nested.
+// policy belongs to the caller. Transactions must not be nested. An
+// attempt that aborts unwinds by panic with a payload its Thread owns,
+// so aborting allocates nothing.
 package htm
 
 import (
@@ -93,8 +115,10 @@ type Config struct {
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane at this TM's transactional accesses: a fault.PointTxAccess
 	// effect forces an abort with the effect's cause (CauseSpurious
-	// when unset) — the chaos harness's abort storm. Nil costs one
-	// predictable branch per access on the simulator path.
+	// when unset) — the chaos harness's abort storm. With neither a
+	// plan nor SpuriousEvery set, an access pays one predictable branch
+	// for both (Tx.armed); setting either sends every access of the
+	// TM's transactions through Tx.inject.
 	Faults *fault.Plan
 }
 
@@ -135,9 +159,9 @@ type TM struct {
 	cfg     Config
 	clock   Clock
 	backend Backend
-	// sim is true when backend is the built-in simulator: the
-	// transaction log uses it to keep per-access admission checks
-	// devirtualized (and inlinable) on the hot path.
+	// sim is true when backend is the built-in simulator. Each thread's
+	// Tx carries a copy (Tx.sim), under which begin, admission and
+	// commit are direct calls instead of Backend dispatches.
 	sim bool
 	// ann is the announcement slot of the helpable fallback protocol:
 	// the descriptor of the fallback critical section currently
@@ -188,7 +212,7 @@ func (tm *TM) NewThread() *Thread {
 		rng:    tm.cfg.Seed + uint64(len(tm.threads))*0xbf58476d1ce4e5b9 + 1,
 		faults: tm.cfg.Faults,
 	}
-	th.tx.th = th
+	th.tx.bind(th)
 	tm.threads = append(tm.threads, th)
 	return th
 }

@@ -3,6 +3,7 @@ package htm
 import (
 	"fmt"
 	"sync/atomic"
+	"unsafe"
 
 	"htmtree/internal/fault"
 )
@@ -127,9 +128,14 @@ type Thread struct {
 	// (SetHelper); helping guards against reentrant helping.
 	helper  func(Announced) bool
 	helping bool
-	// faults caches the TM's fault plan (Config.Faults) so the
-	// per-access injection check is one field load and branch.
+	// faults is the TM's fault plan (Config.Faults): consulted by
+	// Tx.inject on armed attempts and handed out by Faults.
 	faults *fault.Plan
+	// ab is the payload every abort of this thread's transactions
+	// unwinds with. Panicking with its address boxes nothing, so an
+	// aborted attempt allocates nothing; Tx.unwind fills it and runTx's
+	// recover reads it back.
+	ab txAbort
 }
 
 // ID returns the thread's registration index within its TM.
@@ -160,8 +166,8 @@ func (th *Thread) next() uint64 {
 // Faults returns the thread's armed fault plan, if any (nil otherwise).
 func (th *Thread) Faults() *fault.Plan { return th.faults }
 
-// txAbort is the panic payload used to unwind an aborting transaction.
-// It never escapes Thread.Atomic.
+// txAbort is the panic payload used to unwind an aborting transaction
+// (always &Thread.ab). It never escapes Thread.Atomic.
 type txAbort struct {
 	cause AbortCause
 	code  uint8
@@ -172,20 +178,40 @@ type readEntry struct {
 	seen uint64
 }
 
+// entryKind says what a write-set entry does to its cell at commit.
+type entryKind uint8
+
+const (
+	entWord    entryKind = iota // Word.Set: store word
+	entRef                      // Ref.Set: store ptr
+	entAdd                      // Word.AddAtCommit: add word
+	entPairAdd                  // Pair.AddAtCommit: add (word, word2)
+)
+
+// isAdd reports whether the entry is a commutative delta applied to
+// whatever the cell holds at commit, rather than a buffered value.
+func (k entryKind) isAdd() bool { return k >= entAdd }
+
+// writeEntry is one buffered write. It addresses the cell by two raw
+// pointers instead of an interface value — ver, the cell's version word
+// (unique per cell, so it is also the entry's identity), and c, the
+// cell's value storage — which lets commit apply every kind of entry
+// with a plain switch and keeps the entry at 48 bytes, well under a
+// cache line: growing it (88 bytes was tried) measurably slows commits
+// of small write sets.
 type writeEntry struct {
-	c cell
-	// ver caches c.version(): the address of the cell's version word,
-	// unique per cell, so write-set membership scans compare one pointer
-	// instead of two interface words (runtime.ifaceeq showed up as the
-	// single hottest function once aggregate maintenance grew the write
-	// set to ~2 entries per tree level).
-	ver     *atomic.Uint64
-	word    uint64
-	ptr     any
-	isPtr   bool
-	isAdd   bool // word is a commutative delta applied at commit (AddAtCommit)
-	prevVer uint64
+	ver *atomic.Uint64
+	// c is the cell's value storage: *atomic.Uint64 for a Word,
+	// *unsafe.Pointer for a Ref, *[2]atomic.Uint64 for a Pair.
+	c     unsafe.Pointer
+	word  uint64
+	word2 uint64         // second component of a Pair delta
+	ptr   unsafe.Pointer // buffered *T of an entRef entry
+	kind  entryKind
 }
+
+// sigWords is the size of the write-set signature in 64-bit words.
+const sigWords = 4
 
 // Tx is a single transaction attempt. It is only valid inside the
 // function passed to Thread.Atomic and must not be retained.
@@ -194,7 +220,48 @@ type Tx struct {
 	rv     uint64
 	reads  []readEntry
 	writes []writeEntry
-	path   PathKind
+	// sig is a 256-bit signature (a one-hash Bloom filter) of the
+	// version-word addresses in writes. Every transactional read, and
+	// every first write of a cell, asks "is this cell in my write set?"
+	// and the answer is almost always no; a clear signature bit says so
+	// in O(1), where scanning writes costs O(len(writes)) per access —
+	// quadratic in a commit that carries two aggregate entries per tree
+	// level. A set bit only means "maybe": the scan (and the misuse
+	// checks it guards) then runs as before, so a saturated signature
+	// degrades to the scan, never to a wrong answer.
+	sig  [sigWords]uint64
+	path PathKind
+
+	// Per-access configuration. It is fixed for the life of the thread
+	// (TM.cfg and the fault plan never change), so bind copies it here
+	// once and an access finds it in the Tx it already holds instead of
+	// chasing tx.th.tm.cfg — three dependent loads — before touching
+	// data.
+	//
+	// sim is true on the built-in simulator. armed is true when
+	// admitting an access takes more than the capacity compare: an
+	// injected failure may be due (SpuriousEvery != 0 or a fault plan is
+	// set) or another Backend must be asked. The common unarmed access
+	// pays one branch for all three.
+	sim      bool
+	armed    bool
+	readCap  int
+	writeCap int
+	lockSpin int
+	clk      *Clock
+}
+
+// bind attaches the Tx to its thread and hoists the TM's per-access
+// configuration into it.
+func (tx *Tx) bind(th *Thread) {
+	tm := th.tm
+	tx.th = th
+	tx.sim = tm.sim
+	tx.armed = !tm.sim || tm.cfg.SpuriousEvery != 0 || th.faults != nil
+	tx.readCap = tm.cfg.ReadCapacity
+	tx.writeCap = tm.cfg.WriteCapacity
+	tx.lockSpin = tm.cfg.LockSpin
+	tx.clk = &tm.clock
 }
 
 // Path returns the execution path label this transaction was started
@@ -202,10 +269,11 @@ type Tx struct {
 func (tx *Tx) Path() PathKind { return tx.path }
 
 // reset clears the transaction log for a new attempt. The snapshot (rv)
-// is established afterwards by the backend's Begin.
+// is established afterwards by begin.
 func (tx *Tx) reset(path PathKind) {
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
+	tx.sig = [sigWords]uint64{}
 	tx.path = path
 }
 
@@ -218,24 +286,33 @@ func (tx *Tx) drop() {
 	clear(tx.writes[:cap(tx.writes)])
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
+	tx.sig = [sigWords]uint64{}
 }
+
+// begin establishes the attempt's snapshot.
+func (tx *Tx) begin() { tx.rv = tx.clk.Now() }
 
 // Abort explicitly aborts the transaction with a user code, like the
 // xabort instruction. It does not return.
-func (tx *Tx) Abort(code uint8) {
-	panic(txAbort{cause: CauseExplicit, code: code})
-}
+func (tx *Tx) Abort(code uint8) { tx.unwind(CauseExplicit, code) }
 
 // abort aborts the transaction for an internal reason. It does not
 // return.
-func (tx *Tx) abort(cause AbortCause) {
-	panic(txAbort{cause: cause})
+func (tx *Tx) abort(cause AbortCause) { tx.unwind(cause, 0) }
+
+// unwind leaves the transaction body by panicking with the thread's own
+// abort payload (see Thread.ab).
+func (tx *Tx) unwind(cause AbortCause, code uint8) {
+	a := &tx.th.ab
+	a.cause, a.code = cause, code
+	panic(a)
 }
 
-// maybeSpurious injects a spurious abort with the configured probability,
-// and gives an armed fault plan its shot at forcing an abort by cause
-// (fault.PointTxAccess — the chaos harness's abort storm).
-func (tx *Tx) maybeSpurious() {
+// inject fails an access on purpose: a spurious abort with the
+// configured probability, then an armed fault plan's shot at forcing an
+// abort by cause (fault.PointTxAccess — the chaos harness's abort
+// storm). Only armed attempts get here.
+func (tx *Tx) inject() {
 	every := tx.th.tm.cfg.SpuriousEvery
 	if every != 0 && tx.th.next()%every == 0 {
 		tx.abort(CauseSpurious)
@@ -251,11 +328,16 @@ func (tx *Tx) maybeSpurious() {
 	}
 }
 
+// readable reports whether a cell whose version word reads v can be read
+// at the transaction's snapshot as is: unlocked and not written since
+// begin. It is the inlined common case of every transactional read;
+// anything else is readVersion's.
+func (tx *Tx) readable(v uint64) bool { return v&lockBit == 0 && v>>1 <= tx.rv }
+
 // readVersion loads a cell version for a transactional read, spinning
 // briefly on locked cells (a commit in flight) and aborting on conflict
 // or snapshot violation.
 func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
-	spin := tx.th.tm.cfg.LockSpin
 	for i := 0; ; i++ {
 		v := ver.Load()
 		if v&lockBit == 0 {
@@ -266,121 +348,188 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 			}
 			return v
 		}
-		if i >= spin {
+		if i >= tx.lockSpin {
 			tx.abort(CauseConflict)
 		}
 	}
 }
 
-// admitRead vets a read-set append with the TM's backend. The simulator
-// is special-cased so the per-access hot path stays devirtualized.
-func (tx *Tx) admitRead() {
-	if tx.th.tm.sim {
-		tx.maybeSpurious()
-		if len(tx.reads) >= tx.th.tm.cfg.ReadCapacity {
-			tx.abort(CauseCapacity)
-		}
-		return
+// admit vets one access before it joins the read (write=false) or write
+// (write=true) set, aborting the attempt instead of returning to reject
+// it. n is the entry count the access needs admitted — the set's size
+// for an append, the entry's index for an overwrite (which never grows
+// the footprint, so it can only be failed by injection) — and limit the
+// set's capacity. An unarmed attempt within capacity is admitted here,
+// inline; everything else is admitSlow's.
+func (tx *Tx) admit(write bool, n, limit int) {
+	if tx.armed || n >= limit {
+		tx.admitSlow(write, n, limit)
 	}
-	tx.th.tm.backend.Admit(tx, false, len(tx.reads))
 }
 
-// admitWrite is admitRead for the write set. n is the entry count the
-// access needs admitted: the set's size for an append, the entry's index
-// for an overwrite (which never grows the footprint, so it can only
-// abort spuriously).
-func (tx *Tx) admitWrite(n int) {
-	if tx.th.tm.sim {
-		tx.maybeSpurious()
-		if n >= tx.th.tm.cfg.WriteCapacity {
-			tx.abort(CauseCapacity)
-		}
+// admitSlow is admit past the inline filter: the simulator's full check,
+// or the question put to another Backend.
+func (tx *Tx) admitSlow(write bool, n, limit int) {
+	if tx.sim {
+		tx.simAdmit(n, limit)
 		return
 	}
-	tx.th.tm.backend.Admit(tx, true, n)
+	tx.th.tm.backend.Admit(tx, write, n)
+}
+
+// simAdmit is the simulator's admission check, the single rendering
+// behind both the devirtualized hot path and simBackend.Admit: injected
+// failures first, then the capacity limit.
+func (tx *Tx) simAdmit(n, limit int) {
+	tx.inject()
+	if n >= limit {
+		tx.abort(CauseCapacity)
+	}
 }
 
 func (tx *Tx) logRead(ver *atomic.Uint64, seen uint64) {
-	tx.admitRead()
+	tx.admit(false, len(tx.reads), tx.readCap)
 	tx.reads = append(tx.reads, readEntry{ver: ver, seen: seen})
 }
 
-// logWrite, logAdd and findWrite take the cell's version-word address
-// from the caller (a concrete field access) rather than calling
-// c.version() through the interface: the scans run on every
-// transactional access, so both the dynamic dispatch and the interface
-// comparison it would take to dedup entries are measurable.
-func (tx *Tx) logWrite(c cell, ver *atomic.Uint64, word uint64, ptr any, isPtr bool) {
+// sigBit maps a version-word address to its bit of the write-set
+// signature: the word index and the mask within it. Cells are 8-byte
+// aligned and sit at small strides inside a node, so the address is
+// scrambled by a Fibonacci multiply before its top 8 bits are taken.
+func sigBit(ver *atomic.Uint64) (uint, uint64) {
+	h := (uint64(uintptr(unsafe.Pointer(ver))) >> 3) * 0x9e3779b97f4a7c15 >> 56
+	return uint(h >> 6), 1 << (h & 63)
+}
+
+// findWrite is the O(1) write-set membership test every transactional
+// Get starts with: false means the cell with the given version word is
+// certainly not in the write set; true means it may be, and readBack
+// must scan. It has to stay small enough to inline into the Gets. A
+// read-only attempt answers from the length alone (range scans pay this
+// once per cell, so not even the hash is affordable), a writing one
+// from the signature.
+func (tx *Tx) findWrite(ver *atomic.Uint64) bool {
+	if len(tx.writes) == 0 {
+		return false
+	}
+	w, m := sigBit(ver)
+	return tx.sig[w]&m != 0
+}
+
+// readBack returns the write-set entry a transactional read of the cell
+// must return the buffered value of, or nil. A cell with a pending
+// commutative increment cannot be read back (its final value is only
+// known at commit).
+func (tx *Tx) readBack(ver *atomic.Uint64) *writeEntry {
+	i := tx.writeIndex(ver)
+	if i < 0 {
+		return nil
+	}
+	if tx.writes[i].kind.isAdd() {
+		panic("htm: transactional read of a cell with a pending AddAtCommit")
+	}
+	return &tx.writes[i]
+}
+
+// writeIndex scans the write set for the entry with the given version
+// word and returns its index, or -1. Callers consult the signature
+// first (findWrite, or sigBit when they go on to set the bit).
+func (tx *Tx) writeIndex(ver *atomic.Uint64) int {
 	for i := len(tx.writes) - 1; i >= 0; i-- {
 		if tx.writes[i].ver == ver {
-			if tx.writes[i].isAdd {
+			return i
+		}
+	}
+	return -1
+}
+
+// writeSlot returns the write-set entry of the cell (ver, c) for a
+// write of the given kind, appending one — zero word, word2 and ptr —
+// if the cell is not in the set yet; the caller stores or accumulates
+// its operand into the entry. Buffered values and commutative deltas do
+// not mix on one cell (a delta's final value is unknowable until
+// commit), so finding an entry of the other sort panics.
+//
+// The cell is addressed by the raw pointers of its version word and
+// value storage rather than through an interface: this runs on every
+// transactional write, where both the dynamic dispatch and the
+// interface comparison it would take to dedup entries are measurable.
+func (tx *Tx) writeSlot(ver *atomic.Uint64, c unsafe.Pointer, kind entryKind) *writeEntry {
+	sw, sm := sigBit(ver)
+	if tx.sig[sw]&sm != 0 {
+		if i := tx.writeIndex(ver); i >= 0 {
+			w := &tx.writes[i]
+			if w.kind.isAdd() != kind.isAdd() {
+				if kind.isAdd() {
+					panic("htm: AddAtCommit on a cell already written in this transaction")
+				}
 				panic("htm: Set on a cell with a pending AddAtCommit")
 			}
-			tx.admitWrite(i)
-			tx.writes[i].word = word
-			tx.writes[i].ptr = ptr
-			return
+			tx.admit(true, i, tx.writeCap)
+			return w
 		}
 	}
-	tx.admitWrite(len(tx.writes))
-	tx.writes = append(tx.writes, writeEntry{c: c, ver: ver, word: word, ptr: ptr, isPtr: isPtr})
-}
-
-// logAdd queues a commutative increment (see Word.AddAtCommit). Repeated
-// adds to the same cell accumulate; mixing with Set is unsupported.
-func (tx *Tx) logAdd(c cell, ver *atomic.Uint64, delta uint64) {
-	for i := len(tx.writes) - 1; i >= 0; i-- {
-		if tx.writes[i].ver == ver {
-			if !tx.writes[i].isAdd {
-				panic("htm: AddAtCommit on a cell already written in this transaction")
-			}
-			tx.admitWrite(i)
-			tx.writes[i].word += delta
-			return
-		}
-	}
-	tx.admitWrite(len(tx.writes))
-	tx.writes = append(tx.writes, writeEntry{c: c, ver: ver, word: delta, isAdd: true})
-}
-
-// findWrite reports whether the cell with the given version word is in
-// the write set and returns its entry. A cell with a pending commutative
-// increment cannot be read back (its final value is only known at
-// commit).
-func (tx *Tx) findWrite(ver *atomic.Uint64) (*writeEntry, bool) {
-	for i := len(tx.writes) - 1; i >= 0; i-- {
-		if tx.writes[i].ver == ver {
-			if tx.writes[i].isAdd {
-				panic("htm: transactional read of a cell with a pending AddAtCommit")
-			}
-			return &tx.writes[i], true
-		}
-	}
-	return nil, false
+	tx.admit(true, len(tx.writes), tx.writeCap)
+	tx.sig[sw] |= sm
+	// Append a zero entry and fill it in place: a composite literal
+	// would be assembled on the stack word by word and copied over in
+	// 16-byte moves, which the CPU cannot forward from the narrower
+	// stores — a stall that was the hottest line of a writing commit.
+	tx.writes = append(tx.writes, writeEntry{})
+	w := &tx.writes[len(tx.writes)-1]
+	w.ver, w.c, w.kind = ver, c, kind
+	return w
 }
 
 // ownsLock reports whether ver is the version word of a cell in the
 // write set (and therefore locked by this transaction during commit).
 func (tx *Tx) ownsLock(ver *atomic.Uint64) bool {
-	for i := range tx.writes {
-		if tx.writes[i].ver == ver {
+	return tx.findWrite(ver) && tx.writeIndex(ver) >= 0
+}
+
+// releaseLocks unlocks the first n write-set cells, restoring their
+// pre-lock versions (the lock bit is all that locking changed).
+func (tx *Tx) releaseLocks(n int) {
+	for i := 0; i < n; i++ {
+		ver := tx.writes[i].ver
+		ver.Store(ver.Load() &^ lockBit)
+	}
+}
+
+// addWaitPolls bounds how often commit polls a locked version word on
+// behalf of a commutative-add entry before giving up (see commit).
+const addWaitPolls = 4096
+
+// lockForAdd acquires a version word for an add entry, waiting out the
+// current holder for at most addWaitPolls polls.
+func lockForAdd(ver *atomic.Uint64) bool {
+	for n := 0; n < addWaitPolls; n++ {
+		v := ver.Load()
+		if v&lockBit == 0 && ver.CompareAndSwap(v, v|lockBit) {
 			return true
 		}
 	}
 	return false
 }
 
-// releaseLocks unlocks the first n write-set cells, restoring their
-// pre-lock versions.
-func (tx *Tx) releaseLocks(n int) {
-	for i := 0; i < n; i++ {
-		w := &tx.writes[i]
-		w.ver.Store(w.prevVer)
-	}
-}
-
 // commit attempts to commit the transaction, returning CauseNone on
 // success.
+//
+// Locking the write set, an entry that finds its cell locked aborts
+// rather than waits — this is how HTM resolves write-write contention —
+// with one exception: an add entry polls, boundedly, for the holder to
+// finish. Adds commute: the entry never looked at the cell's value or
+// version, so whatever the holder commits cannot invalidate it, and
+// aborting would throw a whole transaction away over a collision that
+// is not a conflict (every update of an (a,b)-tree adds to the same
+// root aggregate). The holder is itself inside a commit or a
+// non-transactional cell operation, a few stores long. The bound is
+// what keeps this deadlock-free: write sets are locked in program
+// order, and two transactions can add to the same cells in opposite
+// orders (insert walks root→leaf, delete leaf→root), so each may hold
+// what the other polls for; neither waits forever — after addWaitPolls
+// polls the waiter releases everything and aborts with CauseConflict,
+// exactly as it would have without waiting.
 func (tx *Tx) commit() AbortCause {
 	if len(tx.writes) == 0 {
 		// Read-only transactions are consistent at rv by construction.
@@ -388,17 +537,16 @@ func (tx *Tx) commit() AbortCause {
 	}
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		ver := w.ver
-		v := ver.Load()
-		if v&lockBit != 0 || !ver.CompareAndSwap(v, v|lockBit) {
-			// Abort rather than wait: this is how HTM resolves
-			// write-write contention.
+		v := w.ver.Load()
+		if v&lockBit == 0 && w.ver.CompareAndSwap(v, v|lockBit) {
+			continue
+		}
+		if !w.kind.isAdd() || !lockForAdd(w.ver) {
 			tx.releaseLocks(i)
 			return CauseConflict
 		}
-		w.prevVer = v
 	}
-	wv := tx.th.tm.clock.tick()
+	wv := tx.clk.tick()
 	if wv != tx.rv+1 {
 		// Some other write (transactional or not) happened since begin:
 		// the read set must be validated.
@@ -418,13 +566,20 @@ func (tx *Tx) commit() AbortCause {
 	nv := wv << 1
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		switch {
-		case w.isAdd:
-			w.c.applyAdd(w.word)
-		case w.isPtr:
-			w.c.applyPtr(w.ptr)
-		default:
-			w.c.applyWord(w.word)
+		// The cell is locked by this transaction, so the add kinds'
+		// read-modify-writes are race-free.
+		switch w.kind {
+		case entWord:
+			(*atomic.Uint64)(w.c).Store(w.word)
+		case entRef:
+			atomic.StorePointer((*unsafe.Pointer)(w.c), w.ptr)
+		case entAdd:
+			val := (*atomic.Uint64)(w.c)
+			val.Store(val.Load() + w.word)
+		case entPairAdd:
+			val := (*[2]atomic.Uint64)(w.c)
+			val[0].Store(val[0].Load() + w.word)
+			val[1].Store(val[1].Load() + w.word2)
 		}
 		w.ver.Store(nv)
 	}
@@ -447,9 +602,18 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 	th.inTx = true
 	tx := &th.tx
 	tx.reset(path)
-	th.tm.backend.Begin(tx)
+	// The simulator's begin, commit and (empty) end are called directly:
+	// three interface dispatches per attempt are a tenth of an empty
+	// transaction.
+	if tx.sim {
+		tx.begin()
+	} else {
+		th.tm.backend.Begin(tx)
+	}
 	cause, code := th.runTx(tx, fn)
-	th.tm.backend.End(tx, cause == CauseNone)
+	if !tx.sim {
+		th.tm.backend.End(tx, cause == CauseNone)
+	}
 	th.inTx = false
 	if cause == CauseNone {
 		atomic.AddUint64(&th.stats.Commits[path], 1)
@@ -463,22 +627,25 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 func (th *Thread) runTx(tx *Tx, fn func(tx *Tx)) (cause AbortCause, code uint8) {
 	defer func() {
 		if r := recover(); r != nil {
-			a, ok := r.(txAbort)
-			if !ok {
-				// A foreign panic is unwinding the attempt past Atomic:
-				// tear the attempt down here, since Atomic's post-call
-				// code will never run. drop (rather than wait for the
-				// next reset) so the dead write set's ptr entries don't
-				// pin nodes against reclamation on a thread that never
-				// transacts again.
-				tx.drop()
-				th.tm.backend.End(tx, false)
-				th.inTx = false
-				panic(r)
+			if a, ok := r.(*txAbort); ok && a == &th.ab {
+				cause, code = a.cause, a.code
+				return
 			}
-			cause, code = a.cause, a.code
+			// A foreign panic is unwinding the attempt past Atomic:
+			// tear the attempt down here, since Atomic's post-call
+			// code will never run. drop (rather than wait for the
+			// next reset) so the dead write set's ptr entries don't
+			// pin nodes against reclamation on a thread that never
+			// transacts again.
+			tx.drop()
+			th.tm.backend.End(tx, false)
+			th.inTx = false
+			panic(r)
 		}
 	}()
 	fn(tx)
+	if tx.sim {
+		return tx.commit(), 0
+	}
 	return th.tm.backend.Commit(tx), 0
 }

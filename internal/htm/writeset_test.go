@@ -1,0 +1,380 @@
+package htm
+
+import (
+	"fmt"
+	"math/bits"
+	"testing"
+)
+
+// Write-set tests: the signature in front of the write-set scan must be
+// invisible. Random transactions over few and many cells — past the
+// point where the 256-bit signature saturates and every lookup scans —
+// are checked against a map model, the misuse panics must fire on a
+// signature hit, and capacity must count entries, not accesses.
+
+var bothBackends = []BackendKind{BackendSim, BackendTLELock}
+
+type wsNode struct{ id int }
+
+// wsModel is the sequential model of a set of cells: committed values
+// plus one transaction's pending effects.
+type wsModel struct {
+	words []uint64
+	refs  []*wsNode
+	pairs [][2]uint64
+
+	wordSet map[int]uint64
+	wordAdd map[int]uint64
+	refSet  map[int]*wsNode
+	pairAdd map[int][2]uint64
+}
+
+func (m *wsModel) begin() {
+	m.wordSet = map[int]uint64{}
+	m.wordAdd = map[int]uint64{}
+	m.refSet = map[int]*wsNode{}
+	m.pairAdd = map[int][2]uint64{}
+}
+
+func (m *wsModel) commit() {
+	for i, v := range m.wordSet {
+		m.words[i] = v
+	}
+	for i, d := range m.wordAdd {
+		m.words[i] += d
+	}
+	for i, p := range m.refSet {
+		m.refs[i] = p
+	}
+	for i, d := range m.pairAdd {
+		m.pairs[i][0] += d[0]
+		m.pairs[i][1] += d[1]
+	}
+}
+
+func (m *wsModel) word(i int) uint64 {
+	if v, ok := m.wordSet[i]; ok {
+		return v
+	}
+	return m.words[i]
+}
+
+func (m *wsModel) ref(i int) *wsNode {
+	if p, ok := m.refSet[i]; ok {
+		return p
+	}
+	return m.refs[i]
+}
+
+func TestWriteSetAgainstModel(t *testing.T) {
+	t.Parallel()
+	for _, backend := range bothBackends {
+		for _, cells := range []int{1, 2, 7, 40, 300, 600} {
+			backend, cells := backend, cells
+			t.Run(fmt.Sprintf("%s/%d", backend, cells), func(t *testing.T) {
+				t.Parallel()
+				for seed := uint64(1); seed <= 4; seed++ {
+					runWriteSetModel(t, backend, cells, seed)
+				}
+			})
+		}
+	}
+}
+
+func runWriteSetModel(t *testing.T, backend BackendKind, cells int, seed uint64) {
+	tm := New(Config{Backend: backend})
+	th := tm.NewThread()
+	rng := seed * 0x9e3779b97f4a7c15
+	next := func(n int) int {
+		rng += 0x9e3779b97f4a7c15
+		z := rng
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return int((z ^ (z >> 31)) % uint64(n))
+	}
+
+	// Cells of the three kinds, each in its own allocation-sized struct
+	// so their addresses spread the way tree nodes' do.
+	words := make([]*Word, cells)
+	refs := make([]*Ref[wsNode], cells)
+	pairs := make([]*Pair, cells)
+	nodes := make([]*wsNode, 8)
+	for i := range nodes {
+		nodes[i] = &wsNode{id: i}
+	}
+	m := &wsModel{words: make([]uint64, cells), refs: make([]*wsNode, cells), pairs: make([][2]uint64, cells)}
+	for i := 0; i < cells; i++ {
+		words[i], refs[i], pairs[i] = new(Word), new(Ref[wsNode]), new(Pair)
+		words[i].Bind(tm.Clock())
+		refs[i].Bind(tm.Clock())
+		pairs[i].Bind(tm.Clock())
+	}
+
+	for txn := 0; txn < 12; txn++ {
+		// Up to ~3 accesses per cell: small sets stay below signature
+		// saturation, 600 cells of three kinds go far beyond it (and up
+		// to, but not over, the default WriteCapacity of 1024).
+		steps := 1 + next(3*cells)
+		if steps > 1000 {
+			steps = 1000
+		}
+		abort := next(4) == 0
+		m.begin()
+		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+			for s := 0; s < steps; s++ {
+				if len(tx.writes) >= DefaultWriteCapacity-1 {
+					break
+				}
+				i := next(cells)
+				switch next(9) {
+				case 0, 1: // Word.Get
+					if _, pending := m.wordAdd[i]; pending {
+						continue
+					}
+					if got, want := words[i].Get(tx), m.word(i); got != want {
+						t.Fatalf("seed %d txn %d: word %d reads %d, model %d", seed, txn, i, got, want)
+					}
+				case 2: // Word.Set
+					if _, pending := m.wordAdd[i]; pending {
+						continue
+					}
+					v := uint64(next(1 << 20))
+					words[i].Set(tx, v)
+					m.wordSet[i] = v
+				case 3: // Word.CAS
+					if _, pending := m.wordAdd[i]; pending {
+						continue
+					}
+					old := m.word(i)
+					if next(2) == 0 {
+						old++ // must fail
+					}
+					v := uint64(next(1 << 20))
+					want := old == m.word(i)
+					if got := words[i].CAS(tx, old, v); got != want {
+						t.Fatalf("seed %d txn %d: word %d CAS = %v, model %v", seed, txn, i, got, want)
+					}
+					if want {
+						m.wordSet[i] = v
+					}
+				case 4: // Word.AddAtCommit
+					if _, written := m.wordSet[i]; written {
+						continue
+					}
+					d := uint64(next(1000))
+					words[i].AddAtCommit(tx, d)
+					m.wordAdd[i] += d
+				case 5: // Ref.Get
+					if got, want := refs[i].Get(tx), m.ref(i); got != want {
+						t.Fatalf("seed %d txn %d: ref %d reads %p, model %p", seed, txn, i, got, want)
+					}
+				case 6: // Ref.Set / CAS, nil included
+					p := nodes[next(len(nodes))]
+					if next(4) == 0 {
+						p = nil
+					}
+					if next(2) == 0 {
+						refs[i].Set(tx, p)
+					} else if !refs[i].CAS(tx, m.ref(i), p) {
+						t.Fatalf("seed %d txn %d: ref %d CAS from its own value failed", seed, txn, i)
+					}
+					m.refSet[i] = p
+				case 7: // Pair.Get
+					if _, pending := m.pairAdd[i]; pending {
+						continue
+					}
+					a, b := pairs[i].Get(tx)
+					if want := m.pairs[i]; a != want[0] || b != want[1] {
+						t.Fatalf("seed %d txn %d: pair %d reads (%d,%d), model %v", seed, txn, i, a, b, want)
+					}
+				case 8: // Pair.AddAtCommit
+					da, db := uint64(next(1000)), uint64(next(3))-1 // db in {-1, 0, 1}
+					pairs[i].AddAtCommit(tx, da, db)
+					d := m.pairAdd[i]
+					m.pairAdd[i] = [2]uint64{d[0] + da, d[1] + db}
+				}
+			}
+			if abort {
+				tx.Abort(9)
+			}
+		})
+		switch {
+		case abort:
+			if ok || ab.Cause != CauseExplicit || ab.Code != 9 {
+				t.Fatalf("seed %d txn %d: aborting transaction returned ok=%v %+v", seed, txn, ok, ab)
+			}
+		case !ok:
+			t.Fatalf("seed %d txn %d: uncontended transaction aborted: %+v", seed, txn, ab)
+		default:
+			m.commit()
+		}
+		for i := 0; i < cells; i++ {
+			if got := words[i].Get(nil); got != m.words[i] {
+				t.Fatalf("seed %d after txn %d: word %d = %d, model %d", seed, txn, i, got, m.words[i])
+			}
+			if got := refs[i].Get(nil); got != m.refs[i] {
+				t.Fatalf("seed %d after txn %d: ref %d = %p, model %p", seed, txn, i, got, m.refs[i])
+			}
+			if a, b := pairs[i].Get(nil); a != m.pairs[i][0] || b != m.pairs[i][1] {
+				t.Fatalf("seed %d after txn %d: pair %d = (%d,%d), model %v", seed, txn, i, a, b, m.pairs[i])
+			}
+		}
+	}
+}
+
+// TestMisusePanicsOnSignatureHit repeats the AddAtCommit misuse checks
+// with the offending cell buried in a write set large enough to have
+// set every signature bit, and with the Pair flavour of each: the
+// panics live behind the signature, so a hit must still reach them.
+func TestMisusePanicsOnSignatureHit(t *testing.T) {
+	t.Parallel()
+	for _, backend := range bothBackends {
+		tm := New(Config{Backend: backend, WriteCapacity: 4096})
+		th := tm.NewThread()
+		filler := make([]Word, 3000)
+		var w Word
+		var p Pair
+		expectPanic := func(name string, fn func(tx *Tx)) {
+			t.Helper()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s/%s did not panic", backend, name)
+				}
+				th.inTx = false // the unwind bypassed Atomic's bookkeeping
+			}()
+			th.Atomic(PathFast, func(tx *Tx) {
+				for i := range filler[:1500] {
+					filler[i].Set(tx, 1)
+				}
+				fn(tx)
+			})
+		}
+		fillRest := func(tx *Tx) {
+			for i := range filler[1500:] {
+				filler[1500+i].AddAtCommit(tx, 1)
+			}
+			set := 0
+			for _, word := range tx.sig {
+				set += bits.OnesCount64(word)
+			}
+			if set < 64*sigWords-4 {
+				t.Fatalf("%d write entries set only %d signature bits: %x", len(tx.writes), set, tx.sig)
+			}
+		}
+		expectPanic("read after AddAtCommit", func(tx *Tx) {
+			w.AddAtCommit(tx, 1)
+			fillRest(tx)
+			w.Get(tx)
+		})
+		expectPanic("Set after AddAtCommit", func(tx *Tx) {
+			w.AddAtCommit(tx, 1)
+			fillRest(tx)
+			w.Set(tx, 5)
+		})
+		expectPanic("CAS after AddAtCommit", func(tx *Tx) {
+			w.AddAtCommit(tx, 1)
+			fillRest(tx)
+			w.CAS(tx, 0, 5)
+		})
+		expectPanic("AddAtCommit after Set", func(tx *Tx) {
+			w.Set(tx, 5)
+			fillRest(tx)
+			w.AddAtCommit(tx, 1)
+		})
+		expectPanic("Pair read after AddAtCommit", func(tx *Tx) {
+			p.AddAtCommit(tx, 1, 1)
+			fillRest(tx)
+			p.Get(tx)
+		})
+	}
+}
+
+// TestWriteCapacityCountsEntries pins the capacity rule: the abort fires
+// on the write that would create entry number WriteCapacity+1, and an
+// overwrite of a cell already in the set — however often, whichever
+// kind — never counts. The TLE-lock backend has no limit at all.
+func TestWriteCapacityCountsEntries(t *testing.T) {
+	t.Parallel()
+	const limit = 300 // well past signature saturation
+	for _, backend := range bothBackends {
+		tm := New(Config{Backend: backend, WriteCapacity: limit})
+		th := tm.NewThread()
+		words := make([]Word, limit/3+1)
+		refs := make([]Ref[wsNode], limit/3)
+		pairs := make([]Pair, limit/3)
+		n := &wsNode{}
+		fill := func(tx *Tx) {
+			for i := 0; i < limit/3; i++ {
+				words[i].Set(tx, uint64(i))
+				refs[i].Set(tx, n)
+				pairs[i].AddAtCommit(tx, 1, 1)
+			}
+		}
+		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+			fill(tx)
+			for round := 0; round < 3; round++ {
+				fill(tx) // overwrites and accumulating adds only
+			}
+			if len(tx.writes) != limit {
+				t.Fatalf("%s: %d write entries, want %d", backend, len(tx.writes), limit)
+			}
+		})
+		if !ok {
+			t.Fatalf("%s: transaction at exactly WriteCapacity entries aborted: %+v", backend, ab)
+		}
+		if a, b := pairs[0].Get(nil); a != 4 || b != 4 {
+			t.Fatalf("%s: accumulated pair adds = (%d,%d), want (4,4)", backend, a, b)
+		}
+		reached := false
+		ok, ab = th.Atomic(PathFast, func(tx *Tx) {
+			fill(tx)
+			reached = true
+			words[limit/3].Set(tx, 1) // entry limit+1
+		})
+		if !reached {
+			t.Fatalf("%s: aborted before the set was full: %+v", backend, ab)
+		}
+		if backend == BackendSim {
+			if ok || ab.Cause != CauseCapacity {
+				t.Fatalf("sim: entry %d: ok=%v %+v, want a capacity abort", limit+1, ok, ab)
+			}
+		} else if !ok {
+			t.Fatalf("%s: aborted at %d entries: %+v (no footprint limit expected)", backend, limit+1, ab)
+		}
+	}
+}
+
+// TestAbortDoesNotAllocate pins the abort path's allocation count: the
+// unwind panics with a pointer to a payload the Thread owns, so an
+// aborted attempt — explicit, capacity or conflict — costs no
+// allocation (a boxed payload cost exactly one).
+func TestAbortDoesNotAllocate(t *testing.T) {
+	tm := New(Config{ReadCapacity: 4})
+	th := tm.NewThread()
+	cells := make([]Word, 8)
+	var hot Word
+	hot.Bind(tm.Clock())
+	for _, tc := range []struct {
+		cause AbortCause
+		body  func(tx *Tx)
+	}{
+		{CauseExplicit, func(tx *Tx) { tx.Abort(1) }},
+		{CauseCapacity, func(tx *Tx) {
+			for i := range cells {
+				cells[i].Get(tx)
+			}
+		}},
+		{CauseConflict, func(tx *Tx) {
+			hot.Get(tx)
+			hot.Set(nil, 1) // a non-transactional write the snapshot predates
+			hot.Get(tx)
+		}},
+	} {
+		if ok, ab := th.Atomic(PathFast, tc.body); ok || ab.Cause != tc.cause {
+			t.Fatalf("%s body: ok=%v %+v", tc.cause, ok, ab)
+		}
+		if avg := testing.AllocsPerRun(200, func() { th.Atomic(PathFast, tc.body) }); avg != 0 {
+			t.Errorf("%s abort: %.0f allocs per attempt, want 0", tc.cause, avg)
+		}
+	}
+}
