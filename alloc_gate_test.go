@@ -89,6 +89,43 @@ func TestAllocGateABTreePointOps(t *testing.T) {
 	}))
 }
 
+// TestAllocGateABTreeRebalancing gates the rebalancing steps: with the
+// minimum degree bounds (a=2, b=4) a sweep that deletes and re-inserts a
+// run of adjacent keys empties and refills whole leaves, so every cycle
+// joins, shares, splits, absorbs and pushes tags up — and must still
+// allocate nothing: the steps' child snapshots and merged key/child
+// sequences come from per-handle scratch, their nodes from the pools.
+func TestAllocGateABTreeRebalancing(t *testing.T) {
+	tree, err := htmtree.NewABTree(htmtree.Config{A: 2, B: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := tree.NewHandle()
+	for k := uint64(1); k <= gateKeys; k++ {
+		h.Insert(k, k)
+	}
+	const lo, hi = gateKeys / 4, gateKeys / 2
+	sweep := func() {
+		for k := uint64(lo); k < hi; k++ {
+			h.Delete(k)
+		}
+		for k := uint64(lo); k < hi; k++ {
+			h.Insert(k, k)
+		}
+	}
+	for i := 0; i < gateWarmups; i++ {
+		sweep()
+	}
+	before := tree.Stats().Ops.Total()
+	gateCheck(t, "abtree rebalancing sweep", testing.AllocsPerRun(50, sweep))
+	// AllocsPerRun makes one extra warm-up call. Each delete and insert
+	// is one engine operation; the rest are rebalancing steps.
+	const pointOps = 51 * 2 * (hi - lo)
+	if steps := tree.Stats().Ops.Total() - before - pointOps; steps < pointOps/4 {
+		t.Errorf("only %d rebalancing steps in %d point operations, the gate measured nothing", steps, pointOps)
+	}
+}
+
 // TestAllocGateAggregateQueries gates the PR 8 aggregate query paths:
 // steady-state RangeAgg (and the whole-tree Count/Min/Max forms) on an
 // unsharded tree must not allocate — the (a,b)-tree's transactional

@@ -95,6 +95,44 @@ func BenchmarkMicroTxWriteSet(b *testing.B) {
 	}
 }
 
+// microPair is microCell for a Pair.
+type microPair struct {
+	p htm.Pair
+	_ [4]uint64
+}
+
+// BenchmarkMicroTxPairSet is BenchmarkMicroTxWriteSet for the Pair entry
+// kind — what a fast-path (a,b)-tree update's leaf shift buffers: one
+// transaction that sets n distinct pairs and commits (one lock, two
+// value stores and one version store per entry).
+func BenchmarkMicroTxPairSet(b *testing.B) {
+	for _, n := range []int{8, 128} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			tm := htm.New(htm.Config{})
+			th := tm.NewThread()
+			cells := make([]*microPair, n)
+			for i := range cells {
+				cells[i] = new(microPair)
+				cells[i].p.Bind(tm.Clock())
+			}
+			body := func(tx *htm.Tx) {
+				for _, c := range cells {
+					c.p.Set(tx, 1, 2)
+				}
+			}
+			th.Atomic(htm.PathFast, body)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if ok, _ := th.Atomic(htm.PathFast, body); !ok {
+					b.Fatal("uncontended transaction aborted")
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/entry")
+		})
+	}
+}
+
 // BenchmarkMicroTxReadAfterWrite is the read side of the same question:
 // a transaction that has written 32 cells reads 64 others, each read
 // first checking the write set for a buffered value. Read it against

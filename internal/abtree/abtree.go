@@ -56,32 +56,38 @@ const (
 // (cells, len = degree, fixed at creation — structural changes replace
 // the node), tagged (immutable).
 //
-// Leaves: size and the first size entries of lkeys/lvals hold the pairs
-// in ascending key order. They are cells because the fast path mutates
-// them in place; the template paths replace the leaf instead and only
-// ever read them.
+// Leaves: size and the first size entries of slots hold the pairs in
+// ascending key order, one (key, value) cell per entry — a key and its
+// value are read and moved together, as the one cache line they share on
+// hardware. They are cells because the fast path mutates them in place;
+// the template paths replace the leaf instead and only ever read them.
+//
+// The fields are ordered for the fast path, which never touches hdr: what
+// a descent and an in-place leaf edit read comes first, the SCX header
+// last. TestNodeFootprint pins the sizes.
 type Node struct {
-	hdr    llxscx.Hdr
 	leaf   bool
 	tagged bool
 
-	keys     []uint64
-	children []htm.Ref[Node]
-
 	size  htm.Word
-	lkeys []htm.Word
-	lvals []htm.Word
+	slots []htm.Pair
 
 	// Subtree aggregates (agg.go). A leaf maintains the sum of its keys
-	// in aggSum and derives count/min/max from size and lkeys. An
+	// in aggSum and derives count/min/max from size and slots. An
 	// internal node holds the (sum, count) of its subtree's keys in agg —
 	// one cell, because every update moves the two together — and the
 	// min/max in their own cells (the sentinels ^0/0 while the subtree
 	// is empty).
 	aggSum htm.Word
+
+	keys     []uint64
+	children []htm.Ref[Node]
+
 	agg    htm.Pair
 	aggMin htm.Word
 	aggMax htm.Word
+
+	hdr llxscx.Hdr
 }
 
 // Tagged reports the node's tag (exported for tests).
@@ -99,23 +105,17 @@ type kv struct {
 // (sorted), bound to clk. Steady-state operations allocate through the
 // handle pools instead (Handle.newLeaf in pool.go).
 func newLeaf(clk *htm.Clock, b int, pairs []kv) *Node {
-	n := &Node{
-		leaf:  true,
-		lkeys: make([]htm.Word, b),
-		lvals: make([]htm.Word, b),
-	}
+	n := &Node{leaf: true, slots: make([]htm.Pair, b)}
 	n.hdr.Bind(clk)
 	n.size.Bind(clk)
 	n.aggSum.Bind(clk)
-	for i := 0; i < b; i++ {
-		n.lkeys[i].Bind(clk)
-		n.lvals[i].Bind(clk)
+	for i := range n.slots {
+		n.slots[i].Bind(clk)
 	}
 	n.size.Init(uint64(len(pairs)))
 	n.aggSum.Init(sumPairs(pairs))
 	for i, p := range pairs {
-		n.lkeys[i].Init(p.k)
-		n.lvals[i].Init(p.v)
+		n.slots[i].Init(p.k, p.v)
 	}
 	return n
 }
@@ -138,15 +138,6 @@ func newInternal(clk *htm.Clock, keys []uint64, children []*Node, tagged bool) *
 	}
 	initAggs(nil, n)
 	return n
-}
-
-// degree returns the node's degree: number of children for internal
-// nodes, number of pairs for leaves (read through tx).
-func (n *Node) degree(tx *htm.Tx) int {
-	if n.leaf {
-		return int(n.size.Get(tx))
-	}
-	return len(n.children)
 }
 
 // childIndex returns the index of the child a search for key follows.
@@ -267,12 +258,17 @@ type Handle struct {
 	// deferred into the non-transactional SCX bracket (prims.scx).
 	pend []pendAgg
 
-	// merge scratch: capacity b+1 so a full leaf plus one pair fits.
-	buf []kv
+	// merge scratch: capacity b+1 so a full leaf plus one pair fits; buf2
+	// holds two adjacent leaves' pairs while a join or share merges them.
+	buf, buf2 []kv
 	// split scratch for the fast path's routing-key/child argument
 	// slices, so splits do not allocate slice headers per operation.
 	kbuf []uint64
 	cbuf []*Node
+	// nodes and keys back a rebalancing step's snapshots and merged
+	// sequences (rebalance.go scratch).
+	nodes scratch[*Node]
+	keys  scratch[uint64]
 
 	// pool holds the thread's node free lists and attempt state
 	// (internal/nodepool; wired to the tree's node kinds in pool.go).
@@ -333,7 +329,8 @@ func (t *Tree) KeySum() (sum, count uint64) {
 		if n.leaf {
 			sz := int(n.size.Get(nil))
 			for i := 0; i < sz; i++ {
-				sum += n.lkeys[i].Get(nil)
+				k, _ := n.slots[i].Get(nil)
+				sum += k
 				count++
 			}
 			return
@@ -381,7 +378,7 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			}
 			prev := uint64(0)
 			for i := 0; i < sz; i++ {
-				k := n.lkeys[i].Get(nil)
+				k, _ := n.slots[i].Get(nil)
 				if i > 0 && k <= prev {
 					return agg, fmt.Errorf("abtree: leaf keys unsorted (%d after %d)", k, prev)
 				}

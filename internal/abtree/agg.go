@@ -106,7 +106,7 @@ func (t *Tree) aggGuard(tx *htm.Tx) {
 }
 
 // childAgg reads one child's aggregate tuple. Internal nodes hold the
-// tuple in cells; leaves derive count/min/max from size and the key
+// tuple in cells; leaves derive count/min/max from size and the slot
 // array. min/max are the empty sentinels when count is 0.
 func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
 	if c.leaf {
@@ -114,7 +114,9 @@ func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
 		if sz == 0 {
 			return c.aggSum.Get(tx), 0, aggEmptyMin, aggEmptyMax
 		}
-		return c.aggSum.Get(tx), sz, c.lkeys[0].Get(tx), c.lkeys[sz-1].Get(tx)
+		mn, _ = c.slots[0].Get(tx)
+		mx, _ = c.slots[sz-1].Get(tx)
+		return c.aggSum.Get(tx), sz, mn, mx
 	}
 	sum, count = c.agg.Get(tx)
 	return sum, count, c.aggMin.Get(tx), c.aggMax.Get(tx)
@@ -128,7 +130,8 @@ func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
 func childMin(tx *htm.Tx, c *Node) uint64 {
 	if c.leaf {
 		if sz := c.size.Get(tx); sz > 0 {
-			return c.lkeys[0].Get(tx)
+			k, _ := c.slots[0].Get(tx)
+			return k
 		}
 		return aggEmptyMin
 	}
@@ -138,7 +141,8 @@ func childMin(tx *htm.Tx, c *Node) uint64 {
 func childMax(tx *htm.Tx, c *Node) uint64 {
 	if c.leaf {
 		if sz := c.size.Get(tx); sz > 0 {
-			return c.lkeys[sz-1].Get(tx)
+			k, _ := c.slots[sz-1].Get(tx)
+			return k
 		}
 		return aggEmptyMax
 	}
@@ -442,7 +446,7 @@ func (t *Tree) aggDescend(tx *htm.Tx, n *Node, nlo, nhi uint64, h *Handle) {
 func aggCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	sz := int(n.size.Get(tx))
 	for i := 0; i < sz; i++ {
-		k := n.lkeys[i].Get(tx)
+		k, _ := n.slots[i].Get(tx)
 		if k >= h.argLo && k < h.argHi {
 			h.resAgg.Merge(dict.Agg{Sum: k, Count: 1, Min: k, Max: k})
 		}

@@ -188,19 +188,19 @@ func (t *Tree) searchLeaf(tx *htm.Tx, key uint64) (gp, p, u *Node, pIdx, uIdx in
 }
 
 // leafFind locates key within leaf u, returning its position (or the
-// insertion point) and whether it is present.
-func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, found bool) {
+// insertion point), the value stored with it and whether it is present.
+func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool) {
 	sz := int(u.size.Get(tx))
 	for i := 0; i < sz; i++ {
-		k := u.lkeys[i].Get(tx)
+		k, v := u.slots[i].Get(tx)
 		if k == key {
-			return i, true
+			return i, v, true
 		}
 		if k > key {
-			return i, false
+			return i, 0, false
 		}
 	}
-	return sz, false
+	return sz, 0, false
 }
 
 // readLeaf reads leaf u's pairs into buf (reset first).
@@ -208,7 +208,8 @@ func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 	*buf = (*buf)[:0]
 	sz := int(u.size.Get(tx))
 	for i := 0; i < sz; i++ {
-		*buf = append(*buf, kv{k: u.lkeys[i].Get(tx), v: u.lvals[i].Get(tx)})
+		k, v := u.slots[i].Get(tx)
+		*buf = append(*buf, kv{k: k, v: v})
 	}
 }
 
@@ -246,24 +247,23 @@ func (t *Tree) insertBody(pr *prims) bool {
 
 	if pr.m == modeFast {
 		tx := pr.tx
-		pos, found := leafFind(tx, u, key)
+		pos, old, found := leafFind(tx, u, key)
 		if found {
 			// Update the value in place — the fast path's node-creation
 			// saving (Section 6.2). Values don't feed the aggregates.
-			h.resVal, h.resFound = u.lvals[pos].Get(tx), true
+			h.resVal, h.resFound = old, true
 			h.needFix = false
-			u.lvals[pos].Set(tx, val)
+			u.slots[pos].Set(tx, key, val)
 			return true
 		}
 		h.resVal, h.resFound = 0, false
 		sz := int(u.size.Get(tx))
 		if sz < b {
 			for i := sz; i > pos; i-- {
-				u.lkeys[i].Set(tx, u.lkeys[i-1].Get(tx))
-				u.lvals[i].Set(tx, u.lvals[i-1].Get(tx))
+				k, v := u.slots[i-1].Get(tx)
+				u.slots[i].Set(tx, k, v)
 			}
-			u.lkeys[pos].Set(tx, key)
-			u.lvals[pos].Set(tx, val)
+			u.slots[pos].Set(tx, key, val)
 			u.size.Set(tx, uint64(sz+1))
 			u.aggSum.AddAtCommit(tx, key)
 			aggApplyInsert(tx, h.path, key)
@@ -277,8 +277,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		lo := (len(h.buf) + 1) / 2
 		right := h.newLeaf(h.buf[lo:])
 		for i := 0; i < lo; i++ {
-			u.lkeys[i].Set(tx, h.buf[i].k)
-			u.lvals[i].Set(tx, h.buf[i].v)
+			u.slots[i].Set(tx, h.buf[i].k, h.buf[i].v)
 		}
 		u.size.Set(tx, uint64(lo))
 		u.aggSum.Set(tx, sumPairs(h.buf[:lo]))
@@ -382,33 +381,33 @@ func (t *Tree) deleteBody(pr *prims) bool {
 
 	if pr.m == modeFast {
 		tx := pr.tx
-		pos, found := leafFind(tx, u, key)
+		pos, old, found := leafFind(tx, u, key)
 		if !found {
 			h.resVal, h.resFound = 0, false
 			h.needFix = false
 			return true
 		}
-		h.resVal, h.resFound = u.lvals[pos].Get(tx), true
+		h.resVal, h.resFound = old, true
 		sz := int(u.size.Get(tx))
-		// The leaf's post-delete min/max, read before the shift overwrites
-		// the cells (the ancestor cascade must not read back cells this
-		// transaction has written).
+		// The leaf's post-delete min/max, read before the shift buffers
+		// new contents for the slots (a read-back would return the
+		// shifted entry, not the one the leaf holds now).
 		cmin, cmax := aggEmptyMin, aggEmptyMax
 		if sz > 1 {
 			if pos == 0 {
-				cmin = u.lkeys[1].Get(tx)
+				cmin, _ = u.slots[1].Get(tx)
 			} else {
-				cmin = u.lkeys[0].Get(tx)
+				cmin, _ = u.slots[0].Get(tx)
 			}
 			if pos == sz-1 {
-				cmax = u.lkeys[sz-2].Get(tx)
+				cmax, _ = u.slots[sz-2].Get(tx)
 			} else {
-				cmax = u.lkeys[sz-1].Get(tx)
+				cmax, _ = u.slots[sz-1].Get(tx)
 			}
 		}
 		for i := pos; i < sz-1; i++ {
-			u.lkeys[i].Set(tx, u.lkeys[i+1].Get(tx))
-			u.lvals[i].Set(tx, u.lvals[i+1].Get(tx))
+			k, v := u.slots[i+1].Get(tx)
+			u.slots[i].Set(tx, k, v)
 		}
 		u.size.Set(tx, uint64(sz-1))
 		u.aggSum.AddAtCommit(tx, -key)
@@ -463,12 +462,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 // searchBody implements Search (read-only on every path).
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 	_, _, u, _, _ := t.searchLeaf(tx, h.argKey)
-	pos, found := leafFind(tx, u, h.argKey)
-	if found {
-		h.resVal, h.resFound = u.lvals[pos].Get(tx), true
-		return
-	}
-	h.resVal, h.resFound = 0, false
+	_, h.resVal, h.resFound = leafFind(tx, u, h.argKey)
 }
 
 // findInBuf locates key in a sorted pair buffer.
@@ -528,9 +522,9 @@ func rqChildOverlaps(n *Node, i int, lo, hi uint64) bool {
 func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	sz := int(n.size.Get(tx))
 	for i := 0; i < sz; i++ {
-		k := n.lkeys[i].Get(tx)
+		k, v := n.slots[i].Get(tx)
 		if k >= h.argLo && k < h.argHi {
-			h.rqOut = append(h.rqOut, dict.KV{Key: k, Val: n.lvals[i].Get(tx)})
+			h.rqOut = append(h.rqOut, dict.KV{Key: k, Val: v})
 		}
 	}
 }

@@ -9,11 +9,11 @@ import (
 // internal/nodepool; this file wires it to the (a,b)-tree's node kinds.
 //
 //   - Leaves may recycle immediately after fast-path removals: every
-//     reuse-mutable leaf field is a transactional cell (size, lkeys,
-//     lvals, header), so a stale transactional reader of a recycled
-//     leaf aborts on the version-advancing Recycle stores. The leaf
-//     flag and the array headers are write-once (pools are segregated
-//     by kind and arrays are allocated at capacity b).
+//     reuse-mutable leaf field is a transactional cell (size, slots,
+//     header), so a stale transactional reader of a recycled leaf
+//     aborts on the version-advancing Recycle stores. The leaf flag and
+//     the slot array header are write-once (pools are segregated by
+//     kind and the array is allocated at capacity b).
 //   - Internal nodes always wait out a grace period: their routing-key
 //     array and the length of their child array are plain memory that
 //     reuse rewrites, which is only safe once no reader can hold the
@@ -45,31 +45,26 @@ func (h *Handle) freshNode(leaf bool) *Node {
 // their old value and version, which is exactly what the reader's
 // snapshot is entitled to see.
 func (h *Handle) newLeaf(pairs []kv) *Node {
-	b := h.t.cfg.B
 	n, recycled := h.pool.Take(true)
 	if recycled {
 		n.hdr.Recycle()
 		n.size.Recycle(uint64(len(pairs)))
 		n.aggSum.Recycle(sumPairs(pairs))
 		for i, p := range pairs {
-			n.lkeys[i].Recycle(p.k)
-			n.lvals[i].Recycle(p.v)
+			n.slots[i].Recycle(p.k, p.v)
 		}
 		return n
 	}
-	n.lkeys = make([]htm.Word, b)
-	n.lvals = make([]htm.Word, b)
-	for i := 0; i < b; i++ {
-		n.lkeys[i].Bind(h.clk)
-		n.lvals[i].Bind(h.clk)
+	n.slots = make([]htm.Pair, h.t.cfg.B)
+	for i := range n.slots {
+		n.slots[i].Bind(h.clk)
 	}
 	n.size.Bind(h.clk)
 	n.size.Init(uint64(len(pairs)))
 	n.aggSum.Bind(h.clk)
 	n.aggSum.Init(sumPairs(pairs))
 	for i, p := range pairs {
-		n.lkeys[i].Init(p.k)
-		n.lvals[i].Init(p.v)
+		n.slots[i].Init(p.k, p.v)
 	}
 	return n
 }

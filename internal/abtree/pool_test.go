@@ -2,6 +2,7 @@ package abtree
 
 import (
 	"testing"
+	"unsafe"
 
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
@@ -96,5 +97,33 @@ func TestInternalArrayReuse(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(true); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNodeFootprint pins the memory a node costs, so a layout regression
+// fails here by name instead of surfacing as the benchmark's
+// live_heap_mb: a leaf entry is one 32-byte cell, a node shell fits the
+// allocator's 256-byte size class, and a default (b = 16) leaf is that
+// shell plus one 512-byte slot array.
+func TestNodeFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(htm.Pair{}); got != 32 {
+		t.Errorf("htm.Pair is %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(Node{}); got > 256 {
+		t.Errorf("Node is %d bytes, want <= 256 (the next size class is 288)", got)
+	}
+	tr := New(Config{})
+	h := tr.newHandle()
+	for _, leaf := range []*Node{
+		tr.entry.children[0].Get(nil), // bootstrap leaf
+		h.newLeaf(nil),                // pooled leaf
+	} {
+		if cap(leaf.slots) != DefaultB || leaf.keys != nil || leaf.children != nil {
+			t.Fatalf("leaf owns arrays beyond %d slots: %d slots, %d keys, %d children",
+				DefaultB, cap(leaf.slots), cap(leaf.keys), cap(leaf.children))
+		}
+		if got := unsafe.Sizeof(*leaf) + uintptr(cap(leaf.slots))*unsafe.Sizeof(leaf.slots[0]); got > 768 {
+			t.Errorf("a b=%d leaf is %d bytes in two allocations, want <= 768", DefaultB, got)
+		}
 	}
 }

@@ -87,6 +87,8 @@ func (h *Handle) runFixLoop() {
 func (t *Tree) fixBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()
+	h.nodes.reset()
+	h.keys.reset()
 	t.aggGuard(pr.tx)
 	vio := t.findViolation(pr.tx, h.argKey)
 	if vio.kind == vNone {
@@ -106,9 +108,34 @@ func (t *Tree) fixBody(pr *prims) bool {
 	}
 }
 
+// scratch hands out the slices one rebalancing step works in — child
+// snapshots and the key and child sequences merged from them — from a
+// backing array its handle keeps, so a step allocates nothing (newLeaf
+// and newInternal copy what they are given). take carves off the next n
+// elements as an empty slice of that capacity; reset, at the start of a
+// step, makes the whole array available again. Running out replaces the
+// array with a larger one; slices already handed out keep the old one.
+type scratch[T any] struct{ buf []T }
+
+func (s *scratch[T]) take(n int) []T {
+	if len(s.buf)+n > cap(s.buf) {
+		s.buf = make([]T, 0, 2*(cap(s.buf)+n))
+	}
+	lo := len(s.buf)
+	s.buf = s.buf[:lo+n]
+	return s.buf[lo : lo : lo+n]
+}
+
+// reset also zeroes what was handed out: the array lives as long as the
+// handle and must not pin a finished step's nodes.
+func (s *scratch[T]) reset() {
+	clear(s.buf)
+	s.buf = s.buf[:0]
+}
+
 // snapshotChildren reads n's children within an LLX.
 func (pr *prims) snapshotChildren(n *Node) ([]*Node, *llxscx.Info, bool) {
-	snap := make([]*Node, len(n.children))
+	snap := pr.h.nodes.take(len(n.children))[:len(n.children)]
 	info, _ := pr.llx(&n.hdr, func() {
 		for i := range n.children {
 			snap[i] = n.children[i].Get(pr.tx)
@@ -238,11 +265,11 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 	}
 
 	// Combined child/key sequences of p with n expanded in place.
-	children := make([]*Node, 0, len(pSnap)+len(nSnap)-1)
+	children := pr.h.nodes.take(len(pSnap) + len(nSnap) - 1)
 	children = append(children, pSnap[:vio.nIdx]...)
 	children = append(children, nSnap...)
 	children = append(children, pSnap[vio.nIdx+1:]...)
-	keys := make([]uint64, 0, len(children)-1)
+	keys := pr.h.keys.take(len(children) - 1)
 	keys = append(keys, p.keys[:vio.nIdx]...)
 	keys = append(keys, n.keys...)
 	keys = append(keys, p.keys[vio.nIdx:]...)
@@ -341,26 +368,34 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	sep := p.keys[li]
 
 	// Snapshot both nodes' content, in child order (V order is fixed
-	// top-down, left-to-right for the SCX freezing discipline).
-	var leftPairs, rightPairs []kv
-	var leftSnap, rightSnap []*Node
+	// top-down, left-to-right for the SCX freezing discipline), into one
+	// left-then-right sequence: pairs for leaves, children and routing
+	// keys (with p's separator between the two nodes') for internal
+	// nodes.
+	h := pr.h
+	var all []kv
+	var allC []*Node
+	var allK []uint64
+	var deg int // combined degree: len(all) or len(allC)
 	var leftInfo, rightInfo *llxscx.Info
 	if n.leaf {
 		leftInfo, _ = pr.llx(&left.hdr, func() {
-			readLeaf(pr.tx, left, &pr.h.buf)
-			leftPairs = append([]kv(nil), pr.h.buf...)
+			readLeaf(pr.tx, left, &h.buf)
+			h.buf2 = append(h.buf2[:0], h.buf...)
 		})
 		if pr.failed {
 			return false
 		}
 		rightInfo, _ = pr.llx(&right.hdr, func() {
-			readLeaf(pr.tx, right, &pr.h.buf)
-			rightPairs = append([]kv(nil), pr.h.buf...)
+			readLeaf(pr.tx, right, &h.buf)
+			h.buf2 = append(h.buf2, h.buf...)
 		})
 		if pr.failed {
 			return false
 		}
+		all, deg = h.buf2, len(h.buf2)
 	} else {
+		var leftSnap, rightSnap []*Node
 		leftSnap, leftInfo, ok = pr.snapshotChildren(left)
 		if !ok {
 			return false
@@ -369,6 +404,9 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 		if !ok {
 			return false
 		}
+		allC = append(append(h.nodes.take(len(leftSnap)+len(rightSnap)), leftSnap...), rightSnap...)
+		allK = append(append(append(h.keys.take(len(allC)-1), left.keys...), sep), right.keys...)
+		deg = len(allC)
 	}
 
 	v := []*llxscx.Hdr{&gp.hdr, &p.hdr, &left.hdr, &right.hdr}
@@ -376,83 +414,55 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	r := []*llxscx.Hdr{&p.hdr, &left.hdr, &right.hdr}
 	fld := &gp.children[vio.pIdx]
 
-	degL, degR := left.degree(pr.tx), right.degree(pr.tx)
-	if n.leaf {
-		degL, degR = len(leftPairs), len(rightPairs)
-	}
-
-	if degL+degR <= b {
+	var repl *Node
+	if deg <= b {
 		// Join left and right into one node.
 		var m *Node
 		if n.leaf {
-			m = pr.h.newLeaf(append(append(make([]kv, 0, degL+degR), leftPairs...), rightPairs...))
+			m = h.newLeaf(all)
 		} else {
-			keys := make([]uint64, 0, degL+degR-1)
-			keys = append(keys, left.keys...)
-			keys = append(keys, sep)
-			keys = append(keys, right.keys...)
-			m = pr.h.newInternal(keys, append(append(make([]*Node, 0, degL+degR), leftSnap...), rightSnap...), false)
+			m = h.newInternal(allK, allC, false)
 			pr.aggInit(m)
 		}
-		var repl *Node
 		if gp == t.entry && len(pSnap) == 2 {
 			// p was the root and would become unary: collapse directly.
 			repl = m
 		} else {
-			nk := make([]uint64, 0, len(p.keys)-1)
-			nk = append(nk, p.keys[:li]...)
-			nk = append(nk, p.keys[li+1:]...)
-			nc := make([]*Node, 0, len(pSnap)-1)
-			nc = append(nc, pSnap[:li]...)
-			nc = append(nc, m)
-			nc = append(nc, pSnap[ri+1:]...)
-			repl = pr.h.newInternal(nk, nc, false)
+			nk := append(append(h.keys.take(len(p.keys)-1), p.keys[:li]...), p.keys[li+1:]...)
+			nc := append(append(append(h.nodes.take(len(pSnap)-1), pSnap[:li]...), m), pSnap[ri+1:]...)
+			repl = h.newInternal(nk, nc, false)
 			// repl replaces p with identical key content (m is the join of
 			// p's two children), so it takes p's tuple.
 			pr.aggFrom(repl, p)
 		}
-		if !pr.scx(v, infos, r, fld, p, repl) {
-			return false
-		}
-		pr.h.remove(p)
-		pr.h.remove(left)
-		pr.h.remove(right)
-		return true
-	}
-
-	// Share: redistribute so both nodes have at least a entries.
-	lo := (degL + degR + 1) / 2
-	var nl, nr *Node
-	var newSep uint64
-	if n.leaf {
-		all := append(append(make([]kv, 0, degL+degR), leftPairs...), rightPairs...)
-		nl = pr.h.newLeaf(all[:lo])
-		nr = pr.h.newLeaf(all[lo:])
-		newSep = all[lo].k
 	} else {
-		allC := append(append(make([]*Node, 0, degL+degR), leftSnap...), rightSnap...)
-		allK := make([]uint64, 0, degL+degR-1)
-		allK = append(allK, left.keys...)
-		allK = append(allK, sep)
-		allK = append(allK, right.keys...)
-		nl = pr.h.newInternal(allK[:lo-1], allC[:lo], false)
-		pr.aggInit(nl)
-		nr = pr.h.newInternal(allK[lo:], allC[lo:], false)
-		pr.aggInit(nr)
-		newSep = allK[lo-1]
+		// Share: redistribute so both nodes have at least a entries.
+		lo := (deg + 1) / 2
+		var nl, nr *Node
+		var newSep uint64
+		if n.leaf {
+			nl = h.newLeaf(all[:lo])
+			nr = h.newLeaf(all[lo:])
+			newSep = all[lo].k
+		} else {
+			nl = h.newInternal(allK[:lo-1], allC[:lo], false)
+			pr.aggInit(nl)
+			nr = h.newInternal(allK[lo:], allC[lo:], false)
+			pr.aggInit(nr)
+			newSep = allK[lo-1]
+		}
+		nk := append(h.keys.take(len(p.keys)), p.keys...)
+		nk[li] = newSep
+		nc := append(h.nodes.take(len(pSnap)), pSnap...)
+		nc[li], nc[ri] = nl, nr
+		repl = h.newInternal(nk, nc, false)
+		pr.aggFrom(repl, p)
 	}
-	nk := append([]uint64(nil), p.keys...)
-	nk[li] = newSep
-	nc := make([]*Node, len(pSnap))
-	copy(nc, pSnap)
-	nc[li], nc[ri] = nl, nr
-	repl := pr.h.newInternal(nk, nc, false)
-	pr.aggFrom(repl, p)
 	if !pr.scx(v, infos, r, fld, p, repl) {
 		return false
 	}
-	pr.h.remove(p)
-	pr.h.remove(left)
-	pr.h.remove(right)
+	h.remove(p)
+	h.remove(left)
+	h.remove(right)
 	return true
 }

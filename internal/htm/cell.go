@@ -266,14 +266,17 @@ func (w *Word) Add(delta uint64) uint64 {
 }
 
 // Pair is a shared cell holding two uint64 values under one version
-// word: the two are read, and changed, as a unit. It exists for counters
-// that always move together — a subtree's key sum and key count — where
-// two Words would cost every update two write-set entries, two commit
-// locks and two version stores for what is one logical change. Like
-// Word, the zero value is an unlocked (0, 0) bound to no clock.
+// word: the two are read, and changed, as a unit. It exists for values
+// that always move together — a subtree's key sum and key count, a leaf
+// entry's key and value — where two Words would cost every update two
+// write-set entries, two commit locks and two version stores (and every
+// read two read-set entries) for what is one logical change. Hardware
+// tracks such neighbours as one cache line; a Pair is the simulator's
+// rendering of that. Like Word, the zero value is an unlocked (0, 0)
+// bound to no clock.
 //
-// A Pair is only ever changed by adding to it, so it has no Set or CAS;
-// Init sets the value of a cell that is still private.
+// A Pair takes buffered values (Set) or commutative deltas
+// (AddAtCommit), never both in one transaction; it has no CAS.
 type Pair struct {
 	clk *Clock
 	ver atomic.Uint64
@@ -291,6 +294,15 @@ func (p *Pair) clock() *Clock { return boundClock(p.clk) }
 func (p *Pair) Init(a, b uint64) {
 	p.val[0].Store(a)
 	p.val[1].Store(b)
+}
+
+// Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
+func (p *Pair) Recycle(a, b uint64) {
+	c := p.clock()
+	acquireNonTx(&p.ver)
+	p.val[0].Store(a)
+	p.val[1].Store(b)
+	p.ver.Store(c.Now() << 1)
 }
 
 // Get reads both values as of one instant. With a nil tx it performs a
@@ -312,9 +324,9 @@ func (p *Pair) Get(tx *Tx) (a, b uint64) {
 		}
 	}
 	if tx.findWrite(&p.ver) {
-		// A Pair's write entries are all pending adds, which cannot be
-		// read back: a hit panics.
-		tx.readBack(&p.ver)
+		if buf := tx.readBack(&p.ver); buf != nil {
+			return buf.word, buf.word2
+		}
 	}
 	v := p.ver.Load()
 	if !tx.readable(v) {
@@ -326,6 +338,23 @@ func (p *Pair) Get(tx *Tx) (a, b uint64) {
 	}
 	tx.logRead(&p.ver, v)
 	return a, b
+}
+
+// Set writes both values. With a nil tx the store is immediate (locking
+// the cell and advancing the bound TM clock); otherwise it is buffered
+// until tx commits.
+func (p *Pair) Set(tx *Tx, a, b uint64) {
+	if tx == nil {
+		c := p.clock()
+		acquireNonTx(&p.ver)
+		nv := c.tick()
+		p.val[0].Store(a)
+		p.val[1].Store(b)
+		p.ver.Store(nv << 1)
+		return
+	}
+	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPair)
+	e.word, e.word2 = a, b
 }
 
 // AddAtCommit queues a commutative increment of both values, applied

@@ -9,9 +9,13 @@
 // two semantic properties in software with a TL2-flavoured design:
 //
 //   - Shared memory is held in cells (Ref[T] for pointers, Word for
-//     uint64, Pair for two uint64 that always change together). Every
-//     access, transactional or not, goes through the cell API. Each cell
-//     pairs its value with a version word encoded as version<<1|lock.
+//     uint64, Pair for two uint64 that are read and changed as a unit —
+//     a leaf entry's key and value, a subtree's key sum and count).
+//     Every access, transactional or not, goes through the cell API.
+//     Each cell pairs its value with a version word encoded as
+//     version<<1|lock. A cell is the unit the read and write sets count,
+//     the stand-in for hardware's cache line: what shares a line on the
+//     modelled machine should share a cell here.
 //   - Every TM instance owns its version clock (cache-line padded), so
 //     independent TMs — e.g. the shards of a sharded dictionary — never
 //     contend on a shared clock cache line. Cells bound to the same
@@ -52,9 +56,9 @@
 // failure injection is armed — is copied into the Tx when its thread is
 // created, so an access reads it from the Tx it already holds (Tx.bind).
 // And a write-set entry addresses its cell by two raw pointers, version
-// word and value storage, so commit applies every kind of entry with a
-// switch instead of an interface call and an entry stays under a cache
-// line.
+// word and value storage, so commit applies every kind of entry (a
+// buffered Word, Ref or Pair value, a Word or Pair delta) with a switch
+// instead of an interface call and an entry stays under a cache line.
 //
 // A transaction is a single attempt, exactly like XBEGIN/XEND: retry
 // policy belongs to the caller. Transactions must not be nested. An

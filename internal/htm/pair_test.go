@@ -46,13 +46,15 @@ func TestPairNonTxBasics(t *testing.T) {
 	}()
 }
 
-// TestPairOpacity: writers add (+k, +1) transactionally, so a == k*b in
-// every committed state. Transactional and non-transactional readers
-// must see exactly that from one Get — never the two halves of
-// different commits — while a third party mutates the cell outside any
-// transaction (strong atomicity).
+// TestPairOpacity: writers add (+k, +1) to one Pair transactionally, so
+// a == k*b in every committed state of it, and set another to
+// (x, pairF(x)), so b == pairF(a) there. Transactional and
+// non-transactional readers must see exactly that from one Get — never
+// the two halves of different commits — while a third party adds to and
+// sets the cells outside any transaction (strong atomicity).
 func TestPairOpacity(t *testing.T) {
 	t.Parallel()
+	pairF := func(a uint64) uint64 { return a*0x9e3779b97f4a7c15 + 1 }
 	for _, backend := range bothBackends {
 		const (
 			k       = 7
@@ -61,31 +63,35 @@ func TestPairOpacity(t *testing.T) {
 			nonTx   = 3000
 		)
 		tm := New(Config{Backend: backend})
-		var p Pair
+		var p, q Pair
 		p.Bind(tm.Clock())
+		q.Bind(tm.Clock())
 		var wg sync.WaitGroup
 		var done atomic.Bool
 		for w := 0; w < writers; w++ {
 			wg.Add(1)
-			go func() {
+			go func(w uint64) {
 				defer wg.Done()
 				th := tm.NewThread()
 				var scratch Word
 				for i := 0; i < perW; {
+					x := w<<32 | uint64(i)
 					if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
 						scratch.Set(tx, uint64(i))
 						p.AddAtCommit(tx, k, 1)
+						q.Set(tx, x, pairF(x))
 					}); ok {
 						i++
 					}
 				}
-			}()
+			}(uint64(w))
 		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < nonTx; i++ {
+			for i := uint64(0); i < nonTx; i++ {
 				p.Add(k, 1)
+				q.Set(nil, writers<<32|i, pairF(writers<<32|i))
 			}
 		}()
 		var readers sync.WaitGroup
@@ -96,16 +102,24 @@ func TestPairOpacity(t *testing.T) {
 				th := tm.NewThread()
 				var last uint64
 				for !done.Load() {
-					var a, b uint64
+					var a, b, x, fx uint64
 					if transactional {
-						if ok, _ := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok {
+						if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
+							a, b = p.Get(tx)
+							x, fx = q.Get(tx)
+						}); !ok {
 							continue
 						}
 					} else {
 						a, b = p.Get(nil)
+						x, fx = q.Get(nil)
 					}
 					if a != k*b {
 						t.Errorf("%s: torn Pair read (%d,%d), want a == %d*b", backend, a, b, k)
+						return
+					}
+					if (x != 0 || fx != 0) && fx != pairF(x) {
+						t.Errorf("%s: torn Pair read (%#x,%#x), want b == f(a) = %#x", backend, x, fx, pairF(x))
 						return
 					}
 					if b < last {
@@ -122,6 +136,46 @@ func TestPairOpacity(t *testing.T) {
 		const total = writers*perW + nonTx
 		if a, b := p.Get(nil); a != k*total || b != total {
 			t.Fatalf("%s: Pair = (%d,%d), want (%d,%d)", backend, a, b, k*total, total)
+		}
+	}
+}
+
+// TestPairRecycle: recycling a pooled cell must not leak its new
+// contents to a transaction that may still hold the old node. A reader
+// whose snapshot predates the removal (the clock tick between its begin
+// and the Recycle) aborts with CauseConflict instead of returning the
+// recycled pair — before and after it has read the cell — while a
+// transaction that begins afterwards reads it normally.
+func TestPairRecycle(t *testing.T) {
+	t.Parallel()
+	for _, backend := range bothBackends {
+		tm := New(Config{Backend: backend})
+		th := tm.NewThread()
+		var p Pair
+		var removal Word // stands for the commit that unlinked p's node
+		p.Bind(tm.Clock())
+		removal.Bind(tm.Clock())
+		p.Init(1, 2)
+		for _, readFirst := range []bool{false, true} {
+			var a, b uint64
+			ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+				if readFirst {
+					a, b = p.Get(tx)
+				}
+				removal.Add(1)
+				p.Recycle(7, 8)
+				a, b = p.Get(tx)
+			})
+			if ok || ab.Cause != CauseConflict {
+				t.Fatalf("%s readFirst=%v: stale reader of a recycled Pair: ok=%v %+v, want a conflict abort", backend, readFirst, ok, ab)
+			}
+			if a == 7 || b == 8 {
+				t.Fatalf("%s readFirst=%v: stale reader returned the recycled pair (%d,%d)", backend, readFirst, a, b)
+			}
+			if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != 7 || b != 8 {
+				t.Fatalf("%s: fresh reader of a recycled Pair: ok=%v %+v (%d,%d), want (7,8)", backend, ok, ab, a, b)
+			}
+			p.Recycle(1, 2)
 		}
 	}
 }

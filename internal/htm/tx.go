@@ -184,12 +184,14 @@ type entryKind uint8
 const (
 	entWord    entryKind = iota // Word.Set: store word
 	entRef                      // Ref.Set: store ptr
+	entPair                     // Pair.Set: store (word, word2)
 	entAdd                      // Word.AddAtCommit: add word
 	entPairAdd                  // Pair.AddAtCommit: add (word, word2)
 )
 
 // isAdd reports whether the entry is a commutative delta applied to
-// whatever the cell holds at commit, rather than a buffered value.
+// whatever the cell holds at commit, rather than a buffered value. The
+// add kinds are ordered last so this stays one compare.
 func (k entryKind) isAdd() bool { return k >= entAdd }
 
 // writeEntry is one buffered write. It addresses the cell by two raw
@@ -205,7 +207,7 @@ type writeEntry struct {
 	// *unsafe.Pointer for a Ref, *[2]atomic.Uint64 for a Pair.
 	c     unsafe.Pointer
 	word  uint64
-	word2 uint64         // second component of a Pair delta
+	word2 uint64         // second component of a Pair value or delta
 	ptr   unsafe.Pointer // buffered *T of an entRef entry
 	kind  entryKind
 }
@@ -573,6 +575,10 @@ func (tx *Tx) commit() AbortCause {
 			(*atomic.Uint64)(w.c).Store(w.word)
 		case entRef:
 			atomic.StorePointer((*unsafe.Pointer)(w.c), w.ptr)
+		case entPair:
+			val := (*[2]atomic.Uint64)(w.c)
+			val[0].Store(w.word)
+			val[1].Store(w.word2)
 		case entAdd:
 			val := (*atomic.Uint64)(w.c)
 			val.Store(val.Load() + w.word)

@@ -26,6 +26,7 @@ type wsModel struct {
 	wordSet map[int]uint64
 	wordAdd map[int]uint64
 	refSet  map[int]*wsNode
+	pairSet map[int][2]uint64
 	pairAdd map[int][2]uint64
 }
 
@@ -33,6 +34,7 @@ func (m *wsModel) begin() {
 	m.wordSet = map[int]uint64{}
 	m.wordAdd = map[int]uint64{}
 	m.refSet = map[int]*wsNode{}
+	m.pairSet = map[int][2]uint64{}
 	m.pairAdd = map[int][2]uint64{}
 }
 
@@ -45,6 +47,9 @@ func (m *wsModel) commit() {
 	}
 	for i, p := range m.refSet {
 		m.refs[i] = p
+	}
+	for i, v := range m.pairSet {
+		m.pairs[i] = v
 	}
 	for i, d := range m.pairAdd {
 		m.pairs[i][0] += d[0]
@@ -64,6 +69,13 @@ func (m *wsModel) ref(i int) *wsNode {
 		return p
 	}
 	return m.refs[i]
+}
+
+func (m *wsModel) pair(i int) [2]uint64 {
+	if v, ok := m.pairSet[i]; ok {
+		return v
+	}
+	return m.pairs[i]
 }
 
 func TestWriteSetAgainstModel(t *testing.T) {
@@ -126,7 +138,7 @@ func runWriteSetModel(t *testing.T, backend BackendKind, cells int, seed uint64)
 					break
 				}
 				i := next(cells)
-				switch next(9) {
+				switch next(10) {
 				case 0, 1: // Word.Get
 					if _, pending := m.wordAdd[i]; pending {
 						continue
@@ -179,15 +191,25 @@ func runWriteSetModel(t *testing.T, backend BackendKind, cells int, seed uint64)
 						t.Fatalf("seed %d txn %d: ref %d CAS from its own value failed", seed, txn, i)
 					}
 					m.refSet[i] = p
-				case 7: // Pair.Get
+				case 7: // Pair.Get, reading back a buffered Set
 					if _, pending := m.pairAdd[i]; pending {
 						continue
 					}
 					a, b := pairs[i].Get(tx)
-					if want := m.pairs[i]; a != want[0] || b != want[1] {
+					if want := m.pair(i); a != want[0] || b != want[1] {
 						t.Fatalf("seed %d txn %d: pair %d reads (%d,%d), model %v", seed, txn, i, a, b, want)
 					}
-				case 8: // Pair.AddAtCommit
+				case 8: // Pair.Set
+					if _, pending := m.pairAdd[i]; pending {
+						continue
+					}
+					v := [2]uint64{uint64(next(1 << 20)), uint64(next(1 << 20))}
+					pairs[i].Set(tx, v[0], v[1])
+					m.pairSet[i] = v
+				case 9: // Pair.AddAtCommit
+					if _, written := m.pairSet[i]; written {
+						continue
+					}
 					da, db := uint64(next(1000)), uint64(next(3))-1 // db in {-1, 0, 1}
 					pairs[i].AddAtCommit(tx, da, db)
 					d := m.pairAdd[i]
@@ -286,6 +308,16 @@ func TestMisusePanicsOnSignatureHit(t *testing.T) {
 			fillRest(tx)
 			p.Get(tx)
 		})
+		expectPanic("Pair Set after AddAtCommit", func(tx *Tx) {
+			p.AddAtCommit(tx, 1, 1)
+			fillRest(tx)
+			p.Set(tx, 5, 5)
+		})
+		expectPanic("Pair AddAtCommit after Set", func(tx *Tx) {
+			p.Set(tx, 5, 5)
+			fillRest(tx)
+			p.AddAtCommit(tx, 1, 1)
+		})
 	}
 }
 
@@ -295,25 +327,30 @@ func TestMisusePanicsOnSignatureHit(t *testing.T) {
 // kind — never counts. The TLE-lock backend has no limit at all.
 func TestWriteCapacityCountsEntries(t *testing.T) {
 	t.Parallel()
-	const limit = 300 // well past signature saturation
+	const (
+		limit = 300 // well past signature saturation
+		per   = limit / 4
+	)
 	for _, backend := range bothBackends {
 		tm := New(Config{Backend: backend, WriteCapacity: limit})
 		th := tm.NewThread()
-		words := make([]Word, limit/3+1)
-		refs := make([]Ref[wsNode], limit/3)
-		pairs := make([]Pair, limit/3)
+		words := make([]Word, per+1)
+		refs := make([]Ref[wsNode], per)
+		adds := make([]Pair, per)
+		sets := make([]Pair, per)
 		n := &wsNode{}
-		fill := func(tx *Tx) {
-			for i := 0; i < limit/3; i++ {
+		fill := func(tx *Tx, round uint64) {
+			for i := 0; i < per; i++ {
 				words[i].Set(tx, uint64(i))
 				refs[i].Set(tx, n)
-				pairs[i].AddAtCommit(tx, 1, 1)
+				adds[i].AddAtCommit(tx, 1, 1)
+				sets[i].Set(tx, round, uint64(i))
 			}
 		}
 		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-			fill(tx)
-			for round := 0; round < 3; round++ {
-				fill(tx) // overwrites and accumulating adds only
+			fill(tx, 0)
+			for round := uint64(1); round <= 3; round++ {
+				fill(tx, round) // overwrites and accumulating adds only
 			}
 			if len(tx.writes) != limit {
 				t.Fatalf("%s: %d write entries, want %d", backend, len(tx.writes), limit)
@@ -322,14 +359,17 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: transaction at exactly WriteCapacity entries aborted: %+v", backend, ab)
 		}
-		if a, b := pairs[0].Get(nil); a != 4 || b != 4 {
+		if a, b := adds[0].Get(nil); a != 4 || b != 4 {
 			t.Fatalf("%s: accumulated pair adds = (%d,%d), want (4,4)", backend, a, b)
+		}
+		if a, b := sets[per-1].Get(nil); a != 3 || b != per-1 {
+			t.Fatalf("%s: overwritten pair = (%d,%d), want (3,%d)", backend, a, b, per-1)
 		}
 		reached := false
 		ok, ab = th.Atomic(PathFast, func(tx *Tx) {
-			fill(tx)
+			fill(tx, 0)
 			reached = true
-			words[limit/3].Set(tx, 1) // entry limit+1
+			words[per].Set(tx, 1) // entry limit+1
 		})
 		if !reached {
 			t.Fatalf("%s: aborted before the set was full: %+v", backend, ab)
