@@ -170,6 +170,39 @@ func TestAllocGateAggregateQueries(t *testing.T) {
 	}
 }
 
+// TestAllocGateABTreeFallbackScan gates the LLX-validated range scan of
+// the lock-free fallback: a scan may not allocate per internal node it
+// crosses. The child snapshots it validates fit the stack (a degree is at
+// most 16), so a scan of the whole tree allocates at most one object more
+// than a scan inside one leaf. With b = 4, 2048 keys need at least 512
+// leaves and those at least 170 internal nodes.
+func TestAllocGateABTreeFallbackScan(t *testing.T) {
+	tree, err := htmtree.NewABTree(htmtree.Config{Algorithm: htmtree.NonHTM, A: 2, B: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 2048
+	h := tree.NewHandle()
+	for k := uint64(1); k <= keys; k++ {
+		h.Insert(k, k)
+	}
+	out := make([]htmtree.KV, 0, keys)
+	scan := func(lo, hi uint64, want int) float64 {
+		return testing.AllocsPerRun(100, func() {
+			if got := len(h.RangeQuery(lo, hi, out[:0])); got != want {
+				t.Fatalf("RangeQuery[%d,%d) returned %d pairs, want %d", lo, hi, got, want)
+			}
+		})
+	}
+	whole, one := scan(1, keys+1, keys), scan(keys/2, keys/2+1, 1)
+	if whole > one+1 {
+		t.Errorf("fallback scan of %d keys: %.0f allocs, of one key: %.0f, want at most one more", keys, whole, one)
+	}
+	if st := tree.Stats().Ops; st.Fallback == 0 || st.Fast+st.Middle != 0 {
+		t.Fatalf("the scans did not run on the fallback path: %+v", st)
+	}
+}
+
 // TestAllocGateLatencyCapture gates the PR 7 latency instrumentation:
 // the per-operation capture the workload driver performs under
 // MeasureLatency — a clock read, the operation, a histogram Record —

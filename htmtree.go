@@ -222,7 +222,9 @@ type Config struct {
 	SearchOutsideTx bool
 
 	// A and B are the (a,b)-tree degree bounds (defaults 6 and 16;
-	// ignored by the BST).
+	// ignored by the BST): A >= 2 and 2A-1 <= B <= 16. A leaf's order
+	// word addresses at most 16 slots; NewABTree and NewShardedABTree
+	// return an "invalid degree bounds" error outside that range.
 	A, B int
 
 	// Shards is the partition count for NewShardedBST / NewShardedABTree
@@ -620,8 +622,8 @@ func newABTree(cfg Config, mon *engine.UpdateMonitor, node *obs.Node) (*Tree, er
 	if err != nil {
 		return nil, err
 	}
-	if cfg.A != 0 && (cfg.A < 2 || cfg.B < 2*cfg.A-1) {
-		return nil, fmt.Errorf("htmtree: invalid degree bounds a=%d b=%d", cfg.A, cfg.B)
+	if err := abtree.CheckDegree(cfg.A, cfg.B); err != nil {
+		return nil, fmt.Errorf("htmtree: %w", err)
 	}
 	hcfg, err := cfg.htmConfig()
 	if err != nil {

@@ -2,6 +2,7 @@ package htmtree_test
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -198,6 +199,19 @@ func TestFacadeRejectsBadConfig(t *testing.T) {
 	}
 	if _, err := htmtree.NewABTree(htmtree.Config{A: 6, B: 7}); err == nil {
 		t.Fatal("NewABTree accepted b < 2a-1")
+	}
+	for _, cfg := range []htmtree.Config{{B: 17}, {A: 8, B: 17}} {
+		_, err := htmtree.NewABTree(cfg)
+		if err == nil || !strings.Contains(err.Error(), "invalid degree bounds") ||
+			!strings.Contains(err.Error(), "b=17") || !strings.Contains(err.Error(), "<=16") {
+			t.Fatalf("NewABTree(%+v) = %v, want an invalid degree bounds error naming b=17 and the limit 16", cfg, err)
+		}
+	}
+	if _, err := htmtree.NewShardedABTree(htmtree.Config{B: 17}); err == nil {
+		t.Fatal("NewShardedABTree accepted b > 16")
+	}
+	if _, err := htmtree.NewABTree(htmtree.Config{A: 8, B: 16}); err != nil {
+		t.Fatalf("NewABTree rejected a=8 b=16: %v", err)
 	}
 }
 

@@ -44,10 +44,11 @@ import (
 )
 
 // Default degree bounds (paper Section 7: a=6, b=16 so a node spans four
-// cache lines).
+// cache lines). b = 16 is also the largest a leaf's order word can
+// address (MaxB, perm.go).
 const (
 	DefaultA = 6
-	DefaultB = 16
+	DefaultB = MaxB
 )
 
 // Node is an (a,b)-tree node.
@@ -56,33 +57,45 @@ const (
 // (cells, len = degree, fixed at creation — structural changes replace
 // the node), tagged (immutable).
 //
-// Leaves: size and the first size entries of slots hold the pairs in
-// ascending key order, one (key, value) cell per entry — a key and its
-// value are read and moved together, as the one cache line they share on
-// hardware. They are cells because the fast path mutates them in place;
-// the template paths replace the leaf instead and only ever read them.
+// Leaves: slots is unsorted storage, one (key, value) cell per entry — a
+// key and its value are read and written together, as the one cache line
+// they share on hardware — and ord, the order word (perm.go), is the one
+// cell that says which slots are live and in what key order: (perm,
+// size), where perm's nibbles 0..size-1 name the slots in ascending key
+// order and the nibbles from size up are the free slots. Every reader
+// reads ord first and reaches the slots through permAt. They are cells
+// because the fast path mutates them in place — an insert writes the
+// first free slot and ord, a delete ord alone; the template paths replace
+// the leaf instead and only ever read them. slots is a pointer to an
+// array of MaxB cells whatever b is: 8 bytes where a slice header is 24,
+// and an index the compiler can prove in range.
 //
-// The fields are ordered for the fast path, which never touches hdr: what
-// a descent and an in-place leaf edit read comes first, the SCX header
-// last. TestNodeFootprint pins the sizes.
+// The fields are ordered by who touches them, in 64-byte lines (a node is
+// 256-aligned, its size class). The first line is what a descent reads
+// and nothing writes after publication: the flags, the routing arrays'
+// headers and the slots pointer. The second is the leaf's cells, ord and
+// aggSum, which every in-place edit writes — one dirty line of the shell
+// per update, and none that a descent through an internal node needs.
+// Then the internal aggregates, and last the SCX header, which the fast
+// path never touches. TestNodeFootprint pins the sizes and the lines.
 type Node struct {
-	leaf   bool
-	tagged bool
-
-	size  htm.Word
-	slots []htm.Pair
-
-	// Subtree aggregates (agg.go). A leaf maintains the sum of its keys
-	// in aggSum and derives count/min/max from size and slots. An
-	// internal node holds the (sum, count) of its subtree's keys in agg —
-	// one cell, because every update moves the two together — and the
-	// min/max in their own cells (the sentinels ^0/0 while the subtree
-	// is empty).
-	aggSum htm.Word
-
+	// First line: what a descent reads, none of it written after
+	// publication.
+	leaf     bool
+	tagged   bool
 	keys     []uint64
 	children []htm.Ref[Node]
+	slots    *[MaxB]htm.Pair
 
+	// Second line: the leaf's cells. aggSum is the sum of the leaf's keys
+	// (agg.go); its count, min and max come from ord and slots.
+	ord    htm.Pair
+	aggSum htm.Word
+
+	// Subtree aggregates of an internal node (agg.go): the (sum, count)
+	// of its subtree's keys in agg — one cell, because every update moves
+	// the two together — and the min/max in their own cells (the
+	// sentinels ^0/0 while the subtree is empty).
 	agg    htm.Pair
 	aggMin htm.Word
 	aggMax htm.Word
@@ -101,23 +114,25 @@ type kv struct {
 	k, v uint64
 }
 
-// newLeaf builds a bootstrap leaf with capacity b holding pairs
-// (sorted), bound to clk. Steady-state operations allocate through the
-// handle pools instead (Handle.newLeaf in pool.go).
-func newLeaf(clk *htm.Clock, b int, pairs []kv) *Node {
-	n := &Node{leaf: true, slots: make([]htm.Pair, b)}
+// newLeaf builds the bootstrap leaf, bound to clk. Steady-state
+// operations allocate through the handle pools instead (Handle.newLeaf in
+// pool.go).
+func newLeaf(clk *htm.Clock) *Node {
+	n := &Node{leaf: true}
 	n.hdr.Bind(clk)
-	n.size.Bind(clk)
-	n.aggSum.Bind(clk)
+	n.bindLeaf(clk)
+	n.ord.Init(permIdentity, 0)
+	return n
+}
+
+// bindLeaf gives a fresh leaf shell its slot array and binds its cells.
+func (n *Node) bindLeaf(clk *htm.Clock) {
+	n.slots = new([MaxB]htm.Pair)
 	for i := range n.slots {
 		n.slots[i].Bind(clk)
 	}
-	n.size.Init(uint64(len(pairs)))
-	n.aggSum.Init(sumPairs(pairs))
-	for i, p := range pairs {
-		n.slots[i].Init(p.k, p.v)
-	}
-	return n
+	n.ord.Bind(clk)
+	n.aggSum.Bind(clk)
 }
 
 // newInternal builds a bootstrap internal node bound to clk.
@@ -151,7 +166,8 @@ func childIndex(n *Node, key uint64) int {
 
 // Config configures a Tree.
 type Config struct {
-	// A and B are the degree bounds (defaults 6 and 16; B >= 2A-1).
+	// A and B are the degree bounds (defaults 6 and 16): A >= 2 and
+	// 2A-1 <= B <= 16 (MaxB, the slots a leaf's order word addresses).
 	A, B int
 	// Algorithm selects the template implementation (default 3-path).
 	Algorithm engine.Algorithm
@@ -189,6 +205,21 @@ type Tree struct {
 	aggFastQ, aggWalkQ atomic.Uint64
 }
 
+// CheckDegree reports whether a and b (after defaulting zeros) are legal
+// degree bounds. New panics with the same text.
+func CheckDegree(a, b int) error {
+	if a == 0 {
+		a = DefaultA
+	}
+	if b == 0 {
+		b = DefaultB
+	}
+	if a < 2 || b < 2*a-1 || b > MaxB {
+		return fmt.Errorf("invalid degree bounds a=%d b=%d (need a>=2, 2a-1<=b<=%d)", a, b, MaxB)
+	}
+	return nil
+}
+
 // New creates an empty tree.
 func New(cfg Config) *Tree {
 	if cfg.A == 0 {
@@ -197,9 +228,8 @@ func New(cfg Config) *Tree {
 	if cfg.B == 0 {
 		cfg.B = DefaultB
 	}
-	if cfg.A < 2 || cfg.B < 2*cfg.A-1 {
-		panic(fmt.Sprintf("abtree: invalid degree bounds a=%d b=%d (need a>=2, b>=2a-1)",
-			cfg.A, cfg.B))
+	if err := CheckDegree(cfg.A, cfg.B); err != nil {
+		panic("abtree: " + err.Error())
 	}
 	if cfg.Algorithm == 0 {
 		cfg.Algorithm = engine.AlgThreePath
@@ -213,7 +243,7 @@ func New(cfg Config) *Tree {
 		cfg: cfg,
 	}
 	t.entry = newInternal(tm.Clock(), nil,
-		[]*Node{newLeaf(tm.Clock(), cfg.B, nil)}, false)
+		[]*Node{newLeaf(tm.Clock())}, false)
 	t.aggVer.Bind(tm.Clock())
 	t.sumRd = t.eng.ReclaimReader()
 	return t
@@ -327,12 +357,12 @@ func (t *Tree) KeySum() (sum, count uint64) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.leaf {
-			sz := int(n.size.Get(nil))
-			for i := 0; i < sz; i++ {
-				k, _ := n.slots[i].Get(nil)
+			perm, sz := n.ord.Get(nil)
+			for i := 0; i < int(sz); i++ {
+				k, _ := n.slots[permAt(perm, i)].Get(nil)
 				sum += k
-				count++
 			}
+			count += sz
 			return
 		}
 		for i := range n.children {
@@ -343,13 +373,34 @@ func (t *Tree) KeySum() (sum, count uint64) {
 	return sum, count
 }
 
+// checkOrd validates a leaf's order word: size within b, the first b
+// nibbles of perm a permutation of the slots 0..b-1 (so no two ranks,
+// live or free, share a slot), and the nibbles from b up still the
+// identity a leaf is born with.
+func checkOrd(perm, size uint64, b int) error {
+	if size > uint64(b) {
+		return fmt.Errorf("abtree: leaf size %d exceeds b=%d", size, b)
+	}
+	var seen uint
+	for i := 0; i < MaxB; i++ {
+		s := permAt(perm, i)
+		if i >= b && s != i || i < b && (s >= b || seen&(1<<s) != 0) {
+			return fmt.Errorf("abtree: leaf order word %#016x (size %d, b=%d): rank %d names slot %d", perm, size, b, i, s)
+		}
+		seen |= 1 << s
+	}
+	return nil
+}
+
 // CheckInvariants validates the tree structure (quiescent use only).
 // With strict set it additionally demands full balance: no tagged
 // nodes, all degrees within [a,b] (root exempt below a), and uniform
 // leaf depth — which must hold whenever all updates have completed,
 // since every update repairs the violations it creates.
 //
-// It always verifies the maintained subtree aggregates: every node's
+// It always verifies every leaf's order word (checkOrd) and reads the
+// leaf's keys through it, in rank order, and the maintained subtree
+// aggregates: every node's
 // sum/count/min/max cells must equal the tuple recomputed from the
 // leaves beneath it (with the empty-subtree sentinels ^0/0 for
 // min/max), and the aggregate seqlock must be released.
@@ -369,16 +420,17 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			return agg, fmt.Errorf("abtree: reachable marked node at depth %d", depth)
 		}
 		if n.leaf {
-			sz := int(n.size.Get(nil))
-			if sz > t.cfg.B {
-				return agg, fmt.Errorf("abtree: leaf size %d exceeds b=%d", sz, t.cfg.B)
+			perm, size := n.ord.Get(nil)
+			sz := int(size)
+			if err := checkOrd(perm, size, t.cfg.B); err != nil {
+				return agg, err
 			}
 			if strict && !isRoot && sz < t.cfg.A {
 				return agg, fmt.Errorf("abtree: underfull leaf (size %d < a=%d)", sz, t.cfg.A)
 			}
 			prev := uint64(0)
 			for i := 0; i < sz; i++ {
-				k, _ := n.slots[i].Get(nil)
+				k, _ := n.slots[permAt(perm, i)].Get(nil)
 				if i > 0 && k <= prev {
 					return agg, fmt.Errorf("abtree: leaf keys unsorted (%d after %d)", k, prev)
 				}

@@ -2,6 +2,7 @@ package abtree
 
 import (
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -33,12 +34,16 @@ func TestEmptyTree(t *testing.T) {
 
 func TestInvalidDegreeBoundsPanics(t *testing.T) {
 	t.Parallel()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New accepted b < 2a-1")
-		}
-	}()
-	New(Config{A: 6, B: 10})
+	for _, cfg := range []Config{{A: 6, B: 10}, {A: 1, B: 4}, {B: MaxB + 1}} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "invalid degree bounds") {
+					t.Errorf("New(a=%d b=%d) recovered %q, want an invalid degree bounds panic", cfg.A, cfg.B, msg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
 }
 
 func TestSequentialOracle(t *testing.T) {

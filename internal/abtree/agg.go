@@ -19,9 +19,9 @@ import (
 // htm.Pair holding (sum, count) — every leaf operation moves the two
 // together, and one cell means one write-set entry, one commit lock and
 // one version store per ancestor instead of two — plus aggMin and
-// aggMax. Leaves carry only aggSum: a leaf's count is its size cell and
-// its min/max are its first and last keys, so no extra leaf state is
-// needed. An empty subtree holds the
+// aggMax. Leaves carry only aggSum: a leaf's count is the size in its
+// order word and its min/max are the keys at its first and last ranks,
+// so no extra leaf state is needed. An empty subtree holds the
 // sentinels min = ^0, max = 0 (no key is ^0 — dict.MaxKey is below it —
 // and a real max of 0 coincides with the sentinel harmlessly: readers
 // gate min/max on count > 0).
@@ -110,12 +110,12 @@ func (t *Tree) aggGuard(tx *htm.Tx) {
 // array. min/max are the empty sentinels when count is 0.
 func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
 	if c.leaf {
-		sz := c.size.Get(tx)
+		perm, sz := c.ord.Get(tx)
 		if sz == 0 {
 			return c.aggSum.Get(tx), 0, aggEmptyMin, aggEmptyMax
 		}
-		mn, _ = c.slots[0].Get(tx)
-		mx, _ = c.slots[sz-1].Get(tx)
+		mn, _ = c.slots[permAt(perm, 0)].Get(tx)
+		mx, _ = c.slots[permAt(perm, int(sz)-1)].Get(tx)
 		return c.aggSum.Get(tx), sz, mn, mx
 	}
 	sum, count = c.agg.Get(tx)
@@ -129,8 +129,8 @@ func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
 // AddAtCommit and must not be read back.
 func childMin(tx *htm.Tx, c *Node) uint64 {
 	if c.leaf {
-		if sz := c.size.Get(tx); sz > 0 {
-			k, _ := c.slots[0].Get(tx)
+		if perm, sz := c.ord.Get(tx); sz > 0 {
+			k, _ := c.slots[permAt(perm, 0)].Get(tx)
 			return k
 		}
 		return aggEmptyMin
@@ -140,8 +140,8 @@ func childMin(tx *htm.Tx, c *Node) uint64 {
 
 func childMax(tx *htm.Tx, c *Node) uint64 {
 	if c.leaf {
-		if sz := c.size.Get(tx); sz > 0 {
-			k, _ := c.slots[sz-1].Get(tx)
+		if perm, sz := c.ord.Get(tx); sz > 0 {
+			k, _ := c.slots[permAt(perm, int(sz)-1)].Get(tx)
 			return k
 		}
 		return aggEmptyMax
@@ -444,9 +444,9 @@ func (t *Tree) aggDescend(tx *htm.Tx, n *Node, nlo, nhi uint64, h *Handle) {
 
 // aggCollectLeaf folds a leaf's in-range keys into the accumulator.
 func aggCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
-	sz := int(n.size.Get(tx))
-	for i := 0; i < sz; i++ {
-		k, _ := n.slots[i].Get(tx)
+	perm, sz := n.ord.Get(tx)
+	for i := 0; i < int(sz); i++ {
+		k, _ := n.slots[permAt(perm, i)].Get(tx)
 		if k >= h.argLo && k < h.argHi {
 			h.resAgg.Merge(dict.Agg{Sum: k, Count: 1, Min: k, Max: k})
 		}
@@ -455,9 +455,8 @@ func aggCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 
 // aggFallback answers the aggregate query with an LLX-validated leaf
 // walk (rqFallback's traversal, accumulating instead of collecting),
-// restarting on any failed LLX. Child snapshots live on the stack up
-// to degree 32, so steady-state queries stay allocation-free at the
-// default b = 16.
+// restarting on any failed LLX. Child snapshots live on the stack
+// (snapshotChildrenLLX), so steady-state queries stay allocation-free.
 func (t *Tree) aggFallback(h *Handle) bool {
 	h.resAgg = dict.Agg{Min: aggEmptyMin, Max: aggEmptyMax}
 	var root *Node
@@ -477,18 +476,9 @@ func (t *Tree) aggWalkLLX(n *Node, h *Handle) bool {
 		}
 		return ok
 	}
-	var arr [32]*Node
-	var snap []*Node
-	if len(n.children) <= len(arr) {
-		snap = arr[:len(n.children)]
-	} else {
-		snap = make([]*Node, len(n.children))
-	}
-	if _, st := llxscx.LLX(nil, &n.hdr, func() {
-		for i := range n.children {
-			snap[i] = n.children[i].Get(nil)
-		}
-	}); st != llxscx.StatusOK {
+	var arr [MaxB]*Node
+	snap, ok := snapshotChildrenLLX(n, &arr)
+	if !ok {
 		return false
 	}
 	for i, c := range snap {

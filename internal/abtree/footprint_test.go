@@ -1,0 +1,126 @@
+package abtree
+
+import (
+	"testing"
+
+	"htmtree/internal/engine"
+	"htmtree/internal/htm"
+)
+
+// TestFastPathFootprint pins how many cells a fast-path operation logs,
+// with the knobs the simulator already has: on a quiescent 3-path tree
+// whose leaves sit under h internal nodes,
+//
+//   - inserting a new key into a non-full leaf writes the first free
+//     slot, the order word, the leaf's aggSum and one aggregate add per
+//     ancestor: 3+h entries;
+//   - deleting a key writes the order word, aggSum and the h adds: 2+h;
+//   - a search reads the fallback indicator, the entry's root pointer, one
+//     child pointer per internal node, the order word and the slots its
+//     binary search probes (at most 5): 3+h+probes.
+//
+// Each commits on the fast path when WriteCapacity (ReadCapacity) is
+// exactly that, and capacity-aborts off it with one entry less. The keys
+// are taken from the middle of a leaf, where they are no ancestor's min
+// or max (those cost an insert a write, a delete a read, more). A sorted
+// leaf fails all three: its insert and delete also rewrite every entry
+// above the key, its search reads every entry below it.
+func TestFastPathFootprint(t *testing.T) {
+	const keys = 4000 // even keys 2..2*keys; odd keys are new
+	type probe struct {
+		h           int    // internal nodes above a leaf
+		present     uint64 // a key at rank 3 of its leaf
+		absent      uint64 // present+1: lands mid-leaf too
+		searchReads int    // slots leafFind probes on the way to present
+	}
+	// build prefills a tree under hcfg and finds the probe keys. Tiny
+	// capacities only push the prefill off the fast path.
+	build := func(hcfg htm.Config) (*Tree, probe) {
+		tr := New(Config{Algorithm: engine.AlgThreePath, HTM: hcfg})
+		pre := tr.newHandle()
+		for k := uint64(1); k <= keys; k++ {
+			pre.Insert(2*k, k)
+		}
+		if err := tr.CheckInvariants(true); err != nil {
+			t.Fatal(err)
+		}
+		var p probe
+		for n := tr.entry.children[0].Get(nil); !n.leaf; n = n.children[0].Get(nil) {
+			p.h++
+		}
+		_, _, u, _, _ := tr.searchLeaf(nil, keys)
+		var buf []kv
+		readLeaf(nil, u, &buf)
+		if len(buf) < 8 || len(buf) >= tr.cfg.B {
+			t.Fatalf("leaf of key %d holds %d entries, want 8..%d", keys, len(buf), tr.cfg.B-1)
+		}
+		p.present, p.absent = buf[3].k, buf[3].k+1
+		for lo, hi := 0, len(buf); ; { // leafFind's search
+			mid := (lo + hi) / 2
+			p.searchReads++
+			if buf[mid].k == p.present {
+				break
+			}
+			if buf[mid].k < p.present {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return tr, p
+	}
+	_, p := build(htm.Config{})
+	if p.h < 2 {
+		t.Fatalf("tree of %d keys has %d internal levels, want >= 2", keys, p.h)
+	}
+	if p.searchReads > 5 {
+		t.Fatalf("search probes %d slots, want <= 5", p.searchReads)
+	}
+
+	for _, c := range []struct {
+		name  string
+		needs int
+		cfg   func(capacity int) htm.Config
+		op    func(h *Handle, p probe) bool // reports whether the op did what it should
+	}{
+		{"insert", 3 + p.h,
+			func(n int) htm.Config { return htm.Config{WriteCapacity: n} },
+			func(h *Handle, p probe) bool { _, existed := h.Insert(p.absent, 1); return !existed }},
+		{"delete", 2 + p.h,
+			func(n int) htm.Config { return htm.Config{WriteCapacity: n} },
+			func(h *Handle, p probe) bool { _, existed := h.Delete(p.present); return existed }},
+		{"search", 3 + p.h + p.searchReads,
+			func(n int) htm.Config { return htm.Config{ReadCapacity: n} },
+			func(h *Handle, p probe) bool { v, found := h.Search(p.present); return found && 2*v == p.present }},
+	} {
+		for _, fits := range []bool{true, false} {
+			capacity := c.needs
+			if !fits {
+				capacity--
+			}
+			tr, q := build(c.cfg(capacity))
+			if q != p {
+				t.Fatalf("%s: prefill under capacity %d built a different tree: %+v, want %+v", c.name, capacity, q, p)
+			}
+			h := tr.newHandle() // fresh site: no capacity history, so the fast path is tried
+			before := tr.OpStats()
+			if !c.op(h, q) {
+				t.Fatalf("%s at capacity %d: wrong result", c.name, capacity)
+			}
+			after := tr.OpStats()
+			onFast := after.Fast - before.Fast
+			capAborts := after.Aborts.On(htm.PathFast, htm.CauseCapacity) - before.Aborts.On(htm.PathFast, htm.CauseCapacity)
+			if fits && (onFast != 1 || capAborts != 0) {
+				t.Errorf("%s (h=%d) at capacity %d: fast completions %d, fast-path capacity aborts %d, want 1 and 0",
+					c.name, p.h, capacity, onFast, capAborts)
+			}
+			if !fits && (onFast != 0 || capAborts == 0) {
+				t.Errorf("%s (h=%d) at capacity %d: fast completions %d, fast-path capacity aborts %d, want 0 and > 0: the footprint shrank, update the count",
+					c.name, p.h, capacity, onFast, capAborts)
+			}
+			if err := tr.CheckInvariants(true); err != nil {
+				t.Fatalf("%s at capacity %d: %v", c.name, capacity, err)
+			}
+		}
+	}
+}

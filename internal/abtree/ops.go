@@ -187,28 +187,36 @@ func (t *Tree) searchLeaf(tx *htm.Tx, key uint64) (gp, p, u *Node, pIdx, uIdx in
 	return gp, p, u, pIdx, uIdx
 }
 
-// leafFind locates key within leaf u, returning its position (or the
-// insertion point), the value stored with it and whether it is present.
-func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool) {
-	sz := int(u.size.Get(tx))
-	for i := 0; i < sz; i++ {
-		k, v := u.slots[i].Get(tx)
+// leafFind locates key within leaf u: one read of the order word, then a
+// binary search through it (at most 5 probes at b = 16). It returns the
+// key's rank (or the rank it would be inserted at), the value stored with
+// it and whether it is present, and the order word it searched — perm and
+// size — so that no caller reads ord again.
+func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool, perm uint64, size int) {
+	perm, sz := u.ord.Get(tx)
+	lo, hi := 0, int(sz)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		k, v := u.slots[permAt(perm, mid)].Get(tx)
 		if k == key {
-			return i, v, true
+			return mid, v, true, perm, int(sz)
 		}
-		if k > key {
-			return i, 0, false
+		if k < key {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	return sz, 0, false
+	return lo, 0, false, perm, int(sz)
 }
 
-// readLeaf reads leaf u's pairs into buf (reset first).
+// readLeaf reads leaf u's pairs into buf (reset first) in ascending key
+// order.
 func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 	*buf = (*buf)[:0]
-	sz := int(u.size.Get(tx))
-	for i := 0; i < sz; i++ {
-		k, v := u.slots[i].Get(tx)
+	perm, sz := u.ord.Get(tx)
+	for i := 0; i < int(sz); i++ {
+		k, v := u.slots[permAt(perm, i)].Get(tx)
 		*buf = append(*buf, kv{k: k, v: v})
 	}
 }
@@ -247,39 +255,40 @@ func (t *Tree) insertBody(pr *prims) bool {
 
 	if pr.m == modeFast {
 		tx := pr.tx
-		pos, old, found := leafFind(tx, u, key)
+		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if found {
 			// Update the value in place — the fast path's node-creation
 			// saving (Section 6.2). Values don't feed the aggregates.
 			h.resVal, h.resFound = old, true
 			h.needFix = false
-			u.slots[pos].Set(tx, key, val)
+			u.slots[permAt(perm, pos)].Set(tx, key, val)
 			return true
 		}
 		h.resVal, h.resFound = 0, false
-		sz := int(u.size.Get(tx))
 		if sz < b {
-			for i := sz; i > pos; i-- {
-				k, v := u.slots[i-1].Get(tx)
-				u.slots[i].Set(tx, k, v)
-			}
-			u.slots[pos].Set(tx, key, val)
-			u.size.Set(tx, uint64(sz+1))
+			// Fill the first free slot and give it the key's rank: two
+			// writes, wherever in the leaf the key belongs.
+			perm = permInsert(perm, pos, sz)
+			u.slots[permAt(perm, pos)].Set(tx, key, val)
+			u.ord.Set(tx, perm, uint64(sz+1))
 			u.aggSum.AddAtCommit(tx, key)
 			aggApplyInsert(tx, h.path, key)
 			h.needFix = false
 			return true
 		}
-		// Full leaf: split, keeping u (rewritten in place) as the left
-		// child — only a sibling and a parent are created (Section 6.2).
+		// Full leaf: split, keeping u as the left child — only a sibling
+		// and a parent are created (Section 6.2). The pairs that stay keep
+		// their slots: truncating the size frees the upper ranks, and when
+		// the new pair belongs to the left half it takes the first of them.
 		readLeaf(tx, u, &h.buf)
 		h.buf = insertAt(h.buf, pos, kv{k: key, v: val})
 		lo := (len(h.buf) + 1) / 2
 		right := h.newLeaf(h.buf[lo:])
-		for i := 0; i < lo; i++ {
-			u.slots[i].Set(tx, h.buf[i].k, h.buf[i].v)
+		if pos < lo {
+			perm = permInsert(perm, pos, lo-1)
+			u.slots[permAt(perm, pos)].Set(tx, key, val)
 		}
-		u.size.Set(tx, uint64(lo))
+		u.ord.Set(tx, perm, uint64(lo))
 		u.aggSum.Set(tx, sumPairs(h.buf[:lo]))
 		h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 		h.cbuf = append(h.cbuf[:0], u, right)
@@ -381,35 +390,27 @@ func (t *Tree) deleteBody(pr *prims) bool {
 
 	if pr.m == modeFast {
 		tx := pr.tx
-		pos, old, found := leafFind(tx, u, key)
+		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if !found {
 			h.resVal, h.resFound = 0, false
 			h.needFix = false
 			return true
 		}
 		h.resVal, h.resFound = old, true
-		sz := int(u.size.Get(tx))
-		// The leaf's post-delete min/max, read before the shift buffers
-		// new contents for the slots (a read-back would return the
-		// shifted entry, not the one the leaf holds now).
+		// The leaf's post-delete min and max, for the ancestors whose min
+		// or max is the deleted key. It can be an ancestor's min only when
+		// it is the leaf's (rank 0; rank 1 takes over), and likewise its
+		// max, so a delete from the middle of the leaf reads neither.
 		cmin, cmax := aggEmptyMin, aggEmptyMax
-		if sz > 1 {
-			if pos == 0 {
-				cmin, _ = u.slots[1].Get(tx)
-			} else {
-				cmin, _ = u.slots[0].Get(tx)
-			}
-			if pos == sz-1 {
-				cmax, _ = u.slots[sz-2].Get(tx)
-			} else {
-				cmax, _ = u.slots[sz-1].Get(tx)
-			}
+		if pos == 0 && sz > 1 {
+			cmin, _ = u.slots[permAt(perm, 1)].Get(tx)
 		}
-		for i := pos; i < sz-1; i++ {
-			k, v := u.slots[i+1].Get(tx)
-			u.slots[i].Set(tx, k, v)
+		if pos == sz-1 && sz > 1 {
+			cmax, _ = u.slots[permAt(perm, sz-2)].Get(tx)
 		}
-		u.size.Set(tx, uint64(sz-1))
+		// The only write to the leaf: the key's slot goes back to the free
+		// list and keeps its contents, which no rank names any more.
+		u.ord.Set(tx, permDelete(perm, pos, sz), uint64(sz-1))
 		u.aggSum.AddAtCommit(tx, -key)
 		aggApplyDelete(tx, h.path, u, key, cmin, cmax)
 		h.needFix = p != t.entry && sz-1 < a
@@ -462,7 +463,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 // searchBody implements Search (read-only on every path).
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 	_, _, u, _, _ := t.searchLeaf(tx, h.argKey)
-	_, h.resVal, h.resFound = leafFind(tx, u, h.argKey)
+	_, h.resVal, h.resFound, _, _ = leafFind(tx, u, h.argKey)
 }
 
 // findInBuf locates key in a sorted pair buffer.
@@ -520,9 +521,9 @@ func rqChildOverlaps(n *Node, i int, lo, hi uint64) bool {
 }
 
 func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
-	sz := int(n.size.Get(tx))
-	for i := 0; i < sz; i++ {
-		k, v := n.slots[i].Get(tx)
+	perm, sz := n.ord.Get(tx)
+	for i := 0; i < int(sz); i++ {
+		k, v := n.slots[permAt(perm, i)].Get(tx)
 		if k >= h.argLo && k < h.argHi {
 			h.rqOut = append(h.rqOut, dict.KV{Key: k, Val: v})
 		}
@@ -550,13 +551,9 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 		}
 		return ok
 	}
-	var snap []*Node
-	if _, st := llxscx.LLX(nil, &n.hdr, func() {
-		snap = make([]*Node, len(n.children))
-		for i := range n.children {
-			snap[i] = n.children[i].Get(nil)
-		}
-	}); st != llxscx.StatusOK {
+	var arr [MaxB]*Node
+	snap, ok := snapshotChildrenLLX(n, &arr)
+	if !ok {
 		return false
 	}
 	for i, c := range snap {
@@ -567,4 +564,17 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 		}
 	}
 	return true
+}
+
+// snapshotChildrenLLX reads n's child pointers within an LLX into the
+// caller's array (a degree is at most MaxB, so the fallback scans keep
+// their snapshots on the stack) and reports whether the LLX succeeded.
+func snapshotChildrenLLX(n *Node, arr *[MaxB]*Node) ([]*Node, bool) {
+	snap := arr[:len(n.children)]
+	_, st := llxscx.LLX(nil, &n.hdr, func() {
+		for i := range n.children {
+			snap[i] = n.children[i].Get(nil)
+		}
+	})
+	return snap, st == llxscx.StatusOK
 }

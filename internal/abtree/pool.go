@@ -9,11 +9,12 @@ import (
 // internal/nodepool; this file wires it to the (a,b)-tree's node kinds.
 //
 //   - Leaves may recycle immediately after fast-path removals: every
-//     reuse-mutable leaf field is a transactional cell (size, slots,
+//     reuse-mutable leaf field is a transactional cell (ord, slots,
 //     header), so a stale transactional reader of a recycled leaf
-//     aborts on the version-advancing Recycle stores. The leaf flag and
-//     the slot array header are write-once (pools are segregated by
-//     kind and the array is allocated at capacity b).
+//     aborts on the version-advancing Recycle stores — on ord, which
+//     every reader of a leaf reads first. The leaf flag and the slot
+//     array pointer are write-once (pools are segregated by kind and
+//     the array always has MaxB cells).
 //   - Internal nodes always wait out a grace period: their routing-key
 //     array and the length of their child array are plain memory that
 //     reuse rewrites, which is only safe once no reader can hold the
@@ -32,36 +33,35 @@ func (h *Handle) ReclaimStats() ReclaimStats { return h.pool.Stats() }
 func (h *Handle) PoolSize() int { return h.pool.Size() }
 
 // freshNode heap-allocates a node shell of the given kind (the pool's
-// fresh callback); newLeaf/newInternal bind and size the arrays.
+// fresh callback); newLeaf/newInternal allocate and bind the arrays.
 func (h *Handle) freshNode(leaf bool) *Node {
 	n := &Node{leaf: leaf}
 	n.hdr.Bind(h.clk)
 	return n
 }
 
-// newLeaf builds a leaf holding pairs (sorted) from the pool. Only the
-// first len(pairs) entries are (re-)initialized: a stale reader always
-// reads the size cell first, and entries beyond the recycled size keep
-// their old value and version, which is exactly what the reader's
-// snapshot is entitled to see.
+// newLeaf builds a leaf holding pairs (sorted) from the pool, in identity
+// order: pair i in slot i. Only the order word and the first len(pairs)
+// slots are (re-)initialized. A stale reader — one whose snapshot
+// predates the leaf's removal — reads ord before any slot, so it either
+// aborts there (the Recycle advanced ord's version past its snapshot) or
+// read ord in the leaf's previous life and reaches slots through that
+// life's perm: a slot below the recycled size aborts it the same way, and
+// a slot beyond keeps the value and version it had, which is exactly what
+// the reader's snapshot is entitled to see.
 func (h *Handle) newLeaf(pairs []kv) *Node {
 	n, recycled := h.pool.Take(true)
 	if recycled {
 		n.hdr.Recycle()
-		n.size.Recycle(uint64(len(pairs)))
+		n.ord.Recycle(permIdentity, uint64(len(pairs)))
 		n.aggSum.Recycle(sumPairs(pairs))
 		for i, p := range pairs {
 			n.slots[i].Recycle(p.k, p.v)
 		}
 		return n
 	}
-	n.slots = make([]htm.Pair, h.t.cfg.B)
-	for i := range n.slots {
-		n.slots[i].Bind(h.clk)
-	}
-	n.size.Bind(h.clk)
-	n.size.Init(uint64(len(pairs)))
-	n.aggSum.Bind(h.clk)
+	n.bindLeaf(h.clk)
+	n.ord.Init(permIdentity, uint64(len(pairs)))
 	n.aggSum.Init(sumPairs(pairs))
 	for i, p := range pairs {
 		n.slots[i].Init(p.k, p.v)

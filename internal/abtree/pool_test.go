@@ -102,15 +102,27 @@ func TestInternalArrayReuse(t *testing.T) {
 
 // TestNodeFootprint pins the memory a node costs, so a layout regression
 // fails here by name instead of surfacing as the benchmark's
-// live_heap_mb: a leaf entry is one 32-byte cell, a node shell fits the
-// allocator's 256-byte size class, and a default (b = 16) leaf is that
-// shell plus one 512-byte slot array.
+// live_heap_mb: a leaf entry is one 32-byte cell, a node shell is 248
+// bytes — the order word and the 8-byte slot array pointer take 40 where
+// a size word and a slice header took 48 — inside the allocator's
+// 256-byte size class (whose objects are 256-aligned, so field offsets
+// are cache-line offsets), and a leaf of any b is that shell plus one
+// 512-byte array of MaxB slots.
 func TestNodeFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(htm.Pair{}); got != 32 {
 		t.Errorf("htm.Pair is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(Node{}); got > 256 {
-		t.Errorf("Node is %d bytes, want <= 256 (the next size class is 288)", got)
+	if got := unsafe.Sizeof(Node{}); got != 248 {
+		t.Errorf("Node is %d bytes, want 248 (size class 256; the next is 288)", got)
+	}
+	var n Node
+	const line = 64
+	if end := unsafe.Offsetof(n.slots) + unsafe.Sizeof(n.slots); end != line ||
+		unsafe.Offsetof(n.leaf) >= line || unsafe.Offsetof(n.keys) >= line || unsafe.Offsetof(n.children) >= line {
+		t.Errorf("flags, keys, children and slots end at byte %d, want them to fill the first %d-byte line: a descent reads one line of a node", end, line)
+	}
+	if lo, hi := unsafe.Offsetof(n.ord), unsafe.Offsetof(n.aggSum)+unsafe.Sizeof(n.aggSum); lo != line || hi > 2*line {
+		t.Errorf("ord and aggSum span bytes %d..%d, want them inside the second line: an in-place edit dirties one line of the shell", lo, hi)
 	}
 	tr := New(Config{})
 	h := tr.newHandle()
@@ -118,12 +130,12 @@ func TestNodeFootprint(t *testing.T) {
 		tr.entry.children[0].Get(nil), // bootstrap leaf
 		h.newLeaf(nil),                // pooled leaf
 	} {
-		if cap(leaf.slots) != DefaultB || leaf.keys != nil || leaf.children != nil {
-			t.Fatalf("leaf owns arrays beyond %d slots: %d slots, %d keys, %d children",
-				DefaultB, cap(leaf.slots), cap(leaf.keys), cap(leaf.children))
+		if leaf.keys != nil || leaf.children != nil {
+			t.Fatalf("leaf owns arrays beyond its slots: %d keys, %d children",
+				cap(leaf.keys), cap(leaf.children))
 		}
-		if got := unsafe.Sizeof(*leaf) + uintptr(cap(leaf.slots))*unsafe.Sizeof(leaf.slots[0]); got > 768 {
-			t.Errorf("a b=%d leaf is %d bytes in two allocations, want <= 768", DefaultB, got)
+		if got := unsafe.Sizeof(*leaf) + unsafe.Sizeof(*leaf.slots); got != 248+512 {
+			t.Errorf("a leaf is %d bytes in two allocations, want 760", got)
 		}
 	}
 }

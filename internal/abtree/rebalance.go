@@ -40,8 +40,10 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 	n := p.children[0].Get(tx)
 	for {
 		if n.leaf {
-			if p != t.entry && int(n.size.Get(tx)) < a {
-				return violation{kind: vUnderfull, gp: gp, p: p, n: n, pIdx: pIdx, nIdx: nIdx}
+			if p != t.entry {
+				if _, sz := n.ord.Get(tx); int(sz) < a {
+					return violation{kind: vUnderfull, gp: gp, p: p, n: n, pIdx: pIdx, nIdx: nIdx}
+				}
 			}
 			return violation{kind: vNone}
 		}

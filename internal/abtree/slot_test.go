@@ -11,13 +11,28 @@ import (
 	"htmtree/internal/htm"
 )
 
-// A leaf entry is one (key, value) cell, shifted in place by the fast
-// path and copied by the template paths. TestNoTornSlots checks that no
-// path ever shows a reader half of one entry and half of another: every
-// stored value encodes its own key, updaters overwrite, delete and
-// re-insert over a small key range so leaves shift, split and join
-// constantly, and readers fail on any value that decodes to a different
-// key. Run it under -race. A failure prints the seed and the variant;
+// A leaf entry is one (key, value) cell in an unsorted slot array; the
+// leaf's order word says which slots are live and in what key order. The
+// fast path fills a free slot and republishes the order word, or only
+// republishes it; the template paths copy the leaf. TestNoTornSlots
+// checks that no path ever shows a reader a leaf that is not one of its
+// committed states. Every stored value encodes its own key, updaters
+// overwrite, delete and re-insert over a small key range so leaves fill,
+// split and join constantly, and readers fail on
+//
+//   - a value that decodes to a different key: half of one entry and half
+//     of another, or an order word naming a slot not yet (or no longer)
+//     holding its key — what an insert that published ord without
+//     writing the slot would show;
+//   - a scan that is not strictly ascending or returns a key twice: a
+//     rank naming a free or stale slot — what a delete that parked the
+//     wrong nibble would show.
+//
+// Both mutations were made by hand and fail every variant whose fast path
+// edits leaves in place (3-path, 2-path-ncon, tle, tle-helpable) and the
+// pooled-leaf case (ARCHITECTURE, "Node layout"). That case checks the other way a reader can
+// meet a slot that is not its leaf's: through a leaf recycled under it.
+// Run it under -race. A failure prints the seed and the variant;
 //
 //	go test -race -run 'TestNoTornSlots/<variant>' ./internal/abtree
 //
@@ -51,6 +66,99 @@ func TestNoTornSlots(t *testing.T) {
 			t.Parallel()
 			runNoTornSlots(t, v.name, v.cfg, slotSeed)
 		})
+	}
+	t.Run("pooled-leaf", func(t *testing.T) {
+		t.Parallel()
+		for _, ordFirst := range []bool{false, true} {
+			runStaleReader(t, slotSeed, ordFirst)
+		}
+	})
+}
+
+// runStaleReader holds a transaction open on a leaf while the leaf is
+// removed on the fast path, recycled at once (Section 9) and republished
+// with other pairs. Values carry the life they were written in. A reader
+// that has only the leaf's pointer must abort on the order word, the
+// first cell it reads; one that read the order word before the recycle
+// (ordFirst) walks the slots through that stale order and may see pairs
+// of the leaf's previous life — slots beyond the recycled size keep them
+// — but never one of the next, and cannot commit.
+func runStaleReader(t *testing.T, seed int64, ordFirst bool) {
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("seed=%d variant=pooled-leaf ordFirst=%v: %s", seed, ordFirst, fmt.Sprintf(format, args...))
+	}
+	tr := New(Config{A: 2, B: 4, Algorithm: engine.AlgThreePath})
+	w := tr.newHandle()
+	rng := rand.New(rand.NewSource(seed))
+	base := uint64(rng.Intn(1000)) * 100
+	for k := uint64(1); k <= 8; k++ {
+		w.Insert(base+10*k, slotVal(base+10*k, 0))
+	}
+	var u *Node
+	var sawOrd, survived bool
+	var seen []kv
+	atLeaf, recycled := make(chan struct{}), make(chan struct{})
+	result := make(chan htm.Abort, 1)
+	go func() {
+		ok, ab := tr.tm.NewThread().Atomic(htm.PathFast, func(tx *htm.Tx) {
+			_, _, u, _, _ = tr.searchLeaf(tx, base+10)
+			var perm, size uint64
+			if ordFirst {
+				perm, size = u.ord.Get(tx)
+				sawOrd = true
+			}
+			close(atLeaf)
+			<-recycled
+			if !ordFirst {
+				leafFind(tx, u, base+10)
+				survived = true
+				return
+			}
+			for i := 0; i < int(size); i++ {
+				k, v := u.slots[permAt(perm, i)].Get(tx)
+				seen = append(seen, kv{k, v})
+			}
+			u.ord.Get(tx)
+			survived = true
+		})
+		if ok {
+			ab = htm.Abort{}
+		}
+		result <- ab
+	}()
+	<-atLeaf
+	// The writer empties the tree — joins remove u on the fast path — and
+	// refills it from its pool with next-life pairs under other keys.
+	for k := uint64(1); k <= 8; k++ {
+		w.Delete(base + 10*k)
+	}
+	for k := uint64(1); k <= 40; k++ { // enough splits to drain the pool
+		w.Insert(base+10*k+5, slotVal(base+10*k+5, 1))
+	}
+	reborn := false
+	for _, p := range w.RangeQuery(0, ^uint64(0)>>1, nil) {
+		_, _, leaf, _, _ := tr.searchLeaf(nil, p.Key)
+		reborn = reborn || leaf == u
+	}
+	if st := w.ReclaimStats(); st.RetiredFast == 0 || !reborn {
+		fail("set-up: the reader's leaf was not recycled into the tree (%+v, reborn %v)", st, reborn)
+	}
+	close(recycled)
+	ab := <-result
+	if survived || ab.Cause != htm.CauseConflict {
+		fail("reader of a recycled leaf was not aborted by a conflict (survived %v, abort %+v)", survived, ab)
+	}
+	if ordFirst != sawOrd {
+		fail("set-up: reader read ord %v", sawOrd)
+	}
+	for _, p := range seen {
+		if p.v != slotVal(p.k, 0) {
+			fail("stale reader got pair (%d, %#x) of the leaf's next life", p.k, p.v)
+		}
+	}
+	if err := tr.CheckInvariants(true); err != nil {
+		fail("%v", err)
 	}
 }
 
