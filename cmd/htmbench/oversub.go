@@ -6,10 +6,10 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"htmtree/internal/engine"
+	"htmtree/internal/fault"
 	"htmtree/internal/hist"
 	"htmtree/internal/htm"
 	"htmtree/internal/workload"
@@ -28,7 +28,7 @@ import (
 // The configuration forces the pathology deterministically: GOMAXPROCS
 // is pinned (default 2) under an 8+ thread workload, a spurious-abort
 // injection drives a small share of operations off the fast path, and
-// the preempt hook deschedules the fallback thread (a sleep, not a
+// a fault.PointFallbackOwner stall deschedules the fallback thread (a sleep, not a
 // yield — a yielded goroutine goes straight back on the run queue,
 // which understates a real quantum loss) at the worst possible
 // instant: holding, or having announced under, the fallback lock.
@@ -106,7 +106,6 @@ func runOversub(o options) []oversubRow {
 	var rows []oversubRow
 	for _, structure := range []string{"bst", "abtree"} {
 		for _, fallback := range []string{"tle", "helpable"} {
-			var preempts atomic.Uint64
 			spec := workload.Spec{
 				Structure:    structure,
 				Algorithm:    engine.AlgTLE,
@@ -121,11 +120,11 @@ func runOversub(o options) []oversubRow {
 				// parks the measuring thread behind every CPU-hot peer,
 				// which charges ~a scheduling quantum to the measured
 				// operation in either variant — noise, not protocol.
-				PreemptPoint: func() {
-					if preempts.Add(1)%oversubSleepEvery == 0 {
-						time.Sleep(oversubPreempt)
-					}
-				},
+				Faults: fault.New(0, fault.Rule{
+					Point: fault.PointFallbackOwner,
+					Every: oversubSleepEvery,
+					Stall: oversubPreempt,
+				}),
 			}
 			results := make([]workload.Result, 0, o.trials)
 			for i := 0; i < o.trials; i++ {

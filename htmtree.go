@@ -20,8 +20,9 @@
 // intrinsics): transactions are opaque and strongly atomic with respect
 // to non-transactional accesses, and abort with conflict / capacity /
 // explicit / spurious causes, so every algorithmic interaction the paper
-// describes is exercised. See DESIGN.md for the substitution argument
-// and EXPERIMENTS.md for paper-versus-measured results.
+// describes is exercised. See ARCHITECTURE.md ("paper-to-code map") for
+// the substitution argument and where each paper figure lives in the
+// code, and bench/README.md for how the repo measures itself.
 //
 // Quickstart:
 //
@@ -193,17 +194,6 @@ type Config struct {
 	// thread (the lock-free-locks construction). TLE algorithm only;
 	// ignored by the others, whose fallbacks are already lock-free.
 	HelpableFallback bool
-	// PreemptFallbackPoint, when non-nil, is called once by each
-	// fallback operation immediately after it acquires (or, with
-	// HelpableFallback, announces under) the fallback lock — a
-	// scheduling-perturbation hook for oversubscription stress tests.
-	//
-	// Deprecated: use Faults with a FaultFallbackOwner rule, which
-	// generalizes this hook to deterministic triggers, stalls, and
-	// permanent owner death. The field keeps working: it is compiled
-	// into the tree's fault plan as a Func rule firing on every
-	// fallback entry.
-	PreemptFallbackPoint func()
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane (NewFaultPlan) across every layer of the tree: forced
 	// transactional aborts, fallback-owner stalls and permanent owner
@@ -358,23 +348,6 @@ func NewFaultPlan(seed uint64, rules ...FaultRule) *FaultPlan {
 	return fault.New(seed, rules...)
 }
 
-// withFaults resolves the effective fault plan: Config.Faults extended
-// with the deprecated PreemptFallbackPoint hook compiled to a
-// FaultFallbackOwner Func rule firing on every fallback entry. Public
-// constructors call it once, before any per-shard construction, so a
-// sharded tree's shards share one compiled plan (and one set of
-// encounter counters).
-func (c Config) withFaults() Config {
-	if c.PreemptFallbackPoint != nil {
-		c.Faults = c.Faults.With(FaultRule{
-			Point: FaultFallbackOwner,
-			Func:  c.PreemptFallbackPoint,
-		})
-		c.PreemptFallbackPoint = nil
-	}
-	return c
-}
-
 // wireFaultRecorder bridges fired faults into the flight recorder:
 // every fire becomes a cold event (fault_abort for forced
 // transactional aborts, fault_kill for owner death, fault_stall
@@ -461,9 +434,7 @@ func (c Config) engineConfig() (engine.Config, error) {
 		FastLimit:        c.FastLimit,
 		MiddleLimit:      c.MiddleLimit,
 		HelpableFallback: c.HelpableFallback,
-		// PreemptFallbackPoint is not mapped here: withFaults compiled
-		// it into c.Faults before construction.
-		Faults: c.Faults,
+		Faults:           c.Faults,
 	}
 	if c.UseSNZI {
 		cfg.Indicator = engine.NewSNZIIndicator()
@@ -569,7 +540,6 @@ func withObs(t *Tree, err error, o *obs.Obs) (*Tree, error) {
 // NewBST creates an unbalanced external binary search tree (paper
 // Section 6.1).
 func NewBST(cfg Config) (*Tree, error) {
-	cfg = cfg.withFaults()
 	o := cfg.obsDomain()
 	wireFaultRecorder(cfg.Faults, o)
 	t, err := newBST(cfg, nil, obsNode(o))
@@ -609,7 +579,6 @@ func newBST(cfg Config, mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error
 
 // NewABTree creates a relaxed (a,b)-tree (paper Section 6.2).
 func NewABTree(cfg Config) (*Tree, error) {
-	cfg = cfg.withFaults()
 	o := cfg.obsDomain()
 	wireFaultRecorder(cfg.Faults, o)
 	t, err := newABTree(cfg, nil, obsNode(o))
@@ -749,7 +718,6 @@ func (emptyDict) KeySum() (sum, count uint64) { return 0, 0 }
 // atomic across shards when cfg.AtomicRangeQueries is set; KeySum,
 // Stats, and CheckInvariants aggregate.
 func NewShardedBST(cfg Config) (*Tree, error) {
-	cfg = cfg.withFaults()
 	o := cfg.obsDomain()
 	wireFaultRecorder(cfg.Faults, o)
 	t, err := newSharded(cfg, o, func(mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error) {
@@ -762,7 +730,6 @@ func NewShardedBST(cfg Config) (*Tree, error) {
 // NewShardedABTree creates a sharded relaxed (a,b)-tree; see
 // NewShardedBST for the partitioning contract.
 func NewShardedABTree(cfg Config) (*Tree, error) {
-	cfg = cfg.withFaults()
 	o := cfg.obsDomain()
 	wireFaultRecorder(cfg.Faults, o)
 	t, err := newSharded(cfg, o, func(mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error) {

@@ -274,12 +274,14 @@ type Handle struct {
 
 	argKey, argVal uint64
 	argLo, argHi   uint64
-	resVal         uint64
-	resFound       bool
-	needFix        bool
+	res            engine.Result
 	fixMore        bool
 	rqOut          []dict.KV
 	resAgg         dict.Agg
+
+	// helpRes is where a helping attempt builds the announced
+	// operation's result (help.go); res stays this handle's own.
+	helpRes engine.Result
 
 	// path records the internal nodes on an update's search path, root
 	// child first down to the leaf's parent (agg.go maintenance).

@@ -230,8 +230,8 @@ type pendAgg struct{ dst, src *Node }
 // transactional paths, deferred into the SCX bracket on
 // non-transactional ones (see the drift discussion atop this file).
 func (pr *prims) aggInit(n *Node) {
-	if pr.m == modeFast || pr.m == modeMiddle {
-		initAggs(pr.tx, n)
+	if pr.Mode == engine.ModeFast || pr.Mode == engine.ModeMiddle {
+		initAggs(pr.Tx, n)
 		return
 	}
 	pr.h.pend = append(pr.h.pend, pendAgg{dst: n})
@@ -241,8 +241,8 @@ func (pr *prims) aggInit(n *Node) {
 // identical key content), with the same immediate/deferred split as
 // aggInit. Use it whenever dst's children include other new nodes.
 func (pr *prims) aggFrom(dst, src *Node) {
-	if pr.m == modeFast || pr.m == modeMiddle {
-		aggCopy(pr.tx, dst, src)
+	if pr.Mode == engine.ModeFast || pr.Mode == engine.ModeMiddle {
+		aggCopy(pr.Tx, dst, src)
 		return
 	}
 	pr.h.pend = append(pr.h.pend, pendAgg{dst: dst, src: src})

@@ -16,7 +16,7 @@ import (
 // degree bounds (a=2, b=3) make splits and underfull leaves cheap to
 // provoke.
 func helpableConfig(preempt func()) Config {
-	return Config{
+	cfg := Config{
 		A:         2,
 		B:         3,
 		Algorithm: engine.AlgTLE,
@@ -24,9 +24,14 @@ func helpableConfig(preempt func()) Config {
 		Engine: engine.Config{
 			HelpableFallback: true,
 			AttemptLimit:     1,
-			PreemptPoint:     preempt,
 		},
 	}
+	if preempt != nil {
+		cfg.Engine.Faults = fault.New(0, fault.Rule{
+			Point: fault.PointFallbackOwner, Every: 1, Func: preempt,
+		})
+	}
+	return cfg
 }
 
 // TestHelpableHelperCompletes parks an announcing owner right after it
@@ -68,8 +73,15 @@ func TestHelpableHelperCompletes(t *testing.T) {
 		old, existed = h1.Delete(7)
 	}()
 	<-announced
+	// Helping runs the announced operation's arguments and result past
+	// the helper's handle, not through it.
+	scratch := engine.Result{Val: 12345, Found: true}
+	h2.argKey, h2.argVal, h2.res = 999, 998, scratch
 	if !h2.e.H.Help() {
 		t.Fatal("helper found nothing to help")
+	}
+	if h2.argKey != 999 || h2.argVal != 998 || h2.res != scratch {
+		t.Fatalf("helping rewrote the helper's own scratch: args (%d,%d), result %+v", h2.argKey, h2.argVal, h2.res)
 	}
 	if _, ok := h2.Search(7); ok {
 		t.Fatal("key 7 still present after helped delete")

@@ -20,10 +20,12 @@ func (h *Handle) buildOps() {
 	// running a fallback attempt of its own: drop what its aborted
 	// fast-path attempts left in the pool's lists before the Settle that
 	// follows Run acts on them (see the bst's finish).
-	finish := func(val uint64, found, needFix bool) {
+	finish := func(res engine.Result) {
 		h.beginAttempt()
-		h.resVal, h.resFound, h.needFix = val, found, needFix
+		h.res = res
 	}
+	// Every path runs the one body of its operation; the path only
+	// chooses the mode the body's primitives run in.
 	// Locked (TLE) update and fix bodies run the fast-mode code with a
 	// nil tx, mutating cells non-transactionally; the whole body takes
 	// the aggVer bracket so its aggregate updates are atomic against
@@ -31,16 +33,16 @@ func (h *Handle) buildOps() {
 	// installer's fixup, which runs outside the TLE lock (agg.go).
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.insertBody(&prims{t: t, h: h, tx: tx, m: modeFast}) },
-		Middle:   func(tx *htm.Tx) { t.insertBody(&prims{t: t, h: h, tx: tx, m: modeMiddle}) },
-		Fallback: func() bool { return t.insertBody(&prims{t: t, h: h, m: modeFallback}) },
+		Fast:     func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeFast, tx)) },
+		Middle:   func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeMiddle, tx)) },
+		Fallback: func() bool { return t.insertBody(h.prims(engine.ModeFallback, nil)) },
 		Locked: func() {
 			t.aggAcquire()
-			t.insertBody(&prims{t: t, h: h, m: modeFast})
+			t.insertBody(h.prims(engine.ModeFast, nil))
 			t.aggRelease()
 		},
 		SCXHTM: func(useHTM bool) bool {
-			return t.insertBody(&prims{t: t, h: h, m: modeSCXHTM, useHTM: useHTM})
+			return t.insertBody(h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
 		Helpable: &engine.HelpableOp{
 			Kind:   engine.HelpInsert,
@@ -51,16 +53,16 @@ func (h *Handle) buildOps() {
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.deleteBody(&prims{t: t, h: h, tx: tx, m: modeFast}) },
-		Middle:   func(tx *htm.Tx) { t.deleteBody(&prims{t: t, h: h, tx: tx, m: modeMiddle}) },
-		Fallback: func() bool { return t.deleteBody(&prims{t: t, h: h, m: modeFallback}) },
+		Fast:     func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeFast, tx)) },
+		Middle:   func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeMiddle, tx)) },
+		Fallback: func() bool { return t.deleteBody(h.prims(engine.ModeFallback, nil)) },
 		Locked: func() {
 			t.aggAcquire()
-			t.deleteBody(&prims{t: t, h: h, m: modeFast})
+			t.deleteBody(h.prims(engine.ModeFast, nil))
 			t.aggRelease()
 		},
 		SCXHTM: func(useHTM bool) bool {
-			return t.deleteBody(&prims{t: t, h: h, m: modeSCXHTM, useHTM: useHTM})
+			return t.deleteBody(h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
 		Helpable: &engine.HelpableOp{
 			Kind:   engine.HelpDelete,
@@ -90,16 +92,16 @@ func (h *Handle) buildOps() {
 	// not invalidate cross-shard snapshot validation.
 	h.fixOp = engine.Op{
 		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.fixBody(&prims{t: t, h: h, tx: tx, m: modeFast}) },
-		Middle:   func(tx *htm.Tx) { t.fixBody(&prims{t: t, h: h, tx: tx, m: modeMiddle}) },
-		Fallback: func() bool { return t.fixBody(&prims{t: t, h: h, m: modeFallback}) },
+		Fast:     func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeFast, tx)) },
+		Middle:   func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeMiddle, tx)) },
+		Fallback: func() bool { return t.fixBody(h.prims(engine.ModeFallback, nil)) },
 		Locked: func() {
 			t.aggAcquire()
-			t.fixBody(&prims{t: t, h: h, m: modeFast})
+			t.fixBody(h.prims(engine.ModeFast, nil))
 			t.aggRelease()
 		},
 		SCXHTM: func(useHTM bool) bool {
-			return t.fixBody(&prims{t: t, h: h, m: modeSCXHTM, useHTM: useHTM})
+			return t.fixBody(h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
 	}
 	// Aggregate range query (agg.go): the transactional paths descend via
@@ -128,24 +130,22 @@ func (h *Handle) buildOps() {
 func (h *Handle) Insert(key, val uint64) (uint64, bool) {
 	checkKey(key)
 	h.argKey, h.argVal = key, val
-	h.needFix = false
 	h.settle(h.e.Run(h.insertOp))
-	if h.needFix {
+	if h.res.NeedFix {
 		h.runFixLoop()
 	}
-	return h.resVal, h.resFound
+	return h.res.Val, h.res.Found
 }
 
 // Delete removes key.
 func (h *Handle) Delete(key uint64) (uint64, bool) {
 	checkKey(key)
 	h.argKey = key
-	h.needFix = false
 	h.settle(h.e.Run(h.deleteOp))
-	if h.needFix {
+	if h.res.NeedFix {
 		h.runFixLoop()
 	}
-	return h.resVal, h.resFound
+	return h.res.Val, h.res.Found
 }
 
 // Search looks up key.
@@ -153,7 +153,7 @@ func (h *Handle) Search(key uint64) (uint64, bool) {
 	checkKey(key)
 	h.argKey = key
 	h.e.Run(h.searchOp)
-	return h.resVal, h.resFound
+	return h.res.Val, h.res.Found
 }
 
 // RangeQuery appends all pairs with lo <= key < hi to out in ascending
@@ -233,38 +233,38 @@ func (t *Tree) locateForUpdate(pr *prims, key uint64) (p, u *Node, uIdx int) {
 	h := pr.h
 	h.path = h.path[:0]
 	p = t.entry
-	u = p.children[0].Get(pr.tx)
+	u = p.children[0].Get(pr.Tx)
 	for !u.leaf {
 		p = u
 		h.path = append(h.path, p)
 		uIdx = childIndex(p, key)
-		u = p.children[uIdx].Get(pr.tx)
+		u = p.children[uIdx].Get(pr.Tx)
 	}
 	return p, u, uIdx
 }
 
-// insertBody implements Insert on every path. It returns false to
-// request a retry (fallback modes); transactional modes abort instead.
+// insertBody implements Insert on every path, and one helping attempt
+// at an announced Insert (help.go). It returns false to request a retry
+// (non-transactional modes); transactional modes abort instead.
 func (t *Tree) insertBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()
-	t.aggGuard(pr.tx)
-	key, val := h.argKey, h.argVal
+	t.aggGuard(pr.Tx)
+	key, val := pr.Key, pr.Val
 	b := t.cfg.B
 	p, u, uIdx := t.locateForUpdate(pr, key)
 
-	if pr.m == modeFast {
-		tx := pr.tx
+	if pr.Mode == engine.ModeFast {
+		tx := pr.Tx
 		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if found {
 			// Update the value in place — the fast path's node-creation
 			// saving (Section 6.2). Values don't feed the aggregates.
-			h.resVal, h.resFound = old, true
-			h.needFix = false
+			*pr.Res = engine.Result{Val: old, Found: true}
 			u.slots[permAt(perm, pos)].Set(tx, key, val)
 			return true
 		}
-		h.resVal, h.resFound = 0, false
+		*pr.Res = engine.Result{}
 		if sz < b {
 			// Fill the first free slot and give it the key's rank: two
 			// writes, wherever in the leaf the key belongs.
@@ -273,7 +273,6 @@ func (t *Tree) insertBody(pr *prims) bool {
 			u.ord.Set(tx, perm, uint64(sz+1))
 			u.aggSum.AddAtCommit(tx, key)
 			aggApplyInsert(tx, h.path, key)
-			h.needFix = false
 			return true
 		}
 		// Full leaf: split, keeping u as the left child — only a sibling
@@ -296,22 +295,22 @@ func (t *Tree) insertBody(pr *prims) bool {
 		setAggsFromPairs(np, h.buf)
 		p.children[uIdx].Set(tx, np)
 		aggApplyInsert(tx, h.path, key)
-		h.needFix = np.tagged
+		pr.Res.NeedFix = np.tagged
 		return true
 	}
 
 	// Template modes: replace the leaf (or grow a split subtree).
 	var uCur *Node
-	pi, _ := pr.llx(&p.hdr, func() { uCur = p.children[uIdx].Get(pr.tx) })
-	if pr.failed {
+	pi := pr.LLX(&p.hdr, func() { uCur = p.children[uIdx].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
 	if uCur != u {
-		pr.fail()
+		pr.Fail() // the tree changed under us; re-search
 		return false
 	}
-	ui, _ := pr.llx(&u.hdr, func() { readLeaf(pr.tx, u, &h.buf) })
-	if pr.failed {
+	ui := pr.LLX(&u.hdr, func() { readLeaf(pr.Tx, u, &h.buf) })
+	if pr.Failed {
 		return false
 	}
 
@@ -324,8 +323,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 	if found {
 		// Value update: the replacement leaf has the same key content, so
 		// no aggregate changes anywhere.
-		h.resVal, h.resFound = h.buf[pos].v, true
-		h.needFix = false
+		*pr.Res = engine.Result{Val: h.buf[pos].v, Found: true}
 		h.buf[pos].v = val
 		if !pr.scx(v, infos, r, fld, u, h.newLeaf(h.buf)) {
 			return false
@@ -333,15 +331,14 @@ func (t *Tree) insertBody(pr *prims) bool {
 		h.remove(u)
 		return true
 	}
-	h.resVal, h.resFound = 0, false
+	*pr.Res = engine.Result{}
 	h.buf = insertAt(h.buf, pos, kv{k: key, v: val})
 	// Ancestor aggregates: the middle path rides the transaction (the
 	// deltas commit with the swing); the non-transactional paths record
 	// a fixup for the SCX bracket (prims.scx).
 	if len(h.buf) <= b {
-		h.needFix = false
-		if pr.m == modeMiddle {
-			aggApplyInsert(pr.tx, h.path, key)
+		if pr.Mode == engine.ModeMiddle {
+			aggApplyInsert(pr.Tx, h.path, key)
 		} else {
 			pr.aggPlan(aggInsert, key)
 		}
@@ -360,9 +357,9 @@ func (t *Tree) insertBody(pr *prims) bool {
 	h.cbuf = append(h.cbuf[:0], left, right)
 	np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
 	setAggsFromPairs(np, h.buf)
-	h.needFix = np.tagged
-	if pr.m == modeMiddle {
-		aggApplyInsert(pr.tx, h.path, key)
+	pr.Res.NeedFix = np.tagged
+	if pr.Mode == engine.ModeMiddle {
+		aggApplyInsert(pr.Tx, h.path, key)
 	} else {
 		// The SCX bracket's path fixup applies +key to every ancestor of
 		// the new leaf — np, the replacement subtree root, included — so
@@ -379,24 +376,22 @@ func (t *Tree) insertBody(pr *prims) bool {
 	return true
 }
 
-// deleteBody implements Delete on every path.
+// deleteBody implements Delete on every path, and one helping attempt at
+// an announced Delete.
 func (t *Tree) deleteBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()
-	t.aggGuard(pr.tx)
-	key := h.argKey
+	t.aggGuard(pr.Tx)
+	key := pr.Key
 	a := t.cfg.A
 	p, u, uIdx := t.locateForUpdate(pr, key)
 
-	if pr.m == modeFast {
-		tx := pr.tx
+	if pr.Mode == engine.ModeFast {
+		tx := pr.Tx
 		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if !found {
-			h.resVal, h.resFound = 0, false
-			h.needFix = false
-			return true
+			return pr.NotFound()
 		}
-		h.resVal, h.resFound = old, true
 		// The leaf's post-delete min and max, for the ancestors whose min
 		// or max is the deleted key. It can be an ancestor's min only when
 		// it is the leaf's (rank 0; rank 1 takes over), and likewise its
@@ -413,33 +408,31 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		u.ord.Set(tx, permDelete(perm, pos, sz), uint64(sz-1))
 		u.aggSum.AddAtCommit(tx, -key)
 		aggApplyDelete(tx, h.path, u, key, cmin, cmax)
-		h.needFix = p != t.entry && sz-1 < a
+		*pr.Res = engine.Result{Val: old, Found: true, NeedFix: p != t.entry && sz-1 < a}
 		return true
 	}
 
 	var uCur *Node
-	pi, _ := pr.llx(&p.hdr, func() { uCur = p.children[uIdx].Get(pr.tx) })
-	if pr.failed {
+	pi := pr.LLX(&p.hdr, func() { uCur = p.children[uIdx].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
 	if uCur != u {
-		pr.fail()
+		pr.Fail() // the tree changed under us; re-search
 		return false
 	}
-	ui, _ := pr.llx(&u.hdr, func() { readLeaf(pr.tx, u, &h.buf) })
-	if pr.failed {
+	ui := pr.LLX(&u.hdr, func() { readLeaf(pr.Tx, u, &h.buf) })
+	if pr.Failed {
 		return false
 	}
 	pos, found := findInBuf(h.buf, key)
 	if !found {
-		h.resVal, h.resFound = 0, false
-		h.needFix = false
-		return true
+		return pr.NotFound()
 	}
-	h.resVal, h.resFound = h.buf[pos].v, true
+	oldVal := h.buf[pos].v
 	h.buf = append(h.buf[:pos], h.buf[pos+1:]...)
-	h.needFix = p != t.entry && len(h.buf) < a
-	if pr.m == modeMiddle {
+	*pr.Res = engine.Result{Val: oldVal, Found: true, NeedFix: p != t.entry && len(h.buf) < a}
+	if pr.Mode == engine.ModeMiddle {
 		// The replacement leaf isn't linked yet, so the cascade's skip
 		// pointer is u (still p's child at read time); its post-delete
 		// min/max come from the buffer.
@@ -447,7 +440,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		if len(h.buf) > 0 {
 			cmin, cmax = h.buf[0].k, h.buf[len(h.buf)-1].k
 		}
-		aggApplyDelete(pr.tx, h.path, u, key, cmin, cmax)
+		aggApplyDelete(pr.Tx, h.path, u, key, cmin, cmax)
 	} else {
 		pr.aggPlan(aggDelete, key)
 	}
@@ -463,7 +456,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 // searchBody implements Search (read-only on every path).
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 	_, _, u, _, _ := t.searchLeaf(tx, h.argKey)
-	_, h.resVal, h.resFound, _, _ = leafFind(tx, u, h.argKey)
+	_, h.res.Val, h.res.Found, _, _ = leafFind(tx, u, h.argKey)
 }
 
 // findInBuf locates key in a sorted pair buffer.

@@ -6,37 +6,13 @@ import (
 	"htmtree/internal/llxscx"
 )
 
-// mode selects which flavour of the template primitives a body runs
-// with. One implementation of each structural change serves all four
-// execution paths.
-type mode uint8
-
-const (
-	// modeFast: sequential code — plain (transactional) reads and direct
-	// writes; marks removed nodes. Used inside fast-path transactions
-	// and, with a nil tx, as the TLE locked body.
-	modeFast mode = iota + 1
-	// modeMiddle: transactional LLX + SCXInTx (the instrumented
-	// transaction of Section 5).
-	modeMiddle
-	// modeFallback: the original lock-free LLXO/SCXO.
-	modeFallback
-	// modeSCXHTM: template structure with non-transactional LLX and the
-	// standalone HTM SCX of Section 4.
-	modeSCXHTM
-)
-
-// prims carries one operation attempt's execution context.
+// prims is one operation attempt's execution context: the shared LLX/SCX
+// mode switch (engine/prims.go) over this tree's nodes, plus what only
+// this tree needs — the aggregate work that rides on a non-transactional
+// swing.
 type prims struct {
-	t  *Tree
-	h  *Handle
-	tx *htm.Tx
-	m  mode
-	// useHTM selects SCXHTM vs SCXO within modeSCXHTM.
-	useHTM bool
-	// failed is set when a fallback-mode primitive fails; the body must
-	// unwind and return false to the engine.
-	failed bool
+	engine.Prims[Node]
+	h *Handle
 	// aggKind/aggKey describe the aggregate fixup a non-transactional
 	// leaf operation needs after its swing (agg.go aggPlan); scx applies
 	// it inside the aggVer bracket.
@@ -44,96 +20,46 @@ type prims struct {
 	aggKey  uint64
 }
 
-// fail aborts the attempt: transactional modes abort the enclosing
-// transaction (not returning); fallback modes set the failed flag, which
-// callers must check after every llx/scx.
-func (pr *prims) fail() {
-	if pr.tx != nil {
-		pr.tx.Abort(engine.CodeRetry)
-	}
-	pr.failed = true
-}
-
-// llx takes a snapshot of the record with header hdr. It returns the
-// linked info value (nil in fast mode, which needs none) and whether the
-// snapshot succeeded; on failure in transactional modes it does not
-// return.
-func (pr *prims) llx(hdr *llxscx.Hdr, readFields func()) (*llxscx.Info, bool) {
-	switch pr.m {
-	case modeFast:
-		// Sequential code: no synchronization metadata. The transaction
-		// (or TLE lock) provides atomicity; Section 8's marked check
-		// happens in the bodies where required.
-		if readFields != nil {
-			readFields()
-		}
-		return nil, true
-	case modeMiddle:
-		info, st := llxscx.LLX(pr.tx, hdr, readFields)
-		if st != llxscx.StatusOK {
-			pr.fail()
-		}
-		return info, true
-	default: // modeFallback, modeSCXHTM
-		info, st := llxscx.LLX(nil, hdr, readFields)
-		if st != llxscx.StatusOK {
-			pr.fail()
-			return nil, false
-		}
-		return info, true
+// prims returns the context of one attempt at the handle's own operation:
+// arguments from, and the result into, the handle scratch.
+func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
+	return &prims{
+		Prims: engine.Prims[Node]{Th: h.e, Tx: tx, Mode: m, Key: h.argKey, Val: h.argVal, Res: &h.res},
+		h:     h,
 	}
 }
 
-// scx performs the update phase: change fld from old to new and finalize
-// the records in r, where v lists every record (with its linked info)
-// that must be unchanged. It reports success; in transactional modes it
-// always succeeds (conflicts abort the transaction instead).
+// scx is Prims.SCX inside the aggVer bracket a non-transactional swing
+// needs. When aggregate work rides on the swing (deferred rebalance
+// rebuilds or a leaf op's path fixup), the swing and the fixup must form
+// one atomic step against transactional readers (agg.go). The bracket is
+// taken before SCX: once a ModeHelp record is installed, any thread's
+// LLX can help perform the swing, so acquiring first is what pins every
+// possible swing instant inside the bracket. SCX reports true only to
+// the thread whose update took effect, so the path fixup is applied
+// exactly once. A value-update insert replaces the leaf with identical
+// key content, plans no fixup and takes no bracket.
 func (pr *prims) scx(v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
 	fld *htm.Ref[Node], old, new *Node) bool {
-	switch pr.m {
-	case modeFast:
-		for _, hdr := range r {
-			hdr.SetMarked(pr.tx)
-		}
-		fld.Set(pr.tx, new)
-		return true
-	case modeMiddle:
-		llxscx.SCXInTx(pr.tx, &pr.h.e.Tags, v, r)
-		fld.Set(pr.tx, new)
-		return true
-	default: // modeSCXHTM, modeFallback
-		// Non-transactional swing: when aggregate work rides on it
-		// (deferred rebalance rebuilds or a leaf op's path fixup), take
-		// the aggVer bracket so the swing and the fixup form one atomic
-		// step against transactional readers (agg.go).
-		bracket := pr.aggKind != aggNone || len(pr.h.pend) > 0
-		if bracket {
-			pr.t.aggAcquire()
-			for _, pe := range pr.h.pend {
-				if pe.src != nil {
-					aggCopy(nil, pe.dst, pe.src)
-				} else {
-					initAggs(nil, pe.dst)
-				}
-			}
-			pr.h.pend = pr.h.pend[:0]
-		}
-		var ok bool
-		if pr.m == modeSCXHTM && pr.useHTM {
-			ok, _ = llxscx.SCXHTM(pr.h.e.H, htm.PathFast, &pr.h.e.Tags,
-				v, infos, r, fld, new)
-		} else {
-			ok = llxscx.SCXO(v, infos, r, fld, old, new)
-		}
-		if ok && pr.aggKind != aggNone {
-			pr.t.aggFixupNonTx(pr.h, pr.aggKind, pr.aggKey)
-		}
-		if bracket {
-			pr.t.aggRelease()
-		}
-		if !ok {
-			pr.failed = true
-		}
-		return ok
+	if pr.aggKind == aggNone && len(pr.h.pend) == 0 {
+		// Nothing rides on the swing — always so in a transaction, whose
+		// aggregate writes commit with it (aggPlan, aggInit, aggFrom).
+		return pr.SCX(v, infos, r, fld, old, new)
 	}
+	t := pr.h.t
+	t.aggAcquire()
+	for _, pe := range pr.h.pend {
+		if pe.src != nil {
+			aggCopy(nil, pe.dst, pe.src)
+		} else {
+			initAggs(nil, pe.dst)
+		}
+	}
+	pr.h.pend = pr.h.pend[:0]
+	ok := pr.SCX(v, infos, r, fld, old, new)
+	if ok && pr.aggKind != aggNone {
+		t.aggFixupNonTx(pr.h, pr.aggKind, pr.aggKey)
+	}
+	t.aggRelease()
+	return ok
 }

@@ -1,6 +1,7 @@
 package abtree
 
 import (
+	"htmtree/internal/engine"
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
 )
@@ -91,8 +92,8 @@ func (t *Tree) fixBody(pr *prims) bool {
 	h.beginAttempt()
 	h.nodes.reset()
 	h.keys.reset()
-	t.aggGuard(pr.tx)
-	vio := t.findViolation(pr.tx, h.argKey)
+	t.aggGuard(pr.Tx)
+	vio := t.findViolation(pr.Tx, h.argKey)
 	if vio.kind == vNone {
 		h.fixMore = false
 		return true
@@ -138,12 +139,12 @@ func (s *scratch[T]) reset() {
 // snapshotChildren reads n's children within an LLX.
 func (pr *prims) snapshotChildren(n *Node) ([]*Node, *llxscx.Info, bool) {
 	snap := pr.h.nodes.take(len(n.children))[:len(n.children)]
-	info, _ := pr.llx(&n.hdr, func() {
+	info := pr.LLX(&n.hdr, func() {
 		for i := range n.children {
-			snap[i] = n.children[i].Get(pr.tx)
+			snap[i] = n.children[i].Get(pr.Tx)
 		}
 	})
-	if pr.failed {
+	if pr.Failed {
 		return nil, nil, false
 	}
 	return snap, info, true
@@ -153,8 +154,8 @@ func (pr *prims) snapshotChildren(n *Node) ([]*Node, *llxscx.Info, bool) {
 // LLX), optionally overriding the tag.
 func (pr *prims) copyNode(n *Node, tagged bool) (*Node, *llxscx.Info, bool) {
 	if n.leaf {
-		info, _ := pr.llx(&n.hdr, func() { readLeaf(pr.tx, n, &pr.h.buf) })
-		if pr.failed {
+		info := pr.LLX(&n.hdr, func() { readLeaf(pr.Tx, n, &pr.h.buf) })
+		if pr.Failed {
 			return nil, nil, false
 		}
 		return pr.h.newLeaf(pr.h.buf), info, true
@@ -173,12 +174,12 @@ func (pr *prims) copyNode(n *Node, tagged bool) (*Node, *llxscx.Info, bool) {
 func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 	n := vio.n
 	var cur *Node
-	ei, _ := pr.llx(&t.entry.hdr, func() { cur = t.entry.children[0].Get(pr.tx) })
-	if pr.failed {
+	ei := pr.LLX(&t.entry.hdr, func() { cur = t.entry.children[0].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
 	if cur != n {
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 	nn, ni, ok := pr.copyNode(n, false)
@@ -201,22 +202,22 @@ func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 func (t *Tree) fixCollapseRoot(pr *prims, vio violation) bool {
 	n := vio.n
 	var cur *Node
-	ei, _ := pr.llx(&t.entry.hdr, func() { cur = t.entry.children[0].Get(pr.tx) })
-	if pr.failed {
+	ei := pr.LLX(&t.entry.hdr, func() { cur = t.entry.children[0].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
 	if cur != n {
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 	var child *Node
-	ni, _ := pr.llx(&n.hdr, func() { child = n.children[0].Get(pr.tx) })
-	if pr.failed {
+	ni := pr.LLX(&n.hdr, func() { child = n.children[0].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
-	if pr.m == modeFast {
-		t.entry.children[0].Set(pr.tx, child)
-		n.hdr.SetMarked(pr.tx)
+	if pr.Mode == engine.ModeFast {
+		t.entry.children[0].Set(pr.Tx, child)
+		n.hdr.SetMarked(pr.Tx)
 		pr.h.remove(n)
 		return true
 	}
@@ -245,12 +246,12 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 	gp, p, n := vio.gp, vio.p, vio.n
 
 	var pCur *Node
-	gi, _ := pr.llx(&gp.hdr, func() { pCur = gp.children[vio.pIdx].Get(pr.tx) })
-	if pr.failed {
+	gi := pr.LLX(&gp.hdr, func() { pCur = gp.children[vio.pIdx].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
 	if pCur != p {
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 	pSnap, pi, ok := pr.snapshotChildren(p)
@@ -258,7 +259,7 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 		return false
 	}
 	if vio.nIdx >= len(pSnap) || pSnap[vio.nIdx] != n {
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 	nSnap, ni, ok := pr.snapshotChildren(n)
@@ -320,12 +321,12 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	gp, p, n := vio.gp, vio.p, vio.n
 
 	var pCur *Node
-	gi, _ := pr.llx(&gp.hdr, func() { pCur = gp.children[vio.pIdx].Get(pr.tx) })
-	if pr.failed {
+	gi := pr.LLX(&gp.hdr, func() { pCur = gp.children[vio.pIdx].Get(pr.Tx) })
+	if pr.Failed {
 		return false
 	}
 	if pCur != p {
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 	pSnap, pi, ok := pr.snapshotChildren(p)
@@ -333,14 +334,14 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 		return false
 	}
 	if vio.nIdx >= len(pSnap) || pSnap[vio.nIdx] != n {
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 	if len(pSnap) < 2 {
 		// p is unary (transient mid-rebalance state): its own violation
 		// sits above n's and must be repaired first; the path walk will
 		// find it (p unary implies p is underfull or the root).
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 
@@ -358,7 +359,7 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	if s.leaf != n.leaf {
 		// Levels disagree without a tag: a concurrent restructuring is
 		// mid-flight somewhere; retry from a fresh search.
-		pr.fail()
+		pr.Fail()
 		return false
 	}
 
@@ -381,18 +382,18 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	var deg int // combined degree: len(all) or len(allC)
 	var leftInfo, rightInfo *llxscx.Info
 	if n.leaf {
-		leftInfo, _ = pr.llx(&left.hdr, func() {
-			readLeaf(pr.tx, left, &h.buf)
+		leftInfo = pr.LLX(&left.hdr, func() {
+			readLeaf(pr.Tx, left, &h.buf)
 			h.buf2 = append(h.buf2[:0], h.buf...)
 		})
-		if pr.failed {
+		if pr.Failed {
 			return false
 		}
-		rightInfo, _ = pr.llx(&right.hdr, func() {
-			readLeaf(pr.tx, right, &h.buf)
+		rightInfo = pr.LLX(&right.hdr, func() {
+			readLeaf(pr.Tx, right, &h.buf)
 			h.buf2 = append(h.buf2, h.buf...)
 		})
-		if pr.failed {
+		if pr.Failed {
 			return false
 		}
 		all, deg = h.buf2, len(h.buf2)

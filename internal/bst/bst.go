@@ -10,20 +10,27 @@
 // al. (PODC 2010): the root is internal(∞₂) with right child leaf(∞₂),
 // and the user tree (initially leaf(∞₁)) hangs off its left child.
 //
-// Three operation bodies exist per operation:
+// Each update is written once (insertBody, deleteBody in ops.go) and the
+// execution path only chooses the mode its primitives run in — the
+// switch lives in engine/prims.go:
 //
-//   - fast: the sequential code of Figure 13, run inside a transaction
-//     (or under the TLE lock, or standalone when invoked with a nil
-//     transaction). It mutates leaf values in place and reuses the
-//     sibling on deletion.
-//   - middle: the template code of Figure 12 inside one transaction,
-//     using transactional LLX and SCXInTx.
-//   - fallback: the original lock-free template code using LLXO/SCXO.
+//   - engine.ModeFast: the sequential code of Figure 13, a branch of its
+//     own at the top of the body because it is a different algorithm, not
+//     a flavour of the template — it mutates leaf values in place and
+//     reuses the sibling on deletion. Run inside a fast-path transaction,
+//     or under the TLE lock with a nil transaction.
+//   - the template code of Figure 12, the rest of the body, whose LLX and
+//     SCX are transactional LLX and SCXInTx inside one transaction
+//     (ModeMiddle, Section 5), the original lock-free LLXO/SCXO
+//     (ModeFallback), LLXO with the standalone HTM SCX (ModeSCXHTM,
+//     Section 4), or LLXO with an SCX-record published in an announced
+//     descriptor before it runs (ModeHelp, help.go).
 //
 // The searches-outside-transactions optimization of Section 8 is
-// available via Config.SearchOutsideTx: fast/middle bodies then locate
-// their operation point with unsubscribed (non-transactional) reads and
-// revalidate inside the transaction via the marked bits.
+// available via Config.SearchOutsideTx: the two transactional modes
+// then locate their operation point with unsubscribed
+// (non-transactional) reads and revalidate inside the transaction via
+// the marked bits.
 package bst
 
 import (
@@ -177,9 +184,12 @@ type Handle struct {
 
 	argKey, argVal uint64
 	argLo, argHi   uint64
-	resVal         uint64
-	resFound       bool
+	res            engine.Result
 	rqOut          []dict.KV
+
+	// helpRes is where a helping attempt builds the announced
+	// operation's result (help.go); res stays this handle's own.
+	helpRes engine.Result
 
 	// pool holds the thread's node free lists and attempt state
 	// (internal/nodepool; wired to the BST's node kinds in pool.go).

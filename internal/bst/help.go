@@ -3,192 +3,36 @@ package bst
 import (
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
-	"htmtree/internal/llxscx"
 )
 
-// Helpable-fallback support (engine/help.go): the announced-descriptor
-// bodies below are the fallback template operations of ops.go with two
-// changes. Arguments come from the descriptor — never from the handle
-// scratch, which belongs to whatever operation this thread itself has
-// in flight — and the update phase splits SCXO into build / Install /
-// Run so the SCX record is published in the descriptor before it
-// executes: the install CAS is the operation's claim, and whichever
-// thread installed the record retires the removed nodes exactly once.
+// Helpable-fallback support (engine/help.go). Helping an announced
+// update is one more mode of its one body (insertBody / deleteBody in
+// ops.go, engine.ModeHelp): arguments come from the descriptor and the
+// result goes into the installed attempt — never through the handle
+// scratch, which belongs to whatever operation this thread itself has in
+// flight — while the nodes come from this handle's pool.
 
-// helpExec runs one fallback attempt for the announced descriptor using
-// this handle's pools and reclamation context (engine.Thread.SetHelpExec).
+// helpExec runs one attempt at the announced descriptor using this
+// handle's pools and reclamation context (engine.Thread.SetHelpExec); the
+// engine's executor loop re-drives it until an attempt is installed and
+// terminal. The body reports true when this thread installed the
+// committed attempt: it then retires the removed nodes and publishes the
+// drawn ones, here, because no Insert or Delete of this handle will
+// settle for it. Any other outcome (a failed LLX, a lost install, an
+// aborted record) returns what the attempt drew to the pool, so a later
+// Settle cannot mistake it for published nodes.
 func (h *Handle) helpExec(d *engine.HelpDesc) {
+	pr := &prims{Th: h.e, Mode: engine.ModeHelp, Key: d.Key, Val: d.Val, Res: &h.helpRes, Desc: d}
+	var done bool
 	switch d.Kind {
 	case engine.HelpInsert:
-		h.t.helpInsert(h, d)
+		done = h.t.insertBody(h, pr)
 	case engine.HelpDelete:
-		h.t.helpDelete(h, d)
+		done = h.t.deleteBody(h, pr)
 	}
-}
-
-// finishRecord is the shared tail of a help body: install the prepared
-// attempt, and if this thread won the claim, run the record and — on
-// commit — retire the removed nodes and settle the pool state. A lost
-// install race discards the attempt's unpublished allocations so they
-// cannot be mistaken for published nodes by a later Settle.
-func (h *Handle) finishRecord(d *engine.HelpDesc, att *engine.HelpAttempt, removed ...*Node) {
-	if !d.Install(att) {
-		h.beginAttempt() // discard this attempt's unpublished nodes
-		return
-	}
-	if att.Rec.Run() {
-		for _, n := range removed {
-			h.remove(n)
-		}
+	if done {
 		h.settle(htm.PathFallback)
-	}
-}
-
-// helpInsert is insertTemplate (ops.go) with descriptor arguments and
-// the split SCX. It performs one attempt; the engine's executor loop
-// re-drives it until an attempt is installed and terminal.
-func (t *Tree) helpInsert(h *Handle, d *engine.HelpDesc) {
-	h.beginAttempt()
-	key, val := d.Key, d.Val
-	_, p, _ := t.search(nil, key)
-	var pl, pr *Node
-	pi, st := llxscx.LLX(nil, &p.hdr, func() {
-		pl = p.l.Get(nil)
-		pr = p.r.Get(nil)
-	})
-	if st != llxscx.StatusOK {
-		return
-	}
-	l := pl
-	if key >= p.key.Peek() {
-		l = pr
-	}
-	if !l.leaf {
-		return // the tree changed under us; re-search
-	}
-	li, st := llxscx.LLX(nil, &l.hdr, nil)
-	if st != llxscx.StatusOK {
-		return
-	}
-
-	v := []*llxscx.Hdr{&p.hdr, &l.hdr}
-	infos := []*llxscx.Info{pi, li}
-	fld := childRef(p, key)
-
-	lk := l.key.Peek()
-	if lk == key {
-		// Key present: replace the leaf with a copy holding the new
-		// value, reporting the previous one.
-		oldVal := l.val.Get(nil)
-		nl := h.newLeaf(key, val)
-		rec := llxscx.NewRecord(v, infos, []*llxscx.Hdr{&l.hdr}, fld, l, nl)
-		h.finishRecord(d, &engine.HelpAttempt{Rec: rec, Val: oldVal, Found: true}, l)
-		return
-	}
-	nl := h.newLeaf(key, val)
-	var ni *Node
-	if key < lk {
-		ni = h.newInternal(lk, nl, l)
 	} else {
-		ni = h.newInternal(key, l, nl)
+		h.beginAttempt()
 	}
-	rec := llxscx.NewRecord(v, infos, nil, fld, l, ni)
-	h.finishRecord(d, &engine.HelpAttempt{Rec: rec})
-}
-
-// helpDelete is deleteTemplate (ops.go) with descriptor arguments and
-// the split SCX. An absent key installs a terminal no-op attempt
-// (Rec == nil): absence was determined while the lock word excluded
-// fast-path commits, so it is the operation's linearization.
-func (t *Tree) helpDelete(h *Handle, d *engine.HelpDesc) {
-	h.beginAttempt()
-	key := d.Key
-	gp, p, l := t.search(nil, key)
-	if l.key.Peek() != key {
-		d.Install(&engine.HelpAttempt{})
-		return
-	}
-	if gp == nil {
-		// l hangs off the root: replace with a fresh sentinel leaf.
-		var rl *Node
-		ri, st := llxscx.LLX(nil, &t.root.hdr, func() { rl = t.root.l.Get(nil) })
-		if st != llxscx.StatusOK {
-			return
-		}
-		if !rl.leaf {
-			return
-		}
-		if rl.key.Peek() != key {
-			d.Install(&engine.HelpAttempt{})
-			return
-		}
-		li, st := llxscx.LLX(nil, &rl.hdr, nil)
-		if st != llxscx.StatusOK {
-			return
-		}
-		oldVal := rl.val.Get(nil)
-		rec := llxscx.NewRecord(
-			[]*llxscx.Hdr{&t.root.hdr, &rl.hdr}, []*llxscx.Info{ri, li},
-			[]*llxscx.Hdr{&rl.hdr}, &t.root.l, rl, h.newLeaf(keyInf1, 0))
-		h.finishRecord(d, &engine.HelpAttempt{Rec: rec, Val: oldVal, Found: true}, rl)
-		return
-	}
-
-	var gl, gr *Node
-	gi, st := llxscx.LLX(nil, &gp.hdr, func() {
-		gl = gp.l.Get(nil)
-		gr = gp.r.Get(nil)
-	})
-	if st != llxscx.StatusOK {
-		return
-	}
-	p2 := gl
-	if key >= gp.key.Peek() {
-		p2 = gr
-	}
-	if p2 != p {
-		return
-	}
-	var pl, pr *Node
-	pi, st := llxscx.LLX(nil, &p.hdr, func() {
-		pl = p.l.Get(nil)
-		pr = p.r.Get(nil)
-	})
-	if st != llxscx.StatusOK {
-		return
-	}
-	l2, s := pl, pr
-	if key >= p.key.Peek() {
-		l2, s = pr, pl
-	}
-	if l2 != l {
-		return
-	}
-	li, st := llxscx.LLX(nil, &l.hdr, nil)
-	if st != llxscx.StatusOK {
-		return
-	}
-	var sl, sr *Node
-	si, st := llxscx.LLX(nil, &s.hdr, func() {
-		if !s.leaf {
-			sl = s.l.Get(nil)
-			sr = s.r.Get(nil)
-		}
-	})
-	if st != llxscx.StatusOK {
-		return
-	}
-	oldVal := l.val.Get(nil)
-	var ns *Node
-	if s.leaf {
-		ns = h.newLeaf(s.key.Peek(), s.val.Get(nil))
-	} else {
-		ns = h.newInternal(s.key.Peek(), sl, sr)
-	}
-	rec := llxscx.NewRecord(
-		[]*llxscx.Hdr{&gp.hdr, &p.hdr, &l.hdr, &s.hdr},
-		[]*llxscx.Info{gi, pi, li, si},
-		[]*llxscx.Hdr{&p.hdr, &l.hdr, &s.hdr},
-		childRef(gp, key), p, ns)
-	h.finishRecord(d, &engine.HelpAttempt{Rec: rec, Val: oldVal, Found: true}, p, l, s)
 }

@@ -10,9 +10,9 @@ import (
 	"htmtree/internal/htm"
 )
 
-// helpHook is an installable engine.Config.PreemptPoint: tests arm it
-// only for the operation under scrutiny so setup traffic does not trip
-// it.
+// helpHook is the callback of a fault.PointFallbackOwner rule: tests arm
+// it only for the operation under scrutiny so setup traffic does not
+// trip it.
 type helpHook struct {
 	fn atomic.Value // func()
 }
@@ -38,7 +38,9 @@ func helpableConfig(hook *helpHook) Config {
 		},
 	}
 	if hook != nil {
-		cfg.Engine.PreemptPoint = hook.point
+		cfg.Engine.Faults = fault.New(0, fault.Rule{
+			Point: fault.PointFallbackOwner, Every: 1, Func: hook.point,
+		})
 	}
 	return cfg
 }
@@ -128,8 +130,15 @@ func TestHelpableHelperCompletesDelete(t *testing.T) {
 		old, existed = h1.Delete(5)
 	}()
 	<-announced
+	// Helping runs the announced operation's arguments and result past
+	// the helper's handle, not through it.
+	scratch := engine.Result{Val: 12345, Found: true}
+	h2.argKey, h2.argVal, h2.res = 999, 998, scratch
 	if !h2.e.H.Help() {
 		t.Fatal("helper found nothing to help")
+	}
+	if h2.argKey != 999 || h2.argVal != 998 || h2.res != scratch {
+		t.Fatalf("helping rewrote the helper's own scratch: args (%d,%d), result %+v", h2.argKey, h2.argVal, h2.res)
 	}
 	if _, ok := h2.Search(5); ok {
 		t.Fatal("key 5 still present after helped delete")
@@ -386,6 +395,39 @@ func TestHelpedDeleteDropsAbortedAttemptResidue(t *testing.T) {
 	}
 	if v, ok := h1.Search(10); !ok || v != 100 {
 		t.Fatalf("Search(10) = (%d,%v) after the helped delete, want (100,true)", v, ok)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestHelpLostInstallDropsAttempt: a helping attempt that builds its
+// record only to find another attempt already installed in the
+// descriptor must leave nothing behind — the nodes it drew go back to
+// the pool unpublished, nothing is retired, and the tree is untouched.
+func TestHelpLostInstallDropsAttempt(t *testing.T) {
+	t.Parallel()
+	tr := New(helpableConfig(nil))
+	h := tr.newHandle()
+	h.Insert(5, 50)
+	d := &engine.HelpDesc{Kind: engine.HelpInsert, Key: 7, Val: 70}
+	if !d.Install(&engine.HelpAttempt{}) {
+		t.Fatal("install into an empty descriptor failed")
+	}
+	before, pooled := h.ReclaimStats(), h.PoolSize()
+	h.helpExec(d)
+	h.settle(htm.PathFallback) // what a later operation of this handle would do
+	after := h.ReclaimStats()
+	drew := (after.Fresh + after.Reused) - (before.Fresh + before.Reused)
+	if drew != 2 || h.PoolSize() != pooled+int(after.Fresh-before.Fresh) {
+		t.Fatalf("attempt drew %d nodes and the pool went from %d to %d: want both drawn nodes back in it",
+			drew, pooled, h.PoolSize())
+	}
+	if retired(h) != before.RetiredFast+before.RetiredGrace {
+		t.Fatal("a lost install retired nodes")
+	}
+	if _, ok := h.Search(7); ok {
+		t.Fatal("a record that lost the install ran")
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)

@@ -9,9 +9,20 @@ import (
 	"htmtree/internal/llxscx"
 )
 
+// prims is the shared LLX/SCX mode switch (engine/prims.go) over this
+// tree's nodes.
+type prims = engine.Prims[Node]
+
+// prims returns the context of one attempt at the handle's own operation:
+// arguments from, and the result into, the handle scratch.
+func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
+	return &prims{Th: h.e, Tx: tx, Mode: m, Key: h.argKey, Val: h.argVal, Res: &h.res}
+}
+
 // buildOps constructs the per-handle engine ops once, wiring each
-// algorithm's path bodies to the handle's scratch argument/result
-// fields.
+// algorithm's path to the one body of its operation — the path only
+// chooses the mode the body's primitives run in — and to the handle's
+// scratch argument/result fields.
 func (h *Handle) buildOps() {
 	t := h.t
 	// finish delivers a helped operation's result into the handle
@@ -24,18 +35,20 @@ func (h *Handle) buildOps() {
 	// that the helper retires too). Whoever installed the committed
 	// attempt has settled its own pool; nothing of this handle's is
 	// pending.
-	finish := func(val uint64, found, _ bool) {
+	finish := func(res engine.Result) {
 		h.beginAttempt()
-		h.resVal, h.resFound = val, found
+		h.res = res
 	}
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.insertFast(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.insertMiddle(tx, h) },
-		Fallback: func() bool { return t.insertTemplate(h, false) },
-		Locked:   func() { t.insertFast(nil, h) },
-		SCXHTM:   func(useHTM bool) bool { return t.insertTemplate(h, useHTM) },
-		Update:   true,
+		Fast:     func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeFast, tx)) },
+		Middle:   func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeMiddle, tx)) },
+		Fallback: func() bool { return t.insertBody(h, h.prims(engine.ModeFallback, nil)) },
+		Locked:   func() { t.insertBody(h, h.prims(engine.ModeFast, nil)) },
+		SCXHTM: func(useHTM bool) bool {
+			return t.insertBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
+		},
+		Update: true,
 		Helpable: &engine.HelpableOp{
 			Kind:   engine.HelpInsert,
 			Args:   func() (uint64, uint64) { return h.argKey, h.argVal },
@@ -44,12 +57,14 @@ func (h *Handle) buildOps() {
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.deleteFast(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.deleteMiddle(tx, h) },
-		Fallback: func() bool { return t.deleteTemplate(h, false) },
-		Locked:   func() { t.deleteFast(nil, h) },
-		SCXHTM:   func(useHTM bool) bool { return t.deleteTemplate(h, useHTM) },
-		Update:   true,
+		Fast:     func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeFast, tx)) },
+		Middle:   func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeMiddle, tx)) },
+		Fallback: func() bool { return t.deleteBody(h, h.prims(engine.ModeFallback, nil)) },
+		Locked:   func() { t.deleteBody(h, h.prims(engine.ModeFast, nil)) },
+		SCXHTM: func(useHTM bool) bool {
+			return t.deleteBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
+		},
+		Update: true,
 		Helpable: &engine.HelpableOp{
 			Kind:   engine.HelpDelete,
 			Args:   func() (uint64, uint64) { return h.argKey, 0 },
@@ -83,7 +98,7 @@ func (h *Handle) Insert(key, val uint64) (uint64, bool) {
 	checkKey(key)
 	h.argKey, h.argVal = key, val
 	h.settle(h.e.Run(h.insertOp))
-	return h.resVal, h.resFound
+	return h.res.Val, h.res.Found
 }
 
 // Delete removes key.
@@ -91,7 +106,7 @@ func (h *Handle) Delete(key uint64) (uint64, bool) {
 	checkKey(key)
 	h.argKey = key
 	h.settle(h.e.Run(h.deleteOp))
-	return h.resVal, h.resFound
+	return h.res.Val, h.res.Found
 }
 
 // Search looks up key.
@@ -99,7 +114,7 @@ func (h *Handle) Search(key uint64) (uint64, bool) {
 	checkKey(key)
 	h.argKey = key
 	h.e.Run(h.searchOp)
-	return h.resVal, h.resFound
+	return h.res.Val, h.res.Found
 }
 
 // RangeQuery appends all pairs with lo <= key < hi to out in ascending
@@ -149,10 +164,10 @@ func checkKey(key uint64) {
 	}
 }
 
-// locate finds the operation point for the fast and middle paths. With
-// SearchOutsideTx enabled (Section 8) the descent uses unsubscribed
-// reads and the caller revalidates inside the transaction; otherwise the
-// descent itself is transactional.
+// locate finds an update's operation point. In a transaction with
+// SearchOutsideTx enabled (Section 8: the fast and middle modes only) the
+// descent uses unsubscribed reads and the caller revalidates inside the
+// transaction; otherwise the descent is the caller's own kind of read.
 func (t *Tree) locate(tx *htm.Tx, key uint64) (gp, p, l *Node) {
 	if t.cfg.SearchOutsideTx && tx != nil {
 		return t.search(nil, key)
@@ -174,243 +189,75 @@ func revalidate(tx *htm.Tx, key uint64, gp, p, l *Node) {
 	}
 }
 
-// ---- fast path (sequential code of Figure 13; also the TLE locked body
-// when tx == nil) ----
+// leafKey reads leaf l's key, which only pool recycling rewrites. A
+// transaction validates the read against its snapshot without logging it
+// (GetStable: one subscribed read per node, the pointer that led here).
+// Outside one, the caller is on a non-transactional path, whose presence
+// excludes immediate recycling, so a plain peek is sound.
+func leafKey(tx *htm.Tx, l *Node) uint64 {
+	if tx == nil {
+		return l.key.Peek()
+	}
+	return l.key.GetStable(tx)
+}
 
-func (t *Tree) insertFast(tx *htm.Tx, h *Handle) {
-	h.beginAttempt()
-	key, val := h.argKey, h.argVal
-	gp, p, l := t.locate(tx, key)
-	if t.cfg.SearchOutsideTx && tx != nil {
-		revalidate(tx, key, gp, p, l)
-	}
-	lk := l.key.GetStable(tx)
-	if lk == key {
-		// Directly update the value in place: the big fast-path win the
-		// paper describes (no node creation).
-		h.resVal, h.resFound = l.val.Get(tx), true
-		l.val.Set(tx, val)
-		return
-	}
-	h.resVal, h.resFound = 0, false
+// newSubtree builds what an insert of an absent key puts in leaf l's
+// place: an internal node over l (whose key is lk) and a new leaf.
+func (h *Handle) newSubtree(l *Node, lk, key, val uint64) *Node {
 	nl := h.newLeaf(key, val)
-	var ni *Node
 	if key < lk {
-		ni = h.newInternal(lk, nl, l)
-	} else {
-		ni = h.newInternal(key, l, nl)
+		return h.newInternal(lk, nl, l)
 	}
-	childRef(p, key).Set(tx, ni)
+	return h.newInternal(key, l, nl)
 }
 
-func (t *Tree) deleteFast(tx *htm.Tx, h *Handle) {
+// insertBody implements Insert on every path, and one helping attempt
+// at an announced Insert. It returns false to request a retry
+// (non-transactional modes); transactional modes abort instead.
+func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 	h.beginAttempt()
-	key := h.argKey
+	tx, key, val := pr.Tx, pr.Key, pr.Val
 	gp, p, l := t.locate(tx, key)
-	if t.cfg.SearchOutsideTx && tx != nil {
-		revalidate(tx, key, gp, p, l)
-	}
-	if l.key.GetStable(tx) != key {
-		h.resVal, h.resFound = 0, false
-		return
-	}
-	h.resVal, h.resFound = l.val.Get(tx), true
-	if gp == nil {
-		// l hangs directly off the root: restore the empty-tree sentinel.
-		t.root.l.Set(tx, h.newLeaf(keyInf1, 0))
-		l.hdr.SetMarked(tx)
-		h.remove(l)
-		return
-	}
-	// Reuse the sibling directly instead of copying it (Figure 13).
-	var s *Node
-	if key < p.key.Peek() {
-		s = p.r.Get(tx)
-	} else {
-		s = p.l.Get(tx)
-	}
-	childRef(gp, key).Set(tx, s)
-	p.hdr.SetMarked(tx)
-	l.hdr.SetMarked(tx)
-	h.remove(p)
-	h.remove(l)
-}
 
-func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
-	_, _, l := t.search(tx, h.argKey)
-	if l.key.GetStable(tx) == h.argKey {
-		h.resVal, h.resFound = l.val.Get(tx), true
-		return
-	}
-	h.resVal, h.resFound = 0, false
-}
-
-// ---- middle path (template code of Figure 12 inside one transaction,
-// with transactional LLX and SCXInTx; Section 5) ----
-
-func (t *Tree) insertMiddle(tx *htm.Tx, h *Handle) {
-	h.beginAttempt()
-	key, val := h.argKey, h.argVal
-	_, p, _ := t.locate(tx, key)
-	var pl, pr *Node
-	if _, st := llxscx.LLX(tx, &p.hdr, func() {
-		pl = p.l.Get(tx)
-		pr = p.r.Get(tx)
-	}); st != llxscx.StatusOK {
-		tx.Abort(engine.CodeRetry)
-	}
-	l := pl
-	if key >= p.key.Peek() {
-		l = pr
-	}
-	if !l.leaf {
-		// Only possible with an out-of-band search: p moved. Retry.
-		tx.Abort(engine.CodeRetry)
-	}
-	if _, st := llxscx.LLX(tx, &l.hdr, nil); st != llxscx.StatusOK {
-		tx.Abort(engine.CodeRetry)
-	}
-	lk := l.key.GetStable(tx)
-	if lk == key {
-		// Replace the leaf by a new copy holding the new value: the
-		// template may not modify immutable fields in place.
-		h.resVal, h.resFound = l.val.Get(tx), true
-		nl := h.newLeaf(key, val)
-		llxscx.SCXInTx(tx, &h.e.Tags,
-			[]*llxscx.Hdr{&p.hdr, &l.hdr}, []*llxscx.Hdr{&l.hdr})
-		childRef(p, key).Set(tx, nl)
-		h.remove(l)
-		return
-	}
-	h.resVal, h.resFound = 0, false
-	nl := h.newLeaf(key, val)
-	var ni *Node
-	if key < lk {
-		ni = h.newInternal(lk, nl, l)
-	} else {
-		ni = h.newInternal(key, l, nl)
-	}
-	llxscx.SCXInTx(tx, &h.e.Tags,
-		[]*llxscx.Hdr{&p.hdr, &l.hdr}, nil)
-	childRef(p, key).Set(tx, ni)
-}
-
-func (t *Tree) deleteMiddle(tx *htm.Tx, h *Handle) {
-	h.beginAttempt()
-	key := h.argKey
-	gp, p, l := t.locate(tx, key)
-	if l.key.GetStable(tx) != key {
-		h.resVal, h.resFound = 0, false
-		return
-	}
-	if gp == nil {
-		// l hangs off the root: replace it with a fresh sentinel leaf.
-		var rl *Node
-		if _, st := llxscx.LLX(tx, &t.root.hdr, func() {
-			rl = t.root.l.Get(tx)
-		}); st != llxscx.StatusOK {
-			tx.Abort(engine.CodeRetry)
+	if pr.Mode == engine.ModeFast {
+		// Sequential code of Figure 13 (also the TLE locked body, with a
+		// nil tx).
+		if t.cfg.SearchOutsideTx && tx != nil {
+			revalidate(tx, key, gp, p, l)
 		}
-		if !rl.leaf {
-			tx.Abort(engine.CodeRetry) // tree grew meanwhile; retry
+		lk := l.key.GetStable(tx)
+		if lk == key {
+			// Directly update the value in place: the big fast-path win the
+			// paper describes (no node creation).
+			*pr.Res = engine.Result{Val: l.val.Get(tx), Found: true}
+			l.val.Set(tx, val)
+			return true
 		}
-		if rl.key.GetStable(tx) != key {
-			h.resVal, h.resFound = 0, false
-			return
-		}
-		if _, st := llxscx.LLX(tx, &rl.hdr, nil); st != llxscx.StatusOK {
-			tx.Abort(engine.CodeRetry)
-		}
-		h.resVal, h.resFound = rl.val.Get(tx), true
-		llxscx.SCXInTx(tx, &h.e.Tags,
-			[]*llxscx.Hdr{&t.root.hdr, &rl.hdr}, []*llxscx.Hdr{&rl.hdr})
-		t.root.l.Set(tx, h.newLeaf(keyInf1, 0))
-		h.remove(rl)
-		return
+		*pr.Res = engine.Result{}
+		childRef(p, key).Set(tx, h.newSubtree(l, lk, key, val))
+		return true
 	}
 
-	var gl, gr *Node
-	if _, st := llxscx.LLX(tx, &gp.hdr, func() {
-		gl = gp.l.Get(tx)
-		gr = gp.r.Get(tx)
-	}); st != llxscx.StatusOK {
-		tx.Abort(engine.CodeRetry)
-	}
-	p2 := gl
-	if key >= gp.key.Peek() {
-		p2 = gr
-	}
-	if p2 != p {
-		tx.Abort(engine.CodeRetry)
-	}
-	var pl, pr *Node
-	if _, st := llxscx.LLX(tx, &p.hdr, func() {
-		pl = p.l.Get(tx)
-		pr = p.r.Get(tx)
-	}); st != llxscx.StatusOK {
-		tx.Abort(engine.CodeRetry)
-	}
-	l2, s := pl, pr
-	if key >= p.key.Peek() {
-		l2, s = pr, pl
-	}
-	if l2 != l {
-		tx.Abort(engine.CodeRetry)
-	}
-	if _, st := llxscx.LLX(tx, &l.hdr, nil); st != llxscx.StatusOK {
-		tx.Abort(engine.CodeRetry)
-	}
-	var sl, sr *Node
-	if _, st := llxscx.LLX(tx, &s.hdr, func() {
-		if !s.leaf {
-			sl = s.l.Get(tx)
-			sr = s.r.Get(tx)
-		}
-	}); st != llxscx.StatusOK {
-		tx.Abort(engine.CodeRetry)
-	}
-	h.resVal, h.resFound = l.val.Get(tx), true
-	// Replace p and l with a copy of the sibling (Figure 12).
-	var ns *Node
-	if s.leaf {
-		ns = h.newLeaf(s.key.GetStable(tx), s.val.Get(tx))
-	} else {
-		ns = h.newInternal(s.key.Peek(), sl, sr)
-	}
-	llxscx.SCXInTx(tx, &h.e.Tags,
-		[]*llxscx.Hdr{&gp.hdr, &p.hdr, &l.hdr, &s.hdr},
-		[]*llxscx.Hdr{&p.hdr, &l.hdr, &s.hdr})
-	childRef(gp, key).Set(tx, ns)
-	h.remove(p)
-	h.remove(l)
-	h.remove(s)
-}
-
-// ---- fallback path (original template with LLXO/SCXO, Figure 12) and
-// the Section 4 standalone-HTM-SCX variant (useHTM == true) ----
-
-// insertTemplate returns false to request a retry.
-func (t *Tree) insertTemplate(h *Handle, useHTM bool) bool {
-	h.beginAttempt()
-	key, val := h.argKey, h.argVal
-	_, p, _ := t.search(nil, key)
-	var pl, pr *Node
-	pi, st := llxscx.LLX(nil, &p.hdr, func() {
-		pl = p.l.Get(nil)
-		pr = p.r.Get(nil)
+	// Template code of Figure 12.
+	var left, right *Node
+	pi := pr.LLX(&p.hdr, func() {
+		left = p.l.Get(tx)
+		right = p.r.Get(tx)
 	})
-	if st != llxscx.StatusOK {
+	if pr.Failed {
 		return false
 	}
-	l := pl
+	l = left
 	if key >= p.key.Peek() {
-		l = pr
+		l = right
 	}
 	if !l.leaf {
-		return false // the tree changed under us; re-search
+		// The tree changed under us, or under an out-of-band search.
+		pr.Fail()
+		return false
 	}
-	li, st := llxscx.LLX(nil, &l.hdr, nil)
-	if st != llxscx.StatusOK {
+	li := pr.LLX(&l.hdr, nil)
+	if pr.Failed {
 		return false
 	}
 
@@ -418,69 +265,65 @@ func (t *Tree) insertTemplate(h *Handle, useHTM bool) bool {
 	infos := []*llxscx.Info{pi, li}
 	fld := childRef(p, key)
 
-	lk := l.key.Peek()
+	lk := leafKey(tx, l)
 	if lk == key {
-		h.resVal, h.resFound = l.val.Get(nil), true
-		nl := h.newLeaf(key, val)
-		if !t.runSCX(h, useHTM, v, infos, []*llxscx.Hdr{&l.hdr}, fld, l, nl) {
+		// Replace the leaf by a new copy holding the new value: the
+		// template may not modify immutable fields in place.
+		*pr.Res = engine.Result{Val: l.val.Get(tx), Found: true}
+		if !pr.SCX(v, infos, []*llxscx.Hdr{&l.hdr}, fld, l, h.newLeaf(key, val)) {
 			return false
 		}
 		h.remove(l)
 		return true
 	}
-	h.resVal, h.resFound = 0, false
-	nl := h.newLeaf(key, val)
-	var ni *Node
-	if key < lk {
-		ni = h.newInternal(lk, nl, l)
-	} else {
-		ni = h.newInternal(key, l, nl)
-	}
-	return t.runSCX(h, useHTM, v, infos, nil, fld, l, ni)
+	*pr.Res = engine.Result{}
+	return pr.SCX(v, infos, nil, fld, l, h.newSubtree(l, lk, key, val))
 }
 
-func (t *Tree) deleteTemplate(h *Handle, useHTM bool) bool {
+// deleteBody implements Delete on every path, and one helping attempt at
+// an announced Delete. A leaf holding a dictionary key always has a
+// grandparent: the ∞₁ sentinel leaf is never removed, so the only leaf
+// that can hang directly off the root is that sentinel, which no key
+// matches.
+func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 	h.beginAttempt()
-	key := h.argKey
-	gp, p, l := t.search(nil, key)
-	if l.key.Peek() != key {
-		h.resVal, h.resFound = 0, false
-		return true
-	}
-	if gp == nil {
-		// l hangs off the root: replace with a fresh sentinel leaf.
-		var rl *Node
-		ri, st := llxscx.LLX(nil, &t.root.hdr, func() { rl = t.root.l.Get(nil) })
-		if st != llxscx.StatusOK {
-			return false
+	tx, key := pr.Tx, pr.Key
+	gp, p, l := t.locate(tx, key)
+
+	if pr.Mode == engine.ModeFast {
+		// Sequential code of Figure 13.
+		if t.cfg.SearchOutsideTx && tx != nil {
+			revalidate(tx, key, gp, p, l)
 		}
-		if !rl.leaf {
-			return false
+		if l.key.GetStable(tx) != key {
+			return pr.NotFound()
 		}
-		if rl.key.Peek() != key {
-			h.resVal, h.resFound = 0, false
-			return true
+		*pr.Res = engine.Result{Val: l.val.Get(tx), Found: true}
+		// Reuse the sibling directly instead of copying it (Figure 13).
+		var s *Node
+		if key < p.key.Peek() {
+			s = p.r.Get(tx)
+		} else {
+			s = p.l.Get(tx)
 		}
-		li, st := llxscx.LLX(nil, &rl.hdr, nil)
-		if st != llxscx.StatusOK {
-			return false
-		}
-		h.resVal, h.resFound = rl.val.Get(nil), true
-		if !t.runSCX(h, useHTM,
-			[]*llxscx.Hdr{&t.root.hdr, &rl.hdr}, []*llxscx.Info{ri, li},
-			[]*llxscx.Hdr{&rl.hdr}, &t.root.l, rl, h.newLeaf(keyInf1, 0)) {
-			return false
-		}
-		h.remove(rl)
+		childRef(gp, key).Set(tx, s)
+		p.hdr.SetMarked(tx)
+		l.hdr.SetMarked(tx)
+		h.remove(p)
+		h.remove(l)
 		return true
 	}
 
+	// Template code of Figure 12.
+	if leafKey(tx, l) != key {
+		return pr.NotFound()
+	}
 	var gl, gr *Node
-	gi, st := llxscx.LLX(nil, &gp.hdr, func() {
-		gl = gp.l.Get(nil)
-		gr = gp.r.Get(nil)
+	gi := pr.LLX(&gp.hdr, func() {
+		gl = gp.l.Get(tx)
+		gr = gp.r.Get(tx)
 	})
-	if st != llxscx.StatusOK {
+	if pr.Failed {
 		return false
 	}
 	p2 := gl
@@ -488,45 +331,48 @@ func (t *Tree) deleteTemplate(h *Handle, useHTM bool) bool {
 		p2 = gr
 	}
 	if p2 != p {
+		pr.Fail()
 		return false
 	}
-	var pl, pr *Node
-	pi, st := llxscx.LLX(nil, &p.hdr, func() {
-		pl = p.l.Get(nil)
-		pr = p.r.Get(nil)
+	var left, right *Node
+	pi := pr.LLX(&p.hdr, func() {
+		left = p.l.Get(tx)
+		right = p.r.Get(tx)
 	})
-	if st != llxscx.StatusOK {
+	if pr.Failed {
 		return false
 	}
-	l2, s := pl, pr
+	l2, s := left, right
 	if key >= p.key.Peek() {
-		l2, s = pr, pl
+		l2, s = right, left
 	}
 	if l2 != l {
+		pr.Fail()
 		return false
 	}
-	li, st := llxscx.LLX(nil, &l.hdr, nil)
-	if st != llxscx.StatusOK {
+	li := pr.LLX(&l.hdr, nil)
+	if pr.Failed {
 		return false
 	}
 	var sl, sr *Node
-	si, st := llxscx.LLX(nil, &s.hdr, func() {
+	si := pr.LLX(&s.hdr, func() {
 		if !s.leaf {
-			sl = s.l.Get(nil)
-			sr = s.r.Get(nil)
+			sl = s.l.Get(tx)
+			sr = s.r.Get(tx)
 		}
 	})
-	if st != llxscx.StatusOK {
+	if pr.Failed {
 		return false
 	}
-	h.resVal, h.resFound = l.val.Get(nil), true
+	*pr.Res = engine.Result{Val: l.val.Get(tx), Found: true}
+	// Replace p and l with a copy of the sibling (Figure 12).
 	var ns *Node
 	if s.leaf {
-		ns = h.newLeaf(s.key.Peek(), s.val.Get(nil))
+		ns = h.newLeaf(leafKey(tx, s), s.val.Get(tx))
 	} else {
 		ns = h.newInternal(s.key.Peek(), sl, sr)
 	}
-	if !t.runSCX(h, useHTM,
+	if !pr.SCX(
 		[]*llxscx.Hdr{&gp.hdr, &p.hdr, &l.hdr, &s.hdr},
 		[]*llxscx.Info{gi, pi, li, si},
 		[]*llxscx.Hdr{&p.hdr, &l.hdr, &s.hdr},
@@ -539,15 +385,13 @@ func (t *Tree) deleteTemplate(h *Handle, useHTM bool) bool {
 	return true
 }
 
-// runSCX dispatches the update phase to SCXO or the standalone HTM SCX.
-func (t *Tree) runSCX(h *Handle, useHTM bool,
-	v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
-	fld *htm.Ref[Node], old, new *Node) bool {
-	if useHTM {
-		ok, _ := llxscx.SCXHTM(h.e.H, htm.PathFast, &h.e.Tags, v, infos, r, fld, new)
-		return ok
+func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
+	_, _, l := t.search(tx, h.argKey)
+	if l.key.GetStable(tx) == h.argKey {
+		h.res = engine.Result{Val: l.val.Get(tx), Found: true}
+		return
 	}
-	return llxscx.SCXO(v, infos, r, fld, old, new)
+	h.res = engine.Result{}
 }
 
 // ---- range queries ----

@@ -184,22 +184,13 @@ type Config struct {
 	// any blocked thread drives them to completion instead of spinning
 	// behind a possibly preempted owner. Ignored by other algorithms.
 	HelpableFallback bool
-	// PreemptPoint, when non-nil, is invoked at the most
-	// preemption-sensitive point of the fallback path: right after the
-	// classic lock acquisition (the baseline's convoy window), or right
-	// after the announcement in helpable mode. Tests inject
-	// runtime.Gosched here to force the convoy/help schedules.
-	//
-	// Deprecated: the same seam is fault.PointFallbackOwner on Faults,
-	// which additionally supports deterministic triggers, stalls, and
-	// permanent owner death. PreemptPoint remains as the zero-setup
-	// hook existing tests use.
-	PreemptPoint func()
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane at the engine's seams: fault.PointFallbackOwner fires at
-	// the PreemptPoint seam above (in helpable mode a Kill effect
-	// parks the announced owner forever and helpers must complete the
-	// operation — the lock-free progress guarantee under test), and
+	// the most preemption-sensitive point of the fallback path — right
+	// after the classic lock acquisition (the baseline's convoy window),
+	// or right after the announcement in helpable mode, where a Kill
+	// effect parks the announced owner forever and helpers must complete
+	// the operation (the lock-free progress guarantee under test) — and
 	// the plan is forwarded to the engine's reclamation domain for
 	// fault.PointEBRPin. The HTM and shard layers carry their own
 	// plan references; one shared *fault.Plan arms a whole structure.
@@ -783,9 +774,6 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 		// Generation 1 marks the classic (non-helpable) acquisition.
 		so.RareEvent(obs.EvAcquire, htm.PathFallback, htm.CauseNone, 1, 0)
 		obs.EndRegion(freg)
-	}
-	if e.cfg.PreemptPoint != nil {
-		e.cfg.PreemptPoint()
 	}
 	// Owner-fault seam: a Stall here models the classic convoy (every
 	// thread blocked behind a descheduled lock holder). Kill is not

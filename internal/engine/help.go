@@ -79,15 +79,11 @@ type HelpAttempt struct {
 	// writes, or nil when the attempt resolved to a logical no-op
 	// (delete of an absent key), which is terminal immediately.
 	Rec *llxscx.SCXRecord
-	// Val and Found are the operation's result (previous value and
-	// presence), valid once the attempt is terminal.
-	Val   uint64
-	Found bool
-	// NeedFix records that the committed operation left a constraint
-	// violation the *owner* must repair after the critical section (the
-	// a-b-tree's degree violations); helpers cannot run the fix loop,
-	// which re-enters the engine.
-	NeedFix bool
+	// Result is the operation's outcome, valid once the attempt is
+	// terminal. Its NeedFix reaches the *owner*, who repairs the
+	// violation after the critical section; helpers cannot run the fix
+	// loop, which re-enters the engine.
+	Result
 }
 
 // terminal reports whether the attempt reached a terminal state.
@@ -125,9 +121,10 @@ func (d *HelpDesc) Finished() bool {
 }
 
 // Install tries to install att as the descriptor's current attempt.
-// The structure's help body calls it after preparing (but before
-// running) the attempt's record; success makes the caller the attempt's
-// preparer, responsible for node retirement if the record commits.
+// A ModeHelp body's update phase (Prims.SCX) calls it after preparing
+// (but before running) the attempt's record; success makes the caller
+// the attempt's preparer, responsible for node retirement if the record
+// commits.
 func (d *HelpDesc) Install(att *HelpAttempt) bool {
 	return d.attempt.CompareAndSwap(nil, att)
 }
@@ -147,13 +144,13 @@ type HelpableOp struct {
 	// handle scratch, and the a-b-tree's deferred fix flag to the
 	// owner. Called exactly once, by the owner, after the critical
 	// section.
-	Finish func(val uint64, found, needFix bool)
+	Finish func(Result)
 }
 
 // SetHelpExec registers the structure's fallback-attempt executor: one
-// tree attempt for the descriptor, using this thread's own handle state
-// (search buffers, node pool, reclamation context), ending in
-// HelpDesc.Install + SCXRecord.Run. Registering also installs the
+// run of the tree's update body in ModeHelp (prims.go) for the
+// descriptor, using this thread's own handle state (search buffers, node
+// pool, reclamation context). Registering also installs the
 // htm-level helper so this thread participates in helping whenever it
 // waits on the TM (announce races, TLE lock backend, fast-path waits).
 func (th *Thread) SetHelpExec(fn func(*HelpDesc)) {
@@ -269,9 +266,6 @@ func (th *Thread) runHelpableFallback(op Op, mon *UpdateMonitor) {
 	if so != nil {
 		so.RareEvent(obs.EvAnnounce, htm.PathFallback, htm.CauseNone, d.gen, 0)
 	}
-	if e.cfg.PreemptPoint != nil {
-		e.cfg.PreemptPoint()
-	}
 	// Owner-fault seam: the descriptor is announced and visible, the
 	// critical section is not yet executed — the exact window the
 	// helpable protocol's progress claim covers. A Kill effect parks
@@ -283,7 +277,7 @@ func (th *Thread) runHelpableFallback(op Op, mon *UpdateMonitor) {
 	if so != nil {
 		so.RareEvent(obs.EvAcquire, htm.PathFallback, htm.CauseNone, d.gen, 0)
 	}
-	op.Helpable.Finish(att.Val, att.Found, att.NeedFix)
+	op.Helpable.Finish(att.Result)
 }
 
 // helpWait waits for the TLE word to clear before a fast-path attempt,

@@ -136,8 +136,8 @@ type Rule struct {
 	// (spurious).
 	Cause uint8
 	// Func is an arbitrary callback effect, run at the injection
-	// point. This is the compatibility seam the deprecated
-	// PreemptFallbackPoint hooks compile into.
+	// point: tests park or yield the encountering goroutine with it. A
+	// rule with only a Func fires on every encounter.
 	Func func()
 	// Watch opens a Liveness stall window around this rule's Stall or
 	// Kill effect, asserting other threads make progress while the
@@ -292,8 +292,7 @@ func (p *Plan) addRule(r Rule) {
 
 // With returns a new plan extending p with extra rules (p itself is
 // not modified and its counters are not inherited). A nil receiver
-// compiles a fresh plan from the rules alone. This is the deprecated
-// PreemptFallbackPoint shim's constructor.
+// compiles a fresh plan from the rules alone.
 func (p *Plan) With(rules ...Rule) *Plan {
 	if p == nil {
 		return New(0, rules...)

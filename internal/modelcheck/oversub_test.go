@@ -83,10 +83,14 @@ func TestOversubscribedDifferential(t *testing.T) {
 				// Force heavy fallback traffic: a spurious abort every
 				// few transactional accesses overwhelms a two-attempt
 				// fast-path budget.
-				SpuriousAbortEvery:   8,
-				AttemptLimit:         2,
-				HelpableFallback:     c.helpable,
-				PreemptFallbackPoint: runtime.Gosched,
+				SpuriousAbortEvery: 8,
+				AttemptLimit:       2,
+				HelpableFallback:   c.helpable,
+				// Yield right after each fallback entry takes, or
+				// announces under, the lock word.
+				Faults: htmtree.NewFaultPlan(0, htmtree.FaultRule{
+					Point: htmtree.FaultFallbackOwner, Func: runtime.Gosched,
+				}),
 			}
 			var (
 				tree *htmtree.Tree

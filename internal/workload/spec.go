@@ -62,14 +62,10 @@ type Spec struct {
 	// PreemptFallback injects a scheduling yield (runtime.Gosched) right
 	// after each fallback operation takes — or, with Helpable, announces
 	// under — the fallback lock, simulating the worst-case preemption of
-	// a lock holder that oversubscription makes likely.
+	// a lock holder that oversubscription makes likely. It is a
+	// fault.PointFallbackOwner rule added to a copy of Faults; for any
+	// other injection at that spot put the rule in Faults directly.
 	PreemptFallback bool
-	// PreemptPoint, when non-nil, replaces PreemptFallback's Gosched
-	// with an arbitrary injection at the same spot. Benchmarks model a
-	// full OS descheduling (the lock holder losing its quantum to a
-	// runnable peer) with a short sleep here — a yield alone puts the
-	// owner back on the run queue, which understates the convoy.
-	PreemptPoint func()
 	// Observe, when non-nil, attaches the live observability layer
 	// (metrics registry, flight recorder, latency sampling) with the
 	// given configuration. Retrieve the domain via NewObserved; a plain
@@ -120,6 +116,9 @@ func (s Spec) New() dict.Dict {
 // under a shard="i" label) and every engine thread carries a flight
 // recorder.
 func (s Spec) NewObserved() (dict.Dict, *obs.Obs) {
+	if s.PreemptFallback {
+		s.Faults = s.Faults.With(fault.Rule{Point: fault.PointFallbackOwner, Func: runtime.Gosched})
+	}
 	var o *obs.Obs
 	if s.Observe != nil {
 		o = obs.New(*s.Observe)
@@ -158,12 +157,6 @@ func (s Spec) NewObserved() (dict.Dict, *obs.Obs) {
 			AttemptLimit:     s.AttemptLimit,
 			Obs:              node,
 			Faults:           s.Faults,
-		}
-		if s.PreemptFallback {
-			ecfg.PreemptPoint = runtime.Gosched
-		}
-		if s.PreemptPoint != nil {
-			ecfg.PreemptPoint = s.PreemptPoint
 		}
 		hcfg := s.HTM
 		if hcfg.Faults == nil {
