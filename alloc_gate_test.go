@@ -17,7 +17,7 @@ import (
 // is allocated once per handle — so after warmup, AllocsPerRun must
 // observe zero.
 //
-// CI runs this test explicitly in the bench-smoke job; a regression here
+// CI runs this test explicitly by name; a regression here
 // means something on the hot path started allocating again.
 
 // warmups populate the tree, the handle's pools, and every
@@ -203,11 +203,10 @@ func TestAllocGateABTreeFallbackScan(t *testing.T) {
 	}
 }
 
-// TestAllocGateLatencyCapture gates the PR 7 latency instrumentation:
-// the per-operation capture the workload driver performs under
-// MeasureLatency — a clock read, the operation, a histogram Record —
-// must not allocate, or measuring latency would distort the very tail
-// it measures with GC pauses.
+// TestAllocGateLatencyCapture gates per-operation latency capture into
+// an internal/hist histogram — a clock read, the operation, a Record —
+// which must not allocate, or measuring latency would distort the very
+// tail it measures with GC pauses.
 func TestAllocGateLatencyCapture(t *testing.T) {
 	tree, err := htmtree.NewBST(htmtree.Config{})
 	if err != nil {

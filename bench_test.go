@@ -4,13 +4,14 @@
 // as ops/sec, so relative numbers across algorithms reproduce the
 // figures' series. Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench 'Fig|Sec|Headline|ShardScaling' -benchtime=1x .
 //
-// For full sweeps (thread counts, both workloads, CSV output) use
-// cmd/htmbench instead.
+// This file is the repository's only rendering of the paper's figures;
+// how fast the system itself is, is bench/'s job (BENCHMARK.json).
 package htmtree_test
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -32,17 +33,22 @@ const (
 	abKeys        = 50000
 )
 
-// figureAlgs are the series of Figures 14/15.
-var figureAlgs = []engine.Algorithm{
-	engine.AlgNonHTM, engine.AlgTLE, engine.AlgTwoPathConc, engine.AlgThreePath,
-}
+// figureAlgs are the series of Figures 14/15, figureThreads their x axis.
+var (
+	figureAlgs = []engine.Algorithm{
+		engine.AlgNonHTM, engine.AlgTLE, engine.AlgTwoPathConc, engine.AlgThreePath,
+	}
+	figureThreads = []int{1, 2, 4, 8}
+)
 
 // runTrialBench runs one workload trial per iteration and reports
-// throughput.
+// throughput. Trials run benchThreads workers unless cfg names a count.
 func runTrialBench(b *testing.B, mk func() dict.Dict, cfg workload.Config) {
 	b.Helper()
 	b.ReportAllocs()
-	cfg.Threads = benchThreads
+	if cfg.Threads == 0 {
+		cfg.Threads = benchThreads
+	}
 	cfg.Duration = benchDuration
 	var tput float64
 	for i := 0; i < b.N; i++ {
@@ -56,50 +62,44 @@ func runTrialBench(b *testing.B, mk func() dict.Dict, cfg workload.Config) {
 	b.ReportMetric(tput/float64(b.N), "ops/sec")
 }
 
-// ---- Figure 14 (and 15): throughput, both trees, light and heavy ----
+// ---- Figure 14 (and 15): throughput vs threads, both trees, light and
+// heavy. One sub-benchmark per (algorithm, thread count); the heavy
+// workload starts at 2 threads because one of them is the range-query
+// thread. ----
+
+func benchFig14(b *testing.B, mk func(engine.Algorithm) dict.Dict, cfg workload.Config) {
+	b.Helper()
+	for _, alg := range figureAlgs {
+		for _, threads := range figureThreads {
+			if cfg.Kind == workload.Heavy && threads < 2 {
+				continue
+			}
+			alg, cfg := alg, cfg
+			cfg.Threads = threads
+			b.Run(fmt.Sprintf("%v/threads=%d", alg, threads), func(b *testing.B) {
+				runTrialBench(b, func() dict.Dict { return mk(alg) }, cfg)
+			})
+		}
+	}
+}
+
+func newBST(alg engine.Algorithm) dict.Dict    { return bst.New(bst.Config{Algorithm: alg}) }
+func newABTree(alg engine.Algorithm) dict.Dict { return abtree.New(abtree.Config{Algorithm: alg}) }
 
 func BenchmarkFig14BSTLight(b *testing.B) {
-	for _, alg := range figureAlgs {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			runTrialBench(b,
-				func() dict.Dict { return bst.New(bst.Config{Algorithm: alg}) },
-				workload.Config{KeyRange: bstKeys, Kind: workload.Light})
-		})
-	}
+	benchFig14(b, newBST, workload.Config{KeyRange: bstKeys, Kind: workload.Light})
 }
 
 func BenchmarkFig14BSTHeavy(b *testing.B) {
-	for _, alg := range figureAlgs {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			runTrialBench(b,
-				func() dict.Dict { return bst.New(bst.Config{Algorithm: alg}) },
-				workload.Config{KeyRange: bstKeys, RQSizeMax: 1000, Kind: workload.Heavy})
-		})
-	}
+	benchFig14(b, newBST, workload.Config{KeyRange: bstKeys, RQSizeMax: 1000, Kind: workload.Heavy})
 }
 
 func BenchmarkFig14ABLight(b *testing.B) {
-	for _, alg := range figureAlgs {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			runTrialBench(b,
-				func() dict.Dict { return abtree.New(abtree.Config{Algorithm: alg}) },
-				workload.Config{KeyRange: abKeys, Kind: workload.Light})
-		})
-	}
+	benchFig14(b, newABTree, workload.Config{KeyRange: abKeys, Kind: workload.Light})
 }
 
 func BenchmarkFig14ABHeavy(b *testing.B) {
-	for _, alg := range figureAlgs {
-		alg := alg
-		b.Run(alg.String(), func(b *testing.B) {
-			runTrialBench(b,
-				func() dict.Dict { return abtree.New(abtree.Config{Algorithm: alg}) },
-				workload.Config{KeyRange: abKeys, RQSizeMax: 10000, Kind: workload.Heavy})
-		})
-	}
+	benchFig14(b, newABTree, workload.Config{KeyRange: abKeys, RQSizeMax: 10000, Kind: workload.Heavy})
 }
 
 // ---- Figure 16: commit/abort rates (reported as custom metrics) ----
@@ -117,6 +117,9 @@ func BenchmarkFig16AbortRates(b *testing.B) {
 					KeyRange: abKeys, RQSizeMax: 10000, Kind: workload.Heavy,
 					Seed: uint64(i) + 1,
 				})
+				if !res.KeySumOK {
+					b.Fatal("key-sum validation failed")
+				}
 				hs := res.HTMStats
 				commits += hs.Commits[htm.PathFast] + hs.Commits[htm.PathMiddle]
 				aborts += hs.TotalAborts(htm.PathFast) + hs.TotalAborts(htm.PathMiddle)
@@ -145,6 +148,9 @@ func BenchmarkSec72PathUsage(b *testing.B) {
 					KeyRange: abKeys, RQSizeMax: 10000, Kind: kind,
 					Seed: uint64(i) + 1,
 				})
+				if !res.KeySumOK {
+					b.Fatal("key-sum validation failed")
+				}
 				fast += res.PathStats.Fast
 				total += res.PathStats.Total()
 			}
@@ -241,8 +247,7 @@ func BenchmarkSec10KCASList(b *testing.B) {
 
 // ---- Shard scaling (beyond the paper): the key space partitioned
 // across independent trees, each with its own engine, HTM context, and
-// fallback indicator. Compare x1/x4/x16 within a structure; cmd/htmbench
-// -experiment shardscale runs the full sweep. ----
+// fallback indicator. Compare x1/x4/x16 within a structure. ----
 
 func benchShardScaling(b *testing.B, structure string, keyRange, rqMax uint64) {
 	b.Helper()

@@ -183,9 +183,6 @@ type Config struct {
 	// algorithms (default 20); FastLimit and MiddleLimit are the 3-path
 	// budgets (default 10 each).
 	AttemptLimit, FastLimit, MiddleLimit int
-	// UseSNZI replaces the fallback-presence counter with a scalable
-	// non-zero indicator.
-	UseSNZI bool
 	// HelpableFallback replaces the TLE fallback's classic spin lock
 	// with a helpable lock: a fallback operation announces itself as a
 	// descriptor before taking the lock word, and any thread that finds
@@ -271,11 +268,6 @@ type Config struct {
 	// never arm the timer so the underlying Handle stays usable from
 	// its own goroutine.
 	BatchMaxDelay time.Duration
-	// BatchRQNoFlush leaves buffered point operations in place when an
-	// asynchronous RangeQuery arrives. By default the query flushes
-	// them first, so it observes the handle's own pending writes
-	// (read-your-writes).
-	BatchRQNoFlush bool
 
 	// Observability, when non-nil, attaches the live observability
 	// layer: a pull-model metrics registry over the counters the tree
@@ -436,9 +428,6 @@ func (c Config) engineConfig() (engine.Config, error) {
 		HelpableFallback: c.HelpableFallback,
 		Faults:           c.Faults,
 	}
-	if c.UseSNZI {
-		cfg.Indicator = engine.NewSNZIIndicator()
-	}
 	pol, ok := engine.ParsePolicy(string(c.RetryPolicy))
 	if !ok {
 		return cfg, fmt.Errorf("htmtree: unknown retry policy %q", c.RetryPolicy)
@@ -496,11 +485,10 @@ func (t *Tree) setBatchConfig(cfg Config) error {
 	}
 	t.batchCtrs = &batch.Counters{}
 	t.batchCfg = batch.Config{
-		MaxOps:       cfg.BatchMaxOps,
-		MaxDelay:     cfg.BatchMaxDelay,
-		RangeNoFlush: cfg.BatchRQNoFlush,
-		Counters:     t.batchCtrs,
-		Faults:       cfg.Faults,
+		MaxOps:   cfg.BatchMaxOps,
+		MaxDelay: cfg.BatchMaxDelay,
+		Counters: t.batchCtrs,
+		Faults:   cfg.Faults,
 	}
 	return nil
 }
@@ -618,8 +606,7 @@ func newABTree(cfg Config, mon *engine.UpdateMonitor, node *obs.Node) (*Tree, er
 // newSharded partitions the key space across cfg.Shards instances built
 // by mk, wiring aggregate stats and invariant checking through the
 // shard layer. With AtomicRangeQueries or RouterAdaptive each inner
-// tree's engine gets the shard's update monitor, and the SNZI
-// preference carries over to the quiesce gates. With an observability
+// tree's engine gets the shard's update monitor. With an observability
 // domain each inner engine registers its families under a shard="i"
 // label and the shard layer registers its own (read validation,
 // migration) unlabelled.
@@ -667,9 +654,6 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 		}
 	default:
 		return nil, fmt.Errorf("htmtree: unknown router %q", cfg.Router)
-	}
-	if cfg.UseSNZI {
-		scfg.Gate = func(int) engine.Indicator { return engine.NewSNZIIndicator() }
 	}
 	sd, err := shard.New(scfg)
 	if err != nil {
@@ -749,8 +733,8 @@ func (t *Tree) NewHandle() *Handle {
 // operations enqueue into a batch buffer and return futures, and the
 // buffer flushes as one key-sorted, shard-grouped batch when it
 // reaches Config.BatchMaxOps, when Config.BatchMaxDelay elapses, on an
-// asynchronous RangeQuery (unless Config.BatchRQNoFlush), on Flush, or
-// when a future of a still-buffered operation is waited on. On a
+// asynchronous RangeQuery, on Flush, or when a future of a
+// still-buffered operation is waited on. On a
 // sharded tree each shard-group executes with one router lookup and
 // one monitor admission instead of one per operation — the batching
 // subsystem's amortization, reported by Stats.Batch.
@@ -908,10 +892,10 @@ func (h *AsyncHandle) Search(key uint64) PointFuture {
 	return PointFuture{p: h.p.Search(key)}
 }
 
-// RangeQuery runs an asynchronous range query over [lo, hi). Unless
-// the tree was configured with BatchRQNoFlush it first flushes the
-// buffered point operations (read-your-writes). The returned future is
-// already completed; it exists for OnComplete chaining symmetry.
+// RangeQuery runs an asynchronous range query over [lo, hi). It first
+// flushes the buffered point operations, so it observes the handle's own
+// pending writes (read-your-writes). The returned future is already
+// completed; it exists for OnComplete chaining symmetry.
 func (h *AsyncHandle) RangeQuery(lo, hi uint64) RangeFuture {
 	return RangeFuture{p: h.p.RangeQuery(lo, hi)}
 }

@@ -25,11 +25,10 @@
 // all land in the same shard-group), so every promise resolves to the
 // value its operation would have seen in a sequential execution that
 // preserves per-key program order — which, for a dictionary, determines
-// every point result uniquely. Range queries are the sync points: by
-// default an asynchronous RangeQuery first flushes the buffered point
-// ops (read-your-writes), runs immediately, and returns an
-// already-completed promise; Config.RangeNoFlush trades that for
-// leaving the buffer in place.
+// every point result uniquely. Range queries are the sync points: an
+// asynchronous RangeQuery first flushes the buffered point ops
+// (read-your-writes), runs immediately, and returns an
+// already-completed promise.
 package batch
 
 import (
@@ -58,11 +57,6 @@ type Config struct {
 	// goroutine, which the pipeline lock makes safe against concurrent
 	// enqueues.
 	MaxDelay time.Duration
-	// RangeNoFlush leaves buffered point operations in place when an
-	// asynchronous RangeQuery arrives, so the query does not observe
-	// the pipeline's own pending writes. Default (false) flushes first:
-	// read-your-writes.
-	RangeNoFlush bool
 	// Counters, when non-nil, aggregates this pipeline's flush activity
 	// into a shared sink (the tree-level Stats.Batch); nil keeps the
 	// counts pipeline-private.
@@ -176,18 +170,15 @@ func (p *Pipeline) Search(key uint64) *PointPromise {
 	return p.add(dict.BatchOp{Kind: dict.OpSearch, Key: key})
 }
 
-// RangeQuery runs an asynchronous range query over [lo, hi). Unless
-// Config.RangeNoFlush is set it first flushes the buffered point
-// operations, so the result reflects the pipeline's own pending
-// writes. The query executes before RangeQuery returns; the promise is
-// already completed and exists for API symmetry (OnComplete chains).
+// RangeQuery runs an asynchronous range query over [lo, hi). It first
+// flushes the buffered point operations, so the result reflects the
+// pipeline's own pending writes. The query executes before RangeQuery
+// returns; the promise is already completed and exists for API symmetry
+// (OnComplete chains).
 func (p *Pipeline) RangeQuery(lo, hi uint64) *RangePromise {
 	pr := newPromise[[]dict.KV](nil)
 	p.mu.Lock()
-	var ready []pending
-	if !p.cfg.RangeNoFlush {
-		ready = p.flushLocked(&p.ctr.rangeF)
-	}
+	ready := p.flushLocked(&p.ctr.rangeF)
 	out := p.h.RangeQuery(lo, hi, nil)
 	p.mu.Unlock()
 	finish(ready)

@@ -214,24 +214,12 @@ func TestFlushExecutesSorted(t *testing.T) {
 
 func TestRangeQueryFlushSemantics(t *testing.T) {
 	t.Parallel()
-	// Default: the query observes the pipeline's own buffered writes.
+	// The query observes the pipeline's own buffered writes.
 	p := New(newFake(), Config{MaxOps: 100})
 	p.Insert(4, 40)
 	got := p.RangeQuery(0, 10).Wait()
 	if len(got) != 1 || got[0].Key != 4 {
 		t.Fatalf("flushing RangeQuery = %v, want the buffered insert", got)
-	}
-	// RangeNoFlush: the buffer stays put and the query misses it.
-	p2 := New(newFake(), Config{MaxOps: 100, RangeNoFlush: true})
-	pr := p2.Insert(4, 40)
-	if got := p2.RangeQuery(0, 10).Wait(); len(got) != 0 {
-		t.Fatalf("RangeNoFlush query = %v, want empty", got)
-	}
-	if pr.Done() {
-		t.Fatal("RangeNoFlush query flushed the buffer")
-	}
-	if got := p2.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
 	}
 }
 

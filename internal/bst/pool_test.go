@@ -4,7 +4,20 @@ import (
 	"testing"
 
 	"htmtree/internal/engine"
+	"htmtree/internal/htm"
 )
+
+// heldIndicator is a fetch-and-increment engine.Indicator the test keeps
+// a reference to, so it can arrive on the fallback-presence indicator
+// from outside any operation.
+type heldIndicator struct{ f htm.Word }
+
+func (c *heldIndicator) Arrive() func() {
+	c.f.Add(1)
+	return func() { c.f.Add(^uint64(0)) }
+}
+func (c *heldIndicator) Nonzero(tx *htm.Tx) bool { return c.f.Get(tx) != 0 }
+func (c *heldIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 
 // TestPoolReuseSteadyState: a delete/insert cycle on the fast path must
 // reach a steady state where every insert draws from the pool and no
@@ -52,7 +65,7 @@ func TestPoolReuseSteadyState(t *testing.T) {
 // take the grace period, so none can be handed out under the reader.
 func TestRetireFastGatedByFallbackReader(t *testing.T) {
 	t.Parallel()
-	ind := engine.NewSNZIIndicator()
+	ind := &heldIndicator{}
 	tr := New(Config{
 		Algorithm: engine.AlgThreePath,
 		Engine:    engine.Config{Indicator: ind},

@@ -8,7 +8,7 @@
 //
 // The engine owns only policy: which body to attempt, how many times,
 // when to wait and when to move between paths, and the bookkeeping
-// (fallback-presence counter F or SNZI, TLE global lock, per-path
+// (fallback-presence counter F, TLE global lock, per-path
 // operation counters). Data structures supply the bodies.
 package engine
 
@@ -25,7 +25,6 @@ import (
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
 	"htmtree/internal/obs"
-	"htmtree/internal/snzi"
 )
 
 // Algorithm selects one of the template implementations studied in the
@@ -104,15 +103,16 @@ const (
 )
 
 // Indicator abstracts the fallback-presence counter F. The paper notes a
-// fetch-and-increment object suffices and a scalable non-zero indicator
-// (SNZI) can replace it; both are provided.
+// fetch-and-increment object suffices; that is the one implementation
+// here, and the interface remains so a test can hold the indicator and
+// simulate a live fallback operation.
 type Indicator interface {
 	// Arrive notes that an operation entered the fallback path and
 	// returns the function that retracts this particular arrival.
 	Arrive() (depart func())
 	// Nonzero reports whether any operation is on the fallback path. A
 	// transactional read (tx != nil) subscribes the caller so that a
-	// change aborts it (for an SNZI, only 0↔nonzero transitions do).
+	// change aborts it.
 	Nonzero(tx *htm.Tx) bool
 	// Bind associates the indicator's cells with the version clock of
 	// the TM whose transactions subscribe to it: arrivals mutate the
@@ -134,23 +134,6 @@ func (c *counterIndicator) depart()                 { c.f.Add(^uint64(0)) }
 func (c *counterIndicator) Nonzero(tx *htm.Tx) bool { return c.f.Get(tx) != 0 }
 func (c *counterIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 
-// snziIndicator adapts an SNZI to the Indicator interface.
-type snziIndicator struct {
-	s *snzi.SNZI
-}
-
-// NewSNZIIndicator returns an Indicator backed by a scalable non-zero
-// indicator, the alternative to the fetch-and-increment counter the
-// paper suggests in Section 5.
-func NewSNZIIndicator() Indicator { return &snziIndicator{s: snzi.New()} }
-
-func (si *snziIndicator) Arrive() func() {
-	t := si.s.Arrive()
-	return func() { si.s.Depart(t) }
-}
-func (si *snziIndicator) Nonzero(tx *htm.Tx) bool { return si.s.Nonzero(tx) }
-func (si *snziIndicator) Bind(c *htm.Clock)       { si.s.Bind(c) }
-
 // Config controls an Engine.
 type Config struct {
 	// Algorithm selects the template implementation. Required.
@@ -162,8 +145,8 @@ type Config struct {
 	FastLimit   int
 	MiddleLimit int
 	// Indicator overrides the fallback-presence indicator (default: a
-	// fetch-and-increment counter). Use snzi.New() for the scalable
-	// variant.
+	// fetch-and-increment counter); tests supply their own to arrive on
+	// it from outside an operation.
 	Indicator Indicator
 	// Monitor, when non-nil, publishes the commit point of every update
 	// operation (Op.Update) so an external reader can validate that no

@@ -255,32 +255,6 @@ func TestSCXHTMBudget(t *testing.T) {
 	}
 }
 
-func TestSNZIIndicatorWithThreePath(t *testing.T) {
-	t.Parallel()
-	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgThreePath, Indicator: NewSNZIIndicator()}, tm.Clock())
-	var c htm.Word
-	c.Bind(tm.Clock())
-	const goroutines = 4
-	const perG = 1500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := e.NewThread(tm.NewThread())
-			op := counterOp(&c)
-			for i := 0; i < perG; i++ {
-				th.Run(op)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := c.Get(nil); got != goroutines*perG {
-		t.Fatalf("counter = %d, want %d", got, goroutines*perG)
-	}
-}
-
 func TestParseAlgorithm(t *testing.T) {
 	t.Parallel()
 	for _, a := range Algorithms {

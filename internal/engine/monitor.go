@@ -72,8 +72,7 @@ type UpdateMonitor struct {
 }
 
 // NewUpdateMonitor creates a monitor. A nil gate selects the plain
-// fetch-and-increment indicator; pass NewSNZIIndicator() for the
-// scalable variant when many readers may escalate concurrently.
+// fetch-and-increment indicator.
 func NewUpdateMonitor(gate Indicator) *UpdateMonitor {
 	if gate == nil {
 		gate = &counterIndicator{}

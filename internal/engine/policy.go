@@ -127,7 +127,7 @@ type FallbackHelper interface {
 // budgeted attempt with no backoff, and no site ever skips the fast
 // path. This is the fixed-budget loop of the paper's Section 7 setup
 // (and of this engine before the abort taxonomy was surfaced), kept as
-// the comparison point for the abortpolicy experiment.
+// the comparison point the policy tests run the adaptive table against.
 type StaticPolicy struct{}
 
 // Name returns "static".

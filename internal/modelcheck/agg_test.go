@@ -156,6 +156,57 @@ func TestDifferentialAggregates(t *testing.T) {
 	}
 }
 
+// TestAggregateDescentCounters pins Stats().Aggregate on quiescent trees
+// of the 3-path combos: every RangeAgg/Count over a quarter and over all
+// of a dense key space is answered by the O(log n) descent (Fast advances
+// by one per shard the window overlaps, Walk stays 0), and the BST, which
+// has no aggregates, reports 0/0. A quarter of the key space holds twice
+// the default read capacity in keys, so a query that walked its range —
+// inside a transaction or not — would capacity-abort onto the fallback
+// path and count as a Walk.
+func TestAggregateDescentCounters(t *testing.T) {
+	t.Parallel()
+	const (
+		keySpan = 1 << 14 // a quarter = 4096 keys > htm.DefaultReadCapacity
+		rounds  = 5
+	)
+	for _, c := range allCombos() {
+		c := c
+		if c.algorithm != htmtree.ThreePath || (c.shards > 1 && c.router != htmtree.RouterRange) {
+			continue
+		}
+		t.Run(c.name(), func(t *testing.T) {
+			t.Parallel()
+			tree := c.buildAgg(t, keySpan)
+			h := tree.NewHandle()
+			for i := uint64(1); i < keySpan; i++ {
+				k := i * 7919 % keySpan // a permutation of [1, keySpan): ascending keys would build a path-shaped BST
+				h.Insert(k, k)
+			}
+			for i := 0; i < rounds; i++ {
+				// [keySpan/4, keySpan/2) is exactly shards 2 and 3 of 8.
+				a, err := h.RangeAgg(keySpan/4, keySpan/2)
+				if err != nil || a.Count != keySpan/4 || a.Min != keySpan/4 || a.Max != keySpan/2-1 {
+					t.Fatalf("quarter RangeAgg = %+v, %v", a, err)
+				}
+				if n, err := h.Count(); err != nil || n != keySpan-1 {
+					t.Fatalf("Count() = %d, %v; want %d", n, err, keySpan-1)
+				}
+			}
+			want := uint64(0) // bst
+			switch {
+			case c.structure == "abtree" && c.shards > 1:
+				want = rounds * (2 + uint64(c.shards))
+			case c.structure == "abtree":
+				want = rounds * 2
+			}
+			if got := tree.Stats().Aggregate; got.Fast != want || got.Walk != 0 {
+				t.Fatalf("Aggregate = %+v, want Fast %d, Walk 0", got, want)
+			}
+		})
+	}
+}
+
 // rrMass is the aggregate mass of the round-robin regions: after
 // warmup the harness writers keep every key in [1, numRR*rrKeys]
 // permanently present (steps only overwrite values), so their sum and

@@ -12,8 +12,7 @@ import (
 	"htmtree/internal/htm"
 )
 
-// The chaos battery is the exact-safety twin of the benchmark suite's
-// chaos experiment: every fault family the injection plane supports,
+// The chaos battery: every fault family the injection plane supports,
 // run against lockstep sequential models under the race detector.
 //
 // Each worker owns a disjoint contiguous key range and drives its own

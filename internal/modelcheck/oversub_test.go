@@ -39,13 +39,12 @@ func (c oversubCombo) name() string {
 	return fmt.Sprintf("%s/%s/x%d", c.structure, fb, c.shards)
 }
 
-// TestOversubscribedDifferential is the correctness companion of the
-// benchmark suite's oversub experiment: the TLE fallback — classic lock
-// and helpable lock-free lock — exercised with more threads than
-// processors, so critical-section owners are genuinely descheduled
-// mid-protocol, with a scheduling yield injected into every fallback
-// body to force the worst interleavings deterministically rather than
-// waiting for the scheduler to find them.
+// TestOversubscribedDifferential is the oversubscription battery: the
+// TLE fallback — classic lock and helpable lock-free lock — exercised
+// with more threads than processors, so critical-section owners are
+// genuinely descheduled mid-protocol, with a scheduling yield injected
+// into every fallback body to force the worst interleavings
+// deterministically rather than waiting for the scheduler to find them.
 //
 // Every thread owns a disjoint contiguous key range and drives a
 // per-thread sequential model in lockstep: point-op return values and

@@ -246,8 +246,7 @@ type varsHist struct {
 	P999   uint64            `json:"p999_ns"`
 }
 
-// Vars is the /vars JSON snapshot shape, version-stamped with the same
-// schema number as the htmbench CSV/JSON rows.
+// Vars is the /vars JSON snapshot shape, stamped with SchemaVersion.
 type Vars struct {
 	Schema        int                    `json:"schema"`
 	UptimeSeconds float64                `json:"uptime_seconds"`

@@ -35,10 +35,9 @@ import (
 	"htmtree/internal/htm"
 )
 
-// SchemaVersion stamps every machine-readable export of this repository:
-// htmbench CSV/JSON rows and the /vars snapshot all carry it, so a
-// consumer can match a live scrape against a committed benchmark
-// baseline.
+// SchemaVersion stamps the machine-readable exports of this package
+// (the /vars snapshot and the /events dump), so a consumer can tell
+// which field set a scrape carries.
 const SchemaVersion = 2
 
 // Defaults for Config's zero values.

@@ -115,11 +115,6 @@ type Config struct {
 	// shards (default DefaultRQRetries). Ignored unless Atomic (or
 	// Rebalance, which implies it).
 	RQRetries int
-	// Gate overrides the quiesce-gate indicator installed in each
-	// shard's monitor (default: a fetch-and-increment counter; use
-	// engine.NewSNZIIndicator for the scalable variant). The factory is
-	// called once per shard. Ignored unless Atomic or Rebalance.
-	Gate func(i int) engine.Indicator
 	// New constructs the inner dictionary for shard i. Each call must
 	// return a fresh, independent instance. mon is non-nil exactly when
 	// Atomic or Rebalance is set, and must then be installed as the
@@ -284,11 +279,7 @@ func New(cfg Config) (*Dict, error) {
 	if cfg.Atomic || cfg.Rebalance != nil {
 		d.mons = make([]*engine.UpdateMonitor, n)
 		for i := range d.mons {
-			var gate engine.Indicator
-			if cfg.Gate != nil {
-				gate = cfg.Gate(i)
-			}
-			d.mons[i] = engine.NewUpdateMonitor(gate)
+			d.mons[i] = engine.NewUpdateMonitor(nil)
 			if cfg.Rebalance != nil {
 				// Migrations need Quiesce to mean "no update at all in
 				// flight"; plain Atomic dictionaries skip the in-flight

@@ -117,83 +117,3 @@ func TestRunAllAlgorithmsShort(t *testing.T) {
 		})
 	}
 }
-
-// TestBatchedUpdatersValidate runs a short batched-updater trial on a
-// sharded dictionary: the key-sum checksum must still balance (futures
-// report exact per-op results even though execution is reordered and
-// grouped), and the group-execution counters must show the batched
-// path was actually taken.
-func TestBatchedUpdatersValidate(t *testing.T) {
-	t.Parallel()
-	spec := Spec{Structure: "abtree", Algorithm: engine.AlgThreePath, Shards: 8, KeySpan: 4096}
-	res := Run(spec.New(), Config{
-		Threads:  4,
-		Duration: 50 * time.Millisecond,
-		KeyRange: 4096,
-		Kind:     Light,
-		Seed:     42,
-		BatchOps: 32,
-	})
-	if !res.KeySumOK {
-		t.Fatalf("batched trial failed key-sum validation: %+v", res)
-	}
-	if res.Batch.Ops == 0 || res.Batch.Groups == 0 {
-		t.Fatalf("batched trial never exercised group execution: %+v", res.Batch)
-	}
-	if res.UpdateOps == 0 {
-		t.Fatal("no updates completed")
-	}
-	// Sorted 32-op batches over 8 shards must amortize routing below
-	// one lookup per op.
-	if res.Batch.RouterLookups >= res.Batch.Ops {
-		t.Fatalf("no routing amortization: %d lookups for %d ops",
-			res.Batch.RouterLookups, res.Batch.Ops)
-	}
-}
-
-// TestRunMeasuresLatency checks the per-operation latency capture: with
-// MeasureLatency set, every update lands in Result.Latency and every
-// range query in Result.RQLatency, with exact counts (the capture path
-// is per-thread and merged once, so nothing is sampled or dropped) and
-// sane quantile ordering.
-func TestRunMeasuresLatency(t *testing.T) {
-	t.Parallel()
-	tr := bst.New(bst.Config{Algorithm: engine.AlgTLE})
-	res := Run(tr, Config{
-		Threads:        4,
-		Duration:       120 * time.Millisecond,
-		KeyRange:       2048,
-		RQSizeMax:      500,
-		Kind:           Heavy,
-		Seed:           9,
-		MeasureLatency: true,
-	})
-	if !res.KeySumOK {
-		t.Fatal("key-sum validation failed")
-	}
-	if res.Latency == nil || res.RQLatency == nil {
-		t.Fatal("latency histograms not populated")
-	}
-	if got := res.Latency.Count(); got != res.UpdateOps {
-		t.Fatalf("update latency count = %d, want %d (one sample per update)",
-			got, res.UpdateOps)
-	}
-	if got := res.RQLatency.Count(); got != res.RQOps {
-		t.Fatalf("RQ latency count = %d, want %d (one sample per range query)",
-			got, res.RQOps)
-	}
-	p50, p99 := res.Latency.Quantile(0.5), res.Latency.Quantile(0.99)
-	if p50 == 0 || p99 < p50 || res.Latency.Max() < p99 {
-		t.Fatalf("quantiles out of order: p50=%d p99=%d max=%d",
-			p50, p99, res.Latency.Max())
-	}
-
-	// Without the flag the histograms stay nil — no capture overhead.
-	res = Run(tr, Config{
-		Threads: 2, Duration: 40 * time.Millisecond, KeyRange: 256,
-		Kind: Light, Seed: 10,
-	})
-	if res.Latency != nil || res.RQLatency != nil {
-		t.Fatal("latency histograms allocated without MeasureLatency")
-	}
-}
