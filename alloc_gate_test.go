@@ -131,8 +131,8 @@ func TestAllocGateABTreeRebalancing(t *testing.T) {
 // unsharded tree must not allocate — the (a,b)-tree's transactional
 // descent uses handle-resident scratch, its LLX-walk fallback a
 // fixed-depth node stack, and the BST control reuses the handle's
-// retained range-query buffer. (Sharded RangeAgg fans out through
-// closures and is exempt; the gate covers the tree-level hot path.)
+// retained range-query buffer. (The sharded fan-out has its own gate,
+// TestAllocGateCrossShardReads.)
 func TestAllocGateAggregateQueries(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -167,6 +167,49 @@ func TestAllocGateAggregateQueries(t *testing.T) {
 			aggCycle()
 		}
 		gateCheck(t, tc.name+" aggregate queries", testing.AllocsPerRun(200, aggCycle))
+	}
+}
+
+// TestAllocGateCrossShardReads gates the atomic cross-shard fan-out: a
+// RangeQuery or RangeAgg whose window spans several shards of an
+// AtomicRangeQueries tree runs as pinned transactions out of per-handle
+// scratch (one clock snapshot per shard) and the inner handles' retained
+// range buffers, and must not allocate — however many of its attempts
+// fail. The window covers all eight shards.
+func TestAllocGateCrossShardReads(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(htmtree.Config) (*htmtree.Tree, error)
+	}{
+		{"sharded-bst", htmtree.NewShardedBST},
+		{"sharded-abtree", htmtree.NewShardedABTree},
+	} {
+		tree, err := tc.mk(htmtree.Config{ShardKeySpan: gateKeys + 1, AtomicRangeQueries: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := tree.NewHandle()
+		for i := uint64(0); i < gateKeys; i++ {
+			k := i*197%gateKeys + 1 // scrambled: keeps the BST shards shallow
+			h.Insert(k, k)
+		}
+		out := make([]htmtree.KV, 0, gateKeys)
+		read := func() {
+			if got := len(h.RangeQuery(1, gateKeys+1, out[:0])); got != gateKeys {
+				t.Fatalf("%s: RangeQuery returned %d pairs, want %d", tc.name, got, gateKeys)
+			}
+			if agg, err := h.RangeAgg(1, gateKeys+1); err != nil || agg.Count != gateKeys {
+				t.Fatalf("%s: RangeAgg = %+v, %v, want count %d", tc.name, agg, err, gateKeys)
+			}
+		}
+		for i := 0; i < gateWarmups; i++ {
+			read()
+		}
+		before := tree.Stats().Range
+		gateCheck(t, tc.name+" cross-shard RangeQuery+RangeAgg", testing.AllocsPerRun(200, read))
+		if st := tree.Stats().Range; st.Attempts-before.Attempts < 400 {
+			t.Errorf("%s: %d cross-shard read attempts in 200 runs, the gate measured nothing", tc.name, st.Attempts-before.Attempts)
+		}
 	}
 }
 

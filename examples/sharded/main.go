@@ -79,6 +79,6 @@ func main() {
 		st.Ops.Fast, st.Ops.Middle, st.Ops.Fallback)
 	fmt.Printf("aggregate transactions: %d commits, %d aborts (fast path)\n",
 		st.TxCommits.Fast, st.TxAborts.Fast)
-	fmt.Printf("atomic cross-shard reads: %d attempts, %d retries, %d escalations\n",
-		st.Range.Attempts, st.Range.Retries, st.Range.Escalations)
+	fmt.Printf("atomic cross-shard reads: %d attempts (%d pinned), %d retries, %d escalations\n",
+		st.Range.Attempts, st.Range.Pinned, st.Range.Retries, st.Range.Escalations)
 }

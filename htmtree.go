@@ -240,19 +240,26 @@ type Config struct {
 	// recent operations (default 1.5). Values in (0, 1] force a
 	// migration on every evaluation — useful in tests.
 	RebalanceRatio float64
-	// AtomicRangeQueries makes RangeQuery and KeySum on a sharded tree
-	// atomic across shards: every shard carries a version/epoch monitor
-	// that updaters advance exactly at operation commit, and a
-	// multi-shard read validates that no shard's version moved while it
-	// ran, retrying (and, after RQRetries attempts, briefly quiescing
-	// the overlapping shards) otherwise. Without it, a cross-shard read
-	// observes each shard at a possibly different point in time.
-	// Ignored by unsharded trees, whose reads are single operations and
-	// already atomic.
+	// AtomicRangeQueries makes RangeQuery, RangeAgg and KeySum on a
+	// sharded tree atomic across shards. A range or aggregate query that
+	// spans shards pins one snapshot per shard — every shard's
+	// transactional-memory clock, read at a single instant — and runs
+	// each shard's part once, as a read-only transaction at that
+	// snapshot, so what fails an attempt is a write to something the
+	// query reads, as for a query inside one tree. Where that cannot
+	// serve — KeySum, RouterAdaptive, the NonHTM and SCXHTM algorithms,
+	// TMBackendTLELock, a scan beyond ReadCapacity — the read instead
+	// samples a version monitor every shard carries, which updaters
+	// advance exactly at operation commit, and validates after reading
+	// that no shard's moved. Either way a failed attempt is retried and,
+	// after RQRetries attempts, the read briefly quiesces the overlapping
+	// shards. Without the option, a cross-shard read observes each shard
+	// at a possibly different point in time. Ignored by unsharded trees,
+	// whose reads are single operations and already atomic.
 	AtomicRangeQueries bool
-	// RQRetries bounds the optimistic validation attempts of an atomic
-	// cross-shard read before it escalates to quiescing the overlapping
-	// shards (default 8). Ignored unless AtomicRangeQueries.
+	// RQRetries bounds the optimistic attempts (pinned or validated) of
+	// an atomic cross-shard read before it escalates to quiescing the
+	// overlapping shards (default 8). Ignored unless AtomicRangeQueries.
 	RQRetries int
 
 	// BatchMaxOps is the buffer size at which an asynchronous handle
@@ -973,11 +980,13 @@ func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
 
 // RangeQueryStats counts the outcomes of atomic cross-shard reads.
 type RangeQueryStats struct {
-	// Attempts counts validated snapshot attempts (including the
-	// successful final attempt of every read), Retries the attempts
-	// invalidated by concurrent updates, and Escalations the reads that
-	// exhausted the optimistic budget and briefly quiesced their shards.
-	Attempts, Retries, Escalations uint64
+	// Attempts counts snapshot attempts (including the successful final
+	// attempt of every read), Retries the attempts invalidated by
+	// concurrent updates, and Escalations the reads that exhausted the
+	// optimistic budget and briefly quiesced their shards. Pinned is how
+	// many of the attempts ran as pinned transactions; the rest sampled
+	// and validated the shards' monitors (see AtomicRangeQueries).
+	Attempts, Retries, Escalations, Pinned uint64
 }
 
 // BatchStats counts batched/asynchronous execution activity. The
@@ -1123,6 +1132,7 @@ func (t *Tree) Stats() Stats {
 			Attempts:    rs.Attempts,
 			Retries:     rs.Retries,
 			Escalations: rs.Escalations,
+			Pinned:      rs.Pinned,
 		}
 		rb := sd.RebalanceStats()
 		s.Rebalance = RebalanceStats{

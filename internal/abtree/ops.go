@@ -165,6 +165,39 @@ func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	return append(out, h.rqOut...)
 }
 
+// Pinned reads (dict.PinnedReader): the range and aggregate queries' own
+// engine ops, each run as one first-path transaction at a snapshot of
+// the tree's clock the caller read earlier (engine.Thread.RunAt). The
+// aggregate query answers from the subtree aggregates inside that
+// transaction, as its fast path always does.
+
+var _ dict.PinnedReader = (*Handle)(nil)
+
+func (h *Handle) Pinnable() bool   { return h.e.CanPin() }
+func (h *Handle) PinEnter()        { h.e.EnterReclaim() }
+func (h *Handle) PinExit()         { h.e.ExitReclaim() }
+func (h *Handle) PinClock() uint64 { return h.clk.Now() }
+
+func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
+	h.argLo, h.argHi = lo, hi
+	h.rqOut = h.rqOut[:0]
+	st := h.e.RunAt(&h.rqOp, rv)
+	if st != dict.PinCommitted {
+		return out, st
+	}
+	return append(out, h.rqOut...), st
+}
+
+func (h *Handle) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
+	h.argLo, h.argHi = lo, hi
+	st := h.e.RunAt(&h.aggOp, rv)
+	if st != dict.PinCommitted {
+		return dict.Agg{}, st
+	}
+	h.t.aggFastQ.Add(1)
+	return h.resAgg, st
+}
+
 func checkKey(key uint64) {
 	if key > dict.MaxKey {
 		panic(fmt.Sprintf("abtree: key %d exceeds dict.MaxKey", key))

@@ -120,13 +120,18 @@ func (h *Handle) Search(key uint64) (uint64, bool) {
 // RangeQuery appends all pairs with lo <= key < hi to out in ascending
 // key order.
 func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
+	h.setRange(lo, hi)
+	h.e.Run(h.rqOp)
+	return append(out, h.rqOut...)
+}
+
+// setRange stores a range query's arguments in the handle scratch.
+func (h *Handle) setRange(lo, hi uint64) {
 	if hi > dict.MaxKey+1 {
 		hi = dict.MaxKey + 1
 	}
 	h.argLo, h.argHi = lo, hi
 	h.rqOut = h.rqOut[:0]
-	h.e.Run(h.rqOp)
-	return append(out, h.rqOut...)
 }
 
 // RangeAgg returns the aggregate tuple of the keys in [lo, hi) by
@@ -136,12 +141,13 @@ func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 // maintained subtree aggregates). Steady-state queries reuse the
 // retained range buffer, so they stay allocation-free.
 func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	if hi > dict.MaxKey+1 {
-		hi = dict.MaxKey + 1
-	}
-	h.argLo, h.argHi = lo, hi
-	h.rqOut = h.rqOut[:0]
+	h.setRange(lo, hi)
 	h.e.Run(h.rqOp)
+	return h.foldRange(), nil
+}
+
+// foldRange folds the collected range into its aggregate tuple.
+func (h *Handle) foldRange() dict.Agg {
 	agg := dict.Agg{Min: ^uint64(0), Max: 0}
 	for _, p := range h.rqOut {
 		agg.Sum += p.Key
@@ -153,7 +159,40 @@ func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 			agg.Max = p.Key
 		}
 	}
-	return agg, nil
+	return agg
+}
+
+// Pinned reads (dict.PinnedReader): the range query's own engine op, run
+// as one first-path transaction at a snapshot of the tree's clock the
+// caller read earlier (engine.Thread.RunAt).
+
+var _ dict.PinnedReader = (*Handle)(nil)
+
+func (h *Handle) Pinnable() bool   { return h.e.CanPin() }
+func (h *Handle) PinEnter()        { h.e.EnterReclaim() }
+func (h *Handle) PinExit()         { h.e.ExitReclaim() }
+func (h *Handle) PinClock() uint64 { return h.clk.Now() }
+
+// rangeAt collects [lo, hi) as of snapshot rv into the handle scratch.
+func (h *Handle) rangeAt(rv, lo, hi uint64) dict.PinStatus {
+	h.setRange(lo, hi)
+	return h.e.RunAt(&h.rqOp, rv)
+}
+
+func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
+	st := h.rangeAt(rv, lo, hi)
+	if st != dict.PinCommitted {
+		return out, st
+	}
+	return append(out, h.rqOut...), st
+}
+
+func (h *Handle) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
+	st := h.rangeAt(rv, lo, hi)
+	if st != dict.PinCommitted {
+		return dict.Agg{}, st
+	}
+	return h.foldRange(), st
 }
 
 var _ dict.AggHandle = (*Handle)(nil)

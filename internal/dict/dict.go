@@ -48,6 +48,53 @@ type AggHandle interface {
 	RangeAgg(lo, hi uint64) (Agg, error)
 }
 
+// PinStatus is the outcome of one pinned read (PinnedReader).
+type PinStatus uint8
+
+const (
+	// PinCommitted: the read ran as one transaction at the pinned
+	// snapshot, and its result is the dictionary's state at that
+	// snapshot.
+	PinCommitted PinStatus = iota
+	// PinAborted: the transaction aborted — a cell it reached was written
+	// after the snapshot, or a software path it may not overlap was busy.
+	// The result is meaningless; an attempt at a fresh snapshot may commit.
+	PinAborted
+	// PinUnfit: the read does not fit a transaction here (its footprint
+	// exceeds the TM's capacity). Retrying pinned is pointless; the caller
+	// should read some other way.
+	PinUnfit
+)
+
+// PinnedReader is optionally implemented by handles of a dictionary that
+// can run a read as a single transaction at a snapshot of its version
+// clock the caller chose earlier. A reader holding one snapshot per
+// dictionary, all read at one instant, gets results that together are
+// the state of all of them at that instant — the sharded dictionary's
+// atomic cross-shard read. The protocol for one such read is PinEnter on
+// every handle involved, then PinClock on each, then the reads at the
+// values PinClock returned, then PinExit.
+type PinnedReader interface {
+	// Pinnable reports whether the handle serves pinned reads at all; it
+	// does not when its dictionary's algorithm has no transactional path
+	// a whole read runs on, or its TM chooses its own snapshots. The
+	// other methods must not be called on a handle that is not pinnable.
+	Pinnable() bool
+	// PinEnter enters, and PinExit leaves, the bracket that keeps every
+	// node reachable at a snapshot read inside it from being reused. It
+	// must be entered before PinClock and held across the reads.
+	PinEnter()
+	PinExit()
+	// PinClock returns the current value of the dictionary's version
+	// clock.
+	PinClock() uint64
+	// RangeQueryAt is Handle.RangeQuery as of snapshot rv. Unless the
+	// status is PinCommitted, out is returned unextended.
+	RangeQueryAt(rv, lo, hi uint64, out []KV) ([]KV, PinStatus)
+	// RangeAggAt is AggHandle.RangeAgg as of snapshot rv.
+	RangeAggAt(rv, lo, hi uint64) (Agg, PinStatus)
+}
+
 // Handle is a per-thread handle to a dictionary. A Handle must be used
 // by one goroutine at a time; create one per worker.
 type Handle interface {

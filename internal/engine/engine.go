@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"htmtree/internal/dict"
 	"htmtree/internal/ebr"
 	"htmtree/internal/fault"
 	"htmtree/internal/htm"
@@ -611,6 +612,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		}
 		op = th.PrepareOp(op) // no-op for ops prepared at construction
 	}
+	first := func(tx *htm.Tx) { th.firstBody(tx, &op) }
 	switch e.cfg.Algorithm {
 	case AlgNonHTM:
 		th.runFallbackLoop(op, nil, mon)
@@ -625,7 +627,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// fallback path, so no presence indicator is needed.
 		site := op.policySite(th)
 		if !th.skipFast(site) &&
-			th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false, nil, op.Middle) {
+			th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false, nil, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
@@ -638,13 +640,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// Wait for the fallback path to empty before each attempt (this
 		// waiting is the 2-path-ncon bottleneck the paper highlights).
 		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false,
-			func() { waitWhile(func() bool { return ind.Nonzero(nil) }) },
-			func(tx *htm.Tx) {
-				if ind.Nonzero(tx) {
-					tx.Abort(CodeFallbackBusy)
-				}
-				op.Fast(tx)
-			}) {
+			func() { waitWhile(func() bool { return ind.Nonzero(nil) }) }, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
@@ -659,14 +655,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// transaction cannot fit; hardware reports this via the "retry"
 		// hint bit being clear), immediately if the fallback path is
 		// busy, or after FastLimit attempts.
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, true,
-			nil,
-			func(tx *htm.Tx) {
-				if ind.Nonzero(tx) {
-					tx.Abort(CodeFallbackBusy)
-				}
-				op.Fast(tx)
-			}) {
+		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, true, nil, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
@@ -718,13 +707,7 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 		preWait = th.helpWait
 	}
 	if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false,
-		preWait,
-		func(tx *htm.Tx) {
-			if e.tle.Get(tx) != 0 {
-				tx.Abort(CodeLockHeld)
-			}
-			op.Fast(tx)
-		}) {
+		preWait, func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
 		th.completed(htm.PathFast)
 		return htm.PathFast
 	}
@@ -825,13 +808,7 @@ func (th *Thread) runPath(site *Site, path htm.PathKind, budget int, busyBreak b
 			}
 			return true
 		}
-		th.noteAbort(path, ab.Cause)
-		if so := th.obs; so != nil {
-			so.Event(obs.EvAbort, path, ab.Cause, site.id, uint64(ab.Code))
-		}
-		if ab.Cause == htm.CauseCapacity && path == htm.PathFast {
-			site.noteCapacity()
-		}
+		th.attemptFailed(site, path, ab)
 		if busyBreak && ab.Cause == htm.CauseExplicit && ab.Code == CodeFallbackBusy {
 			return false
 		}
@@ -855,6 +832,115 @@ func (th *Thread) runPath(site *Site, path htm.PathKind, budget int, busyBreak b
 		}
 	}
 	return false
+}
+
+// attemptFailed accounts for one failed transactional attempt: the
+// per-path abort counter, the flight recorder's abort event, and the
+// site's capacity memory.
+func (th *Thread) attemptFailed(site *Site, path htm.PathKind, ab htm.Abort) {
+	th.noteAbort(path, ab.Cause)
+	if so := th.obs; so != nil {
+		so.Event(obs.EvAbort, path, ab.Cause, site.id, uint64(ab.Code))
+	}
+	if ab.Cause == htm.CauseCapacity && path == htm.PathFast {
+		site.noteCapacity()
+	}
+}
+
+// firstBody is what one transaction on the algorithm's first path runs
+// for op: the subscription that keeps the transaction from overlapping a
+// software path it may not run beside — the fallback-presence indicator
+// for 3-path and 2-path-ncon, the global lock word for TLE — and then
+// the sequential body; for 2-path-con, whose first path runs beside its
+// fallback, the instrumented body. Thread.run's attempt loops and RunAt's
+// single pinned attempt both run exactly this.
+func (th *Thread) firstBody(tx *htm.Tx, op *Op) {
+	e := th.eng
+	switch e.cfg.Algorithm {
+	case AlgThreePath, AlgTwoPathNCon:
+		if e.cfg.Indicator.Nonzero(tx) {
+			tx.Abort(CodeFallbackBusy)
+		}
+		op.Fast(tx)
+	case AlgTLE:
+		if e.tle.Get(tx) != 0 {
+			tx.Abort(CodeLockHeld)
+		}
+		op.Fast(tx)
+	case AlgTwoPathConc:
+		op.Middle(tx)
+	default:
+		panic(fmt.Sprintf("engine: %v has no transactional first path", e.cfg.Algorithm))
+	}
+}
+
+// CanPin reports whether RunAt can serve this thread: the algorithm has
+// a first path that is one transaction (non-htm has no transaction at
+// all, scx-htm only inside its SCX), and the TM can begin an attempt at
+// a caller-supplied snapshot.
+func (th *Thread) CanPin() bool {
+	switch th.eng.cfg.Algorithm {
+	case AlgThreePath, AlgTwoPathNCon, AlgTLE, AlgTwoPathConc:
+		return th.H.TM().CanPin()
+	}
+	return false
+}
+
+// EnterReclaim and ExitReclaim open and close the reclamation bracket
+// Run holds around every operation, for a caller that makes RunAt
+// attempts: the bracket must be entered before the snapshot the attempts
+// are pinned at is read, so that every node reachable at the snapshot
+// outlives them.
+func (th *Thread) EnterReclaim() {
+	if th.rec != nil {
+		th.rec.Begin()
+	}
+}
+
+// ExitReclaim closes the bracket EnterReclaim opened.
+func (th *Thread) ExitReclaim() {
+	if th.rec != nil {
+		th.rec.End()
+	}
+}
+
+// RunAt makes one attempt at the read-only op on the algorithm's first
+// transactional path, with the transaction's snapshot pinned at rv — a
+// value of the TM's clock read inside the caller's EnterReclaim bracket.
+// It is Run's fast path without Run's policy: no waiting for a busy
+// software path, no retry, no later path; what a retry is, is the
+// caller's decision. An attempt that commits completed the operation as
+// of rv and counts as a fast-path completion. One that aborts is
+// accounted like any failed attempt (attemptFailed) and reports
+// dict.PinAborted — or dict.PinUnfit when the cause was capacity, which
+// no retry cures. A site whose capacity memory says the footprint will
+// not fit is not attempted at all, as Run would skip its fast path.
+//
+// It exists for readers that hold snapshots of several engines' TMs
+// taken at one instant (internal/shard); CanPin says whether the thread
+// supports it.
+func (th *Thread) RunAt(op *Op, rv uint64) dict.PinStatus {
+	if op.Update {
+		panic("engine: RunAt of an update operation")
+	}
+	site := op.policySite(th)
+	if th.skipFast(site) {
+		return dict.PinUnfit
+	}
+	ok, ab := th.H.AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) { th.firstBody(tx, op) })
+	if !ok {
+		th.attemptFailed(site, htm.PathFast, ab)
+		if ab.Cause == htm.CauseCapacity {
+			return dict.PinUnfit
+		}
+		return dict.PinAborted
+	}
+	site.noteFastCommit()
+	th.completed(htm.PathFast)
+	if so := th.obs; so != nil {
+		so.Event(obs.EvOp, htm.PathFast, htm.CauseNone, 0, 0)
+	}
+	return dict.PinCommitted
 }
 
 // runFallbackLoop runs the lock-free fallback body to completion,

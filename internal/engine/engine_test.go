@@ -4,7 +4,9 @@ import (
 	"sync"
 	"testing"
 
+	"htmtree/internal/dict"
 	"htmtree/internal/htm"
+	"htmtree/internal/obs"
 )
 
 // counterOp builds an Op whose every body increments the shared cell c,
@@ -265,5 +267,125 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 	if _, ok := ParseAlgorithm("nope"); ok {
 		t.Fatal("ParseAlgorithm accepted an unknown name")
+	}
+}
+
+// readOp builds a read-only Op whose transactional bodies read every
+// cell into *sum.
+func readOp(cells []htm.Word, sum *uint64) Op {
+	read := func(tx *htm.Tx) {
+		*sum = 0
+		for i := range cells {
+			*sum += cells[i].Get(tx)
+		}
+	}
+	return Op{Site: NewSite(), Fast: read, Middle: read,
+		Fallback: func() bool { read(nil); return true }, Locked: func() { read(nil) },
+		SCXHTM: func(bool) bool { read(nil); return true }}
+}
+
+// TestPinnedAttemptRunsTheFirstPath: RunAt runs, once, exactly what the
+// algorithm's first path runs — so a pinned read is kept off a busy
+// software path by the same subscription as any fast-path transaction,
+// commits as a fast-path completion, and is refused (CanPin) where the
+// first path is not one transaction or the TM picks its own snapshots.
+func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
+	t.Parallel()
+	for _, alg := range Algorithms {
+		alg := alg
+		t.Run(alg.String(), func(t *testing.T) {
+			t.Parallel()
+			tm := htm.New(htm.Config{})
+			e := New(Config{Algorithm: alg}, tm.Clock())
+			th := e.NewThread(tm.NewThread())
+			if want := alg != AlgNonHTM && alg != AlgSCXHTM; th.CanPin() != want {
+				t.Fatalf("CanPin = %v, want %v", th.CanPin(), want)
+			}
+			if !th.CanPin() {
+				return
+			}
+			cells := make([]htm.Word, 4)
+			for i := range cells {
+				cells[i].Bind(tm.Clock())
+				cells[i].Set(nil, 1)
+			}
+			var sum uint64
+			op := readOp(cells, &sum)
+			rv := tm.ClockValue()
+			if st := th.RunAt(&op, rv); st != dict.PinCommitted || sum != 4 {
+				t.Fatalf("quiet pinned read: status %v sum %d, want committed, 4", st, sum)
+			}
+			cells[3].Set(nil, 2)
+			if st := th.RunAt(&op, rv); st != dict.PinAborted {
+				t.Fatalf("pinned read of a cell written after rv: status %v, want aborted", st)
+			}
+			s := e.Stats()
+			if s.Fast != 1 || s.Aborts.On(htm.PathFast, htm.CauseConflict) != 1 {
+				t.Fatalf("engine stats %+v, want 1 fast completion and 1 fast conflict abort", s)
+			}
+			// Occupy the software path the algorithm's first path must
+			// not overlap; 2-path-con's first path runs beside its
+			// fallback and has nothing to subscribe to.
+			switch alg {
+			case AlgThreePath, AlgTwoPathNCon:
+				defer e.cfg.Indicator.Arrive()()
+			case AlgTLE:
+				e.tle.Set(nil, 1)
+			default:
+				return
+			}
+			if st := th.RunAt(&op, tm.ClockValue()); st != dict.PinAborted {
+				t.Fatalf("pinned read beside a busy software path: status %v, want aborted", st)
+			}
+			if got := th.H.Stats().Aborts[htm.PathFast][htm.CauseExplicit]; got != 1 {
+				t.Fatalf("explicit aborts = %d, want 1 (the subscription)", got)
+			}
+		})
+	}
+	lock := htm.New(htm.Config{Backend: htm.BackendTLELock})
+	if New(Config{Algorithm: AlgThreePath}, lock.Clock()).NewThread(lock.NewThread()).CanPin() {
+		t.Fatal("CanPin on a TM that establishes its own snapshots")
+	}
+}
+
+// TestPinnedAttemptAccounting: a pinned attempt that fails leaves what a
+// failed attempt of Run's loops leaves — the TM's and the engine's abort
+// counters by cause, an abort event in the flight recorder, and, for a
+// capacity abort, the site's capacity memory, which then answers
+// PinUnfit without starting a transaction.
+func TestPinnedAttemptAccounting(t *testing.T) {
+	t.Parallel()
+	o := obs.New(obs.Config{EventSample: 1})
+	tm := htm.New(htm.Config{ReadCapacity: 4})
+	e := New(Config{Algorithm: AlgThreePath, Obs: o.Node()}, tm.Clock())
+	th := e.NewThread(tm.NewThread())
+	cells := make([]htm.Word, 8)
+	var sum uint64
+	op := readOp(cells, &sum)
+	const tries = 32
+	for i := 0; i < tries; i++ {
+		if st := th.RunAt(&op, tm.ClockValue()); st != dict.PinUnfit {
+			t.Fatalf("attempt %d: status %v, want unfit", i, st)
+		}
+	}
+	s := e.Stats()
+	aborted := s.Aborts.On(htm.PathFast, htm.CauseCapacity)
+	if aborted < capScoreSkip || aborted+s.Policy.Demotions != tries || s.Policy.Demotions == 0 {
+		t.Fatalf("%d capacity aborts + %d demotions in %d tries: the site's capacity memory is not consulted", aborted, s.Policy.Demotions, tries)
+	}
+	if got := tm.Stats().Aborts[htm.PathFast][htm.CauseCapacity]; got != aborted {
+		t.Fatalf("htm counts %d capacity aborts, the engine %d", got, aborted)
+	}
+	var events uint64
+	for _, ev := range o.Events() {
+		if ev.Kind == obs.EvAbort && ev.Cause == htm.CauseCapacity && ev.A == op.Site.id {
+			events++
+		}
+	}
+	if events != aborted {
+		t.Fatalf("%d abort events for %d aborts", events, aborted)
+	}
+	if s.Total() != 0 {
+		t.Fatalf("failed pinned attempts completed %d operations", s.Total())
 	}
 }

@@ -205,6 +205,11 @@ func (tm *TM) Clock() *Clock { return &tm.clock }
 // (exported for tests and diagnostics).
 func (tm *TM) ClockValue() uint64 { return tm.clock.Now() }
 
+// CanPin reports whether this TM's threads can begin an attempt at a
+// caller-supplied snapshot (Thread.AtomicAt): true on the built-in
+// simulator only.
+func (tm *TM) CanPin() bool { return tm.sim }
+
 // NewThread registers and returns a new thread context. Each Thread must
 // be used by a single goroutine at a time.
 func (tm *TM) NewThread() *Thread {

@@ -1,0 +1,202 @@
+package htm
+
+import (
+	"sync"
+	"testing"
+)
+
+// TestPinnedReadsTheSnapshot: an attempt begun with AtomicAt at a value
+// rv the clock held earlier sees every cell as it was when the clock
+// read rv — the old value of a cell not written since — and aborts with
+// CauseConflict on a cell written later, by a transaction or outside
+// one. It never returns the later value.
+func TestPinnedReadsTheSnapshot(t *testing.T) {
+	t.Parallel()
+	tm := New(Config{})
+	th, writer := tm.NewThread(), tm.NewThread()
+	var still, txWritten, plainWritten Word
+	var pair Pair
+	for _, c := range []*Word{&still, &txWritten, &plainWritten} {
+		c.Bind(tm.Clock())
+		c.Set(nil, 1)
+	}
+	pair.Bind(tm.Clock())
+	pair.Set(nil, 1, 1)
+
+	rv := tm.ClockValue()
+	if ok, _ := writer.Atomic(PathFast, func(tx *Tx) { txWritten.Set(tx, 2) }); !ok {
+		t.Fatal("writer aborted")
+	}
+	plainWritten.Set(nil, 2)
+	pair.Add(1, 1)
+
+	ok, _ := th.AtomicAt(PathFast, rv, func(tx *Tx) {
+		if got := still.Get(tx); got != 1 {
+			t.Errorf("unwritten cell reads %d at the snapshot, want 1", got)
+		}
+	})
+	if !ok {
+		t.Fatal("a pinned read of cells unwritten since the snapshot aborted")
+	}
+	for name, read := range map[string]func(tx *Tx) uint64{
+		"transactional write": txWritten.Get,
+		"plain write":         plainWritten.Get,
+		"stable read":         plainWritten.GetStable,
+		"pair add":            func(tx *Tx) uint64 { a, _ := pair.Get(tx); return a },
+	} {
+		ok, ab := th.AtomicAt(PathFast, rv, func(tx *Tx) {
+			_ = still.Get(tx)
+			t.Errorf("%s: pinned reader got %d from a cell written after its snapshot", name, read(tx))
+		})
+		if ok || ab.Cause != CauseConflict {
+			t.Errorf("%s: ok=%v abort=%+v, want a conflict abort", name, ok, ab)
+		}
+	}
+	st := th.Stats()
+	if st.Commits[PathFast] != 1 || st.Aborts[PathFast][CauseConflict] != 4 {
+		t.Errorf("pinned attempts are not in the thread's statistics: %+v", st)
+	}
+	// A snapshot taken now sees the new values.
+	if ok, _ := th.AtomicAt(PathFast, tm.ClockValue(), func(tx *Tx) {
+		if a, b := txWritten.Get(tx), plainWritten.Get(tx); a != 2 || b != 2 {
+			t.Errorf("fresh pinned reader got %d, %d, want 2, 2", a, b)
+		}
+	}); !ok {
+		t.Fatal("fresh pinned reader aborted")
+	}
+}
+
+// TestPinnedReaderAbortsOnRecycledNode is TestRecycleAbortsStaleReader
+// for a snapshot pinned before the attempt starts: a pooled node that
+// was reachable at rv, then unlinked and recycled for a new key before
+// the pinned reader reaches it, aborts the reader. Recycle stamps a cell
+// with the clock's current value, which the unlinking commit has moved
+// past rv — so how stale rv is does not matter, only that the node was
+// still linked when it was read.
+func TestPinnedReaderAbortsOnRecycledNode(t *testing.T) {
+	t.Parallel()
+	type node struct{ key Word }
+	tm := New(Config{})
+	th, writer := tm.NewThread(), tm.NewThread()
+	var link Ref[node]
+	link.Bind(tm.Clock())
+	n := &node{}
+	n.key.Bind(tm.Clock())
+	n.key.Init(7)
+	link.Set(nil, n)
+
+	rv := tm.ClockValue()
+	ok, ab := th.AtomicAt(PathFast, rv, func(tx *Tx) {
+		held := link.Get(tx) // reachable at rv
+		// A fast-path delete unlinks the node and its handle reuses it at
+		// once for another key.
+		if ok, _ := writer.Atomic(PathFast, func(wtx *Tx) { link.Set(wtx, nil) }); !ok {
+			t.Error("unlinking commit aborted")
+		}
+		held.key.Recycle(99)
+		t.Errorf("pinned reader got key %d from a recycled node", held.key.GetStable(tx))
+	})
+	if ok || ab.Cause != CauseConflict {
+		t.Fatalf("ok=%v abort=%+v, want a conflict abort", ok, ab)
+	}
+	// Pinned before the unlink but started after the recycle: the reader
+	// never reaches the node, because the link it would follow has moved.
+	ok, ab = th.AtomicAt(PathFast, rv, func(tx *Tx) {
+		if got := link.Get(tx); got != nil {
+			t.Errorf("pinned reader followed a link written after its snapshot to key %d", got.key.GetStable(tx))
+		}
+	})
+	if ok || ab.Cause != CauseConflict {
+		t.Fatalf("ok=%v abort=%+v, want a conflict abort", ok, ab)
+	}
+}
+
+// TestPinnedNeedsTheSimulator: only the simulator can begin at a foreign
+// snapshot; a TM on another backend says so (CanPin) and AtomicAt on it,
+// or with a value its clock never held, is a caller bug.
+func TestPinnedNeedsTheSimulator(t *testing.T) {
+	t.Parallel()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", name)
+			}
+		}()
+		f()
+	}
+	sim := New(Config{})
+	if !sim.CanPin() {
+		t.Error("the simulator reports it cannot pin")
+	}
+	mustPanic("a snapshot ahead of the clock", func() {
+		sim.NewThread().AtomicAt(PathFast, sim.ClockValue()+1, func(*Tx) {})
+	})
+	lock := New(Config{Backend: BackendTLELock})
+	if lock.CanPin() {
+		t.Error("the tle-lock backend reports it can pin")
+	}
+	mustPanic("AtomicAt on the tle-lock backend", func() {
+		lock.NewThread().AtomicAt(PathFast, 0, func(*Tx) {})
+	})
+}
+
+// TestPinnedCutAcrossTwoClocks is the cross-shard protocol in miniature:
+// two TMs, a writer that increments a counter in the first and then the
+// same counter in the second, and a reader that pins both clocks at one
+// instant — read the first, read the second, re-read the first — and
+// reads each counter in its own pinned transaction. Whatever it commits
+// must be a state the pair passed through: second ≤ first ≤ second + 1.
+func TestPinnedCutAcrossTwoClocks(t *testing.T) {
+	t.Parallel()
+	tms := [2]*TM{New(Config{}), New(Config{})}
+	var ctr [2]Word
+	for i := range ctr {
+		ctr[i].Bind(tms[i].Clock())
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ths := [2]*Thread{tms[0].NewThread(), tms[1].NewThread()}
+		for n := uint64(1); ; n++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i := range ths {
+				for {
+					if ok, _ := ths[i].Atomic(PathFast, func(tx *Tx) { ctr[i].Set(tx, n) }); ok {
+						break
+					}
+				}
+			}
+		}
+	}()
+	ths := [2]*Thread{tms[0].NewThread(), tms[1].NewThread()}
+	cuts := 0
+	for try := 0; try < 200000 && cuts < 2000; try++ {
+		rv0 := tms[0].ClockValue()
+		rv1 := tms[1].ClockValue()
+		if tms[0].ClockValue() != rv0 {
+			continue
+		}
+		var got [2]uint64
+		ok0, _ := ths[0].AtomicAt(PathFast, rv0, func(tx *Tx) { got[0] = ctr[0].Get(tx) })
+		ok1, _ := ths[1].AtomicAt(PathFast, rv1, func(tx *Tx) { got[1] = ctr[1].Get(tx) })
+		if !ok0 || !ok1 {
+			continue
+		}
+		cuts++
+		if got[1] > got[0] || got[0] > got[1]+1 {
+			t.Fatalf("pinned cut (%d, %d) is no state the counters passed through", got[0], got[1])
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if cuts == 0 {
+		t.Fatal("no pinned cut ever committed")
+	}
+}

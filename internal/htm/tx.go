@@ -629,6 +629,47 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 	return false, Abort{Cause: cause, Code: code}
 }
 
+// AtomicAt is Atomic with the attempt's snapshot chosen by the caller: rv
+// is a value the caller read from this TM's clock (TM.ClockValue)
+// earlier, and the attempt behaves exactly as if it had begun at that
+// moment — it sees the cells as they were when the clock read rv, and
+// aborts with CauseConflict on any cell written since. That is what lets
+// one reader hold transactions of several TMs at snapshots taken at a
+// single instant (internal/shard's pinned cross-shard read): each TM has
+// its own clock, so no one transaction can span them, but a snapshot of
+// each clock, once read, stays valid for as long as the reader likes.
+//
+// Two things are the caller's to guarantee. Whatever keeps memory the
+// attempt may reach from being reused (the engine's reclamation bracket)
+// must already hold when rv is read, just as it holds before Atomic's own
+// begin. And only the simulator can begin at a foreign snapshot — any
+// other Backend establishes its own in Begin — so callers ask TM.CanPin
+// first; AtomicAt on another backend, or with a value the clock has not
+// reached, panics.
+func (th *Thread) AtomicAt(path PathKind, rv uint64, fn func(tx *Tx)) (bool, Abort) {
+	tx := &th.tx
+	if !tx.sim {
+		panic("htm: AtomicAt on a backend that establishes its own snapshots (see TM.CanPin)")
+	}
+	if th.inTx {
+		panic("htm: nested transaction")
+	}
+	if rv > tx.clk.Now() {
+		panic("htm: AtomicAt snapshot is ahead of the TM's clock (a value of another TM's clock?)")
+	}
+	th.inTx = true
+	tx.reset(path)
+	tx.rv = rv
+	cause, code := th.runTx(tx, fn)
+	th.inTx = false
+	if cause == CauseNone {
+		atomic.AddUint64(&th.stats.Commits[path], 1)
+		return true, Abort{}
+	}
+	atomic.AddUint64(&th.stats.Aborts[path][cause], 1)
+	return false, Abort{Cause: cause, Code: code}
+}
+
 // runTx executes fn and commit, translating abort panics into a cause.
 func (th *Thread) runTx(tx *Tx, fn func(tx *Tx)) (cause AbortCause, code uint8) {
 	defer func() {

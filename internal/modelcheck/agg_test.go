@@ -3,7 +3,6 @@ package modelcheck
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"htmtree"
@@ -259,75 +258,13 @@ func checkFullAgg(a htmtree.Agg) error {
 // token walker) but reads with RangeAgg instead of RangeQuery: unlike
 // a torn range query, a torn aggregate leaves no per-key output to
 // cross-check, so the checks here are closed-form invariants every
-// consistent cut must satisfy. The dictionary is a sharded (a,b)-tree,
-// so the merged per-shard tuples come from the O(log n) aggregate
-// descent under concurrent updates — and, for RouterAdaptive, under
-// continuously forced boundary migrations.
-func runAggAtomicityHarness(t *testing.T, router htmtree.RouterKind, algorithm htmtree.Algorithm, helpable bool, iters int) []error {
+// consistent cut must satisfy. On a sharded (a,b)-tree the merged
+// per-shard tuples come from the O(log n) aggregate descent under
+// concurrent updates; on the sharded BST each shard walks its range.
+func runAggAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
 	t.Helper()
-	cfg := htmtree.Config{
-		Algorithm:          algorithm,
-		Shards:             8,
-		ShardKeySpan:       atomicSpan,
-		Router:             router,
-		AtomicRangeQueries: true,
-		HelpableFallback:   helpable,
-	}
-	if router == htmtree.RouterAdaptive {
-		cfg.RebalanceCheckOps = 64
-		cfg.RebalanceRatio = 0.01 // migrate on any imbalance
-	}
-	tree, err := htmtree.NewShardedABTree(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	ready := make([]chan struct{}, numRR+1)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
-	for w := 0; w < numRR; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			h := tree.NewHandle()
-			var s uint64
-			for s = 1; s <= rrKeys; s++ { // warmup: every key present
-				h.Insert(rrKey(w, s), s)
-			}
-			close(ready[w])
-			for s = rrKeys + 1; ; s++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Insert(rrKey(w, s), s)
-			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		h := tree.NewHandle()
-		h.Insert(ringKey(0), ringKey(0))
-		close(ready[numRR])
-		for j := 0; ; j = (j + 1) % ringSize {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			next := (j + 1) % ringSize
-			h.Insert(ringKey(next), ringKey(next))
-			h.Delete(ringKey(j))
-		}
-	}()
-	for _, ch := range ready {
-		<-ch
-	}
+	tree := c.build(t)
+	stop := startAtomicityWriters(tree)
 
 	var violations []error
 	record := func(err error) {
@@ -336,6 +273,8 @@ func runAggAtomicityHarness(t *testing.T, router htmtree.RouterKind, algorithm h
 		}
 	}
 	h := tree.NewHandle()
+	meter := pinMeter{tree: tree}
+	meter.begin()
 	rng := rand.New(rand.NewSource(0xa66b1c))
 	for i := 0; i < iters; i++ {
 		// Full-span aggregate: every writer's region plus the ring.
@@ -366,56 +305,34 @@ func runAggAtomicityHarness(t *testing.T, router htmtree.RouterKind, algorithm h
 			record(fmt.Errorf("agg[%d,%d) = %+v, want %+v (all round-robin keys are permanently present)", lo, hi, a, want))
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if router == htmtree.RouterAdaptive {
-		st := tree.Stats().Rebalance
-		if st.Migrations == 0 {
-			t.Errorf("adaptive harness performed no migrations: aggregate reads were never raced against a boundary move (%+v)", st)
-		} else {
-			t.Logf("adaptive: %d migrations (%d keys) concurrent with aggregate reads", st.Migrations, st.KeysMoved)
-		}
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Errorf("post-run invariants: %v", err)
-	}
+	meter.end()
+	stop()
+	meter.check(t, c.pins)
+	afterAtomicityRun(t, c, tree)
 	return violations
 }
 
 // TestCrossShardAggregateAtomicity runs concurrent updaters against
-// cross-shard aggregate queries for every shard router: every merged
-// tuple must be a consistent cut of the writers' sequential histories.
-// The adaptive variant forces live boundary migrations under the
-// readers; a tle-helpable variant routes the updates through announced
-// fallback descriptors, so helped SCX swings (and their exactly-once
-// aggregate fixups) race the aggregate readers too.
+// cross-shard aggregate queries: every merged tuple must be a consistent
+// cut of the writers' sequential histories. RangeAgg shares RangeQuery's
+// protocol, so the cases mirror TestCrossShardRangeQueryAtomicity's and
+// assert the same split between pinned transactions and sampling. The
+// adaptive variant forces live boundary migrations under the readers; a
+// tle-helpable variant routes the updates through announced fallback
+// descriptors, so helped SCX swings (and their exactly-once aggregate
+// fixups) race the aggregate readers too.
 func TestCrossShardAggregateAtomicity(t *testing.T) {
 	t.Parallel()
-	variants := []struct {
-		name      string
-		router    htmtree.RouterKind
-		algorithm htmtree.Algorithm
-		helpable  bool
-	}{
-		{"range", htmtree.RouterRange, htmtree.ThreePath, false},
-		{"hash", htmtree.RouterHash, htmtree.ThreePath, false},
-		{"adaptive", htmtree.RouterAdaptive, htmtree.ThreePath, false},
-		{"tle-helpable", htmtree.RouterAdaptive, htmtree.TLE, true},
-	}
-	for _, v := range variants {
-		v := v
-		t.Run(v.name, func(t *testing.T) {
-			t.Parallel()
-			iters := 400
-			if testing.Short() {
-				iters = 80
-			}
-			if vs := runAggAtomicityHarness(t, v.router, v.algorithm, v.helpable, iters); len(vs) > 0 {
-				for _, err := range vs {
-					t.Error(err)
-				}
-				t.Fatalf("%d cross-shard aggregate atomicity violations", len(vs))
-			}
-		})
-	}
+	runAtomicityCases(t, "aggregate", []atomicityCase{
+		{name: "range", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
+		{name: "hash", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterHash}},
+		{name: "adaptive", abtree: true, pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
+		{name: "tle-helpable", abtree: true, pins: pinNone, cfg: htmtree.Config{
+			Router: htmtree.RouterAdaptive, Algorithm: htmtree.TLE, HelpableFallback: true}},
+		{name: "tle-helpable-pinned", abtree: true, pins: pinAll, cfg: htmtree.Config{
+			Algorithm: htmtree.TLE, HelpableFallback: true}},
+		{name: "bst", pins: pinAll},
+		{name: "small-capacity", abtree: true, pins: pinSome, cfg: htmtree.Config{ReadCapacity: smallReadCapacity}},
+		{name: "non-htm", abtree: true, pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.NonHTM}},
+	}, runAggAtomicityHarness)
 }

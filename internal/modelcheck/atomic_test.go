@@ -137,37 +137,60 @@ func checkRing(keys []uint64) error {
 	}
 }
 
-// runAtomicityHarness starts the writers, then runs iters reader
-// checks, returning the observed cross-shard atomicity violations.
-// router selects the shard routing policy; RouterAdaptive runs with
-// forcing knobs so boundary migrations fire continuously underneath
-// the checked atomic reads. The invariants are router-independent:
-// every consistent cut satisfies them regardless of which shard owns
-// which key at which moment.
-func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, iters int) []error {
+// pinShare is what a harness case expects of the cross-shard reads it
+// checks: every optimistic attempt a pinned transaction, none (the
+// dictionary or its trees cannot pin, so the reads sample and validate),
+// or some (the reads start pinned and are sent to sampling by capacity
+// aborts).
+type pinShare int
+
+const (
+	pinAll pinShare = iota
+	pinSome
+	pinNone
+)
+
+// atomicityCase is one configuration the cross-shard atomicity
+// harnesses run: an 8-shard tree over atomicSpan keys.
+type atomicityCase struct {
+	name   string
+	abtree bool // sharded (a,b)-tree instead of the sharded BST
+	pins   pinShare
+	torn   bool           // control: AtomicRangeQueries off
+	cfg    htmtree.Config // Algorithm (default 3-path), Router, capacity, backend, ...
+}
+
+func (c atomicityCase) build(t *testing.T) *htmtree.Tree {
 	t.Helper()
-	cfg := htmtree.Config{
-		Algorithm:          htmtree.ThreePath,
-		Shards:             8,
-		ShardKeySpan:       atomicSpan,
-		Router:             router,
-		AtomicRangeQueries: atomic,
+	cfg := c.cfg
+	cfg.Shards, cfg.ShardKeySpan, cfg.AtomicRangeQueries = 8, atomicSpan, !c.torn
+	if cfg.Algorithm == "" {
+		cfg.Algorithm = htmtree.ThreePath
 	}
-	if router == htmtree.RouterAdaptive {
+	if cfg.Router == htmtree.RouterAdaptive {
+		// Forcing knobs: boundary migrations fire continuously underneath
+		// the checked reads.
 		cfg.RebalanceCheckOps = 64
 		cfg.RebalanceRatio = 0.01 // migrate on any imbalance
 	}
-	tree, err := htmtree.NewShardedBST(cfg)
+	mk := htmtree.NewShardedBST
+	if c.abtree {
+		mk = htmtree.NewShardedABTree
+	}
+	tree, err := mk(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return tree
+}
 
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	ready := make([]chan struct{}, numRR+1)
-	for i := range ready {
-		ready[i] = make(chan struct{})
-	}
+// startAtomicityWriters starts the two round-robin writers and the ring
+// walker on tree and returns, once every writer has made its keys
+// present, the function that stops them.
+func startAtomicityWriters(tree *htmtree.Tree) (stop func()) {
+	done := make(chan struct{})
+	var wg, ready sync.WaitGroup
+	ready.Add(numRR + 1)
 	for w := 0; w < numRR; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -177,10 +200,10 @@ func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, i
 			for s = 1; s <= rrKeys; s++ { // warmup: every key present
 				h.Insert(rrKey(w, s), s)
 			}
-			close(ready[w])
+			ready.Done()
 			for s = rrKeys + 1; ; s++ {
 				select {
-				case <-stop:
+				case <-done:
 					return
 				default:
 				}
@@ -193,10 +216,10 @@ func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, i
 		defer wg.Done()
 		h := tree.NewHandle()
 		h.Insert(ringKey(0), ringKey(0))
-		close(ready[numRR])
+		ready.Done()
 		for j := 0; ; j = (j + 1) % ringSize {
 			select {
-			case <-stop:
+			case <-done:
 				return
 			default:
 			}
@@ -205,9 +228,76 @@ func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, i
 			h.Delete(ringKey(j))
 		}
 	}()
-	for _, ch := range ready {
-		<-ch
+	ready.Wait()
+	return func() { close(done); wg.Wait() }
+}
+
+// pinMeter accumulates the outcomes of the cross-shard reads made
+// between its begin and end calls.
+type pinMeter struct {
+	tree      *htmtree.Tree
+	from, sum htmtree.RangeQueryStats
+}
+
+func (m *pinMeter) begin() { m.from = m.tree.Stats().Range }
+func (m *pinMeter) end() {
+	st := m.tree.Stats().Range
+	m.sum.Attempts += st.Attempts - m.from.Attempts
+	m.sum.Pinned += st.Pinned - m.from.Pinned
+	m.sum.Escalations += st.Escalations - m.from.Escalations
+}
+
+// check fails the test unless the metered reads ran the protocol the
+// case expects — so a case meant to exercise pinned transactions cannot
+// pass by silently sampling and validating, or the other way round. A
+// read that escalates finishes under the gates by sampling, whatever it
+// was before: there each of the harness's numRR+1 writers can have one
+// update in flight to fail a sampled attempt, and the next succeeds.
+// Sampled attempts beyond that bound were sampled by choice.
+func (m *pinMeter) check(t *testing.T, want pinShare) {
+	t.Helper()
+	sampled := m.sum.Attempts - m.sum.Pinned
+	gated := (numRR + 2) * m.sum.Escalations
+	var ok bool
+	switch want {
+	case pinAll:
+		ok = m.sum.Pinned > 0 && sampled <= gated
+	case pinSome:
+		ok = m.sum.Pinned > 0 && sampled > gated
+	case pinNone:
+		ok = m.sum.Pinned == 0 && sampled > 0
 	}
+	if !ok {
+		t.Errorf("cross-shard reads %+v: want %s of the optimistic attempts pinned",
+			m.sum, [...]string{"all", "some but not all", "none"}[want])
+	}
+}
+
+// afterAtomicityRun checks what every harness run must leave behind.
+func afterAtomicityRun(t *testing.T, c atomicityCase, tree *htmtree.Tree) {
+	t.Helper()
+	if c.cfg.Router == htmtree.RouterAdaptive {
+		st := tree.Stats().Rebalance
+		if st.Migrations == 0 {
+			t.Errorf("adaptive harness performed no migrations: atomic reads were never raced against a boundary move (%+v)", st)
+		} else {
+			t.Logf("adaptive: %d migrations (%d keys) concurrent with atomic reads", st.Migrations, st.KeysMoved)
+		}
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Errorf("post-run invariants: %v", err)
+	}
+}
+
+// runAtomicityHarness starts the writers, then runs iters reader checks
+// of RangeQuery and KeySum, returning the observed cross-shard atomicity
+// violations. The invariants are independent of the configuration: every
+// consistent cut satisfies them regardless of which shard owns which key
+// at which moment and of how the read was made atomic.
+func runAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
+	t.Helper()
+	tree := c.build(t)
+	stop := startAtomicityWriters(tree)
 
 	var violations []error
 	record := func(err error) {
@@ -216,8 +306,10 @@ func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, i
 		}
 	}
 	h := tree.NewHandle()
+	meter := pinMeter{tree: tree}
 	rng := rand.New(rand.NewSource(0xa70b1c))
 	for i := 0; i < iters; i++ {
+		meter.begin()
 		// Full-span query: every writer's region plus the ring.
 		out := h.RangeQuery(1, atomicSpan+1, nil)
 		obs := make([]map[uint64]uint64, numRR)
@@ -252,6 +344,7 @@ func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, i
 		for w := 0; w < numRR; w++ {
 			record(checkRRWindow(w, lo, hi, pobs[w]))
 		}
+		meter.end()
 
 		// KeySum: the fixed writer regions plus 1 or 2 adjacent tokens.
 		if i%4 == 0 {
@@ -279,62 +372,81 @@ func runAtomicityHarness(t *testing.T, router htmtree.RouterKind, atomic bool, i
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
-	if router == htmtree.RouterAdaptive {
-		st := tree.Stats().Rebalance
-		if st.Migrations == 0 {
-			t.Errorf("adaptive harness performed no migrations: atomic reads were never raced against a boundary move (%+v)", st)
-		} else {
-			t.Logf("adaptive: %d migrations (%d keys) concurrent with atomic reads", st.Migrations, st.KeysMoved)
-		}
-		if err := tree.CheckInvariants(); err != nil {
-			t.Errorf("post-migration invariants: %v", err)
-		}
+	stop()
+	if !c.torn {
+		meter.check(t, c.pins)
 	}
+	afterAtomicityRun(t, c, tree)
 	return violations
 }
 
-// TestCrossShardRangeQueryAtomicity runs concurrent updaters against
-// cross-shard range queries and key sums with AtomicRangeQueries
-// enabled, for every shard router: every result must match some prefix
-// of the writers' sequential histories. The adaptive variant
-// additionally forces live boundary migrations under the readers — the
-// scenario the two-shard quiesce protocol must keep atomic. Running
-// the same harness with validation disabled (see
-// TestCrossShardTearingWithoutValidation) demonstrates the violations
-// the version scheme eliminates.
-func TestCrossShardRangeQueryAtomicity(t *testing.T) {
-	t.Parallel()
-	for _, router := range htmtree.RouterKinds() {
-		router := router
-		t.Run(string(router), func(t *testing.T) {
+// runAtomicityCases runs one harness over every case, in parallel.
+func runAtomicityCases(t *testing.T, what string, cases []atomicityCase, harness func(*testing.T, atomicityCase, int) []error) {
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			iters := 400
 			if testing.Short() {
 				iters = 80
 			}
-			if vs := runAtomicityHarness(t, router, true, iters); len(vs) > 0 {
+			if vs := harness(t, c, iters); len(vs) > 0 {
 				for _, v := range vs {
 					t.Error(v)
 				}
-				t.Fatalf("%d cross-shard atomicity violations with validation enabled", len(vs))
+				t.Fatalf("%d cross-shard %s atomicity violations", len(vs), what)
 			}
 		})
 	}
 }
 
+// smallReadCapacity is a transactional read capacity the point
+// operations of a 32-key shard fit and a scan of most of one does not.
+const smallReadCapacity = 32
+
+// TestCrossShardRangeQueryAtomicity runs concurrent updaters against
+// cross-shard range queries and key sums with AtomicRangeQueries
+// enabled: every result must match some prefix of the writers'
+// sequential histories. The cases cover both ways a read is made atomic
+// and what decides between them, and each asserts which one its range
+// queries took. Pinned transactions: every router that never moves a
+// key, both trees, every algorithm whose first path is one transaction.
+// Sampling and validating: the adaptive router — which additionally
+// forces live boundary migrations under the readers, the scenario the
+// two-shard quiesce protocol must keep atomic — the algorithms without
+// such a path, a TM backend that picks its own snapshots, and scans that
+// overflow the transactional read capacity, which start pinned and must
+// leave. KeySum samples and validates everywhere. Running the same
+// harness with atomicity off (TestCrossShardTearingWithoutValidation)
+// demonstrates the violations either protocol eliminates.
+func TestCrossShardRangeQueryAtomicity(t *testing.T) {
+	t.Parallel()
+	runAtomicityCases(t, "range query", []atomicityCase{
+		{name: "range", pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
+		{name: "hash", pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterHash}},
+		{name: "adaptive", pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
+		{name: "abtree", abtree: true, pins: pinAll},
+		{name: "tle", pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TLE}},
+		{name: "2-path-con", pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TwoPathConc}},
+		{name: "2-path-ncon", abtree: true, pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TwoPathNCon}},
+		{name: "small-capacity", pins: pinSome, cfg: htmtree.Config{ReadCapacity: smallReadCapacity}},
+		{name: "non-htm", pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.NonHTM}},
+		{name: "scx-htm", abtree: true, pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.SCXHTM}},
+		{name: "tle-lock", pins: pinNone, cfg: htmtree.Config{TMBackend: htmtree.TMBackendTLELock}},
+	}, runAtomicityHarness)
+}
+
 // TestCrossShardTearingWithoutValidation is the control: the same
-// harness with per-shard version validation disabled. It documents
-// (rather than asserts) the torn results, because whether a tear is
-// observed in a finite run depends on scheduling; a run that sees none
-// is skipped, not failed.
+// harness with cross-shard atomicity off. It documents (rather than
+// asserts) the torn results, because whether a tear is observed in a
+// finite run depends on scheduling; a run that sees none is skipped, not
+// failed.
 func TestCrossShardTearingWithoutValidation(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
 		t.Skip("control experiment; skipped in -short")
 	}
-	vs := runAtomicityHarness(t, htmtree.RouterRange, false, 400)
+	vs := runAtomicityHarness(t, atomicityCase{torn: true}, 400)
 	if len(vs) == 0 {
 		t.Skip("no tearing observed this run (scheduler too serial to demonstrate)")
 	}

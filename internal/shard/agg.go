@@ -7,12 +7,13 @@ import (
 )
 
 // Aggregate fan-out: a cross-shard RangeAgg merges per-shard aggregate
-// tuples under the same sample/read/validate protocol RangeQuery uses,
-// so the merged tuple is a consistent cut. Because each shard answers
-// from maintained subtree aggregates in O(log n) instead of walking
-// the range, the window between sampling and validation shrinks from
-// O(range) to O(log n) — which is what makes bounded-retry validation
-// succeed at large ranges.
+// tuples under the same protocol RangeQuery uses (handle.readAtomic), so
+// the merged tuple is a consistent cut. Pinned, each shard answers
+// inside its pinned transaction — the (a,b)-tree from maintained subtree
+// aggregates, touching O(log n) cells, the BST by walking the range.
+// Sampled and validated, answering from aggregates is what shrinks the
+// window between sampling and validation from O(range) to O(log n), and
+// so what makes bounded-retry validation succeed at large ranges.
 
 var _ dict.AggHandle = (*handle)(nil)
 
@@ -26,7 +27,8 @@ var _ dict.AggHandle = (*handle)(nil)
 // RangeQuery, there is no per-key output to cross-check. Such
 // dictionaries reject the query with an error instead.
 func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	agg := dict.Agg{Min: ^uint64(0), Max: 0}
+	empty := dict.Agg{Min: ^uint64(0), Max: 0} // Merge's identity
+	agg := empty
 	if hi <= lo {
 		return agg, nil
 	}
@@ -37,8 +39,7 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	}
 	var err error
 	readAgg := func(r Router, first, last int) {
-		agg = dict.Agg{Min: ^uint64(0), Max: 0}
-		err = nil
+		agg, err = empty, nil
 		for s := first; s <= last; s++ {
 			ah, ok := h.hs[s].(dict.AggHandle)
 			if !ok {
@@ -64,6 +65,16 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 			return agg, err
 		}
 	}
-	d.readConsistent(lo, hi, h.samples[:0], readAgg)
+	h.readAtomic(lo, hi, func(first, last int) dict.PinStatus {
+		agg = empty
+		for s := first; s <= last; s++ {
+			a, st := h.pins[s].RangeAggAt(h.rvs[s], lo, hi)
+			if st != dict.PinCommitted {
+				return st
+			}
+			agg.Merge(a)
+		}
+		return dict.PinCommitted
+	}, readAgg)
 	return agg, err
 }

@@ -11,6 +11,9 @@ func (d *Dict) registerObs(n *obs.Node) {
 	n.Counter("htmtree_rq_attempts_total",
 		"Atomic cross-shard read snapshot attempts (including each read's successful final attempt).",
 		func(emit obs.Point) { emit(float64(d.rqAttempts.Load())) })
+	n.Counter("htmtree_rq_pinned_attempts_total",
+		"Cross-shard read attempts that ran as pinned transactions instead of sampling and validating monitors.",
+		func(emit obs.Point) { emit(float64(d.rqPinned.Load())) })
 	n.Counter("htmtree_rq_retries_total",
 		"Cross-shard read attempts invalidated by a concurrent update or migration.",
 		func(emit obs.Point) { emit(float64(d.rqRetried.Load())) })

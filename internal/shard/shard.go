@@ -31,32 +31,58 @@
 // cross-shard RangeQuery (and KeySum) may return a state no single
 // linearization point ever produced.
 //
-// Config.Atomic repairs this with optimistic per-shard version
-// validation, in the spirit of the hybrid validation of Ben-David et
-// al. (Lock-Free Locks Revisited, 2022): every shard carries an
-// engine.UpdateMonitor whose counters updaters advance exactly at
-// operation commit (transactional paths bump inside the committing
-// transaction; non-transactional paths bracket the operation,
-// seqlock-style). A reader samples the monitors of every overlapping
-// shard, reads the shards, and re-validates the samples; since all
-// samples are taken before the first shard read and re-checked after
-// the last, an unvalidated-change-free window proves every shard was
-// simultaneously stable, so the concatenated result equals the state
-// at one instant — a consistent cut. Readers that keep losing the
-// optimistic race escalate after Config.RQRetries attempts: they
-// arrive on the shards' quiesce gates (the paper's Indicator
-// machinery), which holds new update operations at engine entry until
-// validation is guaranteed to succeed. RQStats reports how often
-// queries retried and escalated.
+// Config.Atomic repairs this with the paper's own division of labour: a
+// transactional path that is fast and best-effort, in front of a
+// software path that guarantees progress, inside one retry/escalate loop
+// (Dict.readConsistent).
 //
-// A rebalancing dictionary always runs this validation (Config.Atomic
+// The transactional path pins a snapshot (handle.pinned). Every shard's
+// TM has its own version clock, so no one transaction can span two
+// shards the way one hardware transaction would; but a read-only
+// transaction begun at a value its TM's clock held earlier sees the
+// shard as it was at that moment. The reader enters every overlapping
+// shard's reclamation bracket, reads the shards' clocks first to last,
+// re-reads all but the last — none having moved proves all the values
+// held at the instant the last was read — and runs each shard's query
+// once, as a transaction on the algorithm's first path pinned at its
+// value (dict.PinnedReader). What fails an attempt is what would abort
+// that one spanning transaction: a cell it reaches written since the
+// instant, or a software path it may not overlap being busy.
+//
+// The software path is optimistic per-shard version validation, in the
+// spirit of the hybrid validation of Ben-David et al. (Lock-Free Locks
+// Revisited, 2022): every shard carries an engine.UpdateMonitor whose
+// counters updaters advance exactly at operation commit (transactional
+// paths bump inside the committing transaction; non-transactional paths
+// bracket the operation, seqlock-style). A reader samples the monitors
+// of every overlapping shard, reads the shards, and re-validates the
+// samples (Dict.validated); since all samples are taken before the
+// first shard read and re-checked after the last, an
+// unvalidated-change-free window proves every shard was simultaneously
+// stable, so the concatenated result equals the state at one instant —
+// a consistent cut. It serves what a pinned transaction cannot: KeySum,
+// rebalancing dictionaries, inner dictionaries whose algorithm has no
+// transactional path a whole read runs on or whose TM picks its own
+// snapshots, and a scan too large for a transaction.
+//
+// Readers that keep losing either race escalate after Config.RQRetries
+// attempts: they arrive on the shards' quiesce gates (the paper's
+// Indicator machinery), which holds new update operations at engine
+// entry, and finish there on the software path, where validation is
+// guaranteed to succeed once the updates in flight drain. RQStats
+// reports how often queries retried and escalated, and how many
+// attempts were pinned.
+//
+// A rebalancing dictionary always runs the validation (Config.Atomic
 // is implied): the overlapping shard set is recomputed from the live
 // routing table on every attempt and the attempt additionally fails if
 // the table moved under it, while a migration brackets both affected
 // monitors for its whole duration — so no fan-out can observe a
 // half-moved range, and a reader holding stale routing can never
 // validate. Escalated readers also hold the migration lock, so a
-// stream of migrations cannot starve them.
+// stream of migrations cannot starve them. (Neither a routing swap nor
+// a migration bracket is a write a pinned transaction would see, which
+// is why such a dictionary never pins.)
 package shard
 
 import (
@@ -75,8 +101,8 @@ import (
 // DefaultShards is the shard count when Config.Shards is zero.
 const DefaultShards = 8
 
-// DefaultRQRetries is the optimistic validation attempt budget before
-// an atomic cross-shard read escalates to the quiesce gates.
+// DefaultRQRetries is the optimistic attempt budget before an atomic
+// cross-shard read escalates to the quiesce gates.
 const DefaultRQRetries = 8
 
 // maxKeySpan is the default partition span: the full legal key space.
@@ -105,15 +131,17 @@ type Config struct {
 	// one from NewRangeRouter) and at least two shards; implies the
 	// version-validated read protocol of Atomic.
 	Rebalance *RebalanceConfig
-	// Atomic makes cross-shard RangeQuery and KeySum atomic via
-	// per-shard version validation with quiesce escalation. It requires
-	// the New constructor to wire the provided monitor into the inner
+	// Atomic makes cross-shard RangeQuery, RangeAgg and KeySum atomic:
+	// pinned-snapshot transactions where the inner dictionaries support
+	// them, per-shard version validation otherwise, quiesce escalation
+	// behind both (see the package comment). It requires the New
+	// constructor to wire the provided monitor into the inner
 	// dictionary's engine (engine.Config.Monitor).
 	Atomic bool
-	// RQRetries bounds the optimistic validation attempts of an atomic
-	// cross-shard read before it escalates to quiescing the overlapping
-	// shards (default DefaultRQRetries). Ignored unless Atomic (or
-	// Rebalance, which implies it).
+	// RQRetries bounds the optimistic attempts — pinned or validated — of
+	// an atomic cross-shard read before it escalates to quiescing the
+	// overlapping shards (default DefaultRQRetries). Ignored unless
+	// Atomic (or Rebalance, which implies it).
 	RQRetries int
 	// New constructs the inner dictionary for shard i. Each call must
 	// return a fresh, independent instance. mon is non-nil exactly when
@@ -187,12 +215,12 @@ type statsSource interface {
 	HTMStats() htm.Stats
 }
 
-// RQStats counts the outcomes of atomic cross-shard reads (RangeQuery
-// and KeySum validation loops). All counters are zero when the
-// dictionary was built without Config.Atomic or Config.Rebalance.
+// RQStats counts the outcomes of atomic cross-shard reads (RangeQuery,
+// RangeAgg and KeySum). All counters are zero when the dictionary was
+// built without Config.Atomic or Config.Rebalance.
 type RQStats struct {
-	// Attempts counts validated snapshot attempts, including the
-	// successful final attempt of every read.
+	// Attempts counts snapshot attempts, pinned or validated, including
+	// the successful final attempt of every read.
 	Attempts uint64
 	// Retries counts attempts invalidated by a concurrent update or
 	// migration (or by one in flight at sampling time).
@@ -200,6 +228,9 @@ type RQStats struct {
 	// Escalations counts reads that exhausted the optimistic budget and
 	// fell back to holding the shards' quiesce gates.
 	Escalations uint64
+	// Pinned counts the attempts that ran as pinned transactions rather
+	// than sampling and validating the monitors.
+	Pinned uint64
 }
 
 // routing is the unit the routing-table pointer stores (a Router is an
@@ -236,6 +267,7 @@ type Dict struct {
 	rqAttempts    atomic.Uint64
 	rqRetried     atomic.Uint64
 	rqEscalations atomic.Uint64
+	rqPinned      atomic.Uint64
 
 	// Group-execution counters (see BatchStats in batch.go).
 	batchOps           atomic.Uint64
@@ -354,6 +386,7 @@ func (d *Dict) NewHandle() dict.Handle {
 	h := &handle{d: d, hs: hs}
 	if d.mons != nil {
 		h.samples = make([]engine.MonitorSample, len(d.shards))
+		h.pins, h.rvs = pinnedReaders(hs, d.reb != nil), make([]uint64, len(d.shards))
 	}
 	if d.reb != nil && !d.reb.disabled.Load() {
 		bypassable := true
@@ -384,6 +417,27 @@ func (d *Dict) NewHandle() dict.Handle {
 	return h
 }
 
+// pinnedReaders returns the inner handles as pinned readers when a
+// fan-out over them may run as pinned transactions (handle.pinned), nil
+// when it must sample and validate instead: on a rebalancing dictionary,
+// whose routing swaps and migration brackets only the monitors publish,
+// and unless every inner handle is pinnable — one shard read some other
+// way would not be at the others' instant.
+func pinnedReaders(hs []dict.Handle, rebalancing bool) []dict.PinnedReader {
+	if rebalancing {
+		return nil
+	}
+	pins := make([]dict.PinnedReader, len(hs))
+	for i, ih := range hs {
+		pr, ok := ih.(dict.PinnedReader)
+		if !ok || !pr.Pinnable() {
+			return nil
+		}
+		pins[i] = pr
+	}
+	return pins
+}
+
 // RQStats returns a snapshot of the atomic cross-shard read counters.
 // Safe to call while readers run (the snapshot is then approximate).
 func (d *Dict) RQStats() RQStats {
@@ -391,6 +445,7 @@ func (d *Dict) RQStats() RQStats {
 		Attempts:    d.rqAttempts.Load(),
 		Retries:     d.rqRetried.Load(),
 		Escalations: d.rqEscalations.Load(),
+		Pinned:      d.rqPinned.Load(),
 	}
 }
 
@@ -409,47 +464,29 @@ func overlap(r Router, lo, hi uint64) (first, last int) {
 	return 0, r.NumShards() - 1
 }
 
-// readConsistent runs read — an idempotent function reading the shards
-// overlapping [lo, hi) under the supplied router — inside the
-// sample/read/validate loop, retrying until no update invalidated the
-// window. Each attempt reloads the routing table, and fails if the
-// table was swapped after the samples were taken, so a migrated key
-// range can never be read through stale routing. After d.rqRetries
-// failed attempts it escalates: it takes the migration lock (when the
-// dictionary rebalances) and arrives on the overlapping shards' quiesce
-// gates, so new update operations and migrations wait while the
-// finitely many updates already in flight drain, and the loop
-// terminates. samples is caller scratch with capacity NumShards.
-func (d *Dict) readConsistent(lo, hi uint64, samples []engine.MonitorSample, read func(r Router, first, last int)) {
-	try := func() bool {
+// readConsistent drives one atomic cross-shard read over [lo, hi): it
+// runs try — one attempt at the read, reporting whether what it left
+// behind is a consistent cut — until an attempt succeeds. After
+// d.rqRetries failed attempts it escalates: it takes the migration lock
+// (when the dictionary rebalances) and arrives on the overlapping
+// shards' quiesce gates, so new update operations and migrations wait
+// while the finitely many updates already in flight drain, and keeps
+// trying; gated tells try that it runs there. What an attempt is, is
+// the caller's choice: a pinned snapshot (handle.pinned) or the
+// sample/read/validate body (Dict.validated).
+func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
+	attempt := func(gated bool) bool {
 		d.rqAttempts.Add(1)
-		rt := d.rt.Load()
-		r := rt.r
-		first, last := overlap(r, lo, hi)
-		samples = samples[:0]
-		for s := first; s <= last; s++ {
-			smp, ok := d.mons[s].Sample()
-			if !ok {
-				return false // an update or migration is mid-flight
-			}
-			samples = append(samples, smp)
-		}
-		if d.rt.Load() != rt {
-			return false // routing table swapped after sampling
-		}
-		read(r, first, last)
-		for s := first; s <= last; s++ {
-			if !d.mons[s].Validate(samples[s-first]) {
-				return false
-			}
-		}
-		return true
-	}
-	for attempt := 0; attempt < d.rqRetries; attempt++ {
-		if try() {
-			return
+		if try(gated) {
+			return true
 		}
 		d.rqRetried.Add(1)
+		return false
+	}
+	for n := 0; n < d.rqRetries; n++ {
+		if attempt(false) {
+			return
+		}
 	}
 	d.rqEscalations.Add(1)
 	// Hold the migration lock while escalated: migrations bypass the
@@ -461,10 +498,10 @@ func (d *Dict) readConsistent(lo, hi uint64, samples []engine.MonitorSample, rea
 		defer rb.mu.Unlock()
 	}
 	// With migrations excluded the routing table is stable; quiesce the
-	// overlapping shards. Quiesce now, release via defer: if read()
-	// panics (it runs an arbitrary inner dictionary) and the caller
-	// recovers, held gates must not leak — they would park every future
-	// update forever.
+	// overlapping shards. Quiesce now, release via defer: if try panics
+	// (it runs an arbitrary inner dictionary) and the caller recovers,
+	// held gates must not leak — they would park every future update
+	// forever.
 	first, last := overlap(d.Router(), lo, hi)
 	for s := first; s <= last; s++ {
 		defer d.mons[s].Quiesce()()
@@ -475,9 +512,39 @@ func (d *Dict) readConsistent(lo, hi uint64, samples []engine.MonitorSample, rea
 	// Quiesce-fault seam: the escalated reader holds every overlapping
 	// shard's gate; an injected stall parks those shards' updates.
 	d.faults.Hit(fault.PointQuiesce)
-	for !try() {
-		d.rqRetried.Add(1)
+	for !attempt(true) {
 	}
+}
+
+// validated is the software attempt body of an atomic cross-shard read:
+// sample the monitor of every shard overlapping [lo, hi), run read — an
+// idempotent function reading those shards under the supplied router —
+// and re-validate the samples. It reloads the routing table, and fails
+// if the table was swapped after the samples were taken, so a migrated
+// key range can never be read through stale routing. samples is caller
+// scratch with capacity NumShards.
+func (d *Dict) validated(lo, hi uint64, samples []engine.MonitorSample, read func(r Router, first, last int)) bool {
+	rt := d.rt.Load()
+	r := rt.r
+	first, last := overlap(r, lo, hi)
+	samples = samples[:0]
+	for s := first; s <= last; s++ {
+		smp, ok := d.mons[s].Sample()
+		if !ok {
+			return false // an update or migration is mid-flight
+		}
+		samples = append(samples, smp)
+	}
+	if d.rt.Load() != rt {
+		return false // routing table swapped after sampling
+	}
+	read(r, first, last)
+	for s := first; s <= last; s++ {
+		if !d.mons[s].Validate(samples[s-first]) {
+			return false
+		}
+	}
+	return true
 }
 
 // KeySum returns the sum and count of keys across all shards.
@@ -489,6 +556,12 @@ func (d *Dict) readConsistent(lo, hi uint64, samples []engine.MonitorSample, rea
 // either it inherits the inner dictionaries' quiescent-only contract:
 // each shard is summed at a different time, and a shard's walk may
 // itself race updaters.
+//
+// The cut is always sampled and validated, never pinned: dict.Dict's
+// KeySum is the paper's quiescent checksum, a plain walk of the whole
+// tree outside any transaction, called on the dictionary — there is no
+// per-thread handle to run a transaction on, and the walk reads every
+// cell of a shard, which no transaction's capacity holds.
 func (d *Dict) KeySum() (sum, count uint64) {
 	read := func() {
 		sum, count = 0, 0
@@ -503,7 +576,9 @@ func (d *Dict) KeySum() (sum, count uint64) {
 		return sum, count
 	}
 	samples := make([]engine.MonitorSample, 0, len(d.shards))
-	d.readConsistent(0, maxKeySpan, samples, func(Router, int, int) { read() })
+	d.readConsistent(0, maxKeySpan, func(bool) bool {
+		return d.validated(0, maxKeySpan, samples, func(Router, int, int) { read() })
+	})
 	return sum, count
 }
 
@@ -561,6 +636,12 @@ type handle struct {
 	d       *Dict
 	hs      []dict.Handle
 	samples []engine.MonitorSample // scratch for atomic fan-out validation
+
+	// pins holds the inner handles as pinned readers, and rvs the scratch
+	// for one clock snapshot per shard, when atomic fan-outs through this
+	// handle may run pinned (see pinnedReaders); pins is nil otherwise.
+	pins []dict.PinnedReader
+	rvs  []uint64
 
 	// router caches the routing table when the dictionary can never
 	// swap it (no rebalancer), so the static point-op paths pay no
@@ -686,18 +767,94 @@ func (h *handle) Search(key uint64) (val uint64, found bool) {
 }
 
 // readShards appends the pairs of [lo, hi) from shards first..last to
-// out. Under an unordered router the concatenation interleaves shard
-// outputs, so the appended suffix is merge-sorted before returning.
+// out, in key order (see mergeFanout).
 func (h *handle) readShards(r Router, first, last int, lo, hi uint64, out []dict.KV) []dict.KV {
 	base := len(out)
 	for s := first; s <= last; s++ {
 		out = h.hs[s].RangeQuery(lo, hi, out)
 	}
+	mergeFanout(r, first, last, out[base:])
+	return out
+}
+
+// mergeFanout puts seg — the concatenated range-query outputs of shards
+// first..last — in key order: as it stands under an ordered router,
+// whose partition is contiguous; merge-sorted under an unordered one,
+// where the concatenation interleaves the shards' keys.
+func mergeFanout(r Router, first, last int, seg []dict.KV) {
 	if !r.Ordered() && last > first {
-		seg := out[base:]
 		sort.Slice(seg, func(i, j int) bool { return seg[i].Key < seg[j].Key })
 	}
-	return out
+}
+
+// pinned is the transactional attempt body of an atomic cross-shard
+// read, the counterpart of one hardware transaction spanning shards
+// first..last. Every shard has its own TM clock, so no one transaction
+// can span them; but a read-only transaction begun at a snapshot of a
+// shard's clock sees that shard as it was when the clock held that
+// value, however much later it runs. So the attempt (1) enters every
+// shard's reclamation bracket, which must hold from before a snapshot is
+// read for the nodes reachable at it to outlive the reads; (2) reads
+// each shard's clock, first to last, into h.rvs; (3) re-reads all but
+// the last and fails if one moved — clocks only advance, so none having
+// moved means that at the moment the last clock was read every clock
+// held its recorded value: the snapshots describe one instant; and
+// (4) calls read, which runs each shard's query once as a transaction
+// pinned at its snapshot (dict.PinnedReader) and reports the first
+// status that is not PinCommitted. Updates become visible in their
+// shard's clock order, so what the pinned queries return together is
+// the dictionary's content at that instant — and what makes one abort
+// is a cell it reaches having been written since, not any update
+// anywhere in its shard.
+func (h *handle) pinned(first, last int, read func(first, last int) dict.PinStatus) dict.PinStatus {
+	for s := first; s <= last; s++ {
+		h.pins[s].PinEnter()
+	}
+	defer h.pinExit(first, last)
+	for s := first; s <= last; s++ {
+		h.rvs[s] = h.pins[s].PinClock()
+	}
+	for s := first; s < last; s++ {
+		if h.pins[s].PinClock() != h.rvs[s] {
+			return dict.PinAborted
+		}
+	}
+	return read(first, last)
+}
+
+func (h *handle) pinExit(first, last int) {
+	for s := first; s <= last; s++ {
+		h.pins[s].PinExit()
+	}
+}
+
+// readAtomic runs one atomic cross-shard read of [lo, hi) through the
+// retry/escalate loop. While the handle supports it the attempts are
+// pinned transactions (pinned, running pin); otherwise, and from the
+// moment pinning cannot serve this read, they sample, run read and
+// validate (Dict.validated). Pinning stops serving a read in two ways.
+// A shard's query does not fit a transaction (PinUnfit): retrying would
+// burn the budget on aborts that cannot succeed. Or an attempt fails
+// under the quiesce gates: there the read must terminate, which the
+// software body does once the in-flight updates drain, while a
+// best-effort transaction promises nothing (the paper's division of
+// labour between the HTM path and the path that guarantees progress).
+func (h *handle) readAtomic(lo, hi uint64, pin func(first, last int) dict.PinStatus, read func(r Router, first, last int)) {
+	d := h.d
+	pinning := h.pins != nil
+	var first, last int
+	if pinning {
+		first, last = overlap(h.router, lo, hi) // pinning implies a static table
+	}
+	d.readConsistent(lo, hi, func(gated bool) bool {
+		if !pinning {
+			return d.validated(lo, hi, h.samples[:0], read)
+		}
+		d.rqPinned.Add(1)
+		st := h.pinned(first, last, pin)
+		pinning = st != dict.PinUnfit && !gated
+		return st == dict.PinCommitted
+	})
 }
 
 // RangeQuery fans out to the shards overlapping [lo, hi). Under range
@@ -706,11 +863,11 @@ func (h *handle) readShards(r Router, first, last int, lo, hi uint64, out []dict
 // concatenating in partition order preserves global ascending key
 // order; under hash routing all shards are read and the results
 // merge-sorted. With Config.Atomic (or Config.Rebalance) a fan-out is
-// additionally wrapped in the sample/read/validate loop, making the
-// result a consistent cut; on a non-rebalancing dictionary a window
-// inside a single shard is atomic either way and skips the loop (with
-// rebalancing even single-shard windows validate, because a concurrent
-// migration may be moving the window's keys between shards).
+// additionally run through readAtomic, making the result a consistent
+// cut; on a non-rebalancing dictionary a window inside a single shard is
+// atomic either way and skips it (with rebalancing even single-shard
+// windows validate, because a concurrent migration may be moving the
+// window's keys between shards).
 func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	if hi <= lo {
 		return out
@@ -728,7 +885,17 @@ func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 		}
 	}
 	base := len(out)
-	d.readConsistent(lo, hi, h.samples[:0], func(r Router, first, last int) {
+	h.readAtomic(lo, hi, func(first, last int) dict.PinStatus {
+		out = out[:base]
+		for s := first; s <= last; s++ {
+			var st dict.PinStatus
+			if out, st = h.pins[s].RangeQueryAt(h.rvs[s], lo, hi, out); st != dict.PinCommitted {
+				return st
+			}
+		}
+		mergeFanout(h.router, first, last, out[base:])
+		return dict.PinCommitted
+	}, func(r Router, first, last int) {
 		out = out[:base]
 		out = h.readShards(r, first, last, lo, hi, out)
 	})
