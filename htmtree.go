@@ -37,7 +37,6 @@ package htmtree
 import (
 	"fmt"
 	"strconv"
-	"time"
 
 	"htmtree/internal/abtree"
 	"htmtree/internal/batch"
@@ -72,48 +71,6 @@ func Algorithms() []Algorithm {
 // reserved for internal sentinels).
 const MaxKey = dict.MaxKey
 
-// Policy names a retry policy: what the engine does with the abort
-// cause (conflict / capacity / spurious / explicit) a failed
-// transactional attempt reports.
-type Policy string
-
-// Retry policies.
-const (
-	// PolicyAdaptive (the default) adapts per cause: randomized bounded
-	// exponential backoff before conflict retries, immediate path
-	// abandonment on capacity aborts (with per-site capacity memory
-	// that starts repeat offenders past the fast path), and bounded
-	// budget-free retries after spurious aborts.
-	PolicyAdaptive Policy = "adaptive"
-	// PolicyStatic is the cause-blind baseline: fixed attempt budgets,
-	// no backoff — the loops of the paper's Section 7 setup.
-	PolicyStatic Policy = "static"
-)
-
-// Policies lists every retry policy, default first.
-func Policies() []Policy { return []Policy{PolicyAdaptive, PolicyStatic} }
-
-// TMBackend names a transactional-memory backend implementation.
-type TMBackend string
-
-// TM backends.
-const (
-	// TMBackendSim (the default) is the TL2-flavoured simulator:
-	// optimistic per-cell versioning with capacity limits and spurious
-	// abort injection.
-	TMBackendSim TMBackend = "sim"
-	// TMBackendTLELock serializes each tree's (or shard's) transactions
-	// on a mutex: no conflicts between transactions, no footprint
-	// limit, no spurious aborts — the classic software substitute on
-	// machines without TM. Strong atomicity against non-transactional
-	// fallback-path code is preserved (commits still run the versioned
-	// protocol).
-	TMBackendTLELock TMBackend = "tle-lock"
-)
-
-// TMBackends lists every TM backend, default first.
-func TMBackends() []TMBackend { return []TMBackend{TMBackendSim, TMBackendTLELock} }
-
 // RouterKind names a shard-routing policy for sharded trees.
 type RouterKind string
 
@@ -142,18 +99,26 @@ func RouterKinds() []RouterKind {
 	return []RouterKind{RouterRange, RouterHash, RouterAdaptive}
 }
 
-// KV is a key-value pair returned by range queries.
-type KV struct {
-	Key, Val uint64
-}
-
-// Agg is the aggregate tuple of a key range: the sum and count of the
-// keys present, and the smallest and largest of them. An empty range
-// has Count == 0 with Min == MaxUint64 and Max == 0 (the merge
-// identities); check Count before trusting Min/Max.
-type Agg struct {
-	Sum, Count, Min, Max uint64
-}
+// Result and statistics types the internal layers define, re-exported:
+// each is documented where it is declared.
+type (
+	// KV is a key-value pair returned by range queries (dict.KV).
+	KV = dict.KV
+	// Agg is the aggregate tuple of a key range — key sum, count, min
+	// and max (dict.Agg). An empty range has Count == 0 with Min ==
+	// MaxUint64 and Max == 0 (the merge identities); check Count before
+	// trusting Min/Max.
+	Agg = dict.Agg
+	// PolicyStats counts the attempt loops' per-cause retry actions and
+	// the helps of the helpable fallback (engine.PolicyStats).
+	PolicyStats = engine.PolicyStats
+	// RangeQueryStats counts the outcomes of atomic cross-shard reads
+	// (shard.RQStats).
+	RangeQueryStats = shard.RQStats
+	// RebalanceStats counts live shard-rebalancing activity under
+	// RouterAdaptive (shard.RebalanceStats).
+	RebalanceStats = shard.RebalanceStats
+)
 
 // Config configures a tree. The zero value selects the 3-path algorithm
 // with the paper's default parameters.
@@ -170,14 +135,6 @@ type Config struct {
 	// SpuriousAbortEvery injects a spurious abort with probability
 	// 1/SpuriousAbortEvery per transactional access (0 disables).
 	SpuriousAbortEvery uint64
-	// TMBackend selects the transactional-memory implementation
-	// (default TMBackendSim). The capacity and spurious knobs above
-	// only apply to the simulator.
-	TMBackend TMBackend
-
-	// RetryPolicy selects how the engine reacts to each abort cause
-	// (default PolicyAdaptive).
-	RetryPolicy Policy
 
 	// AttemptLimit is the fast-path budget for TLE and the 2-path
 	// algorithms (default 20); FastLimit and MiddleLimit are the 3-path
@@ -247,34 +204,24 @@ type Config struct {
 	// each shard's part once, as a read-only transaction at that
 	// snapshot, so what fails an attempt is a write to something the
 	// query reads, as for a query inside one tree. Where that cannot
-	// serve — KeySum, RouterAdaptive, the NonHTM and SCXHTM algorithms,
-	// TMBackendTLELock, a scan beyond ReadCapacity — the read instead
-	// samples a version monitor every shard carries, which updaters
-	// advance exactly at operation commit, and validates after reading
-	// that no shard's moved. Either way a failed attempt is retried and,
-	// after RQRetries attempts, the read briefly quiesces the overlapping
-	// shards. Without the option, a cross-shard read observes each shard
-	// at a possibly different point in time. Ignored by unsharded trees,
-	// whose reads are single operations and already atomic.
+	// serve — KeySum, RouterAdaptive, the NonHTM and SCXHTM algorithms, a
+	// scan beyond ReadCapacity — the read instead samples a version
+	// monitor every shard carries, which updaters advance exactly at
+	// operation commit, and validates after reading that no shard's
+	// moved. Either way a failed attempt is retried and, after 8
+	// attempts, the read briefly quiesces the overlapping shards. Without
+	// the option, a cross-shard read observes each shard at a possibly
+	// different point in time. Ignored by unsharded trees, whose reads
+	// are single operations and already atomic.
 	AtomicRangeQueries bool
-	// RQRetries bounds the optimistic attempts (pinned or validated) of
-	// an atomic cross-shard read before it escalates to quiescing the
-	// overlapping shards (default 8). Ignored unless AtomicRangeQueries.
-	RQRetries int
 
 	// BatchMaxOps is the buffer size at which an asynchronous handle
 	// (NewAsyncHandle, Handle.Batch) flushes its pending operations as
 	// one sorted, shard-grouped batch (default 64). Larger batches
 	// amortize routing and admission overhead further but delay
-	// results longer.
+	// results longer. Below the threshold the buffer flushes only on
+	// RangeQuery, Flush, or Wait.
 	BatchMaxOps int
-	// BatchMaxDelay bounds how long an asynchronous operation may sit
-	// buffered before a background timer flushes it (0, the default,
-	// disables the timer: the buffer flushes only on size, RangeQuery,
-	// Flush, or Wait). Applies to NewAsyncHandle; Handle.Batch contexts
-	// never arm the timer so the underlying Handle stays usable from
-	// its own goroutine.
-	BatchMaxDelay time.Duration
 
 	// Observability, when non-nil, attaches the live observability
 	// layer: a pull-model metrics registry over the counters the tree
@@ -390,57 +337,65 @@ func obsNode(o *obs.Obs) *obs.Node {
 	return o.Node()
 }
 
-func (c Config) algorithm() (engine.Algorithm, error) {
-	if c.Algorithm == "" {
-		return engine.AlgThreePath, nil
+// validate checks every knob once, up front, and returns what each inner
+// tree is built from: the parsed algorithm and the TM and engine
+// configurations. ab says whether the (a,b)-tree degree bounds apply.
+func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg engine.Config, err error) {
+	alg = engine.AlgThreePath
+	if c.Algorithm != "" {
+		var ok bool
+		if alg, ok = engine.ParseAlgorithm(string(c.Algorithm)); !ok {
+			return 0, hcfg, ecfg, fmt.Errorf("htmtree: unknown algorithm %q", c.Algorithm)
+		}
 	}
-	a, ok := engine.ParseAlgorithm(string(c.Algorithm))
-	if !ok {
-		return 0, fmt.Errorf("htmtree: unknown algorithm %q", c.Algorithm)
+	readCap, writeCap := htm.DefaultReadCapacity, htm.DefaultWriteCapacity
+	if c.POWER8Profile {
+		p := htm.POWER8Config()
+		readCap, writeCap = p.ReadCapacity, p.WriteCapacity
 	}
-	return a, nil
-}
-
-func (c Config) htmConfig() (htm.Config, error) {
-	cfg := htm.Config{
-		ReadCapacity:  c.ReadCapacity,
-		WriteCapacity: c.WriteCapacity,
+	// Only zero selects a default below this layer: a negative capacity
+	// or budget would build a tree that never commits a transaction.
+	for _, k := range []struct {
+		name   string
+		v, def int
+	}{
+		{"ReadCapacity", c.ReadCapacity, readCap},
+		{"WriteCapacity", c.WriteCapacity, writeCap},
+		{"AttemptLimit", c.AttemptLimit, engine.DefaultAttemptLimit},
+		{"FastLimit", c.FastLimit, engine.DefaultFastLimit},
+		{"MiddleLimit", c.MiddleLimit, engine.DefaultMiddleLimit},
+		{"BatchMaxOps", c.BatchMaxOps, batch.DefaultMaxOps},
+	} {
+		if k.v < 0 {
+			return 0, hcfg, ecfg, fmt.Errorf("htmtree: Config.%s = %d (want >= 0; 0 selects the default %d)",
+				k.name, k.v, k.def)
+		}
+	}
+	if ab {
+		if err := abtree.CheckDegree(c.A, c.B); err != nil {
+			return 0, hcfg, ecfg, fmt.Errorf("htmtree: %w", err)
+		}
+	}
+	if c.ReadCapacity != 0 {
+		readCap = c.ReadCapacity
+	}
+	if c.WriteCapacity != 0 {
+		writeCap = c.WriteCapacity
+	}
+	hcfg = htm.Config{
+		ReadCapacity:  readCap,
+		WriteCapacity: writeCap,
 		SpuriousEvery: c.SpuriousAbortEvery,
 		Faults:        c.Faults,
 	}
-	switch c.TMBackend {
-	case "", TMBackendSim:
-	case TMBackendTLELock:
-		cfg.Backend = htm.BackendTLELock
-	default:
-		return cfg, fmt.Errorf("htmtree: unknown TM backend %q", c.TMBackend)
-	}
-	if c.POWER8Profile {
-		p := htm.POWER8Config()
-		if cfg.ReadCapacity == 0 {
-			cfg.ReadCapacity = p.ReadCapacity
-		}
-		if cfg.WriteCapacity == 0 {
-			cfg.WriteCapacity = p.WriteCapacity
-		}
-	}
-	return cfg, nil
-}
-
-func (c Config) engineConfig() (engine.Config, error) {
-	cfg := engine.Config{
+	ecfg = engine.Config{
 		AttemptLimit:     c.AttemptLimit,
 		FastLimit:        c.FastLimit,
 		MiddleLimit:      c.MiddleLimit,
 		HelpableFallback: c.HelpableFallback,
 		Faults:           c.Faults,
 	}
-	pol, ok := engine.ParsePolicy(string(c.RetryPolicy))
-	if !ok {
-		return cfg, fmt.Errorf("htmtree: unknown retry policy %q", c.RetryPolicy)
-	}
-	cfg.Policy = pol
-	return cfg, nil
+	return alg, hcfg, ecfg, nil
 }
 
 // statsSource exposes the internal statistics of a tree.
@@ -479,136 +434,76 @@ type Tree struct {
 // the flight recorders with Obs.Events.
 func (t *Tree) Obs() *obs.Obs { return t.obs }
 
-// setBatchConfig validates the async-batching knobs and installs the
-// pipeline template every constructor shares.
-func (t *Tree) setBatchConfig(cfg Config) error {
-	if cfg.BatchMaxOps < 0 {
-		return fmt.Errorf("htmtree: Config.BatchMaxOps = %d (want >= 0; 0 selects the default %d)",
-			cfg.BatchMaxOps, batch.DefaultMaxOps)
-	}
-	if cfg.BatchMaxDelay < 0 {
-		return fmt.Errorf("htmtree: Config.BatchMaxDelay = %v (want >= 0; 0 disables the flush timer)",
-			cfg.BatchMaxDelay)
-	}
-	t.batchCtrs = &batch.Counters{}
-	t.batchCfg = batch.Config{
-		MaxOps:   cfg.BatchMaxOps,
-		MaxDelay: cfg.BatchMaxDelay,
-		Counters: t.batchCtrs,
-		Faults:   cfg.Faults,
-	}
-	return nil
-}
-
-// withBatch finishes a constructed tree by installing the async
-// batching configuration (all four public constructors go through it).
-func withBatch(t *Tree, err error, cfg Config) (*Tree, error) {
+// build is the one constructor behind the four public ones: validate
+// the configuration, build the tree — one inner tree, or cfg.Shards of
+// them under the shard layer — and attach the batching template and the
+// observability domain.
+func build(cfg Config, ab, sharded bool) (*Tree, error) {
+	alg, hcfg, ecfg, err := cfg.validate(ab)
 	if err != nil {
 		return nil, err
 	}
-	if err := t.setBatchConfig(cfg); err != nil {
-		return nil, err
+	o := cfg.obsDomain()
+	wireFaultRecorder(cfg.Faults, o)
+	inner := func(mon *engine.UpdateMonitor, node *obs.Node) *Tree {
+		ecfg := ecfg
+		ecfg.Monitor = mon
+		ecfg.Obs = node
+		if ab {
+			t := abtree.New(abtree.Config{A: cfg.A, B: cfg.B, Algorithm: alg,
+				HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
+			return &Tree{d: t, stats: t, invariants: t.CheckInvariants, aggStats: t.AggStats}
+		}
+		t := bst.New(bst.Config{Algorithm: alg,
+			HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
+		return &Tree{d: t, stats: t, invariants: func(bool) error { return t.CheckInvariants() }}
 	}
-	return t, nil
-}
-
-// withObs attaches the observability domain to a finished tree and
-// registers the tree-level metric families (batch-flush activity; the
-// engine and shard layers registered their own families during
-// construction). Runs after withBatch so batchCtrs exists.
-func withObs(t *Tree, err error, o *obs.Obs) (*Tree, error) {
-	if err != nil || o == nil {
-		return t, err
+	var t *Tree
+	if sharded {
+		if t, err = newSharded(cfg, o, inner); err != nil {
+			return nil, err
+		}
+	} else {
+		t = inner(nil, obsNode(o))
 	}
-	t.obs = o
-	ctrs := t.batchCtrs
-	n := o.Node()
-	n.Counter("htmtree_batch_flushes_total",
-		"Non-empty batch buffer flushes across the tree's asynchronous handles.",
-		func(emit obs.Point) { emit(float64(ctrs.Snapshot().Flushes)) })
-	n.Counter("htmtree_batch_flushed_ops_total",
-		"Point operations carried by batch flushes.",
-		func(emit obs.Point) { emit(float64(ctrs.Snapshot().FlushedOps)) })
+	t.batchCtrs = &batch.Counters{}
+	t.batchCfg = batch.Config{MaxOps: cfg.BatchMaxOps, Counters: t.batchCtrs, Faults: cfg.Faults}
+	if o != nil {
+		// The tree-level metric families (batch-flush activity; the
+		// engine and shard layers registered their own during
+		// construction).
+		t.obs = o
+		ctrs := t.batchCtrs
+		n := o.Node()
+		n.Counter("htmtree_batch_flushes_total",
+			"Non-empty batch buffer flushes across the tree's asynchronous handles.",
+			func(emit obs.Point) { emit(float64(ctrs.Snapshot().Flushes)) })
+		n.Counter("htmtree_batch_flushed_ops_total",
+			"Point operations carried by batch flushes.",
+			func(emit obs.Point) { emit(float64(ctrs.Snapshot().FlushedOps)) })
+	}
 	return t, nil
 }
 
 // NewBST creates an unbalanced external binary search tree (paper
 // Section 6.1).
-func NewBST(cfg Config) (*Tree, error) {
-	o := cfg.obsDomain()
-	wireFaultRecorder(cfg.Faults, o)
-	t, err := newBST(cfg, nil, obsNode(o))
-	t, err = withBatch(t, err, cfg)
-	return withObs(t, err, o)
-}
-
-func newBST(cfg Config, mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error) {
-	alg, err := cfg.algorithm()
-	if err != nil {
-		return nil, err
-	}
-	hcfg, err := cfg.htmConfig()
-	if err != nil {
-		return nil, err
-	}
-	ecfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	ecfg.Monitor = mon
-	ecfg.Obs = node
-	t := bst.New(bst.Config{
-		Algorithm:       alg,
-		HTM:             hcfg,
-		Engine:          ecfg,
-		SearchOutsideTx: cfg.SearchOutsideTx,
-	})
-	return &Tree{
-		d:     t,
-		stats: t,
-		invariants: func(bool) error {
-			return t.CheckInvariants()
-		},
-	}, nil
-}
+func NewBST(cfg Config) (*Tree, error) { return build(cfg, false, false) }
 
 // NewABTree creates a relaxed (a,b)-tree (paper Section 6.2).
-func NewABTree(cfg Config) (*Tree, error) {
-	o := cfg.obsDomain()
-	wireFaultRecorder(cfg.Faults, o)
-	t, err := newABTree(cfg, nil, obsNode(o))
-	t, err = withBatch(t, err, cfg)
-	return withObs(t, err, o)
-}
+func NewABTree(cfg Config) (*Tree, error) { return build(cfg, true, false) }
 
-func newABTree(cfg Config, mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error) {
-	alg, err := cfg.algorithm()
-	if err != nil {
-		return nil, err
-	}
-	if err := abtree.CheckDegree(cfg.A, cfg.B); err != nil {
-		return nil, fmt.Errorf("htmtree: %w", err)
-	}
-	hcfg, err := cfg.htmConfig()
-	if err != nil {
-		return nil, err
-	}
-	ecfg, err := cfg.engineConfig()
-	if err != nil {
-		return nil, err
-	}
-	ecfg.Monitor = mon
-	ecfg.Obs = node
-	t := abtree.New(abtree.Config{
-		A:               cfg.A,
-		B:               cfg.B,
-		Algorithm:       alg,
-		HTM:             hcfg,
-		Engine:          ecfg,
-		SearchOutsideTx: cfg.SearchOutsideTx,
-	})
-	return &Tree{d: t, stats: t, invariants: t.CheckInvariants, aggStats: t.AggStats}, nil
-}
+// NewShardedBST creates a sharded BST: the key space is partitioned
+// across cfg.Shards independent trees (each with its own engine, HTM
+// context, and fallback indicator). Point operations route to the
+// owning shard; RangeQuery fans out to the overlapping shards and
+// returns a globally key-ordered result — atomic per shard always, and
+// atomic across shards when cfg.AtomicRangeQueries is set; KeySum,
+// Stats, and CheckInvariants aggregate.
+func NewShardedBST(cfg Config) (*Tree, error) { return build(cfg, false, true) }
+
+// NewShardedABTree creates a sharded relaxed (a,b)-tree; see
+// NewShardedBST for the partitioning contract.
+func NewShardedABTree(cfg Config) (*Tree, error) { return build(cfg, true, true) }
 
 // newSharded partitions the key space across cfg.Shards instances built
 // by mk, wiring aggregate stats and invariant checking through the
@@ -617,26 +512,20 @@ func newABTree(cfg Config, mon *engine.UpdateMonitor, node *obs.Node) (*Tree, er
 // domain each inner engine registers its families under a shard="i"
 // label and the shard layer registers its own (read validation,
 // migration) unlabelled.
-func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error)) (*Tree, error) {
+func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node *obs.Node) *Tree) (*Tree, error) {
 	var inner []*Tree
-	var ctorErr error
 	scfg := shard.Config{
-		Shards:    cfg.Shards,
-		KeySpan:   cfg.ShardKeySpan,
-		Atomic:    cfg.AtomicRangeQueries,
-		RQRetries: cfg.RQRetries,
-		Obs:       obsNode(o),
-		Faults:    cfg.Faults,
+		Shards:  cfg.Shards,
+		KeySpan: cfg.ShardKeySpan,
+		Atomic:  cfg.AtomicRangeQueries,
+		Obs:     obsNode(o),
+		Faults:  cfg.Faults,
 		New: func(i int, mon *engine.UpdateMonitor) dict.Dict {
 			var node *obs.Node
 			if o != nil {
 				node = o.Node(obs.L("shard", strconv.Itoa(i)))
 			}
-			t, mkErr := mk(mon, node)
-			if mkErr != nil {
-				ctorErr = mkErr
-				return emptyDict{}
-			}
+			t := mk(mon, node)
 			inner = append(inner, t)
 			return t.d
 		},
@@ -666,9 +555,6 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 	if err != nil {
 		return nil, err
 	}
-	if ctorErr != nil {
-		return nil, ctorErr
-	}
 	st := &Tree{
 		d:     sd,
 		stats: sd,
@@ -681,7 +567,7 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 			return sd.CheckPartition()
 		},
 	}
-	if len(inner) > 0 && inner[0].aggStats != nil {
+	if inner[0].aggStats != nil {
 		st.aggStats = func() (fast, walk uint64) {
 			for _, t := range inner {
 				f, w := t.aggStats()
@@ -694,42 +580,6 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 	return st, nil
 }
 
-// emptyDict stands in for a shard whose constructor failed; the shard
-// dictionary holding it is discarded before use.
-type emptyDict struct{}
-
-func (emptyDict) NewHandle() dict.Handle      { return nil }
-func (emptyDict) KeySum() (sum, count uint64) { return 0, 0 }
-
-// NewShardedBST creates a sharded BST: the key space is partitioned
-// across cfg.Shards independent trees (each with its own engine, HTM
-// context, and fallback indicator). Point operations route to the
-// owning shard; RangeQuery fans out to the overlapping shards and
-// returns a globally key-ordered result — atomic per shard always, and
-// atomic across shards when cfg.AtomicRangeQueries is set; KeySum,
-// Stats, and CheckInvariants aggregate.
-func NewShardedBST(cfg Config) (*Tree, error) {
-	o := cfg.obsDomain()
-	wireFaultRecorder(cfg.Faults, o)
-	t, err := newSharded(cfg, o, func(mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error) {
-		return newBST(cfg, mon, node)
-	})
-	t, err = withBatch(t, err, cfg)
-	return withObs(t, err, o)
-}
-
-// NewShardedABTree creates a sharded relaxed (a,b)-tree; see
-// NewShardedBST for the partitioning contract.
-func NewShardedABTree(cfg Config) (*Tree, error) {
-	o := cfg.obsDomain()
-	wireFaultRecorder(cfg.Faults, o)
-	t, err := newSharded(cfg, o, func(mon *engine.UpdateMonitor, node *obs.Node) (*Tree, error) {
-		return newABTree(cfg, mon, node)
-	})
-	t, err = withBatch(t, err, cfg)
-	return withObs(t, err, o)
-}
-
 // NewHandle registers a per-goroutine handle. Handles must not be shared
 // between goroutines.
 func (t *Tree) NewHandle() *Handle {
@@ -739,16 +589,15 @@ func (t *Tree) NewHandle() *Handle {
 // NewAsyncHandle registers a per-goroutine asynchronous handle: point
 // operations enqueue into a batch buffer and return futures, and the
 // buffer flushes as one key-sorted, shard-grouped batch when it
-// reaches Config.BatchMaxOps, when Config.BatchMaxDelay elapses, on an
-// asynchronous RangeQuery, on Flush, or when a future of a
-// still-buffered operation is waited on. On a
+// reaches Config.BatchMaxOps, on an asynchronous RangeQuery, on Flush,
+// or when a future of a still-buffered operation is waited on. On a
 // sharded tree each shard-group executes with one router lookup and
 // one monitor admission instead of one per operation — the batching
 // subsystem's amortization, reported by Stats.Batch.
 //
-// One goroutine should enqueue per AsyncHandle (like Handle); with
-// BatchMaxDelay set, the background timer may flush concurrently,
-// which the handle synchronizes internally.
+// One goroutine should enqueue per AsyncHandle (like Handle); a future
+// may be waited on from another, which the handle synchronizes
+// internally.
 func (t *Tree) NewAsyncHandle() *AsyncHandle {
 	return &AsyncHandle{p: batch.New(t.d.NewHandle(), t.batchCfg)}
 }
@@ -757,14 +606,9 @@ func (t *Tree) NewAsyncHandle() *AsyncHandle {
 // registration. It shares the underlying per-goroutine handle: while
 // batched operations are pending, direct Handle calls would interleave
 // with a flush, so use one style at a time (Flush drains the context,
-// after which the Handle is plainly usable again). Unlike
-// NewAsyncHandle, a Batch context never arms the BatchMaxDelay timer —
-// flushes happen only on size, RangeQuery, Flush, or Wait, always on
-// the calling goroutine.
+// after which the Handle is plainly usable again).
 func (h *Handle) Batch() *AsyncHandle {
-	cfg := h.t.batchCfg
-	cfg.MaxDelay = 0
-	return &AsyncHandle{p: batch.New(h.h, cfg)}
+	return &AsyncHandle{p: batch.New(h.h, h.t.batchCfg)}
 }
 
 // KeySum returns the sum and count of the keys present (the paper's
@@ -778,9 +622,8 @@ func (t *Tree) CheckInvariants() error { return t.invariants(true) }
 
 // Handle is a per-goroutine handle to a Tree.
 type Handle struct {
-	t   *Tree
-	h   dict.Handle
-	buf []dict.KV
+	t *Tree
+	h dict.Handle
 }
 
 // Insert associates key with val, returning the previous value and
@@ -802,11 +645,7 @@ func (h *Handle) Search(key uint64) (val uint64, found bool) {
 // RangeQuery appends all pairs with lo <= key < hi, in ascending key
 // order, to out and returns the extended slice.
 func (h *Handle) RangeQuery(lo, hi uint64, out []KV) []KV {
-	h.buf = h.h.RangeQuery(lo, hi, h.buf[:0])
-	for _, p := range h.buf {
-		out = append(out, KV{Key: p.Key, Val: p.Val})
-	}
-	return out
+	return h.h.RangeQuery(lo, hi, out)
 }
 
 // Help drives one announced helpable-fallback operation (if any) to
@@ -837,8 +676,7 @@ func (h *Handle) RangeAgg(lo, hi uint64) (Agg, error) {
 	if !ok {
 		return Agg{Min: ^uint64(0)}, fmt.Errorf("htmtree: %T does not support aggregate queries", h.h)
 	}
-	a, err := ah.RangeAgg(lo, hi)
-	return Agg{Sum: a.Sum, Count: a.Count, Min: a.Min, Max: a.Max}, err
+	return ah.RangeAgg(lo, hi)
 }
 
 // RangeSum returns the sum and count of the keys in [lo, hi); see
@@ -946,29 +784,14 @@ type RangeFuture struct {
 }
 
 // Wait returns the query's pairs in ascending key order.
-func (f RangeFuture) Wait() []KV {
-	pairs := f.p.Wait()
-	out := make([]KV, len(pairs))
-	for i, p := range pairs {
-		out[i] = KV{Key: p.Key, Val: p.Val}
-	}
-	return out
-}
+func (f RangeFuture) Wait() []KV { return f.p.Wait() }
 
 // Done reports whether the result is available without blocking.
 func (f RangeFuture) Done() bool { return f.p.Done() }
 
 // OnComplete registers fn to run with the result once the query
 // executes; see PointFuture.OnComplete for the callback contract.
-func (f RangeFuture) OnComplete(fn func([]KV)) {
-	f.p.OnComplete(func(pairs []dict.KV) {
-		out := make([]KV, len(pairs))
-		for i, p := range pairs {
-			out[i] = KV{Key: p.Key, Val: p.Val}
-		}
-		fn(out)
-	})
-}
+func (f RangeFuture) OnComplete(fn func([]KV)) { f.p.OnComplete(fn) }
 
 // PathCounts counts events per execution path.
 type PathCounts struct {
@@ -977,17 +800,6 @@ type PathCounts struct {
 
 // Total sums the three paths.
 func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
-
-// RangeQueryStats counts the outcomes of atomic cross-shard reads.
-type RangeQueryStats struct {
-	// Attempts counts snapshot attempts (including the successful final
-	// attempt of every read), Retries the attempts invalidated by
-	// concurrent updates, and Escalations the reads that exhausted the
-	// optimistic budget and briefly quiesced their shards. Pinned is how
-	// many of the attempts ran as pinned transactions; the rest sampled
-	// and validated the shards' monitors (see AtomicRangeQueries).
-	Attempts, Retries, Escalations, Pinned uint64
-}
 
 // BatchStats counts batched/asynchronous execution activity. The
 // amortization batching exists for reads off directly: an unbatched
@@ -1000,10 +812,10 @@ type BatchStats struct {
 	// asynchronous handles and BatchedOps the point operations they
 	// carried (BatchedOps/Flushes is the realized mean batch size).
 	Flushes, BatchedOps uint64
-	// SizeFlushes, TimerFlushes, ExplicitFlushes and RangeFlushes split
-	// Flushes by trigger: the BatchMaxOps threshold, the BatchMaxDelay
-	// timer, an explicit Flush or Wait, and a flushing RangeQuery.
-	SizeFlushes, TimerFlushes, ExplicitFlushes, RangeFlushes uint64
+	// SizeFlushes, ExplicitFlushes and RangeFlushes split Flushes by
+	// trigger: the BatchMaxOps threshold, an explicit Flush or Wait, and
+	// a flushing RangeQuery.
+	SizeFlushes, ExplicitFlushes, RangeFlushes uint64
 	// Groups counts the per-shard groups batches executed as and
 	// GroupOps the operations they carried (sharded trees only;
 	// GroupOps/Groups is the realized per-shard locality).
@@ -1018,20 +830,6 @@ type BatchStats struct {
 	Restarts uint64
 }
 
-// PolicyStats counts the retry policy's abort-taxonomy actions.
-type PolicyStats struct {
-	// Backoffs counts randomized waits taken before conflict retries,
-	// FreeRetries the spurious-abort retries granted without consuming
-	// attempt budget, CapacitySkips the paths abandoned with budget
-	// remaining after a capacity abort, and Demotions the operations
-	// that started past the fast path on their site's capacity memory.
-	Backoffs, FreeRetries, CapacitySkips, Demotions uint64
-	// Helps counts announced fallback operations completed by threads
-	// other than (or alongside) their announcer; nonzero only with
-	// Config.HelpableFallback.
-	Helps uint64
-}
-
 // AggregateStats counts aggregate-query executions by answer path.
 type AggregateStats struct {
 	// Fast counts queries answered by the O(log n) transactional descent
@@ -1040,14 +838,6 @@ type AggregateStats struct {
 	// executions). Always zero on a BST, whose RangeAgg walks the range
 	// without touching either counter.
 	Fast, Walk uint64
-}
-
-// RebalanceStats counts live shard-rebalancing activity (RouterAdaptive).
-type RebalanceStats struct {
-	// Checks counts imbalance evaluations, Migrations the boundary
-	// migrations performed, and KeysMoved the keys moved between shards
-	// across all migrations.
-	Checks, Migrations, KeysMoved uint64
 }
 
 // Stats is a snapshot of a tree's execution statistics: how many
@@ -1060,8 +850,11 @@ type Stats struct {
 	TxCommits, TxAborts PathCounts
 	// AbortCauses breaks aborts down as "path/cause" -> count.
 	AbortCauses map[string]uint64
-	// Policy reports the retry policy's actions (all zero under
-	// PolicyStatic).
+	// Policy reports the attempt loops' retry actions: backoffs before
+	// conflict retries, budget-free retries after spurious aborts, paths
+	// abandoned on a capacity abort, operations demoted past the fast
+	// path by their site's capacity memory, and (HelpableFallback only)
+	// announced operations completed by a thread other than their owner.
 	Policy PolicyStats
 	// Range reports atomic cross-shard read outcomes; all zero unless
 	// the tree is sharded with AtomicRangeQueries (or RouterAdaptive,
@@ -1096,13 +889,7 @@ func (t *Tree) Stats() Stats {
 			Fallback: hs.TotalAborts(htm.PathFallback),
 		},
 		AbortCauses: make(map[string]uint64),
-		Policy: PolicyStats{
-			Backoffs:      ops.Policy.Backoffs,
-			FreeRetries:   ops.Policy.FreeRetries,
-			CapacitySkips: ops.Policy.CapacitySkips,
-			Demotions:     ops.Policy.Demotions,
-			Helps:         ops.Policy.Helps,
-		},
+		Policy:      ops.Policy,
 	}
 	for _, p := range []htm.PathKind{htm.PathFast, htm.PathMiddle, htm.PathFallback} {
 		for c := htm.CauseExplicit; c <= htm.CauseSpurious; c++ {
@@ -1114,32 +901,17 @@ func (t *Tree) Stats() Stats {
 	if t.aggStats != nil {
 		s.Aggregate.Fast, s.Aggregate.Walk = t.aggStats()
 	}
-	var bs batch.Stats
-	if t.batchCtrs != nil {
-		bs = t.batchCtrs.Snapshot()
-	}
+	bs := t.batchCtrs.Snapshot()
 	s.Batch = BatchStats{
 		Flushes:         bs.Flushes,
 		BatchedOps:      bs.FlushedOps,
 		SizeFlushes:     bs.SizeFlushes,
-		TimerFlushes:    bs.TimerFlushes,
 		ExplicitFlushes: bs.ExplicitFlushes,
 		RangeFlushes:    bs.RangeFlushes,
 	}
 	if sd, ok := t.d.(*shard.Dict); ok {
-		rs := sd.RQStats()
-		s.Range = RangeQueryStats{
-			Attempts:    rs.Attempts,
-			Retries:     rs.Retries,
-			Escalations: rs.Escalations,
-			Pinned:      rs.Pinned,
-		}
-		rb := sd.RebalanceStats()
-		s.Rebalance = RebalanceStats{
-			Checks:     rb.Checks,
-			Migrations: rb.Migrations,
-			KeysMoved:  rb.KeysMoved,
-		}
+		s.Range = sd.RQStats()
+		s.Rebalance = sd.RebalanceStats()
 		gb := sd.BatchStats()
 		s.Batch.Groups = gb.Groups
 		s.Batch.GroupOps = gb.Ops

@@ -109,7 +109,7 @@ func TestFastPathFootprint(t *testing.T) {
 			}
 			after := tr.OpStats()
 			onFast := after.Fast - before.Fast
-			capAborts := after.Aborts.On(htm.PathFast, htm.CauseCapacity) - before.Aborts.On(htm.PathFast, htm.CauseCapacity)
+			capAborts := after.Aborts[htm.PathFast][htm.CauseCapacity] - before.Aborts[htm.PathFast][htm.CauseCapacity]
 			if fits && (onFast != 1 || capAborts != 0) {
 				t.Errorf("%s (h=%d) at capacity %d: fast completions %d, fast-path capacity aborts %d, want 1 and 0",
 					c.name, p.h, capacity, onFast, capAborts)

@@ -1,9 +1,9 @@
 // Package batch implements the asynchronous, batched operation layer
 // over a dictionary handle: point operations (Insert/Delete/Search)
 // enqueue into a per-pipeline buffer and return a Promise immediately;
-// when the buffer reaches Config.MaxOps (or Config.MaxDelay elapses, or
-// the client flushes explicitly, or a Promise is waited on), the whole
-// buffer is sorted stably by key and executed as one group.
+// when the buffer reaches Config.MaxOps (or the client flushes
+// explicitly, or a Promise is waited on), the whole buffer is sorted
+// stably by key and executed as one group.
 //
 // The point is amortization: the template's per-operation cost is
 // dominated by fixed overhead — handle dispatch, router lookup, and
@@ -35,7 +35,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"htmtree/internal/dict"
 	"htmtree/internal/fault"
@@ -50,13 +49,6 @@ type Config struct {
 	// DefaultMaxOps). 1 degenerates to synchronous execution through
 	// the batching machinery.
 	MaxOps int
-	// MaxDelay bounds how long an enqueued operation may sit in the
-	// buffer before a background timer flushes it (0 disables the
-	// timer: the buffer flushes only on size, RangeQuery, Flush, or
-	// Wait). With a timer the pipeline may flush from a background
-	// goroutine, which the pipeline lock makes safe against concurrent
-	// enqueues.
-	MaxDelay time.Duration
 	// Counters, when non-nil, aggregates this pipeline's flush activity
 	// into a shared sink (the tree-level Stats.Batch); nil keeps the
 	// counts pipeline-private.
@@ -73,7 +65,6 @@ type Counters struct {
 	flushes    atomic.Uint64
 	flushedOps atomic.Uint64
 	sizeF      atomic.Uint64
-	timerF     atomic.Uint64
 	explicitF  atomic.Uint64
 	rangeF     atomic.Uint64
 }
@@ -84,10 +75,10 @@ type Stats struct {
 	// operations they carried (FlushedOps/Flushes is the realized mean
 	// batch size).
 	Flushes, FlushedOps uint64
-	// SizeFlushes, TimerFlushes, ExplicitFlushes and RangeFlushes split
-	// Flushes by trigger: the MaxOps threshold, the MaxDelay timer, an
-	// explicit Flush or Wait, and a flushing RangeQuery.
-	SizeFlushes, TimerFlushes, ExplicitFlushes, RangeFlushes uint64
+	// SizeFlushes, ExplicitFlushes and RangeFlushes split Flushes by
+	// trigger: the MaxOps threshold, an explicit Flush or Wait, and a
+	// flushing RangeQuery.
+	SizeFlushes, ExplicitFlushes, RangeFlushes uint64
 }
 
 // Snapshot returns the current counts. Safe to call while pipelines
@@ -97,7 +88,6 @@ func (c *Counters) Snapshot() Stats {
 		Flushes:         c.flushes.Load(),
 		FlushedOps:      c.flushedOps.Load(),
 		SizeFlushes:     c.sizeF.Load(),
-		TimerFlushes:    c.timerF.Load(),
 		ExplicitFlushes: c.explicitF.Load(),
 		RangeFlushes:    c.rangeF.Load(),
 	}
@@ -113,24 +103,22 @@ type pending struct {
 }
 
 // Pipeline buffers asynchronous operations over one dictionary handle.
-// It is safe for the enqueueing goroutine and the MaxDelay timer to
-// race; the underlying handle is only ever driven under the pipeline
-// lock, satisfying its one-goroutine-at-a-time contract. Sharing one
-// Pipeline between several enqueueing goroutines is legal but
-// serializes them; the intended shape is one pipeline per worker, like
-// handles.
+// A promise may be waited on from a goroutine other than the enqueueing
+// one, and waiting flushes, so the underlying handle is only ever driven
+// under the pipeline lock, satisfying its one-goroutine-at-a-time
+// contract. Sharing one Pipeline between several enqueueing goroutines
+// is legal but serializes them; the intended shape is one pipeline per
+// worker, like handles.
 type Pipeline struct {
 	h   dict.Handle
 	ge  dict.GroupExecutor // non-nil when h supports group execution
 	cfg Config
 	ctr *Counters
 
-	mu         sync.Mutex
-	pend       []pending
-	ops        []dict.BatchOp // execution scratch, reused across flushes
-	slab       []PointPromise // block-allocated promises (one alloc per batch, not per op)
-	timer      *time.Timer
-	timerArmed bool
+	mu   sync.Mutex
+	pend []pending
+	ops  []dict.BatchOp // execution scratch, reused across flushes
+	slab []PointPromise // block-allocated promises (one alloc per batch, not per op)
 }
 
 // New builds a pipeline over h. If h implements dict.GroupExecutor
@@ -203,11 +191,6 @@ func (p *Pipeline) Pending() int {
 	return len(p.pend)
 }
 
-// Close flushes the pipeline and stops its MaxDelay timer. The
-// pipeline remains usable; Close exists so an abandoned pipeline does
-// not leave operations parked behind a timer that already fired.
-func (p *Pipeline) Close() { p.Flush() }
-
 func (p *Pipeline) add(op dict.BatchOp) *PointPromise {
 	p.mu.Lock()
 	if len(p.slab) == 0 {
@@ -225,31 +208,8 @@ func (p *Pipeline) add(op dict.BatchOp) *PointPromise {
 		finish(ready)
 		return pr
 	}
-	if p.cfg.MaxDelay > 0 && !p.timerArmed {
-		p.armTimerLocked()
-	}
 	p.mu.Unlock()
 	return pr
-}
-
-// armTimerLocked schedules the MaxDelay flush for the buffer that just
-// became non-empty.
-func (p *Pipeline) armTimerLocked() {
-	p.timerArmed = true
-	if p.timer == nil {
-		p.timer = time.AfterFunc(p.cfg.MaxDelay, p.timerFlush)
-		return
-	}
-	p.timer.Reset(p.cfg.MaxDelay)
-}
-
-// timerFlush runs on the timer goroutine when MaxDelay elapses.
-func (p *Pipeline) timerFlush() {
-	p.mu.Lock()
-	p.timerArmed = false
-	ready := p.flushLocked(&p.ctr.timerF)
-	p.mu.Unlock()
-	finish(ready)
 }
 
 // flushLocked sorts and executes the buffered group under the pipeline
@@ -259,10 +219,6 @@ func (p *Pipeline) timerFlush() {
 // per-trigger counter to credit; an empty buffer executes nothing and
 // credits nothing.
 func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
-	if p.timerArmed {
-		p.timer.Stop()
-		p.timerArmed = false
-	}
 	if len(p.pend) == 0 {
 		return nil
 	}

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"htmtree/internal/dict"
 )
@@ -111,32 +110,6 @@ func TestSizeThresholdFlush(t *testing.T) {
 	st := ctr.Snapshot()
 	if st.SizeFlushes != 1 || st.Flushes != 1 || st.FlushedOps != 4 {
 		t.Fatalf("counters after threshold flush: %+v", st)
-	}
-}
-
-func TestTimerFlush(t *testing.T) {
-	t.Parallel()
-	ctr := &Counters{}
-	p := New(newFake(), Config{MaxOps: 100, MaxDelay: 5 * time.Millisecond, Counters: ctr})
-	done := make(chan PointResult, 1)
-	pr := p.Insert(3, 33)
-	pr.OnComplete(func(r PointResult) { done <- r })
-	select {
-	case r := <-done:
-		if r.OK {
-			t.Fatalf("timer-flushed insert reported existing key: %+v", r)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("MaxDelay timer never flushed the buffer")
-	}
-	st := ctr.Snapshot()
-	if st.TimerFlushes != 1 || st.SizeFlushes != 0 {
-		t.Fatalf("counters after timer flush: %+v", st)
-	}
-	// The timer re-arms for the next buffered op.
-	pr2 := p.Search(3)
-	if r := pr2.Wait(); !r.OK || r.Val != 33 {
-		t.Fatalf("Search(3) = %+v, want (33, true)", r)
 	}
 }
 

@@ -81,8 +81,9 @@ func (p *Promise[T]) Wait() T {
 		p.mu.Unlock()
 		return v
 	}
-	// Still pending: another goroutine's flush (a timer firing between
-	// our check and our Flush) holds the op. Block until it completes.
+	// Still pending: another goroutine's flush (one that took the buffer
+	// between our check and our Flush) holds the op. Block until it
+	// completes.
 	if p.done == nil {
 		p.done = make(chan struct{})
 	}

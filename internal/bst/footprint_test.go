@@ -111,7 +111,7 @@ func TestTransactionalFootprint(t *testing.T) {
 				}
 				after := tr.OpStats()
 				onFirst := after.Fast - before.Fast
-				capAborts := after.Aborts.On(htm.PathFast, htm.CauseCapacity) - before.Aborts.On(htm.PathFast, htm.CauseCapacity)
+				capAborts := after.Aborts[htm.PathFast][htm.CauseCapacity] - before.Aborts[htm.PathFast][htm.CauseCapacity]
 				if fits && (onFirst != 1 || capAborts != 0) {
 					t.Errorf("%v %s (n=%d) under %+v: first-path completions %d, capacity aborts %d, want 1 and 0",
 						c.alg, c.name, n, hcfg, onFirst, capAborts)

@@ -77,8 +77,8 @@ const (
 type PinnedReader interface {
 	// Pinnable reports whether the handle serves pinned reads at all; it
 	// does not when its dictionary's algorithm has no transactional path
-	// a whole read runs on, or its TM chooses its own snapshots. The
-	// other methods must not be called on a handle that is not pinnable.
+	// a whole read runs on. The other methods must not be called on a
+	// handle that is not pinnable.
 	Pinnable() bool
 	// PinEnter enters, and PinExit leaves, the bracket that keeps every
 	// node reachable at a snapshot read inside it from being reused. It

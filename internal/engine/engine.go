@@ -157,11 +157,6 @@ type Config struct {
 	// ingress/egress counters. The sharding layer installs one monitor
 	// per shard to make cross-shard range queries atomic.
 	Monitor *UpdateMonitor
-	// Policy is the retry policy consulted with the htm.Abort after
-	// every failed transactional attempt, on every algorithm (default:
-	// NewAdaptivePolicy; StaticPolicy restores the cause-blind
-	// fixed-budget loops).
-	Policy RetryPolicy
 	// HelpableFallback replaces AlgTLE's locked fallback path with the
 	// helpable lock-free lock protocol (see help.go): operations with a
 	// Helpable descriptor are announced before the critical section and
@@ -200,9 +195,6 @@ func (c Config) withDefaults() Config {
 	if c.Indicator == nil {
 		c.Indicator = &counterIndicator{}
 	}
-	if c.Policy == nil {
-		c.Policy = NewAdaptivePolicy()
-	}
 	return c
 }
 
@@ -217,9 +209,6 @@ type Engine struct {
 	reclaim *ebr.Manager // epoch domain for the structure's node pools
 	// genCtr feeds HelpDesc generations (nextGen).
 	genCtr atomic.Uint64
-	// helpingPolicy caches whether the retry policy opted into
-	// help-while-blocked fast-path waits (FallbackHelper).
-	helpingPolicy bool
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -237,9 +226,6 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	}
 	e := &Engine{cfg: cfg.withDefaults(), reclaim: ebr.New()}
 	e.reclaim.SetFaults(e.cfg.Faults)
-	if fh, ok := e.cfg.Policy.(FallbackHelper); ok {
-		e.helpingPolicy = fh.HelpWhileBlocked()
-	}
 	e.tle.Bind(clk)
 	e.cfg.Indicator.Bind(clk)
 	if e.cfg.Monitor != nil {
@@ -271,10 +257,8 @@ type Thread struct {
 	// from a reporting goroutine.
 	aborts   [htm.NumPaths][htm.NumCauses]uint64
 	polstats PolicyStats
-	// fallbackAcq counts fallback critical-section acquisitions (classic
-	// TLE lock takes and helpable descriptors driven to completion by
-	// their owner), atomically — the observability layer's
-	// htmtree_fallback_acquisitions_total family reads it.
+	// fallbackAcq counts fallback critical-section acquisitions,
+	// atomically (OpStats.FallbackAcquisitions).
 	fallbackAcq uint64
 	// obs is the thread's flight-recorder context, nil unless the engine
 	// was built with Config.Obs.
@@ -404,9 +388,6 @@ func (a *AbortCounts) Merge(o AbortCounts) {
 	}
 }
 
-// On returns the abort count for one path and cause.
-func (a *AbortCounts) On(p htm.PathKind, c htm.AbortCause) uint64 { return a[p][c] }
-
 // PathTotal returns the aborts on path p across all causes.
 func (a *AbortCounts) PathTotal(p htm.PathKind) uint64 {
 	var n uint64
@@ -426,13 +407,17 @@ func (a *AbortCounts) Total() uint64 {
 }
 
 // OpStats counts operation completions per execution path, failed
-// transactional attempts per path and cause, and retry-policy actions.
+// transactional attempts per path and cause, retry actions, and
+// fallback critical-section acquisitions (classic TLE lock takes and
+// helpable descriptors driven to completion by their owner).
 type OpStats struct {
 	Fast     uint64
 	Middle   uint64
 	Fallback uint64
 	Aborts   AbortCounts
 	Policy   PolicyStats
+
+	FallbackAcquisitions uint64
 }
 
 // Total returns the total number of completed operations.
@@ -445,6 +430,7 @@ func (s *OpStats) Merge(o OpStats) {
 	s.Fallback += o.Fallback
 	s.Aborts.Merge(o.Aborts)
 	s.Policy.Merge(o.Policy)
+	s.FallbackAcquisitions += o.FallbackAcquisitions
 }
 
 // Stats sums the per-path operation completions, per-cause abort counts
@@ -464,6 +450,7 @@ func (e *Engine) Stats() OpStats {
 			}
 		}
 		s.Policy.addAtomic(&th.polstats)
+		s.FallbackAcquisitions += atomic.LoadUint64(&th.fallbackAcq)
 	}
 	return s
 }
@@ -650,11 +637,10 @@ func (th *Thread) run(op Op) htm.PathKind {
 	case AlgThreePath:
 		ind := e.cfg.Indicator
 		site := op.policySite(th)
-		// Fast path: move to the middle path when the policy gives up on
-		// the path (a capacity abort under the adaptive policy — the
-		// transaction cannot fit; hardware reports this via the "retry"
-		// hint bit being clear), immediately if the fallback path is
-		// busy, or after FastLimit attempts.
+		// Fast path: move to the middle path when runPath gives up on the
+		// path (a capacity abort — the transaction cannot fit; hardware
+		// reports this via the "retry" hint bit being clear), immediately
+		// if the fallback path is busy, or after FastLimit attempts.
 		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, true, nil, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
@@ -703,7 +689,7 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 	site := op.policySite(th)
 	helpable := e.cfg.HelpableFallback
 	preWait := func() { waitWhile(func() bool { return e.tle.Get(nil) != 0 }) }
-	if helpable && e.helpingPolicy {
+	if helpable {
 		preWait = th.helpWait
 	}
 	if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false,
@@ -775,27 +761,46 @@ func (op *Op) policySite(th *Thread) *Site {
 	return &th.site
 }
 
-// skipFast asks the policy whether this operation should start past the
-// fast path, counting the demotion when it says yes.
+// skipFast reports whether this operation should start past the fast
+// path (on the middle path for 3-path, the software path otherwise)
+// because its site's capacity score says the footprint will not fit
+// anyway, counting the demotion when it does. A skipping site still
+// probes the fast path on ~1/capProbeEvery operations so the score can
+// recover.
 func (th *Thread) skipFast(site *Site) bool {
-	if !th.eng.cfg.Policy.SkipFast(site) {
+	if site.capScore < capScoreSkip || site.rng.Uint64n(capProbeEvery) == 0 {
 		return false
 	}
 	atomic.AddUint64(&th.polstats.Demotions, 1)
 	return true
 }
 
-// runPath drives one execution path's attempt loop under the engine's
-// retry policy, reporting whether an attempt committed. budget bounds
-// the budgeted attempts (the policy may grant bounded free retries on
-// top); preWait, when non-nil, runs before every attempt (TLE's lock
-// wait, 2-path-ncon's indicator wait); busyBreak abandons the path
-// immediately on an explicit CodeFallbackBusy abort (the 3-path fast
-// loop's reaction to a busy fallback path, which is the algorithm's
-// structure rather than retry policy).
+// runPath drives one execution path's attempt loop, reporting whether an
+// attempt committed. budget bounds the budgeted attempts (spurious
+// aborts get bounded free retries on top); preWait, when non-nil, runs
+// before every attempt (TLE's lock wait, 2-path-ncon's indicator wait);
+// busyBreak abandons the path immediately on an explicit
+// CodeFallbackBusy abort (the 3-path fast loop's reaction to a busy
+// fallback path, which is the algorithm's structure rather than retry
+// policy).
+//
+// What a failed attempt does next depends on its cause, in the style of
+// the per-cause retry loops production TM locks use (Cavalia's RtmLock
+// is the canonical shape):
+//
+//   - capacity: abandon the path at once — the footprint will not
+//     shrink by retrying (attemptFailed has bumped the site's capacity
+//     score, which at capScoreSkip makes future operations start past
+//     the fast path);
+//   - spurious: retry without consuming budget, up to freeRetries per
+//     path — transient events say nothing about the attempt's odds;
+//   - conflict: retry after a randomized backoff drawn from a bounded
+//     exponentially growing window — the losers of a conflict spread
+//     out instead of re-colliding on the same cache lines;
+//   - explicit: retry, consuming budget (logical retries are the
+//     structure's business; the engine handles its own busy codes).
 func (th *Thread) runPath(site *Site, path htm.PathKind, budget int, busyBreak bool,
 	preWait func(), body func(tx *htm.Tx)) bool {
-	pol := th.eng.cfg.Policy
 	free := 0
 	for used := 0; used < budget; {
 		if preWait != nil {
@@ -812,24 +817,21 @@ func (th *Thread) runPath(site *Site, path htm.PathKind, budget int, busyBreak b
 		if busyBreak && ab.Cause == htm.CauseExplicit && ab.Code == CodeFallbackBusy {
 			return false
 		}
-		switch d := pol.AfterAbort(site, path, ab, used, free); d.Action {
-		case ActionNextPath:
+		switch ab.Cause {
+		case htm.CauseCapacity:
 			atomic.AddUint64(&th.polstats.CapacitySkips, 1)
 			return false
-		case ActionFreeRetry:
-			free++
-			atomic.AddUint64(&th.polstats.FreeRetries, 1)
-			if d.Backoff > 0 {
-				atomic.AddUint64(&th.polstats.Backoffs, 1)
-				backoffSpin(d.Backoff)
+		case htm.CauseSpurious:
+			if free < freeRetries {
+				free++
+				atomic.AddUint64(&th.polstats.FreeRetries, 1)
+				continue
 			}
-		default:
-			used++
-			if d.Backoff > 0 {
-				atomic.AddUint64(&th.polstats.Backoffs, 1)
-				backoffSpin(d.Backoff)
-			}
+		case htm.CauseConflict:
+			atomic.AddUint64(&th.polstats.Backoffs, 1)
+			backoffSpin(site.conflictBackoff(used))
 		}
+		used++
 	}
 	return false
 }
@@ -876,12 +878,11 @@ func (th *Thread) firstBody(tx *htm.Tx, op *Op) {
 
 // CanPin reports whether RunAt can serve this thread: the algorithm has
 // a first path that is one transaction (non-htm has no transaction at
-// all, scx-htm only inside its SCX), and the TM can begin an attempt at
-// a caller-supplied snapshot.
+// all, scx-htm only inside its SCX).
 func (th *Thread) CanPin() bool {
 	switch th.eng.cfg.Algorithm {
 	case AlgThreePath, AlgTwoPathNCon, AlgTLE, AlgTwoPathConc:
-		return th.H.TM().CanPin()
+		return true
 	}
 	return false
 }

@@ -288,7 +288,7 @@ func readOp(cells []htm.Word, sum *uint64) Op {
 // algorithm's first path runs — so a pinned read is kept off a busy
 // software path by the same subscription as any fast-path transaction,
 // commits as a fast-path completion, and is refused (CanPin) where the
-// first path is not one transaction or the TM picks its own snapshots.
+// first path is not one transaction.
 func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 	t.Parallel()
 	for _, alg := range Algorithms {
@@ -320,7 +320,7 @@ func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 				t.Fatalf("pinned read of a cell written after rv: status %v, want aborted", st)
 			}
 			s := e.Stats()
-			if s.Fast != 1 || s.Aborts.On(htm.PathFast, htm.CauseConflict) != 1 {
+			if s.Fast != 1 || s.Aborts[htm.PathFast][htm.CauseConflict] != 1 {
 				t.Fatalf("engine stats %+v, want 1 fast completion and 1 fast conflict abort", s)
 			}
 			// Occupy the software path the algorithm's first path must
@@ -341,10 +341,6 @@ func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 				t.Fatalf("explicit aborts = %d, want 1 (the subscription)", got)
 			}
 		})
-	}
-	lock := htm.New(htm.Config{Backend: htm.BackendTLELock})
-	if New(Config{Algorithm: AlgThreePath}, lock.Clock()).NewThread(lock.NewThread()).CanPin() {
-		t.Fatal("CanPin on a TM that establishes its own snapshots")
 	}
 }
 
@@ -369,7 +365,7 @@ func TestPinnedAttemptAccounting(t *testing.T) {
 		}
 	}
 	s := e.Stats()
-	aborted := s.Aborts.On(htm.PathFast, htm.CauseCapacity)
+	aborted := s.Aborts[htm.PathFast][htm.CauseCapacity]
 	if aborted < capScoreSkip || aborted+s.Policy.Demotions != tries || s.Policy.Demotions == 0 {
 		t.Fatalf("%d capacity aborts + %d demotions in %d tries: the site's capacity memory is not consulted", aborted, s.Policy.Demotions, tries)
 	}

@@ -282,7 +282,7 @@ func (th *Thread) runHelpableFallback(op Op, mon *UpdateMonitor) {
 
 // helpWait waits for the TLE word to clear before a fast-path attempt,
 // helping the announced operation instead of spinning when one is
-// present (the RetryPolicy's FallbackHelper verdict enables this wait).
+// present: a blocked thread helps, as part of the protocol.
 func (th *Thread) helpWait() {
 	e := th.eng
 	for i := 0; e.tle.Get(nil) != 0; i++ {

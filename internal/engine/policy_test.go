@@ -136,38 +136,34 @@ func TestAbortCauseBuckets(t *testing.T) {
 			cause: htm.CauseConflict,
 		},
 	}
-	for _, pol := range PolicyNames {
-		for _, tc := range cases {
-			for _, alg := range txAlgorithms {
-				pol, tc, alg := pol, tc, alg
-				t.Run(pol+"/"+tc.name+"/"+alg.String(), func(t *testing.T) {
-					t.Parallel()
-					p, _ := ParsePolicy(pol)
-					tm := htm.New(tc.htmCfg)
-					e := New(Config{Algorithm: alg, Policy: p,
-						AttemptLimit: 4, FastLimit: 4, MiddleLimit: 4}, tm.Clock())
-					th := e.NewThread(tm.NewThread())
-					th.Run(tc.mkOp(tm.Clock()))
-					s := e.Stats()
-					if got := s.Aborts.On(htm.PathFast, tc.cause); got == 0 {
-						t.Fatalf("Aborts[fast][%v] = 0, want > 0 (all: %v)", tc.cause, s.Aborts)
+	for _, tc := range cases {
+		for _, alg := range txAlgorithms {
+			tc, alg := tc, alg
+			t.Run("adaptive/"+tc.name+"/"+alg.String(), func(t *testing.T) {
+				t.Parallel()
+				tm := htm.New(tc.htmCfg)
+				e := New(Config{Algorithm: alg,
+					AttemptLimit: 4, FastLimit: 4, MiddleLimit: 4}, tm.Clock())
+				th := e.NewThread(tm.NewThread())
+				th.Run(tc.mkOp(tm.Clock()))
+				s := e.Stats()
+				if got := s.Aborts[htm.PathFast][tc.cause]; got == 0 {
+					t.Fatalf("Aborts[fast][%v] = 0, want > 0 (all: %v)", tc.cause, s.Aborts)
+				}
+				// Nothing may land in the other causes' buckets.
+				for c := htm.AbortCause(1); c < htm.NumCauses; c++ {
+					if c != tc.cause && s.Aborts[htm.PathFast][c] != 0 {
+						t.Fatalf("Aborts[fast][%v] = %d, want 0", c, s.Aborts[htm.PathFast][c])
 					}
-					// Nothing may land in the other causes' buckets.
-					for c := htm.AbortCause(1); c < htm.NumCauses; c++ {
-						if c != tc.cause && s.Aborts.On(htm.PathFast, c) != 0 {
-							t.Fatalf("Aborts[fast][%v] = %d, want 0", c, s.Aborts.On(htm.PathFast, c))
-						}
-					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
 
-// TestAdaptiveCapacityConsumesPathBudget asserts the tentpole behavior:
-// under the adaptive policy a capacity abort abandons the path after a
-// single attempt on every algorithm (retrying cannot shrink the
-// footprint), where the static policy burns the full budget.
+// TestAdaptiveCapacityConsumesPathBudget asserts that a capacity abort
+// abandons the path after a single attempt on every algorithm (retrying
+// cannot shrink the footprint).
 func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 	t.Parallel()
 	for _, alg := range txAlgorithms {
@@ -175,7 +171,7 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
 			tm := htm.New(htm.Config{ReadCapacity: 2})
-			e := New(Config{Algorithm: alg, Policy: NewAdaptivePolicy()}, tm.Clock())
+			e := New(Config{Algorithm: alg}, tm.Clock())
 			th := e.NewThread(tm.NewThread())
 			cells := make([]htm.Word, 8)
 			body := func(tx *htm.Tx) {
@@ -190,12 +186,12 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 				t.Fatalf("completed on %v, want fallback", p)
 			}
 			s := e.Stats()
-			if got := s.Aborts.On(htm.PathFast, htm.CauseCapacity); got != 1 {
+			if got := s.Aborts[htm.PathFast][htm.CauseCapacity]; got != 1 {
 				t.Fatalf("fast capacity aborts = %d, want 1 (path abandoned immediately)", got)
 			}
 			wantSkips := uint64(1)
 			if alg == AlgThreePath {
-				if got := s.Aborts.On(htm.PathMiddle, htm.CauseCapacity); got != 1 {
+				if got := s.Aborts[htm.PathMiddle][htm.CauseCapacity]; got != 1 {
 					t.Fatalf("middle capacity aborts = %d, want 1", got)
 				}
 				wantSkips = 2
@@ -207,43 +203,13 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 	}
 }
 
-// TestStaticPolicyBurnsFullBudget pins the baseline: the cause-blind
-// policy retries capacity aborts until the budget is gone.
-func TestStaticPolicyBurnsFullBudget(t *testing.T) {
-	t.Parallel()
-	tm := htm.New(htm.Config{ReadCapacity: 2})
-	e := New(Config{Algorithm: AlgThreePath, Policy: StaticPolicy{},
-		FastLimit: 4, MiddleLimit: 3}, tm.Clock())
-	th := e.NewThread(tm.NewThread())
-	cells := make([]htm.Word, 8)
-	body := func(tx *htm.Tx) {
-		for i := range cells {
-			_ = cells[i].Get(tx)
-		}
-	}
-	if p := th.Run(Op{Fast: body, Middle: body,
-		Fallback: func() bool { return true }}); p != htm.PathFallback {
-		t.Fatalf("completed on %v, want fallback", p)
-	}
-	s := e.Stats()
-	if got := s.Aborts.On(htm.PathFast, htm.CauseCapacity); got != 4 {
-		t.Fatalf("fast capacity aborts = %d, want FastLimit=4", got)
-	}
-	if got := s.Aborts.On(htm.PathMiddle, htm.CauseCapacity); got != 3 {
-		t.Fatalf("middle capacity aborts = %d, want MiddleLimit=3", got)
-	}
-	if s.Policy != (PolicyStats{}) {
-		t.Fatalf("static policy recorded actions: %+v", s.Policy)
-	}
-}
-
 // TestAdaptiveSpuriousFreeRetries pins the free-retry accounting: with
 // every access aborting spuriously, each transactional path grants
-// exactly FreeRetries budget-exempt attempts on top of its budget.
+// exactly freeRetries budget-exempt attempts on top of its budget.
 func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{SpuriousEvery: 1})
-	e := New(Config{Algorithm: AlgThreePath, Policy: NewAdaptivePolicy(),
+	e := New(Config{Algorithm: AlgThreePath,
 		FastLimit: 4, MiddleLimit: 2}, tm.Clock())
 	th := e.NewThread(tm.NewThread())
 	var c htm.Word
@@ -252,14 +218,14 @@ func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 		t.Fatalf("completed on %v, want fallback", p)
 	}
 	s := e.Stats()
-	free := NewAdaptivePolicy().FreeRetries
-	if want := uint64(4 + free); s.Aborts.On(htm.PathFast, htm.CauseSpurious) != want {
+	const free = freeRetries
+	if want := uint64(4 + free); s.Aborts[htm.PathFast][htm.CauseSpurious] != want {
 		t.Fatalf("fast spurious aborts = %d, want budget+free = %d",
-			s.Aborts.On(htm.PathFast, htm.CauseSpurious), want)
+			s.Aborts[htm.PathFast][htm.CauseSpurious], want)
 	}
-	if want := uint64(2 + free); s.Aborts.On(htm.PathMiddle, htm.CauseSpurious) != want {
+	if want := uint64(2 + free); s.Aborts[htm.PathMiddle][htm.CauseSpurious] != want {
 		t.Fatalf("middle spurious aborts = %d, want budget+free = %d",
-			s.Aborts.On(htm.PathMiddle, htm.CauseSpurious), want)
+			s.Aborts[htm.PathMiddle][htm.CauseSpurious], want)
 	}
 	if want := uint64(2 * free); s.Policy.FreeRetries != want {
 		t.Fatalf("FreeRetries = %d, want %d", s.Policy.FreeRetries, want)
@@ -271,7 +237,7 @@ func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 func TestAdaptiveConflictBackoff(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgTwoPathConc, Policy: NewAdaptivePolicy(),
+	e := New(Config{Algorithm: AlgTwoPathConc,
 		AttemptLimit: 4}, tm.Clock())
 	th := e.NewThread(tm.NewThread())
 	var c, w htm.Word
@@ -297,7 +263,7 @@ func TestAdaptiveConflictBackoff(t *testing.T) {
 func TestCapacityDemotesSite(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{ReadCapacity: 2})
-	e := New(Config{Algorithm: AlgThreePath, Policy: NewAdaptivePolicy()}, tm.Clock())
+	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
 	th := e.NewThread(tm.NewThread())
 	cells := make([]htm.Word, 8)
 	body := func(tx *htm.Tx) {
@@ -318,7 +284,7 @@ func TestCapacityDemotesSite(t *testing.T) {
 	// Demoted operations skip the fast path entirely, so it sees far
 	// fewer capacity aborts than one per run (only the pre-demotion runs
 	// and the ~1/16 probes).
-	fast := s.Aborts.On(htm.PathFast, htm.CauseCapacity)
+	fast := s.Aborts[htm.PathFast][htm.CauseCapacity]
 	if fast+s.Policy.Demotions != runs {
 		t.Fatalf("fast attempts (%d) + demotions (%d) != runs (%d)",
 			fast, s.Policy.Demotions, runs)

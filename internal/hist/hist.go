@@ -105,14 +105,6 @@ func (h *Hist) Max() uint64 { return h.max }
 // Sum returns the sum of all recorded samples.
 func (h *Hist) Sum() uint64 { return h.sum }
 
-// Mean returns the mean sample, or 0 when empty.
-func (h *Hist) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.count)
-}
-
 // Quantile returns a representative value at quantile q in [0, 1]: the
 // midpoint of the bucket holding the sample of rank ceil(q*count), so
 // the result is within the bucket's ~2^-subBits relative width of the
@@ -142,31 +134,6 @@ func (h *Hist) Quantile(q float64) uint64 {
 	return h.max
 }
 
-// Bucket is one non-empty histogram bucket in an export: Count samples
-// in [Low, High).
-type Bucket struct {
-	Low   uint64 `json:"low"`
-	High  uint64 `json:"high"`
-	Count uint64 `json:"count"`
-}
-
-// Buckets returns the non-empty buckets in ascending value order
-// (allocates; intended for post-run export, not the capture path).
-func (h *Hist) Buckets() []Bucket {
-	var out []Bucket
-	for i, c := range h.counts {
-		if c == 0 {
-			continue
-		}
-		high := uint64(1)<<63 - 1 + uint64(1)<<63 // max uint64 for the last bucket
-		if i+1 < numBuckets {
-			high = bucketLow(i + 1)
-		}
-		out = append(out, Bucket{Low: bucketLow(i), High: high, Count: c})
-	}
-	return out
-}
-
 // CumBucket is one step of a cumulative (Prometheus `le`-style) bucket
 // export: Count samples were recorded with value <= Le.
 type CumBucket struct {
@@ -179,7 +146,7 @@ type CumBucket struct {
 // in ascending Le order, where Count is the running total of samples
 // with value <= Le. Samples are integers, so the inclusive upper bound
 // of the half-open internal bucket [Low, High) is exactly High-1 — the
-// export loses no precision relative to Buckets. The final entry's
+// export loses no precision. The final entry's
 // Count equals Count() (the `+Inf` bucket is implied). Allocates;
 // intended for scrape-time exposition, not the capture path.
 func (h *Hist) Cumulative() []CumBucket {

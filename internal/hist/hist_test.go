@@ -108,7 +108,7 @@ func TestQuantileAccuracy(t *testing.T) {
 // TestQuantileEdgeCases covers empty and single-sample histograms.
 func TestQuantileEdgeCases(t *testing.T) {
 	var h Hist
-	if h.Quantile(0.5) != 0 || h.Max() != 0 || h.Count() != 0 || h.Mean() != 0 {
+	if h.Quantile(0.5) != 0 || h.Max() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Fatal("empty histogram must report zeros")
 	}
 	h.Record(7)
@@ -117,8 +117,8 @@ func TestQuantileEdgeCases(t *testing.T) {
 			t.Fatalf("single-sample Quantile(%v) = %d, want 7", q, got)
 		}
 	}
-	if h.Mean() != 7 {
-		t.Fatalf("Mean = %v, want 7", h.Mean())
+	if h.Sum() != 7 {
+		t.Fatalf("Sum = %v, want 7", h.Sum())
 	}
 	h.Reset()
 	if h.Count() != 0 || h.Quantile(0.5) != 0 {
@@ -157,7 +157,7 @@ func TestMerge(t *testing.T) {
 	}
 }
 
-// TestBucketsExport checks the non-empty bucket export covers every
+// TestBucketsExport checks the cumulative bucket export covers every
 // sample exactly once with consistent ranges.
 func TestBucketsExport(t *testing.T) {
 	var h Hist
@@ -167,22 +167,18 @@ func TestBucketsExport(t *testing.T) {
 		h.Record(r.next() % (1 << 20))
 	}
 	var total uint64
-	prevHigh := uint64(0)
-	for _, b := range h.Buckets() {
-		if b.Low < prevHigh {
-			t.Fatalf("bucket [%d,%d) overlaps previous (high %d)", b.Low, b.High, prevHigh)
+	cum := h.Cumulative()
+	for i, b := range cum {
+		if i > 0 && b.Le <= cum[i-1].Le {
+			t.Fatalf("bucket le=%d does not lie above the previous one", b.Le)
 		}
-		if b.High <= b.Low {
-			t.Fatalf("bucket [%d,%d) is empty-ranged", b.Low, b.High)
-		}
-		if b.Count == 0 {
+		if b.Count <= total {
 			t.Fatal("export contains an empty bucket")
 		}
-		prevHigh = b.High
-		total += b.Count
+		total = b.Count
 	}
 	if total != n {
-		t.Fatalf("exported counts sum to %d, want %d", total, n)
+		t.Fatalf("exported counts reach %d, want %d", total, n)
 	}
 }
 
@@ -212,9 +208,9 @@ func TestRecordZeroAlloc(t *testing.T) {
 
 // TestCumulativeProperty is the property test for the Prometheus-style
 // cumulative export: against random sample sets it cross-checks
-// Cumulative against Buckets (same boundaries, running totals) and
-// against Quantile (the value Quantile(q) returns must be covered by
-// the first cumulative bucket whose count reaches rank(q)).
+// Cumulative against the bucket counts (same boundaries, running
+// totals) and against Quantile (the value Quantile(q) returns must be
+// covered by the first cumulative bucket whose count reaches rank(q)).
 func TestCumulativeProperty(t *testing.T) {
 	rng := lcg(42)
 	for trial := 0; trial < 20; trial++ {
@@ -227,18 +223,21 @@ func TestCumulativeProperty(t *testing.T) {
 		}
 
 		cum := h.Cumulative()
-		bks := h.Buckets()
-		if len(cum) != len(bks) {
-			t.Fatalf("trial %d: %d cumulative vs %d plain buckets", trial, len(cum), len(bks))
-		}
 		var running uint64
-		for i, b := range bks {
-			running += b.Count
+		i := -1
+		for b, c := range h.counts {
+			if c == 0 {
+				continue
+			}
+			if i++; i == len(cum) {
+				t.Fatalf("trial %d: %d cumulative buckets, more are non-empty", trial, len(cum))
+			}
+			running += c
 			// Same boundary: le is the inclusive form of the half-open
 			// [Low, High) bucket, exact for integer samples.
-			wantLe := b.High - 1
-			if b.High == math.MaxUint64 {
-				wantLe = math.MaxUint64
+			wantLe := uint64(math.MaxUint64)
+			if b+1 < numBuckets {
+				wantLe = bucketLow(b+1) - 1
 			}
 			if cum[i].Le != wantLe {
 				t.Fatalf("trial %d bucket %d: le %d, want %d", trial, i, cum[i].Le, wantLe)
@@ -250,7 +249,7 @@ func TestCumulativeProperty(t *testing.T) {
 				t.Fatalf("trial %d: le not strictly increasing at %d", trial, i)
 			}
 		}
-		if cum[len(cum)-1].Count != h.Count() {
+		if i != len(cum)-1 || cum[i].Count != h.Count() {
 			t.Fatalf("trial %d: last cumulative %d != count %d", trial, cum[len(cum)-1].Count, h.Count())
 		}
 

@@ -24,9 +24,7 @@ type announceBox struct {
 // Announce tries to install a as the TM's current announcement. It
 // fails (returns false) only when another unfinished operation is
 // already announced; a leftover finished descriptor is cleared and the
-// install retried. On success the backend is notified via
-// Backend.Announce so blocking backends (the TLE lock) switch their
-// waiters to helping.
+// install retried.
 func (tm *TM) Announce(a Announced) bool {
 	box := &announceBox{a: a}
 	for {
@@ -39,19 +37,16 @@ func (tm *TM) Announce(a Announced) bool {
 			continue
 		}
 		if tm.ann.CompareAndSwap(nil, box) {
-			tm.backend.Announce(a)
 			return true
 		}
 	}
 }
 
 // Retract clears the announcement slot if it still holds a. Any thread
-// observing that a finished may retract it; the slot CAS guarantees the
-// backend sees exactly one retraction per successful Announce.
+// observing that a finished may retract it.
 func (tm *TM) Retract(a Announced) {
-	cur := tm.ann.Load()
-	if cur != nil && cur.a == a && tm.ann.CompareAndSwap(cur, nil) {
-		tm.backend.Announce(nil)
+	if cur := tm.ann.Load(); cur != nil && cur.a == a {
+		tm.ann.CompareAndSwap(cur, nil)
 	}
 }
 
@@ -76,19 +71,7 @@ func (th *Thread) SetHelper(fn func(Announced) bool) { th.helper = fn }
 // transaction: helping executes non-transactional fallback-path code,
 // which must not nest under a live transaction log.
 func (th *Thread) Help() bool {
-	if th.inTx {
-		return false
-	}
-	return th.tm.backend.Help(th)
-}
-
-// runHelp is the backend-facing help entry: unlike Help it may run
-// while the thread is formally inside Atomic, because a blocking
-// backend's Begin calls it before the attempt has established a
-// snapshot or logged any access (the only state is an empty log, which
-// the announced operation cannot disturb).
-func (th *Thread) runHelp() bool {
-	if th.helper == nil || th.helping {
+	if th.inTx || th.helper == nil || th.helping {
 		return false
 	}
 	a := th.tm.Announcement()

@@ -52,8 +52,8 @@
 // is already in the write set; a 256-bit signature of the write set's
 // version-word addresses (Tx.sig) answers "no" in O(1), inlined into the
 // cells' Get, and only a hit scans. What an access needs from the
-// configuration — backend kind, capacity limits, lock spin, whether
-// failure injection is armed — is copied into the Tx when its thread is
+// configuration — capacity limits, lock spin, whether failure
+// injection is armed — is copied into the Tx when its thread is
 // created, so an access reads it from the Tx it already holds (Tx.bind).
 // And a write-set entry addresses its cell by two raw pointers, version
 // word and value storage, so commit applies every kind of entry (a
@@ -111,11 +111,6 @@ type Config struct {
 	// Seed seeds the deterministic per-thread PRNGs used for spurious
 	// aborts. Zero selects a fixed default seed.
 	Seed uint64
-	// Backend selects the TM implementation (default BackendSim, the
-	// TL2-flavoured simulator). ReadCapacity, WriteCapacity and
-	// SpuriousEvery only apply to the simulator; BackendTLELock ignores
-	// them. For a custom Backend implementation use NewWithBackend.
-	Backend BackendKind
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane at this TM's transactional accesses: a fault.PointTxAccess
 	// effect forces an abort with the effect's cause (CauseSpurious
@@ -160,13 +155,8 @@ func POWER8Config() Config {
 // touch must be bound to that TM's clock before any non-transactional
 // mutation.
 type TM struct {
-	cfg     Config
-	clock   Clock
-	backend Backend
-	// sim is true when backend is the built-in simulator. Each thread's
-	// Tx carries a copy (Tx.sim), under which begin, admission and
-	// commit are direct calls instead of Backend dispatches.
-	sim bool
+	cfg   Config
+	clock Clock
 	// ann is the announcement slot of the helpable fallback protocol:
 	// the descriptor of the fallback critical section currently
 	// executing on this TM's trees, if any. See Announce.
@@ -178,21 +168,7 @@ type TM struct {
 
 // New creates a transactional memory instance with the given
 // configuration. Zero fields of cfg select defaults.
-func New(cfg Config) *TM {
-	return NewWithBackend(cfg, NewBackend(cfg.Backend))
-}
-
-// NewWithBackend creates a transactional memory instance driven by a
-// caller-supplied Backend — the seam for plugging in a native hardware
-// backend (see the Backend docs). The backend must not be shared with
-// another TM unless its implementation allows it.
-func NewWithBackend(cfg Config, b Backend) *TM {
-	_, sim := b.(simBackend)
-	return &TM{cfg: cfg.withDefaults(), backend: b, sim: sim}
-}
-
-// Backend returns the backend driving this TM.
-func (tm *TM) Backend() Backend { return tm.backend }
+func New(cfg Config) *TM { return &TM{cfg: cfg.withDefaults()} }
 
 // Config returns the (defaulted) configuration of the TM.
 func (tm *TM) Config() Config { return tm.cfg }
@@ -204,11 +180,6 @@ func (tm *TM) Clock() *Clock { return &tm.clock }
 // ClockValue returns the current value of the TM's version clock
 // (exported for tests and diagnostics).
 func (tm *TM) ClockValue() uint64 { return tm.clock.Now() }
-
-// CanPin reports whether this TM's threads can begin an attempt at a
-// caller-supplied snapshot (Thread.AtomicAt): true on the built-in
-// simulator only.
-func (tm *TM) CanPin() bool { return tm.sim }
 
 // NewThread registers and returns a new thread context. Each Thread must
 // be used by a single goroutine at a time.

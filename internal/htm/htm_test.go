@@ -546,3 +546,72 @@ func TestAddAtCommitMisusePanics(t *testing.T) {
 		w.AddAtCommit(tx, 1)
 	})
 }
+
+// TestForeignPanicDropsLog verifies a foreign panic zeroes the write
+// set's buffered ptr entries (not merely truncates), so an abandoned
+// attempt on an idle thread cannot pin nodes against reclamation.
+func TestForeignPanicDropsLog(t *testing.T) {
+	t.Parallel()
+	tm := New(Config{})
+	th := tm.NewThread()
+	type node struct{ k int }
+	var r Ref[node]
+	var w Word
+	func() {
+		defer func() { recover() }()
+		th.Atomic(PathFast, func(tx *Tx) {
+			_ = w.Get(tx)
+			r.Set(tx, &node{1})
+			panic("boom")
+		})
+	}()
+	tx := &th.tx
+	if len(tx.reads) != 0 || len(tx.writes) != 0 {
+		t.Fatalf("log not truncated: %d reads, %d writes", len(tx.reads), len(tx.writes))
+	}
+	for i := range tx.writes[:cap(tx.writes)] {
+		if e := &tx.writes[:cap(tx.writes)][i]; e.ptr != nil || e.c != nil {
+			t.Fatalf("write entry %d not zeroed: %+v", i, e)
+		}
+	}
+	for i := range tx.reads[:cap(tx.reads)] {
+		if e := &tx.reads[:cap(tx.reads)][i]; e.ver != nil {
+			t.Fatalf("read entry %d not zeroed: %+v", i, e)
+		}
+	}
+}
+
+// TestThreadStatsConcurrent hammers Thread.Stats from a reporting
+// goroutine while the owner commits and aborts transactions; under the
+// race detector this fails if either side bypasses the atomic counters.
+func TestThreadStatsConcurrent(t *testing.T) {
+	t.Parallel()
+	tm := New(Config{})
+	th := tm.NewThread()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = th.Stats()
+			_ = tm.Stats()
+		}
+	}()
+	var x Word
+	for i := 0; i < 20000; i++ {
+		th.Atomic(PathFast, func(tx *Tx) { x.Set(tx, uint64(i)) })
+		th.Atomic(PathMiddle, func(tx *Tx) { tx.Abort(1) })
+	}
+	close(stop)
+	wg.Wait()
+	s := th.Stats()
+	if s.Commits[PathFast] != 20000 || s.Aborts[PathMiddle][CauseExplicit] != 20000 {
+		t.Fatalf("stats = %+v, want 20000 fast commits and middle explicit aborts", s)
+	}
+}

@@ -55,88 +55,86 @@ func TestPairNonTxBasics(t *testing.T) {
 func TestPairOpacity(t *testing.T) {
 	t.Parallel()
 	pairF := func(a uint64) uint64 { return a*0x9e3779b97f4a7c15 + 1 }
-	for _, backend := range bothBackends {
-		const (
-			k       = 7
-			writers = 2
-			perW    = 3000
-			nonTx   = 3000
-		)
-		tm := New(Config{Backend: backend})
-		var p, q Pair
-		p.Bind(tm.Clock())
-		q.Bind(tm.Clock())
-		var wg sync.WaitGroup
-		var done atomic.Bool
-		for w := 0; w < writers; w++ {
-			wg.Add(1)
-			go func(w uint64) {
-				defer wg.Done()
-				th := tm.NewThread()
-				var scratch Word
-				for i := 0; i < perW; {
-					x := w<<32 | uint64(i)
-					if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-						scratch.Set(tx, uint64(i))
-						p.AddAtCommit(tx, k, 1)
-						q.Set(tx, x, pairF(x))
-					}); ok {
-						i++
-					}
-				}
-			}(uint64(w))
-		}
+	const (
+		k       = 7
+		writers = 2
+		perW    = 3000
+		nonTx   = 3000
+	)
+	tm := New(Config{})
+	var p, q Pair
+	p.Bind(tm.Clock())
+	q.Bind(tm.Clock())
+	var wg sync.WaitGroup
+	var done atomic.Bool
+	for w := 0; w < writers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w uint64) {
 			defer wg.Done()
-			for i := uint64(0); i < nonTx; i++ {
-				p.Add(k, 1)
-				q.Set(nil, writers<<32|i, pairF(writers<<32|i))
-			}
-		}()
-		var readers sync.WaitGroup
-		for r := 0; r < 2; r++ {
-			readers.Add(1)
-			go func(transactional bool) {
-				defer readers.Done()
-				th := tm.NewThread()
-				var last uint64
-				for !done.Load() {
-					var a, b, x, fx uint64
-					if transactional {
-						if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-							a, b = p.Get(tx)
-							x, fx = q.Get(tx)
-						}); !ok {
-							continue
-						}
-					} else {
-						a, b = p.Get(nil)
-						x, fx = q.Get(nil)
-					}
-					if a != k*b {
-						t.Errorf("%s: torn Pair read (%d,%d), want a == %d*b", backend, a, b, k)
-						return
-					}
-					if (x != 0 || fx != 0) && fx != pairF(x) {
-						t.Errorf("%s: torn Pair read (%#x,%#x), want b == f(a) = %#x", backend, x, fx, pairF(x))
-						return
-					}
-					if b < last {
-						t.Errorf("%s: Pair count went backwards: %d after %d", backend, b, last)
-						return
-					}
-					last = b
+			th := tm.NewThread()
+			var scratch Word
+			for i := 0; i < perW; {
+				x := w<<32 | uint64(i)
+				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
+					scratch.Set(tx, uint64(i))
+					p.AddAtCommit(tx, k, 1)
+					q.Set(tx, x, pairF(x))
+				}); ok {
+					i++
 				}
-			}(r == 0)
+			}
+		}(uint64(w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := uint64(0); i < nonTx; i++ {
+			p.Add(k, 1)
+			q.Set(nil, writers<<32|i, pairF(writers<<32|i))
 		}
-		wg.Wait()
-		done.Store(true)
-		readers.Wait()
-		const total = writers*perW + nonTx
-		if a, b := p.Get(nil); a != k*total || b != total {
-			t.Fatalf("%s: Pair = (%d,%d), want (%d,%d)", backend, a, b, k*total, total)
-		}
+	}()
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func(transactional bool) {
+			defer readers.Done()
+			th := tm.NewThread()
+			var last uint64
+			for !done.Load() {
+				var a, b, x, fx uint64
+				if transactional {
+					if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
+						a, b = p.Get(tx)
+						x, fx = q.Get(tx)
+					}); !ok {
+						continue
+					}
+				} else {
+					a, b = p.Get(nil)
+					x, fx = q.Get(nil)
+				}
+				if a != k*b {
+					t.Errorf("torn Pair read (%d,%d), want a == %d*b", a, b, k)
+					return
+				}
+				if (x != 0 || fx != 0) && fx != pairF(x) {
+					t.Errorf("torn Pair read (%#x,%#x), want b == f(a) = %#x", x, fx, pairF(x))
+					return
+				}
+				if b < last {
+					t.Errorf("Pair count went backwards: %d after %d", b, last)
+					return
+				}
+				last = b
+			}
+		}(r == 0)
+	}
+	wg.Wait()
+	done.Store(true)
+	readers.Wait()
+	const total = writers*perW + nonTx
+	if a, b := p.Get(nil); a != k*total || b != total {
+		t.Fatalf("Pair = (%d,%d), want (%d,%d)", a, b, k*total, total)
 	}
 }
 
@@ -148,35 +146,33 @@ func TestPairOpacity(t *testing.T) {
 // transaction that begins afterwards reads it normally.
 func TestPairRecycle(t *testing.T) {
 	t.Parallel()
-	for _, backend := range bothBackends {
-		tm := New(Config{Backend: backend})
-		th := tm.NewThread()
-		var p Pair
-		var removal Word // stands for the commit that unlinked p's node
-		p.Bind(tm.Clock())
-		removal.Bind(tm.Clock())
-		p.Init(1, 2)
-		for _, readFirst := range []bool{false, true} {
-			var a, b uint64
-			ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-				if readFirst {
-					a, b = p.Get(tx)
-				}
-				removal.Add(1)
-				p.Recycle(7, 8)
+	tm := New(Config{})
+	th := tm.NewThread()
+	var p Pair
+	var removal Word // stands for the commit that unlinked p's node
+	p.Bind(tm.Clock())
+	removal.Bind(tm.Clock())
+	p.Init(1, 2)
+	for _, readFirst := range []bool{false, true} {
+		var a, b uint64
+		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+			if readFirst {
 				a, b = p.Get(tx)
-			})
-			if ok || ab.Cause != CauseConflict {
-				t.Fatalf("%s readFirst=%v: stale reader of a recycled Pair: ok=%v %+v, want a conflict abort", backend, readFirst, ok, ab)
 			}
-			if a == 7 || b == 8 {
-				t.Fatalf("%s readFirst=%v: stale reader returned the recycled pair (%d,%d)", backend, readFirst, a, b)
-			}
-			if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != 7 || b != 8 {
-				t.Fatalf("%s: fresh reader of a recycled Pair: ok=%v %+v (%d,%d), want (7,8)", backend, ok, ab, a, b)
-			}
-			p.Recycle(1, 2)
+			removal.Add(1)
+			p.Recycle(7, 8)
+			a, b = p.Get(tx)
+		})
+		if ok || ab.Cause != CauseConflict {
+			t.Fatalf("readFirst=%v: stale reader of a recycled Pair: ok=%v %+v, want a conflict abort", readFirst, ok, ab)
 		}
+		if a == 7 || b == 8 {
+			t.Fatalf("readFirst=%v: stale reader returned the recycled pair (%d,%d)", readFirst, a, b)
+		}
+		if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != 7 || b != 8 {
+			t.Fatalf("fresh reader of a recycled Pair: ok=%v %+v (%d,%d), want (7,8)", ok, ab, a, b)
+		}
+		p.Recycle(1, 2)
 	}
 }
 
@@ -280,38 +276,36 @@ func TestConcurrentAddsRarelyAbort(t *testing.T) {
 // for correctness (aborted attempts are simply retried).
 func TestConcurrentAddsExactTotal(t *testing.T) {
 	t.Parallel()
-	for _, backend := range bothBackends {
-		const (
-			goroutines = 6
-			perG       = 2000
-		)
-		tm := New(Config{Backend: backend})
-		var w Word
-		var p Pair
-		var wg sync.WaitGroup
-		for g := 0; g < goroutines; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				th := tm.NewThread()
-				for i := 0; i < perG; {
-					if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-						w.AddAtCommit(tx, 1)
-						p.AddAtCommit(tx, uint64(g), 1)
-					}); ok {
-						i++
-					}
+	const (
+		goroutines = 6
+		perG       = 2000
+	)
+	tm := New(Config{})
+	var w Word
+	var p Pair
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			th := tm.NewThread()
+			for i := 0; i < perG; {
+				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
+					w.AddAtCommit(tx, 1)
+					p.AddAtCommit(tx, uint64(g), 1)
+				}); ok {
+					i++
 				}
-			}(g)
-		}
-		wg.Wait()
-		const total = goroutines * perG
-		if got := w.Get(nil); got != total {
-			t.Fatalf("%s: Word = %d, want %d", backend, got, total)
-		}
-		if a, b := p.Get(nil); a != perG*goroutines*(goroutines-1)/2 || b != total {
-			t.Fatalf("%s: Pair = (%d,%d), want (%d,%d)", backend, a, b, perG*goroutines*(goroutines-1)/2, total)
-		}
+			}
+		}(g)
+	}
+	wg.Wait()
+	const total = goroutines * perG
+	if got := w.Get(nil); got != total {
+		t.Fatalf("Word = %d, want %d", got, total)
+	}
+	if a, b := p.Get(nil); a != perG*goroutines*(goroutines-1)/2 || b != total {
+		t.Fatalf("Pair = (%d,%d), want (%d,%d)", a, b, perG*goroutines*(goroutines-1)/2, total)
 	}
 }
 

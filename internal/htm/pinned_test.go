@@ -111,34 +111,17 @@ func TestPinnedReaderAbortsOnRecycledNode(t *testing.T) {
 	}
 }
 
-// TestPinnedNeedsTheSimulator: only the simulator can begin at a foreign
-// snapshot; a TM on another backend says so (CanPin) and AtomicAt on it,
-// or with a value its clock never held, is a caller bug.
-func TestPinnedNeedsTheSimulator(t *testing.T) {
+// TestPinnedSnapshotAheadOfClockPanics: AtomicAt with a value the TM's
+// clock never held (another TM's, say) is a caller bug.
+func TestPinnedSnapshotAheadOfClockPanics(t *testing.T) {
 	t.Parallel()
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s did not panic", name)
-			}
-		}()
-		f()
-	}
-	sim := New(Config{})
-	if !sim.CanPin() {
-		t.Error("the simulator reports it cannot pin")
-	}
-	mustPanic("a snapshot ahead of the clock", func() {
-		sim.NewThread().AtomicAt(PathFast, sim.ClockValue()+1, func(*Tx) {})
-	})
-	lock := New(Config{Backend: BackendTLELock})
-	if lock.CanPin() {
-		t.Error("the tle-lock backend reports it can pin")
-	}
-	mustPanic("AtomicAt on the tle-lock backend", func() {
-		lock.NewThread().AtomicAt(PathFast, 0, func(*Tx) {})
-	})
+	defer func() {
+		if recover() == nil {
+			t.Error("a snapshot ahead of the clock did not panic")
+		}
+	}()
+	tm := New(Config{})
+	tm.NewThread().AtomicAt(PathFast, tm.ClockValue()+1, func(*Tx) {})
 }
 
 // TestPinnedCutAcrossTwoClocks is the cross-shard protocol in miniature:

@@ -240,12 +240,10 @@ type Tx struct {
 	// chasing tx.th.tm.cfg — three dependent loads — before touching
 	// data.
 	//
-	// sim is true on the built-in simulator. armed is true when
-	// admitting an access takes more than the capacity compare: an
-	// injected failure may be due (SpuriousEvery != 0 or a fault plan is
-	// set) or another Backend must be asked. The common unarmed access
-	// pays one branch for all three.
-	sim      bool
+	// armed is true when admitting an access takes more than the
+	// capacity compare: an injected failure may be due (SpuriousEvery
+	// != 0 or a fault plan is set). The common unarmed access pays one
+	// branch for both.
 	armed    bool
 	readCap  int
 	writeCap int
@@ -258,8 +256,7 @@ type Tx struct {
 func (tx *Tx) bind(th *Thread) {
 	tm := th.tm
 	tx.th = th
-	tx.sim = tm.sim
-	tx.armed = !tm.sim || tm.cfg.SpuriousEvery != 0 || th.faults != nil
+	tx.armed = tm.cfg.SpuriousEvery != 0 || th.faults != nil
 	tx.readCap = tm.cfg.ReadCapacity
 	tx.writeCap = tm.cfg.WriteCapacity
 	tx.lockSpin = tm.cfg.LockSpin
@@ -356,33 +353,22 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 	}
 }
 
-// admit vets one access before it joins the read (write=false) or write
-// (write=true) set, aborting the attempt instead of returning to reject
-// it. n is the entry count the access needs admitted — the set's size
-// for an append, the entry's index for an overwrite (which never grows
-// the footprint, so it can only be failed by injection) — and limit the
-// set's capacity. An unarmed attempt within capacity is admitted here,
-// inline; everything else is admitSlow's.
-func (tx *Tx) admit(write bool, n, limit int) {
+// admit vets one access before it joins the read or write set, aborting
+// the attempt instead of returning to reject it. n is the entry count
+// the access needs admitted — the set's size for an append, the entry's
+// index for an overwrite (which never grows the footprint, so it can
+// only be failed by injection) — and limit the set's capacity. An
+// unarmed attempt within capacity is admitted here, inline; everything
+// else is admitSlow's.
+func (tx *Tx) admit(n, limit int) {
 	if tx.armed || n >= limit {
-		tx.admitSlow(write, n, limit)
+		tx.admitSlow(n, limit)
 	}
 }
 
-// admitSlow is admit past the inline filter: the simulator's full check,
-// or the question put to another Backend.
-func (tx *Tx) admitSlow(write bool, n, limit int) {
-	if tx.sim {
-		tx.simAdmit(n, limit)
-		return
-	}
-	tx.th.tm.backend.Admit(tx, write, n)
-}
-
-// simAdmit is the simulator's admission check, the single rendering
-// behind both the devirtualized hot path and simBackend.Admit: injected
-// failures first, then the capacity limit.
-func (tx *Tx) simAdmit(n, limit int) {
+// admitSlow is admit past the inline filter: injected failures first,
+// then the capacity limit.
+func (tx *Tx) admitSlow(n, limit int) {
 	tx.inject()
 	if n >= limit {
 		tx.abort(CauseCapacity)
@@ -390,7 +376,7 @@ func (tx *Tx) simAdmit(n, limit int) {
 }
 
 func (tx *Tx) logRead(ver *atomic.Uint64, seen uint64) {
-	tx.admit(false, len(tx.reads), tx.readCap)
+	tx.admit(len(tx.reads), tx.readCap)
 	tx.reads = append(tx.reads, readEntry{ver: ver, seen: seen})
 }
 
@@ -467,11 +453,11 @@ func (tx *Tx) writeSlot(ver *atomic.Uint64, c unsafe.Pointer, kind entryKind) *w
 				}
 				panic("htm: Set on a cell with a pending AddAtCommit")
 			}
-			tx.admit(true, i, tx.writeCap)
+			tx.admit(i, tx.writeCap)
 			return w
 		}
 	}
-	tx.admit(true, len(tx.writes), tx.writeCap)
+	tx.admit(len(tx.writes), tx.writeCap)
 	tx.sig[sw] |= sm
 	// Append a zero entry and fill it in place: a composite literal
 	// would be assembled on the stack word by word and copied over in
@@ -608,18 +594,8 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 	th.inTx = true
 	tx := &th.tx
 	tx.reset(path)
-	// The simulator's begin, commit and (empty) end are called directly:
-	// three interface dispatches per attempt are a tenth of an empty
-	// transaction.
-	if tx.sim {
-		tx.begin()
-	} else {
-		th.tm.backend.Begin(tx)
-	}
+	tx.begin()
 	cause, code := th.runTx(tx, fn)
-	if !tx.sim {
-		th.tm.backend.End(tx, cause == CauseNone)
-	}
 	th.inTx = false
 	if cause == CauseNone {
 		atomic.AddUint64(&th.stats.Commits[path], 1)
@@ -639,18 +615,12 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 // its own clock, so no one transaction can span them, but a snapshot of
 // each clock, once read, stays valid for as long as the reader likes.
 //
-// Two things are the caller's to guarantee. Whatever keeps memory the
-// attempt may reach from being reused (the engine's reclamation bracket)
-// must already hold when rv is read, just as it holds before Atomic's own
-// begin. And only the simulator can begin at a foreign snapshot — any
-// other Backend establishes its own in Begin — so callers ask TM.CanPin
-// first; AtomicAt on another backend, or with a value the clock has not
-// reached, panics.
+// The caller guarantees that whatever keeps memory the attempt may reach
+// from being reused (the engine's reclamation bracket) already held when
+// rv was read, just as it holds before Atomic's own begin. AtomicAt with
+// a value the clock has not reached panics.
 func (th *Thread) AtomicAt(path PathKind, rv uint64, fn func(tx *Tx)) (bool, Abort) {
 	tx := &th.tx
-	if !tx.sim {
-		panic("htm: AtomicAt on a backend that establishes its own snapshots (see TM.CanPin)")
-	}
 	if th.inTx {
 		panic("htm: nested transaction")
 	}
@@ -685,14 +655,10 @@ func (th *Thread) runTx(tx *Tx, fn func(tx *Tx)) (cause AbortCause, code uint8) 
 			// pin nodes against reclamation on a thread that never
 			// transacts again.
 			tx.drop()
-			th.tm.backend.End(tx, false)
 			th.inTx = false
 			panic(r)
 		}
 	}()
 	fn(tx)
-	if tx.sim {
-		return tx.commit(), 0
-	}
-	return th.tm.backend.Commit(tx), 0
+	return tx.commit(), 0
 }

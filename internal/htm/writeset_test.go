@@ -12,8 +12,6 @@ import (
 // are checked against a map model, the misuse panics must fire on a
 // signature hit, and capacity must count entries, not accesses.
 
-var bothBackends = []BackendKind{BackendSim, BackendTLELock}
-
 type wsNode struct{ id int }
 
 // wsModel is the sequential model of a set of cells: committed values
@@ -80,21 +78,19 @@ func (m *wsModel) pair(i int) [2]uint64 {
 
 func TestWriteSetAgainstModel(t *testing.T) {
 	t.Parallel()
-	for _, backend := range bothBackends {
-		for _, cells := range []int{1, 2, 7, 40, 300, 600} {
-			backend, cells := backend, cells
-			t.Run(fmt.Sprintf("%s/%d", backend, cells), func(t *testing.T) {
-				t.Parallel()
-				for seed := uint64(1); seed <= 4; seed++ {
-					runWriteSetModel(t, backend, cells, seed)
-				}
-			})
-		}
+	for _, cells := range []int{1, 2, 7, 40, 300, 600} {
+		cells := cells
+		t.Run(fmt.Sprintf("sim/%d", cells), func(t *testing.T) {
+			t.Parallel()
+			for seed := uint64(1); seed <= 4; seed++ {
+				runWriteSetModel(t, cells, seed)
+			}
+		})
 	}
 }
 
-func runWriteSetModel(t *testing.T, backend BackendKind, cells int, seed uint64) {
-	tm := New(Config{Backend: backend})
+func runWriteSetModel(t *testing.T, cells int, seed uint64) {
+	tm := New(Config{})
 	th := tm.NewThread()
 	rng := seed * 0x9e3779b97f4a7c15
 	next := func(n int) int {
@@ -250,137 +246,129 @@ func runWriteSetModel(t *testing.T, backend BackendKind, cells int, seed uint64)
 // panics live behind the signature, so a hit must still reach them.
 func TestMisusePanicsOnSignatureHit(t *testing.T) {
 	t.Parallel()
-	for _, backend := range bothBackends {
-		tm := New(Config{Backend: backend, WriteCapacity: 4096})
-		th := tm.NewThread()
-		filler := make([]Word, 3000)
-		var w Word
-		var p Pair
-		expectPanic := func(name string, fn func(tx *Tx)) {
-			t.Helper()
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("%s/%s did not panic", backend, name)
-				}
-				th.inTx = false // the unwind bypassed Atomic's bookkeeping
-			}()
-			th.Atomic(PathFast, func(tx *Tx) {
-				for i := range filler[:1500] {
-					filler[i].Set(tx, 1)
-				}
-				fn(tx)
-			})
-		}
-		fillRest := func(tx *Tx) {
-			for i := range filler[1500:] {
-				filler[1500+i].AddAtCommit(tx, 1)
+	tm := New(Config{WriteCapacity: 4096})
+	th := tm.NewThread()
+	filler := make([]Word, 3000)
+	var w Word
+	var p Pair
+	expectPanic := func(name string, fn func(tx *Tx)) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("%s did not panic", name)
 			}
-			set := 0
-			for _, word := range tx.sig {
-				set += bits.OnesCount64(word)
+			th.inTx = false // the unwind bypassed Atomic's bookkeeping
+		}()
+		th.Atomic(PathFast, func(tx *Tx) {
+			for i := range filler[:1500] {
+				filler[i].Set(tx, 1)
 			}
-			if set < 64*sigWords-4 {
-				t.Fatalf("%d write entries set only %d signature bits: %x", len(tx.writes), set, tx.sig)
-			}
-		}
-		expectPanic("read after AddAtCommit", func(tx *Tx) {
-			w.AddAtCommit(tx, 1)
-			fillRest(tx)
-			w.Get(tx)
-		})
-		expectPanic("Set after AddAtCommit", func(tx *Tx) {
-			w.AddAtCommit(tx, 1)
-			fillRest(tx)
-			w.Set(tx, 5)
-		})
-		expectPanic("CAS after AddAtCommit", func(tx *Tx) {
-			w.AddAtCommit(tx, 1)
-			fillRest(tx)
-			w.CAS(tx, 0, 5)
-		})
-		expectPanic("AddAtCommit after Set", func(tx *Tx) {
-			w.Set(tx, 5)
-			fillRest(tx)
-			w.AddAtCommit(tx, 1)
-		})
-		expectPanic("Pair read after AddAtCommit", func(tx *Tx) {
-			p.AddAtCommit(tx, 1, 1)
-			fillRest(tx)
-			p.Get(tx)
-		})
-		expectPanic("Pair Set after AddAtCommit", func(tx *Tx) {
-			p.AddAtCommit(tx, 1, 1)
-			fillRest(tx)
-			p.Set(tx, 5, 5)
-		})
-		expectPanic("Pair AddAtCommit after Set", func(tx *Tx) {
-			p.Set(tx, 5, 5)
-			fillRest(tx)
-			p.AddAtCommit(tx, 1, 1)
+			fn(tx)
 		})
 	}
+	fillRest := func(tx *Tx) {
+		for i := range filler[1500:] {
+			filler[1500+i].AddAtCommit(tx, 1)
+		}
+		set := 0
+		for _, word := range tx.sig {
+			set += bits.OnesCount64(word)
+		}
+		if set < 64*sigWords-4 {
+			t.Fatalf("%d write entries set only %d signature bits: %x", len(tx.writes), set, tx.sig)
+		}
+	}
+	expectPanic("read after AddAtCommit", func(tx *Tx) {
+		w.AddAtCommit(tx, 1)
+		fillRest(tx)
+		w.Get(tx)
+	})
+	expectPanic("Set after AddAtCommit", func(tx *Tx) {
+		w.AddAtCommit(tx, 1)
+		fillRest(tx)
+		w.Set(tx, 5)
+	})
+	expectPanic("CAS after AddAtCommit", func(tx *Tx) {
+		w.AddAtCommit(tx, 1)
+		fillRest(tx)
+		w.CAS(tx, 0, 5)
+	})
+	expectPanic("AddAtCommit after Set", func(tx *Tx) {
+		w.Set(tx, 5)
+		fillRest(tx)
+		w.AddAtCommit(tx, 1)
+	})
+	expectPanic("Pair read after AddAtCommit", func(tx *Tx) {
+		p.AddAtCommit(tx, 1, 1)
+		fillRest(tx)
+		p.Get(tx)
+	})
+	expectPanic("Pair Set after AddAtCommit", func(tx *Tx) {
+		p.AddAtCommit(tx, 1, 1)
+		fillRest(tx)
+		p.Set(tx, 5, 5)
+	})
+	expectPanic("Pair AddAtCommit after Set", func(tx *Tx) {
+		p.Set(tx, 5, 5)
+		fillRest(tx)
+		p.AddAtCommit(tx, 1, 1)
+	})
 }
 
 // TestWriteCapacityCountsEntries pins the capacity rule: the abort fires
 // on the write that would create entry number WriteCapacity+1, and an
 // overwrite of a cell already in the set — however often, whichever
-// kind — never counts. The TLE-lock backend has no limit at all.
+// kind — never counts.
 func TestWriteCapacityCountsEntries(t *testing.T) {
 	t.Parallel()
 	const (
 		limit = 300 // well past signature saturation
 		per   = limit / 4
 	)
-	for _, backend := range bothBackends {
-		tm := New(Config{Backend: backend, WriteCapacity: limit})
-		th := tm.NewThread()
-		words := make([]Word, per+1)
-		refs := make([]Ref[wsNode], per)
-		adds := make([]Pair, per)
-		sets := make([]Pair, per)
-		n := &wsNode{}
-		fill := func(tx *Tx, round uint64) {
-			for i := 0; i < per; i++ {
-				words[i].Set(tx, uint64(i))
-				refs[i].Set(tx, n)
-				adds[i].AddAtCommit(tx, 1, 1)
-				sets[i].Set(tx, round, uint64(i))
-			}
+	tm := New(Config{WriteCapacity: limit})
+	th := tm.NewThread()
+	words := make([]Word, per+1)
+	refs := make([]Ref[wsNode], per)
+	adds := make([]Pair, per)
+	sets := make([]Pair, per)
+	n := &wsNode{}
+	fill := func(tx *Tx, round uint64) {
+		for i := 0; i < per; i++ {
+			words[i].Set(tx, uint64(i))
+			refs[i].Set(tx, n)
+			adds[i].AddAtCommit(tx, 1, 1)
+			sets[i].Set(tx, round, uint64(i))
 		}
-		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-			fill(tx, 0)
-			for round := uint64(1); round <= 3; round++ {
-				fill(tx, round) // overwrites and accumulating adds only
-			}
-			if len(tx.writes) != limit {
-				t.Fatalf("%s: %d write entries, want %d", backend, len(tx.writes), limit)
-			}
-		})
-		if !ok {
-			t.Fatalf("%s: transaction at exactly WriteCapacity entries aborted: %+v", backend, ab)
+	}
+	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+		fill(tx, 0)
+		for round := uint64(1); round <= 3; round++ {
+			fill(tx, round) // overwrites and accumulating adds only
 		}
-		if a, b := adds[0].Get(nil); a != 4 || b != 4 {
-			t.Fatalf("%s: accumulated pair adds = (%d,%d), want (4,4)", backend, a, b)
+		if len(tx.writes) != limit {
+			t.Fatalf("%d write entries, want %d", len(tx.writes), limit)
 		}
-		if a, b := sets[per-1].Get(nil); a != 3 || b != per-1 {
-			t.Fatalf("%s: overwritten pair = (%d,%d), want (3,%d)", backend, a, b, per-1)
-		}
-		reached := false
-		ok, ab = th.Atomic(PathFast, func(tx *Tx) {
-			fill(tx, 0)
-			reached = true
-			words[per].Set(tx, 1) // entry limit+1
-		})
-		if !reached {
-			t.Fatalf("%s: aborted before the set was full: %+v", backend, ab)
-		}
-		if backend == BackendSim {
-			if ok || ab.Cause != CauseCapacity {
-				t.Fatalf("sim: entry %d: ok=%v %+v, want a capacity abort", limit+1, ok, ab)
-			}
-		} else if !ok {
-			t.Fatalf("%s: aborted at %d entries: %+v (no footprint limit expected)", backend, limit+1, ab)
-		}
+	})
+	if !ok {
+		t.Fatalf("transaction at exactly WriteCapacity entries aborted: %+v", ab)
+	}
+	if a, b := adds[0].Get(nil); a != 4 || b != 4 {
+		t.Fatalf("accumulated pair adds = (%d,%d), want (4,4)", a, b)
+	}
+	if a, b := sets[per-1].Get(nil); a != 3 || b != per-1 {
+		t.Fatalf("overwritten pair = (%d,%d), want (3,%d)", a, b, per-1)
+	}
+	reached := false
+	ok, ab = th.Atomic(PathFast, func(tx *Tx) {
+		fill(tx, 0)
+		reached = true
+		words[per].Set(tx, 1) // entry limit+1
+	})
+	if !reached {
+		t.Fatalf("aborted before the set was full: %+v", ab)
+	}
+	if ok || ab.Cause != CauseCapacity {
+		t.Fatalf("entry %d: ok=%v %+v, want a capacity abort", limit+1, ok, ab)
 	}
 }
 

@@ -157,7 +157,7 @@ type atomicityCase struct {
 	abtree bool // sharded (a,b)-tree instead of the sharded BST
 	pins   pinShare
 	torn   bool           // control: AtomicRangeQueries off
-	cfg    htmtree.Config // Algorithm (default 3-path), Router, capacity, backend, ...
+	cfg    htmtree.Config // Algorithm (default 3-path), Router, capacity, ...
 }
 
 func (c atomicityCase) build(t *testing.T) *htmtree.Tree {
@@ -414,9 +414,8 @@ const smallReadCapacity = 32
 // Sampling and validating: the adaptive router — which additionally
 // forces live boundary migrations under the readers, the scenario the
 // two-shard quiesce protocol must keep atomic — the algorithms without
-// such a path, a TM backend that picks its own snapshots, and scans that
-// overflow the transactional read capacity, which start pinned and must
-// leave. KeySum samples and validates everywhere. Running the same
+// such a path, and scans that overflow the transactional read capacity,
+// which start pinned and must leave. KeySum samples and validates everywhere. Running the same
 // harness with atomicity off (TestCrossShardTearingWithoutValidation)
 // demonstrates the violations either protocol eliminates.
 func TestCrossShardRangeQueryAtomicity(t *testing.T) {
@@ -432,7 +431,6 @@ func TestCrossShardRangeQueryAtomicity(t *testing.T) {
 		{name: "small-capacity", pins: pinSome, cfg: htmtree.Config{ReadCapacity: smallReadCapacity}},
 		{name: "non-htm", pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.NonHTM}},
 		{name: "scx-htm", abtree: true, pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.SCXHTM}},
-		{name: "tle-lock", pins: pinNone, cfg: htmtree.Config{TMBackend: htmtree.TMBackendTLELock}},
 	}, runAtomicityHarness)
 }
 

@@ -62,8 +62,8 @@
 // stable, so the concatenated result equals the state at one instant —
 // a consistent cut. It serves what a pinned transaction cannot: KeySum,
 // rebalancing dictionaries, inner dictionaries whose algorithm has no
-// transactional path a whole read runs on or whose TM picks its own
-// snapshots, and a scan too large for a transaction.
+// transactional path a whole read runs on, and a scan too large for a
+// transaction.
 //
 // Readers that keep losing either race escalate after Config.RQRetries
 // attempts: they arrive on the shards' quiesce gates (the paper's
