@@ -164,3 +164,49 @@ func BenchmarkMicroTxReadAfterWrite(b *testing.B) {
 		b.Fatal("read cells are never written")
 	}
 }
+
+// BenchmarkMicroTxInit is what re-initializing one leaf's worth of cells
+// costs by the list the leaf came from (internal/nodepool): Init, for a
+// node no thread can hold, is a plain store per value word — no atomic
+// read-modify-write, which is what this number is here to keep true —
+// against Recycle, for a node a stale transactional reader may still
+// hold: a CAS to lock the version word, a clock load, and an XCHG per
+// value and version store. ns/cell; 16 Pairs and one Word, the cells an
+// (a,b)-tree leaf rewrites at most.
+func BenchmarkMicroTxInit(b *testing.B) {
+	tm := htm.New(htm.Config{})
+	var pairs [16]htm.Pair
+	var word htm.Word
+	for i := range pairs {
+		pairs[i].Bind(tm.Clock())
+	}
+	word.Bind(tm.Clock())
+	const cells = len(pairs) + 1
+	for _, c := range []struct {
+		name string
+		run  func(v uint64)
+	}{
+		{"Init", func(v uint64) {
+			for i := range pairs {
+				pairs[i].Init(v, v)
+			}
+			word.Init(v)
+		}},
+		{"Recycle", func(v uint64) {
+			for i := range pairs {
+				pairs[i].Recycle(v, v)
+			}
+			word.Recycle(v)
+		}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				c.run(uint64(i))
+			}
+			if a, _ := pairs[15].Get(nil); a != uint64(b.N-1) || word.Get(nil) != a {
+				b.Fatal("cells do not hold the last value stored")
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")
+		})
+	}
+}

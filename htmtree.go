@@ -112,6 +112,10 @@ type (
 	// PolicyStats counts the attempt loops' per-cause retry actions and
 	// the helps of the helpable fallback (engine.PolicyStats).
 	PolicyStats = engine.PolicyStats
+	// ReclaimStats holds the node-reclamation gauges: removed nodes
+	// waiting out a grace period and nodes pooled for reuse, by free
+	// list (engine.ReclaimStats).
+	ReclaimStats = engine.ReclaimStats
 	// RangeQueryStats counts the outcomes of atomic cross-shard reads
 	// (shard.RQStats).
 	RangeQueryStats = shard.RQStats
@@ -856,6 +860,11 @@ type Stats struct {
 	// path by their site's capacity memory, and (HelpableFallback only)
 	// announced operations completed by a thread other than their owner.
 	Policy PolicyStats
+	// Reclaim reports where removed nodes are: in limbo behind a grace
+	// period, or pooled for reuse on the handles' free lists. Gauges,
+	// summed over the shards; all zero on structures that do not pool
+	// nodes (Citrus, the k-CAS list, Hybrid NOrec).
+	Reclaim ReclaimStats
 	// Range reports atomic cross-shard read outcomes; all zero unless
 	// the tree is sharded with AtomicRangeQueries (or RouterAdaptive,
 	// which implies the same read validation).
@@ -890,6 +899,7 @@ func (t *Tree) Stats() Stats {
 		},
 		AbortCauses: make(map[string]uint64),
 		Policy:      ops.Policy,
+		Reclaim:     ops.Reclaim,
 	}
 	for _, p := range []htm.PathKind{htm.PathFast, htm.PathMiddle, htm.PathFallback} {
 		for c := htm.CauseExplicit; c <= htm.CauseSpurious; c++ {

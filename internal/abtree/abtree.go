@@ -324,7 +324,7 @@ func (t *Tree) newHandle() *Handle {
 		cbuf: make([]*Node, 0, 2),
 	}
 	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
-	h.e.EnableReclaim(h.pool.Release, t.cfg.SearchOutsideTx)
+	h.e.EnableReclaim(h.pool, t.cfg.SearchOutsideTx)
 	h.e.SetHelpExec(h.helpExec)
 	h.buildOps()
 	return h

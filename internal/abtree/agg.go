@@ -379,7 +379,7 @@ func (t *Tree) aggFixupNonTx(h *Handle, kind aggKind, key uint64) {
 // ---- aggregate queries ----
 
 // RangeAgg returns the sum/count/min/max of the keys in [lo, hi). The
-// fast and middle paths descend via the aggregate cells in O(log n)
+// transactional path descends via the aggregate cells in O(log n)
 // (O(1) for the whole-tree query: the root's cells answer it); paths
 // without a transaction fall back to the LLX-validated leaf walk, the
 // same traversal RangeQuery uses. Min is ^uint64(0) and Max is 0 when
@@ -390,11 +390,10 @@ var _ dict.AggHandle = (*Handle)(nil)
 
 func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	h.argLo, h.argHi = lo, hi
-	switch h.e.Run(h.aggOp) {
-	case htm.PathFast, htm.PathMiddle:
-		h.t.aggFastQ.Add(1)
-	default:
+	if h.e.Run(h.aggOp) == htm.PathFallback {
 		h.t.aggWalkQ.Add(1)
+	} else {
+		h.t.aggFastQ.Add(1)
 	}
 	return h.resAgg, nil
 }

@@ -15,9 +15,10 @@ import (
 //     slot, the order word, the leaf's aggSum and one aggregate add per
 //     ancestor: 3+h entries;
 //   - deleting a key writes the order word, aggSum and the h adds: 2+h;
-//   - a search reads the fallback indicator, the entry's root pointer, one
-//     child pointer per internal node, the order word and the slots its
-//     binary search probes (at most 5): 3+h+probes.
+//   - a search reads the entry's root pointer, one child pointer per
+//     internal node, the order word and the slots its binary search
+//     probes (at most 5): 2+h+probes. It does not read the fallback
+//     indicator: a read-only operation runs unsubscribed (engine.Op.Middle).
 //
 // Each commits on the fast path when WriteCapacity (ReadCapacity) is
 // exactly that, and capacity-aborts off it with one entry less. The keys
@@ -89,7 +90,7 @@ func TestFastPathFootprint(t *testing.T) {
 		{"delete", 2 + p.h,
 			func(n int) htm.Config { return htm.Config{WriteCapacity: n} },
 			func(h *Handle, p probe) bool { _, existed := h.Delete(p.present); return existed }},
-		{"search", 3 + p.h + p.searchReads,
+		{"search", 2 + p.h + p.searchReads,
 			func(n int) htm.Config { return htm.Config{ReadCapacity: n} },
 			func(h *Handle, p probe) bool { v, found := h.Search(p.present); return found && 2*v == p.present }},
 	} {

@@ -71,10 +71,12 @@ func (h *Handle) buildOps() {
 		},
 		Update: true,
 	}
+	// The read-only operations have one transactional body, so they leave
+	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
+	// to run beside fallback-path SCXs.
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.searchBody(tx, h) },
 		Fallback: func() bool { t.searchBody(nil, h); return true },
 		Locked:   func() { t.searchBody(nil, h) },
 		SCXHTM:   func(bool) bool { t.searchBody(nil, h); return true },
@@ -82,7 +84,6 @@ func (h *Handle) buildOps() {
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
 		Locked:   func() { t.rqInTx(nil, h) },
 		SCXHTM:   func(bool) bool { return t.rqFallback(h) },
@@ -112,7 +113,6 @@ func (h *Handle) buildOps() {
 	h.aggOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.aggInTx(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.aggInTx(tx, h) },
 		Fallback: func() bool { return t.aggFallback(h) },
 		Locked: func() {
 			for !t.aggFallback(h) {
@@ -159,10 +159,22 @@ func (h *Handle) Search(key uint64) (uint64, bool) {
 // RangeQuery appends all pairs with lo <= key < hi to out in ascending
 // key order.
 func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
-	h.argLo, h.argHi = lo, hi
-	h.rqOut = h.rqOut[:0]
+	h.setRange(lo, hi)
 	h.e.Run(h.rqOp)
 	return append(out, h.rqOut...)
+}
+
+// setRange stores a range query's arguments in the handle scratch and its
+// extent in the op as the call's footprint hint: the cells a scan reads
+// grow with the keys it covers, and which extents fit a transaction is
+// the site's to learn (engine.Op.Hint).
+func (h *Handle) setRange(lo, hi uint64) {
+	h.argLo, h.argHi = lo, hi
+	h.rqOut = h.rqOut[:0]
+	h.rqOp.Hint = 0
+	if hi > lo {
+		h.rqOp.Hint = hi - lo
+	}
 }
 
 // Pinned reads (dict.PinnedReader): the range and aggregate queries' own
@@ -179,8 +191,7 @@ func (h *Handle) PinExit()         { h.e.ExitReclaim() }
 func (h *Handle) PinClock() uint64 { return h.clk.Now() }
 
 func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
-	h.argLo, h.argHi = lo, hi
-	h.rqOut = h.rqOut[:0]
+	h.setRange(lo, hi)
 	st := h.e.RunAt(&h.rqOp, rv)
 	if st != dict.PinCommitted {
 		return out, st

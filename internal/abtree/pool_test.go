@@ -139,3 +139,59 @@ func TestNodeFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestLeafReuseStoresByList: what reusing a pooled leaf costs depends on
+// the list it comes from. One that skipped its grace period (removed by a
+// fast-path commit) may still be held by a transaction that read it
+// before, so every cell reuse rewrites must move past that reader's
+// snapshot: a transaction pinned between the removal and the reuse
+// aborts on the leaf. One that came back through a grace period is out of
+// every thread's reach and is rewritten like a fresh node, with no
+// version word touched: the same pinned transaction reads every cell of
+// it — ord first, as every reader of a leaf does — at its old snapshot.
+// (It sees the new contents, which no transaction that could really
+// exist would: the pin is only the probe for "was any version moved".)
+func TestLeafReuseStoresByList(t *testing.T) {
+	t.Parallel()
+	for _, immediate := range []bool{false, true} {
+		tr := New(Config{Algorithm: engine.AlgThreePath})
+		h := tr.newHandle()
+		h.Insert(1, 1) // establish the handle's reclamation context
+		l := h.newLeaf([]kv{{10, 100}, {20, 200}})
+		h.settle(htm.PathFast) // published; the leaf's first life
+		if immediate {
+			h.remove(l)
+			h.settle(htm.PathFast)
+		} else {
+			h.pool.Release(l) // as ebr does once the grace period expired
+		}
+		rv := tr.tm.ClockValue()
+		h.Insert(2, 2) // the clock moves on
+		if tr.tm.ClockValue() == rv {
+			t.Fatal("set-up: the clock did not move")
+		}
+		n := h.newLeaf([]kv{{30, 300}})
+		if n != l {
+			t.Fatalf("immediate=%v: newLeaf did not reuse the pooled leaf", immediate)
+		}
+		var got kv
+		var sum, size uint64
+		ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
+			var perm uint64
+			perm, size = n.ord.Get(tx)
+			got.k, got.v = n.slots[permAt(perm, 0)].Get(tx)
+			sum = n.aggSum.Get(tx)
+			if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
+				t.Error("reused leaf's header is not reset")
+			}
+		})
+		switch {
+		case immediate && (ok || ab.Cause != htm.CauseConflict):
+			t.Errorf("a reader pinned before the reuse of an immediately recycled leaf was not aborted (committed %v, %+v)", ok, ab)
+		case !immediate && !ok:
+			t.Errorf("reuse of a grace-released leaf moved a version word: a reader pinned before it aborted with %+v", ab)
+		case !immediate && (size != 1 || got != kv{30, 300} || sum != 30):
+			t.Errorf("grace-released leaf holds size %d, pair %+v, sum %d after reuse", size, got, sum)
+		}
+	}
+}

@@ -206,7 +206,7 @@ func (t *Tree) NewHandle() dict.Handle { return t.newHandle() }
 func (t *Tree) newHandle() *Handle {
 	h := &Handle{t: t, e: t.eng.NewThread(t.tm.NewThread()), clk: t.tm.Clock()}
 	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
-	h.e.EnableReclaim(h.pool.Release, t.cfg.SearchOutsideTx)
+	h.e.EnableReclaim(h.pool, t.cfg.SearchOutsideTx)
 	h.e.SetHelpExec(h.helpExec)
 	h.buildOps()
 	return h

@@ -12,13 +12,14 @@ import (
 // tree whose probe key sits under n internal nodes (the root sentinel
 // included), next to a leaf sibling:
 //
-//   - the fast body (3-path's first path) reads the fallback indicator
-//     and one child pointer per internal node; a search or a value-update
-//     insert also reads the leaf's value, a delete the value and the
-//     sibling pointer. It writes one cell (the child pointer, or the value
-//     in place), a delete three (grandparent's child pointer, two marks).
-//     Leaf keys are validated (GetStable) and routing keys peeked: neither
-//     joins the read set.
+//   - the fast body (3-path's first path) reads one child pointer per
+//     internal node and — an update, which subscribes to it; a search
+//     runs unsubscribed (engine.Op.Middle) — the fallback indicator; a
+//     search or a value-update insert also reads the leaf's value, a
+//     delete the value and the sibling pointer. It writes one cell (the
+//     child pointer, or the value in place), a delete three (grandparent's
+//     child pointer, two marks). Leaf keys are validated (GetStable) and
+//     routing keys peeked: neither joins the read set.
 //   - the template body in a transaction (2-path-con's first path) reads
 //     no indicator; each LLX logs the mark twice and the info twice (4
 //     reads), plus the two child pointers of an internal node (6). An
@@ -79,7 +80,7 @@ func TestTransactionalFootprint(t *testing.T) {
 		{engine.AlgThreePath, "insert-new", 1 + n, 1, insertNew},
 		{engine.AlgThreePath, "insert-existing", 1 + n + 1, 1, insertExisting},
 		{engine.AlgThreePath, "delete", 1 + n + 2, 3, del},
-		{engine.AlgThreePath, "search", 1 + n + 1, 0, search},
+		{engine.AlgThreePath, "search", n + 1, 0, search},
 		{engine.AlgTwoPathConc, "insert-new", n + llxInternal + llxLeaf, 2 + 1, insertNew},
 		{engine.AlgTwoPathConc, "delete", n + 2*llxInternal + 2*llxLeaf + 2, 4 + 3 + 1, del},
 	} {

@@ -71,10 +71,12 @@ func (h *Handle) buildOps() {
 			Finish: finish,
 		},
 	}
+	// The read-only operations have one transactional body, so they leave
+	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
+	// to run beside fallback-path SCXs.
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.searchBody(tx, h) },
 		Fallback: func() bool { t.searchBody(nil, h); return true },
 		Locked:   func() { t.searchBody(nil, h) },
 		SCXHTM:   func(bool) bool { t.searchBody(nil, h); return true },
@@ -82,7 +84,6 @@ func (h *Handle) buildOps() {
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
-		Middle:   func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
 		Locked:   func() { t.rqInTx(nil, h) },
 		SCXHTM:   func(bool) bool { return t.rqFallback(h) },
@@ -125,13 +126,20 @@ func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	return append(out, h.rqOut...)
 }
 
-// setRange stores a range query's arguments in the handle scratch.
+// setRange stores a range query's arguments in the handle scratch and its
+// extent in the op as the call's footprint hint: the cells a scan reads
+// grow with the keys it covers, and which extents fit a transaction is
+// the site's to learn (engine.Op.Hint).
 func (h *Handle) setRange(lo, hi uint64) {
 	if hi > dict.MaxKey+1 {
 		hi = dict.MaxKey + 1
 	}
 	h.argLo, h.argHi = lo, hi
 	h.rqOut = h.rqOut[:0]
+	h.rqOp.Hint = 0
+	if hi > lo {
+		h.rqOp.Hint = hi - lo
+	}
 }
 
 // RangeAgg returns the aggregate tuple of the keys in [lo, hi) by

@@ -12,10 +12,8 @@ import (
 // from outside any operation.
 type heldIndicator struct{ f htm.Word }
 
-func (c *heldIndicator) Arrive() func() {
-	c.f.Add(1)
-	return func() { c.f.Add(^uint64(0)) }
-}
+func (c *heldIndicator) Arrive()                 { c.f.Add(1) }
+func (c *heldIndicator) Depart()                 { c.f.Add(^uint64(0)) }
 func (c *heldIndicator) Nonzero(tx *htm.Tx) bool { return c.f.Get(tx) != 0 }
 func (c *heldIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 
@@ -98,7 +96,7 @@ func TestRetireFastGatedByFallbackReader(t *testing.T) {
 	// engine's presence indicator, exactly what runFallbackLoop does)
 	// must force the delete off the fast path and its removals to the
 	// grace period: nothing is handed out while the reader is live.
-	depart := ind.Arrive()
+	ind.Arrive()
 	mid := h.ReclaimStats()
 	poolBefore := h.PoolSize()
 	h.Delete(20)
@@ -112,7 +110,7 @@ func TestRetireFastGatedByFallbackReader(t *testing.T) {
 	if h.PoolSize() != poolBefore {
 		t.Fatal("grace-period node reached the pool while the fallback reader was live")
 	}
-	depart()
+	ind.Depart()
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,5 +153,58 @@ func TestTwoPathConcNeverFastRecycles(t *testing.T) {
 	}
 	if st := h.ReclaimStats(); st.RetiredFast != 0 {
 		t.Fatalf("2-path-con recycled immediately: %+v", st)
+	}
+}
+
+// TestLeafReuseStoresByList: what reusing a pooled leaf costs depends on
+// the list it comes from. One that skipped its grace period (removed by a
+// fast-path commit) may still be held by a transaction that read it
+// before, so reuse must move its cells past that reader's snapshot: a
+// transaction pinned between the removal and the reuse aborts on the key,
+// the first cell any reader of a leaf validates. One that came back
+// through a grace period is out of every thread's reach and is rewritten
+// like a fresh node, with no version word touched: the same pinned
+// transaction reads all of it at its old snapshot. (It sees the new
+// contents, which no transaction that could really exist would: the pin
+// is only the probe for "was any version moved".)
+func TestLeafReuseStoresByList(t *testing.T) {
+	t.Parallel()
+	for _, immediate := range []bool{false, true} {
+		tr := New(Config{Algorithm: engine.AlgThreePath})
+		h := tr.newHandle()
+		h.Insert(1, 1) // establish the handle's reclamation context
+		l := h.newLeaf(10, 100)
+		h.settle(htm.PathFast) // published; the leaf's first life
+		if immediate {
+			h.remove(l)
+			h.settle(htm.PathFast)
+		} else {
+			h.pool.Release(l) // as ebr does once the grace period expired
+		}
+		rv := tr.tm.ClockValue()
+		h.Insert(1, 2) // the clock moves on (a value update draws no node)
+		if tr.tm.ClockValue() == rv {
+			t.Fatal("set-up: the clock did not move")
+		}
+		n := h.newLeaf(30, 300)
+		if n != l {
+			t.Fatalf("immediate=%v: newLeaf did not reuse the pooled leaf", immediate)
+		}
+		var key, val uint64
+		ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
+			key = n.key.GetStable(tx)
+			val = n.val.Get(tx)
+			if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
+				t.Error("reused leaf's header is not reset")
+			}
+		})
+		switch {
+		case immediate && (ok || ab.Cause != htm.CauseConflict):
+			t.Errorf("a reader pinned before the reuse of an immediately recycled leaf was not aborted (committed %v, %+v)", ok, ab)
+		case !immediate && !ok:
+			t.Errorf("reuse of a grace-released leaf moved a version word: a reader pinned before it aborted with %+v", ab)
+		case !immediate && (key != 30 || val != 300):
+			t.Errorf("grace-released leaf holds (%d, %d) after reuse", key, val)
+		}
 	}
 }

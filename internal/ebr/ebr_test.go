@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 )
 
 func TestGracePeriodOrdering(t *testing.T) {
@@ -150,15 +151,41 @@ func TestPoolRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRetireFastImmediate documents the Section 9 fast-path rule.
-func TestRetireFastImmediate(t *testing.T) {
+// TestLimboFollowsTheBags: the published limbo count is the bags' total
+// as of the last advanceEvery-th retirement or flush — exact at those
+// moments, never more than advanceEvery retirements stale, and back to
+// what the bags hold once a blocked epoch lets them drain.
+func TestLimboFollowsTheBags(t *testing.T) {
 	t.Parallel()
 	m := New()
-	var p Pool
-	th := m.NewThread(p.Put)
-	th.RetireFast(7)
-	if got := p.Get(); got != 7 {
-		t.Fatalf("RetireFast did not recycle immediately: %v", got)
+	blocker := m.NewThread(func(any) {})
+	freed := 0
+	th := m.NewThread(func(any) { freed++ })
+	blocker.Begin() // holds the epoch: nothing th retires can be freed
+	const retired = 5*advanceEvery + 7
+	for i := 0; i < retired; i++ {
+		th.Begin()
+		th.Retire(i)
+		th.End()
+	}
+	if freed != 0 {
+		t.Fatalf("%d retirees freed under a blocked epoch", freed)
+	}
+	if got, want := th.Limbo(), 5*advanceEvery; got != want {
+		t.Fatalf("Limbo = %d after %d retirements under a blocked epoch, want %d (published every %d)",
+			got, retired, want, advanceEvery)
+	}
+	blocker.End()
+	for i := 0; i < 4*advanceEvery; i++ {
+		th.Begin()
+		th.Retire(-1)
+		th.End()
+	}
+	th.Begin()
+	th.End()
+	inBags := len(th.bags[0]) + len(th.bags[1]) + len(th.bags[2])
+	if freed == 0 || th.Limbo() > inBags || inBags-th.Limbo() >= advanceEvery {
+		t.Fatalf("after the drain: %d freed, Limbo %d, bags hold %d", freed, th.Limbo(), inBags)
 	}
 }
 
@@ -239,5 +266,18 @@ func TestRetireOncePerNode(t *testing.T) {
 		if n := freed[i].Load(); n != 1 {
 			t.Fatalf("node %d freed %d times, want exactly once", i, n)
 		}
+	}
+}
+
+// TestThreadKeepsOffNeighbouringCacheLines pins the padding that keeps a
+// thread's context — ann, stored twice per operation — off the cache
+// lines of whatever object the allocator places next to it: a full line
+// before the first field and after the last, wherever in a line the
+// object starts.
+func TestThreadKeepsOffNeighbouringCacheLines(t *testing.T) {
+	var th Thread
+	first, end := unsafe.Offsetof(th.m), unsafe.Offsetof(th.faults)+unsafe.Sizeof(th.faults)
+	if first < cacheLine || unsafe.Sizeof(th)-end < cacheLine {
+		t.Fatalf("fields span bytes %d..%d of %d: want %d bytes of padding at each end", first, end, unsafe.Sizeof(th), cacheLine)
 	}
 }

@@ -108,9 +108,12 @@ const (
 // here, and the interface remains so a test can hold the indicator and
 // simulate a live fallback operation.
 type Indicator interface {
-	// Arrive notes that an operation entered the fallback path and
-	// returns the function that retracts this particular arrival.
-	Arrive() (depart func())
+	// Arrive notes that an operation entered the fallback path; Depart
+	// retracts one arrival. (Two methods, not an Arrive that returns its
+	// own retraction: that is a method value, a heap allocation per
+	// fallback-path operation.)
+	Arrive()
+	Depart()
 	// Nonzero reports whether any operation is on the fallback path. A
 	// transactional read (tx != nil) subscribes the caller so that a
 	// change aborts it.
@@ -127,11 +130,8 @@ type counterIndicator struct {
 	f htm.Word
 }
 
-func (c *counterIndicator) Arrive() func() {
-	c.f.Add(1)
-	return c.depart
-}
-func (c *counterIndicator) depart()                 { c.f.Add(^uint64(0)) }
+func (c *counterIndicator) Arrive()                 { c.f.Add(1) }
+func (c *counterIndicator) Depart()                 { c.f.Add(^uint64(0)) }
 func (c *counterIndicator) Nonzero(tx *htm.Tx) bool { return c.f.Get(tx) != 0 }
 func (c *counterIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 
@@ -242,8 +242,11 @@ func (e *Engine) Algorithm() Algorithm { return e.cfg.Algorithm }
 
 // Thread is the per-goroutine execution context: the HTM thread, the
 // tagged-sequence-number source, the reclamation context, and per-path
-// operation counters.
+// operation counters. The owner adds to the counters on every operation,
+// so a cache line of padding at each end keeps the fields off the lines
+// of a neighbouring thread's context (see ebr.Thread).
 type Thread struct {
+	_ [64]byte
 	// H is the simulated-HTM thread context.
 	H *htm.Thread
 	// Tags produces the fresh tagged info values HTM-path SCXs write.
@@ -269,7 +272,9 @@ type Thread struct {
 	// rec is the thread's epoch-based-reclamation context, created by
 	// EnableReclaim; Run brackets every operation with its Begin/End so
 	// grace periods cover all node references an operation may hold.
-	rec *ebr.Thread
+	// pool is the node pool its expired retirees return to.
+	rec  *ebr.Thread
+	pool NodePool
 	// fastRecycle records whether nodes removed by fast-path commits may
 	// be recycled immediately (the Section 9 rule); see EnableReclaim.
 	fastRecycle bool
@@ -284,6 +289,7 @@ type Thread struct {
 	// announced descriptors (SetHelpExec); nil disables helping on this
 	// thread.
 	helpExec func(*HelpDesc)
+	_        [64]byte
 }
 
 // SetGateBypass exempts the thread's update operations from the update
@@ -320,27 +326,44 @@ func (e *Engine) NewThread(h *htm.Thread) *Thread {
 	return th
 }
 
+// NodePool is what the engine needs of a handle's node pool
+// (nodepool.Pool): where a retiree goes when its grace period expires,
+// and the list lengths behind the reclamation gauges.
+type NodePool interface {
+	// Release pools a node no thread can hold any more.
+	Release(x any)
+	// Pooled returns the pool's list lengths; safe from any goroutine.
+	Pooled() (immediate, grace, inner int)
+}
+
 // EnableReclaim creates the thread's epoch-based reclamation context in
 // the engine's epoch domain: Run then brackets every operation with the
 // ebr Begin/End (so grace periods cover all node references an operation
-// holds), and Retire becomes usable. free receives every node whose
-// reclamation completed — typically the structure's per-thread pool Put.
+// holds), and Retire becomes usable. pool receives every node whose
+// grace period expired.
 //
 // nonTxReaders declares that the structure reads nodes outside both
 // transactions and the fallback path's LLX protocol — the Section 8
 // searches-outside-transactions optimization. Such readers do not abort
 // on recycled cells, so immediate fast-path recycling is unsound and
-// Retire falls back to grace periods for every node.
-func (th *Thread) EnableReclaim(free func(any), nonTxReaders bool) {
-	th.rec = th.eng.reclaim.NewThread(free)
+// every removal waits out a grace period.
+func (th *Thread) EnableReclaim(pool NodePool, nonTxReaders bool) {
+	// Stats reads both under e.mu: the thread is registered already, and
+	// a handle may be created while another goroutine reports.
+	th.eng.mu.Lock()
+	th.pool = pool
+	th.rec = th.eng.reclaim.NewThread(pool.Release)
+	th.eng.mu.Unlock()
 	// The Section 9 immediate-recycle rule holds for nodes removed by
 	// fast-path commits exactly when every thread that could still hold a
 	// reference runs transactionally: the fast path of 3-path and
 	// 2-path-ncon excludes the fallback path via the presence indicator,
 	// and TLE's elided path excludes the locked path via the lock
-	// subscription. 2-path-con's "fast" path is the instrumented body
-	// running concurrently with fallback-path readers, and non-htm and
-	// scx-htm commit removals non-transactionally, so none of them
+	// subscription. (3-path's read-only operations run unsubscribed
+	// beside the fallback path, but as transactions: they are among the
+	// readers that abort.) 2-path-con's "fast" path is the instrumented
+	// body running concurrently with fallback-path readers, and non-htm
+	// and scx-htm commit removals non-transactionally, so none of them
 	// qualifies.
 	switch th.eng.cfg.Algorithm {
 	case AlgThreePath, AlgTwoPathNCon:
@@ -356,24 +379,21 @@ func (th *Thread) EnableReclaim(free func(any), nonTxReaders bool) {
 	}
 }
 
-// Retire hands a node removed by a completed operation to the thread's
-// reclamation context and reports whether it was recycled immediately.
-// p is the path the removing operation committed on; fastOK asserts
-// that every field of x mutated on reuse is a transactional cell (so a
-// stale transactional reader of a recycled x aborts rather than
-// observing recycled state — structures pass false for nodes carrying
-// reuse-mutable plain fields, which must always wait out a grace
-// period). Nodes removed by fast-path commits recycle immediately when
-// the algorithm's path exclusion allows it (see EnableReclaim);
-// everything else waits two epochs.
-func (th *Thread) Retire(p htm.PathKind, fastOK bool, x any) (immediate bool) {
-	if fastOK && th.fastRecycle && p == htm.PathFast {
-		th.rec.RetireFast(x)
-		return true
-	}
-	th.rec.Retire(x)
-	return false
+// Immediate reports whether a node removed by an operation that
+// committed on path p may be reused without a grace period — the
+// Section 9 rule, for fast-path commits where the algorithm's path
+// exclusion allows it (see EnableReclaim). The pool applies it only to
+// nodes whose every reuse-mutable field is a transactional cell, so that
+// a stale transactional reader of the reused node aborts rather than
+// observe its next life; nodes carrying reuse-mutable plain fields
+// always go through Retire.
+func (th *Thread) Immediate(p htm.PathKind) bool {
+	return th.fastRecycle && p == htm.PathFast
 }
+
+// Retire hands a node removed by a completed operation to the thread's
+// reclamation context; it reaches the pool after two epochs.
+func (th *Thread) Retire(x any) { th.rec.Retire(x) }
 
 // AbortCounts breaks failed transactional attempts down by execution
 // path and abort cause (path index 0 is unused, as in htm.Stats).
@@ -406,16 +426,36 @@ func (a *AbortCounts) Total() uint64 {
 	return n
 }
 
+// ReclaimStats is the state of an engine's reclamation domain: how many
+// removed nodes are waiting out their grace period, and how many sit in
+// the handles' free lists, by list (see nodepool). These are gauges, not
+// counters: each handle's share as it last published it (ebr.Thread.Limbo,
+// nodepool.Pool.Pooled).
+type ReclaimStats struct {
+	Limbo                                     uint64
+	PooledImmediate, PooledGrace, PooledInner uint64
+}
+
+// Merge adds another snapshot into r.
+func (r *ReclaimStats) Merge(o ReclaimStats) {
+	r.Limbo += o.Limbo
+	r.PooledImmediate += o.PooledImmediate
+	r.PooledGrace += o.PooledGrace
+	r.PooledInner += o.PooledInner
+}
+
 // OpStats counts operation completions per execution path, failed
 // transactional attempts per path and cause, retry actions, and
 // fallback critical-section acquisitions (classic TLE lock takes and
-// helpable descriptors driven to completion by their owner).
+// helpable descriptors driven to completion by their owner), and
+// carries the reclamation domain's gauges.
 type OpStats struct {
 	Fast     uint64
 	Middle   uint64
 	Fallback uint64
 	Aborts   AbortCounts
 	Policy   PolicyStats
+	Reclaim  ReclaimStats
 
 	FallbackAcquisitions uint64
 }
@@ -430,6 +470,7 @@ func (s *OpStats) Merge(o OpStats) {
 	s.Fallback += o.Fallback
 	s.Aborts.Merge(o.Aborts)
 	s.Policy.Merge(o.Policy)
+	s.Reclaim.Merge(o.Reclaim)
 	s.FallbackAcquisitions += o.FallbackAcquisitions
 }
 
@@ -451,6 +492,11 @@ func (e *Engine) Stats() OpStats {
 		}
 		s.Policy.addAtomic(&th.polstats)
 		s.FallbackAcquisitions += atomic.LoadUint64(&th.fallbackAcq)
+		if th.rec != nil {
+			im, gr, in := th.pool.Pooled()
+			s.Reclaim.Merge(ReclaimStats{Limbo: uint64(th.rec.Limbo()),
+				PooledImmediate: uint64(im), PooledGrace: uint64(gr), PooledInner: uint64(in)})
+		}
 	}
 	return s
 }
@@ -475,7 +521,13 @@ type Op struct {
 	Fast func(tx *htm.Tx)
 	// Middle is the instrumented template body (transactional LLX +
 	// SCXInTx) run inside a transaction (used as 3-path's middle path
-	// and as 2-path-con's fast path).
+	// and as 2-path-con's fast path). An operation that writes nothing
+	// has nothing to instrument and leaves it nil: Fast is then its one
+	// transactional body, safe beside fallback-path SCXs as it stands.
+	// 2-path-con runs it as its first path; 3-path runs it on one
+	// transactional path — without the fallback-presence subscription,
+	// which is all its middle path would have been, for FastLimit +
+	// MiddleLimit attempts — and goes from there to the fallback path.
 	Middle func(tx *htm.Tx)
 	// Fallback is the original lock-free template body (LLXO/SCXO). It
 	// returns false to request a retry.
@@ -499,6 +551,12 @@ type Op struct {
 	// operation type should give it its own NewSite; nil shares the
 	// engine thread's site across all of the thread's unsited ops.
 	Site *Site
+	// Hint is this call's transactional footprint in any unit that grows
+	// with it — a range query sets hi−lo before each Run; 0 means the
+	// calls at this site are all of a size. The site's capacity memory
+	// learns which hints overflow the first path and keeps such calls,
+	// and only them, from being attempted there (Site.capFloor).
+	Hint uint64
 	// Helpable, when non-nil, lets the operation's fallback critical
 	// section run through the helpable lock-free lock protocol under
 	// AlgTLE with Config.HelpableFallback (see help.go). Operations
@@ -614,7 +672,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// fallback path, so no presence indicator is needed.
 		site := op.policySite(th)
 		if !th.skipFast(site) &&
-			th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false, nil, first) {
+			th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, nil, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
@@ -626,8 +684,8 @@ func (th *Thread) run(op Op) htm.PathKind {
 		site := op.policySite(th)
 		// Wait for the fallback path to empty before each attempt (this
 		// waiting is the 2-path-ncon bottleneck the paper highlights).
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false,
-			func() { waitWhile(func() bool { return ind.Nonzero(nil) }) }, first) {
+		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit,
+			func() bool { waitWhile(func() bool { return ind.Nonzero(nil) }); return true }, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
@@ -637,15 +695,32 @@ func (th *Thread) run(op Op) htm.PathKind {
 	case AlgThreePath:
 		ind := e.cfg.Indicator
 		site := op.policySite(th)
+		if op.Middle == nil {
+			// One transactional body is one transactional path, with
+			// both paths' budget (see Op.Middle). Its footprint is what
+			// it is on any path, so a capacity abort — or the site's
+			// memory of one — sends the operation to the software path.
+			if !th.skipFast(site) &&
+				th.runPath(site, htm.PathFast, e.cfg.FastLimit+e.cfg.MiddleLimit, nil, first) {
+				th.completed(htm.PathFast)
+				return htm.PathFast
+			}
+			th.runFallbackLoop(op, ind, mon)
+			return htm.PathFallback
+		}
 		// Fast path: move to the middle path when runPath gives up on the
 		// path (a capacity abort — the transaction cannot fit; hardware
-		// reports this via the "retry" hint bit being clear), immediately
-		// if the fallback path is busy, or after FastLimit attempts.
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, true, nil, first) {
+		// reports this via the "retry" hint bit being clear), when the
+		// fallback path is busy, or after FastLimit attempts. Busy is
+		// looked up before each attempt begins, outside it: the
+		// subscription inside (firstBody) is what makes the fast path
+		// safe, but a transaction begun only to find F non-zero there is
+		// an abort the operation need not pay for.
+		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, th.fallbackIdle, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
-		if th.runPath(site, htm.PathMiddle, e.cfg.MiddleLimit, false, nil, op.Middle) {
+		if th.runPath(site, htm.PathMiddle, e.cfg.MiddleLimit, nil, op.Middle) {
 			th.completed(htm.PathMiddle)
 			return htm.PathMiddle
 		}
@@ -688,12 +763,12 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 	e := th.eng
 	site := op.policySite(th)
 	helpable := e.cfg.HelpableFallback
-	preWait := func() { waitWhile(func() bool { return e.tle.Get(nil) != 0 }) }
+	lockFree := func() bool { waitWhile(func() bool { return e.tle.Get(nil) != 0 }); return true }
 	if helpable {
-		preWait = th.helpWait
+		lockFree = func() bool { th.helpWait(); return true }
 	}
-	if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, false,
-		preWait, func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
+	if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit,
+		lockFree, func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
 		th.completed(htm.PathFast)
 		return htm.PathFast
 	}
@@ -753,58 +828,67 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 }
 
 // policySite resolves the Site the retry policy adapts on for this
-// operation: the op's own, or the thread's shared site.
+// call — the op's own, or the thread's shared site — and tells it the
+// call's footprint hint.
 func (op *Op) policySite(th *Thread) *Site {
-	if op.Site != nil {
-		return op.Site
+	site := op.Site
+	if site == nil {
+		site = &th.site
 	}
-	return &th.site
+	site.hint = op.Hint
+	return site
 }
 
-// skipFast reports whether this operation should start past the fast
-// path (on the middle path for 3-path, the software path otherwise)
-// because its site's capacity score says the footprint will not fit
+// skipFast reports whether this call should start past the first path
+// (on the middle path for a 3-path update, the software path otherwise)
+// because its site's capacity memory says the footprint will not fit
 // anyway, counting the demotion when it does. A skipping site still
-// probes the fast path on ~1/capProbeEvery operations so the score can
-// recover.
+// probes the first path on ~1/capProbeEvery such calls so the memory
+// can recover.
 func (th *Thread) skipFast(site *Site) bool {
-	if site.capScore < capScoreSkip || site.rng.Uint64n(capProbeEvery) == 0 {
+	if !site.overflows() || site.rng.Uint64n(capProbeEvery) == 0 {
 		return false
 	}
 	atomic.AddUint64(&th.polstats.Demotions, 1)
 	return true
 }
 
+// fallbackIdle is a 3-path update's look at the fallback-presence
+// indicator before it begins a fast-path attempt: a plain read, no
+// transaction to unwind when the answer is no.
+func (th *Thread) fallbackIdle() bool { return !th.eng.cfg.Indicator.Nonzero(nil) }
+
 // runPath drives one execution path's attempt loop, reporting whether an
 // attempt committed. budget bounds the budgeted attempts (spurious
-// aborts get bounded free retries on top); preWait, when non-nil, runs
-// before every attempt (TLE's lock wait, 2-path-ncon's indicator wait);
-// busyBreak abandons the path immediately on an explicit
-// CodeFallbackBusy abort (the 3-path fast loop's reaction to a busy
-// fallback path, which is the algorithm's structure rather than retry
-// policy).
+// aborts get bounded free retries on top); ready, when non-nil, runs
+// before every attempt and either waits until the path may be attempted
+// (TLE's lock wait, 2-path-ncon's indicator wait) or returns false to
+// abandon it (the 3-path fast loop's reaction to a busy fallback path,
+// which is the algorithm's structure rather than retry policy: it moves
+// instead of waiting).
 //
 // What a failed attempt does next depends on its cause, in the style of
 // the per-cause retry loops production TM locks use (Cavalia's RtmLock
 // is the canonical shape):
 //
 //   - capacity: abandon the path at once — the footprint will not
-//     shrink by retrying (attemptFailed has bumped the site's capacity
-//     score, which at capScoreSkip makes future operations start past
-//     the fast path);
+//     shrink by retrying (attemptFailed has told the site's capacity
+//     memory, which makes future calls like this one start past the
+//     first path);
 //   - spurious: retry without consuming budget, up to freeRetries per
 //     path — transient events say nothing about the attempt's odds;
 //   - conflict: retry after a randomized backoff drawn from a bounded
 //     exponentially growing window — the losers of a conflict spread
 //     out instead of re-colliding on the same cache lines;
 //   - explicit: retry, consuming budget (logical retries are the
-//     structure's business; the engine handles its own busy codes).
-func (th *Thread) runPath(site *Site, path htm.PathKind, budget int, busyBreak bool,
-	preWait func(), body func(tx *htm.Tx)) bool {
+//     structure's business; a busy software path that showed up inside
+//     the attempt is ready's to deal with before the next).
+func (th *Thread) runPath(site *Site, path htm.PathKind, budget int,
+	ready func() bool, body func(tx *htm.Tx)) bool {
 	free := 0
 	for used := 0; used < budget; {
-		if preWait != nil {
-			preWait()
+		if ready != nil && !ready() {
+			return false
 		}
 		ok, ab := th.H.Atomic(path, body)
 		if ok {
@@ -814,9 +898,6 @@ func (th *Thread) runPath(site *Site, path htm.PathKind, budget int, busyBreak b
 			return true
 		}
 		th.attemptFailed(site, path, ab)
-		if busyBreak && ab.Cause == htm.CauseExplicit && ab.Code == CodeFallbackBusy {
-			return false
-		}
 		switch ab.Cause {
 		case htm.CauseCapacity:
 			atomic.AddUint64(&th.polstats.CapacitySkips, 1)
@@ -854,13 +935,17 @@ func (th *Thread) attemptFailed(site *Site, path htm.PathKind, ab htm.Abort) {
 // software path it may not run beside — the fallback-presence indicator
 // for 3-path and 2-path-ncon, the global lock word for TLE — and then
 // the sequential body; for 2-path-con, whose first path runs beside its
-// fallback, the instrumented body. Thread.run's attempt loops and RunAt's
-// single pinned attempt both run exactly this.
+// fallback, the instrumented body. A 3-path operation with one
+// transactional body (Op.Middle) runs it unsubscribed: beside fallback-
+// path SCXs is where that body has always run, as the middle path.
+// Thread.run's attempt loops and RunAt's single pinned attempt both run
+// exactly this.
 func (th *Thread) firstBody(tx *htm.Tx, op *Op) {
 	e := th.eng
 	switch e.cfg.Algorithm {
 	case AlgThreePath, AlgTwoPathNCon:
-		if e.cfg.Indicator.Nonzero(tx) {
+		unsubscribed := e.cfg.Algorithm == AlgThreePath && op.Middle == nil
+		if !unsubscribed && e.cfg.Indicator.Nonzero(tx) {
 			tx.Abort(CodeFallbackBusy)
 		}
 		op.Fast(tx)
@@ -870,6 +955,10 @@ func (th *Thread) firstBody(tx *htm.Tx, op *Op) {
 		}
 		op.Fast(tx)
 	case AlgTwoPathConc:
+		if op.Middle == nil {
+			op.Fast(tx)
+			return
+		}
 		op.Middle(tx)
 	default:
 		panic(fmt.Sprintf("engine: %v has no transactional first path", e.cfg.Algorithm))
@@ -914,8 +1003,8 @@ func (th *Thread) ExitReclaim() {
 // of rv and counts as a fast-path completion. One that aborts is
 // accounted like any failed attempt (attemptFailed) and reports
 // dict.PinAborted — or dict.PinUnfit when the cause was capacity, which
-// no retry cures. A site whose capacity memory says the footprint will
-// not fit is not attempted at all, as Run would skip its fast path.
+// no retry cures. A call whose site's capacity memory says the footprint
+// will not fit is not attempted at all, as Run would skip its first path.
 //
 // It exists for readers that hold snapshots of several engines' TMs
 // taken at one instant (internal/shard); CanPin says whether the thread
@@ -951,8 +1040,8 @@ func (th *Thread) RunAt(op *Op, rv uint64) dict.PinStatus {
 // the bracket is how its commit point is published).
 func (th *Thread) runFallbackLoop(op Op, ind Indicator, mon *UpdateMonitor) {
 	if ind != nil {
-		depart := ind.Arrive()
-		defer depart()
+		ind.Arrive()
+		defer ind.Depart()
 	}
 	if mon != nil {
 		mon.beginNonTx()

@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"htmtree/internal/dict"
 	"htmtree/internal/htm"
@@ -122,29 +125,143 @@ func TestAllAbortsForceFallback(t *testing.T) {
 	}
 }
 
+// risingIndicator is a fetch-and-increment indicator on which, once
+// armed, an operation arrives right after the next look at it from
+// outside a transaction: a fallback-path operation starting between a
+// fast-path attempt's look at F and its subscription to it.
+type risingIndicator struct {
+	counterIndicator
+	armed bool
+}
+
+func (r *risingIndicator) Nonzero(tx *htm.Tx) bool {
+	busy := r.counterIndicator.Nonzero(tx)
+	if tx == nil && r.armed {
+		r.armed = false
+		r.Arrive()
+	}
+	return busy
+}
+
+// TestThreePathMovesToMiddleWhenFallbackBusy: a 3-path update moves to
+// the middle path instead of waiting for the fallback path to empty, and
+// pays an abort for it only when F rose while the attempt was running.
 func TestThreePathMovesToMiddleWhenFallbackBusy(t *testing.T) {
 	t.Parallel()
-	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
-	th := e.NewThread(tm.NewThread())
-	var c htm.Word
-	c.Bind(tm.Clock())
+	for _, tc := range []struct {
+		name       string
+		risesLater bool
+		wantAborts uint64
+	}{
+		// F non-zero before the operation: it is read before any
+		// transaction begins, so no fast-path attempt is made at all.
+		{"busy before the operation", false, 0},
+		// F rises after the look and before the subscription inside the
+		// attempt: that one attempt aborts on the subscription.
+		{"rises during the attempt", true, 1},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			ind := &risingIndicator{armed: tc.risesLater}
+			o := obs.New(obs.Config{EventSample: 1})
+			tm := htm.New(htm.Config{})
+			e := New(Config{Algorithm: AlgThreePath, Indicator: ind, Obs: o.Node()}, tm.Clock())
+			th := e.NewThread(tm.NewThread())
+			var c htm.Word
+			c.Bind(tm.Clock())
+			if !tc.risesLater {
+				ind.Arrive() // simulate an operation on the fallback path
+			}
 
-	depart := e.cfg.Indicator.Arrive() // simulate an operation on the fallback path
-	defer depart()
+			if p := th.Run(counterOp(&c)); p != htm.PathMiddle {
+				t.Fatalf("completed on %v, want middle while fallback busy", p)
+			}
+			hs := th.H.Stats()
+			if got := hs.Commits[htm.PathFast] + hs.TotalAborts(htm.PathFast); got != tc.wantAborts {
+				t.Fatalf("%d fast-path transactions, want %d", got, tc.wantAborts)
+			}
+			if got := hs.Aborts[htm.PathFast][htm.CauseExplicit]; got != tc.wantAborts {
+				t.Fatalf("fast explicit aborts = %d, want %d", got, tc.wantAborts)
+			}
+			for _, ev := range o.Events() {
+				if ev.Kind == obs.EvAbort && ev.B != uint64(CodeFallbackBusy) {
+					t.Fatalf("abort with code %d, want CodeFallbackBusy", ev.B)
+				}
+			}
+			if hs.Commits[htm.PathMiddle] != 1 || hs.TotalAborts(htm.PathMiddle) != 0 {
+				t.Fatalf("middle path: %d commits, %d aborts, want 1 and 0",
+					hs.Commits[htm.PathMiddle], hs.TotalAborts(htm.PathMiddle))
+			}
+		})
+	}
+}
 
-	if p := th.Run(counterOp(&c)); p != htm.PathMiddle {
-		t.Fatalf("completed on %v, want middle while fallback busy", p)
+// pollCountingIndicator counts the looks taken at it from outside a
+// transaction while it is non-zero: the polls of an operation waiting for
+// the fallback path to empty.
+type pollCountingIndicator struct {
+	counterIndicator
+	busyPolls atomic.Int64
+}
+
+func (p *pollCountingIndicator) Nonzero(tx *htm.Tx) bool {
+	busy := p.counterIndicator.Nonzero(tx)
+	if tx == nil && busy {
+		p.busyPolls.Add(1)
 	}
-	// The fast path must have been abandoned after exactly one attempt
-	// (it saw F != 0 and moved, rather than waiting).
-	hs := th.H.Stats()
-	if got := hs.Aborts[htm.PathFast][htm.CauseExplicit]; got != 1 {
-		t.Fatalf("fast explicit aborts = %d, want 1 (immediate move to middle)", got)
+	return busy
+}
+
+// TestReadOnlyOpRunsBesideFallback: an operation with one transactional
+// body (no Middle) is, under 3-path, not kept off a busy fallback path —
+// it commits on its first path without an abort, as its body always
+// could on the middle path — while 2-path-ncon, the paper's baseline,
+// still makes it wait for the fallback path to empty.
+func TestReadOnlyOpRunsBesideFallback(t *testing.T) {
+	t.Parallel()
+	newReader := func(alg Algorithm, ind Indicator) (*Thread, Op) {
+		tm := htm.New(htm.Config{})
+		e := New(Config{Algorithm: alg, Indicator: ind}, tm.Clock())
+		return e.NewThread(tm.NewThread()), readOp(make([]htm.Word, 4), new(uint64))
 	}
-	if hs.Commits[htm.PathMiddle] != 1 {
-		t.Fatalf("middle commits = %d, want 1", hs.Commits[htm.PathMiddle])
-	}
+	t.Run("3-path", func(t *testing.T) {
+		t.Parallel()
+		ind := &counterIndicator{}
+		th, op := newReader(AlgThreePath, ind)
+		ind.Arrive()
+		if p := th.Run(op); p != htm.PathFast {
+			t.Fatalf("completed on %v, want its one transactional path", p)
+		}
+		hs := th.H.Stats()
+		if hs.Commits[htm.PathFast] != 1 || hs.TotalAborts(htm.PathFast) != 0 {
+			t.Fatalf("%d commits, %d aborts, want 1 and 0 (no subscription to abort on)",
+				hs.Commits[htm.PathFast], hs.TotalAborts(htm.PathFast))
+		}
+	})
+	t.Run("2-path-ncon", func(t *testing.T) {
+		t.Parallel()
+		ind := &pollCountingIndicator{}
+		th, op := newReader(AlgTwoPathNCon, ind)
+		ind.Arrive()
+		done := make(chan htm.PathKind)
+		go func() { done <- th.Run(op) }()
+		for ind.busyPolls.Load() < 100 {
+			runtime.Gosched()
+		}
+		select {
+		case p := <-done:
+			t.Fatalf("completed on %v while the fallback path was busy", p)
+		default:
+		}
+		ind.Depart()
+		if p := <-done; p != htm.PathFast {
+			t.Fatalf("completed on %v, want fast once the fallback path emptied", p)
+		}
+		if hs := th.H.Stats(); hs.TotalAborts(htm.PathFast) != 0 {
+			t.Fatalf("%d aborts: the wait is before the attempt, not inside it", hs.TotalAborts(htm.PathFast))
+		}
+	})
 }
 
 func TestThreePathCapacitySkipsRetries(t *testing.T) {
@@ -270,8 +387,8 @@ func TestParseAlgorithm(t *testing.T) {
 	}
 }
 
-// readOp builds a read-only Op whose transactional bodies read every
-// cell into *sum.
+// readOp builds a read-only Op — one transactional body, no Middle —
+// that reads every cell into *sum.
 func readOp(cells []htm.Word, sum *uint64) Op {
 	read := func(tx *htm.Tx) {
 		*sum = 0
@@ -279,16 +396,18 @@ func readOp(cells []htm.Word, sum *uint64) Op {
 			*sum += cells[i].Get(tx)
 		}
 	}
-	return Op{Site: NewSite(), Fast: read, Middle: read,
+	return Op{Site: NewSite(), Fast: read,
 		Fallback: func() bool { read(nil); return true }, Locked: func() { read(nil) },
 		SCXHTM: func(bool) bool { read(nil); return true }}
 }
 
 // TestPinnedAttemptRunsTheFirstPath: RunAt runs, once, exactly what the
 // algorithm's first path runs — so a pinned read is kept off a busy
-// software path by the same subscription as any fast-path transaction,
-// commits as a fast-path completion, and is refused (CanPin) where the
-// first path is not one transaction.
+// software path by the same subscription as any first-path transaction
+// of a read-only operation (none under 3-path and 2-path-con, whose
+// read-only transactions run beside their fallback), commits as a
+// fast-path completion, and is refused (CanPin) where the first path is
+// not one transaction.
 func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 	t.Parallel()
 	for _, alg := range Algorithms {
@@ -323,22 +442,26 @@ func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 			if s.Fast != 1 || s.Aborts[htm.PathFast][htm.CauseConflict] != 1 {
 				t.Fatalf("engine stats %+v, want 1 fast completion and 1 fast conflict abort", s)
 			}
-			// Occupy the software path the algorithm's first path must
-			// not overlap; 2-path-con's first path runs beside its
-			// fallback and has nothing to subscribe to.
+			// Occupy the software path. A read-only transaction of
+			// 2-path-ncon or TLE may not overlap it; one of 3-path or
+			// 2-path-con runs beside it and has nothing to subscribe to.
+			want, wantExplicit := dict.PinAborted, uint64(1)
 			switch alg {
-			case AlgThreePath, AlgTwoPathNCon:
-				defer e.cfg.Indicator.Arrive()()
+			case AlgTwoPathNCon:
+				e.cfg.Indicator.Arrive()
+			case AlgThreePath:
+				e.cfg.Indicator.Arrive()
+				want, wantExplicit = dict.PinCommitted, 0
 			case AlgTLE:
 				e.tle.Set(nil, 1)
 			default:
 				return
 			}
-			if st := th.RunAt(&op, tm.ClockValue()); st != dict.PinAborted {
-				t.Fatalf("pinned read beside a busy software path: status %v, want aborted", st)
+			if st := th.RunAt(&op, tm.ClockValue()); st != want {
+				t.Fatalf("pinned read beside a busy software path: status %v, want %v", st, want)
 			}
-			if got := th.H.Stats().Aborts[htm.PathFast][htm.CauseExplicit]; got != 1 {
-				t.Fatalf("explicit aborts = %d, want 1 (the subscription)", got)
+			if got := th.H.Stats().Aborts[htm.PathFast][htm.CauseExplicit]; got != wantExplicit {
+				t.Fatalf("explicit aborts = %d, want %d (the subscription)", got, wantExplicit)
 			}
 		})
 	}
@@ -383,5 +506,15 @@ func TestPinnedAttemptAccounting(t *testing.T) {
 	}
 	if s.Total() != 0 {
 		t.Fatalf("failed pinned attempts completed %d operations", s.Total())
+	}
+}
+
+// TestThreadKeepsOffNeighbouringCacheLines: see the ebr test of the same
+// name; the engine thread's per-operation counters need the same room.
+func TestThreadKeepsOffNeighbouringCacheLines(t *testing.T) {
+	var th Thread
+	first, end := unsafe.Offsetof(th.H), unsafe.Offsetof(th.helpExec)+unsafe.Sizeof(th.helpExec)
+	if first < 64 || unsafe.Sizeof(th)-end < 64 {
+		t.Fatalf("fields span bytes %d..%d of %d: want 64 bytes of padding at each end", first, end, unsafe.Sizeof(th))
 	}
 }

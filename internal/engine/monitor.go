@@ -202,14 +202,14 @@ func (m *UpdateMonitor) Validate(s MonitorSample) bool {
 // commit, so a Sample/read/Validate loop under Quiesce terminates but
 // may retry a bounded number of times.
 func (m *UpdateMonitor) Quiesce() (release func()) {
-	release = m.gate.Arrive()
+	m.gate.Arrive()
 	if m.fullDrain {
 		waitWhile(func() bool { return m.inflight.Load() != 0 })
 	} else {
 		waitWhile(m.nonTxInFlight)
 	}
 	m.quiesces.Add(1)
-	return release
+	return m.gate.Depart
 }
 
 // Quiesces returns the number of completed Quiesce calls.

@@ -8,10 +8,10 @@ import (
 // This file attaches an engine to the live observability layer. The
 // metric families read the per-thread atomic counters Stats() sums —
 // ops per path, aborts per path and cause, the retry actions, fallback
-// acquisitions — so the counters the hot path was already maintaining
-// are the metric store: a scrape sums them on the scraper's goroutine,
-// and the operation threads pay nothing beyond what the OpStats
-// plumbing already cost.
+// acquisitions, and the reclamation domain's gauges — so the counters
+// the hot path was already maintaining are the metric store: a scrape
+// sums them on the scraper's goroutine, and the operation threads pay
+// nothing beyond what the OpStats plumbing already cost.
 
 // registerObs registers the engine's metric families on the node (one
 // node per engine — the shard layer labels it with the shard index).
@@ -51,6 +51,15 @@ func (e *Engine) registerObs(n *obs.Node) {
 	n.Counter("htmtree_fallback_acquisitions_total",
 		"Fallback critical-section acquisitions (classic TLE lock takes plus helpable descriptors completed by their owner).",
 		func(emit obs.Point) { emit(float64(e.Stats().FallbackAcquisitions)) })
+	n.Gauge("htmtree_reclaim_nodes",
+		"Removed nodes not back in the tree: waiting out a grace period (limbo), or pooled for reuse on the handles' immediate, grace and inner free lists.",
+		func(emit obs.Point) {
+			s := e.Stats().Reclaim
+			emit(float64(s.Limbo), obs.L("state", "limbo"))
+			emit(float64(s.PooledImmediate), obs.L("state", "pooled_immediate"))
+			emit(float64(s.PooledGrace), obs.L("state", "pooled_grace"))
+			emit(float64(s.PooledInner), obs.L("state", "pooled_inner"))
+		})
 	if mon := e.cfg.Monitor; mon != nil {
 		n.Counter("htmtree_monitor_quiesces_total",
 			"Completed update-monitor quiesces (escalated consistent reads and shard migrations).",

@@ -8,24 +8,36 @@ import (
 )
 
 // Site carries the per-call-site state the attempt loops adapt on: a
-// private PRNG stream for backoff randomization and a saturating
-// capacity score. Handles that build their ops once (bst, abtree,
-// citrus, kcas all do) should give each op its own Site via NewSite so
-// capacity memory is per operation type; ops with a nil Site share
-// their engine thread's. A Site must not be used by two goroutines
-// concurrently.
+// private PRNG stream for backoff randomization and the capacity memory
+// — a saturating score for sites whose calls are all of a size, a floor
+// for sites whose calls say how big they are (Op.Hint). Handles that
+// build their ops once (bst, abtree, citrus, kcas all do) should give
+// each op its own Site via NewSite so capacity memory is per operation
+// type; ops with a nil Site share their engine thread's. A Site must not
+// be used by two goroutines concurrently.
 type Site struct {
 	rng xrand.State
 	// id is the site's process-unique identity, carried on the flight
 	// recorder's abort events so a dump can attribute an abort storm to
 	// one operation type's call site.
 	id uint64
-	// capScore counts recent fast-path capacity aborts, saturating at
-	// capScoreSaturation and decaying on fast-path commits. At or above
-	// capScoreSkip operations start past the fast path (the Limited
-	// Read/Write-Set HTM observation: a site whose footprint cannot fit
-	// should stop burning hardware attempts).
+	// capScore counts recent fast-path capacity aborts of unhinted
+	// calls, saturating at capScoreSaturation and decaying on their
+	// fast-path commits. At or above capScoreSkip such calls start past
+	// the fast path (the Limited Read/Write-Set HTM observation: a site
+	// whose footprint cannot fit should stop burning hardware attempts).
 	capScore uint32
+	// hint is the footprint hint of the call in progress (Op.Hint, set
+	// by Op.policySite); 0 for a call without one.
+	hint uint64
+	// capFloor is the smallest hint a call at this site has overflowed
+	// the first path with, 0 while none has. The same observation, per
+	// call instead of per site: a hinted call at or above the floor is
+	// not attempted, one below it always is, so a site that mixes scans
+	// of ten keys and ten thousand loses the transaction only for the
+	// ones that cannot have it. A probe that commits at or above the
+	// floor moves it past itself.
+	capFloor uint64
 }
 
 // Retry tuning: the constants of the per-cause table in Thread.runPath
@@ -45,8 +57,9 @@ const (
 	capScoreSaturation = 8
 	capScoreSkip       = 3
 	// capProbeEvery makes a skipping site still try the fast path on
-	// roughly one operation in capProbeEvery, so the score can decay
-	// and the site recover when its footprint shrinks again.
+	// roughly one skippable call in capProbeEvery, so the score can
+	// decay, or the floor rise, and the site recover when its footprint
+	// shrinks again.
 	capProbeEvery = 16
 )
 
@@ -60,14 +73,33 @@ func NewSite() *Site {
 	return &Site{rng: *xrand.New(0xa5b35705b7e3f4d1, n), id: n}
 }
 
+// overflows reports whether the capacity memory expects the call in
+// progress not to fit the first path.
+func (s *Site) overflows() bool {
+	if s.hint != 0 {
+		return s.capFloor != 0 && s.hint >= s.capFloor
+	}
+	return s.capScore >= capScoreSkip
+}
+
 func (s *Site) noteCapacity() {
-	if s.capScore < capScoreSaturation {
+	switch {
+	case s.hint != 0:
+		if s.capFloor == 0 || s.hint < s.capFloor {
+			s.capFloor = s.hint
+		}
+	case s.capScore < capScoreSaturation:
 		s.capScore++
 	}
 }
 
 func (s *Site) noteFastCommit() {
-	if s.capScore > 0 {
+	switch {
+	case s.hint != 0:
+		if s.capFloor != 0 && s.hint >= s.capFloor {
+			s.capFloor = s.hint + 1
+		}
+	case s.capScore > 0:
 		s.capScore--
 	}
 }
@@ -97,7 +129,7 @@ type PolicyStats struct {
 	// a capacity abort.
 	CapacitySkips uint64
 	// Demotions counts operations that started past the fast path
-	// because their site's capacity score was saturated.
+	// because their site's capacity memory expected them not to fit.
 	Demotions uint64
 	// Helps counts announced fallback operations this engine's threads
 	// helped complete while blocked (helpable fallback only).

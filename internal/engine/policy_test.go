@@ -3,6 +3,7 @@ package engine
 import (
 	"testing"
 
+	"htmtree/internal/dict"
 	"htmtree/internal/htm"
 )
 
@@ -291,5 +292,161 @@ func TestCapacityDemotesSite(t *testing.T) {
 	}
 	if fast >= runs/2 {
 		t.Fatalf("fast capacity aborts = %d of %d runs; site never demoted", fast, runs)
+	}
+}
+
+// hintedReader is a read-only op whose calls say how big they are: a
+// call with hint n reads n/div cells, against a read capacity of
+// floorTestCapacity.
+type hintedReader struct {
+	tm    *htm.TM
+	e     *Engine
+	th    *Thread
+	op    Op
+	cells []htm.Word
+	div   int
+}
+
+const floorTestCapacity = 64
+
+func newHintedReader(alg Algorithm) *hintedReader {
+	r := &hintedReader{tm: htm.New(htm.Config{ReadCapacity: floorTestCapacity}), cells: make([]htm.Word, 512), div: 1}
+	r.e = New(Config{Algorithm: alg}, r.tm.Clock())
+	r.th = r.e.NewThread(r.tm.NewThread())
+	read := func(tx *htm.Tx) {
+		for i := 0; i < int(r.op.Hint)/r.div; i++ {
+			_ = r.cells[i].Get(tx)
+		}
+	}
+	r.op = Op{Site: NewSite(), Fast: read,
+		Fallback: func() bool { return true }, Locked: func() {}}
+	return r
+}
+
+func (r *hintedReader) run(hint uint64) htm.PathKind {
+	r.op.Hint = hint
+	return r.th.Run(r.op)
+}
+
+// attempts returns how many first-path transactions the reader has begun
+// and how many calls it has demoted past that path.
+func (r *hintedReader) attempts() (begun, demoted uint64) {
+	hs := r.tm.Stats()
+	return hs.Commits[htm.PathFast] + hs.TotalAborts(htm.PathFast), r.e.Stats().Policy.Demotions
+}
+
+// TestCapacityFloorLearnsTheSmallestOverflow: a site whose calls carry a
+// footprint hint remembers the smallest hint that overflowed the first
+// path and decides per call — at or above the floor a call is not
+// attempted (bar one probe in capProbeEvery), below it a call always is,
+// whatever larger calls did — and a probe that commits moves the floor
+// past itself. Every algorithm with a transactional first path shares
+// the memory.
+func TestCapacityFloorLearnsTheSmallestOverflow(t *testing.T) {
+	t.Parallel()
+	for _, alg := range txAlgorithms {
+		alg := alg
+		t.Run(alg.String(), func(t *testing.T) {
+			t.Parallel()
+			r := newHintedReader(alg)
+			// Nothing learned yet: every size is attempted once, and each
+			// overflow lowers the floor to its hint.
+			const smallest, fits = floorTestCapacity + 6, floorTestCapacity - 4
+			for _, hint := range []uint64{400, 100, 200, smallest} {
+				if p := r.run(hint); p != htm.PathFallback {
+					t.Fatalf("hint %d completed on %v, want the software path", hint, p)
+				}
+			}
+			// 400 and 100 were attempted and overflowed; 200 is above the
+			// floor they left (skipped, or probed); smallest is below it.
+			if begun, demoted := r.attempts(); begun+demoted != 4 || begun < 3 {
+				t.Fatalf("learning: %d attempts, %d demotions", begun, demoted)
+			}
+			if got := r.op.Site.capFloor; got != smallest {
+				t.Fatalf("floor = %d, want the smallest overflowing hint %d", got, smallest)
+			}
+
+			// Below the floor: always attempted, and it fits.
+			begun0, demoted0 := r.attempts()
+			for i := 0; i < 200; i++ {
+				if p := r.run(fits); p != htm.PathFast {
+					t.Fatalf("hint %d below the floor completed on %v", fits, p)
+				}
+			}
+			if begun, demoted := r.attempts(); begun-begun0 != 200 || demoted != demoted0 {
+				t.Fatalf("below the floor: %d attempts and %d demotions in 200 calls", begun-begun0, demoted-demoted0)
+			}
+
+			// At or above it: skipped, except the probes.
+			const calls = 3200
+			begun0, demoted0 = r.attempts()
+			for i := 0; i < calls; i++ {
+				hint := uint64(smallest + i%300)
+				if p := r.run(hint); p != htm.PathFallback {
+					t.Fatalf("hint %d at or above the floor completed on %v", hint, p)
+				}
+			}
+			begun, demoted := r.attempts()
+			probes := begun - begun0
+			if probes+demoted-demoted0 != calls {
+				t.Fatalf("%d probes + %d demotions != %d calls", probes, demoted-demoted0, calls)
+			}
+			if want := uint64(calls / capProbeEvery); probes < want/2 || probes > 2*want {
+				t.Fatalf("%d probes in %d skippable calls, want about 1 in %d", probes, calls, capProbeEvery)
+			}
+			if got := r.op.Site.capFloor; got != smallest {
+				t.Fatalf("floor = %d after overflowing probes, want it unmoved at %d", got, smallest)
+			}
+
+			// The footprint per unit of hint shrinks fourfold: the next
+			// probe of a 200-hint call commits, and from then on 200 is
+			// below the floor and always attempted.
+			r.div = 4
+			for r.op.Site.capFloor <= 200 {
+				r.run(200)
+			}
+			if got := r.op.Site.capFloor; got != 201 {
+				t.Fatalf("floor = %d after a probe at 200 committed, want 201", got)
+			}
+			begun0, demoted0 = r.attempts()
+			for i := 0; i < 100; i++ {
+				if p := r.run(200); p != htm.PathFast {
+					t.Fatalf("hint 200 below the raised floor completed on %v", p)
+				}
+			}
+			if begun, demoted := r.attempts(); begun-begun0 != 100 || demoted != demoted0 {
+				t.Fatalf("below the raised floor: %d attempts and %d demotions in 100 calls", begun-begun0, demoted-demoted0)
+			}
+		})
+	}
+}
+
+// TestCapacityFloorRefusesPinnedAttempts: RunAt consults the same
+// memory — a pinned call at or above its site's floor is answered
+// dict.PinUnfit without a transaction (bar the probes, which overflow
+// and answer the same), one below it is attempted.
+func TestCapacityFloorRefusesPinnedAttempts(t *testing.T) {
+	t.Parallel()
+	r := newHintedReader(AlgThreePath)
+	pin := func(hint uint64) dict.PinStatus {
+		r.op.Hint = hint
+		return r.th.RunAt(&r.op, r.tm.ClockValue())
+	}
+	if st := pin(100); st != dict.PinUnfit {
+		t.Fatalf("overflowing pinned call: %v, want unfit", st)
+	}
+	const calls = 320
+	begun0, demoted0 := r.attempts()
+	for i := 0; i < calls; i++ {
+		if st := pin(100 + uint64(i%50)); st != dict.PinUnfit {
+			t.Fatalf("pinned call above the floor: %v, want unfit", st)
+		}
+	}
+	begun, demoted := r.attempts()
+	if probes := begun - begun0; probes+demoted-demoted0 != calls || probes > calls/4 {
+		t.Fatalf("%d transactions and %d demotions in %d pinned calls above the floor", probes, demoted-demoted0, calls)
+	}
+	if st := pin(floorTestCapacity - 4); st != dict.PinCommitted {
+		t.Fatalf("pinned call below the floor: %v, want committed", st)
 	}
 }

@@ -96,10 +96,16 @@ func boundClock(clk *Clock) *Clock {
 }
 
 // Init sets the cell's value without version bookkeeping. It must only
-// be used on cells that are not yet reachable by other threads (e.g.
-// fields of a freshly allocated node before it is published); the cell
-// keeps version 0, so transactions at any snapshot may read it.
-func (w *Word) Init(v uint64) { w.val.Store(v) }
+// be used on cells that are not reachable by any other thread: fields of
+// a freshly allocated node before it is published, or of a pooled node
+// that came back through a grace period (no reader, stale or otherwise,
+// can hold it). The cell keeps the version it has — 0 when fresh — which
+// is no later than the store that will publish the node, so every
+// transaction able to reach the cell may read it. Because nobody else can
+// be looking, the store is a plain one, ordered before the publishing
+// store like any other initialization; an atomic store is an XCHG here,
+// and a recycled leaf pays one per slot.
+func (w *Word) Init(v uint64) { *(*uint64)(unsafe.Pointer(&w.val)) = v }
 
 // Recycle re-initializes a cell of a pooled node for reuse. Unlike Init
 // it is safe while stale transactional readers may still hold a
@@ -113,8 +119,9 @@ func (w *Word) Init(v uint64) { w.val.Store(v) }
 //
 // Recycle must only be called while the node is privately owned (drawn
 // from a pool, not yet republished); non-transactional readers must be
-// excluded by the caller's reclamation discipline (ebr: RetireFast only
-// when every possible reader is transactional).
+// excluded by the caller's reclamation discipline (nodepool: a node is
+// reused without a grace period only when every possible reader is
+// transactional).
 func (w *Word) Recycle(v uint64) {
 	c := w.clock()
 	acquireNonTx(&w.ver)
@@ -162,7 +169,8 @@ func (w *Word) Get(tx *Tx) uint64 {
 // enclosing node: write-once cells, and cells of pooled nodes that are
 // reused exclusively after a grace period (so no reader — stale or
 // otherwise — can ever observe the rewrite). Cells of nodes that may
-// recycle immediately (ebr.RetireFast) must use GetStable instead.
+// recycle immediately (nodepool's immediate list) must use GetStable
+// instead.
 func (w *Word) Peek() uint64 { return w.val.Load() }
 
 // GetStable reads a cell whose value is immutable while its enclosing
@@ -292,8 +300,7 @@ func (p *Pair) clock() *Clock { return boundClock(p.clk) }
 // Init sets the cell's values without version bookkeeping. See
 // Word.Init.
 func (p *Pair) Init(a, b uint64) {
-	p.val[0].Store(a)
-	p.val[1].Store(b)
+	*(*[2]uint64)(unsafe.Pointer(&p.val)) = [2]uint64{a, b}
 }
 
 // Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
@@ -409,7 +416,7 @@ func (r *Ref[T]) Bind(c *Clock) { bindClock(&r.clk, c) }
 func (r *Ref[T]) clock() *Clock { return boundClock(r.clk) }
 
 // Init sets the cell's value without version bookkeeping. See Word.Init.
-func (r *Ref[T]) Init(p *T) { r.store(p) }
+func (r *Ref[T]) Init(p *T) { r.val = unsafe.Pointer(p) }
 
 // Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
 func (r *Ref[T]) Recycle(p *T) {

@@ -113,10 +113,11 @@ func (l *List) NewHandle() dict.Handle {
 		Locked:   func() { l.deleteLocked(h) },
 		SCXHTM:   func(bool) bool { return l.deleteKCAS(h) },
 	}
+	// The read-only operations have one transactional body and leave
+	// Middle nil (engine.Op.Middle).
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { l.searchBody(h) },
-		Middle:   func(tx *htm.Tx) { l.searchBody(h) },
 		Fallback: func() bool { l.searchBody(h); return true },
 		Locked:   func() { l.searchBody(h) },
 		SCXHTM:   func(bool) bool { l.searchBody(h); return true },
@@ -124,7 +125,6 @@ func (l *List) NewHandle() dict.Handle {
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { l.rqTx(tx, h) },
-		Middle:   func(tx *htm.Tx) { l.rqTx(tx, h) },
 		Fallback: func() bool { l.rqPlain(h); return true },
 		Locked:   func() { l.rqPlain(h) },
 		SCXHTM:   func(bool) bool { l.rqPlain(h); return true },

@@ -333,6 +333,7 @@ func TestCrossShardAggregateAtomicity(t *testing.T) {
 			Algorithm: htmtree.TLE, HelpableFallback: true}},
 		{name: "bst", pins: pinAll},
 		{name: "small-capacity", abtree: true, pins: pinSome, cfg: htmtree.Config{ReadCapacity: smallReadCapacity}},
+		{name: "fallback-writers", abtree: true, pins: pinAll, cfg: htmtree.Config{WriteCapacity: fallbackWriteCapacity}},
 		{name: "non-htm", abtree: true, pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.NonHTM}},
 	}, runAggAtomicityHarness)
 }

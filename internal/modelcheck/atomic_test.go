@@ -284,6 +284,12 @@ func afterAtomicityRun(t *testing.T, c atomicityCase, tree *htmtree.Tree) {
 			t.Logf("adaptive: %d migrations (%d keys) concurrent with atomic reads", st.Migrations, st.KeysMoved)
 		}
 	}
+	if c.cfg.WriteCapacity == fallbackWriteCapacity {
+		if st := tree.Stats(); st.Ops.Fallback == 0 || st.Range.Pinned == 0 {
+			t.Errorf("fallback-writers harness: %d fallback-path operations, %d pinned attempts: read-only transactions were never raced against live SCXs",
+				st.Ops.Fallback, st.Range.Pinned)
+		}
+	}
 	if err := tree.CheckInvariants(); err != nil {
 		t.Errorf("post-run invariants: %v", err)
 	}
@@ -404,6 +410,16 @@ func runAtomicityCases(t *testing.T, what string, cases []atomicityCase, harness
 // operations of a 32-key shard fit and a scan of most of one does not.
 const smallReadCapacity = 32
 
+// fallbackWriteCapacity is a transactional write capacity that pins
+// writers to the fallback path while readers keep their transactions: a
+// BST delete (three cells and the monitor's bump on the fast path, more
+// on the middle) and every (a,b)-tree update overflow it on both
+// transactional paths, so the ring walker — on an (a,b)-tree, every
+// writer — commits by SCX with F raised, and the 3-path read-only
+// transactions, which write nothing and do not subscribe to F, run
+// beside it.
+const fallbackWriteCapacity = 2
+
 // TestCrossShardRangeQueryAtomicity runs concurrent updaters against
 // cross-shard range queries and key sums with AtomicRangeQueries
 // enabled: every result must match some prefix of the writers'
@@ -415,7 +431,9 @@ const smallReadCapacity = 32
 // forces live boundary migrations under the readers, the scenario the
 // two-shard quiesce protocol must keep atomic — the algorithms without
 // such a path, and scans that overflow the transactional read capacity,
-// which start pinned and must leave. KeySum samples and validates everywhere. Running the same
+// which start pinned and must leave; and writers pinned to the fallback
+// path, beside whose SCXs the pinned read-only transactions run
+// unsubscribed. KeySum samples and validates everywhere. Running the same
 // harness with atomicity off (TestCrossShardTearingWithoutValidation)
 // demonstrates the violations either protocol eliminates.
 func TestCrossShardRangeQueryAtomicity(t *testing.T) {
@@ -429,6 +447,8 @@ func TestCrossShardRangeQueryAtomicity(t *testing.T) {
 		{name: "2-path-con", pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TwoPathConc}},
 		{name: "2-path-ncon", abtree: true, pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TwoPathNCon}},
 		{name: "small-capacity", pins: pinSome, cfg: htmtree.Config{ReadCapacity: smallReadCapacity}},
+		{name: "fallback-writers", pins: pinAll, cfg: htmtree.Config{WriteCapacity: fallbackWriteCapacity}},
+		{name: "fallback-writers-abtree", abtree: true, pins: pinAll, cfg: htmtree.Config{WriteCapacity: fallbackWriteCapacity}},
 		{name: "non-htm", pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.NonHTM}},
 		{name: "scx-htm", abtree: true, pins: pinNone, cfg: htmtree.Config{Algorithm: htmtree.SCXHTM}},
 	}, runAtomicityHarness)

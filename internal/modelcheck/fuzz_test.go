@@ -7,9 +7,12 @@ import (
 )
 
 // FuzzOps feeds fuzzer-chosen operation streams through every template
-// configuration at once — BST and a-b-tree, the plain 3-path and the
+// configuration at once — BST and a-b-tree, the plain 3-path, the
 // helpable TLE fallback (spurious aborts force the announce protocol
-// even single-threaded) — in lockstep with the sequential model. The
+// even single-threaded) and 3-path under stormConfig's read capacity,
+// which the range queries' extents straddle (so the per-call capacity
+// memory skips, probes and moves its floor inside the checked stream) —
+// in lockstep with the sequential model. The
 // byte stream is the schedule: 3 bytes per operation (opcode, key,
 // value), keys folded into a 64-key space so the fuzzer hits every
 // structural transition (root churn, leaf splits and joins, empty
@@ -26,6 +29,16 @@ func FuzzOps(f *testing.F) {
 	f.Add([]byte{0, 9, 1, 0, 9, 2, 1, 9, 0, 0, 9, 3, 1, 9, 0, 1, 9, 0})
 	// aggregate queries interleaved with churn.
 	f.Add([]byte{0, 5, 5, 4, 0, 32, 0, 6, 6, 4, 4, 8, 1, 5, 0, 4, 0, 64})
+	// scans on both sides of a 16-read capacity over a filling key space:
+	// wide (overflows: the floor is learned), narrow (below it), wide
+	// again (skipped or probed), then deletes thin the range out.
+	f.Add([]byte{
+		0, 1, 1, 0, 2, 2, 0, 3, 3, 0, 4, 4, 0, 5, 5, 0, 6, 6, 0, 7, 7, 0, 8, 8,
+		0, 9, 9, 0, 10, 1, 0, 11, 2, 0, 12, 3, 0, 13, 4, 0, 14, 5, 0, 15, 6, 0, 16, 7,
+		3, 0, 63, 3, 0, 2, 3, 0, 63, 3, 0, 40, 3, 0, 63, 3, 0, 63,
+		1, 3, 0, 1, 5, 0, 1, 7, 0, 1, 9, 0, 1, 11, 0, 1, 13, 0,
+		3, 0, 63, 3, 0, 63, 3, 0, 63, 3, 0, 63, 3, 0, 20, 3, 0, 63,
+	})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		type sut struct {
@@ -45,9 +58,12 @@ func FuzzOps(f *testing.F) {
 			AttemptLimit:       1,
 			HelpableFallback:   true,
 		}
+		tight := stormConfig(htmtree.ThreePath, 0, 2)
 		suts := []sut{
 			mk("bst/3path", htmtree.NewBST, htmtree.Config{}),
 			mk("abtree/3path", htmtree.NewABTree, htmtree.Config{}),
+			mk("bst/3path-tight", htmtree.NewBST, tight),
+			mk("abtree/3path-tight", htmtree.NewABTree, tight),
 			mk("bst/tle-helpable", htmtree.NewBST, helpable),
 			mk("abtree/tle-helpable", htmtree.NewABTree, helpable),
 		}

@@ -282,11 +282,13 @@ func TestRaceObservedMigration(t *testing.T) {
 
 // TestScrapeEqualsStats compares the two surfaces the engine's counters
 // are read through: on a quiescent observed tree the scraped
-// htmtree_ops_total, htmtree_policy_actions_total and
-// htmtree_fallback_acquisitions_total families — summed over the
-// shard label — must equal Tree.Stats() counter for counter. Both
-// trees ran an abort storm first, so the counters compared are not all
-// zero: every path and (under TLE) the fallback lock carried load.
+// htmtree_ops_total, htmtree_policy_actions_total,
+// htmtree_fallback_acquisitions_total and htmtree_reclaim_nodes families
+// — summed over the shard label — must equal Tree.Stats() counter for
+// counter and gauge for gauge. Both trees ran an abort storm first, so
+// the values compared are not all zero: every path and (under TLE) the
+// fallback lock carried load, and removed nodes sit in limbo and in the
+// pools.
 func TestScrapeEqualsStats(t *testing.T) {
 	t.Parallel()
 	for _, tc := range []struct {
@@ -347,6 +349,10 @@ func TestScrapeEqualsStats(t *testing.T) {
 					{"htmtree_policy_actions_total", "action", "demotion", st.Policy.Demotions},
 					{"htmtree_policy_actions_total", "action", "help", st.Policy.Helps},
 					{"htmtree_fallback_acquisitions_total", "", "", wantAcq},
+					{"htmtree_reclaim_nodes", "state", "limbo", st.Reclaim.Limbo},
+					{"htmtree_reclaim_nodes", "state", "pooled_immediate", st.Reclaim.PooledImmediate},
+					{"htmtree_reclaim_nodes", "state", "pooled_grace", st.Reclaim.PooledGrace},
+					{"htmtree_reclaim_nodes", "state", "pooled_inner", st.Reclaim.PooledInner},
 				} {
 					if got := scraped(c.family, c.label, c.value); got != c.want {
 						t.Errorf("%s{%s=%q} scrapes %d, Stats has %d", c.family, c.label, c.value, got, c.want)
@@ -354,6 +360,9 @@ func TestScrapeEqualsStats(t *testing.T) {
 				}
 				if st.Ops.Fast == 0 || st.Ops.Fallback == 0 || st.Policy.FreeRetries == 0 {
 					t.Errorf("the storm left counters at zero: %+v %+v", st.Ops, st.Policy)
+				}
+				if rc := st.Reclaim; rc.Limbo+rc.PooledImmediate+rc.PooledGrace+rc.PooledInner == 0 {
+					t.Errorf("the churn left every reclamation gauge at zero: %+v", rc)
 				}
 			})
 		}

@@ -1,33 +1,43 @@
 // Package nodepool implements the per-handle node-pooling discipline
 // shared by the template data structures (paper Section 9): steady-state
 // inserts draw nodes from per-thread free lists, and deletions feed the
-// lists back through the engine's epoch-based reclamation.
+// lists back, at once or through the engine's epoch-based reclamation.
 //
 // One Pool serves one handle (one goroutine); nothing here is locked.
-// The pools are segregated by node kind — leaves and internal nodes —
-// because the two kinds follow different recycling disciplines that the
-// structures encode identically:
+// A pool keeps three free lists, told apart by who may still hold a node
+// on them — which is what re-initializing the node costs:
 //
-//   - Leaves may recycle immediately after fast-path removals
-//     (engine.Thread.Retire with fastOK): every reuse-mutable leaf field
-//     is a transactional cell re-initialized with version-advancing
-//     Recycle stores, so a stale transactional reader aborts rather
-//     than observe the recycled leaf.
-//   - Internal nodes always wait out a grace period: their routing keys
-//     are read with plain loads on the descent hot path (htm.Word.Peek
-//     or plain arrays), which is only sound if no reader can ever
-//     observe a reuse.
+//   - immediate: leaves removed by fast-path commits where the algorithm
+//     keeps every possible reader transactional (Retirer.Immediate). They
+//     skip the grace period, so a transaction that read the leaf before
+//     its removal may still hold it; every reuse-mutable leaf field is a
+//     transactional cell, and reuse rewrites them with version-advancing
+//     Recycle stores, on which such a reader aborts.
+//   - grace: leaves that waited out a grace period (or were drawn fresh
+//     and never published). No reader, stale or otherwise, can hold one
+//     (DEBRA's guarantee: every operation is bracketed by the engine's
+//     ebr Begin/End), so reuse is plain initializing stores that touch
+//     no version word — what a middle- or fallback-path update, which
+//     replaces a leaf per operation, pays per cell.
+//   - inner: internal nodes, which always wait out a grace period: their
+//     routing keys are read with plain loads on the descent hot path
+//     (htm.Word.Peek or plain arrays), which is only sound if no reader
+//     can ever observe a reuse.
 //
 // Attempt lifecycle: a body draws nodes with Take (recording them in
 // the attempt's allocation list) and marks the nodes it unlinks with
 // Remove. Each attempt starts with BeginAttempt — nodes drawn by a
-// failed previous attempt were never published, so they return straight
-// to the pools — and a completed operation calls Settle: the committed
-// attempt's nodes are published (forgotten) and its removals retire
-// under the rules above.
+// failed previous attempt were never published, so each returns to the
+// list it was drawn from, no reader the wiser — and a completed
+// operation calls Settle: the committed attempt's nodes are published
+// (forgotten) and its removals retire under the rules above.
 package nodepool
 
-import "htmtree/internal/htm"
+import (
+	"sync/atomic"
+
+	"htmtree/internal/htm"
+)
 
 // Stats counts a pool's activity. Exported by the structures as their
 // handle ReclaimStats.
@@ -38,35 +48,74 @@ type Stats struct {
 	// Section 9 fast-path rule; RetiredGrace counts removals deferred a
 	// grace period.
 	RetiredFast, RetiredGrace uint64
-	// Freed counts nodes that reached the pools (immediately or after
-	// their grace period expired).
+	// Freed counts nodes that came back to the pools (immediately or
+	// after their grace period expired), whether a list had room for
+	// them or not.
 	Freed uint64
 }
 
-// Retirer hands removed nodes to epoch-based reclamation; implemented
-// by engine.Thread.
+// Retirer is the pool's view of the handle's reclamation context;
+// implemented by engine.Thread.
 type Retirer interface {
-	// Retire schedules x for reuse once safe, returning whether it was
-	// recycled immediately. fastOK asserts every reuse-mutable field of
-	// x is a transactional cell.
-	Retire(p htm.PathKind, fastOK bool, x any) (immediate bool)
+	// Immediate reports whether a leaf removed by an operation that
+	// completed on path p may be reused without a grace period: every
+	// thread that can still hold it runs transactionally.
+	Immediate(p htm.PathKind) bool
+	// Retire schedules x to reach the pool's Release once no thread can
+	// hold a reference to it.
+	Retire(x any)
+}
+
+// The free lists, by who may still hold a node on them.
+const (
+	listImmediate = iota
+	listGrace
+	listInner
+	numLists
+)
+
+// publishEvery is how many Settles pass between publications of the
+// list lengths (Pooled).
+const publishEvery = 64
+
+// maxPooled bounds each free list. The lists exist to carry the nodes in
+// circulation between removal and reuse — a steady-state epoch delivers
+// tens — but with nothing to bound them they also keep, for the life of
+// the handle, the debris of its worst stall: while a reader sits
+// preempted inside its reclamation bracket nothing retired can be
+// reused, every node drawn is a fresh one, and when the reader moves on
+// the whole backlog arrives at once (the limbo gauge shows it: over a
+// thousand nodes behind one preempted scan). Past the bound a returning
+// node is left to the garbage collector instead.
+const maxPooled = 256
+
+// drawn is one node of the current attempt's allocation list and the
+// free list a failed attempt returns it to.
+type drawn[N any] struct {
+	n    *N
+	list uint8
 }
 
 // Pool is the per-handle pooling state for node type N.
 type Pool[N any] struct {
-	leaf, inner    []*N
-	alloc, removed []*N
-	stats          Stats
+	free    [numLists][]*N
+	alloc   []drawn[N]
+	removed []*N
+	stats   Stats
+	// pooled holds the list lengths as of the last publication; settles
+	// counts Settles towards the next.
+	pooled  [numLists]atomic.Int64
+	settles uint
 
 	isLeaf func(*N) bool
 	fresh  func(leaf bool) *N
 	ret    Retirer
 }
 
-// New creates a pool. isLeaf routes nodes between the two free lists
-// (and decides Settle's fastOK: only leaves may recycle immediately);
-// fresh heap-allocates a node of the given kind with its cells bound to
-// the owning TM's clock; ret is the handle's engine thread.
+// New creates a pool. isLeaf routes nodes between the leaf lists and
+// the inner list; fresh heap-allocates a node of the given kind with its
+// cells bound to the owning TM's clock; ret is the handle's engine
+// thread.
 func New[N any](isLeaf func(*N) bool, fresh func(leaf bool) *N, ret Retirer) *Pool[N] {
 	return &Pool[N]{isLeaf: isLeaf, fresh: fresh, ret: ret}
 }
@@ -76,56 +125,80 @@ func (p *Pool[N]) Stats() Stats { return p.stats }
 
 // Size returns the number of nodes currently in the free lists
 // (white-box tests).
-func (p *Pool[N]) Size() int { return len(p.leaf) + len(p.inner) }
+func (p *Pool[N]) Size() int {
+	return len(p.free[listImmediate]) + len(p.free[listGrace]) + len(p.free[listInner])
+}
 
-// putBack returns a node to the matching free list.
-func (p *Pool[N]) putBack(n *N) {
-	if p.isLeaf(n) {
-		p.leaf = append(p.leaf, n)
-	} else {
-		p.inner = append(p.inner, n)
+// Pooled returns the lengths of the three free lists as the owner last
+// published them — every publishEvery-th Settle, so that a reader on
+// another goroutine (the engine's reclamation gauges) costs the owner no
+// atomic per node. Safe from any goroutine.
+func (p *Pool[N]) Pooled() (immediate, grace, inner int) {
+	return int(p.pooled[listImmediate].Load()), int(p.pooled[listGrace].Load()), int(p.pooled[listInner].Load())
+}
+
+// put returns n to list l, or drops it when the list is full (maxPooled).
+func (p *Pool[N]) put(l uint8, n *N) {
+	if len(p.free[l]) < maxPooled {
+		p.free[l] = append(p.free[l], n)
 	}
 }
 
-// Release receives a node whose reclamation completed and pools it; it
+// graceList is the list a node that no thread can hold belongs on.
+func (p *Pool[N]) graceList(n *N) uint8 {
+	if p.isLeaf(n) {
+		return listGrace
+	}
+	return listInner
+}
+
+// Release receives a node whose grace period expired and pools it; it
 // is the handle's ebr free callback (engine.Thread.EnableReclaim).
 func (p *Pool[N]) Release(x any) {
-	p.putBack(x.(*N))
+	n := x.(*N)
+	p.put(p.graceList(n), n)
 	p.stats.Freed++
 }
 
-// Take draws a node of the given kind from its pool, falling back to
-// the heap, and records it in the attempt's allocation list. recycled
-// reports a pool hit: the caller must re-initialize a recycled node's
-// cells (with Recycle stores for leaves, which stale readers may still
-// hold; plain stores suffice for grace-only internal nodes).
-func (p *Pool[N]) Take(leaf bool) (n *N, recycled bool) {
-	pool := &p.inner
+// Take draws a node of the given kind and records it in the attempt's
+// allocation list: a leaf from the grace list first, then the immediate
+// list; an internal node from the inner list; either from the heap when
+// its lists are empty. stale reports that the node skipped its grace
+// period, so a transaction that read it in its previous life may still
+// hold it: the caller must re-initialize its cells with
+// version-advancing Recycle stores. Every other node — fresh or
+// grace-released — is out of every thread's reach, and plain Init stores
+// suffice.
+func (p *Pool[N]) Take(leaf bool) (n *N, stale bool) {
+	from := uint8(listInner)
 	if leaf {
-		pool = &p.leaf
+		from = listGrace
+		if len(p.free[listGrace]) == 0 && len(p.free[listImmediate]) > 0 {
+			from = listImmediate
+		}
 	}
-	if k := len(*pool); k > 0 {
-		n = (*pool)[k-1]
-		(*pool)[k-1] = nil
-		*pool = (*pool)[:k-1]
+	if l := p.free[from]; len(l) > 0 {
+		n = l[len(l)-1]
+		l[len(l)-1] = nil
+		p.free[from] = l[:len(l)-1]
 		p.stats.Reused++
-		recycled = true
 	} else {
 		n = p.fresh(leaf)
 		p.stats.Fresh++
 	}
-	p.alloc = append(p.alloc, n)
-	return n, recycled
+	p.alloc = append(p.alloc, drawn[N]{n: n, list: from})
+	return n, from == listImmediate
 }
 
 // BeginAttempt resets the per-attempt state: nodes drawn by a previous
 // attempt of this operation were never published (the attempt aborted
-// or its SCX failed), so they return to the pools, and the previous
+// or its SCX failed), so each returns to the list it was drawn from —
+// whoever could hold it before still can, nobody new — and the previous
 // attempt's removal list is discarded.
 func (p *Pool[N]) BeginAttempt() {
-	for i, n := range p.alloc {
-		p.putBack(n)
-		p.alloc[i] = nil
+	for i, d := range p.alloc {
+		p.put(d.list, d.n)
+		p.alloc[i] = drawn[N]{}
 	}
 	p.alloc = p.alloc[:0]
 	p.removed = p.removed[:0]
@@ -139,20 +212,29 @@ func (p *Pool[N]) Remove(n *N) {
 
 // Settle finishes a completed operation: the committed attempt's drawn
 // nodes are published (forgotten) and its removed nodes retire — leaves
-// immediately when the completing path permits, internal nodes always
-// after a grace period.
+// straight onto the immediate list when the completing path permits,
+// everything else through a grace period.
 func (p *Pool[N]) Settle(path htm.PathKind) {
 	for i := range p.alloc {
-		p.alloc[i] = nil
+		p.alloc[i] = drawn[N]{}
 	}
 	p.alloc = p.alloc[:0]
+	immediate := len(p.removed) > 0 && p.ret.Immediate(path)
 	for i, n := range p.removed {
-		if p.ret.Retire(path, p.isLeaf(n), n) {
+		if immediate && p.isLeaf(n) {
+			p.put(listImmediate, n)
 			p.stats.RetiredFast++
+			p.stats.Freed++
 		} else {
+			p.ret.Retire(n)
 			p.stats.RetiredGrace++
 		}
 		p.removed[i] = nil
 	}
 	p.removed = p.removed[:0]
+	if p.settles++; p.settles%publishEvery == 0 {
+		for l := range p.free {
+			p.pooled[l].Store(int64(len(p.free[l])))
+		}
+	}
 }

@@ -47,7 +47,10 @@
 // once, as a transaction on the algorithm's first path pinned at its
 // value (dict.PinnedReader). What fails an attempt is what would abort
 // that one spanning transaction: a cell it reaches written since the
-// instant, or a software path it may not overlap being busy.
+// instant, or a software path it may not overlap being busy (TLE's
+// locked body, 2-path-ncon's fallback; a 3-path read-only transaction
+// runs beside its fallback path, whose operations each become visible at
+// one tick of the shard's clock).
 //
 // The software path is optimistic per-shard version validation, in the
 // spirit of the hybrid validation of Ben-David et al. (Lock-Free Locks
