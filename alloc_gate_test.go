@@ -213,6 +213,52 @@ func TestAllocGateCrossShardReads(t *testing.T) {
 	}
 }
 
+// TestAllocGateAdaptivePointOps gates point operations on a RouterAdaptive
+// tree, whose updates are admitted on their shard's monitor by the shard
+// handle: routing, admission and its release hand nothing to the heap.
+// RebalanceCheckOps is above the run length, so no imbalance evaluation
+// (which reads every shard's statistics) falls in the measured window.
+func TestAllocGateAdaptivePointOps(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mk   func(htmtree.Config) (*htmtree.Tree, error)
+	}{
+		{"sharded-bst", htmtree.NewShardedBST},
+		{"sharded-abtree", htmtree.NewShardedABTree},
+	} {
+		for _, atomic := range []bool{false, true} {
+			name := tc.name + " adaptive"
+			if atomic {
+				name += "+atomic"
+			}
+			tree, err := tc.mk(htmtree.Config{
+				ShardKeySpan: gateKeys + 1, Router: htmtree.RouterAdaptive,
+				RebalanceCheckOps: 1 << 30, AtomicRangeQueries: atomic,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := tree.NewHandle()
+			for i := uint64(0); i < gateKeys; i++ {
+				k := i*197%gateKeys + 1 // scrambled: keeps the BST shards shallow
+				h.Insert(k, k)
+			}
+			k := uint64(gateKeys / 2)
+			for i := 0; i < gateWarmups; i++ {
+				h.Delete(k)
+				h.Insert(k, k)
+			}
+			gateCheck(t, name+" delete+insert", testing.AllocsPerRun(200, func() {
+				h.Delete(k)
+				h.Insert(k, k)
+			}))
+			gateCheck(t, name+" search", testing.AllocsPerRun(200, func() {
+				h.Search(k)
+			}))
+		}
+	}
+}
+
 // TestAllocGateABTreeFallbackScan gates the LLX-validated range scan of
 // the lock-free fallback: a scan may not allocate per internal node it
 // crosses. The child snapshots it validates fit the stack (a degree is at

@@ -222,8 +222,9 @@ type Config struct {
 	// BatchMaxOps is the buffer size at which an asynchronous handle
 	// (NewAsyncHandle, Handle.Batch) flushes its pending operations as
 	// one sorted, shard-grouped batch (default 64). Larger batches
-	// amortize routing and admission overhead further but delay
-	// results longer. Below the threshold the buffer flushes only on
+	// amortize routing and — on a sharded tree with AtomicRangeQueries
+	// or RouterAdaptive — admission overhead further but delay results
+	// longer. Below the threshold the buffer flushes only on
 	// RangeQuery, Flush, or Wait.
 	BatchMaxOps int
 
@@ -807,8 +808,9 @@ func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
 
 // BatchStats counts batched/asynchronous execution activity. The
 // amortization batching exists for reads off directly: an unbatched
-// stream pays one router lookup (and, on a rebalancing sharded tree,
-// one monitor admission) per operation, so GroupOps/RouterLookups and
+// stream pays one router lookup (and, on a sharded tree with
+// AtomicRangeQueries or RouterAdaptive, one monitor admission) per
+// operation, so GroupOps/RouterLookups and
 // GroupOps/MonitorBrackets are the factors by which batching cut that
 // per-operation overhead.
 type BatchStats struct {
@@ -828,9 +830,9 @@ type BatchStats struct {
 	// and MonitorBrackets the shard-level admissions — one per group
 	// where unbatched dispatch pays one per op.
 	RouterLookups, MonitorBrackets uint64
-	// Restarts counts groups re-routed because a live migration swapped
-	// the routing table mid-batch (the batch then re-executed its
-	// remaining operations under the new table).
+	// Restarts counts group admissions dropped and re-routed because a
+	// live migration swapped the routing table mid-batch (the group then
+	// executed under the new table).
 	Restarts uint64
 }
 

@@ -310,10 +310,11 @@ func TestBatchContextOverHandle(t *testing.T) {
 }
 
 // TestBatchAmortizationCounts asserts the acceptance criterion on a
-// host-independent metric: at batch size 64 on an 8-shard rebalancing
-// tree, group execution must cut both the router-lookup and the
-// monitor-bracket count at least 4x versus unbatched dispatch (which
-// pays one of each per operation).
+// host-independent metric: at batch size 64 on an 8-shard monitored
+// tree — rebalancing, or static with atomic range queries — group
+// execution must cut both the router-lookup and the monitor-admission
+// count at least 4x versus unbatched dispatch (which pays one of each
+// per operation), and holds exactly one admission per group.
 func TestBatchAmortizationCounts(t *testing.T) {
 	t.Parallel()
 	const (
@@ -321,46 +322,53 @@ func TestBatchAmortizationCounts(t *testing.T) {
 		batches  = 50
 		batchLen = 64
 	)
-	tree, err := htmtree.NewShardedABTree(htmtree.Config{
-		Shards:       8,
-		ShardKeySpan: keySpan,
-		Router:       htmtree.RouterAdaptive, // admitting handles: brackets are counted
+	for _, tc := range []struct {
+		name string
+		cfg  htmtree.Config
+	}{
 		// A huge evaluation window keeps migrations out of the
 		// measurement, so the counts reflect pure batched dispatch.
-		RebalanceCheckOps: 1 << 30,
-		BatchMaxOps:       batchLen,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ah := tree.NewAsyncHandle()
-	rng := rand.New(rand.NewSource(7))
-	for i := 0; i < batches*batchLen; i++ {
-		k := uint64(rng.Intn(keySpan)) + 1
-		if i%2 == 0 {
-			ah.Insert(k, k)
-		} else {
-			ah.Delete(k)
+		{"adaptive", htmtree.Config{Router: htmtree.RouterAdaptive, RebalanceCheckOps: 1 << 30}},
+		{"static atomic", htmtree.Config{AtomicRangeQueries: true}},
+	} {
+		cfg := tc.cfg
+		cfg.Shards, cfg.ShardKeySpan, cfg.BatchMaxOps = 8, keySpan, batchLen
+		tree, err := htmtree.NewShardedABTree(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	ah.Flush()
-	st := tree.Stats().Batch
-	if st.GroupOps != batches*batchLen {
-		t.Fatalf("GroupOps = %d, want %d", st.GroupOps, batches*batchLen)
-	}
-	if st.RouterLookups == 0 || st.MonitorBrackets == 0 {
-		t.Fatalf("amortization counters empty: %+v", st)
-	}
-	if ratio := float64(st.GroupOps) / float64(st.RouterLookups); ratio < 4 {
-		t.Fatalf("router lookups amortized only %.2fx (unbatched pays %d, batched paid %d)",
-			ratio, st.GroupOps, st.RouterLookups)
-	}
-	if ratio := float64(st.GroupOps) / float64(st.MonitorBrackets); ratio < 4 {
-		t.Fatalf("monitor brackets amortized only %.2fx (unbatched pays %d, batched paid %d)",
-			ratio, st.GroupOps, st.MonitorBrackets)
-	}
-	if err := tree.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		ah := tree.NewAsyncHandle()
+		rng := rand.New(rand.NewSource(7))
+		for i := 0; i < batches*batchLen; i++ {
+			k := uint64(rng.Intn(keySpan)) + 1
+			if i%2 == 0 {
+				ah.Insert(k, k)
+			} else {
+				ah.Delete(k)
+			}
+		}
+		ah.Flush()
+		st := tree.Stats().Batch
+		if st.GroupOps != batches*batchLen {
+			t.Fatalf("%s: GroupOps = %d, want %d", tc.name, st.GroupOps, batches*batchLen)
+		}
+		if st.RouterLookups == 0 || st.MonitorBrackets == 0 {
+			t.Fatalf("%s: amortization counters empty: %+v", tc.name, st)
+		}
+		if st.MonitorBrackets != st.Groups {
+			t.Fatalf("%s: %d monitor admissions for %d groups, want one per group", tc.name, st.MonitorBrackets, st.Groups)
+		}
+		if ratio := float64(st.GroupOps) / float64(st.RouterLookups); ratio < 4 {
+			t.Fatalf("%s: router lookups amortized only %.2fx (unbatched pays %d, batched paid %d)",
+				tc.name, ratio, st.GroupOps, st.RouterLookups)
+		}
+		if ratio := float64(st.GroupOps) / float64(st.MonitorBrackets); ratio < 4 {
+			t.Fatalf("%s: monitor admissions amortized only %.2fx (unbatched pays %d, batched paid %d)",
+				tc.name, ratio, st.GroupOps, st.MonitorBrackets)
+		}
+		if err := tree.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -256,8 +256,9 @@ func (pr *prims) aggPlan(kind aggKind, key uint64) {
 
 // aggApplyInsert applies an insert's +key delta to every internal node
 // on the recorded search path, inside the operation's transaction (tx
-// may be nil under the TLE lock, where the whole body runs inside an
-// aggVer bracket and the cells take immediate non-transactional adds).
+// is nil inside an aggVer bracket — the TLE locked body, and the
+// post-swing fixup of a non-transactional path, aggFixupNonTx — where
+// the cells take immediate non-transactional adds).
 func aggApplyInsert(tx *htm.Tx, path []*Node, key uint64) {
 	for _, n := range path {
 		n.agg.AddAtCommit(tx, key, 1)
@@ -339,41 +340,12 @@ func (t *Tree) aggFixupNonTx(h *Handle, kind aggKind, key uint64) {
 	}
 	h.path = path
 	if kind == aggInsert {
-		for _, a := range path {
-			a.agg.Add(key, 1)
-			if key < a.aggMin.Get(nil) {
-				a.aggMin.Set(nil, key)
-			}
-			if key > a.aggMax.Get(nil) {
-				a.aggMax.Set(nil, key)
-			}
-		}
+		aggApplyInsert(nil, path, key)
 		return
 	}
-	// Delete: bottom-up, recomputing boundary mins/maxes directly from
-	// the (already fixed) children.
-	for i := len(path) - 1; i >= 0; i-- {
-		a := path[i]
-		a.agg.Add(-key, ^uint64(0))
-		if a.aggMin.Get(nil) == key {
-			mn := aggEmptyMin
-			for j := range a.children {
-				if v := childMin(nil, a.children[j].Get(nil)); v < mn {
-					mn = v
-				}
-			}
-			a.aggMin.Set(nil, mn)
-		}
-		if a.aggMax.Get(nil) == key {
-			mx := aggEmptyMax
-			for j := range a.children {
-				if v := childMax(nil, a.children[j].Get(nil)); v > mx {
-					mx = v
-				}
-			}
-			a.aggMax.Set(nil, mx)
-		}
-	}
+	// The leaf is the one the swing just installed: its min and max are
+	// already the post-delete ones.
+	aggApplyDelete(nil, path, n, key, childMin(nil, n), childMax(nil, n))
 }
 
 // ---- aggregate queries ----

@@ -73,20 +73,17 @@ func (h *Handle) buildOps() {
 	}
 	// The read-only operations have one transactional body, so they leave
 	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
-	// to run beside fallback-path SCXs.
+	// to run beside fallback-path SCXs. Nor have search and range query a
+	// locked or a Section 4 body of their own (engine.Op.Locked, SCXHTM).
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
 		Fallback: func() bool { t.searchBody(nil, h); return true },
-		Locked:   func() { t.searchBody(nil, h) },
-		SCXHTM:   func(bool) bool { t.searchBody(nil, h); return true },
 	}
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
-		Locked:   func() { t.rqInTx(nil, h) },
-		SCXHTM:   func(bool) bool { return t.rqFallback(h) },
 	}
 	// fixOp is deliberately not an Update: rebalancing steps restructure
 	// nodes but never change the logical key/value content, so they need
@@ -118,7 +115,6 @@ func (h *Handle) buildOps() {
 			for !t.aggFallback(h) {
 			}
 		},
-		SCXHTM: func(bool) bool { return t.aggFallback(h) },
 	}
 	// Pre-wrap the update ops' transactional bodies with the engine's
 	// monitor bump (no-op without a monitor) so Run stays allocation-free.

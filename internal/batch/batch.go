@@ -7,12 +7,12 @@
 //
 // The point is amortization: the template's per-operation cost is
 // dominated by fixed overhead — handle dispatch, router lookup, and
-// (on rebalancing sharded trees) a monitor admission bracket per
-// operation (Brown, PODC 2017, Section 7 measures exactly this fixed
+// (on monitored sharded trees: atomic range queries or rebalancing) a
+// monitor admission per operation (Brown, PODC 2017, Section 7 measures exactly this fixed
 // cost dominating at low contention). A handle that implements
 // dict.GroupExecutor (the shard layer's) receives the sorted group
-// whole and pays one routing-table acquisition and one monitor bracket
-// per shard-group instead of per op; any other handle still gains the
+// whole and pays one routing decision and one monitor admission per
+// shard-group instead of per op; any other handle still gains the
 // sorted key locality (adjacent keys traverse overlapping tree paths,
 // so the simulated HTM's read sets stay warm) with ops executed one by
 // one.

@@ -212,11 +212,6 @@ func (t *Tree) newHandle() *Handle {
 	return h
 }
 
-// SetGateBypass exempts this handle's updates from the update monitor's
-// quiesce gate (engine.Thread.SetGateBypass). Used by the shard layer's
-// key migration, which operates on the tree while holding the gate.
-func (h *Handle) SetGateBypass(bypass bool) { h.e.SetGateBypass(bypass) }
-
 // Help drives the currently announced fallback operation (if any) to
 // completion on this handle's thread and reports whether it helped
 // (dict.Helper). The help body covers itself with the tree's

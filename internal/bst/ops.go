@@ -44,7 +44,6 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.insertBody(h, h.prims(engine.ModeFallback, nil)) },
-		Locked:   func() { t.insertBody(h, h.prims(engine.ModeFast, nil)) },
 		SCXHTM: func(useHTM bool) bool {
 			return t.insertBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
@@ -60,7 +59,6 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.deleteBody(h, h.prims(engine.ModeFallback, nil)) },
-		Locked:   func() { t.deleteBody(h, h.prims(engine.ModeFast, nil)) },
 		SCXHTM: func(useHTM bool) bool {
 			return t.deleteBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
@@ -73,20 +71,18 @@ func (h *Handle) buildOps() {
 	}
 	// The read-only operations have one transactional body, so they leave
 	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
-	// to run beside fallback-path SCXs.
+	// to run beside fallback-path SCXs. And no operation here has a locked
+	// body of its own: under the TLE lock each runs its Fast body with a
+	// nil tx (engine.Op.Locked), the sequential code of Figure 13.
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
 		Fallback: func() bool { t.searchBody(nil, h); return true },
-		Locked:   func() { t.searchBody(nil, h) },
-		SCXHTM:   func(bool) bool { t.searchBody(nil, h); return true },
 	}
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
-		Locked:   func() { t.rqInTx(nil, h) },
-		SCXHTM:   func(bool) bool { return t.rqFallback(h) },
 	}
 	// Pre-wrap the update ops' transactional bodies with the engine's
 	// monitor bump (no-op without a monitor) so Run stays allocation-free.

@@ -135,32 +135,24 @@ func (t *Tree) NewHandle() dict.Handle {
 			done := t.insertFallback(h)
 			return done
 		},
-		Locked: func() { t.insertTx(nil, h, false) },
-		SCXHTM: func(bool) bool { return t.insertFallback(h) },
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.deleteTx(tx, h, false) },
 		Middle:   func(tx *htm.Tx) { t.deleteMiddle(tx, h) },
 		Fallback: func() bool { return t.deleteFallback(h) },
-		Locked:   func() { t.deleteTx(nil, h, false) },
-		SCXHTM:   func(bool) bool { return t.deleteFallback(h) },
 	}
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h, false) },
 		Middle:   func(tx *htm.Tx) { t.searchBody(tx, h, true) },
 		Fallback: func() bool { t.searchFallback(h); return true },
-		Locked:   func() { t.searchBody(nil, h, false) },
-		SCXHTM:   func(bool) bool { t.searchFallback(h); return true },
 	}
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Middle:   func(tx *htm.Tx) { t.rqMiddle(tx, h) },
 		Fallback: func() bool { t.rqFallback(h); return true },
-		Locked:   func() { t.rqInTx(nil, h) },
-		SCXHTM:   func(bool) bool { t.rqFallback(h); return true },
 	}
 	return h
 }

@@ -168,8 +168,8 @@ func (op *BatchOp) Exec(h Handle) {
 
 // GroupExecutor is optionally implemented by handles that can execute a
 // key-sorted group of point operations with amortized per-operation
-// overhead (the shard layer's handles: one routing-table acquisition
-// and one monitor bracket per shard-group instead of per op). Ops
+// overhead (the shard layer's handles: one routing decision and one
+// monitor admission per shard-group instead of per op). Ops
 // sharing a key must keep their relative order — callers sort the
 // group stably by key — and results are written into the slice
 // elements. The batching layer falls back to executing ops one by one

@@ -254,11 +254,9 @@ type Thread struct {
 
 	eng *Engine
 	ops [htm.NumPaths]uint64 // completions indexed by htm.PathKind
-	// aborts counts failed transactional attempts per path and cause as
-	// seen by the attempt loops; polstats counts the retry policy's
-	// actions. Both are written with atomic adds so Stats may read them
-	// from a reporting goroutine.
-	aborts   [htm.NumPaths][htm.NumCauses]uint64
+	// polstats counts the retry policy's actions, with atomic adds so
+	// Stats may read it from a reporting goroutine. (Failed attempts have
+	// no counter here: H counts them where they fail.)
 	polstats PolicyStats
 	// fallbackAcq counts fallback critical-section acquisitions,
 	// atomically (OpStats.FallbackAcquisitions).
@@ -279,27 +277,12 @@ type Thread struct {
 	// be recycled immediately (the Section 9 rule); see EnableReclaim.
 	fastRecycle bool
 
-	// gateBypass exempts this thread's update operations from the
-	// monitor's quiesce gate and in-flight accounting (commit publication
-	// is unaffected). Set on the shard layer's migration handles, whose
-	// operations run while the migrator itself holds the gate.
-	gateBypass bool
-
 	// helpExec is the structure's fallback-attempt executor for
 	// announced descriptors (SetHelpExec); nil disables helping on this
 	// thread.
 	helpExec func(*HelpDesc)
 	_        [64]byte
 }
-
-// SetGateBypass exempts the thread's update operations from the update
-// monitor's quiesce gate and in-flight accounting. Their commit points
-// are still published (version bumps, non-transactional brackets), so
-// optimistic readers validate against them as usual. Intended solely
-// for the shard layer's key migration, which mutates two shards while
-// holding their gates; bypassing threads must be externally serialized
-// against gate holders.
-func (th *Thread) SetGateBypass(bypass bool) { th.gateBypass = bypass }
 
 // ReclaimReader registers a read-only context in the engine's epoch
 // domain, for structure-level walks that run outside any engine thread
@@ -396,7 +379,10 @@ func (th *Thread) Immediate(p htm.PathKind) bool {
 func (th *Thread) Retire(x any) { th.rec.Retire(x) }
 
 // AbortCounts breaks failed transactional attempts down by execution
-// path and abort cause (path index 0 is unused, as in htm.Stats).
+// path and abort cause (path index 0 is unused, as in htm.Stats, whose
+// per-thread counters these are: the TM counts an attempt where it
+// fails, and the engine keeps no second ledger of the same event).
+// Under scx-htm that includes the standalone SCX transactions' aborts.
 type AbortCounts [htm.NumPaths][htm.NumCauses]uint64
 
 // Merge adds another snapshot into a.
@@ -406,24 +392,6 @@ func (a *AbortCounts) Merge(o AbortCounts) {
 			a[p][c] += o[p][c]
 		}
 	}
-}
-
-// PathTotal returns the aborts on path p across all causes.
-func (a *AbortCounts) PathTotal(p htm.PathKind) uint64 {
-	var n uint64
-	for c := 0; c < htm.NumCauses; c++ {
-		n += a[p][c]
-	}
-	return n
-}
-
-// Total returns the aborts across all paths and causes.
-func (a *AbortCounts) Total() uint64 {
-	var n uint64
-	for p := 1; p < htm.NumPaths; p++ {
-		n += a.PathTotal(htm.PathKind(p))
-	}
-	return n
 }
 
 // ReclaimStats is the state of an engine's reclamation domain: how many
@@ -485,11 +453,7 @@ func (e *Engine) Stats() OpStats {
 		s.Fast += atomic.LoadUint64(&th.ops[htm.PathFast])
 		s.Middle += atomic.LoadUint64(&th.ops[htm.PathMiddle])
 		s.Fallback += atomic.LoadUint64(&th.ops[htm.PathFallback])
-		for p := 0; p < htm.NumPaths; p++ {
-			for c := 0; c < htm.NumCauses; c++ {
-				s.Aborts[p][c] += atomic.LoadUint64(&th.aborts[p][c])
-			}
-		}
+		s.Aborts.Merge(th.H.Stats().Aborts)
 		s.Policy.addAtomic(&th.polstats)
 		s.FallbackAcquisitions += atomic.LoadUint64(&th.fallbackAcq)
 		if th.rec != nil {
@@ -503,10 +467,6 @@ func (e *Engine) Stats() OpStats {
 
 func (th *Thread) completed(p htm.PathKind) {
 	atomic.AddUint64(&th.ops[p], 1)
-}
-
-func (th *Thread) noteAbort(p htm.PathKind, c htm.AbortCause) {
-	atomic.AddUint64(&th.aborts[p][c], 1)
 }
 
 // Op supplies the bodies of one data-structure operation. Bodies are
@@ -533,18 +493,21 @@ type Op struct {
 	// returns false to request a retry.
 	Fallback func() bool
 	// Locked is the sequential body run under the TLE global lock; it
-	// must always complete. Only used by AlgTLE.
+	// must always complete. Only used by AlgTLE. Nil means what the paper
+	// means by TLE — the same sequential code, run under the lock instead
+	// of in a transaction: Fast with a nil tx. An operation sets it only
+	// when its locked body is different code.
 	Locked func()
 	// SCXHTM is the Section 4 body: template structure with
 	// non-transactional LLX and the standalone HTM SCX when useHTM is
 	// true, or SCXO when false. It returns false to request a retry.
-	// Only used by AlgSCXHTM.
+	// Only used by AlgSCXHTM. Nil means the operation has no SCX to
+	// accelerate: Fallback in both phases.
 	SCXHTM func(useHTM bool) bool
 	// Update marks operations that may change the dictionary's logical
 	// content (inserts and deletes, but not searches, range queries, or
 	// content-preserving rebalancing steps). When the engine has a
-	// Monitor, update operations publish their commit through it and
-	// wait at the quiesce gate.
+	// Monitor, update operations publish their commit through it.
 	Update bool
 	// Site carries the retry policy's per-call-site state (capacity
 	// memory, backoff PRNG stream). Handles that build an Op once per
@@ -603,12 +566,13 @@ func (th *Thread) PrepareOp(op Op) Op {
 // publishes the operation's commit point through the monitor:
 // transactional paths bump the monitor's version counter inside the
 // operation's own transaction (pre-wrapped by PrepareOp, or wrapped
-// here for unprepared ops), non-transactional paths (the lock-free
+// here for unprepared ops), and non-transactional paths (the lock-free
 // fallback, TLE's locked body, scx-htm) are bracketed by its
-// ingress/egress counters, and the operation registers as in flight and
-// waits at the monitor's quiesce gate before starting (threads with
-// SetGateBypass skip the gate and the in-flight accounting, not the
-// commit publication).
+// ingress/egress counters. Publication is all Run does with the
+// monitor: it never looks at the quiesce gate. Admission belongs to the
+// layer that closes the gate (see UpdateMonitor), which admits an update
+// before calling into the structure — so an operation held at a gate has
+// not entered its reclamation bracket and pins no epoch.
 //
 // On an observed engine (Config.Obs) Run additionally brackets the
 // operation with a runtime/trace user region, captures every
@@ -651,10 +615,6 @@ func (th *Thread) run(op Op) htm.PathKind {
 		mon = nil
 	}
 	if mon != nil {
-		if !th.gateBypass {
-			mon.enter()
-			defer mon.exit()
-		}
 		op = th.PrepareOp(op) // no-op for ops prepared at construction
 	}
 	first := func(tx *htm.Tx) { th.firstBody(tx, &op) }
@@ -735,13 +695,17 @@ func (th *Thread) run(op Op) htm.PathKind {
 			mon.beginNonTx()
 			defer mon.endNonTx()
 		}
+		body := op.SCXHTM
+		if body == nil {
+			body = func(bool) bool { return op.Fallback() }
+		}
 		for i := 0; i < e.cfg.AttemptLimit; i++ {
-			if op.SCXHTM(true) {
+			if body(true) {
 				th.completed(htm.PathFast)
 				return htm.PathFast
 			}
 		}
-		for !op.SCXHTM(false) {
+		for !body(false) {
 		}
 		th.completed(htm.PathFallback)
 		return htm.PathFallback
@@ -820,6 +784,10 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 		if mon != nil {
 			mon.beginNonTx()
 			defer mon.endNonTx()
+		}
+		if op.Locked == nil {
+			op.Fast(nil)
+			return
 		}
 		op.Locked()
 	}()
@@ -918,10 +886,9 @@ func (th *Thread) runPath(site *Site, path htm.PathKind, budget int,
 }
 
 // attemptFailed accounts for one failed transactional attempt: the
-// per-path abort counter, the flight recorder's abort event, and the
-// site's capacity memory.
+// flight recorder's abort event and the site's capacity memory (the
+// per-path, per-cause count is the TM's, taken where the attempt failed).
 func (th *Thread) attemptFailed(site *Site, path htm.PathKind, ab htm.Abort) {
-	th.noteAbort(path, ab.Cause)
 	if so := th.obs; so != nil {
 		so.Event(obs.EvAbort, path, ab.Cause, site.id, uint64(ab.Code))
 	}

@@ -46,7 +46,7 @@ import (
 //
 // Progress: while a descriptor is announced, every blocked thread —
 // fast-path waiters (helpWait), classic lock acquirers, and threads
-// blocked inside the TLE lock backend's Begin — works on the announced
+// whose own announcement found the slot taken — works on the announced
 // operation instead of spinning, so the operation completes as long as
 // any thread is scheduled. Exclusion against the uninstrumented fast
 // path is unchanged: fast transactions abort while the word is nonzero
@@ -152,7 +152,8 @@ type HelpableOp struct {
 // descriptor, using this thread's own handle state (search buffers, node
 // pool, reclamation context). Registering also installs the
 // htm-level helper so this thread participates in helping whenever it
-// waits on the TM (announce races, TLE lock backend, fast-path waits).
+// waits on the TM (announce races, classic lock acquisition, fast-path
+// waits).
 func (th *Thread) SetHelpExec(fn func(*HelpDesc)) {
 	th.helpExec = fn
 	th.H.SetHelper(th.helpAnnounced)

@@ -33,13 +33,18 @@ import (
 // The monitor also carries a quiesce gate — an Indicator, the same
 // abstraction as the paper's fallback-presence indicator — that lets a
 // reader that keeps losing the optimistic race briefly hold off new
-// update operations (they wait at Thread.Run entry) so validation is
-// guaranteed to succeed after the in-flight operations drain. The
-// sharding layer's live key migration uses the same gate as a brief
-// two-shard mutual exclusion: Quiesce drains every in-flight update
-// (transactional or not, tracked by the inflight counter), after which
-// the holder may mutate the shard through gate-bypassing handles while
-// Bracket keeps concurrent optimistic readers invalidated.
+// update operations so validation is guaranteed to succeed after the
+// in-flight operations drain. As with F in the paper, an operation waits
+// for the gate in exactly one place, and that place is not the engine:
+// whoever closes the gate (the sharding layer) admits every update with
+// Enter before calling into the structure and marks it complete with
+// Exit, and Thread.Run only publishes commits. The sharding layer's live
+// key migration uses the same gate as a brief two-shard mutual exclusion:
+// Quiesce drains every admitted update (transactional or not, tracked by
+// the inflight counter), after which the holder mutates the shard
+// through ordinary inner handles — nothing below the admission point
+// looks at the gate — while Bracket keeps concurrent optimistic readers
+// invalidated.
 type UpdateMonitor struct {
 	// txver counts updates committed on transactional paths. Bumped via
 	// AddAtCommit so concurrent updaters only collide on the commit-time
@@ -53,14 +58,13 @@ type UpdateMonitor struct {
 	// concurrent transactions process-wide into full read-set
 	// validation on every bracketed update.
 	nin, nout atomic.Uint64
-	// inflight counts update operations between engine entry and
-	// completion on every path (transactional or not), but only when
-	// fullDrain is set: the two read-modify-writes per update it costs
-	// are a per-shard serialization point, so plain Atomic dictionaries
-	// keep the original read-only gate check and only rebalancing
-	// dictionaries — whose migrations need to know that *no* update at
-	// all is in flight — pay for the accounting. With fullDrain, Quiesce
-	// waits for the counter to reach zero.
+	// inflight counts update operations between Enter and Exit on every
+	// path (transactional or not), but only when fullDrain is set: the two
+	// read-modify-writes per update it costs are a per-shard serialization
+	// point, so plain Atomic dictionaries keep the read-only gate check
+	// and only rebalancing dictionaries — whose migrations need to know
+	// that *no* update at all is in flight — pay for the accounting. With
+	// fullDrain, Quiesce waits for the counter to reach zero.
 	inflight  atomic.Int64
 	fullDrain bool
 	// gate holds off new update operations while a reader quiesces the
@@ -92,8 +96,14 @@ func (m *UpdateMonitor) Bind(c *htm.Clock) {
 
 // bumpTx publishes an update committing on a transactional path. Called
 // by the engine inside the update's transaction, so the bump commits
-// atomically with the operation.
-func (m *UpdateMonitor) bumpTx(tx *htm.Tx) { m.txver.AddAtCommit(tx, 1) }
+// atomically with the operation. With a nil tx it does nothing: a
+// prepared Fast body run under the TLE lock (Op.Locked == nil) is inside
+// the non-transactional bracket, which publishes it.
+func (m *UpdateMonitor) bumpTx(tx *htm.Tx) {
+	if tx != nil {
+		m.txver.AddAtCommit(tx, 1)
+	}
+}
 
 // beginNonTx / endNonTx bracket an update running on a path whose
 // commit is not a single transaction.
@@ -111,15 +121,20 @@ func (m *UpdateMonitor) nonTxInFlight() bool {
 // migrations need Quiesce to guarantee exclusive update access.
 func (m *UpdateMonitor) EnableFullDrain() { m.fullDrain = true }
 
-// enter admits an update operation: it waits out the quiesce gate and,
-// under EnableFullDrain, registers the operation as in flight. The
-// in-flight counter is raised before the gate is checked, so a Quiesce
-// that observes the counter at zero after arriving on the gate knows
-// no update can slip past it (an updater that raced the arrival either
-// registered first — and Quiesce waits for it — or sees the gate and
-// backs off). Called by the engine before an update operation starts;
-// exit must be called when the operation completes.
-func (m *UpdateMonitor) enter() {
+// Enter admits an update operation (or a batch group of them): it waits
+// out the quiesce gate and, under EnableFullDrain, registers the
+// operation as in flight. The in-flight counter is raised before the gate
+// is checked, so a Quiesce that observes the counter at zero after
+// arriving on the gate knows no update can slip past it (an updater that
+// raced the arrival either registered first — and Quiesce waits for it —
+// or sees the gate and backs off). Under EnableFullDrain the admission
+// also pins the shard: a migration's Quiesce waits for it, so a caller
+// that routes, Enters and then re-checks its routing table has made
+// route-and-admit atomic. The caller must not be inside the structure's
+// reclamation bracket (a waiter there would pin an epoch for as long as
+// the gate stays closed), and must call Exit when the operation
+// completes.
+func (m *UpdateMonitor) Enter() {
 	if !m.fullDrain {
 		waitWhile(func() bool { return m.gate.Nonzero(nil) })
 		return
@@ -134,26 +149,12 @@ func (m *UpdateMonitor) enter() {
 	}
 }
 
-// exit marks an update admitted by enter as complete.
-func (m *UpdateMonitor) exit() {
+// Exit marks an update admitted by Enter as complete.
+func (m *UpdateMonitor) Exit() {
 	if m.fullDrain {
 		m.inflight.Add(-1)
 	}
 }
-
-// Enter admits an update operation from outside the engine: the shard
-// layer's rebalancing dictionaries route a point operation, Enter the
-// target shard's monitor, and re-check the routing table before
-// dispatching — the admission pins the shard (a migration's Quiesce
-// waits for it), making route-and-admit atomic. The corresponding
-// engine-level admission must then be bypassed
-// (Thread.SetGateBypass), or a reader quiescing the gate between the
-// two admissions would deadlock against the second. Exit must be
-// called when the operation completes.
-func (m *UpdateMonitor) Enter() { m.enter() }
-
-// Exit marks an update admitted by Enter as complete.
-func (m *UpdateMonitor) Exit() { m.exit() }
 
 // MonitorSample is a reader's snapshot of a monitor, taken with Sample
 // and checked with Validate.
@@ -196,11 +197,11 @@ func (m *UpdateMonitor) Validate(s MonitorSample) bool {
 // out: after Quiesce returns, no update is in flight and none can
 // start until release, so a Sample/read/Validate pass is guaranteed to
 // succeed and a writer holding the gate (the shard layer's key
-// migration) has exclusive update access through gate-bypassing
-// handles. Without it only non-transactional updates are drained; the
-// finitely many transactional updates already past the gate can still
-// commit, so a Sample/read/Validate loop under Quiesce terminates but
-// may retry a bounded number of times.
+// migration) has exclusive update access. Without it only
+// non-transactional updates are drained; the finitely many
+// transactional updates already past the gate can still commit, so a
+// Sample/read/Validate loop under Quiesce terminates but may retry a
+// bounded number of times.
 func (m *UpdateMonitor) Quiesce() (release func()) {
 	m.gate.Arrive()
 	if m.fullDrain {

@@ -51,95 +51,17 @@ func TestMonitorPublishesUpdateCommits(t *testing.T) {
 	}
 }
 
-// TestMonitorQuiesceGate verifies that updates wait at the gate while a
-// reader holds it and proceed after release.
-func TestMonitorQuiesceGate(t *testing.T) {
-	t.Parallel()
-	mon := NewUpdateMonitor(nil)
-	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgThreePath, Monitor: mon}, tm.Clock())
-	th := e.NewThread(tm.NewThread())
-	var c htm.Word
-	c.Bind(tm.Clock())
-
-	release := mon.Quiesce()
-	s, ok := mon.Sample()
-	if !ok || !mon.Validate(s) {
-		t.Fatal("quiesced monitor not stable")
-	}
-	done := make(chan struct{})
-	go func() {
-		op := counterOp(&c)
-		op.Update = true
-		th.Run(op)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("update ran through a held quiesce gate")
-	case <-time.After(20 * time.Millisecond):
-	}
-	if !mon.Validate(s) {
-		t.Fatal("sample invalidated while the gate was held")
-	}
-	release()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("update never proceeded after gate release")
-	}
-	if mon.Validate(s) {
-		t.Fatal("released update did not invalidate the sample")
-	}
-}
-
-// TestMonitorGateBypass verifies a thread with SetGateBypass runs its
-// updates straight through a held quiesce gate — the property the shard
-// layer's migration relies on — while still publishing their commits.
-func TestMonitorGateBypass(t *testing.T) {
-	t.Parallel()
-	mon := NewUpdateMonitor(nil)
-	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgThreePath, Monitor: mon}, tm.Clock())
-	th := e.NewThread(tm.NewThread())
-	th.SetGateBypass(true)
-	var c htm.Word
-	c.Bind(tm.Clock())
-
-	release := mon.Quiesce()
-	defer release()
-	s, ok := mon.Sample()
-	if !ok {
-		t.Fatal("quiesced monitor reported an in-flight update")
-	}
-	done := make(chan struct{})
-	go func() {
-		op := counterOp(&c)
-		op.Update = true
-		th.Run(op)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("bypassing update blocked at a held gate")
-	}
-	if mon.Validate(s) {
-		t.Fatal("bypassing update did not publish its commit")
-	}
-}
-
 // TestMonitorQuiesceDrainsAllPaths verifies that, under
 // EnableFullDrain, Quiesce waits for an in-flight update on a
 // transactional path, not only for bracketed non-transactional ones:
-// the update is admitted (enter) before the gate arrives, so Quiesce
+// the update is admitted (Enter) before the gate arrives, so Quiesce
 // must not return until it completes.
 func TestMonitorQuiesceDrainsAllPaths(t *testing.T) {
 	t.Parallel()
 	mon := NewUpdateMonitor(nil)
 	mon.Bind(htm.NewClock())
 	mon.EnableFullDrain()
-	mon.enter() // simulate an update admitted but not yet complete
+	mon.Enter() // simulate an update admitted but not yet complete
 
 	quiesced := make(chan struct{})
 	go func() {
@@ -152,7 +74,7 @@ func TestMonitorQuiesceDrainsAllPaths(t *testing.T) {
 		t.Fatal("Quiesce returned while an admitted update was in flight")
 	case <-time.After(20 * time.Millisecond):
 	}
-	mon.exit()
+	mon.Exit()
 	select {
 	case <-quiesced:
 	case <-time.After(5 * time.Second):
@@ -181,5 +103,43 @@ func TestMonitorBracket(t *testing.T) {
 	}
 	if mon.Validate(s) {
 		t.Fatal("pre-bracket sample validated across the bracket")
+	}
+}
+
+// TestNilLockedAndSCXHTMBodies verifies what an Op's nil bodies mean.
+// Under the TLE lock a nil Locked runs Fast with a nil tx, and a
+// monitored update publishes that once — through the non-transactional
+// bracket, not also through the version counter its prepared Fast body
+// bumps inside a transaction. Under scx-htm a nil SCXHTM runs Fallback in
+// both phases.
+func TestNilLockedAndSCXHTMBodies(t *testing.T) {
+	t.Parallel()
+	mon := NewUpdateMonitor(nil)
+	tm := htm.New(htm.Config{})
+	th := New(Config{Algorithm: AlgTLE, Monitor: mon}, tm.Clock()).NewThread(tm.NewThread())
+	var c htm.Word
+	c.Bind(tm.Clock())
+	s, _ := mon.Sample()
+	p := th.Run(Op{Update: true, Fast: func(tx *htm.Tx) {
+		if tx != nil {
+			tx.Abort(CodeRetry) // drive the operation to the lock
+		}
+		c.Set(tx, c.Get(tx)+1)
+	}})
+	if p != htm.PathFallback || c.Get(nil) != 1 {
+		t.Fatalf("nil Locked: completed on %v with counter %d, want fallback and 1", p, c.Get(nil))
+	}
+	if mon.Validate(s) {
+		t.Fatal("nil Locked: the locked update did not invalidate the sample")
+	}
+	if v := mon.txver.Get(nil); v != 0 {
+		t.Fatalf("nil Locked: version counter = %d after an update inside the non-tx bracket, want 0", v)
+	}
+
+	_, th, _ = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM, AttemptLimit: 3})
+	calls := 0
+	p = th.Run(Op{Fallback: func() bool { calls++; return calls == 5 }})
+	if p != htm.PathFallback || calls != 5 {
+		t.Fatalf("nil SCXHTM: completed on %v after %d Fallback calls, want fallback after 5 (3 budgeted + 2)", p, calls)
 	}
 }

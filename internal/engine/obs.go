@@ -27,7 +27,7 @@ func (e *Engine) registerObs(n *obs.Node) {
 			emit(float64(s.Fallback), obs.L("path", htm.PathFallback.String()))
 		})
 	n.Counter("htmtree_tx_aborts_total",
-		"Failed transactional attempts, by execution path and abort cause.",
+		"Failed transactional attempts, by execution path and abort cause, as the TM counts them (under scx-htm that includes the standalone SCX transactions' aborts).",
 		func(emit obs.Point) {
 			per := e.Stats().Aborts
 			for p := 1; p < htm.NumPaths; p++ {

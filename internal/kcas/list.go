@@ -103,7 +103,6 @@ func (l *List) NewHandle() dict.Handle {
 		Middle:   func(tx *htm.Tx) { l.insertTx(tx, h, true) },
 		Fallback: func() bool { return l.insertKCAS(h) },
 		Locked:   func() { l.insertLocked(h) },
-		SCXHTM:   func(bool) bool { return l.insertKCAS(h) },
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
@@ -111,7 +110,6 @@ func (l *List) NewHandle() dict.Handle {
 		Middle:   func(tx *htm.Tx) { l.deleteTx(tx, h, true) },
 		Fallback: func() bool { return l.deleteKCAS(h) },
 		Locked:   func() { l.deleteLocked(h) },
-		SCXHTM:   func(bool) bool { return l.deleteKCAS(h) },
 	}
 	// The read-only operations have one transactional body and leave
 	// Middle nil (engine.Op.Middle).
@@ -119,15 +117,12 @@ func (l *List) NewHandle() dict.Handle {
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { l.searchBody(h) },
 		Fallback: func() bool { l.searchBody(h); return true },
-		Locked:   func() { l.searchBody(h) },
-		SCXHTM:   func(bool) bool { l.searchBody(h); return true },
 	}
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { l.rqTx(tx, h) },
 		Fallback: func() bool { l.rqPlain(h); return true },
 		Locked:   func() { l.rqPlain(h) },
-		SCXHTM:   func(bool) bool { l.rqPlain(h); return true },
 	}
 	return h
 }

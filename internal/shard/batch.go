@@ -2,6 +2,7 @@ package shard
 
 import (
 	"htmtree/internal/dict"
+	"htmtree/internal/engine"
 )
 
 // BatchStats counts group-execution activity (dict.GroupExecutor calls
@@ -9,7 +10,7 @@ import (
 // for is visible directly: Ops/RouterLookups and Ops/MonitorEnters are
 // the factors by which batching cut the per-operation routing and
 // admission overhead — an unbatched stream pays one router lookup (and,
-// on a rebalancing dictionary, one monitor bracket) per op, a batched
+// on a monitored dictionary, one monitor admission) per op, a batched
 // stream pays one per shard-group.
 type BatchStats struct {
 	// Ops counts point operations executed through batched groups,
@@ -21,14 +22,14 @@ type BatchStats struct {
 	// ShardFor per op under hash routing (which cannot bound a group's
 	// owner set).
 	RouterLookups uint64
-	// MonitorEnters counts shard-level admission brackets taken by
-	// group execution on a rebalancing dictionary — one per group,
-	// where unbatched dispatch pays one per op.
+	// MonitorEnters counts the monitor admissions group execution held
+	// on a monitored dictionary (Config.Atomic or Config.Rebalance) —
+	// one per group, where unbatched dispatch pays one per op.
 	MonitorEnters uint64
-	// Restarts counts groups abandoned and re-routed because a
+	// Restarts counts group admissions dropped and re-routed because a
 	// migration swapped the routing table between routing and
-	// admission; their operations re-executed under the new table, so
-	// no batch ever commits through stale routing.
+	// admission: the group's operations ran under the new table, so no
+	// batch ever commits through stale routing.
 	Restarts uint64
 }
 
@@ -45,21 +46,18 @@ func (d *Dict) BatchStats() BatchStats {
 }
 
 // ExecGroup implements dict.GroupExecutor: it executes a key-sorted
-// group of point operations with one routing-table acquisition per
-// pass, one routing decision per shard segment, and — on a rebalancing
-// dictionary — one monitor admission bracket per segment instead of
-// per operation. Results are written into ops exactly as the
+// group of point operations with one routing decision per shard segment
+// and — on a monitored dictionary — one monitor admission per segment
+// instead of per operation. Results are written into ops exactly as the
 // per-operation methods would have returned them.
 //
-// The group composes with live migration the same way routeUpdate
-// does, lifted from ops to segments: a segment's shard monitor is
-// Entered (pinning the shard against migration) and the routing table
-// re-checked before any of its operations dispatch; if a migration
-// swapped the table in between, the admission is dropped and every
-// not-yet-executed operation is re-segmented against the new table.
-// The admission pins the shard for the whole segment, so a migration
-// waits for at most one batch segment — bounded by the batch size —
-// rather than one op.
+// A segment is admitted the way a point update is, by routeUpdate on its
+// first key: the shard's monitor is Entered and the routing table
+// re-checked before any of its operations dispatch, and the admission
+// (which on a rebalancing dictionary pins the shard against migration)
+// is held for the whole segment — so a migration, like an escalated
+// reader, waits for at most one batch segment, bounded by the batch
+// size, rather than one op.
 func (h *handle) ExecGroup(ops []dict.BatchOp) {
 	if len(ops) == 0 {
 		return
@@ -67,11 +65,14 @@ func (h *handle) ExecGroup(ops []dict.BatchOp) {
 	d := h.d
 	d.batchOps.Add(uint64(len(ops)))
 
-	r := h.curRouter()
-	if !r.Ordered() {
+	rerouted := h.rerouted
+	if r := h.curRouter(); !r.Ordered() {
 		h.execGroupUnordered(r, ops)
 	} else {
 		h.execGroupOrdered(ops)
+	}
+	if n := h.rerouted - rerouted; n != 0 {
+		d.batchRestarts.Add(n)
 	}
 
 	// Batched operations count toward the rebalancer's evaluation
@@ -88,14 +89,13 @@ func (h *handle) ExecGroup(ops []dict.BatchOp) {
 
 // execGroupUnordered buckets ops by owner under a hash router — which
 // cannot bound a sorted run's owner set, so routing stays per-op — and
-// executes each bucket through one inner-handle dispatch run. Hash
-// routers never rebalance (Config.validate rejects the combination),
-// so no admission or re-routing is needed.
+// executes each bucket under one admission. Hash routers never
+// rebalance (Config.validate rejects the combination), so the table r
+// the buckets were filled under is the one routeUpdate admits under.
 func (h *handle) execGroupUnordered(r Router, ops []dict.BatchOp) {
 	d := h.d
-	n := len(d.shards)
 	if h.buckets == nil {
-		h.buckets = make([][]int, n)
+		h.buckets = make([][]int, len(d.shards))
 	}
 	for s := range h.buckets {
 		h.buckets[s] = h.buckets[s][:0]
@@ -105,80 +105,48 @@ func (h *handle) execGroupUnordered(r Router, ops []dict.BatchOp) {
 		h.buckets[s] = append(h.buckets[s], i)
 	}
 	d.batchRouterLookups.Add(uint64(len(ops)))
-	for s, idx := range h.buckets {
+	for _, idx := range h.buckets {
 		if len(idx) == 0 {
 			continue
 		}
+		s, _, mon := h.routeUpdate(ops[idx[0]].Key)
 		target := h.hs[s]
 		for _, i := range idx {
 			ops[i].Exec(target)
 		}
-		d.batchGroups.Add(1)
+		h.endGroup(mon)
 	}
 }
 
-// execGroupOrdered segments the sorted ops into contiguous per-shard
-// runs under the (possibly live) range routing table and executes each
-// run with one admission bracket.
+// execGroupOrdered cuts the sorted ops into contiguous per-shard runs
+// under the (possibly live) range routing table and executes each run
+// under one admission. Every run is routed afresh, so a run that starts
+// after a migration is cut by the new table; one already admitted cannot
+// be overtaken by a migration of its shard.
 func (h *handle) execGroupOrdered(ops []dict.BatchOp) {
-	d := h.d
-	// idx holds the not-yet-executed ops in key order; a stale-table
-	// restart re-segments exactly this suffix under the new table.
-	idx := h.gidx[:0]
-	for i := range ops {
-		idx = append(idx, i)
+	for i := 0; i < len(ops); {
+		s, r, mon := h.routeUpdate(ops[i].Key)
+		_, hi := r.Bounds(s)
+		h.d.batchRouterLookups.Add(1)
+		j := i + 1
+		for j < len(ops) && ops[j].Key < hi {
+			j++
+		}
+		target := h.hs[s]
+		for k := i; k < j; k++ {
+			ops[k].Exec(target)
+		}
+		h.endGroup(mon)
+		i = j
 	}
-	h.gidx = idx // keep the (possibly regrown) scratch for the next group
-	for len(idx) > 0 {
-		var rt *routing
-		var r Router
-		if h.admit {
-			rt = d.rt.Load()
-			r = rt.r
-		} else {
-			r = h.curRouter()
-		}
-		stale := false
-		i := 0
-		for i < len(idx) {
-			s := r.ShardFor(ops[idx[i]].Key)
-			_, hi := r.Bounds(s)
-			d.batchRouterLookups.Add(1)
-			j := i + 1
-			for j < len(idx) && ops[idx[j]].Key < hi {
-				j++
-			}
-			if h.admit {
-				mon := d.mons[s]
-				mon.Enter()
-				d.batchMonEnters.Add(1)
-				if d.rt.Load() != rt {
-					// A migration swapped the table between routing and
-					// admission: this segment (and everything after it)
-					// may be owned elsewhere now. Drop the admission and
-					// re-route the whole unexecuted suffix.
-					mon.Exit()
-					d.batchRestarts.Add(1)
-					stale = true
-					break
-				}
-				target := h.hs[s]
-				for _, k := range idx[i:j] {
-					ops[k].Exec(target)
-				}
-				mon.Exit()
-			} else {
-				target := h.hs[s]
-				for _, k := range idx[i:j] {
-					ops[k].Exec(target)
-				}
-			}
-			d.batchGroups.Add(1)
-			i = j
-		}
-		idx = idx[i:]
-		if !stale {
-			break
-		}
+}
+
+// endGroup ends the admission routeUpdate returned for a group and
+// counts the group.
+func (h *handle) endGroup(mon *engine.UpdateMonitor) {
+	if mon != nil {
+		mon.Exit()
+		h.d.batchMonEnters.Add(1)
 	}
+	h.d.batchGroups.Add(1)
 }

@@ -73,12 +73,12 @@ func TestExecGroupMatchesPerOpDispatch(t *testing.T) {
 		t.Fatalf("BatchStats = %+v, want 500 ops in >0 groups", st)
 	}
 	// Ordered segmentation on a static router: one routing decision per
-	// group and no monitor brackets (no rebalancer).
+	// group and no monitor admissions (the dictionary has no monitors).
 	if st.RouterLookups != st.Groups {
 		t.Fatalf("ordered segmentation took %d lookups for %d groups", st.RouterLookups, st.Groups)
 	}
 	if st.MonitorEnters != 0 || st.Restarts != 0 {
-		t.Fatalf("static dictionary bracketed monitors: %+v", st)
+		t.Fatalf("unmonitored dictionary bracketed monitors: %+v", st)
 	}
 }
 
@@ -139,9 +139,6 @@ func TestStaticHandleCachesRouting(t *testing.T) {
 	const span = 1 << 10
 	d := newShardedBST(t, 4, span)
 	h := d.NewHandle().(*handle)
-	if h.admit {
-		t.Fatal("static dictionary built an admitting handle")
-	}
 	if h.router == nil {
 		t.Fatal("static handle did not cache the routing table")
 	}
@@ -179,8 +176,8 @@ func TestStaticHandleCachesRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	rh := rd.NewHandle().(*handle)
-	if !rh.admit || rh.router != nil {
-		t.Fatalf("rebalancing handle admit=%v cache=%v, want admitting and uncached", rh.admit, rh.router)
+	if rh.router != nil {
+		t.Fatalf("rebalancing handle cached the routing table %v", rh.router)
 	}
 }
 

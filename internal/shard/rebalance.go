@@ -117,7 +117,7 @@ type rebalancer struct {
 	mu      sync.Mutex
 	lastOps []uint64      // per-shard OpStats totals at the last evaluation
 	deltas  []uint64      // evaluation scratch: per-shard ops since last check
-	handles []dict.Handle // lazily created gate-bypassing migration handles
+	handles []dict.Handle // the migrator's inner handles, one per shard, made with the dictionary
 	scratch []dict.KV     // moved-pair buffer, reused across migrations
 
 	// Anti-ping-pong state: the routing-table entry the last migration
@@ -131,21 +131,9 @@ type rebalancer struct {
 	cooldown     int
 	settle       int
 
-	// disabled latches when an inner dictionary's handles cannot bypass
-	// the quiesce gate (they don't implement SetGateBypass); migrating
-	// through gated handles would self-deadlock, so rebalancing shuts
-	// itself off instead.
-	disabled atomic.Bool
-
 	checks     atomic.Uint64
 	migrations atomic.Uint64
 	keysMoved  atomic.Uint64
-}
-
-// gateBypasser is the optional handle capability migration requires
-// (implemented by the bst and abtree handles).
-type gateBypasser interface {
-	SetGateBypass(bool)
 }
 
 // RebalanceStats returns a snapshot of the rebalancer counters. Safe to
@@ -165,32 +153,13 @@ func (d *Dict) RebalanceStats() RebalanceStats {
 // Rebalancing reports whether live key-range rebalancing is enabled.
 func (d *Dict) Rebalancing() bool { return d.reb != nil }
 
-// migHandle returns the gate-bypassing migration handle for shard i,
-// creating it on first use (handle registration is permanent in the
-// inner engines, so migration reuses one handle per shard). It returns
-// nil — and latches the rebalancer off — when the inner dictionary does
-// not support gate bypass. Callers hold rb.mu.
-func (rb *rebalancer) migHandle(d *Dict, i int) dict.Handle {
-	if rb.handles[i] == nil {
-		h := d.shards[i].NewHandle()
-		gb, ok := h.(gateBypasser)
-		if !ok {
-			rb.disabled.Store(true)
-			return nil
-		}
-		gb.SetGateBypass(true)
-		rb.handles[i] = h
-	}
-	return rb.handles[i]
-}
-
 // maybeRebalance evaluates shard load and migrates one boundary range
 // if the imbalance threshold is crossed. Called from handle point-op
 // paths every CheckOps operations; at most one evaluation runs at a
 // time and contenders return immediately.
 func (d *Dict) maybeRebalance() {
 	rb := d.reb
-	if rb == nil || rb.disabled.Load() {
+	if rb == nil {
 		return
 	}
 	if !rb.mu.TryLock() {
@@ -323,8 +292,9 @@ func (d *Dict) maybeRebalance() {
 // migrate moves the keys of [mlo, mhi) from donor to receiver and
 // publishes newR as the routing table. The protocol (rb.mu held):
 //
-//  1. Quiesce both shards' update monitors: new updates wait at engine
-//     entry and every in-flight update drains, so the migrator has
+//  1. Quiesce both shards' update monitors: new updates wait at their
+//     admission (handle.routeUpdate) and every admitted one drains, so
+//     the migrator has
 //     exclusive update access to exactly the two affected shards —
 //     all other shards keep running untouched.
 //  2. Bracket both monitors for the whole move, so an optimistic
@@ -335,16 +305,13 @@ func (d *Dict) maybeRebalance() {
 //     concurrent point Search (reads are never gated) finds its key
 //     whichever table it routed by.
 //
-// The migrator's own inserts and deletes run through gate-bypassing
-// handles (step 1 holds the very gates they would otherwise wait on)
-// but still publish their commits, so validation catches them.
+// The migrator's own inserts and deletes go straight to the inner
+// dictionaries, below the admission point, so the gates step 1 holds do
+// not stop them; they publish their commits like any update, so
+// validation catches them.
 func (d *Dict) migrate(donor, receiver int, mlo, mhi uint64, newR *rangeRouter) {
 	rb := d.reb
-	hd := rb.migHandle(d, donor)
-	hr := rb.migHandle(d, receiver)
-	if hd == nil || hr == nil {
-		return // inner dictionary cannot bypass the gate; rebalancing latched off
-	}
+	hd, hr := rb.handles[donor], rb.handles[receiver]
 
 	releaseD := d.mons[donor].Quiesce()
 	defer releaseD()
@@ -359,7 +326,7 @@ func (d *Dict) migrate(donor, receiver int, mlo, mhi uint64, newR *rangeRouter) 
 			uint64(donor), uint64(receiver))
 	}
 	// Quiesce-fault seam: both monitors' gates are held — every update
-	// on the donor and receiver shards is parked at its gate check for
+	// on the donor and receiver shards is parked at its admission for
 	// the duration of an injected stall.
 	d.faults.Hit(fault.PointQuiesce)
 

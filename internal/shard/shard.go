@@ -70,10 +70,11 @@
 //
 // Readers that keep losing either race escalate after Config.RQRetries
 // attempts: they arrive on the shards' quiesce gates (the paper's
-// Indicator machinery), which holds new update operations at engine
-// entry, and finish there on the software path, where validation is
-// guaranteed to succeed once the updates in flight drain. RQStats
-// reports how often queries retried and escalated, and how many
+// Indicator machinery), which holds new update operations at their
+// admission in the shard handle (handle.routeUpdate — the only place an
+// update looks at a gate), and finish there on the software path, where
+// validation is guaranteed to succeed once the updates in flight drain.
+// RQStats reports how often queries retried and escalated, and how many
 // attempts were pinned.
 //
 // A rebalancing dictionary always runs the validation (Config.Atomic
@@ -337,6 +338,9 @@ func New(cfg Config) (*Dict, error) {
 			mon = d.mons[i]
 		}
 		d.shards[i] = cfg.New(i, mon)
+		if d.reb != nil {
+			d.reb.handles[i] = d.shards[i].NewHandle()
+		}
 	}
 	if cfg.Obs != nil {
 		d.obsRec = cfg.Obs.NewThread()
@@ -370,17 +374,19 @@ func (d *Dict) Bounds(i int) (lo, hi uint64) { return d.Router().Bounds(i) }
 
 // NewHandle registers a per-goroutine handle on every shard.
 //
-// On a rebalancing dictionary the handle performs monitor admission
-// itself: a point operation routes, Enters the target shard's monitor
-// (pinning the shard — a migration cannot start while the operation is
-// in flight), re-checks that the routing table did not move between
-// routing and admission, and only then dispatches through inner handles
-// whose own engine-level admission is bypassed. Without this, an
-// updater could route to a shard, block at its quiesce gate while a
-// migration moves its key away, and then commit into the wrong shard
-// with stale routing. Inner dictionaries that cannot bypass the gate
-// latch rebalancing off instead (migrations then never happen, so
-// plain dispatch stays correct).
+// On a monitored dictionary (Config.Atomic or Config.Rebalance) the
+// handle is the one place an update is admitted: a point operation
+// routes, Enters the target shard's monitor — waiting there, outside any
+// inner operation, while a reader or a migration holds the shard's
+// quiesce gate — re-checks that the routing table did not move between
+// routing and admission, dispatches through the inner handle, and Exits
+// (handle.routeUpdate; ExecGroup does the same once per group). On a
+// rebalancing dictionary the admission also pins the shard: a migration
+// cannot start while the operation is in flight. Without the re-check an
+// updater could route to a shard, wait at its gate while a migration
+// moves its key away, and then commit into the wrong shard with stale
+// routing. Nothing below the handle looks at the gate, so the holder of
+// a gate (a migration) updates the shard through ordinary inner handles.
 func (d *Dict) NewHandle() dict.Handle {
 	hs := make([]dict.Handle, len(d.shards))
 	for i, s := range d.shards {
@@ -391,30 +397,11 @@ func (d *Dict) NewHandle() dict.Handle {
 		h.samples = make([]engine.MonitorSample, len(d.shards))
 		h.pins, h.rvs = pinnedReaders(hs, d.reb != nil), make([]uint64, len(d.shards))
 	}
-	if d.reb != nil && !d.reb.disabled.Load() {
-		bypassable := true
-		for _, ih := range hs {
-			if _, ok := ih.(gateBypasser); !ok {
-				bypassable = false
-				break
-			}
-		}
-		if bypassable {
-			for _, ih := range hs {
-				ih.(gateBypasser).SetGateBypass(true)
-			}
-			h.admit = true
-		} else {
-			d.reb.disabled.Store(true)
-		}
-	}
 	if d.reb == nil {
 		// The routing table is published once at construction and never
-		// swapped (only migrations store to d.rt), so every operation
-		// through this handle may use a plain cached pointer instead of
-		// a per-op atomic load. Handles on a rebalancing dictionary —
-		// even ones that latched rebalancing off — keep loading: a
-		// migration may already be in flight when the latch is observed.
+		// swapped (only migrations store to d.rt), so operations through
+		// this handle may use a plain cached pointer instead of loading
+		// the published one.
 		h.router = d.Router()
 	}
 	return h
@@ -492,10 +479,11 @@ func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
 		}
 	}
 	d.rqEscalations.Add(1)
-	// Hold the migration lock while escalated: migrations bypass the
-	// quiesce gates (they hold them), so without this a migration stream
-	// could keep invalidating a gated reader forever. Rebalance checks
-	// only TryLock, so updaters never block on an escalated reader here.
+	// Hold the migration lock while escalated: a migration is not an
+	// admitted update (it takes the gates, it does not wait at them), so
+	// without this a migration stream could keep invalidating a gated
+	// reader forever. Rebalance checks only TryLock, so updaters never
+	// block on an escalated reader here.
 	if rb := d.reb; rb != nil {
 		rb.mu.Lock()
 		defer rb.mu.Unlock()
@@ -647,21 +635,20 @@ type handle struct {
 	rvs  []uint64
 
 	// router caches the routing table when the dictionary can never
-	// swap it (no rebalancer), so the static point-op paths pay no
-	// atomic load at all; nil on a rebalancing dictionary, whose paths
-	// must observe table swaps and load the published pointer per op.
+	// swap it (no rebalancer); nil on a rebalancing dictionary, whose
+	// paths must observe table swaps and load the published pointer.
 	router Router
 
-	// admit marks that this handle performs shard-level monitor
-	// admission for updates (rebalancing dictionaries; see NewHandle).
-	admit bool
 	// sinceCheck counts point operations since the last rebalance
 	// evaluation this handle triggered (unused unless rebalancing).
 	sinceCheck int
 
-	// gidx and buckets are group-execution scratch (see ExecGroup).
-	gidx    []int
+	// buckets is group-execution scratch (see execGroupUnordered).
 	buckets [][]int
+	// rerouted counts the admissions routeUpdate dropped because a
+	// migration swapped the routing table under them; ExecGroup reports
+	// its groups' share as BatchStats.Restarts.
+	rerouted uint64
 }
 
 // Help fans a help attempt across every shard's handle (dict.Helper):
@@ -678,8 +665,9 @@ func (h *handle) Help() bool {
 	return helped
 }
 
-// curRouter returns the routing table for a non-admitting operation:
-// the handle-cached table when the dictionary can never swap it, the
+// curRouter returns the routing table for an operation that is not
+// admitted (a read, or an update on an unmonitored dictionary): the
+// handle-cached table when the dictionary can never swap it, the
 // published pointer otherwise.
 func (h *handle) curRouter() Router {
 	if h.router != nil {
@@ -688,26 +676,31 @@ func (h *handle) curRouter() Router {
 	return h.d.Router()
 }
 
-// routeUpdate returns the shard handle owning key for an update. On a
-// rebalancing dictionary (h.admit) it additionally admits the
-// operation on the shard's monitor — release must then be called when
-// the operation completes — and re-routes if a migration swapped the
-// table between routing and admission, so the operation can never run
-// against a shard that no longer owns its key.
-func (h *handle) routeUpdate(key uint64) (target dict.Handle, release func()) {
+// routeUpdate routes an update on key: it returns the owning shard and
+// the routing table that says so. On a monitored dictionary it also
+// admits the update on that shard's monitor, which it returns — the
+// caller calls mon.Exit when the operation (or the group of operations
+// on shard s it leads) completes — and re-routes if a migration swapped
+// the table between routing and admission, so the operation can never
+// run against a shard that no longer owns its key. While the admission
+// is held no migration can involve shard s, so every key r assigns to s
+// stays there. On an unmonitored dictionary mon is nil.
+func (h *handle) routeUpdate(key uint64) (s int, r Router, mon *engine.UpdateMonitor) {
 	d := h.d
-	if !h.admit {
-		return h.hs[h.curRouter().ShardFor(key)], nil
+	if d.mons == nil {
+		r = h.curRouter()
+		return r.ShardFor(key), r, nil
 	}
 	for {
 		rt := d.rt.Load()
-		s := rt.r.ShardFor(key)
-		mon := d.mons[s]
+		s = rt.r.ShardFor(key)
+		mon = d.mons[s]
 		mon.Enter()
 		if d.rt.Load() == rt {
-			return h.hs[s], mon.Exit
+			return s, rt.r, mon
 		}
 		mon.Exit() // migrated under us: re-route against the new table
+		h.rerouted++
 	}
 }
 
@@ -726,20 +719,20 @@ func (h *handle) afterPointOp() {
 }
 
 func (h *handle) Insert(key, val uint64) (old uint64, existed bool) {
-	target, release := h.routeUpdate(key)
-	old, existed = target.Insert(key, val)
-	if release != nil {
-		release()
+	s, _, mon := h.routeUpdate(key)
+	old, existed = h.hs[s].Insert(key, val)
+	if mon != nil {
+		mon.Exit()
 	}
 	h.afterPointOp()
 	return old, existed
 }
 
 func (h *handle) Delete(key uint64) (old uint64, existed bool) {
-	target, release := h.routeUpdate(key)
-	old, existed = target.Delete(key)
-	if release != nil {
-		release()
+	s, _, mon := h.routeUpdate(key)
+	old, existed = h.hs[s].Delete(key)
+	if mon != nil {
+		mon.Exit()
 	}
 	h.afterPointOp()
 	return old, existed
@@ -756,8 +749,8 @@ func (h *handle) Delete(key uint64) (old uint64, existed bool) {
 // atomic load on the miss path.
 func (h *handle) Search(key uint64) (val uint64, found bool) {
 	d := h.d
-	if !h.admit {
-		return h.hs[h.curRouter().ShardFor(key)].Search(key)
+	if h.router != nil {
+		return h.hs[h.router.ShardFor(key)].Search(key)
 	}
 	for {
 		rt := d.rt.Load()
