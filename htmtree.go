@@ -403,18 +403,12 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 	return alg, hcfg, ecfg, nil
 }
 
-// statsSource exposes the internal statistics of a tree.
-type statsSource interface {
-	OpStats() engine.OpStats
-	HTMStats() htm.Stats
-}
-
 // Tree is a concurrent ordered dictionary (BST or (a,b)-tree) built from
 // the accelerated tree update template. Create one with NewBST or
 // NewABTree and access it through per-goroutine handles.
 type Tree struct {
 	d          dict.Dict
-	stats      statsSource
+	stats      engine.StatsSource
 	invariants func(strict bool) error
 
 	// aggStats reports how many aggregate queries were answered by the

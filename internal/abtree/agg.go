@@ -10,38 +10,36 @@ import (
 	"htmtree/internal/llxscx"
 )
 
-// Subtree aggregates (sum/count/min/max of keys), maintained inside the
-// same commit that performs each structural or content change so that
-// KeySum-class analytics descend in O(log n) instead of walking every
-// leaf.
+// Subtree aggregates: the (sum, count) of the keys beneath every node,
+// maintained inside the same commit that performs each structural or
+// content change so that KeySum-class analytics descend in O(log n)
+// instead of walking every leaf. Min and max are not maintained: a
+// leaf-oriented tree that keeps subtree counts finds either by walking
+// one spine through the children whose count is non-zero (subtreeEnd),
+// and a query does that at most once each, where an update
+// would pay for the cells on every ancestor, every time.
 //
-// Representation. Internal nodes carry three aggregate cells: agg, one
+// Representation. An internal node carries one aggregate cell: agg, one
 // htm.Pair holding (sum, count) — every leaf operation moves the two
 // together, and one cell means one write-set entry, one commit lock and
-// one version store per ancestor instead of two — plus aggMin and
-// aggMax. Leaves carry only aggSum: a leaf's count is the size in its
-// order word and its min/max are the keys at its first and last ranks,
-// so no extra leaf state is needed. An empty subtree holds the
-// sentinels min = ^0, max = 0 (no key is ^0 — dict.MaxKey is below it —
-// and a real max of 0 coincides with the sentinel harmlessly: readers
-// gate min/max on count > 0).
+// one version store per ancestor instead of two. A leaf carries only
+// aggSum: its count is the size in its order word.
 //
 // Maintenance. Transactional paths (fast, middle, and the TLE locked
-// body, which runs the fast-mode code under the lock) update the
-// aggregates of every internal node on the leaf's search path inside
-// the operation's transaction: sum and count via AddAtCommit — a
+// body, which runs the fast-mode code under the lock) add the
+// operation's delta to every internal node on the leaf's search path
+// inside the operation's transaction, via AddAtCommit — a
 // write-set-only commutative delta, so concurrent updates through the
 // same ancestor (including the root) never invalidate each other's
-// snapshots — and min/max via a subscribed read plus a conditional
-// write (inserts) or a recompute-on-boundary cascade (deletes).
-// Non-transactional paths (the lock-free fallback, SCXHTM, and the
-// helpable fallback's announced records) cannot ride a commit, so they
-// bracket the SCX swing and a post-swing path fixup in the tree-level
-// aggVer seqlock below. Rebalancing transformations are content-neutral
-// (no ancestor deltas); their replacement nodes' aggregates are
-// rebuilt from their children — immediately inside the transaction on
-// transactional paths, deferred into the aggVer bracket on
-// non-transactional ones (the LLX/SCX validation covers the replaced
+// snapshots. Insert and delete apply it through the one aggApply, in the
+// one order. Non-transactional paths (the lock-free fallback, SCXHTM,
+// and the helpable fallback's announced records) cannot ride a commit,
+// so they bracket the SCX swing and a post-swing path fixup in the
+// tree-level aggVer seqlock below. Rebalancing transformations are
+// content-neutral (no ancestor deltas); their replacement nodes'
+// aggregates are rebuilt from their children — immediately inside the
+// transaction on transactional paths, deferred into the aggVer bracket
+// on non-transactional ones (the LLX/SCX validation covers the replaced
 // nodes' headers, not their children's aggregate cells, so a middle-
 // path commit under an untouched child could otherwise slip a delta in
 // between the snapshot and the swing).
@@ -58,20 +56,10 @@ import (
 // structure with pre-fixup ancestor aggregates). Brackets serialize
 // against each other on the CAS.
 
-// Empty-subtree sentinels for aggMin/aggMax.
+// What an aggregate query over no keys reports (dict.Agg).
 const (
 	aggEmptyMin = ^uint64(0)
 	aggEmptyMax = uint64(0)
-)
-
-// aggKind tags the pending aggregate fixup a non-transactional leaf
-// operation hands to its SCX bracket.
-type aggKind uint8
-
-const (
-	aggNone aggKind = iota
-	aggInsert
-	aggDelete
 )
 
 // aggAcquire takes the tree's aggregate seqlock (aggVer even -> odd).
@@ -105,96 +93,32 @@ func (t *Tree) aggGuard(tx *htm.Tx) {
 	}
 }
 
-// childAgg reads one child's aggregate tuple. Internal nodes hold the
-// tuple in cells; leaves derive count/min/max from size and the slot
-// array. min/max are the empty sentinels when count is 0.
-func childAgg(tx *htm.Tx, c *Node) (sum, count, mn, mx uint64) {
+// subtreeAgg reads the (sum, count) of the keys in c's subtree: an
+// internal node's agg cell, a leaf's aggSum and the size in its order
+// word.
+func subtreeAgg(tx *htm.Tx, c *Node) (sum, count uint64) {
 	if c.leaf {
-		perm, sz := c.ord.Get(tx)
-		if sz == 0 {
-			return c.aggSum.Get(tx), 0, aggEmptyMin, aggEmptyMax
-		}
-		mn, _ = c.slots[permAt(perm, 0)].Get(tx)
-		mx, _ = c.slots[permAt(perm, int(sz)-1)].Get(tx)
-		return c.aggSum.Get(tx), sz, mn, mx
+		_, count = c.ord.Get(tx)
+		return c.aggSum.Get(tx), count
 	}
-	sum, count = c.agg.Get(tx)
-	return sum, count, c.aggMin.Get(tx), c.aggMax.Get(tx)
+	return c.agg.Get(tx)
 }
 
-// childMin returns the smallest key in c's subtree (sentinel ^0 when
-// empty); childMax symmetrically. Internal aggMin/aggMax hold the
-// sentinels when empty, so no count read is needed — which matters in
-// delete cascades, where the path child's agg cell has a pending
-// AddAtCommit and must not be read back.
-func childMin(tx *htm.Tx, c *Node) uint64 {
-	if c.leaf {
-		if perm, sz := c.ord.Get(tx); sz > 0 {
-			k, _ := c.slots[permAt(perm, 0)].Get(tx)
-			return k
-		}
-		return aggEmptyMin
-	}
-	return c.aggMin.Get(tx)
-}
-
-func childMax(tx *htm.Tx, c *Node) uint64 {
-	if c.leaf {
-		if perm, sz := c.ord.Get(tx); sz > 0 {
-			k, _ := c.slots[permAt(perm, int(sz)-1)].Get(tx)
-			return k
-		}
-		return aggEmptyMax
-	}
-	return c.aggMax.Get(tx)
-}
-
-// initAggs rebuilds n's aggregate cells from its children. Writes use
+// initAggs rebuilds n's aggregate cell from its children. The write uses
 // Init: n is private until the swing that publishes it, and the swing
-// bumps the parent pointer's version, so no reader can reach the cells
+// bumps the parent pointer's version, so no reader can reach the cell
 // with a stale snapshot. Reads go through tx when non-nil (subscribing
 // them, so a concurrent commit under an untouched child invalidates
 // this transaction) and are plain spin-reads inside an aggVer bracket
 // otherwise (where nothing can commit).
 func initAggs(tx *htm.Tx, n *Node) {
 	var sum, count uint64
-	mn, mx := aggEmptyMin, aggEmptyMax
 	for i := range n.children {
-		c := n.children[i].Get(tx)
-		s, ct, lo, hi := childAgg(tx, c)
+		s, ct := subtreeAgg(tx, n.children[i].Get(tx))
 		sum += s
 		count += ct
-		if ct > 0 {
-			if lo < mn {
-				mn = lo
-			}
-			if hi > mx {
-				mx = hi
-			}
-		}
 	}
 	n.agg.Init(sum, count)
-	n.aggMin.Init(mn)
-	n.aggMax.Init(mx)
-}
-
-// setAggsFromPairs initializes a private internal node's aggregates
-// from the pair buffer its (equally private) leaf children were built
-// from — the leaf-split case, where reading the children's cells back
-// inside the transaction would be pure overhead.
-func setAggsFromPairs(n *Node, pairs []kv) {
-	var sum uint64
-	for _, p := range pairs {
-		sum += p.k
-	}
-	n.agg.Init(sum, uint64(len(pairs)))
-	if len(pairs) == 0 {
-		n.aggMin.Init(aggEmptyMin)
-		n.aggMax.Init(aggEmptyMax)
-		return
-	}
-	n.aggMin.Init(pairs[0].k)
-	n.aggMax.Init(pairs[len(pairs)-1].k)
 }
 
 // sumPairs returns the key sum of a pair buffer (leaf aggSum at
@@ -207,17 +131,14 @@ func sumPairs(pairs []kv) uint64 {
 	return s
 }
 
-// aggCopy initializes dst's aggregates from src's tuple — the
+// aggCopy initializes dst's aggregate from src's — the
 // replacement-of-the-parent case: every rebalance transformation
 // replaces the violating node's parent p with a subtree of identical
-// key content, so p's own (subscribed) tuple is the replacement's, and
+// key content, so p's own (subscribed) cell is the replacement's, and
 // reading it avoids touching the other new nodes' cells (whose
 // recycled versions could spuriously abort the transaction).
 func aggCopy(tx *htm.Tx, dst, src *Node) {
-	s, ct, mn, mx := childAgg(tx, src)
-	dst.agg.Init(s, ct)
-	dst.aggMin.Init(mn)
-	dst.aggMax.Init(mx)
+	dst.agg.Init(src.agg.Get(tx))
 }
 
 // pendAgg is a deferred aggregate rebuild (non-transactional paths run
@@ -237,7 +158,7 @@ func (pr *prims) aggInit(n *Node) {
 	pr.h.pend = append(pr.h.pend, pendAgg{dst: n})
 }
 
-// aggFrom sets dst's aggregates to src's tuple (dst replaces src with
+// aggFrom sets dst's aggregates to src's (dst replaces src with
 // identical key content), with the same immediate/deferred split as
 // aggInit. Use it whenever dst's children include other new nodes.
 func (pr *prims) aggFrom(dst, src *Node) {
@@ -248,113 +169,57 @@ func (pr *prims) aggFrom(dst, src *Node) {
 	pr.h.pend = append(pr.h.pend, pendAgg{dst: dst, src: src})
 }
 
-// aggPlan records the aggregate fixup a non-transactional leaf
-// operation needs after its swing.
-func (pr *prims) aggPlan(kind aggKind, key uint64) {
-	pr.aggKind, pr.aggKey = kind, key
-}
-
-// aggApplyInsert applies an insert's +key delta to every internal node
-// on the recorded search path, inside the operation's transaction (tx
-// is nil inside an aggVer bracket — the TLE locked body, and the
-// post-swing fixup of a non-transactional path, aggFixupNonTx — where
-// the cells take immediate non-transactional adds).
-func aggApplyInsert(tx *htm.Tx, path []*Node, key uint64) {
+// aggApply adds a leaf operation's delta — (+key, +1) for an insert,
+// (-key, -1) for a delete — to every internal node on the recorded
+// search path, root first for both, so that no two bodies lock the
+// cells they share in opposite orders at commit. With a transaction the
+// adds are write-set entries that commit with it; tx is nil inside an
+// aggVer bracket — the TLE locked body, and the post-swing fixup of a
+// non-transactional path, aggFixupNonTx — where the cells take them
+// immediately.
+func aggApply(tx *htm.Tx, path []*Node, dSum, dCount uint64) {
 	for _, n := range path {
-		n.agg.AddAtCommit(tx, key, 1)
-		if key < n.aggMin.Get(tx) {
-			n.aggMin.Set(tx, key)
-		}
-		if key > n.aggMax.Get(tx) {
-			n.aggMax.Set(tx, key)
-		}
+		n.agg.AddAtCommit(tx, dSum, dCount)
 	}
 }
 
-// aggApplyDelete applies a delete's -key delta bottom-up along the
-// recorded search path. min/max use recompute-on-boundary: the deleted
-// key can be an ancestor's min (max) only if it was the path child's
-// min (max), so the cascade is a prefix from the leaf upward. The path
-// child's fresh min/max are carried in plain values (its agg cell
-// has a pending AddAtCommit and must not be read back); siblings are
-// read through their cells.
-func aggApplyDelete(tx *htm.Tx, path []*Node, child *Node, key, cmin, cmax uint64) {
-	for i := len(path) - 1; i >= 0; i-- {
-		n := path[i]
-		n.agg.AddAtCommit(tx, -key, ^uint64(0))
-		newMin := n.aggMin.Get(tx)
-		if key == newMin {
-			newMin = cmin
-			for j := range n.children {
-				c := n.children[j].Get(tx)
-				if c == child {
-					continue
-				}
-				if v := childMin(tx, c); v < newMin {
-					newMin = v
-				}
-			}
-			if v := n.aggMin.Get(tx); v != newMin {
-				n.aggMin.Set(tx, newMin)
-			}
-		}
-		newMax := n.aggMax.Get(tx)
-		if key == newMax {
-			newMax = cmax
-			for j := range n.children {
-				c := n.children[j].Get(tx)
-				if c == child {
-					continue
-				}
-				if v := childMax(tx, c); v > newMax {
-					newMax = v
-				}
-			}
-			if v := n.aggMax.Get(tx); v != newMax {
-				n.aggMax.Set(tx, newMax)
-			}
-		}
-		child, cmin, cmax = n, newMin, newMax
+// aggUpdate is aggApply on whichever side of the swing the path's
+// aggregate writes belong: inside the middle path's transaction, where
+// they commit with it, or planned for the SCX bracket's fixup
+// (prims.scx) on the non-transactional paths.
+func (pr *prims) aggUpdate(dSum, dCount uint64) {
+	if pr.Mode == engine.ModeMiddle {
+		aggApply(pr.Tx, pr.h.path, dSum, dCount)
+		return
 	}
+	pr.dSum, pr.dCount = dSum, dCount
 }
 
-// aggFixupNonTx applies a leaf operation's aggregate deltas inside an
+// aggFixupNonTx applies a leaf operation's aggregate delta inside an
 // aggVer bracket. The pre-bracket search path may contain nodes that
 // were replaced since the search, so it re-descends by key with plain
 // reads — the bracket freezes both structure and aggregates (no
 // transaction can commit, and other non-transactional mutators
 // serialize on the bracket), so the descent finds exactly the
 // ancestors of the just-installed leaf.
-func (t *Tree) aggFixupNonTx(h *Handle, kind aggKind, key uint64) {
+func (t *Tree) aggFixupNonTx(pr *prims) {
 	// Seqlock-writer fault seam: aggVer is odd and the fixup has not
 	// run — an injected stall here holds every transactional reader
 	// and writer of the tree in abort-retry for the duration (they
 	// subscribe to aggVer), the worst case the PR 8 bracket design
 	// must stay safe under.
 	t.cfg.Engine.Faults.Hit(fault.PointAggFixup)
-	path := h.path[:0]
-	n := t.entry.children[0].Get(nil)
-	for !n.leaf {
-		path = append(path, n)
-		n = n.children[childIndex(n, key)].Get(nil)
-	}
-	h.path = path
-	if kind == aggInsert {
-		aggApplyInsert(nil, path, key)
-		return
-	}
-	// The leaf is the one the swing just installed: its min and max are
-	// already the post-delete ones.
-	aggApplyDelete(nil, path, n, key, childMin(nil, n), childMax(nil, n))
+	t.locateForUpdate(pr, pr.Key) // pr.Tx is nil on every path that gets here
+	aggApply(nil, pr.h.path, pr.dSum, pr.dCount)
 }
 
 // ---- aggregate queries ----
 
 // RangeAgg returns the sum/count/min/max of the keys in [lo, hi). The
 // transactional path descends via the aggregate cells in O(log n)
-// (O(1) for the whole-tree query: the root's cells answer it); paths
-// without a transaction fall back to the LLX-validated leaf walk, the
-// same traversal RangeQuery uses. Min is ^uint64(0) and Max is 0 when
+// (sum and count of the whole tree are the root's cell); paths without a
+// transaction fall back to the LLX-validated leaf walk, the same
+// traversal RangeQuery uses. Min is ^uint64(0) and Max is 0 when
 // Count is 0. The error is always nil for an unsharded tree (the
 // signature is shared with the sharded dictionary, where aggregate
 // reads can be rejected by configuration).
@@ -378,25 +243,49 @@ func (t *Tree) AggStats() (fast, walk uint64) {
 
 // aggInTx answers the aggregate query inside a transaction, descending
 // via the aggregate cells: a subtree fully inside [lo, hi) contributes
-// its aggregate tuple without being entered; a partially covered leaf
-// is walked key by key. The aggVer guard must be read before any
-// aggregate cell (see the file comment).
+// its (sum, count) without being entered; a partially covered leaf is
+// walked key by key. The descent visits the range left to right, so the
+// query's min is the smallest key of the first contributor and its max
+// the largest of the last: where that is a covered subtree rather than a
+// boundary leaf's key, one spine walk finds it (subtreeEnd: for the min
+// as soon as the first contributor is met, for the max once the descent
+// has shown that nothing follows the last). The aggVer guard must be read before
+// any aggregate cell (see the file comment).
 func (t *Tree) aggInTx(tx *htm.Tx, h *Handle) {
 	t.aggGuard(tx)
 	h.resAgg = dict.Agg{Min: aggEmptyMin, Max: aggEmptyMax}
-	t.aggDescend(tx, t.entry.children[0].Get(tx), 0, ^uint64(0), h)
+	if last := t.aggDescend(tx, t.entry.children[0].Get(tx), 0, ^uint64(0), h, nil); last != nil {
+		h.resAgg.Max = subtreeEnd(tx, last, true)
+	}
 }
 
-func (t *Tree) aggDescend(tx *htm.Tx, n *Node, nlo, nhi uint64, h *Handle) {
+// aggDescend folds the keys of n's subtree (routing range [nlo, nhi))
+// that lie in the query's range into h.resAgg. It returns the rightmost
+// covered subtree that contributed a key if no key to its right has
+// been folded since — last, as passed in, when n contributes nothing.
+func (t *Tree) aggDescend(tx *htm.Tx, n *Node, nlo, nhi uint64, h *Handle, last *Node) *Node {
 	lo, hi := h.argLo, h.argHi
 	if lo <= nlo && nhi <= hi {
-		s, ct, mn, mx := childAgg(tx, n)
-		h.resAgg.Merge(dict.Agg{Sum: s, Count: ct, Min: mn, Max: mx})
-		return
+		s, ct := subtreeAgg(tx, n)
+		if ct == 0 {
+			return last
+		}
+		if h.resAgg.Count == 0 {
+			h.resAgg.Min = subtreeEnd(tx, n, false)
+		}
+		h.resAgg.Sum += s
+		h.resAgg.Count += ct
+		return n
 	}
 	if n.leaf {
+		// A boundary leaf's keys lie to the right of everything folded so
+		// far, and Merge keeps the largest as the max.
+		before := h.resAgg.Count
 		aggCollectLeaf(tx, n, h)
-		return
+		if h.resAgg.Count != before {
+			return nil
+		}
+		return last
 	}
 	for i := range n.children {
 		if !rqChildOverlaps(n, i, lo, hi) {
@@ -409,8 +298,38 @@ func (t *Tree) aggDescend(tx *htm.Tx, n *Node, nlo, nhi uint64, h *Handle) {
 		if i < len(n.keys) {
 			chi = n.keys[i]
 		}
-		t.aggDescend(tx, n.children[i].Get(tx), clo, chi, h)
+		last = t.aggDescend(tx, n.children[i].Get(tx), clo, chi, h, last)
 	}
+	return last
+}
+
+// subtreeEnd returns the smallest key in n's subtree, or with max set
+// the largest; the subtree must hold one. It follows the first (last)
+// child whose count is non-zero — emptied leaves, and subtrees of them,
+// stay linked until rebalancing joins them — down to a leaf, whose order
+// word names the slot at rank 0 (size-1).
+func subtreeEnd(tx *htm.Tx, n *Node, max bool) uint64 {
+	for !n.leaf {
+		i, step := 0, 1
+		if max {
+			i, step = len(n.children)-1, -1
+		}
+		for {
+			c := n.children[i].Get(tx)
+			if _, ct := subtreeAgg(tx, c); ct != 0 {
+				n = c
+				break
+			}
+			i += step
+		}
+	}
+	perm, sz := n.ord.Get(tx)
+	rank := 0
+	if max {
+		rank = int(sz) - 1
+	}
+	k, _ := n.slots[permAt(perm, rank)].Get(tx)
+	return k
 }
 
 // aggCollectLeaf folds a leaf's in-range keys into the accumulator.

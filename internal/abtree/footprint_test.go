@@ -18,13 +18,14 @@ import (
 //   - a search reads the entry's root pointer, one child pointer per
 //     internal node, the order word and the slots its binary search
 //     probes (at most 5): 2+h+probes. It does not read the fallback
-//     indicator: a read-only operation runs unsubscribed (engine.Op.Middle).
+//     indicator: a read-only operation runs unsubscribed (engine.Op.Middle);
+//   - an insert or a delete reads what a search for its key reads, plus
+//     the fallback indicator and aggVer: 4+h+probes. The aggregate adds
+//     are write-only, so no ancestor's cell is read.
 //
 // Each commits on the fast path when WriteCapacity (ReadCapacity) is
-// exactly that, and capacity-aborts off it with one entry less. The keys
-// are taken from the middle of a leaf, where they are no ancestor's min
-// or max (those cost an insert a write, a delete a read, more). A sorted
-// leaf fails all three: its insert and delete also rewrite every entry
+// exactly that, and capacity-aborts off it with one entry less. A sorted
+// leaf fails all five: its insert and delete also rewrite every entry
 // above the key, its search reads every entry below it.
 func TestFastPathFootprint(t *testing.T) {
 	const keys = 4000 // even keys 2..2*keys; odd keys are new
@@ -33,6 +34,23 @@ func TestFastPathFootprint(t *testing.T) {
 		present     uint64 // a key at rank 3 of its leaf
 		absent      uint64 // present+1: lands mid-leaf too
 		searchReads int    // slots leafFind probes on the way to present
+		insertReads int    // ... and on the way to absent's rank
+	}
+	// probes counts the slots leafFind reads looking for key in buf.
+	probes := func(buf []kv, key uint64) (n int) {
+		for lo, hi := 0, len(buf); lo < hi; {
+			mid := (lo + hi) / 2
+			n++
+			if buf[mid].k == key {
+				break
+			}
+			if buf[mid].k < key {
+				lo = mid + 1
+			} else {
+				hi = mid
+			}
+		}
+		return n
 	}
 	// build prefills a tree under hcfg and finds the probe keys. Tiny
 	// capacities only push the prefill off the fast path.
@@ -56,27 +74,20 @@ func TestFastPathFootprint(t *testing.T) {
 			t.Fatalf("leaf of key %d holds %d entries, want 8..%d", keys, len(buf), tr.cfg.B-1)
 		}
 		p.present, p.absent = buf[3].k, buf[3].k+1
-		for lo, hi := 0, len(buf); ; { // leafFind's search
-			mid := (lo + hi) / 2
-			p.searchReads++
-			if buf[mid].k == p.present {
-				break
-			}
-			if buf[mid].k < p.present {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
-		}
+		p.searchReads, p.insertReads = probes(buf, p.present), probes(buf, p.absent)
 		return tr, p
 	}
 	_, p := build(htm.Config{})
 	if p.h < 2 {
 		t.Fatalf("tree of %d keys has %d internal levels, want >= 2", keys, p.h)
 	}
-	if p.searchReads > 5 {
-		t.Fatalf("search probes %d slots, want <= 5", p.searchReads)
+	if p.searchReads > 5 || p.insertReads > 5 {
+		t.Fatalf("search probes %d slots, insert %d, want <= 5", p.searchReads, p.insertReads)
 	}
+	insertOp := func(h *Handle, p probe) bool { _, existed := h.Insert(p.absent, 1); return !existed }
+	deleteOp := func(h *Handle, p probe) bool { _, existed := h.Delete(p.present); return existed }
+	writeCap := func(n int) htm.Config { return htm.Config{WriteCapacity: n} }
+	readCap := func(n int) htm.Config { return htm.Config{ReadCapacity: n} }
 
 	for _, c := range []struct {
 		name  string
@@ -84,14 +95,11 @@ func TestFastPathFootprint(t *testing.T) {
 		cfg   func(capacity int) htm.Config
 		op    func(h *Handle, p probe) bool // reports whether the op did what it should
 	}{
-		{"insert", 3 + p.h,
-			func(n int) htm.Config { return htm.Config{WriteCapacity: n} },
-			func(h *Handle, p probe) bool { _, existed := h.Insert(p.absent, 1); return !existed }},
-		{"delete", 2 + p.h,
-			func(n int) htm.Config { return htm.Config{WriteCapacity: n} },
-			func(h *Handle, p probe) bool { _, existed := h.Delete(p.present); return existed }},
-		{"search", 2 + p.h + p.searchReads,
-			func(n int) htm.Config { return htm.Config{ReadCapacity: n} },
+		{"insert writes", 3 + p.h, writeCap, insertOp},
+		{"delete writes", 2 + p.h, writeCap, deleteOp},
+		{"insert reads", 4 + p.h + p.insertReads, readCap, insertOp},
+		{"delete reads", 4 + p.h + p.searchReads, readCap, deleteOp},
+		{"search reads", 2 + p.h + p.searchReads, readCap,
 			func(h *Handle, p probe) bool { v, found := h.Search(p.present); return found && 2*v == p.present }},
 	} {
 		for _, fits := range []bool{true, false} {

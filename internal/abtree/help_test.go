@@ -77,7 +77,7 @@ func TestHelpableHelperCompletes(t *testing.T) {
 	// the helper's handle, not through it.
 	scratch := engine.Result{Val: 12345, Found: true}
 	h2.argKey, h2.argVal, h2.res = 999, 998, scratch
-	if !h2.e.H.Help() {
+	if !h2.e.Help() {
 		t.Fatal("helper found nothing to help")
 	}
 	if h2.argKey != 999 || h2.argVal != 998 || h2.res != scratch {
@@ -178,14 +178,14 @@ func TestHelpableOwnerDeath(t *testing.T) {
 	for plan.Fires(fault.PointFallbackOwner) == 0 {
 		runtime.Gosched()
 	}
-	if !h2.e.H.Help() {
+	if !h2.e.Help() {
 		t.Fatal("helper found nothing to help")
 	}
 	if _, ok := h2.Search(7); ok {
 		t.Fatal("key 7 still present after helped delete")
 	}
 	// Finished descriptor retracted despite the dead owner.
-	if h2.e.H.Help() {
+	if h2.e.Help() {
 		t.Fatal("helped a finished operation")
 	}
 	select {

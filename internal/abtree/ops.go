@@ -312,7 +312,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 			u.slots[permAt(perm, pos)].Set(tx, key, val)
 			u.ord.Set(tx, perm, uint64(sz+1))
 			u.aggSum.AddAtCommit(tx, key)
-			aggApplyInsert(tx, h.path, key)
+			aggApply(tx, h.path, key, 1)
 			return true
 		}
 		// Full leaf: split, keeping u as the left child — only a sibling
@@ -332,9 +332,9 @@ func (t *Tree) insertBody(pr *prims) bool {
 		h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 		h.cbuf = append(h.cbuf[:0], u, right)
 		np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
-		setAggsFromPairs(np, h.buf)
+		np.agg.Init(sumPairs(h.buf), uint64(len(h.buf)))
 		p.children[uIdx].Set(tx, np)
-		aggApplyInsert(tx, h.path, key)
+		aggApply(tx, h.path, key, 1)
 		pr.Res.NeedFix = np.tagged
 		return true
 	}
@@ -373,15 +373,8 @@ func (t *Tree) insertBody(pr *prims) bool {
 	}
 	*pr.Res = engine.Result{}
 	h.buf = insertAt(h.buf, pos, kv{k: key, v: val})
-	// Ancestor aggregates: the middle path rides the transaction (the
-	// deltas commit with the swing); the non-transactional paths record
-	// a fixup for the SCX bracket (prims.scx).
 	if len(h.buf) <= b {
-		if pr.Mode == engine.ModeMiddle {
-			aggApplyInsert(pr.Tx, h.path, key)
-		} else {
-			pr.aggPlan(aggInsert, key)
-		}
+		pr.aggUpdate(key, 1)
 		if !pr.scx(v, infos, r, fld, u, h.newLeaf(h.buf)) {
 			return false
 		}
@@ -396,19 +389,16 @@ func (t *Tree) insertBody(pr *prims) bool {
 	h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 	h.cbuf = append(h.cbuf[:0], left, right)
 	np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
-	setAggsFromPairs(np, h.buf)
 	pr.Res.NeedFix = np.tagged
-	if pr.Mode == engine.ModeMiddle {
-		aggApplyInsert(pr.Tx, h.path, key)
-	} else {
-		// The SCX bracket's path fixup applies +key to every ancestor of
-		// the new leaf — np, the replacement subtree root, included — so
-		// np must be published with the pre-insert sum/count. Its min/max
-		// may already include key: the fixup's conditional update is a
-		// no-op when the cell already holds the key.
-		np.agg.Init(sumPairs(h.buf)-key, uint64(len(h.buf)-1))
-		pr.aggPlan(aggInsert, key)
+	sum, count := sumPairs(h.buf), uint64(len(h.buf))
+	if pr.Mode != engine.ModeMiddle {
+		// The SCX bracket's path fixup adds the key to every ancestor of
+		// the new leaf it re-descends to — np, the replacement subtree
+		// root, included — so np is published without it.
+		sum, count = sum-key, count-1
 	}
+	np.agg.Init(sum, count)
+	pr.aggUpdate(key, 1)
 	if !pr.scx(v, infos, r, fld, u, np) {
 		return false
 	}
@@ -432,22 +422,11 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		if !found {
 			return pr.NotFound()
 		}
-		// The leaf's post-delete min and max, for the ancestors whose min
-		// or max is the deleted key. It can be an ancestor's min only when
-		// it is the leaf's (rank 0; rank 1 takes over), and likewise its
-		// max, so a delete from the middle of the leaf reads neither.
-		cmin, cmax := aggEmptyMin, aggEmptyMax
-		if pos == 0 && sz > 1 {
-			cmin, _ = u.slots[permAt(perm, 1)].Get(tx)
-		}
-		if pos == sz-1 && sz > 1 {
-			cmax, _ = u.slots[permAt(perm, sz-2)].Get(tx)
-		}
 		// The only write to the leaf: the key's slot goes back to the free
 		// list and keeps its contents, which no rank names any more.
 		u.ord.Set(tx, permDelete(perm, pos, sz), uint64(sz-1))
 		u.aggSum.AddAtCommit(tx, -key)
-		aggApplyDelete(tx, h.path, u, key, cmin, cmax)
+		aggApply(tx, h.path, -key, ^uint64(0))
 		*pr.Res = engine.Result{Val: old, Found: true, NeedFix: p != t.entry && sz-1 < a}
 		return true
 	}
@@ -472,18 +451,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 	oldVal := h.buf[pos].v
 	h.buf = append(h.buf[:pos], h.buf[pos+1:]...)
 	*pr.Res = engine.Result{Val: oldVal, Found: true, NeedFix: p != t.entry && len(h.buf) < a}
-	if pr.Mode == engine.ModeMiddle {
-		// The replacement leaf isn't linked yet, so the cascade's skip
-		// pointer is u (still p's child at read time); its post-delete
-		// min/max come from the buffer.
-		cmin, cmax := aggEmptyMin, aggEmptyMax
-		if len(h.buf) > 0 {
-			cmin, cmax = h.buf[0].k, h.buf[len(h.buf)-1].k
-		}
-		aggApplyDelete(pr.Tx, h.path, u, key, cmin, cmax)
-	} else {
-		pr.aggPlan(aggDelete, key)
-	}
+	pr.aggUpdate(-key, ^uint64(0))
 	if !pr.scx(
 		[]*llxscx.Hdr{&p.hdr, &u.hdr}, []*llxscx.Info{pi, ui},
 		[]*llxscx.Hdr{&u.hdr}, &p.children[uIdx], u, h.newLeaf(h.buf)) {

@@ -109,12 +109,9 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 		cc = len(children)
 	}
 	n.keys = append(make([]uint64, 0, ck), keys...)
-	// Aggregate cells: first allocation binds them (callers fill them via
-	// initAggs/setAggsFromPairs before publication); recycled nodes keep
-	// their bindings.
+	// The aggregate cell: first allocation binds it (callers fill it
+	// before publication); recycled nodes keep their bindings.
 	n.agg.Bind(h.clk)
-	n.aggMin.Bind(h.clk)
-	n.aggMax.Bind(h.clk)
 	full := make([]htm.Ref[Node], cc)
 	for i := range full {
 		full[i].Bind(h.clk)

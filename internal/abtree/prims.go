@@ -13,11 +13,11 @@ import (
 type prims struct {
 	engine.Prims[Node]
 	h *Handle
-	// aggKind/aggKey describe the aggregate fixup a non-transactional
-	// leaf operation needs after its swing (agg.go aggPlan); scx applies
-	// it inside the aggVer bracket.
-	aggKind aggKind
-	aggKey  uint64
+	// dSum and dCount are the delta a non-transactional leaf operation
+	// owes its key's ancestors after its swing (agg.go aggUpdate); scx
+	// applies it inside the aggVer bracket. dCount is ±1 when one is
+	// owed.
+	dSum, dCount uint64
 }
 
 // prims returns the context of one attempt at the handle's own operation:
@@ -41,9 +41,9 @@ func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
 // key content, plans no fixup and takes no bracket.
 func (pr *prims) scx(v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
 	fld *htm.Ref[Node], old, new *Node) bool {
-	if pr.aggKind == aggNone && len(pr.h.pend) == 0 {
+	if pr.dCount == 0 && len(pr.h.pend) == 0 {
 		// Nothing rides on the swing — always so in a transaction, whose
-		// aggregate writes commit with it (aggPlan, aggInit, aggFrom).
+		// aggregate writes commit with it (aggUpdate, aggInit, aggFrom).
 		return pr.SCX(v, infos, r, fld, old, new)
 	}
 	t := pr.h.t
@@ -57,8 +57,8 @@ func (pr *prims) scx(v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
 	}
 	pr.h.pend = pr.h.pend[:0]
 	ok := pr.SCX(v, infos, r, fld, old, new)
-	if ok && pr.aggKind != aggNone {
-		t.aggFixupNonTx(pr.h, pr.aggKind, pr.aggKey)
+	if ok && pr.dCount != 0 {
+		t.aggFixupNonTx(pr)
 	}
 	t.aggRelease()
 	return ok

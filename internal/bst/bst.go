@@ -163,11 +163,11 @@ func (t *Tree) TM() *htm.TM { return t.tm }
 func (t *Tree) Engine() *engine.Engine { return t.eng }
 
 // OpStats returns per-path operation completion counts
-// (workload.StatsProvider).
+// (engine.StatsSource).
 func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
 
 // HTMStats returns per-path transaction commit/abort counts
-// (workload.StatsProvider).
+// (engine.StatsSource).
 func (t *Tree) HTMStats() htm.Stats { return t.tm.Stats() }
 
 // Handle is a per-thread handle to the tree. Operation arguments and
@@ -218,7 +218,7 @@ func (t *Tree) newHandle() *Handle {
 // reclamation domain, so Help is safe outside any operation — chaos
 // harnesses loop it to drain the descriptor of a worker that died
 // after announcing.
-func (h *Handle) Help() bool { return h.e.H.Help() }
+func (h *Handle) Help() bool { return h.e.Help() }
 
 // childRef returns the child field of p that a search for key follows.
 // p is always internal, and internal nodes are reused only after a

@@ -79,7 +79,7 @@ func TestHelpableHelperCompletes(t *testing.T) {
 	<-announced
 	// The owner is parked after announcing; the helper must finish the
 	// whole operation (acquire the word, install, run, release).
-	if !h2.e.H.Help() {
+	if !h2.e.Help() {
 		t.Fatal("helper found nothing to help")
 	}
 	if v, ok := h2.Search(42); !ok || v != 7 {
@@ -91,7 +91,7 @@ func TestHelpableHelperCompletes(t *testing.T) {
 		t.Fatalf("owner Insert returned (%d,%v), want (0,false)", old, existed)
 	}
 	// The finished descriptor was retracted: nothing left to help.
-	if h2.e.H.Help() {
+	if h2.e.Help() {
 		t.Fatal("helped a finished operation")
 	}
 	if err := tr.CheckInvariants(); err != nil {
@@ -134,7 +134,7 @@ func TestHelpableHelperCompletesDelete(t *testing.T) {
 	// the helper's handle, not through it.
 	scratch := engine.Result{Val: 12345, Found: true}
 	h2.argKey, h2.argVal, h2.res = 999, 998, scratch
-	if !h2.e.H.Help() {
+	if !h2.e.Help() {
 		t.Fatal("helper found nothing to help")
 	}
 	if h2.argKey != 999 || h2.argVal != 998 || h2.res != scratch {
@@ -178,7 +178,7 @@ func TestHelpableOwnerCompletes(t *testing.T) {
 	if old, existed := h1.Delete(1); existed || old != 0 {
 		t.Fatalf("re-Delete(1) = (%d,%v), want (0,false)", old, existed)
 	}
-	if h2.e.H.Help() {
+	if h2.e.Help() {
 		t.Fatal("helper found work after the owner finished everything")
 	}
 	if tr.Engine().Stats().Fallback == 0 {
@@ -224,7 +224,7 @@ func TestHelpableBothRace(t *testing.T) {
 			select {
 			case <-done:
 			default:
-				h2.e.H.Help()
+				h2.e.Help()
 				runtime.Gosched()
 				continue
 			}
@@ -312,7 +312,7 @@ func TestHelpableOwnerDeath(t *testing.T) {
 	for plan.Fires(fault.PointFallbackOwner) == 0 {
 		runtime.Gosched()
 	}
-	if !h2.e.H.Help() {
+	if !h2.e.Help() {
 		t.Fatal("helper found nothing to help")
 	}
 	if _, ok := h2.Search(5); ok {
@@ -323,7 +323,7 @@ func TestHelpableOwnerDeath(t *testing.T) {
 	}
 	// The finished descriptor was retracted even though its owner never
 	// woke: release is derived from the terminal attempt, not owned.
-	if h2.e.H.Help() {
+	if h2.e.Help() {
 		t.Fatal("helped a finished operation")
 	}
 	select {
@@ -385,7 +385,7 @@ func TestHelpedDeleteDropsAbortedAttemptResidue(t *testing.T) {
 		h1.Delete(5)
 	}()
 	<-announced
-	if !h2.e.H.Help() {
+	if !h2.e.Help() {
 		t.Fatal("helper found nothing to help")
 	}
 	close(resume)

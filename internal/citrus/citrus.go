@@ -101,10 +101,10 @@ func New(cfg Config) *Tree {
 	}
 }
 
-// OpStats returns per-path operation completions (workload.StatsProvider).
+// OpStats returns per-path operation completions (engine.StatsSource).
 func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
 
-// HTMStats returns transaction statistics (workload.StatsProvider).
+// HTMStats returns transaction statistics (engine.StatsSource).
 func (t *Tree) HTMStats() htm.Stats { return t.tm.Stats() }
 
 // Handle is a per-goroutine handle.

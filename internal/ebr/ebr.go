@@ -181,31 +181,3 @@ func (t *Thread) tryAdvance() {
 	}
 	t.m.epoch.CompareAndSwap(e, e+1)
 }
-
-// Pool is a trivial free-list used as the free target in tests and
-// benchmarks; it counts recycled objects so reuse is observable.
-type Pool struct {
-	mu       sync.Mutex
-	items    []any
-	Recycled atomic.Uint64
-}
-
-// Put stores x for reuse.
-func (p *Pool) Put(x any) {
-	p.Recycled.Add(1)
-	p.mu.Lock()
-	p.items = append(p.items, x)
-	p.mu.Unlock()
-}
-
-// Get returns a recycled object, or nil.
-func (p *Pool) Get() any {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.items) == 0 {
-		return nil
-	}
-	x := p.items[len(p.items)-1]
-	p.items = p.items[:len(p.items)-1]
-	return x
-}

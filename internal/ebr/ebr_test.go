@@ -136,21 +136,6 @@ func TestNoUseAfterFree(t *testing.T) {
 	}
 }
 
-func TestPoolRoundTrip(t *testing.T) {
-	t.Parallel()
-	var p Pool
-	if p.Get() != nil {
-		t.Fatal("empty pool returned an object")
-	}
-	p.Put(42)
-	if got := p.Get(); got != 42 {
-		t.Fatalf("Get = %v, want 42", got)
-	}
-	if p.Recycled.Load() != 1 {
-		t.Fatal("recycle count wrong")
-	}
-}
-
 // TestLimboFollowsTheBags: the published limbo count is the bags' total
 // as of the last advanceEvery-th retirement or flush — exact at those
 // moments, never more than advanceEvery retirements stale, and back to

@@ -209,6 +209,10 @@ type Engine struct {
 	reclaim *ebr.Manager // epoch domain for the structure's node pools
 	// genCtr feeds HelpDesc generations (nextGen).
 	genCtr atomic.Uint64
+	// ann is the announcement slot of the helpable fallback protocol: the
+	// descriptor of the critical section currently holding tle for its
+	// generation, if any (help.go).
+	ann atomic.Pointer[HelpDesc]
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -236,9 +240,6 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	}
 	return e
 }
-
-// Algorithm returns the engine's algorithm.
-func (e *Engine) Algorithm() Algorithm { return e.cfg.Algorithm }
 
 // Thread is the per-goroutine execution context: the HTM thread, the
 // tagged-sequence-number source, the reclamation context, and per-path
@@ -279,7 +280,9 @@ type Thread struct {
 
 	// helpExec is the structure's fallback-attempt executor for
 	// announced descriptors (SetHelpExec); nil disables helping on this
-	// thread.
+	// thread. helping is set while Help runs, which must not re-enter
+	// itself.
+	helping  bool
 	helpExec func(*HelpDesc)
 	_        [64]byte
 }
@@ -410,6 +413,14 @@ func (r *ReclaimStats) Merge(o ReclaimStats) {
 	r.PooledImmediate += o.PooledImmediate
 	r.PooledGrace += o.PooledGrace
 	r.PooledInner += o.PooledInner
+}
+
+// StatsSource is implemented by the data structures that expose their
+// engine and HTM statistics: what the public Stats, the shard layer's
+// sums and the paper's Figure 16 and Section 7.2 tables read.
+type StatsSource interface {
+	OpStats() OpStats
+	HTMStats() htm.Stats
 }
 
 // OpStats counts operation completions per execution path, failed
@@ -751,7 +762,7 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 		// announced operation — required for the protocol's progress
 		// argument, since the word stays held until the operation is
 		// done.
-		if helpable && th.H.Help() {
+		if helpable && th.Help() {
 			atomic.AddUint64(&th.polstats.Helps, 1)
 			if so != nil {
 				so.RareEvent(obs.EvHelp, htm.PathFallback, htm.CauseNone, 0, 0)

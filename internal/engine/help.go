@@ -21,9 +21,9 @@ import (
 // removes the owner from the critical path:
 //
 //  1. The owner builds a HelpDesc — operation kind, arguments, and a
-//     slot for the idempotent write plan — and publishes it in the TM's
-//     announcement slot (htm.TM.Announce) *before* entering the locked
-//     region.
+//     slot for the idempotent write plan — and publishes it in the
+//     engine's announcement slot (Engine.announce) *before* entering the
+//     locked region.
 //  2. Any thread can then drive the descriptor to completion via
 //     execDesc: acquire the lock word for the descriptor's generation
 //     (the acquisition is thread-agnostic — e.tle.CAS(nil, 0, d.gen) by
@@ -93,7 +93,7 @@ func (att *HelpAttempt) terminal() bool {
 
 // HelpDesc is the announced closure descriptor of one fallback critical
 // section. The engine allocates one per fallback entry (the fallback
-// path is cold by construction); it implements htm.Announced.
+// path is cold by construction).
 type HelpDesc struct {
 	// Kind, Key and Val are the operation and its arguments, fixed at
 	// announce time so helpers never touch the owner's handle scratch.
@@ -113,8 +113,9 @@ type HelpDesc struct {
 	attempt atomic.Pointer[HelpAttempt]
 }
 
-// Finished implements htm.Announced: the descriptor is finished once a
-// terminal attempt is installed.
+// Finished reports whether a terminal attempt is installed. A finished
+// descriptor left in the announcement slot is garbage that the next
+// announce clears.
 func (d *HelpDesc) Finished() bool {
 	att := d.attempt.Load()
 	return att != nil && att.terminal()
@@ -150,29 +151,55 @@ type HelpableOp struct {
 // SetHelpExec registers the structure's fallback-attempt executor: one
 // run of the tree's update body in ModeHelp (prims.go) for the
 // descriptor, using this thread's own handle state (search buffers, node
-// pool, reclamation context). Registering also installs the
-// htm-level helper so this thread participates in helping whenever it
-// waits on the TM (announce races, classic lock acquisition, fast-path
-// waits).
-func (th *Thread) SetHelpExec(fn func(*HelpDesc)) {
-	th.helpExec = fn
-	th.H.SetHelper(th.helpAnnounced)
+// pool, reclamation context). A thread with an executor helps whenever
+// it waits on the engine (announce races, classic lock acquisition,
+// fast-path waits).
+func (th *Thread) SetHelpExec(fn func(*HelpDesc)) { th.helpExec = fn }
+
+// announce tries to install d as the engine's current announcement. It
+// fails only when another unfinished operation is already announced; a
+// leftover finished descriptor is cleared and the install retried.
+func (e *Engine) announce(d *HelpDesc) bool {
+	for {
+		cur := e.ann.Load()
+		if cur != nil {
+			if !cur.Finished() {
+				return false
+			}
+			e.retract(cur)
+			continue
+		}
+		if e.ann.CompareAndSwap(nil, d) {
+			return true
+		}
+	}
 }
 
-// helpAnnounced is the htm.Thread helper: it downcasts the announced
-// descriptor and drives it to completion with this thread's executor.
-func (th *Thread) helpAnnounced(a htm.Announced) bool {
-	d, ok := a.(*HelpDesc)
-	if !ok || th.helpExec == nil {
+// retract clears the announcement slot if it still holds d. Any thread
+// observing that d finished may retract it.
+func (e *Engine) retract(d *HelpDesc) { e.ann.CompareAndSwap(d, nil) }
+
+// Help drives the engine's announced operation, if any, to completion
+// with this thread's executor and reports whether it helped. It is a
+// no-op inside a transaction — helping executes non-transactional
+// fallback-path code, which must not nest under a live transaction
+// log — and while a previous Help of this thread is still on the stack.
+func (th *Thread) Help() bool {
+	if th.H.InTx() || th.helpExec == nil || th.helping {
 		return false
 	}
+	d := th.eng.ann.Load()
+	if d == nil || d.Finished() {
+		return false
+	}
+	th.helping = true
+	defer func() { th.helping = false }()
 	if th.rec != nil && !th.rec.Active() {
 		// Helping runs non-transactional template code over shared
 		// nodes, which is only safe inside an announced reclamation
 		// epoch (pooled nodes must not be reused under the walk). The
 		// engine's own helping points all sit inside an operation's
-		// epoch; a direct Thread.Help call from outside one takes its
-		// own cover here.
+		// epoch; a call from outside one takes its own cover here.
 		th.rec.Begin()
 		defer th.rec.End()
 	}
@@ -231,7 +258,7 @@ func (th *Thread) execDesc(d *HelpDesc) *HelpAttempt {
 // CASes make every step exactly-once.
 func (th *Thread) releaseDesc(d *HelpDesc) {
 	th.eng.tle.CAS(nil, d.gen, 0)
-	th.H.TM().Retract(d)
+	th.eng.retract(d)
 }
 
 // runHelpableFallback is the owner side of the protocol: announce the
@@ -251,11 +278,10 @@ func (th *Thread) runHelpableFallback(op Op, mon *UpdateMonitor) {
 		freg := obs.StartFallbackRegion()
 		defer obs.EndRegion(freg)
 	}
-	tm := th.H.TM()
-	for !tm.Announce(d) {
+	for !e.announce(d) {
 		// Another critical section is announced: help it to completion
 		// rather than waiting behind it.
-		if th.H.Help() {
+		if th.Help() {
 			atomic.AddUint64(&th.polstats.Helps, 1)
 			if so != nil {
 				so.RareEvent(obs.EvHelp, htm.PathFallback, htm.CauseNone, 0, 0)
@@ -287,7 +313,7 @@ func (th *Thread) runHelpableFallback(op Op, mon *UpdateMonitor) {
 func (th *Thread) helpWait() {
 	e := th.eng
 	for i := 0; e.tle.Get(nil) != 0; i++ {
-		if th.H.Help() {
+		if th.Help() {
 			atomic.AddUint64(&th.polstats.Helps, 1)
 			if so := th.obs; so != nil {
 				so.RareEvent(obs.EvHelp, htm.PathFast, htm.CauseNone, 0, 0)

@@ -68,7 +68,6 @@ package htm
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"htmtree/internal/fault"
 )
@@ -157,10 +156,6 @@ func POWER8Config() Config {
 type TM struct {
 	cfg   Config
 	clock Clock
-	// ann is the announcement slot of the helpable fallback protocol:
-	// the descriptor of the fallback critical section currently
-	// executing on this TM's trees, if any. See Announce.
-	ann atomic.Pointer[announceBox]
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -169,9 +164,6 @@ type TM struct {
 // New creates a transactional memory instance with the given
 // configuration. Zero fields of cfg select defaults.
 func New(cfg Config) *TM { return &TM{cfg: cfg.withDefaults()} }
-
-// Config returns the (defaulted) configuration of the TM.
-func (tm *TM) Config() Config { return tm.cfg }
 
 // Clock returns the TM's version clock, for binding cells (Word.Bind,
 // Ref.Bind) into the TM's synchronization domain.

@@ -124,12 +124,8 @@ type Thread struct {
 	tx    Tx
 	inTx  bool
 	stats Stats
-	// helper runs a TM-announced operation on this thread's behalf
-	// (SetHelper); helping guards against reentrant helping.
-	helper  func(Announced) bool
-	helping bool
-	// faults is the TM's fault plan (Config.Faults): consulted by
-	// Tx.inject on armed attempts and handed out by Faults.
+	// faults is the TM's fault plan (Config.Faults), consulted by
+	// Tx.inject on armed attempts.
 	faults *fault.Plan
 	// ab is the payload every abort of this thread's transactions
 	// unwinds with. Panicking with its address boxes nothing, so an
@@ -141,8 +137,9 @@ type Thread struct {
 // ID returns the thread's registration index within its TM.
 func (th *Thread) ID() int { return th.id }
 
-// TM returns the transactional memory this thread belongs to.
-func (th *Thread) TM() *TM { return th.tm }
+// InTx reports whether a transaction of this thread is in flight, for
+// callers that must not run non-transactional code under one.
+func (th *Thread) InTx() bool { return th.inTx }
 
 // Stats returns a snapshot of this thread's transaction statistics. The
 // counters are read through the same atomic path the owning goroutine
@@ -162,9 +159,6 @@ func (th *Thread) next() uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
-
-// Faults returns the thread's armed fault plan, if any (nil otherwise).
-func (th *Thread) Faults() *fault.Plan { return th.faults }
 
 // txAbort is the panic payload used to unwind an aborting transaction
 // (always &Thread.ab). It never escapes Thread.Atomic.
@@ -262,10 +256,6 @@ func (tx *Tx) bind(th *Thread) {
 	tx.lockSpin = tm.cfg.LockSpin
 	tx.clk = &tm.clock
 }
-
-// Path returns the execution path label this transaction was started
-// under.
-func (tx *Tx) Path() PathKind { return tx.path }
 
 // reset clears the transaction log for a new attempt. The snapshot (rv)
 // is established afterwards by begin.
@@ -513,9 +503,10 @@ func lockForAdd(ver *atomic.Uint64) bool {
 // root aggregate). The holder is itself inside a commit or a
 // non-transactional cell operation, a few stores long. The bound is
 // what keeps this deadlock-free: write sets are locked in program
-// order, and two transactions can add to the same cells in opposite
-// orders (insert walks root→leaf, delete leaf→root), so each may hold
-// what the other polls for; neither waits forever — after addWaitPolls
+// order, and nothing makes two bodies add to the cells they share in
+// the same order (the (a,b)-tree's own do, root→leaf, agg.go aggApply;
+// a TM cannot rely on its callers), so each may hold what the other
+// polls for; neither waits forever — after addWaitPolls
 // polls the waiter releases everything and aborts with CauseConflict,
 // exactly as it would have without waiting.
 func (tx *Tx) commit() AbortCause {

@@ -72,10 +72,10 @@ func NewList(cfg ListConfig) *List {
 	}
 }
 
-// OpStats returns per-path operation completions (workload.StatsProvider).
+// OpStats returns per-path operation completions (engine.StatsSource).
 func (l *List) OpStats() engine.OpStats { return l.eng.Stats() }
 
-// HTMStats returns transaction statistics (workload.StatsProvider).
+// HTMStats returns transaction statistics (engine.StatsSource).
 func (l *List) HTMStats() htm.Stats { return l.tm.Stats() }
 
 // ListHandle is a per-goroutine handle.

@@ -311,7 +311,7 @@ func TestChaosOwnerDeathDifferential(t *testing.T) {
 				t.Errorf("dead workers = %d, kills = %d (each kill must park exactly one owner)", deadWorkers, kills)
 			}
 
-			// Drain: the TM has a single announcement slot, so at most
+			// Drain: an engine has a single announcement slot, so at most
 			// one killed owner's descriptor is still pending (every
 			// earlier one was necessarily helped to completion before
 			// its successor could announce). Complete it here.

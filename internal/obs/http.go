@@ -5,7 +5,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime/trace"
 	"time"
 )
 
@@ -87,9 +86,3 @@ func (s *Server) Close() error {
 		return s.ln.Close()
 	}
 }
-
-// Tracing reports whether a runtime execution trace is being collected;
-// instrumented layers may use it to skip region bookkeeping entirely.
-// trace.StartRegion already no-ops when tracing is off, so this is an
-// optimization seam, not a correctness one.
-func Tracing() bool { return trace.IsEnabled() }

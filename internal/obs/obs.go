@@ -133,9 +133,6 @@ type Node struct {
 	labels []Label
 }
 
-// Domain returns the Obs this node registers into.
-func (n *Node) Domain() *Obs { return n.o }
-
 // NewThread creates a flight-recorder thread in the node's domain.
 // Sampled (hot-path) methods on the returned ThreadObs must be called
 // from a single goroutine at a time; RareEvent is safe from any.

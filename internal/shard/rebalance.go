@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"htmtree/internal/dict"
+	"htmtree/internal/engine"
 	"htmtree/internal/fault"
 	"htmtree/internal/htm"
 	"htmtree/internal/obs"
@@ -150,9 +151,6 @@ func (d *Dict) RebalanceStats() RebalanceStats {
 	}
 }
 
-// Rebalancing reports whether live key-range rebalancing is enabled.
-func (d *Dict) Rebalancing() bool { return d.reb != nil }
-
 // maybeRebalance evaluates shard load and migrates one boundary range
 // if the imbalance threshold is crossed. Called from handle point-op
 // paths every CheckOps operations; at most one evaluation runs at a
@@ -177,7 +175,7 @@ func (d *Dict) maybeRebalance() {
 	var total, maxDelta uint64
 	for i, s := range d.shards {
 		var tot uint64
-		if sp, ok := s.(statsSource); ok {
+		if sp, ok := s.(engine.StatsSource); ok {
 			tot = sp.OpStats().Total()
 		}
 		delta := tot - rb.lastOps[i]

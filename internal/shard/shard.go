@@ -212,13 +212,6 @@ func (cfg Config) validate() (shards int, err error) {
 	return n, nil
 }
 
-// statsSource matches the data structures that expose engine and HTM
-// statistics (workload.StatsProvider, without the import).
-type statsSource interface {
-	OpStats() engine.OpStats
-	HTMStats() htm.Stats
-}
-
 // RQStats counts the outcomes of atomic cross-shard reads (RangeQuery,
 // RangeAgg and KeySum). All counters are zero when the dictionary was
 // built without Config.Atomic or Config.Rebalance.
@@ -578,7 +571,7 @@ func (d *Dict) KeySum() (sum, count uint64) {
 func (d *Dict) OpStats() engine.OpStats {
 	var agg engine.OpStats
 	for _, s := range d.shards {
-		if sp, ok := s.(statsSource); ok {
+		if sp, ok := s.(engine.StatsSource); ok {
 			agg.Merge(sp.OpStats())
 		}
 	}
@@ -589,7 +582,7 @@ func (d *Dict) OpStats() engine.OpStats {
 func (d *Dict) HTMStats() htm.Stats {
 	var agg htm.Stats
 	for _, s := range d.shards {
-		if sp, ok := s.(statsSource); ok {
+		if sp, ok := s.(engine.StatsSource); ok {
 			agg.Merge(sp.HTMStats())
 		}
 	}

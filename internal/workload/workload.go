@@ -41,14 +41,6 @@ func (k Kind) String() string {
 	}
 }
 
-// StatsProvider is implemented by data structures that expose their
-// engine and HTM statistics (used for the Figure 16 and Section 7.2
-// tables).
-type StatsProvider interface {
-	OpStats() engine.OpStats
-	HTMStats() htm.Stats
-}
-
 // Config describes one trial.
 type Config struct {
 	// Threads is the total number of worker threads n.
@@ -239,7 +231,7 @@ func Run(d dict.Dict, cfg Config) Result {
 	res.KeySumOK = int64(sum) == int64(baseSum)+deltaSum &&
 		int64(count) == int64(baseCount)+deltaCount
 
-	if sp, ok := d.(StatsProvider); ok {
+	if sp, ok := d.(engine.StatsSource); ok {
 		res.PathStats = sp.OpStats()
 		res.HTMStats = sp.HTMStats()
 	}
