@@ -120,7 +120,7 @@ func BenchmarkFig16AbortRates(b *testing.B) {
 				if !res.KeySumOK {
 					b.Fatal("key-sum validation failed")
 				}
-				hs := res.HTMStats
+				hs := res.PathStats
 				commits += hs.Commits[htm.PathFast] + hs.Commits[htm.PathMiddle]
 				aborts += hs.TotalAborts(htm.PathFast) + hs.TotalAborts(htm.PathMiddle)
 			}

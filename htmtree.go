@@ -109,6 +109,8 @@ type (
 	// MaxUint64 and Max == 0 (the merge identities); check Count before
 	// trusting Min/Max.
 	Agg = dict.Agg
+	// PathCounts counts events per execution path (engine.PathCounts).
+	PathCounts = engine.PathCounts
 	// PolicyStats counts the attempt loops' per-cause retry actions and
 	// the helps of the helpable fallback (engine.PolicyStats).
 	PolicyStats = engine.PolicyStats
@@ -122,6 +124,13 @@ type (
 	// RebalanceStats counts live shard-rebalancing activity under
 	// RouterAdaptive (shard.RebalanceStats).
 	RebalanceStats = shard.RebalanceStats
+	// AggregateStats counts aggregate-query executions by answer path
+	// (engine.AggregateStats).
+	AggregateStats = engine.AggregateStats
+	// BatchStats counts batched/asynchronous execution activity: the
+	// asynchronous handles' flushes and, on a sharded tree, the shard
+	// groups they executed as (batch.Stats).
+	BatchStats = batch.Stats
 )
 
 // Config configures a tree. The zero value selects the 3-path algorithm
@@ -411,14 +420,9 @@ type Tree struct {
 	stats      engine.StatsSource
 	invariants func(strict bool) error
 
-	// aggStats reports how many aggregate queries were answered by the
-	// O(log n) transactional descent versus the LLX-validated leaf walk
-	// (nil for structures without maintained aggregates, i.e. the BST).
-	aggStats func() (fast, walk uint64)
-
 	// batchCfg templates the pipelines behind NewAsyncHandle and
-	// Handle.Batch; batchCtrs aggregates their flush activity for
-	// Stats.Batch.
+	// Handle.Batch; batchCtrs aggregates their flush activity — on a
+	// sharded tree beside the shard groups' — for Stats.Batch.
 	batchCfg  batch.Config
 	batchCtrs *batch.Counters
 
@@ -436,7 +440,9 @@ func (t *Tree) Obs() *obs.Obs { return t.obs }
 // build is the one constructor behind the four public ones: validate
 // the configuration, build the tree — one inner tree, or cfg.Shards of
 // them under the shard layer — and attach the batching template and the
-// observability domain.
+// observability domain. Each inner tree registers the inner metric
+// families on its node (labelled shard="i" on a sharded tree), and the
+// tree the rest on the domain's unlabelled node.
 func build(cfg Config, ab, sharded bool) (*Tree, error) {
 	alg, hcfg, ecfg, err := cfg.validate(ab)
 	if err != nil {
@@ -448,14 +454,20 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 		ecfg := ecfg
 		ecfg.Monitor = mon
 		ecfg.Obs = node
+		var it *Tree
 		if ab {
 			t := abtree.New(abtree.Config{A: cfg.A, B: cfg.B, Algorithm: alg,
 				HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
-			return &Tree{d: t, stats: t, invariants: t.CheckInvariants, aggStats: t.AggStats}
+			it = &Tree{d: t, stats: t, invariants: t.CheckInvariants}
+		} else {
+			t := bst.New(bst.Config{Algorithm: alg,
+				HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
+			it = &Tree{d: t, stats: t, invariants: func(bool) error { return t.CheckInvariants() }}
 		}
-		t := bst.New(bst.Config{Algorithm: alg,
-			HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
-		return &Tree{d: t, stats: t, invariants: func(bool) error { return t.CheckInvariants() }}
+		if node != nil {
+			register(node, true, func() Stats { return statsOf(it.stats.OpStats()) })
+		}
+		return it
 	}
 	var t *Tree
 	if sharded {
@@ -466,20 +478,13 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 		t = inner(nil, obsNode(o))
 	}
 	t.batchCtrs = &batch.Counters{}
+	if sd, ok := t.d.(*shard.Dict); ok {
+		t.batchCtrs = sd.BatchCounters()
+	}
 	t.batchCfg = batch.Config{MaxOps: cfg.BatchMaxOps, Counters: t.batchCtrs, Faults: cfg.Faults}
 	if o != nil {
-		// The tree-level metric families (batch-flush activity; the
-		// engine and shard layers registered their own during
-		// construction).
 		t.obs = o
-		ctrs := t.batchCtrs
-		n := o.Node()
-		n.Counter("htmtree_batch_flushes_total",
-			"Non-empty batch buffer flushes across the tree's asynchronous handles.",
-			func(emit obs.Point) { emit(float64(ctrs.Snapshot().Flushes)) })
-		n.Counter("htmtree_batch_flushed_ops_total",
-			"Point operations carried by batch flushes.",
-			func(emit obs.Point) { emit(float64(ctrs.Snapshot().FlushedOps)) })
+		register(o.Node(), false, t.Stats)
 	}
 	return t, nil
 }
@@ -505,12 +510,11 @@ func NewShardedBST(cfg Config) (*Tree, error) { return build(cfg, false, true) }
 func NewShardedABTree(cfg Config) (*Tree, error) { return build(cfg, true, true) }
 
 // newSharded partitions the key space across cfg.Shards instances built
-// by mk, wiring aggregate stats and invariant checking through the
-// shard layer. With AtomicRangeQueries or RouterAdaptive each inner
-// tree's engine gets the shard's update monitor. With an observability
-// domain each inner engine registers its families under a shard="i"
-// label and the shard layer registers its own (read validation,
-// migration) unlabelled.
+// by mk, wiring invariant checking through the shard layer. With
+// AtomicRangeQueries or RouterAdaptive each inner tree's engine gets the
+// shard's update monitor. With an observability domain each inner tree
+// is built on a node labelled shard="i", and the shard layer records its
+// quiesce and migration events on an unlabelled one.
 func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node *obs.Node) *Tree) (*Tree, error) {
 	var inner []*Tree
 	scfg := shard.Config{
@@ -554,7 +558,7 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 	if err != nil {
 		return nil, err
 	}
-	st := &Tree{
+	return &Tree{
 		d:     sd,
 		stats: sd,
 		invariants: func(strict bool) error {
@@ -565,18 +569,7 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 			}
 			return sd.CheckPartition()
 		},
-	}
-	if inner[0].aggStats != nil {
-		st.aggStats = func() (fast, walk uint64) {
-			for _, t := range inner {
-				f, w := t.aggStats()
-				fast += f
-				walk += w
-			}
-			return fast, walk
-		}
-	}
-	return st, nil
+	}, nil
 }
 
 // NewHandle registers a per-goroutine handle. Handles must not be shared
@@ -791,139 +784,3 @@ func (f RangeFuture) Done() bool { return f.p.Done() }
 // OnComplete registers fn to run with the result once the query
 // executes; see PointFuture.OnComplete for the callback contract.
 func (f RangeFuture) OnComplete(fn func([]KV)) { f.p.OnComplete(fn) }
-
-// PathCounts counts events per execution path.
-type PathCounts struct {
-	Fast, Middle, Fallback uint64
-}
-
-// Total sums the three paths.
-func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
-
-// BatchStats counts batched/asynchronous execution activity. The
-// amortization batching exists for reads off directly: an unbatched
-// stream pays one router lookup (and, on a sharded tree with
-// AtomicRangeQueries or RouterAdaptive, one monitor admission) per
-// operation, so GroupOps/RouterLookups and
-// GroupOps/MonitorBrackets are the factors by which batching cut that
-// per-operation overhead.
-type BatchStats struct {
-	// Flushes counts non-empty buffer flushes across the tree's
-	// asynchronous handles and BatchedOps the point operations they
-	// carried (BatchedOps/Flushes is the realized mean batch size).
-	Flushes, BatchedOps uint64
-	// SizeFlushes, ExplicitFlushes and RangeFlushes split Flushes by
-	// trigger: the BatchMaxOps threshold, an explicit Flush or Wait, and
-	// a flushing RangeQuery.
-	SizeFlushes, ExplicitFlushes, RangeFlushes uint64
-	// Groups counts the per-shard groups batches executed as and
-	// GroupOps the operations they carried (sharded trees only;
-	// GroupOps/Groups is the realized per-shard locality).
-	Groups, GroupOps uint64
-	// RouterLookups counts routing decisions taken by group execution
-	// and MonitorBrackets the shard-level admissions — one per group
-	// where unbatched dispatch pays one per op.
-	RouterLookups, MonitorBrackets uint64
-	// Restarts counts group admissions dropped and re-routed because a
-	// live migration swapped the routing table mid-batch (the group then
-	// executed under the new table).
-	Restarts uint64
-}
-
-// AggregateStats counts aggregate-query executions by answer path.
-type AggregateStats struct {
-	// Fast counts queries answered by the O(log n) transactional descent
-	// over maintained subtree aggregates, Walk the queries that fell
-	// back to the LLX-validated leaf walk (fallback-path or TLE-locked
-	// executions). Always zero on a BST, whose RangeAgg walks the range
-	// without touching either counter.
-	Fast, Walk uint64
-}
-
-// Stats is a snapshot of a tree's execution statistics: how many
-// operations completed on each path (Section 7.2 of the paper) and how
-// transactions committed/aborted (Figure 16).
-type Stats struct {
-	// Ops counts operation completions per path.
-	Ops PathCounts
-	// TxCommits and TxAborts count transaction outcomes per path.
-	TxCommits, TxAborts PathCounts
-	// AbortCauses breaks aborts down as "path/cause" -> count.
-	AbortCauses map[string]uint64
-	// Policy reports the attempt loops' retry actions: backoffs before
-	// conflict retries, budget-free retries after spurious aborts, paths
-	// abandoned on a capacity abort, operations demoted past the fast
-	// path by their site's capacity memory, and (HelpableFallback only)
-	// announced operations completed by a thread other than their owner.
-	Policy PolicyStats
-	// Reclaim reports where removed nodes are: in limbo behind a grace
-	// period, or pooled for reuse on the handles' free lists. Gauges,
-	// summed over the shards; all zero on structures that do not pool
-	// nodes (Citrus, the k-CAS list, Hybrid NOrec).
-	Reclaim ReclaimStats
-	// Range reports atomic cross-shard read outcomes; all zero unless
-	// the tree is sharded with AtomicRangeQueries (or RouterAdaptive,
-	// which implies the same read validation).
-	Range RangeQueryStats
-	// Rebalance reports live shard-rebalancing activity; all zero
-	// unless the tree is sharded with RouterAdaptive.
-	Rebalance RebalanceStats
-	// Aggregate reports how aggregate queries (Handle.RangeAgg and
-	// friends) were answered on (a,b)-trees.
-	Aggregate AggregateStats
-	// Batch reports batched/asynchronous execution activity; all zero
-	// until an AsyncHandle (or Handle.Batch context) flushes.
-	Batch BatchStats
-}
-
-// Stats returns a snapshot of the tree's statistics. Safe to call while
-// operations run (the snapshot is then approximate).
-func (t *Tree) Stats() Stats {
-	ops := t.stats.OpStats()
-	hs := t.stats.HTMStats()
-	s := Stats{
-		Ops: PathCounts{Fast: ops.Fast, Middle: ops.Middle, Fallback: ops.Fallback},
-		TxCommits: PathCounts{
-			Fast:     hs.Commits[htm.PathFast],
-			Middle:   hs.Commits[htm.PathMiddle],
-			Fallback: hs.Commits[htm.PathFallback],
-		},
-		TxAborts: PathCounts{
-			Fast:     hs.TotalAborts(htm.PathFast),
-			Middle:   hs.TotalAborts(htm.PathMiddle),
-			Fallback: hs.TotalAborts(htm.PathFallback),
-		},
-		AbortCauses: make(map[string]uint64),
-		Policy:      ops.Policy,
-		Reclaim:     ops.Reclaim,
-	}
-	for _, p := range []htm.PathKind{htm.PathFast, htm.PathMiddle, htm.PathFallback} {
-		for c := htm.CauseExplicit; c <= htm.CauseSpurious; c++ {
-			if n := hs.Aborts[p][c]; n > 0 {
-				s.AbortCauses[p.String()+"/"+c.String()] = n
-			}
-		}
-	}
-	if t.aggStats != nil {
-		s.Aggregate.Fast, s.Aggregate.Walk = t.aggStats()
-	}
-	bs := t.batchCtrs.Snapshot()
-	s.Batch = BatchStats{
-		Flushes:         bs.Flushes,
-		BatchedOps:      bs.FlushedOps,
-		SizeFlushes:     bs.SizeFlushes,
-		ExplicitFlushes: bs.ExplicitFlushes,
-		RangeFlushes:    bs.RangeFlushes,
-	}
-	if sd, ok := t.d.(*shard.Dict); ok {
-		s.Range = sd.RQStats()
-		s.Rebalance = sd.RebalanceStats()
-		gb := sd.BatchStats()
-		s.Batch.Groups = gb.Groups
-		s.Batch.GroupOps = gb.Ops
-		s.Batch.RouterLookups = gb.RouterLookups
-		s.Batch.MonitorBrackets = gb.MonitorEnters
-		s.Batch.Restarts = gb.Restarts
-	}
-	return s
-}

@@ -192,7 +192,7 @@ type Tree struct {
 	aggVer htm.Word
 
 	// aggFastQ/aggWalkQ count aggregate queries answered by the O(log n)
-	// aggregate descent vs the leaf-walk fallback (Stats.Aggregate).
+	// aggregate descent vs the leaf-walk fallback (OpStats.Aggregate).
 	aggFastQ, aggWalkQ atomic.Uint64
 }
 
@@ -240,19 +240,16 @@ func New(cfg Config) *Tree {
 	return t
 }
 
-// TM exposes the tree's transactional memory (for statistics).
-func (t *Tree) TM() *htm.TM { return t.tm }
-
 // Engine exposes the tree's execution engine (for statistics).
 func (t *Tree) Engine() *engine.Engine { return t.eng }
 
-// OpStats returns per-path operation completion counts
-// (engine.StatsSource).
-func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
-
-// HTMStats returns per-path transaction commit/abort counts
-// (engine.StatsSource).
-func (t *Tree) HTMStats() htm.Stats { return t.tm.Stats() }
+// OpStats returns the engine's statistics snapshot with the tree's
+// aggregate-query answers filled in (engine.StatsSource).
+func (t *Tree) OpStats() engine.OpStats {
+	s := t.eng.Stats()
+	s.Aggregate = engine.AggregateStats{Fast: t.aggFastQ.Load(), Walk: t.aggWalkQ.Load()}
+	return s
+}
 
 // Handle is a per-thread handle to the tree. It owns the thread's node
 // pools (pool.go): steady-state operations draw leaves and internal

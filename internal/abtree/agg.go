@@ -235,12 +235,6 @@ func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	return h.resAgg, nil
 }
 
-// AggStats returns how many aggregate queries were answered by the
-// O(log n) aggregate descent vs the O(range) leaf walk fallback.
-func (t *Tree) AggStats() (fast, walk uint64) {
-	return t.aggFastQ.Load(), t.aggWalkQ.Load()
-}
-
 // aggInTx answers the aggregate query inside a transaction, descending
 // via the aggregate cells: a subtree fully inside [lo, hi) contributes
 // its (sum, count) without being entered; a partially covered leaf is

@@ -74,8 +74,8 @@ func TestRangeAggSkipsEmptySubtrees(t *testing.T) {
 					}
 				}
 			}
-			if fast, walked := tr.AggStats(); fast != 15 || walked != 0 {
-				t.Errorf("%d queries descended, %d walked the leaves; want 15 and 0", fast, walked)
+			if got := tr.OpStats().Aggregate; got.Fast != 15 || got.Walk != 0 {
+				t.Errorf("%d queries descended, %d walked the leaves; want 15 and 0", got.Fast, got.Walk)
 			}
 		})
 	}

@@ -50,8 +50,8 @@ type Config struct {
 	// the batching machinery.
 	MaxOps int
 	// Counters, when non-nil, aggregates this pipeline's flush activity
-	// into a shared sink (the tree-level Stats.Batch); nil keeps the
-	// counts pipeline-private.
+	// into a shared sink (the tree-level Stats.Batch, beside the group
+	// executor's counts); nil keeps the counts pipeline-private.
 	Counters *Counters
 	// Faults, when non-nil, arms fault.PointBatchFlush: an injected
 	// stall at the head of each flush delays every Promise of the
@@ -59,37 +59,63 @@ type Config struct {
 	Faults *fault.Plan
 }
 
-// Counters aggregates pipeline activity, safe for concurrent pipelines
-// to share.
+// Counters aggregates batched execution activity, safe for concurrent
+// pipelines — and the group executor they flush into — to share. Each
+// field counts what the Stats field of the same name reports.
 type Counters struct {
-	flushes    atomic.Uint64
-	flushedOps atomic.Uint64
-	sizeF      atomic.Uint64
-	explicitF  atomic.Uint64
-	rangeF     atomic.Uint64
+	Flushes, BatchedOps                        atomic.Uint64
+	SizeFlushes, ExplicitFlushes, RangeFlushes atomic.Uint64
+	Groups, GroupOps                           atomic.Uint64
+	RouterLookups, MonitorBrackets, Restarts   atomic.Uint64
 }
 
-// Stats is a Counters snapshot.
+// Stats is a Counters snapshot. The amortization batching exists for
+// reads off directly: an unbatched stream pays one router lookup (and,
+// on a sharded tree with atomic range queries or rebalancing, one
+// monitor admission) per operation, so GroupOps/RouterLookups and
+// GroupOps/MonitorBrackets are the factors by which batching cut that
+// per-operation overhead.
 type Stats struct {
-	// Flushes counts non-empty buffer flushes, FlushedOps the point
-	// operations they carried (FlushedOps/Flushes is the realized mean
+	// Flushes counts non-empty buffer flushes and BatchedOps the point
+	// operations they carried (BatchedOps/Flushes is the realized mean
 	// batch size).
-	Flushes, FlushedOps uint64
+	Flushes, BatchedOps uint64
 	// SizeFlushes, ExplicitFlushes and RangeFlushes split Flushes by
 	// trigger: the MaxOps threshold, an explicit Flush or Wait, and a
 	// flushing RangeQuery.
 	SizeFlushes, ExplicitFlushes, RangeFlushes uint64
+	// Groups counts the per-shard groups a dict.GroupExecutor executed
+	// flushed batches as and GroupOps the operations they carried
+	// (GroupOps/Groups is the realized per-shard locality); zero unless
+	// the handle is a group executor (a sharded tree's).
+	Groups, GroupOps uint64
+	// RouterLookups counts routing decisions taken by group execution —
+	// one per group under ordered routing, one per operation under hash
+	// routing, which cannot bound a group's owner set — and
+	// MonitorBrackets the monitor admissions it held: one per group on a
+	// monitored dictionary, where unbatched dispatch pays one per op.
+	RouterLookups, MonitorBrackets uint64
+	// Restarts counts group admissions dropped and re-routed because a
+	// live migration swapped the routing table between routing and
+	// admission (the group then executed under the new table, so no
+	// batch ever commits through stale routing).
+	Restarts uint64
 }
 
 // Snapshot returns the current counts. Safe to call while pipelines
 // run (the snapshot is then approximate).
 func (c *Counters) Snapshot() Stats {
 	return Stats{
-		Flushes:         c.flushes.Load(),
-		FlushedOps:      c.flushedOps.Load(),
-		SizeFlushes:     c.sizeF.Load(),
-		ExplicitFlushes: c.explicitF.Load(),
-		RangeFlushes:    c.rangeF.Load(),
+		Flushes:         c.Flushes.Load(),
+		BatchedOps:      c.BatchedOps.Load(),
+		SizeFlushes:     c.SizeFlushes.Load(),
+		ExplicitFlushes: c.ExplicitFlushes.Load(),
+		RangeFlushes:    c.RangeFlushes.Load(),
+		Groups:          c.Groups.Load(),
+		GroupOps:        c.GroupOps.Load(),
+		RouterLookups:   c.RouterLookups.Load(),
+		MonitorBrackets: c.MonitorBrackets.Load(),
+		Restarts:        c.Restarts.Load(),
 	}
 }
 
@@ -166,7 +192,7 @@ func (p *Pipeline) Search(key uint64) *PointPromise {
 func (p *Pipeline) RangeQuery(lo, hi uint64) *RangePromise {
 	pr := newPromise[[]dict.KV](nil)
 	p.mu.Lock()
-	ready := p.flushLocked(&p.ctr.rangeF)
+	ready := p.flushLocked(&p.ctr.RangeFlushes)
 	out := p.h.RangeQuery(lo, hi, nil)
 	p.mu.Unlock()
 	finish(ready)
@@ -179,7 +205,7 @@ func (p *Pipeline) RangeQuery(lo, hi uint64) *RangePromise {
 // no counter moves).
 func (p *Pipeline) Flush() {
 	p.mu.Lock()
-	ready := p.flushLocked(&p.ctr.explicitF)
+	ready := p.flushLocked(&p.ctr.ExplicitFlushes)
 	p.mu.Unlock()
 	finish(ready)
 }
@@ -203,7 +229,7 @@ func (p *Pipeline) add(op dict.BatchOp) *PointPromise {
 	p.slab = p.slab[1:]
 	p.pend = append(p.pend, pending{op: op, pr: pr})
 	if len(p.pend) >= p.cfg.MaxOps {
-		ready := p.flushLocked(&p.ctr.sizeF)
+		ready := p.flushLocked(&p.ctr.SizeFlushes)
 		p.mu.Unlock()
 		finish(ready)
 		return pr
@@ -255,8 +281,8 @@ func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
 		ready[i].op = ops[i]
 	}
 	p.ops = ops[:0]
-	p.ctr.flushes.Add(1)
-	p.ctr.flushedOps.Add(uint64(len(ready)))
+	p.ctr.Flushes.Add(1)
+	p.ctr.BatchedOps.Add(uint64(len(ready)))
 	cause.Add(1)
 	return ready
 }

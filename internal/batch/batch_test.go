@@ -108,7 +108,7 @@ func TestSizeThresholdFlush(t *testing.T) {
 		}
 	}
 	st := ctr.Snapshot()
-	if st.SizeFlushes != 1 || st.Flushes != 1 || st.FlushedOps != 4 {
+	if st.SizeFlushes != 1 || st.Flushes != 1 || st.BatchedOps != 4 {
 		t.Fatalf("counters after threshold flush: %+v", st)
 	}
 }

@@ -156,19 +156,12 @@ func New(cfg Config) *Tree {
 	return t
 }
 
-// TM exposes the tree's transactional memory (for statistics).
-func (t *Tree) TM() *htm.TM { return t.tm }
-
 // Engine exposes the tree's execution engine (for statistics).
 func (t *Tree) Engine() *engine.Engine { return t.eng }
 
-// OpStats returns per-path operation completion counts
+// OpStats returns the engine's statistics snapshot
 // (engine.StatsSource).
 func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
-
-// HTMStats returns per-path transaction commit/abort counts
-// (engine.StatsSource).
-func (t *Tree) HTMStats() htm.Stats { return t.tm.Stats() }
 
 // Handle is a per-thread handle to the tree. Operation arguments and
 // results travel through the handle's scratch fields so the engine op

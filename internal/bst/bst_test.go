@@ -379,8 +379,7 @@ func TestHeavyWorkloadUsesFallback(t *testing.T) {
 		t.Fatalf("large RQ completed on an HTM path (fallback %d -> %d); "+
 			"capacity model not effective", before.Fallback, after.Fallback)
 	}
-	hs := tr.TM().Stats()
-	if hs.Aborts[htm.PathFast][htm.CauseCapacity] == 0 {
+	if after.Aborts[htm.PathFast][htm.CauseCapacity] == 0 {
 		t.Fatal("no capacity abort recorded for the oversized range query")
 	}
 }

@@ -101,11 +101,8 @@ func New(cfg Config) *Tree {
 	}
 }
 
-// OpStats returns per-path operation completions (engine.StatsSource).
+// OpStats returns the engine's statistics snapshot (engine.StatsSource).
 func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
-
-// HTMStats returns transaction statistics (engine.StatsSource).
-func (t *Tree) HTMStats() htm.Stats { return t.tm.Stats() }
 
 // Handle is a per-goroutine handle.
 type Handle struct {

@@ -175,10 +175,10 @@ type Config struct {
 	// plan references; one shared *fault.Plan arms a whole structure.
 	Faults *fault.Plan
 	// Obs, when non-nil, attaches this engine to a live observability
-	// domain (see obs.go in this package): New registers the metric
-	// families that read the per-thread counters, and every NewThread
-	// gains a flight-recorder thread with sampled latency capture,
-	// runtime/trace op regions, and abort/help/acquire events.
+	// domain's flight recorder: every NewThread gains a recorder thread
+	// with sampled latency capture, runtime/trace op regions, and
+	// abort/help/acquire events. (The metric families that read Stats are
+	// registered by the public package.)
 	Obs *obs.Node
 }
 
@@ -234,9 +234,6 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	e.cfg.Indicator.Bind(clk)
 	if e.cfg.Monitor != nil {
 		e.cfg.Monitor.Bind(clk)
-	}
-	if e.cfg.Obs != nil {
-		e.registerObs(e.cfg.Obs)
 	}
 	return e
 }
@@ -381,20 +378,22 @@ func (th *Thread) Immediate(p htm.PathKind) bool {
 // reclamation context; it reaches the pool after two epochs.
 func (th *Thread) Retire(x any) { th.rec.Retire(x) }
 
-// AbortCounts breaks failed transactional attempts down by execution
-// path and abort cause (path index 0 is unused, as in htm.Stats, whose
-// per-thread counters these are: the TM counts an attempt where it
-// fails, and the engine keeps no second ledger of the same event).
-// Under scx-htm that includes the standalone SCX transactions' aborts.
-type AbortCounts [htm.NumPaths][htm.NumCauses]uint64
+// PathCounts counts events per execution path.
+type PathCounts struct {
+	Fast, Middle, Fallback uint64
+}
 
-// Merge adds another snapshot into a.
-func (a *AbortCounts) Merge(o AbortCounts) {
-	for p := 0; p < htm.NumPaths; p++ {
-		for c := 0; c < htm.NumCauses; c++ {
-			a[p][c] += o[p][c]
-		}
-	}
+// Total sums the three paths.
+func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
+
+// AggregateStats counts aggregate-query executions by answer path.
+type AggregateStats struct {
+	// Fast counts queries answered by the O(log n) transactional descent
+	// over maintained subtree aggregates, Walk the queries that fell back
+	// to the LLX-validated leaf walk (fallback-path or TLE-locked
+	// executions). Always zero on a BST, whose RangeAgg walks the range
+	// without touching either counter.
+	Fast, Walk uint64
 }
 
 // ReclaimStats is the state of an engine's reclamation domain: how many
@@ -416,55 +415,58 @@ func (r *ReclaimStats) Merge(o ReclaimStats) {
 }
 
 // StatsSource is implemented by the data structures that expose their
-// engine and HTM statistics: what the public Stats, the shard layer's
-// sums and the paper's Figure 16 and Section 7.2 tables read.
+// statistics: what the public Stats, the shard layer's sums and the
+// paper's Figure 16 and Section 7.2 tables read.
 type StatsSource interface {
 	OpStats() OpStats
-	HTMStats() htm.Stats
 }
 
-// OpStats counts operation completions per execution path, failed
-// transactional attempts per path and cause, retry actions, and
-// fallback critical-section acquisitions (classic TLE lock takes and
-// helpable descriptors driven to completion by their owner), and
-// carries the reclamation domain's gauges.
+// OpStats is the one statistics snapshot below the shard layer: the
+// TM's transaction commits and failed attempts per path and cause
+// (htm.Stats — the TM counts an attempt where it fails, and the engine
+// keeps no second ledger of the same event; under scx-htm that includes
+// the standalone SCX transactions' aborts), operation completions per
+// path, retry actions, fallback critical-section acquisitions (classic
+// TLE lock takes and helpable descriptors driven to completion by their
+// owner), the update monitor's completed quiesces, the (a,b)-tree's
+// aggregate answers (filled in by the tree, which counts them), and the
+// reclamation domain's gauges.
 type OpStats struct {
-	Fast     uint64
-	Middle   uint64
-	Fallback uint64
-	Aborts   AbortCounts
-	Policy   PolicyStats
-	Reclaim  ReclaimStats
-
+	htm.Stats
+	PathCounts
+	Policy               PolicyStats
+	Reclaim              ReclaimStats
 	FallbackAcquisitions uint64
+	Quiesces             uint64
+	Aggregate            AggregateStats
 }
-
-// Total returns the total number of completed operations.
-func (s OpStats) Total() uint64 { return s.Fast + s.Middle + s.Fallback }
 
 // Merge adds another snapshot into s (the shard layer's aggregation).
 func (s *OpStats) Merge(o OpStats) {
+	s.Stats.Merge(o.Stats)
 	s.Fast += o.Fast
 	s.Middle += o.Middle
 	s.Fallback += o.Fallback
-	s.Aborts.Merge(o.Aborts)
 	s.Policy.Merge(o.Policy)
 	s.Reclaim.Merge(o.Reclaim)
 	s.FallbackAcquisitions += o.FallbackAcquisitions
+	s.Quiesces += o.Quiesces
+	s.Aggregate.Fast += o.Aggregate.Fast
+	s.Aggregate.Walk += o.Aggregate.Walk
 }
 
-// Stats sums the per-path operation completions, per-cause abort counts
-// and policy actions over all threads. Safe to call while threads run
+// Stats sums the per-thread counters — the TM's and the engine's — over
+// all threads and reads the monitor's. Safe to call while threads run
 // (the snapshot is then approximate).
 func (e *Engine) Stats() OpStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	var s OpStats
 	for _, th := range e.threads {
+		s.Stats.Merge(th.H.Stats())
 		s.Fast += atomic.LoadUint64(&th.ops[htm.PathFast])
 		s.Middle += atomic.LoadUint64(&th.ops[htm.PathMiddle])
 		s.Fallback += atomic.LoadUint64(&th.ops[htm.PathFallback])
-		s.Aborts.Merge(th.H.Stats().Aborts)
 		s.Policy.addAtomic(&th.polstats)
 		s.FallbackAcquisitions += atomic.LoadUint64(&th.fallbackAcq)
 		if th.rec != nil {
@@ -472,6 +474,9 @@ func (e *Engine) Stats() OpStats {
 			s.Reclaim.Merge(ReclaimStats{Limbo: uint64(th.rec.Limbo()),
 				PooledImmediate: uint64(im), PooledGrace: uint64(gr), PooledInner: uint64(in)})
 		}
+	}
+	if mon := e.cfg.Monitor; mon != nil {
+		s.Quiesces = mon.Quiesces()
 	}
 	return s
 }
@@ -858,7 +863,11 @@ func (th *Thread) fallbackIdle() bool { return !th.eng.cfg.Indicator.Nonzero(nil
 //     path — transient events say nothing about the attempt's odds;
 //   - conflict: retry after a randomized backoff drawn from a bounded
 //     exponentially growing window — the losers of a conflict spread
-//     out instead of re-colliding on the same cache lines;
+//     out instead of re-colliding on the same cache lines — and, when
+//     the attempt lost to a commit still in flight, after that commit
+//     (htm.Abort.AwaitCommit: a committer descheduled mid-commit would
+//     otherwise use up the budget and send the operation to the
+//     fallback path, where it waits for the same commit holding F);
 //   - explicit: retry, consuming budget (logical retries are the
 //     structure's business; a busy software path that showed up inside
 //     the attempt is ready's to deal with before the next).
@@ -889,6 +898,7 @@ func (th *Thread) runPath(site *Site, path htm.PathKind, budget int,
 			}
 		case htm.CauseConflict:
 			atomic.AddUint64(&th.polstats.Backoffs, 1)
+			ab.AwaitCommit()
 			backoffSpin(site.conflictBackoff(used))
 		}
 		used++

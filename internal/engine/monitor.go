@@ -71,7 +71,7 @@ type UpdateMonitor struct {
 	// shard. Readers Arrive/Depart; updaters wait while it is nonzero.
 	gate Indicator
 	// quiesces counts completed Quiesce calls (escalated readers and
-	// migrations); the observability layer reads it at scrape time.
+	// migrations), reported as OpStats.Quiesces of the engine it serves.
 	quiesces atomic.Uint64
 }
 

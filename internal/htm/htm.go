@@ -180,7 +180,6 @@ func (tm *TM) NewThread() *Thread {
 	defer tm.mu.Unlock()
 	th := &Thread{
 		tm:     tm,
-		id:     len(tm.threads),
 		rng:    tm.cfg.Seed + uint64(len(tm.threads))*0xbf58476d1ce4e5b9 + 1,
 		faults: tm.cfg.Faults,
 	}

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestWordNonTxBasics(t *testing.T) {
@@ -120,6 +121,65 @@ func TestTxConflictWithNonTxWrite(t *testing.T) {
 	if y.Get(nil) != 0 {
 		t.Fatal("aborted write became visible")
 	}
+}
+
+// TestAwaitCommit: an attempt that loses to a commit in flight — at a
+// read, at locking its write set, or at validating its read set — reports
+// the commit's cell, and AwaitCommit returns only once that cell is
+// unlocked. An attempt that lost to a commit already over waits for
+// nothing.
+func TestAwaitCommit(t *testing.T) {
+	t.Parallel()
+	tm := New(Config{})
+	th := tm.NewThread()
+	var x, y, z Word
+	x.Bind(tm.Clock())
+	z.Bind(tm.Clock())
+	for _, c := range []struct {
+		name string
+		body func(tx *Tx, lock func())
+	}{
+		{"read", func(tx *Tx, lock func()) { lock(); x.Get(tx) }},
+		{"write", func(tx *Tx, lock func()) { x.Set(tx, 1); lock() }},
+		{"validate", func(tx *Tx, lock func()) {
+			x.Get(tx)
+			z.Set(nil, z.Get(nil)+1) // another commit: validation is due
+			lock()
+			y.Set(tx, 1)
+		}},
+	} {
+		var unlock func()
+		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+			c.body(tx, func() { unlock = lockWord(t, &x.ver) })
+		})
+		if ok || ab.Cause != CauseConflict || ab.held != &x.ver {
+			unlock()
+			t.Fatalf("%s: ok=%v %+v, want a conflict abort holding x", c.name, ok, ab)
+		}
+		done := make(chan struct{})
+		go func() { ab.AwaitCommit(); close(done) }()
+		select {
+		case <-done:
+			t.Fatalf("%s: AwaitCommit returned while the cell was locked", c.name)
+		case <-time.After(20 * time.Millisecond):
+		}
+		unlock()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: AwaitCommit still waiting after the unlock", c.name)
+		}
+	}
+
+	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+		x.Get(tx)
+		x.Set(nil, 5)
+		y.Set(tx, 1)
+	})
+	if ok || ab.Cause != CauseConflict || ab.held != nil {
+		t.Fatalf("conflict with a finished write: ok=%v %+v, want a conflict abort holding nothing", ok, ab)
+	}
+	ab.AwaitCommit()
 }
 
 func TestTxOpacitySnapshotRead(t *testing.T) {

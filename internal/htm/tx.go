@@ -2,6 +2,7 @@ package htm
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 	"unsafe"
 
@@ -77,6 +78,31 @@ func (c AbortCause) String() string {
 type Abort struct {
 	Cause AbortCause
 	Code  uint8
+	// held is the version word of the cell a conflict abort found locked
+	// by another thread's commit in flight, nil for every other abort.
+	held *atomic.Uint64
+}
+
+// AwaitCommit returns once the commit a conflict abort collided with, if
+// any, has released the cell it held. A hardware commit is atomic, so a
+// transaction can only ever lose to one that is already over; here a
+// commit holds its write set locked for a few stores, and a committer
+// the OS deschedules in that window holds it for a time slice. A retry
+// loop that waits here before its next attempt spends one attempt per
+// such commit, where retrying at once would spend the whole budget
+// against a lock nobody is running to release, and move its operation
+// to a slower path for nothing. Waiting is safe: the caller holds no
+// cell locked, and a commit, like every non-transactional cell
+// operation, finishes without waiting on anyone once it runs.
+func (a Abort) AwaitCommit() {
+	if a.held == nil {
+		return
+	}
+	for i := 0; a.held.Load()&lockBit != 0; i++ {
+		if i%128 == 127 {
+			runtime.Gosched()
+		}
+	}
 }
 
 // Stats counts transaction outcomes per execution path.
@@ -119,7 +145,6 @@ func (s *Stats) TotalAborts(p PathKind) uint64 {
 // shared between goroutines concurrently.
 type Thread struct {
 	tm    *TM
-	id    int
 	rng   uint64
 	tx    Tx
 	inTx  bool
@@ -133,9 +158,6 @@ type Thread struct {
 	// recover reads it back.
 	ab txAbort
 }
-
-// ID returns the thread's registration index within its TM.
-func (th *Thread) ID() int { return th.id }
 
 // InTx reports whether a transaction of this thread is in flight, for
 // callers that must not run non-transactional code under one.
@@ -227,6 +249,8 @@ type Tx struct {
 	// degrades to the scan, never to a wrong answer.
 	sig  [sigWords]uint64
 	path PathKind
+	// held is the cell whose lock ended the attempt (Abort.held).
+	held *atomic.Uint64
 
 	// Per-access configuration. It is fixed for the life of the thread
 	// (TM.cfg and the fault plan never change), so bind copies it here
@@ -338,6 +362,7 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 			return v
 		}
 		if i >= tx.lockSpin {
+			tx.held = ver
 			tx.abort(CauseConflict)
 		}
 	}
@@ -521,6 +546,7 @@ func (tx *Tx) commit() AbortCause {
 			continue
 		}
 		if !w.kind.isAdd() || !lockForAdd(w.ver) {
+			tx.held = w.ver
 			tx.releaseLocks(i)
 			return CauseConflict
 		}
@@ -537,6 +563,9 @@ func (tx *Tx) commit() AbortCause {
 			}
 			if v == rd.seen|lockBit && tx.ownsLock(rd.ver) {
 				continue
+			}
+			if v&lockBit != 0 {
+				tx.held = rd.ver
 			}
 			tx.releaseLocks(len(tx.writes))
 			return CauseConflict
@@ -586,6 +615,12 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 	tx := &th.tx
 	tx.reset(path)
 	tx.begin()
+	return th.finish(tx, path, fn)
+}
+
+// finish runs the attempt Atomic or AtomicAt set up, counts its outcome
+// and reports it.
+func (th *Thread) finish(tx *Tx, path PathKind, fn func(tx *Tx)) (bool, Abort) {
 	cause, code := th.runTx(tx, fn)
 	th.inTx = false
 	if cause == CauseNone {
@@ -593,7 +628,9 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 		return true, Abort{}
 	}
 	atomic.AddUint64(&th.stats.Aborts[path][cause], 1)
-	return false, Abort{Cause: cause, Code: code}
+	held := tx.held
+	tx.held = nil
+	return false, Abort{Cause: cause, Code: code, held: held}
 }
 
 // AtomicAt is Atomic with the attempt's snapshot chosen by the caller: rv
@@ -621,14 +658,7 @@ func (th *Thread) AtomicAt(path PathKind, rv uint64, fn func(tx *Tx)) (bool, Abo
 	th.inTx = true
 	tx.reset(path)
 	tx.rv = rv
-	cause, code := th.runTx(tx, fn)
-	th.inTx = false
-	if cause == CauseNone {
-		atomic.AddUint64(&th.stats.Commits[path], 1)
-		return true, Abort{}
-	}
-	atomic.AddUint64(&th.stats.Aborts[path][cause], 1)
-	return false, Abort{Cause: cause, Code: code}
+	return th.finish(tx, path, fn)
 }
 
 // runTx executes fn and commit, translating abort panics into a cause.

@@ -47,9 +47,6 @@ func New(cfg htm.Config, attempts int) *TM {
 	return tm
 }
 
-// HTMStats exposes the underlying hardware-transaction statistics.
-func (tm *TM) HTMStats() htm.Stats { return tm.inner.Stats() }
-
 // Thread is a per-goroutine Hybrid NOrec context.
 type Thread struct {
 	tm *TM

@@ -72,11 +72,8 @@ func NewList(cfg ListConfig) *List {
 	}
 }
 
-// OpStats returns per-path operation completions (engine.StatsSource).
+// OpStats returns the engine's statistics snapshot (engine.StatsSource).
 func (l *List) OpStats() engine.OpStats { return l.eng.Stats() }
-
-// HTMStats returns transaction statistics (engine.StatsSource).
-func (l *List) HTMStats() htm.Stats { return l.tm.Stats() }
 
 // ListHandle is a per-goroutine handle.
 type ListHandle struct {

@@ -279,92 +279,3 @@ func TestRaceObservedMigration(t *testing.T) {
 		t.Fatal("migrations ran but no migrate events were recorded")
 	}
 }
-
-// TestScrapeEqualsStats compares the two surfaces the engine's counters
-// are read through: on a quiescent observed tree the scraped
-// htmtree_ops_total, htmtree_policy_actions_total,
-// htmtree_fallback_acquisitions_total and htmtree_reclaim_nodes families
-// — summed over the shard label — must equal Tree.Stats() counter for
-// counter and gauge for gauge. Both trees ran an abort storm first, so
-// the values compared are not all zero: every path and (under TLE) the
-// fallback lock carried load, and removed nodes sit in limbo and in the
-// pools.
-func TestScrapeEqualsStats(t *testing.T) {
-	t.Parallel()
-	for _, tc := range []struct {
-		name string
-		cfg  htmtree.Config
-	}{
-		{"3-path", stormConfig(htmtree.ThreePath, 3, 1)},
-		{"tle-help", stormConfig(htmtree.TLE, 3, 1)},
-	} {
-		for _, shards := range []int{1, 8} {
-			tc, shards := tc, shards
-			t.Run(fmt.Sprintf("%s/x%d", tc.name, shards), func(t *testing.T) {
-				t.Parallel()
-				const keySpan = 256
-				cfg := tc.cfg
-				cfg.HelpableFallback = true // TLE only; ignored by 3-path
-				cfg.Observability = &htmtree.ObsConfig{}
-				cfg.Shards, cfg.ShardKeySpan = shards, keySpan
-				mk := htmtree.NewShardedBST
-				if shards == 1 {
-					mk = htmtree.NewBST
-				}
-				tree, err := mk(cfg)
-				if err != nil {
-					t.Fatal(err)
-				}
-				observedChurn(tree, 4, 600, keySpan)
-
-				st := tree.Stats()
-				snap := tree.Obs().Snapshot()
-				scraped := func(family, label, value string) uint64 {
-					points, ok := snap.Metrics[family]
-					if !ok {
-						t.Fatalf("scrape has no %s family", family)
-					}
-					var n uint64
-					for _, p := range points {
-						if label == "" || p.Labels[label] == value {
-							n += uint64(p.Value)
-						}
-					}
-					return n
-				}
-				wantAcq := uint64(0) // the lock-free fallback takes no lock
-				if cfg.Algorithm == htmtree.TLE {
-					wantAcq = st.Ops.Fallback
-				}
-				for _, c := range []struct {
-					family, label, value string
-					want                 uint64
-				}{
-					{"htmtree_ops_total", "path", "fast", st.Ops.Fast},
-					{"htmtree_ops_total", "path", "middle", st.Ops.Middle},
-					{"htmtree_ops_total", "path", "fallback", st.Ops.Fallback},
-					{"htmtree_policy_actions_total", "action", "backoff", st.Policy.Backoffs},
-					{"htmtree_policy_actions_total", "action", "free_retry", st.Policy.FreeRetries},
-					{"htmtree_policy_actions_total", "action", "capacity_skip", st.Policy.CapacitySkips},
-					{"htmtree_policy_actions_total", "action", "demotion", st.Policy.Demotions},
-					{"htmtree_policy_actions_total", "action", "help", st.Policy.Helps},
-					{"htmtree_fallback_acquisitions_total", "", "", wantAcq},
-					{"htmtree_reclaim_nodes", "state", "limbo", st.Reclaim.Limbo},
-					{"htmtree_reclaim_nodes", "state", "pooled_immediate", st.Reclaim.PooledImmediate},
-					{"htmtree_reclaim_nodes", "state", "pooled_grace", st.Reclaim.PooledGrace},
-					{"htmtree_reclaim_nodes", "state", "pooled_inner", st.Reclaim.PooledInner},
-				} {
-					if got := scraped(c.family, c.label, c.value); got != c.want {
-						t.Errorf("%s{%s=%q} scrapes %d, Stats has %d", c.family, c.label, c.value, got, c.want)
-					}
-				}
-				if st.Ops.Fast == 0 || st.Ops.Fallback == 0 || st.Policy.FreeRetries == 0 {
-					t.Errorf("the storm left counters at zero: %+v %+v", st.Ops, st.Policy)
-				}
-				if rc := st.Reclaim; rc.Limbo+rc.PooledImmediate+rc.PooledGrace+rc.PooledInner == 0 {
-					t.Errorf("the churn left every reclamation gauge at zero: %+v", rc)
-				}
-			})
-		}
-	}
-}

@@ -1,49 +1,16 @@
 package shard
 
 import (
+	"htmtree/internal/batch"
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
 )
 
-// BatchStats counts group-execution activity (dict.GroupExecutor calls
-// from the batching layer). The amortization the batch subsystem exists
-// for is visible directly: Ops/RouterLookups and Ops/MonitorEnters are
-// the factors by which batching cut the per-operation routing and
-// admission overhead — an unbatched stream pays one router lookup (and,
-// on a monitored dictionary, one monitor admission) per op, a batched
-// stream pays one per shard-group.
-type BatchStats struct {
-	// Ops counts point operations executed through batched groups,
-	// Groups the per-shard groups they were executed as (Ops/Groups is
-	// the realized locality).
-	Ops, Groups uint64
-	// RouterLookups counts routing decisions taken while segmenting
-	// groups: one ShardFor+Bounds per group under ordered routing, one
-	// ShardFor per op under hash routing (which cannot bound a group's
-	// owner set).
-	RouterLookups uint64
-	// MonitorEnters counts the monitor admissions group execution held
-	// on a monitored dictionary (Config.Atomic or Config.Rebalance) —
-	// one per group, where unbatched dispatch pays one per op.
-	MonitorEnters uint64
-	// Restarts counts group admissions dropped and re-routed because a
-	// migration swapped the routing table between routing and
-	// admission: the group's operations ran under the new table, so no
-	// batch ever commits through stale routing.
-	Restarts uint64
-}
-
-// BatchStats returns a snapshot of the group-execution counters. Safe
-// to call while operations run (the snapshot is then approximate).
-func (d *Dict) BatchStats() BatchStats {
-	return BatchStats{
-		Ops:           d.batchOps.Load(),
-		Groups:        d.batchGroups.Load(),
-		RouterLookups: d.batchRouterLookups.Load(),
-		MonitorEnters: d.batchMonEnters.Load(),
-		Restarts:      d.batchRestarts.Load(),
-	}
-}
+// BatchCounters returns the counters group execution counts into (the
+// group half of batch.Stats). Pipelines over the dictionary's handles
+// count their flushes there too (batch.Config.Counters), so one Snapshot
+// holds both halves.
+func (d *Dict) BatchCounters() *batch.Counters { return &d.batch }
 
 // ExecGroup implements dict.GroupExecutor: it executes a key-sorted
 // group of point operations with one routing decision per shard segment
@@ -63,7 +30,7 @@ func (h *handle) ExecGroup(ops []dict.BatchOp) {
 		return
 	}
 	d := h.d
-	d.batchOps.Add(uint64(len(ops)))
+	d.batch.GroupOps.Add(uint64(len(ops)))
 
 	rerouted := h.rerouted
 	if r := h.curRouter(); !r.Ordered() {
@@ -72,7 +39,7 @@ func (h *handle) ExecGroup(ops []dict.BatchOp) {
 		h.execGroupOrdered(ops)
 	}
 	if n := h.rerouted - rerouted; n != 0 {
-		d.batchRestarts.Add(n)
+		d.batch.Restarts.Add(n)
 	}
 
 	// Batched operations count toward the rebalancer's evaluation
@@ -104,7 +71,7 @@ func (h *handle) execGroupUnordered(r Router, ops []dict.BatchOp) {
 		s := r.ShardFor(ops[i].Key)
 		h.buckets[s] = append(h.buckets[s], i)
 	}
-	d.batchRouterLookups.Add(uint64(len(ops)))
+	d.batch.RouterLookups.Add(uint64(len(ops)))
 	for _, idx := range h.buckets {
 		if len(idx) == 0 {
 			continue
@@ -127,7 +94,7 @@ func (h *handle) execGroupOrdered(ops []dict.BatchOp) {
 	for i := 0; i < len(ops); {
 		s, r, mon := h.routeUpdate(ops[i].Key)
 		_, hi := r.Bounds(s)
-		h.d.batchRouterLookups.Add(1)
+		h.d.batch.RouterLookups.Add(1)
 		j := i + 1
 		for j < len(ops) && ops[j].Key < hi {
 			j++
@@ -146,7 +113,7 @@ func (h *handle) execGroupOrdered(ops []dict.BatchOp) {
 func (h *handle) endGroup(mon *engine.UpdateMonitor) {
 	if mon != nil {
 		mon.Exit()
-		h.d.batchMonEnters.Add(1)
+		h.d.batch.MonitorBrackets.Add(1)
 	}
-	h.d.batchGroups.Add(1)
+	h.d.batch.Groups.Add(1)
 }

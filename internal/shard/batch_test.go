@@ -68,16 +68,16 @@ func TestExecGroupMatchesPerOpDispatch(t *testing.T) {
 	if err := batched.CheckPartition(); err != nil {
 		t.Fatal(err)
 	}
-	st := batched.BatchStats()
-	if st.Ops != 500 || st.Groups == 0 {
-		t.Fatalf("BatchStats = %+v, want 500 ops in >0 groups", st)
+	st := batched.BatchCounters().Snapshot()
+	if st.GroupOps != 500 || st.Groups == 0 {
+		t.Fatalf("batch counters = %+v, want 500 ops in >0 groups", st)
 	}
 	// Ordered segmentation on a static router: one routing decision per
 	// group and no monitor admissions (the dictionary has no monitors).
 	if st.RouterLookups != st.Groups {
 		t.Fatalf("ordered segmentation took %d lookups for %d groups", st.RouterLookups, st.Groups)
 	}
-	if st.MonitorEnters != 0 || st.Restarts != 0 {
+	if st.MonitorBrackets != 0 || st.Restarts != 0 {
 		t.Fatalf("unmonitored dictionary bracketed monitors: %+v", st)
 	}
 }
@@ -118,8 +118,8 @@ func TestExecGroupHashRouter(t *testing.T) {
 			t.Fatalf("search after same-group insert: (%d,%v)", op.Out, op.OutOK)
 		}
 	}
-	st := d.BatchStats()
-	if st.Ops != 4 || st.RouterLookups != 4 {
+	st := d.BatchCounters().Snapshot()
+	if st.GroupOps != 4 || st.RouterLookups != 4 {
 		t.Fatalf("hash grouping stats = %+v, want per-op lookups", st)
 	}
 	if err := d.CheckPartition(); err != nil {

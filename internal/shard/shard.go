@@ -95,6 +95,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"htmtree/internal/batch"
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
 	"htmtree/internal/fault"
@@ -152,11 +153,10 @@ type Config struct {
 	// Atomic or Rebalance is set, and must then be installed as the
 	// inner engine's Monitor so updates publish their commit points.
 	New func(i int, mon *engine.UpdateMonitor) dict.Dict
-	// Obs, when non-nil, registers the shard layer's metric families
-	// (cross-shard read outcomes, rebalancing activity) and records
-	// quiesce/migration events in the flight recorder. Per-shard engine
-	// metrics are wired separately, through each inner dictionary's
-	// engine.Config.Obs.
+	// Obs, when non-nil, records the shard layer's quiesce and migration
+	// events in a flight-recorder thread of the domain. (The metric
+	// families over RQStats, RebalanceStats and the batch counters are
+	// registered by the public package.)
 	Obs *obs.Node
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane at the shard layer's seams: fault.PointQuiesce fires while
@@ -266,12 +266,8 @@ type Dict struct {
 	rqEscalations atomic.Uint64
 	rqPinned      atomic.Uint64
 
-	// Group-execution counters (see BatchStats in batch.go).
-	batchOps           atomic.Uint64
-	batchGroups        atomic.Uint64
-	batchRouterLookups atomic.Uint64
-	batchMonEnters     atomic.Uint64
-	batchRestarts      atomic.Uint64
+	// batch holds the group-execution counters (BatchCounters).
+	batch batch.Counters
 
 	// checkHandles are reserved for CheckPartition: handle registration
 	// is permanent in the inner trees' engines, so a quiescent checker
@@ -337,7 +333,6 @@ func New(cfg Config) (*Dict, error) {
 	}
 	if cfg.Obs != nil {
 		d.obsRec = cfg.Obs.NewThread()
-		d.registerObs(cfg.Obs)
 	}
 	return d, nil
 }
@@ -347,9 +342,6 @@ func (d *Dict) NumShards() int { return len(d.shards) }
 
 // Shard returns the inner dictionary serving partition i.
 func (d *Dict) Shard(i int) dict.Dict { return d.shards[i] }
-
-// Atomic reports whether cross-shard reads are version-validated.
-func (d *Dict) Atomic() bool { return d.mons != nil }
 
 // Router returns the current routing table. On a rebalancing dictionary
 // the table may be superseded at any time; callers needing a stable
@@ -566,24 +558,13 @@ func (d *Dict) KeySum() (sum, count uint64) {
 	return sum, count
 }
 
-// OpStats aggregates per-path operation counts across shards (shards
-// whose inner dictionary exposes no statistics contribute zero).
+// OpStats sums the inner dictionaries' statistics snapshots (shards
+// whose inner dictionary exposes none contribute zero).
 func (d *Dict) OpStats() engine.OpStats {
 	var agg engine.OpStats
 	for _, s := range d.shards {
 		if sp, ok := s.(engine.StatsSource); ok {
 			agg.Merge(sp.OpStats())
-		}
-	}
-	return agg
-}
-
-// HTMStats aggregates transaction commit/abort counts across shards.
-func (d *Dict) HTMStats() htm.Stats {
-	var agg htm.Stats
-	for _, s := range d.shards {
-		if sp, ok := s.(engine.StatsSource); ok {
-			agg.Merge(sp.HTMStats())
 		}
 	}
 	return agg
@@ -640,7 +621,7 @@ type handle struct {
 	buckets [][]int
 	// rerouted counts the admissions routeUpdate dropped because a
 	// migration swapped the routing table under them; ExecGroup reports
-	// its groups' share as BatchStats.Restarts.
+	// its groups' share as batch.Stats.Restarts.
 	rerouted uint64
 }
 

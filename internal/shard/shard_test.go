@@ -267,13 +267,12 @@ func TestStatsAggregateAcrossShards(t *testing.T) {
 			}
 		}
 	}
-	hs := d.HTMStats()
 	var commits uint64
-	for p := range hs.Commits {
-		commits += hs.Commits[p]
+	for _, n := range ops.Commits {
+		commits += n
 	}
 	if commits == 0 {
-		t.Fatal("aggregated HTMStats recorded no commits")
+		t.Fatal("aggregated OpStats recorded no commits")
 	}
 }
 

@@ -16,7 +16,6 @@ import (
 
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
-	"htmtree/internal/htm"
 	"htmtree/internal/xrand"
 )
 
@@ -67,11 +66,10 @@ type Result struct {
 	UpdateOps, RQOps uint64
 	// Throughput is Ops per second.
 	Throughput float64
-	// PathStats counts operation completions per execution path over the
-	// whole run (including prefill).
+	// PathStats counts operation completions per execution path, and
+	// transaction commits and aborts per path and cause, over the whole
+	// run (including prefill).
 	PathStats engine.OpStats
-	// HTMStats counts transaction commits/aborts per path and cause.
-	HTMStats htm.Stats
 	// KeySumOK reports whether the Section 7.1 checksum validated.
 	KeySumOK bool
 }
@@ -233,7 +231,6 @@ func Run(d dict.Dict, cfg Config) Result {
 
 	if sp, ok := d.(engine.StatsSource); ok {
 		res.PathStats = sp.OpStats()
-		res.HTMStats = sp.HTMStats()
 	}
 	return res
 }
