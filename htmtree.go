@@ -140,19 +140,10 @@ type Config struct {
 	Algorithm Algorithm
 
 	// ReadCapacity and WriteCapacity bound the simulated transactional
-	// footprint (defaults model an Intel-like HTM).
+	// footprint (defaults model an Intel-like HTM; a smaller machine, such
+	// as the POWER8 of the paper's Section 8, is both set lower).
 	ReadCapacity, WriteCapacity int
-	// POWER8Profile selects the much smaller POWER8-like transactional
-	// footprint (Section 8 of the paper) instead.
-	POWER8Profile bool
-	// SpuriousAbortEvery injects a spurious abort with probability
-	// 1/SpuriousAbortEvery per transactional access (0 disables).
-	SpuriousAbortEvery uint64
 
-	// AttemptLimit is the fast-path budget for TLE and the 2-path
-	// algorithms (default 20); FastLimit and MiddleLimit are the 3-path
-	// budgets (default 10 each).
-	AttemptLimit, FastLimit, MiddleLimit int
 	// HelpableFallback replaces the TLE fallback's classic spin lock
 	// with a helpable lock: a fallback operation announces itself as a
 	// descriptor before taking the lock word, and any thread that finds
@@ -163,7 +154,8 @@ type Config struct {
 	HelpableFallback bool
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane (NewFaultPlan) across every layer of the tree: forced
-	// transactional aborts, fallback-owner stalls and permanent owner
+	// transactional aborts (FaultTxAccess, spurious unless the rule
+	// names another cause), fallback-owner stalls and permanent owner
 	// death, quiesce and migration interruptions, reclamation pin
 	// stalls, aggregate-seqlock writer stalls, and batch flush delays.
 	// One plan may be shared by several trees; its per-point counters
@@ -362,22 +354,14 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 			return 0, hcfg, ecfg, fmt.Errorf("htmtree: unknown algorithm %q", c.Algorithm)
 		}
 	}
-	readCap, writeCap := htm.DefaultReadCapacity, htm.DefaultWriteCapacity
-	if c.POWER8Profile {
-		p := htm.POWER8Config()
-		readCap, writeCap = p.ReadCapacity, p.WriteCapacity
-	}
 	// Only zero selects a default below this layer: a negative capacity
-	// or budget would build a tree that never commits a transaction.
+	// would build a tree that never commits a transaction.
 	for _, k := range []struct {
 		name   string
 		v, def int
 	}{
-		{"ReadCapacity", c.ReadCapacity, readCap},
-		{"WriteCapacity", c.WriteCapacity, writeCap},
-		{"AttemptLimit", c.AttemptLimit, engine.DefaultAttemptLimit},
-		{"FastLimit", c.FastLimit, engine.DefaultFastLimit},
-		{"MiddleLimit", c.MiddleLimit, engine.DefaultMiddleLimit},
+		{"ReadCapacity", c.ReadCapacity, htm.DefaultReadCapacity},
+		{"WriteCapacity", c.WriteCapacity, htm.DefaultWriteCapacity},
 		{"BatchMaxOps", c.BatchMaxOps, batch.DefaultMaxOps},
 	} {
 		if k.v < 0 {
@@ -390,22 +374,12 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 			return 0, hcfg, ecfg, fmt.Errorf("htmtree: %w", err)
 		}
 	}
-	if c.ReadCapacity != 0 {
-		readCap = c.ReadCapacity
-	}
-	if c.WriteCapacity != 0 {
-		writeCap = c.WriteCapacity
-	}
 	hcfg = htm.Config{
-		ReadCapacity:  readCap,
-		WriteCapacity: writeCap,
-		SpuriousEvery: c.SpuriousAbortEvery,
+		ReadCapacity:  c.ReadCapacity,
+		WriteCapacity: c.WriteCapacity,
 		Faults:        c.Faults,
 	}
 	ecfg = engine.Config{
-		AttemptLimit:     c.AttemptLimit,
-		FastLimit:        c.FastLimit,
-		MiddleLimit:      c.MiddleLimit,
 		HelpableFallback: c.HelpableFallback,
 		Faults:           c.Faults,
 	}

@@ -373,8 +373,8 @@ func TestBatchAmortizationCounts(t *testing.T) {
 }
 
 // TestConstructorsRejectNegativeKnobs: only zero selects a default, so a
-// negative capacity or attempt budget — which would build a tree that
-// silently never commits a transaction — is a constructor error naming
+// negative capacity — which would build a tree that silently never
+// commits a transaction — or batch size is a constructor error naming
 // the field, on every constructor.
 func TestConstructorsRejectNegativeKnobs(t *testing.T) {
 	t.Parallel()
@@ -384,10 +384,7 @@ func TestConstructorsRejectNegativeKnobs(t *testing.T) {
 	}
 	for field, cfg := range map[string]htmtree.Config{
 		"ReadCapacity":  {ReadCapacity: -1},
-		"WriteCapacity": {WriteCapacity: -1, POWER8Profile: true},
-		"AttemptLimit":  {AttemptLimit: -1, Algorithm: htmtree.TLE},
-		"FastLimit":     {FastLimit: -1},
-		"MiddleLimit":   {MiddleLimit: -7},
+		"WriteCapacity": {WriteCapacity: -1},
 		"BatchMaxOps":   {BatchMaxOps: -1},
 	} {
 		for name, mk := range ctors {
@@ -420,17 +417,6 @@ var configVerdicts = map[string][]evidence{
 		{"internal/bst/footprint_test.go", []string{"TestTransactionalFootprint"}}},
 	"Config.WriteCapacity": {{"internal/abtree/footprint_test.go", []string{"TestFastPathFootprint"}},
 		{"internal/bst/footprint_test.go", []string{"TestTransactionalFootprint"}}},
-	// Deferred, not told apart: ROADMAP item F's capacity sweep was
-	// promised the decision.
-	"Config.POWER8Profile": {{"ROADMAP.md", []string{"POWER8Profile"}}},
-	"Config.SpuriousAbortEvery": {{"internal/engine/policy_test.go", []string{"TestAdaptiveSpuriousFreeRetries"}},
-		{"internal/modelcheck/chaos_test.go", []string{"TestChaosAbortStormDifferential"}}},
-	"Config.AttemptLimit": {{"internal/modelcheck/modes_test.go", []string{"TestEveryBodyModeAgreesWithModel"}},
-		{"internal/engine/policy_test.go", []string{"TestAdaptiveConflictBackoff"}}},
-	"Config.FastLimit": {{"internal/modelcheck/modes_test.go", []string{"TestEveryBodyModeAgreesWithModel"}},
-		{"internal/engine/policy_test.go", []string{"TestAdaptiveSpuriousFreeRetries"}}},
-	"Config.MiddleLimit": {{"internal/modelcheck/modes_test.go", []string{"TestEveryBodyModeAgreesWithModel"}},
-		{"internal/engine/policy_test.go", []string{"TestAdaptiveSpuriousFreeRetries"}}},
 	"Config.HelpableFallback": {{"BENCHMARK.json", []string{"abtree.tle-help_ns", "bst.tle-help_ns"}},
 		{"internal/abtree/help_test.go", []string{"TestHelpableOwnerDeath"}},
 		{"internal/bst/help_test.go", []string{"TestHelpableOwnerDeath"}}},

@@ -248,7 +248,7 @@ func TestConcurrentKeySumWithSpuriousAborts(t *testing.T) {
 	t.Parallel()
 	testConcurrentKeySum(t, Config{
 		Algorithm: engine.AlgThreePath,
-		HTM:       htm.Config{SpuriousEvery: 50},
+		HTM:       txAborts(50, htm.CauseSpurious),
 	}, 4, 2000, 128)
 }
 
@@ -355,10 +355,11 @@ func TestConcurrentRangeQueries(t *testing.T) {
 }
 
 // TestHeavyWorkloadUsesFallback: oversized range queries must overflow
-// the HTM capacity and complete on the fallback path.
+// the HTM capacity — here a POWER8-sized one, 64 lines of 8 words — and
+// complete on the fallback path.
 func TestHeavyWorkloadUsesFallback(t *testing.T) {
 	t.Parallel()
-	tr := New(Config{Algorithm: engine.AlgThreePath, HTM: htm.POWER8Config()})
+	tr := New(Config{Algorithm: engine.AlgThreePath, HTM: htm.Config{ReadCapacity: 512, WriteCapacity: 512}})
 	h := tr.NewHandle()
 	for k := uint64(1); k <= 3000; k++ {
 		h.Insert(k, k)

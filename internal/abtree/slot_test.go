@@ -52,13 +52,13 @@ func TestNoTornSlots(t *testing.T) {
 		// Occasional spurious aborts push operations off the fast path, so
 		// in-place edits, node replacement and the fallback interleave.
 		variants = append(variants, variant{alg.String(), Config{
-			Algorithm: alg, HTM: htm.Config{SpuriousEvery: 60},
+			Algorithm: alg, HTM: txAborts(60, htm.CauseSpurious),
 		}})
 	}
 	variants = append(variants, variant{"tle-helpable", Config{
 		Algorithm: engine.AlgTLE,
-		HTM:       htm.Config{SpuriousEvery: 40},
-		Engine:    engine.Config{HelpableFallback: true, AttemptLimit: 2},
+		HTM:       txAborts(40, htm.CauseSpurious),
+		Engine:    engine.Config{HelpableFallback: true},
 	}})
 	for _, v := range variants {
 		v := v

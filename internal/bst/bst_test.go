@@ -244,7 +244,7 @@ func TestConcurrentKeySumWithSpuriousAborts(t *testing.T) {
 	// paths, exercising cross-path interleavings.
 	testConcurrentKeySum(t, Config{
 		Algorithm: engine.AlgThreePath,
-		HTM:       htm.Config{SpuriousEvery: 50},
+		HTM:       txAborts(50, htm.CauseSpurious),
 	}, 4, 3000, 64)
 }
 
@@ -363,7 +363,8 @@ func TestHeavyWorkloadUsesFallback(t *testing.T) {
 	t.Parallel()
 	tr := New(Config{
 		Algorithm: engine.AlgThreePath,
-		HTM:       htm.POWER8Config(),
+		// A POWER8-sized footprint: 64 lines of 8 words.
+		HTM: htm.Config{ReadCapacity: 512, WriteCapacity: 512},
 	})
 	h := tr.NewHandle()
 	for k := uint64(1); k <= 2000; k++ {

@@ -25,17 +25,28 @@ func (p *helpHook) point() {
 
 func (p *helpHook) arm(f func()) { p.fn.Store(f) }
 
+// txAborts is a TM configuration whose transactional accesses abort
+// with the given cause: every access when every is 1, each with
+// probability 1/every otherwise.
+func txAborts(every int, cause htm.AbortCause) htm.Config {
+	r := fault.Rule{Point: fault.PointTxAccess, Cause: uint8(cause)}
+	if every == 1 {
+		r.Every = 1
+	} else {
+		r.Prob = 1 / float64(every)
+	}
+	return htm.Config{Faults: fault.New(uint64(every), r)}
+}
+
 // helpableConfig returns a TLE configuration whose fast path can never
-// commit (every transactional access aborts spuriously), so every
-// update reaches the helpable fallback deterministically.
+// commit (every transactional access aborts, by capacity, which ends the
+// path's attempts at once), so every update reaches the helpable
+// fallback deterministically.
 func helpableConfig(hook *helpHook) Config {
 	cfg := Config{
 		Algorithm: engine.AlgTLE,
-		HTM:       htm.Config{SpuriousEvery: 1},
-		Engine: engine.Config{
-			HelpableFallback: true,
-			AttemptLimit:     1,
-		},
+		HTM:       txAborts(1, htm.CauseCapacity),
+		Engine:    engine.Config{HelpableFallback: true},
 	}
 	if hook != nil {
 		cfg.Engine.Faults = fault.New(0, fault.Rule{
@@ -263,8 +274,8 @@ func TestHelpableConcurrentKeySumMixed(t *testing.T) {
 	t.Parallel()
 	testConcurrentKeySum(t, Config{
 		Algorithm: engine.AlgTLE,
-		HTM:       htm.Config{SpuriousEvery: 40},
-		Engine:    engine.Config{HelpableFallback: true, AttemptLimit: 2},
+		HTM:       txAborts(40, htm.CauseSpurious),
+		Engine:    engine.Config{HelpableFallback: true},
 	}, 4, 3000, 64)
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"htmtree/internal/engine"
+	"htmtree/internal/fault"
 	"htmtree/internal/htm"
 )
 
@@ -205,7 +206,8 @@ func TestForcedFallbackSynchronize(t *testing.T) {
 	t.Parallel()
 	// Every transaction aborts: deletes run the full CITRUS fallback
 	// protocol including rcu.Synchronize, concurrently.
-	tr := New(Config{Algorithm: engine.AlgThreePath, HTM: htm.Config{SpuriousEvery: 1}})
+	tr := New(Config{Algorithm: engine.AlgThreePath,
+		HTM: htm.Config{Faults: fault.New(0, fault.Rule{Point: fault.PointTxAccess, Every: 1})}})
 	const goroutines = 4
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

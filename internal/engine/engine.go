@@ -95,13 +95,11 @@ const (
 	CodeLockHeld uint8 = 0x03
 )
 
-// Default attempt budgets (paper Section 7: 20 attempts for the 2-path
-// algorithms and TLE, 10 + 10 for 3-path).
-const (
-	DefaultAttemptLimit = 20
-	DefaultFastLimit    = 10
-	DefaultMiddleLimit  = 10
-)
+// attemptBudget is the paper's fixed attempt budget (Section 7): 20
+// attempts on the first path of TLE, the 2-path algorithms and scx-htm,
+// and for a 3-path operation with one transactional body; a 3-path
+// update splits it in half, 10 on the fast path and 10 on the middle.
+const attemptBudget = 20
 
 // Indicator abstracts the fallback-presence counter F. The paper notes a
 // fetch-and-increment object suffices; that is the one implementation
@@ -139,12 +137,6 @@ func (c *counterIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 type Config struct {
 	// Algorithm selects the template implementation. Required.
 	Algorithm Algorithm
-	// AttemptLimit is the fast-path budget for TLE and the 2-path
-	// algorithms (default 20).
-	AttemptLimit int
-	// FastLimit and MiddleLimit are the 3-path budgets (default 10 each).
-	FastLimit   int
-	MiddleLimit int
 	// Indicator overrides the fallback-presence indicator (default: a
 	// fetch-and-increment counter); tests supply their own to arrive on
 	// it from outside an operation.
@@ -183,15 +175,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.AttemptLimit == 0 {
-		c.AttemptLimit = DefaultAttemptLimit
-	}
-	if c.FastLimit == 0 {
-		c.FastLimit = DefaultFastLimit
-	}
-	if c.MiddleLimit == 0 {
-		c.MiddleLimit = DefaultMiddleLimit
-	}
 	if c.Indicator == nil {
 		c.Indicator = &counterIndicator{}
 	}
@@ -199,8 +182,13 @@ func (c Config) withDefaults() Config {
 }
 
 // Engine executes operations according to one of the template
-// algorithms.
+// algorithms. Every operation of every thread reads cfg, so a cache line
+// of padding at each end keeps it off the lines of whatever the
+// allocator places beside the engine: unpadded, ab-update's throughput
+// moved by up to 9 % (2 vCPUs) with the size class Config's length put
+// the engine in.
 type Engine struct {
+	_   [64]byte
 	cfg Config
 	// tle is the TLE global lock word: 0 free, 1 held by a classic
 	// locked operation, ≥ 2 held for the helpable descriptor of that
@@ -216,6 +204,7 @@ type Engine struct {
 
 	mu      sync.Mutex
 	threads []*Thread
+	_       [64]byte
 }
 
 // New creates an engine bound to the version clock of the TM whose
@@ -502,8 +491,8 @@ type Op struct {
 	// transactional body, safe beside fallback-path SCXs as it stands.
 	// 2-path-con runs it as its first path; 3-path runs it on one
 	// transactional path — without the fallback-presence subscription,
-	// which is all its middle path would have been, for FastLimit +
-	// MiddleLimit attempts — and goes from there to the fallback path.
+	// which is all its middle path would have been, for both paths'
+	// attempts — and goes from there to the fallback path.
 	Middle func(tx *htm.Tx)
 	// Fallback is the original lock-free template body (LLXO/SCXO). It
 	// returns false to request a retry.
@@ -648,7 +637,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// fallback path, so no presence indicator is needed.
 		site := op.policySite(th)
 		if !th.skipFast(site) &&
-			th.runPath(site, htm.PathFast, e.cfg.AttemptLimit, nil, first) {
+			th.runPath(site, htm.PathFast, attemptBudget, nil, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
@@ -660,7 +649,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		site := op.policySite(th)
 		// Wait for the fallback path to empty before each attempt (this
 		// waiting is the 2-path-ncon bottleneck the paper highlights).
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit,
+		if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget,
 			func() bool { waitWhile(func() bool { return ind.Nonzero(nil) }); return true }, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
@@ -677,7 +666,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 			// it is on any path, so a capacity abort — or the site's
 			// memory of one — sends the operation to the software path.
 			if !th.skipFast(site) &&
-				th.runPath(site, htm.PathFast, e.cfg.FastLimit+e.cfg.MiddleLimit, nil, first) {
+				th.runPath(site, htm.PathFast, attemptBudget, nil, first) {
 				th.completed(htm.PathFast)
 				return htm.PathFast
 			}
@@ -687,16 +676,16 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// Fast path: move to the middle path when runPath gives up on the
 		// path (a capacity abort — the transaction cannot fit; hardware
 		// reports this via the "retry" hint bit being clear), when the
-		// fallback path is busy, or after FastLimit attempts. Busy is
+		// fallback path is busy, or after its half of the budget. Busy is
 		// looked up before each attempt begins, outside it: the
 		// subscription inside (firstBody) is what makes the fast path
 		// safe, but a transaction begun only to find F non-zero there is
 		// an abort the operation need not pay for.
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.FastLimit, th.fallbackIdle, first) {
+		if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget/2, th.fallbackIdle, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
-		if th.runPath(site, htm.PathMiddle, e.cfg.MiddleLimit, nil, op.Middle) {
+		if th.runPath(site, htm.PathMiddle, attemptBudget/2, nil, op.Middle) {
 			th.completed(htm.PathMiddle)
 			return htm.PathMiddle
 		}
@@ -715,7 +704,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 		if body == nil {
 			body = func(bool) bool { return op.Fallback() }
 		}
-		for i := 0; i < e.cfg.AttemptLimit; i++ {
+		for i := 0; i < attemptBudget; i++ {
 			if body(true) {
 				th.completed(htm.PathFast)
 				return htm.PathFast
@@ -733,7 +722,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 
 // runTLE implements transactional lock elision: the fast path subscribes
 // to the global lock and aborts while it is held; when the retry policy
-// exhausts the AttemptLimit budget the operation acquires the lock and
+// exhausts the attempt budget the operation acquires the lock and
 // runs the sequential body. Classic TLE is deadlock-free but not
 // lock-free; with Config.HelpableFallback, update operations instead
 // announce a descriptor and run the helpable lock-free lock protocol
@@ -747,7 +736,7 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 	if helpable {
 		lockFree = func() bool { th.helpWait(); return true }
 	}
-	if !th.skipFast(site) && th.runPath(site, htm.PathFast, e.cfg.AttemptLimit,
+	if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget,
 		lockFree, func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
 		th.completed(htm.PathFast)
 		return htm.PathFast

@@ -8,6 +8,7 @@ import (
 	"unsafe"
 
 	"htmtree/internal/dict"
+	"htmtree/internal/fault"
 	"htmtree/internal/htm"
 	"htmtree/internal/obs"
 )
@@ -28,6 +29,12 @@ func counterOp(c *htm.Word) Op {
 			return c.CAS(nil, v, v+1)
 		},
 	}
+}
+
+// abortEveryAccess is a TM configuration whose every transactional
+// access aborts spuriously.
+func abortEveryAccess() htm.Config {
+	return htm.Config{Faults: fault.New(1, fault.Rule{Point: fault.PointTxAccess, Every: 1})}
 }
 
 func newEngineThread(t *testing.T, htmCfg htm.Config, engCfg Config) (*Engine, *Thread, *htm.Clock) {
@@ -106,13 +113,13 @@ func TestFastPathPreferred(t *testing.T) {
 
 func TestAllAbortsForceFallback(t *testing.T) {
 	t.Parallel()
-	// SpuriousEvery=1 makes every transactional access abort, so every
+	// An abort injected at every transactional access, so every
 	// algorithm with a software path must complete there.
 	for _, alg := range []Algorithm{AlgTLE, AlgTwoPathConc, AlgTwoPathNCon, AlgThreePath} {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			_, th, clk := newEngineThread(t, htm.Config{SpuriousEvery: 1}, Config{Algorithm: alg})
+			_, th, clk := newEngineThread(t, abortEveryAccess(), Config{Algorithm: alg})
 			var c htm.Word
 			c.Bind(clk)
 			if p := th.Run(counterOp(&c)); p != htm.PathFallback {
@@ -306,7 +313,7 @@ func TestTLEMutualExclusion(t *testing.T) {
 	// operations run under the lock (per-TM clocks require one engine to
 	// serve one TM, so the old per-thread spurious-abort trick is out).
 	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgTLE, AttemptLimit: 2}, tm.Clock())
+	e := New(Config{Algorithm: AlgTLE}, tm.Clock())
 	var inLocked htm.Word
 	var c htm.Word
 	inLocked.Bind(tm.Clock())
@@ -356,7 +363,7 @@ func TestTLEMutualExclusion(t *testing.T) {
 
 func TestSCXHTMBudget(t *testing.T) {
 	t.Parallel()
-	_, th, _ := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM, AttemptLimit: 3})
+	_, th, _ := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})
 	htmCalls, fallbackCalls := 0, 0
 	p := th.Run(Op{SCXHTM: func(useHTM bool) bool {
 		if useHTM {
@@ -369,8 +376,8 @@ func TestSCXHTMBudget(t *testing.T) {
 	if p != htm.PathFallback {
 		t.Fatalf("completed on %v, want fallback", p)
 	}
-	if htmCalls != 3 || fallbackCalls != 2 {
-		t.Fatalf("htmCalls=%d fallbackCalls=%d, want 3 and 2", htmCalls, fallbackCalls)
+	if htmCalls != attemptBudget || fallbackCalls != 2 {
+		t.Fatalf("htmCalls=%d fallbackCalls=%d, want %d and 2", htmCalls, fallbackCalls, attemptBudget)
 	}
 }
 
@@ -510,11 +517,20 @@ func TestPinnedAttemptAccounting(t *testing.T) {
 }
 
 // TestThreadKeepsOffNeighbouringCacheLines: see the ebr test of the same
-// name; the engine thread's per-operation counters need the same room.
+// name; the engine thread's per-operation counters need the same room,
+// and so does the engine's configuration, which every operation reads.
 func TestThreadKeepsOffNeighbouringCacheLines(t *testing.T) {
 	var th Thread
-	first, end := unsafe.Offsetof(th.H), unsafe.Offsetof(th.helpExec)+unsafe.Sizeof(th.helpExec)
-	if first < 64 || unsafe.Sizeof(th)-end < 64 {
-		t.Fatalf("fields span bytes %d..%d of %d: want 64 bytes of padding at each end", first, end, unsafe.Sizeof(th))
+	var e Engine
+	for _, c := range []struct {
+		name             string
+		first, end, size uintptr
+	}{
+		{"Thread", unsafe.Offsetof(th.H), unsafe.Offsetof(th.helpExec) + unsafe.Sizeof(th.helpExec), unsafe.Sizeof(th)},
+		{"Engine", unsafe.Offsetof(e.cfg), unsafe.Offsetof(e.threads) + unsafe.Sizeof(e.threads), unsafe.Sizeof(e)},
+	} {
+		if c.first < 64 || c.size-c.end < 64 {
+			t.Fatalf("%s fields span bytes %d..%d of %d: want 64 bytes of padding at each end", c.name, c.first, c.end, c.size)
+		}
 	}
 }

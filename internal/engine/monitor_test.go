@@ -136,10 +136,12 @@ func TestNilLockedAndSCXHTMBodies(t *testing.T) {
 		t.Fatalf("nil Locked: version counter = %d after an update inside the non-tx bracket, want 0", v)
 	}
 
-	_, th, _ = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM, AttemptLimit: 3})
+	_, th, _ = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})
 	calls := 0
-	p = th.Run(Op{Fallback: func() bool { calls++; return calls == 5 }})
-	if p != htm.PathFallback || calls != 5 {
-		t.Fatalf("nil SCXHTM: completed on %v after %d Fallback calls, want fallback after 5 (3 budgeted + 2)", p, calls)
+	const want = attemptBudget + 2
+	p = th.Run(Op{Fallback: func() bool { calls++; return calls == want }})
+	if p != htm.PathFallback || calls != want {
+		t.Fatalf("nil SCXHTM: completed on %v after %d Fallback calls, want fallback after %d (%d budgeted + 2)",
+			p, calls, want, attemptBudget)
 	}
 }

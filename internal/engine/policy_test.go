@@ -20,7 +20,7 @@ func TestTLELockedBodyPanicReleasesLock(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
 	mon := NewUpdateMonitor(&counterIndicator{})
-	e := New(Config{Algorithm: AlgTLE, AttemptLimit: 2, Monitor: mon}, tm.Clock())
+	e := New(Config{Algorithm: AlgTLE, Monitor: mon}, tm.Clock())
 	th := e.NewThread(tm.NewThread())
 	var c htm.Word
 	c.Bind(tm.Clock())
@@ -85,7 +85,7 @@ func TestAbortCauseBuckets(t *testing.T) {
 	}{
 		{
 			name:   "spurious",
-			htmCfg: htm.Config{SpuriousEvery: 1},
+			htmCfg: abortEveryAccess(),
 			mkOp: func(clk *htm.Clock) Op {
 				var c htm.Word
 				c.Bind(clk)
@@ -143,8 +143,7 @@ func TestAbortCauseBuckets(t *testing.T) {
 			t.Run("adaptive/"+tc.name+"/"+alg.String(), func(t *testing.T) {
 				t.Parallel()
 				tm := htm.New(tc.htmCfg)
-				e := New(Config{Algorithm: alg,
-					AttemptLimit: 4, FastLimit: 4, MiddleLimit: 4}, tm.Clock())
+				e := New(Config{Algorithm: alg}, tm.Clock())
 				th := e.NewThread(tm.NewThread())
 				th.Run(tc.mkOp(tm.Clock()))
 				s := e.Stats()
@@ -206,12 +205,12 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 
 // TestAdaptiveSpuriousFreeRetries pins the free-retry accounting: with
 // every access aborting spuriously, each transactional path grants
-// exactly freeRetries budget-exempt attempts on top of its budget.
+// exactly freeRetries budget-exempt attempts on top of its half of the
+// 3-path budget.
 func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 	t.Parallel()
-	tm := htm.New(htm.Config{SpuriousEvery: 1})
-	e := New(Config{Algorithm: AlgThreePath,
-		FastLimit: 4, MiddleLimit: 2}, tm.Clock())
+	tm := htm.New(abortEveryAccess())
+	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
 	th := e.NewThread(tm.NewThread())
 	var c htm.Word
 	c.Bind(tm.Clock())
@@ -219,12 +218,12 @@ func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 		t.Fatalf("completed on %v, want fallback", p)
 	}
 	s := e.Stats()
-	const free = freeRetries
-	if want := uint64(4 + free); s.Aborts[htm.PathFast][htm.CauseSpurious] != want {
+	const free, half = freeRetries, attemptBudget / 2
+	if want := uint64(half + free); s.Aborts[htm.PathFast][htm.CauseSpurious] != want {
 		t.Fatalf("fast spurious aborts = %d, want budget+free = %d",
 			s.Aborts[htm.PathFast][htm.CauseSpurious], want)
 	}
-	if want := uint64(2 + free); s.Aborts[htm.PathMiddle][htm.CauseSpurious] != want {
+	if want := uint64(half + free); s.Aborts[htm.PathMiddle][htm.CauseSpurious] != want {
 		t.Fatalf("middle spurious aborts = %d, want budget+free = %d",
 			s.Aborts[htm.PathMiddle][htm.CauseSpurious], want)
 	}
@@ -238,8 +237,7 @@ func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 func TestAdaptiveConflictBackoff(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgTwoPathConc,
-		AttemptLimit: 4}, tm.Clock())
+	e := New(Config{Algorithm: AlgTwoPathConc}, tm.Clock())
 	th := e.NewThread(tm.NewThread())
 	var c, w htm.Word
 	c.Bind(tm.Clock())
@@ -252,8 +250,8 @@ func TestAdaptiveConflictBackoff(t *testing.T) {
 		t.Fatalf("completed on %v, want fallback", p)
 	}
 	s := e.Stats()
-	if s.Policy.Backoffs != 4 {
-		t.Fatalf("Backoffs = %d, want one per conflict abort (4)", s.Policy.Backoffs)
+	if s.Policy.Backoffs != attemptBudget {
+		t.Fatalf("Backoffs = %d, want one per conflict abort (%d)", s.Policy.Backoffs, attemptBudget)
 	}
 }
 

@@ -17,11 +17,11 @@
 // encounter fires.
 //
 // The package is a leaf: it imports nothing from this repository, so
-// every layer (htm, engine, ebr, shard, abtree, batch, workload) can
-// hold a *Plan. A nil plan is always legal and compiles each
+// every layer that has a seam (htm, engine, ebr, shard, abtree, batch)
+// can hold a *Plan. A nil plan is always legal and compiles each
 // injection check down to a single predictable branch, which is what
-// keeps the steady-state 0 allocs/op and obs-overhead gates intact
-// when no faults are configured.
+// keeps the steady-state 0 allocs/op gate and the obs.op_ns benchmark
+// rung unmoved when no faults are configured.
 package fault
 
 import (
@@ -40,10 +40,12 @@ type Point uint8
 // into and what an effect firing there exercises.
 const (
 	pointInvalid Point = iota
-	// PointTxAccess fires on transactional cell accesses (the seam the
-	// SpuriousEvery knob already uses) and forces an abort with the
-	// rule's Cause — an abort storm by cause, under the retry policy's
-	// real reactions.
+	// PointTxAccess fires on transactional cell accesses and forces an
+	// abort with the rule's Cause (spurious when unset) — the simulated
+	// TM's one abort injector, for an abort storm by cause under the
+	// retry policy's real reactions. A capacity cause makes the retry
+	// policy abandon the path at once, which is how a test steers an
+	// operation off a path.
 	PointTxAccess
 	// PointFallbackOwner fires when a fallback critical-section owner
 	// is at its most preemption-sensitive point: right after the
@@ -304,14 +306,6 @@ func (p *Plan) With(rules ...Rule) *Plan {
 	np.onFire = p.onFire
 	np.lv = p.lv
 	return np
-}
-
-// Seed returns the plan's seed.
-func (p *Plan) Seed() uint64 {
-	if p == nil {
-		return 0
-	}
-	return p.seed
 }
 
 // String renders the plan in the reproduction syntax the ARCHITECTURE

@@ -41,10 +41,12 @@
 //     against, transactions are strongly atomic with respect to them —
 //     the property the paper's fallback-path interaction relies on.
 //
-// Capacity aborts are modelled by configurable read/write set limits and
-// spurious aborts by a seeded per-access probability, so the execution
-// path policies built on top observe the same abort-reason signals they
-// would on hardware.
+// Capacity aborts are modelled by configurable read/write set limits (a
+// machine is a pair of budgets), and spurious aborts — the stand-in for
+// interrupts, page faults and other best-effort failures — are injected
+// at the fault plan's PointTxAccess seam, which can force any other cause
+// too, so the execution path policies built on top observe the same
+// abort-reason signals they would on hardware.
 //
 // The simulator is this system's hardware, so its per-access cost is the
 // floor under every other number. Three things keep it down. A
@@ -52,9 +54,9 @@
 // is already in the write set; a 256-bit signature of the write set's
 // version-word addresses (Tx.sig) answers "no" in O(1), inlined into the
 // cells' Get, and only a hit scans. What an access needs from the
-// configuration — capacity limits, lock spin, whether failure
-// injection is armed — is copied into the Tx when its thread is
-// created, so an access reads it from the Tx it already holds (Tx.bind).
+// configuration — capacity limits, whether failure injection is armed —
+// is copied into the Tx when its thread is created, so an access reads
+// it from the Tx it already holds (Tx.bind).
 // And a write-set entry addresses its cell by two raw pointers, version
 // word and value storage, so commit applies every kind of entry (a
 // buffered Word, Ref or Pair value, a Word or Pair delta) with a switch
@@ -72,11 +74,11 @@ import (
 	"htmtree/internal/fault"
 )
 
-// Default capacity and tuning parameters. The Intel-like profile is sized
-// so that the paper's small range queries commit on the fast path while
-// large ones overflow to the fallback path (Section 7.1); the POWER8-like
-// profile reproduces the much smaller read footprint discussed in
-// Section 8 (a POWER8 transaction aborts after touching 64 cache lines).
+// Default capacities, an Intel-like machine sized so that the paper's
+// small range queries commit on the fast path while large ones overflow
+// to the fallback path (Section 7.1). A smaller machine — the POWER8 of
+// Section 8, whose transactions abort after touching 64 cache lines — is
+// the same two budgets set lower.
 const (
 	// DefaultReadCapacity ~ a few hundred tree nodes: point operations
 	// (tens of cells) always fit, range queries over more than a few
@@ -84,15 +86,15 @@ const (
 	// [1,1000]-key BST range queries abort by capacity on Haswell.
 	DefaultReadCapacity  = 2048
 	DefaultWriteCapacity = 1024
-	DefaultLockSpin      = 64
 
-	power8ReadCapacity  = 512 // 64 lines x 8 words
-	power8WriteCapacity = 512
+	// lockSpin is how many times a transactional read spins on a locked
+	// cell (a commit in flight) before aborting with CauseConflict.
+	lockSpin = 64
 )
 
 // Config controls the simulated HTM implementation.
-// The zero value selects the defaults (an Intel-like profile with
-// spurious aborts disabled).
+// The zero value selects the defaults (an Intel-like profile with no
+// injected aborts).
 type Config struct {
 	// ReadCapacity is the maximum number of read-set entries before a
 	// transaction aborts with CauseCapacity.
@@ -100,23 +102,14 @@ type Config struct {
 	// WriteCapacity is the maximum number of write-set entries before a
 	// transaction aborts with CauseCapacity.
 	WriteCapacity int
-	// SpuriousEvery, when non-zero, injects a CauseSpurious abort with
-	// probability 1/SpuriousEvery at each transactional access. This
-	// models interrupts, page faults and other best-effort failures.
-	SpuriousEvery uint64
-	// LockSpin is how many times a transactional read spins on a locked
-	// cell (a commit in flight) before aborting with CauseConflict.
-	LockSpin int
-	// Seed seeds the deterministic per-thread PRNGs used for spurious
-	// aborts. Zero selects a fixed default seed.
-	Seed uint64
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane at this TM's transactional accesses: a fault.PointTxAccess
 	// effect forces an abort with the effect's cause (CauseSpurious
-	// when unset) — the chaos harness's abort storm. With neither a
-	// plan nor SpuriousEvery set, an access pays one predictable branch
-	// for both (Tx.armed); setting either sends every access of the
-	// TM's transactions through Tx.inject.
+	// when unset) — interrupts, page faults and other best-effort
+	// failures, or a chaos harness's abort storm by cause. Without a
+	// plan an access pays one predictable branch for it (Tx.armed);
+	// with one, every access of the TM's transactions goes through
+	// Tx.inject.
 	Faults *fault.Plan
 }
 
@@ -128,23 +121,7 @@ func (c Config) withDefaults() Config {
 	if c.WriteCapacity == 0 {
 		c.WriteCapacity = DefaultWriteCapacity
 	}
-	if c.LockSpin == 0 {
-		c.LockSpin = DefaultLockSpin
-	}
-	if c.Seed == 0 {
-		c.Seed = 0x9e3779b97f4a7c15
-	}
 	return c
-}
-
-// POWER8Config returns a configuration modelling IBM POWER8's much
-// smaller transactional footprint (Section 8 of the paper): transactions
-// abort after accessing 64 cache lines.
-func POWER8Config() Config {
-	return Config{
-		ReadCapacity:  power8ReadCapacity,
-		WriteCapacity: power8WriteCapacity,
-	}
 }
 
 // TM is an instance of the simulated transactional memory. It carries
@@ -178,11 +155,7 @@ func (tm *TM) ClockValue() uint64 { return tm.clock.Now() }
 func (tm *TM) NewThread() *Thread {
 	tm.mu.Lock()
 	defer tm.mu.Unlock()
-	th := &Thread{
-		tm:     tm,
-		rng:    tm.cfg.Seed + uint64(len(tm.threads))*0xbf58476d1ce4e5b9 + 1,
-		faults: tm.cfg.Faults,
-	}
+	th := &Thread{tm: tm, faults: tm.cfg.Faults}
 	th.tx.bind(th)
 	tm.threads = append(tm.threads, th)
 	return th

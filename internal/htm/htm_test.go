@@ -1,10 +1,13 @@
 package htm
 
 import (
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"htmtree/internal/fault"
 )
 
 func TestWordNonTxBasics(t *testing.T) {
@@ -223,14 +226,66 @@ func TestTxCapacityAbort(t *testing.T) {
 	}
 }
 
-func TestTxSpuriousAbort(t *testing.T) {
+// TestTxAccessAbortInjector: the fault plan's PointTxAccess seam is the
+// TM's one abort injector. A rule with Every: 1 aborts each access —
+// read or write — with CauseSpurious, or with the rule's Cause when it
+// names one. A Prob rule is reproducible from the plan's seed: on one
+// thread, two TMs given equal plans abort at the same encounter indices.
+func TestTxAccessAbortInjector(t *testing.T) {
 	t.Parallel()
-	tm := New(Config{SpuriousEvery: 1}) // every access aborts
-	th := tm.NewThread()
-	var x Word
-	ok, ab := th.Atomic(PathFast, func(tx *Tx) { _ = x.Get(tx) })
-	if ok || ab.Cause != CauseSpurious {
-		t.Fatalf("ok=%v abort=%+v, want spurious", ok, ab)
+	for _, tc := range []struct {
+		cause uint8
+		want  AbortCause
+	}{
+		{0, CauseSpurious},
+		{uint8(CauseCapacity), CauseCapacity},
+		{uint8(CauseConflict), CauseConflict},
+	} {
+		plan := fault.New(1, fault.Rule{Point: fault.PointTxAccess, Every: 1, Cause: tc.cause})
+		tm := New(Config{Faults: plan})
+		th := tm.NewThread()
+		var x Word
+		for _, body := range []func(tx *Tx){
+			func(tx *Tx) { _ = x.Get(tx) },
+			func(tx *Tx) { x.Set(tx, 1) },
+		} {
+			if ok, ab := th.Atomic(PathFast, body); ok || ab.Cause != tc.want {
+				t.Fatalf("rule cause %d: ok=%v abort=%+v, want %v", tc.cause, ok, ab, tc.want)
+			}
+		}
+		if hits, fires := plan.Hits(fault.PointTxAccess), plan.Fires(fault.PointTxAccess); hits != 2 || fires != 2 {
+			t.Fatalf("rule cause %d: %d encounters, %d fires, want 2 and 2", tc.cause, hits, fires)
+		}
+		if got := tm.Stats().Aborts[PathFast][tc.want]; got != 2 {
+			t.Fatalf("rule cause %d: Aborts[fast][%v] = %d, want 2", tc.cause, tc.want, got)
+		}
+	}
+
+	// One access per attempt, so attempt i is encounter i.
+	aborted := func(seed uint64) []int {
+		tm := New(Config{Faults: fault.New(seed, fault.Rule{Point: fault.PointTxAccess, Prob: 0.25})})
+		th := tm.NewThread()
+		var x Word
+		var at []int
+		for i := 0; i < 512; i++ {
+			if ok, ab := th.Atomic(PathFast, func(tx *Tx) { _ = x.Get(tx) }); !ok {
+				if ab.Cause != CauseSpurious {
+					t.Fatalf("attempt %d: abort %+v, want spurious", i, ab)
+				}
+				at = append(at, i)
+			}
+		}
+		return at
+	}
+	a, b := aborted(7), aborted(7)
+	if len(a) < 512/8 || len(a) > 512/2 {
+		t.Fatalf("%d of 512 attempts aborted at Prob 0.25", len(a))
+	}
+	if !slices.Equal(a, b) {
+		t.Fatalf("equal plans aborted at different encounters:\n%v\n%v", a, b)
+	}
+	if slices.Equal(a, aborted(8)) {
+		t.Fatal("the abort pattern does not depend on the seed")
 	}
 }
 
@@ -448,15 +503,6 @@ func TestQuickSequentialModel(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestPOWER8ConfigSmallFootprint(t *testing.T) {
-	t.Parallel()
-	cfg := POWER8Config().withDefaults()
-	if cfg.ReadCapacity >= DefaultReadCapacity {
-		t.Fatalf("POWER8 read capacity %d not smaller than default %d",
-			cfg.ReadCapacity, DefaultReadCapacity)
 	}
 }
 

@@ -145,7 +145,6 @@ func (s *Stats) TotalAborts(p PathKind) uint64 {
 // shared between goroutines concurrently.
 type Thread struct {
 	tm    *TM
-	rng   uint64
 	tx    Tx
 	inTx  bool
 	stats Stats
@@ -171,15 +170,6 @@ func (th *Thread) Stats() Stats {
 	var s Stats
 	s.add(&th.stats)
 	return s
-}
-
-// next returns the next value of the thread's splitmix64 PRNG.
-func (th *Thread) next() uint64 {
-	th.rng += 0x9e3779b97f4a7c15
-	z := th.rng
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
 }
 
 // txAbort is the panic payload used to unwind an aborting transaction
@@ -259,13 +249,11 @@ type Tx struct {
 	// data.
 	//
 	// armed is true when admitting an access takes more than the
-	// capacity compare: an injected failure may be due (SpuriousEvery
-	// != 0 or a fault plan is set). The common unarmed access pays one
-	// branch for both.
+	// capacity compare: a fault plan is set, so an injected failure may
+	// be due. The common unarmed access pays one branch for both.
 	armed    bool
 	readCap  int
 	writeCap int
-	lockSpin int
 	clk      *Clock
 }
 
@@ -274,10 +262,9 @@ type Tx struct {
 func (tx *Tx) bind(th *Thread) {
 	tm := th.tm
 	tx.th = th
-	tx.armed = tm.cfg.SpuriousEvery != 0 || th.faults != nil
+	tx.armed = th.faults != nil
 	tx.readCap = tm.cfg.ReadCapacity
 	tx.writeCap = tm.cfg.WriteCapacity
-	tx.lockSpin = tm.cfg.LockSpin
 	tx.clk = &tm.clock
 }
 
@@ -321,23 +308,16 @@ func (tx *Tx) unwind(cause AbortCause, code uint8) {
 	panic(a)
 }
 
-// inject fails an access on purpose: a spurious abort with the
-// configured probability, then an armed fault plan's shot at forcing an
-// abort by cause (fault.PointTxAccess — the chaos harness's abort
-// storm). Only armed attempts get here.
+// inject fails an access on purpose: the fault plan's shot at forcing
+// an abort by cause (fault.PointTxAccess), spurious unless the rule
+// names another. Only armed attempts get here, so the plan is set.
 func (tx *Tx) inject() {
-	every := tx.th.tm.cfg.SpuriousEvery
-	if every != 0 && tx.th.next()%every == 0 {
-		tx.abort(CauseSpurious)
-	}
-	if p := tx.th.faults; p != nil {
-		if eff, ok := p.At(fault.PointTxAccess); ok {
-			cause := CauseSpurious
-			if eff.Cause != 0 {
-				cause = AbortCause(eff.Cause)
-			}
-			tx.abort(cause)
+	if eff, ok := tx.th.faults.At(fault.PointTxAccess); ok {
+		cause := CauseSpurious
+		if eff.Cause != 0 {
+			cause = AbortCause(eff.Cause)
 		}
+		tx.abort(cause)
 	}
 }
 
@@ -361,7 +341,7 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 			}
 			return v
 		}
-		if i >= tx.lockSpin {
+		if i >= lockSpin {
 			tx.held = ver
 			tx.abort(CauseConflict)
 		}

@@ -5,8 +5,20 @@ import (
 	"sync"
 	"testing"
 
+	"htmtree/internal/fault"
 	"htmtree/internal/htm"
 )
+
+// spurious is a TM configuration whose transactional accesses abort
+// spuriously: every access when every is 1, each with probability
+// 1/every otherwise.
+func spurious(every int) htm.Config {
+	r := fault.Rule{Point: fault.PointTxAccess, Every: 1}
+	if every > 1 {
+		r = fault.Rule{Point: fault.PointTxAccess, Prob: 1 / float64(every)}
+	}
+	return htm.Config{Faults: fault.New(uint64(every), r)}
+}
 
 func TestAtomicCounterHW(t *testing.T) {
 	t.Parallel()
@@ -29,7 +41,7 @@ func TestSoftwarePathCommits(t *testing.T) {
 	t.Parallel()
 	// Force every hardware attempt to abort: all work lands on the
 	// software NOrec path.
-	tm := New(htm.Config{SpuriousEvery: 1}, 3)
+	tm := New(spurious(1), 3)
 	th := tm.NewThread()
 	var c htm.Word
 	c.Bind(tm.inner.Clock())
@@ -45,7 +57,7 @@ func TestSoftwarePathCommits(t *testing.T) {
 
 func TestConcurrentCounterMixedPaths(t *testing.T) {
 	t.Parallel()
-	tm := New(htm.Config{SpuriousEvery: 20}, 4) // frequent software fallback
+	tm := New(spurious(20), 4) // frequent software fallback
 	var c htm.Word
 	c.Bind(tm.inner.Clock())
 	const goroutines = 6
@@ -108,7 +120,7 @@ func TestSoftwareReadConsistency(t *testing.T) {
 
 func TestBSTOracle(t *testing.T) {
 	t.Parallel()
-	tr := NewBST(htm.Config{SpuriousEvery: 100}, 4) // exercise both paths
+	tr := NewBST(spurious(100), 4) // exercise both paths
 	h := tr.NewHandle()
 	oracle := map[uint64]uint64{}
 	rng := rand.New(rand.NewSource(13))
@@ -149,7 +161,7 @@ func TestBSTOracle(t *testing.T) {
 
 func TestBSTConcurrentKeySum(t *testing.T) {
 	t.Parallel()
-	tr := NewBST(htm.Config{SpuriousEvery: 200}, 6)
+	tr := NewBST(spurious(200), 6)
 	const goroutines = 4
 	const perG = 2000
 	sums := make([]int64, goroutines)

@@ -7,6 +7,7 @@ import (
 
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
+	"htmtree/internal/fault"
 	"htmtree/internal/htm"
 )
 
@@ -247,7 +248,8 @@ func TestListRangeQuery(t *testing.T) {
 func TestListForcedFallback(t *testing.T) {
 	t.Parallel()
 	// Every transaction aborts: all updates run through software k-CAS.
-	l := NewList(ListConfig{Algorithm: engine.AlgThreePath, HTM: htm.Config{SpuriousEvery: 1}})
+	l := NewList(ListConfig{Algorithm: engine.AlgThreePath,
+		HTM: htm.Config{Faults: fault.New(0, fault.Rule{Point: fault.PointTxAccess, Every: 1})}})
 	h := l.NewHandle()
 	for k := uint64(1); k <= 100; k++ {
 		h.Insert(k, k)

@@ -7,22 +7,36 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
-// stormConfig is a tree under an abort storm: injected spurious aborts,
-// a read capacity the deeper descents overflow and tiny attempt budgets,
-// so the attempt loops actually steer — free retries, capacity skips
-// and demotions all fire inside the checked stream — and every path of
-// the algorithm carries load.
-func stormConfig(alg htmtree.Algorithm, spuriousEvery uint64, budget int) htmtree.Config {
-	return htmtree.Config{
-		Algorithm:          alg,
-		SpuriousAbortEvery: spuriousEvery,
-		ReadCapacity:       16,
-		AttemptLimit:       budget,
-		FastLimit:          budget,
-		MiddleLimit:        budget,
+// txAborts is a fault plan that aborts transactional accesses with the
+// given cause — every access when every is 1, each with probability
+// 1/every otherwise — plus any further rules. The attempt loops retry a
+// spurious abort in place (free retries first, then budget); a capacity
+// abort makes them leave the path on its first attempt, which is how a
+// test steers operations down to the later paths.
+func txAborts(every int, cause htm.AbortCause, more ...htmtree.FaultRule) *htmtree.FaultPlan {
+	r := htmtree.FaultRule{Point: htmtree.FaultTxAccess, Cause: uint8(cause)}
+	if every == 1 {
+		r.Every = 1
+	} else {
+		r.Prob = 1 / float64(every)
 	}
+	return htmtree.NewFaultPlan(uint64(every), append(more, r)...)
+}
+
+// stormConfig is a tree under an abort storm: spurious aborts injected
+// at one transactional access in spuriousEvery (none when 0) and a read
+// capacity the deeper descents overflow, so the attempt loops actually
+// steer — free retries, capacity skips and demotions all fire inside the
+// checked stream — and every path of the algorithm carries load.
+func stormConfig(alg htmtree.Algorithm, spuriousEvery int) htmtree.Config {
+	cfg := htmtree.Config{Algorithm: alg, ReadCapacity: 16}
+	if spuriousEvery > 0 {
+		cfg.Faults = txAborts(spuriousEvery, htm.CauseSpurious)
+	}
+	return cfg
 }
 
 // TestDifferentialAbortStorm runs the lockstep differential on both
@@ -46,7 +60,7 @@ func TestDifferentialAbortStorm(t *testing.T) {
 	)
 	for _, structure := range []string{"bst", "abtree"} {
 		for _, alg := range htmtree.Algorithms() {
-			for _, spurious := range []uint64{5, 0} {
+			for _, spurious := range []int{5, 0} {
 				structure, alg, spurious := structure, alg, spurious
 				name := fmt.Sprintf("%s/%s", structure, alg)
 				if spurious == 0 {
@@ -54,7 +68,7 @@ func TestDifferentialAbortStorm(t *testing.T) {
 				}
 				t.Run(name, func(t *testing.T) {
 					t.Parallel()
-					differentialAbortStorm(t, structure, stormConfig(alg, spurious, 2), keySpan, numOps, maxExtent)
+					differentialAbortStorm(t, structure, stormConfig(alg, spurious), keySpan, numOps, maxExtent)
 				})
 			}
 		}
@@ -155,7 +169,7 @@ func TestConcurrentKeySumAbortStorm(t *testing.T) {
 		alg := alg
 		t.Run(string(alg), func(t *testing.T) {
 			t.Parallel()
-			tree, err := htmtree.NewBST(stormConfig(alg, 3, 1))
+			tree, err := htmtree.NewBST(stormConfig(alg, 3))
 			if err != nil {
 				t.Fatal(err)
 			}

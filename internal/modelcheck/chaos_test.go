@@ -151,7 +151,11 @@ func TestChaosOwnerDeathDifferential(t *testing.T) {
 	numOps := chaosOps(360)
 	for _, structure := range []string{"bst", "abtree"} {
 		t.Run(structure, func(t *testing.T) {
-			plan := htmtree.NewFaultPlan(0xdead0+uint64(len(structure)), htmtree.FaultRule{
+			// Every transactional access aborts by capacity, which ends
+			// the fast path's attempts: essentially every operation
+			// enters the helpable fallback, so the kill budget is spent
+			// within the first dozen operations.
+			plan := txAborts(1, htm.CauseCapacity, htmtree.FaultRule{
 				Point: htmtree.FaultFallbackOwner,
 				Every: kEvery,
 				Kill:  true,
@@ -161,15 +165,9 @@ func TestChaosOwnerDeathDifferential(t *testing.T) {
 			lv := &htmtree.FaultLiveness{}
 			plan.Watch(lv)
 			cfg := htmtree.Config{
-				Algorithm: htmtree.TLE,
-				// Every transactional access aborts and the budget is
-				// one attempt: essentially every operation enters the
-				// helpable fallback, so the kill budget is spent within
-				// the first dozen operations.
-				SpuriousAbortEvery: 1,
-				AttemptLimit:       1,
-				HelpableFallback:   true,
-				Faults:             plan,
+				Algorithm:        htmtree.TLE,
+				HelpableFallback: true,
+				Faults:           plan,
 			}
 			var (
 				tree *htmtree.Tree
@@ -536,16 +534,15 @@ func TestChaosAggWriterStall(t *testing.T) {
 		perThread = 128
 	)
 	numOps := chaosOps(500)
-	plan := htmtree.NewFaultPlan(0xa99, htmtree.FaultRule{
+	// Force fallback traffic, with a spurious abort at one transactional
+	// access in eight, so the non-transactional fixup (the injected seam)
+	// actually runs.
+	plan := txAborts(8, htm.CauseSpurious, htmtree.FaultRule{
 		Point: htmtree.FaultAggFixup, Every: 4, Stall: 100 * time.Microsecond,
 	})
 	tree, err := htmtree.NewABTree(htmtree.Config{
 		Algorithm: htmtree.ThreePath,
-		// Force fallback traffic so the non-transactional fixup (the
-		// injected seam) actually runs.
-		SpuriousAbortEvery: 8,
-		AttemptLimit:       2,
-		Faults:             plan,
+		Faults:    plan,
 	})
 	if err != nil {
 		t.Fatal(err)

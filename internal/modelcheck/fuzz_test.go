@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // FuzzOps feeds fuzzer-chosen operation streams through every template
@@ -53,12 +54,11 @@ func FuzzOps(f *testing.F) {
 			return sut{name, tree}
 		}
 		helpable := htmtree.Config{
-			Algorithm:          htmtree.TLE,
-			SpuriousAbortEvery: 3,
-			AttemptLimit:       1,
-			HelpableFallback:   true,
+			Algorithm:        htmtree.TLE,
+			Faults:           txAborts(3, htm.CauseSpurious),
+			HelpableFallback: true,
 		}
-		tight := stormConfig(htmtree.ThreePath, 0, 2)
+		tight := stormConfig(htmtree.ThreePath, 0)
 		suts := []sut{
 			mk("bst/3path", htmtree.NewBST, htmtree.Config{}),
 			mk("abtree/3path", htmtree.NewABTree, htmtree.Config{}),

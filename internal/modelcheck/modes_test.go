@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // bodyMode is one way an update body can be made to run: an algorithm
@@ -22,9 +23,10 @@ type bodyMode struct {
 }
 
 func bodyModes() []bodyMode {
-	// TLE rows: every transactional access aborts, so each operation
-	// exhausts a one-attempt fast path and takes the fallback.
-	noFast := htmtree.Config{Algorithm: htmtree.TLE, SpuriousAbortEvery: 1, AttemptLimit: 1}
+	// TLE rows: every transactional access aborts by capacity, so each
+	// operation leaves the fast path on its first attempt and takes the
+	// fallback.
+	noFast := htmtree.Config{Algorithm: htmtree.TLE, Faults: txAborts(1, htm.CauseCapacity)}
 	helpable := noFast
 	helpable.HelpableFallback = true
 	onFirst := func(o htmtree.PathCounts, n uint64) bool { return o.Fast >= n && o.Middle == 0 && o.Fallback == 0 }
@@ -69,7 +71,7 @@ func TestEveryBodyModeAgreesWithModel(t *testing.T) {
 				announced := make(chan struct{})
 				resume := make(chan struct{})
 				if m.parked {
-					cfg.Faults = htmtree.NewFaultPlan(0, htmtree.FaultRule{
+					cfg.Faults = cfg.Faults.With(htmtree.FaultRule{
 						Point: htmtree.FaultFallbackOwner,
 						Func: func() {
 							// One-shot per update: the owner's (a,b)-tree

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // Observability race battery: every capture surface of the PR 9
@@ -134,13 +135,10 @@ func TestRaceObservedPathTransitions(t *testing.T) {
 		t.Run(fmt.Sprintf("x%d", shards), func(t *testing.T) {
 			t.Parallel()
 			cfg := htmtree.Config{
-				Algorithm:          htmtree.ThreePath,
-				AttemptLimit:       1,
-				FastLimit:          1,
-				MiddleLimit:        1,
-				SpuriousAbortEvery: 3,
-				Shards:             shards,
-				ShardKeySpan:       keySpan,
+				Algorithm:    htmtree.ThreePath,
+				Faults:       txAborts(3, htm.CauseSpurious),
+				Shards:       shards,
+				ShardKeySpan: keySpan,
 				Observability: &htmtree.ObsConfig{
 					LatencySample: 2,
 					EventSample:   2,
@@ -186,11 +184,10 @@ func TestRaceObservedHelpableTLE(t *testing.T) {
 		opsPerG = 600
 	}
 	tree, err := htmtree.NewBST(htmtree.Config{
-		Algorithm:          htmtree.TLE,
-		HelpableFallback:   true,
-		AttemptLimit:       1,
-		SpuriousAbortEvery: 3,
-		Observability:      &htmtree.ObsConfig{EventSample: 2, EventBuffer: 128},
+		Algorithm:        htmtree.TLE,
+		HelpableFallback: true,
+		Faults:           txAborts(3, htm.CauseSpurious),
+		Observability:    &htmtree.ObsConfig{EventSample: 2, EventBuffer: 128},
 	})
 	if err != nil {
 		t.Fatal(err)

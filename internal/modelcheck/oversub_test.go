@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // oversubCombo is one point of the oversubscription stress sweep: both
@@ -76,18 +77,16 @@ func TestOversubscribedDifferential(t *testing.T) {
 	for _, c := range oversubCombos() {
 		t.Run(c.name(), func(t *testing.T) {
 			cfg := htmtree.Config{
-				Algorithm:    htmtree.TLE,
-				Shards:       c.shards,
-				ShardKeySpan: keySpan,
-				// Force heavy fallback traffic: a spurious abort every
-				// few transactional accesses overwhelms a two-attempt
-				// fast-path budget.
-				SpuriousAbortEvery: 8,
-				AttemptLimit:       2,
-				HelpableFallback:   c.helpable,
-				// Yield right after each fallback entry takes, or
-				// announces under, the lock word.
-				Faults: htmtree.NewFaultPlan(0, htmtree.FaultRule{
+				Algorithm:        htmtree.TLE,
+				Shards:           c.shards,
+				ShardKeySpan:     keySpan,
+				HelpableFallback: c.helpable,
+				// Force fallback traffic — a spurious abort at one
+				// transactional access in eight sends a steady share of
+				// operations past the fast path's budget — and yield
+				// right after each fallback entry takes, or announces
+				// under, the lock word.
+				Faults: txAborts(8, htm.CauseSpurious, htmtree.FaultRule{
 					Point: htmtree.FaultFallbackOwner, Func: runtime.Gosched,
 				}),
 			}

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // TestRacePathTransitions stresses the engine's execution-path
-// transitions under the race detector: tiny attempt budgets plus
-// injected spurious aborts force operations off the fast path, through
-// the middle path, and onto the lock-free fallback while neighbouring
+// transitions under the race detector: injected spurious aborts force
+// operations off the fast path, through the middle path, and onto the
+// lock-free fallback while neighbouring
 // goroutines keep committing transactionally — the fast↔middle↔fallback
 // concurrency windows where unsynchronized accesses would hide. Sized
 // for `go test -race -short ./...`.
@@ -32,19 +33,18 @@ func TestRacePathTransitions(t *testing.T) {
 				t.Parallel()
 				cfg := htmtree.Config{
 					Algorithm: alg,
-					// One attempt per HTM path: any abort demotes the
-					// operation, so spurious aborts continually push
-					// traffic down to the next path. (The pooled BST's
-					// routing-key reads are Peek/GetStable, which neither
-					// join the read set nor roll the spurious dice, so the
-					// abort pressure per operation is unchanged from the
-					// pre-pooling tree.)
-					AttemptLimit:       1,
-					FastLimit:          1,
-					MiddleLimit:        1,
-					SpuriousAbortEvery: 3,
-					Shards:             shards,
-					ShardKeySpan:       keySpan,
+					// A spurious abort at every third transactional
+					// access fails nearly every attempt of an operation
+					// that logs a dozen cells, so a steady share of the
+					// traffic exhausts each path's budget and moves down
+					// to the next. (The pooled BST's routing-key reads
+					// are Peek/GetStable, which neither join the read set
+					// nor roll the injector's dice, so the abort pressure
+					// per operation is unchanged from the pre-pooling
+					// tree.)
+					Faults:       txAborts(3, htm.CauseSpurious),
+					Shards:       shards,
+					ShardKeySpan: keySpan,
 				}
 				var (
 					tree *htmtree.Tree

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // TestRaceKeySumVsReclamation hammers the consistent-cut KeySum of a
@@ -102,17 +103,17 @@ func TestRaceReclamationStress(t *testing.T) {
 		opsPerG = 1200
 	}
 	for _, structure := range []string{"bst", "abtree"} {
-		for _, spurious := range []uint64{0, 6} {
+		for _, spurious := range []int{0, 6} {
 			structure, spurious := structure, spurious
 			t.Run(fmt.Sprintf("%s/spurious=%d", structure, spurious), func(t *testing.T) {
 				t.Parallel()
 				cfg := htmtree.Config{
-					Algorithm:          htmtree.ThreePath,
-					FastLimit:          2,
-					MiddleLimit:        2,
-					SpuriousAbortEvery: spurious,
-					A:                  2,
-					B:                  4, // tiny degree bounds: constant splits and joins
+					Algorithm: htmtree.ThreePath,
+					A:         2,
+					B:         4, // tiny degree bounds: constant splits and joins
+				}
+				if spurious > 0 {
+					cfg.Faults = txAborts(spurious, htm.CauseSpurious)
 				}
 				var (
 					tree *htmtree.Tree

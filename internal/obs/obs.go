@@ -87,7 +87,9 @@ func (c Config) withDefaults() Config {
 // attach per-shard Nodes to the layers that register metrics and spawn
 // recorder threads, and expose it with Serve.
 type Obs struct {
-	cfg   Config
+	cfg Config
+	// start is the domain's epoch: event timestamps are nanoseconds
+	// since it.
 	start time.Time
 
 	reg registry
@@ -115,10 +117,6 @@ func New(cfg Config) *Obs {
 		func(emit HistPoint) { emit(o.LatencySnapshot()) })
 	return o
 }
-
-// Start returns the domain's epoch; event timestamps are nanoseconds
-// since it.
-func (o *Obs) Start() time.Time { return o.start }
 
 // Node returns a registration handle whose metric families and recorder
 // threads carry the given constant labels (the shard layer attaches

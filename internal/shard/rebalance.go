@@ -21,9 +21,9 @@ const (
 	// DefaultRebalanceRatio is the busiest-shard-to-mean operation ratio
 	// that triggers a migration.
 	DefaultRebalanceRatio = 1.5
-	// DefaultRebalanceMoveFraction is the largest fraction of the donor
-	// shard's key span handed to its neighbor per migration.
-	DefaultRebalanceMoveFraction = 0.5
+	// rebalanceMoveFraction is the largest fraction of the donor shard's
+	// key span handed to its neighbor per migration.
+	rebalanceMoveFraction = 0.5
 	// rebalanceCooldown is the number of full-window evaluations during
 	// which the rebalancer refuses to reverse its previous migration.
 	rebalanceCooldown = 8
@@ -46,21 +46,15 @@ const (
 type RebalanceConfig struct {
 	// CheckOps is the number of point operations a handle performs
 	// between imbalance evaluations (default DefaultRebalanceCheckOps).
+	// It is also the operation count the busiest shard must have
+	// accumulated since the last evaluation before a migration triggers,
+	// so idle dictionaries never migrate on noise.
 	CheckOps int
 	// Ratio triggers a migration when the busiest shard performed more
 	// than Ratio times the per-shard mean of the operations since the
 	// last evaluation (default DefaultRebalanceRatio). Values in (0, 1]
 	// trigger on any imbalance — useful for forcing migrations in tests.
 	Ratio float64
-	// MinShardOps is the minimum operation count the busiest shard must
-	// have accumulated since the last evaluation before a migration
-	// triggers, so idle dictionaries never migrate on noise (default:
-	// CheckOps).
-	MinShardOps uint64
-	// MoveFraction is the fraction of the donor shard's key span handed
-	// to its neighbor per migration, in (0, 1) (default
-	// DefaultRebalanceMoveFraction).
-	MoveFraction float64
 }
 
 func (c RebalanceConfig) withDefaults() RebalanceConfig {
@@ -69,12 +63,6 @@ func (c RebalanceConfig) withDefaults() RebalanceConfig {
 	}
 	if c.Ratio == 0 {
 		c.Ratio = DefaultRebalanceRatio
-	}
-	if c.MinShardOps == 0 {
-		c.MinShardOps = uint64(c.CheckOps)
-	}
-	if c.MoveFraction == 0 {
-		c.MoveFraction = DefaultRebalanceMoveFraction
 	}
 	return c
 }
@@ -88,10 +76,6 @@ func (c RebalanceConfig) validate() error {
 	if c.Ratio < 0 || math.IsNaN(c.Ratio) {
 		return fmt.Errorf("shard: Config.Rebalance.Ratio = %v (want > 0; 0 selects the default %v)",
 			c.Ratio, DefaultRebalanceRatio)
-	}
-	if c.MoveFraction < 0 || c.MoveFraction >= 1 || math.IsNaN(c.MoveFraction) {
-		return fmt.Errorf("shard: Config.Rebalance.MoveFraction = %v (want in (0, 1); 0 selects the default %v)",
-			c.MoveFraction, DefaultRebalanceMoveFraction)
 	}
 	return nil
 }
@@ -168,10 +152,11 @@ func (d *Dict) maybeRebalance() {
 	// Per-shard operation deltas since the last evaluation, from the
 	// engines' own completion counters. The measurement window
 	// accumulates across calls until the busiest shard has at least
-	// MinShardOps in it — resetting on every call would keep the window
+	// CheckOps in it — resetting on every call would keep the window
 	// near one handle's check cadence and starve the trigger when many
 	// handles poll concurrently.
 	n := len(d.shards)
+	minOps := uint64(rb.cfg.CheckOps)
 	var total, maxDelta uint64
 	for i, s := range d.shards {
 		var tot uint64
@@ -187,7 +172,7 @@ func (d *Dict) maybeRebalance() {
 	}
 	// Judge only full windows: a tiny window's multinomial noise makes
 	// max/mean ratios meaningless and would migrate on phantom skew.
-	if maxDelta < rb.cfg.MinShardOps || total < uint64(rb.cfg.CheckOps)*uint64(n) {
+	if maxDelta < minOps || total < minOps*uint64(n) {
 		return // window still too small to judge: keep accumulating
 	}
 	rb.checks.Add(1)
@@ -217,7 +202,7 @@ func (d *Dict) maybeRebalance() {
 			heavy, light = light, heavy
 		}
 		dh, dl := rb.deltas[heavy], rb.deltas[light]
-		if dh < rb.cfg.MinShardOps || float64(dl)*rb.cfg.Ratio > float64(dh) {
+		if dh < minOps || float64(dl)*rb.cfg.Ratio > float64(dh) {
 			continue // too little traffic, or the pair is already balanced
 		}
 		if dh-dl < total/uint64(2*n) {
@@ -249,12 +234,12 @@ func (d *Dict) maybeRebalance() {
 
 	// Move-size policy: assuming load roughly uniform within the donor's
 	// span, handing over a fraction f = (1 - recv/donor)/2 of it would
-	// equalize the pair; cap at MoveFraction. Hot keys concentrated in
-	// the moved slice make the step overshoot, which the cooldown below
-	// keeps from turning into a boundary ping-pong.
+	// equalize the pair; cap at rebalanceMoveFraction. Hot keys
+	// concentrated in the moved slice make the step overshoot, which the
+	// cooldown below keeps from turning into a boundary ping-pong.
 	f := (1 - float64(rb.deltas[receiver])/float64(rb.deltas[donor])) / 2
-	if f > rb.cfg.MoveFraction {
-		f = rb.cfg.MoveFraction
+	if f > rebalanceMoveFraction {
+		f = rebalanceMoveFraction
 	}
 	moved := uint64(float64(effHi-dlo) * f)
 	if moved == 0 {

@@ -88,16 +88,6 @@ func TestConfigValidation(t *testing.T) {
 			cfg:  Config{Shards: 4, New: ctor, Rebalance: &RebalanceConfig{Ratio: -1}},
 			want: []string{"Config.Rebalance.Ratio", "-1"},
 		},
-		{
-			name: "rebalance move fraction too large",
-			cfg:  Config{Shards: 4, New: ctor, Rebalance: &RebalanceConfig{MoveFraction: 1.5}},
-			want: []string{"Config.Rebalance.MoveFraction", "1.5"},
-		},
-		{
-			name: "negative rebalance move fraction",
-			cfg:  Config{Shards: 4, New: ctor, Rebalance: &RebalanceConfig{MoveFraction: -0.25}},
-			want: []string{"Config.Rebalance.MoveFraction", "-0.25"},
-		},
 	}
 	for _, tc := range cases {
 		tc := tc

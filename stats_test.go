@@ -99,13 +99,10 @@ func TestScrapeEqualsStats(t *testing.T) {
 	const keySpan = 256
 	storm := func(alg Algorithm) Config {
 		return Config{
-			Algorithm:          alg,
-			SpuriousAbortEvery: 3,
-			ReadCapacity:       16,
-			AttemptLimit:       1,
-			FastLimit:          1,
-			MiddleLimit:        1,
-			HelpableFallback:   true, // TLE only; ignored by 3-path
+			Algorithm:        alg,
+			Faults:           NewFaultPlan(3, FaultRule{Point: FaultTxAccess, Prob: 1.0 / 3}), // spurious
+			ReadCapacity:     16,
+			HelpableFallback: true, // TLE only; ignored by 3-path
 		}
 	}
 	type tcase struct {
