@@ -111,8 +111,8 @@ type (
 	Agg = dict.Agg
 	// PathCounts counts events per execution path (engine.PathCounts).
 	PathCounts = engine.PathCounts
-	// PolicyStats counts the attempt loops' per-cause retry actions and
-	// the helps of the helpable fallback (engine.PolicyStats).
+	// PolicyStats counts the attempt loops' per-cause retry actions
+	// (engine.PolicyStats).
 	PolicyStats = engine.PolicyStats
 	// ReclaimStats holds the node-reclamation gauges: removed nodes
 	// waiting out a grace period and nodes pooled for reuse, by free
@@ -144,14 +144,6 @@ type Config struct {
 	// as the POWER8 of the paper's Section 8, is both set lower).
 	ReadCapacity, WriteCapacity int
 
-	// HelpableFallback replaces the TLE fallback's classic spin lock
-	// with a helpable lock: a fallback operation announces itself as a
-	// descriptor before taking the lock word, and any thread that finds
-	// the word held completes the announced operation instead of
-	// spinning — so a preempted lock holder no longer stalls every other
-	// thread (the lock-free-locks construction). TLE algorithm only;
-	// ignored by the others, whose fallbacks are already lock-free.
-	HelpableFallback bool
 	// Faults, when non-nil, arms the deterministic fault-injection
 	// plane (NewFaultPlan) across every layer of the tree: forced
 	// transactional aborts (FaultTxAccess, spurious unless the rule
@@ -233,7 +225,7 @@ type Config struct {
 	// layer: a pull-model metrics registry over the counters the tree
 	// already maintains (Prometheus text and JSON exposition), sampled
 	// operation latency histograms, per-thread flight recorders of
-	// abort/help/migration events, and runtime/trace regions around
+	// abort/acquire/migration events, and runtime/trace regions around
 	// operation execution. Retrieve the domain with Tree.Obs and serve
 	// it over HTTP with obs.Serve. The zero ObsConfig selects the
 	// default sampling rates; instrumented steady-state point
@@ -250,8 +242,8 @@ type ObsConfig struct {
 	LatencySample int
 	// EventSample records one hot-path flight-recorder event (operation
 	// completions, transactional aborts) in every EventSample (default
-	// 64; negative disables hot events). Cold events — announce, help,
-	// install, fallback acquisition, quiesce, migration — are always
+	// 64; negative disables hot events). Cold events — TLE lock
+	// acquisition, quiesce, migration, fired faults — are always
 	// recorded.
 	EventSample int
 	// EventBuffer is the per-thread flight-recorder ring capacity in
@@ -379,10 +371,7 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 		WriteCapacity: c.WriteCapacity,
 		Faults:        c.Faults,
 	}
-	ecfg = engine.Config{
-		HelpableFallback: c.HelpableFallback,
-		Faults:           c.Faults,
-	}
+	ecfg = engine.Config{Faults: c.Faults}
 	return alg, hcfg, ecfg, nil
 }
 
@@ -612,20 +601,6 @@ func (h *Handle) Search(key uint64) (val uint64, found bool) {
 // order, to out and returns the extended slice.
 func (h *Handle) RangeQuery(lo, hi uint64, out []KV) []KV {
 	return h.h.RangeQuery(lo, hi, out)
-}
-
-// Help drives one announced helpable-fallback operation (if any) to
-// completion on this handle's thread and reports whether it helped; on
-// a sharded tree it fans over every shard. Normal operation never
-// needs it — blocked threads help automatically — but a chaos harness
-// whose fault plan killed an owner after its announcement loops Help
-// to drain the orphaned descriptor before final verification. Returns
-// false on trees without the helpable fallback.
-func (h *Handle) Help() bool {
-	if hh, ok := h.h.(dict.Helper); ok {
-		return hh.Help()
-	}
-	return false
 }
 
 // RangeAgg returns the aggregate tuple (key sum, count, min, max) of

@@ -417,9 +417,6 @@ var configVerdicts = map[string][]evidence{
 		{"internal/bst/footprint_test.go", []string{"TestTransactionalFootprint"}}},
 	"Config.WriteCapacity": {{"internal/abtree/footprint_test.go", []string{"TestFastPathFootprint"}},
 		{"internal/bst/footprint_test.go", []string{"TestTransactionalFootprint"}}},
-	"Config.HelpableFallback": {{"BENCHMARK.json", []string{"abtree.tle-help_ns", "bst.tle-help_ns"}},
-		{"internal/abtree/help_test.go", []string{"TestHelpableOwnerDeath"}},
-		{"internal/bst/help_test.go", []string{"TestHelpableOwnerDeath"}}},
 	"Config.Faults": {{"internal/modelcheck/chaos_test.go", []string{"TestChaosOwnerDeathDifferential",
 		"TestChaosMigrationInterrupt", "TestChaosEBRPinStall", "TestChaosAggWriterStall", "TestChaosBatchFlushDelay"}}},
 	"Config.SearchOutsideTx": {{"bench_test.go", []string{"BenchmarkSec8SearchOutsideTx"}}},

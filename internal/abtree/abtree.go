@@ -267,10 +267,6 @@ type Handle struct {
 	rqOut          []dict.KV
 	resAgg         dict.Agg
 
-	// helpRes is where a helping attempt builds the announced
-	// operation's result (help.go); res stays this handle's own.
-	helpRes engine.Result
-
 	// path records the internal nodes on an update's search path, root
 	// child first down to the leaf's parent (agg.go maintenance).
 	path []*Node
@@ -313,18 +309,9 @@ func (t *Tree) newHandle() *Handle {
 	}
 	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
 	h.e.EnableReclaim(h.pool, t.cfg.SearchOutsideTx)
-	h.e.SetHelpExec(h.helpExec)
 	h.buildOps()
 	return h
 }
-
-// Help drives the currently announced fallback operation (if any) to
-// completion on this handle's thread and reports whether it helped
-// (dict.Helper). The help body covers itself with the tree's
-// reclamation domain, so Help is safe outside any operation — chaos
-// harnesses loop it to drain the descriptor of a worker that died
-// after announcing.
-func (h *Handle) Help() bool { return h.e.Help() }
 
 // KeySum returns the sum and count of keys. The walk joins the tree's
 // reclamation domain (Begin/End on a dedicated reader context), so

@@ -25,15 +25,17 @@ import (
 // one version store per ancestor instead of two. A leaf carries only
 // aggSum: its count is the size in its order word.
 //
-// Maintenance. Transactional paths (fast, middle, and the TLE locked
-// body, which runs the fast-mode code under the lock) add the
+// Maintenance. Transactional paths (fast and middle) add the
 // operation's delta to every internal node on the leaf's search path
 // inside the operation's transaction, via AddAtCommit — a
 // write-set-only commutative delta, so concurrent updates through the
 // same ancestor (including the root) never invalidate each other's
 // snapshots. Insert and delete apply it through the one aggApply, in the
-// one order. Non-transactional paths (the lock-free fallback, SCXHTM,
-// and the helpable fallback's announced records) cannot ride a commit,
+// one order. The TLE locked body runs the same fast-mode code with a nil
+// tx, so its adds land at once; nothing else writes the tree while the
+// lock is held, and every transaction subscribes to the lock word, so it
+// needs no bracket. The non-transactional paths that run beside
+// transactions (the lock-free fallback and SCXHTM) cannot ride a commit,
 // so they bracket the SCX swing and a post-swing path fixup in the
 // tree-level aggVer seqlock below. Rebalancing transformations are
 // content-neutral (no ancestor deltas); their replacement nodes'
@@ -173,9 +175,9 @@ func (pr *prims) aggFrom(dst, src *Node) {
 // (-key, -1) for a delete — to every internal node on the recorded
 // search path, root first for both, so that no two bodies lock the
 // cells they share in opposite orders at commit. With a transaction the
-// adds are write-set entries that commit with it; tx is nil inside an
-// aggVer bracket — the TLE locked body, and the post-swing fixup of a
-// non-transactional path, aggFixupNonTx — where the cells take them
+// adds are write-set entries that commit with it; tx is nil under the
+// TLE lock and inside the aggVer bracket of a non-transactional path's
+// post-swing fixup (aggFixupNonTx), where the cells take them
 // immediately.
 func aggApply(tx *htm.Tx, path []*Node, dSum, dCount uint64) {
 	for _, n := range path {

@@ -12,42 +12,19 @@ import (
 // buildOps constructs the per-handle engine ops once.
 func (h *Handle) buildOps() {
 	t := h.t
-	// Helpable-fallback completion (engine/help.go): the terminal
-	// attempt carries the result and whether the helped update left a
-	// balance violation; the owner runs the fix loop itself after the
-	// engine returns (Insert/Delete below).
-	// A helper may have completed the operation without this handle
-	// running a fallback attempt of its own: drop what its aborted
-	// fast-path attempts left in the pool's lists before the Settle that
-	// follows Run acts on them (see the bst's finish).
-	finish := func(res engine.Result) {
-		h.beginAttempt()
-		h.res = res
-	}
 	// Every path runs the one body of its operation; the path only
-	// chooses the mode the body's primitives run in.
-	// Locked (TLE) update and fix bodies run the fast-mode code with a
-	// nil tx, mutating cells non-transactionally; the whole body takes
-	// the aggVer bracket so its aggregate updates are atomic against
-	// transactional readers and against a lagging helped-record
-	// installer's fixup, which runs outside the TLE lock (agg.go).
+	// chooses the mode the body's primitives run in. Under the TLE lock
+	// the update and fix bodies run their fast-mode code with a nil tx
+	// (engine.Op.Locked): nothing else writes the tree while the lock is
+	// held, and every transaction subscribes to the lock word, so their
+	// non-transactional aggregate updates need no aggVer bracket.
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.insertBody(h.prims(engine.ModeFallback, nil)) },
-		Locked: func() {
-			t.aggAcquire()
-			t.insertBody(h.prims(engine.ModeFast, nil))
-			t.aggRelease()
-		},
 		SCXHTM: func(useHTM bool) bool {
 			return t.insertBody(h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
-		Helpable: &engine.HelpableOp{
-			Kind:   engine.HelpInsert,
-			Args:   func() (uint64, uint64) { return h.argKey, h.argVal },
-			Finish: finish,
 		},
 		Update: true,
 	}
@@ -56,18 +33,8 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.deleteBody(h.prims(engine.ModeFallback, nil)) },
-		Locked: func() {
-			t.aggAcquire()
-			t.deleteBody(h.prims(engine.ModeFast, nil))
-			t.aggRelease()
-		},
 		SCXHTM: func(useHTM bool) bool {
 			return t.deleteBody(h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
-		Helpable: &engine.HelpableOp{
-			Kind:   engine.HelpDelete,
-			Args:   func() (uint64, uint64) { return h.argKey, 0 },
-			Finish: finish,
 		},
 		Update: true,
 	}
@@ -93,20 +60,14 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.fixBody(h.prims(engine.ModeFallback, nil)) },
-		Locked: func() {
-			t.aggAcquire()
-			t.fixBody(h.prims(engine.ModeFast, nil))
-			t.aggRelease()
-		},
 		SCXHTM: func(useHTM bool) bool {
 			return t.fixBody(h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
 	}
 	// Aggregate range query (agg.go): the transactional paths descend via
 	// the aggregate cells; paths without a transaction use the
-	// LLX-validated leaf walk — under the TLE lock the walk still needs
-	// LLX validation because a lagging helped-record installer can swing
-	// a pointer outside the lock.
+	// LLX-validated leaf walk, the TLE lock's included, which is what
+	// AggregateStats.Walk counts there.
 	h.aggOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.aggInTx(tx, h) },
@@ -283,9 +244,9 @@ func (t *Tree) locateForUpdate(pr *prims, key uint64) (p, u *Node, uIdx int) {
 	return p, u, uIdx
 }
 
-// insertBody implements Insert on every path, and one helping attempt
-// at an announced Insert (help.go). It returns false to request a retry
-// (non-transactional modes); transactional modes abort instead.
+// insertBody implements Insert on every path. It returns false to
+// request a retry (non-transactional modes); transactional modes abort
+// instead.
 func (t *Tree) insertBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()
@@ -406,8 +367,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 	return true
 }
 
-// deleteBody implements Delete on every path, and one helping attempt at
-// an announced Delete.
+// deleteBody implements Delete on every path.
 func (t *Tree) deleteBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()

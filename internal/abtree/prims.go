@@ -33,8 +33,8 @@ func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
 // needs. When aggregate work rides on the swing (deferred rebalance
 // rebuilds or a leaf op's path fixup), the swing and the fixup must form
 // one atomic step against transactional readers (agg.go). The bracket is
-// taken before SCX: once a ModeHelp record is installed, any thread's
-// LLX can help perform the swing, so acquiring first is what pins every
+// taken before SCX: once the SCX-record is published, any thread's LLX
+// can help perform the swing, so acquiring first is what pins every
 // possible swing instant inside the bracket. SCX reports true only to
 // the thread whose update took effect, so the path fixup is applied
 // exactly once. A value-update insert replaces the leaf with identical

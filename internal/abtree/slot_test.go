@@ -29,7 +29,7 @@ import (
 //     wrong nibble would show.
 //
 // Both mutations were made by hand and fail every variant whose fast path
-// edits leaves in place (3-path, 2-path-ncon, tle, tle-helpable) and the
+// edits leaves in place (3-path, 2-path-ncon, tle) and the
 // pooled-leaf case (ARCHITECTURE, "Node layout"). That case checks the other way a reader can
 // meet a slot that is not its leaf's: through a leaf recycled under it.
 // Run it under -race. A failure prints the seed and the variant;
@@ -55,11 +55,6 @@ func TestNoTornSlots(t *testing.T) {
 			Algorithm: alg, HTM: txAborts(60, htm.CauseSpurious),
 		}})
 	}
-	variants = append(variants, variant{"tle-helpable", Config{
-		Algorithm: engine.AlgTLE,
-		HTM:       txAborts(40, htm.CauseSpurious),
-		Engine:    engine.Config{HelpableFallback: true},
-	}})
 	for _, v := range variants {
 		v := v
 		t.Run(v.name, func(t *testing.T) {

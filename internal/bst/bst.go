@@ -22,9 +22,8 @@
 //   - the template code of Figure 12, the rest of the body, whose LLX and
 //     SCX are transactional LLX and SCXInTx inside one transaction
 //     (ModeMiddle, Section 5), the original lock-free LLXO/SCXO
-//     (ModeFallback), LLXO with the standalone HTM SCX (ModeSCXHTM,
-//     Section 4), or LLXO with an SCX-record published in an announced
-//     descriptor before it runs (ModeHelp, help.go).
+//     (ModeFallback), or LLXO with the standalone HTM SCX (ModeSCXHTM,
+//     Section 4).
 //
 // The searches-outside-transactions optimization of Section 8 is
 // available via Config.SearchOutsideTx: the two transactional modes
@@ -180,10 +179,6 @@ type Handle struct {
 	res            engine.Result
 	rqOut          []dict.KV
 
-	// helpRes is where a helping attempt builds the announced
-	// operation's result (help.go); res stays this handle's own.
-	helpRes engine.Result
-
 	// pool holds the thread's node free lists and attempt state
 	// (internal/nodepool; wired to the BST's node kinds in pool.go).
 	pool *nodepool.Pool[Node]
@@ -200,18 +195,9 @@ func (t *Tree) newHandle() *Handle {
 	h := &Handle{t: t, e: t.eng.NewThread(t.tm.NewThread()), clk: t.tm.Clock()}
 	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
 	h.e.EnableReclaim(h.pool, t.cfg.SearchOutsideTx)
-	h.e.SetHelpExec(h.helpExec)
 	h.buildOps()
 	return h
 }
-
-// Help drives the currently announced fallback operation (if any) to
-// completion on this handle's thread and reports whether it helped
-// (dict.Helper). The help body covers itself with the tree's
-// reclamation domain, so Help is safe outside any operation — chaos
-// harnesses loop it to drain the descriptor of a worker that died
-// after announcing.
-func (h *Handle) Help() bool { return h.e.Help() }
 
 // childRef returns the child field of p that a search for key follows.
 // p is always internal, and internal nodes are reused only after a

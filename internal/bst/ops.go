@@ -25,20 +25,6 @@ func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
 // scratch argument/result fields.
 func (h *Handle) buildOps() {
 	t := h.t
-	// finish delivers a helped operation's result into the handle
-	// scratch (shared by both update ops; the bst has no deferred fix).
-	// The operation may have been completed entirely by a helper, with
-	// this handle never running a fallback attempt of its own; its pool
-	// then still lists the nodes drawn and "removed" by its aborted
-	// fast-path attempts, which the Settle that follows Run would
-	// publish and retire — retiring nodes that are still linked (or
-	// that the helper retires too). Whoever installed the committed
-	// attempt has settled its own pool; nothing of this handle's is
-	// pending.
-	finish := func(res engine.Result) {
-		h.beginAttempt()
-		h.res = res
-	}
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeFast, tx)) },
@@ -48,11 +34,6 @@ func (h *Handle) buildOps() {
 			return t.insertBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
 		Update: true,
-		Helpable: &engine.HelpableOp{
-			Kind:   engine.HelpInsert,
-			Args:   func() (uint64, uint64) { return h.argKey, h.argVal },
-			Finish: finish,
-		},
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
@@ -63,11 +44,6 @@ func (h *Handle) buildOps() {
 			return t.deleteBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
 		},
 		Update: true,
-		Helpable: &engine.HelpableOp{
-			Kind:   engine.HelpDelete,
-			Args:   func() (uint64, uint64) { return h.argKey, 0 },
-			Finish: finish,
-		},
 	}
 	// The read-only operations have one transactional body, so they leave
 	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
@@ -254,9 +230,9 @@ func (h *Handle) newSubtree(l *Node, lk, key, val uint64) *Node {
 	return h.newInternal(key, l, nl)
 }
 
-// insertBody implements Insert on every path, and one helping attempt
-// at an announced Insert. It returns false to request a retry
-// (non-transactional modes); transactional modes abort instead.
+// insertBody implements Insert on every path. It returns false to
+// request a retry (non-transactional modes); transactional modes abort
+// instead.
 func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 	h.beginAttempt()
 	tx, key, val := pr.Tx, pr.Key, pr.Val
@@ -323,11 +299,10 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 	return pr.SCX(v, infos, nil, fld, l, h.newSubtree(l, lk, key, val))
 }
 
-// deleteBody implements Delete on every path, and one helping attempt at
-// an announced Delete. A leaf holding a dictionary key always has a
-// grandparent: the ∞₁ sentinel leaf is never removed, so the only leaf
-// that can hang directly off the root is that sentinel, which no key
-// matches.
+// deleteBody implements Delete on every path. A leaf holding a
+// dictionary key always has a grandparent: the ∞₁ sentinel leaf is never
+// removed, so the only leaf that can hang directly off the root is that
+// sentinel, which no key matches.
 func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 	h.beginAttempt()
 	tx, key := pr.Tx, pr.Key

@@ -110,15 +110,6 @@ type Handle interface {
 	RangeQuery(lo, hi uint64, out []KV) []KV
 }
 
-// Helper is optionally implemented by handles that can drive another
-// thread's announced fallback operation to completion (the helpable
-// lock-free fallback). Help performs at most one announced operation
-// and reports whether it helped; chaos harnesses loop it to drain the
-// descriptors of workers that died mid-operation.
-type Helper interface {
-	Help() bool
-}
-
 // Dict is a concurrent ordered dictionary.
 type Dict interface {
 	// NewHandle registers a new per-thread handle.

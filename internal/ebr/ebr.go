@@ -108,14 +108,6 @@ func (t *Thread) End() {
 	t.ann.Store(t.ann.Load() &^ 1)
 }
 
-// Active reports whether the thread is currently inside a Begin/End
-// bracket. The helpable-fallback engine consults it before running
-// helped operations, which read shared nodes and are only safe under an
-// announced epoch.
-func (t *Thread) Active() bool {
-	return t.ann.Load()&1 == 1
-}
-
 // Retire schedules x for recycling once no thread can still hold a
 // reference obtained before this call (two epoch advances).
 func (t *Thread) Retire(x any) {

@@ -174,37 +174,10 @@ func TestLimboFollowsTheBags(t *testing.T) {
 	}
 }
 
-// TestActiveReportsSection checks the Active query the helpable
-// fallback's helper guard relies on: a thread is active exactly while
-// it is inside a Begin/End section, through repeated sections, and
-// retiring from within a section does not disturb the report.
-func TestActiveReportsSection(t *testing.T) {
-	t.Parallel()
-	m := New()
-	th := m.NewThread(func(any) {})
-	if th.Active() {
-		t.Fatal("fresh thread reports active")
-	}
-	for i := 0; i < 3; i++ {
-		th.Begin()
-		if !th.Active() {
-			t.Fatalf("section %d: thread inside Begin/End reports inactive", i)
-		}
-		th.Retire(i)
-		if !th.Active() {
-			t.Fatalf("section %d: Retire flipped the active report", i)
-		}
-		th.End()
-		if th.Active() {
-			t.Fatalf("section %d: thread after End reports active", i)
-		}
-	}
-}
-
 // TestRetireOncePerNode retires each of a set of nodes exactly once
-// from whichever of two threads claims it first — the helpable
-// fallback's install-claim discipline — and checks every node is freed
-// exactly once and none is lost.
+// from whichever of two threads claims it first — as the thread whose
+// SCX took effect retires what it removed — and checks every node is
+// freed exactly once and none is lost.
 func TestRetireOncePerNode(t *testing.T) {
 	t.Parallel()
 	m := New()

@@ -149,27 +149,25 @@ type Config struct {
 	// ingress/egress counters. The sharding layer installs one monitor
 	// per shard to make cross-shard range queries atomic.
 	Monitor *UpdateMonitor
-	// HelpableFallback replaces AlgTLE's locked fallback path with the
-	// helpable lock-free lock protocol (see help.go): operations with a
-	// Helpable descriptor are announced before the critical section and
-	// any blocked thread drives them to completion instead of spinning
-	// behind a possibly preempted owner. Ignored by other algorithms.
+	// HelpableFallback is ignored. It is kept only because the
+	// repository benchmark's layer ladder (bench/layers.go) still sets
+	// it; AlgTLE has one fallback, the classic global lock.
 	HelpableFallback bool
 	// Faults, when non-nil, arms the deterministic fault-injection
-	// plane at the engine's seams: fault.PointFallbackOwner fires at
-	// the most preemption-sensitive point of the fallback path — right
-	// after the classic lock acquisition (the baseline's convoy window),
-	// or right after the announcement in helpable mode, where a Kill
-	// effect parks the announced owner forever and helpers must complete
-	// the operation (the lock-free progress guarantee under test) — and
-	// the plan is forwarded to the engine's reclamation domain for
-	// fault.PointEBRPin. The HTM and shard layers carry their own
+	// plane at the engine's seams: fault.PointFallbackOwner fires where
+	// a fallback-path owner is most preemption-sensitive — right after
+	// the TLE lock acquisition (the convoy window), and as a lock-free
+	// fallback operation begins, after its arrival on the presence
+	// indicator F where the algorithm keeps one (a Kill effect there
+	// leaves F held forever, and the other threads must progress past
+	// it) — and the plan is forwarded to the engine's reclamation domain
+	// for fault.PointEBRPin. The HTM and shard layers carry their own
 	// plan references; one shared *fault.Plan arms a whole structure.
 	Faults *fault.Plan
 	// Obs, when non-nil, attaches this engine to a live observability
 	// domain's flight recorder: every NewThread gains a recorder thread
 	// with sampled latency capture, runtime/trace op regions, and
-	// abort/help/acquire events. (The metric families that read Stats are
+	// abort/acquire events. (The metric families that read Stats are
 	// registered by the public package.)
 	Obs *obs.Node
 }
@@ -190,17 +188,9 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	_   [64]byte
 	cfg Config
-	// tle is the TLE global lock word: 0 free, 1 held by a classic
-	// locked operation, ≥ 2 held for the helpable descriptor of that
-	// generation (see help.go).
+	// tle is the TLE global lock word: 0 free, 1 held.
 	tle     htm.Word
 	reclaim *ebr.Manager // epoch domain for the structure's node pools
-	// genCtr feeds HelpDesc generations (nextGen).
-	genCtr atomic.Uint64
-	// ann is the announcement slot of the helpable fallback protocol: the
-	// descriptor of the critical section currently holding tle for its
-	// generation, if any (help.go).
-	ann atomic.Pointer[HelpDesc]
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -263,14 +253,7 @@ type Thread struct {
 	// fastRecycle records whether nodes removed by fast-path commits may
 	// be recycled immediately (the Section 9 rule); see EnableReclaim.
 	fastRecycle bool
-
-	// helpExec is the structure's fallback-attempt executor for
-	// announced descriptors (SetHelpExec); nil disables helping on this
-	// thread. helping is set while Help runs, which must not re-enter
-	// itself.
-	helping  bool
-	helpExec func(*HelpDesc)
-	_        [64]byte
+	_           [64]byte
 }
 
 // ReclaimReader registers a read-only context in the engine's epoch
@@ -338,14 +321,8 @@ func (th *Thread) EnableReclaim(pool NodePool, nonTxReaders bool) {
 	// and scx-htm commit removals non-transactionally, so none of them
 	// qualifies.
 	switch th.eng.cfg.Algorithm {
-	case AlgThreePath, AlgTwoPathNCon:
+	case AlgThreePath, AlgTwoPathNCon, AlgTLE:
 		th.fastRecycle = !nonTxReaders
-	case AlgTLE:
-		// Under the helpable fallback, stale helpers may still be
-		// reading nodes non-transactionally after the critical section's
-		// derived release lets fast-path commits resume, so immediate
-		// recycling of fast-path removals is unsound there.
-		th.fastRecycle = !nonTxReaders && !th.eng.cfg.HelpableFallback
 	default:
 		th.fastRecycle = false
 	}
@@ -415,11 +392,9 @@ type StatsSource interface {
 // (htm.Stats — the TM counts an attempt where it fails, and the engine
 // keeps no second ledger of the same event; under scx-htm that includes
 // the standalone SCX transactions' aborts), operation completions per
-// path, retry actions, fallback critical-section acquisitions (classic
-// TLE lock takes and helpable descriptors driven to completion by their
-// owner), the update monitor's completed quiesces, the (a,b)-tree's
-// aggregate answers (filled in by the tree, which counts them), and the
-// reclamation domain's gauges.
+// path, retry actions, TLE lock acquisitions, the update monitor's
+// completed quiesces, the (a,b)-tree's aggregate answers (filled in by
+// the tree, which counts them), and the reclamation domain's gauges.
 type OpStats struct {
 	htm.Stats
 	PathCounts
@@ -525,12 +500,6 @@ type Op struct {
 	// learns which hints overflow the first path and keeps such calls,
 	// and only them, from being attempted there (Site.capFloor).
 	Hint uint64
-	// Helpable, when non-nil, lets the operation's fallback critical
-	// section run through the helpable lock-free lock protocol under
-	// AlgTLE with Config.HelpableFallback (see help.go). Operations
-	// without it (reads, rebalancing steps) fall back to the classic
-	// locked path.
-	Helpable *HelpableOp
 	// prepared records that Fast and Middle already include the
 	// monitor's commit bump (Thread.PrepareOp), so Run need not wrap
 	// them per call.
@@ -723,28 +692,17 @@ func (th *Thread) run(op Op) htm.PathKind {
 // runTLE implements transactional lock elision: the fast path subscribes
 // to the global lock and aborts while it is held; when the retry policy
 // exhausts the attempt budget the operation acquires the lock and
-// runs the sequential body. Classic TLE is deadlock-free but not
-// lock-free; with Config.HelpableFallback, update operations instead
-// announce a descriptor and run the helpable lock-free lock protocol
-// (help.go), and every wait on the lock word helps the announced
-// operation along.
+// runs the sequential body. TLE is deadlock-free but not lock-free: a
+// lock holder that is descheduled or dies stops every other thread of
+// the engine, which is what 3-path's middle path exists to avoid.
 func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 	e := th.eng
 	site := op.policySite(th)
-	helpable := e.cfg.HelpableFallback
-	lockFree := func() bool { waitWhile(func() bool { return e.tle.Get(nil) != 0 }); return true }
-	if helpable {
-		lockFree = func() bool { th.helpWait(); return true }
-	}
 	if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget,
-		lockFree, func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
+		func() bool { waitWhile(func() bool { return e.tle.Get(nil) != 0 }); return true },
+		func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
 		th.completed(htm.PathFast)
 		return htm.PathFast
-	}
-	if helpable && op.Helpable != nil && th.helpExec != nil {
-		th.runHelpableFallback(op, mon)
-		th.completed(htm.PathFallback)
-		return htm.PathFallback
 	}
 	so := th.obs
 	var freg *trace.Region
@@ -752,30 +710,16 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 		freg = obs.StartFallbackRegion()
 	}
 	for !e.tle.CAS(nil, 0, 1) {
-		// In helpable mode a blocked classic acquirer still helps the
-		// announced operation — required for the protocol's progress
-		// argument, since the word stays held until the operation is
-		// done.
-		if helpable && th.Help() {
-			atomic.AddUint64(&th.polstats.Helps, 1)
-			if so != nil {
-				so.RareEvent(obs.EvHelp, htm.PathFallback, htm.CauseNone, 0, 0)
-			}
-			continue
-		}
 		runtime.Gosched()
 	}
 	atomic.AddUint64(&th.fallbackAcq, 1)
 	if so != nil {
-		// Generation 1 marks the classic (non-helpable) acquisition.
-		so.RareEvent(obs.EvAcquire, htm.PathFallback, htm.CauseNone, 1, 0)
+		so.RareEvent(obs.EvAcquire, htm.PathFallback, htm.CauseNone, 0, 0)
 		obs.EndRegion(freg)
 	}
-	// Owner-fault seam: a Stall here models the classic convoy (every
-	// thread blocked behind a descheduled lock holder). Kill is not
-	// meaningful on this path — a dead classic owner wedges the engine
-	// by design, which is exactly the weakness the helpable fallback
-	// removes.
+	// Owner-fault seam: a Stall here models the convoy (every thread
+	// blocked behind a descheduled lock holder). A Kill wedges the
+	// engine by design: nothing runs beside a held TLE lock.
 	e.cfg.Faults.Hit(fault.PointFallbackOwner)
 	func() {
 		// Release with defer, like the monitor bracket below: a panic
@@ -1020,6 +964,12 @@ func (th *Thread) runFallbackLoop(op Op, ind Indicator, mon *UpdateMonitor) {
 		ind.Arrive()
 		defer ind.Depart()
 	}
+	// Owner-fault seam: the operation counts in F (where the algorithm
+	// keeps one) and has done nothing yet. A Kill leaves F held forever;
+	// 3-path's fast path then stops and its middle path carries the
+	// updates, 2-path-con and non-htm have no F, and 2-path-ncon's fast
+	// path waits for F to drain and so wedges by design.
+	th.eng.cfg.Faults.Hit(fault.PointFallbackOwner)
 	if mon != nil {
 		mon.beginNonTx()
 		defer mon.endNonTx()

@@ -131,9 +131,6 @@ type PolicyStats struct {
 	// Demotions counts operations that started past the fast path
 	// because their site's capacity memory expected them not to fit.
 	Demotions uint64
-	// Helps counts announced fallback operations this engine's threads
-	// helped complete while blocked (helpable fallback only).
-	Helps uint64
 }
 
 // Merge adds another snapshot into s.
@@ -142,7 +139,6 @@ func (s *PolicyStats) Merge(o PolicyStats) {
 	s.FreeRetries += o.FreeRetries
 	s.CapacitySkips += o.CapacitySkips
 	s.Demotions += o.Demotions
-	s.Helps += o.Helps
 }
 
 // addAtomic accumulates a live per-thread accumulator into s using
@@ -152,7 +148,6 @@ func (s *PolicyStats) addAtomic(o *PolicyStats) {
 	s.FreeRetries += atomic.LoadUint64(&o.FreeRetries)
 	s.CapacitySkips += atomic.LoadUint64(&o.CapacitySkips)
 	s.Demotions += atomic.LoadUint64(&o.Demotions)
-	s.Helps += atomic.LoadUint64(&o.Helps)
 }
 
 // backoffSpin busy-waits for roughly n iterations of register-only

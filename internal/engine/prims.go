@@ -8,8 +8,7 @@ import (
 // This file is the one place that decides which flavour of LLX and SCX a
 // template operation runs with. A tree writes each update once, in terms
 // of Prims.LLX and Prims.SCX (paper Figure 12); the execution path only
-// picks the Mode, and helping an announced operation (help.go) is one
-// more mode of the same body, not a second copy of it.
+// picks the Mode.
 
 // Mode selects the flavour of the template primitives a body runs with.
 type Mode uint8
@@ -30,11 +29,6 @@ const (
 	// ModeSCXHTM: non-transactional LLX and the standalone HTM SCX of
 	// Section 4.
 	ModeSCXHTM
-	// ModeHelp: one attempt at an announced operation (help.go), run by
-	// its owner or by any helper on the runner's own handle. LLX is
-	// ModeFallback's; the update phase publishes its SCX-record in the
-	// descriptor before executing it.
-	ModeHelp
 )
 
 // SCXHTMMode returns the mode of an Op.SCXHTM body: the standalone HTM
@@ -57,11 +51,8 @@ type Result struct {
 }
 
 // Prims carries one attempt's execution context over a tree of N nodes:
-// where the arguments come from, where the result goes, and how LLX and
-// SCX run. A handle running its own operation points Key, Val and Res at
-// its scratch; a ModeHelp attempt takes Key and Val from Desc and keeps
-// Res private, because the runner's scratch belongs to whatever
-// operation the runner itself has in flight.
+// the operation's arguments, where its result goes (the handle's
+// scratch), and how LLX and SCX run.
 type Prims[N any] struct {
 	Th   *Thread
 	Tx   *htm.Tx // nil outside a transaction
@@ -73,8 +64,6 @@ type Prims[N any] struct {
 	Key, Val uint64
 	// Res receives the result, complete before the body calls SCX.
 	Res *Result
-	// Desc is the announced operation (ModeHelp only).
-	Desc *HelpDesc
 }
 
 // Fail gives up on the attempt: inside a transaction it aborts with
@@ -130,18 +119,6 @@ func (pr *Prims[N]) SCX(v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
 		ok = llxscx.SCXO(v, infos, r, fld, old, new)
 	case ModeSCXHTM:
 		ok, _ = llxscx.SCXHTM(pr.Th.H, htm.PathFast, &pr.Th.Tags, v, infos, r, fld, new)
-	case ModeHelp:
-		// SCXO split into build / Install / Run: the install CAS is the
-		// operation's claim. Once installed, any executor of the
-		// descriptor (or any LLX that meets the record) can push it, but
-		// only the installing thread sees true here, so removed nodes are
-		// retired exactly once. Losing the install means another attempt
-		// already holds the descriptor: this one is dropped unpublished.
-		att := &HelpAttempt{
-			Rec:    llxscx.NewRecord(v, infos, r, fld, old, new),
-			Result: *pr.Res,
-		}
-		ok = pr.Desc.Install(att) && att.Rec.Run()
 	}
 	if !ok {
 		pr.Failed = true
@@ -150,14 +127,8 @@ func (pr *Prims[N]) SCX(v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
 }
 
 // NotFound completes an attempt that found no key to remove: the result
-// is "absent" and nothing is written. A ModeHelp attempt installs it as a
-// terminal attempt without a record — absence was determined while the
-// fallback word excluded fast-path commits, so it is the operation's
-// linearization.
+// is "absent" and nothing is written.
 func (pr *Prims[N]) NotFound() bool {
 	*pr.Res = Result{}
-	if pr.Mode == ModeHelp {
-		pr.Desc.Install(&HelpAttempt{})
-	}
 	return true
 }

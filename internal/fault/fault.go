@@ -1,13 +1,12 @@
 // Package fault is the deterministic fault-injection plane: a registry
 // of named injection points threaded through the protocol seams the
 // engine's correctness arguments actually depend on — forced
-// transactional aborts, owner stalls and permanent owner death inside
-// the helpable fallback critical section, quiesce-gate delays and
-// migration interruption, epoch-pin stalls that starve reclamation,
-// aggregate-seqlock writer stalls, and batch flush delays — plus a
-// progress watchdog (Liveness) that distinguishes "blocked on a dead
-// owner" (a bug) from "helped past a dead owner" (the lock-free
-// guarantee).
+// transactional aborts, stalls and permanent death of a fallback-path
+// owner, quiesce-gate delays and migration interruption, epoch-pin
+// stalls that starve reclamation, aggregate-seqlock writer stalls, and
+// batch flush delays — plus a progress watchdog (Liveness) that
+// distinguishes "blocked on a dead owner" (a bug) from "progressed past
+// a dead owner" (the lock-free guarantee).
 //
 // A Plan compiles a seed and a set of per-point Rules into per-point
 // trigger state. Every trigger decision is a pure function of
@@ -47,15 +46,19 @@ const (
 	// policy abandon the path at once, which is how a test steers an
 	// operation off a path.
 	PointTxAccess
-	// PointFallbackOwner fires when a fallback critical-section owner
-	// is at its most preemption-sensitive point: right after the
-	// helpable announce, or right after the classic TLE lock
-	// acquisition. A Stall models a descheduled owner; Kill models a
-	// crashed one (the goroutine parks forever) — helpers must then
-	// complete the announced operation, which is the paper's progress
-	// claim made executable. Kill is only meaningful under the
-	// helpable fallback; a killed classic lock holder wedges the shard
-	// by design.
+	// PointFallbackOwner fires when a fallback-path owner is at its
+	// most preemption-sensitive point: as a lock-free fallback operation
+	// begins — after it arrives on the fallback-presence indicator F
+	// under 2-path-ncon and 3-path, which keep one — and right after the
+	// TLE lock acquisition. A Stall models a descheduled owner; Kill
+	// models a crashed one (the goroutine parks forever, holding F or
+	// the lock). Kill is meaningful where the first path moves on
+	// instead of waiting — 3-path, whose fast path yields to its middle
+	// path while F is non-zero, and 2-path-con and non-htm, which have
+	// no F — and there the other threads must keep completing
+	// operations: the paper's progress claim made executable. TLE's
+	// lock wait and 2-path-ncon's wait for F to drain wedge behind a
+	// dead owner by design.
 	PointFallbackOwner
 	// PointQuiesce fires after a migration quiesced and bracketed both
 	// monitors — while it holds the gates updates wait at.
@@ -499,9 +502,9 @@ func (p *Plan) ReleaseKilled() {
 // Liveness is the progress watchdog: harness worker threads report
 // completed operations (OpDone), watched Stall/Kill effects bracket
 // stall windows, and Check asserts that system-wide throughput stayed
-// nonzero while any window was open — the difference between "helped
-// past a dead owner" (the lock-free guarantee) and "blocked on a dead
-// owner" (a bug). Kill windows never end on their own; Finish closes
+// nonzero while any window was open — the difference between
+// "progressed past a dead owner" (the lock-free guarantee) and "blocked
+// on a dead owner" (a bug). Kill windows never end on their own; Finish closes
 // them with the final operation count before Check.
 //
 // Windows that overlap in time share a Group and are judged on their

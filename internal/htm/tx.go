@@ -158,10 +158,6 @@ type Thread struct {
 	ab txAbort
 }
 
-// InTx reports whether a transaction of this thread is in flight, for
-// callers that must not run non-transactional code under one.
-func (th *Thread) InTx() bool { return th.inTx }
-
 // Stats returns a snapshot of this thread's transaction statistics. The
 // counters are read through the same atomic path the owning goroutine
 // writes them with, so a reporting goroutine may call this concurrently

@@ -240,15 +240,6 @@ func LLX(tx *htm.Tx, h *Hdr, readFields func()) (*Info, Status) {
 // every record in v obtaining infos, new was never previously contained
 // in fld, and r is a subsequence of v.
 func SCXO[T any](v []*Hdr, infos []*Info, r []*Hdr, fld *htm.Ref[T], old, new *T) bool {
-	return NewRecord(v, infos, r, fld, old, new).Run()
-}
-
-// NewRecord builds a fallback-path SCX-record without running it. The
-// helpable-fallback engine uses this split to publish the record in an
-// announcement slot before (or while) executing it, so that any thread
-// can drive the same record to completion. Preconditions are those of
-// SCXO.
-func NewRecord[T any](v []*Hdr, infos []*Info, r []*Hdr, fld *htm.Ref[T], old, new *T) *SCXRecord {
 	rec := &SCXRecord{
 		nv:  len(v),
 		nr:  len(r),
@@ -259,18 +250,8 @@ func NewRecord[T any](v []*Hdr, infos []*Info, r []*Hdr, fld *htm.Ref[T], old, n
 	copy(rec.infos[:], infos)
 	copy(rec.r[:], r)
 	rec.self.Rec = rec
-	return rec
+	return help(rec)
 }
-
-// Run drives the record to completion (paper Figure 2, Help) and
-// reports whether it committed. It is idempotent and safe to call
-// concurrently from any number of threads: a record that already
-// committed returns true again, an aborted one returns false again.
-func (rec *SCXRecord) Run() bool { return help(rec) }
-
-// State returns the record's current state (StateInProgress,
-// StateCommitted or StateAborted).
-func (rec *SCXRecord) State() int32 { return rec.state.Load() }
 
 // help runs the body of the original SCX (paper Figure 2, Help) to
 // completion on behalf of any thread. It may be called concurrently by

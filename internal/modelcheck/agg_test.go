@@ -10,9 +10,8 @@ import (
 
 // buildAgg constructs the combo's tree for aggregate checking: sharded
 // combos get AtomicRangeQueries (aggregate fan-outs require the
-// validated read protocol), TLE combos get the helpable fallback (so
-// the differential also covers helped swings' aggregate fixups), and
-// adaptive combos keep the migration-forcing knobs.
+// validated read protocol), and adaptive combos keep the
+// migration-forcing knobs.
 func (c combo) buildAgg(t *testing.T, keySpan uint64) *htmtree.Tree {
 	t.Helper()
 	cfg := htmtree.Config{
@@ -21,9 +20,6 @@ func (c combo) buildAgg(t *testing.T, keySpan uint64) *htmtree.Tree {
 		ShardKeySpan:       keySpan,
 		Router:             c.router,
 		AtomicRangeQueries: c.shards > 1,
-	}
-	if c.algorithm == htmtree.TLE {
-		cfg.HelpableFallback = true
 	}
 	if c.router == htmtree.RouterAdaptive {
 		cfg.RebalanceCheckOps = 64
@@ -54,9 +50,9 @@ func (c combo) buildAgg(t *testing.T, keySpan uint64) *htmtree.Tree {
 // lockstep: every RangeAgg window (and the whole-tree Count/Min/Max
 // convenience forms) must return exactly the model's tuple. On the
 // (a,b)-tree this exercises the O(log n) aggregate descent against
-// every update path that maintains the per-child tuples (including
-// TLE's helped fallback swings); the BST runs the same checks through
-// its walking implementation — the interface-level control. The final
+// every update path that maintains the per-child tuples; the BST runs
+// the same checks through its walking implementation — the
+// interface-level control. The final
 // CheckInvariants recomputes every node's tuple from the leaves.
 func TestDifferentialAggregates(t *testing.T) {
 	t.Parallel()
@@ -317,20 +313,21 @@ func runAggAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
 // cut of the writers' sequential histories. RangeAgg shares RangeQuery's
 // protocol, so the cases mirror TestCrossShardRangeQueryAtomicity's and
 // assert the same split between pinned transactions and sampling. The
-// adaptive variant forces live boundary migrations under the readers; a
-// tle-helpable variant routes the updates through announced fallback
-// descriptors, so helped SCX swings (and their exactly-once aggregate
-// fixups) race the aggregate readers too.
+// adaptive variant forces live boundary migrations under the readers;
+// the tle variants put TLE writers against readers subscribed to the
+// lock word — sampled, and pinned with every update forced onto the
+// lock (fallbackWriteCapacity), whose body adds to the aggregates
+// without a seqlock.
 func TestCrossShardAggregateAtomicity(t *testing.T) {
 	t.Parallel()
 	runAtomicityCases(t, "aggregate", []atomicityCase{
 		{name: "range", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
 		{name: "hash", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterHash}},
 		{name: "adaptive", abtree: true, pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
-		{name: "tle-helpable", abtree: true, pins: pinNone, cfg: htmtree.Config{
-			Router: htmtree.RouterAdaptive, Algorithm: htmtree.TLE, HelpableFallback: true}},
-		{name: "tle-helpable-pinned", abtree: true, pins: pinAll, cfg: htmtree.Config{
-			Algorithm: htmtree.TLE, HelpableFallback: true}},
+		{name: "tle", abtree: true, pins: pinNone, cfg: htmtree.Config{
+			Router: htmtree.RouterAdaptive, Algorithm: htmtree.TLE}},
+		{name: "tle-pinned", abtree: true, pins: pinAll, cfg: htmtree.Config{
+			Algorithm: htmtree.TLE, WriteCapacity: fallbackWriteCapacity}},
 		{name: "bst", pins: pinAll},
 		{name: "small-capacity", abtree: true, pins: pinSome, cfg: htmtree.Config{ReadCapacity: smallReadCapacity}},
 		{name: "fallback-writers", abtree: true, pins: pinAll, cfg: htmtree.Config{WriteCapacity: fallbackWriteCapacity}},

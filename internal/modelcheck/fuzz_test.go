@@ -8,9 +8,9 @@ import (
 )
 
 // FuzzOps feeds fuzzer-chosen operation streams through every template
-// configuration at once — BST and a-b-tree, the plain 3-path, the
-// helpable TLE fallback (spurious aborts force the announce protocol
-// even single-threaded) and 3-path under stormConfig's read capacity,
+// configuration at once — BST and a-b-tree, the plain 3-path, TLE
+// (spurious aborts send operations to the locked body even
+// single-threaded) and 3-path under stormConfig's read capacity,
 // which the range queries' extents straddle (so the per-call capacity
 // memory skips, probes and moves its floor inside the checked stream) —
 // in lockstep with the sequential model. The
@@ -53,10 +53,9 @@ func FuzzOps(f *testing.F) {
 			}
 			return sut{name, tree}
 		}
-		helpable := htmtree.Config{
-			Algorithm:        htmtree.TLE,
-			Faults:           txAborts(3, htm.CauseSpurious),
-			HelpableFallback: true,
+		tle := htmtree.Config{
+			Algorithm: htmtree.TLE,
+			Faults:    txAborts(3, htm.CauseSpurious),
 		}
 		tight := stormConfig(htmtree.ThreePath, 0)
 		suts := []sut{
@@ -64,8 +63,8 @@ func FuzzOps(f *testing.F) {
 			mk("abtree/3path", htmtree.NewABTree, htmtree.Config{}),
 			mk("bst/3path-tight", htmtree.NewBST, tight),
 			mk("abtree/3path-tight", htmtree.NewABTree, tight),
-			mk("bst/tle-helpable", htmtree.NewBST, helpable),
-			mk("abtree/tle-helpable", htmtree.NewABTree, helpable),
+			mk("bst/tle", htmtree.NewBST, tle),
+			mk("abtree/tle", htmtree.NewABTree, tle),
 		}
 		handles := make([]*htmtree.Handle, len(suts))
 		for i, s := range suts {

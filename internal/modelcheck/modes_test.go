@@ -2,7 +2,6 @@ package modelcheck
 
 import (
 	"math/rand"
-	"sync/atomic"
 	"testing"
 
 	"htmtree"
@@ -14,21 +13,16 @@ import (
 type bodyMode struct {
 	name string
 	cfg  htmtree.Config
-	// parked parks every update's owner right after it announces, so a
-	// second handle's Help runs the whole body.
-	parked bool
 	// ran reports whether the per-path completion counts show the named
 	// path — and no other — carried the updates.
 	ran func(ops htmtree.PathCounts, updates uint64) bool
 }
 
 func bodyModes() []bodyMode {
-	// TLE rows: every transactional access aborts by capacity, so each
-	// operation leaves the fast path on its first attempt and takes the
-	// fallback.
+	// The TLE row: every transactional access aborts by capacity, so
+	// each operation leaves the fast path on its first attempt and takes
+	// the lock.
 	noFast := htmtree.Config{Algorithm: htmtree.TLE, Faults: txAborts(1, htm.CauseCapacity)}
-	helpable := noFast
-	helpable.HelpableFallback = true
 	onFirst := func(o htmtree.PathCounts, n uint64) bool { return o.Fast >= n && o.Middle == 0 && o.Fallback == 0 }
 	onFallback := func(o htmtree.PathCounts, n uint64) bool { return o.Fallback >= n && o.Fast == 0 && o.Middle == 0 }
 	return []bodyMode{
@@ -37,7 +31,6 @@ func bodyModes() []bodyMode {
 		{name: "non-htm-fallback", cfg: htmtree.Config{Algorithm: htmtree.NonHTM}, ran: onFallback},
 		{name: "scx-htm", cfg: htmtree.Config{Algorithm: htmtree.SCXHTM}, ran: onFirst},
 		{name: "tle-locked", cfg: noFast, ran: onFallback},
-		{name: "tle-help-parked", cfg: helpable, parked: true, ran: onFallback},
 	}
 }
 
@@ -48,8 +41,7 @@ func bodyModes() []bodyMode {
 // reinsert, then enough ascending inserts and deletes to split and
 // underfill (a,b)-tree leaves, then a random mix. Every return value,
 // the final key sum and the invariants must agree, and the completion
-// counts must show the named path ran. In the parked row no owner ever
-// executes its own update: a helper on a second handle does.
+// counts must show the named path ran.
 func TestEveryBodyModeAgreesWithModel(t *testing.T) {
 	const (
 		seed    = 0x16
@@ -66,78 +58,29 @@ func TestEveryBodyModeAgreesWithModel(t *testing.T) {
 					t.Logf("seed=%#x tree=%s mode=%s", seed, structure, m.name)
 					t.Fatalf(format, args...)
 				}
-				cfg := m.cfg
-				var armed atomic.Bool
-				announced := make(chan struct{})
-				resume := make(chan struct{})
-				if m.parked {
-					cfg.Faults = cfg.Faults.With(htmtree.FaultRule{
-						Point: htmtree.FaultFallbackOwner,
-						Func: func() {
-							// One-shot per update: the owner's (a,b)-tree
-							// fix steps take the classic lock through the
-							// same seam and must not park.
-							if armed.CompareAndSwap(true, false) {
-								announced <- struct{}{}
-								<-resume
-							}
-						},
-					})
-				}
 				newTree := htmtree.NewBST
 				if structure == "abtree" {
 					newTree = htmtree.NewABTree
 				}
-				tree, err := newTree(cfg)
+				tree, err := newTree(m.cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				owner, helper := tree.NewHandle(), tree.NewHandle()
+				h := tree.NewHandle()
 				model := NewModel()
 				var updates uint64
 
-				// run executes one update on the owner handle; parked rows
-				// have the helper complete it while the owner sits between
-				// its announcement and its first step.
-				run := func(op func()) {
-					updates++
-					if !m.parked {
-						op()
-						return
-					}
-					armed.Store(true)
-					done := make(chan struct{})
-					go func() {
-						defer close(done)
-						op()
-					}()
-					select {
-					case <-announced:
-					case <-done:
-						fatalf("update %d completed without announcing", updates)
-					}
-					if !helper.Help() {
-						fatalf("update %d: helper found nothing to help", updates)
-					}
-					if helper.Help() {
-						fatalf("update %d: helped a finished operation", updates)
-					}
-					resume <- struct{}{}
-					<-done
-				}
 				insert := func(k, v uint64) {
-					var old uint64
-					var existed bool
-					run(func() { old, existed = owner.Insert(k, v) })
+					updates++
+					old, existed := h.Insert(k, v)
 					wantOld, wantEx := model.Insert(k, v)
 					if existed != wantEx || (existed && old != wantOld) {
 						fatalf("update %d Insert(%d,%d) = (%d,%v), model (%d,%v)", updates, k, v, old, existed, wantOld, wantEx)
 					}
 				}
 				remove := func(k uint64) {
-					var old uint64
-					var existed bool
-					run(func() { old, existed = owner.Delete(k) })
+					updates++
+					old, existed := h.Delete(k)
 					wantOld, wantEx := model.Delete(k)
 					if existed != wantEx || (existed && old != wantOld) {
 						fatalf("update %d Delete(%d) = (%d,%v), model (%d,%v)", updates, k, old, existed, wantOld, wantEx)

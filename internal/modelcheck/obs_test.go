@@ -168,39 +168,6 @@ func TestRaceObservedPathTransitions(t *testing.T) {
 	}
 }
 
-// TestRaceObservedHelpableTLE drives the announce/help/install protocol
-// with the recorder on: helpable-fallback cold events (announce, help,
-// install, acquire) are recorded unconditionally by whichever thread
-// performs them, so helping threads write into their own rings while
-// the owner writes into its — concurrently with the scraper's drains.
-func TestRaceObservedHelpableTLE(t *testing.T) {
-	t.Parallel()
-	const (
-		goroutines = 4
-		keySpan    = 128
-	)
-	opsPerG := 2000
-	if testing.Short() {
-		opsPerG = 600
-	}
-	tree, err := htmtree.NewBST(htmtree.Config{
-		Algorithm:        htmtree.TLE,
-		HelpableFallback: true,
-		Faults:           txAborts(3, htm.CauseSpurious),
-		Observability:    &htmtree.ObsConfig{EventSample: 2, EventBuffer: 128},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var stop atomic.Bool
-	scr := observedScrapeLoop(t, tree, &stop)
-	sum, count := observedChurn(tree, goroutines, opsPerG, keySpan)
-	finishObserved(t, tree, &stop, scr, sum, count)
-	if st := tree.Stats(); st.Ops.Fallback == 0 {
-		t.Fatalf("helpable fallback never reached: %+v", st.Ops)
-	}
-}
-
 // TestRaceObservedMigration churns an adaptive-router sharded tree
 // tuned to migrate constantly: the shard layer's migration and quiesce
 // events go through one shared recorder thread (RareEvent's multi-writer

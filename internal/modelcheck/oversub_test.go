@@ -12,20 +12,20 @@ import (
 )
 
 // oversubCombo is one point of the oversubscription stress sweep: both
-// structures, the classic TLE lock and the helpable fallback, unsharded
+// structures, the TLE lock and 3-path's lock-free fallback, unsharded
 // and 8-way sharded.
 type oversubCombo struct {
 	structure string
-	helpable  bool
+	algorithm htmtree.Algorithm
 	shards    int
 }
 
 func oversubCombos() []oversubCombo {
 	var cs []oversubCombo
 	for _, structure := range []string{"bst", "abtree"} {
-		for _, helpable := range []bool{false, true} {
+		for _, alg := range []htmtree.Algorithm{htmtree.TLE, htmtree.ThreePath} {
 			for _, shards := range []int{1, 8} {
-				cs = append(cs, oversubCombo{structure, helpable, shards})
+				cs = append(cs, oversubCombo{structure, alg, shards})
 			}
 		}
 	}
@@ -33,18 +33,16 @@ func oversubCombos() []oversubCombo {
 }
 
 func (c oversubCombo) name() string {
-	fb := "tle"
-	if c.helpable {
-		fb = "helpable"
-	}
-	return fmt.Sprintf("%s/%s/x%d", c.structure, fb, c.shards)
+	return fmt.Sprintf("%s/%s/x%d", c.structure, c.algorithm, c.shards)
 }
 
 // TestOversubscribedDifferential is the oversubscription battery: the
-// TLE fallback — classic lock and helpable lock-free lock — exercised
-// with more threads than processors, so critical-section owners are
-// genuinely descheduled mid-protocol, with a scheduling yield injected
-// into every fallback body to force the worst interleavings
+// two answers to a descheduled fallback owner — the TLE lock, which
+// convoys behind it, and 3-path, whose fast path yields to the middle
+// path while F is held and whose fallback is lock-free — exercised with
+// more threads than processors, so fallback-path owners are genuinely
+// descheduled mid-operation, with a scheduling yield injected into
+// every fallback entry to force the worst interleavings
 // deterministically rather than waiting for the scheduler to find them.
 //
 // Every thread owns a disjoint contiguous key range and drives a
@@ -52,11 +50,9 @@ func (c oversubCombo) name() string {
 // in-range range queries must agree op for op. Disjointness makes the
 // per-thread differential sound under concurrency — no other thread's
 // operations can change this thread's window — while the shared trees,
-// the shared TLE word (and announcement slots, helpers executing other
-// threads' operations with their own handles), and the shared shard
-// boundaries stay fully contended. A helper that completed the wrong
-// operation, delivered a stale descriptor result, double-applied an
-// announced insert, or leaked the lock word would surface as a
+// the shared TLE word or fallback-presence indicator, and the shared
+// shard boundaries stay fully contended. A leaked lock word or F, or a
+// fallback-path update racing a fast-path one, would surface as a
 // lockstep disagreement, a wedged thread, or a final key-sum mismatch.
 func TestOversubscribedDifferential(t *testing.T) {
 	const (
@@ -77,15 +73,14 @@ func TestOversubscribedDifferential(t *testing.T) {
 	for _, c := range oversubCombos() {
 		t.Run(c.name(), func(t *testing.T) {
 			cfg := htmtree.Config{
-				Algorithm:        htmtree.TLE,
-				Shards:           c.shards,
-				ShardKeySpan:     keySpan,
-				HelpableFallback: c.helpable,
+				Algorithm:    c.algorithm,
+				Shards:       c.shards,
+				ShardKeySpan: keySpan,
 				// Force fallback traffic — a spurious abort at one
 				// transactional access in eight sends a steady share of
-				// operations past the fast path's budget — and yield
-				// right after each fallback entry takes, or announces
-				// under, the lock word.
+				// operations past the transactional paths' budget — and
+				// yield right after each fallback entry takes the lock
+				// word or arrives on F.
 				Faults: txAborts(8, htm.CauseSpurious, htmtree.FaultRule{
 					Point: htmtree.FaultFallbackOwner, Func: runtime.Gosched,
 				}),
@@ -198,10 +193,7 @@ func TestOversubscribedDifferential(t *testing.T) {
 			}
 			st := tree.Stats()
 			if st.Ops.Fallback == 0 {
-				t.Fatal("no operation completed on the fallback path: the sweep did not stress the lock under test")
-			}
-			if c.helpable {
-				t.Logf("fallbacks=%d helps=%d", st.Ops.Fallback, st.Policy.Helps)
+				t.Fatal("no operation completed on the fallback path: the sweep did not stress the fallback under test")
 			}
 		})
 	}

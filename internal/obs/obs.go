@@ -57,10 +57,10 @@ type Config struct {
 	// DefaultLatencySample; negative disables latency capture.
 	LatencySample int
 	// EventSample records every Nth hot-path event (op completions,
-	// aborts) in the flight recorder. Cold-path events (announce, help,
-	// install, fallback acquisition, quiesce, migration) are always
-	// recorded — they are rare by construction and are the ones that
-	// explain a convoy. 0 selects DefaultEventSample; negative disables
+	// aborts) in the flight recorder. Cold-path events (TLE lock
+	// acquisition, quiesce, migration, fired faults) are always recorded
+	// — they are rare by construction and are the ones that explain a
+	// convoy. 0 selects DefaultEventSample; negative disables
 	// hot-path events (cold events are still kept).
 	EventSample int
 	// EventBuffer is the per-thread flight-recorder capacity in events
@@ -171,10 +171,7 @@ const (
 	EvNone         EventKind = iota
 	EvOp                     // operation completed; Path is the final path
 	EvAbort                  // transactional attempt aborted; Path, Cause, A=policy site id, B=explicit abort code
-	EvAnnounce               // helpable descriptor announced; A=descriptor generation
-	EvHelp                   // this thread helped an announced operation while blocked
-	EvInstall                // terminal attempt observed installed; A=descriptor generation
-	EvAcquire                // fallback lock acquired; A=generation (1 = classic TLE acquisition)
+	EvAcquire                // TLE global lock acquired
 	EvQuiesce                // monitor quiesce completed; A=shard
 	EvMigrateBegin           // key migration started; A=donor shard, B=receiver shard
 	EvMigrateEnd             // key migration finished; A=keys moved
@@ -190,12 +187,6 @@ func (k EventKind) String() string {
 		return "op"
 	case EvAbort:
 		return "abort"
-	case EvAnnounce:
-		return "announce"
-	case EvHelp:
-		return "help"
-	case EvInstall:
-		return "install"
 	case EvAcquire:
 		return "acquire"
 	case EvQuiesce:

@@ -137,9 +137,9 @@ func TestEventsChronology(t *testing.T) {
 	t1 := o.Node().NewThread()
 	t2 := o.Node().NewThread()
 	// Interleave across threads; timestamps are monotone per put call.
-	t1.RareEvent(EvAnnounce, htm.PathFallback, htm.CauseNone, 2, 0)
-	t2.RareEvent(EvHelp, htm.PathFast, htm.CauseNone, 0, 0)
-	t1.RareEvent(EvAcquire, htm.PathFallback, htm.CauseNone, 2, 0)
+	t1.RareEvent(EvQuiesce, 0, htm.CauseNone, 2, 0)
+	t2.RareEvent(EvFaultStall, 0, htm.CauseNone, 3, 1)
+	t1.RareEvent(EvAcquire, htm.PathFallback, htm.CauseNone, 0, 0)
 	t2.Event(EvAbort, htm.PathMiddle, htm.CauseConflict, 7, 9)
 	evs := o.Events()
 	if len(evs) != 4 {
@@ -159,8 +159,8 @@ func TestEventsChronology(t *testing.T) {
 		ab.A != 7 || ab.B != 9 || ab.Thread != t2.ID() {
 		t.Fatalf("abort event decoded wrong: %+v", ab)
 	}
-	if an := kinds[EvAnnounce]; an.A != 2 || an.CauseName != "" {
-		t.Fatalf("announce event decoded wrong: %+v", an)
+	if q := kinds[EvQuiesce]; q.KindName != "quiesce" || q.A != 2 || q.CauseName != "" {
+		t.Fatalf("quiesce event decoded wrong: %+v", q)
 	}
 }
 

@@ -12,10 +12,9 @@ const (
 	// RegionOp spans one dictionary operation end to end (all paths,
 	// including retries and the fallback).
 	RegionOp = "htmtree/op"
-	// RegionFallback spans a fallback critical-section acquisition: the
-	// classic TLE lock wait, or announce-to-completion in helpable mode.
-	// A long RegionFallback inside a RegionOp is a convoy, visible
-	// directly in the trace viewer.
+	// RegionFallback spans a TLE lock acquisition, the wait for the
+	// global lock. A long RegionFallback inside a RegionOp is a convoy,
+	// visible directly in the trace viewer.
 	RegionFallback = "htmtree/fallback"
 )
 

@@ -625,20 +625,6 @@ type handle struct {
 	rerouted uint64
 }
 
-// Help fans a help attempt across every shard's handle (dict.Helper):
-// each shard is an independent engine with its own announcement slot,
-// so a dead owner may be parked on any of them. Returns true if any
-// shard's announced operation was helped.
-func (h *handle) Help() bool {
-	helped := false
-	for _, ih := range h.hs {
-		if hh, ok := ih.(dict.Helper); ok && hh.Help() {
-			helped = true
-		}
-	}
-	return helped
-}
-
 // curRouter returns the routing table for an operation that is not
 // admitted (a read, or an update on an unmonitored dictionary): the
 // handle-cached table when the dictionary can never swap it, the

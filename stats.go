@@ -21,13 +21,11 @@ type Stats struct {
 	AbortCauses map[string]uint64
 	// Policy reports the attempt loops' retry actions: backoffs before
 	// conflict retries, budget-free retries after spurious aborts, paths
-	// abandoned on a capacity abort, operations demoted past the fast
-	// path by their site's capacity memory, and (HelpableFallback only)
-	// announced operations completed by a thread other than their owner.
+	// abandoned on a capacity abort, and operations demoted past the fast
+	// path by their site's capacity memory.
 	Policy PolicyStats
-	// FallbackAcquisitions counts fallback critical-section acquisitions:
-	// classic TLE lock takes plus helpable descriptors completed by their
-	// owner (zero on the algorithms whose fallback is lock-free).
+	// FallbackAcquisitions counts TLE lock acquisitions (zero on the
+	// algorithms whose fallback is lock-free).
 	FallbackAcquisitions uint64
 	// Quiesces counts completed update-monitor quiesces — escalated
 	// consistent reads and shard migrations; zero unless the tree is
@@ -140,9 +138,8 @@ var families = []family{
 			emit(s.Policy.FreeRetries, "free_retry")
 			emit(s.Policy.CapacitySkips, "capacity_skip")
 			emit(s.Policy.Demotions, "demotion")
-			emit(s.Policy.Helps, "help")
 		}},
-	{name: "htmtree_fallback_acquisitions_total", help: "Fallback critical-section acquisitions (classic TLE lock takes plus helpable descriptors completed by their owner).",
+	{name: "htmtree_fallback_acquisitions_total", help: "TLE global lock acquisitions: the fallback critical sections of the tle algorithm.",
 		inner: true, read: func(s *Stats, emit emitFn) { emit(s.FallbackAcquisitions) }},
 	{name: "htmtree_monitor_quiesces_total", help: "Completed update-monitor quiesces (escalated consistent reads and shard migrations).",
 		inner: true, read: func(s *Stats, emit emitFn) { emit(s.Quiesces) }},

@@ -99,10 +99,9 @@ func TestScrapeEqualsStats(t *testing.T) {
 	const keySpan = 256
 	storm := func(alg Algorithm) Config {
 		return Config{
-			Algorithm:        alg,
-			Faults:           NewFaultPlan(3, FaultRule{Point: FaultTxAccess, Prob: 1.0 / 3}), // spurious
-			ReadCapacity:     16,
-			HelpableFallback: true, // TLE only; ignored by 3-path
+			Algorithm:    alg,
+			Faults:       NewFaultPlan(3, FaultRule{Point: FaultTxAccess, Prob: 1.0 / 3}), // spurious
+			ReadCapacity: 16,
 		}
 	}
 	type tcase struct {
@@ -113,13 +112,9 @@ func TestScrapeEqualsStats(t *testing.T) {
 	}
 	var cases []tcase
 	for _, alg := range []Algorithm{ThreePath, TLE} {
-		name := string(alg)
-		if alg == TLE {
-			name = "tle-help"
-		}
 		cases = append(cases,
-			tcase{name, storm(alg), NewBST, 1},
-			tcase{name, storm(alg), NewShardedBST, 8})
+			tcase{string(alg), storm(alg), NewBST, 1},
+			tcase{string(alg), storm(alg), NewShardedBST, 8})
 	}
 	cases = append(cases, tcase{"abtree-adaptive", Config{
 		Router:             RouterAdaptive,
@@ -144,7 +139,12 @@ func TestScrapeEqualsStats(t *testing.T) {
 			if adaptive {
 				span = keySpan / 4 // skewed onto the low shards: migrations
 			}
-			churn(tree, 4, 600, span)
+			// Enough updates per inner handle on 8 shards that the pools
+			// and reclamation bags publish their gauges at least once
+			// (every 64 settles, every 32 retirements), also under TLE,
+			// whose fast-path leaf removals recycle at once instead of
+			// retiring.
+			churn(tree, 4, 1200, span)
 			if adaptive {
 				h, ah := tree.NewHandle(), tree.NewAsyncHandle()
 				for k := uint64(1); k <= keySpan; k += 3 {
