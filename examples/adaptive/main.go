@@ -2,11 +2,10 @@
 // queries. A range-partitioned sharded tree collapses onto one shard
 // when the keys are hot at one end (every update lands on the shard
 // owning the hot range — exactly the conflict domain sharding was
-// supposed to split). Config.Router offers three ways out:
+// supposed to split). Config.Router offers two range splits:
 //
-//   - RouterRange (default): fast, order-preserving, skew-sensitive.
-//   - RouterHash: scatter keys by a mixing hash — skew-oblivious, but
-//     every multi-key range query must visit all shards.
+//   - RouterRange (default): uniform and fixed — fast, order-preserving,
+//     skew-sensitive.
 //   - RouterAdaptive (shown here): keep range routing, watch per-shard
 //     operation counters, and migrate boundary slices of a hot shard's
 //     key range to its neighbors at runtime. A migration briefly

@@ -71,21 +71,21 @@ func Algorithms() []Algorithm {
 // reserved for internal sentinels).
 const MaxKey = dict.MaxKey
 
-// RouterKind names a shard-routing policy for sharded trees.
+// RouterKind names a shard-routing policy for sharded trees. Both split
+// the key space into contiguous ranges ascending in the shard index, so
+// a RangeQuery reads only the shards its window overlaps and
+// concatenates their results in order; they differ in whether the
+// ranges move.
 type RouterKind string
 
 // Shard routing policies.
 const (
-	// RouterRange is the default contiguous key-range split: shard i
-	// owns [i*width, (i+1)*width). Fast, order-preserving fan-outs, but
-	// a skewed (Zipfian / hot-range) workload collapses onto the shard
-	// owning the hot keys.
+	// RouterRange is the default uniform key-range split: shard i owns
+	// [i*width, (i+1)*width), fixed for the tree's lifetime. A skewed
+	// (Zipfian / hot-range) workload collapses onto the shard owning the
+	// hot keys.
 	RouterRange RouterKind = "range"
-	// RouterHash scatters keys across shards by a mixing hash:
-	// skew-oblivious, but every multi-key RangeQuery must visit all
-	// shards and merge-sort the results.
-	RouterHash RouterKind = "hash"
-	// RouterAdaptive is the range router plus live rebalancing: the
+	// RouterAdaptive is the range split plus live rebalancing: the
 	// tree tracks per-shard operation counts and, when one shard runs
 	// disproportionately hot, migrates a boundary slice of its key range
 	// to a neighbor shard by briefly quiescing exactly the two affected
@@ -96,7 +96,7 @@ const (
 
 // RouterKinds lists every routing policy in presentation order.
 func RouterKinds() []RouterKind {
-	return []RouterKind{RouterRange, RouterHash, RouterAdaptive}
+	return []RouterKind{RouterRange, RouterAdaptive}
 }
 
 // Result and statistics types the internal layers define, re-exported:
@@ -179,10 +179,10 @@ type Config struct {
 	// remain legal and route to the last shard.
 	ShardKeySpan uint64
 	// Router selects how keys map to shards on a sharded tree (default
-	// RouterRange, the original contiguous split). RouterHash scatters
-	// keys (skew-oblivious, all-shard range queries); RouterAdaptive
-	// adds live key-range rebalancing to the range split. Ignored by
-	// unsharded trees.
+	// RouterRange, the uniform contiguous split); RouterAdaptive adds
+	// live key-range rebalancing to the range split. Any other value is
+	// an "unknown router" error from NewShardedBST / NewShardedABTree.
+	// Ignored by unsharded trees.
 	Router RouterKind
 	// RebalanceCheckOps is the number of point operations a handle
 	// performs between shard-imbalance evaluations with RouterAdaptive
@@ -498,17 +498,7 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 	}
 	switch cfg.Router {
 	case "", RouterRange:
-		// The default contiguous split, built by the shard layer.
-	case RouterHash:
-		n := cfg.Shards
-		if n == 0 {
-			n = shard.DefaultShards
-		}
-		r, rerr := shard.NewHashRouter(n)
-		if rerr != nil {
-			return nil, rerr
-		}
-		scfg.Router = r
+		// The default uniform split, built by the shard layer.
 	case RouterAdaptive:
 		scfg.Rebalance = &shard.RebalanceConfig{
 			CheckOps: cfg.RebalanceCheckOps,

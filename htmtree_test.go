@@ -123,8 +123,13 @@ func TestFacadeShardedTrees(t *testing.T) {
 	if _, err := htmtree.NewShardedABTree(htmtree.Config{Shards: -3}); err == nil {
 		t.Fatal("NewShardedABTree accepted a negative shard count")
 	}
-	if _, err := htmtree.NewShardedBST(htmtree.Config{Router: "bogus"}); err == nil {
-		t.Fatal("NewShardedBST accepted an unknown router")
+	// "hash" named a router that no longer exists: a config that still
+	// names it must fail, never silently route by range.
+	for _, router := range []htmtree.RouterKind{"bogus", "hash"} {
+		_, err := htmtree.NewShardedBST(htmtree.Config{Router: router})
+		if err == nil || !strings.Contains(err.Error(), "unknown router") {
+			t.Fatalf("NewShardedBST(Router: %q) = %v, want an unknown router error", router, err)
+		}
 	}
 	if _, err := htmtree.NewShardedBST(htmtree.Config{Router: htmtree.RouterAdaptive, RebalanceRatio: -1}); err == nil {
 		t.Fatal("NewShardedBST accepted a negative rebalance ratio")
@@ -312,9 +317,10 @@ func TestBatchContextOverHandle(t *testing.T) {
 // TestBatchAmortizationCounts asserts the acceptance criterion on a
 // host-independent metric: at batch size 64 on an 8-shard monitored
 // tree — rebalancing, or static with atomic range queries — group
-// execution must cut both the router-lookup and the monitor-admission
-// count at least 4x versus unbatched dispatch (which pays one of each
-// per operation), and holds exactly one admission per group.
+// execution, which routes once per group, must cut both the routing and
+// the monitor-admission count at least 4x versus unbatched dispatch
+// (which pays one of each per operation), and holds exactly one
+// admission per group.
 func TestBatchAmortizationCounts(t *testing.T) {
 	t.Parallel()
 	const (
@@ -352,15 +358,15 @@ func TestBatchAmortizationCounts(t *testing.T) {
 		if st.GroupOps != batches*batchLen {
 			t.Fatalf("%s: GroupOps = %d, want %d", tc.name, st.GroupOps, batches*batchLen)
 		}
-		if st.RouterLookups == 0 || st.MonitorBrackets == 0 {
+		if st.Groups == 0 || st.MonitorBrackets == 0 {
 			t.Fatalf("%s: amortization counters empty: %+v", tc.name, st)
 		}
 		if st.MonitorBrackets != st.Groups {
 			t.Fatalf("%s: %d monitor admissions for %d groups, want one per group", tc.name, st.MonitorBrackets, st.Groups)
 		}
-		if ratio := float64(st.GroupOps) / float64(st.RouterLookups); ratio < 4 {
-			t.Fatalf("%s: router lookups amortized only %.2fx (unbatched pays %d, batched paid %d)",
-				tc.name, ratio, st.GroupOps, st.RouterLookups)
+		if ratio := float64(st.GroupOps) / float64(st.Groups); ratio < 4 {
+			t.Fatalf("%s: routing amortized only %.2fx (unbatched pays %d lookups, batched paid %d)",
+				tc.name, ratio, st.GroupOps, st.Groups)
 		}
 		if ratio := float64(st.GroupOps) / float64(st.MonitorBrackets); ratio < 4 {
 			t.Fatalf("%s: monitor admissions amortized only %.2fx (unbatched pays %d, batched paid %d)",

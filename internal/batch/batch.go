@@ -63,18 +63,17 @@ type Config struct {
 // pipelines — and the group executor they flush into — to share. Each
 // field counts what the Stats field of the same name reports.
 type Counters struct {
-	Flushes, BatchedOps                        atomic.Uint64
-	SizeFlushes, ExplicitFlushes, RangeFlushes atomic.Uint64
-	Groups, GroupOps                           atomic.Uint64
-	RouterLookups, MonitorBrackets, Restarts   atomic.Uint64
+	Flushes, BatchedOps                         atomic.Uint64
+	SizeFlushes, ExplicitFlushes, RangeFlushes  atomic.Uint64
+	Groups, GroupOps, MonitorBrackets, Restarts atomic.Uint64
 }
 
 // Stats is a Counters snapshot. The amortization batching exists for
 // reads off directly: an unbatched stream pays one router lookup (and,
 // on a sharded tree with atomic range queries or rebalancing, one
-// monitor admission) per operation, so GroupOps/RouterLookups and
-// GroupOps/MonitorBrackets are the factors by which batching cut that
-// per-operation overhead.
+// monitor admission) per operation, while group execution pays one of
+// each per group, so GroupOps/Groups and GroupOps/MonitorBrackets are
+// the factors by which batching cut that per-operation overhead.
 type Stats struct {
 	// Flushes counts non-empty buffer flushes and BatchedOps the point
 	// operations they carried (BatchedOps/Flushes is the realized mean
@@ -85,16 +84,15 @@ type Stats struct {
 	// flushing RangeQuery.
 	SizeFlushes, ExplicitFlushes, RangeFlushes uint64
 	// Groups counts the per-shard groups a dict.GroupExecutor executed
-	// flushed batches as and GroupOps the operations they carried
-	// (GroupOps/Groups is the realized per-shard locality); zero unless
-	// the handle is a group executor (a sharded tree's).
+	// flushed batches as — one routing decision each — and GroupOps the
+	// operations they carried (GroupOps/Groups is the realized per-shard
+	// locality); zero unless the handle is a group executor (a sharded
+	// tree's).
 	Groups, GroupOps uint64
-	// RouterLookups counts routing decisions taken by group execution —
-	// one per group under ordered routing, one per operation under hash
-	// routing, which cannot bound a group's owner set — and
-	// MonitorBrackets the monitor admissions it held: one per group on a
-	// monitored dictionary, where unbatched dispatch pays one per op.
-	RouterLookups, MonitorBrackets uint64
+	// MonitorBrackets counts the monitor admissions group execution held:
+	// one per group on a monitored dictionary, where unbatched dispatch
+	// pays one per op.
+	MonitorBrackets uint64
 	// Restarts counts group admissions dropped and re-routed because a
 	// live migration swapped the routing table between routing and
 	// admission (the group then executed under the new table, so no
@@ -113,7 +111,6 @@ func (c *Counters) Snapshot() Stats {
 		RangeFlushes:    c.RangeFlushes.Load(),
 		Groups:          c.Groups.Load(),
 		GroupOps:        c.GroupOps.Load(),
-		RouterLookups:   c.RouterLookups.Load(),
 		MonitorBrackets: c.MonitorBrackets.Load(),
 		Restarts:        c.Restarts.Load(),
 	}

@@ -322,7 +322,6 @@ func TestCrossShardAggregateAtomicity(t *testing.T) {
 	t.Parallel()
 	runAtomicityCases(t, "aggregate", []atomicityCase{
 		{name: "range", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
-		{name: "hash", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterHash}},
 		{name: "adaptive", abtree: true, pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
 		{name: "tle", abtree: true, pins: pinNone, cfg: htmtree.Config{
 			Router: htmtree.RouterAdaptive, Algorithm: htmtree.TLE}},

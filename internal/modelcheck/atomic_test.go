@@ -425,7 +425,7 @@ const fallbackWriteCapacity = 2
 // enabled: every result must match some prefix of the writers'
 // sequential histories. The cases cover both ways a read is made atomic
 // and what decides between them, and each asserts which one its range
-// queries took. Pinned transactions: every router that never moves a
+// queries took. Pinned transactions: the router that never moves a
 // key, both trees, every algorithm whose first path is one transaction.
 // Sampling and validating: the adaptive router — which additionally
 // forces live boundary migrations under the readers, the scenario the
@@ -440,7 +440,6 @@ func TestCrossShardRangeQueryAtomicity(t *testing.T) {
 	t.Parallel()
 	runAtomicityCases(t, "range query", []atomicityCase{
 		{name: "range", pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
-		{name: "hash", pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterHash}},
 		{name: "adaptive", pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
 		{name: "abtree", abtree: true, pins: pinAll},
 		{name: "tle", pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TLE}},

@@ -27,7 +27,7 @@ type pendingCheck struct {
 
 // TestBatchedDifferentialAllRouters drives one random operation stream
 // through an asynchronous (batched) handle and the sequential model in
-// lockstep, over both structures and all three shard routers. Flushes
+// lockstep, over both structures and both shard routers. Flushes
 // are triggered every way the subsystem supports — size threshold,
 // flushing RangeQuery, explicit Flush, and Wait on a buffered future —
 // and every resolved future must match the model, every range query

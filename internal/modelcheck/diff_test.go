@@ -10,7 +10,7 @@ import (
 
 // combo is one point of the differential sweep: every template
 // algorithm, both structures, unsharded and 8-way sharded — the latter
-// under all three shard routers. Adaptive combos run with forcing
+// under both shard routers. Adaptive combos run with forcing
 // knobs (tiny evaluation windows, trigger on any imbalance), so live
 // boundary migrations interleave with the checked operation stream.
 type combo struct {

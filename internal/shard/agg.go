@@ -38,7 +38,7 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 			"shard: Config.Atomic = false (cross-shard aggregate queries merge per-shard tuples and would return torn sums; set Config.Atomic, or Config.Rebalance which implies it)")
 	}
 	var err error
-	readAgg := func(r Router, first, last int) {
+	readAgg := func(first, last int) {
 		agg, err = empty, nil
 		for s := first; s <= last; s++ {
 			ah, ok := h.hs[s].(dict.AggHandle)
@@ -59,9 +59,8 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	// query is one template operation) — unless a migration could be
 	// moving its keys between shards mid-read.
 	if d.reb == nil {
-		r := h.curRouter()
-		if first, last := overlap(r, lo, hi); first == last {
-			readAgg(r, first, last)
+		if first, last := h.curRouter().overlap(lo, hi); first == last {
+			readAgg(first, last)
 			return agg, err
 		}
 	}

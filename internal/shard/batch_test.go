@@ -72,58 +72,9 @@ func TestExecGroupMatchesPerOpDispatch(t *testing.T) {
 	if st.GroupOps != 500 || st.Groups == 0 {
 		t.Fatalf("batch counters = %+v, want 500 ops in >0 groups", st)
 	}
-	// Ordered segmentation on a static router: one routing decision per
-	// group and no monitor admissions (the dictionary has no monitors).
-	if st.RouterLookups != st.Groups {
-		t.Fatalf("ordered segmentation took %d lookups for %d groups", st.RouterLookups, st.Groups)
-	}
+	// No monitor admissions: the dictionary has no monitors.
 	if st.MonitorBrackets != 0 || st.Restarts != 0 {
 		t.Fatalf("unmonitored dictionary bracketed monitors: %+v", st)
-	}
-}
-
-// TestExecGroupHashRouter checks group execution under an unordered
-// router: buckets by owner, per-op routing, per-key order preserved.
-func TestExecGroupHashRouter(t *testing.T) {
-	t.Parallel()
-	r, err := NewHashRouter(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(Config{
-		Shards: 8,
-		Router: r,
-		New: func(int, *engine.UpdateMonitor) dict.Dict {
-			return bst.New(bst.Config{Algorithm: engine.AlgThreePath})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := d.NewHandle().(*handle)
-	// Insert then delete the same key inside one group: per-key order
-	// must survive bucketing, so the delete sees the insert.
-	ops := sortedOps([]dict.BatchOp{
-		{Kind: dict.OpInsert, Key: 10, Val: 100},
-		{Kind: dict.OpDelete, Key: 10},
-		{Kind: dict.OpInsert, Key: 11, Val: 110},
-		{Kind: dict.OpSearch, Key: 11},
-	})
-	h.ExecGroup(ops)
-	for _, op := range ops {
-		switch {
-		case op.Kind == dict.OpDelete && (!op.OutOK || op.Out != 100):
-			t.Fatalf("delete after same-group insert: (%d,%v)", op.Out, op.OutOK)
-		case op.Kind == dict.OpSearch && (!op.OutOK || op.Out != 110):
-			t.Fatalf("search after same-group insert: (%d,%v)", op.Out, op.OutOK)
-		}
-	}
-	st := d.BatchCounters().Snapshot()
-	if st.GroupOps != 4 || st.RouterLookups != 4 {
-		t.Fatalf("hash grouping stats = %+v, want per-op lookups", st)
-	}
-	if err := d.CheckPartition(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -146,12 +97,8 @@ func TestStaticHandleCachesRouting(t *testing.T) {
 	// Key 1 lives in shard 0 under the cached table. Publish a rotated
 	// table that would route it to shard 3; the handle must not notice.
 	h.Insert(1, 11)
-	rot, err := NewRangeRouter(4, span)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rotated := rot.(*rangeRouter).withBoundary(1, 1) // shard 1 owns [1, …): key 1 moves owners
-	d.rt.Store(&routing{r: rotated})
+	rotated := newUniformRangeRouter(4, span).withBoundary(1, 1) // shard 1 owns [1, …): key 1 moves owners
+	d.rt.Store(rotated)
 	if got := d.ShardFor(1); got != 1 {
 		t.Fatalf("published table routes key 1 to shard %d, want 1 (swap had no effect)", got)
 	}

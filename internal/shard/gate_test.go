@@ -10,7 +10,7 @@ import (
 )
 
 // monitoredBST builds a monitored sharded BST: Atomic, plus whatever cfg
-// sets (a Router, Rebalance).
+// sets (Rebalance).
 func monitoredBST(t *testing.T, cfg Config, alg engine.Algorithm) *Dict {
 	t.Helper()
 	cfg.Atomic = true
@@ -31,17 +31,12 @@ func monitoredBST(t *testing.T, cfg Config, alg engine.Algorithm) *Dict {
 // and publishes its commit on release.
 func TestUpdateWaitsAtHeldGate(t *testing.T) {
 	t.Parallel()
-	hash, err := NewHashRouter(4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const key = 7
 	for _, tc := range []struct {
 		name string
 		cfg  Config
 	}{
 		{"static", Config{Shards: 4, KeySpan: 1 << 10}},
-		{"hash", Config{Shards: 4, Router: hash}},
 		{"rebalancing", Config{Shards: 4, KeySpan: 1 << 10, Rebalance: &RebalanceConfig{}}},
 	} {
 		for _, via := range []struct {

@@ -33,11 +33,11 @@ const (
 	rebalanceSettle = 2
 )
 
-// RebalanceConfig enables live key-range rebalancing on a range-routed
-// dictionary: per-shard operation counters (the engines' OpStats,
-// which the shard layer already aggregates) are compared periodically,
-// and when one shard is doing disproportionately many operations, a
-// boundary slice of its key range migrates to a neighbor shard. The
+// RebalanceConfig enables live key-range rebalancing: per-shard
+// operation counters (the engines' OpStats, which the shard layer
+// already aggregates) are compared periodically, and when one shard is
+// doing disproportionately many operations, a boundary slice of its key
+// range migrates to a neighbor shard. The
 // migration quiesces exactly the two affected shards via their update
 // monitors, moves the keys, and publishes a new routing table, so point
 // operations, RangeQuery, KeySum, CheckPartition and RQStats stay
@@ -219,7 +219,7 @@ func (d *Dict) maybeRebalance() {
 	// Geometry of the move: the donor sheds a slice of its span on the
 	// receiver's side. The last shard's routable tail is open-ended; its
 	// span is measured against the configured key span.
-	r := d.Router().(*rangeRouter)
+	r := d.rt.Load()
 	dlo, dhi := r.Bounds(donor)
 	effHi := dhi
 	if donor == n-1 {
@@ -320,7 +320,7 @@ func (d *Dict) migrate(donor, receiver int, mlo, mhi uint64, newR *rangeRouter) 
 	// Migration-fault seam: the moved slice exists on both shards and
 	// the routing table still sends readers to the donor.
 	d.faults.Hit(fault.PointMigrateSwap)
-	d.rt.Store(&routing{r: newR})
+	d.rt.Store(newR)
 	// Migration-fault seam: the table now routes to the receiver while
 	// the donor still holds the (stale) slice pending deletion.
 	d.faults.Hit(fault.PointMigrateDelete)

@@ -1,71 +1,25 @@
 package shard
 
-import (
-	"fmt"
-)
-
-// Router maps every key to the shard that owns it. A Dict publishes its
-// router through an atomic pointer, so implementations must be
-// immutable after construction: live rebalancing never mutates a router
-// in place, it builds a successor table and swaps the pointer.
-//
-// Three families exist:
-//
-//   - NewRangeRouter: contiguous key ranges, one per shard, in shard
-//     order. The default, and the only family live rebalancing can
-//     migrate (boundaries move between neighbors).
-//   - NewHashRouter: keys scattered by a mixing hash. Perfectly
-//     insensitive to key skew, but every multi-key range query must
-//     visit all shards and merge-sort the results.
-//   - Migrated range routers, produced internally by the rebalancer from
-//     an existing range router with one boundary moved.
-type Router interface {
-	// NumShards returns the number of partitions the router maps onto.
-	NumShards() int
-	// ShardFor returns the index of the shard owning key.
-	ShardFor(key uint64) int
-	// Bounds returns the key range [lo, hi) owned by shard i. For
-	// ordered routers the ranges are contiguous and ascending, and the
-	// last shard's hi is ^uint64(0); unordered routers own an
-	// interleaving of the whole key space per shard and return
-	// (0, ^uint64(0)) for every i.
-	Bounds(i int) (lo, hi uint64)
-	// Ordered reports whether ownership is contiguous and ascending in
-	// the shard index — so a window [lo, hi) overlaps exactly shards
-	// ShardFor(lo)..ShardFor(hi-1), and concatenating per-shard
-	// ascending range-query results in index order is globally sorted.
-	// Unordered (hash) routers fan range queries out to every shard and
-	// merge.
-	Ordered() bool
-}
-
-// rangeRouter owns contiguous key ranges: shard i owns [lo[i], lo[i+1])
-// and the last shard owns [lo[n-1], ^uint64(0)). The uniform constructor
-// additionally records the width so point routing stays the single
-// integer division the pre-Router sharding layer used; migrated tables
-// (width == 0) binary-search the boundary slice instead.
+// rangeRouter is the routing table: it maps every key to the shard that
+// owns it, in contiguous key ranges ascending in the shard index. Shard i
+// owns [lo[i], lo[i+1]) and the last shard owns [lo[n-1], ^uint64(0)). A
+// Dict publishes its table through an atomic pointer, so a table is
+// immutable once built: live rebalancing never mutates one in place, it
+// builds a successor with one boundary moved (withBoundary) and swaps the
+// pointer. The uniform table additionally records its width so point
+// routing stays a single integer division; migrated tables (width == 0)
+// binary-search the boundary slice instead.
 type rangeRouter struct {
 	lo    []uint64 // ascending inclusive lower bounds; lo[0] == 0
 	span  uint64   // exclusive upper bound the partition is balanced over
 	width uint64   // uniform shard width, 0 for migrated (irregular) tables
 }
 
-// NewRangeRouter returns the contiguous-range router splitting
-// [0, keySpan) uniformly across shards — the sharding layer's default
-// routing, unchanged: keys at or beyond keySpan route to the last
-// shard. keySpan 0 selects the full key space.
-func NewRangeRouter(shards int, keySpan uint64) (Router, error) {
-	r, err := newUniformRangeRouter(shards, keySpan)
-	if err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-func newUniformRangeRouter(shards int, keySpan uint64) (*rangeRouter, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: NewRangeRouter shards = %d (want >= 1)", shards)
-	}
+// newUniformRangeRouter returns the table splitting [0, keySpan)
+// uniformly across shards (>= 1, as Config.validate guarantees): keys at
+// or beyond keySpan route to the last shard. keySpan 0 selects the full
+// key space.
+func newUniformRangeRouter(shards int, keySpan uint64) *rangeRouter {
 	span := keySpan
 	if span == 0 {
 		span = maxKeySpan
@@ -77,11 +31,10 @@ func newUniformRangeRouter(shards int, keySpan uint64) (*rangeRouter, error) {
 	for i := range lo {
 		lo[i] = uint64(i) * width
 	}
-	return &rangeRouter{lo: lo, span: span, width: width}, nil
+	return &rangeRouter{lo: lo, span: span, width: width}
 }
 
-func (r *rangeRouter) NumShards() int { return len(r.lo) }
-
+// ShardFor returns the index of the shard owning key.
 func (r *rangeRouter) ShardFor(key uint64) int {
 	if r.width != 0 {
 		i := key / r.width
@@ -106,6 +59,8 @@ func (r *rangeRouter) ShardFor(key uint64) int {
 	return lo
 }
 
+// Bounds returns the key range [lo, hi) owned by shard i; the last
+// shard's hi is ^uint64(0).
 func (r *rangeRouter) Bounds(i int) (lo, hi uint64) {
 	if i == len(r.lo)-1 {
 		return r.lo[i], ^uint64(0)
@@ -113,7 +68,13 @@ func (r *rangeRouter) Bounds(i int) (lo, hi uint64) {
 	return r.lo[i], r.lo[i+1]
 }
 
-func (r *rangeRouter) Ordered() bool { return true }
+// overlap returns the inclusive shard index range a window [lo, hi),
+// lo < hi, fans out to. Ownership is contiguous and ascending, so these
+// are the owners of its first and last keys, and concatenating the
+// shards' ascending results in index order is globally sorted.
+func (r *rangeRouter) overlap(lo, hi uint64) (first, last int) {
+	return r.ShardFor(lo), r.ShardFor(hi - 1)
+}
 
 // withBoundary returns a copy of r with shard i's inclusive lower bound
 // moved to newLo. The caller guarantees lo stays strictly ascending.
@@ -123,38 +84,3 @@ func (r *rangeRouter) withBoundary(i int, newLo uint64) *rangeRouter {
 	lo[i] = newLo
 	return &rangeRouter{lo: lo, span: r.span}
 }
-
-// hashRouter scatters keys across shards with a splitmix64-style mixing
-// hash, so any key skew — Zipfian, hot ranges, sequential — spreads
-// uniformly. The price is locality: a range query cannot bound the
-// shards its keys live on, so every multi-key window reads all shards
-// and the fan-out merge-sorts the concatenated results.
-type hashRouter struct {
-	n uint64
-}
-
-// NewHashRouter returns a router scattering keys uniformly across
-// shards by a mixing hash.
-func NewHashRouter(shards int) (Router, error) {
-	if shards < 1 {
-		return nil, fmt.Errorf("shard: NewHashRouter shards = %d (want >= 1)", shards)
-	}
-	return hashRouter{n: uint64(shards)}, nil
-}
-
-// mix64 is the splitmix64 finalizer: a cheap bijective mixer whose low
-// bits depend on every input bit.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-func (r hashRouter) NumShards() int          { return int(r.n) }
-func (r hashRouter) ShardFor(key uint64) int { return int(mix64(key) % r.n) }
-func (r hashRouter) Bounds(int) (uint64, uint64) {
-	return 0, ^uint64(0)
-}
-func (r hashRouter) Ordered() bool { return false }

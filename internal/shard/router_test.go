@@ -9,7 +9,7 @@ import (
 )
 
 // TestRangeRouterMatchesLegacyRouting checks the uniform range router
-// is bit-for-bit the pre-Router routing function: floor division by the
+// is bit-for-bit the original routing function: floor division by the
 // ceiling width, clamped to the last shard.
 func TestRangeRouterMatchesLegacyRouting(t *testing.T) {
 	t.Parallel()
@@ -19,10 +19,7 @@ func TestRangeRouterMatchesLegacyRouting(t *testing.T) {
 	}{
 		{1, 1000}, {2, 1000}, {7, 10000}, {8, 1 << 20}, {16, 4096}, {8, 10}, {3, 0},
 	} {
-		r, err := NewRangeRouter(tc.shards, tc.span)
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := newUniformRangeRouter(tc.shards, tc.span)
 		span := tc.span
 		if span == 0 {
 			span = dict.MaxKey + 1
@@ -46,9 +43,6 @@ func TestRangeRouterMatchesLegacyRouting(t *testing.T) {
 					tc.shards, tc.span, k, got, want)
 			}
 		}
-		if !r.Ordered() {
-			t.Fatal("range router must be ordered")
-		}
 	}
 }
 
@@ -56,12 +50,8 @@ func TestRangeRouterMatchesLegacyRouting(t *testing.T) {
 // binary-search path) against the boundaries themselves.
 func TestMigratedRangeRouterRouting(t *testing.T) {
 	t.Parallel()
-	base, err := newUniformRangeRouter(4, 400)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Move shard 1's bound down and shard 3's up: bounds 0,50,200,350.
-	r := base.withBoundary(1, 50).withBoundary(3, 350)
+	r := newUniformRangeRouter(4, 400).withBoundary(1, 50).withBoundary(3, 350)
 	wantLo := []uint64{0, 50, 200, 350}
 	for i, lo := range wantLo {
 		blo, bhi := r.Bounds(i)
@@ -88,30 +78,55 @@ func TestMigratedRangeRouterRouting(t *testing.T) {
 	}
 }
 
-// TestHashRouterCoverageAndBalance checks the hash router assigns every
-// key to a valid shard and spreads a contiguous key block evenly (every
-// shard within 2x of the uniform share).
-func TestHashRouterCoverageAndBalance(t *testing.T) {
+// TestRangeRouterOverlap checks the fan-out bounds of every window over a
+// small key space, on a uniform table and on two migrated ones: overlap
+// must return exactly the first and last shard owning a key of [lo, hi).
+// So a window ending at a shard's lower bound excludes that shard, and a
+// window in the last shard's open tail, past the configured span, is
+// that shard's alone. Owners come from the case's own bound list, not
+// from the table under test.
+func TestRangeRouterOverlap(t *testing.T) {
 	t.Parallel()
-	const shards, keys = 8, 1 << 14
-	r, err := NewHashRouter(shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Ordered() {
-		t.Fatal("hash router must be unordered")
-	}
-	counts := make([]int, shards)
-	for k := uint64(1); k <= keys; k++ {
-		i := r.ShardFor(k)
-		if i < 0 || i >= shards {
-			t.Fatalf("ShardFor(%d) = %d out of range", k, i)
+	const span, top = 64, 80 // windows run past the span into the open tail
+	uniform := newUniformRangeRouter(4, span)
+	for _, tc := range []struct {
+		name string
+		r    *rangeRouter
+		lo   []uint64 // each shard's inclusive lower bound
+	}{
+		{"uniform", uniform, []uint64{0, 16, 32, 48}},
+		{"one-moved", uniform.withBoundary(1, 5), []uint64{0, 5, 32, 48}},
+		{"two-moved", uniform.withBoundary(3, 60).withBoundary(2, 17), []uint64{0, 16, 17, 60}},
+	} {
+		owner := func(k uint64) int {
+			i := 0
+			for j, lo := range tc.lo {
+				if k >= lo {
+					i = j
+				}
+			}
+			return i
 		}
-		counts[i]++
-	}
-	for i, c := range counts {
-		if c < keys/shards/2 || c > keys/shards*2 {
-			t.Fatalf("shard %d holds %d of %d sequential keys: hash not spreading", i, c, keys)
+		for lo := uint64(0); lo < top; lo++ {
+			wantFirst, wantLast := len(tc.lo), -1
+			for hi := lo + 1; hi <= top; hi++ {
+				wantFirst, wantLast = min(wantFirst, owner(hi-1)), max(wantLast, owner(hi-1))
+				if first, last := tc.r.overlap(lo, hi); first != wantFirst || last != wantLast {
+					t.Fatalf("%s: overlap(%d, %d) = %d..%d, want %d..%d",
+						tc.name, lo, hi, first, last, wantFirst, wantLast)
+				}
+			}
+		}
+		// The two edges by name.
+		for i := 1; i < len(tc.lo); i++ {
+			if _, last := tc.r.overlap(0, tc.lo[i]); last != i-1 {
+				t.Fatalf("%s: window ending at shard %d's lower bound %d reaches shard %d",
+					tc.name, i, tc.lo[i], last)
+			}
+		}
+		tail := len(tc.lo) - 1
+		if first, last := tc.r.overlap(span, top); first != tail || last != tail {
+			t.Fatalf("%s: tail window [%d, %d) = %d..%d, want %d..%d", tc.name, span, top, first, last, tail, tail)
 		}
 	}
 }
@@ -212,57 +227,5 @@ func TestRebalanceMigratesHotBoundary(t *testing.T) {
 	}
 	if err := d.CheckPartition(); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestHashRouterDict runs the basic dictionary operations over a
-// hash-routed dictionary: point ops route consistently and fan-out
-// range queries come back complete and sorted despite interleaved
-// shard ownership.
-func TestHashRouterDict(t *testing.T) {
-	t.Parallel()
-	r, err := NewHashRouter(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := New(Config{
-		Shards: 8,
-		Router: r,
-		New: func(int, *engine.UpdateMonitor) dict.Dict {
-			return bst.New(bst.Config{Algorithm: engine.AlgThreePath})
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := d.NewHandle()
-	const keys = 2048
-	for k := uint64(1); k <= keys; k++ {
-		h.Insert(k, k+5)
-	}
-	for k := uint64(1); k <= keys; k += 97 {
-		if v, ok := h.Search(k); !ok || v != k+5 {
-			t.Fatalf("Search(%d) = (%d,%v)", k, v, ok)
-		}
-	}
-	out := h.RangeQuery(100, 1100, nil)
-	if len(out) != 1000 {
-		t.Fatalf("RQ[100,1100): %d pairs, want 1000", len(out))
-	}
-	for i, kv := range out {
-		if kv.Key != 100+uint64(i) || kv.Val != kv.Key+5 {
-			t.Fatalf("RQ[100,1100)[%d] = (%d,%d)", i, kv.Key, kv.Val)
-		}
-	}
-	// Single-key windows route to exactly one shard and stay correct.
-	if out := h.RangeQuery(500, 501, nil); len(out) != 1 || out[0].Key != 500 {
-		t.Fatalf("single-key window = %v", out)
-	}
-	if err := d.CheckPartition(); err != nil {
-		t.Fatal(err)
-	}
-	sum, count := d.KeySum()
-	if count != keys || sum != keys*(keys+1)/2 {
-		t.Fatalf("KeySum = (%d,%d)", sum, count)
 	}
 }

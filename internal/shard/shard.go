@@ -2,20 +2,17 @@
 // dictionary: the key space is divided among N independent inner
 // dictionaries (in this repository, template trees with their own
 // engine, HTM context, and fallback indicator — Brown, PODC 2017,
-// Sections 5–6) by a pluggable Router. Point operations route to the
-// owning shard; range queries fan out to the overlapping shards. Under
-// the default contiguous-range router the per-shard results concatenate
-// into a globally key-ordered result without a merge step; under the
-// hash router every multi-key window reads all shards and merge-sorts.
+// Sections 5–6) in contiguous key ranges, ascending in the shard index.
+// Point operations route to the owning shard; range queries fan out to
+// the overlapping shards, whose per-shard results concatenate into a
+// globally key-ordered result without a merge step.
 //
 // Sharding is the first scaling lever on top of Brown's template: each
 // tree is self-contained, so partitioning multiplies the fallback
 // indicators and transactional conflict domains, and update-heavy
 // workloads that serialize on one tree's contended paths spread across
-// N of them. The Router decides how well that spreading survives key
-// skew: a static range split collapses a Zipfian or hot-range workload
-// onto one shard, a hash split is skew-oblivious (but loses range
-// locality), and Config.Rebalance makes the range split adaptive —
+// N of them. A static range split collapses a Zipfian or hot-range
+// workload onto one shard; Config.Rebalance makes the split adaptive —
 // boundary slices of a hot shard's key range migrate live to neighbor
 // shards (see RebalanceConfig).
 //
@@ -91,7 +88,6 @@ package shard
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -115,25 +111,18 @@ const maxKeySpan = dict.MaxKey + 1
 
 // Config describes a sharded dictionary.
 type Config struct {
-	// Shards is the number of partitions (default DefaultShards, or
-	// Router.NumShards() when a Router is supplied).
+	// Shards is the number of partitions (default DefaultShards).
 	Shards int
 	// KeySpan is the exclusive upper bound of the client key range the
-	// partition is balanced over (default dict.MaxKey+1). Keys at or
-	// above KeySpan are still legal: under range routing they route to
-	// the last shard, which owns everything from its lower bound upward.
-	// Ignored by the hash router.
+	// partition is balanced over (default dict.MaxKey+1): shard i starts
+	// owning [i*w, (i+1)*w) for the width w = ⌈KeySpan/Shards⌉.
+	// Keys at or above KeySpan are still legal: they route to the last
+	// shard, which owns everything from its lower bound upward.
 	KeySpan uint64
-	// Router overrides how keys map to shards (default: the contiguous
-	// range router NewRangeRouter(Shards, KeySpan), preserving the
-	// layer's original routing exactly). Use NewHashRouter for
-	// skew-oblivious scattering — at the cost of every multi-key range
-	// query visiting all shards.
-	Router Router
 	// Rebalance enables live key-range rebalancing: boundary slices of a
 	// disproportionately busy shard's key range migrate to neighbor
-	// shards at runtime. Requires range routing (the default router, or
-	// one from NewRangeRouter) and at least two shards; implies the
+	// shards at runtime, so the ranges stay contiguous but stop being
+	// uniform. Requires at least two shards; implies the
 	// version-validated read protocol of Atomic.
 	Rebalance *RebalanceConfig
 	// Atomic makes cross-shard RangeQuery, RangeAgg and KeySum atomic:
@@ -173,11 +162,7 @@ type Config struct {
 func (cfg Config) validate() (shards int, err error) {
 	n := cfg.Shards
 	if n == 0 {
-		if cfg.Router != nil {
-			n = cfg.Router.NumShards()
-		} else {
-			n = DefaultShards
-		}
+		n = DefaultShards
 	}
 	if n < 1 {
 		return 0, fmt.Errorf("shard: Config.Shards = %d (want >= 1, or 0 for the default %d)",
@@ -190,10 +175,6 @@ func (cfg Config) validate() (shards int, err error) {
 		return 0, fmt.Errorf("shard: Config.RQRetries = %d (want >= 0; 0 selects the default %d)",
 			cfg.RQRetries, DefaultRQRetries)
 	}
-	if cfg.Router != nil && cfg.Router.NumShards() != n {
-		return 0, fmt.Errorf("shard: Config.Router covers %d shards but Config.Shards = %d",
-			cfg.Router.NumShards(), cfg.Shards)
-	}
 	if cfg.Rebalance != nil {
 		if err := cfg.Rebalance.validate(); err != nil {
 			return 0, err
@@ -201,12 +182,6 @@ func (cfg Config) validate() (shards int, err error) {
 		if n < 2 {
 			return 0, fmt.Errorf("shard: Config.Rebalance requires at least 2 shards, Config.Shards = %d",
 				cfg.Shards)
-		}
-		if cfg.Router != nil {
-			if _, ok := cfg.Router.(*rangeRouter); !ok {
-				return 0, fmt.Errorf("shard: Config.Rebalance requires a range router (NewRangeRouter), Config.Router is %T",
-					cfg.Router)
-			}
 		}
 	}
 	return n, nil
@@ -230,19 +205,13 @@ type RQStats struct {
 	Pinned uint64
 }
 
-// routing is the unit the routing-table pointer stores (a Router is an
-// interface value, which atomic.Pointer cannot hold directly).
-type routing struct {
-	r Router
-}
-
 // Dict is a sharded ordered dictionary. It implements dict.Dict.
 type Dict struct {
 	shards []dict.Dict
 
 	// rt is the published routing table. Point operations and fan-outs
 	// load it per attempt; rebalancing migrations swap it.
-	rt atomic.Pointer[routing]
+	rt atomic.Pointer[rangeRouter]
 
 	// mons holds one update monitor per shard when the dictionary was
 	// built with Config.Atomic or Config.Rebalance; nil otherwise.
@@ -284,20 +253,12 @@ func New(cfg Config) (*Dict, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := cfg.Router
-	if r == nil {
-		rr, rerr := newUniformRangeRouter(n, cfg.KeySpan)
-		if rerr != nil {
-			return nil, rerr
-		}
-		r = rr
-	}
 	d := &Dict{
 		shards:    make([]dict.Dict, n),
 		rqRetries: cfg.RQRetries,
 		faults:    cfg.Faults,
 	}
-	d.rt.Store(&routing{r: r})
+	d.rt.Store(newUniformRangeRouter(n, cfg.KeySpan))
 	if d.rqRetries == 0 {
 		d.rqRetries = DefaultRQRetries
 	}
@@ -343,19 +304,19 @@ func (d *Dict) NumShards() int { return len(d.shards) }
 // Shard returns the inner dictionary serving partition i.
 func (d *Dict) Shard(i int) dict.Dict { return d.shards[i] }
 
-// Router returns the current routing table. On a rebalancing dictionary
+// router returns the current routing table. On a rebalancing dictionary
 // the table may be superseded at any time; callers needing a stable
 // view across several calls must capture the returned value once.
-func (d *Dict) Router() Router { return d.rt.Load().r }
+func (d *Dict) router() *rangeRouter { return d.rt.Load() }
 
 // ShardFor returns the index of the partition currently owning key.
-func (d *Dict) ShardFor(key uint64) int { return d.Router().ShardFor(key) }
+func (d *Dict) ShardFor(key uint64) int { return d.router().ShardFor(key) }
 
-// Bounds returns the key range [lo, hi) currently owned by partition i;
-// under range routing the last partition's hi is ^uint64(0) (it owns
-// everything upward), and under hash routing every partition reports
-// the full key space.
-func (d *Dict) Bounds(i int) (lo, hi uint64) { return d.Router().Bounds(i) }
+// Bounds returns the key range [lo, hi) currently owned by partition i.
+// The partitions are contiguous and ascending in i, and the last one's
+// hi is ^uint64(0): it owns everything upward. On a rebalancing
+// dictionary a migration may move a bound at any time.
+func (d *Dict) Bounds(i int) (lo, hi uint64) { return d.router().Bounds(i) }
 
 // NewHandle registers a per-goroutine handle on every shard.
 //
@@ -387,7 +348,7 @@ func (d *Dict) NewHandle() dict.Handle {
 		// swapped (only migrations store to d.rt), so operations through
 		// this handle may use a plain cached pointer instead of loading
 		// the published one.
-		h.router = d.Router()
+		h.router = d.router()
 	}
 	return h
 }
@@ -422,21 +383,6 @@ func (d *Dict) RQStats() RQStats {
 		Escalations: d.rqEscalations.Load(),
 		Pinned:      d.rqPinned.Load(),
 	}
-}
-
-// overlap returns the inclusive shard index range a window [lo, hi)
-// fans out to under r: the boundary shards for ordered routers, every
-// shard for unordered ones (except single-key windows, which always
-// have a unique owner).
-func overlap(r Router, lo, hi uint64) (first, last int) {
-	if r.Ordered() {
-		return r.ShardFor(lo), r.ShardFor(hi - 1)
-	}
-	if hi-lo == 1 {
-		s := r.ShardFor(lo)
-		return s, s
-	}
-	return 0, r.NumShards() - 1
 }
 
 // readConsistent drives one atomic cross-shard read over [lo, hi): it
@@ -478,7 +424,7 @@ func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
 	// (it runs an arbitrary inner dictionary) and the caller recovers,
 	// held gates must not leak — they would park every future update
 	// forever.
-	first, last := overlap(d.Router(), lo, hi)
+	first, last := d.router().overlap(lo, hi)
 	for s := first; s <= last; s++ {
 		defer d.mons[s].Quiesce()()
 		if d.obsRec != nil {
@@ -494,15 +440,14 @@ func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
 
 // validated is the software attempt body of an atomic cross-shard read:
 // sample the monitor of every shard overlapping [lo, hi), run read — an
-// idempotent function reading those shards under the supplied router —
-// and re-validate the samples. It reloads the routing table, and fails
-// if the table was swapped after the samples were taken, so a migrated
-// key range can never be read through stale routing. samples is caller
-// scratch with capacity NumShards.
-func (d *Dict) validated(lo, hi uint64, samples []engine.MonitorSample, read func(r Router, first, last int)) bool {
+// idempotent function reading shards first..last — and re-validate the
+// samples. It reloads the routing table, and fails if the table was
+// swapped after the samples were taken, so a migrated key range can
+// never be read through stale routing. samples is caller scratch with
+// capacity NumShards.
+func (d *Dict) validated(lo, hi uint64, samples []engine.MonitorSample, read func(first, last int)) bool {
 	rt := d.rt.Load()
-	r := rt.r
-	first, last := overlap(r, lo, hi)
+	first, last := rt.overlap(lo, hi)
 	samples = samples[:0]
 	for s := first; s <= last; s++ {
 		smp, ok := d.mons[s].Sample()
@@ -514,7 +459,7 @@ func (d *Dict) validated(lo, hi uint64, samples []engine.MonitorSample, read fun
 	if d.rt.Load() != rt {
 		return false // routing table swapped after sampling
 	}
-	read(r, first, last)
+	read(first, last)
 	for s := first; s <= last; s++ {
 		if !d.mons[s].Validate(samples[s-first]) {
 			return false
@@ -553,7 +498,7 @@ func (d *Dict) KeySum() (sum, count uint64) {
 	}
 	samples := make([]engine.MonitorSample, 0, len(d.shards))
 	d.readConsistent(0, maxKeySpan, func(bool) bool {
-		return d.validated(0, maxKeySpan, samples, func(Router, int, int) { read() })
+		return d.validated(0, maxKeySpan, samples, func(int, int) { read() })
 	})
 	return sum, count
 }
@@ -582,7 +527,7 @@ func (d *Dict) CheckPartition() error {
 			d.checkHandles[i] = s.NewHandle()
 		}
 	}
-	r := d.Router()
+	r := d.router()
 	for i := range d.shards {
 		pairs := d.checkHandles[i].RangeQuery(0, maxKeySpan, nil)
 		for _, kv := range pairs {
@@ -611,14 +556,12 @@ type handle struct {
 	// router caches the routing table when the dictionary can never
 	// swap it (no rebalancer); nil on a rebalancing dictionary, whose
 	// paths must observe table swaps and load the published pointer.
-	router Router
+	router *rangeRouter
 
 	// sinceCheck counts point operations since the last rebalance
 	// evaluation this handle triggered (unused unless rebalancing).
 	sinceCheck int
 
-	// buckets is group-execution scratch (see execGroupUnordered).
-	buckets [][]int
 	// rerouted counts the admissions routeUpdate dropped because a
 	// migration swapped the routing table under them; ExecGroup reports
 	// its groups' share as batch.Stats.Restarts.
@@ -629,11 +572,11 @@ type handle struct {
 // admitted (a read, or an update on an unmonitored dictionary): the
 // handle-cached table when the dictionary can never swap it, the
 // published pointer otherwise.
-func (h *handle) curRouter() Router {
+func (h *handle) curRouter() *rangeRouter {
 	if h.router != nil {
 		return h.router
 	}
-	return h.d.Router()
+	return h.d.router()
 }
 
 // routeUpdate routes an update on key: it returns the owning shard and
@@ -645,19 +588,19 @@ func (h *handle) curRouter() Router {
 // run against a shard that no longer owns its key. While the admission
 // is held no migration can involve shard s, so every key r assigns to s
 // stays there. On an unmonitored dictionary mon is nil.
-func (h *handle) routeUpdate(key uint64) (s int, r Router, mon *engine.UpdateMonitor) {
+func (h *handle) routeUpdate(key uint64) (s int, r *rangeRouter, mon *engine.UpdateMonitor) {
 	d := h.d
 	if d.mons == nil {
 		r = h.curRouter()
 		return r.ShardFor(key), r, nil
 	}
 	for {
-		rt := d.rt.Load()
-		s = rt.r.ShardFor(key)
+		r = d.rt.Load()
+		s = r.ShardFor(key)
 		mon = d.mons[s]
 		mon.Enter()
-		if d.rt.Load() == rt {
-			return s, rt.r, mon
+		if d.rt.Load() == r {
+			return s, r, mon
 		}
 		mon.Exit() // migrated under us: re-route against the new table
 		h.rerouted++
@@ -714,7 +657,7 @@ func (h *handle) Search(key uint64) (val uint64, found bool) {
 	}
 	for {
 		rt := d.rt.Load()
-		val, found = h.hs[rt.r.ShardFor(key)].Search(key)
+		val, found = h.hs[rt.ShardFor(key)].Search(key)
 		if found || d.rt.Load() == rt {
 			return val, found
 		}
@@ -723,24 +666,13 @@ func (h *handle) Search(key uint64) (val uint64, found bool) {
 }
 
 // readShards appends the pairs of [lo, hi) from shards first..last to
-// out, in key order (see mergeFanout).
-func (h *handle) readShards(r Router, first, last int, lo, hi uint64, out []dict.KV) []dict.KV {
-	base := len(out)
+// out. The partition is contiguous and ascending, so the concatenation
+// is in key order.
+func (h *handle) readShards(first, last int, lo, hi uint64, out []dict.KV) []dict.KV {
 	for s := first; s <= last; s++ {
 		out = h.hs[s].RangeQuery(lo, hi, out)
 	}
-	mergeFanout(r, first, last, out[base:])
 	return out
-}
-
-// mergeFanout puts seg — the concatenated range-query outputs of shards
-// first..last — in key order: as it stands under an ordered router,
-// whose partition is contiguous; merge-sorted under an unordered one,
-// where the concatenation interleaves the shards' keys.
-func mergeFanout(r Router, first, last int, seg []dict.KV) {
-	if !r.Ordered() && last > first {
-		sort.Slice(seg, func(i, j int) bool { return seg[i].Key < seg[j].Key })
-	}
 }
 
 // pinned is the transactional attempt body of an atomic cross-shard
@@ -795,12 +727,12 @@ func (h *handle) pinExit(first, last int) {
 // software body does once the in-flight updates drain, while a
 // best-effort transaction promises nothing (the paper's division of
 // labour between the HTM path and the path that guarantees progress).
-func (h *handle) readAtomic(lo, hi uint64, pin func(first, last int) dict.PinStatus, read func(r Router, first, last int)) {
+func (h *handle) readAtomic(lo, hi uint64, pin func(first, last int) dict.PinStatus, read func(first, last int)) {
 	d := h.d
 	pinning := h.pins != nil
 	var first, last int
 	if pinning {
-		first, last = overlap(h.router, lo, hi) // pinning implies a static table
+		first, last = h.router.overlap(lo, hi) // pinning implies a static table
 	}
 	d.readConsistent(lo, hi, func(gated bool) bool {
 		if !pinning {
@@ -813,31 +745,27 @@ func (h *handle) readAtomic(lo, hi uint64, pin func(first, last int) dict.PinSta
 	})
 }
 
-// RangeQuery fans out to the shards overlapping [lo, hi). Under range
-// routing each shard filters to its own keys and the partition is
-// contiguous, so handing every shard the full interval and
-// concatenating in partition order preserves global ascending key
-// order; under hash routing all shards are read and the results
-// merge-sorted. With Config.Atomic (or Config.Rebalance) a fan-out is
-// additionally run through readAtomic, making the result a consistent
-// cut; on a non-rebalancing dictionary a window inside a single shard is
-// atomic either way and skips it (with rebalancing even single-shard
-// windows validate, because a concurrent migration may be moving the
-// window's keys between shards).
+// RangeQuery fans out to the shards overlapping [lo, hi). Each shard
+// filters to its own keys and the partition is contiguous, so handing
+// every shard the full interval and concatenating in partition order
+// preserves global ascending key order. With Config.Atomic (or
+// Config.Rebalance) a fan-out is additionally run through readAtomic,
+// making the result a consistent cut; on a non-rebalancing dictionary a
+// window inside a single shard is atomic either way and skips it (with
+// rebalancing even single-shard windows validate, because a concurrent
+// migration may be moving the window's keys between shards).
 func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	if hi <= lo {
 		return out
 	}
 	d := h.d
 	if d.mons == nil {
-		r := h.curRouter()
-		first, last := overlap(r, lo, hi)
-		return h.readShards(r, first, last, lo, hi, out)
+		first, last := h.curRouter().overlap(lo, hi)
+		return h.readShards(first, last, lo, hi, out)
 	}
 	if d.reb == nil {
-		r := h.curRouter()
-		if first, last := overlap(r, lo, hi); first == last {
-			return h.readShards(r, first, last, lo, hi, out)
+		if first, last := h.curRouter().overlap(lo, hi); first == last {
+			return h.readShards(first, last, lo, hi, out)
 		}
 	}
 	base := len(out)
@@ -849,11 +777,9 @@ func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 				return st
 			}
 		}
-		mergeFanout(h.router, first, last, out[base:])
 		return dict.PinCommitted
-	}, func(r Router, first, last int) {
-		out = out[:base]
-		out = h.readShards(r, first, last, lo, hi, out)
+	}, func(first, last int) {
+		out = h.readShards(first, last, lo, hi, out[:base])
 	})
 	return out
 }

@@ -35,14 +35,6 @@ func TestConfigValidation(t *testing.T) {
 	ctor := func(int, *engine.UpdateMonitor) dict.Dict {
 		return bst.New(bst.Config{Algorithm: engine.AlgNonHTM})
 	}
-	hash4, err := NewHashRouter(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	range8, err := NewRangeRouter(8, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name string
 		cfg  Config
@@ -62,16 +54,6 @@ func TestConfigValidation(t *testing.T) {
 			name: "negative rq retries",
 			cfg:  Config{Shards: 4, New: ctor, Atomic: true, RQRetries: -2},
 			want: []string{"Config.RQRetries", "-2"},
-		},
-		{
-			name: "router shard count mismatch",
-			cfg:  Config{Shards: 8, New: ctor, Router: hash4},
-			want: []string{"Config.Router", "4", "8"},
-		},
-		{
-			name: "rebalance on hash router",
-			cfg:  Config{Shards: 4, New: ctor, Router: hash4, Rebalance: &RebalanceConfig{}},
-			want: []string{"Config.Rebalance", "range router"},
 		},
 		{
 			name: "rebalance on one shard",
@@ -112,14 +94,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if d.NumShards() != DefaultShards {
 		t.Fatalf("NumShards = %d, want default %d", d.NumShards(), DefaultShards)
-	}
-	// A supplied router resolves the shard count when Shards is zero.
-	d, err = New(Config{New: ctor, Router: range8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumShards() != 8 {
-		t.Fatalf("NumShards = %d, want router's 8", d.NumShards())
 	}
 }
 

@@ -187,8 +187,6 @@ var families = []family{
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.Groups) }},
 	{name: "htmtree_exec_group_ops_total", help: "Point operations executed through shard groups.",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.GroupOps) }},
-	{name: "htmtree_exec_router_lookups_total", help: "Routing decisions taken by shard-group execution (one per group under range routing, one per operation under hash routing).",
-		read: func(s *Stats, emit emitFn) { emit(s.Batch.RouterLookups) }},
 	{name: "htmtree_exec_monitor_brackets_total", help: "Monitor admissions held by shard-group execution on a monitored tree (one per group).",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.MonitorBrackets) }},
 	{name: "htmtree_exec_restarts_total", help: "Shard-group executions restarted because a migration moved the group's keys mid-flight.",
