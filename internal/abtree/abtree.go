@@ -25,9 +25,12 @@
 //
 // Per the paper, the fast path modifies leaf key/value arrays in place
 // (they are transactional cells) and creates nodes only on splits, while
-// the middle and fallback paths follow the template discipline of
-// replacing nodes; rebalancing steps create new nodes on every path
-// (Section 6.2's closing remark).
+// the fallback paths follow the template discipline of replacing nodes;
+// rebalancing steps create new nodes on every path (Section 6.2's closing
+// remark). The middle path runs the fast path's in-place edit for an
+// update that stays inside its leaf, with a linked LLX of the leaf and a
+// fresh tag in its info field in the same transaction
+// (engine.Prims.EditInPlace), and splits a full leaf by the template.
 package abtree
 
 import (
@@ -64,11 +67,12 @@ const (
 // size), where perm's nibbles 0..size-1 name the slots in ascending key
 // order and the nibbles from size up are the free slots. Every reader
 // reads ord first and reaches the slots through permAt. They are cells
-// because the fast path mutates them in place — an insert writes the
-// first free slot and ord, a delete ord alone; the template paths replace
-// the leaf instead and only ever read them. slots is a pointer to an
-// array of MaxB cells whatever b is: 8 bytes where a slice header is 24,
-// and an index the compiler can prove in range.
+// because the fast and middle paths mutate them in place — an insert
+// writes the first free slot and ord, a delete ord alone; the fallback
+// paths replace the leaf instead and read them only under an LLX, which
+// the middle path's edits fail by retagging the leaf. slots is a pointer
+// to an array of MaxB cells whatever b is: 8 bytes where a slice header
+// is 24, and an index the compiler can prove in range.
 //
 // The fields are ordered by who touches them, in 64-byte lines (a node is
 // 256-aligned, its size class). The first line is what a descent reads
@@ -77,7 +81,8 @@ const (
 // aggSum, which every in-place edit writes — one dirty line of the shell
 // per update, and none that a descent through an internal node needs.
 // Then the internal aggregates, and last the SCX header, which the fast
-// path never touches. TestNodeFootprint pins the sizes and the lines.
+// path never touches (a middle-path edit writes its info field too).
+// TestNodeFootprint pins the sizes and the lines.
 type Node struct {
 	// First line: what a descent reads, none of it written after
 	// publication.

@@ -133,3 +133,118 @@ func TestFastPathFootprint(t *testing.T) {
 		}
 	}
 }
+
+// TestMiddlePathFootprint is TestFastPathFootprint's count for the middle
+// path, on the same quiescent tree with an operation held on the fallback
+// indicator, so that every update skips the fast path. The middle path
+// runs the fast path's in-place edit of the leaf plus EditInPlace: a
+// linked LLX of the leaf (its marked bit, info, marked bit and info again:
+// 4 reads) and one fresh tag in its info field (1 write). It does not read
+// the indicator. So
+//
+//   - an insert into a non-full leaf writes 4+h entries and reads
+//     7+h+probes, and draws no node from the pool;
+//   - a delete writes 3+h entries and reads 7+h+probes.
+//
+// Each commits on the middle path at exactly that capacity and
+// capacity-aborts off it with one entry less.
+func TestMiddlePathFootprint(t *testing.T) {
+	const keys = 4000 // even keys 2..2*keys; odd keys are new
+	// build prefills a tree under hcfg on the fast path, then holds the
+	// fallback indicator. It returns the tree, the leaf height h, a key at
+	// rank 3 of its leaf, and the slots leafFind probes for that key
+	// and for the absent key after it.
+	build := func(hcfg htm.Config) (tr *Tree, h int, present uint64, searchReads, insertReads int) {
+		ind := &heldIndicator{}
+		tr = New(Config{Algorithm: engine.AlgThreePath, HTM: hcfg, Engine: engine.Config{Indicator: ind}})
+		pre := tr.newHandle()
+		for k := uint64(1); k <= keys; k++ {
+			pre.Insert(2*k, k)
+		}
+		for n := tr.entry.children[0].Get(nil); !n.leaf; n = n.children[0].Get(nil) {
+			h++
+		}
+		_, _, u, _, _ := tr.searchLeaf(nil, keys)
+		var buf []kv
+		readLeaf(nil, u, &buf)
+		if len(buf) < 8 || len(buf) >= tr.cfg.B {
+			t.Fatalf("leaf of key %d holds %d entries, want 8..%d", keys, len(buf), tr.cfg.B-1)
+		}
+		present = buf[3].k
+		searchReads, insertReads = leafProbes(buf, present), leafProbes(buf, present+1)
+		ind.Arrive()
+		return tr, h, present, searchReads, insertReads
+	}
+	_, h, key, searchReads, insertReads := build(htm.Config{})
+	if h < 2 {
+		t.Fatalf("tree of %d keys has %d internal levels, want >= 2", keys, h)
+	}
+	insertOp := func(hd *Handle, present uint64) bool { _, existed := hd.Insert(present+1, 1); return !existed }
+	deleteOp := func(hd *Handle, present uint64) bool { _, existed := hd.Delete(present); return existed }
+	writeCap := func(n int) htm.Config { return htm.Config{WriteCapacity: n} }
+	readCap := func(n int) htm.Config { return htm.Config{ReadCapacity: n} }
+
+	for _, c := range []struct {
+		name  string
+		needs int
+		cfg   func(capacity int) htm.Config
+		op    func(hd *Handle, present uint64) bool
+	}{
+		{"insert writes", 4 + h, writeCap, insertOp},
+		{"delete writes", 3 + h, writeCap, deleteOp},
+		{"insert reads", 7 + h + insertReads, readCap, insertOp},
+		{"delete reads", 7 + h + searchReads, readCap, deleteOp},
+	} {
+		for _, fits := range []bool{true, false} {
+			capacity := c.needs
+			if !fits {
+				capacity--
+			}
+			tr, h2, present, s2, i2 := build(c.cfg(capacity))
+			if h2 != h || present != key || s2 != searchReads || i2 != insertReads {
+				t.Fatalf("%s: prefill under capacity %d built a different tree", c.name, capacity)
+			}
+			hd := tr.newHandle()
+			before, pool := tr.OpStats(), hd.ReclaimStats()
+			if !c.op(hd, present) {
+				t.Fatalf("%s at capacity %d: wrong result", c.name, capacity)
+			}
+			after := tr.OpStats()
+			onMiddle := after.Middle - before.Middle
+			capAborts := after.Aborts[htm.PathMiddle][htm.CauseCapacity] - before.Aborts[htm.PathMiddle][htm.CauseCapacity]
+			if fits && (onMiddle != 1 || capAborts != 0) {
+				t.Errorf("%s (h=%d) at capacity %d: middle completions %d, middle-path capacity aborts %d, want 1 and 0",
+					c.name, h, capacity, onMiddle, capAborts)
+			}
+			if !fits && (onMiddle != 0 || capAborts == 0) {
+				t.Errorf("%s (h=%d) at capacity %d: middle completions %d, middle-path capacity aborts %d, want 0 and > 0: the footprint shrank, update the count",
+					c.name, h, capacity, onMiddle, capAborts)
+			}
+			if got := hd.ReclaimStats(); fits && (got.Fresh != pool.Fresh || got.Reused != pool.Reused) {
+				t.Errorf("%s on the middle path drew %d fresh and %d pooled nodes, want none: the leaf is edited in place",
+					c.name, got.Fresh-pool.Fresh, got.Reused-pool.Reused)
+			}
+			if err := tr.CheckInvariants(true); err != nil {
+				t.Fatalf("%s at capacity %d: %v", c.name, capacity, err)
+			}
+		}
+	}
+}
+
+// leafProbes counts the slots leafFind reads looking for key in a leaf
+// holding the sorted pairs buf.
+func leafProbes(buf []kv, key uint64) (n int) {
+	for lo, hi := 0, len(buf); lo < hi; {
+		mid := (lo + hi) / 2
+		n++
+		if buf[mid].k == key {
+			break
+		}
+		if buf[mid].k < key {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return n
+}

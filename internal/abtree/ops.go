@@ -5,6 +5,7 @@ import (
 
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
+	"htmtree/internal/fault"
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
 )
@@ -45,7 +46,7 @@ func (h *Handle) buildOps() {
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
-		Fallback: func() bool { t.searchBody(nil, h); return true },
+		Fallback: func() bool { return t.searchFallback(h) },
 	}
 	h.rqOp = engine.Op{
 		Site:     engine.NewSite(),
@@ -255,12 +256,15 @@ func (t *Tree) insertBody(pr *prims) bool {
 	b := t.cfg.B
 	p, u, uIdx := t.locateForUpdate(pr, key)
 
-	if pr.Mode == engine.ModeFast {
+	if pr.Mode == engine.ModeFast || pr.Mode == engine.ModeMiddle {
+		// The transactional modes edit the leaf in place — the fast path's
+		// node-creation saving (Section 6.2) — and the middle path tags it
+		// for the fallback path's LLXs (EditInPlace).
 		tx := pr.Tx
 		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if found {
-			// Update the value in place — the fast path's node-creation
-			// saving (Section 6.2). Values don't feed the aggregates.
+			// Values don't feed the aggregates.
+			pr.EditInPlace(&u.hdr)
 			*pr.Res = engine.Result{Val: old, Found: true}
 			u.slots[permAt(perm, pos)].Set(tx, key, val)
 			return true
@@ -269,6 +273,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		if sz < b {
 			// Fill the first free slot and give it the key's rank: two
 			// writes, wherever in the leaf the key belongs.
+			pr.EditInPlace(&u.hdr)
 			perm = permInsert(perm, pos, sz)
 			u.slots[permAt(perm, pos)].Set(tx, key, val)
 			u.ord.Set(tx, perm, uint64(sz+1))
@@ -276,28 +281,35 @@ func (t *Tree) insertBody(pr *prims) bool {
 			aggApply(tx, h.path, key, 1)
 			return true
 		}
-		// Full leaf: split, keeping u as the left child — only a sibling
-		// and a parent are created (Section 6.2). The pairs that stay keep
-		// their slots: truncating the size frees the upper ranks, and when
-		// the new pair belongs to the left half it takes the first of them.
-		readLeaf(tx, u, &h.buf)
-		h.buf = insertAt(h.buf, pos, kv{k: key, v: val})
-		lo := (len(h.buf) + 1) / 2
-		right := h.newLeaf(h.buf[lo:])
-		if pos < lo {
-			perm = permInsert(perm, pos, lo-1)
-			u.slots[permAt(perm, pos)].Set(tx, key, val)
+		if pr.Mode == engine.ModeFast {
+			// Full leaf: split, keeping u as the left child — only a
+			// sibling and a parent are created (Section 6.2). The pairs that
+			// stay keep their slots: truncating the size frees the upper
+			// ranks, and when the new pair belongs to the left half it takes
+			// the first of them.
+			readLeaf(tx, u, &h.buf)
+			h.buf = insertAt(h.buf, pos, kv{k: key, v: val})
+			lo := (len(h.buf) + 1) / 2
+			right := h.newLeaf(h.buf[lo:])
+			if pos < lo {
+				perm = permInsert(perm, pos, lo-1)
+				u.slots[permAt(perm, pos)].Set(tx, key, val)
+			}
+			u.ord.Set(tx, perm, uint64(lo))
+			u.aggSum.Set(tx, sumPairs(h.buf[:lo]))
+			h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
+			h.cbuf = append(h.cbuf[:0], u, right)
+			np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
+			np.agg.Init(sumPairs(h.buf), uint64(len(h.buf)))
+			p.children[uIdx].Set(tx, np)
+			aggApply(tx, h.path, key, 1)
+			pr.Res.NeedFix = np.tagged
+			return true
 		}
-		u.ord.Set(tx, perm, uint64(lo))
-		u.aggSum.Set(tx, sumPairs(h.buf[:lo]))
-		h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
-		h.cbuf = append(h.cbuf[:0], u, right)
-		np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
-		np.agg.Init(sumPairs(h.buf), uint64(len(h.buf)))
-		p.children[uIdx].Set(tx, np)
-		aggApply(tx, h.path, key, 1)
-		pr.Res.NeedFix = np.tagged
-		return true
+		// The middle path splits a full leaf by the template below: a
+		// fallback reader may hold a snapshot of p that still leads to u,
+		// and u, left reachable and unmarked with half its keys, would
+		// hide the other half from it.
 	}
 
 	// Template modes: replace the leaf (or grow a split subtree).
@@ -376,14 +388,16 @@ func (t *Tree) deleteBody(pr *prims) bool {
 	a := t.cfg.A
 	p, u, uIdx := t.locateForUpdate(pr, key)
 
-	if pr.Mode == engine.ModeFast {
+	if pr.Mode == engine.ModeFast || pr.Mode == engine.ModeMiddle {
 		tx := pr.Tx
 		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if !found {
 			return pr.NotFound()
 		}
-		// The only write to the leaf: the key's slot goes back to the free
-		// list and keeps its contents, which no rank names any more.
+		// The only write to the leaf (and, on the middle path, its tag):
+		// the key's slot goes back to the free list and keeps its
+		// contents, which no rank names any more.
+		pr.EditInPlace(&u.hdr)
 		u.ord.Set(tx, permDelete(perm, pos, sz), uint64(sz-1))
 		u.aggSum.AddAtCommit(tx, -key)
 		aggApply(tx, h.path, -key, ^uint64(0))
@@ -421,10 +435,25 @@ func (t *Tree) deleteBody(pr *prims) bool {
 	return true
 }
 
-// searchBody implements Search (read-only on every path).
+// searchBody implements Search in a transaction, and under the TLE lock
+// with a nil tx.
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 	_, _, u, _, _ := t.searchLeaf(tx, h.argKey)
 	_, h.res.Val, h.res.Found, _, _ = leafFind(tx, u, h.argKey)
+}
+
+// searchFallback implements Search on the fallback path. The middle path
+// edits published leaves in place, so the leaf is read under an LLX: a
+// binary search through an order word from before an edit and slots from
+// after it could miss a key that was present throughout. A failed or
+// finalized snapshot asks for a retry from the root.
+func (t *Tree) searchFallback(h *Handle) bool {
+	_, _, u, _, _ := t.searchLeaf(nil, h.argKey)
+	_, st := llxscx.LLX(nil, &u.hdr, func() {
+		_, h.res.Val, h.res.Found, _, _ = leafFind(nil, u, h.argKey)
+		t.cfg.Engine.Faults.Hit(fault.PointSearchLeaf)
+	})
+	return st == llxscx.StatusOK
 }
 
 // findInBuf locates key in a sorted pair buffer.

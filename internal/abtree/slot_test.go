@@ -13,8 +13,8 @@ import (
 
 // A leaf entry is one (key, value) cell in an unsorted slot array; the
 // leaf's order word says which slots are live and in what key order. The
-// fast path fills a free slot and republishes the order word, or only
-// republishes it; the template paths copy the leaf. TestNoTornSlots
+// fast and middle paths fill a free slot and republish the order word, or
+// only republish it; the other paths copy the leaf. TestNoTornSlots
 // checks that no path ever shows a reader a leaf that is not one of its
 // committed states. Every stored value encodes its own key, updaters
 // overwrite, delete and re-insert over a small key range so leaves fill,
@@ -28,8 +28,8 @@ import (
 //     rank naming a free or stale slot — what a delete that parked the
 //     wrong nibble would show.
 //
-// Both mutations were made by hand and fail every variant whose fast path
-// edits leaves in place (3-path, 2-path-ncon, tle) and the
+// Both mutations were made by hand and fail every variant whose first path
+// edits leaves in place (3-path, 2-path-con, 2-path-ncon, tle) and the
 // pooled-leaf case (ARCHITECTURE, "Node layout"). That case checks the other way a reader can
 // meet a slot that is not its leaf's: through a leaf recycled under it.
 // Run it under -race. A failure prints the seed and the variant;

@@ -459,11 +459,13 @@ type Op struct {
 	// logical retry by calling tx.Abort(CodeRetry); completing normally
 	// commits the operation.
 	Fast func(tx *htm.Tx)
-	// Middle is the instrumented template body (transactional LLX +
-	// SCXInTx) run inside a transaction (used as 3-path's middle path
-	// and as 2-path-con's fast path). An operation that writes nothing
-	// has nothing to instrument and leaves it nil: Fast is then its one
-	// transactional body, safe beside fallback-path SCXs as it stands.
+	// Middle is the instrumented body run inside a transaction (used as
+	// 3-path's middle path and as 2-path-con's fast path): the template
+	// with transactional LLX + SCXInTx, or a direct edit of a node's
+	// fields instrumented by Prims.EditInPlace (the (a,b)-tree's updates
+	// inside a leaf). An operation that writes nothing has nothing to
+	// instrument and leaves it nil: Fast is then its one transactional
+	// body, safe beside fallback-path SCXs as it stands.
 	// 2-path-con runs it as its first path; 3-path runs it on one
 	// transactional path — without the fallback-presence subscription,
 	// which is all its middle path would have been, for both paths'

@@ -22,7 +22,8 @@ const (
 	// template.
 	ModeFast Mode = iota + 1
 	// ModeMiddle: transactional LLX + SCXInTx (the instrumented
-	// transaction of Section 5).
+	// transaction of Section 5). A body may also run its ModeFast edit of a
+	// node's fields here, instrumented by EditInPlace.
 	ModeMiddle
 	// ModeFallback: the original lock-free LLXO/SCXO.
 	ModeFallback
@@ -124,6 +125,30 @@ func (pr *Prims[N]) SCX(v []*llxscx.Hdr, infos []*llxscx.Info, r []*llxscx.Hdr,
 		pr.Failed = true
 	}
 	return ok
+}
+
+// EditInPlace prepares the records with headers v for a direct write of
+// their mutable fields, which the caller then makes in the same atomic
+// step. In ModeFast it does nothing: the fast path runs while no fallback
+// operation does, or under the TLE lock. In ModeMiddle it takes a linked
+// transactional LLX of each record — a record frozen for an SCX in
+// progress, or marked, fails the attempt — and stores one fresh tag in
+// their info fields (SCXInTx, finalizing nothing). That is property P1
+// for the edited fields: the info field changes whenever they do, so a
+// fallback LLX whose reads straddle the edit fails, and an SCX linked to
+// an earlier snapshot cannot freeze the record. The other modes replace
+// records instead of editing them.
+func (pr *Prims[N]) EditInPlace(v ...*llxscx.Hdr) {
+	switch pr.Mode {
+	case ModeFast:
+	case ModeMiddle:
+		for _, hdr := range v {
+			pr.LLX(hdr, nil)
+		}
+		llxscx.SCXInTx(pr.Tx, &pr.Th.Tags, v, nil)
+	default:
+		panic("engine: EditInPlace outside a transactional mode")
+	}
 }
 
 // NotFound completes an attempt that found no key to remove: the result

@@ -3,10 +3,11 @@
 // engine's correctness arguments actually depend on — forced
 // transactional aborts, stalls and permanent death of a fallback-path
 // owner, quiesce-gate delays and migration interruption, epoch-pin
-// stalls that starve reclamation, aggregate-seqlock writer stalls, and
-// batch flush delays — plus a progress watchdog (Liveness) that
-// distinguishes "blocked on a dead owner" (a bug) from "progressed past
-// a dead owner" (the lock-free guarantee).
+// stalls that starve reclamation, aggregate-seqlock writer stalls, batch
+// flush delays, and edits inside a fallback search's leaf snapshot —
+// plus a progress watchdog (Liveness) that distinguishes "blocked on a
+// dead owner" (a bug) from "progressed past a dead owner" (the lock-free
+// guarantee).
 //
 // A Plan compiles a seed and a set of per-point Rules into per-point
 // trigger state. Every trigger decision is a pure function of
@@ -81,6 +82,11 @@ const (
 	// PointBatchFlush fires at the head of a batch pipeline flush,
 	// before the group executes.
 	PointBatchFlush
+	// PointSearchLeaf fires inside the (a,b)-tree's fallback-path Search,
+	// in the LLX of its leaf between the reads of the leaf's fields and
+	// the re-read of its info field that validates them — where an
+	// in-place middle-path edit of the leaf must send the search back.
+	PointSearchLeaf
 	// NumPoints bounds the point space.
 	NumPoints
 )
@@ -105,6 +111,8 @@ func (p Point) String() string {
 		return "agg-fixup"
 	case PointBatchFlush:
 		return "batch-flush"
+	case PointSearchLeaf:
+		return "search-leaf"
 	default:
 		return fmt.Sprintf("point(%d)", uint8(p))
 	}

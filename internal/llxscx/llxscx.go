@@ -33,10 +33,11 @@
 // Property P1 — between any two changes to a record's user fields, a
 // value never previously contained in the info field is stored there —
 // is preserved by always writing freshly allocated *Info values: fallback
-// SCX-records carry their own unique Info, and each HTM SCX allocates a
-// fresh tagged Info (Rec == nil). This replaces the paper's pointer
-// tagging, which Go's garbage collector rules out, while preserving
-// exactly the property the tag encoding served.
+// SCX-records carry their own unique Info, and each HTM SCX takes a
+// never-used tagged Info (Rec == nil) from its thread's TagSource. This
+// replaces the paper's pointer tagging, which Go's garbage collector
+// rules out, while preserving exactly the property the tag encoding
+// served.
 package llxscx
 
 import (
@@ -289,13 +290,27 @@ func help(rec *SCXRecord) bool {
 // creation of SCX-records"). One TagSource per thread.
 type TagSource struct {
 	seq uint64
+	// chunk holds the rest of the last allocation's tags, none handed
+	// out yet.
+	chunk []Info
 }
 
+// tagChunk is how many tags one allocation provides.
+const tagChunk = 16
+
 // Next returns a fresh tagged Info. Freshness (property P1) comes from
-// the allocation: no info field has ever contained this pointer.
+// the allocation: each element of a chunk is handed out once, so no info
+// field has ever contained the pointer. A tag still stored in some info
+// field keeps its whole chunk alive.
 func (t *TagSource) Next() *Info {
+	if len(t.chunk) == 0 {
+		t.chunk = make([]Info, tagChunk)
+	}
+	in := &t.chunk[0]
+	t.chunk = t.chunk[1:]
 	t.seq++
-	return &Info{Seq: t.seq}
+	in.Seq = t.seq
+	return in
 }
 
 // SCXHTM is the standalone HTM SCX (paper Figures 4 and 11): it runs its
@@ -330,7 +345,9 @@ func SCXHTM[T any](th *htm.Thread, path htm.PathKind, tags *TagSource,
 // comparison is elided because the linked LLXs in the same transaction
 // subscribed the info fields, so any change aborts the transaction. The
 // caller performs the field update itself (a transactional write) after
-// this returns.
+// this returns. With r empty, the update may be a direct edit of the
+// mutable fields of v's records themselves: the fresh tag is the change
+// P1 requires beside it.
 //
 // Precondition: every record in v was LLXed inside tx.
 func SCXInTx(tx *htm.Tx, tags *TagSource, v []*Hdr, r []*Hdr) {

@@ -151,11 +151,13 @@ func TestLLXHelpsInProgressSCX(t *testing.T) {
 	}
 }
 
+// TestTagFreshness: every tag is a pointer no earlier call returned, and
+// tags come tagChunk to an allocation. Not parallel: AllocsPerRun counts
+// the whole process's allocations.
 func TestTagFreshness(t *testing.T) {
-	t.Parallel()
 	var tags TagSource
 	seen := make(map[*Info]bool)
-	for i := 0; i < 100; i++ {
+	for i := 0; i < 1000; i++ {
 		in := tags.Next()
 		if in.Rec != nil {
 			t.Fatal("tagged info has Rec set")
@@ -164,6 +166,13 @@ func TestTagFreshness(t *testing.T) {
 			t.Fatal("TagSource returned a repeated pointer")
 		}
 		seen[in] = true
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		for i := 0; i < tagChunk; i++ {
+			tags.Next()
+		}
+	}); a > 1 {
+		t.Fatalf("%d tags took %v allocations, want at most 1", tagChunk, a)
 	}
 }
 

@@ -17,8 +17,8 @@
 //     and never published). No reader, stale or otherwise, can hold one
 //     (DEBRA's guarantee: every operation is bracketed by the engine's
 //     ebr Begin/End), so reuse is plain initializing stores that touch
-//     no version word — what a middle- or fallback-path update, which
-//     replaces a leaf per operation, pays per cell.
+//     no version word — what a template-path update, which replaces a
+//     leaf per operation, pays per cell.
 //   - inner: internal nodes, which always wait out a grace period: their
 //     routing keys are read with plain loads on the descent hot path
 //     (htm.Word.Peek or plain arrays), which is only sound if no reader
