@@ -213,12 +213,11 @@ func TestAllocGateCrossShardReads(t *testing.T) {
 	}
 }
 
-// TestAllocGateAdaptivePointOps gates point operations on a RouterAdaptive
-// tree, whose updates are admitted on their shard's monitor by the shard
-// handle: routing, admission and its release hand nothing to the heap.
-// RebalanceCheckOps is above the run length, so no imbalance evaluation
-// (which reads every shard's statistics) falls in the measured window.
-func TestAllocGateAdaptivePointOps(t *testing.T) {
+// TestAllocGateShardedPointOps gates point operations on sharded trees,
+// plain and with AtomicRangeQueries, whose updates are admitted on their
+// shard's monitor by the shard handle: routing and admission hand
+// nothing to the heap.
+func TestAllocGateShardedPointOps(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		mk   func(htmtree.Config) (*htmtree.Tree, error)
@@ -227,14 +226,11 @@ func TestAllocGateAdaptivePointOps(t *testing.T) {
 		{"sharded-abtree", htmtree.NewShardedABTree},
 	} {
 		for _, atomic := range []bool{false, true} {
-			name := tc.name + " adaptive"
+			name := tc.name
 			if atomic {
-				name += "+atomic"
+				name += " atomic"
 			}
-			tree, err := tc.mk(htmtree.Config{
-				ShardKeySpan: gateKeys + 1, Router: htmtree.RouterAdaptive,
-				RebalanceCheckOps: 1 << 30, AtomicRangeQueries: atomic,
-			})
+			tree, err := tc.mk(htmtree.Config{ShardKeySpan: gateKeys + 1, AtomicRangeQueries: atomic})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,7 @@
 //
 // Every point operation on a sharded tree pays a fixed toll before it
 // touches a node: handle dispatch, a routing-table lookup, and — when
-// the tree rebalances — a monitor admission bracket. An AsyncHandle
+// the tree's range queries are atomic — a monitor admission bracket. An AsyncHandle
 // buffers operations and flushes them as one key-sorted, shard-grouped
 // batch, so that toll is paid once per shard-group instead of once per
 // op. Results come back through futures: Wait blocks (flushing first
@@ -30,8 +30,10 @@ func main() {
 		Algorithm:    htmtree.ThreePath,
 		Shards:       8,
 		ShardKeySpan: keySpan,
-		Router:       htmtree.RouterAdaptive, // admitting handles: brackets visible in stats
 		BatchMaxOps:  64,
+		// Atomic range queries make the handles admit every update on
+		// its shard's monitor: the brackets are visible in the stats.
+		AtomicRangeQueries: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -86,9 +88,12 @@ func main() {
 	fmt.Printf("batch: %d ops in %d flushes (%.1f ops/flush), %d shard-groups\n",
 		st.Batch.BatchedOps, st.Batch.Flushes,
 		float64(st.Batch.BatchedOps)/float64(st.Batch.Flushes), st.Batch.Groups)
-	fmt.Printf("amortization: %.1f ops per group, %.1f per monitor bracket (unbatched pays 1.0)\n",
+	if st.Batch.MonitorBrackets == 0 {
+		log.Fatal("no monitor brackets: the handles admitted nothing")
+	}
+	fmt.Printf("amortization: %.1f ops per group, %.1f per monitor bracket over %d brackets (unbatched pays 1.0)\n",
 		float64(st.Batch.GroupOps)/float64(st.Batch.Groups),
-		float64(st.Batch.GroupOps)/float64(st.Batch.MonitorBrackets))
+		float64(st.Batch.GroupOps)/float64(st.Batch.MonitorBrackets), st.Batch.MonitorBrackets)
 
 	if err := tree.CheckInvariants(); err != nil {
 		log.Fatal(err)

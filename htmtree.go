@@ -71,34 +71,6 @@ func Algorithms() []Algorithm {
 // reserved for internal sentinels).
 const MaxKey = dict.MaxKey
 
-// RouterKind names a shard-routing policy for sharded trees. Both split
-// the key space into contiguous ranges ascending in the shard index, so
-// a RangeQuery reads only the shards its window overlaps and
-// concatenates their results in order; they differ in whether the
-// ranges move.
-type RouterKind string
-
-// Shard routing policies.
-const (
-	// RouterRange is the default uniform key-range split: shard i owns
-	// [i*width, (i+1)*width), fixed for the tree's lifetime. A skewed
-	// (Zipfian / hot-range) workload collapses onto the shard owning the
-	// hot keys.
-	RouterRange RouterKind = "range"
-	// RouterAdaptive is the range split plus live rebalancing: the
-	// tree tracks per-shard operation counts and, when one shard runs
-	// disproportionately hot, migrates a boundary slice of its key range
-	// to a neighbor shard by briefly quiescing exactly the two affected
-	// shards and swapping the routing table. Implies the
-	// AtomicRangeQueries read-validation protocol.
-	RouterAdaptive RouterKind = "adaptive"
-)
-
-// RouterKinds lists every routing policy in presentation order.
-func RouterKinds() []RouterKind {
-	return []RouterKind{RouterRange, RouterAdaptive}
-}
-
 // Result and statistics types the internal layers define, re-exported:
 // each is documented where it is declared.
 type (
@@ -121,9 +93,6 @@ type (
 	// RangeQueryStats counts the outcomes of atomic cross-shard reads
 	// (shard.RQStats).
 	RangeQueryStats = shard.RQStats
-	// RebalanceStats counts live shard-rebalancing activity under
-	// RouterAdaptive (shard.RebalanceStats).
-	RebalanceStats = shard.RebalanceStats
 	// AggregateStats counts aggregate-query executions by answer path
 	// (engine.AggregateStats).
 	AggregateStats = engine.AggregateStats
@@ -148,8 +117,9 @@ type Config struct {
 	// plane (NewFaultPlan) across every layer of the tree: forced
 	// transactional aborts (FaultTxAccess, spurious unless the rule
 	// names another cause), fallback-owner stalls and permanent owner
-	// death, quiesce and migration interruptions, reclamation pin
-	// stalls, aggregate-seqlock writer stalls, and batch flush delays.
+	// death, stalls of escalated readers holding quiesce gates,
+	// reclamation pin stalls, aggregate-seqlock writer stalls, and batch
+	// flush delays.
 	// One plan may be shared by several trees; its per-point counters
 	// are then global. On an observed tree (Observability set) every
 	// fired fault is additionally recorded in the flight recorder as a
@@ -174,26 +144,12 @@ type Config struct {
 	// fallback indicator.
 	Shards int
 	// ShardKeySpan is the exclusive upper bound of the key range the
-	// partition is balanced over (default MaxKey+1). Set it near the
-	// workload's key range so the shards share load evenly; larger keys
-	// remain legal and route to the last shard.
+	// partition is balanced over (default MaxKey+1): shard i owns
+	// [i*width, (i+1)*width) for width ⌈ShardKeySpan/Shards⌉, fixed for
+	// the tree's lifetime. Set it near the workload's key range so the
+	// shards share load evenly; larger keys remain legal and route to the
+	// last shard.
 	ShardKeySpan uint64
-	// Router selects how keys map to shards on a sharded tree (default
-	// RouterRange, the uniform contiguous split); RouterAdaptive adds
-	// live key-range rebalancing to the range split. Any other value is
-	// an "unknown router" error from NewShardedBST / NewShardedABTree.
-	// Ignored by unsharded trees.
-	Router RouterKind
-	// RebalanceCheckOps is the number of point operations a handle
-	// performs between shard-imbalance evaluations with RouterAdaptive
-	// (default 1024). Smaller values react to skew faster but evaluate
-	// more often.
-	RebalanceCheckOps int
-	// RebalanceRatio triggers a migration when the busiest shard
-	// performed more than RebalanceRatio times the per-shard mean of
-	// recent operations (default 1.5). Values in (0, 1] force a
-	// migration on every evaluation — useful in tests.
-	RebalanceRatio float64
 	// AtomicRangeQueries makes RangeQuery, RangeAgg and KeySum on a
 	// sharded tree atomic across shards. A range or aggregate query that
 	// spans shards pins one snapshot per shard — every shard's
@@ -201,11 +157,10 @@ type Config struct {
 	// each shard's part once, as a read-only transaction at that
 	// snapshot, so what fails an attempt is a write to something the
 	// query reads, as for a query inside one tree. Where that cannot
-	// serve — KeySum, RouterAdaptive, the NonHTM and SCXHTM algorithms, a
-	// scan beyond ReadCapacity — the read instead samples a version
-	// monitor every shard carries, which updaters advance exactly at
-	// operation commit, and validates after reading that no shard's
-	// moved. Either way a failed attempt is retried and, after 8
+	// serve — KeySum, the NonHTM and SCXHTM algorithms, a scan beyond
+	// ReadCapacity — the read instead samples a version monitor every
+	// shard carries, which updaters advance exactly at operation commit,
+	// and validates after reading that no shard's moved. Either way a failed attempt is retried and, after 8
 	// attempts, the read briefly quiesces the overlapping shards. Without
 	// the option, a cross-shard read observes each shard at a possibly
 	// different point in time. Ignored by unsharded trees, whose reads
@@ -215,17 +170,16 @@ type Config struct {
 	// BatchMaxOps is the buffer size at which an asynchronous handle
 	// (NewAsyncHandle, Handle.Batch) flushes its pending operations as
 	// one sorted, shard-grouped batch (default 64). Larger batches
-	// amortize routing and — on a sharded tree with AtomicRangeQueries
-	// or RouterAdaptive — admission overhead further but delay results
-	// longer. Below the threshold the buffer flushes only on
-	// RangeQuery, Flush, or Wait.
+	// amortize routing and — on a sharded tree with AtomicRangeQueries —
+	// admission overhead further but delay results longer. Below the
+	// threshold the buffer flushes only on RangeQuery, Flush, or Wait.
 	BatchMaxOps int
 
 	// Observability, when non-nil, attaches the live observability
 	// layer: a pull-model metrics registry over the counters the tree
 	// already maintains (Prometheus text and JSON exposition), sampled
 	// operation latency histograms, per-thread flight recorders of
-	// abort/acquire/migration events, and runtime/trace regions around
+	// abort/acquire/quiesce events, and runtime/trace regions around
 	// operation execution. Retrieve the domain with Tree.Obs and serve
 	// it over HTTP with obs.Serve. The zero ObsConfig selects the
 	// default sampling rates; instrumented steady-state point
@@ -243,8 +197,7 @@ type ObsConfig struct {
 	// EventSample records one hot-path flight-recorder event (operation
 	// completions, transactional aborts) in every EventSample (default
 	// 64; negative disables hot events). Cold events — TLE lock
-	// acquisition, quiesce, migration, fired faults — are always
-	// recorded.
+	// acquisition, quiesce, fired faults — are always recorded.
 	EventSample int
 	// EventBuffer is the per-thread flight-recorder ring capacity in
 	// events, rounded up to a power of two (default 2048; negative
@@ -277,8 +230,6 @@ const (
 	FaultTxAccess      = fault.PointTxAccess
 	FaultFallbackOwner = fault.PointFallbackOwner
 	FaultQuiesce       = fault.PointQuiesce
-	FaultMigrateSwap   = fault.PointMigrateSwap
-	FaultMigrateDelete = fault.PointMigrateDelete
 	FaultEBRPin        = fault.PointEBRPin
 	FaultAggFixup      = fault.PointAggFixup
 	FaultBatchFlush    = fault.PointBatchFlush
@@ -474,13 +425,13 @@ func NewShardedABTree(cfg Config) (*Tree, error) { return build(cfg, true, true)
 
 // newSharded partitions the key space across cfg.Shards instances built
 // by mk, wiring invariant checking through the shard layer. With
-// AtomicRangeQueries or RouterAdaptive each inner tree's engine gets the
-// shard's update monitor. With an observability domain each inner tree
-// is built on a node labelled shard="i", and the shard layer records its
-// quiesce and migration events on an unlabelled one.
+// AtomicRangeQueries each inner tree's engine gets the shard's update
+// monitor. With an observability domain each inner tree is built on a
+// node labelled shard="i", and the shard layer records its quiesce
+// events on an unlabelled one.
 func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node *obs.Node) *Tree) (*Tree, error) {
 	var inner []*Tree
-	scfg := shard.Config{
+	sd, err := shard.New(shard.Config{
 		Shards:  cfg.Shards,
 		KeySpan: cfg.ShardKeySpan,
 		Atomic:  cfg.AtomicRangeQueries,
@@ -495,19 +446,7 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 			inner = append(inner, t)
 			return t.d
 		},
-	}
-	switch cfg.Router {
-	case "", RouterRange:
-		// The default uniform split, built by the shard layer.
-	case RouterAdaptive:
-		scfg.Rebalance = &shard.RebalanceConfig{
-			CheckOps: cfg.RebalanceCheckOps,
-			Ratio:    cfg.RebalanceRatio,
-		}
-	default:
-		return nil, fmt.Errorf("htmtree: unknown router %q", cfg.Router)
-	}
-	sd, err := shard.New(scfg)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -600,8 +539,8 @@ func (h *Handle) RangeQuery(lo, hi uint64, out []KV) []KV {
 // aggregates in O(log n), independent of the range size; on the BST it
 // walks the range (the O(range) control — see ARCHITECTURE.md). On a
 // sharded tree it merges per-shard tuples into a consistent cut, which
-// requires AtomicRangeQueries (or RouterAdaptive); other sharded
-// configurations return an error.
+// requires AtomicRangeQueries; other sharded configurations return an
+// error.
 func (h *Handle) RangeAgg(lo, hi uint64) (Agg, error) {
 	ah, ok := h.h.(dict.AggHandle)
 	if !ok {

@@ -123,80 +123,6 @@ func TestFacadeShardedTrees(t *testing.T) {
 	if _, err := htmtree.NewShardedABTree(htmtree.Config{Shards: -3}); err == nil {
 		t.Fatal("NewShardedABTree accepted a negative shard count")
 	}
-	// "hash" named a router that no longer exists: a config that still
-	// names it must fail, never silently route by range.
-	for _, router := range []htmtree.RouterKind{"bogus", "hash"} {
-		_, err := htmtree.NewShardedBST(htmtree.Config{Router: router})
-		if err == nil || !strings.Contains(err.Error(), "unknown router") {
-			t.Fatalf("NewShardedBST(Router: %q) = %v, want an unknown router error", router, err)
-		}
-	}
-	if _, err := htmtree.NewShardedBST(htmtree.Config{Router: htmtree.RouterAdaptive, RebalanceRatio: -1}); err == nil {
-		t.Fatal("NewShardedBST accepted a negative rebalance ratio")
-	}
-}
-
-// TestFacadeRouters drives the sharded facade under every routing
-// policy: operations behave identically, and the adaptive router
-// surfaces its rebalancing counters through Stats.
-func TestFacadeRouters(t *testing.T) {
-	t.Parallel()
-	for _, router := range htmtree.RouterKinds() {
-		router := router
-		t.Run(string(router), func(t *testing.T) {
-			t.Parallel()
-			tree, err := htmtree.NewShardedBST(htmtree.Config{
-				Algorithm:         htmtree.ThreePath,
-				Shards:            4,
-				ShardKeySpan:      1 << 12,
-				Router:            router,
-				RebalanceCheckOps: 64,
-				RebalanceRatio:    0.01,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			h := tree.NewHandle()
-			var wantSum, wantCount uint64
-			for i := 0; i < 20000; i++ {
-				k := uint64(i%600) + 1 // skewed into the low shard
-				if i%3 == 2 {
-					if _, existed := h.Delete(k); existed {
-						wantSum -= k
-						wantCount--
-					}
-				} else {
-					if _, existed := h.Insert(k, k); !existed {
-						wantSum += k
-						wantCount++
-					}
-				}
-			}
-			sum, count := tree.KeySum()
-			if sum != wantSum || count != wantCount {
-				t.Fatalf("KeySum = (%d,%d), want (%d,%d)", sum, count, wantSum, wantCount)
-			}
-			out := h.RangeQuery(1, 601, nil)
-			if uint64(len(out)) != count {
-				t.Fatalf("RangeQuery returned %d pairs, want %d", len(out), count)
-			}
-			for i := 1; i < len(out); i++ {
-				if out[i-1].Key >= out[i].Key {
-					t.Fatalf("fan-out unsorted at %d under %s routing", i, router)
-				}
-			}
-			if err := tree.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			st := tree.Stats()
-			if router == htmtree.RouterAdaptive && st.Rebalance.Migrations == 0 {
-				t.Fatalf("adaptive tree reported no migrations: %+v", st.Rebalance)
-			}
-			if router != htmtree.RouterAdaptive && (st.Rebalance.Migrations != 0 || st.Rebalance.Checks != 0) {
-				t.Fatalf("non-adaptive tree reported rebalancing: %+v", st.Rebalance)
-			}
-		})
-	}
 }
 
 func TestFacadeRejectsBadConfig(t *testing.T) {
@@ -315,12 +241,11 @@ func TestBatchContextOverHandle(t *testing.T) {
 }
 
 // TestBatchAmortizationCounts asserts the acceptance criterion on a
-// host-independent metric: at batch size 64 on an 8-shard monitored
-// tree — rebalancing, or static with atomic range queries — group
-// execution, which routes once per group, must cut both the routing and
-// the monitor-admission count at least 4x versus unbatched dispatch
-// (which pays one of each per operation), and holds exactly one
-// admission per group.
+// host-independent metric: at batch size 64 on an 8-shard tree with
+// atomic range queries, group execution, which routes once per group,
+// must cut both the routing and the monitor-admission count at least 4x
+// versus unbatched dispatch (which pays one of each per operation), and
+// holds exactly one admission per group.
 func TestBatchAmortizationCounts(t *testing.T) {
 	t.Parallel()
 	const (
@@ -328,53 +253,43 @@ func TestBatchAmortizationCounts(t *testing.T) {
 		batches  = 50
 		batchLen = 64
 	)
-	for _, tc := range []struct {
-		name string
-		cfg  htmtree.Config
-	}{
-		// A huge evaluation window keeps migrations out of the
-		// measurement, so the counts reflect pure batched dispatch.
-		{"adaptive", htmtree.Config{Router: htmtree.RouterAdaptive, RebalanceCheckOps: 1 << 30}},
-		{"static atomic", htmtree.Config{AtomicRangeQueries: true}},
-	} {
-		cfg := tc.cfg
-		cfg.Shards, cfg.ShardKeySpan, cfg.BatchMaxOps = 8, keySpan, batchLen
-		tree, err := htmtree.NewShardedABTree(cfg)
-		if err != nil {
-			t.Fatal(err)
+	tree, err := htmtree.NewShardedABTree(htmtree.Config{
+		Shards: 8, ShardKeySpan: keySpan, BatchMaxOps: batchLen, AtomicRangeQueries: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ah := tree.NewAsyncHandle()
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < batches*batchLen; i++ {
+		k := uint64(rng.Intn(keySpan)) + 1
+		if i%2 == 0 {
+			ah.Insert(k, k)
+		} else {
+			ah.Delete(k)
 		}
-		ah := tree.NewAsyncHandle()
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < batches*batchLen; i++ {
-			k := uint64(rng.Intn(keySpan)) + 1
-			if i%2 == 0 {
-				ah.Insert(k, k)
-			} else {
-				ah.Delete(k)
-			}
-		}
-		ah.Flush()
-		st := tree.Stats().Batch
-		if st.GroupOps != batches*batchLen {
-			t.Fatalf("%s: GroupOps = %d, want %d", tc.name, st.GroupOps, batches*batchLen)
-		}
-		if st.Groups == 0 || st.MonitorBrackets == 0 {
-			t.Fatalf("%s: amortization counters empty: %+v", tc.name, st)
-		}
-		if st.MonitorBrackets != st.Groups {
-			t.Fatalf("%s: %d monitor admissions for %d groups, want one per group", tc.name, st.MonitorBrackets, st.Groups)
-		}
-		if ratio := float64(st.GroupOps) / float64(st.Groups); ratio < 4 {
-			t.Fatalf("%s: routing amortized only %.2fx (unbatched pays %d lookups, batched paid %d)",
-				tc.name, ratio, st.GroupOps, st.Groups)
-		}
-		if ratio := float64(st.GroupOps) / float64(st.MonitorBrackets); ratio < 4 {
-			t.Fatalf("%s: monitor admissions amortized only %.2fx (unbatched pays %d, batched paid %d)",
-				tc.name, ratio, st.GroupOps, st.MonitorBrackets)
-		}
-		if err := tree.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	ah.Flush()
+	st := tree.Stats().Batch
+	if st.GroupOps != batches*batchLen {
+		t.Fatalf("GroupOps = %d, want %d", st.GroupOps, batches*batchLen)
+	}
+	if st.Groups == 0 || st.MonitorBrackets == 0 {
+		t.Fatalf("amortization counters empty: %+v", st)
+	}
+	if st.MonitorBrackets != st.Groups {
+		t.Fatalf("%d monitor admissions for %d groups, want one per group", st.MonitorBrackets, st.Groups)
+	}
+	if ratio := float64(st.GroupOps) / float64(st.Groups); ratio < 4 {
+		t.Fatalf("routing amortized only %.2fx (unbatched pays %d lookups, batched paid %d)",
+			ratio, st.GroupOps, st.Groups)
+	}
+	if ratio := float64(st.GroupOps) / float64(st.MonitorBrackets); ratio < 4 {
+		t.Fatalf("monitor admissions amortized only %.2fx (unbatched pays %d, batched paid %d)",
+			ratio, st.GroupOps, st.MonitorBrackets)
+	}
+	if err := tree.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -424,7 +339,7 @@ var configVerdicts = map[string][]evidence{
 	"Config.WriteCapacity": {{"internal/abtree/footprint_test.go", []string{"TestFastPathFootprint"}},
 		{"internal/bst/footprint_test.go", []string{"TestTransactionalFootprint"}}},
 	"Config.Faults": {{"internal/modelcheck/chaos_test.go", []string{"TestChaosOwnerDeathDifferential",
-		"TestChaosMigrationInterrupt", "TestChaosEBRPinStall", "TestChaosAggWriterStall", "TestChaosBatchFlushDelay"}}},
+		"TestChaosQuiesceStall", "TestChaosEBRPinStall", "TestChaosAggWriterStall", "TestChaosBatchFlushDelay"}}},
 	"Config.SearchOutsideTx": {{"bench_test.go", []string{"BenchmarkSec8SearchOutsideTx"}}},
 	"Config.A":               {{"htmtree_test.go", []string{"TestFacadeRejectsBadConfig"}}},
 	"Config.B":               {{"htmtree_test.go", []string{"TestFacadeRejectsBadConfig"}}},
@@ -432,10 +347,6 @@ var configVerdicts = map[string][]evidence{
 	"Config.ShardKeySpan":    {{"BENCHMARK.json", []string{"bst-shard-scan", "shard.route_ns"}}},
 	"Config.AtomicRangeQueries": {{"BENCHMARK.json", []string{"bst-shard-scan", "shard.atomic_ns"}},
 		{"internal/modelcheck/atomic_test.go", []string{"TestCrossShardRangeQueryAtomicity"}}},
-	"Config.Router": {{"internal/modelcheck/batch_test.go", []string{"TestBatchedDifferentialAllRouters"}},
-		{"htmtree_test.go", []string{"TestFacadeRouters"}}},
-	"Config.RebalanceCheckOps": {{"internal/modelcheck/migrate_test.go", []string{"TestRaceMigrationsWithPointOps"}}},
-	"Config.RebalanceRatio":    {{"internal/modelcheck/migrate_test.go", []string{"TestRaceMigrationsWithPointOps"}}},
 	"Config.BatchMaxOps": {{"BENCHMARK.json", []string{"batch.op_ns"}},
 		{"htmtree_test.go", []string{"TestAsyncHandleQuickstart"}}},
 	"Config.Observability": {{"BENCHMARK.json", []string{"obs.op_ns"}}},

@@ -6,9 +6,9 @@
 // stably by key and executed as one group.
 //
 // The point is amortization: the template's per-operation cost is
-// dominated by fixed overhead — handle dispatch, router lookup, and
-// (on monitored sharded trees: atomic range queries or rebalancing) a
-// monitor admission per operation (Brown, PODC 2017, Section 7 measures exactly this fixed
+// dominated by fixed overhead — handle dispatch, router lookup, and (on
+// sharded trees with atomic range queries) a monitor admission per
+// operation (Brown, PODC 2017, Section 7 measures exactly this fixed
 // cost dominating at low contention). A handle that implements
 // dict.GroupExecutor (the shard layer's) receives the sorted group
 // whole and pays one routing decision and one monitor admission per
@@ -63,15 +63,15 @@ type Config struct {
 // pipelines — and the group executor they flush into — to share. Each
 // field counts what the Stats field of the same name reports.
 type Counters struct {
-	Flushes, BatchedOps                         atomic.Uint64
-	SizeFlushes, ExplicitFlushes, RangeFlushes  atomic.Uint64
-	Groups, GroupOps, MonitorBrackets, Restarts atomic.Uint64
+	Flushes, BatchedOps                        atomic.Uint64
+	SizeFlushes, ExplicitFlushes, RangeFlushes atomic.Uint64
+	Groups, GroupOps, MonitorBrackets          atomic.Uint64
 }
 
 // Stats is a Counters snapshot. The amortization batching exists for
 // reads off directly: an unbatched stream pays one router lookup (and,
-// on a sharded tree with atomic range queries or rebalancing, one
-// monitor admission) per operation, while group execution pays one of
+// on a sharded tree with atomic range queries, one monitor admission)
+// per operation, while group execution pays one of
 // each per group, so GroupOps/Groups and GroupOps/MonitorBrackets are
 // the factors by which batching cut that per-operation overhead.
 type Stats struct {
@@ -93,11 +93,6 @@ type Stats struct {
 	// one per group on a monitored dictionary, where unbatched dispatch
 	// pays one per op.
 	MonitorBrackets uint64
-	// Restarts counts group admissions dropped and re-routed because a
-	// live migration swapped the routing table between routing and
-	// admission (the group then executed under the new table, so no
-	// batch ever commits through stale routing).
-	Restarts uint64
 }
 
 // Snapshot returns the current counts. Safe to call while pipelines
@@ -112,7 +107,6 @@ func (c *Counters) Snapshot() Stats {
 		Groups:          c.Groups.Load(),
 		GroupOps:        c.GroupOps.Load(),
 		MonitorBrackets: c.MonitorBrackets.Load(),
-		Restarts:        c.Restarts.Load(),
 	}
 }
 

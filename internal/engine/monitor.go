@@ -37,14 +37,8 @@ import (
 // in-flight operations drain. As with F in the paper, an operation waits
 // for the gate in exactly one place, and that place is not the engine:
 // whoever closes the gate (the sharding layer) admits every update with
-// Enter before calling into the structure and marks it complete with
-// Exit, and Thread.Run only publishes commits. The sharding layer's live
-// key migration uses the same gate as a brief two-shard mutual exclusion:
-// Quiesce drains every admitted update (transactional or not, tracked by
-// the inflight counter), after which the holder mutates the shard
-// through ordinary inner handles — nothing below the admission point
-// looks at the gate — while Bracket keeps concurrent optimistic readers
-// invalidated.
+// Enter before calling into the structure, and Thread.Run only publishes
+// commits.
 type UpdateMonitor struct {
 	// txver counts updates committed on transactional paths. Bumped via
 	// AddAtCommit so concurrent updaters only collide on the commit-time
@@ -58,20 +52,11 @@ type UpdateMonitor struct {
 	// concurrent transactions process-wide into full read-set
 	// validation on every bracketed update.
 	nin, nout atomic.Uint64
-	// inflight counts update operations between Enter and Exit on every
-	// path (transactional or not), but only when fullDrain is set: the two
-	// read-modify-writes per update it costs are a per-shard serialization
-	// point, so plain Atomic dictionaries keep the read-only gate check
-	// and only rebalancing dictionaries — whose migrations need to know
-	// that *no* update at all is in flight — pay for the accounting. With
-	// fullDrain, Quiesce waits for the counter to reach zero.
-	inflight  atomic.Int64
-	fullDrain bool
 	// gate holds off new update operations while a reader quiesces the
 	// shard. Readers Arrive/Depart; updaters wait while it is nonzero.
 	gate Indicator
-	// quiesces counts completed Quiesce calls (escalated readers and
-	// migrations), reported as OpStats.Quiesces of the engine it serves.
+	// quiesces counts completed Quiesce calls (escalated readers),
+	// reported as OpStats.Quiesces of the engine it serves.
 	quiesces atomic.Uint64
 }
 
@@ -115,45 +100,13 @@ func (m *UpdateMonitor) nonTxInFlight() bool {
 	return m.nin.Load() != m.nout.Load()
 }
 
-// EnableFullDrain switches the monitor to full in-flight accounting
-// (see the inflight field). Must be called before the monitor is used;
-// the shard layer sets it on rebalancing dictionaries, whose
-// migrations need Quiesce to guarantee exclusive update access.
-func (m *UpdateMonitor) EnableFullDrain() { m.fullDrain = true }
-
 // Enter admits an update operation (or a batch group of them): it waits
-// out the quiesce gate and, under EnableFullDrain, registers the
-// operation as in flight. The in-flight counter is raised before the gate
-// is checked, so a Quiesce that observes the counter at zero after
-// arriving on the gate knows no update can slip past it (an updater that
-// raced the arrival either registered first — and Quiesce waits for it —
-// or sees the gate and backs off). Under EnableFullDrain the admission
-// also pins the shard: a migration's Quiesce waits for it, so a caller
-// that routes, Enters and then re-checks its routing table has made
-// route-and-admit atomic. The caller must not be inside the structure's
+// out the quiesce gate. The caller must not be inside the structure's
 // reclamation bracket (a waiter there would pin an epoch for as long as
-// the gate stays closed), and must call Exit when the operation
-// completes.
+// the gate stays closed). Admission is a read: nothing marks the update
+// as in flight until its path publishes it (see Quiesce).
 func (m *UpdateMonitor) Enter() {
-	if !m.fullDrain {
-		waitWhile(func() bool { return m.gate.Nonzero(nil) })
-		return
-	}
-	for {
-		m.inflight.Add(1)
-		if !m.gate.Nonzero(nil) {
-			return
-		}
-		m.inflight.Add(-1)
-		waitWhile(func() bool { return m.gate.Nonzero(nil) })
-	}
-}
-
-// Exit marks an update admitted by Enter as complete.
-func (m *UpdateMonitor) Exit() {
-	if m.fullDrain {
-		m.inflight.Add(-1)
-	}
+	waitWhile(func() bool { return m.gate.Nonzero(nil) })
 }
 
 // MonitorSample is a reader's snapshot of a monitor, taken with Sample
@@ -190,39 +143,18 @@ func (m *UpdateMonitor) Validate(s MonitorSample) bool {
 }
 
 // Quiesce arrives on the gate — holding off update operations that have
-// not yet started — and waits for in-flight updates to drain. The
-// returned function releases the gate.
+// not yet been admitted — and waits for in-flight non-transactional
+// updates to drain. The returned function releases the gate.
 //
-// Under EnableFullDrain every admitted update (on any path) is waited
-// out: after Quiesce returns, no update is in flight and none can
-// start until release, so a Sample/read/Validate pass is guaranteed to
-// succeed and a writer holding the gate (the shard layer's key
-// migration) has exclusive update access. Without it only
-// non-transactional updates are drained; the finitely many
-// transactional updates already past the gate can still commit, so a
-// Sample/read/Validate loop under Quiesce terminates but may retry a
-// bounded number of times.
+// The finitely many updates admitted before the gate closed can still
+// commit afterwards, so a Sample/read/Validate loop under Quiesce
+// terminates but may retry a bounded number of times.
 func (m *UpdateMonitor) Quiesce() (release func()) {
 	m.gate.Arrive()
-	if m.fullDrain {
-		waitWhile(func() bool { return m.inflight.Load() != 0 })
-	} else {
-		waitWhile(m.nonTxInFlight)
-	}
+	waitWhile(m.nonTxInFlight)
 	m.quiesces.Add(1)
 	return m.gate.Depart
 }
 
 // Quiesces returns the number of completed Quiesce calls.
 func (m *UpdateMonitor) Quiesces() uint64 { return m.quiesces.Load() }
-
-// Bracket registers an externally driven multi-operation update (the
-// shard layer's key migration) exactly like a non-transactional update
-// path: while the returned done function has not been called, readers
-// sampling the monitor observe an update in flight and retry, and a
-// sample taken before Bracket fails validation afterwards. Bracket does
-// not wait on the gate; callers are expected to hold it (via Quiesce).
-func (m *UpdateMonitor) Bracket() (done func()) {
-	m.beginNonTx()
-	return m.endNonTx
-}

@@ -51,40 +51,55 @@ func TestMonitorPublishesUpdateCommits(t *testing.T) {
 	}
 }
 
-// TestMonitorQuiesceDrainsAllPaths verifies that, under
-// EnableFullDrain, Quiesce waits for an in-flight update on a
-// transactional path, not only for bracketed non-transactional ones:
-// the update is admitted (Enter) before the gate arrives, so Quiesce
-// must not return until it completes.
-func TestMonitorQuiesceDrainsAllPaths(t *testing.T) {
+// TestMonitorQuiesceWaitsOutBracketedUpdate verifies the gate's two
+// halves: Quiesce does not return while a non-transactional update is
+// in flight, and while the gate is held an update's admission (Enter)
+// waits until release.
+func TestMonitorQuiesceWaitsOutBracketedUpdate(t *testing.T) {
 	t.Parallel()
 	mon := NewUpdateMonitor(nil)
 	mon.Bind(htm.NewClock())
-	mon.EnableFullDrain()
-	mon.Enter() // simulate an update admitted but not yet complete
+	mon.beginNonTx() // an update on a non-transactional path, mid-flight
 
-	quiesced := make(chan struct{})
-	go func() {
-		release := mon.Quiesce()
-		close(quiesced)
-		release()
-	}()
+	quiesced := make(chan func())
+	go func() { quiesced <- mon.Quiesce() }()
 	select {
 	case <-quiesced:
-		t.Fatal("Quiesce returned while an admitted update was in flight")
+		t.Fatal("Quiesce returned while a bracketed update was in flight")
 	case <-time.After(20 * time.Millisecond):
 	}
-	mon.Exit()
+	mon.endNonTx()
+	var release func()
 	select {
-	case <-quiesced:
+	case release = <-quiesced:
 	case <-time.After(5 * time.Second):
-		t.Fatal("Quiesce never returned after the update drained")
+		t.Fatal("Quiesce never returned after the update completed")
+	}
+
+	admitted := make(chan struct{})
+	go func() {
+		mon.Enter()
+		close(admitted)
+	}()
+	select {
+	case <-admitted:
+		t.Fatal("Enter admitted an update through a held gate")
+	case <-time.After(20 * time.Millisecond):
+	}
+	release()
+	select {
+	case <-admitted:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Enter never returned after the gate was released")
+	}
+	if got := mon.Quiesces(); got != 1 {
+		t.Fatalf("Quiesces() = %d, want 1", got)
 	}
 }
 
-// TestMonitorBracket verifies Bracket behaves like a non-transactional
-// update in flight: samples fail while open, and a sample taken before
-// fails validation afterwards.
+// TestMonitorBracket verifies the non-transactional bracket: samples
+// fail while an update is between beginNonTx and endNonTx, and a sample
+// taken before it fails validation afterwards.
 func TestMonitorBracket(t *testing.T) {
 	t.Parallel()
 	mon := NewUpdateMonitor(nil)
@@ -93,16 +108,16 @@ func TestMonitorBracket(t *testing.T) {
 	if !ok {
 		t.Fatal("idle monitor reported an in-flight update")
 	}
-	done := mon.Bracket()
+	mon.beginNonTx()
 	if _, ok := mon.Sample(); ok {
-		t.Fatal("Sample succeeded while a bracket was open")
+		t.Fatal("Sample succeeded while a bracketed update was in flight")
 	}
-	done()
+	mon.endNonTx()
 	if _, ok := mon.Sample(); !ok {
-		t.Fatal("Sample failed after the bracket closed")
+		t.Fatal("Sample failed after the bracketed update completed")
 	}
 	if mon.Validate(s) {
-		t.Fatal("pre-bracket sample validated across the bracket")
+		t.Fatal("pre-bracket sample validated across the bracketed update")
 	}
 }
 

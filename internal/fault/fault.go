@@ -2,8 +2,7 @@
 // of named injection points threaded through the protocol seams the
 // engine's correctness arguments actually depend on — forced
 // transactional aborts, stalls and permanent death of a fallback-path
-// owner, quiesce-gate delays and migration interruption, epoch-pin
-// stalls that starve reclamation, aggregate-seqlock writer stalls, batch
+// owner, quiesce-gate delays, epoch-pin stalls that starve reclamation, aggregate-seqlock writer stalls, batch
 // flush delays, and edits inside a fallback search's leaf snapshot —
 // plus a progress watchdog (Liveness) that distinguishes "blocked on a
 // dead owner" (a bug) from "progressed past a dead owner" (the lock-free
@@ -61,15 +60,10 @@ const (
 	// lock wait and 2-path-ncon's wait for F to drain wedge behind a
 	// dead owner by design.
 	PointFallbackOwner
-	// PointQuiesce fires after a migration quiesced and bracketed both
-	// monitors — while it holds the gates updates wait at.
+	// PointQuiesce fires after an escalated atomic cross-shard read
+	// quiesced the monitors of the shards it reads — while it holds the
+	// gates updates wait at.
 	PointQuiesce
-	// PointMigrateSwap fires between a migration's receiver-insert
-	// loop and the routing-table swap; PointMigrateDelete between the
-	// swap and the donor-delete loop. Both interrupt the PR 3 bracket
-	// at the steps concurrent searches race against.
-	PointMigrateSwap
-	PointMigrateDelete
 	// PointEBRPin fires inside an epoch-based-reclamation Begin, while
 	// the thread is pinned to the announced epoch — a stalled pin
 	// lags the epoch and starves every other thread's grace periods.
@@ -101,10 +95,6 @@ func (p Point) String() string {
 		return "fallback-owner"
 	case PointQuiesce:
 		return "quiesce"
-	case PointMigrateSwap:
-		return "migrate-swap"
-	case PointMigrateDelete:
-		return "migrate-delete"
 	case PointEBRPin:
 		return "ebr-pin"
 	case PointAggFixup:

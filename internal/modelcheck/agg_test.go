@@ -9,21 +9,15 @@ import (
 )
 
 // buildAgg constructs the combo's tree for aggregate checking: sharded
-// combos get AtomicRangeQueries (aggregate fan-outs require the
-// validated read protocol), and adaptive combos keep the
-// migration-forcing knobs.
+// combos get AtomicRangeQueries (aggregate fan-outs require the atomic
+// read protocol).
 func (c combo) buildAgg(t *testing.T, keySpan uint64) *htmtree.Tree {
 	t.Helper()
 	cfg := htmtree.Config{
 		Algorithm:          c.algorithm,
 		Shards:             c.shards,
 		ShardKeySpan:       keySpan,
-		Router:             c.router,
 		AtomicRangeQueries: c.shards > 1,
-	}
-	if c.router == htmtree.RouterAdaptive {
-		cfg.RebalanceCheckOps = 64
-		cfg.RebalanceRatio = 0.01 // force migrations on any imbalance
 	}
 	var (
 		tree *htmtree.Tree
@@ -71,12 +65,8 @@ func TestDifferentialAggregates(t *testing.T) {
 			for i := 0; i < numOps; i++ {
 				k := uint64(rng.Intn(keySpan))*uint64(rng.Intn(keySpan))/keySpan + 1
 				op := rng.Intn(8)
-				// First third: updates only. A cross-shard aggregate
-				// query runs an engine op on every shard, which dilutes
-				// the per-shard load skew the adaptive rebalancer judges;
-				// a pure update prefix lets the forced migrations fire,
-				// and the aggregate-heavy remainder then checks against
-				// (and interleaves with) the migrated layout.
+				// First third: updates only, so the aggregate-heavy
+				// remainder checks against a populated tree.
 				if i < numOps/3 && op > 4 {
 					op = rng.Intn(5)
 				}
@@ -133,12 +123,6 @@ func TestDifferentialAggregates(t *testing.T) {
 			if err := tree.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if c.router == htmtree.RouterAdaptive {
-				st := tree.Stats().Rebalance
-				if st.Migrations == 0 {
-					t.Fatalf("adaptive combo performed no migrations: the differential did not cover live rebalancing (%+v)", st)
-				}
-			}
 			if c.structure == "abtree" && c.algorithm != htmtree.TLE {
 				// The transactional algorithms must answer at least some
 				// queries on the O(log n) descent (TLE's Locked bodies
@@ -167,7 +151,7 @@ func TestAggregateDescentCounters(t *testing.T) {
 	)
 	for _, c := range allCombos() {
 		c := c
-		if c.algorithm != htmtree.ThreePath || (c.shards > 1 && c.router != htmtree.RouterRange) {
+		if c.algorithm != htmtree.ThreePath {
 			continue
 		}
 		t.Run(c.name(), func(t *testing.T) {
@@ -313,18 +297,16 @@ func runAggAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
 // cut of the writers' sequential histories. RangeAgg shares RangeQuery's
 // protocol, so the cases mirror TestCrossShardRangeQueryAtomicity's and
 // assert the same split between pinned transactions and sampling. The
-// adaptive variant forces live boundary migrations under the readers;
-// the tle variants put TLE writers against readers subscribed to the
-// lock word — sampled, and pinned with every update forced onto the
-// lock (fallbackWriteCapacity), whose body adds to the aggregates
-// without a seqlock.
+// tle variants put TLE writers against readers subscribed to the lock
+// word — partly sampled, sent there by capacity aborts, and pinned with
+// every update forced onto the lock (fallbackWriteCapacity), whose body
+// adds to the aggregates without a seqlock.
 func TestCrossShardAggregateAtomicity(t *testing.T) {
 	t.Parallel()
 	runAtomicityCases(t, "aggregate", []atomicityCase{
-		{name: "range", abtree: true, pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
-		{name: "adaptive", abtree: true, pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
-		{name: "tle", abtree: true, pins: pinNone, cfg: htmtree.Config{
-			Router: htmtree.RouterAdaptive, Algorithm: htmtree.TLE}},
+		{name: "range", abtree: true, pins: pinAll},
+		{name: "tle", abtree: true, pins: pinSome, cfg: htmtree.Config{
+			Algorithm: htmtree.TLE, ReadCapacity: smallReadCapacity}},
 		{name: "tle-pinned", abtree: true, pins: pinAll, cfg: htmtree.Config{
 			Algorithm: htmtree.TLE, WriteCapacity: fallbackWriteCapacity}},
 		{name: "bst", pins: pinAll},

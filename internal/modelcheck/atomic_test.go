@@ -157,7 +157,7 @@ type atomicityCase struct {
 	abtree bool // sharded (a,b)-tree instead of the sharded BST
 	pins   pinShare
 	torn   bool           // control: AtomicRangeQueries off
-	cfg    htmtree.Config // Algorithm (default 3-path), Router, capacity, ...
+	cfg    htmtree.Config // Algorithm (default 3-path), capacities, ...
 }
 
 func (c atomicityCase) build(t *testing.T) *htmtree.Tree {
@@ -166,12 +166,6 @@ func (c atomicityCase) build(t *testing.T) *htmtree.Tree {
 	cfg.Shards, cfg.ShardKeySpan, cfg.AtomicRangeQueries = 8, atomicSpan, !c.torn
 	if cfg.Algorithm == "" {
 		cfg.Algorithm = htmtree.ThreePath
-	}
-	if cfg.Router == htmtree.RouterAdaptive {
-		// Forcing knobs: boundary migrations fire continuously underneath
-		// the checked reads.
-		cfg.RebalanceCheckOps = 64
-		cfg.RebalanceRatio = 0.01 // migrate on any imbalance
 	}
 	mk := htmtree.NewShardedBST
 	if c.abtree {
@@ -276,14 +270,6 @@ func (m *pinMeter) check(t *testing.T, want pinShare) {
 // afterAtomicityRun checks what every harness run must leave behind.
 func afterAtomicityRun(t *testing.T, c atomicityCase, tree *htmtree.Tree) {
 	t.Helper()
-	if c.cfg.Router == htmtree.RouterAdaptive {
-		st := tree.Stats().Rebalance
-		if st.Migrations == 0 {
-			t.Errorf("adaptive harness performed no migrations: atomic reads were never raced against a boundary move (%+v)", st)
-		} else {
-			t.Logf("adaptive: %d migrations (%d keys) concurrent with atomic reads", st.Migrations, st.KeysMoved)
-		}
-	}
 	if c.cfg.WriteCapacity == fallbackWriteCapacity {
 		if st := tree.Stats(); st.Ops.Fallback == 0 || st.Range.Pinned == 0 {
 			t.Errorf("fallback-writers harness: %d fallback-path operations, %d pinned attempts: read-only transactions were never raced against live SCXs",
@@ -299,7 +285,7 @@ func afterAtomicityRun(t *testing.T, c atomicityCase, tree *htmtree.Tree) {
 // of RangeQuery and KeySum, returning the observed cross-shard atomicity
 // violations. The invariants are independent of the configuration: every
 // consistent cut satisfies them regardless of which shard owns which key
-// at which moment and of how the read was made atomic.
+// and of how the read was made atomic.
 func runAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
 	t.Helper()
 	tree := c.build(t)
@@ -425,12 +411,10 @@ const fallbackWriteCapacity = 2
 // enabled: every result must match some prefix of the writers'
 // sequential histories. The cases cover both ways a read is made atomic
 // and what decides between them, and each asserts which one its range
-// queries took. Pinned transactions: the router that never moves a
-// key, both trees, every algorithm whose first path is one transaction.
-// Sampling and validating: the adaptive router — which additionally
-// forces live boundary migrations under the readers, the scenario the
-// two-shard quiesce protocol must keep atomic — the algorithms without
-// such a path, and scans that overflow the transactional read capacity,
+// queries took. Pinned transactions: both trees, every algorithm whose
+// first path is one transaction. Sampling and validating: the
+// algorithms without such a path, and scans that overflow the
+// transactional read capacity,
 // which start pinned and must leave; and writers pinned to the fallback
 // path, beside whose SCXs the pinned read-only transactions run
 // unsubscribed. KeySum samples and validates everywhere. Running the same
@@ -439,8 +423,7 @@ const fallbackWriteCapacity = 2
 func TestCrossShardRangeQueryAtomicity(t *testing.T) {
 	t.Parallel()
 	runAtomicityCases(t, "range query", []atomicityCase{
-		{name: "range", pins: pinAll, cfg: htmtree.Config{Router: htmtree.RouterRange}},
-		{name: "adaptive", pins: pinNone, cfg: htmtree.Config{Router: htmtree.RouterAdaptive}},
+		{name: "range", pins: pinAll},
 		{name: "abtree", abtree: true, pins: pinAll},
 		{name: "tle", pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TLE}},
 		{name: "2-path-con", pins: pinAll, cfg: htmtree.Config{Algorithm: htmtree.TwoPathConc}},

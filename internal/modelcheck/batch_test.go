@@ -3,7 +3,6 @@ package modelcheck
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"htmtree"
@@ -27,14 +26,12 @@ type pendingCheck struct {
 
 // TestBatchedDifferentialAllRouters drives one random operation stream
 // through an asynchronous (batched) handle and the sequential model in
-// lockstep, over both structures and both shard routers. Flushes
-// are triggered every way the subsystem supports — size threshold,
-// flushing RangeQuery, explicit Flush, and Wait on a buffered future —
-// and every resolved future must match the model, every range query
-// must return exactly the model's pairs, and the final key-sum,
-// structural invariants, and partition invariant must hold. Adaptive
-// combos run with forcing knobs so live migrations interleave with the
-// batched stream.
+// lockstep, over both structures sharded 8 ways by the uniform key-range
+// split. Flushes are triggered every way the subsystem supports — size
+// threshold, flushing RangeQuery, explicit Flush, and Wait on a buffered
+// future — and every resolved future must match the model, every range
+// query must return exactly the model's pairs, and the final key-sum,
+// structural invariants, and partition invariant must hold.
 func TestBatchedDifferentialAllRouters(t *testing.T) {
 	t.Parallel()
 	const (
@@ -42,161 +39,14 @@ func TestBatchedDifferentialAllRouters(t *testing.T) {
 		numOps  = 4000
 	)
 	for _, structure := range []string{"bst", "abtree"} {
-		for _, router := range htmtree.RouterKinds() {
-			structure, router := structure, router
-			t.Run(fmt.Sprintf("%s/x8/%s", structure, router), func(t *testing.T) {
-				t.Parallel()
-				cfg := htmtree.Config{
-					Algorithm:    htmtree.ThreePath,
-					Shards:       8,
-					ShardKeySpan: keySpan,
-					Router:       router,
-					BatchMaxOps:  16,
-				}
-				if router == htmtree.RouterAdaptive {
-					cfg.RebalanceCheckOps = 64
-					cfg.RebalanceRatio = 0.01 // force migrations on any imbalance
-				}
-				var (
-					tree *htmtree.Tree
-					err  error
-				)
-				if structure == "bst" {
-					tree, err = htmtree.NewShardedBST(cfg)
-				} else {
-					tree, err = htmtree.NewShardedABTree(cfg)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-				ah := tree.NewAsyncHandle()
-				model := NewModel()
-				rng := rand.New(rand.NewSource(0xba7c4))
-
-				var pend []pendingCheck
-				drain := func(i int) {
-					for _, pc := range pend {
-						val, ok := pc.fut.Wait()
-						if ok != pc.wantOK || (ok && !pc.wantless && val != pc.wantVal) {
-							t.Fatalf("op %d %s = (%d,%v), model (%d,%v)",
-								i, pc.desc, val, ok, pc.wantVal, pc.wantOK)
-						}
-					}
-					pend = pend[:0]
-				}
-
-				for i := 0; i < numOps; i++ {
-					// Quadratic low-end bias so the adaptive combos see
-					// genuine skew and migrate mid-stream.
-					k := uint64(rng.Intn(keySpan))*uint64(rng.Intn(keySpan))/keySpan + 1
-					switch rng.Intn(10) {
-					case 0, 1, 2:
-						v := uint64(rng.Intn(1 << 30))
-						wantOld, wantEx := model.Insert(k, v)
-						pend = append(pend, pendingCheck{
-							desc: fmt.Sprintf("Insert(%d,%d)", k, v),
-							fut:  ah.Insert(k, v), wantVal: wantOld, wantOK: wantEx, wantless: !wantEx,
-						})
-					case 3, 4:
-						wantOld, wantEx := model.Delete(k)
-						pend = append(pend, pendingCheck{
-							desc: fmt.Sprintf("Delete(%d)", k),
-							fut:  ah.Delete(k), wantVal: wantOld, wantOK: wantEx, wantless: !wantEx,
-						})
-					case 5, 6:
-						want, wantOK := model.Search(k)
-						pend = append(pend, pendingCheck{
-							desc: fmt.Sprintf("Search(%d)", k),
-							fut:  ah.Search(k), wantVal: want, wantOK: wantOK,
-						})
-					case 7:
-						// Flushing range query: a sync point that must
-						// observe every op enqueued so far (the model
-						// already has).
-						lo := uint64(rng.Intn(keySpan)) + 1
-						hi := lo + uint64(rng.Intn(keySpan))
-						out := ah.RangeQuery(lo, hi).Wait()
-						wantKeys, wantVals := model.RangeQuery(lo, hi)
-						if len(out) != len(wantKeys) {
-							t.Fatalf("op %d RQ[%d,%d): %d pairs, model %d",
-								i, lo, hi, len(out), len(wantKeys))
-						}
-						for j, kv := range out {
-							if kv.Key != wantKeys[j] || kv.Val != wantVals[j] {
-								t.Fatalf("op %d RQ[%d,%d)[%d] = (%d,%d), model (%d,%d)",
-									i, lo, hi, j, kv.Key, kv.Val, wantKeys[j], wantVals[j])
-							}
-						}
-						drain(i)
-					case 8:
-						ah.Flush()
-						drain(i)
-					case 9:
-						// Wait on a buffered future mid-batch: flushes.
-						if len(pend) > 0 {
-							drain(i)
-						}
-					}
-				}
-				ah.Flush()
-				drain(numOps)
-
-				sum, count := tree.KeySum()
-				wantSum, wantCount := model.KeySum()
-				if sum != wantSum || count != wantCount {
-					t.Fatalf("KeySum = (%d,%d), model (%d,%d)", sum, count, wantSum, wantCount)
-				}
-				if err := tree.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				st := tree.Stats()
-				if st.Batch.Flushes == 0 || st.Batch.BatchedOps == 0 {
-					t.Fatalf("no batched execution recorded: %+v", st.Batch)
-				}
-				if st.Batch.Groups == 0 {
-					t.Fatalf("no shard-groups recorded on a sharded tree: %+v", st.Batch)
-				}
-				if router == htmtree.RouterAdaptive && st.Rebalance.Migrations == 0 {
-					t.Fatalf("adaptive combo performed no migrations: batched ops did not feed the rebalance cadence (%+v)", st.Rebalance)
-				}
-			})
-		}
-	}
-}
-
-// TestRaceBatchedMigrationInFlight forces live migrations while whole
-// batches are in flight: four goroutines push size-triggered batches of
-// boundary-hot keys through asynchronous handles on an adaptive tree
-// with forcing knobs, so routing-table swaps land between a batch's
-// routing and its segment admissions. The group executor must then
-// drop the admission and re-route (Stats.Batch.Restarts) rather than
-// commit through stale routing — which the final partition invariant
-// (CheckInvariants) and per-goroutine key-sum accounting would expose.
-// Sized for `go test -race -short ./...`.
-func TestRaceBatchedMigrationInFlight(t *testing.T) {
-	t.Parallel()
-	const (
-		goroutines = 4
-		shards     = 4
-		keySpan    = 512
-		batchSize  = 32
-	)
-	opsPerG := 30000
-	if testing.Short() {
-		opsPerG = 8000
-	}
-	for _, structure := range []string{"bst", "abtree"} {
 		structure := structure
-		t.Run(structure, func(t *testing.T) {
+		t.Run(structure+"/x8/range", func(t *testing.T) {
 			t.Parallel()
 			cfg := htmtree.Config{
-				Algorithm:         htmtree.ThreePath,
-				Shards:            shards,
-				ShardKeySpan:      keySpan,
-				Router:            htmtree.RouterAdaptive,
-				RebalanceCheckOps: 64,
-				RebalanceRatio:    0.01, // migrate on any imbalance
-				BatchMaxOps:       batchSize,
+				Algorithm:    htmtree.ThreePath,
+				Shards:       8,
+				ShardKeySpan: keySpan,
+				BatchMaxOps:  16,
 			}
 			var (
 				tree *htmtree.Tree
@@ -210,79 +60,93 @@ func TestRaceBatchedMigrationInFlight(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wg sync.WaitGroup
-			sums := make([]int64, goroutines)
-			counts := make([]int64, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					ah := tree.NewAsyncHandle()
-					type rec struct {
-						k   uint64
-						ins bool
-						fut htmtree.PointFuture
+			ah := tree.NewAsyncHandle()
+			model := NewModel()
+			rng := rand.New(rand.NewSource(0xba7c4))
+
+			var pend []pendingCheck
+			drain := func(i int) {
+				for _, pc := range pend {
+					val, ok := pc.fut.Wait()
+					if ok != pc.wantOK || (ok && !pc.wantless && val != pc.wantVal) {
+						t.Fatalf("op %d %s = (%d,%v), model (%d,%v)",
+							i, pc.desc, val, ok, pc.wantVal, pc.wantOK)
 					}
-					buf := make([]rec, 0, batchSize)
-					settle := func() {
-						ah.Flush()
-						for _, r := range buf {
-							_, existed := r.fut.Wait()
-							if r.ins && !existed {
-								sums[g] += int64(r.k)
-								counts[g]++
-							}
-							if !r.ins && existed {
-								sums[g] -= int64(r.k)
-								counts[g]--
-							}
-						}
-						buf = buf[:0]
-					}
-					for i := 0; i < opsPerG; i++ {
-						// 3 of 4 ops land within ±64 of the shard 0/1
-						// boundary so migrations keep firing there; the
-						// rest roam the whole span.
-						var k uint64
-						if i%4 != 0 {
-							k = uint64(64+(g*7919+i*31)%128) + 1
-						} else {
-							k = uint64((g*104729+i*131)%keySpan) + 1
-						}
-						if i%2 == 0 {
-							buf = append(buf, rec{k, true, ah.Insert(k, k)})
-						} else {
-							buf = append(buf, rec{k, false, ah.Delete(k)})
-						}
-						if len(buf) >= batchSize {
-							settle()
-						}
-					}
-					settle()
-				}(g)
+				}
+				pend = pend[:0]
 			}
-			wg.Wait()
-			var wantSum, wantCount int64
-			for g := range sums {
-				wantSum += sums[g]
-				wantCount += counts[g]
+
+			for i := 0; i < numOps; i++ {
+				// Quadratic low-end bias: the low shards' groups
+				// run long, the high shards' short.
+				k := uint64(rng.Intn(keySpan))*uint64(rng.Intn(keySpan))/keySpan + 1
+				switch rng.Intn(10) {
+				case 0, 1, 2:
+					v := uint64(rng.Intn(1 << 30))
+					wantOld, wantEx := model.Insert(k, v)
+					pend = append(pend, pendingCheck{
+						desc: fmt.Sprintf("Insert(%d,%d)", k, v),
+						fut:  ah.Insert(k, v), wantVal: wantOld, wantOK: wantEx, wantless: !wantEx,
+					})
+				case 3, 4:
+					wantOld, wantEx := model.Delete(k)
+					pend = append(pend, pendingCheck{
+						desc: fmt.Sprintf("Delete(%d)", k),
+						fut:  ah.Delete(k), wantVal: wantOld, wantOK: wantEx, wantless: !wantEx,
+					})
+				case 5, 6:
+					want, wantOK := model.Search(k)
+					pend = append(pend, pendingCheck{
+						desc: fmt.Sprintf("Search(%d)", k),
+						fut:  ah.Search(k), wantVal: want, wantOK: wantOK,
+					})
+				case 7:
+					// Flushing range query: a sync point that must
+					// observe every op enqueued so far (the model
+					// already has).
+					lo := uint64(rng.Intn(keySpan)) + 1
+					hi := lo + uint64(rng.Intn(keySpan))
+					out := ah.RangeQuery(lo, hi).Wait()
+					wantKeys, wantVals := model.RangeQuery(lo, hi)
+					if len(out) != len(wantKeys) {
+						t.Fatalf("op %d RQ[%d,%d): %d pairs, model %d",
+							i, lo, hi, len(out), len(wantKeys))
+					}
+					for j, kv := range out {
+						if kv.Key != wantKeys[j] || kv.Val != wantVals[j] {
+							t.Fatalf("op %d RQ[%d,%d)[%d] = (%d,%d), model (%d,%d)",
+								i, lo, hi, j, kv.Key, kv.Val, wantKeys[j], wantVals[j])
+						}
+					}
+					drain(i)
+				case 8:
+					ah.Flush()
+					drain(i)
+				case 9:
+					// Wait on a buffered future mid-batch: flushes.
+					if len(pend) > 0 {
+						drain(i)
+					}
+				}
 			}
+			ah.Flush()
+			drain(numOps)
+
 			sum, count := tree.KeySum()
-			if int64(sum) != wantSum || int64(count) != wantCount {
-				t.Fatalf("key-sum (%d,%d), threads (%d,%d)", sum, count, wantSum, wantCount)
+			wantSum, wantCount := model.KeySum()
+			if sum != wantSum || count != wantCount {
+				t.Fatalf("KeySum = (%d,%d), model (%d,%d)", sum, count, wantSum, wantCount)
 			}
 			if err := tree.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
 			st := tree.Stats()
-			if st.Rebalance.Migrations == 0 {
-				t.Fatalf("no migrations fired under the batched stress (%+v)", st.Rebalance)
+			if st.Batch.Flushes == 0 || st.Batch.BatchedOps == 0 {
+				t.Fatalf("no batched execution recorded: %+v", st.Batch)
 			}
-			if st.Batch.GroupOps == 0 || st.Batch.MonitorBrackets == 0 {
-				t.Fatalf("batched admission never exercised: %+v", st.Batch)
+			if st.Batch.Groups == 0 {
+				t.Fatalf("no shard-groups recorded on a sharded tree: %+v", st.Batch)
 			}
-			t.Logf("%s: %d migrations, %d batch groups, %d stale-route restarts",
-				structure, st.Rebalance.Migrations, st.Batch.Groups, st.Batch.Restarts)
 		})
 	}
 }

@@ -430,50 +430,58 @@ func TestChaosAbortStormDifferential(t *testing.T) {
 	}
 }
 
-// TestChaosMigrationInterrupt stalls the adaptive router's migrations
-// at every step the bracket protects — inside the quiesce gates, after
-// the receiver insert loop, and after the routing-table swap — under a
-// workload skewed onto one shard so migrations actually run. Lockstep
-// agreement and the final key-sum prove interrupted migrations neither
-// lose nor duplicate keys.
-func TestChaosMigrationInterrupt(t *testing.T) {
+// TestChaosQuiesceStall stalls escalated cross-shard readers while they
+// hold the quiesce gates of the shards they read. Every transactional
+// access aborts by conflict, so every pinned attempt of a cross-shard
+// RangeQuery fails: the reader spends its optimistic budget, escalates,
+// and finishes gated on the validated body — with the plan stalling it
+// right after it closed the gates. Updates (all on the fallback path:
+// the same rule sends every update there) park at those gates for the
+// stall. Lockstep agreement and the final key-sum prove the gated reads
+// and the parked updates change no result; every worker finishing its
+// workload proves no update stayed parked, and the watchdog's windows
+// show operations completing after every stall.
+func TestChaosQuiesceStall(t *testing.T) {
 	const (
 		threads   = 6
 		perThread = 128
 	)
-	numOps := chaosOps(700)
-	plan := htmtree.NewFaultPlan(0x316,
-		htmtree.FaultRule{Point: htmtree.FaultQuiesce, Every: 1, Stall: 200 * time.Microsecond},
-		htmtree.FaultRule{Point: htmtree.FaultMigrateSwap, Every: 1, Stall: 200 * time.Microsecond},
-		htmtree.FaultRule{Point: htmtree.FaultMigrateDelete, Every: 1, Stall: 200 * time.Microsecond},
-	)
-	cfg := htmtree.Config{
+	numOps := chaosOps(300)
+	plan := txAborts(1, htm.CauseConflict, htmtree.FaultRule{
+		Point: htmtree.FaultQuiesce, Every: 1, Stall: 500 * time.Microsecond, Watch: true,
+	})
+	lv := &htmtree.FaultLiveness{}
+	plan.Watch(lv)
+	tree, err := htmtree.NewShardedBST(htmtree.Config{
 		Algorithm: htmtree.ThreePath,
 		Shards:    4,
-		// The workers' ranges cover only the first quarter of the key
-		// span, so the range router maps everything to shard 0 and the
-		// adaptive rebalancer must migrate boundaries to spread it.
-		ShardKeySpan:      uint64(threads * perThread * 4),
-		Router:            htmtree.RouterAdaptive,
-		RebalanceCheckOps: 64,
-		Faults:            plan,
-	}
-	tree, err := htmtree.NewShardedBST(cfg)
+		// Shard width 192 against 128-key worker ranges: workers 1 and 4
+		// straddle a shard boundary, so their range queries fan out.
+		ShardKeySpan:       threads * perThread,
+		AtomicRangeQueries: true,
+		Faults:             plan,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	chaosLockstep(t, tree, nil, threads, perThread, numOps, 0x319)
+	chaosLockstep(t, tree, lv, threads, perThread, numOps, 0x9e1)
 	if t.Failed() {
 		return
 	}
-	st := tree.Stats()
-	if st.Rebalance.Migrations == 0 {
-		t.Fatal("no migration ran: the battery exercised nothing")
+	fires, esc := plan.Fires(htmtree.FaultQuiesce), tree.Stats().Range.Escalations
+	if fires == 0 || esc == 0 {
+		t.Fatalf("quiesce stalls fired %d times over %d escalated reads: the battery exercised nothing", fires, esc)
 	}
-	t.Logf("migrations=%d keysMoved=%d quiesceStalls=%d swapStalls=%d deleteStalls=%d",
-		st.Rebalance.Migrations, st.Rebalance.KeysMoved,
-		plan.Fires(htmtree.FaultQuiesce), plan.Fires(htmtree.FaultMigrateSwap),
-		plan.Fires(htmtree.FaultMigrateDelete))
+	ws := lv.Windows()
+	if uint64(len(ws)) != fires {
+		t.Errorf("stall windows = %d, stalls fired = %d", len(ws), fires)
+	}
+	for i, w := range ws {
+		if w.OpsAfter >= lv.Ops() {
+			t.Errorf("stall window %d: no operation completed after it closed", i)
+		}
+	}
+	t.Logf("escalated reads=%d quiesceStalls=%d", esc, fires)
 }
 
 // TestChaosEBRPinStall stalls threads inside the epoch-pin
@@ -594,7 +602,10 @@ func TestChaosAggWriterStall(t *testing.T) {
 // TestChaosBatchFlushDelay stalls the asynchronous batching pipeline's
 // flushes. Futures must still resolve with exactly the sequential
 // results: workers enqueue rounds of distinct-key operations, flush,
-// and compare every future against the model.
+// and compare every future against the model. The tree is sharded with
+// atomic range queries, so every flush runs the shard layer's group
+// executor — two shard segments per worker range, each admitted on its
+// shard's monitor — concurrently with the other workers'.
 func TestChaosBatchFlushDelay(t *testing.T) {
 	const (
 		threads   = 4
@@ -605,10 +616,13 @@ func TestChaosBatchFlushDelay(t *testing.T) {
 	plan := htmtree.NewFaultPlan(0xba7c, htmtree.FaultRule{
 		Point: htmtree.FaultBatchFlush, Every: 4, Stall: 100 * time.Microsecond,
 	})
-	tree, err := htmtree.NewBST(htmtree.Config{
-		Algorithm:   htmtree.ThreePath,
-		BatchMaxOps: batchSize,
-		Faults:      plan,
+	tree, err := htmtree.NewShardedBST(htmtree.Config{
+		Algorithm:          htmtree.ThreePath,
+		Shards:             2 * threads,
+		ShardKeySpan:       threads * perThread,
+		AtomicRangeQueries: true,
+		BatchMaxOps:        batchSize,
+		Faults:             plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -681,5 +695,8 @@ func TestChaosBatchFlushDelay(t *testing.T) {
 	}
 	if plan.Fires(htmtree.FaultBatchFlush) == 0 {
 		t.Fatal("no flush stalled: the battery exercised nothing")
+	}
+	if st := tree.Stats().Batch; st.MonitorBrackets == 0 || st.MonitorBrackets != st.Groups {
+		t.Fatalf("group execution admitted %d groups of %d on their monitors, want all of them", st.MonitorBrackets, st.Groups)
 	}
 }

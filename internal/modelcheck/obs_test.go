@@ -168,78 +168,67 @@ func TestRaceObservedPathTransitions(t *testing.T) {
 	}
 }
 
-// TestRaceObservedMigration churns an adaptive-router sharded tree
-// tuned to migrate constantly: the shard layer's migration and quiesce
-// events go through one shared recorder thread (RareEvent's multi-writer
-// path) while per-shard engines record their own, all under concurrent
-// scrapes.
-func TestRaceObservedMigration(t *testing.T) {
+// TestRaceObservedQuiesce runs concurrent escalated readers on a
+// sharded tree under concurrent scrapes. Every transactional access
+// aborts by conflict, so every cross-shard read spends its optimistic
+// budget and quiesces the shards it reads; the readers' quiesce events
+// all go through the shard layer's one shared recorder thread
+// (RareEvent's multi-writer path) while updaters churn and the per-shard
+// engines record their own.
+func TestRaceObservedQuiesce(t *testing.T) {
 	t.Parallel()
 	const (
-		goroutines = 4
-		keySpan    = 512
+		goroutines = 4 // updaters
+		readers    = 3
+		// Reads per reader. Bounded: readers never wait for updaters, so
+		// an endless stream of escalated reads would park them for good.
+		reads   = 40
+		keySpan = 512
+		window  = 256 // spans at least two of the four 128-key shards
 	)
-	opsPerG := 3000
+	opsPerG := 1500
 	if testing.Short() {
-		opsPerG = 800
+		opsPerG = 400
 	}
-	tree, err := htmtree.NewShardedABTree(htmtree.Config{
-		Algorithm:         htmtree.ThreePath,
-		Shards:            4,
-		ShardKeySpan:      keySpan,
-		Router:            htmtree.RouterAdaptive,
-		RebalanceCheckOps: 64,
-		RebalanceRatio:    0.01, // migrate on any imbalance
-		Observability:     &htmtree.ObsConfig{EventSample: 2, EventBuffer: 128},
+	tree, err := htmtree.NewShardedBST(htmtree.Config{
+		Algorithm:          htmtree.ThreePath,
+		Shards:             4,
+		ShardKeySpan:       keySpan,
+		AtomicRangeQueries: true,
+		Faults:             txAborts(1, htm.CauseConflict),
+		Observability:      &htmtree.ObsConfig{EventSample: 2, EventBuffer: 128},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var stop atomic.Bool
 	scr := observedScrapeLoop(t, tree, &stop)
-
-	// Skew the churn onto the low shard so the rebalancer has an
-	// imbalance to chase throughout the run.
-	var wg sync.WaitGroup
-	sums := make([]int64, goroutines)
-	counts := make([]int64, goroutines)
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
+	var rwg sync.WaitGroup
+	for r := 0; r < readers; r++ {
+		rwg.Add(1)
+		go func(r int) {
+			defer rwg.Done()
 			h := tree.NewHandle()
-			for i := 0; i < opsPerG; i++ {
-				k := uint64((g*31+i*7)%(keySpan/4)) + 1
-				if i%3 != 2 {
-					if _, existed := h.Insert(k, k); !existed {
-						sums[g] += int64(k)
-						counts[g]++
-					}
-				} else if _, existed := h.Delete(k); existed {
-					sums[g] -= int64(k)
-					counts[g]--
-				}
+			var out []htmtree.KV
+			for i := 0; i < reads; i++ {
+				lo := uint64((r*97+i*61)%(keySpan-window)) + 1
+				out = h.RangeQuery(lo, lo+window, out[:0])
 			}
-		}(g)
+		}(r)
 	}
-	wg.Wait()
-	var wantSum, wantCount int64
-	for g := range sums {
-		wantSum += sums[g]
-		wantCount += counts[g]
+	sum, count := observedChurn(tree, goroutines, opsPerG, keySpan)
+	rwg.Wait()
+	finishObserved(t, tree, &stop, scr, sum, count)
+	if esc := tree.Stats().Range.Escalations; esc < readers*reads {
+		t.Fatalf("%d escalated reads, want at least the readers' %d: the gates went unexercised", esc, readers*reads)
 	}
-	finishObserved(t, tree, &stop, scr, wantSum, wantCount)
-	if mig := tree.Stats().Rebalance.Migrations; mig == 0 {
-		t.Fatal("no migrations happened; the multi-writer recorder path went unexercised")
-	}
-	var sawMigrate bool
+	quiesces := 0
 	for _, ev := range tree.Obs().Events() {
-		if ev.KindName == "migrate_begin" || ev.KindName == "migrate_end" {
-			sawMigrate = true
-			break
+		if ev.KindName == "quiesce" {
+			quiesces++
 		}
 	}
-	if !sawMigrate {
-		t.Fatal("migrations ran but no migrate events were recorded")
+	if quiesces == 0 {
+		t.Fatal("readers escalated but no quiesce events were recorded")
 	}
 }

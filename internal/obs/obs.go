@@ -58,7 +58,7 @@ type Config struct {
 	LatencySample int
 	// EventSample records every Nth hot-path event (op completions,
 	// aborts) in the flight recorder. Cold-path events (TLE lock
-	// acquisition, quiesce, migration, fired faults) are always recorded
+	// acquisition, quiesce, fired faults) are always recorded
 	// — they are rare by construction and are the ones that explain a
 	// convoy. 0 selects DefaultEventSample; negative disables
 	// hot-path events (cold events are still kept).
@@ -168,16 +168,14 @@ type EventKind uint8
 // The event taxonomy. Hot events (EvOp, EvAbort) are subject to
 // Config.EventSample; everything else records unconditionally.
 const (
-	EvNone         EventKind = iota
-	EvOp                     // operation completed; Path is the final path
-	EvAbort                  // transactional attempt aborted; Path, Cause, A=policy site id, B=explicit abort code
-	EvAcquire                // TLE global lock acquired
-	EvQuiesce                // monitor quiesce completed; A=shard
-	EvMigrateBegin           // key migration started; A=donor shard, B=receiver shard
-	EvMigrateEnd             // key migration finished; A=keys moved
-	EvFaultAbort             // injected fault forced a transactional abort; A=fault point, B=fire seq
-	EvFaultStall             // injected fault stalled the encountering goroutine; A=fault point, B=fire seq
-	EvFaultKill              // injected fault killed (parked forever) the encountering goroutine; A=fault point, B=fire seq
+	EvNone       EventKind = iota
+	EvOp                   // operation completed; Path is the final path
+	EvAbort                // transactional attempt aborted; Path, Cause, A=policy site id, B=explicit abort code
+	EvAcquire              // TLE global lock acquired
+	EvQuiesce              // monitor quiesce completed; A=shard
+	EvFaultAbort           // injected fault forced a transactional abort; A=fault point, B=fire seq
+	EvFaultStall           // injected fault stalled the encountering goroutine; A=fault point, B=fire seq
+	EvFaultKill            // injected fault killed (parked forever) the encountering goroutine; A=fault point, B=fire seq
 )
 
 // String returns the event kind's wire name.
@@ -191,10 +189,6 @@ func (k EventKind) String() string {
 		return "acquire"
 	case EvQuiesce:
 		return "quiesce"
-	case EvMigrateBegin:
-		return "migrate_begin"
-	case EvMigrateEnd:
-		return "migrate_end"
 	case EvFaultAbort:
 		return "fault_abort"
 	case EvFaultStall:
@@ -303,8 +297,8 @@ func (t *ThreadObs) evFire(kind EventKind, path htm.PathKind, cause htm.AbortCau
 }
 
 // RareEvent records a cold-path event unconditionally. Safe from any
-// goroutine (the shard layer's migration and quiesce recorders are
-// shared).
+// goroutine (the shard layer's quiesce recorder is shared by every
+// escalated reader).
 func (t *ThreadObs) RareEvent(kind EventKind, path htm.PathKind, cause htm.AbortCause, a, b uint64) {
 	if t.ring == nil {
 		return

@@ -20,12 +20,11 @@ var _ dict.AggHandle = (*handle)(nil)
 // RangeAgg returns the aggregate tuple (sum/count/min/max) of the keys
 // in [lo, hi) across all overlapping shards.
 //
-// It requires the version-validated read protocol: a dictionary built
-// without Config.Atomic (or Config.Rebalance, which implies it) cannot
-// order the per-shard reads against concurrent updates, and a merged
-// sum over torn per-shard tuples is silently wrong — unlike a torn
-// RangeQuery, there is no per-key output to cross-check. Such
-// dictionaries reject the query with an error instead.
+// It requires the atomic read protocol: a dictionary built without
+// Config.Atomic cannot order the per-shard reads against concurrent
+// updates, and a merged sum over torn per-shard tuples is silently
+// wrong — unlike a torn RangeQuery, there is no per-key output to
+// cross-check. Such dictionaries reject the query with an error instead.
 func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	empty := dict.Agg{Min: ^uint64(0), Max: 0} // Merge's identity
 	agg := empty
@@ -35,10 +34,11 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	d := h.d
 	if d.mons == nil {
 		return agg, fmt.Errorf(
-			"shard: Config.Atomic = false (cross-shard aggregate queries merge per-shard tuples and would return torn sums; set Config.Atomic, or Config.Rebalance which implies it)")
+			"shard: Config.Atomic = false (cross-shard aggregate queries merge per-shard tuples and would return torn sums; set Config.Atomic)")
 	}
 	var err error
-	readAgg := func(first, last int) {
+	first, last := d.rt.overlap(lo, hi)
+	readAgg := func() {
 		agg, err = empty, nil
 		for s := first; s <= last; s++ {
 			ah, ok := h.hs[s].(dict.AggHandle)
@@ -56,15 +56,12 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 		}
 	}
 	// A window inside a single shard is atomic on its own (the inner
-	// query is one template operation) — unless a migration could be
-	// moving its keys between shards mid-read.
-	if d.reb == nil {
-		if first, last := h.curRouter().overlap(lo, hi); first == last {
-			readAgg(first, last)
-			return agg, err
-		}
+	// query is one template operation).
+	if first == last {
+		readAgg()
+		return agg, err
 	}
-	h.readAtomic(lo, hi, func(first, last int) dict.PinStatus {
+	h.readAtomic(first, last, func() dict.PinStatus {
 		agg = empty
 		for s := first; s <= last; s++ {
 			a, st := h.pins[s].RangeAggAt(h.rvs[s], lo, hi)

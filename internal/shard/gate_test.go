@@ -9,8 +9,7 @@ import (
 	"htmtree/internal/engine"
 )
 
-// monitoredBST builds a monitored sharded BST: Atomic, plus whatever cfg
-// sets (Rebalance).
+// monitoredBST builds a monitored (Atomic) sharded BST from cfg.
 func monitoredBST(t *testing.T, cfg Config, alg engine.Algorithm) *Dict {
 	t.Helper()
 	cfg.Atomic = true
@@ -24,77 +23,69 @@ func monitoredBST(t *testing.T, cfg Config, alg engine.Algorithm) *Dict {
 	return d
 }
 
-// TestUpdateWaitsAtHeldGate verifies the one admission point: on every
-// kind of monitored dictionary an update through a shard handle — a point
+// TestUpdateWaitsAtHeldGate verifies the one admission point: on a
+// monitored dictionary an update through a shard handle — a point
 // operation or a batch group — waits while the owning shard's quiesce
 // gate is held, leaves a sample taken under the gate valid, and proceeds
 // and publishes its commit on release.
 func TestUpdateWaitsAtHeldGate(t *testing.T) {
 	t.Parallel()
 	const key = 7
-	for _, tc := range []struct {
-		name string
-		cfg  Config
+	for _, via := range []struct {
+		name   string
+		update func(h dict.Handle)
 	}{
-		{"static", Config{Shards: 4, KeySpan: 1 << 10}},
-		{"rebalancing", Config{Shards: 4, KeySpan: 1 << 10, Rebalance: &RebalanceConfig{}}},
+		{"point", func(h dict.Handle) { h.Insert(key, 1) }},
+		{"group", func(h dict.Handle) {
+			h.(dict.GroupExecutor).ExecGroup([]dict.BatchOp{{Kind: dict.OpInsert, Key: key, Val: 1}})
+		}},
 	} {
-		for _, via := range []struct {
-			name   string
-			update func(h dict.Handle)
-		}{
-			{"point", func(h dict.Handle) { h.Insert(key, 1) }},
-			{"group", func(h dict.Handle) {
-				h.(dict.GroupExecutor).ExecGroup([]dict.BatchOp{{Kind: dict.OpInsert, Key: key, Val: 1}})
-			}},
-		} {
-			tc, via := tc, via
-			t.Run(tc.name+"/"+via.name, func(t *testing.T) {
-				t.Parallel()
-				d := monitoredBST(t, tc.cfg, engine.AlgThreePath)
-				h := d.NewHandle()
-				mon := d.mons[d.ShardFor(key)]
+		via := via
+		t.Run("static/"+via.name, func(t *testing.T) {
+			t.Parallel()
+			d := monitoredBST(t, Config{Shards: 4, KeySpan: 1 << 10}, engine.AlgThreePath)
+			h := d.NewHandle()
+			mon := d.mons[d.ShardFor(key)]
 
-				release := mon.Quiesce()
-				s, ok := mon.Sample()
-				if !ok || !mon.Validate(s) {
-					t.Fatal("quiesced monitor not stable")
-				}
-				done := make(chan struct{})
-				go func() {
-					via.update(h)
-					close(done)
-				}()
-				select {
-				case <-done:
-					t.Fatal("update ran through a held quiesce gate")
-				case <-time.After(20 * time.Millisecond):
-				}
-				if !mon.Validate(s) {
-					t.Fatal("sample invalidated while the gate was held")
-				}
-				release()
-				select {
-				case <-done:
-				case <-time.After(5 * time.Second):
-					t.Fatal("update never proceeded after gate release")
-				}
-				if mon.Validate(s) {
-					t.Fatal("released update did not invalidate the sample")
-				}
-				if v, ok := h.Search(key); !ok || v != 1 {
-					t.Fatalf("Search(%d) = (%d,%v) after the released update", key, v, ok)
-				}
-			})
-		}
+			release := mon.Quiesce()
+			s, ok := mon.Sample()
+			if !ok || !mon.Validate(s) {
+				t.Fatal("quiesced monitor not stable")
+			}
+			done := make(chan struct{})
+			go func() {
+				via.update(h)
+				close(done)
+			}()
+			select {
+			case <-done:
+				t.Fatal("update ran through a held quiesce gate")
+			case <-time.After(20 * time.Millisecond):
+			}
+			if !mon.Validate(s) {
+				t.Fatal("sample invalidated while the gate was held")
+			}
+			release()
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatal("update never proceeded after gate release")
+			}
+			if mon.Validate(s) {
+				t.Fatal("released update did not invalidate the sample")
+			}
+			if v, ok := h.Search(key); !ok || v != 1 {
+				t.Fatalf("Search(%d) = (%d,%v) after the released update", key, v, ok)
+			}
+		})
 	}
 }
 
 // TestGatedUpdaterPinsNoEpoch verifies that an updater waiting at a held
-// gate waits outside the shard's reclamation domain. The test plays a
-// migration: it holds the shard's gate itself and, like migrate, updates
-// the shard through an inner handle, whose retirements are what advance
-// the epoch. A backlog another handle retired before the gate closed must
+// gate waits outside the shard's reclamation domain. The test holds the
+// shard's gate itself and updates the shard through an inner handle,
+// below the admission point, whose retirements are what advance the
+// epoch. A backlog another handle retired before the gate closed must
 // still drain into that handle's pool as it keeps searching. An updater
 // parked inside its reclamation bracket would pin the epoch it announced,
 // and the backlog — and everything the gate holder retires — would stay

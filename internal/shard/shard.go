@@ -11,20 +11,17 @@
 // tree is self-contained, so partitioning multiplies the fallback
 // indicators and transactional conflict domains, and update-heavy
 // workloads that serialize on one tree's contended paths spread across
-// N of them. A static range split collapses a Zipfian or hot-range
-// workload onto one shard; Config.Rebalance makes the split adaptive —
-// boundary slices of a hot shard's key range migrate live to neighbor
-// shards (see RebalanceConfig).
+// N of them. The split is uniform over Config.KeySpan and fixed when the
+// dictionary is built, so a Zipfian or hot-range workload lands on the
+// shards owning the hot keys.
 //
 // # Consistency
 //
 // Point operations are linearizable exactly as the inner dictionaries
-// are (each key lives in exactly one shard at every instant; during a
-// migration both affected shards' updates are held off, and the routing
-// table swaps only while the moved keys are present in both). Each
-// shard's range query is atomic in isolation (it runs as a single
-// template operation), but a fan-out that spans shards observes each
-// shard at a possibly different point in time, so by default a
+// are (each key lives in exactly one shard, for the dictionary's
+// lifetime). Each shard's range query is atomic in isolation (it runs as
+// a single template operation), but a fan-out that spans shards observes
+// each shard at a possibly different point in time, so by default a
 // cross-shard RangeQuery (and KeySum) may return a state no single
 // linearization point ever produced.
 //
@@ -61,9 +58,8 @@
 // unvalidated-change-free window proves every shard was simultaneously
 // stable, so the concatenated result equals the state at one instant —
 // a consistent cut. It serves what a pinned transaction cannot: KeySum,
-// rebalancing dictionaries, inner dictionaries whose algorithm has no
-// transactional path a whole read runs on, and a scan too large for a
-// transaction.
+// inner dictionaries whose algorithm has no transactional path a whole
+// read runs on, and a scan too large for a transaction.
 //
 // Readers that keep losing either race escalate after Config.RQRetries
 // attempts: they arrive on the shards' quiesce gates (the paper's
@@ -73,17 +69,6 @@
 // validation is guaranteed to succeed once the updates in flight drain.
 // RQStats reports how often queries retried and escalated, and how many
 // attempts were pinned.
-//
-// A rebalancing dictionary always runs the validation (Config.Atomic
-// is implied): the overlapping shard set is recomputed from the live
-// routing table on every attempt and the attempt additionally fails if
-// the table moved under it, while a migration brackets both affected
-// monitors for its whole duration — so no fan-out can observe a
-// half-moved range, and a reader holding stale routing can never
-// validate. Escalated readers also hold the migration lock, so a
-// stream of migrations cannot starve them. (Neither a routing swap nor
-// a migration bracket is a write a pinned transaction would see, which
-// is why such a dictionary never pins.)
 package shard
 
 import (
@@ -114,17 +99,12 @@ type Config struct {
 	// Shards is the number of partitions (default DefaultShards).
 	Shards int
 	// KeySpan is the exclusive upper bound of the client key range the
-	// partition is balanced over (default dict.MaxKey+1): shard i starts
-	// owning [i*w, (i+1)*w) for the width w = ⌈KeySpan/Shards⌉.
-	// Keys at or above KeySpan are still legal: they route to the last
-	// shard, which owns everything from its lower bound upward.
+	// partition is balanced over (default dict.MaxKey+1): shard i owns
+	// [i*w, (i+1)*w) for the width w = ⌈KeySpan/Shards⌉, fixed for the
+	// dictionary's lifetime. Keys at or above KeySpan are still legal:
+	// they route to the last shard, which owns everything from its lower
+	// bound upward.
 	KeySpan uint64
-	// Rebalance enables live key-range rebalancing: boundary slices of a
-	// disproportionately busy shard's key range migrate to neighbor
-	// shards at runtime, so the ranges stay contiguous but stop being
-	// uniform. Requires at least two shards; implies the
-	// version-validated read protocol of Atomic.
-	Rebalance *RebalanceConfig
 	// Atomic makes cross-shard RangeQuery, RangeAgg and KeySum atomic:
 	// pinned-snapshot transactions where the inner dictionaries support
 	// them, per-shard version validation otherwise, quiesce escalation
@@ -135,24 +115,22 @@ type Config struct {
 	// RQRetries bounds the optimistic attempts — pinned or validated — of
 	// an atomic cross-shard read before it escalates to quiescing the
 	// overlapping shards (default DefaultRQRetries). Ignored unless
-	// Atomic (or Rebalance, which implies it).
+	// Atomic.
 	RQRetries int
 	// New constructs the inner dictionary for shard i. Each call must
 	// return a fresh, independent instance. mon is non-nil exactly when
-	// Atomic or Rebalance is set, and must then be installed as the
-	// inner engine's Monitor so updates publish their commit points.
+	// Atomic is set, and must then be installed as the inner engine's
+	// Monitor so updates publish their commit points.
 	New func(i int, mon *engine.UpdateMonitor) dict.Dict
-	// Obs, when non-nil, records the shard layer's quiesce and migration
-	// events in a flight-recorder thread of the domain. (The metric
-	// families over RQStats, RebalanceStats and the batch counters are
-	// registered by the public package.)
+	// Obs, when non-nil, records the shard layer's quiesce events in a
+	// flight-recorder thread of the domain. (The metric families over
+	// RQStats and the batch counters are registered by the public
+	// package.)
 	Obs *obs.Node
 	// Faults, when non-nil, arms the deterministic fault-injection
-	// plane at the shard layer's seams: fault.PointQuiesce fires while
-	// a migration (or an escalated atomic read) holds monitor quiesce
-	// gates, and fault.PointMigrateSwap / fault.PointMigrateDelete
-	// interrupt a migration between its insert / routing-table-swap /
-	// donor-delete steps. Inner-dictionary seams are armed through the
+	// plane at the shard layer's one seam: fault.PointQuiesce fires
+	// while an escalated atomic read holds the monitor quiesce gates of
+	// the shards it reads. Inner-dictionary seams are armed through the
 	// engine and HTM configs the Config.New constructor builds.
 	Faults *fault.Plan
 }
@@ -175,27 +153,18 @@ func (cfg Config) validate() (shards int, err error) {
 		return 0, fmt.Errorf("shard: Config.RQRetries = %d (want >= 0; 0 selects the default %d)",
 			cfg.RQRetries, DefaultRQRetries)
 	}
-	if cfg.Rebalance != nil {
-		if err := cfg.Rebalance.validate(); err != nil {
-			return 0, err
-		}
-		if n < 2 {
-			return 0, fmt.Errorf("shard: Config.Rebalance requires at least 2 shards, Config.Shards = %d",
-				cfg.Shards)
-		}
-	}
 	return n, nil
 }
 
 // RQStats counts the outcomes of atomic cross-shard reads (RangeQuery,
 // RangeAgg and KeySum). All counters are zero when the dictionary was
-// built without Config.Atomic or Config.Rebalance.
+// built without Config.Atomic.
 type RQStats struct {
 	// Attempts counts snapshot attempts, pinned or validated, including
 	// the successful final attempt of every read.
 	Attempts uint64
-	// Retries counts attempts invalidated by a concurrent update or
-	// migration (or by one in flight at sampling time).
+	// Retries counts attempts invalidated by a concurrent update (or by
+	// one in flight at sampling time).
 	Retries uint64
 	// Escalations counts reads that exhausted the optimistic budget and
 	// fell back to holding the shards' quiesce gates.
@@ -209,20 +178,16 @@ type RQStats struct {
 type Dict struct {
 	shards []dict.Dict
 
-	// rt is the published routing table. Point operations and fan-outs
-	// load it per attempt; rebalancing migrations swap it.
-	rt atomic.Pointer[rangeRouter]
+	// rt is the routing table, fixed at construction.
+	rt rangeRouter
 
 	// mons holds one update monitor per shard when the dictionary was
-	// built with Config.Atomic or Config.Rebalance; nil otherwise.
+	// built with Config.Atomic; nil otherwise.
 	mons      []*engine.UpdateMonitor
 	rqRetries int
 
-	// reb is the live rebalancer; nil when rebalancing is disabled.
-	reb *rebalancer
-
-	// obsRec is the layer's shared flight-recorder thread (quiesce and
-	// migration events may come from any goroutine; RareEvent is
+	// obsRec is the layer's shared flight-recorder thread (escalated
+	// readers on any goroutine record quiesce events; RareEvent is
 	// multi-writer safe). nil unless built with Config.Obs.
 	obsRec *obs.ThreadObs
 
@@ -255,31 +220,17 @@ func New(cfg Config) (*Dict, error) {
 	}
 	d := &Dict{
 		shards:    make([]dict.Dict, n),
+		rt:        newUniformRangeRouter(n, cfg.KeySpan),
 		rqRetries: cfg.RQRetries,
 		faults:    cfg.Faults,
 	}
-	d.rt.Store(newUniformRangeRouter(n, cfg.KeySpan))
 	if d.rqRetries == 0 {
 		d.rqRetries = DefaultRQRetries
 	}
-	if cfg.Atomic || cfg.Rebalance != nil {
+	if cfg.Atomic {
 		d.mons = make([]*engine.UpdateMonitor, n)
 		for i := range d.mons {
 			d.mons[i] = engine.NewUpdateMonitor(nil)
-			if cfg.Rebalance != nil {
-				// Migrations need Quiesce to mean "no update at all in
-				// flight"; plain Atomic dictionaries skip the in-flight
-				// accounting that costs.
-				d.mons[i].EnableFullDrain()
-			}
-		}
-	}
-	if cfg.Rebalance != nil {
-		d.reb = &rebalancer{
-			cfg:     cfg.Rebalance.withDefaults(),
-			lastOps: make([]uint64, n),
-			deltas:  make([]uint64, n),
-			handles: make([]dict.Handle, n),
 		}
 	}
 	for i := range d.shards {
@@ -288,9 +239,6 @@ func New(cfg Config) (*Dict, error) {
 			mon = d.mons[i]
 		}
 		d.shards[i] = cfg.New(i, mon)
-		if d.reb != nil {
-			d.reb.handles[i] = d.shards[i].NewHandle()
-		}
 	}
 	if cfg.Obs != nil {
 		d.obsRec = cfg.Obs.NewThread()
@@ -304,35 +252,22 @@ func (d *Dict) NumShards() int { return len(d.shards) }
 // Shard returns the inner dictionary serving partition i.
 func (d *Dict) Shard(i int) dict.Dict { return d.shards[i] }
 
-// router returns the current routing table. On a rebalancing dictionary
-// the table may be superseded at any time; callers needing a stable
-// view across several calls must capture the returned value once.
-func (d *Dict) router() *rangeRouter { return d.rt.Load() }
+// ShardFor returns the index of the partition owning key.
+func (d *Dict) ShardFor(key uint64) int { return d.rt.ShardFor(key) }
 
-// ShardFor returns the index of the partition currently owning key.
-func (d *Dict) ShardFor(key uint64) int { return d.router().ShardFor(key) }
-
-// Bounds returns the key range [lo, hi) currently owned by partition i.
-// The partitions are contiguous and ascending in i, and the last one's
-// hi is ^uint64(0): it owns everything upward. On a rebalancing
-// dictionary a migration may move a bound at any time.
-func (d *Dict) Bounds(i int) (lo, hi uint64) { return d.router().Bounds(i) }
+// Bounds returns the key range [lo, hi) owned by partition i. The
+// partitions are contiguous and ascending in i, and the last one's hi is
+// ^uint64(0): it owns everything upward.
+func (d *Dict) Bounds(i int) (lo, hi uint64) { return d.rt.Bounds(i) }
 
 // NewHandle registers a per-goroutine handle on every shard.
 //
-// On a monitored dictionary (Config.Atomic or Config.Rebalance) the
-// handle is the one place an update is admitted: a point operation
-// routes, Enters the target shard's monitor — waiting there, outside any
-// inner operation, while a reader or a migration holds the shard's
-// quiesce gate — re-checks that the routing table did not move between
-// routing and admission, dispatches through the inner handle, and Exits
-// (handle.routeUpdate; ExecGroup does the same once per group). On a
-// rebalancing dictionary the admission also pins the shard: a migration
-// cannot start while the operation is in flight. Without the re-check an
-// updater could route to a shard, wait at its gate while a migration
-// moves its key away, and then commit into the wrong shard with stale
-// routing. Nothing below the handle looks at the gate, so the holder of
-// a gate (a migration) updates the shard through ordinary inner handles.
+// On a monitored dictionary (Config.Atomic) the handle is the one place
+// an update is admitted: a point operation routes, Enters the target
+// shard's monitor — waiting there, outside any inner operation, while an
+// escalated reader holds the shard's quiesce gate — and dispatches
+// through the inner handle (handle.routeUpdate; ExecGroup admits once
+// per group). Nothing below the handle looks at the gate.
 func (d *Dict) NewHandle() dict.Handle {
 	hs := make([]dict.Handle, len(d.shards))
 	for i, s := range d.shards {
@@ -341,28 +276,17 @@ func (d *Dict) NewHandle() dict.Handle {
 	h := &handle{d: d, hs: hs}
 	if d.mons != nil {
 		h.samples = make([]engine.MonitorSample, len(d.shards))
-		h.pins, h.rvs = pinnedReaders(hs, d.reb != nil), make([]uint64, len(d.shards))
-	}
-	if d.reb == nil {
-		// The routing table is published once at construction and never
-		// swapped (only migrations store to d.rt), so operations through
-		// this handle may use a plain cached pointer instead of loading
-		// the published one.
-		h.router = d.router()
+		h.pins, h.rvs = pinnedReaders(hs), make([]uint64, len(d.shards))
 	}
 	return h
 }
 
 // pinnedReaders returns the inner handles as pinned readers when a
 // fan-out over them may run as pinned transactions (handle.pinned), nil
-// when it must sample and validate instead: on a rebalancing dictionary,
-// whose routing swaps and migration brackets only the monitors publish,
-// and unless every inner handle is pinnable — one shard read some other
-// way would not be at the others' instant.
-func pinnedReaders(hs []dict.Handle, rebalancing bool) []dict.PinnedReader {
-	if rebalancing {
-		return nil
-	}
+// when it must sample and validate instead: unless every inner handle is
+// pinnable — one shard read some other way would not be at the others'
+// instant.
+func pinnedReaders(hs []dict.Handle) []dict.PinnedReader {
 	pins := make([]dict.PinnedReader, len(hs))
 	for i, ih := range hs {
 		pr, ok := ih.(dict.PinnedReader)
@@ -385,17 +309,15 @@ func (d *Dict) RQStats() RQStats {
 	}
 }
 
-// readConsistent drives one atomic cross-shard read over [lo, hi): it
-// runs try — one attempt at the read, reporting whether what it left
-// behind is a consistent cut — until an attempt succeeds. After
-// d.rqRetries failed attempts it escalates: it takes the migration lock
-// (when the dictionary rebalances) and arrives on the overlapping
-// shards' quiesce gates, so new update operations and migrations wait
-// while the finitely many updates already in flight drain, and keeps
-// trying; gated tells try that it runs there. What an attempt is, is
-// the caller's choice: a pinned snapshot (handle.pinned) or the
-// sample/read/validate body (Dict.validated).
-func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
+// readConsistent drives one atomic read of shards first..last: it runs
+// try — one attempt at the read, reporting whether what it left behind
+// is a consistent cut — until an attempt succeeds. After d.rqRetries
+// failed attempts it escalates: it arrives on the shards' quiesce gates,
+// so new update operations wait while the finitely many updates already
+// in flight drain, and keeps trying; gated tells try that it runs there.
+// What an attempt is, is the caller's choice: a pinned snapshot
+// (handle.pinned) or the sample/read/validate body (Dict.validated).
+func (d *Dict) readConsistent(first, last int, try func(gated bool) bool) {
 	attempt := func(gated bool) bool {
 		d.rqAttempts.Add(1)
 		if try(gated) {
@@ -410,21 +332,9 @@ func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
 		}
 	}
 	d.rqEscalations.Add(1)
-	// Hold the migration lock while escalated: a migration is not an
-	// admitted update (it takes the gates, it does not wait at them), so
-	// without this a migration stream could keep invalidating a gated
-	// reader forever. Rebalance checks only TryLock, so updaters never
-	// block on an escalated reader here.
-	if rb := d.reb; rb != nil {
-		rb.mu.Lock()
-		defer rb.mu.Unlock()
-	}
-	// With migrations excluded the routing table is stable; quiesce the
-	// overlapping shards. Quiesce now, release via defer: if try panics
-	// (it runs an arbitrary inner dictionary) and the caller recovers,
-	// held gates must not leak — they would park every future update
-	// forever.
-	first, last := d.router().overlap(lo, hi)
+	// Quiesce now, release via defer: if try panics (it runs an arbitrary
+	// inner dictionary) and the caller recovers, held gates must not leak
+	// — they would park every future update forever.
 	for s := first; s <= last; s++ {
 		defer d.mons[s].Quiesce()()
 		if d.obsRec != nil {
@@ -439,27 +349,19 @@ func (d *Dict) readConsistent(lo, hi uint64, try func(gated bool) bool) {
 }
 
 // validated is the software attempt body of an atomic cross-shard read:
-// sample the monitor of every shard overlapping [lo, hi), run read — an
-// idempotent function reading shards first..last — and re-validate the
-// samples. It reloads the routing table, and fails if the table was
-// swapped after the samples were taken, so a migrated key range can
-// never be read through stale routing. samples is caller scratch with
-// capacity NumShards.
-func (d *Dict) validated(lo, hi uint64, samples []engine.MonitorSample, read func(first, last int)) bool {
-	rt := d.rt.Load()
-	first, last := rt.overlap(lo, hi)
+// sample the monitor of every shard first..last, run read — an
+// idempotent function reading those shards — and re-validate the
+// samples. samples is caller scratch with capacity NumShards.
+func (d *Dict) validated(first, last int, samples []engine.MonitorSample, read func()) bool {
 	samples = samples[:0]
 	for s := first; s <= last; s++ {
 		smp, ok := d.mons[s].Sample()
 		if !ok {
-			return false // an update or migration is mid-flight
+			return false // an update is mid-flight
 		}
 		samples = append(samples, smp)
 	}
-	if d.rt.Load() != rt {
-		return false // routing table swapped after sampling
-	}
-	read(first, last)
+	read()
 	for s := first; s <= last; s++ {
 		if !d.mons[s].Validate(samples[s-first]) {
 			return false
@@ -470,13 +372,12 @@ func (d *Dict) validated(lo, hi uint64, samples []engine.MonitorSample, read fun
 
 // KeySum returns the sum and count of keys across all shards.
 //
-// Consistency: with Config.Atomic (or Config.Rebalance) the result is a
-// consistent cut — the sum and count of the keys present at one instant
-// during the call, as if taken at a single linearization point — and
-// KeySum may run concurrently with updates and migrations. Without
-// either it inherits the inner dictionaries' quiescent-only contract:
-// each shard is summed at a different time, and a shard's walk may
-// itself race updaters.
+// Consistency: with Config.Atomic the result is a consistent cut — the
+// sum and count of the keys present at one instant during the call, as
+// if taken at a single linearization point — and KeySum may run
+// concurrently with updates. Without it, KeySum inherits the inner
+// dictionaries' quiescent-only contract: each shard is summed at a
+// different time, and a shard's walk may itself race updaters.
 //
 // The cut is always sampled and validated, never pinned: dict.Dict's
 // KeySum is the paper's quiescent checksum, a plain walk of the whole
@@ -496,9 +397,10 @@ func (d *Dict) KeySum() (sum, count uint64) {
 		read()
 		return sum, count
 	}
+	last := len(d.shards) - 1
 	samples := make([]engine.MonitorSample, 0, len(d.shards))
-	d.readConsistent(0, maxKeySpan, func(bool) bool {
-		return d.validated(0, maxKeySpan, samples, func(int, int) { read() })
+	d.readConsistent(0, last, func(bool) bool {
+		return d.validated(0, last, samples, read)
 	})
 	return sum, count
 }
@@ -516,8 +418,7 @@ func (d *Dict) OpStats() engine.OpStats {
 }
 
 // CheckPartition verifies the partition invariant: every key stored in
-// shard i is routed to shard i by the current routing table. Quiescent
-// use only.
+// shard i is routed to shard i by the routing table. Quiescent use only.
 func (d *Dict) CheckPartition() error {
 	d.checkMu.Lock()
 	defer d.checkMu.Unlock()
@@ -527,12 +428,11 @@ func (d *Dict) CheckPartition() error {
 			d.checkHandles[i] = s.NewHandle()
 		}
 	}
-	r := d.router()
 	for i := range d.shards {
 		pairs := d.checkHandles[i].RangeQuery(0, maxKeySpan, nil)
 		for _, kv := range pairs {
-			if owner := r.ShardFor(kv.Key); owner != i {
-				lo, hi := r.Bounds(i)
+			if owner := d.rt.ShardFor(kv.Key); owner != i {
+				lo, hi := d.rt.Bounds(i)
 				return fmt.Errorf("shard %d holds key %d owned by shard %d (bounds [%d,%d))",
 					i, kv.Key, owner, lo, hi)
 			}
@@ -552,117 +452,32 @@ type handle struct {
 	// handle may run pinned (see pinnedReaders); pins is nil otherwise.
 	pins []dict.PinnedReader
 	rvs  []uint64
-
-	// router caches the routing table when the dictionary can never
-	// swap it (no rebalancer); nil on a rebalancing dictionary, whose
-	// paths must observe table swaps and load the published pointer.
-	router *rangeRouter
-
-	// sinceCheck counts point operations since the last rebalance
-	// evaluation this handle triggered (unused unless rebalancing).
-	sinceCheck int
-
-	// rerouted counts the admissions routeUpdate dropped because a
-	// migration swapped the routing table under them; ExecGroup reports
-	// its groups' share as batch.Stats.Restarts.
-	rerouted uint64
 }
 
-// curRouter returns the routing table for an operation that is not
-// admitted (a read, or an update on an unmonitored dictionary): the
-// handle-cached table when the dictionary can never swap it, the
-// published pointer otherwise.
-func (h *handle) curRouter() *rangeRouter {
-	if h.router != nil {
-		return h.router
-	}
-	return h.d.router()
-}
-
-// routeUpdate routes an update on key: it returns the owning shard and
-// the routing table that says so. On a monitored dictionary it also
-// admits the update on that shard's monitor, which it returns — the
-// caller calls mon.Exit when the operation (or the group of operations
-// on shard s it leads) completes — and re-routes if a migration swapped
-// the table between routing and admission, so the operation can never
-// run against a shard that no longer owns its key. While the admission
-// is held no migration can involve shard s, so every key r assigns to s
-// stays there. On an unmonitored dictionary mon is nil.
-func (h *handle) routeUpdate(key uint64) (s int, r *rangeRouter, mon *engine.UpdateMonitor) {
+// routeUpdate returns the shard owning key. On a monitored dictionary it
+// first admits the update on that shard's monitor, waiting while an
+// escalated reader holds the shard's quiesce gate.
+func (h *handle) routeUpdate(key uint64) int {
 	d := h.d
-	if d.mons == nil {
-		r = h.curRouter()
-		return r.ShardFor(key), r, nil
+	s := d.rt.ShardFor(key)
+	if d.mons != nil {
+		d.mons[s].Enter()
 	}
-	for {
-		r = d.rt.Load()
-		s = r.ShardFor(key)
-		mon = d.mons[s]
-		mon.Enter()
-		if d.rt.Load() == r {
-			return s, r, mon
-		}
-		mon.Exit() // migrated under us: re-route against the new table
-		h.rerouted++
-	}
-}
-
-// afterPointOp triggers a rebalance evaluation every CheckOps point
-// operations on a rebalancing dictionary.
-func (h *handle) afterPointOp() {
-	rb := h.d.reb
-	if rb == nil {
-		return
-	}
-	h.sinceCheck++
-	if h.sinceCheck >= rb.cfg.CheckOps {
-		h.sinceCheck = 0
-		h.d.maybeRebalance()
-	}
+	return s
 }
 
 func (h *handle) Insert(key, val uint64) (old uint64, existed bool) {
-	s, _, mon := h.routeUpdate(key)
-	old, existed = h.hs[s].Insert(key, val)
-	if mon != nil {
-		mon.Exit()
-	}
-	h.afterPointOp()
-	return old, existed
+	return h.hs[h.routeUpdate(key)].Insert(key, val)
 }
 
 func (h *handle) Delete(key uint64) (old uint64, existed bool) {
-	s, _, mon := h.routeUpdate(key)
-	old, existed = h.hs[s].Delete(key)
-	if mon != nil {
-		mon.Exit()
-	}
-	h.afterPointOp()
-	return old, existed
+	return h.hs[h.routeUpdate(key)].Delete(key)
 }
 
-// Search routes to the owning shard. On a rebalancing dictionary a hit
-// is always linearizable (at the instant the routing table was loaded,
-// the routed shard held the authoritative copy, and a migration keeps
-// the moved keys present in the donor until after the table swap), but
-// a miss could be stale: a migration completing between the table load
-// and the shard read may have moved the key to a shard this search
-// never visited. A miss therefore revalidates the table and re-routes
-// if it changed — searches stay gate-free and pay only one extra
-// atomic load on the miss path.
+// Search routes to the owning shard. Searches are never admitted: a
+// read does not wait at a quiesce gate.
 func (h *handle) Search(key uint64) (val uint64, found bool) {
-	d := h.d
-	if h.router != nil {
-		return h.hs[h.router.ShardFor(key)].Search(key)
-	}
-	for {
-		rt := d.rt.Load()
-		val, found = h.hs[rt.ShardFor(key)].Search(key)
-		if found || d.rt.Load() == rt {
-			return val, found
-		}
-		// Miss under a routing change: retry against the new table.
-	}
+	return h.hs[h.d.rt.ShardFor(key)].Search(key)
 }
 
 // readShards appends the pairs of [lo, hi) from shards first..last to
@@ -694,7 +509,7 @@ func (h *handle) readShards(first, last int, lo, hi uint64, out []dict.KV) []dic
 // the dictionary's content at that instant — and what makes one abort
 // is a cell it reaches having been written since, not any update
 // anywhere in its shard.
-func (h *handle) pinned(first, last int, read func(first, last int) dict.PinStatus) dict.PinStatus {
+func (h *handle) pinned(first, last int, read func() dict.PinStatus) dict.PinStatus {
 	for s := first; s <= last; s++ {
 		h.pins[s].PinEnter()
 	}
@@ -707,7 +522,7 @@ func (h *handle) pinned(first, last int, read func(first, last int) dict.PinStat
 			return dict.PinAborted
 		}
 	}
-	return read(first, last)
+	return read()
 }
 
 func (h *handle) pinExit(first, last int) {
@@ -716,7 +531,7 @@ func (h *handle) pinExit(first, last int) {
 	}
 }
 
-// readAtomic runs one atomic cross-shard read of [lo, hi) through the
+// readAtomic runs one atomic read of shards first..last through the
 // retry/escalate loop. While the handle supports it the attempts are
 // pinned transactions (pinned, running pin); otherwise, and from the
 // moment pinning cannot serve this read, they sample, run read and
@@ -727,16 +542,12 @@ func (h *handle) pinExit(first, last int) {
 // software body does once the in-flight updates drain, while a
 // best-effort transaction promises nothing (the paper's division of
 // labour between the HTM path and the path that guarantees progress).
-func (h *handle) readAtomic(lo, hi uint64, pin func(first, last int) dict.PinStatus, read func(first, last int)) {
+func (h *handle) readAtomic(first, last int, pin func() dict.PinStatus, read func()) {
 	d := h.d
 	pinning := h.pins != nil
-	var first, last int
-	if pinning {
-		first, last = h.router.overlap(lo, hi) // pinning implies a static table
-	}
-	d.readConsistent(lo, hi, func(gated bool) bool {
+	d.readConsistent(first, last, func(gated bool) bool {
 		if !pinning {
-			return d.validated(lo, hi, h.samples[:0], read)
+			return d.validated(first, last, h.samples, read)
 		}
 		d.rqPinned.Add(1)
 		st := h.pinned(first, last, pin)
@@ -748,28 +559,20 @@ func (h *handle) readAtomic(lo, hi uint64, pin func(first, last int) dict.PinSta
 // RangeQuery fans out to the shards overlapping [lo, hi). Each shard
 // filters to its own keys and the partition is contiguous, so handing
 // every shard the full interval and concatenating in partition order
-// preserves global ascending key order. With Config.Atomic (or
-// Config.Rebalance) a fan-out is additionally run through readAtomic,
-// making the result a consistent cut; on a non-rebalancing dictionary a
-// window inside a single shard is atomic either way and skips it (with
-// rebalancing even single-shard windows validate, because a concurrent
-// migration may be moving the window's keys between shards).
+// preserves global ascending key order. With Config.Atomic a fan-out
+// that spans shards is additionally run through readAtomic, making the
+// result a consistent cut; a window inside a single shard is atomic
+// either way and skips it.
 func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	if hi <= lo {
 		return out
 	}
-	d := h.d
-	if d.mons == nil {
-		first, last := h.curRouter().overlap(lo, hi)
+	first, last := h.d.rt.overlap(lo, hi)
+	if h.d.mons == nil || first == last {
 		return h.readShards(first, last, lo, hi, out)
 	}
-	if d.reb == nil {
-		if first, last := h.curRouter().overlap(lo, hi); first == last {
-			return h.readShards(first, last, lo, hi, out)
-		}
-	}
 	base := len(out)
-	h.readAtomic(lo, hi, func(first, last int) dict.PinStatus {
+	h.readAtomic(first, last, func() dict.PinStatus {
 		out = out[:base]
 		for s := first; s <= last; s++ {
 			var st dict.PinStatus
@@ -778,7 +581,7 @@ func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 			}
 		}
 		return dict.PinCommitted
-	}, func(first, last int) {
+	}, func() {
 		out = h.readShards(first, last, lo, hi, out[:base])
 	})
 	return out

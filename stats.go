@@ -28,8 +28,8 @@ type Stats struct {
 	// algorithms whose fallback is lock-free).
 	FallbackAcquisitions uint64
 	// Quiesces counts completed update-monitor quiesces — escalated
-	// consistent reads and shard migrations; zero unless the tree is
-	// sharded with AtomicRangeQueries or RouterAdaptive.
+	// consistent reads; zero unless the tree is sharded with
+	// AtomicRangeQueries.
 	Quiesces uint64
 	// Reclaim reports where removed nodes are: in limbo behind a grace
 	// period, or pooled for reuse on the handles' free lists. Gauges,
@@ -37,12 +37,8 @@ type Stats struct {
 	// nodes (Citrus, the k-CAS list, Hybrid NOrec).
 	Reclaim ReclaimStats
 	// Range reports atomic cross-shard read outcomes; all zero unless
-	// the tree is sharded with AtomicRangeQueries (or RouterAdaptive,
-	// which implies the same read validation).
+	// the tree is sharded with AtomicRangeQueries.
 	Range RangeQueryStats
-	// Rebalance reports live shard-rebalancing activity; all zero
-	// unless the tree is sharded with RouterAdaptive.
-	Rebalance RebalanceStats
 	// Aggregate reports how aggregate queries (Handle.RangeAgg and
 	// friends) were answered on (a,b)-trees.
 	Aggregate AggregateStats
@@ -57,13 +53,13 @@ func (t *Tree) Stats() Stats {
 	s := statsOf(t.stats.OpStats())
 	s.Batch = t.batchCtrs.Snapshot()
 	if sd, ok := t.d.(*shard.Dict); ok {
-		s.Range, s.Rebalance = sd.RQStats(), sd.RebalanceStats()
+		s.Range = sd.RQStats()
 	}
 	return s
 }
 
 // statsOf is the part of Stats the snapshot below the shard layer
-// answers: everything but Range, Rebalance and Batch.
+// answers: everything but Range and Batch.
 func statsOf(o engine.OpStats) Stats {
 	s := Stats{
 		Ops:                  o.PathCounts,
@@ -141,7 +137,7 @@ var families = []family{
 		}},
 	{name: "htmtree_fallback_acquisitions_total", help: "TLE global lock acquisitions: the fallback critical sections of the tle algorithm.",
 		inner: true, read: func(s *Stats, emit emitFn) { emit(s.FallbackAcquisitions) }},
-	{name: "htmtree_monitor_quiesces_total", help: "Completed update-monitor quiesces (escalated consistent reads and shard migrations).",
+	{name: "htmtree_monitor_quiesces_total", help: "Completed update-monitor quiesces (escalated consistent reads).",
 		inner: true, read: func(s *Stats, emit emitFn) { emit(s.Quiesces) }},
 	{name: "htmtree_reclaim_nodes", help: "Removed nodes not back in the tree: waiting out a grace period (limbo), or pooled for reuse on the handles' immediate, grace and inner free lists.",
 		gauge: true, inner: true, labels: []string{"state"},
@@ -162,16 +158,10 @@ var families = []family{
 		read: func(s *Stats, emit emitFn) { emit(s.Range.Attempts) }},
 	{name: "htmtree_rq_pinned_attempts_total", help: "Cross-shard read attempts that ran as pinned transactions instead of sampling and validating monitors.",
 		read: func(s *Stats, emit emitFn) { emit(s.Range.Pinned) }},
-	{name: "htmtree_rq_retries_total", help: "Cross-shard read attempts invalidated by a concurrent update or migration.",
+	{name: "htmtree_rq_retries_total", help: "Cross-shard read attempts invalidated by a concurrent update.",
 		read: func(s *Stats, emit emitFn) { emit(s.Range.Retries) }},
 	{name: "htmtree_rq_escalations_total", help: "Cross-shard reads that exhausted the optimistic budget and quiesced their shards.",
 		read: func(s *Stats, emit emitFn) { emit(s.Range.Escalations) }},
-	{name: "htmtree_rebalance_checks_total", help: "Full-window rebalance imbalance evaluations.",
-		read: func(s *Stats, emit emitFn) { emit(s.Rebalance.Checks) }},
-	{name: "htmtree_migrations_total", help: "Completed key-range migrations between neighbor shards.",
-		read: func(s *Stats, emit emitFn) { emit(s.Rebalance.Migrations) }},
-	{name: "htmtree_migration_keys_total", help: "Keys moved by completed migrations.",
-		read: func(s *Stats, emit emitFn) { emit(s.Rebalance.KeysMoved) }},
 	{name: "htmtree_batch_flushes_total", help: "Non-empty batch buffer flushes across the tree's asynchronous handles.",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.Flushes) }},
 	{name: "htmtree_batch_flushed_ops_total", help: "Point operations carried by batch flushes.",
@@ -189,8 +179,6 @@ var families = []family{
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.GroupOps) }},
 	{name: "htmtree_exec_monitor_brackets_total", help: "Monitor admissions held by shard-group execution on a monitored tree (one per group).",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.MonitorBrackets) }},
-	{name: "htmtree_exec_restarts_total", help: "Shard-group executions restarted because a migration moved the group's keys mid-flight.",
-		read: func(s *Stats, emit emitFn) { emit(s.Batch.Restarts) }},
 }
 
 func emitPaths(p PathCounts, emit emitFn) {

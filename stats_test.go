@@ -6,6 +6,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"htmtree/internal/htm"
+	"htmtree/internal/shard"
 )
 
 // statsLeaf is one counter of Stats: its field path and its index path.
@@ -91,9 +94,10 @@ func TestEveryStatsCounterHasAFamily(t *testing.T) {
 // counter or gauge family the table does not list. The trees ran an
 // abort storm first, so the values compared are not all zero: every path
 // and (under TLE) the fallback lock carried load, and removed nodes sit
-// in limbo and in the pools. The sharded (a,b)-tree rebalances, answers
-// atomic range and aggregate queries and executes batches, so the
-// range, rebalance, batch and aggregate rows carry load too.
+// in limbo and in the pools. The sharded (a,b)-tree answers atomic range
+// and aggregate queries — its first cross-shard read escalating to the
+// quiesce gates — and executes batches, so the range, quiesce, batch and
+// aggregate rows carry load too.
 func TestScrapeEqualsStats(t *testing.T) {
 	t.Parallel()
 	const keySpan = 256
@@ -116,12 +120,14 @@ func TestScrapeEqualsStats(t *testing.T) {
 			tcase{string(alg), storm(alg), NewBST, 1},
 			tcase{string(alg), storm(alg), NewShardedBST, 8})
 	}
-	cases = append(cases, tcase{"abtree-adaptive", Config{
-		Router:             RouterAdaptive,
+	cases = append(cases, tcase{"abtree-atomic-batched", Config{
 		AtomicRangeQueries: true,
-		RebalanceCheckOps:  64,
-		RebalanceRatio:     0.01, // migrate on any imbalance
 		BatchMaxOps:        16,
+		// The tree's first DefaultRQRetries transactional accesses abort
+		// by conflict: every optimistic attempt of the first cross-shard
+		// read fails, and it escalates.
+		Faults: NewFaultPlan(5, FaultRule{Point: FaultTxAccess, Every: 1,
+			Count: shard.DefaultRQRetries, Cause: uint8(htm.CauseConflict)}),
 	}, NewShardedABTree, 8})
 	for _, tc := range cases {
 		tc := tc
@@ -134,18 +140,17 @@ func TestScrapeEqualsStats(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			adaptive := cfg.Router == RouterAdaptive
-			span := uint64(keySpan)
-			if adaptive {
-				span = keySpan / 4 // skewed onto the low shards: migrations
+			atomic := cfg.AtomicRangeQueries
+			if atomic {
+				tree.NewHandle().RangeQuery(1, keySpan+1, nil)
 			}
 			// Enough updates per inner handle on 8 shards that the pools
 			// and reclamation bags publish their gauges at least once
 			// (every 64 settles, every 32 retirements), also under TLE,
 			// whose fast-path leaf removals recycle at once instead of
 			// retiring.
-			churn(tree, 4, 1200, span)
-			if adaptive {
+			churn(tree, 4, 1200, keySpan)
+			if atomic {
 				h, ah := tree.NewHandle(), tree.NewAsyncHandle()
 				for k := uint64(1); k <= keySpan; k += 3 {
 					ah.Insert(k, k)
@@ -192,16 +197,16 @@ func TestScrapeEqualsStats(t *testing.T) {
 			if st.FallbackAcquisitions != wantAcq {
 				t.Errorf("FallbackAcquisitions = %d, want %d", st.FallbackAcquisitions, wantAcq)
 			}
-			if rc := st.Reclaim; !adaptive && rc.Limbo+rc.PooledImmediate+rc.PooledGrace+rc.PooledInner == 0 {
+			if rc := st.Reclaim; !atomic && rc.Limbo+rc.PooledImmediate+rc.PooledGrace+rc.PooledInner == 0 {
 				t.Errorf("the churn left every reclamation gauge at zero: %+v", rc)
 			}
-			if !adaptive && (st.Ops.Fast == 0 || st.Ops.Fallback == 0 || st.Policy.FreeRetries == 0) {
+			if !atomic && (st.Ops.Fast == 0 || st.Ops.Fallback == 0 || st.Policy.FreeRetries == 0) {
 				t.Errorf("the storm left counters at zero: %+v %+v", st.Ops, st.Policy)
 			}
-			if adaptive && (st.Range.Attempts == 0 || st.Rebalance.Migrations == 0 || st.Quiesces == 0 ||
+			if atomic && (st.Range.Attempts == 0 || st.Range.Escalations == 0 || st.Quiesces == 0 ||
 				st.Batch.Groups == 0 || st.Batch.MonitorBrackets == 0 || st.Aggregate.Fast == 0) {
-				t.Errorf("range, rebalance, batch or aggregate counters at zero: %+v %+v %d %+v %+v",
-					st.Range, st.Rebalance, st.Quiesces, st.Batch, st.Aggregate)
+				t.Errorf("range, quiesce, batch or aggregate counters at zero: %+v %d %+v %+v",
+					st.Range, st.Quiesces, st.Batch, st.Aggregate)
 			}
 		})
 	}
