@@ -283,6 +283,14 @@ func TestAllocGateABTreeFallbackScan(t *testing.T) {
 	if whole > one+1 {
 		t.Errorf("fallback scan of %d keys: %.0f allocs, of one key: %.0f, want at most one more", keys, whole, one)
 	}
+	// The aggregate query runs the same walk with another leaf visitor.
+	if allocs := testing.AllocsPerRun(100, func() {
+		if a, err := h.RangeAgg(1, keys+1); err != nil || a.Count != keys {
+			t.Fatalf("RangeAgg = %+v, %v, want %d keys", a, err, keys)
+		}
+	}); allocs != 0 {
+		t.Errorf("fallback aggregate walk of %d keys: %.0f allocs, want 0", keys, allocs)
+	}
 	if st := tree.Stats().Ops; st.Fallback == 0 || st.Fast+st.Middle != 0 {
 		t.Fatalf("the scans did not run on the fallback path: %+v", st)
 	}

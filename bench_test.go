@@ -177,7 +177,8 @@ func BenchmarkFig17HybridNOrec(b *testing.B) {
 	}
 }
 
-// ---- Section 8: searches outside transactions ----
+// ---- Section 8: searches outside transactions (the BST, whose locate
+// and revalidate implement it; the (a,b)-tree has no such mode) ----
 
 func BenchmarkSec8SearchOutsideTx(b *testing.B) {
 	for _, outside := range []bool{false, true} {
@@ -189,12 +190,12 @@ func BenchmarkSec8SearchOutsideTx(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			runTrialBench(b,
 				func() dict.Dict {
-					return abtree.New(abtree.Config{
+					return bst.New(bst.Config{
 						Algorithm:       engine.AlgThreePath,
 						SearchOutsideTx: outside,
 					})
 				},
-				workload.Config{KeyRange: abKeys, Kind: workload.Light})
+				workload.Config{KeyRange: bstKeys, Kind: workload.Light})
 		})
 	}
 }

@@ -127,9 +127,11 @@ type Config struct {
 	// reproduces from the (seed, plan) pair alone. Nil (the default)
 	// compiles every injection check to a single predictable branch.
 	Faults *FaultPlan
-	// SearchOutsideTx enables the Section 8 optimization: operations
-	// locate their target with unsubscribed reads and revalidate inside
-	// the transaction.
+	// SearchOutsideTx enables the Section 8 optimization on a BST:
+	// operations locate their target with unsubscribed reads and
+	// revalidate inside the transaction. NewABTree and NewShardedABTree
+	// reject it: the (a,b)-tree's updates record their search path for
+	// aggregate maintenance, so their descents stay subscribed.
 	SearchOutsideTx bool
 
 	// A and B are the (a,b)-tree degree bounds (defaults 6 and 16;
@@ -316,6 +318,9 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 		if err := abtree.CheckDegree(c.A, c.B); err != nil {
 			return 0, hcfg, ecfg, fmt.Errorf("htmtree: %w", err)
 		}
+		if c.SearchOutsideTx {
+			return 0, hcfg, ecfg, fmt.Errorf("htmtree: Config.SearchOutsideTx is a BST option (the (a,b)-tree's updates keep their descents subscribed for aggregate maintenance)")
+		}
 	}
 	hcfg = htm.Config{
 		ReadCapacity:  c.ReadCapacity,
@@ -371,7 +376,7 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 		var it *Tree
 		if ab {
 			t := abtree.New(abtree.Config{A: cfg.A, B: cfg.B, Algorithm: alg,
-				HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
+				HTM: hcfg, Engine: ecfg})
 			it = &Tree{d: t, stats: t, invariants: t.CheckInvariants}
 		} else {
 			t := bst.New(bst.Config{Algorithm: alg,

@@ -171,8 +171,6 @@ type Config struct {
 	HTM htm.Config
 	// Engine overrides attempt budgets and the fallback indicator.
 	Engine engine.Config
-	// SearchOutsideTx enables the Section 8 optimization.
-	SearchOutsideTx bool
 }
 
 // Tree is a concurrent relaxed (a,b)-tree.
@@ -271,6 +269,9 @@ type Handle struct {
 	fixMore        bool
 	rqOut          []dict.KV
 	resAgg         dict.Agg
+	// aggWalked records that the aggregate query's software body, the
+	// leaf walk, answered it (RangeAgg's count).
+	aggWalked bool
 
 	// path records the internal nodes on an update's search path, root
 	// child first down to the leaf's parent (agg.go maintenance).
@@ -313,7 +314,7 @@ func (t *Tree) newHandle() *Handle {
 		cbuf: make([]*Node, 0, 2),
 	}
 	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
-	h.e.EnableReclaim(h.pool, t.cfg.SearchOutsideTx)
+	h.e.EnableReclaim(h.pool, false)
 	h.buildOps()
 	return h
 }

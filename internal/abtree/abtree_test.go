@@ -236,14 +236,6 @@ func TestConcurrentKeySumSmallNodes(t *testing.T) {
 	}
 }
 
-func TestConcurrentKeySumSearchOutsideTx(t *testing.T) {
-	t.Parallel()
-	testConcurrentKeySum(t, Config{
-		Algorithm:       engine.AlgThreePath,
-		SearchOutsideTx: true,
-	}, 4, 3000, 256)
-}
-
 func TestConcurrentKeySumWithSpuriousAborts(t *testing.T) {
 	t.Parallel()
 	testConcurrentKeySum(t, Config{

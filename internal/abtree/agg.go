@@ -7,7 +7,6 @@ import (
 	"htmtree/internal/engine"
 	"htmtree/internal/fault"
 	"htmtree/internal/htm"
-	"htmtree/internal/llxscx"
 )
 
 // Subtree aggregates: the (sum, count) of the keys beneath every node,
@@ -218,9 +217,9 @@ func (t *Tree) aggFixupNonTx(pr *prims) {
 // ---- aggregate queries ----
 
 // RangeAgg returns the sum/count/min/max of the keys in [lo, hi). The
-// transactional path descends via the aggregate cells in O(log n)
-// (sum and count of the whole tree are the root's cell); paths without a
-// transaction fall back to the LLX-validated leaf walk, the same
+// Fast body descends via the aggregate cells in O(log n) (sum and count
+// of the whole tree are the root's cell), in a transaction or under the
+// TLE lock; the software body is the LLX-validated leaf walk, the same
 // traversal RangeQuery uses. Min is ^uint64(0) and Max is 0 when
 // Count is 0. The error is always nil for an unsharded tree (the
 // signature is shared with the sharded dictionary, where aggregate
@@ -229,7 +228,9 @@ var _ dict.AggHandle = (*Handle)(nil)
 
 func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	h.argLo, h.argHi = lo, hi
-	if h.e.Run(h.aggOp) == htm.PathFallback {
+	h.aggWalked = false
+	h.e.Run(h.aggOp)
+	if h.aggWalked {
 		h.t.aggWalkQ.Add(1)
 	} else {
 		h.t.aggFastQ.Add(1)
@@ -339,40 +340,11 @@ func aggCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	}
 }
 
-// aggFallback answers the aggregate query with an LLX-validated leaf
-// walk (rqFallback's traversal, accumulating instead of collecting),
-// restarting on any failed LLX. Child snapshots live on the stack
-// (snapshotChildrenLLX), so steady-state queries stay allocation-free.
+// aggFallback answers the aggregate query with the LLX-validated leaf
+// walk RangeQuery's fallback uses (walkLLX), folding keys instead of
+// collecting them.
 func (t *Tree) aggFallback(h *Handle) bool {
 	h.resAgg = dict.Agg{Min: aggEmptyMin, Max: aggEmptyMax}
-	var root *Node
-	if _, st := llxscx.LLX(nil, &t.entry.hdr, func() {
-		root = t.entry.children[0].Get(nil)
-	}); st != llxscx.StatusOK {
-		return false
-	}
-	return t.aggWalkLLX(root, h)
-}
-
-func (t *Tree) aggWalkLLX(n *Node, h *Handle) bool {
-	if n.leaf {
-		ok := true
-		if _, st := llxscx.LLX(nil, &n.hdr, func() { aggCollectLeaf(nil, n, h) }); st != llxscx.StatusOK {
-			ok = false
-		}
-		return ok
-	}
-	var arr [MaxB]*Node
-	snap, ok := snapshotChildrenLLX(n, &arr)
-	if !ok {
-		return false
-	}
-	for i, c := range snap {
-		if rqChildOverlaps(n, i, h.argLo, h.argHi) {
-			if !t.aggWalkLLX(c, h) {
-				return false
-			}
-		}
-	}
-	return true
+	h.aggWalked = true
+	return t.walkLLX(h, aggCollectLeaf)
 }

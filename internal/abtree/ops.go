@@ -15,34 +15,31 @@ func (h *Handle) buildOps() {
 	t := h.t
 	// Every path runs the one body of its operation; the path only
 	// chooses the mode the body's primitives run in. Under the TLE lock
-	// the update and fix bodies run their fast-mode code with a nil tx
-	// (engine.Op.Locked): nothing else writes the tree while the lock is
-	// held, and every transaction subscribes to the lock word, so their
-	// non-transactional aggregate updates need no aggVer bracket.
+	// every operation runs its Fast body with a nil tx (engine.Op.Fast):
+	// nothing else writes the tree while the lock is held, and every
+	// transaction subscribes to the lock word, so the update and fix
+	// bodies' non-transactional aggregate updates need no aggVer bracket,
+	// and the aggregate query descends as it does in a transaction.
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.insertBody(h.prims(engine.ModeFallback, nil)) },
-		SCXHTM: func(useHTM bool) bool {
-			return t.insertBody(h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
-		Update: true,
+		SCXHTM:   func() bool { return t.insertBody(h.prims(engine.ModeSCXHTM, nil)) },
+		Update:   true,
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.deleteBody(h.prims(engine.ModeFallback, nil)) },
-		SCXHTM: func(useHTM bool) bool {
-			return t.deleteBody(h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
-		Update: true,
+		SCXHTM:   func() bool { return t.deleteBody(h.prims(engine.ModeSCXHTM, nil)) },
+		Update:   true,
 	}
 	// The read-only operations have one transactional body, so they leave
 	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
-	// to run beside fallback-path SCXs. Nor have search and range query a
-	// locked or a Section 4 body of their own (engine.Op.Locked, SCXHTM).
+	// to run beside fallback-path SCXs. Nor have they an SCX for a Section
+	// 4 attempt to accelerate (engine.Op.SCXHTM).
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
@@ -61,22 +58,15 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.fixBody(h.prims(engine.ModeFallback, nil)) },
-		SCXHTM: func(useHTM bool) bool {
-			return t.fixBody(h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
+		SCXHTM:   func() bool { return t.fixBody(h.prims(engine.ModeSCXHTM, nil)) },
 	}
-	// Aggregate range query (agg.go): the transactional paths descend via
-	// the aggregate cells; paths without a transaction use the
-	// LLX-validated leaf walk, the TLE lock's included, which is what
-	// AggregateStats.Walk counts there.
+	// Aggregate range query (agg.go): Fast descends via the aggregate
+	// cells, Fallback walks the leaves under LLXs; RangeAgg counts which
+	// of the two answered (engine.AggregateStats).
 	h.aggOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.aggInTx(tx, h) },
 		Fallback: func() bool { return t.aggFallback(h) },
-		Locked: func() {
-			for !t.aggFallback(h) {
-			}
-		},
 	}
 	// Pre-wrap the update ops' transactional bodies with the engine's
 	// monitor bump (no-op without a monitor) so Run stays allocation-free.
@@ -225,12 +215,11 @@ func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 
 // locateForUpdate runs the search phase for insert/delete, recording
 // the internal nodes below the entry sentinel into h.path (the leaf's
-// ancestors, root child first) for aggregate maintenance. Updates
-// always descend with subscribed reads, even under Section 8
-// (SearchOutsideTx): the recorded path receives aggregate deltas at
-// commit, so the transaction must be invalidated if any node on it is
-// replaced — exactly what subscription provides. Searches and range
-// queries keep the unsubscribed-search optimization.
+// ancestors, root child first) for aggregate maintenance. The descent's
+// reads are subscribed, as every (a,b)-tree read inside a transaction
+// is: the recorded path receives aggregate deltas at commit, so the
+// transaction must be invalidated if any node on it is replaced, which
+// rules out the BST's Section 8 search outside the transaction here.
 func (t *Tree) locateForUpdate(pr *prims, key uint64) (p, u *Node, uIdx int) {
 	h := pr.h
 	h.path = h.path[:0]
@@ -520,26 +509,32 @@ func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	}
 }
 
-// rqFallback collects the range with an LLX-validated DFS, restarting on
-// any failed LLX.
+// rqFallback collects the range with the LLX-validated leaf walk.
 func (t *Tree) rqFallback(h *Handle) bool {
 	h.rqOut = h.rqOut[:0]
+	return t.walkLLX(h, rqCollectLeaf)
+}
+
+// walkLLX is the software range walk of both range operations: a DFS
+// over the subtrees overlapping [h.argLo, h.argHi), left to right, that
+// reads every internal node's children and every leaf's pairs under an
+// LLX, handing each leaf to visit — a static function, so the walk
+// allocates nothing. It reports false on any failed LLX; the caller's
+// fallback loop then restarts it from the root.
+func (t *Tree) walkLLX(h *Handle, visit func(tx *htm.Tx, n *Node, h *Handle)) bool {
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.entry.hdr, func() {
 		root = t.entry.children[0].Get(nil)
 	}); st != llxscx.StatusOK {
 		return false
 	}
-	return t.rqWalkLLX(root, h)
+	return walkSubtreeLLX(root, h, visit)
 }
 
-func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
+func walkSubtreeLLX(n *Node, h *Handle, visit func(tx *htm.Tx, n *Node, h *Handle)) bool {
 	if n.leaf {
-		ok := true
-		if _, st := llxscx.LLX(nil, &n.hdr, func() { rqCollectLeaf(nil, n, h) }); st != llxscx.StatusOK {
-			ok = false
-		}
-		return ok
+		_, st := llxscx.LLX(nil, &n.hdr, func() { visit(nil, n, h) })
+		return st == llxscx.StatusOK
 	}
 	var arr [MaxB]*Node
 	snap, ok := snapshotChildrenLLX(n, &arr)
@@ -547,10 +542,8 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 		return false
 	}
 	for i, c := range snap {
-		if rqChildOverlaps(n, i, h.argLo, h.argHi) {
-			if !t.rqWalkLLX(c, h) {
-				return false
-			}
+		if rqChildOverlaps(n, i, h.argLo, h.argHi) && !walkSubtreeLLX(c, h, visit) {
+			return false
 		}
 	}
 	return true

@@ -65,15 +65,15 @@ type Config struct {
 type Counters struct {
 	Flushes, BatchedOps                        atomic.Uint64
 	SizeFlushes, ExplicitFlushes, RangeFlushes atomic.Uint64
-	Groups, GroupOps, MonitorBrackets          atomic.Uint64
+	Groups, GroupOps                           atomic.Uint64
 }
 
 // Stats is a Counters snapshot. The amortization batching exists for
 // reads off directly: an unbatched stream pays one router lookup (and,
 // on a sharded tree with atomic range queries, one monitor admission)
-// per operation, while group execution pays one of
-// each per group, so GroupOps/Groups and GroupOps/MonitorBrackets are
-// the factors by which batching cut that per-operation overhead.
+// per operation, while group execution pays one of each per group, so
+// GroupOps/Groups is the factor by which batching cut that per-operation
+// overhead.
 type Stats struct {
 	// Flushes counts non-empty buffer flushes and BatchedOps the point
 	// operations they carried (BatchedOps/Flushes is the realized mean
@@ -89,10 +89,6 @@ type Stats struct {
 	// locality); zero unless the handle is a group executor (a sharded
 	// tree's).
 	Groups, GroupOps uint64
-	// MonitorBrackets counts the monitor admissions group execution held:
-	// one per group on a monitored dictionary, where unbatched dispatch
-	// pays one per op.
-	MonitorBrackets uint64
 }
 
 // Snapshot returns the current counts. Safe to call while pipelines
@@ -106,7 +102,6 @@ func (c *Counters) Snapshot() Stats {
 		RangeFlushes:    c.RangeFlushes.Load(),
 		Groups:          c.Groups.Load(),
 		GroupOps:        c.GroupOps.Load(),
-		MonitorBrackets: c.MonitorBrackets.Load(),
 	}
 }
 

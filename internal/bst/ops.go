@@ -30,26 +30,22 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.insertBody(h, h.prims(engine.ModeFallback, nil)) },
-		SCXHTM: func(useHTM bool) bool {
-			return t.insertBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
-		Update: true,
+		SCXHTM:   func() bool { return t.insertBody(h, h.prims(engine.ModeSCXHTM, nil)) },
+		Update:   true,
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeFast, tx)) },
 		Middle:   func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.deleteBody(h, h.prims(engine.ModeFallback, nil)) },
-		SCXHTM: func(useHTM bool) bool {
-			return t.deleteBody(h, h.prims(engine.SCXHTMMode(useHTM), nil))
-		},
-		Update: true,
+		SCXHTM:   func() bool { return t.deleteBody(h, h.prims(engine.ModeSCXHTM, nil)) },
+		Update:   true,
 	}
 	// The read-only operations have one transactional body, so they leave
 	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
-	// to run beside fallback-path SCXs. And no operation here has a locked
-	// body of its own: under the TLE lock each runs its Fast body with a
-	// nil tx (engine.Op.Locked), the sequential code of Figure 13.
+	// to run beside fallback-path SCXs. Under the TLE lock every operation
+	// runs its Fast body with a nil tx (engine.Op.Fast), the sequential
+	// code of Figure 13.
 	h.searchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },

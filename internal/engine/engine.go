@@ -352,12 +352,14 @@ type PathCounts struct {
 // Total sums the three paths.
 func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
 
-// AggregateStats counts aggregate-query executions by answer path.
+// AggregateStats counts aggregate queries by the body that answered
+// them, whatever path Run returned.
 type AggregateStats struct {
-	// Fast counts queries answered by the O(log n) transactional descent
-	// over maintained subtree aggregates, Walk the queries that fell back
-	// to the LLX-validated leaf walk (fallback-path or TLE-locked
-	// executions). Always zero on a BST, whose RangeAgg walks the range
+	// Fast counts queries answered by the O(log n) descent over
+	// maintained subtree aggregates — in a transaction, or under the TLE
+	// lock with a nil tx — and Walk the queries answered by the
+	// LLX-validated leaf walk, the software body (fallback path, non-htm,
+	// scx-htm). Always zero on a BST, whose RangeAgg walks the range
 	// without touching either counter.
 	Fast, Walk uint64
 }
@@ -449,15 +451,22 @@ func (th *Thread) completed(p htm.PathKind) {
 	atomic.AddUint64(&th.ops[p], 1)
 }
 
-// Op supplies the bodies of one data-structure operation. Bodies are
-// invoked repeatedly (one invocation per attempt) and must re-read all
-// state from the top each time; results are delivered through variables
-// the closures capture.
+// Op supplies the bodies of one data-structure operation: one body per
+// path, run in the path's mode. Bodies are invoked repeatedly (one
+// invocation per attempt) and must re-read all state from the top each
+// time; results are delivered through variables the closures capture.
+// It is passed by value on every operation, so it is kept to one cache
+// line (64 bytes).
 type Op struct {
 	// Fast is the uninstrumented sequential body run inside a
 	// transaction (used by TLE, 2-path-ncon and 3-path). It signals a
 	// logical retry by calling tx.Abort(CodeRetry); completing normally
-	// commits the operation.
+	// commits the operation. It is also TLE's locked body, run with a nil
+	// tx under the global lock — what the paper means by TLE: the same
+	// sequential code, run under the lock instead of in a transaction.
+	// Nothing else writes the structure while the lock is held, so a
+	// body's logical retries cannot fire there; a body must not reach
+	// tx.Abort with a nil tx.
 	Fast func(tx *htm.Tx)
 	// Middle is the instrumented body run inside a transaction (used as
 	// 3-path's middle path and as 2-path-con's fast path): the template
@@ -472,20 +481,15 @@ type Op struct {
 	// attempts — and goes from there to the fallback path.
 	Middle func(tx *htm.Tx)
 	// Fallback is the original lock-free template body (LLXO/SCXO). It
-	// returns false to request a retry.
+	// returns false to request a retry. It is also scx-htm's software
+	// phase.
 	Fallback func() bool
-	// Locked is the sequential body run under the TLE global lock; it
-	// must always complete. Only used by AlgTLE. Nil means what the paper
-	// means by TLE — the same sequential code, run under the lock instead
-	// of in a transaction: Fast with a nil tx. An operation sets it only
-	// when its locked body is different code.
-	Locked func()
-	// SCXHTM is the Section 4 body: template structure with
-	// non-transactional LLX and the standalone HTM SCX when useHTM is
-	// true, or SCXO when false. It returns false to request a retry.
-	// Only used by AlgSCXHTM. Nil means the operation has no SCX to
+	// SCXHTM is the Section 4 attempt: the template structure with
+	// non-transactional LLX and the standalone HTM SCX. It returns false
+	// to request a retry. Only used by AlgSCXHTM, which budgets attempts
+	// for it and then runs Fallback. Nil means the operation has no SCX to
 	// accelerate: Fallback in both phases.
-	SCXHTM func(useHTM bool) bool
+	SCXHTM func() bool
 	// Update marks operations that may change the dictionary's logical
 	// content (inserts and deletes, but not searches, range queries, or
 	// content-preserving rebalancing steps). When the engine has a
@@ -665,23 +669,24 @@ func (th *Thread) run(op Op) htm.PathKind {
 
 	case AlgSCXHTM:
 		// The standalone HTM SCX commits inside op.SCXHTM where the
-		// engine cannot reach, so both its modes count as
+		// engine cannot reach, so both phases — SCXHTM attempts, then
+		// the software phase, which is Fallback — count as
 		// non-transactional for the monitor.
 		if mon != nil {
 			mon.beginNonTx()
 			defer mon.endNonTx()
 		}
-		body := op.SCXHTM
-		if body == nil {
-			body = func(bool) bool { return op.Fallback() }
+		attempt := op.SCXHTM
+		if attempt == nil {
+			attempt = op.Fallback
 		}
 		for i := 0; i < attemptBudget; i++ {
-			if body(true) {
+			if attempt() {
 				th.completed(htm.PathFast)
 				return htm.PathFast
 			}
 		}
-		for !body(false) {
+		for !op.Fallback() {
 		}
 		th.completed(htm.PathFallback)
 		return htm.PathFallback
@@ -693,8 +698,9 @@ func (th *Thread) run(op Op) htm.PathKind {
 
 // runTLE implements transactional lock elision: the fast path subscribes
 // to the global lock and aborts while it is held; when the retry policy
-// exhausts the attempt budget the operation acquires the lock and
-// runs the sequential body. TLE is deadlock-free but not lock-free: a
+// exhausts the attempt budget the operation acquires the lock and runs
+// the same sequential body, Fast, with a nil tx. TLE is deadlock-free but
+// not lock-free: a
 // lock holder that is descheduled or dies stops every other thread of
 // the engine, which is what 3-path's middle path exists to avoid.
 func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
@@ -736,11 +742,7 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 			mon.beginNonTx()
 			defer mon.endNonTx()
 		}
-		if op.Locked == nil {
-			op.Fast(nil)
-			return
-		}
-		op.Locked()
+		op.Fast(nil)
 	}()
 	th.completed(htm.PathFallback)
 	return htm.PathFallback

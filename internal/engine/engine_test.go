@@ -23,8 +23,7 @@ func counterOp(c *htm.Word) Op {
 			v := c.Get(nil)
 			return c.CAS(nil, v, v+1)
 		},
-		Locked: func() { c.Set(nil, c.Get(nil)+1) },
-		SCXHTM: func(useHTM bool) bool {
+		SCXHTM: func() bool {
 			v := c.Get(nil)
 			return c.CAS(nil, v, v+1)
 		},
@@ -76,22 +75,6 @@ func TestAlgorithmsCompleteConcurrently(t *testing.T) {
 				t.Fatalf("op stats total = %d, want %d", total, goroutines*perG)
 			}
 		})
-	}
-}
-
-func TestNonHTMUsesOnlyFallback(t *testing.T) {
-	t.Parallel()
-	e, th, clk := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgNonHTM})
-	var c htm.Word
-	c.Bind(clk)
-	for i := 0; i < 10; i++ {
-		if p := th.Run(counterOp(&c)); p != htm.PathFallback {
-			t.Fatalf("completed on %v, want fallback", p)
-		}
-	}
-	s := e.Stats()
-	if s.Fast != 0 || s.Middle != 0 || s.Fallback != 10 {
-		t.Fatalf("stats = %+v, want fallback only", s)
 	}
 }
 
@@ -306,12 +289,13 @@ func TestThreePathCapacitySkipsRetries(t *testing.T) {
 func TestTLEMutualExclusion(t *testing.T) {
 	t.Parallel()
 	// While a TLE operation holds the global lock, fast-path
-	// transactions must not commit. The locked body flips a plain (non
-	// transactional, deliberately unsynchronized-looking but
-	// cell-backed) flag; fast bodies assert they never observe it set.
-	// One goroutine's fast body always aborts explicitly, so all its
-	// operations run under the lock (per-TM clocks require one engine to
-	// serve one TM, so the old per-thread spurious-abort trick is out).
+	// transactions must not commit. The locked body (Fast with a nil tx)
+	// flips a plain (non transactional, deliberately
+	// unsynchronized-looking but cell-backed) flag; fast bodies assert
+	// they never observe it set. One goroutine's transactions always
+	// abort explicitly, so all its operations run under the lock (per-TM
+	// clocks require one engine to serve one TM, so the old per-thread
+	// spurious-abort trick is out).
 	tm := htm.New(htm.Config{})
 	e := New(Config{Algorithm: AlgTLE}, tm.Clock())
 	var inLocked htm.Word
@@ -328,6 +312,12 @@ func TestTLEMutualExclusion(t *testing.T) {
 			th := e.NewThread(tm.NewThread())
 			op := Op{
 				Fast: func(tx *htm.Tx) {
+					if tx == nil {
+						inLocked.Set(nil, 1)
+						c.Set(nil, c.Get(nil)+1)
+						inLocked.Set(nil, 0)
+						return
+					}
 					if forceLock {
 						tx.Abort(CodeRetry) // drive this thread to the lock
 					}
@@ -338,11 +328,6 @@ func TestTLEMutualExclusion(t *testing.T) {
 						}
 					}
 					c.Set(tx, c.Get(tx)+1)
-				},
-				Locked: func() {
-					inLocked.Set(nil, 1)
-					c.Set(nil, c.Get(nil)+1)
-					inLocked.Set(nil, 0)
 				},
 			}
 			for i := 0; i < 2000; i++ {
@@ -358,26 +343,6 @@ func TestTLEMutualExclusion(t *testing.T) {
 	}
 	if got := c.Get(nil); got != 4000 {
 		t.Fatalf("counter = %d, want 4000", got)
-	}
-}
-
-func TestSCXHTMBudget(t *testing.T) {
-	t.Parallel()
-	_, th, _ := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})
-	htmCalls, fallbackCalls := 0, 0
-	p := th.Run(Op{SCXHTM: func(useHTM bool) bool {
-		if useHTM {
-			htmCalls++
-			return false // always fail on the HTM path
-		}
-		fallbackCalls++
-		return fallbackCalls == 2 // fail once, then succeed
-	}})
-	if p != htm.PathFallback {
-		t.Fatalf("completed on %v, want fallback", p)
-	}
-	if htmCalls != attemptBudget || fallbackCalls != 2 {
-		t.Fatalf("htmCalls=%d fallbackCalls=%d, want %d and 2", htmCalls, fallbackCalls, attemptBudget)
 	}
 }
 
@@ -404,8 +369,7 @@ func readOp(cells []htm.Word, sum *uint64) Op {
 		}
 	}
 	return Op{Site: NewSite(), Fast: read,
-		Fallback: func() bool { read(nil); return true }, Locked: func() { read(nil) },
-		SCXHTM: func(bool) bool { read(nil); return true }}
+		Fallback: func() bool { read(nil); return true }}
 }
 
 // TestPinnedAttemptRunsTheFirstPath: RunAt runs, once, exactly what the

@@ -82,7 +82,7 @@ func (m *UpdateMonitor) Bind(c *htm.Clock) {
 // bumpTx publishes an update committing on a transactional path. Called
 // by the engine inside the update's transaction, so the bump commits
 // atomically with the operation. With a nil tx it does nothing: a
-// prepared Fast body run under the TLE lock (Op.Locked == nil) is inside
+// prepared Fast body run under the TLE lock, TLE's locked body, is inside
 // the non-transactional bracket, which publishes it.
 func (m *UpdateMonitor) bumpTx(tx *htm.Tx) {
 	if tx != nil {

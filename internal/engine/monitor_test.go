@@ -121,13 +121,13 @@ func TestMonitorBracket(t *testing.T) {
 	}
 }
 
-// TestNilLockedAndSCXHTMBodies verifies what an Op's nil bodies mean.
-// Under the TLE lock a nil Locked runs Fast with a nil tx, and a
+// TestLockedFastAndNilSCXHTM verifies what TLE's locked body and a nil
+// SCXHTM mean. Under the TLE lock Fast runs with a nil tx, and a
 // monitored update publishes that once — through the non-transactional
 // bracket, not also through the version counter its prepared Fast body
 // bumps inside a transaction. Under scx-htm a nil SCXHTM runs Fallback in
-// both phases.
-func TestNilLockedAndSCXHTMBodies(t *testing.T) {
+// both phases, retrying it until it succeeds.
+func TestLockedFastAndNilSCXHTM(t *testing.T) {
 	t.Parallel()
 	mon := NewUpdateMonitor(nil)
 	tm := htm.New(htm.Config{})
@@ -142,13 +142,13 @@ func TestNilLockedAndSCXHTMBodies(t *testing.T) {
 		c.Set(tx, c.Get(tx)+1)
 	}})
 	if p != htm.PathFallback || c.Get(nil) != 1 {
-		t.Fatalf("nil Locked: completed on %v with counter %d, want fallback and 1", p, c.Get(nil))
+		t.Fatalf("locked Fast: completed on %v with counter %d, want fallback and 1", p, c.Get(nil))
 	}
 	if mon.Validate(s) {
-		t.Fatal("nil Locked: the locked update did not invalidate the sample")
+		t.Fatal("locked Fast: the locked update did not invalidate the sample")
 	}
 	if v := mon.txver.Get(nil); v != 0 {
-		t.Fatalf("nil Locked: version counter = %d after an update inside the non-tx bracket, want 0", v)
+		t.Fatalf("locked Fast: version counter = %d after an update inside the non-tx bracket, want 0", v)
 	}
 
 	_, th, _ = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})

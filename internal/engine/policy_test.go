@@ -35,8 +35,12 @@ func TestTLELockedBodyPanicReleasesLock(t *testing.T) {
 		}()
 		th.Run(Op{
 			Update: true,
-			Fast:   func(tx *htm.Tx) { tx.Abort(CodeRetry) },
-			Locked: func() { panic("locked-body-boom") },
+			Fast: func(tx *htm.Tx) {
+				if tx != nil {
+					tx.Abort(CodeRetry)
+				}
+				panic("locked-body-boom")
+			},
 		})
 	}()
 
@@ -50,7 +54,6 @@ func TestTLELockedBodyPanicReleasesLock(t *testing.T) {
 			th2.Run(Op{
 				Update: true,
 				Fast:   func(tx *htm.Tx) { c.Set(tx, c.Get(tx)+1) },
-				Locked: func() { c.Set(nil, c.Get(nil)+1) },
 			})
 		}
 	}()
@@ -101,8 +104,7 @@ func TestAbortCauseBuckets(t *testing.T) {
 				cells := make([]htm.Word, 8)
 				body := overflow(cells)
 				return Op{Fast: body, Middle: body,
-					Fallback: func() bool { return true },
-					Locked:   func() {}}
+					Fallback: func() bool { return true }}
 			},
 			cause: htm.CauseCapacity,
 		},
@@ -110,10 +112,13 @@ func TestAbortCauseBuckets(t *testing.T) {
 			name:   "explicit",
 			htmCfg: htm.Config{},
 			mkOp: func(clk *htm.Clock) Op {
-				body := func(tx *htm.Tx) { tx.Abort(CodeRetry) }
+				body := func(tx *htm.Tx) {
+					if tx != nil { // TLE's locked body completes
+						tx.Abort(CodeRetry)
+					}
+				}
 				return Op{Fast: body, Middle: body,
-					Fallback: func() bool { return true },
-					Locked:   func() {}}
+					Fallback: func() bool { return true }}
 			},
 			cause: htm.CauseExplicit,
 		},
@@ -123,6 +128,7 @@ func TestAbortCauseBuckets(t *testing.T) {
 			mkOp: func(clk *htm.Clock) Op {
 				var c, w htm.Word
 				c.Bind(clk)
+				w.Bind(clk)
 				// Read c, then invalidate the read from outside the
 				// transaction: commit-time validation reports a conflict.
 				body := func(tx *htm.Tx) {
@@ -131,8 +137,7 @@ func TestAbortCauseBuckets(t *testing.T) {
 					w.Set(tx, 1)
 				}
 				return Op{Fast: body, Middle: body,
-					Fallback: func() bool { return true },
-					Locked:   func() {}}
+					Fallback: func() bool { return true }}
 			},
 			cause: htm.CauseConflict,
 		},
@@ -180,8 +185,7 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 				}
 			}
 			p := th.Run(Op{Fast: body, Middle: body,
-				Fallback: func() bool { return true },
-				Locked:   func() {}})
+				Fallback: func() bool { return true }})
 			if p != htm.PathFallback {
 				t.Fatalf("completed on %v, want fallback", p)
 			}
@@ -317,7 +321,7 @@ func newHintedReader(alg Algorithm) *hintedReader {
 		}
 	}
 	r.op = Op{Site: NewSite(), Fast: read,
-		Fallback: func() bool { return true }, Locked: func() {}}
+		Fallback: func() bool { return true }}
 	return r
 }
 

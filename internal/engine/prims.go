@@ -28,19 +28,10 @@ const (
 	// ModeFallback: the original lock-free LLXO/SCXO.
 	ModeFallback
 	// ModeSCXHTM: non-transactional LLX and the standalone HTM SCX of
-	// Section 4.
+	// Section 4 (Op.SCXHTM; its software phase is Op.Fallback, in
+	// ModeFallback).
 	ModeSCXHTM
 )
-
-// SCXHTMMode returns the mode of an Op.SCXHTM body: the standalone HTM
-// SCX while the engine still budgets attempts for it, the original SCXO
-// after.
-func SCXHTMMode(useHTM bool) Mode {
-	if useHTM {
-		return ModeSCXHTM
-	}
-	return ModeFallback
-}
 
 // Result is an update's outcome: the key's previous value and presence,
 // and whether the update left a constraint violation its owner must

@@ -122,7 +122,8 @@ func (c *Cell[T]) ReadTx(tx *htm.Tx, checkDesc bool) *T {
 }
 
 // WriteTx replaces the cell's value inside a transaction, verifying the
-// expected current value (pointer identity).
+// expected current value (pointer identity). With a nil tx (TLE's locked
+// body) the write is a plain store.
 func (c *Cell[T]) WriteTx(tx *htm.Tx, checkDesc bool, exp, v *T) {
 	e := c.e.Get(tx)
 	var cur *T
@@ -133,9 +134,21 @@ func (c *Cell[T]) WriteTx(tx *htm.Tx, checkDesc bool, exp, v *T) {
 		cur = e.v
 	}
 	if cur != exp {
-		tx.Abort(AbortStale)
+		abortStale(tx)
 	}
 	c.e.Set(tx, &entry[T]{v: v})
+}
+
+// abortStale aborts tx on a state that changed since the caller's
+// traversal read it. With a nil tx the caller is TLE's locked body, run
+// under the engine's global lock, where nothing else writes the list:
+// nothing it read can be marked or stale, so getting here is a bug, not
+// a retry.
+func abortStale(tx *htm.Tx) {
+	if tx == nil {
+		panic("kcas: stale state under the TLE lock")
+	}
+	tx.Abort(AbortStale)
 }
 
 // Abort codes used by the transactional accessors.

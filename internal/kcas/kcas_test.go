@@ -3,6 +3,7 @@ package kcas
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"htmtree/internal/dict"
@@ -184,45 +185,79 @@ func TestListConcurrentKeySum(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			l := NewList(ListConfig{Algorithm: alg})
-			const goroutines = 4
-			const perG = 2000
-			sums := make([]int64, goroutines)
-			counts := make([]int64, goroutines)
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					h := l.NewHandle()
-					rng := rand.New(rand.NewSource(int64(g)*37 + 5))
-					for i := 0; i < perG; i++ {
-						k := uint64(rng.Intn(64)) + 1
-						if rng.Intn(2) == 0 {
-							if _, existed := h.Insert(k, k); !existed {
-								sums[g] += int64(k)
-								counts[g]++
-							}
-						} else {
-							if _, existed := h.Delete(k); existed {
-								sums[g] -= int64(k)
-								counts[g]--
-							}
+			testListKeySum(t, NewList(ListConfig{Algorithm: alg}), 4, 2000)
+		})
+	}
+}
+
+// TestListTLELockedBodies: with every transactional access aborting for
+// capacity, every TLE operation runs its Fast body under the lock with a
+// nil tx — the list's one TLE body — and completes there, with a key sum
+// that agrees with the threads' tallies.
+func TestListTLELockedBodies(t *testing.T) {
+	t.Parallel()
+	l := NewList(ListConfig{Algorithm: engine.AlgTLE, HTM: htm.Config{Faults: fault.New(0,
+		fault.Rule{Point: fault.PointTxAccess, Every: 1, Cause: uint8(htm.CauseCapacity)})}})
+	const goroutines, perG = 4, 1000
+	testListKeySum(t, l, goroutines, perG)
+	if st := l.OpStats(); st.Fast != 0 || st.Fallback != goroutines*perG || st.FallbackAcquisitions != st.Fallback {
+		t.Fatalf("stats %+v: want every operation completed under the lock", st)
+	}
+}
+
+// testListKeySum runs random inserts and deletes over 64 keys from
+// several goroutines, each with a range query now and then, and checks
+// the list's key sum against the goroutines' tallies and every range
+// query's order.
+func testListKeySum(t *testing.T, l *List, goroutines, perG int) {
+	t.Helper()
+	sums := make([]int64, goroutines)
+	counts := make([]int64, goroutines)
+	var unordered atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < goroutines; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h := l.NewHandle()
+			rng := rand.New(rand.NewSource(int64(g)*37 + 5))
+			var out []dict.KV
+			for i := 0; i < perG; i++ {
+				k := uint64(rng.Intn(64)) + 1
+				switch {
+				case i%50 == 49:
+					out = h.RangeQuery(k, k+16, out[:0])
+					for j := 1; j < len(out); j++ {
+						if out[j-1].Key >= out[j].Key {
+							unordered.Add(1)
 						}
 					}
-				}(g)
+				case rng.Intn(2) == 0:
+					if _, existed := h.Insert(k, k); !existed {
+						sums[g] += int64(k)
+						counts[g]++
+					}
+				default:
+					if _, existed := h.Delete(k); existed {
+						sums[g] -= int64(k)
+						counts[g]--
+					}
+				}
 			}
-			wg.Wait()
-			var wantSum, wantCount int64
-			for g := range sums {
-				wantSum += sums[g]
-				wantCount += counts[g]
-			}
-			sum, count := l.KeySum()
-			if int64(sum) != wantSum || int64(count) != wantCount {
-				t.Fatalf("key-sum: list (%d,%d), threads (%d,%d)", sum, count, wantSum, wantCount)
-			}
-		})
+		}(g)
+	}
+	wg.Wait()
+	if n := unordered.Load(); n != 0 {
+		t.Fatalf("%d range queries returned keys out of order", n)
+	}
+	var wantSum, wantCount int64
+	for g := range sums {
+		wantSum += sums[g]
+		wantCount += counts[g]
+	}
+	sum, count := l.KeySum()
+	if int64(sum) != wantSum || int64(count) != wantCount {
+		t.Fatalf("key-sum: list (%d,%d), threads (%d,%d)", sum, count, wantSum, wantCount)
 	}
 }
 

@@ -99,14 +99,12 @@ func (l *List) NewHandle() dict.Handle {
 		Fast:     func(tx *htm.Tx) { l.insertTx(tx, h, false) },
 		Middle:   func(tx *htm.Tx) { l.insertTx(tx, h, true) },
 		Fallback: func() bool { return l.insertKCAS(h) },
-		Locked:   func() { l.insertLocked(h) },
 	}
 	h.deleteOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { l.deleteTx(tx, h, false) },
 		Middle:   func(tx *htm.Tx) { l.deleteTx(tx, h, true) },
 		Fallback: func() bool { return l.deleteKCAS(h) },
-		Locked:   func() { l.deleteLocked(h) },
 	}
 	// The read-only operations have one transactional body and leave
 	// Middle nil (engine.Op.Middle).
@@ -119,7 +117,6 @@ func (l *List) NewHandle() dict.Handle {
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { l.rqTx(tx, h) },
 		Fallback: func() bool { l.rqPlain(h); return true },
-		Locked:   func() { l.rqPlain(h) },
 	}
 	return h
 }
@@ -180,15 +177,16 @@ func checkListKey(key uint64) {
 	}
 }
 
-// insertTx is the transactional insert (fast and middle paths): the
-// traversal runs outside the transaction (unsubscribed reads); the
-// update transaction revalidates the two states it depends on.
+// insertTx is the transactional insert (fast and middle paths), and with
+// a nil tx TLE's locked insert: the traversal runs outside the
+// transaction (unsubscribed reads); the update transaction revalidates
+// the two states it depends on.
 func (l *List) insertTx(tx *htm.Tx, h *ListHandle, checkDesc bool) {
 	key, val := h.argKey, h.argVal
 	pred, ps, curr, cs := l.search(key)
 	if curr != nil && curr.key == key {
 		if cs.marked {
-			tx.Abort(AbortStale)
+			abortStale(tx)
 		}
 		h.resVal, h.resFound = cs.val, true
 		curr.st.WriteTx(tx, checkDesc, cs, &listState{val: val, next: cs.next})
@@ -196,7 +194,7 @@ func (l *List) insertTx(tx *htm.Tx, h *ListHandle, checkDesc bool) {
 	}
 	h.resVal, h.resFound = 0, false
 	if ps.marked {
-		tx.Abort(AbortStale)
+		abortStale(tx)
 	}
 	n := &listNode{key: key}
 	n.st.Init(&listState{val: val, next: curr})
@@ -204,19 +202,20 @@ func (l *List) insertTx(tx *htm.Tx, h *ListHandle, checkDesc bool) {
 	pred.st.WriteTx(tx, checkDesc, ps, &listState{val: ps.val, next: n, marked: false})
 }
 
-// deleteTx is the transactional delete.
+// deleteTx is the transactional delete, and with a nil tx TLE's locked
+// delete.
 func (l *List) deleteTx(tx *htm.Tx, h *ListHandle, checkDesc bool) {
 	key := h.argKey
 	pred, ps, curr, cs := l.search(key)
 	if curr == nil || curr.key != key || cs.marked {
 		if curr != nil && curr.key == key && cs.marked {
-			tx.Abort(AbortStale)
+			abortStale(tx)
 		}
 		h.resVal, h.resFound = 0, false
 		return
 	}
 	if ps.marked {
-		tx.Abort(AbortStale)
+		abortStale(tx)
 	}
 	h.resVal, h.resFound = cs.val, true
 	pred.st.WriteTx(tx, checkDesc, ps, &listState{val: ps.val, next: cs.next})
@@ -273,35 +272,6 @@ func (l *List) deleteKCAS(h *ListHandle) bool {
 		})
 }
 
-// insertLocked / deleteLocked are the TLE bodies (sequential, under the
-// engine's global lock).
-func (l *List) insertLocked(h *ListHandle) {
-	key, val := h.argKey, h.argVal
-	pred, ps, curr, cs := l.search(key)
-	if curr != nil && curr.key == key {
-		h.resVal, h.resFound = cs.val, true
-		curr.st.e.Set(nil, &entry[listState]{v: &listState{val: val, next: cs.next}})
-		return
-	}
-	h.resVal, h.resFound = 0, false
-	n := &listNode{key: key}
-	n.st.Init(&listState{val: val, next: curr})
-	n.st.Bind(l.tm.Clock())
-	pred.st.e.Set(nil, &entry[listState]{v: &listState{val: ps.val, next: n}})
-}
-
-func (l *List) deleteLocked(h *ListHandle) {
-	key := h.argKey
-	pred, ps, curr, cs := l.search(key)
-	if curr == nil || curr.key != key {
-		h.resVal, h.resFound = 0, false
-		return
-	}
-	h.resVal, h.resFound = cs.val, true
-	pred.st.e.Set(nil, &entry[listState]{v: &listState{val: ps.val, next: cs.next}})
-	curr.st.e.Set(nil, &entry[listState]{v: &listState{val: cs.val, next: cs.next, marked: true}})
-}
-
 // searchBody is the read-only lookup, identical on every path (the
 // traversal is naturally consistent: each state object is immutable).
 func (l *List) searchBody(h *ListHandle) {
@@ -313,7 +283,8 @@ func (l *List) searchBody(h *ListHandle) {
 	h.resVal, h.resFound = 0, false
 }
 
-// rqTx collects [lo,hi) inside a transaction (consistent snapshot).
+// rqTx collects [lo,hi) inside a transaction (consistent snapshot), and
+// with a nil tx under the TLE lock.
 func (l *List) rqTx(tx *htm.Tx, h *ListHandle) {
 	h.rqOut = h.rqOut[:0]
 	st := l.head.st.ReadTx(tx, false)

@@ -123,12 +123,21 @@ func TestDifferentialAggregates(t *testing.T) {
 			if err := tree.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if c.structure == "abtree" && c.algorithm != htmtree.TLE {
-				// The transactional algorithms must answer at least some
-				// queries on the O(log n) descent (TLE's Locked bodies
-				// always take the validated walk).
-				if st := tree.Stats().Aggregate; st.Fast == 0 && c.algorithm != htmtree.NonHTM {
-					t.Errorf("no aggregate query used the fast descent: %+v", st)
+			if c.structure == "abtree" {
+				// The counters name the body that answered: the algorithms
+				// with a transactional path answer at least some queries on
+				// the O(log n) descent (TLE's locked body descends too), and
+				// the two without one only on the validated walk.
+				st := tree.Stats().Aggregate
+				switch c.algorithm {
+				case htmtree.NonHTM, htmtree.SCXHTM:
+					if st.Fast != 0 || st.Walk == 0 {
+						t.Errorf("aggregate answers %+v, want walks only", st)
+					}
+				default:
+					if st.Fast == 0 {
+						t.Errorf("no aggregate query used the fast descent: %+v", st)
+					}
 				}
 			}
 		})

@@ -40,9 +40,6 @@ func (h *handle) ExecGroup(ops []dict.BatchOp) {
 		for k := i; k < j; k++ {
 			ops[k].Exec(target)
 		}
-		if d.mons != nil {
-			d.batch.MonitorBrackets.Add(1)
-		}
 		d.batch.Groups.Add(1)
 		i = j
 	}

@@ -70,8 +70,4 @@ func TestExecGroupMatchesPerOpDispatch(t *testing.T) {
 	if st.GroupOps != 500 || st.Groups == 0 {
 		t.Fatalf("batch counters = %+v, want 500 ops in >0 groups", st)
 	}
-	// No monitor admissions: the dictionary has no monitors.
-	if st.MonitorBrackets != 0 {
-		t.Fatalf("unmonitored dictionary bracketed monitors: %+v", st)
-	}
 }

@@ -61,13 +61,12 @@ func newVerWorld(n int) *verWorld {
 	return w
 }
 
-func (w *verWorld) dict(t *testing.T, retries int) *Dict {
+func (w *verWorld) dict(t *testing.T) *Dict {
 	t.Helper()
 	d, err := New(Config{
-		Shards:    len(w.shards),
-		KeySpan:   uint64(len(w.shards)) * 100,
-		Atomic:    true,
-		RQRetries: retries,
+		Shards:  len(w.shards),
+		KeySpan: uint64(len(w.shards)) * 100,
+		Atomic:  true,
 		New: func(i int, mon *engine.UpdateMonitor) dict.Dict {
 			mon.Bind(htm.NewClock()) // what engine.New does for a real shard
 			return w.shards[i]
@@ -215,7 +214,7 @@ func TestPinnedUpdateBetweenClockReadsFailsThePin(t *testing.T) {
 	}
 
 	w, from := script()
-	d := w.dict(t, 0)
+	d := w.dict(t)
 	got := d.NewHandle().RangeQuery(0, 200, nil)
 	if err := w.checkCut(from, 0, 200, got); err != nil {
 		t.Error(err)
@@ -275,7 +274,7 @@ func TestPinnedUpdateAheadOfCursorFailsTheAttempt(t *testing.T) {
 			w.shards[1].put(110, 1, false)
 			w.shards[0].beforeScan[0] = func() { w.shards[1].put(tc.key, 2, false) }
 			from := len(w.hist)
-			d := w.dict(t, 0)
+			d := w.dict(t)
 			got := d.NewHandle().RangeQuery(0, 160, nil)
 			if err := w.checkCut(from, 0, 160, got); err != nil {
 				t.Error(err)
@@ -293,7 +292,7 @@ func TestPinnedUpdateAheadOfCursorFailsTheAttempt(t *testing.T) {
 // the gates, and finishes there on the software body. And handles that
 // cannot pin never enter the phase.
 func TestPinnedPhaseEnds(t *testing.T) {
-	const retries = 3
+	const retries = DefaultRQRetries
 	for _, tc := range []struct {
 		name  string
 		setup func(w *verWorld)
@@ -311,7 +310,7 @@ func TestPinnedPhaseEnds(t *testing.T) {
 			w.shards[0].put(10, 1, false)
 			w.shards[1].put(110, 1, false)
 			tc.setup(w)
-			d := w.dict(t, retries)
+			d := w.dict(t)
 			h := d.NewHandle()
 			if got, want := h.RangeQuery(0, 200, nil), w.window(len(w.hist), -1, 0, 200); !reflect.DeepEqual(got, want) {
 				t.Errorf("RangeQuery = %v, want %v", got, want)

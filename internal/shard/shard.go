@@ -61,7 +61,7 @@
 // inner dictionaries whose algorithm has no transactional path a whole
 // read runs on, and a scan too large for a transaction.
 //
-// Readers that keep losing either race escalate after Config.RQRetries
+// Readers that keep losing either race escalate after DefaultRQRetries
 // attempts: they arrive on the shards' quiesce gates (the paper's
 // Indicator machinery), which holds new update operations at their
 // admission in the shard handle (handle.routeUpdate — the only place an
@@ -87,8 +87,9 @@ import (
 // DefaultShards is the shard count when Config.Shards is zero.
 const DefaultShards = 8
 
-// DefaultRQRetries is the optimistic attempt budget before an atomic
-// cross-shard read escalates to the quiesce gates.
+// DefaultRQRetries is the optimistic attempt budget — pinned or
+// validated attempts — before an atomic cross-shard read escalates to
+// quiescing the overlapping shards.
 const DefaultRQRetries = 8
 
 // maxKeySpan is the default partition span: the full legal key space.
@@ -112,11 +113,6 @@ type Config struct {
 	// constructor to wire the provided monitor into the inner
 	// dictionary's engine (engine.Config.Monitor).
 	Atomic bool
-	// RQRetries bounds the optimistic attempts — pinned or validated — of
-	// an atomic cross-shard read before it escalates to quiescing the
-	// overlapping shards (default DefaultRQRetries). Ignored unless
-	// Atomic.
-	RQRetries int
 	// New constructs the inner dictionary for shard i. Each call must
 	// return a fresh, independent instance. mon is non-nil exactly when
 	// Atomic is set, and must then be installed as the inner engine's
@@ -149,10 +145,6 @@ func (cfg Config) validate() (shards int, err error) {
 	if cfg.New == nil {
 		return 0, fmt.Errorf("shard: Config.New = nil (a per-shard dictionary constructor is required)")
 	}
-	if cfg.RQRetries < 0 {
-		return 0, fmt.Errorf("shard: Config.RQRetries = %d (want >= 0; 0 selects the default %d)",
-			cfg.RQRetries, DefaultRQRetries)
-	}
 	return n, nil
 }
 
@@ -183,8 +175,7 @@ type Dict struct {
 
 	// mons holds one update monitor per shard when the dictionary was
 	// built with Config.Atomic; nil otherwise.
-	mons      []*engine.UpdateMonitor
-	rqRetries int
+	mons []*engine.UpdateMonitor
 
 	// obsRec is the layer's shared flight-recorder thread (escalated
 	// readers on any goroutine record quiesce events; RareEvent is
@@ -219,13 +210,9 @@ func New(cfg Config) (*Dict, error) {
 		return nil, err
 	}
 	d := &Dict{
-		shards:    make([]dict.Dict, n),
-		rt:        newUniformRangeRouter(n, cfg.KeySpan),
-		rqRetries: cfg.RQRetries,
-		faults:    cfg.Faults,
-	}
-	if d.rqRetries == 0 {
-		d.rqRetries = DefaultRQRetries
+		shards: make([]dict.Dict, n),
+		rt:     newUniformRangeRouter(n, cfg.KeySpan),
+		faults: cfg.Faults,
 	}
 	if cfg.Atomic {
 		d.mons = make([]*engine.UpdateMonitor, n)
@@ -311,7 +298,7 @@ func (d *Dict) RQStats() RQStats {
 
 // readConsistent drives one atomic read of shards first..last: it runs
 // try — one attempt at the read, reporting whether what it left behind
-// is a consistent cut — until an attempt succeeds. After d.rqRetries
+// is a consistent cut — until an attempt succeeds. After DefaultRQRetries
 // failed attempts it escalates: it arrives on the shards' quiesce gates,
 // so new update operations wait while the finitely many updates already
 // in flight drain, and keeps trying; gated tells try that it runs there.
@@ -326,7 +313,7 @@ func (d *Dict) readConsistent(first, last int, try func(gated bool) bool) {
 		d.rqRetried.Add(1)
 		return false
 	}
-	for n := 0; n < d.rqRetries; n++ {
+	for n := 0; n < DefaultRQRetries; n++ {
 		if attempt(false) {
 			return
 		}

@@ -50,11 +50,6 @@ func TestConfigValidation(t *testing.T) {
 			cfg:  Config{Shards: 4},
 			want: []string{"Config.New", "nil"},
 		},
-		{
-			name: "negative rq retries",
-			cfg:  Config{Shards: 4, New: ctor, Atomic: true, RQRetries: -2},
-			want: []string{"Config.RQRetries", "-2"},
-		},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -173,12 +173,10 @@ var families = []family{
 			emit(s.Batch.ExplicitFlushes, "explicit")
 			emit(s.Batch.RangeFlushes, "range")
 		}},
-	{name: "htmtree_exec_groups_total", help: "Shard groups executed by the batch pipeline (one routing decision and monitor bracket each).",
+	{name: "htmtree_exec_groups_total", help: "Shard groups executed by the batch pipeline (one routing decision each, and one monitor admission each on a tree with atomic range queries).",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.Groups) }},
 	{name: "htmtree_exec_group_ops_total", help: "Point operations executed through shard groups.",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.GroupOps) }},
-	{name: "htmtree_exec_monitor_brackets_total", help: "Monitor admissions held by shard-group execution on a monitored tree (one per group).",
-		read: func(s *Stats, emit emitFn) { emit(s.Batch.MonitorBrackets) }},
 }
 
 func emitPaths(p PathCounts, emit emitFn) {

@@ -204,7 +204,7 @@ func TestScrapeEqualsStats(t *testing.T) {
 				t.Errorf("the storm left counters at zero: %+v %+v", st.Ops, st.Policy)
 			}
 			if atomic && (st.Range.Attempts == 0 || st.Range.Escalations == 0 || st.Quiesces == 0 ||
-				st.Batch.Groups == 0 || st.Batch.MonitorBrackets == 0 || st.Aggregate.Fast == 0) {
+				st.Batch.Groups == 0 || st.Aggregate.Fast == 0) {
 				t.Errorf("range, quiesce, batch or aggregate counters at zero: %+v %d %+v %+v",
 					st.Range, st.Quiesces, st.Batch, st.Aggregate)
 			}
