@@ -93,9 +93,6 @@ type (
 	// RangeQueryStats counts the outcomes of atomic cross-shard reads
 	// (shard.RQStats).
 	RangeQueryStats = shard.RQStats
-	// AggregateStats counts aggregate-query executions by answer path
-	// (engine.AggregateStats).
-	AggregateStats = engine.AggregateStats
 	// BatchStats counts batched/asynchronous execution activity: the
 	// asynchronous handles' flushes and, on a sharded tree, the shard
 	// groups they executed as (batch.Stats).
@@ -118,8 +115,7 @@ type Config struct {
 	// transactional aborts (FaultTxAccess, spurious unless the rule
 	// names another cause), fallback-owner stalls and permanent owner
 	// death, stalls of escalated readers holding quiesce gates,
-	// reclamation pin stalls, aggregate-seqlock writer stalls, and batch
-	// flush delays.
+	// reclamation pin stalls, and batch flush delays.
 	// One plan may be shared by several trees; its per-point counters
 	// are then global. On an observed tree (Observability set) every
 	// fired fault is additionally recorded in the flight recorder as a
@@ -130,8 +126,7 @@ type Config struct {
 	// SearchOutsideTx enables the Section 8 optimization on a BST:
 	// operations locate their target with unsubscribed reads and
 	// revalidate inside the transaction. NewABTree and NewShardedABTree
-	// reject it: the (a,b)-tree's updates record their search path for
-	// aggregate maintenance, so their descents stay subscribed.
+	// reject it: §8 is not implemented on the (a,b)-tree.
 	SearchOutsideTx bool
 
 	// A and B are the (a,b)-tree degree bounds (defaults 6 and 16;
@@ -233,7 +228,6 @@ const (
 	FaultFallbackOwner = fault.PointFallbackOwner
 	FaultQuiesce       = fault.PointQuiesce
 	FaultEBRPin        = fault.PointEBRPin
-	FaultAggFixup      = fault.PointAggFixup
 	FaultBatchFlush    = fault.PointBatchFlush
 )
 
@@ -319,7 +313,7 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 			return 0, hcfg, ecfg, fmt.Errorf("htmtree: %w", err)
 		}
 		if c.SearchOutsideTx {
-			return 0, hcfg, ecfg, fmt.Errorf("htmtree: Config.SearchOutsideTx is a BST option (the (a,b)-tree's updates keep their descents subscribed for aggregate maintenance)")
+			return 0, hcfg, ecfg, fmt.Errorf("htmtree: Config.SearchOutsideTx is a BST option (§8 is not implemented on the (a,b)-tree)")
 		}
 	}
 	hcfg = htm.Config{
@@ -538,14 +532,13 @@ func (h *Handle) RangeQuery(lo, hi uint64, out []KV) []KV {
 }
 
 // RangeAgg returns the aggregate tuple (key sum, count, min, max) of
-// the keys in [lo, hi), atomically with respect to concurrent updates.
-//
-// On an (a,b)-tree it descends transactionally maintained subtree
-// aggregates in O(log n), independent of the range size; on the BST it
-// walks the range (the O(range) control — see ARCHITECTURE.md). On a
-// sharded tree it merges per-shard tuples into a consistent cut, which
-// requires AtomicRangeQueries; other sharded configurations return an
-// error.
+// the keys in [lo, hi). It folds RangeQuery over the same window, so it
+// costs O(range) and is exactly as atomic as RangeQuery: atomic with
+// respect to concurrent updates when the query fits a transaction, or on
+// a sharded tree with AtomicRangeQueries; otherwise it is the fallback
+// walk's answer, which validates each node as it visits it and is not
+// an atomic cut (ROADMAP D). On a sharded tree without
+// AtomicRangeQueries it returns an error.
 func (h *Handle) RangeAgg(lo, hi uint64) (Agg, error) {
 	ah, ok := h.h.(dict.AggHandle)
 	if !ok {
@@ -555,28 +548,29 @@ func (h *Handle) RangeAgg(lo, hi uint64) (Agg, error) {
 }
 
 // RangeSum returns the sum and count of the keys in [lo, hi); see
-// RangeAgg for the atomicity contract and cost model.
+// RangeAgg for the atomicity contract and cost.
 func (h *Handle) RangeSum(lo, hi uint64) (sum, count uint64, err error) {
 	a, err := h.RangeAgg(lo, hi)
 	return a.Sum, a.Count, err
 }
 
-// Count returns the number of keys present. Unlike Tree.KeySum it is
-// atomic with respect to concurrent updates (see RangeAgg).
+// Count returns the number of keys present: RangeAgg over every key,
+// with its atomicity contract and cost. Unlike Tree.KeySum it may run
+// beside updates.
 func (h *Handle) Count() (uint64, error) {
 	a, err := h.RangeAgg(0, MaxKey+1)
 	return a.Count, err
 }
 
 // Min returns the smallest key present (ok reports whether the tree
-// was non-empty); see RangeAgg for the atomicity contract.
+// was non-empty); see RangeAgg for the atomicity contract and cost.
 func (h *Handle) Min() (key uint64, ok bool, err error) {
 	a, err := h.RangeAgg(0, MaxKey+1)
 	return a.Min, a.Count > 0, err
 }
 
 // Max returns the largest key present (ok reports whether the tree was
-// non-empty); see RangeAgg for the atomicity contract.
+// non-empty); see RangeAgg for the atomicity contract and cost.
 func (h *Handle) Max() (key uint64, ok bool, err error) {
 	a, err := h.RangeAgg(0, MaxKey+1)
 	return a.Max, a.Count > 0, err

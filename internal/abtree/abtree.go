@@ -36,7 +36,6 @@ package abtree
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"htmtree/internal/dict"
 	"htmtree/internal/ebr"
@@ -74,15 +73,15 @@ const (
 // to an array of MaxB cells whatever b is: 8 bytes where a slice header
 // is 24, and an index the compiler can prove in range.
 //
-// The fields are ordered by who touches them, in 64-byte lines (a node is
-// 256-aligned, its size class). The first line is what a descent reads
-// and nothing writes after publication: the flags, the routing arrays'
-// headers and the slots pointer. The second is the leaf's cells, ord and
-// aggSum, which every in-place edit writes — one dirty line of the shell
-// per update, and none that a descent through an internal node needs.
-// Then the internal aggregates, and last the SCX header, which the fast
-// path never touches (a middle-path edit writes its info field too).
-// TestNodeFootprint pins the sizes and the lines.
+// The fields are ordered by who touches them, in three 64-byte lines (a
+// node is 192 bytes, a size class whose objects are line-aligned). The
+// first line is what a descent reads and nothing writes after
+// publication: the flags, the routing arrays' headers and the slots
+// pointer. The second is the leaf's order word, which every in-place
+// edit writes — one dirty line of the shell per update, and none that a
+// descent through an internal node needs. The third is the SCX header,
+// which the fast path never touches (a middle-path edit writes its info
+// field too). TestNodeFootprint pins the sizes and the lines.
 type Node struct {
 	// First line: what a descent reads, none of it written after
 	// publication.
@@ -92,19 +91,13 @@ type Node struct {
 	children []htm.Ref[Node]
 	slots    *[MaxB]htm.Pair
 
-	// Second line: the leaf's cells. aggSum is the sum of the leaf's keys
-	// (agg.go); its count is the size in ord.
-	ord    htm.Pair
-	aggSum htm.Word
+	// Second line: the leaf's order word.
+	ord htm.Pair
+	_   [32]byte
 
-	// The subtree aggregate of an internal node (agg.go): the (sum,
-	// count) of its subtree's keys — one cell, because every update moves
-	// the two together. The padding keeps the shell in the 256-byte size
-	// class, whose objects are line-aligned; the next class down is not.
-	agg htm.Pair
-	_   [48]byte
-
+	// Third line: the SCX header.
 	hdr llxscx.Hdr
+	_   [16]byte
 }
 
 // kv is a key/value pair in flight between nodes.
@@ -130,7 +123,6 @@ func (n *Node) bindLeaf(clk *htm.Clock) {
 		n.slots[i].Bind(clk)
 	}
 	n.ord.Bind(clk)
-	n.aggSum.Bind(clk)
 }
 
 // newInternal builds a bootstrap internal node bound to clk.
@@ -142,12 +134,10 @@ func newInternal(clk *htm.Clock, keys []uint64, children []*Node, tagged bool) *
 		tagged:   tagged,
 	}
 	n.hdr.Bind(clk)
-	n.agg.Bind(clk)
 	for i, c := range children {
 		n.children[i].Bind(clk)
 		n.children[i].Init(c)
 	}
-	initAggs(nil, n)
 	return n
 }
 
@@ -188,15 +178,6 @@ type Tree struct {
 	// with updates when validating consistent cuts).
 	sumMu sync.Mutex
 	sumRd *ebr.Thread
-
-	// aggVer is the aggregate seqlock (agg.go): odd exactly while a
-	// non-transactional mutator is between its SCX swing and the
-	// completion of its aggregate fixup.
-	aggVer htm.Word
-
-	// aggFastQ/aggWalkQ count aggregate queries answered by the O(log n)
-	// aggregate descent vs the leaf-walk fallback (OpStats.Aggregate).
-	aggFastQ, aggWalkQ atomic.Uint64
 }
 
 // CheckDegree reports whether a and b (after defaulting zeros) are legal
@@ -238,7 +219,6 @@ func New(cfg Config) *Tree {
 	}
 	t.entry = newInternal(tm.Clock(), nil,
 		[]*Node{newLeaf(tm.Clock())}, false)
-	t.aggVer.Bind(tm.Clock())
 	t.sumRd = t.eng.ReclaimReader()
 	return t
 }
@@ -246,13 +226,8 @@ func New(cfg Config) *Tree {
 // Engine exposes the tree's execution engine (for statistics).
 func (t *Tree) Engine() *engine.Engine { return t.eng }
 
-// OpStats returns the engine's statistics snapshot with the tree's
-// aggregate-query answers filled in (engine.StatsSource).
-func (t *Tree) OpStats() engine.OpStats {
-	s := t.eng.Stats()
-	s.Aggregate = engine.AggregateStats{Fast: t.aggFastQ.Load(), Walk: t.aggWalkQ.Load()}
-	return s
-}
+// OpStats returns the engine's statistics snapshot (engine.StatsSource).
+func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
 
 // Handle is a per-thread handle to the tree. It owns the thread's node
 // pools (pool.go): steady-state operations draw leaves and internal
@@ -268,17 +243,6 @@ type Handle struct {
 	res            engine.Result
 	fixMore        bool
 	rqOut          []dict.KV
-	resAgg         dict.Agg
-	// aggWalked records that the aggregate query's software body, the
-	// leaf walk, answered it (RangeAgg's count).
-	aggWalked bool
-
-	// path records the internal nodes on an update's search path, root
-	// child first down to the leaf's parent (agg.go maintenance).
-	path []*Node
-	// pend holds rebalance replacement nodes whose aggregate rebuild is
-	// deferred into the non-transactional SCX bracket (prims.scx).
-	pend []pendAgg
 
 	// merge scratch: capacity b+1 so a full leaf plus one pair fits; buf2
 	// holds two adjacent leaves' pairs while a join or share merges them.
@@ -296,7 +260,7 @@ type Handle struct {
 	// (internal/nodepool; wired to the tree's node kinds in pool.go).
 	pool *nodepool.Pool[Node]
 
-	insertOp, deleteOp, searchOp, rqOp, fixOp, aggOp engine.Op
+	insertOp, deleteOp, searchOp, rqOp, fixOp engine.Op
 }
 
 var _ dict.Handle = (*Handle)(nil)
@@ -377,84 +341,74 @@ func checkOrd(perm, size uint64, b int) error {
 // since every update repairs the violations it creates.
 //
 // It always verifies every leaf's order word (checkOrd) and reads the
-// leaf's keys through it, in rank order, and the maintained subtree
-// aggregates: every node's (sum, count) must equal the one recomputed
-// from the leaves beneath it, and the aggregate seqlock must be
-// released.
+// leaf's keys through it, in rank order.
 func (t *Tree) CheckInvariants(strict bool) error {
-	if v := t.aggVer.Get(nil); v&1 != 0 {
-		return fmt.Errorf("abtree: aggregate seqlock held at quiescence (aggVer=%d)", v)
-	}
 	root := t.entry.children[0].Get(nil)
 	leafDepth := -1
-	var walk func(n *Node, lo, hi uint64, depth int, isRoot bool) (sum, count uint64, err error)
-	walk = func(n *Node, lo, hi uint64, depth int, isRoot bool) (sum, count uint64, err error) {
+	var walk func(n *Node, lo, hi uint64, depth int, isRoot bool) error
+	walk = func(n *Node, lo, hi uint64, depth int, isRoot bool) error {
 		if n == nil {
-			return 0, 0, fmt.Errorf("abtree: nil node reachable")
+			return fmt.Errorf("abtree: nil node reachable")
 		}
 		if n.hdr.Marked(nil) {
-			return 0, 0, fmt.Errorf("abtree: reachable marked node at depth %d", depth)
+			return fmt.Errorf("abtree: reachable marked node at depth %d", depth)
 		}
 		if n.leaf {
 			perm, size := n.ord.Get(nil)
 			sz := int(size)
 			if err := checkOrd(perm, size, t.cfg.B); err != nil {
-				return 0, 0, err
+				return err
 			}
 			if strict && !isRoot && sz < t.cfg.A {
-				return 0, 0, fmt.Errorf("abtree: underfull leaf (size %d < a=%d)", sz, t.cfg.A)
+				return fmt.Errorf("abtree: underfull leaf (size %d < a=%d)", sz, t.cfg.A)
 			}
 			prev := uint64(0)
 			for i := 0; i < sz; i++ {
 				k, _ := n.slots[permAt(perm, i)].Get(nil)
 				if i > 0 && k <= prev {
-					return 0, 0, fmt.Errorf("abtree: leaf keys unsorted (%d after %d)", k, prev)
+					return fmt.Errorf("abtree: leaf keys unsorted (%d after %d)", k, prev)
 				}
 				if k < lo || k >= hi {
-					return 0, 0, fmt.Errorf("abtree: leaf key %d outside routing range [%d,%d)", k, lo, hi)
+					return fmt.Errorf("abtree: leaf key %d outside routing range [%d,%d)", k, lo, hi)
 				}
 				prev = k
-				sum += k
-			}
-			if got := n.aggSum.Get(nil); got != sum {
-				return 0, 0, fmt.Errorf("abtree: leaf aggSum %d, keys sum to %d", got, sum)
 			}
 			if strict {
 				if leafDepth == -1 {
 					leafDepth = depth
 				} else if leafDepth != depth {
-					return 0, 0, fmt.Errorf("abtree: leaves at depths %d and %d", leafDepth, depth)
+					return fmt.Errorf("abtree: leaves at depths %d and %d", leafDepth, depth)
 				}
 			}
-			return sum, size, nil
+			return nil
 		}
 		d := len(n.children)
 		if d != len(n.keys)+1 {
-			return 0, 0, fmt.Errorf("abtree: internal degree %d with %d keys", d, len(n.keys))
+			return fmt.Errorf("abtree: internal degree %d with %d keys", d, len(n.keys))
 		}
 		if d > t.cfg.B {
-			return 0, 0, fmt.Errorf("abtree: internal degree %d exceeds b=%d", d, t.cfg.B)
+			return fmt.Errorf("abtree: internal degree %d exceeds b=%d", d, t.cfg.B)
 		}
 		if d < 1 {
-			return 0, 0, fmt.Errorf("abtree: internal node with no children")
+			return fmt.Errorf("abtree: internal node with no children")
 		}
 		if strict {
 			if n.tagged {
-				return 0, 0, fmt.Errorf("abtree: tagged node survived rebalancing")
+				return fmt.Errorf("abtree: tagged node survived rebalancing")
 			}
 			if !isRoot && d < t.cfg.A {
-				return 0, 0, fmt.Errorf("abtree: underfull internal node (degree %d < a=%d)", d, t.cfg.A)
+				return fmt.Errorf("abtree: underfull internal node (degree %d < a=%d)", d, t.cfg.A)
 			}
 			if isRoot && d < 2 {
-				return 0, 0, fmt.Errorf("abtree: unary root survived rebalancing")
+				return fmt.Errorf("abtree: unary root survived rebalancing")
 			}
 		}
 		for i := 0; i < len(n.keys); i++ {
 			if n.keys[i] < lo || n.keys[i] >= hi {
-				return 0, 0, fmt.Errorf("abtree: routing key %d outside [%d,%d)", n.keys[i], lo, hi)
+				return fmt.Errorf("abtree: routing key %d outside [%d,%d)", n.keys[i], lo, hi)
 			}
 			if i > 0 && n.keys[i] <= n.keys[i-1] {
-				return 0, 0, fmt.Errorf("abtree: routing keys unsorted")
+				return fmt.Errorf("abtree: routing keys unsorted")
 			}
 		}
 		childDepth := depth + 1
@@ -471,19 +425,11 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			if i < len(n.keys) {
 				chi = n.keys[i]
 			}
-			cs, cc, err := walk(n.children[i].Get(nil), clo, chi, childDepth, false)
-			if err != nil {
-				return 0, 0, err
+			if err := walk(n.children[i].Get(nil), clo, chi, childDepth, false); err != nil {
+				return err
 			}
-			sum, count = sum+cs, count+cc
 		}
-		if gs, gc := n.agg.Get(nil); gs != sum || gc != count {
-			return 0, 0, fmt.Errorf(
-				"abtree: stale aggregate at depth %d: cell {sum %d count %d}, leaves say {sum %d count %d}",
-				depth, gs, gc, sum, count)
-		}
-		return sum, count, nil
+		return nil
 	}
-	_, _, err := walk(root, 0, ^uint64(0), 0, true)
-	return err
+	return walk(root, 0, ^uint64(0), 0, true)
 }

@@ -12,16 +12,14 @@ import (
 // whose leaves sit under h internal nodes,
 //
 //   - inserting a new key into a non-full leaf writes the first free
-//     slot, the order word, the leaf's aggSum and one aggregate add per
-//     ancestor: 3+h entries;
-//   - deleting a key writes the order word, aggSum and the h adds: 2+h;
+//     slot and the order word: 2 entries, whatever h is;
+//   - deleting a key writes the order word alone: 1;
 //   - a search reads the entry's root pointer, one child pointer per
 //     internal node, the order word and the slots its binary search
 //     probes (at most 5): 2+h+probes. It does not read the fallback
 //     indicator: a read-only operation runs unsubscribed (engine.Op.Middle);
 //   - an insert or a delete reads what a search for its key reads, plus
-//     the fallback indicator and aggVer: 4+h+probes. The aggregate adds
-//     are write-only, so no ancestor's cell is read.
+//     the fallback indicator: 3+h+probes.
 //
 // Each commits on the fast path when WriteCapacity (ReadCapacity) is
 // exactly that, and capacity-aborts off it with one entry less. A sorted
@@ -86,7 +84,12 @@ func TestFastPathFootprint(t *testing.T) {
 	}
 	insertOp := func(h *Handle, p probe) bool { _, existed := h.Insert(p.absent, 1); return !existed }
 	deleteOp := func(h *Handle, p probe) bool { _, existed := h.Delete(p.present); return existed }
-	writeCap := func(n int) htm.Config { return htm.Config{WriteCapacity: n} }
+	writeCap := func(n int) htm.Config {
+		if n == 0 {
+			n = -1 // 0 selects the default; a negative budget admits no entry
+		}
+		return htm.Config{WriteCapacity: n}
+	}
 	readCap := func(n int) htm.Config { return htm.Config{ReadCapacity: n} }
 
 	for _, c := range []struct {
@@ -95,10 +98,10 @@ func TestFastPathFootprint(t *testing.T) {
 		cfg   func(capacity int) htm.Config
 		op    func(h *Handle, p probe) bool // reports whether the op did what it should
 	}{
-		{"insert writes", 3 + p.h, writeCap, insertOp},
-		{"delete writes", 2 + p.h, writeCap, deleteOp},
-		{"insert reads", 4 + p.h + p.insertReads, readCap, insertOp},
-		{"delete reads", 4 + p.h + p.searchReads, readCap, deleteOp},
+		{"insert writes", 2, writeCap, insertOp},
+		{"delete writes", 1, writeCap, deleteOp},
+		{"insert reads", 3 + p.h + p.insertReads, readCap, insertOp},
+		{"delete reads", 3 + p.h + p.searchReads, readCap, deleteOp},
 		{"search reads", 2 + p.h + p.searchReads, readCap,
 			func(h *Handle, p probe) bool { v, found := h.Search(p.present); return found && 2*v == p.present }},
 	} {
@@ -142,9 +145,9 @@ func TestFastPathFootprint(t *testing.T) {
 // 4 reads) and one fresh tag in its info field (1 write). It does not read
 // the indicator. So
 //
-//   - an insert into a non-full leaf writes 4+h entries and reads
-//     7+h+probes, and draws no node from the pool;
-//   - a delete writes 3+h entries and reads 7+h+probes.
+//   - an insert into a non-full leaf writes 3 entries and reads
+//     6+h+probes, and draws no node from the pool;
+//   - a delete writes 2 entries and reads 6+h+probes.
 //
 // Each commits on the middle path at exactly that capacity and
 // capacity-aborts off it with one entry less.
@@ -190,10 +193,10 @@ func TestMiddlePathFootprint(t *testing.T) {
 		cfg   func(capacity int) htm.Config
 		op    func(hd *Handle, present uint64) bool
 	}{
-		{"insert writes", 4 + h, writeCap, insertOp},
-		{"delete writes", 3 + h, writeCap, deleteOp},
-		{"insert reads", 7 + h + insertReads, readCap, insertOp},
-		{"delete reads", 7 + h + searchReads, readCap, deleteOp},
+		{"insert writes", 3, writeCap, insertOp},
+		{"delete writes", 2, writeCap, deleteOp},
+		{"insert reads", 6 + h + insertReads, readCap, insertOp},
+		{"delete reads", 6 + h + searchReads, readCap, deleteOp},
 	} {
 		for _, fits := range []bool{true, false} {
 			capacity := c.needs

@@ -15,11 +15,7 @@ func (h *Handle) buildOps() {
 	t := h.t
 	// Every path runs the one body of its operation; the path only
 	// chooses the mode the body's primitives run in. Under the TLE lock
-	// every operation runs its Fast body with a nil tx (engine.Op.Fast):
-	// nothing else writes the tree while the lock is held, and every
-	// transaction subscribes to the lock word, so the update and fix
-	// bodies' non-transactional aggregate updates need no aggVer bracket,
-	// and the aggregate query descends as it does in a transaction.
+	// every operation runs its Fast body with a nil tx (engine.Op.Fast).
 	h.insertOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeFast, tx)) },
@@ -59,14 +55,6 @@ func (h *Handle) buildOps() {
 		Middle:   func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeMiddle, tx)) },
 		Fallback: func() bool { return t.fixBody(h.prims(engine.ModeFallback, nil)) },
 		SCXHTM:   func() bool { return t.fixBody(h.prims(engine.ModeSCXHTM, nil)) },
-	}
-	// Aggregate range query (agg.go): Fast descends via the aggregate
-	// cells, Fallback walks the leaves under LLXs; RangeAgg counts which
-	// of the two answered (engine.AggregateStats).
-	h.aggOp = engine.Op{
-		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.aggInTx(tx, h) },
-		Fallback: func() bool { return t.aggFallback(h) },
 	}
 	// Pre-wrap the update ops' transactional bodies with the engine's
 	// monitor bump (no-op without a monitor) so Run stays allocation-free.
@@ -112,6 +100,18 @@ func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	return append(out, h.rqOut...)
 }
 
+var _ dict.AggHandle = (*Handle)(nil)
+
+// RangeAgg returns the aggregate tuple of the keys in [lo, hi): the
+// range query's own op, folded (dict.Fold). The collected range stays
+// in the handle scratch, so steady-state queries allocate nothing. The
+// error is always nil.
+func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
+	h.setRange(lo, hi)
+	h.e.Run(h.rqOp)
+	return dict.Fold(h.rqOut), nil
+}
+
 // setRange stores a range query's arguments in the handle scratch and its
 // extent in the op as the call's footprint hint: the cells a scan reads
 // grow with the keys it covers, and which extents fit a transaction is
@@ -125,11 +125,9 @@ func (h *Handle) setRange(lo, hi uint64) {
 	}
 }
 
-// Pinned reads (dict.PinnedReader): the range and aggregate queries' own
-// engine ops, each run as one first-path transaction at a snapshot of
-// the tree's clock the caller read earlier (engine.Thread.RunAt). The
-// aggregate query answers from the subtree aggregates inside that
-// transaction, as its fast path always does.
+// Pinned reads (dict.PinnedReader): the range query's own engine op, run
+// as one first-path transaction at a snapshot of the tree's clock the
+// caller read earlier (engine.Thread.RunAt).
 
 var _ dict.PinnedReader = (*Handle)(nil)
 
@@ -145,16 +143,6 @@ func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict
 		return out, st
 	}
 	return append(out, h.rqOut...), st
-}
-
-func (h *Handle) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
-	h.argLo, h.argHi = lo, hi
-	st := h.e.RunAt(&h.aggOp, rv)
-	if st != dict.PinCommitted {
-		return dict.Agg{}, st
-	}
-	h.t.aggFastQ.Add(1)
-	return h.resAgg, st
 }
 
 func checkKey(key uint64) {
@@ -213,37 +201,15 @@ func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 	}
 }
 
-// locateForUpdate runs the search phase for insert/delete, recording
-// the internal nodes below the entry sentinel into h.path (the leaf's
-// ancestors, root child first) for aggregate maintenance. The descent's
-// reads are subscribed, as every (a,b)-tree read inside a transaction
-// is: the recorded path receives aggregate deltas at commit, so the
-// transaction must be invalidated if any node on it is replaced, which
-// rules out the BST's Section 8 search outside the transaction here.
-func (t *Tree) locateForUpdate(pr *prims, key uint64) (p, u *Node, uIdx int) {
-	h := pr.h
-	h.path = h.path[:0]
-	p = t.entry
-	u = p.children[0].Get(pr.Tx)
-	for !u.leaf {
-		p = u
-		h.path = append(h.path, p)
-		uIdx = childIndex(p, key)
-		u = p.children[uIdx].Get(pr.Tx)
-	}
-	return p, u, uIdx
-}
-
 // insertBody implements Insert on every path. It returns false to
 // request a retry (non-transactional modes); transactional modes abort
 // instead.
 func (t *Tree) insertBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()
-	t.aggGuard(pr.Tx)
 	key, val := pr.Key, pr.Val
 	b := t.cfg.B
-	p, u, uIdx := t.locateForUpdate(pr, key)
+	_, p, u, _, uIdx := t.searchLeaf(pr.Tx, key)
 
 	if pr.Mode == engine.ModeFast || pr.Mode == engine.ModeMiddle {
 		// The transactional modes edit the leaf in place — the fast path's
@@ -252,7 +218,6 @@ func (t *Tree) insertBody(pr *prims) bool {
 		tx := pr.Tx
 		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if found {
-			// Values don't feed the aggregates.
 			pr.EditInPlace(&u.hdr)
 			*pr.Res = engine.Result{Val: old, Found: true}
 			u.slots[permAt(perm, pos)].Set(tx, key, val)
@@ -266,8 +231,6 @@ func (t *Tree) insertBody(pr *prims) bool {
 			perm = permInsert(perm, pos, sz)
 			u.slots[permAt(perm, pos)].Set(tx, key, val)
 			u.ord.Set(tx, perm, uint64(sz+1))
-			u.aggSum.AddAtCommit(tx, key)
-			aggApply(tx, h.path, key, 1)
 			return true
 		}
 		if pr.Mode == engine.ModeFast {
@@ -285,13 +248,10 @@ func (t *Tree) insertBody(pr *prims) bool {
 				u.slots[permAt(perm, pos)].Set(tx, key, val)
 			}
 			u.ord.Set(tx, perm, uint64(lo))
-			u.aggSum.Set(tx, sumPairs(h.buf[:lo]))
 			h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 			h.cbuf = append(h.cbuf[:0], u, right)
 			np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
-			np.agg.Init(sumPairs(h.buf), uint64(len(h.buf)))
 			p.children[uIdx].Set(tx, np)
-			aggApply(tx, h.path, key, 1)
 			pr.Res.NeedFix = np.tagged
 			return true
 		}
@@ -323,11 +283,9 @@ func (t *Tree) insertBody(pr *prims) bool {
 
 	pos, found := findInBuf(h.buf, key)
 	if found {
-		// Value update: the replacement leaf has the same key content, so
-		// no aggregate changes anywhere.
 		*pr.Res = engine.Result{Val: h.buf[pos].v, Found: true}
 		h.buf[pos].v = val
-		if !pr.scx(v, infos, r, fld, u, h.newLeaf(h.buf)) {
+		if !pr.SCX(v, infos, r, fld, u, h.newLeaf(h.buf)) {
 			return false
 		}
 		h.remove(u)
@@ -336,8 +294,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 	*pr.Res = engine.Result{}
 	h.buf = insertAt(h.buf, pos, kv{k: key, v: val})
 	if len(h.buf) <= b {
-		pr.aggUpdate(key, 1)
-		if !pr.scx(v, infos, r, fld, u, h.newLeaf(h.buf)) {
+		if !pr.SCX(v, infos, r, fld, u, h.newLeaf(h.buf)) {
 			return false
 		}
 		h.remove(u)
@@ -352,16 +309,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 	h.cbuf = append(h.cbuf[:0], left, right)
 	np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
 	pr.Res.NeedFix = np.tagged
-	sum, count := sumPairs(h.buf), uint64(len(h.buf))
-	if pr.Mode != engine.ModeMiddle {
-		// The SCX bracket's path fixup adds the key to every ancestor of
-		// the new leaf it re-descends to — np, the replacement subtree
-		// root, included — so np is published without it.
-		sum, count = sum-key, count-1
-	}
-	np.agg.Init(sum, count)
-	pr.aggUpdate(key, 1)
-	if !pr.scx(v, infos, r, fld, u, np) {
+	if !pr.SCX(v, infos, r, fld, u, np) {
 		return false
 	}
 	h.remove(u)
@@ -372,10 +320,9 @@ func (t *Tree) insertBody(pr *prims) bool {
 func (t *Tree) deleteBody(pr *prims) bool {
 	h := pr.h
 	h.beginAttempt()
-	t.aggGuard(pr.Tx)
 	key := pr.Key
 	a := t.cfg.A
-	p, u, uIdx := t.locateForUpdate(pr, key)
+	_, p, u, _, uIdx := t.searchLeaf(pr.Tx, key)
 
 	if pr.Mode == engine.ModeFast || pr.Mode == engine.ModeMiddle {
 		tx := pr.Tx
@@ -388,8 +335,6 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		// contents, which no rank names any more.
 		pr.EditInPlace(&u.hdr)
 		u.ord.Set(tx, permDelete(perm, pos, sz), uint64(sz-1))
-		u.aggSum.AddAtCommit(tx, -key)
-		aggApply(tx, h.path, -key, ^uint64(0))
 		*pr.Res = engine.Result{Val: old, Found: true, NeedFix: p != t.entry && sz-1 < a}
 		return true
 	}
@@ -414,8 +359,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 	oldVal := h.buf[pos].v
 	h.buf = append(h.buf[:pos], h.buf[pos+1:]...)
 	*pr.Res = engine.Result{Val: oldVal, Found: true, NeedFix: p != t.entry && len(h.buf) < a}
-	pr.aggUpdate(-key, ^uint64(0))
-	if !pr.scx(
+	if !pr.SCX(
 		[]*llxscx.Hdr{&p.hdr, &u.hdr}, []*llxscx.Info{pi, ui},
 		[]*llxscx.Hdr{&u.hdr}, &p.children[uIdx], u, h.newLeaf(h.buf)) {
 		return false
@@ -509,31 +453,25 @@ func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	}
 }
 
-// rqFallback collects the range with the LLX-validated leaf walk.
+// rqFallback collects the range with the software walk: a DFS over the
+// subtrees overlapping [h.argLo, h.argHi), left to right, that reads
+// every internal node's children and every leaf's pairs under an LLX. It
+// reports false on any failed LLX; the fallback loop then restarts it
+// from the root.
 func (t *Tree) rqFallback(h *Handle) bool {
 	h.rqOut = h.rqOut[:0]
-	return t.walkLLX(h, rqCollectLeaf)
-}
-
-// walkLLX is the software range walk of both range operations: a DFS
-// over the subtrees overlapping [h.argLo, h.argHi), left to right, that
-// reads every internal node's children and every leaf's pairs under an
-// LLX, handing each leaf to visit — a static function, so the walk
-// allocates nothing. It reports false on any failed LLX; the caller's
-// fallback loop then restarts it from the root.
-func (t *Tree) walkLLX(h *Handle, visit func(tx *htm.Tx, n *Node, h *Handle)) bool {
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.entry.hdr, func() {
 		root = t.entry.children[0].Get(nil)
 	}); st != llxscx.StatusOK {
 		return false
 	}
-	return walkSubtreeLLX(root, h, visit)
+	return walkLLX(root, h)
 }
 
-func walkSubtreeLLX(n *Node, h *Handle, visit func(tx *htm.Tx, n *Node, h *Handle)) bool {
+func walkLLX(n *Node, h *Handle) bool {
 	if n.leaf {
-		_, st := llxscx.LLX(nil, &n.hdr, func() { visit(nil, n, h) })
+		_, st := llxscx.LLX(nil, &n.hdr, func() { rqCollectLeaf(nil, n, h) })
 		return st == llxscx.StatusOK
 	}
 	var arr [MaxB]*Node
@@ -542,7 +480,7 @@ func walkSubtreeLLX(n *Node, h *Handle, visit func(tx *htm.Tx, n *Node, h *Handl
 		return false
 	}
 	for i, c := range snap {
-		if rqChildOverlaps(n, i, h.argLo, h.argHi) && !walkSubtreeLLX(c, h, visit) {
+		if rqChildOverlaps(n, i, h.argLo, h.argHi) && !walkLLX(c, h) {
 			return false
 		}
 	}

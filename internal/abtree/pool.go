@@ -64,7 +64,6 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 	if stale {
 		n.hdr.Recycle()
 		n.ord.Recycle(permIdentity, uint64(len(pairs)))
-		n.aggSum.Recycle(sumPairs(pairs))
 		for i, p := range pairs {
 			n.slots[i].Recycle(p.k, p.v)
 		}
@@ -72,7 +71,6 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 	}
 	n.hdr.Reset()
 	n.ord.Init(permIdentity, uint64(len(pairs)))
-	n.aggSum.Init(sumPairs(pairs))
 	for i, p := range pairs {
 		n.slots[i].Init(p.k, p.v)
 	}
@@ -109,9 +107,6 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 		cc = len(children)
 	}
 	n.keys = append(make([]uint64, 0, ck), keys...)
-	// The aggregate cell: first allocation binds it (callers fill it
-	// before publication); recycled nodes keep their bindings.
-	n.agg.Bind(h.clk)
 	full := make([]htm.Ref[Node], cc)
 	for i := range full {
 		full[i].Bind(h.clk)
@@ -124,13 +119,7 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 }
 
 // beginAttempt, remove and settle delegate to the shared pool (see
-// nodepool's attempt-lifecycle contract). beginAttempt also drops any
-// deferred aggregate rebuilds a failed attempt left behind: the pool
-// may hand those nodes back out, and a stale rebuild would clobber a
-// node reused with new content.
-func (h *Handle) beginAttempt() {
-	h.pend = h.pend[:0]
-	h.pool.BeginAttempt()
-}
+// nodepool's attempt-lifecycle contract).
+func (h *Handle) beginAttempt()            { h.pool.BeginAttempt() }
 func (h *Handle) remove(n *Node)           { h.pool.Remove(n) }
 func (h *Handle) settle(path htm.PathKind) { h.pool.Settle(path) }

@@ -102,18 +102,18 @@ func TestInternalArrayReuse(t *testing.T) {
 
 // TestNodeFootprint pins the memory a node costs, so a layout regression
 // fails here by name instead of surfacing as the benchmark's
-// live_heap_mb: a leaf entry is one 32-byte cell, a node shell is 248
-// bytes — the order word and the 8-byte slot array pointer take 40 where
-// a size word and a slice header took 48 — inside the allocator's
-// 256-byte size class (whose objects are 256-aligned, so field offsets
-// are cache-line offsets), and a leaf of any b is that shell plus one
-// 512-byte array of MaxB slots.
+// live_heap_mb: a leaf entry is one 32-byte cell, a node shell is three
+// 64-byte lines — descent fields, order word, SCX header — exactly the
+// allocator's 192-byte size class (whose objects start at multiples of
+// 192 in page-aligned spans, so field offsets are cache-line offsets),
+// and a leaf of any b is that shell plus one 512-byte array of MaxB
+// slots.
 func TestNodeFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(htm.Pair{}); got != 32 {
 		t.Errorf("htm.Pair is %d bytes, want 32", got)
 	}
-	if got := unsafe.Sizeof(Node{}); got != 248 {
-		t.Errorf("Node is %d bytes, want 248 (size class 256; the next is 288)", got)
+	if got := unsafe.Sizeof(Node{}); got != 192 {
+		t.Errorf("Node is %d bytes, want 192 (size class 192; the next is 208, which is not line-aligned)", got)
 	}
 	var n Node
 	const line = 64
@@ -121,8 +121,11 @@ func TestNodeFootprint(t *testing.T) {
 		unsafe.Offsetof(n.leaf) >= line || unsafe.Offsetof(n.keys) >= line || unsafe.Offsetof(n.children) >= line {
 		t.Errorf("flags, keys, children and slots end at byte %d, want them to fill the first %d-byte line: a descent reads one line of a node", end, line)
 	}
-	if lo, hi := unsafe.Offsetof(n.ord), unsafe.Offsetof(n.aggSum)+unsafe.Sizeof(n.aggSum); lo != line || hi > 2*line {
-		t.Errorf("ord and aggSum span bytes %d..%d, want them inside the second line: an in-place edit dirties one line of the shell", lo, hi)
+	if lo := unsafe.Offsetof(n.ord); lo != line {
+		t.Errorf("ord starts at byte %d, want %d: an in-place edit dirties the second line of the shell and no other", lo, line)
+	}
+	if lo, hi := unsafe.Offsetof(n.hdr), unsafe.Offsetof(n.hdr)+unsafe.Sizeof(n.hdr); lo != 2*line || hi > 3*line {
+		t.Errorf("hdr spans bytes %d..%d, want it inside the third line, away from the order word", lo, hi)
 	}
 	tr := New(Config{})
 	h := tr.newHandle()
@@ -134,8 +137,8 @@ func TestNodeFootprint(t *testing.T) {
 			t.Fatalf("leaf owns arrays beyond its slots: %d keys, %d children",
 				cap(leaf.keys), cap(leaf.children))
 		}
-		if got := unsafe.Sizeof(*leaf) + unsafe.Sizeof(*leaf.slots); got != 248+512 {
-			t.Errorf("a leaf is %d bytes in two allocations, want 760", got)
+		if got := unsafe.Sizeof(*leaf) + unsafe.Sizeof(*leaf.slots); got != 192+512 {
+			t.Errorf("a leaf is %d bytes in two allocations, want 704", got)
 		}
 	}
 }
@@ -175,12 +178,11 @@ func TestLeafReuseStoresByList(t *testing.T) {
 			t.Fatalf("immediate=%v: newLeaf did not reuse the pooled leaf", immediate)
 		}
 		var got kv
-		var sum, size uint64
+		var size uint64
 		ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
 			var perm uint64
 			perm, size = n.ord.Get(tx)
 			got.k, got.v = n.slots[permAt(perm, 0)].Get(tx)
-			sum = n.aggSum.Get(tx)
 			if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
 				t.Error("reused leaf's header is not reset")
 			}
@@ -190,8 +192,8 @@ func TestLeafReuseStoresByList(t *testing.T) {
 			t.Errorf("a reader pinned before the reuse of an immediately recycled leaf was not aborted (committed %v, %+v)", ok, ab)
 		case !immediate && !ok:
 			t.Errorf("reuse of a grace-released leaf moved a version word: a reader pinned before it aborted with %+v", ab)
-		case !immediate && (size != 1 || got != kv{30, 300} || sum != 30):
-			t.Errorf("grace-released leaf holds size %d, pair %+v, sum %d after reuse", size, got, sum)
+		case !immediate && (size != 1 || got != kv{30, 300}):
+			t.Errorf("grace-released leaf holds size %d, pair %+v after reuse", size, got)
 		}
 	}
 }

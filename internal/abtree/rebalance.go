@@ -92,7 +92,6 @@ func (t *Tree) fixBody(pr *prims) bool {
 	h.beginAttempt()
 	h.nodes.reset()
 	h.keys.reset()
-	t.aggGuard(pr.Tx)
 	vio := t.findViolation(pr.Tx, h.argKey)
 	if vio.kind == vNone {
 		h.fixMore = false
@@ -164,9 +163,7 @@ func (pr *prims) copyNode(n *Node, tagged bool) (*Node, *llxscx.Info, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	nn := pr.h.newInternal(n.keys, snap, tagged)
-	pr.aggInit(nn)
-	return nn, info, true
+	return pr.h.newInternal(n.keys, snap, tagged), info, true
 }
 
 // fixUntagRoot replaces a tagged root with an untagged copy: the height
@@ -186,7 +183,7 @@ func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 	if !ok {
 		return false
 	}
-	if !pr.scx(
+	if !pr.SCX(
 		[]*llxscx.Hdr{&t.entry.hdr, &n.hdr}, []*llxscx.Info{ei, ni},
 		[]*llxscx.Hdr{&n.hdr}, &t.entry.children[0], n, nn) {
 		return false
@@ -225,7 +222,7 @@ func (t *Tree) fixCollapseRoot(pr *prims, vio violation) bool {
 	if !ok {
 		return false
 	}
-	if !pr.scx(
+	if !pr.SCX(
 		[]*llxscx.Hdr{&t.entry.hdr, &n.hdr, &child.hdr},
 		[]*llxscx.Info{ei, ni, ci},
 		[]*llxscx.Hdr{&n.hdr, &child.hdr},
@@ -283,11 +280,9 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 	fld := &gp.children[vio.pIdx]
 
 	if len(children) <= b {
-		// Absorb: one untagged replacement for p, with p's key content —
-		// its aggregates are p's own tuple.
+		// Absorb: one untagged replacement for p.
 		repl := pr.h.newInternal(keys, children, false)
-		pr.aggFrom(repl, p)
-		if !pr.scx(v, infos, r, fld, p, repl) {
+		if !pr.SCX(v, infos, r, fld, p, repl) {
 			return false
 		}
 		pr.h.remove(p)
@@ -295,17 +290,12 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 		return true
 	}
 	// Split-push-up: two halves under a new parent that inherits the tag
-	// (unless it becomes the root). left/right rebuild from their
-	// (pre-existing) children; np, whose children are the new halves,
-	// takes p's tuple — same key content.
+	// (unless it becomes the root).
 	lo := (len(children) + 1) / 2
 	left := pr.h.newInternal(keys[:lo-1], children[:lo], false)
-	pr.aggInit(left)
 	right := pr.h.newInternal(keys[lo:], children[lo:], false)
-	pr.aggInit(right)
 	np := pr.h.newInternal([]uint64{keys[lo-1]}, []*Node{left, right}, gp != t.entry)
-	pr.aggFrom(np, p)
-	if !pr.scx(v, infos, r, fld, p, np) {
+	if !pr.SCX(v, infos, r, fld, p, np) {
 		return false
 	}
 	pr.h.remove(p)
@@ -425,7 +415,6 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			m = h.newLeaf(all)
 		} else {
 			m = h.newInternal(allK, allC, false)
-			pr.aggInit(m)
 		}
 		if gp == t.entry && len(pSnap) == 2 {
 			// p was the root and would become unary: collapse directly.
@@ -434,9 +423,6 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			nk := append(append(h.keys.take(len(p.keys)-1), p.keys[:li]...), p.keys[li+1:]...)
 			nc := append(append(append(h.nodes.take(len(pSnap)-1), pSnap[:li]...), m), pSnap[ri+1:]...)
 			repl = h.newInternal(nk, nc, false)
-			// repl replaces p with identical key content (m is the join of
-			// p's two children), so it takes p's tuple.
-			pr.aggFrom(repl, p)
 		}
 	} else {
 		// Share: redistribute so both nodes have at least a entries.
@@ -449,9 +435,7 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			newSep = all[lo].k
 		} else {
 			nl = h.newInternal(allK[:lo-1], allC[:lo], false)
-			pr.aggInit(nl)
 			nr = h.newInternal(allK[lo:], allC[lo:], false)
-			pr.aggInit(nr)
 			newSep = allK[lo-1]
 		}
 		nk := append(h.keys.take(len(p.keys)), p.keys...)
@@ -459,9 +443,8 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 		nc := append(h.nodes.take(len(pSnap)), pSnap...)
 		nc[li], nc[ri] = nl, nr
 		repl = h.newInternal(nk, nc, false)
-		pr.aggFrom(repl, p)
 	}
-	if !pr.scx(v, infos, r, fld, p, repl) {
+	if !pr.SCX(v, infos, r, fld, p, repl) {
 		return false
 	}
 	h.remove(p)

@@ -110,32 +110,16 @@ func (h *Handle) setRange(lo, hi uint64) {
 	}
 }
 
-// RangeAgg returns the aggregate tuple of the keys in [lo, hi) by
-// walking the range — the BST deliberately keeps the O(range)
-// implementation behind dict.AggHandle as the control for the
-// walk-vs-aggregate ablation (the (a,b)-tree answers in O(log n) from
-// maintained subtree aggregates). Steady-state queries reuse the
-// retained range buffer, so they stay allocation-free.
+var _ dict.AggHandle = (*Handle)(nil)
+
+// RangeAgg returns the aggregate tuple of the keys in [lo, hi): the
+// range query's own op, folded (dict.Fold). The collected range stays in
+// the handle scratch, so steady-state queries allocate nothing. The
+// error is always nil.
 func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 	h.setRange(lo, hi)
 	h.e.Run(h.rqOp)
-	return h.foldRange(), nil
-}
-
-// foldRange folds the collected range into its aggregate tuple.
-func (h *Handle) foldRange() dict.Agg {
-	agg := dict.Agg{Min: ^uint64(0), Max: 0}
-	for _, p := range h.rqOut {
-		agg.Sum += p.Key
-		agg.Count++
-		if p.Key < agg.Min {
-			agg.Min = p.Key
-		}
-		if p.Key > agg.Max {
-			agg.Max = p.Key
-		}
-	}
-	return agg
+	return dict.Fold(h.rqOut), nil
 }
 
 // Pinned reads (dict.PinnedReader): the range query's own engine op, run
@@ -149,29 +133,14 @@ func (h *Handle) PinEnter()        { h.e.EnterReclaim() }
 func (h *Handle) PinExit()         { h.e.ExitReclaim() }
 func (h *Handle) PinClock() uint64 { return h.clk.Now() }
 
-// rangeAt collects [lo, hi) as of snapshot rv into the handle scratch.
-func (h *Handle) rangeAt(rv, lo, hi uint64) dict.PinStatus {
-	h.setRange(lo, hi)
-	return h.e.RunAt(&h.rqOp, rv)
-}
-
 func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
-	st := h.rangeAt(rv, lo, hi)
+	h.setRange(lo, hi)
+	st := h.e.RunAt(&h.rqOp, rv)
 	if st != dict.PinCommitted {
 		return out, st
 	}
 	return append(out, h.rqOut...), st
 }
-
-func (h *Handle) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
-	st := h.rangeAt(rv, lo, hi)
-	if st != dict.PinCommitted {
-		return dict.Agg{}, st
-	}
-	return h.foldRange(), st
-}
-
-var _ dict.AggHandle = (*Handle)(nil)
 
 func checkKey(key uint64) {
 	if key > dict.MaxKey {

@@ -23,7 +23,8 @@ type Agg struct {
 	Sum, Count, Min, Max uint64
 }
 
-// Merge folds o into a (the cross-subtree / cross-shard combiner).
+// Merge folds o into a: afterwards a is the tuple of the union of the
+// two key sets, which must be disjoint.
 func (a *Agg) Merge(o Agg) {
 	a.Sum += o.Sum
 	a.Count += o.Count
@@ -37,12 +38,27 @@ func (a *Agg) Merge(o Agg) {
 	}
 }
 
+// Fold returns the aggregate tuple of the keys in kvs, which must be in
+// ascending key order, as RangeQuery returns them.
+func Fold(kvs []KV) Agg {
+	a := Agg{Min: ^uint64(0)}
+	if len(kvs) == 0 {
+		return a
+	}
+	for _, p := range kvs {
+		a.Sum += p.Key
+	}
+	a.Count = uint64(len(kvs))
+	a.Min, a.Max = kvs[0].Key, kvs[len(kvs)-1].Key
+	return a
+}
+
 // AggHandle is optionally implemented by handles that answer aggregate
-// range queries. Structures with maintained subtree aggregates (the
-// (a,b)-tree) answer in O(log n); the BST walks the range — the
-// documented control for the walk-vs-aggregate ablation. The error is
-// always nil for unsharded trees; the sharded dictionary rejects
-// aggregate queries when its configuration cannot make them atomic.
+// range queries. Every implementation folds its own RangeQuery (Fold),
+// so a query costs what the range query over the same window costs, and
+// is exactly as atomic. The error is always nil for unsharded trees; the
+// sharded dictionary rejects aggregate queries when its configuration
+// cannot make them atomic.
 type AggHandle interface {
 	// RangeAgg returns the aggregate tuple of the keys in [lo, hi).
 	RangeAgg(lo, hi uint64) (Agg, error)
@@ -91,8 +107,6 @@ type PinnedReader interface {
 	// RangeQueryAt is Handle.RangeQuery as of snapshot rv. Unless the
 	// status is PinCommitted, out is returned unextended.
 	RangeQueryAt(rv, lo, hi uint64, out []KV) ([]KV, PinStatus)
-	// RangeAggAt is AggHandle.RangeAgg as of snapshot rv.
-	RangeAggAt(rv, lo, hi uint64) (Agg, PinStatus)
 }
 
 // Handle is a per-thread handle to a dictionary. A Handle must be used

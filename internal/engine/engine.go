@@ -352,18 +352,6 @@ type PathCounts struct {
 // Total sums the three paths.
 func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
 
-// AggregateStats counts aggregate queries by the body that answered
-// them, whatever path Run returned.
-type AggregateStats struct {
-	// Fast counts queries answered by the O(log n) descent over
-	// maintained subtree aggregates — in a transaction, or under the TLE
-	// lock with a nil tx — and Walk the queries answered by the
-	// LLX-validated leaf walk, the software body (fallback path, non-htm,
-	// scx-htm). Always zero on a BST, whose RangeAgg walks the range
-	// without touching either counter.
-	Fast, Walk uint64
-}
-
 // ReclaimStats is the state of an engine's reclamation domain: how many
 // removed nodes are waiting out their grace period, and how many sit in
 // the handles' free lists, by list (see nodepool). These are gauges, not
@@ -395,8 +383,7 @@ type StatsSource interface {
 // keeps no second ledger of the same event; under scx-htm that includes
 // the standalone SCX transactions' aborts), operation completions per
 // path, retry actions, TLE lock acquisitions, the update monitor's
-// completed quiesces, the (a,b)-tree's aggregate answers (filled in by
-// the tree, which counts them), and the reclamation domain's gauges.
+// completed quiesces, and the reclamation domain's gauges.
 type OpStats struct {
 	htm.Stats
 	PathCounts
@@ -404,7 +391,6 @@ type OpStats struct {
 	Reclaim              ReclaimStats
 	FallbackAcquisitions uint64
 	Quiesces             uint64
-	Aggregate            AggregateStats
 }
 
 // Merge adds another snapshot into s (the shard layer's aggregation).
@@ -417,8 +403,6 @@ func (s *OpStats) Merge(o OpStats) {
 	s.Reclaim.Merge(o.Reclaim)
 	s.FallbackAcquisitions += o.FallbackAcquisitions
 	s.Quiesces += o.Quiesces
-	s.Aggregate.Fast += o.Aggregate.Fast
-	s.Aggregate.Walk += o.Aggregate.Walk
 }
 
 // Stats sums the per-thread counters — the TM's and the engine's — over

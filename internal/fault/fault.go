@@ -2,8 +2,8 @@
 // of named injection points threaded through the protocol seams the
 // engine's correctness arguments actually depend on — forced
 // transactional aborts, stalls and permanent death of a fallback-path
-// owner, quiesce-gate delays, epoch-pin stalls that starve reclamation, aggregate-seqlock writer stalls, batch
-// flush delays, and edits inside a fallback search's leaf snapshot —
+// owner, quiesce-gate delays, epoch-pin stalls that starve reclamation,
+// batch flush delays, and edits inside a fallback search's leaf snapshot —
 // plus a progress watchdog (Liveness) that distinguishes "blocked on a
 // dead owner" (a bug) from "progressed past a dead owner" (the lock-free
 // guarantee).
@@ -68,11 +68,6 @@ const (
 	// the thread is pinned to the announced epoch — a stalled pin
 	// lags the epoch and starves every other thread's grace periods.
 	PointEBRPin
-	// PointAggFixup fires inside the (a,b)-tree's aggVer seqlock
-	// bracket, between the SCX swing and the completion of the
-	// aggregate fixup — while every transactional reader and writer of
-	// the tree is aborting on the odd seqlock.
-	PointAggFixup
 	// PointBatchFlush fires at the head of a batch pipeline flush,
 	// before the group executes.
 	PointBatchFlush
@@ -97,8 +92,6 @@ func (p Point) String() string {
 		return "quiesce"
 	case PointEBRPin:
 		return "ebr-pin"
-	case PointAggFixup:
-		return "agg-fixup"
 	case PointBatchFlush:
 		return "batch-flush"
 	case PointSearchLeaf:

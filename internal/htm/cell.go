@@ -275,16 +275,16 @@ func (w *Word) Add(delta uint64) uint64 {
 
 // Pair is a shared cell holding two uint64 values under one version
 // word: the two are read, and changed, as a unit. It exists for values
-// that always move together — a subtree's key sum and key count, a leaf
-// entry's key and value — where two Words would cost every update two
+// that always move together — a leaf's order permutation and size, a
+// leaf entry's key and value — where two Words would cost every update two
 // write-set entries, two commit locks and two version stores (and every
 // read two read-set entries) for what is one logical change. Hardware
 // tracks such neighbours as one cache line; a Pair is the simulator's
 // rendering of that. Like Word, the zero value is an unlocked (0, 0)
 // bound to no clock.
 //
-// A Pair takes buffered values (Set) or commutative deltas
-// (AddAtCommit), never both in one transaction; it has no CAS.
+// A Pair takes buffered values (Set) only: it has no CAS and no
+// commutative add.
 type Pair struct {
 	clk *Clock
 	ver atomic.Uint64
@@ -362,34 +362,6 @@ func (p *Pair) Set(tx *Tx, a, b uint64) {
 	}
 	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPair)
 	e.word, e.word2 = a, b
-}
-
-// AddAtCommit queues a commutative increment of both values, applied
-// atomically at the transaction's commit. See Word.AddAtCommit: the cell
-// joins the write set but not the read set, repeated adds accumulate,
-// and the cell must not be read again in the same transaction.
-func (p *Pair) AddAtCommit(tx *Tx, da, db uint64) {
-	if tx == nil {
-		p.Add(da, db)
-		return
-	}
-	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPairAdd)
-	e.word += da
-	e.word2 += db
-}
-
-// Add atomically adds (da, db) — either may be negative via two's
-// complement — to the cell outside any transaction and returns the new
-// values.
-func (p *Pair) Add(da, db uint64) (a, b uint64) {
-	c := p.clock()
-	acquireNonTx(&p.ver)
-	nv := c.tick()
-	a, b = p.val[0].Load()+da, p.val[1].Load()+db
-	p.val[0].Store(a)
-	p.val[1].Store(b)
-	p.ver.Store(nv << 1)
-	return a, b
 }
 
 // Ref is a shared pointer cell holding a *T. The zero value is an

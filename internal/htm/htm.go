@@ -59,7 +59,7 @@
 // it from the Tx it already holds (Tx.bind).
 // And a write-set entry addresses its cell by two raw pointers, version
 // word and value storage, so commit applies every kind of entry (a
-// buffered Word, Ref or Pair value, a Word or Pair delta) with a switch
+// buffered Word, Ref or Pair value, or a Word delta) with a switch
 // instead of an interface call and an entry stays under a cache line.
 //
 // A transaction is a single attempt, exactly like XBEGIN/XEND: retry

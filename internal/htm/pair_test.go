@@ -16,23 +16,23 @@ func TestPairNonTxBasics(t *testing.T) {
 		t.Fatalf("zero Pair = (%d,%d)", a, b)
 	}
 	p.Init(10, 2)
+	if a, b := p.Get(nil); a != 10 || b != 2 {
+		t.Fatalf("Pair = (%d,%d) after Init, want (10,2)", a, b)
+	}
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Fatal("Add on an unbound Pair did not panic")
+				t.Fatal("Set on an unbound Pair did not panic")
 			}
 		}()
-		p.Add(1, 1)
+		p.Set(nil, 1, 1)
 	}()
 	p.Bind(tm.Clock())
 	before := tm.ClockValue()
-	if a, b := p.Add(5, ^uint64(0)); a != 15 || b != 1 {
-		t.Fatalf("Add returned (%d,%d), want (15,1)", a, b)
-	}
+	p.Set(nil, 16, 2)
 	if tm.ClockValue() == before {
-		t.Fatal("non-transactional Add did not advance the clock")
+		t.Fatal("non-transactional Set did not advance the clock")
 	}
-	p.AddAtCommit(nil, 1, 1) // degenerates to Add
 	if a, b := p.Get(nil); a != 16 || b != 2 {
 		t.Fatalf("Pair = (%d,%d), want (16,2)", a, b)
 	}
@@ -46,12 +46,13 @@ func TestPairNonTxBasics(t *testing.T) {
 	}()
 }
 
-// TestPairOpacity: writers add (+k, +1) to one Pair transactionally, so
-// a == k*b in every committed state of it, and set another to
-// (x, pairF(x)), so b == pairF(a) there. Transactional and
-// non-transactional readers must see exactly that from one Get — never
-// the two halves of different commits — while a third party adds to and
-// sets the cells outside any transaction (strong atomicity).
+// TestPairOpacity: writers add (+k, +1) to one Pair transactionally,
+// reading it and setting the sum, so a == k*b in every committed state
+// of it, and set another to (x, pairF(x)), so b == pairF(a) there.
+// Transactional and non-transactional readers must see exactly that
+// from one Get — never the two halves of different commits — while a
+// third party sets the second cell outside any transaction (strong
+// atomicity).
 func TestPairOpacity(t *testing.T) {
 	t.Parallel()
 	pairF := func(a uint64) uint64 { return a*0x9e3779b97f4a7c15 + 1 }
@@ -77,7 +78,8 @@ func TestPairOpacity(t *testing.T) {
 				x := w<<32 | uint64(i)
 				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
 					scratch.Set(tx, uint64(i))
-					p.AddAtCommit(tx, k, 1)
+					a, b := p.Get(tx)
+					p.Set(tx, a+k, b+1)
 					q.Set(tx, x, pairF(x))
 				}); ok {
 					i++
@@ -89,7 +91,6 @@ func TestPairOpacity(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < nonTx; i++ {
-			p.Add(k, 1)
 			q.Set(nil, writers<<32|i, pairF(writers<<32|i))
 		}
 	}()
@@ -132,7 +133,7 @@ func TestPairOpacity(t *testing.T) {
 	wg.Wait()
 	done.Store(true)
 	readers.Wait()
-	const total = writers*perW + nonTx
+	const total = writers * perW
 	if a, b := p.Get(nil); a != k*total || b != total {
 		t.Fatalf("Pair = (%d,%d), want (%d,%d)", a, b, k*total, total)
 	}
@@ -196,24 +197,23 @@ func TestAddWaitIsBounded(t *testing.T) {
 	t.Parallel()
 	tm := New(Config{})
 	th := tm.NewThread()
-	var w Word
-	var p Pair
+	var v, w Word
 
 	// Held for good: the bound turns the wait into a conflict abort, and
 	// nothing is applied or left locked.
 	unlockW := lockWord(t, &w.ver)
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-		p.AddAtCommit(tx, 1, 1)
+		v.AddAtCommit(tx, 1)
 		w.AddAtCommit(tx, 1)
 	})
 	if ok || ab.Cause != CauseConflict {
 		t.Fatalf("add against a cell locked for good: ok=%v %+v, want a conflict abort", ok, ab)
 	}
-	if p.ver.Load()&lockBit != 0 {
+	if v.ver.Load()&lockBit != 0 {
 		t.Fatal("aborted commit left an earlier entry locked")
 	}
 	unlockW()
-	if a, b := p.Get(nil); a != 0 || b != 0 || w.Get(nil) != 0 {
+	if v.Get(nil) != 0 || w.Get(nil) != 0 {
 		t.Fatal("aborted commit applied an add")
 	}
 
@@ -237,7 +237,7 @@ func TestConcurrentAddsRarelyAbort(t *testing.T) {
 	t.Parallel()
 	const perG = 100000
 	tm := New(Config{})
-	var hot Pair
+	var hot Word
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for g := 0; g < 2; g++ {
@@ -250,7 +250,7 @@ func TestConcurrentAddsRarelyAbort(t *testing.T) {
 			for i := 0; i < perG; {
 				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
 					own.Set(tx, uint64(i))
-					hot.AddAtCommit(tx, 3, 1)
+					hot.AddAtCommit(tx, 3)
 				}); ok {
 					i++
 				}
@@ -259,8 +259,8 @@ func TestConcurrentAddsRarelyAbort(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if a, b := hot.Get(nil); a != 3*2*perG || b != 2*perG {
-		t.Fatalf("Pair = (%d,%d), want (%d,%d)", a, b, 3*2*perG, 2*perG)
+	if got := hot.Get(nil); got != 3*2*perG {
+		t.Fatalf("hot = %d, want %d", got, 3*2*perG)
 	}
 	st := tm.Stats()
 	commits, conflicts := st.Commits[PathFast], st.Aborts[PathFast][CauseConflict]
@@ -270,10 +270,10 @@ func TestConcurrentAddsRarelyAbort(t *testing.T) {
 	}
 }
 
-// TestConcurrentAddsExactTotal: N goroutines adding to one Word and one
-// Pair through transactions commit an exact total, and collide on the
-// cells' commit locks without a single conflict abort being necessary
-// for correctness (aborted attempts are simply retried).
+// TestConcurrentAddsExactTotal: N goroutines adding to two Words through
+// transactions commit an exact total, and collide on the cells' commit
+// locks without a single conflict abort being necessary for correctness
+// (aborted attempts are simply retried).
 func TestConcurrentAddsExactTotal(t *testing.T) {
 	t.Parallel()
 	const (
@@ -281,8 +281,7 @@ func TestConcurrentAddsExactTotal(t *testing.T) {
 		perG       = 2000
 	)
 	tm := New(Config{})
-	var w Word
-	var p Pair
+	var w, v Word
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -292,7 +291,7 @@ func TestConcurrentAddsExactTotal(t *testing.T) {
 			for i := 0; i < perG; {
 				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
 					w.AddAtCommit(tx, 1)
-					p.AddAtCommit(tx, uint64(g), 1)
+					v.AddAtCommit(tx, uint64(g))
 				}); ok {
 					i++
 				}
@@ -304,8 +303,8 @@ func TestConcurrentAddsExactTotal(t *testing.T) {
 	if got := w.Get(nil); got != total {
 		t.Fatalf("Word = %d, want %d", got, total)
 	}
-	if a, b := p.Get(nil); a != perG*goroutines*(goroutines-1)/2 || b != total {
-		t.Fatalf("Pair = (%d,%d), want (%d,%d)", a, b, perG*goroutines*(goroutines-1)/2, total)
+	if got := v.Get(nil); got != perG*goroutines*(goroutines-1)/2 {
+		t.Fatalf("second Word = %d, want %d", got, perG*goroutines*(goroutines-1)/2)
 	}
 }
 
@@ -321,7 +320,7 @@ func TestOpposedAddOrdersFinish(t *testing.T) {
 		}
 		const perG = 20000
 		tm := New(Config{})
-		var a, b Pair
+		var a, b Word
 		finished := make(chan struct{})
 		var wg sync.WaitGroup
 		for g := 0; g < 2; g++ {
@@ -335,8 +334,8 @@ func TestOpposedAddOrdersFinish(t *testing.T) {
 				}
 				for i := 0; i < perG; {
 					if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-						first.AddAtCommit(tx, 1, 1)
-						second.AddAtCommit(tx, 1, 1)
+						first.AddAtCommit(tx, 1)
+						second.AddAtCommit(tx, 1)
 					}); ok {
 						i++
 					}
@@ -349,9 +348,9 @@ func TestOpposedAddOrdersFinish(t *testing.T) {
 		case <-time.After(60 * time.Second):
 			t.Fatalf("GOMAXPROCS=%d: opposed add orders did not finish (commit-lock deadlock?)", runtime.GOMAXPROCS(0))
 		}
-		for _, p := range []*Pair{&a, &b} {
-			if x, y := p.Get(nil); x != 2*perG || y != 2*perG {
-				t.Fatalf("Pair = (%d,%d), want (%d,%d)", x, y, 2*perG, 2*perG)
+		for _, w := range []*Word{&a, &b} {
+			if got := w.Get(nil); got != 2*perG {
+				t.Fatalf("Word = %d, want %d", got, 2*perG)
 			}
 		}
 	}

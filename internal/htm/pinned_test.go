@@ -28,7 +28,7 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 		t.Fatal("writer aborted")
 	}
 	plainWritten.Set(nil, 2)
-	pair.Add(1, 1)
+	pair.Set(nil, 2, 2)
 
 	ok, _ := th.AtomicAt(PathFast, rv, func(tx *Tx) {
 		if got := still.Get(tx); got != 1 {
@@ -42,7 +42,7 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 		"transactional write": txWritten.Get,
 		"plain write":         plainWritten.Get,
 		"stable read":         plainWritten.GetStable,
-		"pair add":            func(tx *Tx) uint64 { a, _ := pair.Get(tx); return a },
+		"pair write":          func(tx *Tx) uint64 { a, _ := pair.Get(tx); return a },
 	} {
 		ok, ab := th.AtomicAt(PathFast, rv, func(tx *Tx) {
 			_ = still.Get(tx)

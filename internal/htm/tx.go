@@ -184,17 +184,15 @@ type readEntry struct {
 type entryKind uint8
 
 const (
-	entWord    entryKind = iota // Word.Set: store word
-	entRef                      // Ref.Set: store ptr
-	entPair                     // Pair.Set: store (word, word2)
-	entAdd                      // Word.AddAtCommit: add word
-	entPairAdd                  // Pair.AddAtCommit: add (word, word2)
+	entWord entryKind = iota // Word.Set: store word
+	entRef                   // Ref.Set: store ptr
+	entPair                  // Pair.Set: store (word, word2)
+	entAdd                   // Word.AddAtCommit: add word
 )
 
 // isAdd reports whether the entry is a commutative delta applied to
-// whatever the cell holds at commit, rather than a buffered value. The
-// add kinds are ordered last so this stays one compare.
-func (k entryKind) isAdd() bool { return k >= entAdd }
+// whatever the cell holds at commit, rather than a buffered value.
+func (k entryKind) isAdd() bool { return k == entAdd }
 
 // writeEntry is one buffered write. It addresses the cell by two raw
 // pointers instead of an interface value — ver, the cell's version word
@@ -209,7 +207,7 @@ type writeEntry struct {
 	// *unsafe.Pointer for a Ref, *[2]atomic.Uint64 for a Pair.
 	c     unsafe.Pointer
 	word  uint64
-	word2 uint64         // second component of a Pair value or delta
+	word2 uint64         // second component of a Pair value
 	ptr   unsafe.Pointer // buffered *T of an entRef entry
 	kind  entryKind
 }
@@ -229,8 +227,7 @@ type Tx struct {
 	// every first write of a cell, asks "is this cell in my write set?"
 	// and the answer is almost always no; a clear signature bit says so
 	// in O(1), where scanning writes costs O(len(writes)) per access —
-	// quadratic in a commit that carries two aggregate entries per tree
-	// level. A set bit only means "maybe": the scan (and the misuse
+	// quadratic in the size of a commit. A set bit only means "maybe": the scan (and the misuse
 	// checks it guards) then runs as before, so a saturated signature
 	// degrades to the scan, never to a wrong answer.
 	sig  [sigWords]uint64
@@ -500,16 +497,15 @@ func lockForAdd(ver *atomic.Uint64) bool {
 // finish. Adds commute: the entry never looked at the cell's value or
 // version, so whatever the holder commits cannot invalidate it, and
 // aborting would throw a whole transaction away over a collision that
-// is not a conflict (every update of an (a,b)-tree adds to the same
-// root aggregate). The holder is itself inside a commit or a
-// non-transactional cell operation, a few stores long. The bound is
-// what keeps this deadlock-free: write sets are locked in program
-// order, and nothing makes two bodies add to the cells they share in
-// the same order (the (a,b)-tree's own do, root→leaf, agg.go aggApply;
-// a TM cannot rely on its callers), so each may hold what the other
-// polls for; neither waits forever — after addWaitPolls
-// polls the waiter releases everything and aborts with CauseConflict,
-// exactly as it would have without waiting.
+// is not a conflict (every update of a monitored shard adds to the same
+// monitor word, engine.UpdateMonitor). The holder is itself inside a
+// commit or a non-transactional cell operation, a few stores long. The
+// bound is what keeps this deadlock-free: write sets are locked in
+// program order, and nothing makes two bodies add to the cells they
+// share in the same order (a TM cannot rely on its callers), so each
+// may hold what the other polls for; neither waits forever — after
+// addWaitPolls polls the waiter releases everything and aborts with
+// CauseConflict, exactly as it would have without waiting.
 func (tx *Tx) commit() AbortCause {
 	if len(tx.writes) == 0 {
 		// Read-only transactions are consistent at rv by construction.
@@ -564,10 +560,6 @@ func (tx *Tx) commit() AbortCause {
 		case entAdd:
 			val := (*atomic.Uint64)(w.c)
 			val.Store(val.Load() + w.word)
-		case entPairAdd:
-			val := (*[2]atomic.Uint64)(w.c)
-			val[0].Store(val[0].Load() + w.word)
-			val[1].Store(val[1].Load() + w.word2)
 		}
 		w.ver.Store(nv)
 	}

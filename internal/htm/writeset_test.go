@@ -25,7 +25,6 @@ type wsModel struct {
 	wordAdd map[int]uint64
 	refSet  map[int]*wsNode
 	pairSet map[int][2]uint64
-	pairAdd map[int][2]uint64
 }
 
 func (m *wsModel) begin() {
@@ -33,7 +32,6 @@ func (m *wsModel) begin() {
 	m.wordAdd = map[int]uint64{}
 	m.refSet = map[int]*wsNode{}
 	m.pairSet = map[int][2]uint64{}
-	m.pairAdd = map[int][2]uint64{}
 }
 
 func (m *wsModel) commit() {
@@ -48,10 +46,6 @@ func (m *wsModel) commit() {
 	}
 	for i, v := range m.pairSet {
 		m.pairs[i] = v
-	}
-	for i, d := range m.pairAdd {
-		m.pairs[i][0] += d[0]
-		m.pairs[i][1] += d[1]
 	}
 }
 
@@ -134,7 +128,7 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 					break
 				}
 				i := next(cells)
-				switch next(10) {
+				switch next(9) {
 				case 0, 1: // Word.Get
 					if _, pending := m.wordAdd[i]; pending {
 						continue
@@ -188,28 +182,14 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 					}
 					m.refSet[i] = p
 				case 7: // Pair.Get, reading back a buffered Set
-					if _, pending := m.pairAdd[i]; pending {
-						continue
-					}
 					a, b := pairs[i].Get(tx)
 					if want := m.pair(i); a != want[0] || b != want[1] {
 						t.Fatalf("seed %d txn %d: pair %d reads (%d,%d), model %v", seed, txn, i, a, b, want)
 					}
 				case 8: // Pair.Set
-					if _, pending := m.pairAdd[i]; pending {
-						continue
-					}
 					v := [2]uint64{uint64(next(1 << 20)), uint64(next(1 << 20))}
 					pairs[i].Set(tx, v[0], v[1])
 					m.pairSet[i] = v
-				case 9: // Pair.AddAtCommit
-					if _, written := m.pairSet[i]; written {
-						continue
-					}
-					da, db := uint64(next(1000)), uint64(next(3))-1 // db in {-1, 0, 1}
-					pairs[i].AddAtCommit(tx, da, db)
-					d := m.pairAdd[i]
-					m.pairAdd[i] = [2]uint64{d[0] + da, d[1] + db}
 				}
 			}
 			if abort {
@@ -242,15 +222,14 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 
 // TestMisusePanicsOnSignatureHit repeats the AddAtCommit misuse checks
 // with the offending cell buried in a write set large enough to have
-// set every signature bit, and with the Pair flavour of each: the
-// panics live behind the signature, so a hit must still reach them.
+// set every signature bit: the panics live behind the signature, so a
+// hit must still reach them.
 func TestMisusePanicsOnSignatureHit(t *testing.T) {
 	t.Parallel()
 	tm := New(Config{WriteCapacity: 4096})
 	th := tm.NewThread()
 	filler := make([]Word, 3000)
 	var w Word
-	var p Pair
 	expectPanic := func(name string, fn func(tx *Tx)) {
 		t.Helper()
 		defer func() {
@@ -298,21 +277,6 @@ func TestMisusePanicsOnSignatureHit(t *testing.T) {
 		fillRest(tx)
 		w.AddAtCommit(tx, 1)
 	})
-	expectPanic("Pair read after AddAtCommit", func(tx *Tx) {
-		p.AddAtCommit(tx, 1, 1)
-		fillRest(tx)
-		p.Get(tx)
-	})
-	expectPanic("Pair Set after AddAtCommit", func(tx *Tx) {
-		p.AddAtCommit(tx, 1, 1)
-		fillRest(tx)
-		p.Set(tx, 5, 5)
-	})
-	expectPanic("Pair AddAtCommit after Set", func(tx *Tx) {
-		p.Set(tx, 5, 5)
-		fillRest(tx)
-		p.AddAtCommit(tx, 1, 1)
-	})
 }
 
 // TestWriteCapacityCountsEntries pins the capacity rule: the abort fires
@@ -329,14 +293,14 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 	th := tm.NewThread()
 	words := make([]Word, per+1)
 	refs := make([]Ref[wsNode], per)
-	adds := make([]Pair, per)
+	adds := make([]Word, per)
 	sets := make([]Pair, per)
 	n := &wsNode{}
 	fill := func(tx *Tx, round uint64) {
 		for i := 0; i < per; i++ {
 			words[i].Set(tx, uint64(i))
 			refs[i].Set(tx, n)
-			adds[i].AddAtCommit(tx, 1, 1)
+			adds[i].AddAtCommit(tx, 1)
 			sets[i].Set(tx, round, uint64(i))
 		}
 	}
@@ -352,8 +316,8 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 	if !ok {
 		t.Fatalf("transaction at exactly WriteCapacity entries aborted: %+v", ab)
 	}
-	if a, b := adds[0].Get(nil); a != 4 || b != 4 {
-		t.Fatalf("accumulated pair adds = (%d,%d), want (4,4)", a, b)
+	if got := adds[0].Get(nil); got != 4 {
+		t.Fatalf("accumulated adds = %d, want 4", got)
 	}
 	if a, b := sets[per-1].Get(nil); a != 3 || b != per-1 {
 		t.Fatalf("overwritten pair = (%d,%d), want (3,%d)", a, b, per-1)

@@ -42,12 +42,9 @@ func (c combo) buildAgg(t *testing.T, keySpan uint64) *htmtree.Tree {
 // TestDifferentialAggregates drives a random stream of updates and
 // aggregate queries through every configuration and the model in
 // lockstep: every RangeAgg window (and the whole-tree Count/Min/Max
-// convenience forms) must return exactly the model's tuple. On the
-// (a,b)-tree this exercises the O(log n) aggregate descent against
-// every update path that maintains the per-child tuples; the BST runs
-// the same checks through its walking implementation — the
-// interface-level control. The final
-// CheckInvariants recomputes every node's tuple from the leaves.
+// convenience forms) must return exactly the model's tuple. Both trees
+// fold their range query, so this checks the fold over every path the
+// range query runs on. The final CheckInvariants checks the structure.
 func TestDifferentialAggregates(t *testing.T) {
 	t.Parallel()
 	const (
@@ -123,74 +120,6 @@ func TestDifferentialAggregates(t *testing.T) {
 			if err := tree.CheckInvariants(); err != nil {
 				t.Fatal(err)
 			}
-			if c.structure == "abtree" {
-				// The counters name the body that answered: the algorithms
-				// with a transactional path answer at least some queries on
-				// the O(log n) descent (TLE's locked body descends too), and
-				// the two without one only on the validated walk.
-				st := tree.Stats().Aggregate
-				switch c.algorithm {
-				case htmtree.NonHTM, htmtree.SCXHTM:
-					if st.Fast != 0 || st.Walk == 0 {
-						t.Errorf("aggregate answers %+v, want walks only", st)
-					}
-				default:
-					if st.Fast == 0 {
-						t.Errorf("no aggregate query used the fast descent: %+v", st)
-					}
-				}
-			}
-		})
-	}
-}
-
-// TestAggregateDescentCounters pins Stats().Aggregate on quiescent trees
-// of the 3-path combos: every RangeAgg/Count over a quarter and over all
-// of a dense key space is answered by the O(log n) descent (Fast advances
-// by one per shard the window overlaps, Walk stays 0), and the BST, which
-// has no aggregates, reports 0/0. A quarter of the key space holds twice
-// the default read capacity in keys, so a query that walked its range —
-// inside a transaction or not — would capacity-abort onto the fallback
-// path and count as a Walk.
-func TestAggregateDescentCounters(t *testing.T) {
-	t.Parallel()
-	const (
-		keySpan = 1 << 14 // a quarter = 4096 keys > htm.DefaultReadCapacity
-		rounds  = 5
-	)
-	for _, c := range allCombos() {
-		c := c
-		if c.algorithm != htmtree.ThreePath {
-			continue
-		}
-		t.Run(c.name(), func(t *testing.T) {
-			t.Parallel()
-			tree := c.buildAgg(t, keySpan)
-			h := tree.NewHandle()
-			for i := uint64(1); i < keySpan; i++ {
-				k := i * 7919 % keySpan // a permutation of [1, keySpan): ascending keys would build a path-shaped BST
-				h.Insert(k, k)
-			}
-			for i := 0; i < rounds; i++ {
-				// [keySpan/4, keySpan/2) is exactly shards 2 and 3 of 8.
-				a, err := h.RangeAgg(keySpan/4, keySpan/2)
-				if err != nil || a.Count != keySpan/4 || a.Min != keySpan/4 || a.Max != keySpan/2-1 {
-					t.Fatalf("quarter RangeAgg = %+v, %v", a, err)
-				}
-				if n, err := h.Count(); err != nil || n != keySpan-1 {
-					t.Fatalf("Count() = %d, %v; want %d", n, err, keySpan-1)
-				}
-			}
-			want := uint64(0) // bst
-			switch {
-			case c.structure == "abtree" && c.shards > 1:
-				want = rounds * (2 + uint64(c.shards))
-			case c.structure == "abtree":
-				want = rounds * 2
-			}
-			if got := tree.Stats().Aggregate; got.Fast != want || got.Walk != 0 {
-				t.Fatalf("Aggregate = %+v, want Fast %d, Walk 0", got, want)
-			}
 		})
 	}
 }
@@ -247,9 +176,8 @@ func checkFullAgg(a htmtree.Agg) error {
 // token walker) but reads with RangeAgg instead of RangeQuery: unlike
 // a torn range query, a torn aggregate leaves no per-key output to
 // cross-check, so the checks here are closed-form invariants every
-// consistent cut must satisfy. On a sharded (a,b)-tree the merged
-// per-shard tuples come from the O(log n) aggregate descent under
-// concurrent updates; on the sharded BST each shard walks its range.
+// consistent cut must satisfy. On both trees the tuple is the fold of
+// the sharded tree's atomic RangeQuery.
 func runAggAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
 	t.Helper()
 	tree := c.build(t)
@@ -308,8 +236,7 @@ func runAggAtomicityHarness(t *testing.T, c atomicityCase, iters int) []error {
 // assert the same split between pinned transactions and sampling. The
 // tle variants put TLE writers against readers subscribed to the lock
 // word — partly sampled, sent there by capacity aborts, and pinned with
-// every update forced onto the lock (fallbackWriteCapacity), whose body
-// adds to the aggregates without a seqlock.
+// every update forced onto the lock (fallbackWriteCapacity).
 func TestCrossShardAggregateAtomicity(t *testing.T) {
 	t.Parallel()
 	runAtomicityCases(t, "aggregate", []atomicityCase{

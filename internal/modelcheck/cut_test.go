@@ -12,9 +12,9 @@ import (
 // an atomic cut, on both trees. One updater inserts L_i at the low end of
 // the key space and then R_i at the high end, so a scan that returns R_i
 // must return L_i. Read capacity 64 sends every full-range scan to the
-// fallback path. The fallback walk (the BST's rqFallback, and the
-// (a,b)-tree's walkLLX, which its aggregate query shares) validates each node when it visits it and nothing at the
-// end: an insert into a leaf the scan has passed, then one under a parent
+// fallback path. The fallback walk (the BST's rqFallback and the
+// (a,b)-tree's walkLLX, whose results RangeAgg folds on both) validates
+// each node when it visits it and nothing at the end: an insert into a leaf the scan has passed, then one under a parent
 // it has yet to visit, shows it only the second. Unskipped on a 2-vCPU
 // host, 28 of 32 subtests failed over 8 runs, every subtest at least 6
 // times, so it is skipped until ROADMAP D settles the fix.

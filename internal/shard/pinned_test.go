@@ -164,23 +164,6 @@ func (s *verShard) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, di
 	return append(out, s.w.window(n, s.idx, lo, hi)...), dict.PinCommitted
 }
 
-func (s *verShard) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
-	kvs, st := s.RangeQueryAt(rv, lo, hi, nil)
-	return foldKVs(kvs), st
-}
-
-func (s *verShard) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	return foldKVs(s.RangeQuery(lo, hi, nil)), nil
-}
-
-func foldKVs(kvs []dict.KV) dict.Agg {
-	agg := dict.Agg{Min: ^uint64(0)}
-	for _, kv := range kvs {
-		agg.Merge(dict.Agg{Sum: kv.Key, Count: 1, Min: kv.Key, Max: kv.Key})
-	}
-	return agg
-}
-
 func wantStats(t *testing.T, d *Dict, want RQStats) {
 	t.Helper()
 	if got := d.RQStats(); got != want {

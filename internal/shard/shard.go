@@ -439,6 +439,8 @@ type handle struct {
 	// handle may run pinned (see pinnedReaders); pins is nil otherwise.
 	pins []dict.PinnedReader
 	rvs  []uint64
+	// aggOut is RangeAgg's retained range buffer.
+	aggOut []dict.KV
 }
 
 // routeUpdate returns the shard owning key. On a monitored dictionary it
@@ -572,4 +574,25 @@ func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 		out = h.readShards(first, last, lo, hi, out[:base])
 	})
 	return out
+}
+
+var _ dict.AggHandle = (*handle)(nil)
+
+// RangeAgg returns the aggregate tuple (sum/count/min/max) of the keys
+// in [lo, hi) across all overlapping shards: the handle's own
+// RangeQuery, folded (dict.Fold), so the tuple is the consistent cut the
+// atomic read protocol makes of the range.
+//
+// It requires that protocol: a dictionary built without Config.Atomic
+// cannot order the per-shard reads against concurrent updates, and a
+// sum over a torn range is silently wrong — unlike a torn RangeQuery,
+// there is no per-key output to cross-check. Such dictionaries reject
+// the query with an error instead.
+func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
+	if hi > lo && h.d.mons == nil {
+		return dict.Fold(nil), fmt.Errorf(
+			"shard: Config.Atomic = false (cross-shard aggregate queries would fold torn ranges into wrong sums; set Config.Atomic)")
+	}
+	h.aggOut = h.RangeQuery(lo, hi, h.aggOut[:0])
+	return dict.Fold(h.aggOut), nil
 }

@@ -39,9 +39,6 @@ type Stats struct {
 	// Range reports atomic cross-shard read outcomes; all zero unless
 	// the tree is sharded with AtomicRangeQueries.
 	Range RangeQueryStats
-	// Aggregate reports how aggregate queries (Handle.RangeAgg and
-	// friends) were answered on (a,b)-trees.
-	Aggregate AggregateStats
 	// Batch reports batched/asynchronous execution activity; all zero
 	// until an AsyncHandle (or Handle.Batch context) flushes.
 	Batch BatchStats
@@ -70,7 +67,6 @@ func statsOf(o engine.OpStats) Stats {
 		FallbackAcquisitions: o.FallbackAcquisitions,
 		Quiesces:             o.Quiesces,
 		Reclaim:              o.Reclaim,
-		Aggregate:            o.Aggregate,
 	}
 	for _, p := range paths {
 		for _, c := range causes {
@@ -146,12 +142,6 @@ var families = []family{
 			emit(s.Reclaim.PooledImmediate, "pooled_immediate")
 			emit(s.Reclaim.PooledGrace, "pooled_grace")
 			emit(s.Reclaim.PooledInner, "pooled_inner")
-		}},
-	{name: "htmtree_aggregate_queries_total", help: "Aggregate queries on (a,b)-trees, by answer: the transactional descent over maintained subtree aggregates, or the LLX-validated leaf walk.",
-		inner: true, labels: []string{"answer"},
-		read: func(s *Stats, emit emitFn) {
-			emit(s.Aggregate.Fast, "descent")
-			emit(s.Aggregate.Walk, "walk")
 		}},
 
 	{name: "htmtree_rq_attempts_total", help: "Atomic cross-shard read snapshot attempts (including each read's successful final attempt).",
