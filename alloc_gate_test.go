@@ -13,8 +13,8 @@ import (
 // operations on the pooled BST and (a,b)-tree must not allocate. Inserts
 // draw nodes from the per-thread pools that deletions refill through
 // epoch-based reclamation, value updates mutate leaves in place, and the
-// engine/htm plumbing (transaction logs, op closures, monitor wrappers)
-// is allocated once per handle — so after warmup, AllocsPerRun must
+// engine/htm plumbing (transaction logs, op closures) is allocated once
+// per handle — so after warmup, AllocsPerRun must
 // observe zero.
 //
 // CI runs this test explicitly by name; a regression here

@@ -155,8 +155,8 @@ type Config struct {
 	// snapshot, so what fails an attempt is a write to something the
 	// query reads, as for a query inside one tree. Where that cannot
 	// serve — KeySum, the NonHTM and SCXHTM algorithms, a scan beyond
-	// ReadCapacity — the read instead samples a version monitor every
-	// shard carries, which updaters advance exactly at operation commit,
+	// ReadCapacity — the read instead samples a monitor every shard
+	// carries, which brackets each update operation from start to end,
 	// and validates after reading that no shard's moved. Either way a failed attempt is retried and, after 8
 	// attempts, the read briefly quiesces the overlapping shards. Without
 	// the option, a cross-shard read observes each shard at a possibly

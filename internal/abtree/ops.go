@@ -56,10 +56,6 @@ func (h *Handle) buildOps() {
 		Fallback: func() bool { return t.fixBody(h.prims(engine.ModeFallback, nil)) },
 		SCXHTM:   func() bool { return t.fixBody(h.prims(engine.ModeSCXHTM, nil)) },
 	}
-	// Pre-wrap the update ops' transactional bodies with the engine's
-	// monitor bump (no-op without a monitor) so Run stays allocation-free.
-	h.insertOp = h.e.PrepareOp(h.insertOp)
-	h.deleteOp = h.e.PrepareOp(h.deleteOp)
 }
 
 // Insert associates key with val.

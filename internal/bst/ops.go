@@ -56,10 +56,6 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
 	}
-	// Pre-wrap the update ops' transactional bodies with the engine's
-	// monitor bump (no-op without a monitor) so Run stays allocation-free.
-	h.insertOp = h.e.PrepareOp(h.insertOp)
-	h.deleteOp = h.e.PrepareOp(h.deleteOp)
 }
 
 // Insert associates key with val (paper Figures 12/13).

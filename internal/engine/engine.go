@@ -141,13 +141,12 @@ type Config struct {
 	// fetch-and-increment counter); tests supply their own to arrive on
 	// it from outside an operation.
 	Indicator Indicator
-	// Monitor, when non-nil, publishes the commit point of every update
-	// operation (Op.Update) so an external reader can validate that no
-	// update committed during a window: transactional paths bump its
-	// version counter inside the operation's transaction, and
-	// non-transactional paths bracket the operation with its
-	// ingress/egress counters. The sharding layer installs one monitor
-	// per shard to make cross-shard range queries atomic.
+	// Monitor, when non-nil, publishes every update operation
+	// (Op.Update) so an external reader can validate that no update
+	// committed during a window: Run brackets the whole operation, on
+	// every path, with the monitor's ingress/egress counters. The
+	// sharding layer installs one monitor per shard to make cross-shard
+	// range queries atomic.
 	Monitor *UpdateMonitor
 	// HelpableFallback is ignored. It is kept only because the
 	// repository benchmark's layer ladder (bench/layers.go) still sets
@@ -199,9 +198,9 @@ type Engine struct {
 
 // New creates an engine bound to the version clock of the TM whose
 // threads it will run (htm.TM.Clock). The engine's own cells — the TLE
-// lock, the fallback-presence indicator, and the cells of the update
-// monitor, all of which transactions subscribe to and non-transactional
-// paths mutate — join that clock's synchronization domain here. Zero
+// lock and the fallback-presence indicator, which transactions subscribe
+// to and non-transactional paths mutate, and the update monitor's
+// quiesce gate — join that clock's synchronization domain here. Zero
 // fields of cfg select defaults.
 func New(cfg Config, clk *htm.Clock) *Engine {
 	if cfg.Algorithm == 0 {
@@ -477,7 +476,7 @@ type Op struct {
 	// Update marks operations that may change the dictionary's logical
 	// content (inserts and deletes, but not searches, range queries, or
 	// content-preserving rebalancing steps). When the engine has a
-	// Monitor, update operations publish their commit through it.
+	// Monitor, Run brackets update operations with it.
 	Update bool
 	// Site carries the retry policy's per-call-site state (capacity
 	// memory, backoff PRNG stream). Handles that build an Op once per
@@ -490,53 +489,24 @@ type Op struct {
 	// learns which hints overflow the first path and keeps such calls,
 	// and only them, from being attempted there (Site.capFloor).
 	Hint uint64
-	// prepared records that Fast and Middle already include the
-	// monitor's commit bump (Thread.PrepareOp), so Run need not wrap
-	// them per call.
-	prepared bool
 }
 
-// PrepareOp returns op with its transactional bodies pre-extended to
-// bump the engine's update monitor at commit, so Run adds no
-// per-operation closure allocations on monitored paths. Handles should
-// call it once when they construct their update ops; Run falls back to
-// wrapping unprepared ops on the fly. Without a monitor (or for
-// non-update ops) op is returned unchanged.
-func (th *Thread) PrepareOp(op Op) Op {
-	mon := th.eng.cfg.Monitor
-	if mon == nil || !op.Update || op.prepared {
-		return op
-	}
-	if f := op.Fast; f != nil {
-		op.Fast = func(tx *htm.Tx) {
-			f(tx)
-			mon.bumpTx(tx)
-		}
-	}
-	if m := op.Middle; m != nil {
-		op.Middle = func(tx *htm.Tx) {
-			m(tx)
-			mon.bumpTx(tx)
-		}
-	}
-	op.prepared = true
-	return op
-}
+// PrepareOp returns op unchanged. It is kept only because the
+// repository benchmark's layer ladder (bench/layers.go) still calls it;
+// Run publishes a monitored update with no help from the op.
+func (th *Thread) PrepareOp(op Op) Op { return op }
 
 // Run executes op under the engine's algorithm and returns the path the
 // operation completed on.
 //
 // When the engine has an UpdateMonitor and op is an update, Run
-// publishes the operation's commit point through the monitor:
-// transactional paths bump the monitor's version counter inside the
-// operation's own transaction (pre-wrapped by PrepareOp, or wrapped
-// here for unprepared ops), and non-transactional paths (the lock-free
-// fallback, TLE's locked body, scx-htm) are bracketed by its
-// ingress/egress counters. Publication is all Run does with the
-// monitor: it never looks at the quiesce gate. Admission belongs to the
-// layer that closes the gate (see UpdateMonitor), which admits an update
-// before calling into the structure — so an operation held at a gate has
-// not entered its reclamation bracket and pins no epoch.
+// brackets the whole operation with the monitor's ingress/egress
+// counters, whichever paths it takes, so the commit lies inside the
+// bracket. Publication is all Run does with the monitor: it never looks
+// at the quiesce gate. Admission belongs to the layer that closes the
+// gate (see UpdateMonitor), which admits an update before calling into
+// the structure — so an operation held at a gate has not entered its
+// reclamation bracket and pins no epoch.
 //
 // On an observed engine (Config.Obs) Run additionally brackets the
 // operation with a runtime/trace user region, captures every
@@ -574,21 +544,23 @@ func (th *Thread) run(op Op) htm.PathKind {
 		th.rec.Begin()
 		defer th.rec.End()
 	}
-	mon := e.cfg.Monitor
-	if !op.Update {
-		mon = nil
-	}
-	if mon != nil {
-		op = th.PrepareOp(op) // no-op for ops prepared at construction
+	if mon := e.cfg.Monitor; mon != nil && op.Update {
+		// Close with defer: a panic out of a body must not strand the
+		// ingress count, which would wedge every later Sample and
+		// Quiesce of the monitor. An operation that never returns (a
+		// killed fallback owner) keeps the bracket open: the shard's
+		// sampled reads stop, and never pass over its commit.
+		mon.begin()
+		defer mon.end()
 	}
 	first := func(tx *htm.Tx) { th.firstBody(tx, &op) }
 	switch e.cfg.Algorithm {
 	case AlgNonHTM:
-		th.runFallbackLoop(op, nil, mon)
+		th.runFallbackLoop(op, nil)
 		return htm.PathFallback
 
 	case AlgTLE:
-		return th.runTLE(op, mon)
+		return th.runTLE(op)
 
 	case AlgTwoPathConc:
 		// Fast path: the whole operation in one transaction using the
@@ -600,7 +572,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
-		th.runFallbackLoop(op, nil, mon)
+		th.runFallbackLoop(op, nil)
 		return htm.PathFallback
 
 	case AlgTwoPathNCon:
@@ -613,7 +585,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
-		th.runFallbackLoop(op, ind, mon)
+		th.runFallbackLoop(op, ind)
 		return htm.PathFallback
 
 	case AlgThreePath:
@@ -629,7 +601,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 				th.completed(htm.PathFast)
 				return htm.PathFast
 			}
-			th.runFallbackLoop(op, ind, mon)
+			th.runFallbackLoop(op, ind)
 			return htm.PathFallback
 		}
 		// Fast path: move to the middle path when runPath gives up on the
@@ -648,18 +620,12 @@ func (th *Thread) run(op Op) htm.PathKind {
 			th.completed(htm.PathMiddle)
 			return htm.PathMiddle
 		}
-		th.runFallbackLoop(op, ind, mon)
+		th.runFallbackLoop(op, ind)
 		return htm.PathFallback
 
 	case AlgSCXHTM:
-		// The standalone HTM SCX commits inside op.SCXHTM where the
-		// engine cannot reach, so both phases — SCXHTM attempts, then
-		// the software phase, which is Fallback — count as
-		// non-transactional for the monitor.
-		if mon != nil {
-			mon.beginNonTx()
-			defer mon.endNonTx()
-		}
+		// The budgeted SCXHTM attempts, then the software phase, which
+		// is Fallback.
 		attempt := op.SCXHTM
 		if attempt == nil {
 			attempt = op.Fallback
@@ -687,7 +653,7 @@ func (th *Thread) run(op Op) htm.PathKind {
 // not lock-free: a
 // lock holder that is descheduled or dies stops every other thread of
 // the engine, which is what 3-path's middle path exists to avoid.
-func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
+func (th *Thread) runTLE(op Op) htm.PathKind {
 	e := th.eng
 	site := op.policySite(th)
 	if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget,
@@ -714,18 +680,11 @@ func (th *Thread) runTLE(op Op, mon *UpdateMonitor) htm.PathKind {
 	// engine by design: nothing runs beside a held TLE lock.
 	e.cfg.Faults.Hit(fault.PointFallbackOwner)
 	func() {
-		// Release with defer, like the monitor bracket below: a panic
-		// out of the locked body must not strand the global lock, which
-		// would wedge every thread of the engine forever (elided
-		// attempts subscribe to it and the locked path spins on it).
+		// Release with defer: a panic out of the locked body must not
+		// strand the global lock, which would wedge every thread of the
+		// engine forever (elided attempts subscribe to it and the locked
+		// path spins on it).
 		defer e.tle.Set(nil, 0)
-		// Bracket with defer, like runFallbackLoop: a panic out of the
-		// locked body must not strand the ingress counter (which would
-		// wedge every future Sample and Quiesce on this monitor).
-		if mon != nil {
-			mon.beginNonTx()
-			defer mon.endNonTx()
-		}
 		op.Fast(nil)
 	}()
 	th.completed(htm.PathFallback)
@@ -943,11 +902,8 @@ func (th *Thread) RunAt(op *Op, rv uint64) dict.PinStatus {
 }
 
 // runFallbackLoop runs the lock-free fallback body to completion,
-// bracketing it with the presence indicator when one is in use and with
-// the update monitor's ingress/egress counters when the operation is a
-// monitored update (the fallback's SCX commits non-transactionally, so
-// the bracket is how its commit point is published).
-func (th *Thread) runFallbackLoop(op Op, ind Indicator, mon *UpdateMonitor) {
+// bracketing it with the presence indicator when one is in use.
+func (th *Thread) runFallbackLoop(op Op, ind Indicator) {
 	if ind != nil {
 		ind.Arrive()
 		defer ind.Depart()
@@ -958,10 +914,6 @@ func (th *Thread) runFallbackLoop(op Op, ind Indicator, mon *UpdateMonitor) {
 	// updates, 2-path-con and non-htm have no F, and 2-path-ncon's fast
 	// path waits for F to drain and so wedges by design.
 	th.eng.cfg.Faults.Hit(fault.PointFallbackOwner)
-	if mon != nil {
-		mon.beginNonTx()
-		defer mon.endNonTx()
-	}
 	for !op.Fallback() {
 	}
 	th.completed(htm.PathFallback)

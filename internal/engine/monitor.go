@@ -6,29 +6,22 @@ import (
 	"htmtree/internal/htm"
 )
 
-// UpdateMonitor publishes the commit points of a dictionary's update
-// operations so that an external reader (the sharding layer's fan-out
-// range queries) can tell whether any update committed, or was in
-// flight, during a window of time. It is the per-shard half of the
-// optimistic cross-shard snapshot validation scheme: the shard layer
-// samples every overlapping shard's monitor, reads the shards, and
-// re-validates the samples; an unchanged monitor proves the shard's
-// logical content was stable over the whole window.
+// UpdateMonitor publishes the update operations of a dictionary so that
+// an external reader (the sharding layer's fan-out range queries) can
+// tell whether any update committed, or was in flight, during a window
+// of time. It is the per-shard half of the optimistic cross-shard
+// snapshot validation scheme: the shard layer samples every overlapping
+// shard's monitor, reads the shards, and re-validates the samples; an
+// unchanged monitor proves the shard's logical content was stable over
+// the whole window.
 //
-// Two disciplines cover the template's execution paths (Section 5 of
-// the paper):
-//
-//   - Transactional paths (HTM fast path, middle path, TLE's elided
-//     path) bump a version counter inside the update's own transaction
-//     via htm.Word.AddAtCommit, so the bump is atomic with the
-//     operation's commit — a reader either sees the operation and its
-//     bump, or neither.
-//   - Non-transactional paths (the lock-free fallback's SCX, TLE's
-//     locked body, the Section 4 HTM-SCX algorithm) have no single
-//     commit instruction the monitor can piggyback on, so they bracket
-//     the whole operation with ingress/egress counters, seqlock style:
-//     a reader treats "ingress != egress" or "ingress moved" as a
-//     possible concurrent commit.
+// One discipline covers every execution path of the template (Section 5
+// of the paper): Thread.run brackets the whole update operation with
+// ingress/egress counters, seqlock style, whichever paths it goes on to
+// take. An update's commit lies somewhere inside its bracket — in a
+// transaction, at a fallback-path SCX, under TLE's lock or in the
+// standalone HTM SCX of Section 4 — so a reader treats "ingress !=
+// egress" or "ingress moved" as a possible concurrent commit.
 //
 // The monitor also carries a quiesce gate — an Indicator, the same
 // abstraction as the paper's fallback-presence indicator — that lets a
@@ -38,19 +31,14 @@ import (
 // for the gate in exactly one place, and that place is not the engine:
 // whoever closes the gate (the sharding layer) admits every update with
 // Enter before calling into the structure, and Thread.Run only publishes
-// commits.
+// updates.
 type UpdateMonitor struct {
-	// txver counts updates committed on transactional paths. Bumped via
-	// AddAtCommit so concurrent updaters only collide on the commit-time
-	// lock, not on each other's read sets.
-	txver htm.Word
-	// nin/nout bracket updates on non-transactional paths: nin is
-	// incremented when such an operation starts, nout when it completes.
-	// nin == nout means none is in flight. Plain atomics, not htm cells:
-	// they are never accessed transactionally, and an htm.Word bump
-	// would advance the global version clock — forcing unrelated
-	// concurrent transactions process-wide into full read-set
-	// validation on every bracketed update.
+	// nin/nout bracket updates: nin is incremented when an update
+	// starts, nout when it completes. nin == nout means none is in
+	// flight. Plain atomics, not htm cells: they are never accessed
+	// transactionally, and an htm.Word bump would advance the shard's
+	// version clock — forcing the shard's concurrent transactions into
+	// full read-set validation on every update.
 	nin, nout atomic.Uint64
 	// gate holds off new update operations while a reader quiesces the
 	// shard. Readers Arrive/Depart; updaters wait while it is nonzero.
@@ -69,34 +57,18 @@ func NewUpdateMonitor(gate Indicator) *UpdateMonitor {
 	return &UpdateMonitor{gate: gate}
 }
 
-// Bind associates the monitor's cells — the transactional version
-// counter and the quiesce gate — with the version clock of the TM whose
-// update transactions publish through it. engine.New binds the monitor
+// Bind associates the monitor's quiesce gate with the version clock of
+// the TM whose threads admit updates at it. engine.New binds the monitor
 // of its Config; a monitor serves exactly one engine (one shard), so it
 // joins exactly one clock domain.
-func (m *UpdateMonitor) Bind(c *htm.Clock) {
-	m.txver.Bind(c)
-	m.gate.Bind(c)
-}
+func (m *UpdateMonitor) Bind(c *htm.Clock) { m.gate.Bind(c) }
 
-// bumpTx publishes an update committing on a transactional path. Called
-// by the engine inside the update's transaction, so the bump commits
-// atomically with the operation. With a nil tx it does nothing: a
-// prepared Fast body run under the TLE lock, TLE's locked body, is inside
-// the non-transactional bracket, which publishes it.
-func (m *UpdateMonitor) bumpTx(tx *htm.Tx) {
-	if tx != nil {
-		m.txver.AddAtCommit(tx, 1)
-	}
-}
+// begin / end bracket an update operation.
+func (m *UpdateMonitor) begin() { m.nin.Add(1) }
+func (m *UpdateMonitor) end()   { m.nout.Add(1) }
 
-// beginNonTx / endNonTx bracket an update running on a path whose
-// commit is not a single transaction.
-func (m *UpdateMonitor) beginNonTx() { m.nin.Add(1) }
-func (m *UpdateMonitor) endNonTx()   { m.nout.Add(1) }
-
-// nonTxInFlight reports whether a bracketed update is in flight.
-func (m *UpdateMonitor) nonTxInFlight() bool {
+// inFlight reports whether a bracketed update is in flight.
+func (m *UpdateMonitor) inFlight() bool {
 	return m.nin.Load() != m.nout.Load()
 }
 
@@ -104,7 +76,7 @@ func (m *UpdateMonitor) nonTxInFlight() bool {
 // out the quiesce gate. The caller must not be inside the structure's
 // reclamation bracket (a waiter there would pin an epoch for as long as
 // the gate stays closed). Admission is a read: nothing marks the update
-// as in flight until its path publishes it (see Quiesce).
+// as in flight until Thread.Run opens its bracket (see Quiesce).
 func (m *UpdateMonitor) Enter() {
 	waitWhile(func() bool { return m.gate.Nonzero(nil) })
 }
@@ -112,46 +84,42 @@ func (m *UpdateMonitor) Enter() {
 // MonitorSample is a reader's snapshot of a monitor, taken with Sample
 // and checked with Validate.
 type MonitorSample struct {
-	ver uint64 // transactional-path version counter
-	in  uint64 // non-transactional ingress counter
+	in uint64 // ingress counter
 }
 
 // Sample captures the monitor's state before a read of the shard.
-// ok is false when a non-transactional update is in flight (the read
-// would race its uninstrumented commit); the caller should retry.
+// ok is false when an update is in flight (the read would race its
+// commit); the caller should retry.
 //
 // The read order matters for the validation proof: egress before
-// ingress (so a bracketed operation spanning the reads is seen as in
-// flight, never as complete), and the version counter last (so it is
-// the latest point the pre-read state is known to cover).
+// ingress, so an update whose bracket spans the two reads is seen as in
+// flight, never as complete.
 func (m *UpdateMonitor) Sample() (MonitorSample, bool) {
 	out := m.nout.Load()
 	in := m.nin.Load()
-	ver := m.txver.Get(nil)
 	if in != out {
 		return MonitorSample{}, false
 	}
-	return MonitorSample{ver: ver, in: in}, true
+	return MonitorSample{in: in}, true
 }
 
 // Validate reports whether the shard's logical content has provably not
-// changed since s was taken: no transactional update committed (version
-// unchanged) and no non-transactional update started (ingress
-// unchanged; s itself proved none was in flight).
+// changed since s was taken: no update started (ingress unchanged; s
+// itself proved none was in flight).
 func (m *UpdateMonitor) Validate(s MonitorSample) bool {
-	return m.txver.Get(nil) == s.ver && m.nin.Load() == s.in
+	return m.nin.Load() == s.in
 }
 
 // Quiesce arrives on the gate — holding off update operations that have
-// not yet been admitted — and waits for in-flight non-transactional
-// updates to drain. The returned function releases the gate.
+// not yet been admitted — and waits for in-flight updates to drain. The
+// returned function releases the gate.
 //
 // The finitely many updates admitted before the gate closed can still
-// commit afterwards, so a Sample/read/Validate loop under Quiesce
+// start afterwards, so a Sample/read/Validate loop under Quiesce
 // terminates but may retry a bounded number of times.
 func (m *UpdateMonitor) Quiesce() (release func()) {
 	m.gate.Arrive()
-	waitWhile(m.nonTxInFlight)
+	waitWhile(m.inFlight)
 	m.quiesces.Add(1)
 	return m.gate.Depart
 }

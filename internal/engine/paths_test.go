@@ -184,9 +184,10 @@ func TestPathTable(t *testing.T) {
 	}
 }
 
-// TestOpIsOneCacheLine: every operation passes its Op by value.
+// TestOpIsOneCacheLine: every operation passes its Op by value, so it
+// must fit in one 64-byte line.
 func TestOpIsOneCacheLine(t *testing.T) {
-	if got := unsafe.Sizeof(Op{}); got != 64 {
-		t.Fatalf("engine.Op is %d bytes, want 64", got)
+	if got := unsafe.Sizeof(Op{}); got > 64 {
+		t.Fatalf("engine.Op is %d bytes, want at most 64", got)
 	}
 }

@@ -61,8 +61,8 @@ func TestTLELockedBodyPanicReleasesLock(t *testing.T) {
 	if got := c.Get(nil); got != 10 {
 		t.Fatalf("counter = %d, want 10", got)
 	}
-	// The monitor's non-transactional bracket must be balanced: Sample
-	// fails forever if the panic stranded the ingress counter.
+	// The monitor's bracket must be balanced: Sample fails forever if
+	// the panic stranded the ingress counter.
 	if _, ok := mon.Sample(); !ok {
 		t.Fatal("monitor reports an update still in flight after the panic unwound")
 	}

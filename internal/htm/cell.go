@@ -239,28 +239,6 @@ func (w *Word) CAS(tx *Tx, old, new uint64) bool {
 	return true
 }
 
-// AddAtCommit queues a commutative increment of the cell that is
-// applied atomically at the transaction's commit, against whatever value
-// the cell holds at that moment. The cell joins the write set (so the
-// commit locks it and bumps its version) but not the read set: unlike
-// Get-then-Set, two transactions that both AddAtCommit the same cell do
-// not invalidate each other's snapshots, and can only collide on the
-// brief commit-time lock. This is the primitive behind per-shard version
-// counters: every update publishes a version bump exactly at its commit
-// point without serializing whole update transactions against each
-// other.
-//
-// A cell with a pending AddAtCommit must not be read or written again in
-// the same transaction (its final value is unknowable until commit);
-// doing so panics.
-func (w *Word) AddAtCommit(tx *Tx, delta uint64) {
-	if tx == nil {
-		w.Add(delta)
-		return
-	}
-	tx.writeSlot(&w.ver, unsafe.Pointer(&w.val), entAdd).word += delta
-}
-
 // Add atomically adds delta (which may be negative via two's complement)
 // to the cell outside any transaction and returns the new value.
 func (w *Word) Add(delta uint64) uint64 {
@@ -283,8 +261,7 @@ func (w *Word) Add(delta uint64) uint64 {
 // rendering of that. Like Word, the zero value is an unlocked (0, 0)
 // bound to no clock.
 //
-// A Pair takes buffered values (Set) only: it has no CAS and no
-// commutative add.
+// A Pair takes buffered values (Set) only: it has no CAS.
 type Pair struct {
 	clk *Clock
 	ver atomic.Uint64

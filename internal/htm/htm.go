@@ -10,7 +10,7 @@
 //
 //   - Shared memory is held in cells (Ref[T] for pointers, Word for
 //     uint64, Pair for two uint64 that are read and changed as a unit —
-//     a leaf entry's key and value, a subtree's key sum and count).
+//     a leaf entry's key and value, a leaf's order permutation and size).
 //     Every access, transactional or not, goes through the cell API.
 //     Each cell pairs its value with a version word encoded as
 //     version<<1|lock. A cell is the unit the read and write sets count,
@@ -28,13 +28,9 @@
 //   - Commit try-locks the write set (failure aborts with Conflict,
 //     mirroring HTM's abort-on-conflict rather than blocking), advances
 //     the clock, validates the read set (skipped when no other write
-//     happened since begin), applies the write set, and unlocks. The one
-//     entry that waits instead of aborting is a commutative add
-//     (AddAtCommit): it never looked at the cell, so the lock holder
-//     cannot invalidate it, and it polls — a bounded number of times,
-//     which is what keeps two commits that add to the same cells in
-//     opposite orders from deadlocking — for the holder to finish (see
-//     Tx.commit).
+//     happened since begin), applies the write set, and unlocks. Every
+//     write-set entry is a buffered store, like a hardware transaction's
+//     stores: there is no commit-time read-modify-write.
 //   - Non-transactional stores and CAS operations lock the cell, bump the
 //     cell's bound clock and the cell version, and unlock. Because they
 //     advance the same clock and versions the transactions validate
@@ -59,7 +55,7 @@
 // it from the Tx it already holds (Tx.bind).
 // And a write-set entry addresses its cell by two raw pointers, version
 // word and value storage, so commit applies every kind of entry (a
-// buffered Word, Ref or Pair value, or a Word delta) with a switch
+// buffered Word, Ref or Pair value) with a switch
 // instead of an interface call and an entry stays under a cache line.
 //
 // A transaction is a single attempt, exactly like XBEGIN/XEND: retry

@@ -3,6 +3,7 @@ package htm
 import (
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
@@ -124,6 +125,17 @@ func TestTxConflictWithNonTxWrite(t *testing.T) {
 	if y.Get(nil) != 0 {
 		t.Fatal("aborted write became visible")
 	}
+}
+
+// lockWord locks a version word the way a committing transaction does
+// and returns the function that releases it unchanged.
+func lockWord(t *testing.T, ver *atomic.Uint64) (unlock func()) {
+	t.Helper()
+	v := ver.Load()
+	if v&lockBit != 0 || !ver.CompareAndSwap(v, v|lockBit) {
+		t.Fatal("cell already locked")
+	}
+	return func() { ver.Store(v) }
 }
 
 // TestAwaitCommit: an attempt that loses to a commit in flight — at a
@@ -524,133 +536,6 @@ func TestPathAndCauseStrings(t *testing.T) {
 			t.Errorf("String() = %q, want %q", tc.got, tc.want)
 		}
 	}
-}
-
-func TestAddAtCommit(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	th := tm.NewThread()
-	var ver, data Word
-	ver.Bind(tm.Clock())
-
-	// A committed transaction applies the increment against the value at
-	// commit time; an aborted one leaves the cell untouched.
-	ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-		data.Set(tx, 10)
-		ver.AddAtCommit(tx, 1)
-		ver.AddAtCommit(tx, 2) // accumulates with the first
-	})
-	if !ok {
-		t.Fatal("transaction aborted")
-	}
-	if got := ver.Get(nil); got != 3 {
-		t.Fatalf("ver = %d, want 3", got)
-	}
-	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-		ver.AddAtCommit(tx, 100)
-		tx.Abort(0x7f)
-	})
-	if ok || ab.Cause != CauseExplicit {
-		t.Fatalf("explicit abort not reported: ok=%v ab=%+v", ok, ab)
-	}
-	if got := ver.Get(nil); got != 3 {
-		t.Fatalf("ver after aborted tx = %d, want 3", got)
-	}
-	// Outside a transaction it degenerates to a plain Add.
-	ver.AddAtCommit(nil, 4)
-	if got := ver.Get(nil); got != 7 {
-		t.Fatalf("ver after non-tx AddAtCommit = %d, want 7", got)
-	}
-}
-
-// TestAddAtCommitDoesNotJoinReadSet verifies the motivating property:
-// a transaction that only AddAtCommits a hot cell is not invalidated by
-// another thread's committed bump of that cell, whereas a Get-based
-// increment would be.
-func TestAddAtCommitDoesNotJoinReadSet(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	t1, t2 := tm.NewThread(), tm.NewThread()
-	var ver, a, b Word
-	ok, ab := t1.Atomic(PathFast, func(tx *Tx) {
-		a.Set(tx, 1)
-		ver.AddAtCommit(tx, 1)
-		// A concurrent committed update to ver must not conflict with us.
-		if ok2, _ := t2.Atomic(PathFast, func(tx2 *Tx) {
-			b.Set(tx2, 1)
-			ver.AddAtCommit(tx2, 1)
-		}); !ok2 {
-			t.Error("inner transaction aborted")
-		}
-	})
-	if !ok {
-		t.Fatalf("outer transaction aborted: %+v", ab)
-	}
-	if got := ver.Get(nil); got != 2 {
-		t.Fatalf("ver = %d, want 2", got)
-	}
-}
-
-func TestAddAtCommitConcurrent(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	var ver Word
-	const (
-		goroutines = 4
-		perG       = 2000
-	)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := tm.NewThread()
-			var scratch Word
-			for i := 0; i < perG; i++ {
-				for {
-					ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-						scratch.Set(tx, uint64(i))
-						ver.AddAtCommit(tx, 1)
-					})
-					if ok {
-						break
-					}
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	if got := ver.Get(nil); got != goroutines*perG {
-		t.Fatalf("ver = %d, want %d", got, goroutines*perG)
-	}
-}
-
-func TestAddAtCommitMisusePanics(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	th := tm.NewThread()
-	var w Word
-	expectPanic := func(name string, fn func(tx *Tx)) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-			th.inTx = false // unwind bypassed Atomic's bookkeeping
-		}()
-		th.Atomic(PathFast, fn)
-	}
-	expectPanic("read after AddAtCommit", func(tx *Tx) {
-		w.AddAtCommit(tx, 1)
-		w.Get(tx)
-	})
-	expectPanic("Set after AddAtCommit", func(tx *Tx) {
-		w.AddAtCommit(tx, 1)
-		w.Set(tx, 5)
-	})
-	expectPanic("AddAtCommit after Set", func(tx *Tx) {
-		w.Set(tx, 5)
-		w.AddAtCommit(tx, 1)
-	})
 }
 
 // TestForeignPanicDropsLog verifies a foreign panic zeroes the write

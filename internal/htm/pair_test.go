@@ -1,11 +1,9 @@
 package htm
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestPairNonTxBasics(t *testing.T) {
@@ -174,184 +172,5 @@ func TestPairRecycle(t *testing.T) {
 			t.Fatalf("fresh reader of a recycled Pair: ok=%v %+v (%d,%d), want (7,8)", ok, ab, a, b)
 		}
 		p.Recycle(1, 2)
-	}
-}
-
-// lockWord locks a version word the way a committing transaction does
-// and returns the function that releases it unchanged.
-func lockWord(t *testing.T, ver *atomic.Uint64) (unlock func()) {
-	t.Helper()
-	v := ver.Load()
-	if v&lockBit != 0 || !ver.CompareAndSwap(v, v|lockBit) {
-		t.Fatal("cell already locked")
-	}
-	return func() { ver.Store(v) }
-}
-
-// TestAddWaitIsBounded pins the two edges of the commit-time rule for
-// commutative adds: an add entry's wait for a lock holder ends in a
-// clean conflict abort when the holder never leaves, and an entry that
-// buffers a value does not wait at all. (That add entries do wait is
-// TestConcurrentAddsRarelyAbort's.)
-func TestAddWaitIsBounded(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	th := tm.NewThread()
-	var v, w Word
-
-	// Held for good: the bound turns the wait into a conflict abort, and
-	// nothing is applied or left locked.
-	unlockW := lockWord(t, &w.ver)
-	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-		v.AddAtCommit(tx, 1)
-		w.AddAtCommit(tx, 1)
-	})
-	if ok || ab.Cause != CauseConflict {
-		t.Fatalf("add against a cell locked for good: ok=%v %+v, want a conflict abort", ok, ab)
-	}
-	if v.ver.Load()&lockBit != 0 {
-		t.Fatal("aborted commit left an earlier entry locked")
-	}
-	unlockW()
-	if v.Get(nil) != 0 || w.Get(nil) != 0 {
-		t.Fatal("aborted commit applied an add")
-	}
-
-	// A buffered value does not wait.
-	unlockW = lockWord(t, &w.ver)
-	ok, ab = th.Atomic(PathFast, func(tx *Tx) { w.Set(tx, 9) })
-	if ok || ab.Cause != CauseConflict {
-		t.Fatalf("Set against a locked cell: ok=%v %+v, want a conflict abort", ok, ab)
-	}
-	unlockW()
-}
-
-// TestConcurrentAddsRarelyAbort: two threads whose transactions collide
-// on nothing but a commutative add to one hot cell. Without the
-// commit-time wait nearly every collision is a conflict abort (about
-// one per commit on a 2-CPU host); with it an abort takes a holder that
-// is descheduled mid-commit. The threshold is far from both. On a
-// single processor there are no collisions to wait out, and the test
-// only checks the total.
-func TestConcurrentAddsRarelyAbort(t *testing.T) {
-	t.Parallel()
-	const perG = 100000
-	tm := New(Config{})
-	var hot Word
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for g := 0; g < 2; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			th := tm.NewThread()
-			var own Word
-			<-start
-			for i := 0; i < perG; {
-				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-					own.Set(tx, uint64(i))
-					hot.AddAtCommit(tx, 3)
-				}); ok {
-					i++
-				}
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-	if got := hot.Get(nil); got != 3*2*perG {
-		t.Fatalf("hot = %d, want %d", got, 3*2*perG)
-	}
-	st := tm.Stats()
-	commits, conflicts := st.Commits[PathFast], st.Aborts[PathFast][CauseConflict]
-	t.Logf("%d commits, %d conflict aborts", commits, conflicts)
-	if conflicts > commits/4 {
-		t.Fatalf("%d conflict aborts in %d commits that share only a commutative add: add entries do not wait", conflicts, commits)
-	}
-}
-
-// TestConcurrentAddsExactTotal: N goroutines adding to two Words through
-// transactions commit an exact total, and collide on the cells' commit
-// locks without a single conflict abort being necessary for correctness
-// (aborted attempts are simply retried).
-func TestConcurrentAddsExactTotal(t *testing.T) {
-	t.Parallel()
-	const (
-		goroutines = 6
-		perG       = 2000
-	)
-	tm := New(Config{})
-	var w, v Word
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			th := tm.NewThread()
-			for i := 0; i < perG; {
-				if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-					w.AddAtCommit(tx, 1)
-					v.AddAtCommit(tx, uint64(g))
-				}); ok {
-					i++
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
-	const total = goroutines * perG
-	if got := w.Get(nil); got != total {
-		t.Fatalf("Word = %d, want %d", got, total)
-	}
-	if got := v.Get(nil); got != perG*goroutines*(goroutines-1)/2 {
-		t.Fatalf("second Word = %d, want %d", got, perG*goroutines*(goroutines-1)/2)
-	}
-}
-
-// TestOpposedAddOrdersFinish: two threads add to cells A and B in
-// opposite orders, so each commit can hold the lock the other one waits
-// for. The wait is bounded, so both must finish — under a watchdog, and
-// also on a single processor, where a waiter can only give up (the
-// holder cannot run while it polls).
-func TestOpposedAddOrdersFinish(t *testing.T) {
-	for _, procs := range []int{0, 1} {
-		if procs != 0 {
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		}
-		const perG = 20000
-		tm := New(Config{})
-		var a, b Word
-		finished := make(chan struct{})
-		var wg sync.WaitGroup
-		for g := 0; g < 2; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				th := tm.NewThread()
-				first, second := &a, &b
-				if g == 1 {
-					first, second = &b, &a
-				}
-				for i := 0; i < perG; {
-					if ok, _ := th.Atomic(PathFast, func(tx *Tx) {
-						first.AddAtCommit(tx, 1)
-						second.AddAtCommit(tx, 1)
-					}); ok {
-						i++
-					}
-				}
-			}(g)
-		}
-		go func() { wg.Wait(); close(finished) }()
-		select {
-		case <-finished:
-		case <-time.After(60 * time.Second):
-			t.Fatalf("GOMAXPROCS=%d: opposed add orders did not finish (commit-lock deadlock?)", runtime.GOMAXPROCS(0))
-		}
-		for _, w := range []*Word{&a, &b} {
-			if got := w.Get(nil); got != 2*perG {
-				t.Fatalf("Word = %d, want %d", got, 2*perG)
-			}
-		}
 	}
 }

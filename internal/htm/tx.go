@@ -187,12 +187,7 @@ const (
 	entWord entryKind = iota // Word.Set: store word
 	entRef                   // Ref.Set: store ptr
 	entPair                  // Pair.Set: store (word, word2)
-	entAdd                   // Word.AddAtCommit: add word
 )
-
-// isAdd reports whether the entry is a commutative delta applied to
-// whatever the cell holds at commit, rather than a buffered value.
-func (k entryKind) isAdd() bool { return k == entAdd }
 
 // writeEntry is one buffered write. It addresses the cell by two raw
 // pointers instead of an interface value — ver, the cell's version word
@@ -227,9 +222,9 @@ type Tx struct {
 	// every first write of a cell, asks "is this cell in my write set?"
 	// and the answer is almost always no; a clear signature bit says so
 	// in O(1), where scanning writes costs O(len(writes)) per access —
-	// quadratic in the size of a commit. A set bit only means "maybe": the scan (and the misuse
-	// checks it guards) then runs as before, so a saturated signature
-	// degrades to the scan, never to a wrong answer.
+	// quadratic in the size of a commit. A set bit only means "maybe":
+	// the scan then runs as before, so a saturated signature degrades to
+	// the scan, never to a wrong answer.
 	sig  [sigWords]uint64
 	path PathKind
 	// held is the cell whose lock ended the attempt (Abort.held).
@@ -393,16 +388,11 @@ func (tx *Tx) findWrite(ver *atomic.Uint64) bool {
 }
 
 // readBack returns the write-set entry a transactional read of the cell
-// must return the buffered value of, or nil. A cell with a pending
-// commutative increment cannot be read back (its final value is only
-// known at commit).
+// must return the buffered value of, or nil.
 func (tx *Tx) readBack(ver *atomic.Uint64) *writeEntry {
 	i := tx.writeIndex(ver)
 	if i < 0 {
 		return nil
-	}
-	if tx.writes[i].kind.isAdd() {
-		panic("htm: transactional read of a cell with a pending AddAtCommit")
 	}
 	return &tx.writes[i]
 }
@@ -421,10 +411,8 @@ func (tx *Tx) writeIndex(ver *atomic.Uint64) int {
 
 // writeSlot returns the write-set entry of the cell (ver, c) for a
 // write of the given kind, appending one — zero word, word2 and ptr —
-// if the cell is not in the set yet; the caller stores or accumulates
-// its operand into the entry. Buffered values and commutative deltas do
-// not mix on one cell (a delta's final value is unknowable until
-// commit), so finding an entry of the other sort panics.
+// if the cell is not in the set yet; the caller stores its operand into
+// the entry.
 //
 // The cell is addressed by the raw pointers of its version word and
 // value storage rather than through an interface: this runs on every
@@ -434,15 +422,8 @@ func (tx *Tx) writeSlot(ver *atomic.Uint64, c unsafe.Pointer, kind entryKind) *w
 	sw, sm := sigBit(ver)
 	if tx.sig[sw]&sm != 0 {
 		if i := tx.writeIndex(ver); i >= 0 {
-			w := &tx.writes[i]
-			if w.kind.isAdd() != kind.isAdd() {
-				if kind.isAdd() {
-					panic("htm: AddAtCommit on a cell already written in this transaction")
-				}
-				panic("htm: Set on a cell with a pending AddAtCommit")
-			}
 			tx.admit(i, tx.writeCap)
-			return w
+			return &tx.writes[i]
 		}
 	}
 	tx.admit(len(tx.writes), tx.writeCap)
@@ -472,40 +453,11 @@ func (tx *Tx) releaseLocks(n int) {
 	}
 }
 
-// addWaitPolls bounds how often commit polls a locked version word on
-// behalf of a commutative-add entry before giving up (see commit).
-const addWaitPolls = 4096
-
-// lockForAdd acquires a version word for an add entry, waiting out the
-// current holder for at most addWaitPolls polls.
-func lockForAdd(ver *atomic.Uint64) bool {
-	for n := 0; n < addWaitPolls; n++ {
-		v := ver.Load()
-		if v&lockBit == 0 && ver.CompareAndSwap(v, v|lockBit) {
-			return true
-		}
-	}
-	return false
-}
-
 // commit attempts to commit the transaction, returning CauseNone on
 // success.
 //
 // Locking the write set, an entry that finds its cell locked aborts
-// rather than waits — this is how HTM resolves write-write contention —
-// with one exception: an add entry polls, boundedly, for the holder to
-// finish. Adds commute: the entry never looked at the cell's value or
-// version, so whatever the holder commits cannot invalidate it, and
-// aborting would throw a whole transaction away over a collision that
-// is not a conflict (every update of a monitored shard adds to the same
-// monitor word, engine.UpdateMonitor). The holder is itself inside a
-// commit or a non-transactional cell operation, a few stores long. The
-// bound is what keeps this deadlock-free: write sets are locked in
-// program order, and nothing makes two bodies add to the cells they
-// share in the same order (a TM cannot rely on its callers), so each
-// may hold what the other polls for; neither waits forever — after
-// addWaitPolls polls the waiter releases everything and aborts with
-// CauseConflict, exactly as it would have without waiting.
+// rather than waits — this is how HTM resolves write-write contention.
 func (tx *Tx) commit() AbortCause {
 	if len(tx.writes) == 0 {
 		// Read-only transactions are consistent at rv by construction.
@@ -514,10 +466,7 @@ func (tx *Tx) commit() AbortCause {
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		v := w.ver.Load()
-		if v&lockBit == 0 && w.ver.CompareAndSwap(v, v|lockBit) {
-			continue
-		}
-		if !w.kind.isAdd() || !lockForAdd(w.ver) {
+		if v&lockBit != 0 || !w.ver.CompareAndSwap(v, v|lockBit) {
 			tx.held = w.ver
 			tx.releaseLocks(i)
 			return CauseConflict
@@ -546,8 +495,6 @@ func (tx *Tx) commit() AbortCause {
 	nv := wv << 1
 	for i := range tx.writes {
 		w := &tx.writes[i]
-		// The cell is locked by this transaction, so the add kinds'
-		// read-modify-writes are race-free.
 		switch w.kind {
 		case entWord:
 			(*atomic.Uint64)(w.c).Store(w.word)
@@ -557,9 +504,6 @@ func (tx *Tx) commit() AbortCause {
 			val := (*[2]atomic.Uint64)(w.c)
 			val[0].Store(w.word)
 			val[1].Store(w.word2)
-		case entAdd:
-			val := (*atomic.Uint64)(w.c)
-			val.Store(val.Load() + w.word)
 		}
 		w.ver.Store(nv)
 	}

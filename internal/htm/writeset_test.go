@@ -2,15 +2,14 @@ package htm
 
 import (
 	"fmt"
-	"math/bits"
 	"testing"
 )
 
 // Write-set tests: the signature in front of the write-set scan must be
 // invisible. Random transactions over few and many cells — past the
 // point where the 256-bit signature saturates and every lookup scans —
-// are checked against a map model, the misuse panics must fire on a
-// signature hit, and capacity must count entries, not accesses.
+// are checked against a map model, and capacity must count entries, not
+// accesses.
 
 type wsNode struct{ id int }
 
@@ -22,14 +21,12 @@ type wsModel struct {
 	pairs [][2]uint64
 
 	wordSet map[int]uint64
-	wordAdd map[int]uint64
 	refSet  map[int]*wsNode
 	pairSet map[int][2]uint64
 }
 
 func (m *wsModel) begin() {
 	m.wordSet = map[int]uint64{}
-	m.wordAdd = map[int]uint64{}
 	m.refSet = map[int]*wsNode{}
 	m.pairSet = map[int][2]uint64{}
 }
@@ -37,9 +34,6 @@ func (m *wsModel) begin() {
 func (m *wsModel) commit() {
 	for i, v := range m.wordSet {
 		m.words[i] = v
-	}
-	for i, d := range m.wordAdd {
-		m.words[i] += d
 	}
 	for i, p := range m.refSet {
 		m.refs[i] = p
@@ -128,25 +122,16 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 					break
 				}
 				i := next(cells)
-				switch next(9) {
+				switch next(8) {
 				case 0, 1: // Word.Get
-					if _, pending := m.wordAdd[i]; pending {
-						continue
-					}
 					if got, want := words[i].Get(tx), m.word(i); got != want {
 						t.Fatalf("seed %d txn %d: word %d reads %d, model %d", seed, txn, i, got, want)
 					}
 				case 2: // Word.Set
-					if _, pending := m.wordAdd[i]; pending {
-						continue
-					}
 					v := uint64(next(1 << 20))
 					words[i].Set(tx, v)
 					m.wordSet[i] = v
 				case 3: // Word.CAS
-					if _, pending := m.wordAdd[i]; pending {
-						continue
-					}
 					old := m.word(i)
 					if next(2) == 0 {
 						old++ // must fail
@@ -159,18 +144,11 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 					if want {
 						m.wordSet[i] = v
 					}
-				case 4: // Word.AddAtCommit
-					if _, written := m.wordSet[i]; written {
-						continue
-					}
-					d := uint64(next(1000))
-					words[i].AddAtCommit(tx, d)
-					m.wordAdd[i] += d
-				case 5: // Ref.Get
+				case 4: // Ref.Get
 					if got, want := refs[i].Get(tx), m.ref(i); got != want {
 						t.Fatalf("seed %d txn %d: ref %d reads %p, model %p", seed, txn, i, got, want)
 					}
-				case 6: // Ref.Set / CAS, nil included
+				case 5: // Ref.Set / CAS, nil included
 					p := nodes[next(len(nodes))]
 					if next(4) == 0 {
 						p = nil
@@ -181,12 +159,12 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 						t.Fatalf("seed %d txn %d: ref %d CAS from its own value failed", seed, txn, i)
 					}
 					m.refSet[i] = p
-				case 7: // Pair.Get, reading back a buffered Set
+				case 6: // Pair.Get, reading back a buffered Set
 					a, b := pairs[i].Get(tx)
 					if want := m.pair(i); a != want[0] || b != want[1] {
 						t.Fatalf("seed %d txn %d: pair %d reads (%d,%d), model %v", seed, txn, i, a, b, want)
 					}
-				case 8: // Pair.Set
+				case 7: // Pair.Set
 					v := [2]uint64{uint64(next(1 << 20)), uint64(next(1 << 20))}
 					pairs[i].Set(tx, v[0], v[1])
 					m.pairSet[i] = v
@@ -220,65 +198,6 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 	}
 }
 
-// TestMisusePanicsOnSignatureHit repeats the AddAtCommit misuse checks
-// with the offending cell buried in a write set large enough to have
-// set every signature bit: the panics live behind the signature, so a
-// hit must still reach them.
-func TestMisusePanicsOnSignatureHit(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{WriteCapacity: 4096})
-	th := tm.NewThread()
-	filler := make([]Word, 3000)
-	var w Word
-	expectPanic := func(name string, fn func(tx *Tx)) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-			th.inTx = false // the unwind bypassed Atomic's bookkeeping
-		}()
-		th.Atomic(PathFast, func(tx *Tx) {
-			for i := range filler[:1500] {
-				filler[i].Set(tx, 1)
-			}
-			fn(tx)
-		})
-	}
-	fillRest := func(tx *Tx) {
-		for i := range filler[1500:] {
-			filler[1500+i].AddAtCommit(tx, 1)
-		}
-		set := 0
-		for _, word := range tx.sig {
-			set += bits.OnesCount64(word)
-		}
-		if set < 64*sigWords-4 {
-			t.Fatalf("%d write entries set only %d signature bits: %x", len(tx.writes), set, tx.sig)
-		}
-	}
-	expectPanic("read after AddAtCommit", func(tx *Tx) {
-		w.AddAtCommit(tx, 1)
-		fillRest(tx)
-		w.Get(tx)
-	})
-	expectPanic("Set after AddAtCommit", func(tx *Tx) {
-		w.AddAtCommit(tx, 1)
-		fillRest(tx)
-		w.Set(tx, 5)
-	})
-	expectPanic("CAS after AddAtCommit", func(tx *Tx) {
-		w.AddAtCommit(tx, 1)
-		fillRest(tx)
-		w.CAS(tx, 0, 5)
-	})
-	expectPanic("AddAtCommit after Set", func(tx *Tx) {
-		w.Set(tx, 5)
-		fillRest(tx)
-		w.AddAtCommit(tx, 1)
-	})
-}
-
 // TestWriteCapacityCountsEntries pins the capacity rule: the abort fires
 // on the write that would create entry number WriteCapacity+1, and an
 // overwrite of a cell already in the set — however often, whichever
@@ -293,21 +212,21 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 	th := tm.NewThread()
 	words := make([]Word, per+1)
 	refs := make([]Ref[wsNode], per)
-	adds := make([]Word, per)
+	rounds := make([]Word, per)
 	sets := make([]Pair, per)
 	n := &wsNode{}
 	fill := func(tx *Tx, round uint64) {
 		for i := 0; i < per; i++ {
 			words[i].Set(tx, uint64(i))
 			refs[i].Set(tx, n)
-			adds[i].AddAtCommit(tx, 1)
+			rounds[i].Set(tx, round)
 			sets[i].Set(tx, round, uint64(i))
 		}
 	}
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
 		fill(tx, 0)
 		for round := uint64(1); round <= 3; round++ {
-			fill(tx, round) // overwrites and accumulating adds only
+			fill(tx, round) // overwrites only
 		}
 		if len(tx.writes) != limit {
 			t.Fatalf("%d write entries, want %d", len(tx.writes), limit)
@@ -316,8 +235,8 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 	if !ok {
 		t.Fatalf("transaction at exactly WriteCapacity entries aborted: %+v", ab)
 	}
-	if got := adds[0].Get(nil); got != 4 {
-		t.Fatalf("accumulated adds = %d, want 4", got)
+	if got := rounds[0].Get(nil); got != 3 {
+		t.Fatalf("overwritten word = %d, want 3", got)
 	}
 	if a, b := sets[per-1].Get(nil); a != 3 || b != per-1 {
 		t.Fatalf("overwritten pair = (%d,%d), want (3,%d)", a, b, per-1)

@@ -398,8 +398,7 @@ const smallReadCapacity = 32
 
 // fallbackWriteCapacity is a transactional write capacity that pins
 // writers to the fallback path while readers keep their transactions: a
-// BST delete (three cells and the monitor's bump on the fast path, more
-// on the middle) and every (a,b)-tree update overflow it on both
+// BST delete (three cells on the fast path, more on the middle) and every (a,b)-tree update overflow it on both
 // transactional paths, so the ring walker — on an (a,b)-tree, every
 // writer — commits by SCX with F raised, and the 3-path read-only
 // transactions, which write nothing and do not subscribe to F, run

@@ -49,9 +49,9 @@
 // The software path is optimistic per-shard version validation, in the
 // spirit of the hybrid validation of Ben-David et al. (Lock-Free Locks
 // Revisited, 2022): every shard carries an engine.UpdateMonitor whose
-// counters updaters advance exactly at operation commit (transactional
-// paths bump inside the committing transaction; non-transactional paths
-// bracket the operation, seqlock-style). A reader samples the monitors
+// ingress/egress counters bracket every update operation, seqlock-style,
+// from before its first attempt to after its commit, whichever path
+// commits it. A reader samples the monitors
 // of every overlapping shard, reads the shards, and re-validates the
 // samples (Dict.validated); since all samples are taken before the
 // first shard read and re-checked after the last, an
