@@ -7,6 +7,7 @@
 package htmtree_test
 
 import (
+	"math/rand"
 	"strconv"
 	"testing"
 
@@ -32,16 +33,40 @@ func BenchmarkMicroABTreeCycle(b *testing.B) {
 	}
 }
 
+// BenchmarkMicroBSTCycle inserts and cycles keys 1..512 in order, which
+// builds the unbalanced BST's worst case: a 512-deep path, where search
+// is most of the time and a transaction's read set is longest.
 func BenchmarkMicroBSTCycle(b *testing.B) {
+	keys := make([]uint64, 512)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	microBSTCycle(b, keys)
+}
+
+// BenchmarkMicroBSTCycleShuffled is BenchmarkMicroBSTCycle's keys in a
+// seeded shuffle: the tree a random workload builds, about 2 ln 512 ≈ 12
+// nodes deep on average.
+func BenchmarkMicroBSTCycleShuffled(b *testing.B) {
+	keys := make([]uint64, 512)
+	for i, k := range rand.New(rand.NewSource(1)).Perm(len(keys)) {
+		keys[i] = uint64(k) + 1
+	}
+	microBSTCycle(b, keys)
+}
+
+// microBSTCycle inserts keys into a fresh BST, then runs one
+// delete+insert+search cycle per iteration, over keys in their order.
+func microBSTCycle(b *testing.B, keys []uint64) {
 	tr := bst.New(bst.Config{Algorithm: engine.AlgThreePath})
 	h := tr.NewHandle()
-	for k := uint64(1); k <= 512; k++ {
+	for _, k := range keys {
 		h.Insert(k, k)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		k := uint64(i%512) + 1
+		k := keys[i%len(keys)]
 		h.Delete(k)
 		h.Insert(k, k)
 		h.Search(k)

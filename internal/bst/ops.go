@@ -120,12 +120,14 @@ func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 
 // Pinned reads (dict.PinnedReader): the range query's own engine op, run
 // as one first-path transaction at a snapshot of the tree's clock the
-// caller read earlier (engine.Thread.RunAt).
+// caller read earlier (engine.Thread.RunAt). PinEnter takes the fresh
+// clock value PinClock then reads (htm.Clock.Pin): commits leave the
+// clock alone, so without it the snapshot would miss the newest ones.
 
 var _ dict.PinnedReader = (*Handle)(nil)
 
 func (h *Handle) Pinnable() bool   { return h.e.CanPin() }
-func (h *Handle) PinEnter()        { h.e.EnterReclaim() }
+func (h *Handle) PinEnter()        { h.e.EnterReclaim(); h.clk.Pin() }
 func (h *Handle) PinExit()         { h.e.ExitReclaim() }
 func (h *Handle) PinClock() uint64 { return h.clk.Now() }
 

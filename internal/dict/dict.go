@@ -99,10 +99,15 @@ type PinnedReader interface {
 	// PinEnter enters, and PinExit leaves, the bracket that keeps every
 	// node reachable at a snapshot read inside it from being reused. It
 	// must be entered before PinClock and held across the reads.
+	// PinEnter also takes a fresh clock value for PinClock to return:
+	// on the simulated TM a commit stamps its writes one past the clock
+	// without moving it, so a snapshot taken without an advance would
+	// lie before the newest commits, and the reads would abort on them.
 	PinEnter()
 	PinExit()
 	// PinClock returns the current value of the dictionary's version
-	// clock.
+	// clock. It only reads the clock: two calls return the same value
+	// unless the clock advanced between them.
 	PinClock() uint64
 	// RangeQueryAt is Handle.RangeQuery as of snapshot rv. Unless the
 	// status is PinCommitted, out is returned unextended.

@@ -9,6 +9,22 @@ import (
 // Version-word encoding: version<<1 | lockBit.
 const lockBit = 1
 
+// stamp returns the version word that unlocks a cell after a write at
+// clock value t, given the cell's version word before the write (old,
+// locked or not): version t, unless the cell's own version is already t
+// or later — two writes stamped before the clock moved — and then one
+// past it. So a write always changes the version word, and a reader that
+// finds it equal before and after loading the value (a Pair's two words
+// above all) knows that no write came between; and the stamp is still
+// past the clock as the writer sampled it, which is all the snapshot
+// rules need.
+func stamp(old, t uint64) uint64 {
+	if nv := t << 1; nv > old {
+		return nv
+	}
+	return old&^lockBit + 2
+}
+
 // Non-transactional lock acquisition backoff bounds: an acquirer that
 // loses the CAS spins reading the version word for a bounded,
 // exponentially growing number of iterations before retrying, and yields
@@ -111,11 +127,16 @@ func (w *Word) Init(v uint64) { *(*uint64)(unsafe.Pointer(&w.val)) = v }
 // it is safe while stale transactional readers may still hold a
 // reference to the node: it locks the version word (waiting out a zombie
 // commit that transiently locked it), writes the value under the lock,
-// and unlocks with the version advanced to the clock's current value —
-// which is at least the removing operation's commit version, so any
-// transaction whose snapshot predates the node's removal observes a
-// version beyond its snapshot and aborts instead of reading the recycled
-// value.
+// and unlocks with the version one past the clock's current value (see
+// stamp). Every snapshot taken so far is at most the clock's value, so
+// any transaction that may still hold the node meets a version beyond
+// its snapshot instead of reading the recycled value. A pinned one
+// aborts there. Any other extends its snapshot (Tx.extend), and the
+// extension aborts it: every tree reaches a node through a link it read
+// (and logged), and the removal changed that link. Stamping the clock's
+// value itself would not do: the removal's commit may have stamped the
+// link one past the clock, and a reader whose snapshot is the clock's
+// value would then read the recycled cell without extending.
 //
 // Recycle must only be called while the node is privately owned (drawn
 // from a pool, not yet republished); non-transactional readers must be
@@ -124,9 +145,9 @@ func (w *Word) Init(v uint64) { *(*uint64)(unsafe.Pointer(&w.val)) = v }
 // transactional).
 func (w *Word) Recycle(v uint64) {
 	c := w.clock()
-	acquireNonTx(&w.ver)
+	old := acquireNonTx(&w.ver)
 	w.val.Store(v)
-	w.ver.Store(c.Now() << 1)
+	w.ver.Store(stamp(old, c.Now()+1))
 }
 
 // Get reads the cell. With a nil tx it performs a non-transactional
@@ -177,9 +198,10 @@ func (w *Word) Peek() uint64 { return w.val.Load() }
 // node is reachable — only pool recycling ever rewrites it (e.g. a
 // pooled node's routing key). The read is validated against the
 // transaction's snapshot exactly like Get (a recycled cell's advanced
-// version aborts a stale reader), but it does not join the read set:
-// the only event that can change the cell is a recycle, a recycle
-// implies the node was first unlinked, and the unlink already
+// version aborts a stale reader: a pinned one at once, any other when
+// extending its snapshot re-checks the read set), but it does not join
+// the read set: the only event that can change the cell is a recycle, a
+// recycle implies the node was first unlinked, and the unlink already
 // invalidates the read-set entry of the pointer that led here. Skipping
 // the read-set entry keeps hot search loops at one logged read per
 // node instead of two.
@@ -207,10 +229,10 @@ func (w *Word) GetStable(tx *Tx) uint64 {
 func (w *Word) Set(tx *Tx, v uint64) {
 	if tx == nil {
 		c := w.clock() // resolve before locking: a miswired cell must not panic while holding the lock
-		acquireNonTx(&w.ver)
-		nv := c.tick()
+		old := acquireNonTx(&w.ver)
+		nv := stamp(old, c.tick())
 		w.val.Store(v)
-		w.ver.Store(nv << 1)
+		w.ver.Store(nv)
 		return
 	}
 	tx.writeSlot(&w.ver, unsafe.Pointer(&w.val), entWord).word = v
@@ -233,9 +255,9 @@ func (w *Word) CAS(tx *Tx, old, new uint64) bool {
 		w.ver.Store(prev) // release without a version bump: nothing changed
 		return false
 	}
-	nv := c.tick()
+	nv := stamp(prev, c.tick())
 	w.val.Store(new)
-	w.ver.Store(nv << 1)
+	w.ver.Store(nv)
 	return true
 }
 
@@ -243,11 +265,11 @@ func (w *Word) CAS(tx *Tx, old, new uint64) bool {
 // to the cell outside any transaction and returns the new value.
 func (w *Word) Add(delta uint64) uint64 {
 	c := w.clock()
-	acquireNonTx(&w.ver)
-	nv := c.tick()
+	old := acquireNonTx(&w.ver)
+	nv := stamp(old, c.tick())
 	v := w.val.Load() + delta
 	w.val.Store(v)
-	w.ver.Store(nv << 1)
+	w.ver.Store(nv)
 	return v
 }
 
@@ -283,10 +305,10 @@ func (p *Pair) Init(a, b uint64) {
 // Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
 func (p *Pair) Recycle(a, b uint64) {
 	c := p.clock()
-	acquireNonTx(&p.ver)
+	old := acquireNonTx(&p.ver)
 	p.val[0].Store(a)
 	p.val[1].Store(b)
-	p.ver.Store(c.Now() << 1)
+	p.ver.Store(stamp(old, c.Now()+1))
 }
 
 // Get reads both values as of one instant. With a nil tx it performs a
@@ -330,11 +352,11 @@ func (p *Pair) Get(tx *Tx) (a, b uint64) {
 func (p *Pair) Set(tx *Tx, a, b uint64) {
 	if tx == nil {
 		c := p.clock()
-		acquireNonTx(&p.ver)
-		nv := c.tick()
+		old := acquireNonTx(&p.ver)
+		nv := stamp(old, c.tick())
 		p.val[0].Store(a)
 		p.val[1].Store(b)
-		p.ver.Store(nv << 1)
+		p.ver.Store(nv)
 		return
 	}
 	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPair)
@@ -370,9 +392,9 @@ func (r *Ref[T]) Init(p *T) { r.val = unsafe.Pointer(p) }
 // Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
 func (r *Ref[T]) Recycle(p *T) {
 	c := r.clock()
-	acquireNonTx(&r.ver)
+	old := acquireNonTx(&r.ver)
 	r.store(p)
-	r.ver.Store(c.Now() << 1)
+	r.ver.Store(stamp(old, c.Now()+1))
 }
 
 // Get reads the cell. With a nil tx it performs a non-transactional
@@ -414,10 +436,10 @@ func (r *Ref[T]) Get(tx *Tx) *T {
 func (r *Ref[T]) Set(tx *Tx, p *T) {
 	if tx == nil {
 		c := r.clock()
-		acquireNonTx(&r.ver)
-		nv := c.tick()
+		old := acquireNonTx(&r.ver)
+		nv := stamp(old, c.tick())
 		r.store(p)
-		r.ver.Store(nv << 1)
+		r.ver.Store(nv)
 		return
 	}
 	tx.writeSlot(&r.ver, unsafe.Pointer(&r.val), entRef).ptr = unsafe.Pointer(p)
@@ -439,8 +461,8 @@ func (r *Ref[T]) CAS(tx *Tx, old, new *T) bool {
 		r.ver.Store(prev)
 		return false
 	}
-	nv := c.tick()
+	nv := stamp(prev, c.tick())
 	r.store(new)
-	r.ver.Store(nv << 1)
+	r.ver.Store(nv)
 	return true
 }

@@ -6,13 +6,21 @@ import (
 )
 
 // TestPerTMClockIndependence is the acceptance check for the per-TM
-// version clock: two TM instances advance their clocks independently —
-// commits on one never move the other's clock.
+// version clock: commits write no clock at all — they stamp their
+// writes one past their own TM's — and what does move a clock, a
+// non-transactional mutation of a bound cell or a pin, moves only its
+// own TM's.
 func TestPerTMClockIndependence(t *testing.T) {
 	t.Parallel()
 	tm1, tm2 := New(Config{}), New(Config{})
 	th1, th2 := tm1.NewThread(), tm2.NewThread()
 	var x1, x2 Word
+	clocks := func(when string, want1, want2 uint64) {
+		t.Helper()
+		if got1, got2 := tm1.ClockValue(), tm2.ClockValue(); got1 != want1 || got2 != want2 {
+			t.Fatalf("%s: clocks = (%d, %d), want (%d, %d)", when, got1, got2, want1, want2)
+		}
+	}
 
 	const commits = 100
 	for i := 0; i < commits; i++ {
@@ -20,37 +28,59 @@ func TestPerTMClockIndependence(t *testing.T) {
 			t.Fatalf("tm1 commit %d failed: %+v", i, ab)
 		}
 	}
-	if got := tm1.ClockValue(); got != commits {
-		t.Fatalf("tm1 clock = %d, want %d", got, commits)
-	}
-	if got := tm2.ClockValue(); got != 0 {
-		t.Fatalf("tm2 clock = %d after tm1 commits, want 0", got)
-	}
-
+	clocks("after tm1 commits", 0, 0)
 	if ok, _ := th2.Atomic(PathFast, func(tx *Tx) { x2.Set(tx, 1) }); !ok {
 		t.Fatal("tm2 commit failed")
 	}
-	if got := tm2.ClockValue(); got != 1 {
-		t.Fatalf("tm2 clock = %d, want 1", got)
-	}
-	if got := tm1.ClockValue(); got != commits {
-		t.Fatalf("tm1 clock moved to %d on tm2 commit, want %d", got, commits)
-	}
+	clocks("after a tm2 commit", 0, 0)
 
-	// Non-transactional mutations advance exactly the bound TM's clock.
+	// Non-transactional mutations and pins advance exactly their own
+	// TM's clock.
 	var w1, w2 Word
 	w1.Bind(tm1.Clock())
 	w2.Bind(tm2.Clock())
 	w1.Set(nil, 7)
-	if got := tm1.ClockValue(); got != commits+1 {
-		t.Fatalf("tm1 clock after bound Set = %d, want %d", got, commits+1)
-	}
-	if got := tm2.ClockValue(); got != 1 {
-		t.Fatalf("tm2 clock after tm1-bound Set = %d, want 1", got)
-	}
+	clocks("after a tm1-bound Set", 1, 0)
 	w2.Add(1)
-	if got := tm2.ClockValue(); got != 2 {
-		t.Fatalf("tm2 clock after bound Add = %d, want 2", got)
+	clocks("after a tm2-bound Add", 1, 1)
+	if got := tm2.Clock().Pin(); got != 2 {
+		t.Fatalf("tm2 pin = %d, want 2", got)
+	}
+	clocks("after a tm2 pin", 1, 2)
+}
+
+// TestStampsOnlyGrow: every write moves its cell's version word forward,
+// even when the clock has not moved since the cell's last write — a
+// commit stamps one past the clock, so two of them would otherwise
+// stamp the same version, and a reader comparing the version word before
+// and after loading a Pair's two words would take the halves of
+// different writes for one.
+func TestStampsOnlyGrow(t *testing.T) {
+	t.Parallel()
+	tm := New(Config{})
+	th := tm.NewThread()
+	var p Pair
+	var w Word
+	p.Bind(tm.Clock())
+	w.Bind(tm.Clock())
+	commit := func(tx *Tx) { p.Set(tx, 1, 1); w.Set(tx, 1) }
+	last := [2]uint64{}
+	for i, write := range []func(){
+		func() { th.Atomic(PathFast, commit) },
+		func() { th.Atomic(PathFast, commit) },
+		func() { p.Set(nil, 2, 2); w.Set(nil, 2) },
+		func() { th.Atomic(PathFast, commit) },
+		func() { p.Recycle(3, 3); w.Recycle(3) },
+		func() { w.CAS(nil, 3, 4); w.Add(1); p.Set(nil, 4, 4) },
+		func() { th.Atomic(PathFast, commit) },
+	} {
+		write()
+		for j, ver := range []uint64{p.ver.Load(), w.ver.Load()} {
+			if ver&lockBit != 0 || ver <= last[j] {
+				t.Fatalf("write %d left cell %d at version word %#x after %#x", i, j, ver, last[j])
+			}
+			last[j] = ver
+		}
 	}
 }
 

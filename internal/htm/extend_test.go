@@ -1,0 +1,189 @@
+package htm
+
+import (
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+)
+
+// TestSnapshotExtension pins down what an attempt does when it reads a
+// cell stamped past its snapshot, and where that leaves the clock. An
+// attempt whose reads so far are unchanged extends: the clock is raised
+// to the stamp, the snapshot moves there, and the attempt reads the new
+// value and commits. One whose read set changed, or is locked by a
+// commit in flight, aborts with CauseConflict. A pinned attempt never
+// extends: it raises the clock to the stamp all the same, so a fresh pin
+// covers the cell, and aborts.
+func TestSnapshotExtension(t *testing.T) {
+	t.Parallel()
+	type env struct {
+		tm     *TM
+		writer *Thread
+		a, b   Word
+		unlock func() // releases a, when a row locks it
+	}
+	// commitB stamps b one past the clock, leaving the clock alone.
+	commitB := func(t *testing.T, e *env, v uint64) {
+		if ok, _ := e.writer.Atomic(PathFast, func(tx *Tx) { e.b.Set(tx, v) }); !ok {
+			t.Error("writer aborted")
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		pinned bool
+		body   func(t *testing.T, e *env, tx *Tx)
+		// wantOK: the attempt commits, having read b == 5 through one
+		// extension; otherwise it aborts with CauseConflict.
+		wantOK    bool
+		wantHeld  bool   // the abort names a (locked by a commit in flight)
+		wantClock uint64 // the clock afterwards
+	}{
+		{"unread commit stamp extends", false, func(t *testing.T, e *env, tx *Tx) {
+			e.a.Get(tx)
+			commitB(t, e, 5)
+		}, true, false, 1},
+		{"unread plain write extends", false, func(t *testing.T, e *env, tx *Tx) {
+			e.a.Get(tx)
+			e.b.Set(nil, 5)
+		}, true, false, 1},
+		{"changed read aborts", false, func(t *testing.T, e *env, tx *Tx) {
+			e.a.Get(tx)
+			e.a.Set(nil, 9)  // ticks the clock to 1
+			commitB(t, e, 5) // stamps b 2
+		}, false, false, 2},
+		{"read locked by a commit in flight aborts", false, func(t *testing.T, e *env, tx *Tx) {
+			e.a.Get(tx)
+			commitB(t, e, 5)
+			e.unlock = lockWord(t, &e.a.ver)
+		}, false, true, 1},
+		{"pinned never extends", true, func(t *testing.T, e *env, tx *Tx) {
+			e.a.Get(tx)
+			commitB(t, e, 5)
+		}, false, false, 1},
+		{"pinned aborts on a plain write", true, func(t *testing.T, e *env, tx *Tx) {
+			e.b.Set(nil, 5)
+		}, false, false, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := &env{tm: New(Config{})}
+			e.writer = e.tm.NewThread()
+			e.a.Bind(e.tm.Clock())
+			e.b.Bind(e.tm.Clock())
+			th := e.tm.NewThread()
+			var got uint64
+			body := func(tx *Tx) {
+				c.body(t, e, tx)
+				got = e.b.Get(tx)
+			}
+			var ok bool
+			var ab Abort
+			if c.pinned {
+				ok, ab = th.AtomicAt(PathFast, e.tm.ClockValue(), body)
+			} else {
+				ok, ab = th.Atomic(PathFast, body)
+			}
+			if e.unlock != nil {
+				e.unlock()
+			}
+			exts := th.Stats().Extensions[PathFast]
+			switch {
+			case c.wantOK && (!ok || got != 5 || exts != 1):
+				t.Errorf("ok=%v %+v, b=%d, %d extensions; want a commit reading 5 through 1 extension", ok, ab, got, exts)
+			case !c.wantOK && (ok || ab.Cause != CauseConflict || exts != 0):
+				t.Errorf("ok=%v %+v, %d extensions; want a conflict abort and no extension", ok, ab, exts)
+			case !c.wantOK && (ab.held == &e.a.ver) != c.wantHeld:
+				t.Errorf("abort holds %p, a is %p: want named %v", ab.held, &e.a.ver, c.wantHeld)
+			}
+			if now := e.tm.ClockValue(); now != c.wantClock {
+				t.Errorf("clock = %d afterwards, want %d", now, c.wantClock)
+			}
+			if c.pinned {
+				// The clock was raised to b's stamp: a fresh pin covers it.
+				if ok, ab := th.AtomicAt(PathFast, e.tm.Clock().Pin(), func(tx *Tx) { got = e.b.Get(tx) }); !ok || got != 5 {
+					t.Errorf("fresh pin: ok=%v %+v b=%d, want a commit reading 5", ok, ab, got)
+				}
+			}
+		})
+	}
+}
+
+// TestInBodyOpacity: two writers keep a chain of cells equal, and two
+// more keep stamping an unrelated cell, one transactionally and one
+// outside any transaction. Readers read the noise cell between the
+// chain's cells — so their snapshots keep extending — and compare every
+// chain cell with the first inside the attempt, before it commits: a
+// zombie read, one the snapshot does not cover, fails the test even if
+// its attempt later aborts.
+func TestInBodyOpacity(t *testing.T) {
+	t.Parallel()
+	const chain = 6
+	tm := New(Config{})
+	var cells [chain]Word
+	var noise Word
+	noise.Bind(tm.Clock())
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	loop := func(body func(th *Thread)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			th := tm.NewThread()
+			for !stop.Load() {
+				body(th)
+				runtime.Gosched() // interleave finely, even on one CPU
+			}
+		}()
+	}
+	for w := 0; w < 2; w++ {
+		loop(func(th *Thread) {
+			th.Atomic(PathFast, func(tx *Tx) {
+				v := cells[0].Get(tx) + 1
+				for i := range cells {
+					cells[i].Set(tx, v)
+				}
+			})
+		})
+	}
+	loop(func(th *Thread) {
+		th.Atomic(PathFast, func(tx *Tx) { noise.Set(tx, noise.Get(tx)+1) })
+	})
+	loop(func(*Thread) { noise.Set(nil, noise.Get(nil)+1) })
+
+	var readers sync.WaitGroup
+	var zombies, exts atomic.Uint64
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			th := tm.NewThread()
+			start := time.Now()
+			for i := 0; i < 20000 || (th.Stats().Extensions[PathMiddle] == 0 && time.Since(start) < 10*time.Second); i++ {
+				th.Atomic(PathMiddle, func(tx *Tx) {
+					first := cells[0].Get(tx)
+					for j := 1; j < chain; j++ {
+						if j == chain/2 && i%4 == 0 {
+							runtime.Gosched() // let the writers in mid-attempt
+						}
+						noise.Get(tx)
+						if cells[j].Get(tx) != first {
+							zombies.Add(1)
+						}
+					}
+				})
+			}
+			exts.Add(th.Stats().Extensions[PathMiddle])
+		}()
+	}
+	readers.Wait()
+	stop.Store(true)
+	wg.Wait()
+	if n := zombies.Load(); n != 0 {
+		t.Fatalf("%d reads inside attempts saw the chain unequal", n)
+	}
+	if exts.Load() == 0 {
+		t.Fatal("no reader snapshot ever extended: the test exercised nothing")
+	}
+	t.Logf("%d snapshot extensions", exts.Load())
+}

@@ -21,21 +21,29 @@
 //     contend on a shared clock cache line. Cells bound to the same
 //     clock (Word.Bind / Ref.Bind) form one synchronization domain; a
 //     TM's transactions must only touch cells bound to its clock.
-//   - A transaction snapshots its TM's version clock at begin (rv),
-//     buffers writes, and validates on every read that the cell version
-//     is unlocked and at most rv, which yields opacity (no zombie
-//     transactions).
+//   - A transaction snapshots its TM's version clock at begin (rv) and
+//     buffers writes. Every read checks that the cell is unlocked and
+//     stamped at most rv. A read that meets a newer stamp extends the
+//     snapshot instead of aborting (Tx.extend, LSA-style): it raises the
+//     clock to the stamp and re-checks every earlier read for the exact
+//     version it logged. So every read holds at the current snapshot,
+//     which yields opacity (no zombie transactions). An attempt pinned
+//     at a caller's snapshot (Thread.AtomicAt) never extends; it aborts.
 //   - Commit try-locks the write set (failure aborts with Conflict,
-//     mirroring HTM's abort-on-conflict rather than blocking), advances
-//     the clock, validates the read set (skipped when no other write
-//     happened since begin), applies the write set, and unlocks. Every
-//     write-set entry is a buffered store, like a hardware transaction's
-//     stores: there is no commit-time read-modify-write.
-//   - Non-transactional stores and CAS operations lock the cell, bump the
-//     cell's bound clock and the cell version, and unlock. Because they
-//     advance the same clock and versions the transactions validate
-//     against, transactions are strongly atomic with respect to them —
-//     the property the paper's fallback-path interaction relies on.
+//     mirroring HTM's abort-on-conflict rather than blocking), validates
+//     the read set, stamps the writes one past the clock without writing
+//     the clock (TL2's GV5; a cell already at that stamp gets one past
+//     its own version, so every write moves the version word), applies
+//     them, and unlocks. So commits share no cache line but the ones
+//     they write, as on hardware. Every write-set entry is a buffered
+//     store, like a hardware transaction's stores: there is no
+//     commit-time read-modify-write.
+//   - Non-transactional stores and CAS operations lock the cell, tick
+//     the cell's bound clock, stamp the cell with the new clock value,
+//     and unlock. Because they stamp the same versions the transactions
+//     validate against, transactions are strongly atomic with respect to
+//     them — the property the paper's fallback-path interaction relies
+//     on.
 //
 // Capacity aborts are modelled by configurable read/write set limits (a
 // machine is a pair of budgets), and spurious aborts — the stand-in for

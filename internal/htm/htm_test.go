@@ -197,19 +197,45 @@ func TestAwaitCommit(t *testing.T) {
 	ab.AwaitCommit()
 }
 
+// TestTxOpacitySnapshotRead: a cell written after the attempt began is
+// read through a snapshot extension when nothing the attempt read has
+// changed — the new value, and the attempt commits — and aborts the
+// attempt when a cell already in its read set was written too, whether
+// the attempt next reads that cell or another.
 func TestTxOpacitySnapshotRead(t *testing.T) {
 	t.Parallel()
 	tm := New(Config{})
 	th := tm.NewThread()
-	var x Word
+	var x, y Word
 	x.Bind(tm.Clock())
+	y.Bind(tm.Clock())
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-		x.Set(nil, 1) // bump the cell version past rv
-		_ = x.Get(tx) // must abort: written after begin
-		t.Error("read of post-begin write did not abort")
+		_ = y.Get(tx)
+		x.Set(nil, 1) // stamp x past rv
+		if got := x.Get(tx); got != 1 {
+			t.Errorf("extended read of a post-begin write = %d, want 1", got)
+		}
 	})
-	if ok || ab.Cause != CauseConflict {
-		t.Fatalf("ok=%v abort=%+v, want conflict abort", ok, ab)
+	if !ok {
+		t.Fatalf("read of a post-begin write to an unread cell aborted: %+v", ab)
+	}
+	if got := th.Stats().Extensions[PathFast]; got != 1 {
+		t.Fatalf("extensions = %d, want 1", got)
+	}
+	for _, next := range []*Word{&x, &y} {
+		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+			_ = x.Get(tx)
+			x.Set(nil, x.Get(nil)+1) // written after being read
+			y.Set(nil, y.Get(nil)+1)
+			_ = next.Get(tx) // must abort: x changed under the snapshot
+			t.Error("read past a changed read set did not abort")
+		})
+		if ok || ab.Cause != CauseConflict {
+			t.Fatalf("ok=%v abort=%+v, want conflict abort", ok, ab)
+		}
+	}
+	if got := th.Stats().Extensions[PathFast]; got != 1 {
+		t.Fatalf("extensions = %d after two aborted ones, want 1", got)
 	}
 }
 

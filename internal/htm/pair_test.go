@@ -139,22 +139,25 @@ func TestPairOpacity(t *testing.T) {
 
 // TestPairRecycle: recycling a pooled cell must not leak its new
 // contents to a transaction that may still hold the old node. A reader
-// whose snapshot predates the removal (the clock tick between its begin
-// and the Recycle) aborts with CauseConflict instead of returning the
-// recycled pair — before and after it has read the cell — while a
-// transaction that begins afterwards reads it normally.
+// that reached the node through a link — the removal cell here, which
+// the unlinking commit changes before the Recycle — aborts with
+// CauseConflict instead of returning the recycled pair, before and after
+// it has read the cell: the recycled version lies past its snapshot,
+// and extending the snapshot finds the link changed. A transaction that
+// begins afterwards reads the cell normally.
 func TestPairRecycle(t *testing.T) {
 	t.Parallel()
 	tm := New(Config{})
 	th := tm.NewThread()
 	var p Pair
-	var removal Word // stands for the commit that unlinked p's node
+	var removal Word // stands for the link the unlinking commit changes
 	p.Bind(tm.Clock())
 	removal.Bind(tm.Clock())
 	p.Init(1, 2)
 	for _, readFirst := range []bool{false, true} {
 		var a, b uint64
 		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
+			_ = removal.Get(tx)
 			if readFirst {
 				a, b = p.Get(tx)
 			}

@@ -70,9 +70,9 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 // for a snapshot pinned before the attempt starts: a pooled node that
 // was reachable at rv, then unlinked and recycled for a new key before
 // the pinned reader reaches it, aborts the reader. Recycle stamps a cell
-// with the clock's current value, which the unlinking commit has moved
-// past rv — so how stale rv is does not matter, only that the node was
-// still linked when it was read.
+// one past the clock's current value, which is at least the unlinking
+// commit's stamp, itself past rv — so how stale rv is does not matter,
+// only that the node was still linked when it was read.
 func TestPinnedReaderAbortsOnRecycledNode(t *testing.T) {
 	t.Parallel()
 	type node struct{ key Word }

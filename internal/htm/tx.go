@@ -109,11 +109,16 @@ func (a Abort) AwaitCommit() {
 type Stats struct {
 	Commits [NumPaths]uint64
 	Aborts  [NumPaths][NumCauses]uint64
+	// Extensions counts snapshot extensions (Tx.extend): reads of a cell
+	// newer than the attempt's snapshot that moved the snapshot forward
+	// instead of aborting the attempt.
+	Extensions [NumPaths]uint64
 }
 
 func (s *Stats) add(o *Stats) {
 	for p := 0; p < NumPaths; p++ {
 		s.Commits[p] += atomic.LoadUint64(&o.Commits[p])
+		s.Extensions[p] += atomic.LoadUint64(&o.Extensions[p])
 		for c := 0; c < NumCauses; c++ {
 			s.Aborts[p][c] += atomic.LoadUint64(&o.Aborts[p][c])
 		}
@@ -126,6 +131,7 @@ func (s *Stats) add(o *Stats) {
 func (s *Stats) Merge(o Stats) {
 	for p := 0; p < NumPaths; p++ {
 		s.Commits[p] += o.Commits[p]
+		s.Extensions[p] += o.Extensions[p]
 		for c := 0; c < NumCauses; c++ {
 			s.Aborts[p][c] += o.Aborts[p][c]
 		}
@@ -227,6 +233,9 @@ type Tx struct {
 	// the scan, never to a wrong answer.
 	sig  [sigWords]uint64
 	path PathKind
+	// pinned marks an attempt whose snapshot the caller chose
+	// (Thread.AtomicAt): it never extends.
+	pinned bool
 	// held is the cell whose lock ended the attempt (Abort.held).
 	held *atomic.Uint64
 
@@ -278,7 +287,7 @@ func (tx *Tx) drop() {
 }
 
 // begin establishes the attempt's snapshot.
-func (tx *Tx) begin() { tx.rv = tx.clk.Now() }
+func (tx *Tx) begin() { tx.rv, tx.pinned = tx.clk.Now(), false }
 
 // Abort explicitly aborts the transaction with a user code, like the
 // xabort instruction. It does not return.
@@ -310,22 +319,21 @@ func (tx *Tx) inject() {
 }
 
 // readable reports whether a cell whose version word reads v can be read
-// at the transaction's snapshot as is: unlocked and not written since
-// begin. It is the inlined common case of every transactional read;
-// anything else is readVersion's.
+// at the transaction's snapshot as is: unlocked and stamped no later
+// than the snapshot. It is the inlined common case of every
+// transactional read; anything else is readVersion's.
 func (tx *Tx) readable(v uint64) bool { return v&lockBit == 0 && v>>1 <= tx.rv }
 
 // readVersion loads a cell version for a transactional read, spinning
-// briefly on locked cells (a commit in flight) and aborting on conflict
-// or snapshot violation.
+// briefly on locked cells (a commit in flight) and aborting on conflict.
+// A cell stamped past the snapshot extends it (extend) or, for a pinned
+// attempt, aborts.
 func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 	for i := 0; ; i++ {
 		v := ver.Load()
 		if v&lockBit == 0 {
 			if v>>1 > tx.rv {
-				// Written after this transaction began: the snapshot
-				// cannot be extended, so this is a data conflict.
-				tx.abort(CauseConflict)
+				tx.extend(v >> 1)
 			}
 			return v
 		}
@@ -334,6 +342,40 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 			tx.abort(CauseConflict)
 		}
 	}
+}
+
+// extend moves the snapshot past a cell stamped v > rv instead of
+// aborting (LSA's snapshot extension). It raises the clock to v, takes
+// the clock's value then as the new snapshot, and re-checks every read
+// so far for the exact version it logged: any commit stamped at or
+// before the new snapshot locked its write set before the clock got
+// there, so an unchanged, unlocked read set holds at the new snapshot
+// together with the cell being read. A changed read aborts the attempt
+// with CauseConflict, as one locked by a commit in flight does (which
+// also names the cell, Abort.held). This only removes aborts of TL2's
+// own making: hardware tracks the lines a transaction read, not a
+// snapshot time, and does not abort on a line written by a commit that
+// touched nothing the transaction read.
+//
+// A pinned attempt (AtomicAt) never extends: its snapshot is the
+// caller's, shared with attempts on other TMs. It raises the clock all
+// the same, so a fresh snapshot covers the cell, and aborts.
+func (tx *Tx) extend(v uint64) {
+	rv := tx.clk.advance(v)
+	if tx.pinned {
+		tx.abort(CauseConflict)
+	}
+	for i := range tx.reads {
+		rd := &tx.reads[i]
+		if cur := rd.ver.Load(); cur != rd.seen {
+			if cur&lockBit != 0 {
+				tx.held = rd.ver
+			}
+			tx.abort(CauseConflict)
+		}
+	}
+	tx.rv = rv
+	atomic.AddUint64(&tx.th.stats.Extensions[tx.path], 1)
 }
 
 // admit vets one access before it joins the read or write set, aborting
@@ -458,6 +500,13 @@ func (tx *Tx) releaseLocks(n int) {
 //
 // Locking the write set, an entry that finds its cell locked aborts
 // rather than waits — this is how HTM resolves write-write contention.
+// The writes are stamped one past the clock (see stamp), and the clock
+// is left where it is (TL2's GV5): two commits never meet on the clock's
+// cache line,
+// as two hardware transactions on disjoint lines never meet anywhere.
+// The first reader that meets a stamp past its snapshot raises the
+// clock to it (Tx.extend). Stamps are not unique, so nothing proves the
+// read set unwritten since begin, and it is validated on every commit.
 func (tx *Tx) commit() AbortCause {
 	if len(tx.writes) == 0 {
 		// Read-only transactions are consistent at rv by construction.
@@ -472,27 +521,24 @@ func (tx *Tx) commit() AbortCause {
 			return CauseConflict
 		}
 	}
-	wv := tx.clk.tick()
-	if wv != tx.rv+1 {
-		// Some other write (transactional or not) happened since begin:
-		// the read set must be validated.
-		for i := range tx.reads {
-			rd := &tx.reads[i]
-			v := rd.ver.Load()
-			if v == rd.seen {
-				continue
-			}
-			if v == rd.seen|lockBit && tx.ownsLock(rd.ver) {
-				continue
-			}
-			if v&lockBit != 0 {
-				tx.held = rd.ver
-			}
-			tx.releaseLocks(len(tx.writes))
-			return CauseConflict
+	// Sampled with the write set locked: a snapshot at or past the stamp
+	// is taken after the locks, so it sees every write or a lock.
+	wv := tx.clk.Now() + 1
+	for i := range tx.reads {
+		rd := &tx.reads[i]
+		v := rd.ver.Load()
+		if v == rd.seen {
+			continue
 		}
+		if v == rd.seen|lockBit && tx.ownsLock(rd.ver) {
+			continue
+		}
+		if v&lockBit != 0 {
+			tx.held = rd.ver
+		}
+		tx.releaseLocks(len(tx.writes))
+		return CauseConflict
 	}
-	nv := wv << 1
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		switch w.kind {
@@ -505,7 +551,7 @@ func (tx *Tx) commit() AbortCause {
 			val[0].Store(w.word)
 			val[1].Store(w.word2)
 		}
-		w.ver.Store(nv)
+		w.ver.Store(stamp(w.ver.Load(), wv))
 	}
 	return CauseNone
 }
@@ -546,14 +592,19 @@ func (th *Thread) finish(tx *Tx, path PathKind, fn func(tx *Tx)) (bool, Abort) {
 }
 
 // AtomicAt is Atomic with the attempt's snapshot chosen by the caller: rv
-// is a value the caller read from this TM's clock (TM.ClockValue)
-// earlier, and the attempt behaves exactly as if it had begun at that
-// moment — it sees the cells as they were when the clock read rv, and
-// aborts with CauseConflict on any cell written since. That is what lets
-// one reader hold transactions of several TMs at snapshots taken at a
-// single instant (internal/shard's pinned cross-shard read): each TM has
-// its own clock, so no one transaction can span them, but a snapshot of
-// each clock, once read, stays valid for as long as the reader likes.
+// is a value the caller read from this TM's clock earlier, and the
+// attempt sees the cells as they were when the clock reached rv: it
+// aborts with CauseConflict on any cell stamped past rv, and never
+// extends its snapshot (Tx.extend). That is what lets one reader hold
+// transactions of several TMs at snapshots taken at a single instant
+// (internal/shard's pinned cross-shard read): each TM has its own clock,
+// so no one transaction can span them, but a snapshot of each clock,
+// once read, stays valid for as long as the reader likes.
+//
+// A commit stamps its writes one past the clock, so a value read with
+// Clock.Now may predate the newest commits, and the attempt aborts on
+// their cells (raising the clock, so the next snapshot covers them).
+// Clock.Pin takes a value that covers every commit already stamped.
 //
 // The caller guarantees that whatever keeps memory the attempt may reach
 // from being reused (the engine's reclamation bracket) already held when
@@ -569,7 +620,7 @@ func (th *Thread) AtomicAt(path PathKind, rv uint64, fn func(tx *Tx)) (bool, Abo
 	}
 	th.inTx = true
 	tx.reset(path)
-	tx.rv = rv
+	tx.rv, tx.pinned = rv, true
 	return th.finish(tx, path, fn)
 }
 

@@ -79,14 +79,21 @@ func TestConcurrentCounterMixedPaths(t *testing.T) {
 	}
 }
 
+// TestSoftwareReadConsistency: software transactions must never observe
+// x != y while writers keep them equal. Every transactional access aborts
+// a hardware attempt with probability 1/4 and the budget is one attempt,
+// so the reader and the writer both run on the NOrec software path —
+// against each other's hardware commits too — which the test checks it
+// did.
 func TestSoftwareReadConsistency(t *testing.T) {
 	t.Parallel()
-	// Software transactions must never observe x != y while writers
-	// keep them equal.
-	tm := New(htm.Config{}, 1)
+	tm := New(spurious(4), 1)
 	var x, y htm.Word
+	x.Bind(tm.inner.Clock())
+	y.Bind(tm.inner.Clock())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	var writerSW int
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -97,25 +104,33 @@ func TestSoftwareReadConsistency(t *testing.T) {
 				return
 			default:
 			}
-			th.Atomic(func(tx *Tx) {
+			if !th.Atomic(func(tx *Tx) {
 				v := tx.Read(&x) + 1
 				tx.Write(&x, v)
 				tx.Write(&y, v)
-			})
+			}) {
+				writerSW++
+			}
 		}
 	}()
 	thR := tm.NewThread()
+	readerSW := 0
 	for i := 0; i < 20000; i++ {
-		thR.Atomic(func(tx *Tx) {
+		if !thR.Atomic(func(tx *Tx) {
 			xv := tx.Read(&x)
 			yv := tx.Read(&y)
 			if xv != yv {
 				t.Errorf("inconsistent snapshot: x=%d y=%d", xv, yv)
 			}
-		})
+		}) {
+			readerSW++
+		}
 	}
 	close(stop)
 	wg.Wait()
+	if readerSW == 0 || writerSW == 0 {
+		t.Fatalf("software path ran %d times for the reader and %d for the writer; want both > 0", readerSW, writerSW)
+	}
 }
 
 func TestBSTOracle(t *testing.T) {

@@ -493,11 +493,12 @@ func (h *handle) readShards(first, last int, lo, hi uint64, out []dict.KV) []dic
 // held its recorded value: the snapshots describe one instant; and
 // (4) calls read, which runs each shard's query once as a transaction
 // pinned at its snapshot (dict.PinnedReader) and reports the first
-// status that is not PinCommitted. Updates become visible in their
-// shard's clock order, so what the pinned queries return together is
-// the dictionary's content at that instant — and what makes one abort
-// is a cell it reaches having been written since, not any update
-// anywhere in its shard.
+// status that is not PinCommitted. An update becomes visible at the
+// first advance of its shard's clock that reaches its version (PinEnter
+// makes one, so every update completed before the read is visible), so
+// what the pinned queries return together is the dictionary's content
+// at that instant — and what makes one abort is a cell it reaches
+// stamped past its snapshot, not any update anywhere in its shard.
 func (h *handle) pinned(first, last int, read func() dict.PinStatus) dict.PinStatus {
 	for s := first; s <= last; s++ {
 		h.pins[s].PinEnter()

@@ -16,6 +16,10 @@ type Stats struct {
 	Ops PathCounts
 	// TxCommits and TxAborts count transaction outcomes per path.
 	TxCommits, TxAborts PathCounts
+	// TxExtensions counts, per path, the reads of a cell newer than
+	// their transaction's snapshot that moved the snapshot forward
+	// instead of aborting the transaction.
+	TxExtensions PathCounts
 	// AbortCauses breaks aborts down as "path/cause" -> count (nonzero
 	// entries only); TxAborts is its sum over causes.
 	AbortCauses map[string]uint64
@@ -62,6 +66,7 @@ func statsOf(o engine.OpStats) Stats {
 		Ops:                  o.PathCounts,
 		TxCommits:            perPath(func(p htm.PathKind) uint64 { return o.Commits[p] }),
 		TxAborts:             perPath(o.TotalAborts),
+		TxExtensions:         perPath(func(p htm.PathKind) uint64 { return o.Extensions[p] }),
 		AbortCauses:          make(map[string]uint64),
 		Policy:               o.Policy,
 		FallbackAcquisitions: o.FallbackAcquisitions,
@@ -123,6 +128,9 @@ var families = []family{
 				}
 			}
 		}},
+	{name: "htmtree_tx_extensions_total", help: "Transactional reads of a cell newer than the transaction's snapshot that extended the snapshot instead of aborting, by execution path.",
+		inner: true, labels: []string{"path"},
+		read: func(s *Stats, emit emitFn) { emitPaths(s.TxExtensions, emit) }},
 	{name: "htmtree_policy_actions_total", help: "Retry-policy actions taken after failed attempts, by action.",
 		inner: true, labels: []string{"action"},
 		read: func(s *Stats, emit emitFn) {
