@@ -156,10 +156,11 @@ type Config struct {
 	// query reads, as for a query inside one tree. Where that cannot
 	// serve — KeySum, the NonHTM and SCXHTM algorithms, a scan beyond
 	// ReadCapacity — the read instead samples a monitor every shard
-	// carries, which brackets each update operation from start to end,
-	// and validates after reading that no shard's moved. Either way a failed attempt is retried and, after 8
-	// attempts, the read briefly quiesces the overlapping shards. Without
-	// the option, a cross-shard read observes each shard at a possibly
+	// carries, which brackets each update from start to end, and
+	// validates after reading that no shard's moved. Either way a failed
+	// attempt is retried and, after 8 attempts, the read quiesces the
+	// overlapping shards and reads them once, plainly. Without the
+	// option, a cross-shard read observes each shard at a possibly
 	// different point in time. Ignored by unsharded trees, whose reads
 	// are single operations and already atomic.
 	AtomicRangeQueries bool
@@ -363,9 +364,8 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 	}
 	o := cfg.obsDomain()
 	wireFaultRecorder(cfg.Faults, o)
-	inner := func(mon *engine.UpdateMonitor, node *obs.Node) *Tree {
+	inner := func(node *obs.Node) *Tree {
 		ecfg := ecfg
-		ecfg.Monitor = mon
 		ecfg.Obs = node
 		var it *Tree
 		if ab {
@@ -388,7 +388,7 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 			return nil, err
 		}
 	} else {
-		t = inner(nil, obsNode(o))
+		t = inner(obsNode(o))
 	}
 	t.batchCtrs = &batch.Counters{}
 	if sd, ok := t.d.(*shard.Dict); ok {
@@ -423,12 +423,11 @@ func NewShardedBST(cfg Config) (*Tree, error) { return build(cfg, false, true) }
 func NewShardedABTree(cfg Config) (*Tree, error) { return build(cfg, true, true) }
 
 // newSharded partitions the key space across cfg.Shards instances built
-// by mk, wiring invariant checking through the shard layer. With
-// AtomicRangeQueries each inner tree's engine gets the shard's update
-// monitor. With an observability domain each inner tree is built on a
-// node labelled shard="i", and the shard layer records its quiesce
-// events on an unlabelled one.
-func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node *obs.Node) *Tree) (*Tree, error) {
+// by mk, wiring invariant checking through the shard layer. With an
+// observability domain each inner tree is built on a node labelled
+// shard="i", and the shard layer records its quiesce events on an
+// unlabelled one.
+func newSharded(cfg Config, o *obs.Obs, mk func(node *obs.Node) *Tree) (*Tree, error) {
 	var inner []*Tree
 	sd, err := shard.New(shard.Config{
 		Shards:  cfg.Shards,
@@ -436,12 +435,12 @@ func newSharded(cfg Config, o *obs.Obs, mk func(mon *engine.UpdateMonitor, node 
 		Atomic:  cfg.AtomicRangeQueries,
 		Obs:     obsNode(o),
 		Faults:  cfg.Faults,
-		New: func(i int, mon *engine.UpdateMonitor) dict.Dict {
+		New: func(i int) dict.Dict {
 			var node *obs.Node
 			if o != nil {
 				node = o.Node(obs.L("shard", strconv.Itoa(i)))
 			}
-			t := mk(mon, node)
+			t := mk(node)
 			inner = append(inner, t)
 			return t.d
 		},

@@ -46,9 +46,8 @@ func (h *Handle) buildOps() {
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
 	}
-	// fixOp is deliberately not an Update: rebalancing steps restructure
-	// nodes but never change the logical key/value content, so they need
-	// not invalidate cross-shard snapshot validation.
+	// fixOp is not an Update: rebalancing steps restructure nodes but
+	// never change the logical key/value content.
 	h.fixOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeFast, tx)) },

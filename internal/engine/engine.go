@@ -119,7 +119,7 @@ type Indicator interface {
 	// Bind associates the indicator's cells with the version clock of
 	// the TM whose transactions subscribe to it: arrivals mutate the
 	// cells non-transactionally and must advance that clock. The engine
-	// binds its indicator (and its monitor's gate) at construction.
+	// binds its indicator at construction.
 	Bind(c *htm.Clock)
 }
 
@@ -141,12 +141,8 @@ type Config struct {
 	// fetch-and-increment counter); tests supply their own to arrive on
 	// it from outside an operation.
 	Indicator Indicator
-	// Monitor, when non-nil, publishes every update operation
-	// (Op.Update) so an external reader can validate that no update
-	// committed during a window: Run brackets the whole operation, on
-	// every path, with the monitor's ingress/egress counters. The
-	// sharding layer installs one monitor per shard to make cross-shard
-	// range queries atomic.
+	// Monitor is ignored. It is kept only because the repository
+	// benchmark's layer ladder (bench/layers.go) still sets it.
 	Monitor *UpdateMonitor
 	// HelpableFallback is ignored. It is kept only because the
 	// repository benchmark's layer ladder (bench/layers.go) still sets
@@ -170,6 +166,15 @@ type Config struct {
 	// registered by the public package.)
 	Obs *obs.Node
 }
+
+// UpdateMonitor does nothing. It is kept only because the repository
+// benchmark's layer ladder (bench/layers.go) still names it, with the
+// Config field of its type and its constructor below; the sharding
+// layer's handles publish and admit updates (internal/shard).
+type UpdateMonitor struct{}
+
+// NewUpdateMonitor returns an UpdateMonitor; the indicator is ignored.
+func NewUpdateMonitor(Indicator) *UpdateMonitor { return &UpdateMonitor{} }
 
 func (c Config) withDefaults() Config {
 	if c.Indicator == nil {
@@ -199,9 +204,8 @@ type Engine struct {
 // New creates an engine bound to the version clock of the TM whose
 // threads it will run (htm.TM.Clock). The engine's own cells — the TLE
 // lock and the fallback-presence indicator, which transactions subscribe
-// to and non-transactional paths mutate, and the update monitor's
-// quiesce gate — join that clock's synchronization domain here. Zero
-// fields of cfg select defaults.
+// to and non-transactional paths mutate — join that clock's
+// synchronization domain here. Zero fields of cfg select defaults.
 func New(cfg Config, clk *htm.Clock) *Engine {
 	if cfg.Algorithm == 0 {
 		cfg.Algorithm = AlgThreePath
@@ -210,9 +214,6 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	e.reclaim.SetFaults(e.cfg.Faults)
 	e.tle.Bind(clk)
 	e.cfg.Indicator.Bind(clk)
-	if e.cfg.Monitor != nil {
-		e.cfg.Monitor.Bind(clk)
-	}
 	return e
 }
 
@@ -381,15 +382,14 @@ type StatsSource interface {
 // (htm.Stats — the TM counts an attempt where it fails, and the engine
 // keeps no second ledger of the same event; under scx-htm that includes
 // the standalone SCX transactions' aborts), operation completions per
-// path, retry actions, TLE lock acquisitions, the update monitor's
-// completed quiesces, and the reclamation domain's gauges.
+// path, retry actions, TLE lock acquisitions, and the reclamation
+// domain's gauges.
 type OpStats struct {
 	htm.Stats
 	PathCounts
 	Policy               PolicyStats
 	Reclaim              ReclaimStats
 	FallbackAcquisitions uint64
-	Quiesces             uint64
 }
 
 // Merge adds another snapshot into s (the shard layer's aggregation).
@@ -401,12 +401,11 @@ func (s *OpStats) Merge(o OpStats) {
 	s.Policy.Merge(o.Policy)
 	s.Reclaim.Merge(o.Reclaim)
 	s.FallbackAcquisitions += o.FallbackAcquisitions
-	s.Quiesces += o.Quiesces
 }
 
 // Stats sums the per-thread counters — the TM's and the engine's — over
-// all threads and reads the monitor's. Safe to call while threads run
-// (the snapshot is then approximate).
+// all threads. Safe to call while threads run (the snapshot is then
+// approximate).
 func (e *Engine) Stats() OpStats {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -423,9 +422,6 @@ func (e *Engine) Stats() OpStats {
 			s.Reclaim.Merge(ReclaimStats{Limbo: uint64(th.rec.Limbo()),
 				PooledImmediate: uint64(im), PooledGrace: uint64(gr), PooledInner: uint64(in)})
 		}
-	}
-	if mon := e.cfg.Monitor; mon != nil {
-		s.Quiesces = mon.Quiesces()
 	}
 	return s
 }
@@ -475,8 +471,8 @@ type Op struct {
 	SCXHTM func() bool
 	// Update marks operations that may change the dictionary's logical
 	// content (inserts and deletes, but not searches, range queries, or
-	// content-preserving rebalancing steps). When the engine has a
-	// Monitor, Run brackets update operations with it.
+	// content-preserving rebalancing steps). RunAt refuses them: a
+	// pinned attempt is a read at a past instant.
 	Update bool
 	// Site carries the retry policy's per-call-site state (capacity
 	// memory, backoff PRNG stream). Handles that build an Op once per
@@ -492,28 +488,18 @@ type Op struct {
 }
 
 // PrepareOp returns op unchanged. It is kept only because the
-// repository benchmark's layer ladder (bench/layers.go) still calls it;
-// Run publishes a monitored update with no help from the op.
+// repository benchmark's layer ladder (bench/layers.go) still calls it.
 func (th *Thread) PrepareOp(op Op) Op { return op }
 
 // Run executes op under the engine's algorithm and returns the path the
 // operation completed on.
-//
-// When the engine has an UpdateMonitor and op is an update, Run
-// brackets the whole operation with the monitor's ingress/egress
-// counters, whichever paths it takes, so the commit lies inside the
-// bracket. Publication is all Run does with the monitor: it never looks
-// at the quiesce gate. Admission belongs to the layer that closes the
-// gate (see UpdateMonitor), which admits an update before calling into
-// the structure — so an operation held at a gate has not entered its
-// reclamation bracket and pins no epoch.
 //
 // On an observed engine (Config.Obs) Run additionally brackets the
 // operation with a runtime/trace user region, captures every
 // LatencySample-th operation's latency into the thread's histogram, and
 // records a sampled completion event — all without allocating and
 // without defers (a defer closing over locals allocates, which would
-// break the steady-state 0 allocs/op gate).
+// break TestAllocGate's steady-state 0 allocs/op).
 func (th *Thread) Run(op Op) htm.PathKind {
 	so := th.obs
 	if so == nil {
@@ -543,15 +529,6 @@ func (th *Thread) run(op Op) htm.PathKind {
 		// retirement (and hence pooled-node reuse) sound.
 		th.rec.Begin()
 		defer th.rec.End()
-	}
-	if mon := e.cfg.Monitor; mon != nil && op.Update {
-		// Close with defer: a panic out of a body must not strand the
-		// ingress count, which would wedge every later Sample and
-		// Quiesce of the monitor. An operation that never returns (a
-		// killed fallback owner) keeps the bracket open: the shard's
-		// sampled reads stop, and never pass over its commit.
-		mon.begin()
-		defer mon.end()
 	}
 	first := func(tx *htm.Tx) { th.firstBody(tx, &op) }
 	switch e.cfg.Algorithm {

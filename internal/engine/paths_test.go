@@ -184,6 +184,38 @@ func TestPathTable(t *testing.T) {
 	}
 }
 
+// TestLockedFastAndNilSCXHTM verifies what TLE's locked body and a nil
+// SCXHTM mean. Under the TLE lock Fast runs with a nil tx, once, after
+// the elided attempts. Under scx-htm a nil SCXHTM runs Fallback in both
+// phases, retrying it until it succeeds.
+func TestLockedFastAndNilSCXHTM(t *testing.T) {
+	t.Parallel()
+	_, th, clk := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgTLE})
+	var c htm.Word
+	c.Bind(clk)
+	locked := 0
+	p := th.Run(Op{Update: true, Fast: func(tx *htm.Tx) {
+		if tx != nil {
+			tx.Abort(CodeRetry) // drive the operation to the lock
+		}
+		locked++
+		c.Set(tx, c.Get(tx)+1)
+	}})
+	if p != htm.PathFallback || c.Get(nil) != 1 || locked != 1 {
+		t.Fatalf("locked Fast: completed on %v with counter %d after %d locked calls, want fallback, 1 and 1",
+			p, c.Get(nil), locked)
+	}
+
+	_, th, _ = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})
+	calls := 0
+	const want = attemptBudget + 2
+	p = th.Run(Op{Fallback: func() bool { calls++; return calls == want }})
+	if p != htm.PathFallback || calls != want {
+		t.Fatalf("nil SCXHTM: completed on %v after %d Fallback calls, want fallback after %d (%d budgeted + 2)",
+			p, calls, want, attemptBudget)
+	}
+}
+
 // TestOpIsOneCacheLine: every operation passes its Op by value, so it
 // must fit in one 64-byte line.
 func TestOpIsOneCacheLine(t *testing.T) {

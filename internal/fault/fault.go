@@ -595,6 +595,14 @@ func (l *Liveness) Finish() {
 	}
 }
 
+// Open returns the number of stall windows open now: victims still
+// stalled, or dead.
+func (l *Liveness) Open() int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return len(l.open)
+}
+
 // Windows returns the closed stall windows recorded so far.
 func (l *Liveness) Windows() []StallWindow {
 	l.mu.Lock()

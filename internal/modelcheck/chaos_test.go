@@ -9,6 +9,7 @@ import (
 
 	"htmtree"
 	"htmtree/internal/htm"
+	"htmtree/internal/shard"
 )
 
 // The chaos battery: every fault family the injection plane supports,
@@ -434,13 +435,15 @@ func TestChaosAbortStormDifferential(t *testing.T) {
 // hold the quiesce gates of the shards they read. Every transactional
 // access aborts by conflict, so every pinned attempt of a cross-shard
 // RangeQuery fails: the reader spends its optimistic budget, escalates,
-// and finishes gated on the validated body — with the plan stalling it
+// and finishes gated with one plain read — with the plan stalling it
 // right after it closed the gates. Updates (all on the fallback path:
 // the same rule sends every update there) park at those gates for the
 // stall. Lockstep agreement and the final key-sum prove the gated reads
 // and the parked updates change no result; every worker finishing its
 // workload proves no update stayed parked, and the watchdog's windows
-// show operations completing after every stall.
+// show operations completing after every stall. The quiesce is exact,
+// so the read counters add up to exactly DefaultRQRetries failed
+// attempts and one gated attempt per escalated read.
 func TestChaosQuiesceStall(t *testing.T) {
 	const (
 		threads   = 6
@@ -468,9 +471,17 @@ func TestChaosQuiesceStall(t *testing.T) {
 	if t.Failed() {
 		return
 	}
-	fires, esc := plan.Fires(htmtree.FaultQuiesce), tree.Stats().Range.Escalations
+	rq := tree.Stats().Range
+	fires, esc := plan.Fires(htmtree.FaultQuiesce), rq.Escalations
 	if fires == 0 || esc == 0 {
 		t.Fatalf("quiesce stalls fired %d times over %d escalated reads: the battery exercised nothing", fires, esc)
+	}
+	// The final key-sum, taken quiescent, validates on its first attempt:
+	// it is the one attempt no escalation accounts for.
+	const retries = shard.DefaultRQRetries
+	if rq.Retries != esc*retries || rq.Attempts != esc*(retries+1)+1 {
+		t.Errorf("cross-shard reads %+v: want %d retries and %d attempts — %d failed and one gated attempt per escalated read, plus the final key-sum",
+			rq, esc*retries, esc*(retries+1)+1, retries)
 	}
 	ws := lv.Windows()
 	if uint64(len(ws)) != fires {

@@ -13,8 +13,8 @@ import (
 func monitoredBST(t *testing.T, cfg Config, alg engine.Algorithm) *Dict {
 	t.Helper()
 	cfg.Atomic = true
-	cfg.New = func(_ int, mon *engine.UpdateMonitor) dict.Dict {
-		return bst.New(bst.Config{Algorithm: alg, Engine: engine.Config{Monitor: mon}})
+	cfg.New = func(int) dict.Dict {
+		return bst.New(bst.Config{Algorithm: alg})
 	}
 	d, err := New(cfg)
 	if err != nil {

@@ -7,8 +7,6 @@ import (
 	"testing"
 
 	"htmtree/internal/dict"
-	"htmtree/internal/engine"
-	"htmtree/internal/htm"
 )
 
 // White-box tests of the pinned cross-shard read against scripted inner
@@ -67,10 +65,7 @@ func (w *verWorld) dict(t *testing.T) *Dict {
 		Shards:  len(w.shards),
 		KeySpan: uint64(len(w.shards)) * 100,
 		Atomic:  true,
-		New: func(i int, mon *engine.UpdateMonitor) dict.Dict {
-			mon.Bind(htm.NewClock()) // what engine.New does for a real shard
-			return w.shards[i]
-		},
+		New:     func(i int) dict.Dict { return w.shards[i] },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -271,9 +266,9 @@ func TestPinnedUpdateAheadOfCursorFailsTheAttempt(t *testing.T) {
 // that the one retry/escalate loop carries it through. A shard whose
 // scan does not fit a transaction ends the phase on the spot — the next
 // attempt samples and validates. A read whose pinned attempts keep
-// aborting spends the budget on them, escalates, tries once more under
-// the gates, and finishes there on the software body. And handles that
-// cannot pin never enter the phase.
+// aborting spends the budget on them, escalates, and finishes under the
+// gates with one plain read. And handles that cannot pin never enter the
+// phase.
 func TestPinnedPhaseEnds(t *testing.T) {
 	const retries = DefaultRQRetries
 	for _, tc := range []struct {
@@ -284,7 +279,7 @@ func TestPinnedPhaseEnds(t *testing.T) {
 		{"unfit", func(w *verWorld) { w.shards[1].status = dict.PinUnfit },
 			RQStats{Attempts: 2, Retries: 1, Pinned: 1}},
 		{"aborting", func(w *verWorld) { w.shards[1].status = dict.PinAborted },
-			RQStats{Attempts: retries + 2, Retries: retries + 1, Escalations: 1, Pinned: retries + 1}},
+			RQStats{Attempts: retries + 1, Retries: retries, Escalations: 1, Pinned: retries, Quiesces: 2}},
 		{"not pinnable", func(w *verWorld) { w.shards[1].pinnable = false },
 			RQStats{Attempts: 1}},
 	} {

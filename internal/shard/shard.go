@@ -48,10 +48,10 @@
 //
 // The software path is optimistic per-shard version validation, in the
 // spirit of the hybrid validation of Ben-David et al. (Lock-Free Locks
-// Revisited, 2022): every shard carries an engine.UpdateMonitor whose
-// ingress/egress counters bracket every update operation, seqlock-style,
-// from before its first attempt to after its commit, whichever path
-// commits it. A reader samples the monitors
+// Revisited, 2022): every shard carries a monitor whose ingress/egress
+// counters bracket every update a handle admits to it, seqlock-style,
+// from its admission to the return of its inner call, whichever path
+// commits it (handle.routeUpdate). A reader samples the monitors
 // of every overlapping shard, reads the shards, and re-validates the
 // samples (Dict.validated); since all samples are taken before the
 // first shard read and re-checked after the last, an
@@ -62,13 +62,18 @@
 // read runs on, and a scan too large for a transaction.
 //
 // Readers that keep losing either race escalate after DefaultRQRetries
-// attempts: they arrive on the shards' quiesce gates (the paper's
-// Indicator machinery), which holds new update operations at their
-// admission in the shard handle (handle.routeUpdate — the only place an
-// update looks at a gate), and finish there on the software path, where
-// validation is guaranteed to succeed once the updates in flight drain.
-// RQStats reports how often queries retried and escalated, and how many
-// attempts were pinned.
+// attempts: they close the shards' quiesce gates — plain counters, like
+// the paper's fallback-presence indicator F — and wait for the updates
+// in flight to drain. An update opens its bracket before it looks at the
+// gate, so the quiesce is exact: from then on nothing commits on those
+// shards, and the escalated read is one plain read of them, with nothing
+// to validate and nothing to retry. RQStats reports how often queries
+// retried and escalated, how many attempts were pinned, and how many
+// gates were closed.
+//
+// Updates are published and admitted only by the handles of this
+// package: an update made through an inner dictionary's own handle
+// bypasses both, and a consistent read does not see it coming.
 package shard
 
 import (
@@ -109,15 +114,12 @@ type Config struct {
 	// Atomic makes cross-shard RangeQuery, RangeAgg and KeySum atomic:
 	// pinned-snapshot transactions where the inner dictionaries support
 	// them, per-shard version validation otherwise, quiesce escalation
-	// behind both (see the package comment). It requires the New
-	// constructor to wire the provided monitor into the inner
-	// dictionary's engine (engine.Config.Monitor).
+	// behind both (see the package comment). The handles publish and
+	// admit the updates themselves; the inner dictionaries need nothing.
 	Atomic bool
 	// New constructs the inner dictionary for shard i. Each call must
-	// return a fresh, independent instance. mon is non-nil exactly when
-	// Atomic is set, and must then be installed as the inner engine's
-	// Monitor so updates publish their commit points.
-	New func(i int, mon *engine.UpdateMonitor) dict.Dict
+	// return a fresh, independent instance.
+	New func(i int) dict.Dict
 	// Obs, when non-nil, records the shard layer's quiesce events in a
 	// flight-recorder thread of the domain. (The metric families over
 	// RQStats and the batch counters are registered by the public
@@ -159,11 +161,15 @@ type RQStats struct {
 	// one in flight at sampling time).
 	Retries uint64
 	// Escalations counts reads that exhausted the optimistic budget and
-	// fell back to holding the shards' quiesce gates.
+	// fell back to holding the shards' quiesce gates, where each makes
+	// exactly one more attempt: a plain read.
 	Escalations uint64
 	// Pinned counts the attempts that ran as pinned transactions rather
 	// than sampling and validating the monitors.
 	Pinned uint64
+	// Quiesces counts the shard quiesce gates escalated reads closed:
+	// one per shard an escalated read spans.
+	Quiesces uint64
 }
 
 // Dict is a sharded ordered dictionary. It implements dict.Dict.
@@ -175,7 +181,7 @@ type Dict struct {
 
 	// mons holds one update monitor per shard when the dictionary was
 	// built with Config.Atomic; nil otherwise.
-	mons []*engine.UpdateMonitor
+	mons []*monitor
 
 	// obsRec is the layer's shared flight-recorder thread (escalated
 	// readers on any goroutine record quiesce events; RareEvent is
@@ -215,17 +221,13 @@ func New(cfg Config) (*Dict, error) {
 		faults: cfg.Faults,
 	}
 	if cfg.Atomic {
-		d.mons = make([]*engine.UpdateMonitor, n)
+		d.mons = make([]*monitor, n)
 		for i := range d.mons {
-			d.mons[i] = engine.NewUpdateMonitor(nil)
+			d.mons[i] = new(monitor)
 		}
 	}
 	for i := range d.shards {
-		var mon *engine.UpdateMonitor
-		if d.mons != nil {
-			mon = d.mons[i]
-		}
-		d.shards[i] = cfg.New(i, mon)
+		d.shards[i] = cfg.New(i)
 	}
 	if cfg.Obs != nil {
 		d.obsRec = cfg.Obs.NewThread()
@@ -250,11 +252,12 @@ func (d *Dict) Bounds(i int) (lo, hi uint64) { return d.rt.Bounds(i) }
 // NewHandle registers a per-goroutine handle on every shard.
 //
 // On a monitored dictionary (Config.Atomic) the handle is the one place
-// an update is admitted: a point operation routes, Enters the target
-// shard's monitor — waiting there, outside any inner operation, while an
-// escalated reader holds the shard's quiesce gate — and dispatches
-// through the inner handle (handle.routeUpdate; ExecGroup admits once
-// per group). Nothing below the handle looks at the gate.
+// an update is admitted and published: a point update routes, opens its
+// bracket on the target shard's monitor — waiting there, outside any
+// inner operation, while an escalated reader holds the shard's quiesce
+// gate — dispatches through the inner handle, and closes the bracket
+// when the inner call returns (handle.routeUpdate; ExecGroup brackets
+// each shard segment once). Nothing below the handle knows the monitor.
 func (d *Dict) NewHandle() dict.Handle {
 	hs := make([]dict.Handle, len(d.shards))
 	for i, s := range d.shards {
@@ -262,7 +265,7 @@ func (d *Dict) NewHandle() dict.Handle {
 	}
 	h := &handle{d: d, hs: hs}
 	if d.mons != nil {
-		h.samples = make([]engine.MonitorSample, len(d.shards))
+		h.samples = make([]sample, len(d.shards))
 		h.pins, h.rvs = pinnedReaders(hs), make([]uint64, len(d.shards))
 	}
 	return h
@@ -288,40 +291,40 @@ func pinnedReaders(hs []dict.Handle) []dict.PinnedReader {
 // RQStats returns a snapshot of the atomic cross-shard read counters.
 // Safe to call while readers run (the snapshot is then approximate).
 func (d *Dict) RQStats() RQStats {
-	return RQStats{
+	st := RQStats{
 		Attempts:    d.rqAttempts.Load(),
 		Retries:     d.rqRetried.Load(),
 		Escalations: d.rqEscalations.Load(),
 		Pinned:      d.rqPinned.Load(),
 	}
+	for _, m := range d.mons {
+		st.Quiesces += m.quiesces.Load()
+	}
+	return st
 }
 
 // readConsistent drives one atomic read of shards first..last: it runs
-// try — one attempt at the read, reporting whether what it left behind
-// is a consistent cut — until an attempt succeeds. After DefaultRQRetries
-// failed attempts it escalates: it arrives on the shards' quiesce gates,
-// so new update operations wait while the finitely many updates already
-// in flight drain, and keeps trying; gated tells try that it runs there.
-// What an attempt is, is the caller's choice: a pinned snapshot
-// (handle.pinned) or the sample/read/validate body (Dict.validated).
-func (d *Dict) readConsistent(first, last int, try func(gated bool) bool) {
-	attempt := func(gated bool) bool {
-		d.rqAttempts.Add(1)
-		if try(gated) {
-			return true
-		}
-		d.rqRetried.Add(1)
-		return false
-	}
+// try — one optimistic attempt at the read, reporting whether what it
+// left behind is a consistent cut — until an attempt succeeds. After
+// DefaultRQRetries failed attempts it escalates: it closes the shards'
+// quiesce gates, waits for the updates in flight to drain, and makes one
+// last attempt, read — a plain read of the shards, which nothing can
+// change while the gates are held. What an optimistic attempt is, is the
+// caller's choice: a pinned snapshot (handle.pinned) or the
+// sample/read/validate body (Dict.validated).
+func (d *Dict) readConsistent(first, last int, try func() bool, read func()) {
 	for n := 0; n < DefaultRQRetries; n++ {
-		if attempt(false) {
+		d.rqAttempts.Add(1)
+		if try() {
 			return
 		}
+		d.rqRetried.Add(1)
 	}
 	d.rqEscalations.Add(1)
-	// Quiesce now, release via defer: if try panics (it runs an arbitrary
-	// inner dictionary) and the caller recovers, held gates must not leak
-	// — they would park every future update forever.
+	d.rqAttempts.Add(1)
+	// Quiesce now, release via defer: if read panics (it runs an
+	// arbitrary inner dictionary) and the caller recovers, held gates
+	// must not leak — they would park every future update forever.
 	for s := first; s <= last; s++ {
 		defer d.mons[s].Quiesce()()
 		if d.obsRec != nil {
@@ -331,15 +334,14 @@ func (d *Dict) readConsistent(first, last int, try func(gated bool) bool) {
 	// Quiesce-fault seam: the escalated reader holds every overlapping
 	// shard's gate; an injected stall parks those shards' updates.
 	d.faults.Hit(fault.PointQuiesce)
-	for !attempt(true) {
-	}
+	read()
 }
 
 // validated is the software attempt body of an atomic cross-shard read:
 // sample the monitor of every shard first..last, run read — an
 // idempotent function reading those shards — and re-validate the
 // samples. samples is caller scratch with capacity NumShards.
-func (d *Dict) validated(first, last int, samples []engine.MonitorSample, read func()) bool {
+func (d *Dict) validated(first, last int, samples []sample, read func()) bool {
 	samples = samples[:0]
 	for s := first; s <= last; s++ {
 		smp, ok := d.mons[s].Sample()
@@ -366,11 +368,12 @@ func (d *Dict) validated(first, last int, samples []engine.MonitorSample, read f
 // dictionaries' quiescent-only contract: each shard is summed at a
 // different time, and a shard's walk may itself race updaters.
 //
-// The cut is always sampled and validated, never pinned: dict.Dict's
-// KeySum is the paper's quiescent checksum, a plain walk of the whole
-// tree outside any transaction, called on the dictionary — there is no
-// per-thread handle to run a transaction on, and the walk reads every
-// cell of a shard, which no transaction's capacity holds.
+// The cut is sampled and validated, or read under the gates, never
+// pinned: dict.Dict's KeySum is the paper's quiescent checksum, a plain
+// walk of the whole tree outside any transaction, called on the
+// dictionary — there is no per-thread handle to run a transaction on,
+// and the walk reads every cell of a shard, which no transaction's
+// capacity holds.
 func (d *Dict) KeySum() (sum, count uint64) {
 	read := func() {
 		sum, count = 0, 0
@@ -385,10 +388,10 @@ func (d *Dict) KeySum() (sum, count uint64) {
 		return sum, count
 	}
 	last := len(d.shards) - 1
-	samples := make([]engine.MonitorSample, 0, len(d.shards))
-	d.readConsistent(0, last, func(bool) bool {
+	samples := make([]sample, 0, len(d.shards))
+	d.readConsistent(0, last, func() bool {
 		return d.validated(0, last, samples, read)
-	})
+	}, read)
 	return sum, count
 }
 
@@ -432,7 +435,7 @@ func (d *Dict) CheckPartition() error {
 type handle struct {
 	d       *Dict
 	hs      []dict.Handle
-	samples []engine.MonitorSample // scratch for atomic fan-out validation
+	samples []sample // scratch for atomic fan-out validation
 
 	// pins holds the inner handles as pinned readers, and rvs the scratch
 	// for one clock snapshot per shard, when atomic fan-outs through this
@@ -443,24 +446,40 @@ type handle struct {
 	aggOut []dict.KV
 }
 
-// routeUpdate returns the shard owning key. On a monitored dictionary it
-// first admits the update on that shard's monitor, waiting while an
-// escalated reader holds the shard's quiesce gate.
-func (h *handle) routeUpdate(key uint64) int {
+// routeUpdate returns the shard owning key and, on a monitored
+// dictionary, that shard's monitor with the update's bracket open on it
+// — admitted, after waiting while an escalated reader held the shard's
+// quiesce gate. The caller closes the bracket with the monitor's Exit,
+// deferred, once the inner call returns: a panic out of the inner
+// dictionary must not strand the ingress count, which would wedge every
+// later Sample and Quiesce of the shard. An update that never returns (a
+// killed fallback owner) keeps its bracket open: the shard's sampled and
+// escalated reads stop, and never pass over its commit.
+func (h *handle) routeUpdate(key uint64) (int, *monitor) {
 	d := h.d
 	s := d.rt.ShardFor(key)
-	if d.mons != nil {
-		d.mons[s].Enter()
+	if d.mons == nil {
+		return s, nil
 	}
-	return s
+	m := d.mons[s]
+	m.Enter()
+	return s, m
 }
 
 func (h *handle) Insert(key, val uint64) (old uint64, existed bool) {
-	return h.hs[h.routeUpdate(key)].Insert(key, val)
+	s, m := h.routeUpdate(key)
+	if m != nil {
+		defer m.Exit()
+	}
+	return h.hs[s].Insert(key, val)
 }
 
 func (h *handle) Delete(key uint64) (old uint64, existed bool) {
-	return h.hs[h.routeUpdate(key)].Delete(key)
+	s, m := h.routeUpdate(key)
+	if m != nil {
+		defer m.Exit()
+	}
+	return h.hs[s].Delete(key)
 }
 
 // Search routes to the owning shard. Searches are never admitted: a
@@ -522,28 +541,24 @@ func (h *handle) pinExit(first, last int) {
 }
 
 // readAtomic runs one atomic read of shards first..last through the
-// retry/escalate loop. While the handle supports it the attempts are
-// pinned transactions (pinned, running pin); otherwise, and from the
-// moment pinning cannot serve this read, they sample, run read and
-// validate (Dict.validated). Pinning stops serving a read in two ways.
-// A shard's query does not fit a transaction (PinUnfit): retrying would
-// burn the budget on aborts that cannot succeed. Or an attempt fails
-// under the quiesce gates: there the read must terminate, which the
-// software body does once the in-flight updates drain, while a
-// best-effort transaction promises nothing (the paper's division of
-// labour between the HTM path and the path that guarantees progress).
+// retry/escalate loop. While the handle supports it the optimistic
+// attempts are pinned transactions (pinned, running pin); otherwise, and
+// from the moment a shard's query does not fit a transaction (PinUnfit:
+// retrying would burn the budget on aborts that cannot succeed), they
+// sample, run read and validate (Dict.validated). Escalated, it runs
+// read under the gates.
 func (h *handle) readAtomic(first, last int, pin func() dict.PinStatus, read func()) {
 	d := h.d
 	pinning := h.pins != nil
-	d.readConsistent(first, last, func(gated bool) bool {
+	d.readConsistent(first, last, func() bool {
 		if !pinning {
 			return d.validated(first, last, h.samples, read)
 		}
 		d.rqPinned.Add(1)
 		st := h.pinned(first, last, pin)
-		pinning = st != dict.PinUnfit && !gated
+		pinning = st != dict.PinUnfit
 		return st == dict.PinCommitted
-	})
+	}, read)
 }
 
 // RangeQuery fans out to the shards overlapping [lo, hi). Each shard

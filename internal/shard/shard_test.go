@@ -16,7 +16,7 @@ func newShardedBST(t *testing.T, shards int, span uint64) *Dict {
 	d, err := New(Config{
 		Shards:  shards,
 		KeySpan: span,
-		New: func(int, *engine.UpdateMonitor) dict.Dict {
+		New: func(int) dict.Dict {
 			return bst.New(bst.Config{Algorithm: engine.AlgThreePath})
 		},
 	})
@@ -32,7 +32,7 @@ func newShardedBST(t *testing.T, shards int, span uint64) *Dict {
 // misconfigured caller can see at a glance what to fix.
 func TestConfigValidation(t *testing.T) {
 	t.Parallel()
-	ctor := func(int, *engine.UpdateMonitor) dict.Dict {
+	ctor := func(int) dict.Dict {
 		return bst.New(bst.Config{Algorithm: engine.AlgNonHTM})
 	}
 	cases := []struct {
@@ -185,7 +185,7 @@ func TestStatsAggregateAcrossShards(t *testing.T) {
 	d, err := New(Config{
 		Shards:  4,
 		KeySpan: 4000,
-		New: func(int, *engine.UpdateMonitor) dict.Dict {
+		New: func(int) dict.Dict {
 			return abtree.New(abtree.Config{Algorithm: engine.AlgThreePath})
 		},
 	})
@@ -269,11 +269,8 @@ func newAtomicShardedBST(t *testing.T, shards int, span uint64) *Dict {
 		Shards:  shards,
 		KeySpan: span,
 		Atomic:  true,
-		New: func(_ int, mon *engine.UpdateMonitor) dict.Dict {
-			return bst.New(bst.Config{
-				Algorithm: engine.AlgThreePath,
-				Engine:    engine.Config{Monitor: mon},
-			})
+		New: func(int) dict.Dict {
+			return bst.New(bst.Config{Algorithm: engine.AlgThreePath})
 		},
 	})
 	if err != nil {

@@ -42,24 +42,23 @@ func (s Spec) Name() string {
 // It panics on an unknown structure name (specs are authored by
 // benchmarks, not end users).
 func (s Spec) New() dict.Dict {
-	mk := func(mon *engine.UpdateMonitor) dict.Dict {
-		ecfg := engine.Config{Monitor: mon}
+	mk := func(int) dict.Dict {
 		switch s.Structure {
 		case "bst":
-			return bst.New(bst.Config{Algorithm: s.Algorithm, Engine: ecfg})
+			return bst.New(bst.Config{Algorithm: s.Algorithm})
 		case "abtree":
-			return abtree.New(abtree.Config{Algorithm: s.Algorithm, Engine: ecfg})
+			return abtree.New(abtree.Config{Algorithm: s.Algorithm})
 		default:
 			panic(fmt.Sprintf("workload: unknown structure %q", s.Structure))
 		}
 	}
 	if s.Shards <= 1 {
-		return mk(nil)
+		return mk(0)
 	}
 	d, err := shard.New(shard.Config{
 		Shards:  s.Shards,
 		KeySpan: s.KeySpan,
-		New:     func(_ int, mon *engine.UpdateMonitor) dict.Dict { return mk(mon) },
+		New:     mk,
 	})
 	if err != nil {
 		panic(fmt.Sprintf("workload: %v", err)) // only reachable via an invalid Spec

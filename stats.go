@@ -31,10 +31,6 @@ type Stats struct {
 	// FallbackAcquisitions counts TLE lock acquisitions (zero on the
 	// algorithms whose fallback is lock-free).
 	FallbackAcquisitions uint64
-	// Quiesces counts completed update-monitor quiesces — escalated
-	// consistent reads; zero unless the tree is sharded with
-	// AtomicRangeQueries.
-	Quiesces uint64
 	// Reclaim reports where removed nodes are: in limbo behind a grace
 	// period, or pooled for reuse on the handles' free lists. Gauges,
 	// summed over the shards; all zero on structures that do not pool
@@ -70,7 +66,6 @@ func statsOf(o engine.OpStats) Stats {
 		AbortCauses:          make(map[string]uint64),
 		Policy:               o.Policy,
 		FallbackAcquisitions: o.FallbackAcquisitions,
-		Quiesces:             o.Quiesces,
 		Reclaim:              o.Reclaim,
 	}
 	for _, p := range paths {
@@ -141,8 +136,6 @@ var families = []family{
 		}},
 	{name: "htmtree_fallback_acquisitions_total", help: "TLE global lock acquisitions: the fallback critical sections of the tle algorithm.",
 		inner: true, read: func(s *Stats, emit emitFn) { emit(s.FallbackAcquisitions) }},
-	{name: "htmtree_monitor_quiesces_total", help: "Completed update-monitor quiesces (escalated consistent reads).",
-		inner: true, read: func(s *Stats, emit emitFn) { emit(s.Quiesces) }},
 	{name: "htmtree_reclaim_nodes", help: "Removed nodes not back in the tree: waiting out a grace period (limbo), or pooled for reuse on the handles' immediate, grace and inner free lists.",
 		gauge: true, inner: true, labels: []string{"state"},
 		read: func(s *Stats, emit emitFn) {
@@ -160,6 +153,8 @@ var families = []family{
 		read: func(s *Stats, emit emitFn) { emit(s.Range.Retries) }},
 	{name: "htmtree_rq_escalations_total", help: "Cross-shard reads that exhausted the optimistic budget and quiesced their shards.",
 		read: func(s *Stats, emit emitFn) { emit(s.Range.Escalations) }},
+	{name: "htmtree_monitor_quiesces_total", help: "Shard quiesce gates closed by escalated consistent reads (one per shard an escalated read spans).",
+		read: func(s *Stats, emit emitFn) { emit(s.Range.Quiesces) }},
 	{name: "htmtree_batch_flushes_total", help: "Non-empty batch buffer flushes across the tree's asynchronous handles.",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.Flushes) }},
 	{name: "htmtree_batch_flushed_ops_total", help: "Point operations carried by batch flushes.",

@@ -203,10 +203,9 @@ func TestScrapeEqualsStats(t *testing.T) {
 			if !atomic && (st.Ops.Fast == 0 || st.Ops.Fallback == 0 || st.Policy.FreeRetries == 0) {
 				t.Errorf("the storm left counters at zero: %+v %+v", st.Ops, st.Policy)
 			}
-			if atomic && (st.Range.Attempts == 0 || st.Range.Escalations == 0 || st.Quiesces == 0 ||
+			if atomic && (st.Range.Attempts == 0 || st.Range.Escalations == 0 || st.Range.Quiesces == 0 ||
 				st.Batch.Groups == 0) {
-				t.Errorf("range, quiesce or batch counters at zero: %+v %d %+v",
-					st.Range, st.Quiesces, st.Batch)
+				t.Errorf("range, quiesce or batch counters at zero: %+v %+v", st.Range, st.Batch)
 			}
 		})
 	}
