@@ -114,9 +114,11 @@ type Config struct {
 	// plane (NewFaultPlan) across every layer of the tree: forced
 	// transactional aborts (FaultTxAccess, spurious unless the rule
 	// names another cause), fallback-owner stalls and permanent owner
-	// death, stalls of escalated readers holding quiesce gates,
-	// reclamation pin stalls, and batch flush delays.
-	// One plan may be shared by several trees; its per-point counters
+	// death (under ThreePath, TwoPathConc, NonHTM and SCXHTM the other
+	// threads keep completing operations past a dead owner; TLE and
+	// TwoPathNCon wait for it by design), stalls of escalated readers
+	// holding quiesce gates, reclamation pin stalls, and batch flush
+	// delays. One plan may be shared by several trees; its per-point counters
 	// are then global. On an observed tree (Observability set) every
 	// fired fault is additionally recorded in the flight recorder as a
 	// fault_abort / fault_stall / fault_kill event, so a chaos failure

@@ -206,9 +206,6 @@ func New(cfg Config) *Tree {
 	if err := CheckDegree(cfg.A, cfg.B); err != nil {
 		panic("abtree: " + err.Error())
 	}
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = engine.AlgThreePath
-	}
 	ecfg := cfg.Engine
 	ecfg.Algorithm = cfg.Algorithm
 	tm := htm.New(cfg.HTM)

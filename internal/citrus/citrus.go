@@ -87,9 +87,6 @@ type Tree struct {
 
 // New creates an empty tree.
 func New(cfg Config) *Tree {
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = engine.AlgThreePath
-	}
 	ecfg := cfg.Engine
 	ecfg.Algorithm = cfg.Algorithm
 	tm := htm.New(cfg.HTM)

@@ -51,24 +51,75 @@ var Algorithms = []Algorithm{
 	AlgNonHTM, AlgTLE, AlgTwoPathConc, AlgTwoPathNCon, AlgThreePath, AlgSCXHTM,
 }
 
+// pathRow is one algorithm's row of the paper's path table (Sections 4
+// and 5). Each algorithm restricts 3-path's three paths — a first path,
+// a middle path, a software path — and Thread.run interprets the row.
+// The engine branches on the row's fields, never on the Algorithm.
+type pathRow struct {
+	first firstPath
+	// soft is the software path that ends the operation. What it holds —
+	// F, the TLE lock, or nothing — is what a first-path transaction
+	// subscribes to and looks at before it begins, so the two never
+	// overlap.
+	soft softPath
+	// look is what the first path does while that guard is held.
+	look guardLook
+	name string // the paper's name (Algorithm.String)
+}
+
+// firstPath is what an algorithm runs before its software path.
+type firstPath uint8
+
+const (
+	firstNone   firstPath = iota // nothing: the software path alone
+	firstFast                    // Op.Fast in one transaction
+	firstInstr                   // Op.Middle (Fast if nil) in one transaction, beside the software path
+	firstSCXHTM                  // budgeted Op.SCXHTM attempts (Fallback if nil), each HTM only inside its SCX
+)
+
+// softPath is the path that completes an operation the earlier paths
+// could not.
+type softPath uint8
+
+const (
+	softLoop  softPath = iota // Op.Fallback until it succeeds
+	softLoopF                 // the same, counted in the fallback-presence indicator F
+	softLock                  // Op.Fast with a nil tx under the TLE lock
+)
+
+// guardLook is what a first path does about its software path's guard.
+type guardLook uint8
+
+const (
+	lookNone   guardLook = iota // nothing: the software path holds no guard
+	lookWait                    // wait for the guard to clear before each attempt
+	lookMoveOn                  // move on to a middle path that runs Op.Middle unsubscribed; the budget is split between the two
+)
+
+// paths is the path table: every algorithm's row, indexed by Algorithm.
+var paths = [...]pathRow{
+	AlgNonHTM:      {name: "non-htm", first: firstNone, soft: softLoop},
+	AlgTLE:         {name: "tle", first: firstFast, soft: softLock, look: lookWait},
+	AlgTwoPathConc: {name: "2-path-con", first: firstInstr, soft: softLoop},
+	AlgTwoPathNCon: {name: "2-path-ncon", first: firstFast, soft: softLoopF, look: lookWait},
+	AlgThreePath:   {name: "3-path", first: firstFast, soft: softLoopF, look: lookMoveOn},
+	AlgSCXHTM:      {name: "scx-htm", first: firstSCXHTM, soft: softLoop},
+}
+
+// subscribes reports whether op's first-path transaction subscribes to
+// the software path's guard. An op without a Middle body under a row
+// with a middle path does not: its one transactional body is safe beside
+// software-path SCXs as it stands (see Op.Middle).
+func (r *pathRow) subscribes(op *Op) bool {
+	return r.look == lookWait || r.look == lookMoveOn && op.Middle != nil
+}
+
 // String returns the paper's name for the algorithm.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgNonHTM:
-		return "non-htm"
-	case AlgTLE:
-		return "tle"
-	case AlgTwoPathConc:
-		return "2-path-con"
-	case AlgTwoPathNCon:
-		return "2-path-ncon"
-	case AlgThreePath:
-		return "3-path"
-	case AlgSCXHTM:
-		return "scx-htm"
-	default:
-		return fmt.Sprintf("algorithm(%d)", uint8(a))
+	if int(a) < len(paths) && paths[a].name != "" {
+		return paths[a].name
 	}
+	return fmt.Sprintf("algorithm(%d)", uint8(a))
 }
 
 // ParseAlgorithm converts a name produced by Algorithm.String back to the
@@ -152,12 +203,13 @@ type Config struct {
 	// plane at the engine's seams: fault.PointFallbackOwner fires where
 	// a fallback-path owner is most preemption-sensitive — right after
 	// the TLE lock acquisition (the convoy window), and as a lock-free
-	// fallback operation begins, after its arrival on the presence
-	// indicator F where the algorithm keeps one (a Kill effect there
-	// leaves F held forever, and the other threads must progress past
-	// it) — and the plan is forwarded to the engine's reclamation domain
-	// for fault.PointEBRPin. The HTM and shard layers carry their own
-	// plan references; one shared *fault.Plan arms a whole structure.
+	// software path begins (scx-htm's software phase included), after
+	// its arrival on the presence indicator F where the algorithm keeps
+	// one (a Kill effect there leaves F held forever, and the other
+	// threads must progress past it) — and the plan is forwarded to the
+	// engine's reclamation domain for fault.PointEBRPin. The HTM and
+	// shard layers carry their own plan references; one shared
+	// *fault.Plan arms a whole structure.
 	Faults *fault.Plan
 	// Obs, when non-nil, attaches this engine to a live observability
 	// domain's flight recorder: every NewThread gains a recorder thread
@@ -192,6 +244,7 @@ func (c Config) withDefaults() Config {
 type Engine struct {
 	_   [64]byte
 	cfg Config
+	row pathRow // paths[cfg.Algorithm]
 	// tle is the TLE global lock word: 0 free, 1 held.
 	tle     htm.Word
 	reclaim *ebr.Manager // epoch domain for the structure's node pools
@@ -210,7 +263,10 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	if cfg.Algorithm == 0 {
 		cfg.Algorithm = AlgThreePath
 	}
-	e := &Engine{cfg: cfg.withDefaults(), reclaim: ebr.New()}
+	if int(cfg.Algorithm) >= len(paths) {
+		panic(fmt.Sprintf("engine: unknown algorithm %d", cfg.Algorithm))
+	}
+	e := &Engine{cfg: cfg.withDefaults(), row: paths[cfg.Algorithm], reclaim: ebr.New()}
 	e.reclaim.SetFaults(e.cfg.Faults)
 	e.tle.Bind(clk)
 	e.cfg.Indicator.Bind(clk)
@@ -311,21 +367,16 @@ func (th *Thread) EnableReclaim(pool NodePool, nonTxReaders bool) {
 	th.eng.mu.Unlock()
 	// The Section 9 immediate-recycle rule holds for nodes removed by
 	// fast-path commits exactly when every thread that could still hold a
-	// reference runs transactionally: the fast path of 3-path and
-	// 2-path-ncon excludes the fallback path via the presence indicator,
-	// and TLE's elided path excludes the locked path via the lock
-	// subscription. (3-path's read-only operations run unsubscribed
-	// beside the fallback path, but as transactions: they are among the
-	// readers that abort.) 2-path-con's "fast" path is the instrumented
-	// body running concurrently with fallback-path readers, and non-htm
-	// and scx-htm commit removals non-transactionally, so none of them
-	// qualifies.
-	switch th.eng.cfg.Algorithm {
-	case AlgThreePath, AlgTwoPathNCon, AlgTLE:
-		th.fastRecycle = !nonTxReaders
-	default:
-		th.fastRecycle = false
-	}
+	// reference runs transactionally, which is when the first path is
+	// guarded: the fast path of 3-path and 2-path-ncon excludes the
+	// fallback path via F, and TLE's elided path excludes the locked path
+	// via the lock subscription. (3-path's read-only operations run
+	// unsubscribed beside the fallback path, but as transactions: they
+	// are among the readers that abort.) An unguarded row has no software
+	// path to exclude: 2-path-con's first path is the instrumented body
+	// running beside fallback-path readers, and non-htm and scx-htm commit
+	// removals non-transactionally.
+	th.fastRecycle = th.eng.row.soft != softLoop && !nonTxReaders
 }
 
 // Immediate reports whether a node removed by an operation that
@@ -520,8 +571,11 @@ func (th *Thread) Run(op Op) htm.PathKind {
 	return p
 }
 
+// run is the path table interpreted: the row's first path, its middle
+// path, its software path, each taken only if the one before did not
+// complete the operation.
 func (th *Thread) run(op Op) htm.PathKind {
-	e := th.eng
+	r := &th.eng.row
 	if th.rec != nil {
 		// Bracket the whole operation as an ebr critical section: every
 		// node reference any path of the operation obtains is covered by
@@ -530,79 +584,47 @@ func (th *Thread) run(op Op) htm.PathKind {
 		th.rec.Begin()
 		defer th.rec.End()
 	}
-	first := func(tx *htm.Tx) { th.firstBody(tx, &op) }
-	switch e.cfg.Algorithm {
-	case AlgNonHTM:
-		th.runFallbackLoop(op, nil)
-		return htm.PathFallback
-
-	case AlgTLE:
-		return th.runTLE(op)
-
-	case AlgTwoPathConc:
-		// Fast path: the whole operation in one transaction using the
-		// HTM-based LLX and SCX; it may run concurrently with the
-		// fallback path, so no presence indicator is needed.
+	switch r.first {
+	case firstFast, firstInstr:
 		site := op.policySite(th)
-		if !th.skipFast(site) &&
-			th.runPath(site, htm.PathFast, attemptBudget, nil, first) {
-			th.completed(htm.PathFast)
-			return htm.PathFast
-		}
-		th.runFallbackLoop(op, nil)
-		return htm.PathFallback
-
-	case AlgTwoPathNCon:
-		ind := e.cfg.Indicator
-		site := op.policySite(th)
-		// Wait for the fallback path to empty before each attempt (this
-		// waiting is the 2-path-ncon bottleneck the paper highlights).
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget,
-			func() bool { waitWhile(func() bool { return ind.Nonzero(nil) }); return true }, first) {
-			th.completed(htm.PathFast)
-			return htm.PathFast
-		}
-		th.runFallbackLoop(op, ind)
-		return htm.PathFallback
-
-	case AlgThreePath:
-		ind := e.cfg.Indicator
-		site := op.policySite(th)
-		if op.Middle == nil {
-			// One transactional body is one transactional path, with
-			// both paths' budget (see Op.Middle). Its footprint is what
-			// it is on any path, so a capacity abort — or the site's
-			// memory of one — sends the operation to the software path.
-			if !th.skipFast(site) &&
-				th.runPath(site, htm.PathFast, attemptBudget, nil, first) {
-				th.completed(htm.PathFast)
-				return htm.PathFast
-			}
-			th.runFallbackLoop(op, ind)
-			return htm.PathFallback
-		}
-		// Fast path: move to the middle path when runPath gives up on the
-		// path (a capacity abort — the transaction cannot fit; hardware
-		// reports this via the "retry" hint bit being clear), when the
-		// fallback path is busy, or after its half of the budget. Busy is
-		// looked up before each attempt begins, outside it: the
+		// An op with a Middle body under a row with a middle path splits
+		// the budget between the two; otherwise the first path is the
+		// op's one transactional path and has all of it: its footprint
+		// is what it is on any path, so a capacity abort — or the site's
+		// memory of one — sends it straight to the software path.
+		//
+		// The look at the guard before each attempt: 3-path moves to its
+		// middle path when runPath gives up on the fast path (a capacity
+		// abort — the transaction cannot fit; hardware reports this via
+		// the "retry" hint bit being clear), when F is held, or after its
+		// half of the budget. F is looked up outside the attempt: the
 		// subscription inside (firstBody) is what makes the fast path
 		// safe, but a transaction begun only to find F non-zero there is
-		// an abort the operation need not pay for.
-		if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget/2, th.fallbackIdle, first) {
+		// an abort the operation need not pay for. TLE and 2-path-ncon
+		// wait for the lock or F to clear instead.
+		middle := r.look == lookMoveOn && op.Middle != nil
+		budget := attemptBudget
+		var ready func() bool
+		switch {
+		case middle:
+			budget /= 2
+			ready = th.fallbackIdle
+		case r.look == lookWait:
+			ready = th.awaitGuard
+		}
+		first := func(tx *htm.Tx) { th.firstBody(tx, &op) }
+		if !th.skipFast(site) && th.runPath(site, htm.PathFast, budget, ready, first) {
 			th.completed(htm.PathFast)
 			return htm.PathFast
 		}
-		if th.runPath(site, htm.PathMiddle, attemptBudget/2, nil, op.Middle) {
+		if middle && th.runPath(site, htm.PathMiddle, budget, nil, op.Middle) {
 			th.completed(htm.PathMiddle)
 			return htm.PathMiddle
 		}
-		th.runFallbackLoop(op, ind)
-		return htm.PathFallback
-
-	case AlgSCXHTM:
-		// The budgeted SCXHTM attempts, then the software phase, which
-		// is Fallback.
+	case firstSCXHTM:
+		// Section 4: the operation structure unchanged, its SCXs
+		// accelerated; an attempt that succeeds counts as a fast-path
+		// completion.
 		attempt := op.SCXHTM
 		if attempt == nil {
 			attempt = op.Fallback
@@ -613,32 +635,22 @@ func (th *Thread) run(op Op) htm.PathKind {
 				return htm.PathFast
 			}
 		}
-		for !op.Fallback() {
-		}
-		th.completed(htm.PathFallback)
-		return htm.PathFallback
-
-	default:
-		panic(fmt.Sprintf("engine: unknown algorithm %d", e.cfg.Algorithm))
 	}
+	if r.soft == softLock {
+		th.runLocked(op)
+	} else {
+		th.runFallbackLoop(op, r.soft == softLoopF)
+	}
+	return htm.PathFallback
 }
 
-// runTLE implements transactional lock elision: the fast path subscribes
-// to the global lock and aborts while it is held; when the retry policy
-// exhausts the attempt budget the operation acquires the lock and runs
-// the same sequential body, Fast, with a nil tx. TLE is deadlock-free but
-// not lock-free: a
-// lock holder that is descheduled or dies stops every other thread of
-// the engine, which is what 3-path's middle path exists to avoid.
-func (th *Thread) runTLE(op Op) htm.PathKind {
+// runLocked is TLE's software path: acquire the global lock and run the
+// same sequential body, Fast, with a nil tx. TLE is deadlock-free but not
+// lock-free: a lock holder that is descheduled or dies stops every other
+// thread of the engine, which is what 3-path's middle path exists to
+// avoid.
+func (th *Thread) runLocked(op Op) {
 	e := th.eng
-	site := op.policySite(th)
-	if !th.skipFast(site) && th.runPath(site, htm.PathFast, attemptBudget,
-		func() bool { waitWhile(func() bool { return e.tle.Get(nil) != 0 }); return true },
-		func(tx *htm.Tx) { th.firstBody(tx, &op) }) {
-		th.completed(htm.PathFast)
-		return htm.PathFast
-	}
 	so := th.obs
 	var freg *trace.Region
 	if so != nil {
@@ -665,7 +677,6 @@ func (th *Thread) runTLE(op Op) htm.PathKind {
 		op.Fast(nil)
 	}()
 	th.completed(htm.PathFallback)
-	return htm.PathFallback
 }
 
 // policySite resolves the Site the retry policy adapts on for this
@@ -775,50 +786,57 @@ func (th *Thread) attemptFailed(site *Site, path htm.PathKind, ab htm.Abort) {
 	}
 }
 
-// firstBody is what one transaction on the algorithm's first path runs
-// for op: the subscription that keeps the transaction from overlapping a
-// software path it may not run beside — the fallback-presence indicator
-// for 3-path and 2-path-ncon, the global lock word for TLE — and then
-// the sequential body; for 2-path-con, whose first path runs beside its
-// fallback, the instrumented body. A 3-path operation with one
-// transactional body (Op.Middle) runs it unsubscribed: beside fallback-
-// path SCXs is where that body has always run, as the middle path.
-// Thread.run's attempt loops and RunAt's single pinned attempt both run
+// firstBody is what one transaction on the row's first path runs for
+// op: under 2-path-con, whose first path runs beside its software path,
+// the instrumented body; otherwise the subscription to what the software
+// path holds — the TLE lock word, or F — unless op's first path is
+// unsubscribed (pathRow.subscribes), and then the sequential body.
+// Thread.run's attempt loop and RunAt's single pinned attempt both run
 // exactly this.
 func (th *Thread) firstBody(tx *htm.Tx, op *Op) {
 	e := th.eng
-	switch e.cfg.Algorithm {
-	case AlgThreePath, AlgTwoPathNCon:
-		unsubscribed := e.cfg.Algorithm == AlgThreePath && op.Middle == nil
-		if !unsubscribed && e.cfg.Indicator.Nonzero(tx) {
-			tx.Abort(CodeFallbackBusy)
-		}
-		op.Fast(tx)
-	case AlgTLE:
-		if e.tle.Get(tx) != 0 {
+	switch {
+	case e.row.first == firstInstr && op.Middle != nil:
+		op.Middle(tx)
+		return
+	case !e.row.subscribes(op):
+	case e.row.soft == softLock:
+		if e.tleHeld(tx) {
 			tx.Abort(CodeLockHeld)
 		}
-		op.Fast(tx)
-	case AlgTwoPathConc:
-		if op.Middle == nil {
-			op.Fast(tx)
-			return
-		}
-		op.Middle(tx)
-	default:
-		panic(fmt.Sprintf("engine: %v has no transactional first path", e.cfg.Algorithm))
+	case e.cfg.Indicator.Nonzero(tx):
+		tx.Abort(CodeFallbackBusy)
 	}
+	op.Fast(tx)
 }
 
-// CanPin reports whether RunAt can serve this thread: the algorithm has
-// a first path that is one transaction (non-htm has no transaction at
-// all, scx-htm only inside its SCX).
-func (th *Thread) CanPin() bool {
-	switch th.eng.cfg.Algorithm {
-	case AlgThreePath, AlgTwoPathNCon, AlgTLE, AlgTwoPathConc:
-		return true
+// awaitGuard is TLE's and 2-path-ncon's look at the guard before a
+// first-path attempt: it spins, yielding, until the software path is
+// empty (for 2-path-ncon this wait is the bottleneck the paper
+// highlights).
+func (th *Thread) awaitGuard() bool {
+	e := th.eng
+	held := e.cfg.Indicator.Nonzero
+	if e.row.soft == softLock {
+		held = e.tleHeld
 	}
-	return false
+	for i := 0; held(nil); i++ {
+		if i%16 == 15 {
+			runtime.Gosched()
+		}
+	}
+	return true
+}
+
+// tleHeld reports whether the TLE lock is held, read in tx (nil: a plain
+// read).
+func (e *Engine) tleHeld(tx *htm.Tx) bool { return e.tle.Get(tx) != 0 }
+
+// CanPin reports whether RunAt can serve this thread: the algorithm's
+// first path is one transaction (non-htm has no transaction at all,
+// scx-htm only inside its SCX).
+func (th *Thread) CanPin() bool {
+	return th.eng.row.first == firstFast || th.eng.row.first == firstInstr
 }
 
 // EnterReclaim and ExitReclaim open and close the reclamation bracket
@@ -855,8 +873,8 @@ func (th *Thread) ExitReclaim() {
 // taken at one instant (internal/shard); CanPin says whether the thread
 // supports it.
 func (th *Thread) RunAt(op *Op, rv uint64) dict.PinStatus {
-	if op.Update {
-		panic("engine: RunAt of an update operation")
+	if op.Update || !th.CanPin() {
+		panic("engine: RunAt of an update operation, or without a transactional first path")
 	}
 	site := op.policySite(th)
 	if th.skipFast(site) {
@@ -879,28 +897,23 @@ func (th *Thread) RunAt(op *Op, rv uint64) dict.PinStatus {
 }
 
 // runFallbackLoop runs the lock-free fallback body to completion,
-// bracketing it with the presence indicator when one is in use.
-func (th *Thread) runFallbackLoop(op Op, ind Indicator) {
-	if ind != nil {
+// counted in the presence indicator F where the row keeps one (counted).
+// Every lock-free software path is this loop, scx-htm's software phase
+// included.
+func (th *Thread) runFallbackLoop(op Op, counted bool) {
+	if counted {
+		ind := th.eng.cfg.Indicator
 		ind.Arrive()
 		defer ind.Depart()
 	}
 	// Owner-fault seam: the operation counts in F (where the algorithm
 	// keeps one) and has done nothing yet. A Kill leaves F held forever;
 	// 3-path's fast path then stops and its middle path carries the
-	// updates, 2-path-con and non-htm have no F, and 2-path-ncon's fast
-	// path waits for F to drain and so wedges by design.
+	// updates, 2-path-con, non-htm and scx-htm have no F, and
+	// 2-path-ncon's fast path waits for F to drain and so wedges by
+	// design.
 	th.eng.cfg.Faults.Hit(fault.PointFallbackOwner)
 	for !op.Fallback() {
 	}
 	th.completed(htm.PathFallback)
-}
-
-// waitWhile spins (yielding) while cond holds.
-func waitWhile(cond func() bool) {
-	for i := 0; cond(); i++ {
-		if i%16 == 15 {
-			runtime.Gosched()
-		}
-	}
 }

@@ -54,11 +54,12 @@ const (
 	// models a crashed one (the goroutine parks forever, holding F or
 	// the lock). Kill is meaningful where the first path moves on
 	// instead of waiting — 3-path, whose fast path yields to its middle
-	// path while F is non-zero, and 2-path-con and non-htm, which have
-	// no F — and there the other threads must keep completing
-	// operations: the paper's progress claim made executable. TLE's
-	// lock wait and 2-path-ncon's wait for F to drain wedge behind a
-	// dead owner by design.
+	// path while F is non-zero, and 2-path-con, non-htm and scx-htm
+	// (killed as its software phase begins), which have no F — and
+	// there the other threads must keep completing operations: the
+	// paper's progress claim made executable. TLE's lock wait and
+	// 2-path-ncon's wait for F to drain wedge behind a dead owner by
+	// design.
 	PointFallbackOwner
 	// PointQuiesce fires after an escalated atomic cross-shard read
 	// quiesced the monitors of the shards it reads — while it holds the

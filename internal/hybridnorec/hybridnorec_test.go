@@ -3,7 +3,9 @@ package hybridnorec
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"htmtree/internal/fault"
 	"htmtree/internal/htm"
@@ -84,16 +86,20 @@ func TestConcurrentCounterMixedPaths(t *testing.T) {
 // a hardware attempt with probability 1/4 and the budget is one attempt,
 // so the reader and the writer both run on the NOrec software path —
 // against each other's hardware commits too — which the test checks it
-// did.
+// did. The reader makes at least readerAttempts attempts and keeps going
+// until both have run on the software path: a writer goroutine scheduled
+// late may not have made a single attempt by then. A deadline bounds the
+// wait, and reaching it fails the test.
 func TestSoftwareReadConsistency(t *testing.T) {
 	t.Parallel()
+	const readerAttempts = 20000
 	tm := New(spurious(4), 1)
 	var x, y htm.Word
 	x.Bind(tm.inner.Clock())
 	y.Bind(tm.inner.Clock())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var writerSW int
+	var writerSW atomic.Int64
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -109,13 +115,17 @@ func TestSoftwareReadConsistency(t *testing.T) {
 				tx.Write(&x, v)
 				tx.Write(&y, v)
 			}) {
-				writerSW++
+				writerSW.Add(1)
 			}
 		}
 	}()
 	thR := tm.NewThread()
 	readerSW := 0
-	for i := 0; i < 20000; i++ {
+	deadline := time.Now().Add(time.Minute)
+	for i := 0; i < readerAttempts || readerSW == 0 || writerSW.Load() == 0; i++ {
+		if time.Now().After(deadline) {
+			break
+		}
 		if !thR.Atomic(func(tx *Tx) {
 			xv := tx.Read(&x)
 			yv := tx.Read(&y)
@@ -128,8 +138,9 @@ func TestSoftwareReadConsistency(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if readerSW == 0 || writerSW == 0 {
-		t.Fatalf("software path ran %d times for the reader and %d for the writer; want both > 0", readerSW, writerSW)
+	if readerSW == 0 || writerSW.Load() == 0 {
+		t.Fatalf("software path ran %d times for the reader and %d for the writer by the deadline; want both > 0",
+			readerSW, writerSW.Load())
 	}
 }
 

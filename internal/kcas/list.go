@@ -56,9 +56,6 @@ type ListConfig struct {
 
 // NewList creates an empty list.
 func NewList(cfg ListConfig) *List {
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = engine.AlgThreePath
-	}
 	ecfg := cfg.Engine
 	ecfg.Algorithm = cfg.Algorithm
 	head := &listNode{}

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"htmtree"
+	"htmtree/internal/htm"
 )
 
 // Per-key linearizability of point operations (ROADMAP D(1)).
@@ -247,11 +248,14 @@ func TestLinearizableCheckerRejects(t *testing.T) {
 	}
 }
 
-// TestPointOpsLinearizable checks the point operations of both trees on
-// 3-path, and of the monitored 8-shard BST, for per-key
-// linearizability: 4 workers over 8 keys, so every key's operations
-// overlap, on every path the contention sends them to. A failure prints
-// the seed the workers' operation streams derive from.
+// TestPointOpsLinearizable checks the point operations of both trees
+// under every algorithm, of both trees on 3-path under a seeded
+// spurious-abort plan (so that every history crosses the paths: an
+// operation's attempts fail at random and it moves on), and of the
+// monitored 8-shard BST, for per-key linearizability: 4 workers over 8
+// keys, so every key's operations overlap, on every path the contention
+// sends them to. A failure prints the seed the workers' operation
+// streams derive from and the fault plan, which reproduce it.
 func TestPointOpsLinearizable(t *testing.T) {
 	t.Parallel()
 	const (
@@ -263,29 +267,52 @@ func TestPointOpsLinearizable(t *testing.T) {
 	if testing.Short() {
 		n = 150
 	}
-	for _, c := range []struct {
+	type linCase struct {
 		name  string
-		build func() (*htmtree.Tree, error)
-	}{
-		{"bst", func() (*htmtree.Tree, error) { return htmtree.NewBST(htmtree.Config{Algorithm: htmtree.ThreePath}) }},
-		{"abtree", func() (*htmtree.Tree, error) { return htmtree.NewABTree(htmtree.Config{Algorithm: htmtree.ThreePath}) }},
-		{"bst/x8/atomic", func() (*htmtree.Tree, error) {
-			return htmtree.NewShardedBST(htmtree.Config{Algorithm: htmtree.ThreePath,
-				Shards: 8, ShardKeySpan: keys, AtomicRangeQueries: true})
-		}},
-	} {
-		c := c
+		build func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error)
+	}
+	check := func(t *testing.T, c linCase) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(1); seed <= rounds; seed++ {
-				tree, err := c.build()
+				tree, plan, err := c.build(seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for _, err := range checkLinearizable(recordPointHistory(tree, seed, workers, n, keys)) {
-					t.Errorf("seed=%d: %v", seed, err)
+					t.Errorf("seed=%d plan=%v: %v", seed, plan, err)
+				}
+				if o := tree.Stats().Ops; plan != nil && (o.Fast == 0 || o.Middle == 0 || o.Fallback == 0) {
+					t.Errorf("seed=%d plan=%v: completions %+v: the history did not cross every path", seed, plan, o)
 				}
 			}
 		})
 	}
+	for _, tr := range []struct {
+		name string
+		new  func(htmtree.Config) (*htmtree.Tree, error)
+	}{{"bst", htmtree.NewBST}, {"abtree", htmtree.NewABTree}} {
+		tr := tr
+		t.Run(tr.name, func(t *testing.T) {
+			t.Parallel()
+			for _, alg := range htmtree.Algorithms() {
+				alg := alg
+				check(t, linCase{string(alg), func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+					tree, err := tr.new(htmtree.Config{Algorithm: alg})
+					return tree, nil, err
+				}})
+			}
+			check(t, linCase{"spurious", func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+				plan := htmtree.NewFaultPlan(uint64(seed), htmtree.FaultRule{
+					Point: htmtree.FaultTxAccess, Prob: 1.0 / 2, Cause: uint8(htm.CauseSpurious)})
+				tree, err := tr.new(htmtree.Config{Algorithm: htmtree.ThreePath, Faults: plan})
+				return tree, plan, err
+			}})
+		})
+	}
+	check(t, linCase{"bst/x8/atomic", func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+		tree, err := htmtree.NewShardedBST(htmtree.Config{Algorithm: htmtree.ThreePath,
+			Shards: 8, ShardKeySpan: keys, AtomicRangeQueries: true})
+		return tree, nil, err
+	}})
 }

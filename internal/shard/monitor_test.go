@@ -181,7 +181,7 @@ func TestMonitorPublishesUpdateCommits(t *testing.T) {
 					t.Errorf("capacity=%v: %d of %d probes inside updates found none in flight",
 						capacity, unpublished, probes)
 				}
-				if capacity && alg != engine.AlgSCXHTM && fallbackProbes == 0 {
+				if capacity && fallbackProbes == 0 {
 					t.Errorf("capacity=%v: no update reached the software path", capacity)
 				}
 				if mon.Validate(s) {
