@@ -125,11 +125,6 @@ type Config struct {
 	// reproduces from the (seed, plan) pair alone. Nil (the default)
 	// compiles every injection check to a single predictable branch.
 	Faults *FaultPlan
-	// SearchOutsideTx enables the Section 8 optimization on a BST:
-	// operations locate their target with unsubscribed reads and
-	// revalidate inside the transaction. NewABTree and NewShardedABTree
-	// reject it: §8 is not implemented on the (a,b)-tree.
-	SearchOutsideTx bool
 
 	// A and B are the (a,b)-tree degree bounds (defaults 6 and 16;
 	// ignored by the BST): A >= 2 and 2A-1 <= B <= 16. A leaf's order
@@ -164,7 +159,9 @@ type Config struct {
 	// overlapping shards and reads them once, plainly. Without the
 	// option, a cross-shard read observes each shard at a possibly
 	// different point in time. Ignored by unsharded trees, whose reads
-	// are single operations and already atomic.
+	// are single operations: atomic when they fit a transaction, and
+	// otherwise a fallback walk that validates each node as it visits
+	// it and is not an atomic cut (see Handle.RangeAgg).
 	AtomicRangeQueries bool
 
 	// BatchMaxOps is the buffer size at which an asynchronous handle
@@ -315,9 +312,6 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 		if err := abtree.CheckDegree(c.A, c.B); err != nil {
 			return 0, hcfg, ecfg, fmt.Errorf("htmtree: %w", err)
 		}
-		if c.SearchOutsideTx {
-			return 0, hcfg, ecfg, fmt.Errorf("htmtree: Config.SearchOutsideTx is a BST option (§8 is not implemented on the (a,b)-tree)")
-		}
 	}
 	hcfg = htm.Config{
 		ReadCapacity:  c.ReadCapacity,
@@ -375,8 +369,7 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 				HTM: hcfg, Engine: ecfg})
 			it = &Tree{d: t, stats: t, invariants: t.CheckInvariants}
 		} else {
-			t := bst.New(bst.Config{Algorithm: alg,
-				HTM: hcfg, Engine: ecfg, SearchOutsideTx: cfg.SearchOutsideTx})
+			t := bst.New(bst.Config{Algorithm: alg, HTM: hcfg, Engine: ecfg})
 			it = &Tree{d: t, stats: t, invariants: func(bool) error { return t.CheckInvariants() }}
 		}
 		if node != nil {

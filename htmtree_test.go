@@ -147,19 +147,6 @@ func TestFacadeRejectsBadConfig(t *testing.T) {
 	if _, err := htmtree.NewABTree(htmtree.Config{A: 8, B: 16}); err != nil {
 		t.Fatalf("NewABTree rejected a=8 b=16: %v", err)
 	}
-	// Section 8 is the BST's: no (a,b)-tree read runs outside a
-	// transaction, so the option would change nothing there but recycling.
-	for name, mk := range map[string]func(htmtree.Config) (*htmtree.Tree, error){
-		"NewABTree": htmtree.NewABTree, "NewShardedABTree": htmtree.NewShardedABTree,
-	} {
-		tree, err := mk(htmtree.Config{SearchOutsideTx: true})
-		if err == nil || tree != nil || !strings.Contains(err.Error(), "Config.SearchOutsideTx") {
-			t.Errorf("%s(SearchOutsideTx) = %v, %v; want a nil tree and an error naming Config.SearchOutsideTx", name, tree, err)
-		}
-	}
-	if _, err := htmtree.NewBST(htmtree.Config{SearchOutsideTx: true}); err != nil {
-		t.Fatalf("NewBST rejected SearchOutsideTx: %v", err)
-	}
 }
 
 func TestFacadeConcurrentUse(t *testing.T) {
@@ -413,8 +400,6 @@ var configVerdicts = map[string][]evidence{
 		{"internal/bst/footprint_test.go", []string{"TestTransactionalFootprint"}}},
 	"Config.Faults": {{"internal/modelcheck/chaos_test.go", []string{"TestChaosOwnerDeathDifferential",
 		"TestChaosQuiesceStall", "TestChaosEBRPinStall", "TestChaosFallbackRangeAgg", "TestChaosBatchFlushDelay"}}},
-	"Config.SearchOutsideTx": {{"bench_test.go", []string{"BenchmarkSec8SearchOutsideTx"}},
-		{"htmtree_test.go", []string{"TestFacadeRejectsBadConfig"}}},
 	"Config.A":            {{"htmtree_test.go", []string{"TestFacadeRejectsBadConfig"}}},
 	"Config.B":            {{"htmtree_test.go", []string{"TestFacadeRejectsBadConfig"}}},
 	"Config.Shards":       {{"BENCHMARK.json", []string{"bst-shard-scan", "shard.route_ns"}}},

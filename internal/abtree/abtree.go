@@ -15,9 +15,9 @@
 //   - absorb: a tagged node's children merge into its parent,
 //   - split-push-up: a full parent and its tagged child redistribute
 //     into two nodes under a new tagged parent (the tag moves up),
-//   - join: an underfull node merges with a sibling,
-//   - share: an underfull node rebalances keys with a sibling,
-//   - root-collapse: a unary internal root is removed (height shrinks).
+//   - join: an underfull node merges with a sibling; joining the root's
+//     only two children makes the merged node the root (height shrinks),
+//   - share: an underfull node rebalances keys with a sibling.
 //
 // Every update fixes the violations reachable on its key's search path
 // before returning, so a quiescent tree is a proper (a,b)-tree: no tags,
@@ -275,7 +275,7 @@ func (t *Tree) newHandle() *Handle {
 		cbuf: make([]*Node, 0, 2),
 	}
 	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
-	h.e.EnableReclaim(h.pool, false)
+	h.e.EnableReclaim(h.pool)
 	h.buildOps()
 	return h
 }

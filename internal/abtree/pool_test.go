@@ -35,6 +35,57 @@ func TestLeafPoolRecyclesOnFastPath(t *testing.T) {
 	}
 }
 
+// TestRetireFastGatedByFallbackReader drives Section 9's gate through
+// the fallback indicator F: while an operation is (simulated) live on
+// the fallback path, removals must not recycle immediately. F pushes the
+// deletes and the joins they trigger off the fast path, so the leaves a
+// join removes take the grace period, and none can be handed out under
+// the reader. Unobstructed, the same joins recycle at once.
+func TestRetireFastGatedByFallbackReader(t *testing.T) {
+	t.Parallel()
+	ind := &heldIndicator{}
+	tr := New(Config{A: 2, B: 4, Algorithm: engine.AlgThreePath, Engine: engine.Config{Indicator: ind}})
+	h := tr.newHandle()
+	for k := uint64(1); k <= 128; k++ {
+		h.Insert(k, k)
+	}
+	deleteRange := func(lo, hi uint64) {
+		for k := lo; k <= hi; k++ {
+			if _, ok := h.Delete(k); !ok {
+				t.Fatalf("delete of present key %d missed", k)
+			}
+		}
+	}
+
+	before := h.ReclaimStats()
+	deleteRange(1, 32)
+	mid := h.ReclaimStats()
+	if mid.RetiredFast == before.RetiredFast {
+		t.Fatalf("unobstructed fast-path joins did not recycle immediately: %+v", mid)
+	}
+
+	// A live fallback-path operation (simulated by arriving on the
+	// engine's presence indicator, as the fallback loop does).
+	ind.Arrive()
+	ops := tr.OpStats()
+	deleteRange(33, 64)
+	st := h.ReclaimStats()
+	if st.RetiredFast != mid.RetiredFast {
+		t.Fatalf("RetireFast happened while a fallback-path reader was live: %+v", st)
+	}
+	if st.RetiredGrace == mid.RetiredGrace {
+		t.Fatal("joins under a live fallback reader retired nothing")
+	}
+	if now := tr.OpStats(); now.Fast != ops.Fast || now.Middle == ops.Middle {
+		t.Fatalf("held F did not push the updates to the middle path: fast %d -> %d, middle %d -> %d",
+			ops.Fast, now.Fast, ops.Middle, now.Middle)
+	}
+	ind.Depart()
+	if err := tr.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestInternalNodesNeverFastRecycle asserts the white-box rule that
 // internal nodes — whose routing-key array and child-array length are
 // plain memory rewritten on reuse — always take the grace period, even

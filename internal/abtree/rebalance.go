@@ -1,7 +1,6 @@
 package abtree
 
 import (
-	"htmtree/internal/engine"
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
 )
@@ -16,11 +15,10 @@ const maxFixIterations = 1 << 17
 type vKind uint8
 
 const (
-	vNone         vKind = iota // path is clean
-	vCollapseRoot              // unary internal root: height shrinks
-	vUntagRoot                 // tagged root: height grows legally
-	vTag                       // tagged non-root: absorb or split-push-up
-	vUnderfull                 // degree < a non-root: join or share
+	vNone      vKind = iota // path is clean
+	vUntagRoot              // tagged root: height grows legally
+	vTag                    // tagged non-root: absorb or split-push-up
+	vUnderfull              // degree < a non-root: join or share
 )
 
 // violation identifies the highest violation on a key's search path.
@@ -49,9 +47,6 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 			return violation{kind: vNone}
 		}
 		if p == t.entry {
-			if len(n.children) == 1 {
-				return violation{kind: vCollapseRoot, p: p, n: n}
-			}
 			if n.tagged {
 				return violation{kind: vUntagRoot, p: p, n: n}
 			}
@@ -99,8 +94,6 @@ func (t *Tree) fixBody(pr *prims) bool {
 	}
 	h.fixMore = true
 	switch vio.kind {
-	case vCollapseRoot:
-		return t.fixCollapseRoot(pr, vio)
 	case vUntagRoot:
 		return t.fixUntagRoot(pr, vio)
 	case vTag:
@@ -189,48 +182,6 @@ func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 		return false
 	}
 	pr.h.remove(n)
-	return true
-}
-
-// fixCollapseRoot removes a unary internal root, shrinking the height.
-// The fast path relinks the child directly; the template paths must
-// install a copy (the child pointer field may never reacquire a value
-// it previously held — the ABA rule of Section 6.1).
-func (t *Tree) fixCollapseRoot(pr *prims, vio violation) bool {
-	n := vio.n
-	var cur *Node
-	ei := pr.LLX(&t.entry.hdr, func() { cur = t.entry.children[0].Get(pr.Tx) })
-	if pr.Failed {
-		return false
-	}
-	if cur != n {
-		pr.Fail()
-		return false
-	}
-	var child *Node
-	ni := pr.LLX(&n.hdr, func() { child = n.children[0].Get(pr.Tx) })
-	if pr.Failed {
-		return false
-	}
-	if pr.Mode == engine.ModeFast {
-		t.entry.children[0].Set(pr.Tx, child)
-		n.hdr.SetMarked(pr.Tx)
-		pr.h.remove(n)
-		return true
-	}
-	nc, ci, ok := pr.copyNode(child, child.tagged)
-	if !ok {
-		return false
-	}
-	if !pr.SCX(
-		[]*llxscx.Hdr{&t.entry.hdr, &n.hdr, &child.hdr},
-		[]*llxscx.Info{ei, ni, ci},
-		[]*llxscx.Hdr{&n.hdr, &child.hdr},
-		&t.entry.children[0], n, nc) {
-		return false
-	}
-	pr.h.remove(n)
-	pr.h.remove(child)
 	return true
 }
 
@@ -330,7 +281,8 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	if len(pSnap) < 2 {
 		// p is unary (transient mid-rebalance state): its own violation
 		// sits above n's and must be repaired first; the path walk will
-		// find it (p unary implies p is underfull or the root).
+		// find it (p unary implies p is underfull: the join below never
+		// leaves the root unary).
 		pr.Fail()
 		return false
 	}
@@ -417,7 +369,9 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			m = h.newInternal(allK, allC, false)
 		}
 		if gp == t.entry && len(pSnap) == 2 {
-			// p was the root and would become unary: collapse directly.
+			// p was the root and would become unary: collapse directly
+			// (height shrinks). No step leaves a unary root, so the
+			// tree needs no separate root-collapse repair.
 			repl = m
 		} else {
 			nk := append(append(h.keys.take(len(p.keys)-1), p.keys[:li]...), p.keys[li+1:]...)

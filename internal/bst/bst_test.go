@@ -218,14 +218,6 @@ func TestConcurrentKeySum(t *testing.T) {
 	}
 }
 
-func TestConcurrentKeySumSearchOutsideTx(t *testing.T) {
-	t.Parallel()
-	testConcurrentKeySum(t, Config{
-		Algorithm:       engine.AlgThreePath,
-		SearchOutsideTx: true,
-	}, 4, 4000, 128)
-}
-
 func TestConcurrentKeySumTinyKeyRange(t *testing.T) {
 	t.Parallel()
 	// Hammers the root / gp==nil special cases under contention.

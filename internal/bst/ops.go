@@ -146,31 +146,6 @@ func checkKey(key uint64) {
 	}
 }
 
-// locate finds an update's operation point. In a transaction with
-// SearchOutsideTx enabled (Section 8: the fast and middle modes only) the
-// descent uses unsubscribed reads and the caller revalidates inside the
-// transaction; otherwise the descent is the caller's own kind of read.
-func (t *Tree) locate(tx *htm.Tx, key uint64) (gp, p, l *Node) {
-	if t.cfg.SearchOutsideTx && tx != nil {
-		return t.search(nil, key)
-	}
-	return t.search(tx, key)
-}
-
-// revalidate confirms, inside the transaction, that an out-of-band
-// search result is still current: every node is unmarked and the links
-// still hold (Section 8: abort as soon as a marked node is seen).
-func revalidate(tx *htm.Tx, key uint64, gp, p, l *Node) {
-	if gp != nil {
-		if gp.hdr.Marked(tx) || childRef(gp, key).Get(tx) != p {
-			tx.Abort(engine.CodeRetry)
-		}
-	}
-	if p.hdr.Marked(tx) || childRef(p, key).Get(tx) != l || l.hdr.Marked(tx) {
-		tx.Abort(engine.CodeRetry)
-	}
-}
-
 // leafKey reads leaf l's key, which only pool recycling rewrites. A
 // transaction validates the read against its snapshot without logging it
 // (GetStable: one subscribed read per node, the pointer that led here).
@@ -199,14 +174,11 @@ func (h *Handle) newSubtree(l *Node, lk, key, val uint64) *Node {
 func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 	h.beginAttempt()
 	tx, key, val := pr.Tx, pr.Key, pr.Val
-	gp, p, l := t.locate(tx, key)
+	_, p, l := t.search(tx, key)
 
 	if pr.Mode == engine.ModeFast {
 		// Sequential code of Figure 13 (also the TLE locked body, with a
 		// nil tx).
-		if t.cfg.SearchOutsideTx && tx != nil {
-			revalidate(tx, key, gp, p, l)
-		}
 		lk := l.key.GetStable(tx)
 		if lk == key {
 			// Directly update the value in place: the big fast-path win the
@@ -234,7 +206,7 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 		l = right
 	}
 	if !l.leaf {
-		// The tree changed under us, or under an out-of-band search.
+		// The tree changed under us.
 		pr.Fail()
 		return false
 	}
@@ -269,13 +241,10 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 	h.beginAttempt()
 	tx, key := pr.Tx, pr.Key
-	gp, p, l := t.locate(tx, key)
+	gp, p, l := t.search(tx, key)
 
 	if pr.Mode == engine.ModeFast {
 		// Sequential code of Figure 13.
-		if t.cfg.SearchOutsideTx && tx != nil {
-			revalidate(tx, key, gp, p, l)
-		}
 		if l.key.GetStable(tx) != key {
 			return pr.NotFound()
 		}

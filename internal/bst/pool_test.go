@@ -116,43 +116,34 @@ func TestRetireFastGatedByFallbackReader(t *testing.T) {
 	}
 }
 
-// TestSearchOutsideTxDisablesFastRecycle: with Section 8 out-of-band
-// searches enabled, every path has non-transactional readers, so no
-// removal may recycle immediately.
-func TestSearchOutsideTxDisablesFastRecycle(t *testing.T) {
+// TestImmediateRecycleByAlgorithm: Section 9's immediate recycling
+// applies exactly where the first path excludes every non-transactional
+// reader — 3-path and 2-path-ncon through the fallback indicator, TLE
+// through the lock subscription. 2-path-con's first path is the
+// instrumented body running beside fallback-path readers, and non-htm and
+// scx-htm commit removals non-transactionally: there every removal waits
+// out a grace period.
+func TestImmediateRecycleByAlgorithm(t *testing.T) {
 	t.Parallel()
-	tr := New(Config{Algorithm: engine.AlgThreePath, SearchOutsideTx: true})
-	h := tr.newHandle()
-	for k := uint64(1); k <= 64; k++ {
-		h.Insert(k, k)
+	immediate := map[engine.Algorithm]bool{
+		engine.AlgThreePath: true, engine.AlgTwoPathNCon: true, engine.AlgTLE: true,
 	}
-	for k := uint64(1); k <= 64; k++ {
-		h.Delete(k)
-	}
-	st := h.ReclaimStats()
-	if st.RetiredFast != 0 {
-		t.Fatalf("RetireFast used despite out-of-band searches: %+v", st)
-	}
-	if st.RetiredGrace == 0 {
-		t.Fatal("deletes retired nothing")
-	}
-}
-
-// TestTwoPathConcNeverFastRecycles: 2-path-con's "fast" path is the
-// instrumented body running concurrently with the fallback path, so the
-// Section 9 immediate-recycle rule never applies.
-func TestTwoPathConcNeverFastRecycles(t *testing.T) {
-	t.Parallel()
-	tr := New(Config{Algorithm: engine.AlgTwoPathConc})
-	h := tr.newHandle()
-	for k := uint64(1); k <= 32; k++ {
-		h.Insert(k, k)
-	}
-	for k := uint64(1); k <= 32; k++ {
-		h.Delete(k)
-	}
-	if st := h.ReclaimStats(); st.RetiredFast != 0 {
-		t.Fatalf("2-path-con recycled immediately: %+v", st)
+	for _, alg := range algorithms {
+		tr := New(Config{Algorithm: alg})
+		h := tr.newHandle()
+		for k := uint64(1); k <= 32; k++ {
+			h.Insert(k, k)
+		}
+		for k := uint64(1); k <= 32; k++ {
+			h.Delete(k)
+		}
+		st := h.ReclaimStats()
+		if (st.RetiredFast != 0) != immediate[alg] {
+			t.Errorf("%v: RetiredFast = %d, want immediate recycling %v: %+v", alg, st.RetiredFast, immediate[alg], st)
+		}
+		if st.RetiredGrace == 0 {
+			t.Errorf("%v: deletes retired nothing through a grace period: %+v", alg, st)
+		}
 	}
 }
 

@@ -352,13 +352,7 @@ type NodePool interface {
 // ebr Begin/End (so grace periods cover all node references an operation
 // holds), and Retire becomes usable. pool receives every node whose
 // grace period expired.
-//
-// nonTxReaders declares that the structure reads nodes outside both
-// transactions and the fallback path's LLX protocol — the Section 8
-// searches-outside-transactions optimization. Such readers do not abort
-// on recycled cells, so immediate fast-path recycling is unsound and
-// every removal waits out a grace period.
-func (th *Thread) EnableReclaim(pool NodePool, nonTxReaders bool) {
+func (th *Thread) EnableReclaim(pool NodePool) {
 	// Stats reads both under e.mu: the thread is registered already, and
 	// a handle may be created while another goroutine reports.
 	th.eng.mu.Lock()
@@ -376,7 +370,7 @@ func (th *Thread) EnableReclaim(pool NodePool, nonTxReaders bool) {
 	// path to exclude: 2-path-con's first path is the instrumented body
 	// running beside fallback-path readers, and non-htm and scx-htm commit
 	// removals non-transactionally.
-	th.fastRecycle = th.eng.row.soft != softLoop && !nonTxReaders
+	th.fastRecycle = th.eng.row.soft != softLoop
 }
 
 // Immediate reports whether a node removed by an operation that
