@@ -123,7 +123,7 @@ func BenchmarkMicroTxWriteSet(b *testing.B) {
 // microPair is microCell for a Pair.
 type microPair struct {
 	p htm.Pair
-	_ [4]uint64
+	_ [5]uint64
 }
 
 // BenchmarkMicroTxPairSet is BenchmarkMicroTxWriteSet for the Pair entry
@@ -138,7 +138,6 @@ func BenchmarkMicroTxPairSet(b *testing.B) {
 			cells := make([]*microPair, n)
 			for i := range cells {
 				cells[i] = new(microPair)
-				cells[i].p.Bind(tm.Clock())
 			}
 			body := func(tx *htm.Tx) {
 				for _, c := range cells {
@@ -202,9 +201,6 @@ func BenchmarkMicroTxInit(b *testing.B) {
 	tm := htm.New(htm.Config{})
 	var pairs [16]htm.Pair
 	var word htm.Word
-	for i := range pairs {
-		pairs[i].Bind(tm.Clock())
-	}
 	word.Bind(tm.Clock())
 	const cells = len(pairs) + 1
 	for _, c := range []struct {
@@ -219,7 +215,7 @@ func BenchmarkMicroTxInit(b *testing.B) {
 		}},
 		{"Recycle", func(v uint64) {
 			for i := range pairs {
-				pairs[i].Recycle(v, v)
+				pairs[i].Recycle(tm.Clock(), v, v)
 			}
 			word.Recycle(v)
 		}},

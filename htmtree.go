@@ -158,10 +158,13 @@ type Config struct {
 	// attempt is retried and, after 8 attempts, the read quiesces the
 	// overlapping shards and reads them once, plainly. Without the
 	// option, a cross-shard read observes each shard at a possibly
-	// different point in time. Ignored by unsharded trees, whose reads
-	// are single operations: atomic when they fit a transaction, and
-	// otherwise a fallback walk that validates each node as it visits
-	// it and is not an atomic cut (see Handle.RangeAgg).
+	// different point in time. A read whose window lies inside one shard
+	// takes none of this, with or without the option: it is that shard's
+	// own read, like a read of an unsharded tree. Unsharded trees ignore
+	// the option. Their reads are single operations: atomic when they fit
+	// a transaction, and otherwise a fallback walk that validates each
+	// node as it visits it and is not an atomic cut (see
+	// Handle.RangeAgg).
 	AtomicRangeQueries bool
 
 	// BatchMaxOps is the buffer size at which an asynchronous handle
@@ -408,9 +411,11 @@ func NewABTree(cfg Config) (*Tree, error) { return build(cfg, true, false) }
 // across cfg.Shards independent trees (each with its own engine, HTM
 // context, and fallback indicator). Point operations route to the
 // owning shard; RangeQuery fans out to the overlapping shards and
-// returns a globally key-ordered result — atomic per shard always, and
-// atomic across shards when cfg.AtomicRangeQueries is set; KeySum,
-// Stats, and CheckInvariants aggregate.
+// returns a globally key-ordered result — a consistent cut of the
+// shards it spans when cfg.AtomicRangeQueries is set, and otherwise (or
+// inside one shard) each shard's own read, atomic while it fits a
+// transaction (see Config.AtomicRangeQueries); KeySum, Stats, and
+// CheckInvariants aggregate.
 func NewShardedBST(cfg Config) (*Tree, error) { return build(cfg, false, true) }
 
 // NewShardedABTree creates a sharded relaxed (a,b)-tree; see

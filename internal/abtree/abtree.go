@@ -55,9 +55,13 @@ const (
 
 // Node is an (a,b)-tree node.
 //
-// Internal nodes: keys (immutable routing keys, len = degree-1), children
-// (cells, len = degree, fixed at creation — structural changes replace
-// the node), tagged (immutable).
+// Internal nodes: deg children in the cells childArr[:deg], routed by the
+// deg-1 keys keyArr[:deg-1] (keys and children return the two as
+// slices); both arrays have the capacity of the largest degree, MaxB,
+// so a pooled internal node is reused at any degree. The degree, the
+// keys and tagged are immutable while the node is reachable: structural
+// changes replace the node. The children are cells, which the fast path
+// re-points in place.
 //
 // Leaves: slots is unsorted storage, one (key, value) cell per entry — a
 // key and its value are read and written together, as the one cache line
@@ -69,82 +73,85 @@ const (
 // because the fast and middle paths mutate them in place — an insert
 // writes the first free slot and ord, a delete ord alone; the fallback
 // paths replace the leaf instead and read them only under an LLX, which
-// the middle path's edits fail by retagging the leaf. slots is a pointer
-// to an array of MaxB cells whatever b is: 8 bytes where a slice header
-// is 24, and an index the compiler can prove in range.
+// the middle path's edits fail by retagging the leaf. slots points to an
+// array of MaxB cells whatever b is, so the compiler can prove a slot
+// index (a nibble of the order word) in range.
 //
-// The fields are ordered by who touches them, in three 64-byte lines (a
-// node is 192 bytes, a size class whose objects are line-aligned). The
-// first line is what a descent reads and nothing writes after
-// publication: the flags, the routing arrays' headers and the slots
-// pointer. The second is the leaf's order word, which every in-place
-// edit writes — one dirty line of the shell per update, and none that a
-// descent through an internal node needs. The third is the SCX header,
-// which the fast path never touches (a middle-path edit writes its info
-// field too). TestNodeFootprint pins the sizes and the lines.
+// The shell is two 64-byte lines (a node is 128 bytes, a size class
+// whose objects are line-aligned). The first line is what a visitor
+// reads: the flags, the degree and the three array pointers, none of
+// them written after publication, and then the leaf's order word, which
+// every in-place edit writes. Only a leaf has an order word, and every
+// visitor of a leaf reads it beside the leaf flag, so the edit dirties a
+// line that the leaf's readers fetch anyway; an internal node's first
+// line is never written. The second line is the SCX header, which the
+// fast path never touches (a middle-path edit writes its info field
+// too). A leaf is this shell plus its 384-byte slot array, 512 bytes in
+// 8 lines; an internal node is the shell plus a 128-byte key array and a
+// 384-byte child array, 640 bytes. TestNodeFootprint pins the sizes and
+// the lines.
 type Node struct {
-	// First line: what a descent reads, none of it written after
-	// publication.
+	// First line: what a visitor reads, and a leaf's order word.
 	leaf     bool
 	tagged   bool
-	keys     []uint64
-	children []htm.Ref[Node]
+	deg      uint8
+	keyArr   *[MaxB - 1]uint64
+	childArr *[MaxB]htm.Ref[Node]
 	slots    *[MaxB]htm.Pair
+	ord      htm.Pair
+	_        [8]byte
 
-	// Second line: the leaf's order word.
-	ord htm.Pair
-	_   [32]byte
-
-	// Third line: the SCX header.
+	// Second line: the SCX header.
 	hdr llxscx.Hdr
 	_   [16]byte
 }
+
+// keys returns an internal node's routing keys.
+func (n *Node) keys() []uint64 { return n.keyArr[:n.deg-1] }
+
+// children returns an internal node's child cells.
+func (n *Node) children() []htm.Ref[Node] { return n.childArr[:n.deg] }
 
 // kv is a key/value pair in flight between nodes.
 type kv struct {
 	k, v uint64
 }
 
-// newLeaf builds the bootstrap leaf, bound to clk. Steady-state
-// operations allocate through the handle pools instead (Handle.newLeaf in
-// pool.go).
+// newLeaf builds the bootstrap leaf. Steady-state operations allocate
+// through the handle pools instead (Handle.newLeaf in pool.go).
 func newLeaf(clk *htm.Clock) *Node {
-	n := &Node{leaf: true}
+	n := &Node{leaf: true, slots: new([MaxB]htm.Pair)}
 	n.hdr.Bind(clk)
-	n.bindLeaf(clk)
 	n.ord.Init(permIdentity, 0)
 	return n
 }
 
-// bindLeaf gives a fresh leaf shell its slot array and binds its cells.
-func (n *Node) bindLeaf(clk *htm.Clock) {
-	n.slots = new([MaxB]htm.Pair)
-	for i := range n.slots {
-		n.slots[i].Bind(clk)
+// allocArrays gives a fresh internal node its key and child arrays,
+// binding the child cells to clk.
+func (n *Node) allocArrays(clk *htm.Clock) {
+	n.keyArr = new([MaxB - 1]uint64)
+	n.childArr = new([MaxB]htm.Ref[Node])
+	for i := range n.childArr {
+		n.childArr[i].Bind(clk)
 	}
-	n.ord.Bind(clk)
 }
 
-// newInternal builds a bootstrap internal node bound to clk.
-// len(children) must equal len(keys)+1.
-func newInternal(clk *htm.Clock, keys []uint64, children []*Node, tagged bool) *Node {
-	n := &Node{
-		keys:     append([]uint64(nil), keys...),
-		children: make([]htm.Ref[Node], len(children)),
-		tagged:   tagged,
-	}
-	n.hdr.Bind(clk)
+// fill writes an unpublished internal node's contents: the routing keys
+// (len(children)-1 of them), the children and the tag.
+func (n *Node) fill(keys []uint64, children []*Node, tagged bool) {
+	n.tagged = tagged
+	n.deg = uint8(len(children))
+	copy(n.keyArr[:], keys)
 	for i, c := range children {
-		n.children[i].Bind(clk)
-		n.children[i].Init(c)
+		n.childArr[i].Init(c)
 	}
-	return n
 }
 
 // childIndex returns the index of the child a search for key follows.
 func childIndex(n *Node, key uint64) int {
+	keys := n.keys()
 	i := 0
-	for i < len(n.keys) && key >= n.keys[i] {
+	for i < len(keys) && key >= keys[i] {
 		i++
 	}
 	return i
@@ -168,7 +175,7 @@ type Tree struct {
 	tm  *htm.TM
 	eng *engine.Engine
 	cfg Config
-	// entry is the permanent entry point; entry.children[0] is the root.
+	// entry is the permanent entry point; entry.children()[0] is the root.
 	entry *Node
 
 	// sumMu serializes KeySum's shared reclamation context sumRd, which
@@ -214,8 +221,10 @@ func New(cfg Config) *Tree {
 		eng: engine.New(ecfg, tm.Clock()),
 		cfg: cfg,
 	}
-	t.entry = newInternal(tm.Clock(), nil,
-		[]*Node{newLeaf(tm.Clock())}, false)
+	t.entry = &Node{}
+	t.entry.hdr.Bind(tm.Clock())
+	t.entry.allocArrays(tm.Clock())
+	t.entry.fill(nil, []*Node{newLeaf(tm.Clock())}, false)
 	t.sumRd = t.eng.ReclaimReader()
 	return t
 }
@@ -304,11 +313,12 @@ func (t *Tree) KeySum() (sum, count uint64) {
 			count += sz
 			return
 		}
-		for i := range n.children {
-			walk(n.children[i].Get(nil))
+		children := n.children()
+		for i := range children {
+			walk(children[i].Get(nil))
 		}
 	}
-	walk(t.entry.children[0].Get(nil))
+	walk(t.entry.children()[0].Get(nil))
 	return sum, count
 }
 
@@ -340,7 +350,7 @@ func checkOrd(perm, size uint64, b int) error {
 // It always verifies every leaf's order word (checkOrd) and reads the
 // leaf's keys through it, in rank order.
 func (t *Tree) CheckInvariants(strict bool) error {
-	root := t.entry.children[0].Get(nil)
+	root := t.entry.children()[0].Get(nil)
 	leafDepth := -1
 	var walk func(n *Node, lo, hi uint64, depth int, isRoot bool) error
 	walk = func(n *Node, lo, hi uint64, depth int, isRoot bool) error {
@@ -379,15 +389,12 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			}
 			return nil
 		}
-		d := len(n.children)
-		if d != len(n.keys)+1 {
-			return fmt.Errorf("abtree: internal degree %d with %d keys", d, len(n.keys))
+		d := int(n.deg)
+		if d < 1 {
+			return fmt.Errorf("abtree: internal node with no children")
 		}
 		if d > t.cfg.B {
 			return fmt.Errorf("abtree: internal degree %d exceeds b=%d", d, t.cfg.B)
-		}
-		if d < 1 {
-			return fmt.Errorf("abtree: internal node with no children")
 		}
 		if strict {
 			if n.tagged {
@@ -400,11 +407,12 @@ func (t *Tree) CheckInvariants(strict bool) error {
 				return fmt.Errorf("abtree: unary root survived rebalancing")
 			}
 		}
-		for i := 0; i < len(n.keys); i++ {
-			if n.keys[i] < lo || n.keys[i] >= hi {
-				return fmt.Errorf("abtree: routing key %d outside [%d,%d)", n.keys[i], lo, hi)
+		keys := n.keys()
+		for i := 0; i < len(keys); i++ {
+			if keys[i] < lo || keys[i] >= hi {
+				return fmt.Errorf("abtree: routing key %d outside [%d,%d)", keys[i], lo, hi)
 			}
-			if i > 0 && n.keys[i] <= n.keys[i-1] {
+			if i > 0 && keys[i] <= keys[i-1] {
 				return fmt.Errorf("abtree: routing keys unsorted")
 			}
 		}
@@ -414,15 +422,16 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			// one level shorter for depth purposes.
 			childDepth = depth
 		}
-		for i := range n.children {
+		children := n.children()
+		for i := range children {
 			clo, chi := lo, hi
 			if i > 0 {
-				clo = n.keys[i-1]
+				clo = keys[i-1]
 			}
-			if i < len(n.keys) {
-				chi = n.keys[i]
+			if i < len(keys) {
+				chi = keys[i]
 			}
-			if err := walk(n.children[i].Get(nil), clo, chi, childDepth, false); err != nil {
+			if err := walk(children[i].Get(nil), clo, chi, childDepth, false); err != nil {
 				return err
 			}
 		}

@@ -52,11 +52,11 @@ func TestRangeAggSkipsEmptySubtrees(t *testing.T) {
 					}
 					return
 				}
-				for i := range n.children {
-					walk(n.children[i].Get(nil))
+				for i := range n.children() {
+					walk(n.children()[i].Get(nil))
 				}
 			}
-			walk(tr.entry.children[0].Get(nil))
+			walk(tr.entry.children()[0].Get(nil))
 			if empty < 10 {
 				t.Fatalf("%d empty leaves linked, want >= 10: the deletes were repaired", empty)
 			}

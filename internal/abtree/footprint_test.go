@@ -62,7 +62,7 @@ func TestFastPathFootprint(t *testing.T) {
 			t.Fatal(err)
 		}
 		var p probe
-		for n := tr.entry.children[0].Get(nil); !n.leaf; n = n.children[0].Get(nil) {
+		for n := tr.entry.children()[0].Get(nil); !n.leaf; n = n.children()[0].Get(nil) {
 			p.h++
 		}
 		_, _, u, _, _ := tr.searchLeaf(nil, keys)
@@ -164,7 +164,7 @@ func TestMiddlePathFootprint(t *testing.T) {
 		for k := uint64(1); k <= keys; k++ {
 			pre.Insert(2*k, k)
 		}
-		for n := tr.entry.children[0].Get(nil); !n.leaf; n = n.children[0].Get(nil) {
+		for n := tr.entry.children()[0].Get(nil); !n.leaf; n = n.children()[0].Get(nil) {
 			h++
 		}
 		_, _, u, _, _ := tr.searchLeaf(nil, keys)

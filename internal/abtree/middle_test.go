@@ -72,7 +72,7 @@ func TestMiddleEditRetagsLeaf(t *testing.T) {
 			t.Fatalf("%s did not store a fresh tag in the leaf's info field", c.name)
 		}
 		if llxscx.SCXO([]*llxscx.Hdr{&p.hdr, &u.hdr}, []*llxscx.Info{pi, ui},
-			[]*llxscx.Hdr{&u.hdr}, &p.children[uIdx], u, newLeaf(tr.tm.Clock())) {
+			[]*llxscx.Hdr{&u.hdr}, &p.children()[uIdx], u, newLeaf(tr.tm.Clock())) {
 			t.Fatalf("%s: an SCXO linked to the leaf's info from before the edit succeeded", c.name)
 		}
 		if u.hdr.InfoValue(nil) != tag {
@@ -95,7 +95,7 @@ func TestMiddleSplitMarksLeaf(t *testing.T) {
 	for k := uint64(1); k <= uint64(tr.cfg.B); k++ {
 		h.Insert(k, k)
 	}
-	u := tr.entry.children[0].Get(nil)
+	u := tr.entry.children()[0].Get(nil)
 	if !u.leaf || leafSize(u) != tr.cfg.B {
 		t.Fatal("set-up: the root is not a full leaf")
 	}
@@ -108,7 +108,7 @@ func TestMiddleSplitMarksLeaf(t *testing.T) {
 	if got := tr.OpStats().Middle; got != middle+1 {
 		t.Fatal("the split did not complete on the middle path")
 	}
-	if tr.entry.children[0].Get(nil) == u {
+	if tr.entry.children()[0].Get(nil) == u {
 		t.Fatal("the split left the full leaf in the tree")
 	}
 	if _, st := llxscx.LLX(nil, &u.hdr, nil); st != llxscx.StatusFinalized {

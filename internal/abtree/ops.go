@@ -154,12 +154,12 @@ func checkKey(key uint64) {
 // parent. The entry sentinel acts as the root's parent.
 func (t *Tree) searchLeaf(tx *htm.Tx, key uint64) (gp, p, u *Node, pIdx, uIdx int) {
 	p = t.entry
-	u = p.children[0].Get(tx)
+	u = p.children()[0].Get(tx)
 	for !u.leaf {
 		gp, pIdx = p, uIdx
 		p = u
 		uIdx = childIndex(p, key)
-		u = p.children[uIdx].Get(tx)
+		u = p.children()[uIdx].Get(tx)
 	}
 	return gp, p, u, pIdx, uIdx
 }
@@ -217,7 +217,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		if found {
 			pr.EditInPlace(&u.hdr)
 			*pr.Res = engine.Result{Val: old, Found: true}
-			u.slots[permAt(perm, pos)].Set(tx, key, val)
+			h.setPair(tx, &u.slots[permAt(perm, pos)], key, val)
 			return true
 		}
 		*pr.Res = engine.Result{}
@@ -226,8 +226,8 @@ func (t *Tree) insertBody(pr *prims) bool {
 			// writes, wherever in the leaf the key belongs.
 			pr.EditInPlace(&u.hdr)
 			perm = permInsert(perm, pos, sz)
-			u.slots[permAt(perm, pos)].Set(tx, key, val)
-			u.ord.Set(tx, perm, uint64(sz+1))
+			h.setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+			h.setPair(tx, &u.ord, perm, uint64(sz+1))
 			return true
 		}
 		if pr.Mode == engine.ModeFast {
@@ -242,13 +242,13 @@ func (t *Tree) insertBody(pr *prims) bool {
 			right := h.newLeaf(h.buf[lo:])
 			if pos < lo {
 				perm = permInsert(perm, pos, lo-1)
-				u.slots[permAt(perm, pos)].Set(tx, key, val)
+				h.setPair(tx, &u.slots[permAt(perm, pos)], key, val)
 			}
-			u.ord.Set(tx, perm, uint64(lo))
+			h.setPair(tx, &u.ord, perm, uint64(lo))
 			h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 			h.cbuf = append(h.cbuf[:0], u, right)
 			np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
-			p.children[uIdx].Set(tx, np)
+			p.children()[uIdx].Set(tx, np)
 			pr.Res.NeedFix = np.tagged
 			return true
 		}
@@ -260,7 +260,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 
 	// Template modes: replace the leaf (or grow a split subtree).
 	var uCur *Node
-	pi := pr.LLX(&p.hdr, func() { uCur = p.children[uIdx].Get(pr.Tx) })
+	pi := pr.LLX(&p.hdr, func() { uCur = p.children()[uIdx].Get(pr.Tx) })
 	if pr.Failed {
 		return false
 	}
@@ -276,7 +276,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 	v := []*llxscx.Hdr{&p.hdr, &u.hdr}
 	infos := []*llxscx.Info{pi, ui}
 	r := []*llxscx.Hdr{&u.hdr}
-	fld := &p.children[uIdx]
+	fld := &p.children()[uIdx]
 
 	pos, found := findInBuf(h.buf, key)
 	if found {
@@ -331,13 +331,13 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		// the key's slot goes back to the free list and keeps its
 		// contents, which no rank names any more.
 		pr.EditInPlace(&u.hdr)
-		u.ord.Set(tx, permDelete(perm, pos, sz), uint64(sz-1))
+		h.setPair(tx, &u.ord, permDelete(perm, pos, sz), uint64(sz-1))
 		*pr.Res = engine.Result{Val: old, Found: true, NeedFix: p != t.entry && sz-1 < a}
 		return true
 	}
 
 	var uCur *Node
-	pi := pr.LLX(&p.hdr, func() { uCur = p.children[uIdx].Get(pr.Tx) })
+	pi := pr.LLX(&p.hdr, func() { uCur = p.children()[uIdx].Get(pr.Tx) })
 	if pr.Failed {
 		return false
 	}
@@ -358,7 +358,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 	*pr.Res = engine.Result{Val: oldVal, Found: true, NeedFix: p != t.entry && len(h.buf) < a}
 	if !pr.SCX(
 		[]*llxscx.Hdr{&p.hdr, &u.hdr}, []*llxscx.Info{pi, ui},
-		[]*llxscx.Hdr{&u.hdr}, &p.children[uIdx], u, h.newLeaf(h.buf)) {
+		[]*llxscx.Hdr{&u.hdr}, &p.children()[uIdx], u, h.newLeaf(h.buf)) {
 		return false
 	}
 	h.remove(u)
@@ -413,7 +413,7 @@ func insertAt(buf []kv, pos int, p kv) []kv {
 // locked body when tx == nil).
 func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
 	h.rqOut = h.rqOut[:0]
-	t.rqWalk(tx, t.entry.children[0].Get(tx), h)
+	t.rqWalk(tx, t.entry.children()[0].Get(tx), h)
 }
 
 func (t *Tree) rqWalk(tx *htm.Tx, n *Node, h *Handle) {
@@ -421,9 +421,10 @@ func (t *Tree) rqWalk(tx *htm.Tx, n *Node, h *Handle) {
 		rqCollectLeaf(tx, n, h)
 		return
 	}
-	for i := range n.children {
+	children := n.children()
+	for i := range children {
 		if rqChildOverlaps(n, i, h.argLo, h.argHi) {
-			t.rqWalk(tx, n.children[i].Get(tx), h)
+			t.rqWalk(tx, children[i].Get(tx), h)
 		}
 	}
 }
@@ -431,10 +432,11 @@ func (t *Tree) rqWalk(tx *htm.Tx, n *Node, h *Handle) {
 // rqChildOverlaps reports whether child i's routing range intersects
 // [lo,hi).
 func rqChildOverlaps(n *Node, i int, lo, hi uint64) bool {
-	if i > 0 && n.keys[i-1] >= hi {
+	keys := n.keys()
+	if i > 0 && keys[i-1] >= hi {
 		return false
 	}
-	if i < len(n.keys) && n.keys[i] <= lo {
+	if i < len(keys) && keys[i] <= lo {
 		return false
 	}
 	return true
@@ -459,7 +461,7 @@ func (t *Tree) rqFallback(h *Handle) bool {
 	h.rqOut = h.rqOut[:0]
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.entry.hdr, func() {
-		root = t.entry.children[0].Get(nil)
+		root = t.entry.children()[0].Get(nil)
 	}); st != llxscx.StatusOK {
 		return false
 	}
@@ -488,10 +490,11 @@ func walkLLX(n *Node, h *Handle) bool {
 // caller's array (a degree is at most MaxB, so the fallback scans keep
 // their snapshots on the stack) and reports whether the LLX succeeded.
 func snapshotChildrenLLX(n *Node, arr *[MaxB]*Node) ([]*Node, bool) {
-	snap := arr[:len(n.children)]
+	children := n.children()
+	snap := arr[:len(children)]
 	_, st := llxscx.LLX(nil, &n.hdr, func() {
-		for i := range n.children {
-			snap[i] = n.children[i].Get(nil)
+		for i := range children {
+			snap[i] = children[i].Get(nil)
 		}
 	})
 	return snap, st == llxscx.StatusOK

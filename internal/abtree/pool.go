@@ -20,11 +20,11 @@ import (
 //   - A leaf removed on any other path reaches the grace list through a
 //     grace period, after which no thread can hold it: plain Init
 //     stores, as for a fresh one, and no version word moves.
-//   - Internal nodes always wait out a grace period: their routing-key
-//     array and the length of their child array are plain memory that
-//     reuse rewrites, which is only safe once no reader can hold the
-//     node — exactly what two epoch advances guarantee (every operation
-//     is bracketed by the engine's ebr Begin/End).
+//   - Internal nodes always wait out a grace period: their degree and
+//     routing-key array are plain memory that reuse rewrites, which is
+//     only safe once no reader can hold the node — exactly what two
+//     epoch advances guarantee (every operation is bracketed by the
+//     engine's ebr Begin/End).
 
 // ReclaimStats counts a handle's node-pool activity. Exported for tests
 // and diagnostics.
@@ -38,13 +38,15 @@ func (h *Handle) ReclaimStats() ReclaimStats { return h.pool.Stats() }
 func (h *Handle) PoolSize() int { return h.pool.Size() }
 
 // freshNode heap-allocates a node of the given kind (the pool's fresh
-// callback): a leaf complete with its slot array, an internal node as a
-// shell whose arrays newInternal sizes and binds.
+// callback), complete with its arrays: a leaf's slots, an internal
+// node's keys and children.
 func (h *Handle) freshNode(leaf bool) *Node {
 	n := &Node{leaf: leaf}
 	n.hdr.Bind(h.clk)
 	if leaf {
-		n.bindLeaf(h.clk)
+		n.slots = new([MaxB]htm.Pair)
+	} else {
+		n.allocArrays(h.clk)
 	}
 	return n
 }
@@ -63,9 +65,9 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 	n, stale := h.pool.Take(true)
 	if stale {
 		n.hdr.Recycle()
-		n.ord.Recycle(permIdentity, uint64(len(pairs)))
+		n.ord.Recycle(h.clk, permIdentity, uint64(len(pairs)))
 		for i, p := range pairs {
-			n.slots[i].Recycle(p.k, p.v)
+			n.slots[i].Recycle(h.clk, p.k, p.v)
 		}
 		return n
 	}
@@ -77,45 +79,26 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 	return n
 }
 
-// newInternal builds an internal node from the pool, reusing the pooled
-// node's key and child arrays when they have capacity (a fresh node's
-// have none: a node has at least one child). Internal nodes
-// only ever reach the pool after a grace period, so no reader holds
-// them here and the plain rewrites are safe.
+// newInternal builds an internal node from the pool; its arrays hold
+// any degree up to MaxB. Internal nodes only ever reach the pool after a
+// grace period, so no reader holds them here and the plain rewrites are
+// safe.
 func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node {
 	n, _ := h.pool.Take(false)
-	n.tagged = tagged
 	n.hdr.Reset()
-	if cap(n.keys) >= len(keys) && cap(n.children) >= len(children) {
-		n.keys = n.keys[:len(keys)]
-		copy(n.keys, keys)
-		n.children = n.children[:len(children)]
-		for i, c := range children {
-			n.children[i].Init(c)
-		}
-		return n
-	}
-	// Allocate the arrays at full capacity so every future reuse of this
-	// node fits any degree up to b, binding every cell up to capacity —
-	// reuse reslices into it and must find bound cells.
-	b := h.t.cfg.B
-	ck, cc := b-1, b
-	if len(keys) > ck {
-		ck = len(keys)
-	}
-	if len(children) > cc {
-		cc = len(children)
-	}
-	n.keys = append(make([]uint64, 0, ck), keys...)
-	full := make([]htm.Ref[Node], cc)
-	for i := range full {
-		full[i].Bind(h.clk)
-	}
-	n.children = full[:len(children)]
-	for i, c := range children {
-		n.children[i].Init(c)
-	}
+	n.fill(keys, children, tagged)
 	return n
+}
+
+// setPair writes a leaf cell in the body's transaction, or, with a nil
+// tx (TLE's locked body), stores it at once, stamped with a tick of the
+// tree's clock.
+func (h *Handle) setPair(tx *htm.Tx, c *htm.Pair, a, b uint64) {
+	if tx == nil {
+		c.Store(h.clk, a, b)
+		return
+	}
+	c.Set(tx, a, b)
 }
 
 // beginAttempt, remove and settle delegate to the shared pool (see

@@ -87,7 +87,7 @@ func TestRetireFastGatedByFallbackReader(t *testing.T) {
 }
 
 // TestInternalNodesNeverFastRecycle asserts the white-box rule that
-// internal nodes — whose routing-key array and child-array length are
+// internal nodes — whose degree and routing-key array are
 // plain memory rewritten on reuse — always take the grace period, even
 // when removed by a fast-path commit.
 func TestInternalNodesNeverFastRecycle(t *testing.T) {
@@ -153,44 +153,60 @@ func TestInternalArrayReuse(t *testing.T) {
 
 // TestNodeFootprint pins the memory a node costs, so a layout regression
 // fails here by name instead of surfacing as the benchmark's
-// live_heap_mb: a leaf entry is one 32-byte cell, a node shell is three
-// 64-byte lines — descent fields, order word, SCX header — exactly the
-// allocator's 192-byte size class (whose objects start at multiples of
-// 192 in page-aligned spans, so field offsets are cache-line offsets),
-// and a leaf of any b is that shell plus one 512-byte array of MaxB
-// slots.
+// live_heap_mb: a leaf entry is one 24-byte cell (a Pair carries no
+// clock pointer), and a node shell is two 64-byte lines — what a visitor
+// reads with the leaf's order word, then the SCX header — exactly the
+// allocator's 128-byte size class (whose objects start at multiples of
+// 128 in page-aligned spans, so field offsets are cache-line offsets).
+// A leaf of any b is that shell plus one 384-byte array of MaxB slots,
+// 512 bytes in two allocations; an internal node is the shell plus a
+// 120-byte key array (size class 128) and a 384-byte child array.
 func TestNodeFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(htm.Pair{}); got != 32 {
-		t.Errorf("htm.Pair is %d bytes, want 32", got)
+	if got := unsafe.Sizeof(htm.Pair{}); got != 24 {
+		t.Errorf("htm.Pair is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(Node{}); got != 192 {
-		t.Errorf("Node is %d bytes, want 192 (size class 192; the next is 208, which is not line-aligned)", got)
+	if got := unsafe.Sizeof(Node{}); got != 128 {
+		t.Errorf("Node is %d bytes, want 128 (size class 128; the next is 144, which is not line-aligned)", got)
 	}
 	var n Node
 	const line = 64
-	if end := unsafe.Offsetof(n.slots) + unsafe.Sizeof(n.slots); end != line ||
-		unsafe.Offsetof(n.leaf) >= line || unsafe.Offsetof(n.keys) >= line || unsafe.Offsetof(n.children) >= line {
-		t.Errorf("flags, keys, children and slots end at byte %d, want them to fill the first %d-byte line: a descent reads one line of a node", end, line)
+	for name, off := range map[string]uintptr{
+		"leaf": unsafe.Offsetof(n.leaf), "tagged": unsafe.Offsetof(n.tagged), "deg": unsafe.Offsetof(n.deg),
+		"keyArr": unsafe.Offsetof(n.keyArr), "childArr": unsafe.Offsetof(n.childArr), "slots": unsafe.Offsetof(n.slots),
+	} {
+		if off >= unsafe.Offsetof(n.ord) {
+			t.Errorf("%s is at byte %d, after ord at %d: a visitor's fields come first", name, off, unsafe.Offsetof(n.ord))
+		}
 	}
-	if lo := unsafe.Offsetof(n.ord); lo != line {
-		t.Errorf("ord starts at byte %d, want %d: an in-place edit dirties the second line of the shell and no other", lo, line)
+	if end := unsafe.Offsetof(n.ord) + unsafe.Sizeof(n.ord); end > line {
+		t.Errorf("ord ends at byte %d, want it inside the first %d-byte line: a leaf's visitor reads it beside the leaf flag", end, line)
 	}
-	if lo, hi := unsafe.Offsetof(n.hdr), unsafe.Offsetof(n.hdr)+unsafe.Sizeof(n.hdr); lo != 2*line || hi > 3*line {
-		t.Errorf("hdr spans bytes %d..%d, want it inside the third line, away from the order word", lo, hi)
+	if lo, hi := unsafe.Offsetof(n.hdr), unsafe.Offsetof(n.hdr)+unsafe.Sizeof(n.hdr); lo != line || hi > 2*line {
+		t.Errorf("hdr spans bytes %d..%d, want it alone on the second line", lo, hi)
 	}
+	if got := unsafe.Sizeof(*n.keyArr); got != 120 {
+		t.Errorf("an internal node's key array is %d bytes, want 120 (size class 128)", got)
+	}
+	const leafBytes, internalBytes = 128 + 384, 128 + 128 + 384
 	tr := New(Config{})
 	h := tr.newHandle()
 	for _, leaf := range []*Node{
-		tr.entry.children[0].Get(nil), // bootstrap leaf
-		h.newLeaf(nil),                // pooled leaf
+		tr.entry.children()[0].Get(nil), // bootstrap leaf
+		h.newLeaf(nil),                  // pooled leaf
 	} {
-		if leaf.keys != nil || leaf.children != nil {
-			t.Fatalf("leaf owns arrays beyond its slots: %d keys, %d children",
-				cap(leaf.keys), cap(leaf.children))
+		if leaf.keyArr != nil || leaf.childArr != nil {
+			t.Fatal("leaf owns arrays beyond its slots")
 		}
-		if got := unsafe.Sizeof(*leaf) + unsafe.Sizeof(*leaf.slots); got != 192+512 {
-			t.Errorf("a leaf is %d bytes in two allocations, want 704", got)
+		if got := unsafe.Sizeof(*leaf) + unsafe.Sizeof(*leaf.slots); got != leafBytes {
+			t.Errorf("a leaf is %d bytes in two allocations, want %d", got, leafBytes)
 		}
+	}
+	in := h.newInternal([]uint64{5}, []*Node{h.newLeaf(nil), h.newLeaf(nil)}, false)
+	if in.slots != nil {
+		t.Fatal("internal node owns a slot array")
+	}
+	if got := unsafe.Sizeof(*in) + 128 + unsafe.Sizeof(*in.childArr); got != internalBytes {
+		t.Errorf("an internal node is %d bytes in three allocations, want %d", got, internalBytes)
 	}
 }
 

@@ -36,7 +36,7 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 	var gp *Node
 	p := t.entry
 	pIdx, nIdx := 0, 0
-	n := p.children[0].Get(tx)
+	n := p.children()[0].Get(tx)
 	for {
 		if n.leaf {
 			if p != t.entry {
@@ -54,14 +54,14 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 			if n.tagged {
 				return violation{kind: vTag, gp: gp, p: p, n: n, pIdx: pIdx, nIdx: nIdx}
 			}
-			if len(n.children) < a {
+			if int(n.deg) < a {
 				return violation{kind: vUnderfull, gp: gp, p: p, n: n, pIdx: pIdx, nIdx: nIdx}
 			}
 		}
 		gp, pIdx = p, nIdx
 		p = n
 		nIdx = childIndex(p, key)
-		n = p.children[nIdx].Get(tx)
+		n = p.children()[nIdx].Get(tx)
 	}
 }
 
@@ -130,10 +130,11 @@ func (s *scratch[T]) reset() {
 
 // snapshotChildren reads n's children within an LLX.
 func (pr *prims) snapshotChildren(n *Node) ([]*Node, *llxscx.Info, bool) {
-	snap := pr.h.nodes.take(len(n.children))[:len(n.children)]
+	children := n.children()
+	snap := pr.h.nodes.take(len(children))[:len(children)]
 	info := pr.LLX(&n.hdr, func() {
-		for i := range n.children {
-			snap[i] = n.children[i].Get(pr.Tx)
+		for i := range children {
+			snap[i] = children[i].Get(pr.Tx)
 		}
 	})
 	if pr.Failed {
@@ -156,7 +157,7 @@ func (pr *prims) copyNode(n *Node, tagged bool) (*Node, *llxscx.Info, bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	return pr.h.newInternal(n.keys, snap, tagged), info, true
+	return pr.h.newInternal(n.keys(), snap, tagged), info, true
 }
 
 // fixUntagRoot replaces a tagged root with an untagged copy: the height
@@ -164,7 +165,7 @@ func (pr *prims) copyNode(n *Node, tagged bool) (*Node, *llxscx.Info, bool) {
 func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 	n := vio.n
 	var cur *Node
-	ei := pr.LLX(&t.entry.hdr, func() { cur = t.entry.children[0].Get(pr.Tx) })
+	ei := pr.LLX(&t.entry.hdr, func() { cur = t.entry.children()[0].Get(pr.Tx) })
 	if pr.Failed {
 		return false
 	}
@@ -178,7 +179,7 @@ func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 	}
 	if !pr.SCX(
 		[]*llxscx.Hdr{&t.entry.hdr, &n.hdr}, []*llxscx.Info{ei, ni},
-		[]*llxscx.Hdr{&n.hdr}, &t.entry.children[0], n, nn) {
+		[]*llxscx.Hdr{&n.hdr}, &t.entry.children()[0], n, nn) {
 		return false
 	}
 	pr.h.remove(n)
@@ -194,7 +195,7 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 	gp, p, n := vio.gp, vio.p, vio.n
 
 	var pCur *Node
-	gi := pr.LLX(&gp.hdr, func() { pCur = gp.children[vio.pIdx].Get(pr.Tx) })
+	gi := pr.LLX(&gp.hdr, func() { pCur = gp.children()[vio.pIdx].Get(pr.Tx) })
 	if pr.Failed {
 		return false
 	}
@@ -221,14 +222,14 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 	children = append(children, nSnap...)
 	children = append(children, pSnap[vio.nIdx+1:]...)
 	keys := pr.h.keys.take(len(children) - 1)
-	keys = append(keys, p.keys[:vio.nIdx]...)
-	keys = append(keys, n.keys...)
-	keys = append(keys, p.keys[vio.nIdx:]...)
+	keys = append(keys, p.keys()[:vio.nIdx]...)
+	keys = append(keys, n.keys()...)
+	keys = append(keys, p.keys()[vio.nIdx:]...)
 
 	v := []*llxscx.Hdr{&gp.hdr, &p.hdr, &n.hdr}
 	infos := []*llxscx.Info{gi, pi, ni}
 	r := []*llxscx.Hdr{&p.hdr, &n.hdr}
-	fld := &gp.children[vio.pIdx]
+	fld := &gp.children()[vio.pIdx]
 
 	if len(children) <= b {
 		// Absorb: one untagged replacement for p.
@@ -262,7 +263,7 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	gp, p, n := vio.gp, vio.p, vio.n
 
 	var pCur *Node
-	gi := pr.LLX(&gp.hdr, func() { pCur = gp.children[vio.pIdx].Get(pr.Tx) })
+	gi := pr.LLX(&gp.hdr, func() { pCur = gp.children()[vio.pIdx].Get(pr.Tx) })
 	if pr.Failed {
 		return false
 	}
@@ -310,7 +311,7 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 		li, ri = sIdx, vio.nIdx
 	}
 	left, right := pSnap[li], pSnap[ri]
-	sep := p.keys[li]
+	sep := p.keys()[li]
 
 	// Snapshot both nodes' content, in child order (V order is fixed
 	// top-down, left-to-right for the SCX freezing discipline), into one
@@ -350,14 +351,14 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			return false
 		}
 		allC = append(append(h.nodes.take(len(leftSnap)+len(rightSnap)), leftSnap...), rightSnap...)
-		allK = append(append(append(h.keys.take(len(allC)-1), left.keys...), sep), right.keys...)
+		allK = append(append(append(h.keys.take(len(allC)-1), left.keys()...), sep), right.keys()...)
 		deg = len(allC)
 	}
 
 	v := []*llxscx.Hdr{&gp.hdr, &p.hdr, &left.hdr, &right.hdr}
 	infos := []*llxscx.Info{gi, pi, leftInfo, rightInfo}
 	r := []*llxscx.Hdr{&p.hdr, &left.hdr, &right.hdr}
-	fld := &gp.children[vio.pIdx]
+	fld := &gp.children()[vio.pIdx]
 
 	var repl *Node
 	if deg <= b {
@@ -374,7 +375,7 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			// tree needs no separate root-collapse repair.
 			repl = m
 		} else {
-			nk := append(append(h.keys.take(len(p.keys)-1), p.keys[:li]...), p.keys[li+1:]...)
+			nk := append(append(h.keys.take(len(p.keys())-1), p.keys()[:li]...), p.keys()[li+1:]...)
 			nc := append(append(append(h.nodes.take(len(pSnap)-1), pSnap[:li]...), m), pSnap[ri+1:]...)
 			repl = h.newInternal(nk, nc, false)
 		}
@@ -392,7 +393,7 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 			nr = h.newInternal(allK[lo:], allC[lo:], false)
 			newSep = allK[lo-1]
 		}
-		nk := append(h.keys.take(len(p.keys)), p.keys...)
+		nk := append(h.keys.take(len(p.keys())), p.keys()...)
 		nk[li] = newSep
 		nc := append(h.nodes.take(len(pSnap)), pSnap...)
 		nc[li], nc[ri] = nl, nr

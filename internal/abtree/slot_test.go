@@ -248,3 +248,44 @@ func runNoTornSlots(t *testing.T, name string, cfg Config, seed int64) {
 		check("final RangeQuery", p.Key, p.Val)
 	}
 }
+
+// TestTLELockedInsertAbortsFastReader: under TLE's lock the fast body
+// runs with a nil tx, so its in-place edits are immediate stores stamped
+// with a tick of the tree's clock (Handle.setPair). A fast-path
+// transaction that read the leaf's order word and the free slot such an
+// insert fills must abort on its next read of that slot, not return the
+// new pair beside the order word it read before.
+func TestTLELockedInsertAbortsFastReader(t *testing.T) {
+	t.Parallel()
+	tr := New(Config{Algorithm: engine.AlgTLE})
+	h := tr.newHandle()
+	for k := uint64(1); k <= 4; k++ {
+		h.Insert(k, k)
+	}
+	u := tr.entry.children()[0].Get(nil)
+	if !u.leaf {
+		t.Fatal("set-up: the root is not a leaf")
+	}
+	var got uint64
+	read := false
+	ok, ab := tr.tm.NewThread().Atomic(htm.PathFast, func(tx *htm.Tx) {
+		perm, size := u.ord.Get(tx)
+		slot := &u.slots[permAt(perm, int(size))] // the first free slot
+		slot.Get(tx)
+		// The insert as TLE runs it while holding its lock.
+		h.argKey, h.argVal = 10, 100
+		tr.insertBody(h.prims(engine.ModeFast, nil))
+		h.settle(htm.PathFallback)
+		got, _ = slot.Get(tx)
+		read = true
+	})
+	if ok || ab.Cause != htm.CauseConflict || read {
+		t.Errorf("a fast-path reader of the slot a locked insert filled: committed %v, %+v, re-read returned %v (key %d); want a conflict abort at the re-read", ok, ab, read, got)
+	}
+	if v, found := h.Search(10); !found || v != 100 {
+		t.Fatalf("locked insert not visible: Search(10) = %d, %v", v, found)
+	}
+	if err := tr.CheckInvariants(true); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -280,21 +280,16 @@ func (w *Word) Add(delta uint64) uint64 {
 // write-set entries, two commit locks and two version stores (and every
 // read two read-set entries) for what is one logical change. Hardware
 // tracks such neighbours as one cache line; a Pair is the simulator's
-// rendering of that. Like Word, the zero value is an unlocked (0, 0)
-// bound to no clock.
+// rendering of that. The zero value is an unlocked (0, 0).
 //
+// Unlike Word and Ref, a Pair carries no clock: a tree keeps seventeen
+// of them per leaf, where a clock pointer would be a quarter of each. Its two non-transactional mutators, Store and Recycle, take the
+// owning TM's clock as an argument instead, so there is nothing to bind.
 // A Pair takes buffered values (Set) only: it has no CAS.
 type Pair struct {
-	clk *Clock
 	ver atomic.Uint64
 	val [2]atomic.Uint64
 }
-
-// Bind associates the cell with a TM's version clock. See Word.Bind;
-// rebinding to a different clock panics.
-func (p *Pair) Bind(c *Clock) { bindClock(&p.clk, c) }
-
-func (p *Pair) clock() *Clock { return boundClock(p.clk) }
 
 // Init sets the cell's values without version bookkeeping. See
 // Word.Init.
@@ -302,9 +297,24 @@ func (p *Pair) Init(a, b uint64) {
 	*(*[2]uint64)(unsafe.Pointer(&p.val)) = [2]uint64{a, b}
 }
 
-// Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
-func (p *Pair) Recycle(a, b uint64) {
-	c := p.clock()
+// Store writes both values outside any transaction, immediately: it
+// locks the cell and stamps it with a tick of c, the clock of the TM
+// whose transactions access the cell (keeping them strongly atomic with
+// respect to the store, as Word.Set with a nil tx does). A transaction
+// that read the cell before the store aborts; one begun after it reads
+// the new values.
+func (p *Pair) Store(c *Clock, a, b uint64) {
+	old := acquireNonTx(&p.ver)
+	nv := stamp(old, c.tick())
+	p.val[0].Store(a)
+	p.val[1].Store(b)
+	p.ver.Store(nv)
+}
+
+// Recycle re-initializes a pooled cell for reuse, stamping it one past
+// c's current value; see Word.Recycle. c is the clock of the TM whose
+// transactions access the cell.
+func (p *Pair) Recycle(c *Clock, a, b uint64) {
 	old := acquireNonTx(&p.ver)
 	p.val[0].Store(a)
 	p.val[1].Store(b)
@@ -346,19 +356,9 @@ func (p *Pair) Get(tx *Tx) (a, b uint64) {
 	return a, b
 }
 
-// Set writes both values. With a nil tx the store is immediate (locking
-// the cell and advancing the bound TM clock); otherwise it is buffered
-// until tx commits.
+// Set writes both values in tx, buffered until tx commits. tx must not be
+// nil: outside a transaction, write with Store.
 func (p *Pair) Set(tx *Tx, a, b uint64) {
-	if tx == nil {
-		c := p.clock()
-		old := acquireNonTx(&p.ver)
-		nv := stamp(old, c.tick())
-		p.val[0].Store(a)
-		p.val[1].Store(b)
-		p.ver.Store(nv)
-		return
-	}
 	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPair)
 	e.word, e.word2 = a, b
 }

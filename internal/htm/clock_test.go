@@ -61,17 +61,17 @@ func TestStampsOnlyGrow(t *testing.T) {
 	th := tm.NewThread()
 	var p Pair
 	var w Word
-	p.Bind(tm.Clock())
-	w.Bind(tm.Clock())
+	c := tm.Clock()
+	w.Bind(c)
 	commit := func(tx *Tx) { p.Set(tx, 1, 1); w.Set(tx, 1) }
 	last := [2]uint64{}
 	for i, write := range []func(){
 		func() { th.Atomic(PathFast, commit) },
 		func() { th.Atomic(PathFast, commit) },
-		func() { p.Set(nil, 2, 2); w.Set(nil, 2) },
+		func() { p.Store(c, 2, 2); w.Set(nil, 2) },
 		func() { th.Atomic(PathFast, commit) },
-		func() { p.Recycle(3, 3); w.Recycle(3) },
-		func() { w.CAS(nil, 3, 4); w.Add(1); p.Set(nil, 4, 4) },
+		func() { p.Recycle(c, 3, 3); w.Recycle(3) },
+		func() { w.CAS(nil, 3, 4); w.Add(1); p.Store(c, 4, 4) },
 		func() { th.Atomic(PathFast, commit) },
 	} {
 		write()

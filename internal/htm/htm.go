@@ -19,8 +19,9 @@
 //   - Every TM instance owns its version clock (cache-line padded), so
 //     independent TMs — e.g. the shards of a sharded dictionary — never
 //     contend on a shared clock cache line. Cells bound to the same
-//     clock (Word.Bind / Ref.Bind) form one synchronization domain; a
-//     TM's transactions must only touch cells bound to its clock.
+//     clock (Word.Bind / Ref.Bind), and Pairs whose mutators are passed
+//     it (Pair.Store / Pair.Recycle), form one synchronization domain; a
+//     TM's transactions must only touch cells of its domain.
 //   - A transaction snapshots its TM's version clock at begin (rv) and
 //     buffers writes. Every read checks that the cell is unlocked and
 //     stamped at most rv. A read that meets a newer stamp extends the
@@ -39,7 +40,7 @@
 //     store, like a hardware transaction's stores: there is no
 //     commit-time read-modify-write.
 //   - Non-transactional stores and CAS operations lock the cell, tick
-//     the cell's bound clock, stamp the cell with the new clock value,
+//     the cell's clock (bound, or a Pair's argument), stamp the cell with the new clock value,
 //     and unlock. Because they stamp the same versions the transactions
 //     validate against, transactions are strongly atomic with respect to
 //     them — the property the paper's fallback-path interaction relies
@@ -133,7 +134,7 @@ func (c Config) withDefaults() Config {
 // whose statistics it aggregates. Cells start free-standing (their zero
 // value supports transactional access), but cells a TM's transactions
 // touch must be bound to that TM's clock before any non-transactional
-// mutation.
+// mutation (a Pair is passed the clock by each such mutation instead).
 type TM struct {
 	cfg   Config
 	clock Clock
@@ -147,7 +148,8 @@ type TM struct {
 func New(cfg Config) *TM { return &TM{cfg: cfg.withDefaults()} }
 
 // Clock returns the TM's version clock, for binding cells (Word.Bind,
-// Ref.Bind) into the TM's synchronization domain.
+// Ref.Bind) into the TM's synchronization domain and for a Pair's
+// non-transactional mutators (Pair.Store, Pair.Recycle).
 func (tm *TM) Clock() *Clock { return &tm.clock }
 
 // ClockValue returns the current value of the TM's version clock

@@ -17,31 +17,73 @@ func TestPairNonTxBasics(t *testing.T) {
 	if a, b := p.Get(nil); a != 10 || b != 2 {
 		t.Fatalf("Pair = (%d,%d) after Init, want (10,2)", a, b)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Set on an unbound Pair did not panic")
-			}
-		}()
-		p.Set(nil, 1, 1)
-	}()
-	p.Bind(tm.Clock())
 	before := tm.ClockValue()
-	p.Set(nil, 16, 2)
+	p.Store(tm.Clock(), 16, 2)
 	if tm.ClockValue() == before {
-		t.Fatal("non-transactional Set did not advance the clock")
+		t.Fatal("Store did not advance the clock")
 	}
 	if a, b := p.Get(nil); a != 16 || b != 2 {
 		t.Fatalf("Pair = (%d,%d), want (16,2)", a, b)
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Fatal("rebinding a Pair to another clock did not panic")
+}
+
+// TestPairMutatorsStampPastSnapshots: a Pair's two non-transactional
+// mutators stamp the cell past every snapshot taken on the clock they
+// are passed, so a transaction that read the cell before the mutation
+// aborts when it next reads — an unpinned one when extending its
+// snapshot finds its first read changed, a pinned one at once — and one
+// begun after it reads the new pair. The clock is moved past the cell's
+// version before each snapshot, so a mutator that stamped the clock's
+// value instead would stamp the snapshot itself. A second TM's clock is
+// left alone: the clock is the Pair's domain only through the argument.
+func TestPairMutatorsStampPastSnapshots(t *testing.T) {
+	t.Parallel()
+	tm, foreign := New(Config{}), New(Config{})
+	th := tm.NewThread()
+	c := tm.Clock()
+	var tick Word
+	tick.Bind(c)
+	for _, m := range []struct {
+		name  string
+		write func(p *Pair, a, b uint64)
+	}{
+		{"Store", func(p *Pair, a, b uint64) { p.Store(c, a, b) }},
+		{"Recycle", func(p *Pair, a, b uint64) { p.Recycle(c, a, b) }},
+	} {
+		var p Pair
+		p.Store(c, 1, 2)
+		foreignClock := foreign.ClockValue()
+		for _, pinned := range []bool{false, true} {
+			tick.Set(nil, 1) // the clock moves past the pair's version
+			rv := tm.ClockValue()
+			var a, b uint64
+			body := func(tx *Tx) {
+				a, b = p.Get(tx)
+				m.write(&p, a+10, b+10)
+				if ver := p.ver.Load(); ver>>1 <= rv {
+					t.Errorf("%s: stamped version %d, not past the snapshot %d", m.name, ver>>1, rv)
+				}
+				a, b = p.Get(tx)
 			}
-		}()
-		p.Bind(New(Config{}).Clock())
-	}()
+			var ok bool
+			var ab Abort
+			if pinned {
+				ok, ab = th.AtomicAt(PathFast, rv, body)
+			} else {
+				ok, ab = th.Atomic(PathFast, body)
+			}
+			if ok || ab.Cause != CauseConflict {
+				t.Errorf("%s, pinned=%v: reader of the pair before the mutation: ok=%v %+v, want a conflict abort", m.name, pinned, ok, ab)
+			}
+			want, _ := p.Get(nil)
+			if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != want || b != want+1 {
+				t.Errorf("%s: reader begun after the mutation: ok=%v %+v (%d,%d), want (%d,%d)", m.name, ok, ab, a, b, want, want+1)
+			}
+		}
+		if got := foreign.ClockValue(); got != foreignClock {
+			t.Errorf("%s on one TM's clock moved another's: %d -> %d", m.name, foreignClock, got)
+		}
+	}
 }
 
 // TestPairOpacity: writers add (+k, +1) to one Pair transactionally,
@@ -62,8 +104,6 @@ func TestPairOpacity(t *testing.T) {
 	)
 	tm := New(Config{})
 	var p, q Pair
-	p.Bind(tm.Clock())
-	q.Bind(tm.Clock())
 	var wg sync.WaitGroup
 	var done atomic.Bool
 	for w := 0; w < writers; w++ {
@@ -89,7 +129,7 @@ func TestPairOpacity(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < nonTx; i++ {
-			q.Set(nil, writers<<32|i, pairF(writers<<32|i))
+			q.Store(tm.Clock(), writers<<32|i, pairF(writers<<32|i))
 		}
 	}()
 	var readers sync.WaitGroup
@@ -151,7 +191,6 @@ func TestPairRecycle(t *testing.T) {
 	th := tm.NewThread()
 	var p Pair
 	var removal Word // stands for the link the unlinking commit changes
-	p.Bind(tm.Clock())
 	removal.Bind(tm.Clock())
 	p.Init(1, 2)
 	for _, readFirst := range []bool{false, true} {
@@ -162,7 +201,7 @@ func TestPairRecycle(t *testing.T) {
 				a, b = p.Get(tx)
 			}
 			removal.Add(1)
-			p.Recycle(7, 8)
+			p.Recycle(tm.Clock(), 7, 8)
 			a, b = p.Get(tx)
 		})
 		if ok || ab.Cause != CauseConflict {
@@ -174,6 +213,6 @@ func TestPairRecycle(t *testing.T) {
 		if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != 7 || b != 8 {
 			t.Fatalf("fresh reader of a recycled Pair: ok=%v %+v (%d,%d), want (7,8)", ok, ab, a, b)
 		}
-		p.Recycle(1, 2)
+		p.Recycle(tm.Clock(), 1, 2)
 	}
 }

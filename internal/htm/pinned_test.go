@@ -20,15 +20,14 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 		c.Bind(tm.Clock())
 		c.Set(nil, 1)
 	}
-	pair.Bind(tm.Clock())
-	pair.Set(nil, 1, 1)
+	pair.Store(tm.Clock(), 1, 1)
 
 	rv := tm.ClockValue()
 	if ok, _ := writer.Atomic(PathFast, func(tx *Tx) { txWritten.Set(tx, 2) }); !ok {
 		t.Fatal("writer aborted")
 	}
 	plainWritten.Set(nil, 2)
-	pair.Set(nil, 2, 2)
+	pair.Store(tm.Clock(), 2, 2)
 
 	ok, _ := th.AtomicAt(PathFast, rv, func(tx *Tx) {
 		if got := still.Get(tx); got != 1 {

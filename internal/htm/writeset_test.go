@@ -103,7 +103,6 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 		words[i], refs[i], pairs[i] = new(Word), new(Ref[wsNode]), new(Pair)
 		words[i].Bind(tm.Clock())
 		refs[i].Bind(tm.Clock())
-		pairs[i].Bind(tm.Clock())
 	}
 
 	for txn := 0; txn < 12; txn++ {

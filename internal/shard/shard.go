@@ -566,8 +566,11 @@ func (h *handle) readAtomic(first, last int, pin func() dict.PinStatus, read fun
 // every shard the full interval and concatenating in partition order
 // preserves global ascending key order. With Config.Atomic a fan-out
 // that spans shards is additionally run through readAtomic, making the
-// result a consistent cut; a window inside a single shard is atomic
-// either way and skips it.
+// result a consistent cut. A window inside a single shard skips it and
+// is that shard's own range query, which is atomic only while it fits a
+// transaction (or runs under TLE's lock): past the read capacity it is
+// the shard's fallback walk, which validates each node as it visits it
+// and is not an atomic cut (TestFallbackRangeQueryIsACut).
 func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 	if hi <= lo {
 		return out
