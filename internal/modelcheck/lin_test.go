@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"htmtree"
 	"htmtree/internal/htm"
@@ -251,11 +252,13 @@ func TestLinearizableCheckerRejects(t *testing.T) {
 // TestPointOpsLinearizable checks the point operations of both trees
 // under every algorithm, of both trees on 3-path under a seeded
 // spurious-abort plan (so that every history crosses the paths: an
-// operation's attempts fail at random and it moves on), and of the
-// monitored 8-shard BST, for per-key linearizability: 4 workers over 8
-// keys, so every key's operations overlap, on every path the contention
-// sends them to. A failure prints the seed the workers' operation
-// streams derive from and the fault plan, which reproduce it.
+// operation's attempts fail at random and it moves on) and under the
+// same plan with fallback owners stalled as their software path begins
+// (so that histories overlap an F holder descheduled mid-operation),
+// and of the monitored 8-shard BST, for per-key linearizability: 4
+// workers over 8 keys, so every key's operations overlap, on every path
+// the contention sends them to. A failure prints the seed the workers'
+// operation streams derive from and the fault plan, which reproduce it.
 func TestPointOpsLinearizable(t *testing.T) {
 	t.Parallel()
 	const (
@@ -302,12 +305,22 @@ func TestPointOpsLinearizable(t *testing.T) {
 					return tree, nil, err
 				}})
 			}
-			check(t, linCase{"spurious", func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
-				plan := htmtree.NewFaultPlan(uint64(seed), htmtree.FaultRule{
-					Point: htmtree.FaultTxAccess, Prob: 1.0 / 2, Cause: uint8(htm.CauseSpurious)})
-				tree, err := tr.new(htmtree.Config{Algorithm: htmtree.ThreePath, Faults: plan})
-				return tree, plan, err
-			}})
+			spurious := htmtree.FaultRule{Point: htmtree.FaultTxAccess, Prob: 1.0 / 2, Cause: uint8(htm.CauseSpurious)}
+			for _, c := range []struct {
+				name  string
+				rules []htmtree.FaultRule
+			}{
+				{"spurious", []htmtree.FaultRule{spurious}},
+				{"stall", []htmtree.FaultRule{spurious,
+					{Point: htmtree.FaultFallbackOwner, Prob: 1.0 / 4, Stall: 200 * time.Microsecond}}},
+			} {
+				c := c
+				check(t, linCase{c.name, func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+					plan := htmtree.NewFaultPlan(uint64(seed), c.rules...)
+					tree, err := tr.new(htmtree.Config{Algorithm: htmtree.ThreePath, Faults: plan})
+					return tree, plan, err
+				}})
+			}
 		})
 	}
 	check(t, linCase{"bst/x8/atomic", func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
