@@ -31,18 +31,19 @@
 // update that stays inside its leaf, with a linked LLX of the leaf and a
 // fresh tag in its info field in the same transaction
 // (engine.Prims.EditInPlace), and splits a full leaf by the template.
+//
+// The handle is the template's (engine.Handle), which this package
+// embeds: it keeps only the tree's updates, which run the repair loop,
+// the rebalancing op and their scratch, and its node constructors.
 package abtree
 
 import (
 	"fmt"
-	"sync"
 
 	"htmtree/internal/dict"
-	"htmtree/internal/ebr"
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
-	"htmtree/internal/nodepool"
 )
 
 // Default degree bounds (paper Section 7: a=6, b=16 so a node spans four
@@ -177,14 +178,6 @@ type Tree struct {
 	cfg Config
 	// entry is the permanent entry point; entry.children()[0] is the root.
 	entry *Node
-
-	// sumMu serializes KeySum's shared reclamation context sumRd, which
-	// keeps the walk inside the epoch domain so pooled nodes — whose
-	// reuse rewrites internal nodes' plain key/child arrays — cannot be
-	// recycled under it (the sharding layer runs KeySum concurrently
-	// with updates when validating consistent cuts).
-	sumMu sync.Mutex
-	sumRd *ebr.Thread
 }
 
 // CheckDegree reports whether a and b (after defaulting zeros) are legal
@@ -225,30 +218,22 @@ func New(cfg Config) *Tree {
 	t.entry.hdr.Bind(tm.Clock())
 	t.entry.allocArrays(tm.Clock())
 	t.entry.fill(nil, []*Node{newLeaf(tm.Clock())}, false)
-	t.sumRd = t.eng.ReclaimReader()
 	return t
 }
-
-// Engine exposes the tree's execution engine (for statistics).
-func (t *Tree) Engine() *engine.Engine { return t.eng }
 
 // OpStats returns the engine's statistics snapshot (engine.StatsSource).
 func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
 
-// Handle is a per-thread handle to the tree. It owns the thread's node
-// pools (pool.go): steady-state operations draw leaves and internal
-// nodes (with their key/child arrays) from the pools and removals feed
-// them back through epoch-based reclamation.
+// Handle is a per-thread handle to the tree: the template's handle
+// (engine.Handle) over the tree's nodes, with the tree's updates, its
+// rebalancing op and their scratch. Steady-state operations draw leaves
+// and internal nodes (with their key/child arrays) from its node pools
+// (pool.go), and removals feed them back through epoch-based
+// reclamation.
 type Handle struct {
-	t   *Tree
-	e   *engine.Thread
-	clk *htm.Clock
-
-	argKey, argVal uint64
-	argLo, argHi   uint64
-	res            engine.Result
-	fixMore        bool
-	rqOut          []dict.KV
+	engine.Handle[Node]
+	t       *Tree
+	fixMore bool
 
 	// merge scratch: capacity b+1 so a full leaf plus one pair fits; buf2
 	// holds two adjacent leaves' pairs while a join or share merges them.
@@ -262,14 +247,14 @@ type Handle struct {
 	nodes scratch[*Node]
 	keys  scratch[uint64]
 
-	// pool holds the thread's node free lists and attempt state
-	// (internal/nodepool; wired to the tree's node kinds in pool.go).
-	pool *nodepool.Pool[Node]
-
-	insertOp, deleteOp, searchOp, rqOp, fixOp engine.Op
+	fixOp engine.Op
 }
 
-var _ dict.Handle = (*Handle)(nil)
+var (
+	_ dict.Handle       = (*Handle)(nil)
+	_ dict.AggHandle    = (*Handle)(nil)
+	_ dict.PinnedReader = (*Handle)(nil)
+)
 
 // NewHandle registers a per-thread handle.
 func (t *Tree) NewHandle() dict.Handle { return t.newHandle() }
@@ -277,31 +262,23 @@ func (t *Tree) NewHandle() dict.Handle { return t.newHandle() }
 func (t *Tree) newHandle() *Handle {
 	h := &Handle{
 		t:    t,
-		e:    t.eng.NewThread(t.tm.NewThread()),
-		clk:  t.tm.Clock(),
 		buf:  make([]kv, 0, t.cfg.B+1),
 		kbuf: make([]uint64, 0, 1),
 		cbuf: make([]*Node, 0, 2),
 	}
-	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
-	h.e.EnableReclaim(h.pool)
+	h.Register(t.eng, t.tm, func(n *Node) bool { return n.leaf }, h.freshNode)
 	h.buildOps()
 	return h
 }
 
-// KeySum returns the sum and count of keys. The walk joins the tree's
-// reclamation domain (Begin/End on a dedicated reader context), so
-// concurrent updaters cannot recycle nodes under it — in particular,
-// internal nodes' plain key/child arrays cannot be rewritten while the
-// walk reads them. The sharding layer's consistent cuts rely on this:
-// they call KeySum while updates run and discard racing results via
-// monitor validation, which requires the racing walk itself to be
-// memory-safe on pooled nodes.
+// KeySum returns the sum and count of keys. The walk runs inside the
+// engine's epoch walk (engine.Engine.Walk), so concurrent updaters
+// cannot recycle nodes under it — in particular, internal nodes' plain
+// key/child arrays cannot be rewritten while the walk reads them. The
+// sharding layer's consistent cuts rely on this: they call KeySum while
+// updates run and discard racing results via monitor validation, which
+// requires the racing walk itself to be memory-safe on pooled nodes.
 func (t *Tree) KeySum() (sum, count uint64) {
-	t.sumMu.Lock()
-	defer t.sumMu.Unlock()
-	t.sumRd.Begin()
-	defer t.sumRd.End()
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.leaf {
@@ -318,7 +295,7 @@ func (t *Tree) KeySum() (sum, count uint64) {
 			walk(children[i].Get(nil))
 		}
 	}
-	walk(t.entry.children()[0].Get(nil))
+	t.eng.Walk(func() { walk(t.entry.children()[0].Get(nil)) })
 	return sum, count
 }
 

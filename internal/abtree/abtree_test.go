@@ -356,12 +356,12 @@ func TestHeavyWorkloadUsesFallback(t *testing.T) {
 	for k := uint64(1); k <= 3000; k++ {
 		h.Insert(k, k)
 	}
-	before := tr.Engine().Stats()
+	before := tr.OpStats()
 	out := h.RangeQuery(1, 3001, nil)
 	if len(out) != 3000 {
 		t.Fatalf("RQ returned %d keys, want 3000", len(out))
 	}
-	after := tr.Engine().Stats()
+	after := tr.OpStats()
 	if after.Fallback != before.Fallback+1 {
 		t.Fatalf("large RQ did not complete on the fallback path (%d -> %d)",
 			before.Fallback, after.Fallback)
@@ -382,7 +382,7 @@ func TestPathUsageLightWorkload(t *testing.T) {
 			h.Delete(k)
 		}
 	}
-	s := tr.Engine().Stats()
+	s := tr.OpStats()
 	if frac := float64(s.Fast) / float64(s.Total()); frac < 0.95 {
 		t.Fatalf("fast-path completion fraction = %.3f, want >= 0.95 single-threaded", frac)
 	}

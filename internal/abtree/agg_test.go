@@ -32,9 +32,9 @@ func TestRangeAggSkipsEmptySubtrees(t *testing.T) {
 			}
 			for _, r := range runs {
 				for k := r[0]; k < r[1]; k++ {
-					h.argKey = k
-					h.settle(h.e.Run(h.deleteOp)) // Delete without runFixLoop
-					if !h.res.Found {
+					h.Key = k
+					h.Pool.Settle(h.Th.Run(h.DeleteOp)) // Delete without runFixLoop
+					if !h.Res.Found {
 						t.Fatalf("delete %d: not found", k)
 					}
 					delete(present, k)

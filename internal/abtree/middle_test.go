@@ -142,11 +142,11 @@ func TestFallbackSearchRetriesOnRetag(t *testing.T) {
 	defer ind.Depart()
 
 	s := tr.newHandle()
-	s.argKey = key
-	s.e.EnterReclaim()
-	first := s.searchOp.Fallback()
-	second := s.searchOp.Fallback()
-	s.e.ExitReclaim()
+	s.Key = key
+	s.Th.EnterReclaim()
+	first := s.SearchOp.Fallback()
+	second := s.SearchOp.Fallback()
+	s.Th.ExitReclaim()
 	if plan.Fires(fault.PointSearchLeaf) != 1 || tr.OpStats().Middle != 1 {
 		t.Fatalf("set-up: the edit ran %d times, %d on the middle path, want once on it",
 			plan.Fires(fault.PointSearchLeaf), tr.OpStats().Middle)
@@ -154,8 +154,8 @@ func TestFallbackSearchRetriesOnRetag(t *testing.T) {
 	if first {
 		t.Fatal("the fallback Search accepted a leaf snapshot its leaf's retag fell inside")
 	}
-	if !second || s.res.Found {
-		t.Fatalf("the retried fallback Search completed %v, found %v: want completed, not found", second, s.res.Found)
+	if !second || s.Res.Found {
+		t.Fatalf("the retried fallback Search completed %v, found %v: want completed, not found", second, s.Res.Found)
 	}
 }
 

@@ -1,8 +1,6 @@
 package abtree
 
 import (
-	"fmt"
-
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
 	"htmtree/internal/fault"
@@ -10,142 +8,52 @@ import (
 	"htmtree/internal/llxscx"
 )
 
-// buildOps constructs the per-handle engine ops once.
+// buildOps constructs the per-handle engine ops once: each update's and
+// the rebalancing step's one body on every path (engine.TemplateOp), and
+// each read-only operation's transactional and fallback bodies. The
+// read-only operations leave Middle nil (engine.Op.Middle): nothing in
+// them needs instrumenting to run beside fallback-path SCXs. Nor have
+// they an SCX for a Section 4 attempt to accelerate (engine.Op.SCXHTM).
+// Under the TLE lock every operation runs its Fast body with a nil tx
+// (engine.Op.Fast).
 func (h *Handle) buildOps() {
 	t := h.t
-	// Every path runs the one body of its operation; the path only
-	// chooses the mode the body's primitives run in. Under the TLE lock
-	// every operation runs its Fast body with a nil tx (engine.Op.Fast).
-	h.insertOp = engine.Op{
-		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeFast, tx)) },
-		Middle:   func(tx *htm.Tx) { t.insertBody(h.prims(engine.ModeMiddle, tx)) },
-		Fallback: func() bool { return t.insertBody(h.prims(engine.ModeFallback, nil)) },
-		SCXHTM:   func() bool { return t.insertBody(h.prims(engine.ModeSCXHTM, nil)) },
-		Update:   true,
-	}
-	h.deleteOp = engine.Op{
-		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeFast, tx)) },
-		Middle:   func(tx *htm.Tx) { t.deleteBody(h.prims(engine.ModeMiddle, tx)) },
-		Fallback: func() bool { return t.deleteBody(h.prims(engine.ModeFallback, nil)) },
-		SCXHTM:   func() bool { return t.deleteBody(h.prims(engine.ModeSCXHTM, nil)) },
-		Update:   true,
-	}
-	// The read-only operations have one transactional body, so they leave
-	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
-	// to run beside fallback-path SCXs. Nor have they an SCX for a Section
-	// 4 attempt to accelerate (engine.Op.SCXHTM).
-	h.searchOp = engine.Op{
+	h.InsertOp = engine.TemplateOp(func(m engine.Mode, tx *htm.Tx) bool { return t.insertBody(h.prims(m, tx)) }, true)
+	h.DeleteOp = engine.TemplateOp(func(m engine.Mode, tx *htm.Tx) bool { return t.deleteBody(h.prims(m, tx)) }, true)
+	h.SearchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
 		Fallback: func() bool { return t.searchFallback(h) },
 	}
-	h.rqOp = engine.Op{
+	h.RangeOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
 	}
 	// fixOp is not an Update: rebalancing steps restructure nodes but
 	// never change the logical key/value content.
-	h.fixOp = engine.Op{
-		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeFast, tx)) },
-		Middle:   func(tx *htm.Tx) { t.fixBody(h.prims(engine.ModeMiddle, tx)) },
-		Fallback: func() bool { return t.fixBody(h.prims(engine.ModeFallback, nil)) },
-		SCXHTM:   func() bool { return t.fixBody(h.prims(engine.ModeSCXHTM, nil)) },
-	}
+	h.fixOp = engine.TemplateOp(func(m engine.Mode, tx *htm.Tx) bool { return t.fixBody(h.prims(m, tx)) }, false)
 }
 
 // Insert associates key with val.
 func (h *Handle) Insert(key, val uint64) (uint64, bool) {
-	checkKey(key)
-	h.argKey, h.argVal = key, val
-	h.settle(h.e.Run(h.insertOp))
-	if h.res.NeedFix {
-		h.runFixLoop()
-	}
-	return h.res.Val, h.res.Found
+	h.Update(&h.InsertOp, key, val)
+	return h.fix()
 }
 
 // Delete removes key.
 func (h *Handle) Delete(key uint64) (uint64, bool) {
-	checkKey(key)
-	h.argKey = key
-	h.settle(h.e.Run(h.deleteOp))
-	if h.res.NeedFix {
+	h.Update(&h.DeleteOp, key, 0)
+	return h.fix()
+}
+
+// fix repairs the violations an update left on its key's path, if any,
+// and returns the update's result.
+func (h *Handle) fix() (uint64, bool) {
+	if h.Res.NeedFix {
 		h.runFixLoop()
 	}
-	return h.res.Val, h.res.Found
-}
-
-// Search looks up key.
-func (h *Handle) Search(key uint64) (uint64, bool) {
-	checkKey(key)
-	h.argKey = key
-	h.e.Run(h.searchOp)
-	return h.res.Val, h.res.Found
-}
-
-// RangeQuery appends all pairs with lo <= key < hi to out in ascending
-// key order.
-func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
-	h.setRange(lo, hi)
-	h.e.Run(h.rqOp)
-	return append(out, h.rqOut...)
-}
-
-var _ dict.AggHandle = (*Handle)(nil)
-
-// RangeAgg returns the aggregate tuple of the keys in [lo, hi): the
-// range query's own op, folded (dict.Fold). The collected range stays
-// in the handle scratch, so steady-state queries allocate nothing. The
-// error is always nil.
-func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	h.setRange(lo, hi)
-	h.e.Run(h.rqOp)
-	return dict.Fold(h.rqOut), nil
-}
-
-// setRange stores a range query's arguments in the handle scratch and its
-// extent in the op as the call's footprint hint: the cells a scan reads
-// grow with the keys it covers, and which extents fit a transaction is
-// the site's to learn (engine.Op.Hint).
-func (h *Handle) setRange(lo, hi uint64) {
-	h.argLo, h.argHi = lo, hi
-	h.rqOut = h.rqOut[:0]
-	h.rqOp.Hint = 0
-	if hi > lo {
-		h.rqOp.Hint = hi - lo
-	}
-}
-
-// Pinned reads (dict.PinnedReader): the range query's own engine op, run
-// as one first-path transaction at a snapshot of the tree's clock the
-// caller read earlier (engine.Thread.RunAt). PinEnter takes the fresh
-// clock value PinClock then reads (htm.Clock.Pin): commits leave the
-// clock alone, so without it the snapshot would miss the newest ones.
-
-var _ dict.PinnedReader = (*Handle)(nil)
-
-func (h *Handle) Pinnable() bool   { return h.e.CanPin() }
-func (h *Handle) PinEnter()        { h.e.EnterReclaim(); h.clk.Pin() }
-func (h *Handle) PinExit()         { h.e.ExitReclaim() }
-func (h *Handle) PinClock() uint64 { return h.clk.Now() }
-
-func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
-	h.setRange(lo, hi)
-	st := h.e.RunAt(&h.rqOp, rv)
-	if st != dict.PinCommitted {
-		return out, st
-	}
-	return append(out, h.rqOut...), st
-}
-
-func checkKey(key uint64) {
-	if key > dict.MaxKey {
-		panic(fmt.Sprintf("abtree: key %d exceeds dict.MaxKey", key))
-	}
+	return h.Res.Val, h.Res.Found
 }
 
 // searchLeaf descends to the leaf covering key. It returns the
@@ -203,7 +111,7 @@ func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 // instead.
 func (t *Tree) insertBody(pr *prims) bool {
 	h := pr.h
-	h.beginAttempt()
+	h.Pool.BeginAttempt()
 	key, val := pr.Key, pr.Val
 	b := t.cfg.B
 	_, p, u, _, uIdx := t.searchLeaf(pr.Tx, key)
@@ -285,7 +193,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		if !pr.SCX(v, infos, r, fld, u, h.newLeaf(h.buf)) {
 			return false
 		}
-		h.remove(u)
+		h.Pool.Remove(u)
 		return true
 	}
 	*pr.Res = engine.Result{}
@@ -294,7 +202,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		if !pr.SCX(v, infos, r, fld, u, h.newLeaf(h.buf)) {
 			return false
 		}
-		h.remove(u)
+		h.Pool.Remove(u)
 		return true
 	}
 	// Full leaf: replace u with a tagged parent over two half leaves —
@@ -309,14 +217,14 @@ func (t *Tree) insertBody(pr *prims) bool {
 	if !pr.SCX(v, infos, r, fld, u, np) {
 		return false
 	}
-	h.remove(u)
+	h.Pool.Remove(u)
 	return true
 }
 
 // deleteBody implements Delete on every path.
 func (t *Tree) deleteBody(pr *prims) bool {
 	h := pr.h
-	h.beginAttempt()
+	h.Pool.BeginAttempt()
 	key := pr.Key
 	a := t.cfg.A
 	_, p, u, _, uIdx := t.searchLeaf(pr.Tx, key)
@@ -361,15 +269,15 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		[]*llxscx.Hdr{&u.hdr}, &p.children()[uIdx], u, h.newLeaf(h.buf)) {
 		return false
 	}
-	h.remove(u)
+	h.Pool.Remove(u)
 	return true
 }
 
 // searchBody implements Search in a transaction, and under the TLE lock
 // with a nil tx.
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
-	_, _, u, _, _ := t.searchLeaf(tx, h.argKey)
-	_, h.res.Val, h.res.Found, _, _ = leafFind(tx, u, h.argKey)
+	_, _, u, _, _ := t.searchLeaf(tx, h.Key)
+	_, h.Res.Val, h.Res.Found, _, _ = leafFind(tx, u, h.Key)
 }
 
 // searchFallback implements Search on the fallback path. The middle path
@@ -378,9 +286,9 @@ func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 // after it could miss a key that was present throughout. A failed or
 // finalized snapshot asks for a retry from the root.
 func (t *Tree) searchFallback(h *Handle) bool {
-	_, _, u, _, _ := t.searchLeaf(nil, h.argKey)
+	_, _, u, _, _ := t.searchLeaf(nil, h.Key)
 	_, st := llxscx.LLX(nil, &u.hdr, func() {
-		_, h.res.Val, h.res.Found, _, _ = leafFind(nil, u, h.argKey)
+		_, h.Res.Val, h.Res.Found, _, _ = leafFind(nil, u, h.Key)
 		t.cfg.Engine.Faults.Hit(fault.PointSearchLeaf)
 	})
 	return st == llxscx.StatusOK
@@ -412,7 +320,7 @@ func insertAt(buf []kv, pos int, p kv) []kv {
 // rqInTx collects [lo,hi) inside a transaction (fast/middle paths; TLE
 // locked body when tx == nil).
 func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
-	h.rqOut = h.rqOut[:0]
+	h.Range = h.Range[:0]
 	t.rqWalk(tx, t.entry.children()[0].Get(tx), h)
 }
 
@@ -423,7 +331,7 @@ func (t *Tree) rqWalk(tx *htm.Tx, n *Node, h *Handle) {
 	}
 	children := n.children()
 	for i := range children {
-		if rqChildOverlaps(n, i, h.argLo, h.argHi) {
+		if rqChildOverlaps(n, i, h.Lo, h.Hi) {
 			t.rqWalk(tx, children[i].Get(tx), h)
 		}
 	}
@@ -446,19 +354,19 @@ func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	perm, sz := n.ord.Get(tx)
 	for i := 0; i < int(sz); i++ {
 		k, v := n.slots[permAt(perm, i)].Get(tx)
-		if k >= h.argLo && k < h.argHi {
-			h.rqOut = append(h.rqOut, dict.KV{Key: k, Val: v})
+		if k >= h.Lo && k < h.Hi {
+			h.Range = append(h.Range, dict.KV{Key: k, Val: v})
 		}
 	}
 }
 
 // rqFallback collects the range with the software walk: a DFS over the
-// subtrees overlapping [h.argLo, h.argHi), left to right, that reads
+// subtrees overlapping [h.Lo, h.Hi), left to right, that reads
 // every internal node's children and every leaf's pairs under an LLX. It
 // reports false on any failed LLX; the fallback loop then restarts it
 // from the root.
 func (t *Tree) rqFallback(h *Handle) bool {
-	h.rqOut = h.rqOut[:0]
+	h.Range = h.Range[:0]
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.entry.hdr, func() {
 		root = t.entry.children()[0].Get(nil)
@@ -479,7 +387,7 @@ func walkLLX(n *Node, h *Handle) bool {
 		return false
 	}
 	for i, c := range snap {
-		if rqChildOverlaps(n, i, h.argLo, h.argHi) && !walkLLX(c, h) {
+		if rqChildOverlaps(n, i, h.Lo, h.Hi) && !walkLLX(c, h) {
 			return false
 		}
 	}

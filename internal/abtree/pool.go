@@ -1,9 +1,6 @@
 package abtree
 
-import (
-	"htmtree/internal/htm"
-	"htmtree/internal/nodepool"
-)
+import "htmtree/internal/htm"
 
 // Node pooling (paper Section 9): the shared discipline lives in
 // internal/nodepool; this file wires its three free lists to the
@@ -26,27 +23,16 @@ import (
 //     epoch advances guarantee (every operation is bracketed by the
 //     engine's ebr Begin/End).
 
-// ReclaimStats counts a handle's node-pool activity. Exported for tests
-// and diagnostics.
-type ReclaimStats = nodepool.Stats
-
-// ReclaimStats returns a snapshot of the handle's pool counters.
-func (h *Handle) ReclaimStats() ReclaimStats { return h.pool.Stats() }
-
-// PoolSize returns the number of nodes currently in the handle's free
-// lists (white-box tests).
-func (h *Handle) PoolSize() int { return h.pool.Size() }
-
 // freshNode heap-allocates a node of the given kind (the pool's fresh
 // callback), complete with its arrays: a leaf's slots, an internal
 // node's keys and children.
 func (h *Handle) freshNode(leaf bool) *Node {
 	n := &Node{leaf: leaf}
-	n.hdr.Bind(h.clk)
+	n.hdr.Bind(h.Clk)
 	if leaf {
 		n.slots = new([MaxB]htm.Pair)
 	} else {
-		n.allocArrays(h.clk)
+		n.allocArrays(h.Clk)
 	}
 	return n
 }
@@ -62,12 +48,12 @@ func (h *Handle) freshNode(leaf bool) *Node {
 // same way, and a slot beyond keeps the value and version it had, which
 // is exactly what the reader's snapshot is entitled to see.
 func (h *Handle) newLeaf(pairs []kv) *Node {
-	n, stale := h.pool.Take(true)
+	n, stale := h.Pool.Take(true)
 	if stale {
 		n.hdr.Recycle()
-		n.ord.Recycle(h.clk, permIdentity, uint64(len(pairs)))
+		n.ord.Recycle(h.Clk, permIdentity, uint64(len(pairs)))
 		for i, p := range pairs {
-			n.slots[i].Recycle(h.clk, p.k, p.v)
+			n.slots[i].Recycle(h.Clk, p.k, p.v)
 		}
 		return n
 	}
@@ -84,7 +70,7 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 // grace period, so no reader holds them here and the plain rewrites are
 // safe.
 func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node {
-	n, _ := h.pool.Take(false)
+	n, _ := h.Pool.Take(false)
 	n.hdr.Reset()
 	n.fill(keys, children, tagged)
 	return n
@@ -95,14 +81,8 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 // tree's clock.
 func (h *Handle) setPair(tx *htm.Tx, c *htm.Pair, a, b uint64) {
 	if tx == nil {
-		c.Store(h.clk, a, b)
+		c.Store(h.Clk, a, b)
 		return
 	}
 	c.Set(tx, a, b)
 }
-
-// beginAttempt, remove and settle delegate to the shared pool (see
-// nodepool's attempt-lifecycle contract).
-func (h *Handle) beginAttempt()            { h.pool.BeginAttempt() }
-func (h *Handle) remove(n *Node)           { h.pool.Remove(n) }
-func (h *Handle) settle(path htm.PathKind) { h.pool.Settle(path) }

@@ -98,8 +98,8 @@ func TestInternalNodesNeverFastRecycle(t *testing.T) {
 
 	before := h.ReclaimStats()
 	n := &Node{leaf: false}
-	h.remove(n)
-	h.settle(htm.PathFast)
+	h.Pool.Remove(n)
+	h.Pool.Settle(htm.PathFast)
 	st := h.ReclaimStats()
 	if st.RetiredFast != before.RetiredFast {
 		t.Fatalf("internal node recycled immediately on the fast path: %+v", st)
@@ -111,8 +111,8 @@ func TestInternalNodesNeverFastRecycle(t *testing.T) {
 	// A leaf in the same position recycles immediately.
 	l := &Node{leaf: true}
 	l.hdr.Bind(tr.tm.Clock())
-	h.remove(l)
-	h.settle(htm.PathFast)
+	h.Pool.Remove(l)
+	h.Pool.Settle(htm.PathFast)
 	if got := h.ReclaimStats(); got.RetiredFast != st.RetiredFast+1 {
 		t.Fatalf("leaf not recycled immediately on the fast path: %+v", got)
 	}
@@ -228,12 +228,12 @@ func TestLeafReuseStoresByList(t *testing.T) {
 		h := tr.newHandle()
 		h.Insert(1, 1) // establish the handle's reclamation context
 		l := h.newLeaf([]kv{{10, 100}, {20, 200}})
-		h.settle(htm.PathFast) // published; the leaf's first life
+		h.Pool.Settle(htm.PathFast) // published; the leaf's first life
 		if immediate {
-			h.remove(l)
-			h.settle(htm.PathFast)
+			h.Pool.Remove(l)
+			h.Pool.Settle(htm.PathFast)
 		} else {
-			h.pool.Release(l) // as ebr does once the grace period expired
+			h.Pool.Release(l) // as ebr does once the grace period expired
 		}
 		rv := tr.tm.ClockValue()
 		h.Insert(2, 2) // the clock moves on

@@ -16,8 +16,5 @@ type prims struct {
 // prims returns the context of one attempt at the handle's own operation:
 // arguments from, and the result into, the handle scratch.
 func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
-	return &prims{
-		Prims: engine.Prims[Node]{Th: h.e, Tx: tx, Mode: m, Key: h.argKey, Val: h.argVal, Res: &h.res},
-		h:     h,
-	}
+	return &prims{Prims: h.Prims(m, tx), h: h}
 }

@@ -71,7 +71,7 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 func (h *Handle) runFixLoop() {
 	for i := 0; i < maxFixIterations; i++ {
 		h.fixMore = false
-		h.settle(h.e.Run(h.fixOp))
+		h.Pool.Settle(h.Th.Run(h.fixOp))
 		if !h.fixMore {
 			return
 		}
@@ -84,10 +84,10 @@ func (h *Handle) runFixLoop() {
 // it). Returns false to request a retry in fallback modes.
 func (t *Tree) fixBody(pr *prims) bool {
 	h := pr.h
-	h.beginAttempt()
+	h.Pool.BeginAttempt()
 	h.nodes.reset()
 	h.keys.reset()
-	vio := t.findViolation(pr.Tx, h.argKey)
+	vio := t.findViolation(pr.Tx, h.Key)
 	if vio.kind == vNone {
 		h.fixMore = false
 		return true
@@ -182,7 +182,7 @@ func (t *Tree) fixUntagRoot(pr *prims, vio violation) bool {
 		[]*llxscx.Hdr{&n.hdr}, &t.entry.children()[0], n, nn) {
 		return false
 	}
-	pr.h.remove(n)
+	pr.h.Pool.Remove(n)
 	return true
 }
 
@@ -237,8 +237,8 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 		if !pr.SCX(v, infos, r, fld, p, repl) {
 			return false
 		}
-		pr.h.remove(p)
-		pr.h.remove(n)
+		pr.h.Pool.Remove(p)
+		pr.h.Pool.Remove(n)
 		return true
 	}
 	// Split-push-up: two halves under a new parent that inherits the tag
@@ -250,8 +250,8 @@ func (t *Tree) fixTag(pr *prims, vio violation) bool {
 	if !pr.SCX(v, infos, r, fld, p, np) {
 		return false
 	}
-	pr.h.remove(p)
-	pr.h.remove(n)
+	pr.h.Pool.Remove(p)
+	pr.h.Pool.Remove(n)
 	return true
 }
 
@@ -402,8 +402,8 @@ func (t *Tree) fixUnderfull(pr *prims, vio violation) bool {
 	if !pr.SCX(v, infos, r, fld, p, repl) {
 		return false
 	}
-	h.remove(p)
-	h.remove(left)
-	h.remove(right)
+	h.Pool.Remove(p)
+	h.Pool.Remove(left)
+	h.Pool.Remove(right)
 	return true
 }

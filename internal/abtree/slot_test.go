@@ -273,9 +273,9 @@ func TestTLELockedInsertAbortsFastReader(t *testing.T) {
 		slot := &u.slots[permAt(perm, int(size))] // the first free slot
 		slot.Get(tx)
 		// The insert as TLE runs it while holding its lock.
-		h.argKey, h.argVal = 10, 100
+		h.Key, h.Val = 10, 100
 		tr.insertBody(h.prims(engine.ModeFast, nil))
-		h.settle(htm.PathFallback)
+		h.Pool.Settle(htm.PathFallback)
 		got, _ = slot.Get(tx)
 		read = true
 	})

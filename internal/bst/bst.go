@@ -10,7 +10,9 @@
 // al. (PODC 2010): the root is internal(∞₂) with right child leaf(∞₂),
 // and the user tree (initially leaf(∞₁)) hangs off its left child.
 //
-// Each update is written once (insertBody, deleteBody in ops.go) and the
+// The handle is the template's (engine.Handle), which this package
+// embeds: it keeps only the BST's updates and node constructors. Each
+// update is written once (insertBody, deleteBody in ops.go) and the
 // execution path only chooses the mode its primitives run in — the
 // switch lives in engine/prims.go:
 //
@@ -35,14 +37,11 @@ package bst
 
 import (
 	"fmt"
-	"sync"
 
 	"htmtree/internal/dict"
-	"htmtree/internal/ebr"
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
-	"htmtree/internal/nodepool"
 )
 
 // Sentinel keys (paper Section 6.1 / Ellen et al.).
@@ -125,13 +124,6 @@ type Tree struct {
 	tm   *htm.TM
 	eng  *engine.Engine
 	root *Node
-
-	// sumMu serializes KeySum's shared reclamation context sumRd, which
-	// keeps the walk inside the epoch domain so pooled nodes cannot be
-	// recycled under it (the sharding layer runs KeySum concurrently
-	// with updates when validating consistent cuts).
-	sumMu sync.Mutex
-	sumRd *ebr.Thread
 }
 
 // New creates an empty tree.
@@ -145,50 +137,35 @@ func New(cfg Config) *Tree {
 	}
 	t.root = newInternal(tm.Clock(), keyInf2,
 		newLeaf(tm.Clock(), keyInf1, 0), newLeaf(tm.Clock(), keyInf2, 0))
-	t.sumRd = t.eng.ReclaimReader()
 	return t
 }
-
-// Engine exposes the tree's execution engine (for statistics).
-func (t *Tree) Engine() *engine.Engine { return t.eng }
 
 // OpStats returns the engine's statistics snapshot
 // (engine.StatsSource).
 func (t *Tree) OpStats() engine.OpStats { return t.eng.Stats() }
 
-// Handle is a per-thread handle to the tree. Operation arguments and
-// results travel through the handle's scratch fields so the engine op
-// closures can be built once per handle instead of once per operation.
-// The handle also owns the thread's node pools (pool.go): steady-state
-// inserts draw nodes from them and deletions feed them back through
-// epoch-based reclamation, so the point-operation hot path allocates
-// nothing.
+// Handle is a per-thread handle to the tree: the template's handle
+// (engine.Handle) over the BST's nodes, with the BST's updates. Its node
+// pools (pool.go) make the point-operation hot path allocate nothing:
+// steady-state inserts draw nodes from them and deletions feed them back
+// through epoch-based reclamation.
 type Handle struct {
-	t   *Tree
-	e   *engine.Thread
-	clk *htm.Clock
-
-	argKey, argVal uint64
-	argLo, argHi   uint64
-	res            engine.Result
-	rqOut          []dict.KV
-
-	// pool holds the thread's node free lists and attempt state
-	// (internal/nodepool; wired to the BST's node kinds in pool.go).
-	pool *nodepool.Pool[Node]
-
-	insertOp, deleteOp, searchOp, rqOp engine.Op
+	engine.Handle[Node]
+	t *Tree
 }
 
-var _ dict.Handle = (*Handle)(nil)
+var (
+	_ dict.Handle       = (*Handle)(nil)
+	_ dict.AggHandle    = (*Handle)(nil)
+	_ dict.PinnedReader = (*Handle)(nil)
+)
 
 // NewHandle registers a per-thread handle.
 func (t *Tree) NewHandle() dict.Handle { return t.newHandle() }
 
 func (t *Tree) newHandle() *Handle {
-	h := &Handle{t: t, e: t.eng.NewThread(t.tm.NewThread()), clk: t.tm.Clock()}
-	h.pool = nodepool.New[Node](func(n *Node) bool { return n.leaf }, h.freshNode, h.e)
-	h.e.EnableReclaim(h.pool)
+	h := &Handle{t: t}
+	h.Register(t.eng, t.tm, func(n *Node) bool { return n.leaf }, h.freshNode)
 	h.buildOps()
 	return h
 }
@@ -219,17 +196,13 @@ func (t *Tree) search(tx *htm.Tx, key uint64) (gp, p, l *Node) {
 	return gp, p, l
 }
 
-// KeySum returns the sum and count of user keys. The walk joins the
-// tree's reclamation domain (Begin/End on a dedicated reader context),
-// so concurrent updaters cannot recycle nodes under it: the sharding
-// layer's consistent cuts call KeySum while updates run and rely on the
-// monitor validation to discard racing results — which requires the
-// racing walk itself to be memory-safe on pooled nodes.
+// KeySum returns the sum and count of user keys. The walk runs inside
+// the engine's epoch walk (engine.Engine.Walk), so concurrent updaters
+// cannot recycle nodes under it: the sharding layer's consistent cuts
+// call KeySum while updates run and rely on the monitor validation to
+// discard racing results — which requires the racing walk itself to be
+// memory-safe on pooled nodes.
 func (t *Tree) KeySum() (sum, count uint64) {
-	t.sumMu.Lock()
-	defer t.sumMu.Unlock()
-	t.sumRd.Begin()
-	defer t.sumRd.End()
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n == nil {
@@ -245,7 +218,7 @@ func (t *Tree) KeySum() (sum, count uint64) {
 		walk(n.l.Get(nil))
 		walk(n.r.Get(nil))
 	}
-	walk(t.root)
+	t.eng.Walk(func() { walk(t.root) })
 	return sum, count
 }
 

@@ -283,7 +283,7 @@ func testConcurrentKeySum(t *testing.T, cfg Config, goroutines, opsPerG, keyRang
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Engine().Stats().Total(); got != uint64(goroutines*opsPerG) {
+	if got := tr.OpStats().Total(); got != uint64(goroutines*opsPerG) {
 		t.Fatalf("engine completed %d ops, want %d", got, goroutines*opsPerG)
 	}
 }
@@ -362,12 +362,12 @@ func TestHeavyWorkloadUsesFallback(t *testing.T) {
 	for k := uint64(1); k <= 2000; k++ {
 		h.Insert(k, k)
 	}
-	before := tr.Engine().Stats()
+	before := tr.OpStats()
 	out := h.RangeQuery(1, 2001, nil)
 	if len(out) != 2000 {
 		t.Fatalf("RQ returned %d keys, want 2000", len(out))
 	}
-	after := tr.Engine().Stats()
+	after := tr.OpStats()
 	if after.Fallback != before.Fallback+1 {
 		t.Fatalf("large RQ completed on an HTM path (fallback %d -> %d); "+
 			"capacity model not effective", before.Fallback, after.Fallback)
@@ -431,7 +431,7 @@ func TestPathUsageLightWorkload(t *testing.T) {
 			h.Delete(k)
 		}
 	}
-	s := tr.Engine().Stats()
+	s := tr.OpStats()
 	if frac := float64(s.Fast) / float64(s.Total()); frac < 0.95 {
 		t.Fatalf("fast-path completion fraction = %.3f, want >= 0.95 single-threaded", frac)
 	}

@@ -1,8 +1,6 @@
 package bst
 
 import (
-	"fmt"
-
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
@@ -13,45 +11,29 @@ import (
 // tree's nodes.
 type prims = engine.Prims[Node]
 
-// prims returns the context of one attempt at the handle's own operation:
-// arguments from, and the result into, the handle scratch.
-func (h *Handle) prims(m engine.Mode, tx *htm.Tx) *prims {
-	return &prims{Th: h.e, Tx: tx, Mode: m, Key: h.argKey, Val: h.argVal, Res: &h.res}
-}
-
-// buildOps constructs the per-handle engine ops once, wiring each
-// algorithm's path to the one body of its operation — the path only
-// chooses the mode the body's primitives run in — and to the handle's
-// scratch argument/result fields.
+// buildOps constructs the per-handle engine ops once: each update's one
+// body on every path (engine.TemplateOp), and each read-only operation's
+// transactional and fallback bodies. The read-only operations leave
+// Middle nil (engine.Op.Middle): nothing in them needs instrumenting to
+// run beside fallback-path SCXs. Under the TLE lock every operation runs
+// its Fast body with a nil tx (engine.Op.Fast), the sequential code of
+// Figure 13.
 func (h *Handle) buildOps() {
 	t := h.t
-	h.insertOp = engine.Op{
-		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeFast, tx)) },
-		Middle:   func(tx *htm.Tx) { t.insertBody(h, h.prims(engine.ModeMiddle, tx)) },
-		Fallback: func() bool { return t.insertBody(h, h.prims(engine.ModeFallback, nil)) },
-		SCXHTM:   func() bool { return t.insertBody(h, h.prims(engine.ModeSCXHTM, nil)) },
-		Update:   true,
-	}
-	h.deleteOp = engine.Op{
-		Site:     engine.NewSite(),
-		Fast:     func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeFast, tx)) },
-		Middle:   func(tx *htm.Tx) { t.deleteBody(h, h.prims(engine.ModeMiddle, tx)) },
-		Fallback: func() bool { return t.deleteBody(h, h.prims(engine.ModeFallback, nil)) },
-		SCXHTM:   func() bool { return t.deleteBody(h, h.prims(engine.ModeSCXHTM, nil)) },
-		Update:   true,
-	}
-	// The read-only operations have one transactional body, so they leave
-	// Middle nil (engine.Op.Middle): nothing in them needs instrumenting
-	// to run beside fallback-path SCXs. Under the TLE lock every operation
-	// runs its Fast body with a nil tx (engine.Op.Fast), the sequential
-	// code of Figure 13.
-	h.searchOp = engine.Op{
+	h.InsertOp = engine.TemplateOp(func(m engine.Mode, tx *htm.Tx) bool {
+		pr := h.Prims(m, tx)
+		return t.insertBody(h, &pr)
+	}, true)
+	h.DeleteOp = engine.TemplateOp(func(m engine.Mode, tx *htm.Tx) bool {
+		pr := h.Prims(m, tx)
+		return t.deleteBody(h, &pr)
+	}, true)
+	h.SearchOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.searchBody(tx, h) },
 		Fallback: func() bool { t.searchBody(nil, h); return true },
 	}
-	h.rqOp = engine.Op{
+	h.RangeOp = engine.Op{
 		Site:     engine.NewSite(),
 		Fast:     func(tx *htm.Tx) { t.rqInTx(tx, h) },
 		Fallback: func() bool { return t.rqFallback(h) },
@@ -59,92 +41,10 @@ func (h *Handle) buildOps() {
 }
 
 // Insert associates key with val (paper Figures 12/13).
-func (h *Handle) Insert(key, val uint64) (uint64, bool) {
-	checkKey(key)
-	h.argKey, h.argVal = key, val
-	h.settle(h.e.Run(h.insertOp))
-	return h.res.Val, h.res.Found
-}
+func (h *Handle) Insert(key, val uint64) (uint64, bool) { return h.Update(&h.InsertOp, key, val) }
 
 // Delete removes key.
-func (h *Handle) Delete(key uint64) (uint64, bool) {
-	checkKey(key)
-	h.argKey = key
-	h.settle(h.e.Run(h.deleteOp))
-	return h.res.Val, h.res.Found
-}
-
-// Search looks up key.
-func (h *Handle) Search(key uint64) (uint64, bool) {
-	checkKey(key)
-	h.argKey = key
-	h.e.Run(h.searchOp)
-	return h.res.Val, h.res.Found
-}
-
-// RangeQuery appends all pairs with lo <= key < hi to out in ascending
-// key order.
-func (h *Handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
-	h.setRange(lo, hi)
-	h.e.Run(h.rqOp)
-	return append(out, h.rqOut...)
-}
-
-// setRange stores a range query's arguments in the handle scratch and its
-// extent in the op as the call's footprint hint: the cells a scan reads
-// grow with the keys it covers, and which extents fit a transaction is
-// the site's to learn (engine.Op.Hint).
-func (h *Handle) setRange(lo, hi uint64) {
-	if hi > dict.MaxKey+1 {
-		hi = dict.MaxKey + 1
-	}
-	h.argLo, h.argHi = lo, hi
-	h.rqOut = h.rqOut[:0]
-	h.rqOp.Hint = 0
-	if hi > lo {
-		h.rqOp.Hint = hi - lo
-	}
-}
-
-var _ dict.AggHandle = (*Handle)(nil)
-
-// RangeAgg returns the aggregate tuple of the keys in [lo, hi): the
-// range query's own op, folded (dict.Fold). The collected range stays in
-// the handle scratch, so steady-state queries allocate nothing. The
-// error is always nil.
-func (h *Handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	h.setRange(lo, hi)
-	h.e.Run(h.rqOp)
-	return dict.Fold(h.rqOut), nil
-}
-
-// Pinned reads (dict.PinnedReader): the range query's own engine op, run
-// as one first-path transaction at a snapshot of the tree's clock the
-// caller read earlier (engine.Thread.RunAt). PinEnter takes the fresh
-// clock value PinClock then reads (htm.Clock.Pin): commits leave the
-// clock alone, so without it the snapshot would miss the newest ones.
-
-var _ dict.PinnedReader = (*Handle)(nil)
-
-func (h *Handle) Pinnable() bool   { return h.e.CanPin() }
-func (h *Handle) PinEnter()        { h.e.EnterReclaim(); h.clk.Pin() }
-func (h *Handle) PinExit()         { h.e.ExitReclaim() }
-func (h *Handle) PinClock() uint64 { return h.clk.Now() }
-
-func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
-	h.setRange(lo, hi)
-	st := h.e.RunAt(&h.rqOp, rv)
-	if st != dict.PinCommitted {
-		return out, st
-	}
-	return append(out, h.rqOut...), st
-}
-
-func checkKey(key uint64) {
-	if key > dict.MaxKey {
-		panic(fmt.Sprintf("bst: key %d exceeds dict.MaxKey", key))
-	}
-}
+func (h *Handle) Delete(key uint64) (uint64, bool) { return h.Update(&h.DeleteOp, key, 0) }
 
 // leafKey reads leaf l's key, which only pool recycling rewrites. A
 // transaction validates the read against its snapshot without logging it
@@ -172,7 +72,7 @@ func (h *Handle) newSubtree(l *Node, lk, key, val uint64) *Node {
 // request a retry (non-transactional modes); transactional modes abort
 // instead.
 func (t *Tree) insertBody(h *Handle, pr *prims) bool {
-	h.beginAttempt()
+	h.Pool.BeginAttempt()
 	tx, key, val := pr.Tx, pr.Key, pr.Val
 	_, p, l := t.search(tx, key)
 
@@ -227,7 +127,7 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 		if !pr.SCX(v, infos, []*llxscx.Hdr{&l.hdr}, fld, l, h.newLeaf(key, val)) {
 			return false
 		}
-		h.remove(l)
+		h.Pool.Remove(l)
 		return true
 	}
 	*pr.Res = engine.Result{}
@@ -239,7 +139,7 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 // removed, so the only leaf that can hang directly off the root is that
 // sentinel, which no key matches.
 func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
-	h.beginAttempt()
+	h.Pool.BeginAttempt()
 	tx, key := pr.Tx, pr.Key
 	gp, p, l := t.search(tx, key)
 
@@ -259,8 +159,8 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 		childRef(gp, key).Set(tx, s)
 		p.hdr.SetMarked(tx)
 		l.hdr.SetMarked(tx)
-		h.remove(p)
-		h.remove(l)
+		h.Pool.Remove(p)
+		h.Pool.Remove(l)
 		return true
 	}
 
@@ -329,22 +229,25 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 		childRef(gp, key), p, ns) {
 		return false
 	}
-	h.remove(p)
-	h.remove(l)
-	h.remove(s)
+	h.Pool.Remove(p)
+	h.Pool.Remove(l)
+	h.Pool.Remove(s)
 	return true
 }
 
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
-	_, _, l := t.search(tx, h.argKey)
-	if l.key.GetStable(tx) == h.argKey {
-		h.res = engine.Result{Val: l.val.Get(tx), Found: true}
+	_, _, l := t.search(tx, h.Key)
+	if l.key.GetStable(tx) == h.Key {
+		h.Res = engine.Result{Val: l.val.Get(tx), Found: true}
 		return
 	}
-	h.res = engine.Result{}
+	h.Res = engine.Result{}
 }
 
 // ---- range queries ----
+//
+// The range setter clamps h.Hi to dict.MaxKey+1 (engine.Handle), below
+// both sentinel keys, so no walk collects a sentinel leaf.
 
 // rqInTx collects the range inside a transaction (fast and middle
 // paths; also the TLE locked body with tx == nil). A range too large for
@@ -352,22 +255,22 @@ func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 // operation toward the fallback path — the dynamic that defines the
 // paper's heavy workloads.
 func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
-	h.rqOut = h.rqOut[:0]
+	h.Range = h.Range[:0]
 	t.rqWalkTx(tx, t.root.l.Get(tx), h)
 }
 
 func (t *Tree) rqWalkTx(tx *htm.Tx, n *Node, h *Handle) {
 	if n.leaf {
-		if k := n.key.GetStable(tx); k >= h.argLo && k < h.argHi && k < keyInf1 {
-			h.rqOut = append(h.rqOut, dict.KV{Key: k, Val: n.val.Get(tx)})
+		if k := n.key.GetStable(tx); k >= h.Lo && k < h.Hi {
+			h.Range = append(h.Range, dict.KV{Key: k, Val: n.val.Get(tx)})
 		}
 		return
 	}
 	k := n.key.Peek() // internal: grace-protected
-	if h.argLo < k {
+	if h.Lo < k {
 		t.rqWalkTx(tx, n.l.Get(tx), h)
 	}
-	if h.argHi > k {
+	if h.Hi > k {
 		t.rqWalkTx(tx, n.r.Get(tx), h)
 	}
 }
@@ -376,7 +279,7 @@ func (t *Tree) rqWalkTx(tx *htm.Tx, n *Node, h *Handle) {
 // when a concurrent SCX invalidates a node (returns false so the engine
 // retries).
 func (t *Tree) rqFallback(h *Handle) bool {
-	h.rqOut = h.rqOut[:0]
+	h.Range = h.Range[:0]
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.root.hdr, func() {
 		root = t.root.l.Get(nil)
@@ -390,8 +293,8 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 	if n.leaf {
 		// Fallback path: the presence indicator excludes immediate
 		// recycling while this walk runs, so a plain peek is sound.
-		if k := n.key.Peek(); k >= h.argLo && k < h.argHi && k < keyInf1 {
-			h.rqOut = append(h.rqOut, dict.KV{Key: k, Val: n.val.Get(nil)})
+		if k := n.key.Peek(); k >= h.Lo && k < h.Hi {
+			h.Range = append(h.Range, dict.KV{Key: k, Val: n.val.Get(nil)})
 		}
 		return true
 	}
@@ -403,10 +306,10 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 		return false
 	}
 	k := n.key.Peek()
-	if h.argLo < k && !t.rqWalkLLX(nl, h) {
+	if h.Lo < k && !t.rqWalkLLX(nl, h) {
 		return false
 	}
-	if h.argHi > k && !t.rqWalkLLX(nr, h) {
+	if h.Hi > k && !t.rqWalkLLX(nr, h) {
 		return false
 	}
 	return true

@@ -1,10 +1,5 @@
 package bst
 
-import (
-	"htmtree/internal/htm"
-	"htmtree/internal/nodepool"
-)
-
 // Node pooling (paper Section 9): the shared discipline lives in
 // internal/nodepool; this file wires its three free lists to the BST's
 // node kinds. A leaf removed by a fast-path commit goes straight onto the
@@ -18,22 +13,11 @@ import (
 // are read with plain loads on the descent hot path (htm.Word.Peek),
 // which is only sound if no reader can ever observe a reuse.
 
-// ReclaimStats counts a handle's node-pool activity. Exported for tests
-// and diagnostics.
-type ReclaimStats = nodepool.Stats
-
-// ReclaimStats returns a snapshot of the handle's pool counters.
-func (h *Handle) ReclaimStats() ReclaimStats { return h.pool.Stats() }
-
-// PoolSize returns the number of nodes currently sitting in the
-// handle's free lists (white-box tests).
-func (h *Handle) PoolSize() int { return h.pool.Size() }
-
 // freshNode heap-allocates a node of the given kind with its cells
 // bound to the tree's clock (the pool's fresh callback).
 func (h *Handle) freshNode(leaf bool) *Node {
 	n := &Node{leaf: leaf}
-	n.bind(h.clk)
+	n.bind(h.Clk)
 	return n
 }
 
@@ -44,7 +28,7 @@ func (h *Handle) freshNode(leaf bool) *Node {
 // which leave the versions where they are (0 on a fresh node: readable
 // at any snapshot).
 func (h *Handle) newLeaf(key, val uint64) *Node {
-	n, stale := h.pool.Take(true)
+	n, stale := h.Pool.Take(true)
 	if stale {
 		n.hdr.Recycle()
 		n.key.Recycle(key)
@@ -62,16 +46,10 @@ func (h *Handle) newLeaf(key, val uint64) *Node {
 // thread can still hold them and plain (non-version-advancing) stores
 // re-initialize them.
 func (h *Handle) newInternal(key uint64, left, right *Node) *Node {
-	n, _ := h.pool.Take(false)
+	n, _ := h.Pool.Take(false)
 	n.hdr.Reset()
 	n.key.Init(key)
 	n.l.Init(left)
 	n.r.Init(right)
 	return n
 }
-
-// beginAttempt, remove and settle delegate to the shared pool (see
-// nodepool's attempt-lifecycle contract).
-func (h *Handle) beginAttempt()            { h.pool.BeginAttempt() }
-func (h *Handle) remove(n *Node)           { h.pool.Remove(n) }
-func (h *Handle) settle(path htm.PathKind) { h.pool.Settle(path) }

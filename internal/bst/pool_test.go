@@ -165,12 +165,12 @@ func TestLeafReuseStoresByList(t *testing.T) {
 		h := tr.newHandle()
 		h.Insert(1, 1) // establish the handle's reclamation context
 		l := h.newLeaf(10, 100)
-		h.settle(htm.PathFast) // published; the leaf's first life
+		h.Pool.Settle(htm.PathFast) // published; the leaf's first life
 		if immediate {
-			h.remove(l)
-			h.settle(htm.PathFast)
+			h.Pool.Remove(l)
+			h.Pool.Settle(htm.PathFast)
 		} else {
-			h.pool.Release(l) // as ebr does once the grace period expired
+			h.Pool.Release(l) // as ebr does once the grace period expired
 		}
 		rv := tr.tm.ClockValue()
 		h.Insert(1, 2) // the clock moves on (a value update draws no node)

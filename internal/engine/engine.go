@@ -6,10 +6,14 @@
 // algorithm that is the paper's contribution, and the standalone
 // HTM-SCX algorithm of Section 4 as an ablation.
 //
-// The engine owns only policy: which body to attempt, how many times,
-// when to wait and when to move between paths, and the bookkeeping
-// (fallback-presence counter F, TLE global lock, per-path
-// operation counters). Data structures supply the bodies.
+// The engine owns only the template's half of the work: the policy —
+// which body to attempt, how many times, when to wait and when to move
+// between paths — with its bookkeeping (fallback-presence counter F, TLE
+// global lock, per-path operation counters), and the half of a tree's
+// per-thread handle that does not depend on the tree (Handle: the
+// scratch, the read and range entry points, the pinned reads, the op
+// built from an update's one body by TemplateOp). Data structures supply
+// the bodies.
 package engine
 
 import (
@@ -249,6 +253,11 @@ type Engine struct {
 	tle     htm.Word
 	reclaim *ebr.Manager // epoch domain for the structure's node pools
 
+	// walker is Walk's reader context, which retires nothing; walkMu
+	// serializes its walks.
+	walkMu sync.Mutex
+	walker *ebr.Thread
+
 	mu      sync.Mutex
 	threads []*Thread
 	_       [64]byte
@@ -268,6 +277,7 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	}
 	e := &Engine{cfg: cfg.withDefaults(), row: paths[cfg.Algorithm], reclaim: ebr.New()}
 	e.reclaim.SetFaults(e.cfg.Faults)
+	e.walker = e.reclaim.NewThread(func(any) {})
 	e.tle.Bind(clk)
 	e.cfg.Indicator.Bind(clk)
 	return e
@@ -312,17 +322,19 @@ type Thread struct {
 	_           [64]byte
 }
 
-// ReclaimReader registers a read-only context in the engine's epoch
-// domain, for structure-level walks that run outside any engine thread
-// (the sharding layer's consistent KeySum reads a tree while updaters
-// run). Bracketing such a walk with the returned thread's Begin/End
-// stalls grace periods for its duration, so pooled nodes cannot be
-// reused — in particular, internal nodes' plain key/child arrays cannot
-// be rewritten — while the walk holds references. The context retires
-// nothing; the registration is permanent, so create one per tree, not
-// per read.
-func (e *Engine) ReclaimReader() *ebr.Thread {
-	return e.reclaim.NewThread(func(any) {})
+// Walk runs fn, a walk over the structure from outside any engine
+// thread — a tree's KeySum, which the sharding layer's consistent cuts
+// run while updaters do — inside the engine's epoch domain, on a reader
+// context that walks share one at a time. The bracket stalls grace
+// periods for the walk's duration, so pooled nodes cannot be reused —
+// in particular, internal nodes' plain key and child arrays cannot be
+// rewritten — while the walk holds references. fn must not call Walk.
+func (e *Engine) Walk(fn func()) {
+	e.walkMu.Lock()
+	defer e.walkMu.Unlock()
+	e.walker.Begin()
+	defer e.walker.End()
+	fn()
 }
 
 // NewThread registers a new engine thread wrapping the given HTM thread.

@@ -461,24 +461,6 @@ func (p *Plan) Fires(pt Point) uint64 {
 	return n
 }
 
-// FireCounts returns the nonzero per-point fire counts, keyed by the
-// point's wire name — the benchmark artifacts' shape.
-func (p *Plan) FireCounts() map[string]uint64 {
-	if p == nil {
-		return nil
-	}
-	var m map[string]uint64
-	for pt := Point(1); pt < NumPoints; pt++ {
-		if n := p.Fires(pt); n > 0 {
-			if m == nil {
-				m = make(map[string]uint64)
-			}
-			m[pt.String()] = n
-		}
-	}
-	return m
-}
-
 // ReleaseKilled resumes every goroutine parked by a Kill effect.
 // During the run a kill is permanent — that is the fault being
 // modelled; harnesses call this at teardown, after all assertions,

@@ -252,10 +252,12 @@ func TestLinearizableCheckerRejects(t *testing.T) {
 // TestPointOpsLinearizable checks the point operations of both trees
 // under every algorithm, of both trees on 3-path under a seeded
 // spurious-abort plan (so that every history crosses the paths: an
-// operation's attempts fail at random and it moves on) and under the
-// same plan with fallback owners stalled as their software path begins
-// (so that histories overlap an F holder descheduled mid-operation),
-// and of the monitored 8-shard BST, for per-key linearizability: 4
+// operation's attempts fail at random and it moves on), under the same
+// plan with fallback owners stalled as their software path begins (so
+// that histories overlap an F holder descheduled mid-operation) and
+// under a seeded capacity-abort plan (so that every op's site learns to
+// start past the fast path, and its probes still take it), and of the
+// monitored 8-shard BST, for per-key linearizability: 4
 // workers over 8 keys, so every key's operations overlap, on every path
 // the contention sends them to. A failure prints the seed the workers'
 // operation streams derive from and the fault plan, which reproduce it.
@@ -306,6 +308,10 @@ func TestPointOpsLinearizable(t *testing.T) {
 				}})
 			}
 			spurious := htmtree.FaultRule{Point: htmtree.FaultTxAccess, Prob: 1.0 / 2, Cause: uint8(htm.CauseSpurious)}
+			// At 1/8 a capacity abort per access, every seed completes
+			// dozens of operations on each path, and hundreds start past
+			// the fast path (engine.Thread.skipFast).
+			capacity := htmtree.FaultRule{Point: htmtree.FaultTxAccess, Prob: 1.0 / 8, Cause: uint8(htm.CauseCapacity)}
 			for _, c := range []struct {
 				name  string
 				rules []htmtree.FaultRule
@@ -313,6 +319,7 @@ func TestPointOpsLinearizable(t *testing.T) {
 				{"spurious", []htmtree.FaultRule{spurious}},
 				{"stall", []htmtree.FaultRule{spurious,
 					{Point: htmtree.FaultFallbackOwner, Prob: 1.0 / 4, Stall: 200 * time.Microsecond}}},
+				{"capacity", []htmtree.FaultRule{capacity}},
 			} {
 				c := c
 				check(t, linCase{c.name, func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {

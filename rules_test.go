@@ -82,6 +82,25 @@ var designRules = []designRule{
 		},
 	},
 	{
+		// The template half of a tree's handle — the read and range
+		// entry points, the pinned reads, the range setter, the update
+		// ops' per-path literals and KeySum's epoch bracket — is written
+		// once, in internal/engine (engine.Handle, engine.TemplateOp,
+		// engine.Engine.Walk); the trees keep their updates and their
+		// walks.
+		name:   "one template handle",
+		reason: "ROADMAP M",
+		reads:  and(or(under("internal/bst"), under("internal/abtree")), goSource),
+		check: grep(`^func \([^)]*\) (Search|RangeQuery|RangeAgg|RangeQueryAt|Pinnable|PinEnter|PinExit|PinClock|setRange|Engine)\(|` +
+			`\bsum(Rd|Mu)\b|\bengine\.Mode(Fallback|SCXHTM)\b`),
+		controls: []files{
+			{"internal/abtree/ops.go": "\t\tSCXHTM:   func() bool { return t.insertBody(h.prims(engine.ModeSCXHTM, nil)) },"},
+			{"internal/bst/ops.go": "func (h *Handle) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {"},
+			{"internal/bst/bst.go": "func (t *Tree) Engine() *engine.Engine { return t.eng }"},
+			{"internal/abtree/abtree.go": "\tt.sumRd.Begin()"},
+		},
+	},
+	{
 		// Updates are admitted and published by the layer that closes
 		// the quiesce gate (shard.handle.routeUpdate) and by nothing
 		// below it: the engine has no bracket, gate or quiesce code.
