@@ -33,7 +33,8 @@ func TestRangeAggSkipsEmptySubtrees(t *testing.T) {
 			for _, r := range runs {
 				for k := r[0]; k < r[1]; k++ {
 					h.Key = k
-					h.Pool.Settle(h.Th.Run(h.DeleteOp)) // Delete without runFixLoop
+					h.Th.Run(h.DeleteOp) // Delete without runFixLoop
+					h.Pool.Settle()
 					if !h.Res.Found {
 						t.Fatalf("delete %d: not found", k)
 					}

@@ -10,7 +10,7 @@ import (
 
 // TestLeafPoolRecyclesOnFastPath drives fast-path joins (deleting down
 // to underfull leaves with tiny degree bounds) and checks that removed
-// leaves recycle immediately and are reused.
+// nodes come back to the pool and are reused.
 func TestLeafPoolRecyclesOnFastPath(t *testing.T) {
 	t.Parallel()
 	tr := New(Config{A: 2, B: 4, Algorithm: engine.AlgThreePath})
@@ -24,9 +24,6 @@ func TestLeafPoolRecyclesOnFastPath(t *testing.T) {
 		}
 	}
 	st := h.ReclaimStats()
-	if st.RetiredFast == 0 {
-		t.Fatalf("fast-path rebalancing never recycled a leaf immediately: %+v", st)
-	}
 	if st.Reused == 0 {
 		t.Fatalf("pool never reused a node: %+v", st)
 	}
@@ -35,86 +32,92 @@ func TestLeafPoolRecyclesOnFastPath(t *testing.T) {
 	}
 }
 
-// TestRetireFastGatedByFallbackReader drives Section 9's gate through
-// the fallback indicator F: while an operation is (simulated) live on
-// the fallback path, removals must not recycle immediately. F pushes the
-// deletes and the joins they trigger off the fast path, so the leaves a
-// join removes take the grace period, and none can be handed out under
-// the reader. Unobstructed, the same joins recycle at once.
-func TestRetireFastGatedByFallbackReader(t *testing.T) {
-	t.Parallel()
-	ind := &heldIndicator{}
-	tr := New(Config{A: 2, B: 4, Algorithm: engine.AlgThreePath, Engine: engine.Config{Indicator: ind}})
-	h := tr.newHandle()
-	for k := uint64(1); k <= 128; k++ {
-		h.Insert(k, k)
-	}
-	deleteRange := func(lo, hi uint64) {
-		for k := lo; k <= hi; k++ {
-			if _, ok := h.Delete(k); !ok {
-				t.Fatalf("delete of present key %d missed", k)
-			}
+// leaves returns the leaves reachable in tr (quiescent use only).
+func leaves(tr *Tree) map[*Node]bool {
+	out := map[*Node]bool{}
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		if n.leaf {
+			out[n] = true
+			return
+		}
+		for i := range n.children() {
+			walk(n.children()[i].Get(nil))
 		}
 	}
-
-	before := h.ReclaimStats()
-	deleteRange(1, 32)
-	mid := h.ReclaimStats()
-	if mid.RetiredFast == before.RetiredFast {
-		t.Fatalf("unobstructed fast-path joins did not recycle immediately: %+v", mid)
-	}
-
-	// A live fallback-path operation (simulated by arriving on the
-	// engine's presence indicator, as the fallback loop does).
-	ind.Arrive()
-	ops := tr.OpStats()
-	deleteRange(33, 64)
-	st := h.ReclaimStats()
-	if st.RetiredFast != mid.RetiredFast {
-		t.Fatalf("RetireFast happened while a fallback-path reader was live: %+v", st)
-	}
-	if st.RetiredGrace == mid.RetiredGrace {
-		t.Fatal("joins under a live fallback reader retired nothing")
-	}
-	if now := tr.OpStats(); now.Fast != ops.Fast || now.Middle == ops.Middle {
-		t.Fatalf("held F did not push the updates to the middle path: fast %d -> %d, middle %d -> %d",
-			ops.Fast, now.Fast, ops.Middle, now.Middle)
-	}
-	ind.Depart()
-	if err := tr.CheckInvariants(true); err != nil {
-		t.Fatal(err)
-	}
+	walk(tr.entry.children()[0].Get(nil))
+	return out
 }
 
-// TestInternalNodesNeverFastRecycle asserts the white-box rule that
-// internal nodes — whose degree and routing-key array are
-// plain memory rewritten on reuse — always take the grace period, even
-// when removed by a fast-path commit.
-func TestInternalNodesNeverFastRecycle(t *testing.T) {
+// handedOut reports whether a node of set is back in tr or would be
+// handed out by h's pool, which it probes by drawing leaves until the
+// pool allocates a fresh one, then returning them all.
+func handedOut(tr *Tree, h *Handle, set map[*Node]bool) bool {
+	for n := range leaves(tr) {
+		if set[n] {
+			return true
+		}
+	}
+	h.Pool.BeginAttempt()
+	defer h.Pool.BeginAttempt()
+	for fresh := h.Pool.Stats().Fresh; h.Pool.Stats().Fresh == fresh; {
+		if set[h.Pool.Take(true)] {
+			return true
+		}
+	}
+	return false
+}
+
+// TestRetireFastGatedByFallbackReader: a leaf removed by a fast-path
+// commit waits out a grace period like every removed node. While another
+// thread of the engine is inside its reclamation bracket — the engine's
+// walker here, standing for any reader that may still hold the leaf, a
+// fallback-path one included — none of the leaves fast-path joins remove
+// is handed out again, though later joins draw leaves; once that thread
+// leaves its bracket and the epoch advances, they are.
+func TestRetireFastGatedByFallbackReader(t *testing.T) {
 	t.Parallel()
-	tr := New(Config{Algorithm: engine.AlgThreePath})
+	tr := New(Config{A: 2, B: 4, Algorithm: engine.AlgThreePath})
 	h := tr.newHandle()
-	h.Insert(1, 1) // establish the handle's reclamation context
-
-	before := h.ReclaimStats()
-	n := &Node{leaf: false}
-	h.Pool.Remove(n)
-	h.Pool.Settle(htm.PathFast)
-	st := h.ReclaimStats()
-	if st.RetiredFast != before.RetiredFast {
-		t.Fatalf("internal node recycled immediately on the fast path: %+v", st)
+	for k := uint64(1); k <= 256; k++ {
+		h.Insert(k, k)
 	}
-	if st.RetiredGrace != before.RetiredGrace+1 {
-		t.Fatalf("internal node not grace-retired: %+v", st)
+	removed := map[*Node]bool{}
+	tr.eng.Walk(func() {
+		before, ops := leaves(tr), tr.OpStats()
+		for k := uint64(1); k <= 32; k++ {
+			h.Delete(k)
+		}
+		if now := tr.OpStats(); now.Middle != ops.Middle || now.Fallback != ops.Fallback {
+			t.Fatalf("set-up: updates left the fast path: %+v", now.PathCounts)
+		}
+		after := leaves(tr)
+		for n := range before {
+			if !after[n] {
+				removed[n] = true
+			}
+		}
+		if len(removed) == 0 {
+			t.Fatal("set-up: the deletes removed no leaf")
+		}
+		for k := uint64(33); k <= 96; k++ {
+			h.Delete(k)
+			if handedOut(tr, h, removed) {
+				t.Fatalf("a removed leaf was handed out while a reader was in its bracket (%d deletes later)", k-32)
+			}
+		}
+	})
+	for k := uint64(97); ; k++ {
+		if k > 250 {
+			t.Fatalf("no removed leaf came back after the reader left its bracket: %+v", h.ReclaimStats())
+		}
+		h.Delete(k)
+		if handedOut(tr, h, removed) {
+			break
+		}
 	}
-
-	// A leaf in the same position recycles immediately.
-	l := &Node{leaf: true}
-	l.hdr.Bind(tr.tm.Clock())
-	h.Pool.Remove(l)
-	h.Pool.Settle(htm.PathFast)
-	if got := h.ReclaimStats(); got.RetiredFast != st.RetiredFast+1 {
-		t.Fatalf("leaf not recycled immediately on the fast path: %+v", got)
+	if err := tr.CheckInvariants(true); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -210,57 +213,44 @@ func TestNodeFootprint(t *testing.T) {
 	}
 }
 
-// TestLeafReuseStoresByList: what reusing a pooled leaf costs depends on
-// the list it comes from. One that skipped its grace period (removed by a
-// fast-path commit) may still be held by a transaction that read it
-// before, so every cell reuse rewrites must move past that reader's
-// snapshot: a transaction pinned between the removal and the reuse
-// aborts on the leaf. One that came back through a grace period is out of
-// every thread's reach and is rewritten like a fresh node, with no
-// version word touched: the same pinned transaction reads every cell of
-// it — ord first, as every reader of a leaf does — at its old snapshot.
-// (It sees the new contents, which no transaction that could really
-// exist would: the pin is only the probe for "was any version moved".)
-func TestLeafReuseStoresByList(t *testing.T) {
+// TestLeafReuseMovesNoVersion: a pooled leaf came back through a grace
+// period, so it is out of every thread's reach and is rewritten like a
+// fresh node, with no version word touched: a transaction pinned before
+// the reuse reads every cell of it — ord first, as every reader of a leaf
+// does — at its old snapshot. (It sees the new contents, which no
+// transaction that could really exist would: the pin is only the probe
+// for "was any version moved".)
+func TestLeafReuseMovesNoVersion(t *testing.T) {
 	t.Parallel()
-	for _, immediate := range []bool{false, true} {
-		tr := New(Config{Algorithm: engine.AlgThreePath})
-		h := tr.newHandle()
-		h.Insert(1, 1) // establish the handle's reclamation context
-		l := h.newLeaf([]kv{{10, 100}, {20, 200}})
-		h.Pool.Settle(htm.PathFast) // published; the leaf's first life
-		if immediate {
-			h.Pool.Remove(l)
-			h.Pool.Settle(htm.PathFast)
-		} else {
-			h.Pool.Release(l) // as ebr does once the grace period expired
+	tr := New(Config{Algorithm: engine.AlgThreePath})
+	h := tr.newHandle()
+	h.Insert(1, 1) // establish the handle's reclamation context
+	l := h.newLeaf([]kv{{10, 100}, {20, 200}})
+	h.Pool.Settle()   // published; the leaf's first life
+	h.Pool.Release(l) // as ebr does once the grace period expired
+	rv := tr.tm.ClockValue()
+	h.Insert(2, 2) // the clock moves on
+	if tr.tm.ClockValue() == rv {
+		t.Fatal("set-up: the clock did not move")
+	}
+	n := h.newLeaf([]kv{{30, 300}})
+	if n != l {
+		t.Fatal("newLeaf did not reuse the pooled leaf")
+	}
+	var got kv
+	var size uint64
+	ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
+		var perm uint64
+		perm, size = n.ord.Get(tx)
+		got.k, got.v = n.slots[permAt(perm, 0)].Get(tx)
+		if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
+			t.Error("reused leaf's header is not reset")
 		}
-		rv := tr.tm.ClockValue()
-		h.Insert(2, 2) // the clock moves on
-		if tr.tm.ClockValue() == rv {
-			t.Fatal("set-up: the clock did not move")
-		}
-		n := h.newLeaf([]kv{{30, 300}})
-		if n != l {
-			t.Fatalf("immediate=%v: newLeaf did not reuse the pooled leaf", immediate)
-		}
-		var got kv
-		var size uint64
-		ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
-			var perm uint64
-			perm, size = n.ord.Get(tx)
-			got.k, got.v = n.slots[permAt(perm, 0)].Get(tx)
-			if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
-				t.Error("reused leaf's header is not reset")
-			}
-		})
-		switch {
-		case immediate && (ok || ab.Cause != htm.CauseConflict):
-			t.Errorf("a reader pinned before the reuse of an immediately recycled leaf was not aborted (committed %v, %+v)", ok, ab)
-		case !immediate && !ok:
-			t.Errorf("reuse of a grace-released leaf moved a version word: a reader pinned before it aborted with %+v", ab)
-		case !immediate && (size != 1 || got != kv{30, 300}):
-			t.Errorf("grace-released leaf holds size %d, pair %+v after reuse", size, got)
-		}
+	})
+	if !ok {
+		t.Fatalf("reuse of a pooled leaf moved a version word: a reader pinned before it aborted with %+v", ab)
+	}
+	if size != 1 || got != (kv{30, 300}) {
+		t.Errorf("pooled leaf holds size %d, pair %+v after reuse", size, got)
 	}
 }

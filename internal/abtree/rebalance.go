@@ -71,7 +71,8 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 func (h *Handle) runFixLoop() {
 	for i := 0; i < maxFixIterations; i++ {
 		h.fixMore = false
-		h.Pool.Settle(h.Th.Run(h.fixOp))
+		h.Th.Run(h.fixOp)
+		h.Pool.Settle()
 		if !h.fixMore {
 			return
 		}

@@ -30,9 +30,7 @@
 // Updates search inside their transactions, as in Figures 12 and 13.
 // The paper's Section 8 variant — search outside the transaction, then
 // revalidate inside it — is not implemented: measured on this tree it
-// did not beat the in-transaction search beyond run-to-run noise, and
-// its non-transactional readers would rule out Section 9's immediate
-// recycling of fast-path removals.
+// did not beat the in-transaction search beyond run-to-run noise.
 package bst
 
 import (
@@ -56,32 +54,25 @@ const (
 // therefore a cell) — which is safe precisely because the fast path
 // never runs concurrently with the fallback path (Section 6.1).
 //
-// The key is a cell, not a plain field, because nodes are pooled and a
-// recycled node's key changes. The two node kinds read it differently:
-// internal nodes are reused only after a grace period (no reader can
-// ever observe their rewrite), so routing reads use the plain-load
-// Peek; leaves may recycle immediately after fast-path removals, so a
-// transactional leaf-key read uses GetStable — a stale reader that
-// still holds the leaf (obtained before its removal committed) aborts
-// on the recycled key rather than misreport membership. The leaf flag
-// stays plain — the pools are segregated by node kind, so it is
-// write-once for the node's lifetime.
+// The key and the leaf flag are plain fields, set before the node is
+// published: a pooled node is reused only after a grace period
+// (internal/nodepool), so no reader can hold it while its key is
+// rewritten, and every read of a key is a plain load.
 type Node struct {
 	hdr  llxscx.Hdr
-	key  htm.Word
+	key  uint64
 	leaf bool
 	val  htm.Word
 	l, r htm.Ref[Node]
 }
 
-// Key returns the node's current key. Exported for tests.
-func (n *Node) Key() uint64 { return n.key.GetStable(nil) }
+// Key returns the node's key. Exported for tests.
+func (n *Node) Key() uint64 { return n.key }
 
 // bind joins every cell of the node to the tree's clock domain. Called
 // once per node lifetime (heap allocation), not per pool reuse.
 func (n *Node) bind(clk *htm.Clock) {
 	n.hdr.Bind(clk)
-	n.key.Bind(clk)
 	n.val.Bind(clk)
 	n.l.Bind(clk)
 	n.r.Bind(clk)
@@ -91,17 +82,15 @@ func (n *Node) bind(clk *htm.Clock) {
 // state operations allocate through the handle pools instead
 // (Handle.newLeaf / Handle.newInternal in pool.go).
 func newLeaf(clk *htm.Clock, key, val uint64) *Node {
-	n := &Node{leaf: true}
+	n := &Node{key: key, leaf: true}
 	n.bind(clk)
-	n.key.Init(key)
 	n.val.Init(val)
 	return n
 }
 
 func newInternal(clk *htm.Clock, key uint64, left, right *Node) *Node {
-	n := &Node{}
+	n := &Node{key: key}
 	n.bind(clk)
-	n.key.Init(key)
 	n.l.Init(left)
 	n.r.Init(right)
 	return n
@@ -171,12 +160,9 @@ func (t *Tree) newHandle() *Handle {
 }
 
 // childRef returns the child field of p that a search for key follows.
-// p is always internal, and internal nodes are reused only after a
-// grace period, so the routing key is immutable for as long as anyone
-// can hold p: a plain Peek suffices (and keeps the descent at one
-// validated read per level).
+// p is always internal.
 func childRef(p *Node, key uint64) *htm.Ref[Node] {
-	if key < p.key.Peek() {
+	if key < p.key {
 		return &p.l
 	}
 	return &p.r
@@ -209,7 +195,7 @@ func (t *Tree) KeySum() (sum, count uint64) {
 			return
 		}
 		if n.leaf {
-			if k := n.key.GetStable(nil); k < keyInf1 {
+			if k := n.key; k < keyInf1 {
 				sum += k
 				count++
 			}
@@ -236,7 +222,7 @@ func checkNode(n *Node, lo, hi uint64) error {
 	if n == nil {
 		return fmt.Errorf("bst: nil node reachable")
 	}
-	key := n.key.GetStable(nil)
+	key := n.key
 	if n.hdr.Marked(nil) {
 		return fmt.Errorf("bst: reachable node with key %d is marked", key)
 	}

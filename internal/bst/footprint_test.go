@@ -2,6 +2,7 @@ package bst
 
 import (
 	"testing"
+	"unsafe"
 
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
@@ -18,8 +19,8 @@ import (
 //     search or a value-update insert also reads the leaf's value, a
 //     delete the value and the sibling pointer. It writes one cell (the
 //     child pointer, or the value in place), a delete three (grandparent's
-//     child pointer, two marks). Leaf keys are validated (GetStable) and
-//     routing keys peeked: neither joins the read set.
+//     child pointer, two marks). Keys are plain fields: no key read
+//     joins the read set.
 //   - the template body in a transaction (2-path-con's first path) reads
 //     no indicator; each LLX logs the mark twice and the info twice (4
 //     reads), plus the two child pointers of an internal node (6). An
@@ -126,5 +127,15 @@ func TestTransactionalFootprint(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNodeFootprint pins the memory a node costs: the header's two
+// cells, the key and leaf flag as plain fields (a pooled node's key is
+// rewritten only after its grace period), the value cell and the two
+// child cells — 136 bytes, the allocator's 144-byte size class.
+func TestNodeFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Node{}); got != 136 {
+		t.Errorf("Node is %d bytes, want 136", got)
 	}
 }

@@ -46,18 +46,6 @@ func (h *Handle) Insert(key, val uint64) (uint64, bool) { return h.Update(&h.Ins
 // Delete removes key.
 func (h *Handle) Delete(key uint64) (uint64, bool) { return h.Update(&h.DeleteOp, key, 0) }
 
-// leafKey reads leaf l's key, which only pool recycling rewrites. A
-// transaction validates the read against its snapshot without logging it
-// (GetStable: one subscribed read per node, the pointer that led here).
-// Outside one, the caller is on a non-transactional path, whose presence
-// excludes immediate recycling, so a plain peek is sound.
-func leafKey(tx *htm.Tx, l *Node) uint64 {
-	if tx == nil {
-		return l.key.Peek()
-	}
-	return l.key.GetStable(tx)
-}
-
 // newSubtree builds what an insert of an absent key puts in leaf l's
 // place: an internal node over l (whose key is lk) and a new leaf.
 func (h *Handle) newSubtree(l *Node, lk, key, val uint64) *Node {
@@ -79,7 +67,7 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 	if pr.Mode == engine.ModeFast {
 		// Sequential code of Figure 13 (also the TLE locked body, with a
 		// nil tx).
-		lk := l.key.GetStable(tx)
+		lk := l.key
 		if lk == key {
 			// Directly update the value in place: the big fast-path win the
 			// paper describes (no node creation).
@@ -102,7 +90,7 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 		return false
 	}
 	l = left
-	if key >= p.key.Peek() {
+	if key >= p.key {
 		l = right
 	}
 	if !l.leaf {
@@ -119,7 +107,7 @@ func (t *Tree) insertBody(h *Handle, pr *prims) bool {
 	infos := []*llxscx.Info{pi, li}
 	fld := childRef(p, key)
 
-	lk := leafKey(tx, l)
+	lk := l.key
 	if lk == key {
 		// Replace the leaf by a new copy holding the new value: the
 		// template may not modify immutable fields in place.
@@ -145,13 +133,13 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 
 	if pr.Mode == engine.ModeFast {
 		// Sequential code of Figure 13.
-		if l.key.GetStable(tx) != key {
+		if l.key != key {
 			return pr.NotFound()
 		}
 		*pr.Res = engine.Result{Val: l.val.Get(tx), Found: true}
 		// Reuse the sibling directly instead of copying it (Figure 13).
 		var s *Node
-		if key < p.key.Peek() {
+		if key < p.key {
 			s = p.r.Get(tx)
 		} else {
 			s = p.l.Get(tx)
@@ -165,7 +153,7 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 	}
 
 	// Template code of Figure 12.
-	if leafKey(tx, l) != key {
+	if l.key != key {
 		return pr.NotFound()
 	}
 	var gl, gr *Node
@@ -177,7 +165,7 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 		return false
 	}
 	p2 := gl
-	if key >= gp.key.Peek() {
+	if key >= gp.key {
 		p2 = gr
 	}
 	if p2 != p {
@@ -193,7 +181,7 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 		return false
 	}
 	l2, s := left, right
-	if key >= p.key.Peek() {
+	if key >= p.key {
 		l2, s = right, left
 	}
 	if l2 != l {
@@ -218,9 +206,9 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 	// Replace p and l with a copy of the sibling (Figure 12).
 	var ns *Node
 	if s.leaf {
-		ns = h.newLeaf(leafKey(tx, s), s.val.Get(tx))
+		ns = h.newLeaf(s.key, s.val.Get(tx))
 	} else {
-		ns = h.newInternal(s.key.Peek(), sl, sr)
+		ns = h.newInternal(s.key, sl, sr)
 	}
 	if !pr.SCX(
 		[]*llxscx.Hdr{&gp.hdr, &p.hdr, &l.hdr, &s.hdr},
@@ -237,7 +225,7 @@ func (t *Tree) deleteBody(h *Handle, pr *prims) bool {
 
 func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 	_, _, l := t.search(tx, h.Key)
-	if l.key.GetStable(tx) == h.Key {
+	if l.key == h.Key {
 		h.Res = engine.Result{Val: l.val.Get(tx), Found: true}
 		return
 	}
@@ -261,12 +249,12 @@ func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
 
 func (t *Tree) rqWalkTx(tx *htm.Tx, n *Node, h *Handle) {
 	if n.leaf {
-		if k := n.key.GetStable(tx); k >= h.Lo && k < h.Hi {
+		if k := n.key; k >= h.Lo && k < h.Hi {
 			h.Range = append(h.Range, dict.KV{Key: k, Val: n.val.Get(tx)})
 		}
 		return
 	}
-	k := n.key.Peek() // internal: grace-protected
+	k := n.key
 	if h.Lo < k {
 		t.rqWalkTx(tx, n.l.Get(tx), h)
 	}
@@ -291,9 +279,7 @@ func (t *Tree) rqFallback(h *Handle) bool {
 
 func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 	if n.leaf {
-		// Fallback path: the presence indicator excludes immediate
-		// recycling while this walk runs, so a plain peek is sound.
-		if k := n.key.Peek(); k >= h.Lo && k < h.Hi {
+		if k := n.key; k >= h.Lo && k < h.Hi {
 			h.Range = append(h.Range, dict.KV{Key: k, Val: n.val.Get(nil)})
 		}
 		return true
@@ -305,7 +291,7 @@ func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 	}); st != llxscx.StatusOK {
 		return false
 	}
-	k := n.key.Peek()
+	k := n.key
 	if h.Lo < k && !t.rqWalkLLX(nl, h) {
 		return false
 	}

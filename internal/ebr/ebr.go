@@ -1,15 +1,11 @@
 // Package ebr implements DEBRA-style epoch-based reclamation (Brown,
-// PODC 2015), the scheme the paper's experiments used, together with
-// the Section 9 observation: nodes removed inside a transaction can be
-// recycled *immediately* when every observer is also transactional
-// (a reader of recycled memory simply aborts), while nodes the
-// fallback path may still reference must wait out a grace period.
+// PODC 2015), the scheme the paper's experiments used.
 //
 // Go's garbage collector makes reclamation optional, so this package is
-// used for node pooling: Retire defers recycling until two epoch
-// advances guarantee no thread still holds a reference. The immediate
-// half of the Section 9 rule needs no epochs at all and lives with the
-// pools (internal/nodepool).
+// used for node pooling (internal/nodepool): Retire defers a removed
+// node's reuse until two epoch advances guarantee no thread still holds
+// a reference. Every removed node takes that path, whatever execution
+// path removed it.
 package ebr
 
 import (

@@ -316,10 +316,7 @@ type Thread struct {
 	// pool is the node pool its expired retirees return to.
 	rec  *ebr.Thread
 	pool NodePool
-	// fastRecycle records whether nodes removed by fast-path commits may
-	// be recycled immediately (the Section 9 rule); see EnableReclaim.
-	fastRecycle bool
-	_           [64]byte
+	_    [64]byte
 }
 
 // Walk runs fn, a walk over the structure from outside any engine
@@ -356,7 +353,7 @@ type NodePool interface {
 	// Release pools a node no thread can hold any more.
 	Release(x any)
 	// Pooled returns the pool's list lengths; safe from any goroutine.
-	Pooled() (immediate, grace, inner int)
+	Pooled() (leaves, inner int)
 }
 
 // EnableReclaim creates the thread's epoch-based reclamation context in
@@ -371,30 +368,6 @@ func (th *Thread) EnableReclaim(pool NodePool) {
 	th.pool = pool
 	th.rec = th.eng.reclaim.NewThread(pool.Release)
 	th.eng.mu.Unlock()
-	// The Section 9 immediate-recycle rule holds for nodes removed by
-	// fast-path commits exactly when every thread that could still hold a
-	// reference runs transactionally, which is when the first path is
-	// guarded: the fast path of 3-path and 2-path-ncon excludes the
-	// fallback path via F, and TLE's elided path excludes the locked path
-	// via the lock subscription. (3-path's read-only operations run
-	// unsubscribed beside the fallback path, but as transactions: they
-	// are among the readers that abort.) An unguarded row has no software
-	// path to exclude: 2-path-con's first path is the instrumented body
-	// running beside fallback-path readers, and non-htm and scx-htm commit
-	// removals non-transactionally.
-	th.fastRecycle = th.eng.row.soft != softLoop
-}
-
-// Immediate reports whether a node removed by an operation that
-// committed on path p may be reused without a grace period — the
-// Section 9 rule, for fast-path commits where the algorithm's path
-// exclusion allows it (see EnableReclaim). The pool applies it only to
-// nodes whose every reuse-mutable field is a transactional cell, so that
-// a stale transactional reader of the reused node aborts rather than
-// observe its next life; nodes carrying reuse-mutable plain fields
-// always go through Retire.
-func (th *Thread) Immediate(p htm.PathKind) bool {
-	return th.fastRecycle && p == htm.PathFast
 }
 
 // Retire hands a node removed by a completed operation to the thread's
@@ -411,19 +384,18 @@ func (p PathCounts) Total() uint64 { return p.Fast + p.Middle + p.Fallback }
 
 // ReclaimStats is the state of an engine's reclamation domain: how many
 // removed nodes are waiting out their grace period, and how many sit in
-// the handles' free lists, by list (see nodepool). These are gauges, not
-// counters: each handle's share as it last published it (ebr.Thread.Limbo,
-// nodepool.Pool.Pooled).
+// the handles' free lists, leaves and internal nodes (see nodepool).
+// These are gauges, not counters: each handle's share as it last
+// published it (ebr.Thread.Limbo, nodepool.Pool.Pooled).
 type ReclaimStats struct {
-	Limbo                                     uint64
-	PooledImmediate, PooledGrace, PooledInner uint64
+	Limbo                   uint64
+	PooledLeaf, PooledInner uint64
 }
 
 // Merge adds another snapshot into r.
 func (r *ReclaimStats) Merge(o ReclaimStats) {
 	r.Limbo += o.Limbo
-	r.PooledImmediate += o.PooledImmediate
-	r.PooledGrace += o.PooledGrace
+	r.PooledLeaf += o.PooledLeaf
 	r.PooledInner += o.PooledInner
 }
 
@@ -475,9 +447,9 @@ func (e *Engine) Stats() OpStats {
 		s.Policy.addAtomic(&th.polstats)
 		s.FallbackAcquisitions += atomic.LoadUint64(&th.fallbackAcq)
 		if th.rec != nil {
-			im, gr, in := th.pool.Pooled()
+			lf, in := th.pool.Pooled()
 			s.Reclaim.Merge(ReclaimStats{Limbo: uint64(th.rec.Limbo()),
-				PooledImmediate: uint64(im), PooledGrace: uint64(gr), PooledInner: uint64(in)})
+				PooledLeaf: uint64(lf), PooledInner: uint64(in)})
 		}
 	}
 	return s

@@ -461,7 +461,7 @@ func TestThreadKeepsOffNeighbouringCacheLines(t *testing.T) {
 		name             string
 		first, end, size uintptr
 	}{
-		{"Thread", unsafe.Offsetof(th.H), unsafe.Offsetof(th.fastRecycle) + unsafe.Sizeof(th.fastRecycle), unsafe.Sizeof(th)},
+		{"Thread", unsafe.Offsetof(th.H), unsafe.Offsetof(th.pool) + unsafe.Sizeof(th.pool), unsafe.Sizeof(th)},
 		{"Engine", unsafe.Offsetof(e.cfg), unsafe.Offsetof(e.threads) + unsafe.Sizeof(e.threads), unsafe.Sizeof(e)},
 	} {
 		if c.first < 64 || c.size-c.end < 64 {

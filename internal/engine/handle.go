@@ -70,13 +70,13 @@ func (h *Handle[N]) Prims(m Mode, tx *htm.Tx) Prims[N] {
 	return Prims[N]{Th: h.Th, Tx: tx, Mode: m, Key: h.Key, Val: h.Val, Res: &h.Res}
 }
 
-// Update runs the update op on key and val and settles the pool with
-// the path it completed on, returning the key's previous value and
-// presence.
+// Update runs the update op on key and val and settles the pool,
+// returning the key's previous value and presence.
 func (h *Handle[N]) Update(op *Op, key, val uint64) (uint64, bool) {
 	checkKey(key)
 	h.Key, h.Val = key, val
-	h.Pool.Settle(h.Th.Run(*op))
+	h.Th.Run(*op)
+	h.Pool.Settle()
 	return h.Res.Val, h.Res.Found
 }
 
@@ -143,10 +143,6 @@ func (h *Handle[N]) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, d
 
 // ReclaimStats returns a snapshot of the handle's pool counters.
 func (h *Handle[N]) ReclaimStats() nodepool.Stats { return h.Pool.Stats() }
-
-// PoolSize returns the number of nodes in the handle's free lists
-// (white-box tests).
-func (h *Handle[N]) PoolSize() int { return h.Pool.Size() }
 
 func checkKey(key uint64) {
 	if key > dict.MaxKey {

@@ -113,42 +113,15 @@ func boundClock(clk *Clock) *Clock {
 
 // Init sets the cell's value without version bookkeeping. It must only
 // be used on cells that are not reachable by any other thread: fields of
-// a freshly allocated node before it is published, or of a pooled node
-// that came back through a grace period (no reader, stale or otherwise,
-// can hold it). The cell keeps the version it has — 0 when fresh — which
-// is no later than the store that will publish the node, so every
-// transaction able to reach the cell may read it. Because nobody else can
-// be looking, the store is a plain one, ordered before the publishing
-// store like any other initialization; an atomic store is an XCHG here,
-// and a recycled leaf pays one per slot.
+// a freshly allocated node before it is published, or of a pooled node,
+// which came back through a grace period (no reader can hold it). The
+// cell keeps the version it has — 0 when fresh — which is no later than
+// the store that will publish the node, so every transaction able to
+// reach the cell may read it. Because nobody else can be looking, the
+// store is a plain one, ordered before the publishing store like any
+// other initialization; an atomic store is an XCHG here, and a reused
+// leaf pays one per slot.
 func (w *Word) Init(v uint64) { *(*uint64)(unsafe.Pointer(&w.val)) = v }
-
-// Recycle re-initializes a cell of a pooled node for reuse. Unlike Init
-// it is safe while stale transactional readers may still hold a
-// reference to the node: it locks the version word (waiting out a zombie
-// commit that transiently locked it), writes the value under the lock,
-// and unlocks with the version one past the clock's current value (see
-// stamp). Every snapshot taken so far is at most the clock's value, so
-// any transaction that may still hold the node meets a version beyond
-// its snapshot instead of reading the recycled value. A pinned one
-// aborts there. Any other extends its snapshot (Tx.extend), and the
-// extension aborts it: every tree reaches a node through a link it read
-// (and logged), and the removal changed that link. Stamping the clock's
-// value itself would not do: the removal's commit may have stamped the
-// link one past the clock, and a reader whose snapshot is the clock's
-// value would then read the recycled cell without extending.
-//
-// Recycle must only be called while the node is privately owned (drawn
-// from a pool, not yet republished); non-transactional readers must be
-// excluded by the caller's reclamation discipline (nodepool: a node is
-// reused without a grace period only when every possible reader is
-// transactional).
-func (w *Word) Recycle(v uint64) {
-	c := w.clock()
-	old := acquireNonTx(&w.ver)
-	w.val.Store(v)
-	w.ver.Store(stamp(old, c.Now()+1))
-}
 
 // Get reads the cell. With a nil tx it performs a non-transactional
 // atomic read; otherwise the read joins tx's read set and may abort tx.
@@ -181,45 +154,6 @@ func (w *Word) Get(tx *Tx) uint64 {
 		tx.abort(CauseConflict)
 	}
 	tx.logRead(&w.ver, v)
-	return val
-}
-
-// Peek reads the cell's value with a single atomic load — no version
-// check, no snapshot validation, no read-set entry. It is only sound
-// for cells that are immutable for as long as any thread can hold the
-// enclosing node: write-once cells, and cells of pooled nodes that are
-// reused exclusively after a grace period (so no reader — stale or
-// otherwise — can ever observe the rewrite). Cells of nodes that may
-// recycle immediately (nodepool's immediate list) must use GetStable
-// instead.
-func (w *Word) Peek() uint64 { return w.val.Load() }
-
-// GetStable reads a cell whose value is immutable while its enclosing
-// node is reachable — only pool recycling ever rewrites it (e.g. a
-// pooled node's routing key). The read is validated against the
-// transaction's snapshot exactly like Get (a recycled cell's advanced
-// version aborts a stale reader: a pinned one at once, any other when
-// extending its snapshot re-checks the read set), but it does not join
-// the read set: the only event that can change the cell is a recycle, a
-// recycle implies the node was first unlinked, and the unlink already
-// invalidates the read-set entry of the pointer that led here. Skipping
-// the read-set entry keeps hot search loops at one logged read per
-// node instead of two.
-//
-// The caller asserts the cell is never written transactionally (it is
-// not looked up in the write set).
-func (w *Word) GetStable(tx *Tx) uint64 {
-	if tx == nil {
-		return w.Get(nil)
-	}
-	v := w.ver.Load()
-	if !tx.readable(v) {
-		v = tx.readVersion(&w.ver)
-	}
-	val := w.val.Load()
-	if w.ver.Load() != v {
-		tx.abort(CauseConflict)
-	}
 	return val
 }
 
@@ -283,8 +217,9 @@ func (w *Word) Add(delta uint64) uint64 {
 // rendering of that. The zero value is an unlocked (0, 0).
 //
 // Unlike Word and Ref, a Pair carries no clock: a tree keeps seventeen
-// of them per leaf, where a clock pointer would be a quarter of each. Its two non-transactional mutators, Store and Recycle, take the
-// owning TM's clock as an argument instead, so there is nothing to bind.
+// of them per leaf, where a clock pointer would be a quarter of each.
+// Its one non-transactional mutator, Store, takes the owning TM's clock
+// as an argument instead, so there is nothing to bind.
 // A Pair takes buffered values (Set) only: it has no CAS.
 type Pair struct {
 	ver atomic.Uint64
@@ -309,16 +244,6 @@ func (p *Pair) Store(c *Clock, a, b uint64) {
 	p.val[0].Store(a)
 	p.val[1].Store(b)
 	p.ver.Store(nv)
-}
-
-// Recycle re-initializes a pooled cell for reuse, stamping it one past
-// c's current value; see Word.Recycle. c is the clock of the TM whose
-// transactions access the cell.
-func (p *Pair) Recycle(c *Clock, a, b uint64) {
-	old := acquireNonTx(&p.ver)
-	p.val[0].Store(a)
-	p.val[1].Store(b)
-	p.ver.Store(stamp(old, c.Now()+1))
 }
 
 // Get reads both values as of one instant. With a nil tx it performs a
@@ -388,14 +313,6 @@ func (r *Ref[T]) clock() *Clock { return boundClock(r.clk) }
 
 // Init sets the cell's value without version bookkeeping. See Word.Init.
 func (r *Ref[T]) Init(p *T) { r.val = unsafe.Pointer(p) }
-
-// Recycle re-initializes a pooled cell for reuse; see Word.Recycle.
-func (r *Ref[T]) Recycle(p *T) {
-	c := r.clock()
-	old := acquireNonTx(&r.ver)
-	r.store(p)
-	r.ver.Store(stamp(old, c.Now()+1))
-}
 
 // Get reads the cell. With a nil tx it performs a non-transactional
 // atomic read; otherwise the read joins tx's read set and may abort tx.

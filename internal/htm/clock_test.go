@@ -70,8 +70,7 @@ func TestStampsOnlyGrow(t *testing.T) {
 		func() { th.Atomic(PathFast, commit) },
 		func() { p.Store(c, 2, 2); w.Set(nil, 2) },
 		func() { th.Atomic(PathFast, commit) },
-		func() { p.Recycle(c, 3, 3); w.Recycle(3) },
-		func() { w.CAS(nil, 3, 4); w.Add(1); p.Store(c, 4, 4) },
+		func() { w.CAS(nil, 1, 4); w.Add(1); p.Store(c, 4, 4) },
 		func() { th.Atomic(PathFast, commit) },
 	} {
 		write()
@@ -100,11 +99,9 @@ func TestUnboundNonTxMutationPanics(t *testing.T) {
 	check("Word.Set", func() { new(Word).Set(nil, 1) })
 	check("Word.CAS", func() { new(Word).CAS(nil, 0, 1) })
 	check("Word.Add", func() { new(Word).Add(1) })
-	check("Word.Recycle", func() { new(Word).Recycle(1) })
 	x := 1
 	check("Ref.Set", func() { new(Ref[int]).Set(nil, &x) })
 	check("Ref.CAS", func() { new(Ref[int]).CAS(nil, nil, &x) })
-	check("Ref.Recycle", func() { new(Ref[int]).Recycle(&x) })
 }
 
 // TestAcquireNonTxBackoffCorrectness hammers one cell from many
@@ -132,42 +129,5 @@ func TestAcquireNonTxBackoffCorrectness(t *testing.T) {
 	}
 	if w.ver.Load()&lockBit != 0 {
 		t.Fatal("version word left locked")
-	}
-}
-
-// TestRecycleAbortsStaleReader reproduces the Section 9 fast-path
-// recycling rule at the cell level: a transaction that began before a
-// cell was recycled must abort when it touches the recycled cell, never
-// observe the new value under its old snapshot.
-func TestRecycleAbortsStaleReader(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	th := tm.NewThread()
-	var pub, cell Word
-	pub.Bind(tm.Clock())
-	cell.Bind(tm.Clock())
-	cell.Set(nil, 1)
-
-	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-		_ = pub.Get(tx) // establish the snapshot with a benign read
-		// Another thread commits a removal (simulated by a clock tick)
-		// and immediately recycles the cell for a new node.
-		pub.Set(nil, 1)
-		cell.Recycle(99)
-		_ = cell.Get(tx)
-		t.Error("stale reader observed a recycled cell without aborting")
-	})
-	if ok || ab.Cause != CauseConflict {
-		t.Fatalf("ok=%v abort=%+v, want conflict abort", ok, ab)
-	}
-	// A fresh transaction (snapshot taken after the recycle) reads the
-	// recycled value normally.
-	ok, _ = th.Atomic(PathFast, func(tx *Tx) {
-		if got := cell.Get(tx); got != 99 {
-			t.Errorf("fresh reader got %d, want 99", got)
-		}
-	})
-	if !ok {
-		t.Fatal("fresh reader aborted")
 	}
 }

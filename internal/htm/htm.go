@@ -19,8 +19,8 @@
 //   - Every TM instance owns its version clock (cache-line padded), so
 //     independent TMs — e.g. the shards of a sharded dictionary — never
 //     contend on a shared clock cache line. Cells bound to the same
-//     clock (Word.Bind / Ref.Bind), and Pairs whose mutators are passed
-//     it (Pair.Store / Pair.Recycle), form one synchronization domain; a
+//     clock (Word.Bind / Ref.Bind), and Pairs whose mutator is passed
+//     it (Pair.Store), form one synchronization domain; a
 //     TM's transactions must only touch cells of its domain.
 //   - A transaction snapshots its TM's version clock at begin (rv) and
 //     buffers writes. Every read checks that the cell is unlocked and
@@ -149,7 +149,7 @@ func New(cfg Config) *TM { return &TM{cfg: cfg.withDefaults()} }
 
 // Clock returns the TM's version clock, for binding cells (Word.Bind,
 // Ref.Bind) into the TM's synchronization domain and for a Pair's
-// non-transactional mutators (Pair.Store, Pair.Recycle).
+// non-transactional mutator (Pair.Store).
 func (tm *TM) Clock() *Clock { return &tm.clock }
 
 // ClockValue returns the current value of the TM's version clock

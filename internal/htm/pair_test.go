@@ -27,9 +27,9 @@ func TestPairNonTxBasics(t *testing.T) {
 	}
 }
 
-// TestPairMutatorsStampPastSnapshots: a Pair's two non-transactional
-// mutators stamp the cell past every snapshot taken on the clock they
-// are passed, so a transaction that read the cell before the mutation
+// TestPairMutatorsStampPastSnapshots: a Pair's non-transactional
+// mutator, Store, stamps the cell past every snapshot taken on the clock
+// it is passed, so a transaction that read the cell before the mutation
 // aborts when it next reads — an unpinned one when extending its
 // snapshot finds its first read changed, a pinned one at once — and one
 // begun after it reads the new pair. The clock is moved past the cell's
@@ -48,7 +48,6 @@ func TestPairMutatorsStampPastSnapshots(t *testing.T) {
 		write func(p *Pair, a, b uint64)
 	}{
 		{"Store", func(p *Pair, a, b uint64) { p.Store(c, a, b) }},
-		{"Recycle", func(p *Pair, a, b uint64) { p.Recycle(c, a, b) }},
 	} {
 		var p Pair
 		p.Store(c, 1, 2)
@@ -174,45 +173,5 @@ func TestPairOpacity(t *testing.T) {
 	const total = writers * perW
 	if a, b := p.Get(nil); a != k*total || b != total {
 		t.Fatalf("Pair = (%d,%d), want (%d,%d)", a, b, k*total, total)
-	}
-}
-
-// TestPairRecycle: recycling a pooled cell must not leak its new
-// contents to a transaction that may still hold the old node. A reader
-// that reached the node through a link — the removal cell here, which
-// the unlinking commit changes before the Recycle — aborts with
-// CauseConflict instead of returning the recycled pair, before and after
-// it has read the cell: the recycled version lies past its snapshot,
-// and extending the snapshot finds the link changed. A transaction that
-// begins afterwards reads the cell normally.
-func TestPairRecycle(t *testing.T) {
-	t.Parallel()
-	tm := New(Config{})
-	th := tm.NewThread()
-	var p Pair
-	var removal Word // stands for the link the unlinking commit changes
-	removal.Bind(tm.Clock())
-	p.Init(1, 2)
-	for _, readFirst := range []bool{false, true} {
-		var a, b uint64
-		ok, ab := th.Atomic(PathFast, func(tx *Tx) {
-			_ = removal.Get(tx)
-			if readFirst {
-				a, b = p.Get(tx)
-			}
-			removal.Add(1)
-			p.Recycle(tm.Clock(), 7, 8)
-			a, b = p.Get(tx)
-		})
-		if ok || ab.Cause != CauseConflict {
-			t.Fatalf("readFirst=%v: stale reader of a recycled Pair: ok=%v %+v, want a conflict abort", readFirst, ok, ab)
-		}
-		if a == 7 || b == 8 {
-			t.Fatalf("readFirst=%v: stale reader returned the recycled pair (%d,%d)", readFirst, a, b)
-		}
-		if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != 7 || b != 8 {
-			t.Fatalf("fresh reader of a recycled Pair: ok=%v %+v (%d,%d), want (7,8)", ok, ab, a, b)
-		}
-		p.Recycle(tm.Clock(), 1, 2)
 	}
 }

@@ -104,18 +104,9 @@ func (h *Hdr) Bind(c *htm.Clock) {
 	h.marked.Bind(c)
 }
 
-// Recycle resets a pooled record's header for reuse — unfrozen and
-// unmarked — advancing the cells' versions so stale transactional
-// readers abort rather than observe the recycled record (see
-// htm.Word.Recycle for the full contract).
-func (h *Hdr) Recycle() {
-	h.info.Recycle(nil)
-	h.marked.Recycle(0)
-}
-
-// Reset resets a pooled record's header with plain stores. Only sound
-// when no thread can still hold the record — i.e. it was reclaimed
-// through a grace period, not recycled immediately.
+// Reset resets a pooled record's header — unfrozen and unmarked — with
+// plain stores. Sound because a pooled record came back through a grace
+// period: no thread can still hold it.
 func (h *Hdr) Reset() {
 	h.info.Init(nil)
 	h.marked.Init(0)

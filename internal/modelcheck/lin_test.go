@@ -254,9 +254,12 @@ func TestLinearizableCheckerRejects(t *testing.T) {
 // spurious-abort plan (so that every history crosses the paths: an
 // operation's attempts fail at random and it moves on), under the same
 // plan with fallback owners stalled as their software path begins (so
-// that histories overlap an F holder descheduled mid-operation) and
-// under a seeded capacity-abort plan (so that every op's site learns to
-// start past the fast path, and its probes still take it), and of the
+// that histories overlap an F holder descheduled mid-operation), under
+// a seeded capacity-abort plan (so that every op's site learns to start
+// past the fast path, and its probes still take it), under the
+// spurious-abort plan with operations stalled right after they pin
+// their epoch (so that every reused node has come through a grace
+// period the stall stretched), and of the
 // monitored 8-shard BST, for per-key linearizability: 4
 // workers over 8 keys, so every key's operations overlap, on every path
 // the contention sends them to. A failure prints the seed the workers'
@@ -320,6 +323,8 @@ func TestPointOpsLinearizable(t *testing.T) {
 				{"stall", []htmtree.FaultRule{spurious,
 					{Point: htmtree.FaultFallbackOwner, Prob: 1.0 / 4, Stall: 200 * time.Microsecond}}},
 				{"capacity", []htmtree.FaultRule{capacity}},
+				{"pin-stall", []htmtree.FaultRule{spurious,
+					{Point: htmtree.FaultEBRPin, Prob: 1.0 / 4, Stall: 200 * time.Microsecond}}},
 			} {
 				c := c
 				check(t, linCase{c.name, func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {

@@ -7,6 +7,8 @@ import (
 	"time"
 
 	"htmtree"
+	"htmtree/internal/bst"
+	"htmtree/internal/engine"
 )
 
 // TestProgressStalledMonitoredUpdate is the progress table's row for an
@@ -150,4 +152,98 @@ func TestProgressStalledMonitoredUpdate(t *testing.T) {
 		t.Error(err)
 	}
 	t.Logf("stall window: %d operations on the other shards", ws[0].Progress())
+}
+
+// TestProgressPinnedEpoch is the progress table's row for an operation
+// that stops inside its reclamation bracket (ROADMAP P): on a 3-path BST,
+// the first operation stalls right after it pins its epoch, which holds
+// the global epoch back, so no removed node finishes its grace period
+// while it sleeps. Every removed node waits out a grace period before
+// its pool reuses it (internal/nodepool), so this is the row the pools'
+// progress rests on. While the stall lasts:
+//
+//   - another handle keeps completing updates (the window's progress,
+//     counted in operations);
+//   - the nodes its deletes remove pile up in limbo (Reclaim.Limbo
+//     rises), and its inserts draw fresh nodes meanwhile.
+//
+// After the stall, limbo drains to a few epochs' worth and the pool
+// serves every insert again: a further churn draws no fresh node.
+func TestProgressPinnedEpoch(t *testing.T) {
+	const (
+		stall = time.Second
+		pairs = 1000 // insert+delete pairs per churn
+	)
+	var (
+		stalled    = make(chan struct{})
+		victimDone = make(chan struct{})
+		lv         = &htmtree.FaultLiveness{}
+	)
+	plan := htmtree.NewFaultPlan(1, htmtree.FaultRule{Point: htmtree.FaultEBRPin, Every: 1, Count: 1,
+		Stall: stall, Watch: true, Func: func() { close(stalled) }})
+	plan.Watch(lv)
+	tr := bst.New(bst.Config{Algorithm: engine.AlgThreePath, Engine: engine.Config{Faults: plan}})
+	victim, h := tr.NewHandle(), tr.NewHandle().(*bst.Handle)
+
+	// The victim's insert is the tree's first operation, so the one-shot
+	// stall fires on it.
+	go func() {
+		defer close(victimDone)
+		victim.Insert(1, 1)
+	}()
+	<-stalled
+	for lv.Open() == 0 { // the stall fires its Func first, then opens the window
+		runtime.Gosched()
+	}
+	churn := func() {
+		for i := 0; i < pairs; i++ {
+			k := uint64(1000 + i%64)
+			h.Insert(k, k)
+			lv.OpDone()
+			h.Delete(k)
+			lv.OpDone()
+		}
+	}
+
+	before, fresh := tr.OpStats().Reclaim.Limbo, h.ReclaimStats().Fresh
+	churn()
+	peak := tr.OpStats().Reclaim.Limbo
+	if lv.Open() != 1 {
+		t.Fatalf("the %v stall ended before the other handle's %d operations completed: the row measured nothing", stall, 2*pairs)
+	}
+	// Each delete removes two nodes; the gauge is published every 32
+	// retirements.
+	if peak < before+pairs {
+		t.Errorf("limbo %d -> %d over %d deletes behind the pinned epoch, want a rise of at least %d", before, peak, pairs, pairs)
+	}
+	if drawn := h.ReclaimStats().Fresh - fresh; drawn < pairs {
+		t.Errorf("the inserts behind the pinned epoch drew %d fresh nodes, want at least %d: removed nodes were reused before their grace period", drawn, pairs)
+	}
+
+	<-victimDone
+	lv.Finish()
+	ws := lv.Windows()
+	if len(ws) != 1 {
+		t.Fatalf("stall windows = %d, want 1", len(ws))
+	}
+	if p := ws[0].Progress(); p < 2*pairs {
+		t.Errorf("the stall window counts %d operations, want >= the %d the other handle completed", p, 2*pairs)
+	}
+	if err := lv.Check(); err != nil {
+		t.Error(err)
+	}
+	if v, ok := h.Search(1); !ok || v != 1 {
+		t.Errorf("the stalled insert's key reads (%d, %v) after the stall, want (1, true)", v, ok)
+	}
+
+	churn()
+	if l := tr.OpStats().Reclaim.Limbo; l > peak/4 {
+		t.Errorf("limbo %d after the stall (peak %d): the backlog did not drain", l, peak)
+	}
+	fresh = h.ReclaimStats().Fresh
+	churn()
+	if drawn := h.ReclaimStats().Fresh - fresh; drawn != 0 {
+		t.Errorf("after the drain the pool still drew %d fresh nodes over %d insert+delete pairs", drawn, pairs)
+	}
+	t.Logf("stall window: %d operations; limbo %d -> peak %d", ws[0].Progress(), before, peak)
 }

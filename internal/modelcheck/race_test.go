@@ -37,11 +37,10 @@ func TestRacePathTransitions(t *testing.T) {
 					// access fails nearly every attempt of an operation
 					// that logs a dozen cells, so a steady share of the
 					// traffic exhausts each path's budget and moves down
-					// to the next. (The pooled BST's routing-key reads
-					// are Peek/GetStable, which neither join the read set
-					// nor roll the injector's dice, so the abort pressure
-					// per operation is unchanged from the pre-pooling
-					// tree.)
+					// to the next. (The BST's keys are plain fields,
+					// read outside the transaction's bookkeeping, so they
+					// neither join the read set nor roll the injector's
+					// dice.)
 					Faults:       txAborts(3, htm.CauseSpurious),
 					Shards:       shards,
 					ShardKeySpan: keySpan,

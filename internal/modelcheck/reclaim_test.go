@@ -86,12 +86,10 @@ func TestRaceKeySumVsReclamation(t *testing.T) {
 // TestRaceReclamationStress hammers insert/delete on a small key range
 // with pooled nodes under the race detector, across both structures and
 // forced execution-path transitions. Deletions dominate so nodes cycle
-// through the pools continuously: fast-path removals recycle
-// immediately (and must abort any stale transactional reader via the
-// version-advancing recycle stores), while removals observable from the
-// fallback path ride grace periods — precisely the windows where an
-// unsynchronized reuse write would surface as a race report or a
-// key-sum mismatch. Sized for `go test -race -short ./...`.
+// through the pools continuously: every removal rides a grace period
+// before its node is reused with plain stores — precisely the window
+// where an unsynchronized reuse write would surface as a race report or
+// a key-sum mismatch. Sized for `go test -race -short ./...`.
 func TestRaceReclamationStress(t *testing.T) {
 	t.Parallel()
 	const (

@@ -1,75 +1,52 @@
 // Package nodepool implements the per-handle node-pooling discipline
 // shared by the template data structures (paper Section 9): steady-state
 // inserts draw nodes from per-thread free lists, and deletions feed the
-// lists back, at once or through the engine's epoch-based reclamation.
+// lists back through the engine's epoch-based reclamation.
 //
 // One Pool serves one handle (one goroutine); nothing here is locked.
-// A pool keeps three free lists, told apart by who may still hold a node
-// on them — which is what re-initializing the node costs:
-//
-//   - immediate: leaves removed by fast-path commits where the algorithm
-//     keeps every possible reader transactional (Retirer.Immediate). They
-//     skip the grace period, so a transaction that read the leaf before
-//     its removal may still hold it; every reuse-mutable leaf field is a
-//     transactional cell, and reuse rewrites them with version-advancing
-//     Recycle stores, on which such a reader aborts.
-//   - grace: leaves that waited out a grace period (or were drawn fresh
-//     and never published). No reader, stale or otherwise, can hold one
-//     (DEBRA's guarantee: every operation is bracketed by the engine's
-//     ebr Begin/End), so reuse is plain initializing stores that touch
-//     no version word — what a template-path update, which replaces a
-//     leaf per operation, pays per cell.
-//   - inner: internal nodes, which always wait out a grace period: their
-//     routing keys are read with plain loads on the descent hot path
-//     (htm.Word.Peek or plain arrays), which is only sound if no reader
-//     can ever observe a reuse.
+// There is one rule: every removed node waits out a grace period before
+// it returns to a list (DEBRA's guarantee: every operation is bracketed
+// by the engine's ebr Begin/End, so once two epochs pass no thread can
+// hold the node). A node on a list is therefore out of every thread's
+// reach, and reuse is plain initializing stores that touch no version
+// word — the same as for a fresh node. A pool keeps two lists, one per
+// node kind, because an insert asks for a node of a given kind: leaves,
+// and internal nodes.
 //
 // Attempt lifecycle: a body draws nodes with Take (recording them in
 // the attempt's allocation list) and marks the nodes it unlinks with
 // Remove. Each attempt starts with BeginAttempt — nodes drawn by a
-// failed previous attempt were never published, so each returns to the
-// list it was drawn from, no reader the wiser — and a completed
-// operation calls Settle: the committed attempt's nodes are published
-// (forgotten) and its removals retire under the rules above.
+// failed previous attempt were never published, so each returns to its
+// list, no reader the wiser — and a completed operation calls Settle:
+// the committed attempt's nodes are published (forgotten) and its
+// removals retire.
 package nodepool
 
-import (
-	"sync/atomic"
-
-	"htmtree/internal/htm"
-)
+import "sync/atomic"
 
 // Stats counts a pool's activity. Exported by the structures as their
 // handle ReclaimStats.
 type Stats struct {
 	// Fresh counts heap allocations; Reused counts pool hits.
 	Fresh, Reused uint64
-	// RetiredFast counts removals recycled immediately under the
-	// Section 9 fast-path rule; RetiredGrace counts removals deferred a
-	// grace period.
-	RetiredFast, RetiredGrace uint64
-	// Freed counts nodes that came back to the pools (immediately or
-	// after their grace period expired), whether a list had room for
-	// them or not.
+	// Retired counts removals handed to the grace period.
+	Retired uint64
+	// Freed counts nodes that came back to the pools after their grace
+	// period expired, whether a list had room for them or not.
 	Freed uint64
 }
 
 // Retirer is the pool's view of the handle's reclamation context;
 // implemented by engine.Thread.
 type Retirer interface {
-	// Immediate reports whether a leaf removed by an operation that
-	// completed on path p may be reused without a grace period: every
-	// thread that can still hold it runs transactionally.
-	Immediate(p htm.PathKind) bool
 	// Retire schedules x to reach the pool's Release once no thread can
 	// hold a reference to it.
 	Retire(x any)
 }
 
-// The free lists, by who may still hold a node on them.
+// The free lists, by node kind.
 const (
-	listImmediate = iota
-	listGrace
+	listLeaf = iota
 	listInner
 	numLists
 )
@@ -89,17 +66,10 @@ const publishEvery = 64
 // node is left to the garbage collector instead.
 const maxPooled = 256
 
-// drawn is one node of the current attempt's allocation list and the
-// free list a failed attempt returns it to.
-type drawn[N any] struct {
-	n    *N
-	list uint8
-}
-
 // Pool is the per-handle pooling state for node type N.
 type Pool[N any] struct {
 	free    [numLists][]*N
-	alloc   []drawn[N]
+	alloc   []*N
 	removed []*N
 	stats   Stats
 	// pooled holds the list lengths as of the last publication; settles
@@ -112,7 +82,7 @@ type Pool[N any] struct {
 	ret    Retirer
 }
 
-// New creates a pool. isLeaf routes nodes between the leaf lists and
+// New creates a pool. isLeaf routes nodes between the leaf list and
 // the inner list; fresh heap-allocates a node of the given kind with its
 // cells bound to the owning TM's clock; ret is the handle's engine
 // thread.
@@ -125,58 +95,45 @@ func (p *Pool[N]) Stats() Stats { return p.stats }
 
 // Size returns the number of nodes currently in the free lists
 // (white-box tests).
-func (p *Pool[N]) Size() int {
-	return len(p.free[listImmediate]) + len(p.free[listGrace]) + len(p.free[listInner])
-}
+func (p *Pool[N]) Size() int { return len(p.free[listLeaf]) + len(p.free[listInner]) }
 
-// Pooled returns the lengths of the three free lists as the owner last
+// Pooled returns the lengths of the two free lists as the owner last
 // published them — every publishEvery-th Settle, so that a reader on
 // another goroutine (the engine's reclamation gauges) costs the owner no
 // atomic per node. Safe from any goroutine.
-func (p *Pool[N]) Pooled() (immediate, grace, inner int) {
-	return int(p.pooled[listImmediate].Load()), int(p.pooled[listGrace].Load()), int(p.pooled[listInner].Load())
+func (p *Pool[N]) Pooled() (leaves, inner int) {
+	return int(p.pooled[listLeaf].Load()), int(p.pooled[listInner].Load())
 }
 
-// put returns n to list l, or drops it when the list is full (maxPooled).
-func (p *Pool[N]) put(l uint8, n *N) {
+// put returns n to the list of its kind, or drops it when the list is
+// full (maxPooled).
+func (p *Pool[N]) put(n *N) {
+	l := listInner
+	if p.isLeaf(n) {
+		l = listLeaf
+	}
 	if len(p.free[l]) < maxPooled {
 		p.free[l] = append(p.free[l], n)
 	}
 }
 
-// graceList is the list a node that no thread can hold belongs on.
-func (p *Pool[N]) graceList(n *N) uint8 {
-	if p.isLeaf(n) {
-		return listGrace
-	}
-	return listInner
-}
-
 // Release receives a node whose grace period expired and pools it; it
 // is the handle's ebr free callback (engine.Thread.EnableReclaim).
 func (p *Pool[N]) Release(x any) {
-	n := x.(*N)
-	p.put(p.graceList(n), n)
+	p.put(x.(*N))
 	p.stats.Freed++
 }
 
-// Take draws a node of the given kind and records it in the attempt's
-// allocation list: a leaf from the grace list first, then the immediate
-// list; an internal node from the inner list; either from the heap when
-// its lists are empty. stale reports that the node skipped its grace
-// period, so a transaction that read it in its previous life may still
-// hold it: the caller must re-initialize its cells with
-// version-advancing Recycle stores. Every other node — fresh or
-// grace-released — is out of every thread's reach, and plain Init stores
-// suffice.
-func (p *Pool[N]) Take(leaf bool) (n *N, stale bool) {
-	from := uint8(listInner)
+// Take draws a node of the given kind from its list, or from the heap
+// when the list is empty, and records it in the attempt's allocation
+// list. Either way no other thread can hold the node, so the caller
+// initializes its cells with plain Init stores.
+func (p *Pool[N]) Take(leaf bool) *N {
+	from := listInner
 	if leaf {
-		from = listGrace
-		if len(p.free[listGrace]) == 0 && len(p.free[listImmediate]) > 0 {
-			from = listImmediate
-		}
+		from = listLeaf
 	}
+	var n *N
 	if l := p.free[from]; len(l) > 0 {
 		n = l[len(l)-1]
 		l[len(l)-1] = nil
@@ -186,19 +143,18 @@ func (p *Pool[N]) Take(leaf bool) (n *N, stale bool) {
 		n = p.fresh(leaf)
 		p.stats.Fresh++
 	}
-	p.alloc = append(p.alloc, drawn[N]{n: n, list: from})
-	return n, from == listImmediate
+	p.alloc = append(p.alloc, n)
+	return n
 }
 
 // BeginAttempt resets the per-attempt state: nodes drawn by a previous
 // attempt of this operation were never published (the attempt aborted
-// or its SCX failed), so each returns to the list it was drawn from —
-// whoever could hold it before still can, nobody new — and the previous
+// or its SCX failed), so each returns to its list, and the previous
 // attempt's removal list is discarded.
 func (p *Pool[N]) BeginAttempt() {
-	for i, d := range p.alloc {
-		p.put(d.list, d.n)
-		p.alloc[i] = drawn[N]{}
+	for i, n := range p.alloc {
+		p.put(n)
+		p.alloc[i] = nil
 	}
 	p.alloc = p.alloc[:0]
 	p.removed = p.removed[:0]
@@ -211,24 +167,16 @@ func (p *Pool[N]) Remove(n *N) {
 }
 
 // Settle finishes a completed operation: the committed attempt's drawn
-// nodes are published (forgotten) and its removed nodes retire — leaves
-// straight onto the immediate list when the completing path permits,
-// everything else through a grace period.
-func (p *Pool[N]) Settle(path htm.PathKind) {
+// nodes are published (forgotten) and its removed nodes retire through
+// a grace period.
+func (p *Pool[N]) Settle() {
 	for i := range p.alloc {
-		p.alloc[i] = drawn[N]{}
+		p.alloc[i] = nil
 	}
 	p.alloc = p.alloc[:0]
-	immediate := len(p.removed) > 0 && p.ret.Immediate(path)
 	for i, n := range p.removed {
-		if immediate && p.isLeaf(n) {
-			p.put(listImmediate, n)
-			p.stats.RetiredFast++
-			p.stats.Freed++
-		} else {
-			p.ret.Retire(n)
-			p.stats.RetiredGrace++
-		}
+		p.ret.Retire(n)
+		p.stats.Retired++
 		p.removed[i] = nil
 	}
 	p.removed = p.removed[:0]

@@ -3,20 +3,17 @@ package nodepool
 import (
 	"sync"
 	"testing"
-
-	"htmtree/internal/htm"
 )
 
 type node struct{ leaf bool }
 
-// fakeRetirer allows immediate reuse on the fast path only, and holds
-// grace-period retirees until the test lets the grace period expire.
+// fakeRetirer holds retirees until the test lets the grace period
+// expire.
 type fakeRetirer struct {
 	limbo []any
 }
 
-func (r *fakeRetirer) Immediate(p htm.PathKind) bool { return p == htm.PathFast }
-func (r *fakeRetirer) Retire(x any)                  { r.limbo = append(r.limbo, x) }
+func (r *fakeRetirer) Retire(x any) { r.limbo = append(r.limbo, x) }
 
 // expire releases every retiree into p, as ebr does when their grace
 // period ends.
@@ -35,48 +32,37 @@ func newTestPool() (*Pool[node], *fakeRetirer) {
 }
 
 func (p *Pool[N]) lens() [numLists]int {
-	return [numLists]int{len(p.free[listImmediate]), len(p.free[listGrace]), len(p.free[listInner])}
+	return [numLists]int{len(p.free[listLeaf]), len(p.free[listInner])}
 }
 
-// removeAndSettle runs one operation that unlinks the given nodes and
-// completes on path.
-func removeAndSettle(p *Pool[node], path htm.PathKind, nodes ...*node) {
+// removeAndSettle runs one operation that unlinks the given nodes.
+func removeAndSettle(p *Pool[node], nodes ...*node) {
 	p.BeginAttempt()
 	for _, n := range nodes {
 		p.Remove(n)
 	}
-	p.Settle(path)
+	p.Settle()
 }
 
-// TestSettleRoutesByPathAndKind: a leaf removed by a fast-path commit
-// goes straight onto the immediate list; a leaf removed on any other
-// path, and an internal node removed on any path at all, goes through
-// Retire and reaches its list — grace, inner — only when the grace period
-// expires. Size counts all three lists.
-func TestSettleRoutesByPathAndKind(t *testing.T) {
+// TestSettleRetiresEveryRemoval: every node an operation removes, leaf
+// or internal, goes through Retire, and reaches its list — leaf, inner —
+// only when the grace period expires. Size counts both lists.
+func TestSettleRetiresEveryRemoval(t *testing.T) {
 	p, r := newTestPool()
-	fastLeaf, fastInner := &node{leaf: true}, &node{}
-	removeAndSettle(p, htm.PathFast, fastLeaf, fastInner)
-	if got, want := p.lens(), [numLists]int{1, 0, 0}; got != want {
-		t.Fatalf("after a fast-path settle: lists %v, want %v (leaf immediate, inner in limbo)", got, want)
+	for i := 0; i < 3; i++ {
+		removeAndSettle(p, &node{leaf: true}, &node{})
 	}
-	if len(r.limbo) != 1 || r.limbo[0] != any(fastInner) {
-		t.Fatalf("limbo holds %v, want the internal node", r.limbo)
+	if got, want := p.lens(), [numLists]int{0, 0}; got != want {
+		t.Fatalf("settles pooled nodes before their grace period: lists %v, want %v", got, want)
 	}
-	for _, path := range []htm.PathKind{htm.PathMiddle, htm.PathFallback} {
-		removeAndSettle(p, path, &node{leaf: true}, &node{})
+	if len(r.limbo) != 6 {
+		t.Fatalf("limbo holds %d nodes, want 6", len(r.limbo))
 	}
-	if got, want := p.lens(), [numLists]int{1, 0, 0}; got != want {
-		t.Fatalf("middle- and fallback-path settles pooled nodes before their grace period: lists %v, want %v", got, want)
-	}
-	if len(r.limbo) != 5 {
-		t.Fatalf("limbo holds %d nodes, want 5", len(r.limbo))
-	}
-	if st := p.Stats(); st.RetiredFast != 1 || st.RetiredGrace != 5 || st.Freed != 1 {
-		t.Fatalf("stats %+v, want 1 immediate, 5 grace, 1 freed", st)
+	if st := p.Stats(); st.Retired != 6 || st.Freed != 0 {
+		t.Fatalf("stats %+v, want 6 retired, 0 freed", st)
 	}
 	r.expire(p)
-	if got, want := p.lens(), [numLists]int{1, 2, 3}; got != want {
+	if got, want := p.lens(), [numLists]int{3, 3}; got != want {
 		t.Fatalf("after the grace period: lists %v, want %v", got, want)
 	}
 	if p.Size() != 6 || p.Stats().Freed != 6 {
@@ -84,51 +70,47 @@ func TestSettleRoutesByPathAndKind(t *testing.T) {
 	}
 }
 
-// TestTakePrefersGraceReleasedLeaves: a leaf nobody can hold is cheaper
-// to reuse than one a stale reader may, so Take hands out the grace list
-// first, then the immediate list — and says which kind it handed out —
-// then the heap.
+// TestTakePrefersGraceReleasedLeaves: Take hands out the nodes that
+// came back through a grace period before it allocates, each from the
+// list of the kind asked for.
 func TestTakePrefersGraceReleasedLeaves(t *testing.T) {
 	p, r := newTestPool()
-	immediate, graced := &node{leaf: true}, &node{leaf: true}
-	removeAndSettle(p, htm.PathFast, immediate)
-	removeAndSettle(p, htm.PathMiddle, graced)
+	graced, inner := &node{leaf: true}, &node{}
+	removeAndSettle(p, graced, inner)
 	r.expire(p)
 
 	p.BeginAttempt()
-	if n, stale := p.Take(true); n != graced || stale {
-		t.Fatalf("first Take = (%p, stale %v), want the grace-released leaf %p, not stale", n, stale, graced)
+	if n := p.Take(true); n != graced {
+		t.Fatalf("first Take = %p, want the grace-released leaf %p", n, graced)
 	}
-	if n, stale := p.Take(true); n != immediate || !stale {
-		t.Fatalf("second Take = (%p, stale %v), want the immediately retired leaf %p, stale", n, stale, immediate)
+	if n := p.Take(true); n == nil || n == graced || !n.leaf {
+		t.Fatalf("second Take = %+v, want a fresh leaf", n)
 	}
-	if n, stale := p.Take(true); n == nil || n == graced || n == immediate || stale {
-		t.Fatalf("third Take = (%p, stale %v), want a fresh leaf", n, stale)
+	if n := p.Take(false); n != inner {
+		t.Fatalf("Take(inner) = %p, want the grace-released internal node %p", n, inner)
 	}
-	if n, stale := p.Take(false); n == nil || n.leaf || stale {
-		t.Fatalf("Take(inner) = (%+v, stale %v), want a fresh internal node", n, stale)
+	if n := p.Take(false); n == nil || n == inner || n.leaf {
+		t.Fatalf("Take(inner) = %+v, want a fresh internal node", n)
 	}
 	if st := p.Stats(); st.Reused != 2 || st.Fresh != 2 {
 		t.Fatalf("stats %+v, want 2 reused, 2 fresh", st)
 	}
-	p.Settle(htm.PathMiddle) // published: nothing returns
+	p.Settle() // published: nothing returns
 	if p.Size() != 0 {
 		t.Fatalf("Size = %d after the drawn nodes were published, want 0", p.Size())
 	}
 }
 
 // TestBeginAttemptReturnsNodesWhereTheyCameFrom: an attempt that failed
-// published nothing, so whoever could hold one of its nodes before still
-// can and nobody new: each goes back to the list it was drawn from (a
-// fresh one to the list of its kind that nobody can hold), and is drawn
-// from there again.
+// published nothing, so each of its nodes goes back to the list of its
+// kind (a fresh one too: nobody ever saw it), and is drawn from there
+// again.
 func TestBeginAttemptReturnsNodesWhereTheyCameFrom(t *testing.T) {
 	p, r := newTestPool()
-	immediate, graced, inner := &node{leaf: true}, &node{leaf: true}, &node{}
-	removeAndSettle(p, htm.PathFast, immediate)
-	removeAndSettle(p, htm.PathFallback, graced, inner)
+	graced, inner := &node{leaf: true}, &node{}
+	removeAndSettle(p, graced, inner)
 	r.expire(p)
-	want := [numLists]int{1, 1, 1}
+	want := [numLists]int{1, 1}
 	if got := p.lens(); got != want {
 		t.Fatalf("setup: lists %v, want %v", got, want)
 	}
@@ -139,13 +121,10 @@ func TestBeginAttemptReturnsNodesWhereTheyCameFrom(t *testing.T) {
 			t.Fatalf("attempt %d: lists %v after BeginAttempt, want %v", attempt, got, want)
 		}
 		p.Remove(&node{leaf: true}) // a failed attempt's removals are forgotten
-		if n, stale := p.Take(true); n != graced || stale {
-			t.Fatalf("attempt %d: grace-list leaf came back as (%p, stale %v)", attempt, n, stale)
+		if n := p.Take(true); n != graced {
+			t.Fatalf("attempt %d: leaf-list leaf came back as %p", attempt, n)
 		}
-		if n, stale := p.Take(true); n != immediate || !stale {
-			t.Fatalf("attempt %d: immediate-list leaf came back as (%p, stale %v)", attempt, n, stale)
-		}
-		if n, _ := p.Take(false); n != inner {
+		if n := p.Take(false); n != inner {
 			t.Fatalf("attempt %d: inner-list node came back as %p", attempt, n)
 		}
 	}
@@ -153,11 +132,11 @@ func TestBeginAttemptReturnsNodesWhereTheyCameFrom(t *testing.T) {
 	p.Take(true)
 	p.Take(false)
 	p.BeginAttempt()
-	if got, want := p.lens(), [numLists]int{1, 2, 2}; got != want {
+	if got, want := p.lens(), [numLists]int{2, 2}; got != want {
 		t.Fatalf("lists %v after a failed attempt drew two fresh nodes, want %v", got, want)
 	}
-	p.Settle(htm.PathFast)
-	if len(r.limbo) != 0 || p.Stats().RetiredFast != 1 {
+	p.Settle()
+	if len(r.limbo) != 0 || p.Stats().Retired != 2 {
 		t.Fatalf("a failed attempt's removal was retired: limbo %v, stats %+v", r.limbo, p.Stats())
 	}
 }
@@ -181,20 +160,18 @@ func TestPooledIsPublishedEverySoManySettles(t *testing.T) {
 		}
 	}()
 	for settles := 0; settles < publishEvery-1; settles++ {
+		removeAndSettle(p, &node{leaf: true}, &node{})
 		if settles%2 == 0 {
-			removeAndSettle(p, htm.PathFast, &node{leaf: true})
-		} else {
-			removeAndSettle(p, htm.PathMiddle, &node{leaf: true}, &node{})
 			r.expire(p)
 		}
 	}
-	if im, gr, in := p.Pooled(); im+gr+in != 0 {
-		t.Fatalf("Pooled = %d/%d/%d before the first publication", im, gr, in)
+	if lf, in := p.Pooled(); lf+in != 0 {
+		t.Fatalf("Pooled = %d/%d before the first publication", lf, in)
 	}
-	removeAndSettle(p, htm.PathFast)
+	removeAndSettle(p)
 	lens := p.lens()
-	if im, gr, in := p.Pooled(); [numLists]int{im, gr, in} != lens || p.Size() != im+gr+in {
-		t.Fatalf("Pooled = %d/%d/%d at the publication, lists %v", im, gr, in, lens)
+	if lf, in := p.Pooled(); [numLists]int{lf, in} != lens || p.Size() != lf+in {
+		t.Fatalf("Pooled = %d/%d at the publication, lists %v", lf, in, lens)
 	}
 	close(stop)
 	wg.Wait()
@@ -206,14 +183,13 @@ func TestPooledIsPublishedEverySoManySettles(t *testing.T) {
 func TestListsAreBounded(t *testing.T) {
 	p, r := newTestPool()
 	for i := 0; i < 2*maxPooled; i++ {
-		removeAndSettle(p, htm.PathFast, &node{leaf: true})
-		removeAndSettle(p, htm.PathMiddle, &node{leaf: true}, &node{})
+		removeAndSettle(p, &node{leaf: true}, &node{})
 	}
 	r.expire(p)
-	if got, want := p.lens(), [numLists]int{maxPooled, maxPooled, maxPooled}; got != want {
+	if got, want := p.lens(), [numLists]int{maxPooled, maxPooled}; got != want {
 		t.Fatalf("lists %v after a backlog of %d nodes each, want %v", got, 2*maxPooled, want)
 	}
-	if st := p.Stats(); st.Freed != 6*maxPooled {
-		t.Fatalf("Freed = %d, want every returning node counted (%d)", st.Freed, 6*maxPooled)
+	if st := p.Stats(); st.Freed != 4*maxPooled {
+		t.Fatalf("Freed = %d, want every returning node counted (%d)", st.Freed, 4*maxPooled)
 	}
 }

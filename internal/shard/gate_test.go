@@ -145,7 +145,7 @@ func TestGatedUpdaterPinsNoEpoch(t *testing.T) {
 	for i := uint64(0); i < 64; i++ {
 		a.Insert(1<<17+i, i)
 	}
-	if after := d.OpStats().Reclaim; after.PooledGrace <= before.PooledGrace {
-		t.Errorf("PooledGrace %d before, %d after: the backlog did not reach the pool", before.PooledGrace, after.PooledGrace)
+	if after := d.OpStats().Reclaim; after.PooledLeaf <= before.PooledLeaf {
+		t.Errorf("PooledLeaf %d before, %d after: the backlog did not reach the pool", before.PooledLeaf, after.PooledLeaf)
 	}
 }

@@ -136,12 +136,11 @@ var families = []family{
 		}},
 	{name: "htmtree_fallback_acquisitions_total", help: "TLE global lock acquisitions: the fallback critical sections of the tle algorithm.",
 		inner: true, read: func(s *Stats, emit emitFn) { emit(s.FallbackAcquisitions) }},
-	{name: "htmtree_reclaim_nodes", help: "Removed nodes not back in the tree: waiting out a grace period (limbo), or pooled for reuse on the handles' immediate, grace and inner free lists.",
+	{name: "htmtree_reclaim_nodes", help: "Removed nodes not back in the tree: waiting out a grace period (limbo), or pooled for reuse on the handles' leaf and inner free lists.",
 		gauge: true, inner: true, labels: []string{"state"},
 		read: func(s *Stats, emit emitFn) {
 			emit(s.Reclaim.Limbo, "limbo")
-			emit(s.Reclaim.PooledImmediate, "pooled_immediate")
-			emit(s.Reclaim.PooledGrace, "pooled_grace")
+			emit(s.Reclaim.PooledLeaf, "pooled_leaf")
 			emit(s.Reclaim.PooledInner, "pooled_inner")
 		}},
 

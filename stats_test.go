@@ -146,9 +146,7 @@ func TestScrapeEqualsStats(t *testing.T) {
 			}
 			// Enough updates per inner handle on 8 shards that the pools
 			// and reclamation bags publish their gauges at least once
-			// (every 64 settles, every 32 retirements), also under TLE,
-			// whose fast-path leaf removals recycle at once instead of
-			// retiring.
+			// (every 64 settles, every 32 retirements).
 			churn(tree, 4, 1200, keySpan)
 			if atomic {
 				h, ah := tree.NewHandle(), tree.NewAsyncHandle()
@@ -197,7 +195,7 @@ func TestScrapeEqualsStats(t *testing.T) {
 			if st.FallbackAcquisitions != wantAcq {
 				t.Errorf("FallbackAcquisitions = %d, want %d", st.FallbackAcquisitions, wantAcq)
 			}
-			if rc := st.Reclaim; !atomic && rc.Limbo+rc.PooledImmediate+rc.PooledGrace+rc.PooledInner == 0 {
+			if rc := st.Reclaim; !atomic && rc.Limbo+rc.PooledLeaf+rc.PooledInner == 0 {
 				t.Errorf("the churn left every reclamation gauge at zero: %+v", rc)
 			}
 			if !atomic && (st.Ops.Fast == 0 || st.Ops.Fallback == 0 || st.Policy.FreeRetries == 0) {
