@@ -189,6 +189,93 @@ func BenchmarkMicroTxReadAfterWrite(b *testing.B) {
 	}
 }
 
+// microRef is microCell for a Ref; each points at itself.
+type microRef struct {
+	r htm.Ref[microRef]
+	_ [5]uint64
+}
+
+// BenchmarkMicroTxRead is the number for the inline transactional read
+// (Word.Get, Pair.Get and Ref.Get with Tx.fastRead): one read-only
+// transaction that reads n separately allocated cells of one kind and
+// commits, in ns per read (ns/read). The pinned variant begins its
+// attempts with AtomicAt at a Clock.Pin value taken once, as a pinned
+// cross-shard scan does.
+func BenchmarkMicroTxRead(b *testing.B) {
+	var sum uint64 // every cell holds 0, and every Ref itself
+	kinds := []struct {
+		name  string
+		cells func(tm *htm.TM, n int) func(tx *htm.Tx)
+	}{
+		{"Word", func(tm *htm.TM, n int) func(tx *htm.Tx) {
+			cells := microCells(tm, n)
+			return func(tx *htm.Tx) {
+				for _, c := range cells {
+					sum += c.w.Get(tx)
+				}
+			}
+		}},
+		{"Pair", func(_ *htm.TM, n int) func(tx *htm.Tx) {
+			cells := make([]*microPair, n)
+			for i := range cells {
+				cells[i] = new(microPair)
+			}
+			return func(tx *htm.Tx) {
+				for _, c := range cells {
+					a, b := c.p.Get(tx)
+					sum += a + b
+				}
+			}
+		}},
+		{"Ref", func(_ *htm.TM, n int) func(tx *htm.Tx) {
+			cells := make([]*microRef, n)
+			for i := range cells {
+				cells[i] = new(microRef)
+				cells[i].r.Init(cells[i])
+			}
+			return func(tx *htm.Tx) {
+				for _, c := range cells {
+					if c.r.Get(tx) != c {
+						sum++
+					}
+				}
+			}
+		}},
+	}
+	for _, k := range kinds {
+		for _, n := range []int{8, 128} {
+			for _, pinned := range []bool{false, true} {
+				name := k.name + "/" + strconv.Itoa(n)
+				if pinned {
+					name += "/pinned"
+				}
+				b.Run(name, func(b *testing.B) {
+					tm := htm.New(htm.Config{})
+					th := tm.NewThread()
+					body := k.cells(tm, n)
+					run := func() (bool, htm.Abort) { return th.Atomic(htm.PathFast, body) }
+					if pinned {
+						rv := tm.Clock().Pin()
+						run = func() (bool, htm.Abort) { return th.AtomicAt(htm.PathFast, rv, body) }
+					}
+					run() // grows the read log to n
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if ok, _ := run(); !ok {
+							b.Fatal("uncontended transaction aborted")
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(n), "ns/read")
+				})
+			}
+		}
+	}
+	if sum != 0 {
+		b.Fatal("a read returned a value no cell holds")
+	}
+}
+
 // BenchmarkMicroTxInit is what re-initializing one leaf's worth of
 // pooled cells costs (internal/nodepool): Init, for a node no thread can
 // hold, is a plain store per value word — no atomic read-modify-write,

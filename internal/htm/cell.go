@@ -125,7 +125,34 @@ func (w *Word) Init(v uint64) { *(*uint64)(unsafe.Pointer(&w.val)) = v }
 
 // Get reads the cell. With a nil tx it performs a non-transactional
 // atomic read; otherwise the read joins tx's read set and may abort tx.
+//
+// The common read is answered here, in one call: the version word, then
+// the value, then — for a nil tx, when the cell was unlocked, and for a
+// tx, when Tx.fastRead admits the version — a re-read of the version,
+// which must be unchanged. Every other read is get's, which decides it
+// from the top.
 func (w *Word) Get(tx *Tx) uint64 {
+	v := w.ver.Load()
+	val := w.val.Load()
+	if tx == nil {
+		if v&lockBit == 0 && w.ver.Load() == v {
+			return val
+		}
+	} else if tx.fastRead(v) {
+		if w.ver.Load() != v {
+			tx.abort(CauseConflict)
+		}
+		tx.logFast(&w.ver, v)
+		return val
+	}
+	return w.get(tx)
+}
+
+// get is Get's slow half: a nil-tx read that met a lock or a write waits
+// for a stable value, and a transactional read reads back a buffered
+// write, waits out or extends past a newer version, and is admitted
+// (Tx.logRead).
+func (w *Word) get(tx *Tx) uint64 {
 	if tx == nil {
 		for i := 0; ; i++ {
 			v1 := w.ver.Load()
@@ -248,8 +275,26 @@ func (p *Pair) Store(c *Clock, a, b uint64) {
 
 // Get reads both values as of one instant. With a nil tx it performs a
 // non-transactional atomic read; otherwise the read joins tx's read set
-// and may abort tx.
+// and may abort tx. Its common read is answered inline, as Word.Get's.
 func (p *Pair) Get(tx *Tx) (a, b uint64) {
+	v := p.ver.Load()
+	a, b = p.val[0].Load(), p.val[1].Load()
+	if tx == nil {
+		if v&lockBit == 0 && p.ver.Load() == v {
+			return a, b
+		}
+	} else if tx.fastRead(v) {
+		if p.ver.Load() != v {
+			tx.abort(CauseConflict)
+		}
+		tx.logFast(&p.ver, v)
+		return a, b
+	}
+	return p.get(tx)
+}
+
+// get is Get's slow half; see Word.get.
+func (p *Pair) get(tx *Tx) (a, b uint64) {
 	if tx == nil {
 		for i := 0; ; i++ {
 			v1 := p.ver.Load()
@@ -316,7 +361,26 @@ func (r *Ref[T]) Init(p *T) { r.val = unsafe.Pointer(p) }
 
 // Get reads the cell. With a nil tx it performs a non-transactional
 // atomic read; otherwise the read joins tx's read set and may abort tx.
+// Its common read is answered inline, as Word.Get's.
 func (r *Ref[T]) Get(tx *Tx) *T {
+	v := r.ver.Load()
+	p := r.load()
+	if tx == nil {
+		if v&lockBit == 0 && r.ver.Load() == v {
+			return p
+		}
+	} else if tx.fastRead(v) {
+		if r.ver.Load() != v {
+			tx.abort(CauseConflict)
+		}
+		tx.logFast(&r.ver, v)
+		return p
+	}
+	return r.get(tx)
+}
+
+// get is Get's slow half; see Word.get.
+func (r *Ref[T]) get(tx *Tx) *T {
 	if tx == nil {
 		for i := 0; ; i++ {
 			v1 := r.ver.Load()

@@ -109,19 +109,32 @@ func TestSnapshotExtension(t *testing.T) {
 	}
 }
 
-// TestInBodyOpacity: two writers keep a chain of cells equal, and two
-// more keep stamping an unrelated cell, one transactionally and one
-// outside any transaction. Readers read the noise cell between the
-// chain's cells — so their snapshots keep extending — and compare every
-// chain cell with the first inside the attempt, before it commits: a
-// zombie read, one the snapshot does not cover, fails the test even if
-// its attempt later aborts.
+// TestInBodyOpacity: two writers keep three chains of cells equal — a
+// chain of Words holding v, one of Pairs holding (v, ^v) and one of Refs
+// to a node holding v, all written by one transaction — and two more
+// keep stamping an unrelated cell, one transactionally and one outside
+// any transaction. Two readers read the noise cell between the chains'
+// cells, so their snapshots keep extending; a third begins each attempt
+// at a Clock.Pin value (AtomicAt), so its snapshot never moves. Every
+// reader compares each cell it reads with the first Word inside the
+// attempt, before it commits: a zombie read, one the snapshot does not
+// cover (a torn Pair among them), fails the test even if its attempt
+// later aborts.
 func TestInBodyOpacity(t *testing.T) {
 	t.Parallel()
 	const chain = 6
+	type node struct{ v uint64 }
 	tm := New(Config{})
-	var cells [chain]Word
-	var noise Word
+	var (
+		words [chain]Word
+		pairs [chain]Pair
+		refs  [chain]Ref[node]
+		noise Word
+	)
+	for i := range refs {
+		refs[i].Init(&node{})
+		pairs[i].Init(0, ^uint64(0))
+	}
 	noise.Bind(tm.Clock())
 	var stop atomic.Bool
 	var wg sync.WaitGroup
@@ -139,9 +152,12 @@ func TestInBodyOpacity(t *testing.T) {
 	for w := 0; w < 2; w++ {
 		loop(func(th *Thread) {
 			th.Atomic(PathFast, func(tx *Tx) {
-				v := cells[0].Get(tx) + 1
-				for i := range cells {
-					cells[i].Set(tx, v)
+				v := words[0].Get(tx) + 1
+				n := &node{v}
+				for i := range chain {
+					words[i].Set(tx, v)
+					pairs[i].Set(tx, v, ^v)
+					refs[i].Set(tx, n)
 				}
 			})
 		})
@@ -152,38 +168,70 @@ func TestInBodyOpacity(t *testing.T) {
 	loop(func(*Thread) { noise.Set(nil, noise.Get(nil)+1) })
 
 	var readers sync.WaitGroup
-	var zombies, exts atomic.Uint64
-	for r := 0; r < 2; r++ {
+	var zombies, exts, pinnedCommits atomic.Uint64
+	// read is one reader's attempt body; the extending readers read the
+	// noise cell between the chains' cells.
+	read := func(tx *Tx, i int, extending bool) {
+		first := words[0].Get(tx)
+		check := func(v uint64) {
+			if v != first {
+				zombies.Add(1)
+			}
+		}
+		for j := range chain {
+			if j == chain/2 && i%4 == 0 {
+				runtime.Gosched() // let the writers in mid-attempt
+			}
+			if extending {
+				noise.Get(tx)
+			}
+			check(words[j].Get(tx))
+			a, b := pairs[j].Get(tx)
+			check(a)
+			check(^b)
+			check(refs[j].Get(tx).v)
+		}
+	}
+	for r := 0; r < 3; r++ {
+		pinned := r == 2
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
 			th := tm.NewThread()
-			start := time.Now()
-			for i := 0; i < 20000 || (th.Stats().Extensions[PathMiddle] == 0 && time.Since(start) < 10*time.Second); i++ {
-				th.Atomic(PathMiddle, func(tx *Tx) {
-					first := cells[0].Get(tx)
-					for j := 1; j < chain; j++ {
-						if j == chain/2 && i%4 == 0 {
-							runtime.Gosched() // let the writers in mid-attempt
-						}
-						noise.Get(tx)
-						if cells[j].Get(tx) != first {
-							zombies.Add(1)
-						}
-					}
-				})
+			// progress is what shows the reader exercised its protocol:
+			// extensions, or commits of pinned attempts.
+			progress := func() uint64 {
+				if pinned {
+					return th.Stats().Commits[PathMiddle]
+				}
+				return th.Stats().Extensions[PathMiddle]
 			}
-			exts.Add(th.Stats().Extensions[PathMiddle])
+			start := time.Now()
+			for i := 0; i < 40000 || (progress() == 0 && time.Since(start) < 10*time.Second); i++ {
+				if pinned {
+					th.AtomicAt(PathMiddle, tm.Clock().Pin(), func(tx *Tx) { read(tx, i, false) })
+				} else {
+					th.Atomic(PathMiddle, func(tx *Tx) { read(tx, i, true) })
+				}
+			}
+			if pinned {
+				pinnedCommits.Add(progress())
+			} else {
+				exts.Add(progress())
+			}
 		}()
 	}
 	readers.Wait()
 	stop.Store(true)
 	wg.Wait()
 	if n := zombies.Load(); n != 0 {
-		t.Fatalf("%d reads inside attempts saw the chain unequal", n)
+		t.Fatalf("%d reads inside attempts saw the chains unequal", n)
 	}
 	if exts.Load() == 0 {
 		t.Fatal("no reader snapshot ever extended: the test exercised nothing")
 	}
-	t.Logf("%d snapshot extensions", exts.Load())
+	if pinnedCommits.Load() == 0 {
+		t.Fatal("no pinned reader ever committed: the test exercised nothing")
+	}
+	t.Logf("%d snapshot extensions, %d pinned commits", exts.Load(), pinnedCommits.Load())
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"htmtree/internal/fault"
 )
@@ -630,5 +631,16 @@ func TestThreadStatsConcurrent(t *testing.T) {
 	s := th.Stats()
 	if s.Commits[PathFast] != 20000 || s.Aborts[PathMiddle][CauseExplicit] != 20000 {
 		t.Fatalf("stats = %+v, want 20000 fast commits and middle explicit aborts", s)
+	}
+}
+
+// TestThreadKeepsOffNeighbouringCacheLines: see the ebr test of the same
+// name; the owner writes the Tx and the statistics on every operation,
+// and two workers' Threads share a size class.
+func TestThreadKeepsOffNeighbouringCacheLines(t *testing.T) {
+	var th Thread
+	first, end := unsafe.Offsetof(th.tm), unsafe.Offsetof(th.ab)+unsafe.Sizeof(th.ab)
+	if first < 64 || unsafe.Sizeof(th)-end < 64 {
+		t.Fatalf("fields span bytes %d..%d of %d: want 64 bytes of padding at each end", first, end, unsafe.Sizeof(th))
 	}
 }

@@ -148,8 +148,13 @@ func (s *Stats) TotalAborts(p PathKind) uint64 {
 }
 
 // Thread is a per-goroutine transactional context. A Thread must not be
-// shared between goroutines concurrently.
+// shared between goroutines concurrently. Its owner writes the Tx and
+// the statistics on every operation, so a cache line of padding at each
+// end keeps the fields off the lines of whatever the allocator places
+// beside it — another worker's Thread, in the same size class (see
+// ebr.Thread).
 type Thread struct {
+	_     [64]byte
 	tm    *TM
 	tx    Tx
 	inTx  bool
@@ -162,6 +167,7 @@ type Thread struct {
 	// aborted attempt allocates nothing; Tx.unwind fills it and runTx's
 	// recover reads it back.
 	ab txAbort
+	_  [64]byte
 }
 
 // Stats returns a snapshot of this thread's transaction statistics. The
@@ -219,13 +225,21 @@ const sigWords = 4
 // Tx is a single transaction attempt. It is only valid inside the
 // function passed to Thread.Atomic and must not be retained.
 type Tx struct {
-	th     *Thread
-	rv     uint64
-	reads  []readEntry
+	th *Thread
+	// rvw is the attempt's snapshot as a version word, rv<<1: a cell is
+	// readable at the snapshot when its unlocked version word is no
+	// greater.
+	rvw   uint64
+	reads []readEntry
+	// fast is how many read-set entries the inline read (fastRead) may
+	// hold: min(cap(reads), readCap), so an admitted read neither grows
+	// the log nor passes the capacity; 0 while the attempt is armed or
+	// has a write set, whose reads need admit or readBack.
+	fast   int
 	writes []writeEntry
 	// sig is a 256-bit signature (a one-hash Bloom filter) of the
-	// version-word addresses in writes. Every transactional read, and
-	// every first write of a cell, asks "is this cell in my write set?"
+	// version-word addresses in writes. Every transactional read
+	// fastRead declines, and every first write of a cell, asks "is this cell in my write set?"
 	// and the answer is almost always no; a clear signature bit says so
 	// in O(1), where scanning writes costs O(len(writes)) per access —
 	// quadratic in the size of a commit. A set bit only means "maybe":
@@ -265,13 +279,23 @@ func (tx *Tx) bind(th *Thread) {
 	tx.clk = &tm.clock
 }
 
-// reset clears the transaction log for a new attempt. The snapshot (rv)
+// reset clears the transaction log for a new attempt. The snapshot (rvw)
 // is established afterwards by begin.
 func (tx *Tx) reset(path PathKind) {
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
 	tx.sig = [sigWords]uint64{}
 	tx.path = path
+	tx.setFast()
+}
+
+// setFast recomputes fast from the read log's capacity, the write set
+// and armed.
+func (tx *Tx) setFast() {
+	tx.fast = 0
+	if !tx.armed && len(tx.writes) == 0 {
+		tx.fast = min(cap(tx.reads), tx.readCap)
+	}
 }
 
 // drop forgets the logged accesses of an abandoned attempt. The write
@@ -287,7 +311,7 @@ func (tx *Tx) drop() {
 }
 
 // begin establishes the attempt's snapshot.
-func (tx *Tx) begin() { tx.rv, tx.pinned = tx.clk.Now(), false }
+func (tx *Tx) begin() { tx.rvw, tx.pinned = tx.clk.Now()<<1, false }
 
 // Abort explicitly aborts the transaction with a user code, like the
 // xabort instruction. It does not return.
@@ -320,9 +344,26 @@ func (tx *Tx) inject() {
 
 // readable reports whether a cell whose version word reads v can be read
 // at the transaction's snapshot as is: unlocked and stamped no later
-// than the snapshot. It is the inlined common case of every
-// transactional read; anything else is readVersion's.
-func (tx *Tx) readable(v uint64) bool { return v&lockBit == 0 && v>>1 <= tx.rv }
+// than the snapshot. Anything else is readVersion's.
+func (tx *Tx) readable(v uint64) bool { return v&lockBit == 0 && v <= tx.rvw }
+
+// fastRead reports whether the read of a cell whose version word reads v
+// is the common one every Get answers inline: readable, in an unarmed
+// attempt with no write set (so nothing is buffered to read back and no
+// injection is due), and within both the read log's capacity and the
+// read set's. The Get then re-checks the version and logs the read with
+// logFast; every other read takes the Get's slow half, where readBack,
+// readVersion and admit decide it.
+func (tx *Tx) fastRead(v uint64) bool { return tx.readable(v) && len(tx.reads) < tx.fast }
+
+// logFast appends a read fastRead admitted to the read set, in place:
+// fastRead has checked that the log has room.
+func (tx *Tx) logFast(ver *atomic.Uint64, seen uint64) {
+	n := len(tx.reads)
+	tx.reads = tx.reads[:n+1]
+	e := &tx.reads[n]
+	e.ver, e.seen = ver, seen
+}
 
 // readVersion loads a cell version for a transactional read, spinning
 // briefly on locked cells (a commit in flight) and aborting on conflict.
@@ -332,7 +373,7 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 	for i := 0; ; i++ {
 		v := ver.Load()
 		if v&lockBit == 0 {
-			if v>>1 > tx.rv {
+			if v > tx.rvw {
 				tx.extend(v >> 1)
 			}
 			return v
@@ -374,7 +415,7 @@ func (tx *Tx) extend(v uint64) {
 			tx.abort(CauseConflict)
 		}
 	}
-	tx.rv = rv
+	tx.rvw = rv << 1
 	atomic.AddUint64(&tx.th.stats.Extensions[tx.path], 1)
 }
 
@@ -400,9 +441,12 @@ func (tx *Tx) admitSlow(n, limit int) {
 	}
 }
 
+// logRead admits a read the Get's slow half made and appends it to the
+// read set. An append may grow the log, so it recomputes fast.
 func (tx *Tx) logRead(ver *atomic.Uint64, seen uint64) {
 	tx.admit(len(tx.reads), tx.readCap)
 	tx.reads = append(tx.reads, readEntry{ver: ver, seen: seen})
+	tx.setFast()
 }
 
 // sigBit maps a version-word address to its bit of the write-set
@@ -415,12 +459,11 @@ func sigBit(ver *atomic.Uint64) (uint, uint64) {
 }
 
 // findWrite is the O(1) write-set membership test every transactional
-// Get starts with: false means the cell with the given version word is
-// certainly not in the write set; true means it may be, and readBack
-// must scan. It has to stay small enough to inline into the Gets. A
-// read-only attempt answers from the length alone (range scans pay this
-// once per cell, so not even the hash is affordable), a writing one
-// from the signature.
+// read fastRead declines starts with: false means the cell with the
+// given version word is certainly not in the write set; true means it
+// may be, and readBack must scan. It has to stay small enough to inline
+// into the Gets' slow halves. A read-only attempt answers from the
+// length alone, a writing one from the signature.
 func (tx *Tx) findWrite(ver *atomic.Uint64) bool {
 	if len(tx.writes) == 0 {
 		return false
@@ -470,6 +513,7 @@ func (tx *Tx) writeSlot(ver *atomic.Uint64, c unsafe.Pointer, kind entryKind) *w
 	}
 	tx.admit(len(tx.writes), tx.writeCap)
 	tx.sig[sw] |= sm
+	tx.fast = 0 // reads may now need readBack
 	// Append a zero entry and fill it in place: a composite literal
 	// would be assembled on the stack word by word and copied over in
 	// 16-byte moves, which the CPU cannot forward from the narrower
@@ -509,7 +553,7 @@ func (tx *Tx) releaseLocks(n int) {
 // read set unwritten since begin, and it is validated on every commit.
 func (tx *Tx) commit() AbortCause {
 	if len(tx.writes) == 0 {
-		// Read-only transactions are consistent at rv by construction.
+		// Read-only transactions are consistent at their snapshot by construction.
 		return CauseNone
 	}
 	for i := range tx.writes {
@@ -620,7 +664,7 @@ func (th *Thread) AtomicAt(path PathKind, rv uint64, fn func(tx *Tx)) (bool, Abo
 	}
 	th.inTx = true
 	tx.reset(path)
-	tx.rv, tx.pinned = rv, true
+	tx.rvw, tx.pinned = rv<<1, true
 	return th.finish(tx, path, fn)
 }
 

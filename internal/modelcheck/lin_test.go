@@ -206,6 +206,30 @@ func recordPointHistory(tree *htmtree.Tree, seed int64, workers, n, keys int) []
 	return all
 }
 
+// historyBound is how long one recorded history may take before the
+// test calls it a hang. Measured on 2 vCPUs (Intel Xeon) with every case
+// running in parallel, the longest of the 84 histories took 0.10 s, and
+// 0.27 s under -race (stall and pin-stall, whose injected 200 µs stalls
+// dominate); -short's shorter histories, under -race, 0.10 s. 30 s is
+// over a hundred times the longest and still fires well inside go test's
+// default 10-minute timeout.
+const historyBound = 30 * time.Second
+
+// recordWithin runs recordPointHistory under a watchdog: it returns the
+// history, or false once bound elapses first. A history that overruns is
+// stuck — a worker looping in a subtree reused under it, say — and its
+// workers cannot be stopped from outside, so they are abandoned.
+func recordWithin(bound time.Duration, tree *htmtree.Tree, seed int64, workers, n, keys int) ([]linOp, bool) {
+	done := make(chan []linOp, 1) // an abandoned recorder's send must not block
+	go func() { done <- recordPointHistory(tree, seed, workers, n, keys) }()
+	select {
+	case hist := <-done:
+		return hist, true
+	case <-time.After(bound):
+		return nil, false
+	}
+}
+
 // maybeYield yields the processor on one call in four. The recorder
 // calls it between an operation's tickets and the operation itself, so
 // the workers' windows overlap however few processors run them: an
@@ -263,7 +287,8 @@ func TestLinearizableCheckerRejects(t *testing.T) {
 // monitored 8-shard BST, for per-key linearizability: 4
 // workers over 8 keys, so every key's operations overlap, on every path
 // the contention sends them to. A failure prints the seed the workers'
-// operation streams derive from and the fault plan, which reproduce it.
+// operation streams derive from and the fault plan, which reproduce it;
+// so does a history that does not complete within historyBound.
 func TestPointOpsLinearizable(t *testing.T) {
 	t.Parallel()
 	const (
@@ -287,7 +312,11 @@ func TestPointOpsLinearizable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				for _, err := range checkLinearizable(recordPointHistory(tree, seed, workers, n, keys)) {
+				hist, ok := recordWithin(historyBound, tree, seed, workers, n, keys)
+				if !ok {
+					t.Fatalf("seed=%d plan=%v: the history did not complete within %v (its workers are abandoned)", seed, plan, historyBound)
+				}
+				for _, err := range checkLinearizable(hist) {
 					t.Errorf("seed=%d plan=%v: %v", seed, plan, err)
 				}
 				if o := tree.Stats().Ops; plan != nil && (o.Fast == 0 || o.Middle == 0 || o.Fallback == 0) {

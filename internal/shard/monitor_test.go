@@ -291,18 +291,21 @@ func TestQuiescedShardStandsStill(t *testing.T) {
 		go func(w int) {
 			uh := d.NewHandle()
 			n := 0
+			// A round comes before every look at stop, so the held
+			// shard's updater makes one even if it is first scheduled
+			// after the release.
 			for i := uint64(0); ; i++ {
+				k := uint64(w)*width + 2 + 7*(i%100) // shard w's keys, none of them present
+				uh.Insert(k, i)
+				uh.Delete(k)
+				uh.Insert(k+1, i) // left behind: moves the sum
+				n++
 				select {
 				case <-stop:
 					churned <- n
 					return
 				default:
 				}
-				k := uint64(w)*width + 2 + 7*(i%100) // shard w's keys, none of them present
-				uh.Insert(k, i)
-				uh.Delete(k)
-				uh.Insert(k+1, i) // left behind: moves the sum
-				n++
 			}
 		}(w)
 	}

@@ -230,42 +230,46 @@ var designRules = []designRule{
 		},
 	},
 	{
-		// Every transactional Get starts with Tx.findWrite, the O(1)
-		// write-set membership test; it is free for read-only scans only
-		// while it inlines into each of Word.Get, Ref.Get and Pair.Get,
-		// and one more expression in it or in a Get stops that silently.
-		// Ref.Get is generic: its diagnostic comes from a package that
+		// Every cell's Get answers the common read inline — Tx.fastRead
+		// admits it and Tx.logFast logs it — and sends every other read
+		// to its slow half, get, which starts with Tx.findWrite, the
+		// O(1) write-set membership test. Each is free only while it
+		// inlines into each of the three cells' methods, and one more
+		// expression in it or in a method stops that silently. Ref is
+		// generic: its diagnostics come from a package that
 		// instantiates it.
-		name:   "findWrite inlines into every Get",
-		reason: "PR 13",
+		name:   "the read-path helpers inline into every Get and get",
+		reason: "ROADMAP B(3)",
 		reads:  is("internal/htm/cell.go"),
 		build:  true,
 		check: func(in files) []string {
 			var out []string
 			for _, recv := range []string{"Word", "Ref", "Pair"} {
-				body, first, ok := funcText(in["internal/htm/cell.go"], recv, "Get")
-				calls := linesMatching(body, first, regexp.MustCompile(`tx\.findWrite\(`))
-				if !ok || len(calls) == 0 {
-					out = append(out, "("+recv+").Get: no tx.findWrite call in internal/htm/cell.go")
-					continue
-				}
-				inlined := regexp.MustCompile(fmt.Sprintf(
-					`internal/htm/cell\.go:%d:[0-9]+: inlining call to (htm\.)?\(\*Tx\)\.findWrite`, calls[0]))
-				if !inlined.MatchString(in[buildOut]) {
-					out = append(out, fmt.Sprintf("Tx.findWrite does not inline into (%s).Get (internal/htm/cell.go:%d)", recv, calls[0]))
+				for _, c := range readPathCalls {
+					body, first, ok := funcText(in["internal/htm/cell.go"], recv, c.method)
+					calls := linesMatching(body, first, regexp.MustCompile(`tx\.`+c.helper+`\(`))
+					if !ok || len(calls) == 0 {
+						out = append(out, fmt.Sprintf("(%s).%s: no tx.%s call in internal/htm/cell.go", recv, c.method, c.helper))
+						continue
+					}
+					inlined := regexp.MustCompile(fmt.Sprintf(
+						`internal/htm/cell\.go:%d:[0-9]+: inlining call to (htm\.)?\(\*Tx\)\.%s\b`, calls[0], c.helper))
+					if !inlined.MatchString(in[buildOut]) {
+						out = append(out, fmt.Sprintf("Tx.%s does not inline into (%s).%s (internal/htm/cell.go:%d)", c.helper, recv, c.method, calls[0]))
+					}
 				}
 			}
 			return out
 		},
-		controls: []files{{
-			"internal/htm/cell.go": getsSrc,
-			buildOut: "internal/htm/cell.go:4:12: inlining call to (*Tx).findWrite\n" +
-				"internal/htm/cell.go:10:12: inlining call to htm.(*Tx).findWrite\n",
-		}},
+		controls: []files{
+			{"internal/htm/cell.go": getsSrc, buildOut: getsInlined("Pair", "Get", "fastRead")},
+			{"internal/htm/cell.go": getsSrc, buildOut: getsInlined("Ref", "get", "findWrite")},
+		},
 	},
 	{
 		// Word.Init and Pair.Init are the plain stores of every leaf a
-		// template-path update builds, Thread.fallbackIdle the one load
+		// template-path update builds, Tx.fastRead and Tx.logFast the
+		// common transactional read, Thread.fallbackIdle the one load
 		// a 3-path update adds in front of its fast path, and Node.keys,
 		// Node.children and childIndex the (a,b)-tree descent's steps
 		// through an internal node: each is only that cheap inlined.
@@ -275,7 +279,8 @@ var designRules = []designRule{
 		build:  true,
 		check: func(in files) []string {
 			var out []string
-			for _, fn := range []string{"(*Word).Init", "(*Pair).Init", "(*Thread).fallbackIdle", "(*Node).keys", "(*Node).children", "childIndex"} {
+			for _, fn := range []string{"(*Word).Init", "(*Pair).Init", "(*Tx).fastRead", "(*Tx).logFast",
+				"(*Thread).fallbackIdle", "(*Node).keys", "(*Node).children", "childIndex"} {
 				if !strings.Contains(in[buildOut], "can inline "+fn) {
 					out = append(out, fn+" is no longer inlinable")
 				}
@@ -284,6 +289,8 @@ var designRules = []designRule{
 		},
 		controls: []files{{buildOut: "internal/htm/cell.go:124:6: can inline (*Word).Init\n" +
 			"internal/htm/cell.go:290:6: can inline (*Pair).Init\n" +
+			"internal/htm/tx.go:357:6: can inline (*Tx).fastRead\n" +
+			"internal/htm/tx.go:361:6: can inline (*Tx).logFast\n" +
 			"internal/engine/engine.go:705:6: can inline (*Thread).fallbackIdle\n" +
 			"internal/abtree/abtree.go:120:6: can inline (*Node).keys\n" +
 			"internal/abtree/abtree.go:128:6: can inline (*Node).children\n"}},
@@ -599,28 +606,75 @@ func commitSrc(stmt string) string {
 	return "package htm\n\nfunc (tx *Tx) commit() AbortCause {\n\t" + stmt + "\n\treturn CauseNone\n}\n"
 }
 
-// getsSrc calls findWrite on lines 4, 10 and 16; the made-up build
-// output inlines the first two only.
+// readPathCalls are the helper calls the read-path row looks for, by
+// the cell method that makes them.
+var readPathCalls = []struct{ method, helper string }{
+	{"Get", "fastRead"}, {"Get", "logFast"}, {"get", "findWrite"},
+}
+
+// getsSrc is the three cells' Get and get as the read-path row reads
+// them.
 const getsSrc = `package htm
 
 func (w *Word) Get(tx *Tx) uint64 {
-	if tx.findWrite(&w.ver) {
+	if tx.fastRead(0) {
+		tx.logFast(&w.ver, 0)
 	}
+	return w.get(tx)
+}
+
+func (w *Word) get(tx *Tx) uint64 {
+	tx.findWrite(&w.ver)
 	return 0
 }
 
 func (r *Ref[T]) Get(tx *Tx) *T {
-	if tx.findWrite(&r.ver) {
+	if tx.fastRead(0) {
+		tx.logFast(&r.ver, 0)
 	}
+	return r.get(tx)
+}
+
+func (r *Ref[T]) get(tx *Tx) *T {
+	tx.findWrite(&r.ver)
 	return nil
 }
 
 func (p *Pair) Get(tx *Tx) (a, b uint64) {
-	if tx.findWrite(&p.ver) {
+	if tx.fastRead(0) {
+		tx.logFast(&p.ver, 0)
 	}
+	return p.get(tx)
+}
+
+func (p *Pair) get(tx *Tx) (a, b uint64) {
+	tx.findWrite(&p.ver)
 	return 0, 0
 }
 `
+
+// getsInlined is a made-up build output for getsSrc that inlines every
+// helper call but helper's in recv's method, Ref's from an
+// instantiating package.
+func getsInlined(recv, method, helper string) string {
+	var out strings.Builder
+	for _, r := range []string{"Word", "Ref", "Pair"} {
+		pkg := ""
+		if r == "Ref" {
+			pkg = "htm."
+		}
+		for _, c := range readPathCalls {
+			if r == recv && c.method == method && c.helper == helper {
+				continue
+			}
+			body, first, _ := funcText(getsSrc, r, c.method)
+			for _, n := range linesMatching(body, first, regexp.MustCompile(`tx\.`+c.helper+`\(`)) {
+				fmt.Fprintf(&out, "internal/htm/cell.go:%d:5: inlining call to %s(*Tx).%s\n", n, pkg, c.helper)
+			}
+		}
+	}
+	return out.String()
+}
 
 // leafSrc indexes slots on lines 4 and 9; the made-up build output
 // bounds-checks the second.
