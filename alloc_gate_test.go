@@ -126,13 +126,14 @@ func TestAllocGateABTreeRebalancing(t *testing.T) {
 	}
 }
 
-// TestAllocGateAggregateQueries gates the PR 8 aggregate query paths:
-// steady-state RangeAgg (and the whole-tree Count/Min/Max forms) on an
+// TestAllocGateAggregateQueries gates the aggregate query paths:
+// steady-state RangeAgg over a window and over the whole tree on an
 // unsharded tree must not allocate — the (a,b)-tree's transactional
 // descent uses handle-resident scratch, its LLX-walk fallback a
-// fixed-depth node stack, and the BST control reuses the handle's
-// retained range-query buffer. (The sharded fan-out has its own gate,
-// TestAllocGateCrossShardReads.)
+// fixed-depth node stack (gated on its own by
+// TestAllocGateABTreeFallbackScan), and the BST control reuses the
+// handle's retained range-query buffer. (The sharded fan-out has its
+// own gate, TestAllocGateCrossShardReads.)
 func TestAllocGateAggregateQueries(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -153,13 +154,7 @@ func TestAllocGateAggregateQueries(t *testing.T) {
 			if _, err := h.RangeAgg(gateKeys/4, 3*gateKeys/4); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := h.Count(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := h.Min(); err != nil {
-				t.Fatal(err)
-			}
-			if _, _, err := h.Max(); err != nil {
+			if _, err := h.RangeAgg(0, htmtree.MaxKey+1); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -5,9 +5,9 @@
 // the tree's range queries are atomic — a monitor admission bracket. An AsyncHandle
 // buffers operations and flushes them as one key-sorted, shard-grouped
 // batch, so that toll is paid once per shard-group instead of once per
-// op. Results come back through futures: Wait blocks (flushing first
-// if the op is still buffered), OnComplete registers a callback, and a
-// flushing RangeQuery is the read-your-writes sync point.
+// op. Results come back through futures: Wait returns the result,
+// flushing the buffer first if the op is still in it. Flush drains the
+// buffer, after which a plain Handle reads what the batches wrote.
 //
 // Stats.Batch shows the amortization directly as ops per shard-group —
 // one routing lookup and one monitor admission each — where an unbatched
@@ -19,6 +19,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"slices"
 	"sync"
 
 	"htmtree"
@@ -63,18 +64,18 @@ func main() {
 	}
 	wg.Wait()
 
-	// Callback completion: fires when the enclosing batch flushes.
+	// Flush, then read back through a plain handle: the range query
+	// sees the flushed insert.
 	ah := tree.NewAsyncHandle()
-	done := make(chan struct{})
-	ah.Insert(7, 77).OnComplete(func(old uint64, existed bool) {
-		fmt.Printf("insert(7) completed: old=%d existed=%v\n", old, existed)
-		close(done)
-	})
-	// A range query flushes the buffer first (read-your-writes), so the
-	// callback above has fired by the time it returns.
-	pairs := ah.RangeQuery(1, 20).Wait()
-	<-done
-	fmt.Printf("range [1,20) sees %d keys, first=%d\n", len(pairs), pairs[0].Key)
+	ins := ah.Insert(7, 77)
+	ah.Flush()
+	old, existed := ins.Wait()
+	fmt.Printf("insert(7) completed: old=%d existed=%v\n", old, existed)
+	pairs := tree.NewHandle().RangeQuery(1, 20, nil)
+	if !slices.Contains(pairs, htmtree.KV{Key: 7, Val: 77}) {
+		log.Fatalf("range [1,20) = %v, want the flushed insert (7, 77)", pairs)
+	}
+	fmt.Printf("range [1,20) sees %d keys, among them (7, 77)\n", len(pairs))
 
 	// Waiting on a still-buffered future flushes implicitly.
 	fut := ah.Delete(7)

@@ -3,7 +3,8 @@
 // context, and fallback indicator — so update traffic on disjoint key
 // ranges never shares a conflict domain. Point operations route to the
 // owning shard; range queries fan out across shard boundaries and come
-// back globally key-ordered; statistics and invariant checks aggregate.
+// back globally key-ordered, and RangeAgg folds a window to its key sum,
+// count, min and max; statistics and invariant checks aggregate.
 //
 // With AtomicRangeQueries the fan-out is also atomic ACROSS shards:
 // every shard carries a version monitor its updaters advance at commit,
@@ -68,6 +69,24 @@ func main() {
 	}
 	fmt.Printf("range [%d,%d) spans shards %d-%d: %d pairs, sorted\n",
 		lo, hi, lo/shardWidth, (hi-1)/shardWidth, len(pairs))
+
+	// The same window folded to its aggregate tuple: it must match the
+	// pairs above (no writer runs any more).
+	agg, err := h.RangeAgg(lo, hi)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var keySum uint64
+	for _, kv := range pairs {
+		keySum += kv.Key
+	}
+	if agg.Count != uint64(len(pairs)) || agg.Sum != keySum ||
+		(len(pairs) > 0 && (agg.Min != pairs[0].Key || agg.Max != pairs[len(pairs)-1].Key)) {
+		log.Fatalf("RangeAgg[%d,%d) = %+v, the pairs hold %d keys summing to %d",
+			lo, hi, agg, len(pairs), keySum)
+	}
+	fmt.Printf("aggregate of the same window: count %d, key-sum %d, min %d, max %d\n",
+		agg.Count, agg.Sum, agg.Min, agg.Max)
 
 	if err := tree.CheckInvariants(); err != nil {
 		log.Fatalf("invariant violation: %v", err)

@@ -168,11 +168,11 @@ type Config struct {
 	AtomicRangeQueries bool
 
 	// BatchMaxOps is the buffer size at which an asynchronous handle
-	// (NewAsyncHandle, Handle.Batch) flushes its pending operations as
-	// one sorted, shard-grouped batch (default 64). Larger batches
-	// amortize routing and — on a sharded tree with AtomicRangeQueries —
-	// admission overhead further but delay results longer. Below the
-	// threshold the buffer flushes only on RangeQuery, Flush, or Wait.
+	// (NewAsyncHandle) flushes its pending operations as one sorted,
+	// shard-grouped batch (default 64). Larger batches amortize routing
+	// and — on a sharded tree with AtomicRangeQueries — admission
+	// overhead further but delay results longer. Below the threshold the
+	// buffer flushes only on Flush or Wait.
 	BatchMaxOps int
 
 	// Observability, when non-nil, attaches the live observability
@@ -215,8 +215,6 @@ type (
 	FaultPlan = fault.Plan
 	// FaultRule arms one injection point (fault.Rule).
 	FaultRule = fault.Rule
-	// FaultPoint names an injection point (fault.Point).
-	FaultPoint = fault.Point
 	// FaultLiveness is the progress watchdog (fault.Liveness):
 	// attach with plan.Watch, feed it completed operations with
 	// OpDone, and Check that throughput stayed nonzero during every
@@ -331,11 +329,11 @@ func (c Config) validate(ab bool) (alg engine.Algorithm, hcfg htm.Config, ecfg e
 type Tree struct {
 	d          dict.Dict
 	stats      engine.StatsSource
-	invariants func(strict bool) error
+	invariants func() error
 
-	// batchCfg templates the pipelines behind NewAsyncHandle and
-	// Handle.Batch; batchCtrs aggregates their flush activity — on a
-	// sharded tree beside the shard groups' — for Stats.Batch.
+	// batchCfg templates the pipelines behind NewAsyncHandle; batchCtrs
+	// aggregates their flush activity — on a sharded tree beside the
+	// shard groups' — for Stats.Batch.
 	batchCfg  batch.Config
 	batchCtrs *batch.Counters
 
@@ -370,10 +368,10 @@ func build(cfg Config, ab, sharded bool) (*Tree, error) {
 		if ab {
 			t := abtree.New(abtree.Config{A: cfg.A, B: cfg.B, Algorithm: alg,
 				HTM: hcfg, Engine: ecfg})
-			it = &Tree{d: t, stats: t, invariants: t.CheckInvariants}
+			it = &Tree{d: t, stats: t, invariants: func() error { return t.CheckInvariants(true) }}
 		} else {
 			t := bst.New(bst.Config{Algorithm: alg, HTM: hcfg, Engine: ecfg})
-			it = &Tree{d: t, stats: t, invariants: func(bool) error { return t.CheckInvariants() }}
+			it = &Tree{d: t, stats: t, invariants: t.CheckInvariants}
 		}
 		if node != nil {
 			register(node, true, func() Stats { return statsOf(it.stats.OpStats()) })
@@ -451,9 +449,9 @@ func newSharded(cfg Config, o *obs.Obs, mk func(node *obs.Node) *Tree) (*Tree, e
 	return &Tree{
 		d:     sd,
 		stats: sd,
-		invariants: func(strict bool) error {
+		invariants: func() error {
 			for i, t := range inner {
-				if ivErr := t.invariants(strict); ivErr != nil {
+				if ivErr := t.invariants(); ivErr != nil {
 					return fmt.Errorf("shard %d: %w", i, ivErr)
 				}
 			}
@@ -465,32 +463,23 @@ func newSharded(cfg Config, o *obs.Obs, mk func(node *obs.Node) *Tree) (*Tree, e
 // NewHandle registers a per-goroutine handle. Handles must not be shared
 // between goroutines.
 func (t *Tree) NewHandle() *Handle {
-	return &Handle{t: t, h: t.d.NewHandle()}
+	return &Handle{h: t.d.NewHandle()}
 }
 
 // NewAsyncHandle registers a per-goroutine asynchronous handle: point
 // operations enqueue into a batch buffer and return futures, and the
 // buffer flushes as one key-sorted, shard-grouped batch when it
-// reaches Config.BatchMaxOps, on an asynchronous RangeQuery, on Flush,
-// or when a future of a still-buffered operation is waited on. On a
-// sharded tree each shard-group executes with one router lookup and
-// one monitor admission instead of one per operation — the batching
-// subsystem's amortization, reported by Stats.Batch.
+// reaches Config.BatchMaxOps, on Flush, or when a future of a
+// still-buffered operation is waited on. On a sharded tree each
+// shard-group executes with one router lookup and one monitor
+// admission instead of one per operation — the batching subsystem's
+// amortization, reported by Stats.Batch.
 //
 // One goroutine should enqueue per AsyncHandle (like Handle); a future
 // may be waited on from another, which the handle synchronizes
 // internally.
 func (t *Tree) NewAsyncHandle() *AsyncHandle {
 	return &AsyncHandle{p: batch.New(t.d.NewHandle(), t.batchCfg)}
-}
-
-// Batch returns an asynchronous batching context over this handle's
-// registration. It shares the underlying per-goroutine handle: while
-// batched operations are pending, direct Handle calls would interleave
-// with a flush, so use one style at a time (Flush drains the context,
-// after which the Handle is plainly usable again).
-func (h *Handle) Batch() *AsyncHandle {
-	return &AsyncHandle{p: batch.New(h.h, h.t.batchCfg)}
 }
 
 // KeySum returns the sum and count of the keys present (the paper's
@@ -500,11 +489,10 @@ func (h *Handle) Batch() *AsyncHandle {
 func (t *Tree) KeySum() (sum, count uint64) { return t.d.KeySum() }
 
 // CheckInvariants validates the structure (quiescent use only).
-func (t *Tree) CheckInvariants() error { return t.invariants(true) }
+func (t *Tree) CheckInvariants() error { return t.invariants() }
 
 // Handle is a per-goroutine handle to a Tree.
 type Handle struct {
-	t *Tree
 	h dict.Handle
 }
 
@@ -546,37 +534,8 @@ func (h *Handle) RangeAgg(lo, hi uint64) (Agg, error) {
 	return ah.RangeAgg(lo, hi)
 }
 
-// RangeSum returns the sum and count of the keys in [lo, hi); see
-// RangeAgg for the atomicity contract and cost.
-func (h *Handle) RangeSum(lo, hi uint64) (sum, count uint64, err error) {
-	a, err := h.RangeAgg(lo, hi)
-	return a.Sum, a.Count, err
-}
-
-// Count returns the number of keys present: RangeAgg over every key,
-// with its atomicity contract and cost. Unlike Tree.KeySum it may run
-// beside updates.
-func (h *Handle) Count() (uint64, error) {
-	a, err := h.RangeAgg(0, MaxKey+1)
-	return a.Count, err
-}
-
-// Min returns the smallest key present (ok reports whether the tree
-// was non-empty); see RangeAgg for the atomicity contract and cost.
-func (h *Handle) Min() (key uint64, ok bool, err error) {
-	a, err := h.RangeAgg(0, MaxKey+1)
-	return a.Min, a.Count > 0, err
-}
-
-// Max returns the largest key present (ok reports whether the tree was
-// non-empty); see RangeAgg for the atomicity contract and cost.
-func (h *Handle) Max() (key uint64, ok bool, err error) {
-	a, err := h.RangeAgg(0, MaxKey+1)
-	return a.Max, a.Count > 0, err
-}
-
 // AsyncHandle is a per-goroutine asynchronous, batching handle to a
-// Tree (see Tree.NewAsyncHandle and Handle.Batch). Operations on
+// Tree (see Tree.NewAsyncHandle). Operations on
 // different keys may be reordered within a batch (execution is sorted
 // by key and grouped by shard); operations on the same key keep their
 // enqueue order, and every future resolves to the result its operation
@@ -605,25 +564,14 @@ func (h *AsyncHandle) Search(key uint64) PointFuture {
 	return PointFuture{p: h.p.Search(key)}
 }
 
-// RangeQuery runs an asynchronous range query over [lo, hi). It first
-// flushes the buffered point operations, so it observes the handle's own
-// pending writes (read-your-writes). The returned future is already
-// completed; it exists for OnComplete chaining symmetry.
-func (h *AsyncHandle) RangeQuery(lo, hi uint64) RangeFuture {
-	return RangeFuture{p: h.p.RangeQuery(lo, hi)}
-}
-
 // Flush executes every buffered operation now and completes its
 // future. Flushing an empty handle is a no-op.
 func (h *AsyncHandle) Flush() { h.p.Flush() }
 
-// Pending returns the number of buffered, not yet executed operations.
-func (h *AsyncHandle) Pending() int { return h.p.Pending() }
-
 // PointFuture is the result of an asynchronous Insert, Delete, or
 // Search. The zero value is invalid; futures come from AsyncHandle.
 type PointFuture struct {
-	p *batch.PointPromise
+	p *batch.Promise
 }
 
 // Wait blocks until the operation executed and returns its result —
@@ -634,29 +582,3 @@ func (f PointFuture) Wait() (val uint64, ok bool) {
 	r := f.p.Wait()
 	return r.Val, r.OK
 }
-
-// Done reports whether the result is available without blocking.
-func (f PointFuture) Done() bool { return f.p.Done() }
-
-// OnComplete registers fn to run with the result once the operation
-// executes (immediately, on the caller, if it already has). fn runs on
-// the flushing goroutine and must not call back into the owning
-// asynchronous handle.
-func (f PointFuture) OnComplete(fn func(val uint64, ok bool)) {
-	f.p.OnComplete(func(r batch.PointResult) { fn(r.Val, r.OK) })
-}
-
-// RangeFuture is the result of an asynchronous RangeQuery.
-type RangeFuture struct {
-	p *batch.RangePromise
-}
-
-// Wait returns the query's pairs in ascending key order.
-func (f RangeFuture) Wait() []KV { return f.p.Wait() }
-
-// Done reports whether the result is available without blocking.
-func (f RangeFuture) Done() bool { return f.p.Done() }
-
-// OnComplete registers fn to run with the result once the query
-// executes; see PointFuture.OnComplete for the callback contract.
-func (f RangeFuture) OnComplete(fn func([]KV)) { f.p.OnComplete(fn) }

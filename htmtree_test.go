@@ -1,9 +1,12 @@
 package htmtree_test
 
 import (
+	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -252,8 +255,8 @@ func TestTLELockedBodies(t *testing.T) {
 }
 
 // TestAsyncHandleQuickstart exercises the asynchronous API end to end
-// on an unsharded tree: futures, callbacks, flush triggers, and
-// read-your-writes range queries.
+// on an unsharded tree: futures, the Wait-triggered flush, and a plain
+// handle reading what the batch wrote.
 func TestAsyncHandleQuickstart(t *testing.T) {
 	t.Parallel()
 	tree, err := htmtree.NewABTree(htmtree.Config{BatchMaxOps: 8})
@@ -262,8 +265,8 @@ func TestAsyncHandleQuickstart(t *testing.T) {
 	}
 	ah := tree.NewAsyncHandle()
 	fut := ah.Insert(42, 420)
-	if fut.Done() {
-		t.Fatal("future resolved before any flush trigger")
+	if st := tree.Stats().Batch; st.Flushes != 0 {
+		t.Fatalf("Stats.Batch = %+v before any flush trigger, want no flush", st)
 	}
 	if v, ok := ah.Search(42).Wait(); !ok || v != 420 {
 		t.Fatalf("async Search(42) = (%d,%v), want (420,true)", v, ok)
@@ -271,40 +274,13 @@ func TestAsyncHandleQuickstart(t *testing.T) {
 	if _, ok := fut.Wait(); ok {
 		t.Fatal("first insert reported an existing key")
 	}
-	got := ah.RangeQuery(0, 100).Wait()
+	got := tree.NewHandle().RangeQuery(0, 100, nil)
 	if len(got) != 1 || got[0].Key != 42 || got[0].Val != 420 {
-		t.Fatalf("async RangeQuery = %v", got)
+		t.Fatalf("RangeQuery after the flush = %v", got)
 	}
 	st := tree.Stats()
-	if st.Batch.Flushes == 0 || st.Batch.BatchedOps != 2 {
-		t.Fatalf("Stats.Batch = %+v, want 2 batched ops", st.Batch)
-	}
-}
-
-// TestBatchContextOverHandle exercises Handle.Batch: the context
-// shares the handle's registration, flushes on the calling goroutine
-// only, and hands the handle back after Flush.
-func TestBatchContextOverHandle(t *testing.T) {
-	t.Parallel()
-	tree, err := htmtree.NewShardedBST(htmtree.Config{Shards: 4, ShardKeySpan: 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := tree.NewHandle()
-	b := h.Batch()
-	var futs []htmtree.PointFuture
-	for k := uint64(1); k <= 20; k++ {
-		futs = append(futs, b.Insert(k, k*10))
-	}
-	b.Flush()
-	for i, f := range futs {
-		if _, ok := f.Wait(); ok {
-			t.Fatalf("insert %d reported an existing key", i)
-		}
-	}
-	// The plain handle sees the batch's writes.
-	if v, ok := h.Search(7); !ok || v != 70 {
-		t.Fatalf("Search(7) through the shared handle = (%d,%v)", v, ok)
+	if st.Batch.Flushes != 1 || st.Batch.BatchedOps != 2 {
+		t.Fatalf("Stats.Batch = %+v, want 2 batched ops in one flush", st.Batch)
 	}
 }
 
@@ -460,5 +436,105 @@ func TestConfigFieldsHaveVerdicts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// facadeCallers is the facade's method audit, the twin of
+// configVerdicts: for every exported method of Tree, Handle,
+// AsyncHandle and PointFuture, a non-test file under bench/ or
+// examples/ that calls it — evidence here is a file and the methods it
+// calls. A method with no entry fails TestFacadeMethodsHaveCallers by
+// name, so a new method arrives with a caller or not at all.
+var facadeCallers = map[string][]evidence{
+	"Tree": {{"examples/quickstart/main.go", []string{"NewHandle", "KeySum", "CheckInvariants", "Stats"}},
+		{"bench/layers.go", []string{"NewAsyncHandle"}},
+		{"examples/observed/main.go", []string{"Obs"}}},
+	"Handle": {{"examples/quickstart/main.go", []string{"Insert", "Delete", "Search", "RangeQuery"}},
+		{"examples/sharded/main.go", []string{"RangeAgg"}}},
+	"AsyncHandle": {{"bench/layers.go", []string{"Insert", "Delete", "Search", "Flush"}}},
+	"PointFuture": {{"bench/layers.go", []string{"Wait"}}},
+}
+
+// facadeMethods lists the exported methods of the facade's types, keyed
+// by type name.
+func facadeMethods() map[string][]string {
+	methods := map[string][]string{}
+	for _, typ := range []reflect.Type{reflect.TypeOf(&htmtree.Tree{}), reflect.TypeOf(&htmtree.Handle{}),
+		reflect.TypeOf(&htmtree.AsyncHandle{}), reflect.TypeOf(htmtree.PointFuture{})} {
+		name := typ.Name()
+		if typ.Kind() == reflect.Pointer {
+			name = typ.Elem().Name()
+		}
+		for i := 0; i < typ.NumMethod(); i++ {
+			methods[name] = append(methods[name], typ.Method(i).Name)
+		}
+	}
+	return methods
+}
+
+// facadeCallerErrors checks table against methods: every method has an
+// entry and every entry is a method, and each entry's file is a non-test
+// Go file under bench/ or examples/ that contains ".Method(".
+func facadeCallerErrors(methods map[string][]string, table map[string][]evidence) []string {
+	var errs []string
+	for typ, names := range methods {
+		for _, m := range names {
+			found := false
+			for _, ev := range table[typ] {
+				found = found || slices.Contains(ev.names, m)
+			}
+			if !found {
+				errs = append(errs, fmt.Sprintf("%s.%s has no caller: name the bench/ or examples/ file that calls it, or delete it", typ, m))
+			}
+		}
+	}
+	for typ, evs := range table {
+		for _, ev := range evs {
+			if !(strings.HasPrefix(ev.file, "bench/") || strings.HasPrefix(ev.file, "examples/")) ||
+				!strings.HasSuffix(ev.file, ".go") || strings.HasSuffix(ev.file, "_test.go") {
+				errs = append(errs, fmt.Sprintf("%s: %s is not a non-test Go file under bench/ or examples/", typ, ev.file))
+				continue
+			}
+			src, err := os.ReadFile(ev.file)
+			if err != nil {
+				errs = append(errs, fmt.Sprintf("%s: %v", typ, err))
+				continue
+			}
+			for _, m := range ev.names {
+				if !slices.Contains(methods[typ], m) {
+					errs = append(errs, fmt.Sprintf("caller of %s.%s, which is not a method", typ, m))
+				}
+				if !strings.Contains(string(src), "."+m+"(") {
+					errs = append(errs, fmt.Sprintf("%s.%s: %s does not call it", typ, m, ev.file))
+				}
+			}
+		}
+	}
+	return errs
+}
+
+// TestFacadeMethodsHaveCallers holds the facade to what its callers
+// call: facadeCallers has an entry for exactly the facade's methods, and
+// every file it names still calls them. As negative controls, a method
+// without an entry and an entry whose file lacks the call must each be
+// reported.
+func TestFacadeMethodsHaveCallers(t *testing.T) {
+	t.Parallel()
+	methods := facadeMethods()
+	for _, err := range facadeCallerErrors(methods, facadeCallers) {
+		t.Error(err)
+	}
+
+	withExtra := maps.Clone(methods)
+	withExtra["Tree"] = append(slices.Clone(methods["Tree"]), "Frobnicate")
+	if errs := facadeCallerErrors(withExtra, facadeCallers); len(errs) != 1 || !strings.Contains(errs[0], "Tree.Frobnicate has no caller") {
+		t.Errorf("a method without an entry reported %q, want one no-caller error", errs)
+	}
+
+	wrongFile := maps.Clone(facadeCallers)
+	wrongFile["AsyncHandle"] = []evidence{{"bench/layers.go", []string{"Insert", "Delete", "Search"}},
+		{"examples/quickstart/main.go", []string{"Flush"}}}
+	if errs := facadeCallerErrors(methods, wrongFile); len(errs) != 1 || !strings.Contains(errs[0], "does not call it") {
+		t.Errorf("an entry whose file lacks the call reported %q, want one does-not-call error", errs)
 	}
 }

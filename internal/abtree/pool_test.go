@@ -228,9 +228,9 @@ func TestLeafReuseMovesNoVersion(t *testing.T) {
 	l := h.newLeaf([]kv{{10, 100}, {20, 200}})
 	h.Pool.Settle()   // published; the leaf's first life
 	h.Pool.Release(l) // as ebr does once the grace period expired
-	rv := tr.tm.ClockValue()
+	rv := tr.tm.Clock().Now()
 	h.Insert(2, 2) // the clock moves on
-	if tr.tm.ClockValue() == rv {
+	if tr.tm.Clock().Now() == rv {
 		t.Fatal("set-up: the clock did not move")
 	}
 	n := h.newLeaf([]kv{{30, 300}})

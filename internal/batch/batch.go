@@ -25,10 +25,15 @@
 // all land in the same shard-group), so every promise resolves to the
 // value its operation would have seen in a sequential execution that
 // preserves per-key program order — which, for a dictionary, determines
-// every point result uniquely. Range queries are the sync points: an
-// asynchronous RangeQuery first flushes the buffered point ops
-// (read-your-writes), runs immediately, and returns an
-// already-completed promise.
+// every point result uniquely.
+//
+// # Synchronization
+//
+// Pipeline.mu is the one lock. A promise is either in the buffer or
+// filled, and both states change only under it: flushLocked takes the
+// buffer, executes it and fills every promise of it in one lock hold,
+// and Wait locks, flushes if its promise is not yet filled, and reads
+// the result.
 package batch
 
 import (
@@ -63,9 +68,9 @@ type Config struct {
 // pipelines — and the group executor they flush into — to share. Each
 // field counts what the Stats field of the same name reports.
 type Counters struct {
-	Flushes, BatchedOps                        atomic.Uint64
-	SizeFlushes, ExplicitFlushes, RangeFlushes atomic.Uint64
-	Groups, GroupOps                           atomic.Uint64
+	Flushes, BatchedOps          atomic.Uint64
+	SizeFlushes, ExplicitFlushes atomic.Uint64
+	Groups, GroupOps             atomic.Uint64
 }
 
 // Stats is a Counters snapshot. The amortization batching exists for
@@ -79,10 +84,9 @@ type Stats struct {
 	// operations they carried (BatchedOps/Flushes is the realized mean
 	// batch size).
 	Flushes, BatchedOps uint64
-	// SizeFlushes, ExplicitFlushes and RangeFlushes split Flushes by
-	// trigger: the MaxOps threshold, an explicit Flush or Wait, and a
-	// flushing RangeQuery.
-	SizeFlushes, ExplicitFlushes, RangeFlushes uint64
+	// SizeFlushes and ExplicitFlushes split Flushes by trigger: the
+	// MaxOps threshold, and an explicit Flush or Wait.
+	SizeFlushes, ExplicitFlushes uint64
 	// Groups counts the per-shard groups a dict.GroupExecutor executed
 	// flushed batches as — one routing decision each — and GroupOps the
 	// operations they carried (GroupOps/Groups is the realized per-shard
@@ -99,28 +103,23 @@ func (c *Counters) Snapshot() Stats {
 		BatchedOps:      c.BatchedOps.Load(),
 		SizeFlushes:     c.SizeFlushes.Load(),
 		ExplicitFlushes: c.ExplicitFlushes.Load(),
-		RangeFlushes:    c.RangeFlushes.Load(),
 		Groups:          c.Groups.Load(),
 		GroupOps:        c.GroupOps.Load(),
 	}
 }
 
-// RangePromise is the future of an asynchronous range query.
-type RangePromise = Promise[[]dict.KV]
-
 // pending is one buffered operation and its promise.
 type pending struct {
 	op dict.BatchOp
-	pr *PointPromise
+	pr *Promise
 }
 
 // Pipeline buffers asynchronous operations over one dictionary handle.
 // A promise may be waited on from a goroutine other than the enqueueing
 // one, and waiting flushes, so the underlying handle is only ever driven
-// under the pipeline lock, satisfying its one-goroutine-at-a-time
-// contract. Sharing one Pipeline between several enqueueing goroutines
-// is legal but serializes them; the intended shape is one pipeline per
-// worker, like handles.
+// under mu, satisfying its one-goroutine-at-a-time contract. Sharing one
+// Pipeline between several enqueueing goroutines is legal but serializes
+// them; the intended shape is one pipeline per worker, like handles.
 type Pipeline struct {
 	h   dict.Handle
 	ge  dict.GroupExecutor // non-nil when h supports group execution
@@ -128,9 +127,9 @@ type Pipeline struct {
 	ctr *Counters
 
 	mu   sync.Mutex
-	pend []pending
+	pend []pending      // the buffer, reused across flushes
 	ops  []dict.BatchOp // execution scratch, reused across flushes
-	slab []PointPromise // block-allocated promises (one alloc per batch, not per op)
+	slab []Promise      // block-allocated promises (one alloc per batch, not per op)
 }
 
 // New builds a pipeline over h. If h implements dict.GroupExecutor
@@ -152,13 +151,13 @@ func New(h dict.Handle, cfg Config) *Pipeline {
 // Insert enqueues an asynchronous insert. The promise resolves to the
 // previous value and whether the key already existed, as Handle.Insert
 // would have returned at the operation's place in the batch.
-func (p *Pipeline) Insert(key, val uint64) *PointPromise {
+func (p *Pipeline) Insert(key, val uint64) *Promise {
 	return p.add(dict.BatchOp{Kind: dict.OpInsert, Key: key, Val: val})
 }
 
 // Delete enqueues an asynchronous delete; the promise resolves to the
 // removed value and whether the key was present.
-func (p *Pipeline) Delete(key uint64) *PointPromise {
+func (p *Pipeline) Delete(key uint64) *Promise {
 	return p.add(dict.BatchOp{Kind: dict.OpDelete, Key: key})
 }
 
@@ -166,80 +165,49 @@ func (p *Pipeline) Delete(key uint64) *PointPromise {
 // value found and whether the key was present at the operation's place
 // in the batch (a search enqueued after an insert of the same key sees
 // that insert).
-func (p *Pipeline) Search(key uint64) *PointPromise {
+func (p *Pipeline) Search(key uint64) *Promise {
 	return p.add(dict.BatchOp{Kind: dict.OpSearch, Key: key})
 }
 
-// RangeQuery runs an asynchronous range query over [lo, hi). It first
-// flushes the buffered point operations, so the result reflects the
-// pipeline's own pending writes. The query executes before RangeQuery
-// returns; the promise is already completed and exists for API symmetry
-// (OnComplete chains).
-func (p *Pipeline) RangeQuery(lo, hi uint64) *RangePromise {
-	pr := newPromise[[]dict.KV](nil)
-	p.mu.Lock()
-	ready := p.flushLocked(&p.ctr.RangeFlushes)
-	out := p.h.RangeQuery(lo, hi, nil)
-	p.mu.Unlock()
-	finish(ready)
-	pr.complete(out)
-	return pr
-}
-
-// Flush executes every buffered operation now and completes its
-// promise. Flushing an empty pipeline is a no-op (no group executes,
-// no counter moves).
+// Flush executes every buffered operation now and fills its promise.
+// Flushing an empty pipeline is a no-op (no group executes, no counter
+// moves).
 func (p *Pipeline) Flush() {
 	p.mu.Lock()
-	ready := p.flushLocked(&p.ctr.ExplicitFlushes)
+	p.flushLocked(&p.ctr.ExplicitFlushes)
 	p.mu.Unlock()
-	finish(ready)
 }
 
-// Pending returns the number of buffered, not yet executed operations.
-func (p *Pipeline) Pending() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.pend)
-}
-
-func (p *Pipeline) add(op dict.BatchOp) *PointPromise {
+func (p *Pipeline) add(op dict.BatchOp) *Promise {
 	p.mu.Lock()
 	if len(p.slab) == 0 {
-		p.slab = make([]PointPromise, p.cfg.MaxOps)
+		p.slab = make([]Promise, p.cfg.MaxOps)
 		for i := range p.slab {
-			p.slab[i].fl = p
+			p.slab[i].p = p
 		}
 	}
 	pr := &p.slab[0]
 	p.slab = p.slab[1:]
 	p.pend = append(p.pend, pending{op: op, pr: pr})
 	if len(p.pend) >= p.cfg.MaxOps {
-		ready := p.flushLocked(&p.ctr.SizeFlushes)
-		p.mu.Unlock()
-		finish(ready)
-		return pr
+		p.flushLocked(&p.ctr.SizeFlushes)
 	}
 	p.mu.Unlock()
 	return pr
 }
 
-// flushLocked sorts and executes the buffered group under the pipeline
-// lock and hands back the executed entries; the caller completes their
-// promises after unlocking (a completion callback may Wait on another
-// promise of this pipeline, which re-enters the lock). cause is the
-// per-trigger counter to credit; an empty buffer executes nothing and
-// credits nothing.
-func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
+// flushLocked sorts and executes the buffered group and fills every
+// promise of it, all under mu. cause is the per-trigger counter to
+// credit; an empty buffer executes nothing and credits nothing.
+func (p *Pipeline) flushLocked(cause *atomic.Uint64) {
 	if len(p.pend) == 0 {
-		return nil
+		return
 	}
 	// Flush-delay fault seam: the group is about to execute; an
 	// injected stall holds the pipeline lock and every buffered
 	// Promise for the duration.
 	p.cfg.Faults.Hit(fault.PointBatchFlush)
 	ready := p.pend
-	p.pend = make([]pending, 0, p.cfg.MaxOps)
 	// Stable by key: ops on the same key keep enqueue order, which is
 	// what makes the batch's per-op results well-defined.
 	slices.SortStableFunc(ready, func(a, b pending) int {
@@ -264,18 +232,41 @@ func (p *Pipeline) flushLocked(cause *atomic.Uint64) []pending {
 		}
 	}
 	for i := range ready {
-		ready[i].op = ops[i]
+		ready[i].pr.res = PointResult{Val: ops[i].Out, OK: ops[i].OutOK}
+		ready[i].pr.filled = true
 	}
-	p.ops = ops[:0]
+	p.pend, p.ops = ready[:0], ops[:0]
 	p.ctr.Flushes.Add(1)
 	p.ctr.BatchedOps.Add(uint64(len(ready)))
 	cause.Add(1)
-	return ready
 }
 
-// finish completes the promises of an executed group.
-func finish(ready []pending) {
-	for i := range ready {
-		ready[i].pr.complete(PointResult{Val: ready[i].op.Out, OK: ready[i].op.OutOK})
+// PointResult is the result of an asynchronous Insert, Delete, or
+// Search: Insert and Delete report the previous value and whether the
+// key existed; Search reports the value found and whether the key was
+// present.
+type PointResult struct {
+	Val uint64
+	OK  bool
+}
+
+// Promise is the future of one asynchronous point operation, made by a
+// Pipeline when the operation is enqueued and filled when its batch
+// executes. Its fields are guarded by the owning pipeline's mu.
+type Promise struct {
+	p      *Pipeline
+	res    PointResult
+	filled bool
+}
+
+// Wait returns the operation's result, flushing the owning pipeline
+// first if the operation is still buffered. Calling Wait more than once
+// is allowed and returns the same result every time.
+func (pr *Promise) Wait() PointResult {
+	pr.p.mu.Lock()
+	defer pr.p.mu.Unlock()
+	if !pr.filled {
+		pr.p.flushLocked(&pr.p.ctr.ExplicitFlushes)
 	}
+	return pr.res
 }

@@ -1,8 +1,9 @@
 package batch
 
 import (
+	"math/rand"
 	"sort"
-	"sync/atomic"
+	"sync"
 	"testing"
 
 	"htmtree/internal/dict"
@@ -53,19 +54,18 @@ func (h *fakeHandle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 
 func TestWaitOnUnflushedOpFlushes(t *testing.T) {
 	t.Parallel()
-	p := New(newFake(), Config{MaxOps: 100})
+	ctr := &Counters{}
+	fh := newFake()
+	p := New(fh, Config{MaxOps: 100, Counters: ctr})
 	pr := p.Insert(7, 70)
-	if pr.Done() {
-		t.Fatal("promise done before any flush trigger")
-	}
-	if got := p.Pending(); got != 1 {
-		t.Fatalf("Pending = %d, want 1", got)
+	if len(fh.order) != 0 || ctr.Snapshot() != (Stats{}) {
+		t.Fatalf("op executed before any flush trigger: order %v, counters %+v", fh.order, ctr.Snapshot())
 	}
 	if r := pr.Wait(); r.OK {
 		t.Fatalf("first insert reported existing key: %+v", r)
 	}
-	if got := p.Pending(); got != 0 {
-		t.Fatalf("Pending after Wait = %d, want 0 (Wait must flush)", got)
+	if st := ctr.Snapshot(); len(fh.order) != 1 || st.ExplicitFlushes != 1 || st.BatchedOps != 1 {
+		t.Fatalf("after Wait: order %v, counters %+v; want the op flushed by Wait", fh.order, st)
 	}
 	// The op really executed: a search sees it.
 	if r := p.Search(7).Wait(); !r.OK || r.Val != 70 {
@@ -91,24 +91,20 @@ func TestDoubleWaitIsIdempotent(t *testing.T) {
 func TestSizeThresholdFlush(t *testing.T) {
 	t.Parallel()
 	ctr := &Counters{}
-	p := New(newFake(), Config{MaxOps: 4, Counters: ctr})
-	var prs []*PointPromise
+	fh := newFake()
+	p := New(fh, Config{MaxOps: 4, Counters: ctr})
 	for i := uint64(0); i < 3; i++ {
-		prs = append(prs, p.Insert(i+1, i))
+		p.Insert(i+1, i)
 	}
-	for i, pr := range prs {
-		if pr.Done() {
-			t.Fatalf("promise %d done below the size threshold", i)
-		}
+	if len(fh.order) != 0 || ctr.Snapshot() != (Stats{}) {
+		t.Fatalf("below the size threshold: order %v, counters %+v; want nothing executed", fh.order, ctr.Snapshot())
 	}
-	last := p.Insert(99, 9) // fourth op: threshold reached
-	for i, pr := range append(prs, last) {
-		if !pr.Done() {
-			t.Fatalf("promise %d not done after threshold flush", i)
-		}
+	p.Insert(99, 9) // fourth op: threshold reached
+	if len(fh.order) != 4 {
+		t.Fatalf("executed %v after the threshold flush, want all 4 ops", fh.order)
 	}
 	st := ctr.Snapshot()
-	if st.SizeFlushes != 1 || st.Flushes != 1 || st.BatchedOps != 4 {
+	if st.SizeFlushes != 1 || st.ExplicitFlushes != 0 || st.Flushes != 1 || st.BatchedOps != 4 {
 		t.Fatalf("counters after threshold flush: %+v", st)
 	}
 }
@@ -125,11 +121,6 @@ func TestEmptyFlushIsNoop(t *testing.T) {
 	}
 	if len(fh.order) != 0 {
 		t.Fatalf("empty flush executed %d ops", len(fh.order))
-	}
-	// A range query over an empty buffer runs but credits no flush.
-	p.RangeQuery(0, 100)
-	if st := ctr.Snapshot(); st.RangeFlushes != 0 {
-		t.Fatalf("empty-buffer RangeQuery counted a flush: %+v", ctr.Snapshot())
 	}
 }
 
@@ -185,27 +176,59 @@ func TestFlushExecutesSorted(t *testing.T) {
 	}
 }
 
-func TestRangeQueryFlushSemantics(t *testing.T) {
+// TestWaitersOnOtherGoroutines checks the one-lock discipline under
+// -race: one owner enqueues while two waiter goroutines wait on the
+// futures it hands them, so a waiter's Wait is often the call that
+// flushes and drives the handle. Every result must equal the sequential
+// one, which the owner fixes at enqueue: a point result depends only on
+// the earlier ops on its key, and those keep their enqueue order.
+func TestWaitersOnOtherGoroutines(t *testing.T) {
 	t.Parallel()
-	// The query observes the pipeline's own buffered writes.
-	p := New(newFake(), Config{MaxOps: 100})
-	p.Insert(4, 40)
-	got := p.RangeQuery(0, 10).Wait()
-	if len(got) != 1 || got[0].Key != 4 {
-		t.Fatalf("flushing RangeQuery = %v, want the buffered insert", got)
+	const (
+		numOps = 4000
+		keys   = 32
+	)
+	type check struct {
+		pr   *Promise
+		want PointResult
 	}
-}
-
-func TestOnCompleteAfterCompletionRunsInline(t *testing.T) {
-	t.Parallel()
-	p := New(newFake(), Config{MaxOps: 1}) // every op flushes immediately
-	pr := p.Insert(1, 10)
-	if !pr.Done() {
-		t.Fatal("MaxOps=1 op not executed synchronously")
+	p := New(newFake(), Config{MaxOps: 8})
+	// Buffered well past MaxOps so the owner runs ahead of the waiters:
+	// some futures are filled by its threshold flushes, others by a
+	// waiter's Wait.
+	waiters := [2]chan check{make(chan check, 64), make(chan check, 64)}
+	var wg sync.WaitGroup
+	for _, ch := range waiters {
+		wg.Add(1)
+		go func(ch chan check) {
+			defer wg.Done()
+			for c := range ch {
+				if got := c.pr.Wait(); got != c.want {
+					t.Errorf("Wait = %+v, sequential result %+v", got, c.want)
+				}
+			}
+		}(ch)
 	}
-	var ran atomic.Bool
-	pr.OnComplete(func(PointResult) { ran.Store(true) })
-	if !ran.Load() {
-		t.Fatal("OnComplete on a completed promise did not run inline")
+	model := map[uint64]uint64{}
+	rng := rand.New(rand.NewSource(1))
+	for i := uint64(0); i < numOps; i++ {
+		k := uint64(rng.Intn(keys))
+		old, ok := model[k]
+		c := check{want: PointResult{Val: old, OK: ok}}
+		switch rng.Intn(3) {
+		case 0:
+			model[k] = i + 1
+			c.pr = p.Insert(k, i+1)
+		case 1:
+			delete(model, k)
+			c.pr = p.Delete(k)
+		default:
+			c.pr = p.Search(k)
+		}
+		waiters[rng.Intn(2)] <- c
 	}
+	for _, ch := range waiters {
+		close(ch)
+	}
+	wg.Wait()
 }

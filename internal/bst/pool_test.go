@@ -115,9 +115,9 @@ func TestLeafReuseMovesNoVersion(t *testing.T) {
 	l := h.newLeaf(10, 100)
 	h.Pool.Settle()   // published; the leaf's first life
 	h.Pool.Release(l) // as ebr does once the grace period expired
-	rv := tr.tm.ClockValue()
+	rv := tr.tm.Clock().Now()
 	h.Insert(1, 2) // the clock moves on (a value update draws no node)
-	if tr.tm.ClockValue() == rv {
+	if tr.tm.Clock().Now() == rv {
 		t.Fatal("set-up: the clock did not move")
 	}
 	n := h.newLeaf(30, 300)

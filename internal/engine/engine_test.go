@@ -396,7 +396,7 @@ func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 			}
 			var sum uint64
 			op := readOp(cells, &sum)
-			rv := tm.ClockValue()
+			rv := tm.Clock().Now()
 			cells[3].Set(nil, 2)
 			if st := th.RunAt(&op, rv); st != dict.PinAborted {
 				t.Fatalf("pinned read of a cell written after rv: status %v, want aborted", st)
@@ -425,7 +425,7 @@ func TestPinnedAttemptAccounting(t *testing.T) {
 	op := readOp(cells, &sum)
 	const tries = 32
 	for i := 0; i < tries; i++ {
-		if st := th.RunAt(&op, tm.ClockValue()); st != dict.PinUnfit {
+		if st := th.RunAt(&op, tm.Clock().Now()); st != dict.PinUnfit {
 			t.Fatalf("attempt %d: status %v, want unfit", i, st)
 		}
 	}

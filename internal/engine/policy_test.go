@@ -425,7 +425,7 @@ func TestCapacityFloorRefusesPinnedAttempts(t *testing.T) {
 	r := newHintedReader(AlgThreePath)
 	pin := func(hint uint64) dict.PinStatus {
 		r.op.Hint = hint
-		return r.th.RunAt(&r.op, r.tm.ClockValue())
+		return r.th.RunAt(&r.op, r.tm.Clock().Now())
 	}
 	if st := pin(100); st != dict.PinUnfit {
 		t.Fatalf("overflowing pinned call: %v, want unfit", st)

@@ -17,7 +17,7 @@ func TestPerTMClockIndependence(t *testing.T) {
 	var x1, x2 Word
 	clocks := func(when string, want1, want2 uint64) {
 		t.Helper()
-		if got1, got2 := tm1.ClockValue(), tm2.ClockValue(); got1 != want1 || got2 != want2 {
+		if got1, got2 := tm1.Clock().Now(), tm2.Clock().Now(); got1 != want1 || got2 != want2 {
 			t.Fatalf("%s: clocks = (%d, %d), want (%d, %d)", when, got1, got2, want1, want2)
 		}
 	}

@@ -80,7 +80,7 @@ func TestSnapshotExtension(t *testing.T) {
 			var ok bool
 			var ab Abort
 			if c.pinned {
-				ok, ab = th.AtomicAt(PathFast, e.tm.ClockValue(), body)
+				ok, ab = th.AtomicAt(PathFast, e.tm.Clock().Now(), body)
 			} else {
 				ok, ab = th.Atomic(PathFast, body)
 			}
@@ -96,7 +96,7 @@ func TestSnapshotExtension(t *testing.T) {
 			case !c.wantOK && (ab.held == &e.a.ver) != c.wantHeld:
 				t.Errorf("abort holds %p, a is %p: want named %v", ab.held, &e.a.ver, c.wantHeld)
 			}
-			if now := e.tm.ClockValue(); now != c.wantClock {
+			if now := e.tm.Clock().Now(); now != c.wantClock {
 				t.Errorf("clock = %d afterwards, want %d", now, c.wantClock)
 			}
 			if c.pinned {

@@ -152,10 +152,6 @@ func New(cfg Config) *TM { return &TM{cfg: cfg.withDefaults()} }
 // non-transactional mutator (Pair.Store).
 func (tm *TM) Clock() *Clock { return &tm.clock }
 
-// ClockValue returns the current value of the TM's version clock
-// (exported for tests and diagnostics).
-func (tm *TM) ClockValue() uint64 { return tm.clock.Now() }
-
 // NewThread registers and returns a new thread context. Each Thread must
 // be used by a single goroutine at a time.
 func (tm *TM) NewThread() *Thread {

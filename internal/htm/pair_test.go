@@ -17,9 +17,9 @@ func TestPairNonTxBasics(t *testing.T) {
 	if a, b := p.Get(nil); a != 10 || b != 2 {
 		t.Fatalf("Pair = (%d,%d) after Init, want (10,2)", a, b)
 	}
-	before := tm.ClockValue()
+	before := tm.Clock().Now()
 	p.Store(tm.Clock(), 16, 2)
-	if tm.ClockValue() == before {
+	if tm.Clock().Now() == before {
 		t.Fatal("Store did not advance the clock")
 	}
 	if a, b := p.Get(nil); a != 16 || b != 2 {
@@ -51,10 +51,10 @@ func TestPairMutatorsStampPastSnapshots(t *testing.T) {
 	} {
 		var p Pair
 		p.Store(c, 1, 2)
-		foreignClock := foreign.ClockValue()
+		foreignClock := foreign.Clock().Now()
 		for _, pinned := range []bool{false, true} {
 			tick.Set(nil, 1) // the clock moves past the pair's version
-			rv := tm.ClockValue()
+			rv := tm.Clock().Now()
 			var a, b uint64
 			body := func(tx *Tx) {
 				a, b = p.Get(tx)
@@ -79,7 +79,7 @@ func TestPairMutatorsStampPastSnapshots(t *testing.T) {
 				t.Errorf("%s: reader begun after the mutation: ok=%v %+v (%d,%d), want (%d,%d)", m.name, ok, ab, a, b, want, want+1)
 			}
 		}
-		if got := foreign.ClockValue(); got != foreignClock {
+		if got := foreign.Clock().Now(); got != foreignClock {
 			t.Errorf("%s on one TM's clock moved another's: %d -> %d", m.name, foreignClock, got)
 		}
 	}

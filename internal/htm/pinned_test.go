@@ -22,7 +22,7 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 	}
 	pair.Store(tm.Clock(), 1, 1)
 
-	rv := tm.ClockValue()
+	rv := tm.Clock().Now()
 	if ok, _ := writer.Atomic(PathFast, func(tx *Tx) { txWritten.Set(tx, 2) }); !ok {
 		t.Fatal("writer aborted")
 	}
@@ -55,7 +55,7 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 		t.Errorf("pinned attempts are not in the thread's statistics: %+v", st)
 	}
 	// A snapshot taken now sees the new values.
-	if ok, _ := th.AtomicAt(PathFast, tm.ClockValue(), func(tx *Tx) {
+	if ok, _ := th.AtomicAt(PathFast, tm.Clock().Now(), func(tx *Tx) {
 		if a, b := txWritten.Get(tx), plainWritten.Get(tx); a != 2 || b != 2 {
 			t.Errorf("fresh pinned reader got %d, %d, want 2, 2", a, b)
 		}
@@ -74,7 +74,7 @@ func TestPinnedSnapshotAheadOfClockPanics(t *testing.T) {
 		}
 	}()
 	tm := New(Config{})
-	tm.NewThread().AtomicAt(PathFast, tm.ClockValue()+1, func(*Tx) {})
+	tm.NewThread().AtomicAt(PathFast, tm.Clock().Now()+1, func(*Tx) {})
 }
 
 // TestPinnedCutAcrossTwoClocks is the cross-shard protocol in miniature:
@@ -114,9 +114,9 @@ func TestPinnedCutAcrossTwoClocks(t *testing.T) {
 	ths := [2]*Thread{tms[0].NewThread(), tms[1].NewThread()}
 	cuts := 0
 	for try := 0; try < 200000 && cuts < 2000; try++ {
-		rv0 := tms[0].ClockValue()
-		rv1 := tms[1].ClockValue()
-		if tms[0].ClockValue() != rv0 {
+		rv0 := tms[0].Clock().Now()
+		rv1 := tms[1].Clock().Now()
+		if tms[0].Clock().Now() != rv0 {
 			continue
 		}
 		var got [2]uint64

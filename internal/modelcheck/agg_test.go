@@ -41,8 +41,8 @@ func (c combo) buildAgg(t *testing.T, keySpan uint64) *htmtree.Tree {
 
 // TestDifferentialAggregates drives a random stream of updates and
 // aggregate queries through every configuration and the model in
-// lockstep: every RangeAgg window (and the whole-tree Count/Min/Max
-// convenience forms) must return exactly the model's tuple. Both trees
+// lockstep: every RangeAgg window, the whole tree's among them, must
+// return exactly the model's tuple. Both trees
 // fold their range query, so this checks the fold over every path the
 // range query runs on. The final CheckInvariants checks the structure.
 func TestDifferentialAggregates(t *testing.T) {
@@ -98,22 +98,15 @@ func TestDifferentialAggregates(t *testing.T) {
 							i, lo, hi, a, sum, count, min, max)
 					}
 				case 7:
+					// The whole tree.
+					a, err := h.RangeAgg(0, htmtree.MaxKey+1)
+					if err != nil {
+						t.Fatalf("op %d whole-tree RangeAgg: %v", i, err)
+					}
 					sum, count, min, max := model.RangeAgg(0, htmtree.MaxKey+1)
-					gotCount, err := h.Count()
-					if err != nil || gotCount != count {
-						t.Fatalf("op %d Count() = (%d,%v), model %d", i, gotCount, err, count)
-					}
-					gotMin, ok, err := h.Min()
-					if err != nil || ok != (count > 0) || (ok && gotMin != min) {
-						t.Fatalf("op %d Min() = (%d,%v,%v), model (%d,%v)", i, gotMin, ok, err, min, count > 0)
-					}
-					gotMax, ok, err := h.Max()
-					if err != nil || ok != (count > 0) || (ok && gotMax != max) {
-						t.Fatalf("op %d Max() = (%d,%v,%v), model (%d,%v)", i, gotMax, ok, err, max, count > 0)
-					}
-					gotSum, gotN, err := h.RangeSum(0, htmtree.MaxKey+1)
-					if err != nil || gotSum != sum || gotN != count {
-						t.Fatalf("op %d RangeSum = (%d,%d,%v), model (%d,%d)", i, gotSum, gotN, err, sum, count)
+					if a.Sum != sum || a.Count != count || a.Min != min || a.Max != max {
+						t.Fatalf("op %d whole-tree RangeAgg = %+v, model {Sum:%d Count:%d Min:%d Max:%d}",
+							i, a, sum, count, min, max)
 					}
 				}
 			}

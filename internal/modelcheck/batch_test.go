@@ -28,10 +28,11 @@ type pendingCheck struct {
 // through an asynchronous (batched) handle and the sequential model in
 // lockstep, over both structures sharded 8 ways by the uniform key-range
 // split. Flushes are triggered every way the subsystem supports — size
-// threshold, flushing RangeQuery, explicit Flush, and Wait on a buffered
-// future — and every resolved future must match the model, every range
-// query must return exactly the model's pairs, and the final key-sum,
-// structural invariants, and partition invariant must hold.
+// threshold, explicit Flush, and Wait on a buffered future — and every
+// resolved future must match the model, every range query a plain handle
+// runs after a Flush must return exactly the model's pairs, and the
+// final key-sum, structural invariants, and partition invariant must
+// hold.
 func TestBatchedDifferentialAllRouters(t *testing.T) {
 	t.Parallel()
 	const (
@@ -60,7 +61,7 @@ func TestBatchedDifferentialAllRouters(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ah := tree.NewAsyncHandle()
+			ah, h := tree.NewAsyncHandle(), tree.NewHandle()
 			model := NewModel()
 			rng := rand.New(rand.NewSource(0xba7c4))
 
@@ -101,12 +102,13 @@ func TestBatchedDifferentialAllRouters(t *testing.T) {
 						fut:  ah.Search(k), wantVal: want, wantOK: wantOK,
 					})
 				case 7:
-					// Flushing range query: a sync point that must
-					// observe every op enqueued so far (the model
-					// already has).
+					// Flush, then a range query through the plain
+					// handle: it must observe every op enqueued so
+					// far (the model already has).
 					lo := uint64(rng.Intn(keySpan)) + 1
 					hi := lo + uint64(rng.Intn(keySpan))
-					out := ah.RangeQuery(lo, hi).Wait()
+					ah.Flush()
+					out := h.RangeQuery(lo, hi, nil)
 					wantKeys, wantVals := model.RangeQuery(lo, hi)
 					if len(out) != len(wantKeys) {
 						t.Fatalf("op %d RQ[%d,%d): %d pairs, model %d",

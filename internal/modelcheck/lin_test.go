@@ -161,8 +161,11 @@ func checkLinearizable(hist []linOp) []error {
 // recordPointHistory runs workers goroutines of n random point
 // operations each over keys 1..keys of tree and returns the history,
 // every operation bracketed by tickets from one global counter. Every
-// insert writes a value no other insert writes.
-func recordPointHistory(tree *htmtree.Tree, seed int64, workers, n, keys int) []linOp {
+// insert writes a value no other insert writes. With async, each worker
+// enqueues runs of 1 to 8 operations through an AsyncHandle and then
+// waits on the run's futures in order: an operation's call ticket is
+// taken before its enqueue and its ret ticket after its Wait returns.
+func recordPointHistory(tree *htmtree.Tree, async bool, seed int64, workers, n, keys int) []linOp {
 	var (
 		ticket atomic.Uint64
 		wg     sync.WaitGroup
@@ -173,26 +176,56 @@ func recordPointHistory(tree *htmtree.Tree, seed int64, workers, n, keys int) []
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			h := tree.NewHandle()
+			var (
+				h    *htmtree.Handle
+				ah   *htmtree.AsyncHandle
+				futs []htmtree.PointFuture
+			)
+			if async {
+				ah = tree.NewAsyncHandle()
+			} else {
+				h = tree.NewHandle()
+			}
 			rng := rand.New(rand.NewSource(seed*int64(workers) + int64(w)))
 			hist := make([]linOp, 0, n)
 			<-start
-			for i := 0; i < n; i++ {
-				o := linOp{kind: uint8(rng.Intn(3)), key: uint64(1 + rng.Intn(keys))}
-				o.call = ticket.Add(1)
-				maybeYield(rng)
-				switch o.kind {
-				case linInsert:
-					o.val = uint64(w+1)<<32 | uint64(i+1)
-					o.out, o.ok = h.Insert(o.key, o.val)
-				case linDelete:
-					o.out, o.ok = h.Delete(o.key)
-				case linSearch:
-					o.out, o.ok = h.Search(o.key)
+			for i := 0; i < n; {
+				run := 1
+				if async {
+					run += rng.Intn(8)
 				}
-				maybeYield(rng)
-				o.ret = ticket.Add(1)
-				hist = append(hist, o)
+				first := len(hist)
+				for ; run > 0 && i < n; run, i = run-1, i+1 {
+					o := linOp{kind: uint8(rng.Intn(3)), key: uint64(1 + rng.Intn(keys))}
+					if o.kind == linInsert {
+						o.val = uint64(w+1)<<32 | uint64(i+1)
+					}
+					o.call = ticket.Add(1)
+					maybeYield(rng)
+					switch {
+					case async && o.kind == linInsert:
+						futs = append(futs, ah.Insert(o.key, o.val))
+					case async && o.kind == linDelete:
+						futs = append(futs, ah.Delete(o.key))
+					case async:
+						futs = append(futs, ah.Search(o.key))
+					case o.kind == linInsert:
+						o.out, o.ok = h.Insert(o.key, o.val)
+					case o.kind == linDelete:
+						o.out, o.ok = h.Delete(o.key)
+					default:
+						o.out, o.ok = h.Search(o.key)
+					}
+					hist = append(hist, o)
+				}
+				for j := first; j < len(hist); j++ {
+					if async {
+						hist[j].out, hist[j].ok = futs[j-first].Wait()
+					}
+					maybeYield(rng)
+					hist[j].ret = ticket.Add(1)
+				}
+				futs = futs[:0]
 			}
 			hists[w] = hist
 		}(w)
@@ -219,9 +252,9 @@ const historyBound = 30 * time.Second
 // history, or false once bound elapses first. A history that overruns is
 // stuck — a worker looping in a subtree reused under it, say — and its
 // workers cannot be stopped from outside, so they are abandoned.
-func recordWithin(bound time.Duration, tree *htmtree.Tree, seed int64, workers, n, keys int) ([]linOp, bool) {
+func recordWithin(bound time.Duration, tree *htmtree.Tree, async bool, seed int64, workers, n, keys int) ([]linOp, bool) {
 	done := make(chan []linOp, 1) // an abandoned recorder's send must not block
-	go func() { done <- recordPointHistory(tree, seed, workers, n, keys) }()
+	go func() { done <- recordPointHistory(tree, async, seed, workers, n, keys) }()
 	select {
 	case hist := <-done:
 		return hist, true
@@ -283,8 +316,11 @@ func TestLinearizableCheckerRejects(t *testing.T) {
 // past the fast path, and its probes still take it), under the
 // spurious-abort plan with operations stalled right after they pin
 // their epoch (so that every reused node has come through a grace
-// period the stall stretched), and of the
-// monitored 8-shard BST, for per-key linearizability: 4
+// period the stall stretched), of the monitored 8-shard BST, and of a
+// monitored 2-shard (a,b)-tree driven through asynchronous handles
+// (flushing batches of at most 4 as shard groups, under the spurious
+// plan with flushes stalled, so that futures are waited on across
+// stalled, reordered batches), for per-key linearizability: 4
 // workers over 8 keys, so every key's operations overlap, on every path
 // the contention sends them to. A failure prints the seed the workers'
 // operation streams derive from and the fault plan, which reproduce it;
@@ -300,8 +336,10 @@ func TestPointOpsLinearizable(t *testing.T) {
 	if testing.Short() {
 		n = 150
 	}
+	spurious := htmtree.FaultRule{Point: htmtree.FaultTxAccess, Prob: 1.0 / 2, Cause: uint8(htm.CauseSpurious)}
 	type linCase struct {
 		name  string
+		async bool
 		build func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error)
 	}
 	check := func(t *testing.T, c linCase) {
@@ -312,7 +350,7 @@ func TestPointOpsLinearizable(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				hist, ok := recordWithin(historyBound, tree, seed, workers, n, keys)
+				hist, ok := recordWithin(historyBound, tree, c.async, seed, workers, n, keys)
 				if !ok {
 					t.Fatalf("seed=%d plan=%v: the history did not complete within %v (its workers are abandoned)", seed, plan, historyBound)
 				}
@@ -334,12 +372,11 @@ func TestPointOpsLinearizable(t *testing.T) {
 			t.Parallel()
 			for _, alg := range htmtree.Algorithms() {
 				alg := alg
-				check(t, linCase{string(alg), func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+				check(t, linCase{string(alg), false, func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
 					tree, err := tr.new(htmtree.Config{Algorithm: alg})
 					return tree, nil, err
 				}})
 			}
-			spurious := htmtree.FaultRule{Point: htmtree.FaultTxAccess, Prob: 1.0 / 2, Cause: uint8(htm.CauseSpurious)}
 			// At 1/8 a capacity abort per access, every seed completes
 			// dozens of operations on each path, and hundreds start past
 			// the fast path (engine.Thread.skipFast).
@@ -356,7 +393,7 @@ func TestPointOpsLinearizable(t *testing.T) {
 					{Point: htmtree.FaultEBRPin, Prob: 1.0 / 4, Stall: 200 * time.Microsecond}}},
 			} {
 				c := c
-				check(t, linCase{c.name, func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+				check(t, linCase{c.name, false, func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
 					plan := htmtree.NewFaultPlan(uint64(seed), c.rules...)
 					tree, err := tr.new(htmtree.Config{Algorithm: htmtree.ThreePath, Faults: plan})
 					return tree, plan, err
@@ -364,9 +401,16 @@ func TestPointOpsLinearizable(t *testing.T) {
 			}
 		})
 	}
-	check(t, linCase{"bst/x8/atomic", func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+	check(t, linCase{"bst/x8/atomic", false, func(int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
 		tree, err := htmtree.NewShardedBST(htmtree.Config{Algorithm: htmtree.ThreePath,
 			Shards: 8, ShardKeySpan: keys, AtomicRangeQueries: true})
 		return tree, nil, err
+	}})
+	check(t, linCase{"abtree/x2/async", true, func(seed int64) (*htmtree.Tree, *htmtree.FaultPlan, error) {
+		plan := htmtree.NewFaultPlan(uint64(seed), spurious,
+			htmtree.FaultRule{Point: htmtree.FaultBatchFlush, Prob: 1.0 / 4, Stall: 200 * time.Microsecond})
+		tree, err := htmtree.NewShardedABTree(htmtree.Config{Algorithm: htmtree.ThreePath,
+			Shards: 2, ShardKeySpan: keys, AtomicRangeQueries: true, BatchMaxOps: 4, Faults: plan})
+		return tree, plan, err
 	}})
 }

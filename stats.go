@@ -40,7 +40,7 @@ type Stats struct {
 	// the tree is sharded with AtomicRangeQueries.
 	Range RangeQueryStats
 	// Batch reports batched/asynchronous execution activity; all zero
-	// until an AsyncHandle (or Handle.Batch context) flushes.
+	// until an AsyncHandle flushes.
 	Batch BatchStats
 }
 
@@ -158,12 +158,11 @@ var families = []family{
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.Flushes) }},
 	{name: "htmtree_batch_flushed_ops_total", help: "Point operations carried by batch flushes.",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.BatchedOps) }},
-	{name: "htmtree_batch_flush_triggers_total", help: "Batch flushes by trigger: the BatchMaxOps threshold, an explicit Flush or Wait, or a flushing RangeQuery.",
+	{name: "htmtree_batch_flush_triggers_total", help: "Batch flushes by trigger: the BatchMaxOps threshold, or an explicit Flush or Wait.",
 		labels: []string{"trigger"},
 		read: func(s *Stats, emit emitFn) {
 			emit(s.Batch.SizeFlushes, "size")
 			emit(s.Batch.ExplicitFlushes, "explicit")
-			emit(s.Batch.RangeFlushes, "range")
 		}},
 	{name: "htmtree_exec_groups_total", help: "Shard groups executed by the batch pipeline (one routing decision each, and one monitor admission each on a tree with atomic range queries).",
 		read: func(s *Stats, emit emitFn) { emit(s.Batch.Groups) }},
