@@ -85,7 +85,6 @@ func microCells(tm *htm.TM, n int) []*microCell {
 	cells := make([]*microCell, n)
 	for i := range cells {
 		cells[i] = new(microCell)
-		cells[i].w.Bind(tm.Clock())
 	}
 	return cells
 }
@@ -255,7 +254,7 @@ func BenchmarkMicroTxRead(b *testing.B) {
 					body := k.cells(tm, n)
 					run := func() (bool, htm.Abort) { return th.Atomic(htm.PathFast, body) }
 					if pinned {
-						rv := tm.Clock().Pin()
+						rv := htm.Pin()
 						run = func() (bool, htm.Abort) { return th.AtomicAt(htm.PathFast, rv, body) }
 					}
 					run() // grows the read log to n

@@ -89,7 +89,7 @@ const (
 // fast path never touches (a middle-path edit writes its info field
 // too). A leaf is this shell plus its 384-byte slot array, 512 bytes in
 // 8 lines; an internal node is the shell plus a 128-byte key array and a
-// 384-byte child array, 640 bytes. TestNodeFootprint pins the sizes and
+// 256-byte child array, 512 bytes too. TestNodeFootprint pins the sizes and
 // the lines.
 type Node struct {
 	// First line: what a visitor reads, and a leaf's order word.
@@ -104,7 +104,7 @@ type Node struct {
 
 	// Second line: the SCX header.
 	hdr llxscx.Hdr
-	_   [16]byte
+	_   [32]byte
 }
 
 // keys returns an internal node's routing keys.
@@ -120,21 +120,16 @@ type kv struct {
 
 // newLeaf builds the bootstrap leaf. Steady-state operations allocate
 // through the handle pools instead (Handle.newLeaf in pool.go).
-func newLeaf(clk *htm.Clock) *Node {
+func newLeaf() *Node {
 	n := &Node{leaf: true, slots: new([MaxB]htm.Pair)}
-	n.hdr.Bind(clk)
 	n.ord.Init(permIdentity, 0)
 	return n
 }
 
-// allocArrays gives a fresh internal node its key and child arrays,
-// binding the child cells to clk.
-func (n *Node) allocArrays(clk *htm.Clock) {
+// allocArrays gives a fresh internal node its key and child arrays.
+func (n *Node) allocArrays() {
 	n.keyArr = new([MaxB - 1]uint64)
 	n.childArr = new([MaxB]htm.Ref[Node])
-	for i := range n.childArr {
-		n.childArr[i].Bind(clk)
-	}
 }
 
 // fill writes an unpublished internal node's contents: the routing keys
@@ -208,16 +203,14 @@ func New(cfg Config) *Tree {
 	}
 	ecfg := cfg.Engine
 	ecfg.Algorithm = cfg.Algorithm
-	tm := htm.New(cfg.HTM)
 	t := &Tree{
-		tm:  tm,
-		eng: engine.New(ecfg, tm.Clock()),
+		tm:  htm.New(cfg.HTM),
+		eng: engine.New(ecfg, nil),
 		cfg: cfg,
 	}
 	t.entry = &Node{}
-	t.entry.hdr.Bind(tm.Clock())
-	t.entry.allocArrays(tm.Clock())
-	t.entry.fill(nil, []*Node{newLeaf(tm.Clock())}, false)
+	t.entry.allocArrays()
+	t.entry.fill(nil, []*Node{newLeaf()}, false)
 	return t
 }
 
@@ -266,7 +259,7 @@ func (t *Tree) newHandle() *Handle {
 		kbuf: make([]uint64, 0, 1),
 		cbuf: make([]*Node, 0, 2),
 	}
-	h.Register(t.eng, t.tm, func(n *Node) bool { return n.leaf }, h.freshNode)
+	h.Register(t.eng, t.tm, func(n *Node) bool { return n.leaf }, freshNode)
 	h.buildOps()
 	return h
 }

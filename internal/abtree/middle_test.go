@@ -23,7 +23,6 @@ type heldIndicator struct{ f htm.Word }
 func (c *heldIndicator) Arrive()                 { c.f.Add(1) }
 func (c *heldIndicator) Depart()                 { c.f.Add(^uint64(0)) }
 func (c *heldIndicator) Nonzero(tx *htm.Tx) bool { return c.f.Get(tx) != 0 }
-func (c *heldIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 
 // TestMiddleEditRetagsLeaf: an insert into a non-full leaf, a value update
 // and a delete on the middle path each edit the leaf in place and retag
@@ -72,7 +71,7 @@ func TestMiddleEditRetagsLeaf(t *testing.T) {
 			t.Fatalf("%s did not store a fresh tag in the leaf's info field", c.name)
 		}
 		if llxscx.SCXO([]*llxscx.Hdr{&p.hdr, &u.hdr}, []*llxscx.Info{pi, ui},
-			[]*llxscx.Hdr{&u.hdr}, &p.children()[uIdx], u, newLeaf(tr.tm.Clock())) {
+			[]*llxscx.Hdr{&u.hdr}, &p.children()[uIdx], u, newLeaf()) {
 			t.Fatalf("%s: an SCXO linked to the leaf's info from before the edit succeeded", c.name)
 		}
 		if u.hdr.InfoValue(nil) != tag {

@@ -125,7 +125,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 		if found {
 			pr.EditInPlace(&u.hdr)
 			*pr.Res = engine.Result{Val: old, Found: true}
-			h.setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+			setPair(tx, &u.slots[permAt(perm, pos)], key, val)
 			return true
 		}
 		*pr.Res = engine.Result{}
@@ -134,8 +134,8 @@ func (t *Tree) insertBody(pr *prims) bool {
 			// writes, wherever in the leaf the key belongs.
 			pr.EditInPlace(&u.hdr)
 			perm = permInsert(perm, pos, sz)
-			h.setPair(tx, &u.slots[permAt(perm, pos)], key, val)
-			h.setPair(tx, &u.ord, perm, uint64(sz+1))
+			setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+			setPair(tx, &u.ord, perm, uint64(sz+1))
 			return true
 		}
 		if pr.Mode == engine.ModeFast {
@@ -150,9 +150,9 @@ func (t *Tree) insertBody(pr *prims) bool {
 			right := h.newLeaf(h.buf[lo:])
 			if pos < lo {
 				perm = permInsert(perm, pos, lo-1)
-				h.setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+				setPair(tx, &u.slots[permAt(perm, pos)], key, val)
 			}
-			h.setPair(tx, &u.ord, perm, uint64(lo))
+			setPair(tx, &u.ord, perm, uint64(lo))
 			h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 			h.cbuf = append(h.cbuf[:0], u, right)
 			np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
@@ -239,7 +239,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		// the key's slot goes back to the free list and keeps its
 		// contents, which no rank names any more.
 		pr.EditInPlace(&u.hdr)
-		h.setPair(tx, &u.ord, permDelete(perm, pos, sz), uint64(sz-1))
+		setPair(tx, &u.ord, permDelete(perm, pos, sz), uint64(sz-1))
 		*pr.Res = engine.Result{Val: old, Found: true, NeedFix: p != t.entry && sz-1 < a}
 		return true
 	}

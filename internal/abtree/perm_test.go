@@ -161,13 +161,13 @@ func TestCheckInvariantsReadsTheOrderWord(t *testing.T) {
 		{"rank 0 swapped with the parked slot", "leaf keys unsorted",
 			setNibble(0, permAt(perm, int(size)))&^(15<<(4*size)) | uint64(permAt(perm, 0))<<(4*size)},
 	} {
-		leaf.ord.Store(tr.tm.Clock(), c.perm, size)
+		leaf.ord.Store(c.perm, size)
 		err := tr.CheckInvariants(true)
 		if err == nil || !strings.Contains(err.Error(), c.want) || strings.Contains(err.Error(), "\n") {
 			t.Errorf("%s: CheckInvariants = %v, want one line containing %q", c.name, err, c.want)
 		}
 	}
-	leaf.ord.Store(tr.tm.Clock(), perm, size)
+	leaf.ord.Store(perm, size)
 	if err := tr.CheckInvariants(true); err != nil {
 		t.Fatal(err)
 	}

@@ -14,13 +14,12 @@ import "htmtree/internal/htm"
 // freshNode heap-allocates a node of the given kind (the pool's fresh
 // callback), complete with its arrays: a leaf's slots, an internal
 // node's keys and children.
-func (h *Handle) freshNode(leaf bool) *Node {
+func freshNode(leaf bool) *Node {
 	n := &Node{leaf: leaf}
-	n.hdr.Bind(h.Clk)
 	if leaf {
 		n.slots = new([MaxB]htm.Pair)
 	} else {
-		n.allocArrays(h.Clk)
+		n.allocArrays()
 	}
 	return n
 }
@@ -48,11 +47,10 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 }
 
 // setPair writes a leaf cell in the body's transaction, or, with a nil
-// tx (TLE's locked body), stores it at once, stamped with a tick of the
-// tree's clock.
-func (h *Handle) setPair(tx *htm.Tx, c *htm.Pair, a, b uint64) {
+// tx (TLE's locked body), stores it at once.
+func setPair(tx *htm.Tx, c *htm.Pair, a, b uint64) {
 	if tx == nil {
-		c.Store(h.Clk, a, b)
+		c.Store(a, b)
 		return
 	}
 	c.Set(tx, a, b)

@@ -156,14 +156,16 @@ func TestInternalArrayReuse(t *testing.T) {
 
 // TestNodeFootprint pins the memory a node costs, so a layout regression
 // fails here by name instead of surfacing as the benchmark's
-// live_heap_mb: a leaf entry is one 24-byte cell (a Pair carries no
-// clock pointer), and a node shell is two 64-byte lines — what a visitor
-// reads with the leaf's order word, then the SCX header — exactly the
-// allocator's 128-byte size class (whose objects start at multiples of
-// 128 in page-aligned spans, so field offsets are cache-line offsets).
+// live_heap_mb: a leaf entry is one 24-byte cell and a child one 16-byte
+// cell (no cell carries a clock pointer), and a node shell is two
+// 64-byte lines — what a visitor reads with the leaf's order word, then
+// the SCX header — exactly the allocator's 128-byte size class (whose
+// objects start at multiples of 128 in page-aligned spans, so field
+// offsets are cache-line offsets).
 // A leaf of any b is that shell plus one 384-byte array of MaxB slots,
 // 512 bytes in two allocations; an internal node is the shell plus a
-// 120-byte key array (size class 128) and a 384-byte child array.
+// 120-byte key array (size class 128) and a 256-byte child array, 512
+// bytes in three.
 func TestNodeFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(htm.Pair{}); got != 24 {
 		t.Errorf("htm.Pair is %d bytes, want 24", got)
@@ -190,7 +192,7 @@ func TestNodeFootprint(t *testing.T) {
 	if got := unsafe.Sizeof(*n.keyArr); got != 120 {
 		t.Errorf("an internal node's key array is %d bytes, want 120 (size class 128)", got)
 	}
-	const leafBytes, internalBytes = 128 + 384, 128 + 128 + 384
+	const leafBytes, internalBytes = 128 + 384, 128 + 128 + 256
 	tr := New(Config{})
 	h := tr.newHandle()
 	for _, leaf := range []*Node{
@@ -229,7 +231,7 @@ func TestLeafReuseMovesNoVersion(t *testing.T) {
 	h.Pool.Settle()   // published; the leaf's first life
 	h.Pool.Release(l) // as ebr does once the grace period expired
 	rv := tr.tm.Clock().Now()
-	h.Insert(2, 2) // the clock moves on
+	htm.Pin() // the clock moves on
 	if tr.tm.Clock().Now() == rv {
 		t.Fatal("set-up: the clock did not move")
 	}

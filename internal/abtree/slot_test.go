@@ -156,7 +156,7 @@ func runNoTornSlots(t *testing.T, name string, cfg Config, seed int64) {
 
 // TestTLELockedInsertAbortsFastReader: under TLE's lock the fast body
 // runs with a nil tx, so its in-place edits are immediate stores stamped
-// with a tick of the tree's clock (Handle.setPair). A fast-path
+// with a tick of the clock (setPair). A fast-path
 // transaction that read the leaf's order word and the free slot such an
 // insert fills must abort on its next read of that slot, not return the
 // new pair beside the order word it read before.

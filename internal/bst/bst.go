@@ -69,28 +69,17 @@ type Node struct {
 // Key returns the node's key. Exported for tests.
 func (n *Node) Key() uint64 { return n.key }
 
-// bind joins every cell of the node to the tree's clock domain. Called
-// once per node lifetime (heap allocation), not per pool reuse.
-func (n *Node) bind(clk *htm.Clock) {
-	n.hdr.Bind(clk)
-	n.val.Bind(clk)
-	n.l.Bind(clk)
-	n.r.Bind(clk)
-}
-
 // newLeaf and newInternal build heap nodes for tree bootstrap; steady
 // state operations allocate through the handle pools instead
 // (Handle.newLeaf / Handle.newInternal in pool.go).
-func newLeaf(clk *htm.Clock, key, val uint64) *Node {
+func newLeaf(key, val uint64) *Node {
 	n := &Node{key: key, leaf: true}
-	n.bind(clk)
 	n.val.Init(val)
 	return n
 }
 
-func newInternal(clk *htm.Clock, key uint64, left, right *Node) *Node {
+func newInternal(key uint64, left, right *Node) *Node {
 	n := &Node{key: key}
-	n.bind(clk)
 	n.l.Init(left)
 	n.r.Init(right)
 	return n
@@ -119,13 +108,11 @@ type Tree struct {
 func New(cfg Config) *Tree {
 	ecfg := cfg.Engine
 	ecfg.Algorithm = cfg.Algorithm
-	tm := htm.New(cfg.HTM)
 	t := &Tree{
-		tm:  tm,
-		eng: engine.New(ecfg, tm.Clock()),
+		tm:  htm.New(cfg.HTM),
+		eng: engine.New(ecfg, nil),
 	}
-	t.root = newInternal(tm.Clock(), keyInf2,
-		newLeaf(tm.Clock(), keyInf1, 0), newLeaf(tm.Clock(), keyInf2, 0))
+	t.root = newInternal(keyInf2, newLeaf(keyInf1, 0), newLeaf(keyInf2, 0))
 	return t
 }
 
@@ -154,7 +141,7 @@ func (t *Tree) NewHandle() dict.Handle { return t.newHandle() }
 
 func (t *Tree) newHandle() *Handle {
 	h := &Handle{t: t}
-	h.Register(t.eng, t.tm, func(n *Node) bool { return n.leaf }, h.freshNode)
+	h.Register(t.eng, t.tm, func(n *Node) bool { return n.leaf }, freshNode)
 	h.buildOps()
 	return h
 }

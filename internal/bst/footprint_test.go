@@ -133,9 +133,10 @@ func TestTransactionalFootprint(t *testing.T) {
 // TestNodeFootprint pins the memory a node costs: the header's two
 // cells, the key and leaf flag as plain fields (a pooled node's key is
 // rewritten only after its grace period), the value cell and the two
-// child cells — 136 bytes, the allocator's 144-byte size class.
+// child cells, each cell 16 bytes — 96 bytes, the allocator's 96-byte
+// size class.
 func TestNodeFootprint(t *testing.T) {
-	if got := unsafe.Sizeof(Node{}); got != 136 {
-		t.Errorf("Node is %d bytes, want 136", got)
+	if got := unsafe.Sizeof(Node{}); got != 96 {
+		t.Errorf("Node is %d bytes, want 96", got)
 	}
 }

@@ -5,13 +5,9 @@ package bst
 // period (or were drawn fresh and never published), so no thread can
 // hold one and plain stores re-initialize it.
 
-// freshNode heap-allocates a node of the given kind with its cells
-// bound to the tree's clock (the pool's fresh callback).
-func (h *Handle) freshNode(leaf bool) *Node {
-	n := &Node{leaf: leaf}
-	n.bind(h.Clk)
-	return n
-}
+// freshNode heap-allocates a node of the given kind (the pool's fresh
+// callback).
+func freshNode(leaf bool) *Node { return &Node{leaf: leaf} }
 
 // newLeaf builds a leaf holding key/val from the pool. The Init stores
 // leave the cells' versions where they are (0 on a fresh node: readable

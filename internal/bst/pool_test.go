@@ -116,7 +116,7 @@ func TestLeafReuseMovesNoVersion(t *testing.T) {
 	h.Pool.Settle()   // published; the leaf's first life
 	h.Pool.Release(l) // as ebr does once the grace period expired
 	rv := tr.tm.Clock().Now()
-	h.Insert(1, 2) // the clock moves on (a value update draws no node)
+	htm.Pin() // the clock moves on
 	if tr.tm.Clock().Now() == rv {
 		t.Fatal("set-up: the clock did not move")
 	}

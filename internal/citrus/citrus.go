@@ -40,13 +40,8 @@ type Node struct {
 	marked htm.Word
 }
 
-func newNode(clk *htm.Clock, key, val uint64, l, r *Node) *Node {
+func newNode(key, val uint64, l, r *Node) *Node {
 	n := &Node{key: key}
-	n.val.Bind(clk)
-	n.l.Bind(clk)
-	n.r.Bind(clk)
-	n.lock.Bind(clk)
-	n.marked.Bind(clk)
 	n.val.Init(val)
 	n.l.Init(l)
 	n.r.Init(r)
@@ -89,12 +84,11 @@ type Tree struct {
 func New(cfg Config) *Tree {
 	ecfg := cfg.Engine
 	ecfg.Algorithm = cfg.Algorithm
-	tm := htm.New(cfg.HTM)
 	return &Tree{
-		tm:   tm,
-		eng:  engine.New(ecfg, tm.Clock()),
+		tm:   htm.New(cfg.HTM),
+		eng:  engine.New(ecfg, nil),
 		rcu:  rcu.New(),
-		root: newNode(tm.Clock(), keyInf, 0, nil, nil),
+		root: newNode(keyInf, 0, nil, nil),
 	}
 }
 
@@ -228,7 +222,7 @@ func (t *Tree) insertTx(tx *htm.Tx, h *Handle, lockCheck bool) {
 		prev.lockFreeInTx(tx)
 	}
 	h.resVal, h.resFound = 0, false
-	childRef(prev, key).Set(tx, newNode(t.tm.Clock(), key, val, nil, nil))
+	childRef(prev, key).Set(tx, newNode(key, val, nil, nil))
 }
 
 // insertMiddle wraps insertTx in a read-side critical section (the
@@ -283,9 +277,9 @@ func (t *Tree) deleteTx(tx *htm.Tx, h *Handle, lockCheck bool) {
 	var repl *Node
 	if sp == cur {
 		// Successor is cur's right child: absorb it directly.
-		repl = newNode(t.tm.Clock(), s.key, s.val.Get(tx), cl, s.r.Get(tx))
+		repl = newNode(s.key, s.val.Get(tx), cl, s.r.Get(tx))
 	} else {
-		repl = newNode(t.tm.Clock(), s.key, s.val.Get(tx), cl, cr)
+		repl = newNode(s.key, s.val.Get(tx), cl, cr)
 		sp.l.Set(tx, s.r.Get(tx))
 	}
 	childRef(prev, key).Set(tx, repl)
@@ -360,7 +354,7 @@ func (t *Tree) insertFallback(h *Handle) bool {
 		return false
 	}
 	h.resVal, h.resFound = 0, false
-	childRef(prev, key).Set(nil, newNode(t.tm.Clock(), key, val, nil, nil))
+	childRef(prev, key).Set(nil, newNode(key, val, nil, nil))
 	return true
 }
 
@@ -429,7 +423,7 @@ func (t *Tree) deleteFallback(h *Handle) bool {
 	}
 
 	if sp == cur {
-		repl := newNode(t.tm.Clock(), s.key, s.val.Get(nil), cl, s.r.Get(nil))
+		repl := newNode(s.key, s.val.Get(nil), cl, s.r.Get(nil))
 		childRef(prev, key).Set(nil, repl)
 		cur.marked.Set(nil, 1)
 		s.marked.Set(nil, 1)
@@ -438,7 +432,7 @@ func (t *Tree) deleteFallback(h *Handle) bool {
 	// Replace cur by a copy carrying the successor's key, wait for
 	// readers that may already be descending toward the successor, then
 	// unlink the successor.
-	repl := newNode(t.tm.Clock(), s.key, s.val.Get(nil), cl, cr)
+	repl := newNode(s.key, s.val.Get(nil), cl, cr)
 	childRef(prev, key).Set(nil, repl)
 	cur.marked.Set(nil, 1)
 	t.rcu.Synchronize()

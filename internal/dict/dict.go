@@ -83,13 +83,13 @@ const (
 )
 
 // PinnedReader is optionally implemented by handles of a dictionary that
-// can run a read as a single transaction at a snapshot of its version
-// clock the caller chose earlier. A reader holding one snapshot per
-// dictionary, all read at one instant, gets results that together are
-// the state of all of them at that instant — the sharded dictionary's
-// atomic cross-shard read. The protocol for one such read is PinEnter on
-// every handle involved, then PinClock on each, then the reads at the
-// values PinClock returned, then PinExit.
+// can run a read as a single transaction at a snapshot of the version
+// clock the caller took earlier (htm.Pin). Every dictionary on the
+// simulated TM shares that clock, so reads of several dictionaries at
+// one snapshot are together the state of all of them at one instant —
+// the sharded dictionary's atomic cross-shard read. The protocol for one
+// such read is PinEnter on every handle involved, then one htm.Pin,
+// then the reads at the value it returned, then PinExit.
 type PinnedReader interface {
 	// Pinnable reports whether the handle serves pinned reads at all; it
 	// does not when its dictionary's algorithm has no transactional path
@@ -97,18 +97,11 @@ type PinnedReader interface {
 	// handle that is not pinnable.
 	Pinnable() bool
 	// PinEnter enters, and PinExit leaves, the bracket that keeps every
-	// node reachable at a snapshot read inside it from being reused. It
-	// must be entered before PinClock and held across the reads.
-	// PinEnter also takes a fresh clock value for PinClock to return:
-	// on the simulated TM a commit stamps its writes one past the clock
-	// without moving it, so a snapshot taken without an advance would
-	// lie before the newest commits, and the reads would abort on them.
+	// node reachable at a snapshot taken inside it from being reused. It
+	// must be entered before the snapshot is taken and held across the
+	// reads.
 	PinEnter()
 	PinExit()
-	// PinClock returns the current value of the dictionary's version
-	// clock. It only reads the clock: two calls return the same value
-	// unless the clock advanced between them.
-	PinClock() uint64
 	// RangeQueryAt is Handle.RangeQuery as of snapshot rv. Unless the
 	// status is PinCommitted, out is returned unextended.
 	RangeQueryAt(rv, lo, hi uint64, out []KV) ([]KV, PinStatus)

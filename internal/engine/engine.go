@@ -171,11 +171,6 @@ type Indicator interface {
 	// transactional read (tx != nil) subscribes the caller so that a
 	// change aborts it.
 	Nonzero(tx *htm.Tx) bool
-	// Bind associates the indicator's cells with the version clock of
-	// the TM whose transactions subscribe to it: arrivals mutate the
-	// cells non-transactionally and must advance that clock. The engine
-	// binds its indicator at construction.
-	Bind(c *htm.Clock)
 }
 
 // counterIndicator is the plain fetch-and-increment implementation.
@@ -186,7 +181,6 @@ type counterIndicator struct {
 func (c *counterIndicator) Arrive()                 { c.f.Add(1) }
 func (c *counterIndicator) Depart()                 { c.f.Add(^uint64(0)) }
 func (c *counterIndicator) Nonzero(tx *htm.Tx) bool { return c.f.Get(tx) != 0 }
-func (c *counterIndicator) Bind(clk *htm.Clock)     { c.f.Bind(clk) }
 
 // Config controls an Engine.
 type Config struct {
@@ -263,12 +257,10 @@ type Engine struct {
 	_       [64]byte
 }
 
-// New creates an engine bound to the version clock of the TM whose
-// threads it will run (htm.TM.Clock). The engine's own cells — the TLE
-// lock and the fallback-presence indicator, which transactions subscribe
-// to and non-transactional paths mutate — join that clock's
-// synchronization domain here. Zero fields of cfg select defaults.
-func New(cfg Config, clk *htm.Clock) *Engine {
+// New creates an engine. Zero fields of cfg select defaults. The second
+// parameter is ignored; it is kept only because the benchmark's layer
+// ladder (bench/layers.go) passes a clock. Callers pass nil.
+func New(cfg Config, _ *htm.Clock) *Engine {
 	if cfg.Algorithm == 0 {
 		cfg.Algorithm = AlgThreePath
 	}
@@ -278,8 +270,6 @@ func New(cfg Config, clk *htm.Clock) *Engine {
 	e := &Engine{cfg: cfg.withDefaults(), row: paths[cfg.Algorithm], reclaim: ebr.New()}
 	e.reclaim.SetFaults(e.cfg.Faults)
 	e.walker = e.reclaim.NewThread(func(any) {})
-	e.tle.Bind(clk)
-	e.cfg.Indicator.Bind(clk)
 	return e
 }
 
@@ -837,7 +827,8 @@ func (th *Thread) ExitReclaim() {
 
 // RunAt makes one attempt at the read-only op on the algorithm's first
 // transactional path, with the transaction's snapshot pinned at rv — a
-// value of the TM's clock read inside the caller's EnterReclaim bracket.
+// value of the clock taken inside the caller's EnterReclaim bracket
+// (htm.Pin).
 // It is Run's fast path without Run's policy: no waiting for a busy
 // software path, no retry, no later path; what a retry is, is the
 // caller's decision. An attempt that commits completed the operation as
@@ -847,9 +838,9 @@ func (th *Thread) ExitReclaim() {
 // no retry cures. A call whose site's capacity memory says the footprint
 // will not fit is not attempted at all, as Run would skip its first path.
 //
-// It exists for readers that hold snapshots of several engines' TMs
-// taken at one instant (internal/shard); CanPin says whether the thread
-// supports it.
+// It exists for a reader that pins transactions of several engines at
+// one snapshot (internal/shard); CanPin says whether the thread supports
+// it.
 func (th *Thread) RunAt(op *Op, rv uint64) dict.PinStatus {
 	if op.Update || !th.CanPin() {
 		panic("engine: RunAt of an update operation, or without a transactional first path")

@@ -36,11 +36,10 @@ func abortEveryAccess() htm.Config {
 	return htm.Config{Faults: fault.New(1, fault.Rule{Point: fault.PointTxAccess, Every: 1})}
 }
 
-func newEngineThread(t *testing.T, htmCfg htm.Config, engCfg Config) (*Engine, *Thread, *htm.Clock) {
+func newEngineThread(t *testing.T, htmCfg htm.Config, engCfg Config) (*Engine, *Thread) {
 	t.Helper()
-	tm := htm.New(htmCfg)
-	e := New(engCfg, tm.Clock())
-	return e, e.NewThread(tm.NewThread()), tm.Clock()
+	e := New(engCfg, nil)
+	return e, e.NewThread(htm.New(htmCfg).NewThread())
 }
 
 func TestAlgorithmsCompleteConcurrently(t *testing.T) {
@@ -50,9 +49,8 @@ func TestAlgorithmsCompleteConcurrently(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
 			tm := htm.New(htm.Config{})
-			e := New(Config{Algorithm: alg}, tm.Clock())
+			e := New(Config{Algorithm: alg}, nil)
 			var c htm.Word
-			c.Bind(tm.Clock())
 			const goroutines = 4
 			const perG = 2500
 			var wg sync.WaitGroup
@@ -84,9 +82,8 @@ func TestFastPathPreferred(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			_, th, clk := newEngineThread(t, htm.Config{}, Config{Algorithm: alg})
+			_, th := newEngineThread(t, htm.Config{}, Config{Algorithm: alg})
 			var c htm.Word
-			c.Bind(clk)
 			if p := th.Run(counterOp(&c)); p != htm.PathFast {
 				t.Fatalf("uncontended op completed on %v, want fast", p)
 			}
@@ -102,9 +99,8 @@ func TestAllAbortsForceFallback(t *testing.T) {
 		alg := alg
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
-			_, th, clk := newEngineThread(t, abortEveryAccess(), Config{Algorithm: alg})
+			_, th := newEngineThread(t, abortEveryAccess(), Config{Algorithm: alg})
 			var c htm.Word
-			c.Bind(clk)
 			if p := th.Run(counterOp(&c)); p != htm.PathFallback {
 				t.Fatalf("completed on %v, want fallback", p)
 			}
@@ -156,10 +152,9 @@ func TestThreePathMovesToMiddleWhenFallbackBusy(t *testing.T) {
 			ind := &risingIndicator{armed: tc.risesLater}
 			o := obs.New(obs.Config{EventSample: 1})
 			tm := htm.New(htm.Config{})
-			e := New(Config{Algorithm: AlgThreePath, Indicator: ind, Obs: o.Node()}, tm.Clock())
+			e := New(Config{Algorithm: AlgThreePath, Indicator: ind, Obs: o.Node()}, nil)
 			th := e.NewThread(tm.NewThread())
 			var c htm.Word
-			c.Bind(tm.Clock())
 			if !tc.risesLater {
 				ind.Arrive() // simulate an operation on the fallback path
 			}
@@ -212,7 +207,7 @@ func TestReadOnlyOpRunsBesideFallback(t *testing.T) {
 	t.Parallel()
 	newReader := func(alg Algorithm, ind Indicator) (*Thread, Op) {
 		tm := htm.New(htm.Config{})
-		e := New(Config{Algorithm: alg, Indicator: ind}, tm.Clock())
+		e := New(Config{Algorithm: alg, Indicator: ind}, nil)
 		return e.NewThread(tm.NewThread()), readOp(make([]htm.Word, 4), new(uint64))
 	}
 	t.Run("3-path", func(t *testing.T) {
@@ -260,7 +255,7 @@ func TestThreePathCapacitySkipsRetries(t *testing.T) {
 	// the middle path after a single attempt, and then (still
 	// overflowing) to the fallback path after a single middle attempt.
 	tm := htm.New(htm.Config{ReadCapacity: 4})
-	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
+	e := New(Config{Algorithm: AlgThreePath}, nil)
 	th := e.NewThread(tm.NewThread())
 	cells := make([]htm.Word, 16)
 	readAll := func(tx *htm.Tx) {
@@ -293,15 +288,11 @@ func TestTLEMutualExclusion(t *testing.T) {
 	// flips a plain (non transactional, deliberately
 	// unsynchronized-looking but cell-backed) flag; fast bodies assert
 	// they never observe it set. One goroutine's transactions always
-	// abort explicitly, so all its operations run under the lock (per-TM
-	// clocks require one engine to serve one TM, so the old per-thread
-	// spurious-abort trick is out).
+	// abort explicitly, so all its operations run under the lock.
 	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgTLE}, tm.Clock())
+	e := New(Config{Algorithm: AlgTLE}, nil)
 	var inLocked htm.Word
 	var c htm.Word
-	inLocked.Bind(tm.Clock())
-	c.Bind(tm.Clock())
 
 	var wg sync.WaitGroup
 	violated := make(chan struct{}, 1)
@@ -384,14 +375,13 @@ func TestPinnedAttemptRunsTheFirstPath(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
 			tm := htm.New(htm.Config{})
-			e := New(Config{Algorithm: alg}, tm.Clock())
+			e := New(Config{Algorithm: alg}, nil)
 			th := e.NewThread(tm.NewThread())
 			if !th.CanPin() {
 				return
 			}
 			cells := make([]htm.Word, 4)
 			for i := range cells {
-				cells[i].Bind(tm.Clock())
 				cells[i].Set(nil, 1)
 			}
 			var sum uint64
@@ -418,7 +408,7 @@ func TestPinnedAttemptAccounting(t *testing.T) {
 	t.Parallel()
 	o := obs.New(obs.Config{EventSample: 1})
 	tm := htm.New(htm.Config{ReadCapacity: 4})
-	e := New(Config{Algorithm: AlgThreePath, Obs: o.Node()}, tm.Clock())
+	e := New(Config{Algorithm: AlgThreePath, Obs: o.Node()}, nil)
 	th := e.NewThread(tm.NewThread())
 	cells := make([]htm.Word, 8)
 	var sum uint64

@@ -17,10 +17,9 @@ import (
 // embeds it in its own handle type and builds the four ops once, in
 // newHandle, so operations allocate nothing.
 type Handle[N any] struct {
-	// Th is the handle's engine thread, Clk the tree's TM clock and Pool
-	// the thread's node free lists (internal/nodepool).
+	// Th is the handle's engine thread and Pool the thread's node free
+	// lists (internal/nodepool).
 	Th   *Thread
-	Clk  *htm.Clock
 	Pool *nodepool.Pool[N]
 
 	// Key and Val are a point operation's arguments and Lo and Hi a range
@@ -43,7 +42,6 @@ type Handle[N any] struct {
 // the engine's epoch domain (Thread.EnableReclaim).
 func (h *Handle[N]) Register(e *Engine, tm *htm.TM, isLeaf func(*N) bool, fresh func(leaf bool) *N) {
 	h.Th = e.NewThread(tm.NewThread())
-	h.Clk = tm.Clock()
 	h.Pool = nodepool.New[N](isLeaf, fresh, h.Th)
 	h.Th.EnableReclaim(h.Pool)
 }
@@ -122,15 +120,12 @@ func (h *Handle[N]) setRange(lo, hi uint64) {
 }
 
 // Pinned reads (dict.PinnedReader): the range query's own op, run as one
-// first-path transaction at a snapshot of the tree's clock the caller
-// read earlier (Thread.RunAt). PinEnter takes the fresh clock value
-// PinClock then reads (htm.Clock.Pin): commits leave the clock alone, so
-// without it the snapshot would miss the newest ones.
+// first-path transaction at a snapshot the caller took earlier
+// (htm.Pin, Thread.RunAt).
 
-func (h *Handle[N]) Pinnable() bool   { return h.Th.CanPin() }
-func (h *Handle[N]) PinEnter()        { h.Th.EnterReclaim(); h.Clk.Pin() }
-func (h *Handle[N]) PinExit()         { h.Th.ExitReclaim() }
-func (h *Handle[N]) PinClock() uint64 { return h.Clk.Now() }
+func (h *Handle[N]) Pinnable() bool { return h.Th.CanPin() }
+func (h *Handle[N]) PinEnter()      { h.Th.EnterReclaim() }
+func (h *Handle[N]) PinExit()       { h.Th.ExitReclaim() }
 
 func (h *Handle[N]) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
 	h.setRange(lo, hi)

@@ -193,7 +193,7 @@ func TestPathTable(t *testing.T) {
 					Cause: uint8(htm.CauseCapacity)})
 			}
 			ind := &counterIndicator{}
-			e, th, clk := newEngineThread(t, hcfg, Config{Algorithm: r.alg, Indicator: ind})
+			e, th := newEngineThread(t, hcfg, Config{Algorithm: r.alg, Indicator: ind})
 			// A guarded row holds only its own algorithm's guard, so that
 			// it fails if the first path waits on the other one.
 			lock := r.cond == guarded && r.alg == AlgTLE
@@ -204,7 +204,6 @@ func TestPathTable(t *testing.T) {
 				e.tle.Set(nil, 1)
 			}
 			var c htm.Word
-			c.Bind(clk)
 			if r.pin != nil {
 				if got, want := th.CanPin(), r.pin != unpinnable; got != want {
 					t.Errorf("CanPin = %v, want %v", got, want)
@@ -214,7 +213,7 @@ func TestPathTable(t *testing.T) {
 					op := countingOp(th, &c, false, &calls)
 					op.Site = NewSite()
 					want := e.Stats().PathCounts
-					st := th.RunAt(&op, clk.Now())
+					st := th.RunAt(&op, htm.Pin())
 					if got := (pinned{calls, st}); got != *r.pin {
 						t.Errorf("RunAt: %v; want %v", got, *r.pin)
 					}
@@ -284,9 +283,8 @@ func TestPathTable(t *testing.T) {
 // phases, retrying it until it succeeds.
 func TestLockedFastAndNilSCXHTM(t *testing.T) {
 	t.Parallel()
-	_, th, clk := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgTLE})
+	_, th := newEngineThread(t, htm.Config{}, Config{Algorithm: AlgTLE})
 	var c htm.Word
-	c.Bind(clk)
 	locked := 0
 	p := th.Run(Op{Update: true, Fast: func(tx *htm.Tx) {
 		if tx != nil {
@@ -300,7 +298,7 @@ func TestLockedFastAndNilSCXHTM(t *testing.T) {
 			p, c.Get(nil), locked)
 	}
 
-	_, th, _ = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})
+	_, th = newEngineThread(t, htm.Config{}, Config{Algorithm: AlgSCXHTM})
 	calls := 0
 	const want = attemptBudget + 2
 	p = th.Run(Op{Fallback: func() bool { calls++; return calls == want }})

@@ -18,10 +18,9 @@ var txAlgorithms = []Algorithm{AlgTLE, AlgTwoPathConc, AlgTwoPathNCon, AlgThreeP
 func TestTLELockedBodyPanicReleasesLock(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgTLE}, tm.Clock())
+	e := New(Config{Algorithm: AlgTLE}, nil)
 	th := e.NewThread(tm.NewThread())
 	var c htm.Word
-	c.Bind(tm.Clock())
 
 	// Drive the operation to the locked path (every elided attempt aborts
 	// explicitly), then panic out of the locked body.
@@ -76,24 +75,22 @@ func TestAbortCauseBuckets(t *testing.T) {
 	cases := []struct {
 		name   string
 		htmCfg htm.Config
-		mkOp   func(clk *htm.Clock) Op
+		mkOp   func() Op
 		cause  htm.AbortCause
 	}{
 		{
 			name:   "spurious",
 			htmCfg: abortEveryAccess(),
-			mkOp: func(clk *htm.Clock) Op {
+			mkOp: func() Op {
 				var c htm.Word
-				c.Bind(clk)
-				op := counterOp(&c)
-				return op
+				return counterOp(&c)
 			},
 			cause: htm.CauseSpurious,
 		},
 		{
 			name:   "capacity",
 			htmCfg: htm.Config{ReadCapacity: 2},
-			mkOp: func(clk *htm.Clock) Op {
+			mkOp: func() Op {
 				cells := make([]htm.Word, 8)
 				body := overflow(cells)
 				return Op{Fast: body, Middle: body,
@@ -104,7 +101,7 @@ func TestAbortCauseBuckets(t *testing.T) {
 		{
 			name:   "explicit",
 			htmCfg: htm.Config{},
-			mkOp: func(clk *htm.Clock) Op {
+			mkOp: func() Op {
 				body := func(tx *htm.Tx) {
 					if tx != nil { // TLE's locked body completes
 						tx.Abort(CodeRetry)
@@ -118,10 +115,8 @@ func TestAbortCauseBuckets(t *testing.T) {
 		{
 			name:   "conflict",
 			htmCfg: htm.Config{},
-			mkOp: func(clk *htm.Clock) Op {
+			mkOp: func() Op {
 				var c, w htm.Word
-				c.Bind(clk)
-				w.Bind(clk)
 				// Read c, then invalidate the read from outside the
 				// transaction: commit-time validation reports a conflict.
 				body := func(tx *htm.Tx) {
@@ -141,9 +136,9 @@ func TestAbortCauseBuckets(t *testing.T) {
 			t.Run("adaptive/"+tc.name+"/"+alg.String(), func(t *testing.T) {
 				t.Parallel()
 				tm := htm.New(tc.htmCfg)
-				e := New(Config{Algorithm: alg}, tm.Clock())
+				e := New(Config{Algorithm: alg}, nil)
 				th := e.NewThread(tm.NewThread())
-				th.Run(tc.mkOp(tm.Clock()))
+				th.Run(tc.mkOp())
 				s := e.Stats()
 				if got := s.Aborts[htm.PathFast][tc.cause]; got == 0 {
 					t.Fatalf("Aborts[fast][%v] = 0, want > 0 (all: %v)", tc.cause, s.Aborts)
@@ -169,7 +164,7 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 		t.Run(alg.String(), func(t *testing.T) {
 			t.Parallel()
 			tm := htm.New(htm.Config{ReadCapacity: 2})
-			e := New(Config{Algorithm: alg}, tm.Clock())
+			e := New(Config{Algorithm: alg}, nil)
 			th := e.NewThread(tm.NewThread())
 			cells := make([]htm.Word, 8)
 			body := func(tx *htm.Tx) {
@@ -207,10 +202,9 @@ func TestAdaptiveCapacityConsumesPathBudget(t *testing.T) {
 func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(abortEveryAccess())
-	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
+	e := New(Config{Algorithm: AlgThreePath}, nil)
 	th := e.NewThread(tm.NewThread())
 	var c htm.Word
-	c.Bind(tm.Clock())
 	if p := th.Run(counterOp(&c)); p != htm.PathFallback {
 		t.Fatalf("completed on %v, want fallback", p)
 	}
@@ -234,10 +228,9 @@ func TestAdaptiveSpuriousFreeRetries(t *testing.T) {
 func TestAdaptiveConflictBackoff(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
-	e := New(Config{Algorithm: AlgTwoPathConc}, tm.Clock())
+	e := New(Config{Algorithm: AlgTwoPathConc}, nil)
 	th := e.NewThread(tm.NewThread())
 	var c, w htm.Word
-	c.Bind(tm.Clock())
 	body := func(tx *htm.Tx) {
 		_ = c.Get(tx)
 		c.Set(nil, c.Get(nil)+1) // invalidate our own read set
@@ -259,7 +252,7 @@ func TestAdaptiveConflictBackoff(t *testing.T) {
 func TestCapacityDemotesSite(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{ReadCapacity: 2})
-	e := New(Config{Algorithm: AlgThreePath}, tm.Clock())
+	e := New(Config{Algorithm: AlgThreePath}, nil)
 	th := e.NewThread(tm.NewThread())
 	cells := make([]htm.Word, 8)
 	body := func(tx *htm.Tx) {
@@ -306,7 +299,7 @@ const floorTestCapacity = 64
 
 func newHintedReader(alg Algorithm) *hintedReader {
 	r := &hintedReader{tm: htm.New(htm.Config{ReadCapacity: floorTestCapacity}), cells: make([]htm.Word, 512), div: 1}
-	r.e = New(Config{Algorithm: alg}, r.tm.Clock())
+	r.e = New(Config{Algorithm: alg}, nil)
 	r.th = r.e.NewThread(r.tm.NewThread())
 	read := func(tx *htm.Tx) {
 		for i := 0; i < int(r.op.Hint)/r.div; i++ {

@@ -15,17 +15,15 @@ type pnode struct {
 	val   uint64
 }
 
-func newPnode(clk *htm.Clock, val uint64, child *pnode) *pnode {
+func newPnode(val uint64, child *pnode) *pnode {
 	n := &pnode{val: val}
-	n.hdr.Bind(clk)
-	n.child.Bind(clk)
 	n.child.Init(child)
 	return n
 }
 
 // replaceChild is a template update written once against Prims: replace
 // root's child by a fresh node holding pr.Val, reporting the old value.
-func replaceChild(pr *Prims[pnode], clk *htm.Clock, root *pnode) bool {
+func replaceChild(pr *Prims[pnode], root *pnode) bool {
 	var c *pnode
 	ri := pr.LLX(&root.hdr, func() { c = root.child.Get(pr.Tx) })
 	if pr.Failed {
@@ -38,7 +36,7 @@ func replaceChild(pr *Prims[pnode], clk *htm.Clock, root *pnode) bool {
 	*pr.Res = Result{Val: c.val, Found: true}
 	return pr.SCX(
 		[]*llxscx.Hdr{&root.hdr, &c.hdr}, []*llxscx.Info{ri, ci},
-		[]*llxscx.Hdr{&c.hdr}, &root.child, c, newPnode(clk, pr.Val, nil))
+		[]*llxscx.Hdr{&c.hdr}, &root.child, c, newPnode(pr.Val, nil))
 }
 
 // TestPrimsModesAgree runs the same body in every mode and requires the
@@ -46,9 +44,9 @@ func replaceChild(pr *Prims[pnode], clk *htm.Clock, root *pnode) bool {
 // delivered.
 func TestPrimsModesAgree(t *testing.T) {
 	for _, m := range []Mode{ModeFast, ModeMiddle, ModeFallback, ModeSCXHTM} {
-		_, th, clk := newEngineThread(t, htm.Config{}, Config{})
-		old := newPnode(clk, 7, nil)
-		root := newPnode(clk, 0, old)
+		_, th := newEngineThread(t, htm.Config{}, Config{})
+		old := newPnode(7, nil)
+		root := newPnode(0, old)
 		var res Result
 		pr := &Prims[pnode]{Th: th, Mode: m, Val: 8, Res: &res}
 		ok := false
@@ -56,13 +54,13 @@ func TestPrimsModesAgree(t *testing.T) {
 		case ModeFast, ModeMiddle:
 			committed, ab := th.H.Atomic(htm.PathFast, func(tx *htm.Tx) {
 				pr.Tx = tx
-				ok = replaceChild(pr, clk, root)
+				ok = replaceChild(pr, root)
 			})
 			if !committed {
 				t.Fatalf("mode %d: transaction aborted: %+v", m, ab)
 			}
 		default:
-			ok = replaceChild(pr, clk, root)
+			ok = replaceChild(pr, root)
 		}
 		if !ok || pr.Failed {
 			t.Fatalf("mode %d: body returned %v, Failed %v", m, ok, pr.Failed)

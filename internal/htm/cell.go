@@ -31,7 +31,7 @@ func stamp(old, t uint64) uint64 {
 // the processor once the bound is saturated. Under contention this keeps
 // most acquirers off the cache line (the raw CAS spin it replaces turned
 // every waiter into a line-invalidation source — a contention amplifier
-// on exactly the multi-writer workloads per-TM clocks exist for).
+// on exactly the multi-writer workloads).
 const (
 	backoffInitial = 4
 	backoffMax     = 1024
@@ -72,44 +72,17 @@ func acquireNonTx(ver *atomic.Uint64) uint64 {
 }
 
 // Word is a shared uint64 cell. The zero value is an unlocked cell
-// holding 0 bound to no clock: it supports transactional access and
-// non-transactional reads immediately, but must be bound to the owning
-// TM's clock (Bind) before any non-transactional mutation.
+// holding 0, ready for every access.
 type Word struct {
-	clk *Clock
 	ver atomic.Uint64
 	val atomic.Uint64
 }
 
-// Bind associates the cell with the version clock of the TM whose
-// transactions access it. Non-transactional mutations advance this clock
-// (keeping the TM's transactions strongly atomic with respect to them),
-// so they panic on an unbound cell. Bind before the cell is shared.
-// Rebinding to the same clock is a no-op; rebinding to a different
-// clock panics — a cell serving two clock domains would silently break
-// strong atomicity in one of them (e.g. one Indicator shared between
-// two engines), so it must fail loudly instead.
-func (w *Word) Bind(c *Clock) { bindClock(&w.clk, c) }
-
-func (w *Word) clock() *Clock { return boundClock(w.clk) }
-
-// bindClock is the shared body of the cells' Bind methods.
-func bindClock(clk **Clock, c *Clock) {
-	if *clk != nil && *clk != c {
-		panic("htm: cell already bound to a different TM clock (one cell cannot serve two clock domains)")
-	}
-	*clk = c
-}
-
-// boundClock returns a cell's bound clock for a non-transactional
-// mutation, diagnosing a miswired cell loudly rather than failing with a
-// nil dereference.
-func boundClock(clk *Clock) *Clock {
-	if clk == nil {
-		panic("htm: non-transactional mutation of a cell not bound to a TM clock (call Bind first)")
-	}
-	return clk
-}
+// Bind does nothing: every cell stamps its versions from the one
+// version clock (Clock), so there is no clock to attach. It is kept,
+// like Ref.Bind, only because the benchmark's layer ladder
+// (bench/layers.go) calls it.
+func (w *Word) Bind(*Clock) {}
 
 // Init sets the cell's value without version bookkeeping. It must only
 // be used on cells that are not reachable by any other thread: fields of
@@ -185,13 +158,12 @@ func (w *Word) get(tx *Tx) uint64 {
 }
 
 // Set writes the cell. With a nil tx the store is immediate (locking the
-// cell and advancing the bound TM clock); otherwise it is buffered until
-// tx commits.
+// cell and ticking the clock); otherwise it is buffered until tx
+// commits.
 func (w *Word) Set(tx *Tx, v uint64) {
 	if tx == nil {
-		c := w.clock() // resolve before locking: a miswired cell must not panic while holding the lock
 		old := acquireNonTx(&w.ver)
-		nv := stamp(old, c.tick())
+		nv := stamp(old, clock.tick())
 		w.val.Store(v)
 		w.ver.Store(nv)
 		return
@@ -210,13 +182,12 @@ func (w *Word) CAS(tx *Tx, old, new uint64) bool {
 		w.Set(tx, new)
 		return true
 	}
-	c := w.clock()
 	prev := acquireNonTx(&w.ver)
 	if w.val.Load() != old {
 		w.ver.Store(prev) // release without a version bump: nothing changed
 		return false
 	}
-	nv := stamp(prev, c.tick())
+	nv := stamp(prev, clock.tick())
 	w.val.Store(new)
 	w.ver.Store(nv)
 	return true
@@ -225,9 +196,8 @@ func (w *Word) CAS(tx *Tx, old, new uint64) bool {
 // Add atomically adds delta (which may be negative via two's complement)
 // to the cell outside any transaction and returns the new value.
 func (w *Word) Add(delta uint64) uint64 {
-	c := w.clock()
 	old := acquireNonTx(&w.ver)
-	nv := stamp(old, c.tick())
+	nv := stamp(old, clock.tick())
 	v := w.val.Load() + delta
 	w.val.Store(v)
 	w.ver.Store(nv)
@@ -242,11 +212,6 @@ func (w *Word) Add(delta uint64) uint64 {
 // read two read-set entries) for what is one logical change. Hardware
 // tracks such neighbours as one cache line; a Pair is the simulator's
 // rendering of that. The zero value is an unlocked (0, 0).
-//
-// Unlike Word and Ref, a Pair carries no clock: a tree keeps seventeen
-// of them per leaf, where a clock pointer would be a quarter of each.
-// Its one non-transactional mutator, Store, takes the owning TM's clock
-// as an argument instead, so there is nothing to bind.
 // A Pair takes buffered values (Set) only: it has no CAS.
 type Pair struct {
 	ver atomic.Uint64
@@ -260,14 +225,12 @@ func (p *Pair) Init(a, b uint64) {
 }
 
 // Store writes both values outside any transaction, immediately: it
-// locks the cell and stamps it with a tick of c, the clock of the TM
-// whose transactions access the cell (keeping them strongly atomic with
-// respect to the store, as Word.Set with a nil tx does). A transaction
-// that read the cell before the store aborts; one begun after it reads
-// the new values.
-func (p *Pair) Store(c *Clock, a, b uint64) {
+// locks the cell and stamps it with a tick of the clock, as Word.Set
+// with a nil tx does. A transaction that read the cell before the store
+// aborts; one begun after it reads the new values.
+func (p *Pair) Store(a, b uint64) {
 	old := acquireNonTx(&p.ver)
-	nv := stamp(old, c.tick())
+	nv := stamp(old, clock.tick())
 	p.val[0].Store(a)
 	p.val[1].Store(b)
 	p.ver.Store(nv)
@@ -334,10 +297,8 @@ func (p *Pair) Set(tx *Tx, a, b uint64) {
 }
 
 // Ref is a shared pointer cell holding a *T. The zero value is an
-// unlocked cell holding nil; like Word, it must be bound to the owning
-// TM's clock before any non-transactional mutation.
+// unlocked cell holding nil, ready for every access.
 type Ref[T any] struct {
-	clk *Clock
 	ver atomic.Uint64
 	// val holds the *T. It is an untyped pointer accessed through
 	// load/store so that the (non-generic) commit can store a buffered
@@ -349,12 +310,8 @@ type Ref[T any] struct {
 func (r *Ref[T]) load() *T   { return (*T)(atomic.LoadPointer(&r.val)) }
 func (r *Ref[T]) store(p *T) { atomic.StorePointer(&r.val, unsafe.Pointer(p)) }
 
-// Bind associates the cell with the version clock of the TM whose
-// transactions access it. See Word.Bind; rebinding to a different clock
-// panics.
-func (r *Ref[T]) Bind(c *Clock) { bindClock(&r.clk, c) }
-
-func (r *Ref[T]) clock() *Clock { return boundClock(r.clk) }
+// Bind does nothing; see Word.Bind.
+func (r *Ref[T]) Bind(*Clock) {}
 
 // Init sets the cell's value without version bookkeeping. See Word.Init.
 func (r *Ref[T]) Init(p *T) { r.val = unsafe.Pointer(p) }
@@ -416,9 +373,8 @@ func (r *Ref[T]) get(tx *Tx) *T {
 // is buffered until tx commits.
 func (r *Ref[T]) Set(tx *Tx, p *T) {
 	if tx == nil {
-		c := r.clock()
 		old := acquireNonTx(&r.ver)
-		nv := stamp(old, c.tick())
+		nv := stamp(old, clock.tick())
 		r.store(p)
 		r.ver.Store(nv)
 		return
@@ -436,13 +392,12 @@ func (r *Ref[T]) CAS(tx *Tx, old, new *T) bool {
 		r.Set(tx, new)
 		return true
 	}
-	c := r.clock()
 	prev := acquireNonTx(&r.ver)
 	if r.load() != old {
 		r.ver.Store(prev)
 		return false
 	}
-	nv := stamp(prev, c.tick())
+	nv := stamp(prev, clock.tick())
 	r.store(new)
 	r.ver.Store(nv)
 	return true

@@ -9,15 +9,16 @@ import (
 )
 
 // TestSnapshotExtension pins down what an attempt does when it reads a
-// cell stamped past its snapshot, and where that leaves the clock. An
+// cell stamped past its snapshot, and how far that moves the clock. An
 // attempt whose reads so far are unchanged extends: the clock is raised
 // to the stamp, the snapshot moves there, and the attempt reads the new
 // value and commits. One whose read set changed, or is locked by a
 // commit in flight, aborts with CauseConflict. A pinned attempt never
 // extends: it raises the clock to the stamp all the same, so a fresh pin
-// covers the cell, and aborts.
+// covers the cell, and aborts. The clock is shared with every other
+// test of the package, so each row reads how far it moved, and the test
+// does not run in parallel with the others.
 func TestSnapshotExtension(t *testing.T) {
-	t.Parallel()
 	type env struct {
 		tm     *TM
 		writer *Thread
@@ -38,7 +39,7 @@ func TestSnapshotExtension(t *testing.T) {
 		// extension; otherwise it aborts with CauseConflict.
 		wantOK    bool
 		wantHeld  bool   // the abort names a (locked by a commit in flight)
-		wantClock uint64 // the clock afterwards
+		wantClock uint64 // how far the clock moved
 	}{
 		{"unread commit stamp extends", false, func(t *testing.T, e *env, tx *Tx) {
 			e.a.Get(tx)
@@ -50,8 +51,8 @@ func TestSnapshotExtension(t *testing.T) {
 		}, true, false, 1},
 		{"changed read aborts", false, func(t *testing.T, e *env, tx *Tx) {
 			e.a.Get(tx)
-			e.a.Set(nil, 9)  // ticks the clock to 1
-			commitB(t, e, 5) // stamps b 2
+			e.a.Set(nil, 9)  // ticks the clock by 1
+			commitB(t, e, 5) // stamps b one past that
 		}, false, false, 2},
 		{"read locked by a commit in flight aborts", false, func(t *testing.T, e *env, tx *Tx) {
 			e.a.Get(tx)
@@ -69,9 +70,8 @@ func TestSnapshotExtension(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			e := &env{tm: New(Config{})}
 			e.writer = e.tm.NewThread()
-			e.a.Bind(e.tm.Clock())
-			e.b.Bind(e.tm.Clock())
 			th := e.tm.NewThread()
+			base := e.tm.Clock().Now()
 			var got uint64
 			body := func(tx *Tx) {
 				c.body(t, e, tx)
@@ -96,12 +96,12 @@ func TestSnapshotExtension(t *testing.T) {
 			case !c.wantOK && (ab.held == &e.a.ver) != c.wantHeld:
 				t.Errorf("abort holds %p, a is %p: want named %v", ab.held, &e.a.ver, c.wantHeld)
 			}
-			if now := e.tm.Clock().Now(); now != c.wantClock {
-				t.Errorf("clock = %d afterwards, want %d", now, c.wantClock)
+			if moved := e.tm.Clock().Now() - base; moved != c.wantClock {
+				t.Errorf("clock moved by %d, want %d", moved, c.wantClock)
 			}
 			if c.pinned {
 				// The clock was raised to b's stamp: a fresh pin covers it.
-				if ok, ab := th.AtomicAt(PathFast, e.tm.Clock().Pin(), func(tx *Tx) { got = e.b.Get(tx) }); !ok || got != 5 {
+				if ok, ab := th.AtomicAt(PathFast, Pin(), func(tx *Tx) { got = e.b.Get(tx) }); !ok || got != 5 {
 					t.Errorf("fresh pin: ok=%v %+v b=%d, want a commit reading 5", ok, ab, got)
 				}
 			}
@@ -135,7 +135,6 @@ func TestInBodyOpacity(t *testing.T) {
 		refs[i].Init(&node{})
 		pairs[i].Init(0, ^uint64(0))
 	}
-	noise.Bind(tm.Clock())
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	loop := func(body func(th *Thread)) {
@@ -209,7 +208,7 @@ func TestInBodyOpacity(t *testing.T) {
 			start := time.Now()
 			for i := 0; i < 40000 || (progress() == 0 && time.Since(start) < 10*time.Second); i++ {
 				if pinned {
-					th.AtomicAt(PathMiddle, tm.Clock().Pin(), func(tx *Tx) { read(tx, i, false) })
+					th.AtomicAt(PathMiddle, Pin(), func(tx *Tx) { read(tx, i, false) })
 				} else {
 					th.Atomic(PathMiddle, func(tx *Tx) { read(tx, i, true) })
 				}

@@ -15,14 +15,15 @@
 //     Each cell pairs its value with a version word encoded as
 //     version<<1|lock. A cell is the unit the read and write sets count,
 //     the stand-in for hardware's cache line: what shares a line on the
-//     modelled machine should share a cell here.
-//   - Every TM instance owns its version clock (cache-line padded), so
-//     independent TMs — e.g. the shards of a sharded dictionary — never
-//     contend on a shared clock cache line. Cells bound to the same
-//     clock (Word.Bind / Ref.Bind), and Pairs whose mutator is passed
-//     it (Pair.Store), form one synchronization domain; a
-//     TM's transactions must only touch cells of its domain.
-//   - A transaction snapshots its TM's version clock at begin (rv) and
+//     modelled machine should share a cell here. A cell is its version
+//     word and its value, nothing more.
+//   - There is one version clock (Clock, cache-line padded), as TL2
+//     keeps one global clock: every TM's transactions snapshot it and
+//     every write is stamped from it, so all cells form one
+//     synchronization domain and no cell or TM says which clock it
+//     uses. Commits do not write it (below); non-transactional
+//     mutations, pins and snapshot extensions do.
+//   - A transaction snapshots the version clock at begin (rv) and
 //     buffers writes. Every read checks that the cell is unlocked and
 //     stamped at most rv. A read that meets a newer stamp extends the
 //     snapshot instead of aborting (Tx.extend, LSA-style): it raises the
@@ -40,11 +41,10 @@
 //     store, like a hardware transaction's stores: there is no
 //     commit-time read-modify-write.
 //   - Non-transactional stores and CAS operations lock the cell, tick
-//     the cell's clock (bound, or a Pair's argument), stamp the cell with the new clock value,
-//     and unlock. Because they stamp the same versions the transactions
-//     validate against, transactions are strongly atomic with respect to
-//     them — the property the paper's fallback-path interaction relies
-//     on.
+//     the clock, stamp the cell with the new clock value, and unlock.
+//     Because they stamp the same versions the transactions validate
+//     against, transactions are strongly atomic with respect to them —
+//     the property the paper's fallback-path interaction relies on.
 //
 // Capacity aborts are modelled by configurable read/write set limits (a
 // machine is a pair of budgets), and spurious aborts — the stand-in for
@@ -130,14 +130,11 @@ func (c Config) withDefaults() Config {
 }
 
 // TM is an instance of the simulated transactional memory. It carries
-// the configuration, its own version clock, and the registry of threads
-// whose statistics it aggregates. Cells start free-standing (their zero
-// value supports transactional access), but cells a TM's transactions
-// touch must be bound to that TM's clock before any non-transactional
-// mutation (a Pair is passed the clock by each such mutation instead).
+// the configuration and the registry of threads whose statistics it
+// aggregates. The version clock is not the TM's: all TMs share the one
+// Clock, so any TM's transactions may touch any cell.
 type TM struct {
-	cfg   Config
-	clock Clock
+	cfg Config
 
 	mu      sync.Mutex
 	threads []*Thread
@@ -147,10 +144,8 @@ type TM struct {
 // configuration. Zero fields of cfg select defaults.
 func New(cfg Config) *TM { return &TM{cfg: cfg.withDefaults()} }
 
-// Clock returns the TM's version clock, for binding cells (Word.Bind,
-// Ref.Bind) into the TM's synchronization domain and for a Pair's
-// non-transactional mutator (Pair.Store).
-func (tm *TM) Clock() *Clock { return &tm.clock }
+// Clock returns the version clock, the same for every TM.
+func (tm *TM) Clock() *Clock { return &clock }
 
 // NewThread registers and returns a new thread context. Each Thread must
 // be used by a single goroutine at a time.

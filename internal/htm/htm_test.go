@@ -15,7 +15,6 @@ import (
 func TestWordNonTxBasics(t *testing.T) {
 	t.Parallel()
 	var w Word
-	w.Bind(NewClock())
 	if got := w.Get(nil); got != 0 {
 		t.Fatalf("zero value = %d, want 0", got)
 	}
@@ -41,7 +40,6 @@ func TestRefNonTxBasics(t *testing.T) {
 	t.Parallel()
 	type node struct{ k int }
 	var r Ref[node]
-	r.Bind(NewClock())
 	if got := r.Get(nil); got != nil {
 		t.Fatalf("zero value = %v, want nil", got)
 	}
@@ -87,7 +85,6 @@ func TestTxExplicitAbortHasNoEffect(t *testing.T) {
 	tm := New(Config{})
 	th := tm.NewThread()
 	var x Word
-	x.Bind(tm.Clock())
 	x.Set(nil, 10)
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
 		x.Set(tx, 99)
@@ -109,7 +106,6 @@ func TestTxConflictWithNonTxWrite(t *testing.T) {
 	tm := New(Config{})
 	th := tm.NewThread()
 	var x, y Word
-	x.Bind(tm.Clock())
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
 		_ = x.Get(tx)
 		// A non-transactional write from "another thread" (simulated
@@ -149,8 +145,6 @@ func TestAwaitCommit(t *testing.T) {
 	tm := New(Config{})
 	th := tm.NewThread()
 	var x, y, z Word
-	x.Bind(tm.Clock())
-	z.Bind(tm.Clock())
 	for _, c := range []struct {
 		name string
 		body func(tx *Tx, lock func())
@@ -208,8 +202,6 @@ func TestTxOpacitySnapshotRead(t *testing.T) {
 	tm := New(Config{})
 	th := tm.NewThread()
 	var x, y Word
-	x.Bind(tm.Clock())
-	y.Bind(tm.Clock())
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
 		_ = y.Get(tx)
 		x.Set(nil, 1) // stamp x past rv
@@ -508,9 +500,6 @@ func TestQuickSequentialModel(t *testing.T) {
 	f := func(ops []uint16) bool {
 		const n = 8
 		var cells [n]Word
-		for i := range cells {
-			cells[i].Bind(tm.Clock())
-		}
 		var model [n]uint64
 		for _, op := range ops {
 			idx := int(op) % n

@@ -18,7 +18,7 @@ func TestPairNonTxBasics(t *testing.T) {
 		t.Fatalf("Pair = (%d,%d) after Init, want (10,2)", a, b)
 	}
 	before := tm.Clock().Now()
-	p.Store(tm.Clock(), 16, 2)
+	p.Store(16, 2)
 	if tm.Clock().Now() == before {
 		t.Fatal("Store did not advance the clock")
 	}
@@ -28,30 +28,25 @@ func TestPairNonTxBasics(t *testing.T) {
 }
 
 // TestPairMutatorsStampPastSnapshots: a Pair's non-transactional
-// mutator, Store, stamps the cell past every snapshot taken on the clock
-// it is passed, so a transaction that read the cell before the mutation
+// mutator, Store, stamps the cell past every snapshot taken before it, so a transaction that read the cell before the mutation
 // aborts when it next reads — an unpinned one when extending its
 // snapshot finds its first read changed, a pinned one at once — and one
 // begun after it reads the new pair. The clock is moved past the cell's
 // version before each snapshot, so a mutator that stamped the clock's
-// value instead would stamp the snapshot itself. A second TM's clock is
-// left alone: the clock is the Pair's domain only through the argument.
+// value instead would stamp the snapshot itself.
 func TestPairMutatorsStampPastSnapshots(t *testing.T) {
 	t.Parallel()
-	tm, foreign := New(Config{}), New(Config{})
+	tm := New(Config{})
 	th := tm.NewThread()
-	c := tm.Clock()
 	var tick Word
-	tick.Bind(c)
 	for _, m := range []struct {
 		name  string
 		write func(p *Pair, a, b uint64)
 	}{
-		{"Store", func(p *Pair, a, b uint64) { p.Store(c, a, b) }},
+		{"Store", func(p *Pair, a, b uint64) { p.Store(a, b) }},
 	} {
 		var p Pair
-		p.Store(c, 1, 2)
-		foreignClock := foreign.Clock().Now()
+		p.Store(1, 2)
 		for _, pinned := range []bool{false, true} {
 			tick.Set(nil, 1) // the clock moves past the pair's version
 			rv := tm.Clock().Now()
@@ -78,9 +73,6 @@ func TestPairMutatorsStampPastSnapshots(t *testing.T) {
 			if ok, ab := th.Atomic(PathFast, func(tx *Tx) { a, b = p.Get(tx) }); !ok || a != want || b != want+1 {
 				t.Errorf("%s: reader begun after the mutation: ok=%v %+v (%d,%d), want (%d,%d)", m.name, ok, ab, a, b, want, want+1)
 			}
-		}
-		if got := foreign.Clock().Now(); got != foreignClock {
-			t.Errorf("%s on one TM's clock moved another's: %d -> %d", m.name, foreignClock, got)
 		}
 	}
 }
@@ -128,7 +120,7 @@ func TestPairOpacity(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < nonTx; i++ {
-			q.Store(tm.Clock(), writers<<32|i, pairF(writers<<32|i))
+			q.Store(writers<<32|i, pairF(writers<<32|i))
 		}
 	}()
 	var readers sync.WaitGroup

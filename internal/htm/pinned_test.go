@@ -17,17 +17,16 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 	var still, txWritten, plainWritten Word
 	var pair Pair
 	for _, c := range []*Word{&still, &txWritten, &plainWritten} {
-		c.Bind(tm.Clock())
 		c.Set(nil, 1)
 	}
-	pair.Store(tm.Clock(), 1, 1)
+	pair.Store(1, 1)
 
 	rv := tm.Clock().Now()
 	if ok, _ := writer.Atomic(PathFast, func(tx *Tx) { txWritten.Set(tx, 2) }); !ok {
 		t.Fatal("writer aborted")
 	}
 	plainWritten.Set(nil, 2)
-	pair.Store(tm.Clock(), 2, 2)
+	pair.Store(2, 2)
 
 	ok, _ := th.AtomicAt(PathFast, rv, func(tx *Tx) {
 		if got := still.Get(tx); got != 1 {
@@ -64,10 +63,11 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 	}
 }
 
-// TestPinnedSnapshotAheadOfClockPanics: AtomicAt with a value the TM's
-// clock never held (another TM's, say) is a caller bug.
+// TestPinnedSnapshotAheadOfClockPanics: AtomicAt with a value the clock
+// has not reached is a caller bug. The clock is shared with every other
+// test of the package, so this one does not run in parallel with them:
+// one of them could move the clock past the value first.
 func TestPinnedSnapshotAheadOfClockPanics(t *testing.T) {
-	t.Parallel()
 	defer func() {
 		if recover() == nil {
 			t.Error("a snapshot ahead of the clock did not panic")
@@ -77,19 +77,16 @@ func TestPinnedSnapshotAheadOfClockPanics(t *testing.T) {
 	tm.NewThread().AtomicAt(PathFast, tm.Clock().Now()+1, func(*Tx) {})
 }
 
-// TestPinnedCutAcrossTwoClocks is the cross-shard protocol in miniature:
+// TestPinnedCutAcrossTwoTMs is the cross-shard protocol in miniature:
 // two TMs, a writer that increments a counter in the first and then the
-// same counter in the second, and a reader that pins both clocks at one
-// instant — read the first, read the second, re-read the first — and
-// reads each counter in its own pinned transaction. Whatever it commits
-// must be a state the pair passed through: second ≤ first ≤ second + 1.
-func TestPinnedCutAcrossTwoClocks(t *testing.T) {
+// same counter in the second, and a reader that takes one snapshot
+// (Pin) and reads each counter in its own transaction pinned at it, one
+// per TM. Whatever it commits must be a state the pair passed through:
+// second ≤ first ≤ second + 1.
+func TestPinnedCutAcrossTwoTMs(t *testing.T) {
 	t.Parallel()
 	tms := [2]*TM{New(Config{}), New(Config{})}
 	var ctr [2]Word
-	for i := range ctr {
-		ctr[i].Bind(tms[i].Clock())
-	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
@@ -114,14 +111,10 @@ func TestPinnedCutAcrossTwoClocks(t *testing.T) {
 	ths := [2]*Thread{tms[0].NewThread(), tms[1].NewThread()}
 	cuts := 0
 	for try := 0; try < 200000 && cuts < 2000; try++ {
-		rv0 := tms[0].Clock().Now()
-		rv1 := tms[1].Clock().Now()
-		if tms[0].Clock().Now() != rv0 {
-			continue
-		}
+		rv := Pin()
 		var got [2]uint64
-		ok0, _ := ths[0].AtomicAt(PathFast, rv0, func(tx *Tx) { got[0] = ctr[0].Get(tx) })
-		ok1, _ := ths[1].AtomicAt(PathFast, rv1, func(tx *Tx) { got[1] = ctr[1].Get(tx) })
+		ok0, _ := ths[0].AtomicAt(PathFast, rv, func(tx *Tx) { got[0] = ctr[0].Get(tx) })
+		ok1, _ := ths[1].AtomicAt(PathFast, rv, func(tx *Tx) { got[1] = ctr[1].Get(tx) })
 		if !ok0 || !ok1 {
 			continue
 		}

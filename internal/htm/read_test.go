@@ -17,18 +17,16 @@ type readCell struct {
 	set func(tx *Tx, v uint64)
 }
 
-// readCellKinds builds a fresh cell of each kind, bound to tm's clock:
-// a Word, a Pair holding (v, ^v), and a Ref to a node holding v.
+// readCellKinds builds a fresh cell of each kind: a Word, a Pair holding (v, ^v), and a Ref to a node holding v.
 var readCellKinds = []struct {
 	name string
-	new  func(tm *TM) readCell
+	new  func() readCell
 }{
-	{"Word", func(tm *TM) readCell {
+	{"Word", func() readCell {
 		w := new(Word)
-		w.Bind(tm.Clock())
 		return readCell{&w.ver, w.Get, w.Set}
 	}},
-	{"Pair", func(tm *TM) readCell {
+	{"Pair", func() readCell {
 		p := new(Pair)
 		p.Init(0, ^uint64(0))
 		get := func(tx *Tx) uint64 {
@@ -40,16 +38,15 @@ var readCellKinds = []struct {
 		}
 		set := func(tx *Tx, v uint64) {
 			if tx == nil {
-				p.Store(tm.Clock(), v, ^v)
+				p.Store(v, ^v)
 				return
 			}
 			p.Set(tx, v, ^v)
 		}
 		return readCell{&p.ver, get, set}
 	}},
-	{"Ref", func(tm *TM) readCell {
+	{"Ref", func() readCell {
 		r := new(Ref[uint64])
-		r.Bind(tm.Clock())
 		r.Init(new(uint64))
 		set := func(tx *Tx, v uint64) { r.Set(tx, &v) }
 		return readCell{&r.ver, func(tx *Tx) uint64 { return *r.Get(tx) }, set}
@@ -96,7 +93,7 @@ func TestReadFastPathDeclines(t *testing.T) {
 		run  func(t *testing.T, tm *TM, th *Thread, c readCell)
 	}{
 		{"locked cell spins, then aborts naming it", nil, func(t *testing.T, tm *TM, th *Thread, c readCell) {
-			tm.Clock().Pin() // the snapshot is past the cell's version: only the lock declines
+			Pin() // the snapshot is past the cell's version: only the lock declines
 			unlock := lockWord(t, c.ver)
 			ok, ab := th.Atomic(PathFast, func(tx *Tx) {
 				declines(t, tx, c)
@@ -122,7 +119,7 @@ func TestReadFastPathDeclines(t *testing.T) {
 		}},
 		{"stamp past a pinned snapshot aborts", nil, func(t *testing.T, tm *TM, th *Thread, c readCell) {
 			before := exts(th)
-			ok, ab := th.AtomicAt(PathFast, tm.Clock().Pin(), func(tx *Tx) {
+			ok, ab := th.AtomicAt(PathFast, Pin(), func(tx *Tx) {
 				c.set(nil, 6)
 				declines(t, tx, c)
 				c.get(tx)
@@ -230,7 +227,7 @@ func TestReadFastPathDeclines(t *testing.T) {
 				}
 				tm := New(cfg)
 				th := tm.NewThread()
-				c := kind.new(tm)
+				c := kind.new()
 				warmRead(t, th, c)
 				row.run(t, tm, th, c)
 			})

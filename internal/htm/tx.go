@@ -265,7 +265,6 @@ type Tx struct {
 	armed    bool
 	readCap  int
 	writeCap int
-	clk      *Clock
 }
 
 // bind attaches the Tx to its thread and hoists the TM's per-access
@@ -276,7 +275,6 @@ func (tx *Tx) bind(th *Thread) {
 	tx.armed = th.faults != nil
 	tx.readCap = tm.cfg.ReadCapacity
 	tx.writeCap = tm.cfg.WriteCapacity
-	tx.clk = &tm.clock
 }
 
 // reset clears the transaction log for a new attempt. The snapshot (rvw)
@@ -311,7 +309,7 @@ func (tx *Tx) drop() {
 }
 
 // begin establishes the attempt's snapshot.
-func (tx *Tx) begin() { tx.rvw, tx.pinned = tx.clk.Now()<<1, false }
+func (tx *Tx) begin() { tx.rvw, tx.pinned = clock.Now()<<1, false }
 
 // Abort explicitly aborts the transaction with a user code, like the
 // xabort instruction. It does not return.
@@ -402,7 +400,7 @@ func (tx *Tx) readVersion(ver *atomic.Uint64) uint64 {
 // caller's, shared with attempts on other TMs. It raises the clock all
 // the same, so a fresh snapshot covers the cell, and aborts.
 func (tx *Tx) extend(v uint64) {
-	rv := tx.clk.advance(v)
+	rv := clock.advance(v)
 	if tx.pinned {
 		tx.abort(CauseConflict)
 	}
@@ -567,7 +565,7 @@ func (tx *Tx) commit() AbortCause {
 	}
 	// Sampled with the write set locked: a snapshot at or past the stamp
 	// is taken after the locks, so it sees every write or a lock.
-	wv := tx.clk.Now() + 1
+	wv := clock.Now() + 1
 	for i := range tx.reads {
 		rd := &tx.reads[i]
 		v := rd.ver.Load()
@@ -636,19 +634,19 @@ func (th *Thread) finish(tx *Tx, path PathKind, fn func(tx *Tx)) (bool, Abort) {
 }
 
 // AtomicAt is Atomic with the attempt's snapshot chosen by the caller: rv
-// is a value the caller read from this TM's clock earlier, and the
-// attempt sees the cells as they were when the clock reached rv: it
-// aborts with CauseConflict on any cell stamped past rv, and never
-// extends its snapshot (Tx.extend). That is what lets one reader hold
-// transactions of several TMs at snapshots taken at a single instant
-// (internal/shard's pinned cross-shard read): each TM has its own clock,
-// so no one transaction can span them, but a snapshot of each clock,
-// once read, stays valid for as long as the reader likes.
+// is a value the caller read from the clock earlier, and the attempt
+// sees the cells as they were when the clock reached rv: it aborts with
+// CauseConflict on any cell stamped past rv, and never extends its
+// snapshot (Tx.extend). That is what lets one reader hold transactions
+// of several TMs at one snapshot (internal/shard's pinned cross-shard
+// read): no one transaction spans them, but all share the clock, so
+// attempts pinned at the same rv see the state at one instant, however
+// much later each runs.
 //
 // A commit stamps its writes one past the clock, so a value read with
 // Clock.Now may predate the newest commits, and the attempt aborts on
 // their cells (raising the clock, so the next snapshot covers them).
-// Clock.Pin takes a value that covers every commit already stamped.
+// Pin takes a value that covers every commit already stamped.
 //
 // The caller guarantees that whatever keeps memory the attempt may reach
 // from being reused (the engine's reclamation bracket) already held when
@@ -659,8 +657,8 @@ func (th *Thread) AtomicAt(path PathKind, rv uint64, fn func(tx *Tx)) (bool, Abo
 	if th.inTx {
 		panic("htm: nested transaction")
 	}
-	if rv > tx.clk.Now() {
-		panic("htm: AtomicAt snapshot is ahead of the TM's clock (a value of another TM's clock?)")
+	if rv > clock.Now() {
+		panic("htm: AtomicAt snapshot is ahead of the clock")
 	}
 	th.inTx = true
 	tx.reset(path)

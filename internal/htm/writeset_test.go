@@ -101,8 +101,6 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 	m := &wsModel{words: make([]uint64, cells), refs: make([]*wsNode, cells), pairs: make([][2]uint64, cells)}
 	for i := 0; i < cells; i++ {
 		words[i], refs[i], pairs[i] = new(Word), new(Ref[wsNode]), new(Pair)
-		words[i].Bind(tm.Clock())
-		refs[i].Bind(tm.Clock())
 	}
 
 	for txn := 0; txn < 12; txn++ {
@@ -263,7 +261,6 @@ func TestAbortDoesNotAllocate(t *testing.T) {
 	th := tm.NewThread()
 	cells := make([]Word, 8)
 	var hot Word
-	hot.Bind(tm.Clock())
 	for _, tc := range []struct {
 		cause AbortCause
 		body  func(tx *Tx)

@@ -22,20 +22,14 @@ type node struct {
 	l, r htm.Ref[node]
 }
 
-func leafNode(clk *htm.Clock, key, val uint64) *node {
+func leafNode(key, val uint64) *node {
 	n := &node{key: key, leaf: true}
-	n.val.Bind(clk)
-	n.l.Bind(clk)
-	n.r.Bind(clk)
 	n.val.Init(val)
 	return n
 }
 
-func internalNode(clk *htm.Clock, key uint64, left, right *node) *node {
+func internalNode(key uint64, left, right *node) *node {
 	n := &node{key: key}
-	n.val.Bind(clk)
-	n.l.Bind(clk)
-	n.r.Bind(clk)
 	n.l.Init(left)
 	n.r.Init(right)
 	return n
@@ -53,11 +47,9 @@ type BST struct {
 // NewBST creates an empty tree over a Hybrid NOrec TM with the given
 // hardware configuration.
 func NewBST(cfg htm.Config, attempts int) *BST {
-	tm := New(cfg, attempts)
-	clk := tm.inner.Clock()
 	return &BST{
-		tm:   tm,
-		root: internalNode(clk, keyInf2, leafNode(clk, keyInf1, 0), leafNode(clk, keyInf2, 0)),
+		tm:   New(cfg, attempts),
+		root: internalNode(keyInf2, leafNode(keyInf1, 0), leafNode(keyInf2, 0)),
 	}
 }
 
@@ -110,13 +102,12 @@ func (h *Handle) Insert(key, val uint64) (uint64, bool) {
 			return
 		}
 		h.resVal, h.resFound = 0, false
-		clk := t.tm.inner.Clock()
-		nl := leafNode(clk, key, val)
+		nl := leafNode(key, val)
 		var ni *node
 		if key < l.key {
-			ni = internalNode(clk, l.key, nl, l)
+			ni = internalNode(l.key, nl, l)
 		} else {
-			ni = internalNode(clk, key, l, nl)
+			ni = internalNode(key, l, nl)
 		}
 		WriteRef(tx, childRef(p, key), ni)
 	})
@@ -135,7 +126,7 @@ func (h *Handle) Delete(key uint64) (uint64, bool) {
 		}
 		h.resVal, h.resFound = tx.Read(&l.val), true
 		if gp == nil {
-			WriteRef(tx, &t.root.l, leafNode(t.tm.inner.Clock(), keyInf1, 0))
+			WriteRef(tx, &t.root.l, leafNode(keyInf1, 0))
 			return
 		}
 		var s *node

@@ -40,11 +40,7 @@ func New(cfg htm.Config, attempts int) *TM {
 	if attempts <= 0 {
 		attempts = DefaultAttempts
 	}
-	tm := &TM{inner: htm.New(cfg), attempts: attempts}
-	// The NOrec sequence lock is mutated non-transactionally by software
-	// commits and subscribed by hardware transactions: same clock domain.
-	tm.gclk.Bind(tm.inner.Clock())
-	return tm
+	return &TM{inner: htm.New(cfg), attempts: attempts}
 }
 
 // Thread is a per-goroutine Hybrid NOrec context.

@@ -27,7 +27,6 @@ func TestAtomicCounterHW(t *testing.T) {
 	tm := New(htm.Config{}, 0)
 	th := tm.NewThread()
 	var c htm.Word
-	c.Bind(tm.inner.Clock())
 	for i := 0; i < 100; i++ {
 		hw := th.Atomic(func(tx *Tx) { tx.Write(&c, tx.Read(&c)+1) })
 		if !hw {
@@ -46,7 +45,6 @@ func TestSoftwarePathCommits(t *testing.T) {
 	tm := New(spurious(1), 3)
 	th := tm.NewThread()
 	var c htm.Word
-	c.Bind(tm.inner.Clock())
 	for i := 0; i < 50; i++ {
 		if hw := th.Atomic(func(tx *Tx) { tx.Write(&c, tx.Read(&c)+1) }); hw {
 			t.Fatal("hardware path committed despite forced aborts")
@@ -61,7 +59,6 @@ func TestConcurrentCounterMixedPaths(t *testing.T) {
 	t.Parallel()
 	tm := New(spurious(20), 4) // frequent software fallback
 	var c htm.Word
-	c.Bind(tm.inner.Clock())
 	const goroutines = 6
 	const perG = 1500
 	var wg sync.WaitGroup
@@ -95,8 +92,6 @@ func TestSoftwareReadConsistency(t *testing.T) {
 	const readerAttempts = 20000
 	tm := New(spurious(4), 1)
 	var x, y htm.Word
-	x.Bind(tm.inner.Clock())
-	y.Bind(tm.inner.Clock())
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	var writerSW atomic.Int64

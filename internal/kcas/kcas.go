@@ -62,12 +62,6 @@ func (c *Cell[T]) Init(v *T) {
 	c.e.Init(&entry[T]{v: v})
 }
 
-// Bind associates the cell with the version clock of the TM whose
-// transactions access it (htm.Ref.Bind): descriptor installation and
-// cleanup mutate the cell non-transactionally and must advance that
-// clock. Bind before the cell is shared.
-func (c *Cell[T]) Bind(clk *htm.Clock) { c.e.Bind(clk) }
-
 // Read returns the cell's current value, helping any in-flight k-CAS it
 // encounters. tx must be nil (descriptor helping belongs to the software
 // path; transactional code uses ReadTx).

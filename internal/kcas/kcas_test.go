@@ -17,9 +17,6 @@ type box struct{ v uint64 }
 func TestApplyBasic(t *testing.T) {
 	t.Parallel()
 	var a, b Cell[box]
-	clk := htm.NewClock()
-	a.Bind(clk)
-	b.Bind(clk)
 	x0, y0 := &box{1}, &box{2}
 	a.Init(x0)
 	b.Init(y0)
@@ -44,10 +41,6 @@ func TestApplyPartialOverlapAtomicity(t *testing.T) {
 	// Concurrent 2-CAS chains over a shared middle cell: the sum of
 	// successful operations must equal the final counters.
 	var a, b, c Cell[box]
-	clk := htm.NewClock()
-	a.Bind(clk)
-	b.Bind(clk)
-	c.Bind(clk)
 	a.Init(&box{0})
 	b.Init(&box{0})
 	c.Init(&box{0})
@@ -88,7 +81,6 @@ func TestReadHelpsInFlight(t *testing.T) {
 	// Manually install a descriptor (simulating a stalled thread) and
 	// check that Read completes the operation.
 	var a Cell[box]
-	a.Bind(htm.NewClock())
 	x0 := &box{5}
 	a.Init(x0)
 	x1 := &box{6}
@@ -112,7 +104,6 @@ func TestReadHelpsInFlight(t *testing.T) {
 func TestReadNoHelpSeesThroughDescriptor(t *testing.T) {
 	t.Parallel()
 	var a Cell[box]
-	a.Bind(htm.NewClock())
 	x0 := &box{5}
 	a.Init(x0)
 	d := &desc[box]{n: 1}

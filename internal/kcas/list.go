@@ -60,11 +60,9 @@ func NewList(cfg ListConfig) *List {
 	ecfg.Algorithm = cfg.Algorithm
 	head := &listNode{}
 	head.st.Init(&listState{})
-	tm := htm.New(cfg.HTM)
-	head.st.Bind(tm.Clock())
 	return &List{
-		tm:   tm,
-		eng:  engine.New(ecfg, tm.Clock()),
+		tm:   htm.New(cfg.HTM),
+		eng:  engine.New(ecfg, nil),
 		head: head,
 	}
 }
@@ -195,7 +193,6 @@ func (l *List) insertTx(tx *htm.Tx, h *ListHandle, checkDesc bool) {
 	}
 	n := &listNode{key: key}
 	n.st.Init(&listState{val: val, next: curr})
-	n.st.Bind(l.tm.Clock())
 	pred.st.WriteTx(tx, checkDesc, ps, &listState{val: ps.val, next: n, marked: false})
 }
 
@@ -240,7 +237,6 @@ func (l *List) insertKCAS(h *ListHandle) bool {
 	}
 	n := &listNode{key: key}
 	n.st.Init(&listState{val: val, next: curr})
-	n.st.Bind(l.tm.Clock())
 	return Apply(
 		[]*Cell[listState]{&pred.st},
 		[]*listState{ps},

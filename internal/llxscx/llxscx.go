@@ -88,20 +88,10 @@ func stateOf(info *Info) int32 {
 }
 
 // Hdr carries the synchronization fields of a Data-record. Embed it in
-// any node type. The zero value is an unfrozen, unmarked record; like
-// every htm cell, it must be bound to the owning TM's clock (Bind)
-// before fallback-path SCXs mutate it non-transactionally.
+// any node type. The zero value is an unfrozen, unmarked record.
 type Hdr struct {
 	info   htm.Ref[Info]
 	marked htm.Word
-}
-
-// Bind associates the header's cells with the version clock of the TM
-// whose transactions access the record. Call once before the record is
-// published (node pools bind when a node is first created).
-func (h *Hdr) Bind(c *htm.Clock) {
-	h.info.Bind(c)
-	h.marked.Bind(c)
 }
 
 // Reset resets a pooled record's header — unfrozen and unmarked — with

@@ -14,33 +14,25 @@ type tnode struct {
 }
 
 // troot is a Data-record with one mutable child pointer, the smallest
-// structure on which the tree update template is exercisable. It carries
-// the clock its records are bound to so helpers can bind replacements.
+// structure on which the tree update template is exercisable.
 type troot struct {
 	hdr   Hdr
 	child htm.Ref[tnode]
-	clk   *htm.Clock
 }
 
-// tn builds a tnode bound to clk.
-func tn(clk *htm.Clock, val uint64) *tnode {
-	n := &tnode{val: val}
-	n.hdr.Bind(clk)
-	return n
-}
+// tn builds a tnode.
+func tn(val uint64) *tnode { return &tnode{val: val} }
 
-func newChain(clk *htm.Clock) (*troot, *tnode) {
-	c := tn(clk, 0)
-	r := &troot{clk: clk}
-	r.hdr.Bind(clk)
-	r.child.Bind(clk)
+func newChain() (*troot, *tnode) {
+	c := tn(0)
+	r := &troot{}
 	r.child.Set(nil, c)
 	return r, c
 }
 
 func TestSCXOBasic(t *testing.T) {
 	t.Parallel()
-	root, c0 := newChain(htm.NewClock())
+	root, c0 := newChain()
 
 	var seen *tnode
 	pi, st := LLX(nil, &root.hdr, func() { seen = root.child.Get(nil) })
@@ -55,7 +47,7 @@ func TestSCXOBasic(t *testing.T) {
 		t.Fatalf("LLX(child) = %v, want ok", st)
 	}
 
-	c1 := tn(root.clk, c0.val+1)
+	c1 := tn(c0.val + 1)
 	ok := SCXO(
 		[]*Hdr{&root.hdr, &c0.hdr},
 		[]*Info{pi, ci},
@@ -82,7 +74,7 @@ func TestSCXOBasic(t *testing.T) {
 
 func TestSCXOStaleLinkFails(t *testing.T) {
 	t.Parallel()
-	root, c0 := newChain(htm.NewClock())
+	root, c0 := newChain()
 
 	pi, _ := LLX(nil, &root.hdr, nil)
 	ci, _ := LLX(nil, &c0.hdr, nil)
@@ -90,13 +82,13 @@ func TestSCXOStaleLinkFails(t *testing.T) {
 	// Another operation replaces the child first.
 	pi2, _ := LLX(nil, &root.hdr, nil)
 	ci2, _ := LLX(nil, &c0.hdr, nil)
-	mid := tn(root.clk, 100)
+	mid := tn(100)
 	if !SCXO([]*Hdr{&root.hdr, &c0.hdr}, []*Info{pi2, ci2}, []*Hdr{&c0.hdr}, &root.child, c0, mid) {
 		t.Fatal("setup SCX failed")
 	}
 
 	// The SCX with stale linked LLXs must fail and leave memory intact.
-	stale := tn(root.clk, 1)
+	stale := tn(1)
 	if SCXO([]*Hdr{&root.hdr, &c0.hdr}, []*Info{pi, ci}, []*Hdr{&c0.hdr}, &root.child, c0, stale) {
 		t.Fatal("SCX with stale linked LLX succeeded")
 	}
@@ -109,11 +101,11 @@ func TestSCXOStaleLinkFails(t *testing.T) {
 // that a subsequent LLX helps the operation to completion.
 func TestLLXHelpsInProgressSCX(t *testing.T) {
 	t.Parallel()
-	root, c0 := newChain(htm.NewClock())
+	root, c0 := newChain()
 
 	pi, _ := LLX(nil, &root.hdr, nil)
 	ci, _ := LLX(nil, &c0.hdr, nil)
-	c1 := tn(root.clk, 7)
+	c1 := tn(7)
 
 	// Build the SCX-record by hand and freeze only the first record,
 	// simulating a thread that crashed mid-SCX.
@@ -181,7 +173,7 @@ func TestSCXHTMBasicAndP1(t *testing.T) {
 	tm := htm.New(htm.Config{})
 	th := tm.NewThread()
 	var tags TagSource
-	root, c0 := newChain(tm.Clock())
+	root, c0 := newChain()
 
 	var infosSeen []*Info
 	cur := c0
@@ -198,7 +190,7 @@ func TestSCXHTMBasicAndP1(t *testing.T) {
 		if snap != cur {
 			t.Fatal("unexpected child")
 		}
-		next := tn(root.clk, cur.val+1)
+		next := tn(cur.val + 1)
 		ok, ab := SCXHTM(th, htm.PathFast, &tags,
 			[]*Hdr{&root.hdr, &cur.hdr}, []*Info{pi, ci},
 			[]*Hdr{&cur.hdr}, &root.child, next)
@@ -226,7 +218,7 @@ func TestSCXHTMDetectsStaleLink(t *testing.T) {
 	tm := htm.New(htm.Config{})
 	th := tm.NewThread()
 	var tags TagSource
-	root, c0 := newChain(tm.Clock())
+	root, c0 := newChain()
 
 	pi, _ := LLX(nil, &root.hdr, nil)
 	ci, _ := LLX(nil, &c0.hdr, nil)
@@ -258,7 +250,7 @@ func TestSCXInTx(t *testing.T) {
 	tm := htm.New(htm.Config{})
 	th := tm.NewThread()
 	var tags TagSource
-	root, c0 := newChain(tm.Clock())
+	root, c0 := newChain()
 
 	ok, ab := th.Atomic(htm.PathMiddle, func(tx *htm.Tx) {
 		var c *tnode
@@ -270,7 +262,7 @@ func TestSCXInTx(t *testing.T) {
 			tx.Abort(1)
 		}
 		SCXInTx(tx, &tags, []*Hdr{&root.hdr, &c.hdr}, []*Hdr{&c.hdr})
-		root.child.Set(tx, tn(root.clk, c.val+1))
+		root.child.Set(tx, tn(c.val+1))
 	})
 	if !ok {
 		t.Fatalf("in-tx SCX failed: %+v", ab)
@@ -290,13 +282,13 @@ func TestLLXInTxNoHelping(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
 	th := tm.NewThread()
-	root, c0 := newChain(tm.Clock())
+	root, c0 := newChain()
 
 	// Freeze root for a stalled SCX as in TestLLXHelpsInProgressSCX.
 	pi, _ := LLX(nil, &root.hdr, nil)
 	ci, _ := LLX(nil, &c0.hdr, nil)
 	rec := &SCXRecord{nv: 2, nr: 1,
-		fld: &fieldOp[tnode]{ref: &root.child, old: c0, new: tn(root.clk, 9)}}
+		fld: &fieldOp[tnode]{ref: &root.child, old: c0, new: tn(9)}}
 	rec.state.Store(StateInProgress)
 	rec.v = [MaxV]*Hdr{&root.hdr, &c0.hdr}
 	rec.infos = [MaxV]*Info{pi, ci}
@@ -328,7 +320,7 @@ func TestLLXInTxNoHelping(t *testing.T) {
 func TestMixedPathChainStress(t *testing.T) {
 	t.Parallel()
 	tm := htm.New(htm.Config{})
-	root, _ := newChain(tm.Clock())
+	root, _ := newChain()
 
 	const goroutines = 6
 	const opsPerG = 3000
@@ -381,7 +373,7 @@ func chainIncrSCXO(root *troot) bool {
 	if st != StatusOK {
 		return false
 	}
-	next := tn(root.clk, c.val+1)
+	next := tn(c.val + 1)
 	return SCXO([]*Hdr{&root.hdr, &c.hdr}, []*Info{pi, ci}, []*Hdr{&c.hdr},
 		&root.child, c, next)
 }
@@ -396,7 +388,7 @@ func chainIncrSCXHTM(th *htm.Thread, tags *TagSource, root *troot) bool {
 	if st != StatusOK {
 		return false
 	}
-	next := tn(root.clk, c.val+1)
+	next := tn(c.val + 1)
 	ok, _ := SCXHTM(th, htm.PathFast, tags,
 		[]*Hdr{&root.hdr, &c.hdr}, []*Info{pi, ci}, []*Hdr{&c.hdr},
 		&root.child, next)
@@ -415,7 +407,7 @@ func chainIncrInTx(th *htm.Thread, tags *TagSource, root *troot) bool {
 			tx.Abort(retryCode)
 		}
 		SCXInTx(tx, tags, []*Hdr{&root.hdr, &c.hdr}, []*Hdr{&c.hdr})
-		root.child.Set(tx, tn(root.clk, c.val+1))
+		root.child.Set(tx, tn(c.val+1))
 	})
 	return ok
 }

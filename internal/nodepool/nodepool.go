@@ -83,9 +83,8 @@ type Pool[N any] struct {
 }
 
 // New creates a pool. isLeaf routes nodes between the leaf list and
-// the inner list; fresh heap-allocates a node of the given kind with its
-// cells bound to the owning TM's clock; ret is the handle's engine
-// thread.
+// the inner list; fresh heap-allocates a node of the given kind; ret is
+// the handle's engine thread.
 func New[N any](isLeaf func(*N) bool, fresh func(leaf bool) *N, ret Retirer) *Pool[N] {
 	return &Pool[N]{isLeaf: isLeaf, fresh: fresh, ret: ret}
 }

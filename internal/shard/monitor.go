@@ -30,8 +30,8 @@ import (
 // operation checks after announcing itself.
 //
 // Every field is a plain atomic, not an htm cell: nothing reads them
-// transactionally, and a write to a cell bound to the shard's TM would
-// advance that TM's clock.
+// transactionally, and a non-transactional write to a cell would tick
+// the version clock.
 type monitor struct {
 	// nin/nout bracket updates: nin is incremented when an update is
 	// admitted (and decremented when the increment is retracted at a

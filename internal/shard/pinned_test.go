@@ -7,13 +7,16 @@ import (
 	"testing"
 
 	"htmtree/internal/dict"
+	"htmtree/internal/engine"
+	"htmtree/internal/htm"
 )
 
 // White-box tests of the pinned cross-shard read against scripted inner
-// dictionaries. A verShard is a multi-version store with its own clock:
-// it remembers the clock value of every write, so it can answer a range
-// query as of any snapshot, which is all dict.PinnedReader promises, and
-// the test can land updates at chosen steps of the protocol. With
+// dictionaries. A verShard is a multi-version store on the version
+// clock the real shards share: every write ticks it (htm.Pin) and is
+// remembered with the value, so the store can answer a range query as of
+// any snapshot, which is all dict.PinnedReader promises, and the test
+// can land updates at chosen steps of the protocol. With
 // singleVersion set it answers as the trees on the simulated TM do, which
 // keep one version of every cell: a key of the window written after the
 // snapshot aborts the query. All of one test's shards append their
@@ -23,7 +26,7 @@ import (
 
 type verWrite struct {
 	shard    int
-	ver      uint64 // the shard's clock value after this write
+	ver      uint64 // the clock value this write ticked to
 	key, val uint64
 	del      bool
 }
@@ -36,25 +39,22 @@ type verWorld struct {
 type verShard struct {
 	w        *verWorld
 	idx      int
-	clock    uint64
 	pinnable bool
 	// singleVersion makes a pinned query abort on a key of its window
 	// written after its snapshot, instead of answering from the history.
 	singleVersion bool
 	// status, when set, is what every pinned query reports.
 	status dict.PinStatus
-	// beforeClock[i] runs at the start of the shard's i-th PinClock,
-	// beforeScan[i] at the start of its i-th pinned query.
-	beforeClock, beforeScan map[int]func()
-	clockReads, scans       int
-	brackets                int // PinEnter minus PinExit
+	// beforeScan[i] runs at the start of the shard's i-th pinned query.
+	beforeScan map[int]func()
+	scans      int
+	brackets   int // PinEnter minus PinExit
 }
 
 func newVerWorld(n int) *verWorld {
 	w := &verWorld{}
 	for i := 0; i < n; i++ {
-		w.shards = append(w.shards, &verShard{w: w, idx: i, pinnable: true,
-			beforeClock: map[int]func(){}, beforeScan: map[int]func(){}})
+		w.shards = append(w.shards, &verShard{w: w, idx: i, pinnable: true, beforeScan: map[int]func(){}})
 	}
 	return w
 }
@@ -74,8 +74,7 @@ func (w *verWorld) dict(t *testing.T) *Dict {
 }
 
 func (s *verShard) put(key, val uint64, del bool) {
-	s.clock++
-	s.w.hist = append(s.w.hist, verWrite{shard: s.idx, ver: s.clock, key: key, val: val, del: del})
+	s.w.hist = append(s.w.hist, verWrite{shard: s.idx, ver: htm.Pin(), key: key, val: val, del: del})
 }
 
 // window returns the content of [lo, hi) after the first n writes of the
@@ -126,14 +125,6 @@ func (s *verShard) Pinnable() bool { return s.pinnable }
 func (s *verShard) PinEnter()      { s.brackets++ }
 func (s *verShard) PinExit()       { s.brackets-- }
 
-func (s *verShard) PinClock() uint64 {
-	if f := s.beforeClock[s.clockReads]; f != nil {
-		f()
-	}
-	s.clockReads++
-	return s.clock
-}
-
 func (s *verShard) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
 	if s.brackets != 1 {
 		panic("pinned query outside the reclamation bracket")
@@ -163,70 +154,6 @@ func wantStats(t *testing.T, d *Dict, want RQStats) {
 	t.Helper()
 	if got := d.RQStats(); got != want {
 		t.Errorf("RQStats = %+v, want %+v", got, want)
-	}
-}
-
-// TestPinnedUpdateBetweenClockReadsFailsThePin: two updates land between
-// the reader's reads of the two clocks — one in the first shard, whose
-// clock was already read, then one in the second. The recorded pair of
-// snapshots holds at no single instant: it has the later update without
-// the earlier. The re-read of the first clock sees it moved and fails
-// the attempt before any shard is scanned; the next attempt returns
-// both. The negative control runs the same script through the protocol
-// without the re-read and returns the torn pair, which the cut checker
-// rejects. (The shards answer from their histories here. A tree that
-// keeps one version per cell would abort the control's first scan on the
-// key written after its snapshot — the re-read is what makes the cut
-// hold for any reader that answers as of a snapshot, not only for those
-// that also notice what happened since.)
-func TestPinnedUpdateBetweenClockReadsFailsThePin(t *testing.T) {
-	script := func() (*verWorld, int) {
-		w := newVerWorld(2)
-		w.shards[0].put(10, 1, false)
-		w.shards[1].put(110, 1, false)
-		w.shards[1].beforeClock[0] = func() {
-			w.shards[0].put(20, 2, false)
-			w.shards[1].put(120, 2, false)
-		}
-		return w, len(w.hist)
-	}
-
-	w, from := script()
-	d := w.dict(t)
-	got := d.NewHandle().RangeQuery(0, 200, nil)
-	if err := w.checkCut(from, 0, 200, got); err != nil {
-		t.Error(err)
-	}
-	if len(got) != 4 {
-		t.Errorf("result %v, want all four keys (the second attempt pins after both updates)", got)
-	}
-	wantStats(t, d, RQStats{Attempts: 2, Retries: 1, Pinned: 2})
-	if w.shards[0].scans != 1 || w.shards[1].scans != 1 {
-		t.Errorf("shards scanned %d and %d times, want once each: a failed pin must fail before the scans",
-			w.shards[0].scans, w.shards[1].scans)
-	}
-	if w.shards[0].brackets != 0 || w.shards[1].brackets != 0 {
-		t.Error("a reclamation bracket was left open")
-	}
-
-	// Negative control: steps (1), (2) and (4) without (3).
-	w, from = script()
-	var torn []dict.KV
-	rvs := make([]uint64, 2)
-	for _, s := range w.shards {
-		s.PinEnter()
-	}
-	for i, s := range w.shards {
-		rvs[i] = s.PinClock()
-	}
-	for i, s := range w.shards {
-		var st dict.PinStatus
-		if torn, st = s.RangeQueryAt(rvs[i], 0, 200, torn); st != dict.PinCommitted {
-			t.Fatalf("control: shard %d aborted", i)
-		}
-	}
-	if err := w.checkCut(from, 0, 200, torn); err == nil {
-		t.Errorf("control: the cut checker accepted %v, read at snapshots that hold at no one instant", torn)
 	}
 }
 
@@ -305,4 +232,32 @@ func TestPinnedPhaseEnds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestPinnedCrossShardReadTakesOnePin: an atomic read across k shards
+// takes one snapshot for all of them, so it moves the version clock the
+// shards share by exactly one — the Pin — and not once per shard. The
+// shards are quiescent, so the read commits on its first pinned attempt,
+// and the clock moves by nothing else: a committing read-only
+// transaction writes no clock. It runs alone, not in parallel with the
+// package's other tests, which move the same clock.
+func TestPinnedCrossShardReadTakesOnePin(t *testing.T) {
+	const k, width = 4, 100
+	d := monitoredBST(t, Config{Shards: k, KeySpan: k * width}, engine.AlgThreePath)
+	h := d.NewHandle()
+	var want []dict.KV
+	for key := uint64(1); key < k*width; key += 9 {
+		h.Insert(key, key)
+		want = append(want, dict.KV{Key: key, Val: key})
+	}
+	clock := htm.New(htm.Config{}).Clock()
+	before := clock.Now()
+	got := h.RangeQuery(0, k*width, nil)
+	if moved := clock.Now() - before; moved != 1 {
+		t.Errorf("an atomic read over %d shards moved the clock by %d, want 1", k, moved)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("RangeQuery = %v, want %v", got, want)
+	}
+	wantStats(t, d, RQStats{Attempts: 1, Pinned: 1})
 }

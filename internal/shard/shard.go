@@ -30,21 +30,20 @@
 // software path that guarantees progress, inside one retry/escalate loop
 // (Dict.readConsistent).
 //
-// The transactional path pins a snapshot (handle.pinned). Every shard's
-// TM has its own version clock, so no one transaction can span two
-// shards the way one hardware transaction would; but a read-only
-// transaction begun at a value its TM's clock held earlier sees the
-// shard as it was at that moment. The reader enters every overlapping
-// shard's reclamation bracket, reads the shards' clocks first to last,
-// re-reads all but the last — none having moved proves all the values
-// held at the instant the last was read — and runs each shard's query
-// once, as a transaction on the algorithm's first path pinned at its
-// value (dict.PinnedReader). What fails an attempt is what would abort
-// that one spanning transaction: a cell it reaches written since the
-// instant, or a software path it may not overlap being busy (TLE's
-// locked body, 2-path-ncon's fallback; a 3-path read-only transaction
-// runs beside its fallback path, whose operations each become visible at
-// one tick of the shard's clock).
+// The transactional path pins a snapshot (handle.pinned). Every shard has
+// its own TM, so no one transaction can span two shards the way one
+// hardware transaction would; but all TMs share one version clock
+// (htm.Clock), and a read-only transaction begun at a value the clock
+// held earlier sees its shard as it was at that moment. The reader
+// enters every overlapping shard's reclamation bracket, takes one fresh
+// clock value (htm.Pin), and runs each shard's query once, as a
+// transaction on the algorithm's first path pinned at that value
+// (dict.PinnedReader). What fails an attempt is what would abort that
+// one spanning transaction: a cell it reaches written since the instant,
+// or a software path it may not overlap being busy (TLE's locked body,
+// 2-path-ncon's fallback; a 3-path read-only transaction runs beside its
+// fallback path, whose operations each become visible at one tick of the
+// clock).
 //
 // The software path is optimistic per-shard version validation, in the
 // spirit of the hybrid validation of Ben-David et al. (Lock-Free Locks
@@ -266,7 +265,7 @@ func (d *Dict) NewHandle() dict.Handle {
 	h := &handle{d: d, hs: hs}
 	if d.mons != nil {
 		h.samples = make([]sample, len(d.shards))
-		h.pins, h.rvs = pinnedReaders(hs), make([]uint64, len(d.shards))
+		h.pins = pinnedReaders(hs)
 	}
 	return h
 }
@@ -437,11 +436,10 @@ type handle struct {
 	hs      []dict.Handle
 	samples []sample // scratch for atomic fan-out validation
 
-	// pins holds the inner handles as pinned readers, and rvs the scratch
-	// for one clock snapshot per shard, when atomic fan-outs through this
-	// handle may run pinned (see pinnedReaders); pins is nil otherwise.
+	// pins holds the inner handles as pinned readers when atomic
+	// fan-outs through this handle may run pinned (see pinnedReaders);
+	// it is nil otherwise.
 	pins []dict.PinnedReader
-	rvs  []uint64
 	// aggOut is RangeAgg's retained range buffer.
 	aggOut []dict.KV
 }
@@ -500,38 +498,27 @@ func (h *handle) readShards(first, last int, lo, hi uint64, out []dict.KV) []dic
 
 // pinned is the transactional attempt body of an atomic cross-shard
 // read, the counterpart of one hardware transaction spanning shards
-// first..last. Every shard has its own TM clock, so no one transaction
-// can span them; but a read-only transaction begun at a snapshot of a
-// shard's clock sees that shard as it was when the clock held that
-// value, however much later it runs. So the attempt (1) enters every
-// shard's reclamation bracket, which must hold from before a snapshot is
-// read for the nodes reachable at it to outlive the reads; (2) reads
-// each shard's clock, first to last, into h.rvs; (3) re-reads all but
-// the last and fails if one moved — clocks only advance, so none having
-// moved means that at the moment the last clock was read every clock
-// held its recorded value: the snapshots describe one instant; and
-// (4) calls read, which runs each shard's query once as a transaction
-// pinned at its snapshot (dict.PinnedReader) and reports the first
-// status that is not PinCommitted. An update becomes visible at the
-// first advance of its shard's clock that reaches its version (PinEnter
-// makes one, so every update completed before the read is visible), so
-// what the pinned queries return together is the dictionary's content
-// at that instant — and what makes one abort is a cell it reaches
-// stamped past its snapshot, not any update anywhere in its shard.
-func (h *handle) pinned(first, last int, read func() dict.PinStatus) dict.PinStatus {
+// first..last. Every shard has its own TM, so no one transaction can
+// span them; but the shards share one version clock, and a read-only
+// transaction begun at a snapshot of it sees its shard as it was when
+// the clock held that value, however much later it runs. So the attempt
+// (1) enters every shard's reclamation bracket, which must hold from
+// before the snapshot is taken for the nodes reachable at it to outlive
+// the reads; (2) takes one snapshot, rv, with htm.Pin; and (3) calls
+// read(rv), which runs each shard's query once as a transaction pinned
+// at rv (dict.PinnedReader) and reports the first status that is not
+// PinCommitted. An update becomes visible at the first advance of the
+// clock that reaches its version (the Pin is one, so every update
+// completed before the read is visible), so what the pinned queries
+// return together is the dictionary's content at that instant — and what
+// makes one abort is a cell it reaches stamped past rv, not any update
+// anywhere in its shard.
+func (h *handle) pinned(first, last int, read func(rv uint64) dict.PinStatus) dict.PinStatus {
 	for s := first; s <= last; s++ {
 		h.pins[s].PinEnter()
 	}
 	defer h.pinExit(first, last)
-	for s := first; s <= last; s++ {
-		h.rvs[s] = h.pins[s].PinClock()
-	}
-	for s := first; s < last; s++ {
-		if h.pins[s].PinClock() != h.rvs[s] {
-			return dict.PinAborted
-		}
-	}
-	return read()
+	return read(htm.Pin())
 }
 
 func (h *handle) pinExit(first, last int) {
@@ -547,7 +534,7 @@ func (h *handle) pinExit(first, last int) {
 // retrying would burn the budget on aborts that cannot succeed), they
 // sample, run read and validate (Dict.validated). Escalated, it runs
 // read under the gates.
-func (h *handle) readAtomic(first, last int, pin func() dict.PinStatus, read func()) {
+func (h *handle) readAtomic(first, last int, pin func(rv uint64) dict.PinStatus, read func()) {
 	d := h.d
 	pinning := h.pins != nil
 	d.readConsistent(first, last, func() bool {
@@ -580,11 +567,11 @@ func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 		return h.readShards(first, last, lo, hi, out)
 	}
 	base := len(out)
-	h.readAtomic(first, last, func() dict.PinStatus {
+	h.readAtomic(first, last, func(rv uint64) dict.PinStatus {
 		out = out[:base]
 		for s := first; s <= last; s++ {
 			var st dict.PinStatus
-			if out, st = h.pins[s].RangeQueryAt(h.rvs[s], lo, hi, out); st != dict.PinCommitted {
+			if out, st = h.pins[s].RangeQueryAt(rv, lo, hi, out); st != dict.PinCommitted {
 				return st
 			}
 		}
