@@ -167,10 +167,10 @@ func TestAllocGateAggregateQueries(t *testing.T) {
 
 // TestAllocGateCrossShardReads gates the atomic cross-shard fan-out: a
 // RangeQuery or RangeAgg whose window spans several shards of an
-// AtomicRangeQueries tree runs as pinned transactions out of per-handle
-// scratch (one clock snapshot per shard) and the inner handles' retained
-// range buffers, and must not allocate — however many of its attempts
-// fail. The window covers all eight shards.
+// AtomicRangeQueries tree enters every shard's reclamation bracket, takes
+// one htm.Pin() and runs each shard's part as a transaction pinned at it,
+// out of per-handle scratch and the inner handles' retained range
+// buffers, and must not allocate — however many of its attempts fail. The window covers all eight shards.
 func TestAllocGateCrossShardReads(t *testing.T) {
 	for _, tc := range []struct {
 		name string

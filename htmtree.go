@@ -146,8 +146,8 @@ type Config struct {
 	ShardKeySpan uint64
 	// AtomicRangeQueries makes RangeQuery, RangeAgg and KeySum on a
 	// sharded tree atomic across shards. A range or aggregate query that
-	// spans shards pins one snapshot per shard — every shard's
-	// transactional-memory clock, read at a single instant — and runs
+	// spans shards enters every shard's reclamation bracket, takes one
+	// snapshot of the version clock all shards share (htm.Pin), and runs
 	// each shard's part once, as a read-only transaction at that
 	// snapshot, so what fails an attempt is a write to something the
 	// query reads, as for a query inside one tree. Where that cannot

@@ -39,6 +39,7 @@ package abtree
 
 import (
 	"fmt"
+	"unsafe"
 
 	"htmtree/internal/dict"
 	"htmtree/internal/engine"
@@ -54,15 +55,20 @@ const (
 	DefaultB = MaxB
 )
 
-// Node is an (a,b)-tree node.
+// Node is an (a,b)-tree node's header, the one 64-byte line every
+// visitor reads. A node is one allocation: this header, then its kind's
+// arrays inline behind it — a leaf's slots (leafNode) or an internal
+// node's keys and child cells (internalNode). Child cells point at the
+// header. keys, children and slots are the only ways from a *Node to
+// those arrays, and each is called only on a node of its kind; a node's
+// kind never changes, because the pools keep one free list per kind.
 //
-// Internal nodes: deg children in the cells childArr[:deg], routed by the
-// deg-1 keys keyArr[:deg-1] (keys and children return the two as
-// slices); both arrays have the capacity of the largest degree, MaxB,
-// so a pooled internal node is reused at any degree. The degree, the
-// keys and tagged are immutable while the node is reachable: structural
-// changes replace the node. The children are cells, which the fast path
-// re-points in place.
+// Internal nodes: deg children in the cells children(), routed by the
+// deg-1 keys keys(); both arrays have the capacity of the largest
+// degree, MaxB, so a pooled internal node is reused at any degree. The
+// degree, the keys and tagged are immutable while the node is reachable:
+// structural changes replace the node. The children are cells, which the
+// fast path re-points in place.
 //
 // Leaves: slots is unsorted storage, one (key, value) cell per entry — a
 // key and its value are read and written together, as the one cache line
@@ -73,45 +79,53 @@ const (
 // reads ord first and reaches the slots through permAt. They are cells
 // because the fast and middle paths mutate them in place — an insert
 // writes the first free slot and ord, a delete ord alone; the fallback
-// paths replace the leaf instead and read them only under an LLX, which
-// the middle path's edits fail by retagging the leaf. slots points to an
-// array of MaxB cells whatever b is, so the compiler can prove a slot
-// index (a nibble of the order word) in range.
+// paths replace the leaf instead and read them only under an LLX or an
+// llxscx.LLXRead, which the middle path's edits fail by retagging the
+// leaf. slots returns an array of MaxB cells whatever b is, so the
+// compiler can prove a slot index (a nibble of the order word) in range.
 //
-// The shell is two 64-byte lines (a node is 128 bytes, a size class
-// whose objects are line-aligned). The first line is what a visitor
-// reads: the flags, the degree and the three array pointers, none of
-// them written after publication, and then the leaf's order word, which
-// every in-place edit writes. Only a leaf has an order word, and every
-// visitor of a leaf reads it beside the leaf flag, so the edit dirties a
-// line that the leaf's readers fetch anyway; an internal node's first
-// line is never written. The second line is the SCX header, which the
-// fast path never touches (a middle-path edit writes its info field
-// too). A leaf is this shell plus its 384-byte slot array, 512 bytes in
-// 8 lines; an internal node is the shell plus a 128-byte key array and a
-// 256-byte child array, 512 bytes too. TestNodeFootprint pins the sizes and
-// the lines.
+// The header holds the flags and the degree, none of them written after
+// publication, then the leaf's order word, which every in-place edit
+// writes and every visitor of a leaf reads beside the leaf flag (an
+// internal node leaves it zero), then the SCX header, which middle-path
+// edits and template-path SCXs write and the fast path never touches. A
+// leaf is the header and MaxB 24-byte slots, 448 bytes; an internal node
+// is the header, 15 keys and 16 child cells, 440 bytes. Both fall in the
+// allocator's 448-byte size class, whose objects start on line
+// boundaries (448 = 7 × 64), so the header is one line and an internal
+// node's keys follow it with no pointer to load first.
+// TestNodeFootprint pins the sizes and the offsets.
 type Node struct {
-	// First line: what a visitor reads, and a leaf's order word.
-	leaf     bool
-	tagged   bool
-	deg      uint8
-	keyArr   *[MaxB - 1]uint64
-	childArr *[MaxB]htm.Ref[Node]
-	slots    *[MaxB]htm.Pair
-	ord      htm.Pair
-	_        [8]byte
+	leaf   bool
+	tagged bool
+	deg    uint8
+	ord    htm.Pair // leaves only
+	hdr    llxscx.Hdr
+}
 
-	// Second line: the SCX header.
-	hdr llxscx.Hdr
-	_   [32]byte
+// leafNode is a leaf's allocation.
+type leafNode struct {
+	Node
+	slotArr [MaxB]htm.Pair
+}
+
+// internalNode is an internal node's allocation.
+type internalNode struct {
+	Node
+	keyArr   [MaxB - 1]uint64
+	childArr [MaxB]htm.Ref[Node]
 }
 
 // keys returns an internal node's routing keys.
-func (n *Node) keys() []uint64 { return n.keyArr[:n.deg-1] }
+func (n *Node) keys() []uint64 { return (*internalNode)(unsafe.Pointer(n)).keyArr[:n.deg-1] }
 
 // children returns an internal node's child cells.
-func (n *Node) children() []htm.Ref[Node] { return n.childArr[:n.deg] }
+func (n *Node) children() []htm.Ref[Node] {
+	return (*internalNode)(unsafe.Pointer(n)).childArr[:n.deg]
+}
+
+// slots returns a leaf's slot cells.
+func (n *Node) slots() *[MaxB]htm.Pair { return &(*leafNode)(unsafe.Pointer(n)).slotArr }
 
 // kv is a key/value pair in flight between nodes.
 type kv struct {
@@ -121,15 +135,9 @@ type kv struct {
 // newLeaf builds the bootstrap leaf. Steady-state operations allocate
 // through the handle pools instead (Handle.newLeaf in pool.go).
 func newLeaf() *Node {
-	n := &Node{leaf: true, slots: new([MaxB]htm.Pair)}
+	n := freshNode(true)
 	n.ord.Init(permIdentity, 0)
 	return n
-}
-
-// allocArrays gives a fresh internal node its key and child arrays.
-func (n *Node) allocArrays() {
-	n.keyArr = new([MaxB - 1]uint64)
-	n.childArr = new([MaxB]htm.Ref[Node])
 }
 
 // fill writes an unpublished internal node's contents: the routing keys
@@ -137,9 +145,10 @@ func (n *Node) allocArrays() {
 func (n *Node) fill(keys []uint64, children []*Node, tagged bool) {
 	n.tagged = tagged
 	n.deg = uint8(len(children))
-	copy(n.keyArr[:], keys)
+	copy(n.keys(), keys)
+	cells := n.children()
 	for i, c := range children {
-		n.childArr[i].Init(c)
+		cells[i].Init(c)
 	}
 }
 
@@ -208,8 +217,7 @@ func New(cfg Config) *Tree {
 		eng: engine.New(ecfg, nil),
 		cfg: cfg,
 	}
-	t.entry = &Node{}
-	t.entry.allocArrays()
+	t.entry = freshNode(false)
 	t.entry.fill(nil, []*Node{newLeaf()}, false)
 	return t
 }
@@ -276,8 +284,9 @@ func (t *Tree) KeySum() (sum, count uint64) {
 	walk = func(n *Node) {
 		if n.leaf {
 			perm, sz := n.ord.Get(nil)
+			slots := n.slots()
 			for i := 0; i < int(sz); i++ {
-				k, _ := n.slots[permAt(perm, i)].Get(nil)
+				k, _ := slots[permAt(perm, i)].Get(nil)
 				sum += k
 			}
 			count += sz
@@ -340,8 +349,9 @@ func (t *Tree) CheckInvariants(strict bool) error {
 				return fmt.Errorf("abtree: underfull leaf (size %d < a=%d)", sz, t.cfg.A)
 			}
 			prev := uint64(0)
+			slots := n.slots()
 			for i := 0; i < sz; i++ {
-				k, _ := n.slots[permAt(perm, i)].Get(nil)
+				k, _ := slots[permAt(perm, i)].Get(nil)
 				if i > 0 && k <= prev {
 					return fmt.Errorf("abtree: leaf keys unsorted (%d after %d)", k, prev)
 				}

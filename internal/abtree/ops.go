@@ -79,10 +79,11 @@ func (t *Tree) searchLeaf(tx *htm.Tx, key uint64) (gp, p, u *Node, pIdx, uIdx in
 // size — so that no caller reads ord again.
 func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool, perm uint64, size int) {
 	perm, sz := u.ord.Get(tx)
+	slots := u.slots()
 	lo, hi := 0, int(sz)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		k, v := u.slots[permAt(perm, mid)].Get(tx)
+		k, v := slots[permAt(perm, mid)].Get(tx)
 		if k == key {
 			return mid, v, true, perm, int(sz)
 		}
@@ -100,8 +101,9 @@ func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool,
 func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 	*buf = (*buf)[:0]
 	perm, sz := u.ord.Get(tx)
+	slots := u.slots()
 	for i := 0; i < int(sz); i++ {
-		k, v := u.slots[permAt(perm, i)].Get(tx)
+		k, v := slots[permAt(perm, i)].Get(tx)
 		*buf = append(*buf, kv{k: k, v: v})
 	}
 }
@@ -121,11 +123,12 @@ func (t *Tree) insertBody(pr *prims) bool {
 		// node-creation saving (Section 6.2) — and the middle path tags it
 		// for the fallback path's LLXs (EditInPlace).
 		tx := pr.Tx
+		slots := u.slots()
 		pos, old, found, perm, sz := leafFind(tx, u, key)
 		if found {
 			pr.EditInPlace(&u.hdr)
 			*pr.Res = engine.Result{Val: old, Found: true}
-			setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+			setPair(tx, &slots[permAt(perm, pos)], key, val)
 			return true
 		}
 		*pr.Res = engine.Result{}
@@ -134,7 +137,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 			// writes, wherever in the leaf the key belongs.
 			pr.EditInPlace(&u.hdr)
 			perm = permInsert(perm, pos, sz)
-			setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+			setPair(tx, &slots[permAt(perm, pos)], key, val)
 			setPair(tx, &u.ord, perm, uint64(sz+1))
 			return true
 		}
@@ -150,7 +153,7 @@ func (t *Tree) insertBody(pr *prims) bool {
 			right := h.newLeaf(h.buf[lo:])
 			if pos < lo {
 				perm = permInsert(perm, pos, lo-1)
-				setPair(tx, &u.slots[permAt(perm, pos)], key, val)
+				setPair(tx, &slots[permAt(perm, pos)], key, val)
 			}
 			setPair(tx, &u.ord, perm, uint64(lo))
 			h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
@@ -281,17 +284,17 @@ func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 }
 
 // searchFallback implements Search on the fallback path. The middle path
-// edits published leaves in place, so the leaf is read under an LLX: a
-// binary search through an order word from before an edit and slots from
-// after it could miss a key that was present throughout. A failed or
-// finalized snapshot asks for a retry from the root.
+// edits published leaves in place, so the leaf is read under an
+// llxscx.LLXRead: a binary search through an order word from before an
+// edit and slots from after it could miss a key that was present
+// throughout. A failed or finalized snapshot asks for a retry from the
+// root.
 func (t *Tree) searchFallback(h *Handle) bool {
 	_, _, u, _, _ := t.searchLeaf(nil, h.Key)
-	_, st := llxscx.LLX(nil, &u.hdr, func() {
+	return llxscx.LLXRead(&u.hdr, func() {
 		_, h.Res.Val, h.Res.Found, _, _ = leafFind(nil, u, h.Key)
 		t.cfg.Engine.Faults.Hit(fault.PointSearchLeaf)
-	})
-	return st == llxscx.StatusOK
+	}) == llxscx.StatusOK
 }
 
 // findInBuf locates key in a sorted pair buffer.
@@ -352,8 +355,9 @@ func rqChildOverlaps(n *Node, i int, lo, hi uint64) bool {
 
 func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 	perm, sz := n.ord.Get(tx)
+	slots := n.slots()
 	for i := 0; i < int(sz); i++ {
-		k, v := n.slots[permAt(perm, i)].Get(tx)
+		k, v := slots[permAt(perm, i)].Get(tx)
 		if k >= h.Lo && k < h.Hi {
 			h.Range = append(h.Range, dict.KV{Key: k, Val: v})
 		}
@@ -361,10 +365,11 @@ func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 }
 
 // rqFallback collects the range with the software walk: a DFS over the
-// subtrees overlapping [h.Lo, h.Hi), left to right, that reads
-// every internal node's children and every leaf's pairs under an LLX. It
-// reports false on any failed LLX; the fallback loop then restarts it
-// from the root.
+// subtrees overlapping [h.Lo, h.Hi), left to right, that reads every
+// internal node's children under an LLX (an SCX's update step writes
+// them) and every leaf's pairs under an llxscx.LLXRead (none writes
+// those). It reports false on any snapshot that is not StatusOK; the
+// fallback loop then restarts it from the root.
 func (t *Tree) rqFallback(h *Handle) bool {
 	h.Range = h.Range[:0]
 	var root *Node
@@ -378,8 +383,7 @@ func (t *Tree) rqFallback(h *Handle) bool {
 
 func walkLLX(n *Node, h *Handle) bool {
 	if n.leaf {
-		_, st := llxscx.LLX(nil, &n.hdr, func() { rqCollectLeaf(nil, n, h) })
-		return st == llxscx.StatusOK
+		return llxscx.LLXRead(&n.hdr, func() { rqCollectLeaf(nil, n, h) }) == llxscx.StatusOK
 	}
 	var arr [MaxB]*Node
 	snap, ok := snapshotChildrenLLX(n, &arr)

@@ -6,22 +6,22 @@ import "htmtree/internal/htm"
 // internal/nodepool, which hands out only nodes that waited out a grace
 // period (or were drawn fresh and never published). No thread can hold
 // one, so plain stores re-initialize it: a leaf's order word, slots and
-// header, and an internal node's degree and routing-key array, which
-// are plain memory. The leaf flag and the slot array pointer are
-// write-once (the lists are segregated by kind and the array always has
-// MaxB cells).
+// header, and an internal node's degree and routing keys, which are
+// plain memory. The leaf flag is write-once: the lists are segregated
+// by kind, so a pooled node keeps the allocation type it was born with.
 
 // freshNode heap-allocates a node of the given kind (the pool's fresh
-// callback), complete with its arrays: a leaf's slots, an internal
-// node's keys and children.
+// callback) as one allocation: the header and a leaf's slots, or the
+// header and an internal node's keys and children. It is the one place
+// a node is allocated; the bootstrap leaf and New's entry node come
+// from it too.
 func freshNode(leaf bool) *Node {
-	n := &Node{leaf: leaf}
 	if leaf {
-		n.slots = new([MaxB]htm.Pair)
-	} else {
-		n.allocArrays()
+		l := new(leafNode)
+		l.leaf = true
+		return &l.Node
 	}
-	return n
+	return &new(internalNode).Node
 }
 
 // newLeaf builds a leaf holding pairs (sorted) from the pool, in identity
@@ -31,8 +31,9 @@ func (h *Handle) newLeaf(pairs []kv) *Node {
 	n := h.Pool.Take(true)
 	n.hdr.Reset()
 	n.ord.Init(permIdentity, uint64(len(pairs)))
+	slots := n.slots()
 	for i, p := range pairs {
-		n.slots[i].Init(p.k, p.v)
+		slots[i].Init(p.k, p.v)
 	}
 	return n
 }

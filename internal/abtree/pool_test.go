@@ -156,64 +156,95 @@ func TestInternalArrayReuse(t *testing.T) {
 
 // TestNodeFootprint pins the memory a node costs, so a layout regression
 // fails here by name instead of surfacing as the benchmark's
-// live_heap_mb: a leaf entry is one 24-byte cell and a child one 16-byte
-// cell (no cell carries a clock pointer), and a node shell is two
-// 64-byte lines — what a visitor reads with the leaf's order word, then
-// the SCX header — exactly the allocator's 128-byte size class (whose
-// objects start at multiples of 128 in page-aligned spans, so field
-// offsets are cache-line offsets).
-// A leaf of any b is that shell plus one 384-byte array of MaxB slots,
-// 512 bytes in two allocations; an internal node is the shell plus a
-// 120-byte key array (size class 128) and a 256-byte child array, 512
-// bytes in three.
+// live_heap_mb. A node is one allocation: a 64-byte header line — the
+// flags, the degree, a leaf's order word and the SCX header, what every
+// visitor reads — and its kind's arrays inline behind it. A leaf is the
+// header and MaxB 24-byte slots, 448 bytes; an internal node is the
+// header, MaxB-1 keys and MaxB 16-byte child cells, 440 bytes. Both are
+// in the allocator's 448-byte size class, whose objects start at
+// multiples of 448 = 7 × 64 in page-aligned spans, so field offsets are
+// cache-line offsets. The pools keep one list per kind, so a node drawn
+// back from them keeps the allocation it was born with.
 func TestNodeFootprint(t *testing.T) {
+	const line = 64
 	if got := unsafe.Sizeof(htm.Pair{}); got != 24 {
 		t.Errorf("htm.Pair is %d bytes, want 24", got)
 	}
-	if got := unsafe.Sizeof(Node{}); got != 128 {
-		t.Errorf("Node is %d bytes, want 128 (size class 128; the next is 144, which is not line-aligned)", got)
+	if got := unsafe.Sizeof(Node{}); got != line {
+		t.Errorf("Node is %d bytes, want one %d-byte line", got, line)
 	}
 	var n Node
-	const line = 64
-	for name, off := range map[string]uintptr{
-		"leaf": unsafe.Offsetof(n.leaf), "tagged": unsafe.Offsetof(n.tagged), "deg": unsafe.Offsetof(n.deg),
-		"keyArr": unsafe.Offsetof(n.keyArr), "childArr": unsafe.Offsetof(n.childArr), "slots": unsafe.Offsetof(n.slots),
+	for name, f := range map[string][2]uintptr{
+		"ord": {unsafe.Offsetof(n.ord), unsafe.Sizeof(n.ord)},
+		"hdr": {unsafe.Offsetof(n.hdr), unsafe.Sizeof(n.hdr)},
 	} {
-		if off >= unsafe.Offsetof(n.ord) {
-			t.Errorf("%s is at byte %d, after ord at %d: a visitor's fields come first", name, off, unsafe.Offsetof(n.ord))
+		if f[0]+f[1] > line {
+			t.Errorf("%s spans bytes %d..%d, want it inside the header line", name, f[0], f[0]+f[1])
 		}
 	}
-	if end := unsafe.Offsetof(n.ord) + unsafe.Sizeof(n.ord); end > line {
-		t.Errorf("ord ends at byte %d, want it inside the first %d-byte line: a leaf's visitor reads it beside the leaf flag", end, line)
+	var l leafNode
+	var in internalNode
+	for name, c := range map[string]struct{ got, want uintptr }{
+		"a leaf":                      {unsafe.Sizeof(l), 448},
+		"an internal node":            {unsafe.Sizeof(in), 440},
+		"a leaf's slots' offset":      {unsafe.Offsetof(l.slotArr), line},
+		"an internal node's keys'":    {unsafe.Offsetof(in.keyArr), line},
+		"an internal node's children": {unsafe.Offsetof(in.childArr), line + (MaxB-1)*8},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s: %d bytes, want %d", name, c.got, c.want)
+		}
 	}
-	if lo, hi := unsafe.Offsetof(n.hdr), unsafe.Offsetof(n.hdr)+unsafe.Sizeof(n.hdr); lo != line || hi > 2*line {
-		t.Errorf("hdr spans bytes %d..%d, want it alone on the second line", lo, hi)
+	for _, leaf := range []bool{true, false} {
+		if got := testing.AllocsPerRun(100, func() { nodeSink = freshNode(leaf) }); got != 1 {
+			t.Errorf("a fresh node (leaf %v) costs %v allocations, want 1", leaf, got)
+		}
 	}
-	if got := unsafe.Sizeof(*n.keyArr); got != 120 {
-		t.Errorf("an internal node's key array is %d bytes, want 120 (size class 128)", got)
-	}
-	const leafBytes, internalBytes = 128 + 384, 128 + 128 + 256
+
+	// The accessors reach the arrays behind the header, of nodes from
+	// every allocation site, and every node starts a line.
 	tr := New(Config{})
 	h := tr.newHandle()
-	for _, leaf := range []*Node{
+	offset := func(n *Node, p unsafe.Pointer) uintptr { return uintptr(p) - uintptr(unsafe.Pointer(n)) }
+	leaves := []*Node{
 		tr.entry.children()[0].Get(nil), // bootstrap leaf
 		h.newLeaf(nil),                  // pooled leaf
-	} {
-		if leaf.keyArr != nil || leaf.childArr != nil {
-			t.Fatal("leaf owns arrays beyond its slots")
-		}
-		if got := unsafe.Sizeof(*leaf) + unsafe.Sizeof(*leaf.slots); got != leafBytes {
-			t.Errorf("a leaf is %d bytes in two allocations, want %d", got, leafBytes)
+	}
+	inners := []*Node{tr.entry, h.newInternal([]uint64{5}, leaves, false)}
+	for _, n := range leaves {
+		if got := offset(n, unsafe.Pointer(n.slots())); !n.leaf || got != line {
+			t.Errorf("leaf %v: slots at byte %d, want %d", n.leaf, got, line)
 		}
 	}
-	in := h.newInternal([]uint64{5}, []*Node{h.newLeaf(nil), h.newLeaf(nil)}, false)
-	if in.slots != nil {
-		t.Fatal("internal node owns a slot array")
+	for _, n := range inners {
+		k, c := offset(n, unsafe.Pointer(&n.keys()[:1][0])), offset(n, unsafe.Pointer(&n.children()[0]))
+		if n.leaf || k != line || c != line+(MaxB-1)*8 {
+			t.Errorf("internal node (leaf %v): keys at byte %d, children at %d, want %d and %d", n.leaf, k, c, line, line+(MaxB-1)*8)
+		}
 	}
-	if got := unsafe.Sizeof(*in) + 128 + unsafe.Sizeof(*in.childArr); got != internalBytes {
-		t.Errorf("an internal node is %d bytes in three allocations, want %d", got, internalBytes)
+	for _, n := range append(leaves, inners...) {
+		if a := uintptr(unsafe.Pointer(n)) % line; a != 0 {
+			t.Errorf("a node (leaf %v) starts at byte %d of a line, want 0", n.leaf, a)
+		}
+	}
+
+	// Pooled nodes keep their kind: released internal node last, so a
+	// single list would hand it to Take(true).
+	p := tr.newHandle().Pool
+	leaf, inner := p.Take(true), p.Take(false)
+	p.Settle()
+	p.Release(leaf)
+	p.Release(inner)
+	if got := p.Take(true); got != leaf || !got.leaf {
+		t.Errorf("Take(true) returned %p (leaf %v), want the pooled leaf %p", got, got.leaf, leaf)
+	}
+	if got := p.Take(false); got != inner || got.leaf {
+		t.Errorf("Take(false) returned %p (leaf %v), want the pooled internal node %p", got, got.leaf, inner)
 	}
 }
+
+// nodeSink keeps TestNodeFootprint's fresh nodes on the heap.
+var nodeSink *Node
 
 // TestLeafReuseMovesNoVersion: a pooled leaf came back through a grace
 // period, so it is out of every thread's reach and is rewritten like a
@@ -244,7 +275,7 @@ func TestLeafReuseMovesNoVersion(t *testing.T) {
 	ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
 		var perm uint64
 		perm, size = n.ord.Get(tx)
-		got.k, got.v = n.slots[permAt(perm, 0)].Get(tx)
+		got.k, got.v = n.slots()[permAt(perm, 0)].Get(tx)
 		if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
 			t.Error("reused leaf's header is not reset")
 		}

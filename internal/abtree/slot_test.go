@@ -175,7 +175,7 @@ func TestTLELockedInsertAbortsFastReader(t *testing.T) {
 	read := false
 	ok, ab := tr.tm.NewThread().Atomic(htm.PathFast, func(tx *htm.Tx) {
 		perm, size := u.ord.Get(tx)
-		slot := &u.slots[permAt(perm, int(size))] // the first free slot
+		slot := &u.slots()[permAt(perm, int(size))] // the first free slot
 		slot.Get(tx)
 		// The insert as TLE runs it while holding its lock.
 		h.Key, h.Val = 10, 100

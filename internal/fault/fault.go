@@ -73,7 +73,7 @@ const (
 	// before the group executes.
 	PointBatchFlush
 	// PointSearchLeaf fires inside the (a,b)-tree's fallback-path Search,
-	// in the LLX of its leaf between the reads of the leaf's fields and
+	// in the LLXRead of its leaf between the reads of the leaf's fields and
 	// the re-read of its info field that validates them — where an
 	// in-place middle-path edit of the leaf must send the search back.
 	PointSearchLeaf

@@ -10,7 +10,7 @@
 // ABA-prevention property P1) and marked (set when the record is being
 // finalized, i.e. permanently removed).
 //
-// Four flavours of SCX are provided:
+// Three flavours of SCX are provided, and two of LLX:
 //
 //   - SCXO: the original lock-free implementation (paper Figure 2), used
 //     on the fallback path. It creates an SCX-record that other threads
@@ -29,6 +29,9 @@
 //     inside a transaction it performs transactional reads and never
 //     helps (helping inside a transaction is both unnecessary for
 //     progress and harmful, Section 4).
+//   - LLXRead: the fallback path's read-only LLX of a record whose fields
+//     no SCX writes (a leaf). It reads info around the fields without
+//     following it to an SCX-record, and helps only a marked record's SCX.
 //
 // Property P1 — between any two changes to a record's user fields, a
 // value never previously contained in the info field is stored there —
@@ -210,6 +213,39 @@ func LLX(tx *htm.Tx, h *Hdr, readFields func()) (*Info, Status) {
 		help(rinfo2.Rec)
 	}
 	return nil, StatusFail
+}
+
+// LLXRead is the read-only LLX for a record whose fields no SCX's update
+// step writes — a leaf of a leaf-oriented tree, which an SCX only freezes
+// and finalizes — outside any transaction. It reads info, calls
+// readFields, reads info again and then marked. A changed info returns
+// StatusFail and the caller retries. A set marked goes through LLX's
+// helping path, so an SCX whose owner stopped after its mark step is
+// completed, and then returns StatusFinalized. Otherwise it returns
+// StatusOK, and the fields readFields read form an atomic snapshot.
+// There is no Info to return: the snapshot cannot be linked to an SCX.
+//
+// Unlike LLX it never looks at the state of the SCX-record info points
+// to, and is sound without it because of who writes the fields. An SCX
+// does not: freezing a record leaves them as they are. A middle-path
+// edit writes them in the transaction that stores a fresh tag in info
+// (P1), so an edit between the two reads of info changes it. A fast-path
+// edit leaves info alone, but never runs beside a fallback operation,
+// the only kind that calls this. And a record that is still unmarked
+// after the fields were read was not finalized while they were, so a
+// record that was reachable when it was reached stayed reachable
+// throughout the read.
+func LLXRead(h *Hdr, readFields func()) Status {
+	rinfo := h.info.Get(nil)
+	readFields()
+	if h.info.Get(nil) != rinfo {
+		return StatusFail
+	}
+	if h.marked.Get(nil) != 0 {
+		LLX(nil, h, nil)
+		return StatusFinalized
+	}
+	return StatusOK
 }
 
 // SCXO is the original lock-free SCX (paper Figure 2). v is the sequence

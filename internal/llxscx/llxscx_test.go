@@ -312,6 +312,110 @@ func TestLLXInTxNoHelping(t *testing.T) {
 	}
 }
 
+// tleaf is a Data-record whose field no SCX writes, as a leaf's: only an
+// in-place edit in a transaction that retags it changes val.
+type tleaf struct {
+	hdr Hdr
+	val htm.Word
+}
+
+// stoppedSCX builds the SCX-record of an SCXO that replaces root's child
+// c0 with c1 and finalizes c0, and runs it by hand as far as freezing
+// both records — and, with marked, its mark step too: the owner stopped
+// before its update CAS.
+func stoppedSCX(t *testing.T, root *troot, c0, c1 *tnode, marked bool) *SCXRecord {
+	t.Helper()
+	pi, _ := LLX(nil, &root.hdr, nil)
+	ci, _ := LLX(nil, &c0.hdr, nil)
+	rec := &SCXRecord{nv: 2, nr: 1,
+		fld: &fieldOp[tnode]{ref: &root.child, old: c0, new: c1}}
+	rec.state.Store(StateInProgress)
+	rec.v = [MaxV]*Hdr{&root.hdr, &c0.hdr}
+	rec.infos = [MaxV]*Info{pi, ci}
+	rec.r = [MaxV]*Hdr{&c0.hdr}
+	rec.self.Rec = rec
+	if !root.hdr.info.CAS(nil, pi, &rec.self) || !c0.hdr.info.CAS(nil, ci, &rec.self) {
+		t.Fatal("manual freeze failed")
+	}
+	if marked {
+		rec.allFrozen.Store(true)
+		c0.hdr.marked.Set(nil, 1)
+	}
+	return rec
+}
+
+// TestLLXReadQuiet: a record nothing touches reads StatusOK with its
+// fields, and so does one frozen for an SCX still in progress that has
+// not marked it — without helping that SCX, whose record LLXRead never
+// looks at.
+func TestLLXReadQuiet(t *testing.T) {
+	t.Parallel()
+	l := &tleaf{}
+	l.val.Init(7)
+	var got uint64
+	if st := LLXRead(&l.hdr, func() { got = l.val.Get(nil) }); st != StatusOK || got != 7 {
+		t.Fatalf("LLXRead(quiet) = %v, read %d; want ok, 7", st, got)
+	}
+
+	root, c0 := newChain()
+	rec := stoppedSCX(t, root, c0, tn(1), false)
+	called := false
+	if st := LLXRead(&c0.hdr, func() { called = true }); st != StatusOK || !called {
+		t.Fatalf("LLXRead(frozen, unmarked) = %v, fields read %v; want ok, true", st, called)
+	}
+	if rec.state.Load() != StateInProgress || root.child.Get(nil) != c0 {
+		t.Fatal("LLXRead of an unmarked record helped its SCX")
+	}
+}
+
+// TestLLXReadFailsOnRetag: a middle-path edit — a transaction that
+// retags the record (SCXInTx with R empty) and writes its field — that
+// commits between LLXRead's reads of info fails the snapshot.
+func TestLLXReadFailsOnRetag(t *testing.T) {
+	t.Parallel()
+	th := htm.New(htm.Config{}).NewThread()
+	var tags TagSource
+	l := &tleaf{}
+	var got uint64
+	st := LLXRead(&l.hdr, func() {
+		got = l.val.Get(nil)
+		ok, ab := th.Atomic(htm.PathMiddle, func(tx *htm.Tx) {
+			if _, st := LLX(tx, &l.hdr, nil); st != StatusOK {
+				tx.Abort(1)
+			}
+			SCXInTx(tx, &tags, []*Hdr{&l.hdr}, nil)
+			l.val.Set(tx, got+1)
+		})
+		if !ok {
+			t.Fatalf("the edit did not commit: %+v", ab)
+		}
+	})
+	if st != StatusFail {
+		t.Fatalf("LLXRead with a retag inside its field reads = %v, want fail", st)
+	}
+	if st := LLXRead(&l.hdr, func() { got = l.val.Get(nil) }); st != StatusOK || got != 1 {
+		t.Fatalf("LLXRead after the edit = %v, read %d; want ok, 1", st, got)
+	}
+}
+
+// TestLLXReadHelpsStoppedSCX: a record an SCXO froze and marked, whose
+// owner stopped after the mark step, reads StatusFinalized — and only
+// once the read has completed that SCX, so a fallback walk that meets
+// the record cannot be held up by the stopped owner.
+func TestLLXReadHelpsStoppedSCX(t *testing.T) {
+	t.Parallel()
+	root, c0 := newChain()
+	c1 := tn(1)
+	rec := stoppedSCX(t, root, c0, c1, true)
+	if st := LLXRead(&c0.hdr, func() {}); st != StatusFinalized {
+		t.Fatalf("LLXRead(marked) = %v, want finalized", st)
+	}
+	if rec.state.Load() != StateCommitted || root.child.Get(nil) != c1 {
+		t.Fatalf("after LLXRead: SCX state %d, child swung %v; want committed, true",
+			rec.state.Load(), root.child.Get(nil) == c1)
+	}
+}
+
 // TestMixedPathChainStress is the core interoperability test: threads
 // mixing all SCX flavours (fallback SCXO, standalone SCXHTM, and
 // whole-operation transactions with SCXInTx) repeatedly replace the

@@ -276,30 +276,27 @@ var designRules = []designRule{
 		// Word.Init and Pair.Init are the plain stores of every leaf a
 		// template-path update builds, Tx.fastRead and Tx.logFast the
 		// common transactional read, Thread.fallbackIdle the one load
-		// a 3-path update adds in front of its fast path, and Node.keys,
+		// a 3-path update adds in front of its fast path, Node.keys,
 		// Node.children and childIndex the (a,b)-tree descent's steps
-		// through an internal node: each is only that cheap inlined.
+		// through an internal node, and Node.slots its step into a leaf:
+		// each is only that cheap inlined.
 		name:   "the cheap helpers stay inlinable",
 		reason: "PRs 22, 47",
 		reads:  func(string) bool { return false },
 		build:  true,
 		check: func(in files) []string {
 			var out []string
-			for _, fn := range []string{"(*Word).Init", "(*Pair).Init", "(*Tx).fastRead", "(*Tx).logFast",
-				"(*Thread).fallbackIdle", "(*Node).keys", "(*Node).children", "childIndex"} {
+			for _, fn := range cheapHelpers {
 				if !strings.Contains(in[buildOut], "can inline "+fn) {
 					out = append(out, fn+" is no longer inlinable")
 				}
 			}
 			return out
 		},
-		controls: []files{{buildOut: "internal/htm/cell.go:124:6: can inline (*Word).Init\n" +
-			"internal/htm/cell.go:290:6: can inline (*Pair).Init\n" +
-			"internal/htm/tx.go:357:6: can inline (*Tx).fastRead\n" +
-			"internal/htm/tx.go:361:6: can inline (*Tx).logFast\n" +
-			"internal/engine/engine.go:705:6: can inline (*Thread).fallbackIdle\n" +
-			"internal/abtree/abtree.go:120:6: can inline (*Node).keys\n" +
-			"internal/abtree/abtree.go:128:6: can inline (*Node).children\n"}},
+		controls: []files{
+			{buildOut: cheapInlined("childIndex")},
+			{buildOut: cheapInlined("(*Node).slots")},
+		},
 	},
 	{
 		// A leaf's slots are a *[16]Pair indexed by a nibble of the
@@ -331,6 +328,43 @@ var designRules = []designRule{
 			"internal/abtree/ops.go": leafSrc,
 			buildOut:                 "internal/abtree/ops.go:9:21: Found IsInBounds\n",
 		}},
+	},
+	{
+		// An (a,b)-tree node is one allocation of one of two types,
+		// leafNode or internalNode, behind a Node header that child
+		// cells point at; Node.keys, Node.children and Node.slots
+		// convert the header to its kind with unsafe.Pointer. Another
+		// conversion, or a bare Node built on its own, is a *Node whose
+		// arrays lie outside its allocation (-race's checkptr faults
+		// the accessors' conversion of one).
+		name:   "abtree nodes come only in their two kinds",
+		reason: "ROADMAP B",
+		reads:  and(under("internal/abtree"), goSource),
+		check: func(in files) []string {
+			unsafeUse := regexp.MustCompile(`\bunsafe\.`)
+			var out []string
+			for _, p := range slices.Sorted(maps.Keys(in)) {
+				inAccessor := map[int]bool{}
+				for _, fn := range []string{"keys", "children", "slots"} {
+					body, first, _ := funcText(in[p], "Node", fn)
+					for _, n := range linesMatching(body, first, unsafeUse) {
+						inAccessor[n] = true
+					}
+				}
+				for _, n := range linesMatching(in[p], 1, unsafeUse) {
+					if !inAccessor[n] {
+						out = append(out, fmt.Sprintf("%s:%d: unsafe outside Node's kind accessors", p, n))
+					}
+				}
+			}
+			return append(out, grep(`&Node\{|\bnew\(Node\)|(^|[^[:alnum:]_.*])Node\{`)(in)...)
+		},
+		controls: []files{
+			{"internal/abtree/ops.go": "package abtree\n\nfunc (n *Node) pairs() *[MaxB]htm.Pair { return &(*leafNode)(unsafe.Pointer(n)).slotArr }\n"},
+			{"internal/abtree/pool.go": "\tn := &Node{leaf: leaf}"},
+			{"internal/abtree/abtree.go": "\tt.entry = new(Node)"},
+			{"internal/abtree/abtree.go": "\tl := leafNode{Node: Node{leaf: true}}"},
+		},
 	},
 	{
 		// `go test -run X` passes with "no tests to run" once X is
@@ -685,6 +719,23 @@ func getsInlined(recv, method, helper string) string {
 			for _, n := range linesMatching(body, first, regexp.MustCompile(`tx\.`+c.helper+`\(`)) {
 				fmt.Fprintf(&out, "internal/htm/cell.go:%d:5: inlining call to %s(*Tx).%s\n", n, pkg, c.helper)
 			}
+		}
+	}
+	return out.String()
+}
+
+// cheapHelpers are the functions "the cheap helpers stay inlinable"
+// requires the compiler to inline.
+var cheapHelpers = []string{"(*Word).Init", "(*Pair).Init", "(*Tx).fastRead", "(*Tx).logFast",
+	"(*Thread).fallbackIdle", "(*Node).keys", "(*Node).children", "(*Node).slots", "childIndex"}
+
+// cheapInlined is the compiler's verdicts on the cheap helpers, all but
+// missing inlined.
+func cheapInlined(missing string) string {
+	var out strings.Builder
+	for _, fn := range cheapHelpers {
+		if fn != missing {
+			fmt.Fprintf(&out, "internal/x.go:1:6: can inline %s\n", fn)
 		}
 	}
 	return out.String()
