@@ -9,13 +9,16 @@ import (
 	"htmtree/internal/htm"
 )
 
-// Allocation-regression gate (PR 5 acceptance): steady-state point
-// operations on the pooled BST and (a,b)-tree must not allocate. Inserts
-// draw nodes from the per-thread pools that deletions refill through
-// epoch-based reclamation, value updates mutate leaves in place, and the
-// engine/htm plumbing (transaction logs, op closures) is allocated once
-// per handle — so after warmup, AllocsPerRun must
-// observe zero.
+// Allocation-regression gate: steady-state point operations on the
+// pooled BST and (a,b)-tree must not allocate. Inserts draw nodes from
+// the per-thread pools that deletions refill through epoch-based
+// reclamation, value updates mutate leaves in place, the op closures are
+// built once per handle, and a transaction's read log is its thread's
+// own up to 64 entries (which every point operation fits) and past that
+// a long log borrowed from one process-wide free list and given back
+// when the attempt ends — so after warmup, AllocsPerRun must observe
+// zero. A range query appends to the caller's slice, so a scan with a
+// reused slice allocates nothing either.
 //
 // CI runs this test explicitly by name; a regression here
 // means something on the hot path started allocating again.

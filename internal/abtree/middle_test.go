@@ -119,9 +119,10 @@ func TestMiddleSplitMarksLeaf(t *testing.T) {
 }
 
 // TestFallbackSearchRetriesOnRetag: a middle-path delete that edits the
-// fallback Search's leaf between the reads of its LLX — from inside the
-// LLX's field reads, at fault.PointSearchLeaf — fails the snapshot, and
-// the search retries and reports the key gone.
+// fallback Search's leaf between the two info loads of its
+// llxscx.LLXRead — from inside the leaf's field reads, at
+// fault.PointSearchLeaf — fails the snapshot, and the search retries and
+// reports the key gone.
 func TestFallbackSearchRetriesOnRetag(t *testing.T) {
 	t.Parallel()
 	const key = 30

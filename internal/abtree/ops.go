@@ -323,7 +323,7 @@ func insertAt(buf []kv, pos int, p kv) []kv {
 // rqInTx collects [lo,hi) inside a transaction (fast/middle paths; TLE
 // locked body when tx == nil).
 func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
-	h.Range = h.Range[:0]
+	h.RestartRange()
 	t.rqWalk(tx, t.entry.children()[0].Get(tx), h)
 }
 
@@ -371,7 +371,7 @@ func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
 // those). It reports false on any snapshot that is not StatusOK; the
 // fallback loop then restarts it from the root.
 func (t *Tree) rqFallback(h *Handle) bool {
-	h.Range = h.Range[:0]
+	h.RestartRange()
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.entry.hdr, func() {
 		root = t.entry.children()[0].Get(nil)

@@ -243,7 +243,7 @@ func (t *Tree) searchBody(tx *htm.Tx, h *Handle) {
 // operation toward the fallback path — the dynamic that defines the
 // paper's heavy workloads.
 func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
-	h.Range = h.Range[:0]
+	h.RestartRange()
 	t.rqWalkTx(tx, t.root.l.Get(tx), h)
 }
 
@@ -267,7 +267,7 @@ func (t *Tree) rqWalkTx(tx *htm.Tx, n *Node, h *Handle) {
 // when a concurrent SCX invalidates a node (returns false so the engine
 // retries).
 func (t *Tree) rqFallback(h *Handle) bool {
-	h.Range = h.Range[:0]
+	h.RestartRange()
 	var root *Node
 	if _, st := llxscx.LLX(nil, &t.root.hdr, func() {
 		root = t.root.l.Get(nil)

@@ -23,12 +23,20 @@ type Handle[N any] struct {
 	Pool *nodepool.Pool[N]
 
 	// Key and Val are a point operation's arguments and Lo and Hi a range
-	// query's; Res receives a point operation's result and Range a range
-	// query's pairs.
+	// query's; Res receives a point operation's result.
 	Key, Val uint64
 	Lo, Hi   uint64
 	Res      Result
-	Range    []dict.KV
+	// Range is the caller's result slice while a range query runs, and
+	// nil between calls: the walks append the pairs to it, and every
+	// attempt starts over at the length the caller's slice came with
+	// (RestartRange). So the result is not copied once more, and the
+	// handle keeps no buffer as long as its longest scan, nor a
+	// reference to the caller's.
+	Range     []dict.KV
+	rangeBase int
+	// aggOut is RangeAgg's scratch for the pairs it folds.
+	aggOut []dict.KV
 
 	// The tree's operations: its updates built by TemplateOp, its
 	// read-only operations from one transactional body and a fallback
@@ -89,34 +97,46 @@ func (h *Handle[N]) Search(key uint64) (uint64, bool) {
 // RangeQuery appends all pairs with lo <= key < hi to out in ascending
 // key order.
 func (h *Handle[N]) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
-	h.setRange(lo, hi)
+	h.setRange(lo, hi, out)
 	h.Th.Run(h.RangeOp)
-	return append(out, h.Range...)
+	return h.takeRange()
 }
 
 // RangeAgg returns the aggregate tuple of the keys in [lo, hi): the
-// range query's own op, folded (dict.Fold). The collected range stays in
-// the handle scratch, so steady-state queries allocate nothing. The
-// error is always nil.
+// range query's own op, folded (dict.Fold). The pairs are collected into
+// the handle's one fold scratch, so steady-state queries allocate
+// nothing. The error is always nil.
 func (h *Handle[N]) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	h.setRange(lo, hi)
-	h.Th.Run(h.RangeOp)
-	return dict.Fold(h.Range), nil
+	h.aggOut = h.RangeQuery(lo, hi, h.aggOut[:0])
+	return dict.Fold(h.aggOut), nil
 }
+
+// RestartRange truncates the range result to the caller's prefix: a walk
+// calls it before collecting, on every attempt and every fallback retry,
+// so that nothing an abandoned attempt appended is kept.
+func (h *Handle[N]) RestartRange() { h.Range = h.Range[:h.rangeBase] }
 
 // setRange stores a range query's arguments in the handle scratch, hi
 // clamped to the key space so that no walk reaches a tree's sentinel
-// keys, and its extent in the op as the call's footprint hint: the cells
-// a scan reads grow with the keys it covers, and which extents fit a
-// transaction is the site's to learn (Op.Hint).
-func (h *Handle[N]) setRange(lo, hi uint64) {
+// keys, the caller's slice as the result to append to, and the extent in
+// the op as the call's footprint hint: the cells a scan reads grow with
+// the keys it covers, and which extents fit a transaction is the site's
+// to learn (Op.Hint).
+func (h *Handle[N]) setRange(lo, hi uint64, out []dict.KV) {
 	hi = min(hi, dict.MaxKey+1)
 	h.Lo, h.Hi = lo, hi
-	h.Range = h.Range[:0]
+	h.Range, h.rangeBase = out, len(out)
 	h.RangeOp.Hint = 0
 	if hi > lo {
 		h.RangeOp.Hint = hi - lo
 	}
+}
+
+// takeRange returns the range result and lets go of it.
+func (h *Handle[N]) takeRange() []dict.KV {
+	out := h.Range
+	h.Range = nil
+	return out
 }
 
 // Pinned reads (dict.PinnedReader): the range query's own op, run as one
@@ -128,12 +148,13 @@ func (h *Handle[N]) PinEnter()      { h.Th.EnterReclaim() }
 func (h *Handle[N]) PinExit()       { h.Th.ExitReclaim() }
 
 func (h *Handle[N]) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
-	h.setRange(lo, hi)
+	h.setRange(lo, hi, out)
 	st := h.Th.RunAt(&h.RangeOp, rv)
+	res := h.takeRange()
 	if st != dict.PinCommitted {
 		return out, st
 	}
-	return append(out, h.Range...), st
+	return res, st
 }
 
 // ReclaimStats returns a snapshot of the handle's pool counters.

@@ -3,6 +3,7 @@ package htm
 import (
 	"fmt"
 	"runtime"
+	"sync"
 	"sync/atomic"
 	"unsafe"
 
@@ -192,6 +193,25 @@ type readEntry struct {
 	seen uint64
 }
 
+// ownReads is how many read-set entries a transaction logs in its
+// thread's own read log (1 KB), which grows by append from empty up to
+// this size. Point operations of both trees fit it (the largest read set
+// measured on the benchmark's trees is 47 entries, an (a,b)-tree
+// update), so they never leave it; an attempt that reads more borrows a
+// long log (Tx.borrow). On hardware a read set lives in the core's
+// cache and costs no memory per thread; here a log sized by the longest
+// transaction a thread ever ran would be kept by every thread of every
+// shard, idle or not.
+const ownReads = 64
+
+// longLogs is the process-wide free list of long read logs: a stack, so
+// it never holds more logs than were borrowed at one time. Every log on
+// it is zeroed (Tx.giveBack), so it keeps no cell, and no tree, alive.
+var longLogs struct {
+	mu   sync.Mutex
+	free [][]readEntry
+}
+
 // entryKind says what a write-set entry does to its cell at commit.
 type entryKind uint8
 
@@ -229,8 +249,12 @@ type Tx struct {
 	// rvw is the attempt's snapshot as a version word, rv<<1: a cell is
 	// readable at the snapshot when its unlocked version word is no
 	// greater.
-	rvw   uint64
+	rvw uint64
+	// reads is the read set: the thread's own log, or a long log the
+	// attempt borrowed once it outgrew that (own then holds the
+	// thread's own log, and is nil otherwise).
 	reads []readEntry
+	own   []readEntry
 	// fast is how many read-set entries the inline read (fastRead) may
 	// hold: min(cap(reads), readCap), so an admitted read neither grows
 	// the log nor passes the capacity; 0 while the attempt is armed or
@@ -299,9 +323,12 @@ func (tx *Tx) setFast() {
 // drop forgets the logged accesses of an abandoned attempt. The write
 // set buffers ptr values and the per-thread Tx lives as long as the
 // thread, so the entries must be zeroed — not just truncated — or the
-// dead attempt would pin arbitrary nodes against reclamation.
+// dead attempt would pin arbitrary nodes against reclamation. That
+// holds for the thread's own read log too when the attempt had
+// borrowed another (giveBack then returns that one).
 func (tx *Tx) drop() {
 	clear(tx.reads[:cap(tx.reads)])
+	clear(tx.own[:cap(tx.own)])
 	clear(tx.writes[:cap(tx.writes)])
 	tx.reads = tx.reads[:0]
 	tx.writes = tx.writes[:0]
@@ -440,11 +467,54 @@ func (tx *Tx) admitSlow(n, limit int) {
 }
 
 // logRead admits a read the Get's slow half made and appends it to the
-// read set. An append may grow the log, so it recomputes fast.
+// read set, borrowing a long log when the thread's own one is full. An
+// append may grow the log, so it recomputes fast.
 func (tx *Tx) logRead(ver *atomic.Uint64, seen uint64) {
 	tx.admit(len(tx.reads), tx.readCap)
+	if len(tx.reads) == ownReads && tx.own == nil {
+		tx.borrow()
+	}
 	tx.reads = append(tx.reads, readEntry{ver: ver, seen: seen})
+	if tx.own == nil {
+		// The own log stops at ownReads entries, whatever size class
+		// append rounded its array up to.
+		tx.reads = tx.reads[:len(tx.reads):min(cap(tx.reads), ownReads)]
+	}
 	tx.setFast()
+}
+
+// borrow moves the read set to a long log from the free list (a new
+// one when the list is empty): the entries logged so far are copied
+// over, so extend and commit validate them as before, and the log grows
+// by append from there, never preallocated to the read capacity.
+func (tx *Tx) borrow() {
+	var l []readEntry
+	longLogs.mu.Lock()
+	if n := len(longLogs.free); n > 0 {
+		l = longLogs.free[n-1]
+		longLogs.free[n-1] = nil
+		longLogs.free = longLogs.free[:n-1]
+	}
+	longLogs.mu.Unlock()
+	tx.own = tx.reads
+	tx.reads = append(l, tx.reads...)
+}
+
+// giveBack ends the attempt's use of a borrowed log, if it has one: the
+// used entries are zeroed, so a log on the free list pins no cell (and
+// no tree) against collection, the log goes back on the list, and the
+// thread's own log is the read set again. Every attempt ends here, on
+// commit, abort or a foreign panic.
+func (tx *Tx) giveBack() {
+	if tx.own == nil {
+		return
+	}
+	l := tx.reads
+	clear(l)
+	tx.reads, tx.own = tx.own[:0], nil
+	longLogs.mu.Lock()
+	longLogs.free = append(longLogs.free, l[:0])
+	longLogs.mu.Unlock()
 }
 
 // sigBit maps a version-word address to its bit of the write-set
@@ -622,6 +692,7 @@ func (th *Thread) Atomic(path PathKind, fn func(tx *Tx)) (bool, Abort) {
 // and reports it.
 func (th *Thread) finish(tx *Tx, path PathKind, fn func(tx *Tx)) (bool, Abort) {
 	cause, code := th.runTx(tx, fn)
+	tx.giveBack()
 	th.inTx = false
 	if cause == CauseNone {
 		atomic.AddUint64(&th.stats.Commits[path], 1)
@@ -681,6 +752,7 @@ func (th *Thread) runTx(tx *Tx, fn func(tx *Tx)) (cause AbortCause, code uint8) 
 			// pin nodes against reclamation on a thread that never
 			// transacts again.
 			tx.drop()
+			tx.giveBack()
 			th.inTx = false
 			panic(r)
 		}
