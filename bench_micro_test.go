@@ -119,30 +119,51 @@ func BenchmarkMicroTxWriteSet(b *testing.B) {
 	}
 }
 
-// microPair is microCell for a Pair.
+// microPair is microCell for a Pair: one entry under a Block of its
+// own.
 type microPair struct {
+	b htm.Block
 	p htm.Pair
-	_ [5]uint64
+	_ [3]uint64
+}
+
+// microLeaf is a Block over an (a,b)-tree leaf's 17 entries: its order
+// word and MaxB slots.
+type microLeaf struct {
+	b htm.Block
+	e [abtree.MaxB + 1]htm.Pair
 }
 
 // BenchmarkMicroTxPairSet is BenchmarkMicroTxWriteSet for the Pair entry
-// kind — what a fast-path (a,b)-tree update's leaf shift buffers: one
-// transaction that sets n distinct pairs and commits (one lock, two
-// value stores and one version store per entry).
+// kind. Its numbered rows set one entry in each of n distinct blocks
+// and commit (one lock, two value stores and one version store per
+// entry); ns/entry must stay as flat from 8 to 128 as Word entries'.
+// Its leaf row sets all 17 entries of one block, an (a,b)-tree leaf's,
+// and commits with one lock and one version store for all of them.
 func BenchmarkMicroTxPairSet(b *testing.B) {
-	for _, n := range []int{8, 128} {
-		b.Run(strconv.Itoa(n), func(b *testing.B) {
-			tm := htm.New(htm.Config{})
-			th := tm.NewThread()
-			cells := make([]*microPair, n)
-			for i := range cells {
-				cells[i] = new(microPair)
+	rows := func(n int) (name string, body func(tx *htm.Tx)) {
+		cells := make([]*microPair, n)
+		for i := range cells {
+			cells[i] = new(microPair)
+		}
+		return strconv.Itoa(n), func(tx *htm.Tx) {
+			for _, c := range cells {
+				c.b.Set(tx, &c.p, 1, 2)
 			}
-			body := func(tx *htm.Tx) {
-				for _, c := range cells {
-					c.p.Set(tx, 1, 2)
-				}
+		}
+	}
+	leaf := new(microLeaf)
+	for _, n := range []int{8, 128, len(leaf.e)} {
+		name, body := "leaf", func(tx *htm.Tx) {
+			for i := range leaf.e {
+				leaf.b.Set(tx, &leaf.e[i], 1, 2)
 			}
+		}
+		if n != len(leaf.e) {
+			name, body = rows(n)
+		}
+		b.Run(name, func(b *testing.B) {
+			th := htm.New(htm.Config{}).NewThread()
 			th.Atomic(htm.PathFast, body)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -195,7 +216,7 @@ type microRef struct {
 }
 
 // BenchmarkMicroTxRead is the number for the inline transactional read
-// (Word.Get, Pair.Get and Ref.Get with Tx.fastRead): one read-only
+// (Word.Get, Block.Get and Ref.Get with Tx.fastRead): one read-only
 // transaction that reads n separately allocated cells of one kind and
 // commits, in ns per read (ns/read). The pinned variant begins its
 // attempts with AtomicAt at a Clock.Pin value taken once, as a pinned
@@ -221,7 +242,7 @@ func BenchmarkMicroTxRead(b *testing.B) {
 			}
 			return func(tx *htm.Tx) {
 				for _, c := range cells {
-					a, b := c.p.Get(tx)
+					a, b := c.b.Get(tx, &c.p)
 					sum += a + b
 				}
 			}
@@ -281,6 +302,7 @@ func BenchmarkMicroTxRead(b *testing.B) {
 // which is what this number is here to keep true. ns/cell; 16 Pairs and
 // one Word, the cells an (a,b)-tree leaf rewrites at most.
 func BenchmarkMicroTxInit(b *testing.B) {
+	var blk htm.Block
 	var pairs [16]htm.Pair
 	var word htm.Word
 	const cells = len(pairs) + 1
@@ -292,7 +314,7 @@ func BenchmarkMicroTxInit(b *testing.B) {
 			}
 			word.Init(v)
 		}
-		if a, _ := pairs[15].Get(nil); a != uint64(b.N-1) || word.Get(nil) != a {
+		if a, _ := blk.Get(nil, &pairs[15]); a != uint64(b.N-1) || word.Get(nil) != a {
 			b.Fatal("cells do not hold the last value stored")
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(cells), "ns/cell")

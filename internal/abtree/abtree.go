@@ -70,36 +70,39 @@ const (
 // structural changes replace the node. The children are cells, which the
 // fast path re-points in place.
 //
-// Leaves: slots is unsorted storage, one (key, value) cell per entry — a
-// key and its value are read and written together, as the one cache line
-// they share on hardware — and ord, the order word (perm.go), is the one
-// cell that says which slots are live and in what key order: (perm,
-// size), where perm's nibbles 0..size-1 name the slots in ascending key
-// order and the nibbles from size up are the free slots. Every reader
-// reads ord first and reaches the slots through permAt. They are cells
-// because the fast and middle paths mutate them in place — an insert
-// writes the first free slot and ord, a delete ord alone; the fallback
-// paths replace the leaf instead and read them only under an LLX or an
+// Leaves: slots is unsorted storage, one (key, value) entry per slot,
+// and ord, the order word (perm.go), is the one entry that says which
+// slots are live and in what key order: (perm, size), where perm's
+// nibbles 0..size-1 name the slots in ascending key order and the
+// nibbles from size up are the free slots. Every reader reads ord first
+// and reaches the slots through permAt. All of them are entries of one
+// htm.Block, the leaf's version word ver: hardware tracks a leaf's four
+// lines, not its words, so a transaction reading any entry logs ver, and
+// one writing several locks and stamps it once (an insert writes the
+// first free slot and ord, a delete ord alone). They are transactional
+// because the fast and middle paths mutate them in place; the fallback
+// paths replace the leaf instead and read it only under an LLX or an
 // llxscx.LLXRead, which the middle path's edits fail by retagging the
-// leaf. slots returns an array of MaxB cells whatever b is, so the
+// leaf. slots returns an array of MaxB entries whatever b is, so the
 // compiler can prove a slot index (a nibble of the order word) in range.
 //
 // The header holds the flags and the degree, none of them written after
-// publication, then the leaf's order word, which every in-place edit
-// writes and every visitor of a leaf reads beside the leaf flag (an
-// internal node leaves it zero), then the SCX header, which middle-path
-// edits and template-path SCXs write and the fast path never touches. A
-// leaf is the header and MaxB 24-byte slots, 448 bytes; an internal node
-// is the header, 15 keys and 16 child cells, 440 bytes. Both fall in the
-// allocator's 448-byte size class, whose objects start on line
-// boundaries (448 = 7 × 64), so the header is one line and an internal
-// node's keys follow it with no pointer to load first.
+// publication, then the leaf's version word and order word, which every
+// in-place edit writes and every visitor of a leaf reads beside the leaf
+// flag (an internal node leaves them zero), then the SCX header, which
+// middle-path edits and template-path SCXs write and the fast path never
+// touches. A leaf is the header and MaxB 16-byte slots, 320 bytes = 5 ×
+// 64, its own size class; an internal node is the header, 15 keys and 16
+// child cells, 440 bytes, in the 448-byte class (7 × 64). Objects of
+// both classes start on line boundaries, so the header is one line and
+// the arrays follow it with no pointer to load first.
 // TestNodeFootprint pins the sizes and the offsets.
 type Node struct {
 	leaf   bool
 	tagged bool
 	deg    uint8
-	ord    htm.Pair // leaves only
+	ver    htm.Block // leaves only: over ord and the slots
+	ord    htm.Pair  // leaves only
 	hdr    llxscx.Hdr
 }
 
@@ -124,7 +127,7 @@ func (n *Node) children() []htm.Ref[Node] {
 	return (*internalNode)(unsafe.Pointer(n)).childArr[:n.deg]
 }
 
-// slots returns a leaf's slot cells.
+// slots returns a leaf's slot entries, under n.ver.
 func (n *Node) slots() *[MaxB]htm.Pair { return &(*leafNode)(unsafe.Pointer(n)).slotArr }
 
 // kv is a key/value pair in flight between nodes.
@@ -283,10 +286,10 @@ func (t *Tree) KeySum() (sum, count uint64) {
 	var walk func(n *Node)
 	walk = func(n *Node) {
 		if n.leaf {
-			perm, sz := n.ord.Get(nil)
+			perm, sz := n.ver.Get(nil, &n.ord)
 			slots := n.slots()
 			for i := 0; i < int(sz); i++ {
-				k, _ := slots[permAt(perm, i)].Get(nil)
+				k, _ := n.ver.Get(nil, &slots[permAt(perm, i)])
 				sum += k
 			}
 			count += sz
@@ -340,7 +343,7 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			return fmt.Errorf("abtree: reachable marked node at depth %d", depth)
 		}
 		if n.leaf {
-			perm, size := n.ord.Get(nil)
+			perm, size := n.ver.Get(nil, &n.ord)
 			sz := int(size)
 			if err := checkOrd(perm, size, t.cfg.B); err != nil {
 				return err
@@ -351,7 +354,7 @@ func (t *Tree) CheckInvariants(strict bool) error {
 			prev := uint64(0)
 			slots := n.slots()
 			for i := 0; i < sz; i++ {
-				k, _ := slots[permAt(perm, i)].Get(nil)
+				k, _ := n.ver.Get(nil, &slots[permAt(perm, i)])
 				if i > 0 && k <= prev {
 					return fmt.Errorf("abtree: leaf keys unsorted (%d after %d)", k, prev)
 				}

@@ -48,7 +48,7 @@ func TestRangeAggSkipsEmptySubtrees(t *testing.T) {
 			var walk func(n *Node)
 			walk = func(n *Node) {
 				if n.leaf {
-					if _, sz := n.ord.Get(nil); sz == 0 {
+					if _, sz := n.ver.Get(nil, &n.ord); sz == 0 {
 						empty++
 					}
 					return

@@ -161,6 +161,6 @@ func TestFallbackSearchRetriesOnRetag(t *testing.T) {
 
 // leafSize reads the size in a leaf's order word.
 func leafSize(u *Node) int {
-	_, sz := u.ord.Get(nil)
+	_, sz := u.ver.Get(nil, &u.ord)
 	return int(sz)
 }

@@ -1,7 +1,6 @@
 package abtree
 
 import (
-	"htmtree/internal/dict"
 	"htmtree/internal/engine"
 	"htmtree/internal/fault"
 	"htmtree/internal/htm"
@@ -78,12 +77,12 @@ func (t *Tree) searchLeaf(tx *htm.Tx, key uint64) (gp, p, u *Node, pIdx, uIdx in
 // it and whether it is present, and the order word it searched — perm and
 // size — so that no caller reads ord again.
 func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool, perm uint64, size int) {
-	perm, sz := u.ord.Get(tx)
+	perm, sz := u.ver.Get(tx, &u.ord)
 	slots := u.slots()
 	lo, hi := 0, int(sz)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		k, v := slots[permAt(perm, mid)].Get(tx)
+		k, v := u.ver.Get(tx, &slots[permAt(perm, mid)])
 		if k == key {
 			return mid, v, true, perm, int(sz)
 		}
@@ -100,10 +99,10 @@ func leafFind(tx *htm.Tx, u *Node, key uint64) (pos int, val uint64, found bool,
 // order.
 func readLeaf(tx *htm.Tx, u *Node, buf *[]kv) {
 	*buf = (*buf)[:0]
-	perm, sz := u.ord.Get(tx)
+	perm, sz := u.ver.Get(tx, &u.ord)
 	slots := u.slots()
 	for i := 0; i < int(sz); i++ {
-		k, v := slots[permAt(perm, i)].Get(tx)
+		k, v := u.ver.Get(tx, &slots[permAt(perm, i)])
 		*buf = append(*buf, kv{k: k, v: v})
 	}
 }
@@ -128,17 +127,18 @@ func (t *Tree) insertBody(pr *prims) bool {
 		if found {
 			pr.EditInPlace(&u.hdr)
 			*pr.Res = engine.Result{Val: old, Found: true}
-			setPair(tx, &slots[permAt(perm, pos)], key, val)
+			u.ver.Set(tx, &slots[permAt(perm, pos)], key, val)
 			return true
 		}
 		*pr.Res = engine.Result{}
 		if sz < b {
 			// Fill the first free slot and give it the key's rank: two
-			// writes, wherever in the leaf the key belongs.
+			// write-set entries under the leaf's one version word,
+			// wherever in the leaf the key belongs.
 			pr.EditInPlace(&u.hdr)
 			perm = permInsert(perm, pos, sz)
-			setPair(tx, &slots[permAt(perm, pos)], key, val)
-			setPair(tx, &u.ord, perm, uint64(sz+1))
+			u.ver.Set(tx, &slots[permAt(perm, pos)], key, val)
+			u.ver.Set(tx, &u.ord, perm, uint64(sz+1))
 			return true
 		}
 		if pr.Mode == engine.ModeFast {
@@ -153,9 +153,9 @@ func (t *Tree) insertBody(pr *prims) bool {
 			right := h.newLeaf(h.buf[lo:])
 			if pos < lo {
 				perm = permInsert(perm, pos, lo-1)
-				setPair(tx, &slots[permAt(perm, pos)], key, val)
+				u.ver.Set(tx, &slots[permAt(perm, pos)], key, val)
 			}
-			setPair(tx, &u.ord, perm, uint64(lo))
+			u.ver.Set(tx, &u.ord, perm, uint64(lo))
 			h.kbuf = append(h.kbuf[:0], h.buf[lo].k)
 			h.cbuf = append(h.cbuf[:0], u, right)
 			np := h.newInternal(h.kbuf, h.cbuf, p != t.entry)
@@ -242,7 +242,7 @@ func (t *Tree) deleteBody(pr *prims) bool {
 		// the key's slot goes back to the free list and keeps its
 		// contents, which no rank names any more.
 		pr.EditInPlace(&u.hdr)
-		setPair(tx, &u.ord, permDelete(perm, pos, sz), uint64(sz-1))
+		u.ver.Set(tx, &u.ord, permDelete(perm, pos, sz), uint64(sz-1))
 		*pr.Res = engine.Result{Val: old, Found: true, NeedFix: p != t.entry && sz-1 < a}
 		return true
 	}
@@ -354,12 +354,12 @@ func rqChildOverlaps(n *Node, i int, lo, hi uint64) bool {
 }
 
 func rqCollectLeaf(tx *htm.Tx, n *Node, h *Handle) {
-	perm, sz := n.ord.Get(tx)
+	perm, sz := n.ver.Get(tx, &n.ord)
 	slots := n.slots()
 	for i := 0; i < int(sz); i++ {
-		k, v := slots[permAt(perm, i)].Get(tx)
+		k, v := n.ver.Get(tx, &slots[permAt(perm, i)])
 		if k >= h.Lo && k < h.Hi {
-			h.Range = append(h.Range, dict.KV{Key: k, Val: v})
+			h.Collect(k, v)
 		}
 	}
 }

@@ -1,7 +1,5 @@
 package abtree
 
-import "htmtree/internal/htm"
-
 // Node pooling (paper Section 9): the shared discipline lives in
 // internal/nodepool, which hands out only nodes that waited out a grace
 // period (or were drawn fresh and never published). No thread can hold
@@ -45,14 +43,4 @@ func (h *Handle) newInternal(keys []uint64, children []*Node, tagged bool) *Node
 	n.hdr.Reset()
 	n.fill(keys, children, tagged)
 	return n
-}
-
-// setPair writes a leaf cell in the body's transaction, or, with a nil
-// tx (TLE's locked body), stores it at once.
-func setPair(tx *htm.Tx, c *htm.Pair, a, b uint64) {
-	if tx == nil {
-		c.Store(a, b)
-		return
-	}
-	c.Set(tx, a, b)
 }

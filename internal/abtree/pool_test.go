@@ -157,24 +157,27 @@ func TestInternalArrayReuse(t *testing.T) {
 // TestNodeFootprint pins the memory a node costs, so a layout regression
 // fails here by name instead of surfacing as the benchmark's
 // live_heap_mb. A node is one allocation: a 64-byte header line — the
-// flags, the degree, a leaf's order word and the SCX header, what every
-// visitor reads — and its kind's arrays inline behind it. A leaf is the
-// header and MaxB 24-byte slots, 448 bytes; an internal node is the
-// header, MaxB-1 keys and MaxB 16-byte child cells, 440 bytes. Both are
-// in the allocator's 448-byte size class, whose objects start at
-// multiples of 448 = 7 × 64 in page-aligned spans, so field offsets are
-// cache-line offsets. The pools keep one list per kind, so a node drawn
-// back from them keeps the allocation it was born with.
+// flags, the degree, a leaf's version word and order word and the SCX
+// header, what every visitor reads — and its kind's arrays inline
+// behind it. A leaf is the header and MaxB 16-byte slots under the
+// header's one version word, 320 bytes, the allocator's 320-byte size
+// class (5 × 64); an internal node is the header, MaxB-1 keys and MaxB
+// 16-byte child cells, 440 bytes, in the 448-byte class (7 × 64). Both
+// classes' objects start at multiples of their size in page-aligned
+// spans, so field offsets are cache-line offsets. The pools keep one
+// list per kind, so a node drawn back from them keeps the allocation it
+// was born with.
 func TestNodeFootprint(t *testing.T) {
 	const line = 64
-	if got := unsafe.Sizeof(htm.Pair{}); got != 24 {
-		t.Errorf("htm.Pair is %d bytes, want 24", got)
+	if got := unsafe.Sizeof(htm.Pair{}); got != 16 {
+		t.Errorf("htm.Pair is %d bytes, want 16", got)
 	}
 	if got := unsafe.Sizeof(Node{}); got != line {
 		t.Errorf("Node is %d bytes, want one %d-byte line", got, line)
 	}
 	var n Node
 	for name, f := range map[string][2]uintptr{
+		"ver": {unsafe.Offsetof(n.ver), unsafe.Sizeof(n.ver)},
 		"ord": {unsafe.Offsetof(n.ord), unsafe.Sizeof(n.ord)},
 		"hdr": {unsafe.Offsetof(n.hdr), unsafe.Sizeof(n.hdr)},
 	} {
@@ -185,7 +188,7 @@ func TestNodeFootprint(t *testing.T) {
 	var l leafNode
 	var in internalNode
 	for name, c := range map[string]struct{ got, want uintptr }{
-		"a leaf":                      {unsafe.Sizeof(l), 448},
+		"a leaf":                      {unsafe.Sizeof(l), 320},
 		"an internal node":            {unsafe.Sizeof(in), 440},
 		"a leaf's slots' offset":      {unsafe.Offsetof(l.slotArr), line},
 		"an internal node's keys'":    {unsafe.Offsetof(in.keyArr), line},
@@ -274,8 +277,8 @@ func TestLeafReuseMovesNoVersion(t *testing.T) {
 	var size uint64
 	ok, ab := tr.tm.NewThread().AtomicAt(htm.PathFast, rv, func(tx *htm.Tx) {
 		var perm uint64
-		perm, size = n.ord.Get(tx)
-		got.k, got.v = n.slots()[permAt(perm, 0)].Get(tx)
+		perm, size = n.ver.Get(tx, &n.ord)
+		got.k, got.v = n.ver.Get(tx, &n.slots()[permAt(perm, 0)])
 		if n.hdr.Marked(tx) || n.hdr.InfoValue(tx) != nil {
 			t.Error("reused leaf's header is not reset")
 		}

@@ -40,7 +40,7 @@ func (t *Tree) findViolation(tx *htm.Tx, key uint64) violation {
 	for {
 		if n.leaf {
 			if p != t.entry {
-				if _, sz := n.ord.Get(tx); int(sz) < a {
+				if _, sz := n.ver.Get(tx, &n.ord); int(sz) < a {
 					return violation{kind: vUnderfull, gp: gp, p: p, n: n, pIdx: pIdx, nIdx: nIdx}
 				}
 			}

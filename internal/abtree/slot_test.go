@@ -174,14 +174,14 @@ func TestTLELockedInsertAbortsFastReader(t *testing.T) {
 	var got uint64
 	read := false
 	ok, ab := tr.tm.NewThread().Atomic(htm.PathFast, func(tx *htm.Tx) {
-		perm, size := u.ord.Get(tx)
+		perm, size := u.ver.Get(tx, &u.ord)
 		slot := &u.slots()[permAt(perm, int(size))] // the first free slot
-		slot.Get(tx)
+		u.ver.Get(tx, slot)
 		// The insert as TLE runs it while holding its lock.
 		h.Key, h.Val = 10, 100
 		tr.insertBody(h.prims(engine.ModeFast, nil))
 		h.Pool.Settle()
-		got, _ = slot.Get(tx)
+		got, _ = u.ver.Get(tx, slot)
 		read = true
 	})
 	if ok || ab.Cause != htm.CauseConflict || read {

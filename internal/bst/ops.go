@@ -1,7 +1,6 @@
 package bst
 
 import (
-	"htmtree/internal/dict"
 	"htmtree/internal/engine"
 	"htmtree/internal/htm"
 	"htmtree/internal/llxscx"
@@ -250,7 +249,7 @@ func (t *Tree) rqInTx(tx *htm.Tx, h *Handle) {
 func (t *Tree) rqWalkTx(tx *htm.Tx, n *Node, h *Handle) {
 	if n.leaf {
 		if k := n.key; k >= h.Lo && k < h.Hi {
-			h.Range = append(h.Range, dict.KV{Key: k, Val: n.val.Get(tx)})
+			h.Collect(k, n.val.Get(tx))
 		}
 		return
 	}
@@ -280,7 +279,7 @@ func (t *Tree) rqFallback(h *Handle) bool {
 func (t *Tree) rqWalkLLX(n *Node, h *Handle) bool {
 	if n.leaf {
 		if k := n.key; k >= h.Lo && k < h.Hi {
-			h.Range = append(h.Range, dict.KV{Key: k, Val: n.val.Get(nil)})
+			h.Collect(k, n.val.Get(nil))
 		}
 		return true
 	}

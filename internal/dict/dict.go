@@ -38,6 +38,13 @@ func (a *Agg) Merge(o Agg) {
 	}
 }
 
+// Add folds one key into a.
+func (a *Agg) Add(k uint64) {
+	a.Sum += k
+	a.Count++
+	a.Min, a.Max = min(a.Min, k), max(a.Max, k)
+}
+
 // Fold returns the aggregate tuple of the keys in kvs, which must be in
 // ascending key order, as RangeQuery returns them.
 func Fold(kvs []KV) Agg {
@@ -54,11 +61,12 @@ func Fold(kvs []KV) Agg {
 }
 
 // AggHandle is optionally implemented by handles that answer aggregate
-// range queries. Every implementation folds its own RangeQuery (Fold),
-// so a query costs what the range query over the same window costs, and
-// is exactly as atomic. The error is always nil for unsharded trees; the
-// sharded dictionary rejects aggregate queries when its configuration
-// cannot make them atomic.
+// range queries. Every implementation folds the pairs its own
+// RangeQuery would return (Agg.Add, Fold), so a query costs what the
+// range query over the same window costs, and is exactly as atomic. The
+// error is always nil for unsharded trees; the sharded dictionary
+// rejects aggregate queries when its configuration cannot make them
+// atomic.
 type AggHandle interface {
 	// RangeAgg returns the aggregate tuple of the keys in [lo, hi).
 	RangeAgg(lo, hi uint64) (Agg, error)
@@ -105,6 +113,9 @@ type PinnedReader interface {
 	// RangeQueryAt is Handle.RangeQuery as of snapshot rv. Unless the
 	// status is PinCommitted, out is returned unextended.
 	RangeQueryAt(rv, lo, hi uint64, out []KV) ([]KV, PinStatus)
+	// RangeAggAt is AggHandle.RangeAgg as of snapshot rv. The tuple is
+	// meaningful only when the status is PinCommitted.
+	RangeAggAt(rv, lo, hi uint64) (Agg, PinStatus)
 }
 
 // Handle is a per-thread handle to a dictionary. A Handle must be used

@@ -28,15 +28,17 @@ type Handle[N any] struct {
 	Lo, Hi   uint64
 	Res      Result
 	// Range is the caller's result slice while a range query runs, and
-	// nil between calls: the walks append the pairs to it, and every
-	// attempt starts over at the length the caller's slice came with
-	// (RestartRange). So the result is not copied once more, and the
-	// handle keeps no buffer as long as its longest scan, nor a
+	// nil between calls: the walks append the pairs to it (Collect), and
+	// every attempt starts over at the length the caller's slice came
+	// with (RestartRange). So the result is not copied once more, and
+	// the handle keeps no buffer as long as its longest scan, nor a
 	// reference to the caller's.
 	Range     []dict.KV
 	rangeBase int
-	// aggOut is RangeAgg's scratch for the pairs it folds.
-	aggOut []dict.KV
+	// folding makes Collect fold the pairs into agg instead: an
+	// aggregate query's walk, which keeps no pairs at all.
+	folding bool
+	agg     dict.Agg
 
 	// The tree's operations: its updates built by TemplateOp, its
 	// read-only operations from one transactional body and a fallback
@@ -97,35 +99,52 @@ func (h *Handle[N]) Search(key uint64) (uint64, bool) {
 // RangeQuery appends all pairs with lo <= key < hi to out in ascending
 // key order.
 func (h *Handle[N]) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
-	h.setRange(lo, hi, out)
+	h.setRange(lo, hi, out, false)
 	h.Th.Run(h.RangeOp)
 	return h.takeRange()
 }
 
 // RangeAgg returns the aggregate tuple of the keys in [lo, hi): the
-// range query's own op, folded (dict.Fold). The pairs are collected into
-// the handle's one fold scratch, so steady-state queries allocate
-// nothing. The error is always nil.
+// range query's own op, its walk folding each pair as it finds it
+// (Collect), so the query keeps no pairs, allocates nothing, and leaves
+// the handle no buffer. The error is always nil.
 func (h *Handle[N]) RangeAgg(lo, hi uint64) (dict.Agg, error) {
-	h.aggOut = h.RangeQuery(lo, hi, h.aggOut[:0])
-	return dict.Fold(h.aggOut), nil
+	h.setRange(lo, hi, nil, true)
+	h.Th.Run(h.RangeOp)
+	return h.agg, nil
 }
 
-// RestartRange truncates the range result to the caller's prefix: a walk
-// calls it before collecting, on every attempt and every fallback retry,
-// so that nothing an abandoned attempt appended is kept.
-func (h *Handle[N]) RestartRange() { h.Range = h.Range[:h.rangeBase] }
+// Collect takes a pair the range walk found in [Lo, Hi), in ascending
+// key order: appended to the result, or, for an aggregate query, folded
+// into its tuple.
+func (h *Handle[N]) Collect(k, v uint64) {
+	if h.folding {
+		h.agg.Add(k)
+		return
+	}
+	h.Range = append(h.Range, dict.KV{Key: k, Val: v})
+}
+
+// RestartRange truncates the range result to the caller's prefix, and
+// empties an aggregate query's tuple: a walk calls it before collecting,
+// on every attempt and every fallback retry, so that nothing an
+// abandoned attempt collected is kept.
+func (h *Handle[N]) RestartRange() {
+	h.Range = h.Range[:h.rangeBase]
+	h.agg = dict.Agg{Min: ^uint64(0)}
+}
 
 // setRange stores a range query's arguments in the handle scratch, hi
 // clamped to the key space so that no walk reaches a tree's sentinel
-// keys, the caller's slice as the result to append to, and the extent in
-// the op as the call's footprint hint: the cells a scan reads grow with
-// the keys it covers, and which extents fit a transaction is the site's
-// to learn (Op.Hint).
-func (h *Handle[N]) setRange(lo, hi uint64, out []dict.KV) {
+// keys, the caller's slice as the result to append to (or, folding, the
+// aggregate query's mode: Collect), and the extent in the op as the
+// call's footprint hint: the cells a scan reads grow with the keys it
+// covers, and which extents fit a transaction is the site's to learn
+// (Op.Hint).
+func (h *Handle[N]) setRange(lo, hi uint64, out []dict.KV, folding bool) {
 	hi = min(hi, dict.MaxKey+1)
 	h.Lo, h.Hi = lo, hi
-	h.Range, h.rangeBase = out, len(out)
+	h.Range, h.rangeBase, h.folding = out, len(out), folding
 	h.RangeOp.Hint = 0
 	if hi > lo {
 		h.RangeOp.Hint = hi - lo
@@ -148,13 +167,19 @@ func (h *Handle[N]) PinEnter()      { h.Th.EnterReclaim() }
 func (h *Handle[N]) PinExit()       { h.Th.ExitReclaim() }
 
 func (h *Handle[N]) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
-	h.setRange(lo, hi, out)
+	h.setRange(lo, hi, out, false)
 	st := h.Th.RunAt(&h.RangeOp, rv)
 	res := h.takeRange()
 	if st != dict.PinCommitted {
 		return out, st
 	}
 	return res, st
+}
+
+func (h *Handle[N]) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
+	h.setRange(lo, hi, nil, true)
+	st := h.Th.RunAt(&h.RangeOp, rv)
+	return h.agg, st
 }
 
 // ReclaimStats returns a snapshot of the handle's pool counters.

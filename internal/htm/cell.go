@@ -14,9 +14,9 @@ const lockBit = 1
 // locked or not): version t, unless the cell's own version is already t
 // or later — two writes stamped before the clock moved — and then one
 // past it. So a write always changes the version word, and a reader that
-// finds it equal before and after loading the value (a Pair's two words
-// above all) knows that no write came between; and the stamp is still
-// past the clock as the writer sampled it, which is all the snapshot
+// finds it equal before and after loading the value (a Block entry's
+// two words above all) knows that no write came between; and the stamp
+// is still past the clock as the writer sampled it, which is all the snapshot
 // rules need.
 func stamp(old, t uint64) uint64 {
 	if nv := t << 1; nv > old {
@@ -140,8 +140,8 @@ func (w *Word) get(tx *Tx) uint64 {
 			}
 		}
 	}
-	if tx.findWrite(&w.ver) {
-		if buf := tx.readBack(&w.ver); buf != nil {
+	if c := unsafe.Pointer(&w.val); tx.findWrite(c) {
+		if buf := tx.readBack(c); buf != nil {
 			return buf.word
 		}
 	}
@@ -204,67 +204,68 @@ func (w *Word) Add(delta uint64) uint64 {
 	return v
 }
 
-// Pair is a shared cell holding two uint64 values under one version
-// word: the two are read, and changed, as a unit. It exists for values
-// that always move together — a leaf's order permutation and size, a
-// leaf entry's key and value — where two Words would cost every update two
-// write-set entries, two commit locks and two version stores (and every
-// read two read-set entries) for what is one logical change. Hardware
-// tracks such neighbours as one cache line; a Pair is the simulator's
-// rendering of that. The zero value is an unlocked (0, 0).
-// A Pair takes buffered values (Set) only: it has no CAS.
-type Pair struct {
+// Block is one version word over a run of two-word entries (Pair): an
+// (a,b)-tree leaf's order word and its slots. Hardware tracks the lines
+// a transaction touches, not the words on them, and keeps no version per
+// entry; a Block is the simulator's rendering of that: a transactional
+// read of any of its entries logs one read-set entry against the shared
+// word, a commit that writes any number of them locks and stamps the word
+// once, and a write of one entry conflicts with a reader of any other, as
+// a shared line would. The zero value is an unlocked block.
+//
+// Each entry a Block covers is still read as of one instant — its two
+// words together — and a write-set entry is one Pair: a transaction's
+// buffered writes and its capacity count entries, the storage, while the
+// lock is the Block's.
+type Block struct {
 	ver atomic.Uint64
+}
+
+// Pair is one two-word entry under a Block's version word: storage only.
+// Every access but Init goes through the Block that covers it, which the
+// caller names. The zero value holds (0, 0).
+type Pair struct {
 	val [2]atomic.Uint64
 }
 
-// Init sets the cell's values without version bookkeeping. See
+// Init sets the entry's values without version bookkeeping. See
 // Word.Init.
 func (p *Pair) Init(a, b uint64) {
 	*(*[2]uint64)(unsafe.Pointer(&p.val)) = [2]uint64{a, b}
 }
 
-// Store writes both values outside any transaction, immediately: it
-// locks the cell and stamps it with a tick of the clock, as Word.Set
-// with a nil tx does. A transaction that read the cell before the store
-// aborts; one begun after it reads the new values.
-func (p *Pair) Store(a, b uint64) {
-	old := acquireNonTx(&p.ver)
-	nv := stamp(old, clock.tick())
-	p.val[0].Store(a)
-	p.val[1].Store(b)
-	p.ver.Store(nv)
-}
-
-// Get reads both values as of one instant. With a nil tx it performs a
-// non-transactional atomic read; otherwise the read joins tx's read set
-// and may abort tx. Its common read is answered inline, as Word.Get's.
-func (p *Pair) Get(tx *Tx) (a, b uint64) {
-	v := p.ver.Load()
-	a, b = p.val[0].Load(), p.val[1].Load()
+// Get reads both values of the entry p, which b covers, as of one
+// instant. With a nil tx it performs a non-transactional atomic read;
+// otherwise the read joins tx's read set — as a read of b — and may
+// abort tx. Its common read is answered inline, as Word.Get's.
+func (b *Block) Get(tx *Tx, p *Pair) (x, y uint64) {
+	v := b.ver.Load()
+	x, y = p.val[0].Load(), p.val[1].Load()
 	if tx == nil {
-		if v&lockBit == 0 && p.ver.Load() == v {
-			return a, b
+		if v&lockBit == 0 && b.ver.Load() == v {
+			return x, y
 		}
 	} else if tx.fastRead(v) {
-		if p.ver.Load() != v {
+		if b.ver.Load() != v {
 			tx.abort(CauseConflict)
 		}
-		tx.logFast(&p.ver, v)
-		return a, b
+		tx.logFast(&b.ver, v)
+		return x, y
 	}
-	return p.get(tx)
+	return b.get(tx, p)
 }
 
-// get is Get's slow half; see Word.get.
-func (p *Pair) get(tx *Tx) (a, b uint64) {
+// get is Get's slow half; see Word.get. A buffered write is looked up by
+// the entry, not by the version word: the write set may hold other
+// entries of the same block.
+func (b *Block) get(tx *Tx, p *Pair) (x, y uint64) {
 	if tx == nil {
 		for i := 0; ; i++ {
-			v1 := p.ver.Load()
+			v1 := b.ver.Load()
 			if v1&lockBit == 0 {
-				a, b = p.val[0].Load(), p.val[1].Load()
-				if p.ver.Load() == v1 {
-					return a, b
+				x, y = p.val[0].Load(), p.val[1].Load()
+				if b.ver.Load() == v1 {
+					return x, y
 				}
 			}
 			if i%128 == 127 {
@@ -272,28 +273,37 @@ func (p *Pair) get(tx *Tx) (a, b uint64) {
 			}
 		}
 	}
-	if tx.findWrite(&p.ver) {
-		if buf := tx.readBack(&p.ver); buf != nil {
+	if c := unsafe.Pointer(p); tx.findWrite(c) {
+		if buf := tx.readBack(c); buf != nil {
 			return buf.word, buf.word2
 		}
 	}
-	v := p.ver.Load()
+	v := b.ver.Load()
 	if !tx.readable(v) {
-		v = tx.readVersion(&p.ver)
+		v = tx.readVersion(&b.ver)
 	}
-	a, b = p.val[0].Load(), p.val[1].Load()
-	if p.ver.Load() != v {
+	x, y = p.val[0].Load(), p.val[1].Load()
+	if b.ver.Load() != v {
 		tx.abort(CauseConflict)
 	}
-	tx.logRead(&p.ver, v)
-	return a, b
+	tx.logRead(&b.ver, v)
+	return x, y
 }
 
-// Set writes both values in tx, buffered until tx commits. tx must not be
-// nil: outside a transaction, write with Store.
-func (p *Pair) Set(tx *Tx, a, b uint64) {
-	e := tx.writeSlot(&p.ver, unsafe.Pointer(&p.val), entPair)
-	e.word, e.word2 = a, b
+// Set writes both values of the entry p, which b covers. With a nil tx
+// the store is immediate: it locks the block and stamps it with a tick of
+// the clock, as Word.Set does. Otherwise it is buffered until tx commits.
+func (b *Block) Set(tx *Tx, p *Pair, x, y uint64) {
+	if tx == nil {
+		old := acquireNonTx(&b.ver)
+		nv := stamp(old, clock.tick())
+		p.val[0].Store(x)
+		p.val[1].Store(y)
+		b.ver.Store(nv)
+		return
+	}
+	e := tx.writeSlot(&b.ver, unsafe.Pointer(p), entPair)
+	e.word, e.word2 = x, y
 }
 
 // Ref is a shared pointer cell holding a *T. The zero value is an
@@ -352,8 +362,8 @@ func (r *Ref[T]) get(tx *Tx) *T {
 			}
 		}
 	}
-	if tx.findWrite(&r.ver) {
-		if buf := tx.readBack(&r.ver); buf != nil {
+	if c := unsafe.Pointer(&r.val); tx.findWrite(c) {
+		if buf := tx.readBack(c); buf != nil {
 			return (*T)(buf.ptr)
 		}
 	}

@@ -9,26 +9,27 @@ import (
 // even when the clock has not moved since the cell's last write — a
 // commit stamps one past the clock, so two of them would otherwise
 // stamp the same version, and a reader comparing the version word before
-// and after loading a Pair's two words would take the halves of
-// different writes for one.
+// and after loading a Block's entry would take the halves of different
+// writes for one.
 func TestStampsOnlyGrow(t *testing.T) {
 	t.Parallel()
 	tm := New(Config{})
 	th := tm.NewThread()
+	var b Block
 	var p Pair
 	var w Word
-	commit := func(tx *Tx) { p.Set(tx, 1, 1); w.Set(tx, 1) }
+	commit := func(tx *Tx) { b.Set(tx, &p, 1, 1); w.Set(tx, 1) }
 	last := [2]uint64{}
 	for i, write := range []func(){
 		func() { th.Atomic(PathFast, commit) },
 		func() { th.Atomic(PathFast, commit) },
-		func() { p.Store(2, 2); w.Set(nil, 2) },
+		func() { b.Set(nil, &p, 2, 2); w.Set(nil, 2) },
 		func() { th.Atomic(PathFast, commit) },
-		func() { w.CAS(nil, 1, 4); w.Add(1); p.Store(4, 4) },
+		func() { w.CAS(nil, 1, 4); w.Add(1); b.Set(nil, &p, 4, 4) },
 		func() { th.Atomic(PathFast, commit) },
 	} {
 		write()
-		for j, ver := range []uint64{p.ver.Load(), w.ver.Load()} {
+		for j, ver := range []uint64{b.ver.Load(), w.ver.Load()} {
 			if ver&lockBit != 0 || ver <= last[j] {
 				t.Fatalf("write %d left cell %d at version word %#x after %#x", i, j, ver, last[j])
 			}

@@ -110,7 +110,8 @@ func TestSnapshotExtension(t *testing.T) {
 }
 
 // TestInBodyOpacity: two writers keep three chains of cells equal — a
-// chain of Words holding v, one of Pairs holding (v, ^v) and one of Refs
+// chain of Words holding v, one of Pairs under one Block holding (v, ^v)
+// and one of Refs
 // to a node holding v, all written by one transaction — and two more
 // keep stamping an unrelated cell, one transactionally and one outside
 // any transaction. Two readers read the noise cell between the chains'
@@ -127,6 +128,7 @@ func TestInBodyOpacity(t *testing.T) {
 	tm := New(Config{})
 	var (
 		words [chain]Word
+		blk   Block
 		pairs [chain]Pair
 		refs  [chain]Ref[node]
 		noise Word
@@ -155,7 +157,7 @@ func TestInBodyOpacity(t *testing.T) {
 				n := &node{v}
 				for i := range chain {
 					words[i].Set(tx, v)
-					pairs[i].Set(tx, v, ^v)
+					blk.Set(tx, &pairs[i], v, ^v)
 					refs[i].Set(tx, n)
 				}
 			})
@@ -185,7 +187,7 @@ func TestInBodyOpacity(t *testing.T) {
 				noise.Get(tx)
 			}
 			check(words[j].Get(tx))
-			a, b := pairs[j].Get(tx)
+			a, b := blk.Get(tx, &pairs[j])
 			check(a)
 			check(^b)
 			check(refs[j].Get(tx).v)

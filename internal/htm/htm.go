@@ -9,14 +9,16 @@
 // two semantic properties in software with a TL2-flavoured design:
 //
 //   - Shared memory is held in cells (Ref[T] for pointers, Word for
-//     uint64, Pair for two uint64 that are read and changed as a unit —
-//     a leaf entry's key and value, a leaf's order permutation and size).
+//     uint64, and Block for one version word over a run of two-word
+//     entries, Pairs: an (a,b)-tree leaf's order word and slots).
 //     Every access, transactional or not, goes through the cell API.
 //     Each cell pairs its value with a version word encoded as
-//     version<<1|lock. A cell is the unit the read and write sets count,
-//     the stand-in for hardware's cache line: what shares a line on the
-//     modelled machine should share a cell here. A cell is its version
-//     word and its value, nothing more.
+//     version<<1|lock. The version word is the stand-in for hardware's
+//     cache lines: what shares lines on the modelled machine should
+//     share a version word here, and a write of any entry of a Block
+//     conflicts with a reader of every other. The read and write sets
+//     count entries: a Word, a Ref, or one Pair of a Block. A cell is
+//     its version word and its values, nothing more.
 //   - There is one version clock (Clock, cache-line padded), as TL2
 //     keeps one global clock: every TM's transactions snapshot it and
 //     every write is stamped from it, so all cells form one
@@ -33,13 +35,14 @@
 //     at a caller's snapshot (Thread.AtomicAt) never extends; it aborts.
 //   - Commit try-locks the write set (failure aborts with Conflict,
 //     mirroring HTM's abort-on-conflict rather than blocking), validates
-//     the read set, stamps the writes one past the clock without writing
+//     the read set, applies the writes, and then unlocks each version
+//     word it locked by stamping it one past the clock without writing
 //     the clock (TL2's GV5; a cell already at that stamp gets one past
-//     its own version, so every write moves the version word), applies
-//     them, and unlocks. So commits share no cache line but the ones
-//     they write, as on hardware. Every write-set entry is a buffered
-//     store, like a hardware transaction's stores: there is no
-//     commit-time read-modify-write.
+//     its own version, so every write moves the version word). So
+//     commits share no cache line but the ones they write, as on
+//     hardware. Every write-set entry is a buffered store, like a
+//     hardware transaction's stores: there is no commit-time
+//     read-modify-write.
 //   - Non-transactional stores and CAS operations lock the cell, tick
 //     the clock, stamp the cell with the new clock value, and unlock.
 //     Because they stamp the same versions the transactions validate
@@ -57,15 +60,16 @@
 // floor under every other number. Three things keep it down. A
 // transactional read or first write of a cell must know whether the cell
 // is already in the write set; a 256-bit signature of the write set's
-// version-word addresses (Tx.sig) answers "no" in O(1), inlined into the
-// cells' Get, and only a hit scans. What an access needs from the
+// value-storage addresses (Tx.sig) answers "no" in O(1), inlined into
+// the cells' Get, and only a hit scans. What an access needs from the
 // configuration — capacity limits, whether failure injection is armed —
 // is copied into the Tx when its thread is created, so an access reads
 // it from the Tx it already holds (Tx.bind).
-// And a write-set entry addresses its cell by two raw pointers, version
-// word and value storage, so commit applies every kind of entry (a
-// buffered Word, Ref or Pair value) with a switch
-// instead of an interface call and an entry stays under a cache line.
+// And a write-set entry addresses its cell by two raw pointers, value
+// storage (its identity) and version word (its lock, which a Block's
+// entries share and commit takes once), so commit applies every kind of
+// entry (a buffered Word, Ref or Pair value) with a switch instead of an
+// interface call and an entry stays under a cache line.
 //
 // A transaction is a single attempt, exactly like XBEGIN/XEND: retry
 // policy belongs to the caller. Transactions must not be nested. An

@@ -15,18 +15,19 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 	tm := New(Config{})
 	th, writer := tm.NewThread(), tm.NewThread()
 	var still, txWritten, plainWritten Word
+	var blk Block
 	var pair Pair
 	for _, c := range []*Word{&still, &txWritten, &plainWritten} {
 		c.Set(nil, 1)
 	}
-	pair.Store(1, 1)
+	blk.Set(nil, &pair, 1, 1)
 
 	rv := tm.Clock().Now()
 	if ok, _ := writer.Atomic(PathFast, func(tx *Tx) { txWritten.Set(tx, 2) }); !ok {
 		t.Fatal("writer aborted")
 	}
 	plainWritten.Set(nil, 2)
-	pair.Store(2, 2)
+	blk.Set(nil, &pair, 2, 2)
 
 	ok, _ := th.AtomicAt(PathFast, rv, func(tx *Tx) {
 		if got := still.Get(tx); got != 1 {
@@ -39,7 +40,7 @@ func TestPinnedReadsTheSnapshot(t *testing.T) {
 	for name, read := range map[string]func(tx *Tx) uint64{
 		"transactional write": txWritten.Get,
 		"plain write":         plainWritten.Get,
-		"pair write":          func(tx *Tx) uint64 { a, _ := pair.Get(tx); return a },
+		"pair write":          func(tx *Tx) uint64 { a, _ := blk.Get(tx, &pair); return a },
 	} {
 		ok, ab := th.AtomicAt(PathFast, rv, func(tx *Tx) {
 			_ = still.Get(tx)

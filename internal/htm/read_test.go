@@ -17,7 +17,8 @@ type readCell struct {
 	set func(tx *Tx, v uint64)
 }
 
-// readCellKinds builds a fresh cell of each kind: a Word, a Pair holding (v, ^v), and a Ref to a node holding v.
+// readCellKinds builds a fresh cell of each kind: a Word, a Pair holding
+// (v, ^v) under its own Block, and a Ref to a node holding v.
 var readCellKinds = []struct {
 	name string
 	new  func() readCell
@@ -27,23 +28,17 @@ var readCellKinds = []struct {
 		return readCell{&w.ver, w.Get, w.Set}
 	}},
 	{"Pair", func() readCell {
-		p := new(Pair)
+		blk, p := new(Block), new(Pair)
 		p.Init(0, ^uint64(0))
 		get := func(tx *Tx) uint64 {
-			a, b := p.Get(tx)
+			a, b := blk.Get(tx, p)
 			if b != ^a {
 				panic("torn pair")
 			}
 			return a
 		}
-		set := func(tx *Tx, v uint64) {
-			if tx == nil {
-				p.Store(v, ^v)
-				return
-			}
-			p.Set(tx, v, ^v)
-		}
-		return readCell{&p.ver, get, set}
+		set := func(tx *Tx, v uint64) { blk.Set(tx, p, v, ^v) }
+		return readCell{&blk.ver, get, set}
 	}},
 	{"Ref", func() readCell {
 		r := new(Ref[uint64])

@@ -218,25 +218,30 @@ type entryKind uint8
 const (
 	entWord entryKind = iota // Word.Set: store word
 	entRef                   // Ref.Set: store ptr
-	entPair                  // Pair.Set: store (word, word2)
+	entPair                  // Block.Set: store (word, word2)
 )
 
 // writeEntry is one buffered write. It addresses the cell by two raw
-// pointers instead of an interface value — ver, the cell's version word
-// (unique per cell, so it is also the entry's identity), and c, the
-// cell's value storage — which lets commit apply every kind of entry
-// with a plain switch and keeps the entry at 48 bytes, well under a
-// cache line: growing it (88 bytes was tried) measurably slows commits
-// of small write sets.
+// pointers instead of an interface value — c, the value storage, which
+// is the entry's identity, and ver, the version word that guards it —
+// which lets commit apply every kind of entry with a plain switch and
+// keeps the entry at 48 bytes, well under a cache line: growing it (88
+// bytes was tried) measurably slows commits of small write sets. A Word
+// or a Ref is one entry under its own version word; a Block's entries
+// share one, so several write-set entries may name the same ver, and
+// commit locks it once, for the first of them (locks).
 type writeEntry struct {
 	ver *atomic.Uint64
-	// c is the cell's value storage: *atomic.Uint64 for a Word,
-	// *unsafe.Pointer for a Ref, *[2]atomic.Uint64 for a Pair.
+	// c is the value storage: *atomic.Uint64 for a Word,
+	// *unsafe.Pointer for a Ref, the *Pair for a Block's entry.
 	c     unsafe.Pointer
 	word  uint64
 	word2 uint64         // second component of a Pair value
 	ptr   unsafe.Pointer // buffered *T of an entRef entry
 	kind  entryKind
+	// locks marks, during a commit, the entry that took ver's lock: the
+	// one that releases it, or stamps it.
+	locks bool
 }
 
 // sigWords is the size of the write-set signature in 64-bit words.
@@ -262,8 +267,9 @@ type Tx struct {
 	fast   int
 	writes []writeEntry
 	// sig is a 256-bit signature (a one-hash Bloom filter) of the
-	// version-word addresses in writes. Every transactional read
-	// fastRead declines, and every first write of a cell, asks "is this cell in my write set?"
+	// value-storage addresses in writes (writeEntry.c). Every
+	// transactional read fastRead declines, and every first write of a
+	// cell, asks "is this cell in my write set?"
 	// and the answer is almost always no; a clear signature bit says so
 	// in O(1), where scanning writes costs O(len(writes)) per access —
 	// quadratic in the size of a commit. A set bit only means "maybe":
@@ -517,64 +523,64 @@ func (tx *Tx) giveBack() {
 	longLogs.mu.Unlock()
 }
 
-// sigBit maps a version-word address to its bit of the write-set
-// signature: the word index and the mask within it. Cells are 8-byte
-// aligned and sit at small strides inside a node, so the address is
-// scrambled by a Fibonacci multiply before its top 8 bits are taken.
-func sigBit(ver *atomic.Uint64) (uint, uint64) {
-	h := (uint64(uintptr(unsafe.Pointer(ver))) >> 3) * 0x9e3779b97f4a7c15 >> 56
+// sigBit maps an address to its bit of a 256-bit signature: the word
+// index and the mask within it. Cells are 8-byte aligned and sit at
+// small strides inside a node, so the address is scrambled by a
+// Fibonacci multiply before its top 8 bits are taken.
+func sigBit(p unsafe.Pointer) (uint, uint64) {
+	h := (uint64(uintptr(p)) >> 3) * 0x9e3779b97f4a7c15 >> 56
 	return uint(h >> 6), 1 << (h & 63)
 }
 
 // findWrite is the O(1) write-set membership test every transactional
-// read fastRead declines starts with: false means the cell with the
-// given version word is certainly not in the write set; true means it
-// may be, and readBack must scan. It has to stay small enough to inline
-// into the Gets' slow halves. A read-only attempt answers from the
-// length alone, a writing one from the signature.
-func (tx *Tx) findWrite(ver *atomic.Uint64) bool {
+// read fastRead declines starts with: false means the value storage c
+// is certainly not in the write set; true means it may be, and readBack
+// must scan. It has to stay small enough to inline into the Gets' slow
+// halves. A read-only attempt answers from the length alone, a writing
+// one from the signature.
+func (tx *Tx) findWrite(c unsafe.Pointer) bool {
 	if len(tx.writes) == 0 {
 		return false
 	}
-	w, m := sigBit(ver)
+	w, m := sigBit(c)
 	return tx.sig[w]&m != 0
 }
 
-// readBack returns the write-set entry a transactional read of the cell
-// must return the buffered value of, or nil.
-func (tx *Tx) readBack(ver *atomic.Uint64) *writeEntry {
-	i := tx.writeIndex(ver)
+// readBack returns the write-set entry a transactional read of the
+// value storage c must return the buffered value of, or nil.
+func (tx *Tx) readBack(c unsafe.Pointer) *writeEntry {
+	i := tx.writeIndex(c)
 	if i < 0 {
 		return nil
 	}
 	return &tx.writes[i]
 }
 
-// writeIndex scans the write set for the entry with the given version
-// word and returns its index, or -1. Callers consult the signature
-// first (findWrite, or sigBit when they go on to set the bit).
-func (tx *Tx) writeIndex(ver *atomic.Uint64) int {
+// writeIndex scans the write set for the entry of the value storage c
+// and returns its index, or -1. Callers consult the signature first
+// (findWrite, or sigBit when they go on to set the bit).
+func (tx *Tx) writeIndex(c unsafe.Pointer) int {
 	for i := len(tx.writes) - 1; i >= 0; i-- {
-		if tx.writes[i].ver == ver {
+		if tx.writes[i].c == c {
 			return i
 		}
 	}
 	return -1
 }
 
-// writeSlot returns the write-set entry of the cell (ver, c) for a
-// write of the given kind, appending one — zero word, word2 and ptr —
-// if the cell is not in the set yet; the caller stores its operand into
-// the entry.
+// writeSlot returns the write-set entry of the value storage c, guarded
+// by the version word ver, for a write of the given kind, appending one
+// — zero word, word2 and ptr — if c is not in the set yet; the caller
+// stores its operand into the entry.
 //
 // The cell is addressed by the raw pointers of its version word and
 // value storage rather than through an interface: this runs on every
 // transactional write, where both the dynamic dispatch and the
 // interface comparison it would take to dedup entries are measurable.
 func (tx *Tx) writeSlot(ver *atomic.Uint64, c unsafe.Pointer, kind entryKind) *writeEntry {
-	sw, sm := sigBit(ver)
+	sw, sm := sigBit(c)
 	if tx.sig[sw]&sm != 0 {
-		if i := tx.writeIndex(ver); i >= 0 {
+		if i := tx.writeIndex(c); i >= 0 {
 			tx.admit(i, tx.writeCap)
 			return &tx.writes[i]
 		}
@@ -592,26 +598,43 @@ func (tx *Tx) writeSlot(ver *atomic.Uint64, c unsafe.Pointer, kind entryKind) *w
 	return w
 }
 
-// ownsLock reports whether ver is the version word of a cell in the
-// write set (and therefore locked by this transaction during commit).
-func (tx *Tx) ownsLock(ver *atomic.Uint64) bool {
-	return tx.findWrite(ver) && tx.writeIndex(ver) >= 0
+// holds reports whether one of the first n write-set entries names the
+// version word ver, which commit has therefore locked; locks is the
+// signature of the version words commit locked (sigBit), so a word it
+// did not lock is answered in O(1).
+func (tx *Tx) holds(locks *[sigWords]uint64, ver *atomic.Uint64, n int) bool {
+	if w, m := sigBit(unsafe.Pointer(ver)); locks[w]&m == 0 {
+		return false
+	}
+	for i := n - 1; i >= 0; i-- {
+		if tx.writes[i].ver == ver {
+			return true
+		}
+	}
+	return false
 }
 
-// releaseLocks unlocks the first n write-set cells, restoring their
-// pre-lock versions (the lock bit is all that locking changed).
+// releaseLocks unlocks the version words the first n write-set entries
+// locked, restoring their pre-lock versions (the lock bit is all that
+// locking changed).
 func (tx *Tx) releaseLocks(n int) {
 	for i := 0; i < n; i++ {
-		ver := tx.writes[i].ver
-		ver.Store(ver.Load() &^ lockBit)
+		if w := &tx.writes[i]; w.locks {
+			w.ver.Store(w.ver.Load() &^ lockBit)
+		}
 	}
 }
 
 // commit attempts to commit the transaction, returning CauseNone on
 // success.
 //
-// Locking the write set, an entry that finds its cell locked aborts
-// rather than waits — this is how HTM resolves write-write contention.
+// Locking the write set, an entry that finds its version word locked by
+// another thread aborts rather than waits — this is how HTM resolves
+// write-write contention. Each version word is locked once, by the
+// first entry that names it: a Block's later entries find it locked by
+// an earlier entry of the same commit and go on. Every value is stored
+// before any version word is stamped, so no reader sees a block unlocked
+// with only some of its entries written.
 // The writes are stamped one past the clock (see stamp), and the clock
 // is left where it is (TL2's GV5): two commits never meet on the clock's
 // cache line,
@@ -624,14 +647,23 @@ func (tx *Tx) commit() AbortCause {
 		// Read-only transactions are consistent at their snapshot by construction.
 		return CauseNone
 	}
+	// locks is the signature of the version words locked so far.
+	var locks [sigWords]uint64
 	for i := range tx.writes {
 		w := &tx.writes[i]
 		v := w.ver.Load()
-		if v&lockBit != 0 || !w.ver.CompareAndSwap(v, v|lockBit) {
-			tx.held = w.ver
-			tx.releaseLocks(i)
-			return CauseConflict
+		if v&lockBit == 0 && w.ver.CompareAndSwap(v, v|lockBit) {
+			w.locks = true
+			lw, lm := sigBit(unsafe.Pointer(w.ver))
+			locks[lw] |= lm
+			continue
 		}
+		if v&lockBit != 0 && tx.holds(&locks, w.ver, i) {
+			continue
+		}
+		tx.held = w.ver
+		tx.releaseLocks(i)
+		return CauseConflict
 	}
 	// Sampled with the write set locked: a snapshot at or past the stamp
 	// is taken after the locks, so it sees every write or a lock.
@@ -642,7 +674,7 @@ func (tx *Tx) commit() AbortCause {
 		if v == rd.seen {
 			continue
 		}
-		if v == rd.seen|lockBit && tx.ownsLock(rd.ver) {
+		if v == rd.seen|lockBit && tx.holds(&locks, rd.ver, len(tx.writes)) {
 			continue
 		}
 		if v&lockBit != 0 {
@@ -663,7 +695,11 @@ func (tx *Tx) commit() AbortCause {
 			val[0].Store(w.word)
 			val[1].Store(w.word2)
 		}
-		w.ver.Store(stamp(w.ver.Load(), wv))
+	}
+	for i := range tx.writes {
+		if w := &tx.writes[i]; w.locks {
+			w.ver.Store(stamp(w.ver.Load(), wv))
+		}
 	}
 	return CauseNone
 }

@@ -90,10 +90,13 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 	}
 
 	// Cells of the three kinds, each in its own allocation-sized struct
-	// so their addresses spread the way tree nodes' do.
+	// so their addresses spread the way tree nodes' do, but for pairs:
+	// four to a Block, so a transaction writes and reads back siblings
+	// under one version word, as a leaf's entries are.
 	words := make([]*Word, cells)
 	refs := make([]*Ref[wsNode], cells)
 	pairs := make([]*Pair, cells)
+	blocks := make([]*Block, cells)
 	nodes := make([]*wsNode, 8)
 	for i := range nodes {
 		nodes[i] = &wsNode{id: i}
@@ -101,6 +104,11 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 	m := &wsModel{words: make([]uint64, cells), refs: make([]*wsNode, cells), pairs: make([][2]uint64, cells)}
 	for i := 0; i < cells; i++ {
 		words[i], refs[i], pairs[i] = new(Word), new(Ref[wsNode]), new(Pair)
+		if i%4 == 0 {
+			blocks[i] = new(Block)
+		} else {
+			blocks[i] = blocks[i-1]
+		}
 	}
 
 	for txn := 0; txn < 12; txn++ {
@@ -156,14 +164,14 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 						t.Fatalf("seed %d txn %d: ref %d CAS from its own value failed", seed, txn, i)
 					}
 					m.refSet[i] = p
-				case 6: // Pair.Get, reading back a buffered Set
-					a, b := pairs[i].Get(tx)
+				case 6: // Block.Get, reading back a buffered Set
+					a, b := blocks[i].Get(tx, pairs[i])
 					if want := m.pair(i); a != want[0] || b != want[1] {
 						t.Fatalf("seed %d txn %d: pair %d reads (%d,%d), model %v", seed, txn, i, a, b, want)
 					}
-				case 7: // Pair.Set
+				case 7: // Block.Set
 					v := [2]uint64{uint64(next(1 << 20)), uint64(next(1 << 20))}
-					pairs[i].Set(tx, v[0], v[1])
+					blocks[i].Set(tx, pairs[i], v[0], v[1])
 					m.pairSet[i] = v
 				}
 			}
@@ -188,7 +196,7 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 			if got := refs[i].Get(nil); got != m.refs[i] {
 				t.Fatalf("seed %d after txn %d: ref %d = %p, model %p", seed, txn, i, got, m.refs[i])
 			}
-			if a, b := pairs[i].Get(nil); a != m.pairs[i][0] || b != m.pairs[i][1] {
+			if a, b := blocks[i].Get(nil, pairs[i]); a != m.pairs[i][0] || b != m.pairs[i][1] {
 				t.Fatalf("seed %d after txn %d: pair %d = (%d,%d), model %v", seed, txn, i, a, b, m.pairs[i])
 			}
 		}
@@ -198,7 +206,8 @@ func runWriteSetModel(t *testing.T, cells int, seed uint64) {
 // TestWriteCapacityCountsEntries pins the capacity rule: the abort fires
 // on the write that would create entry number WriteCapacity+1, and an
 // overwrite of a cell already in the set — however often, whichever
-// kind — never counts.
+// kind — never counts. A Block's entries count one each, though they
+// share one version word (all of sets are under one).
 func TestWriteCapacityCountsEntries(t *testing.T) {
 	t.Parallel()
 	const (
@@ -210,6 +219,7 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 	words := make([]Word, per+1)
 	refs := make([]Ref[wsNode], per)
 	rounds := make([]Word, per)
+	var blk Block
 	sets := make([]Pair, per)
 	n := &wsNode{}
 	fill := func(tx *Tx, round uint64) {
@@ -217,7 +227,7 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 			words[i].Set(tx, uint64(i))
 			refs[i].Set(tx, n)
 			rounds[i].Set(tx, round)
-			sets[i].Set(tx, round, uint64(i))
+			blk.Set(tx, &sets[i], round, uint64(i))
 		}
 	}
 	ok, ab := th.Atomic(PathFast, func(tx *Tx) {
@@ -235,7 +245,7 @@ func TestWriteCapacityCountsEntries(t *testing.T) {
 	if got := rounds[0].Get(nil); got != 3 {
 		t.Fatalf("overwritten word = %d, want 3", got)
 	}
-	if a, b := sets[per-1].Get(nil); a != 3 || b != per-1 {
+	if a, b := blk.Get(nil, &sets[per-1]); a != 3 || b != per-1 {
 		t.Fatalf("overwritten pair = (%d,%d), want (3,%d)", a, b, per-1)
 	}
 	reached := false

@@ -125,6 +125,13 @@ func (s *verShard) Pinnable() bool { return s.pinnable }
 func (s *verShard) PinEnter()      { s.brackets++ }
 func (s *verShard) PinExit()       { s.brackets-- }
 
+// RangeAggAt folds the shard's pinned query, as the trees' handles fold
+// their walks.
+func (s *verShard) RangeAggAt(rv, lo, hi uint64) (dict.Agg, dict.PinStatus) {
+	out, st := s.RangeQueryAt(rv, lo, hi, nil)
+	return dict.Fold(out), st
+}
+
 func (s *verShard) RangeQueryAt(rv, lo, hi uint64, out []dict.KV) ([]dict.KV, dict.PinStatus) {
 	if s.brackets != 1 {
 		panic("pinned query outside the reclamation bracket")

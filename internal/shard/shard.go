@@ -440,8 +440,6 @@ type handle struct {
 	// fan-outs through this handle may run pinned (see pinnedReaders);
 	// it is nil otherwise.
 	pins []dict.PinnedReader
-	// aggOut is RangeAgg's retained range buffer.
-	aggOut []dict.KV
 }
 
 // routeUpdate returns the shard owning key and, on a monitored
@@ -585,9 +583,10 @@ func (h *handle) RangeQuery(lo, hi uint64, out []dict.KV) []dict.KV {
 var _ dict.AggHandle = (*handle)(nil)
 
 // RangeAgg returns the aggregate tuple (sum/count/min/max) of the keys
-// in [lo, hi) across all overlapping shards: the handle's own
-// RangeQuery, folded (dict.Fold), so the tuple is the consistent cut the
-// atomic read protocol makes of the range.
+// in [lo, hi) across all overlapping shards: RangeQuery's fan-out, with
+// each shard's part folded by the shard (shardAgg, or RangeAggAt when
+// pinned) and the tuples merged, so the tuple is the consistent cut the
+// atomic read protocol makes of the range, and no pairs are kept.
 //
 // It requires that protocol: a dictionary built without Config.Atomic
 // cannot order the per-shard reads against concurrent updates, and a
@@ -599,6 +598,41 @@ func (h *handle) RangeAgg(lo, hi uint64) (dict.Agg, error) {
 		return dict.Fold(nil), fmt.Errorf(
 			"shard: Config.Atomic = false (cross-shard aggregate queries would fold torn ranges into wrong sums; set Config.Atomic)")
 	}
-	h.aggOut = h.RangeQuery(lo, hi, h.aggOut[:0])
-	return dict.Fold(h.aggOut), nil
+	agg := dict.Fold(nil)
+	if hi <= lo {
+		return agg, nil
+	}
+	first, last := h.d.rt.overlap(lo, hi)
+	if first == last {
+		return h.shardAgg(first, lo, hi)
+	}
+	var err error
+	h.readAtomic(first, last, func(rv uint64) dict.PinStatus {
+		agg = dict.Fold(nil)
+		for s := first; s <= last; s++ {
+			a, st := h.pins[s].RangeAggAt(rv, lo, hi)
+			if st != dict.PinCommitted {
+				return st
+			}
+			agg.Merge(a)
+		}
+		return dict.PinCommitted
+	}, func() {
+		agg, err = dict.Fold(nil), nil
+		for s := first; s <= last && err == nil; s++ {
+			var a dict.Agg
+			a, err = h.shardAgg(s, lo, hi)
+			agg.Merge(a)
+		}
+	})
+	return agg, err
+}
+
+// shardAgg folds shard s's part of [lo, hi): the inner handle's own
+// aggregate query when it has one, else its range query, folded.
+func (h *handle) shardAgg(s int, lo, hi uint64) (dict.Agg, error) {
+	if ah, ok := h.hs[s].(dict.AggHandle); ok {
+		return ah.RangeAgg(lo, hi)
+	}
+	return dict.Fold(h.hs[s].RangeQuery(lo, hi, nil)), nil
 }

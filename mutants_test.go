@@ -36,6 +36,22 @@ var mutants = []mutant{
 		want:        "gave back a log holding a cell",
 	},
 	{
+		name:        "commit locks every entry, not once per version word",
+		file:        "internal/htm/tx.go",
+		snippet:     "\t\tif v&lockBit != 0 && tx.holds(&locks, w.ver, i) {\n\t\t\tcontinue\n\t\t}\n",
+		replacement: "",
+		args:        []string{"./internal/htm", "-run", "TestBlockCommitLocksOnce"},
+		want:        "entries of one block: the commit aborted",
+	},
+	{
+		name:        "readBack looks entries up by version word instead of by storage",
+		file:        "internal/htm/cell.go",
+		snippet:     "\tif c := unsafe.Pointer(p); tx.findWrite(c) {\n\t\tif buf := tx.readBack(c); buf != nil {\n\t\t\treturn buf.word, buf.word2\n\t\t}\n\t}\n",
+		replacement: "\tfor i := range tx.writes {\n\t\tif buf := &tx.writes[i]; buf.ver == &b.ver {\n\t\t\treturn buf.word, buf.word2\n\t\t}\n\t}\n",
+		args:        []string{"./internal/htm", "-run", "TestBlockReadsBackByEntry"},
+		want:        "want (30,31) from memory",
+	},
+	{
 		name:        "range walk restarts at 0",
 		file:        "internal/engine/handle.go",
 		snippet:     "h.Range = h.Range[:h.rangeBase]",

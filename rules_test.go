@@ -240,17 +240,17 @@ var designRules = []designRule{
 		// admits it and Tx.logFast logs it — and sends every other read
 		// to its slow half, get, which starts with Tx.findWrite, the
 		// O(1) write-set membership test. Each is free only while it
-		// inlines into each of the three cells' methods, and one more
-		// expression in it or in a method stops that silently. Ref is
-		// generic: its diagnostics come from a package that
-		// instantiates it.
+		// inlines into each of the three cells' methods (a Block's
+		// read an entry under it), and one more expression in it or in
+		// a method stops that silently. Ref is generic: its diagnostics
+		// come from a package that instantiates it.
 		name:   "the read-path helpers inline into every Get and get",
 		reason: "ROADMAP B(3)",
 		reads:  is("internal/htm/cell.go"),
 		build:  true,
 		check: func(in files) []string {
 			var out []string
-			for _, recv := range []string{"Word", "Ref", "Pair"} {
+			for _, recv := range []string{"Word", "Ref", "Block"} {
 				for _, c := range readPathCalls {
 					body, first, ok := funcText(in["internal/htm/cell.go"], recv, c.method)
 					calls := linesMatching(body, first, regexp.MustCompile(`tx\.`+c.helper+`\(`))
@@ -268,7 +268,7 @@ var designRules = []designRule{
 			return out
 		},
 		controls: []files{
-			{"internal/htm/cell.go": getsSrc, buildOut: getsInlined("Pair", "Get", "fastRead")},
+			{"internal/htm/cell.go": getsSrc, buildOut: getsInlined("Block", "Get", "fastRead")},
 			{"internal/htm/cell.go": getsSrc, buildOut: getsInlined("Ref", "get", "findWrite")},
 		},
 	},
@@ -672,7 +672,7 @@ func (w *Word) Get(tx *Tx) uint64 {
 }
 
 func (w *Word) get(tx *Tx) uint64 {
-	tx.findWrite(&w.ver)
+	tx.findWrite(unsafe.Pointer(&w.val))
 	return 0
 }
 
@@ -684,19 +684,19 @@ func (r *Ref[T]) Get(tx *Tx) *T {
 }
 
 func (r *Ref[T]) get(tx *Tx) *T {
-	tx.findWrite(&r.ver)
+	tx.findWrite(unsafe.Pointer(&r.val))
 	return nil
 }
 
-func (p *Pair) Get(tx *Tx) (a, b uint64) {
+func (b *Block) Get(tx *Tx, p *Pair) (x, y uint64) {
 	if tx.fastRead(0) {
-		tx.logFast(&p.ver, 0)
+		tx.logFast(&b.ver, 0)
 	}
-	return p.get(tx)
+	return b.get(tx, p)
 }
 
-func (p *Pair) get(tx *Tx) (a, b uint64) {
-	tx.findWrite(&p.ver)
+func (b *Block) get(tx *Tx, p *Pair) (x, y uint64) {
+	tx.findWrite(unsafe.Pointer(p))
 	return 0, 0
 }
 `
@@ -706,7 +706,7 @@ func (p *Pair) get(tx *Tx) (a, b uint64) {
 // instantiating package.
 func getsInlined(recv, method, helper string) string {
 	var out strings.Builder
-	for _, r := range []string{"Word", "Ref", "Pair"} {
+	for _, r := range []string{"Word", "Ref", "Block"} {
 		pkg := ""
 		if r == "Ref" {
 			pkg = "htm."
